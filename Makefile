@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet lint lint-selftest race bench figures chaos-short chaos cluster-smoke telemetry-demo profile xl ledger-check
+.PHONY: build test check vet lint lint-selftest deadpkgs race bench figures chaos-short chaos cluster-smoke telemetry-demo profile xl ledger-check
 
 build:
 	$(GO) build ./...
@@ -30,13 +30,24 @@ lint: bin/peertrack-lint
 lint-selftest:
 	$(GO) test ./internal/analysis/...
 
+# deadpkgs enforces "every package is imported by a shipped binary or a
+# figure": each package under internal/ must be a dependency of the root
+# package, a cmd/ binary or an example. The analyzer suite's test-support
+# package is the single exception.
+deadpkgs:
+	@deps=$$($(GO) list -deps . ./cmd/... ./examples/...); \
+	for p in $$($(GO) list ./internal/...); do \
+		[ "$$p" = peertrack/internal/analysis/analysistest ] && continue; \
+		echo "$$deps" | grep -qxF "$$p" || { echo "deadpkgs: no binary or example imports $$p"; dead=1; }; \
+	done; [ -z "$$dead" ]
+
 bin/peertrack-lint: FORCE
 	$(GO) build -o bin/peertrack-lint ./cmd/peertrack-lint
 
 FORCE:
 
 # check is the tier-1 gate: vet, the determinism lint suite, the full
-# test suite under the race detector (the sharded stats and parallel
+# test suite under the race detector (the sharded counters and parallel
 # sweep runner are exercised concurrently by their tests), and the
 # short chaos sweep.
 check: vet lint race chaos-short

@@ -43,15 +43,13 @@ func (d *daemon) scrape() (counters, error) {
 }
 
 // resilience reconstructs the wrapper's snapshot from scraped counters.
-// Successes has no dedicated counter; conservation (successes +
-// failures == calls) recovers it.
 func (c counters) resilience() transport.ResilienceSnapshot {
 	return transport.ResilienceSnapshot{
 		Calls:            c["transport.resilient.calls"],
 		Attempts:         c["transport.resilient.attempts"],
 		Retries:          c["transport.resilient.retries"],
 		Rejected:         c["transport.resilient.rejected"],
-		Successes:        c["transport.resilient.calls"] - c["transport.resilient.failures"],
+		Successes:        c["transport.resilient.successes"],
 		Failures:         c["transport.resilient.failures"],
 		Recoveries:       c["transport.resilient.recoveries"],
 		BreakerOpens:     c["transport.resilient.breaker_opens"],
@@ -62,19 +60,16 @@ func (c counters) resilience() transport.ResilienceSnapshot {
 	}
 }
 
-// inner reconstructs the TCP transport's snapshot. Messages is derived
-// from the stats-conservation identity (2 per completed round trip),
-// which CheckStats then verifies tautologically — the substantive
-// checks are the cross-layer attempt and fault accounting.
+// inner reconstructs the TCP transport's snapshot.
 func (c counters) inner() transport.Snapshot {
-	s := transport.Snapshot{
+	return transport.Snapshot{
+		Messages: c["transport.messages"],
+		Bytes:    c["transport.bytes"],
 		Calls:    c["transport.calls"],
 		Failures: c["transport.failures"],
 		Drops:    c["transport.drops"],
 		Blocked:  c["transport.blocked"],
 	}
-	s.Messages = 2*s.Calls - s.Drops - s.Blocked
-	return s
 }
 
 // checkResilience runs the cross-layer accounting invariants on one

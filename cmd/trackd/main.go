@@ -40,8 +40,6 @@ func main() {
 	replicas := flag.Int("replicas", 1, "total copies of gateway state incl. primary (1 = no replication; set identically network-wide)")
 	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "P2P TCP connect timeout")
 	callTimeout := flag.Duration("call-timeout", 10*time.Second, "P2P round-trip timeout per attempt ceiling")
-	writeTimeout := flag.Duration("write-timeout", 0, "P2P per-request send timeout (0 = round-trip deadline only)")
-	readTimeout := flag.Duration("read-timeout", 0, "P2P response-wait timeout after send (0 = round-trip deadline only)")
 	rpcAttempts := flag.Int("rpc-attempts", 3, "total attempts per P2P call, first try included (1 = no retries)")
 	rpcAttemptTimeout := flag.Duration("rpc-attempt-timeout", 2*time.Second, "deadline for each P2P attempt")
 	rpcBudget := flag.Duration("rpc-budget", 8*time.Second, "total time budget per P2P call, attempts plus backoff")
@@ -61,8 +59,6 @@ func main() {
 		Replicas:          *replicas,
 		DialTimeout:       *dialTimeout,
 		CallTimeout:       *callTimeout,
-		WriteTimeout:      *writeTimeout,
-		ReadTimeout:       *readTimeout,
 		RPCAttempts:       *rpcAttempts,
 		RPCAttemptTimeout: *rpcAttemptTimeout,
 		RPCBudget:         *rpcBudget,

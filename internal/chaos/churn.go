@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"peertrack/internal/chord"
@@ -491,31 +490,11 @@ func (s ChurnSweepReport) String() string {
 // is byte-identical at any worker count (assembled in seed order).
 func ChurnSweep(cfg ChurnConfig, n, workers int) ChurnSweepReport {
 	cfg.fill()
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	pairs := make([]ChurnPairReport, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				c := cfg
-				c.Seed = cfg.Seed + int64(i)
-				pairs[i] = RunChurnPair(c)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	pairs := runSeeds(n, workers, func(i int) ChurnPairReport {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)
+		return RunChurnPair(c)
+	})
 
 	out := ChurnSweepReport{Scenarios: n}
 	for _, p := range pairs {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"peertrack/internal/core"
@@ -403,31 +402,11 @@ func (s ReplicationSweepReport) String() string {
 // (assembled in seed order).
 func ReplicationSweep(cfg ReplicationConfig, n, workers int) ReplicationSweepReport {
 	cfg.fill()
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	pairs := make([]ReplicationPairReport, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				c := cfg
-				c.Seed = cfg.Seed + int64(i)
-				pairs[i] = RunReplicationPair(c)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	pairs := runSeeds(n, workers, func(i int) ReplicationPairReport {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)
+		return RunReplicationPair(c)
+	})
 
 	out := ReplicationSweepReport{Scenarios: n, Factor: cfg.Factor}
 	for _, p := range pairs {

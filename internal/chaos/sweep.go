@@ -38,19 +38,17 @@ func (s SweepReport) String() string {
 		ratio(s.TraceOK, s.TraceTotal), s.TraceOK, s.TraceTotal)
 }
 
-// Sweep runs n scenarios with seeds cfg.Seed, cfg.Seed+1, …,
-// cfg.Seed+n−1 across the given number of workers. Each scenario owns
-// its whole world (kernel, transport, network), so parallel execution
-// cannot perturb determinism; the aggregate is assembled in seed order.
-func Sweep(cfg Config, n, workers int) SweepReport {
-	cfg.fill()
+// runSeeds evaluates run(0) … run(n−1) across the given number of
+// workers and returns the results in index order, so whatever a sweep
+// assembles from them is independent of the worker count.
+func runSeeds[T any](n, workers int, run func(i int) T) []T {
 	if workers <= 0 {
 		workers = 1
 	}
 	if workers > n {
 		workers = n
 	}
-	reports := make([]Report, n)
+	out := make([]T, n)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -58,9 +56,7 @@ func Sweep(cfg Config, n, workers int) SweepReport {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				c := cfg
-				c.Seed = cfg.Seed + int64(i)
-				reports[i] = Run(c)
+				out[i] = run(i)
 			}
 		}()
 	}
@@ -69,6 +65,20 @@ func Sweep(cfg Config, n, workers int) SweepReport {
 	}
 	close(next)
 	wg.Wait()
+	return out
+}
+
+// Sweep runs n scenarios with seeds cfg.Seed, cfg.Seed+1, …,
+// cfg.Seed+n−1 across the given number of workers. Each scenario owns
+// its whole world (kernel, transport, network), so parallel execution
+// cannot perturb determinism; the aggregate is assembled in seed order.
+func Sweep(cfg Config, n, workers int) SweepReport {
+	cfg.fill()
+	reports := runSeeds(n, workers, func(i int) Report {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)
+		return Run(c)
+	})
 
 	out := SweepReport{Scenarios: n, Profile: cfg.Profile}
 	for _, r := range reports {

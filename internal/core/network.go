@@ -150,7 +150,6 @@ func BuildNetwork(cfg NetworkConfig) (*Network, error) {
 		nw.peers = append(nw.peers, p)
 		nw.byName[p.Name()] = p
 	}
-	mem.Stats().Reset()
 	return nw, nil
 }
 

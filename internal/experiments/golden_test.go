@@ -1,0 +1,128 @@
+package experiments
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The golden tests define "same behaviour" for refactors underneath the
+// figures: every Fig. 6–8 row at Tiny scale, at full float precision,
+// must match the committed CSV byte for byte. A PR that changes a
+// figure on purpose regenerates them with
+//
+//	go test ./internal/experiments -run Golden -update
+//
+// and says why in its description.
+var update = flag.Bool("update", false, "rewrite testdata/golden_tiny/*.csv from this tree")
+
+func goldenScale() Scale {
+	s := Tiny()
+	s.Workers = 1
+	return s
+}
+
+func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func csvLine(cells ...string) string { return strings.Join(cells, ",") + "\n" }
+
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden_tiny", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from the golden baseline\n--- got ---\n%s--- want ---\n%s", name, got, want)
+	}
+}
+
+func TestGoldenFig6a(t *testing.T) {
+	rows, err := Fig6a(goldenScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := csvLine("objects_per_node", "individual_kmsgs", "group_kmsgs")
+	for _, r := range rows {
+		out += csvLine(fmt.Sprint(r.ObjectsPerNode), g(r.IndividualKMsgs), g(r.GroupKMsgs))
+	}
+	checkGolden(t, "fig6a.csv", out)
+}
+
+func TestGoldenFig6b(t *testing.T) {
+	rows, err := Fig6b(goldenScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := csvLine("nodes", "individual_kmsgs", "group_moved_kmsgs", "group_single_kmsgs")
+	for _, r := range rows {
+		out += csvLine(fmt.Sprint(r.Nodes), g(r.IndividualKMsgs), g(r.GroupMovedKMsgs), g(r.GroupSingleKMsgs))
+	}
+	checkGolden(t, "fig6b.csv", out)
+}
+
+func fig7CSV(rows []Fig7Row) string {
+	out := csvLine("nodes", "objects_per_node", "p2p_ms", "central_ms", "mean_hops")
+	for _, r := range rows {
+		out += csvLine(fmt.Sprint(r.Nodes), fmt.Sprint(r.ObjectsPerNode), g(r.P2PMillis), g(r.CentralMillis), g(r.MeanHops))
+	}
+	return out
+}
+
+func TestGoldenFig7a(t *testing.T) {
+	rows, err := Fig7a(goldenScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig7a.csv", fig7CSV(rows))
+}
+
+func TestGoldenFig7b(t *testing.T) {
+	rows, err := Fig7b(goldenScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig7b.csv", fig7CSV(rows))
+}
+
+func TestGoldenFig8a(t *testing.T) {
+	rows, sums, err := Fig8a(goldenScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := csvLine("scheme", "node_frac", "load_frac")
+	for _, r := range rows {
+		out += csvLine(fmt.Sprint(int(r.Scheme)), g(r.NodeFrac), g(r.LoadFrac))
+	}
+	out += csvLine("scheme", "gini", "max_mean_ratio", "fraction_idle")
+	for _, s := range sums {
+		out += csvLine(fmt.Sprint(int(s.Scheme)), g(s.Gini), g(s.MaxMeanRatio), g(s.FractionIdle))
+	}
+	checkGolden(t, "fig8a.csv", out)
+}
+
+func TestGoldenFig8b(t *testing.T) {
+	rows, err := Fig8b(goldenScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := csvLine("nodes", "scheme1_log2", "scheme2_log2", "scheme3_log2")
+	for _, r := range rows {
+		out += csvLine(fmt.Sprint(r.Nodes), g(r.Scheme1Log2), g(r.Scheme2Log2), g(r.Scheme3Log2))
+	}
+	checkGolden(t, "fig8b.csv", out)
+}

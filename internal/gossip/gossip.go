@@ -342,7 +342,7 @@ func (a *Agent) Samples() []overlay.NodeRef {
 // Estimate returns the min-wise network-size estimate N̂ = (k−1)/Σx
 // over the k filled sampler slots (x = normalized slot minimum).
 // Returns 0 until at least two slots are filled — callers should treat
-// that as "not converged", matching netsize.Gossip.Estimate.
+// that as "not converged".
 func (a *Agent) Estimate() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -1,25 +1,20 @@
 package netsize_test
 
-// Cross-validation of the three network-size estimators feeding
-// adaptive Lp: the successor-list density inversion and push-pull
-// epidemic averaging (this package) against the gossip membership
-// layer's min-wise estimator (internal/gossip). The estimators share
-// nothing — different inputs, different math — so agreement within the
-// tolerance is evidence each is measuring the network, not itself, and
-// divergence on a grow/shrink schedule fails the build.
+// Cross-validation of the two network-size estimators: the
+// successor-list density inversion that feeds adaptive Lp (this
+// package) against the gossip membership layer's min-wise estimator
+// (internal/gossip). The estimators share nothing — different inputs,
+// different math — so agreement within the tolerance is evidence each
+// is measuring the network, not itself, and divergence on a grow/shrink
+// schedule fails the build.
 
 import (
-	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 
 	"peertrack/internal/core"
 	"peertrack/internal/gossip"
-	"peertrack/internal/ids"
 	"peertrack/internal/netsize"
-	"peertrack/internal/overlay"
-	"peertrack/internal/transport"
 )
 
 // tolerance is the allowed multiplicative divergence between an
@@ -89,82 +84,5 @@ func TestGossipEstimateCrossValidation(t *testing.T) {
 		got := nw.GossipSizeEstimate()
 		within(t, step.name+" gossip vs truth", got, step.want)
 		within(t, step.name+" gossip vs density", got, density())
-	}
-}
-
-// TestMinwiseVsEpidemicAveraging cross-validates the two gossip-based
-// estimators head to head on one raw transport, no overlay involved:
-// push-pull epidemic averaging (this package) and the membership
-// layer's min-wise sampler, both driven for the same number of rounds
-// over the same membership.
-func TestMinwiseVsEpidemicAveraging(t *testing.T) {
-	for _, n := range []int{8, 24, 64} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			mem := transport.NewMemory(int64(n))
-			addrs := make([]transport.Addr, n)
-			refs := make([]overlay.NodeRef, n)
-			for i := range addrs {
-				addrs[i] = transport.Addr(fmt.Sprintf("xval-%04d", i))
-				refs[i] = overlay.NodeRef{ID: ids.HashString(string(addrs[i])), Addr: addrs[i]}
-			}
-			agents := make([]*gossip.Agent, n)
-			avgs := make([]*netsize.Gossip, n)
-			for i := range addrs {
-				agents[i] = gossip.New(mem, refs[i], gossip.Config{
-					SampleSlots: 32,
-					Seed:        gossip.SeedFor(int64(n), addrs[i]),
-				})
-				avgs[i] = netsize.NewGossip(mem, addrs[i], i == 0)
-				a, g := agents[i], avgs[i]
-				if err := mem.Register(addrs[i], func(from transport.Addr, req any) (any, error) {
-					if resp, handled, err := a.HandleRPC(from, req); handled {
-						return resp, err
-					}
-					if resp, handled, err := g.HandleRPC(from, req); handled {
-						return resp, err
-					}
-					return nil, fmt.Errorf("unhandled %T", req)
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := range agents {
-				agents[i].SeedView([]overlay.NodeRef{refs[(i+1)%n], refs[(i+n-1)%n]})
-				peers := make([]transport.Addr, 0, n-1)
-				for j, addr := range addrs {
-					if j != i {
-						peers = append(peers, addr)
-					}
-				}
-				avgs[i].SetPeers(peers)
-			}
-			rng := rand.New(rand.NewSource(int64(n) ^ 0xa7e))
-			rounds := 30
-			for r := 0; r < rounds; r++ {
-				for i := range agents {
-					agents[i].Round()
-					avgs[i].Round(rng.Intn)
-				}
-			}
-			minwise := make([]float64, 0, n)
-			epidemic := make([]float64, 0, n)
-			for i := range agents {
-				if e := agents[i].Estimate(); e > 0 {
-					minwise = append(minwise, e)
-				}
-				if e := avgs[i].Estimate(); e > 0 {
-					epidemic = append(epidemic, e)
-				}
-			}
-			if len(minwise) < n/2 || len(epidemic) < n/2 {
-				t.Fatalf("estimators unconverged: %d/%d min-wise, %d/%d epidemic", len(minwise), n, len(epidemic), n)
-			}
-			sort.Float64s(minwise)
-			sort.Float64s(epidemic)
-			mw, ep := minwise[len(minwise)/2], epidemic[len(epidemic)/2]
-			within(t, "min-wise vs truth", mw, float64(n))
-			within(t, "epidemic vs truth", ep, float64(n))
-			within(t, "min-wise vs epidemic", mw, ep)
-		})
 	}
 }

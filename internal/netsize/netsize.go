@@ -1,25 +1,20 @@
 // Package netsize estimates the number of nodes Nn in the overlay —
 // the input to the paper's optimal-prefix-length formula
 // Lp = ⌈log2(Nn · log2 Nn)⌉. The paper notes Nn cannot be known exactly
-// under churn and points to estimation algorithms (Jelasity &
-// Montresor's epidemic aggregation); this package provides two:
-//
-//   - DensityEstimate: a free, purely local estimator that inverts the
-//     identifier-space density of a node's successor list. With a
-//     successor list of length r spanning a ring arc d, N ≈ r · 2^160/d.
-//   - Gossip: push-pull epidemic averaging over the transport. One node
-//     seeds the value 1, the rest 0; after O(log N) rounds every node's
-//     value converges to 1/N, so N ≈ 1/value.
+// under churn and points to estimation algorithms; this package
+// provides the one a node runs: DensityEstimate, a free, purely local
+// estimator that inverts the identifier-space density of a node's
+// successor list. With a successor list of length r spanning a ring arc
+// d, N ≈ r · 2^160/d. The gossip membership layer's min-wise estimate
+// (internal/gossip) is its independent cross-check in the tests.
 package netsize
 
 import (
 	"math"
 	"math/big"
-	"sync"
 
 	"peertrack/internal/chord"
 	"peertrack/internal/ids"
-	"peertrack/internal/transport"
 )
 
 var ringSize = new(big.Float).SetFloat64(math.Pow(2, float64(ids.Bits)))
@@ -53,102 +48,4 @@ func DensityEstimate(self chord.NodeRef, successors []chord.NodeRef) float64 {
 		est = 1
 	}
 	return est
-}
-
-// Gossip runs push-pull epidemic averaging for network-size estimation.
-// Each participant holds a float value; Round exchanges values with a
-// random peer and both adopt the average. Conservation of the total sum
-// is the protocol invariant: the mean stays 1/N exactly.
-type Gossip struct {
-	mu    sync.Mutex
-	self  transport.Addr
-	net   transport.Network
-	value float64
-	peers []transport.Addr
-}
-
-type gossipExchangeReq struct{ Value float64 }
-
-type gossipExchangeResp struct{ Value float64 }
-
-func init() {
-	transport.Register(gossipExchangeReq{})
-	transport.Register(gossipExchangeResp{})
-}
-
-// NewGossip creates a participant. Exactly one participant in the
-// network must be created with seed=true (its initial value is 1); all
-// others hold 0.
-func NewGossip(net transport.Network, self transport.Addr, seed bool) *Gossip {
-	g := &Gossip{self: self, net: net}
-	if seed {
-		g.value = 1
-	}
-	return g
-}
-
-// SetPeers installs the peer set Round samples from (typically the
-// Chord successor list plus fingers).
-func (g *Gossip) SetPeers(peers []transport.Addr) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.peers = append([]transport.Addr(nil), peers...)
-}
-
-// HandleRPC serves the push-pull exchange; compose into the node's
-// application handler. Returns handled=false for foreign messages.
-func (g *Gossip) HandleRPC(from transport.Addr, req any) (any, bool, error) {
-	r, ok := req.(gossipExchangeReq)
-	if !ok {
-		return nil, false, nil
-	}
-	g.mu.Lock()
-	mine := g.value
-	avg := (mine + r.Value) / 2
-	g.value = avg
-	g.mu.Unlock()
-	return gossipExchangeResp{Value: mine}, true, nil
-}
-
-// Round performs one push-pull exchange with the peer chosen by pick
-// (pick receives the peer count and returns an index), preserving the
-// sum invariant. A failed exchange leaves the value unchanged.
-func (g *Gossip) Round(pick func(n int) int) {
-	g.mu.Lock()
-	if len(g.peers) == 0 {
-		g.mu.Unlock()
-		return
-	}
-	peer := g.peers[pick(len(g.peers))]
-	mine := g.value
-	g.mu.Unlock()
-
-	resp, err := g.net.Call(g.self, peer, gossipExchangeReq{Value: mine})
-	if err != nil {
-		return
-	}
-	theirs := resp.(gossipExchangeResp).Value
-	g.mu.Lock()
-	// Adopt the average of the two pre-exchange values. The peer did the
-	// same with our pre-exchange value, so the sum is conserved.
-	g.value = (mine + theirs) / 2
-	g.mu.Unlock()
-}
-
-// Value returns the current local value (≈ 1/N after convergence).
-func (g *Gossip) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.value
-}
-
-// Estimate converts the local value to a network-size estimate.
-// Returns 0 if the protocol has not converged enough locally (value
-// still 0).
-func (g *Gossip) Estimate() float64 {
-	v := g.Value()
-	if v <= 0 {
-		return 0
-	}
-	return 1 / v
 }

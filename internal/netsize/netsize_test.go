@@ -3,7 +3,6 @@ package netsize
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"peertrack/internal/chord"
@@ -39,86 +38,5 @@ func TestDensityEstimateSingleNode(t *testing.T) {
 	n, _ := chord.New(net, "solo", chord.Config{})
 	if est := DensityEstimate(n.Self(), n.Successors()); est != 1 {
 		t.Errorf("single-node estimate = %v", est)
-	}
-}
-
-func TestGossipConvergesToNetworkSize(t *testing.T) {
-	const n = 32
-	net := transport.NewMemory(1)
-	addrs := make([]transport.Addr, n)
-	for i := range addrs {
-		addrs[i] = transport.Addr(fmt.Sprintf("g%02d", i))
-	}
-	gs := make([]*Gossip, n)
-	for i, a := range addrs {
-		g := NewGossip(net, a, i == 0)
-		gs[i] = g
-		if err := net.Register(a, func(from transport.Addr, req any) (any, error) {
-			resp, handled, err := g.HandleRPC(from, req)
-			if !handled {
-				return nil, fmt.Errorf("unhandled %T", req)
-			}
-			return resp, err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Full peer sets.
-	for i, g := range gs {
-		peers := make([]transport.Addr, 0, n-1)
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		g.SetPeers(peers)
-	}
-	r := rand.New(rand.NewSource(5))
-	for round := 0; round < 40; round++ {
-		for _, g := range gs {
-			g.Round(r.Intn)
-		}
-	}
-	// Sum conservation: total must stay 1.
-	sum := 0.0
-	for _, g := range gs {
-		sum += g.Value()
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("sum = %v, want 1", sum)
-	}
-	// Every node's estimate should be close to n.
-	for i, g := range gs {
-		est := g.Estimate()
-		if est < n*3/4 || est > n*4/3 {
-			t.Errorf("node %d estimate = %.2f, want ~%d", i, est, n)
-		}
-	}
-}
-
-func TestGossipUnseededReportsZero(t *testing.T) {
-	net := transport.NewMemory(1)
-	g := NewGossip(net, "a", false)
-	if g.Estimate() != 0 {
-		t.Errorf("unseeded estimate = %v", g.Estimate())
-	}
-}
-
-func TestGossipNoPeersIsNoop(t *testing.T) {
-	net := transport.NewMemory(1)
-	g := NewGossip(net, "a", true)
-	g.Round(func(int) int { return 0 })
-	if g.Value() != 1 {
-		t.Errorf("value changed with no peers: %v", g.Value())
-	}
-}
-
-func TestGossipSurvivesFailedExchange(t *testing.T) {
-	net := transport.NewMemory(1)
-	g := NewGossip(net, "a", true)
-	g.SetPeers([]transport.Addr{"ghost"})
-	g.Round(func(int) int { return 0 })
-	if g.Value() != 1 {
-		t.Errorf("failed exchange changed value: %v", g.Value())
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // Memory is an instrumented in-process Network. Calls dispatch
 // synchronously to the destination handler in the caller's goroutine,
-// which keeps discrete-event experiments deterministic, and every round
-// trip is accounted in Stats.
+// which keeps discrete-event experiments deterministic, and every call
+// outcome is recorded once through Stats.
 //
 // Fault injection: per-network drop probability, per-node "dead" marks,
 // and symmetric partitions. A dropped or blocked call fails with
@@ -31,7 +31,6 @@ type Memory struct {
 	rng   *rand.Rand
 
 	stats *Stats
-	tel   *netTelemetry
 }
 
 // NewMemory creates an empty in-process network. seed drives fault
@@ -42,7 +41,7 @@ func NewMemory(seed int64) *Memory {
 		dead:     make(map[Addr]bool),
 		groupOf:  make(map[Addr]int),
 		rng:      rand.New(rand.NewSource(seed)),
-		stats:    NewStats(),
+		stats:    newStats(nil),
 	}
 }
 
@@ -113,12 +112,14 @@ func (m *Memory) HealPartitions() {
 // Stats implements Network.
 func (m *Memory) Stats() *Stats { return m.stats }
 
-// SetTelemetry attaches a registry; per-call counters, message-type
-// breakdowns, and latency/byte histograms are recorded into it
-// alongside Stats. Wire it before traffic starts (the field is read
-// without a lock on the hot path); nil detaches.
+// SetTelemetry re-points the accounting at reg's transport.*
+// instruments (per-call counters, message-type breakdown, latency/byte
+// histograms), replacing the private registry the constructor made; nil
+// reverts to a fresh private one. Wire it before traffic starts: the
+// handles are read without a lock on the hot path, and counts already
+// recorded stay in the registry they were recorded into.
 func (m *Memory) SetTelemetry(reg *telemetry.Registry) {
-	m.tel = newNetTelemetry(reg)
+	*m.stats = *newStats(reg)
 }
 
 // CallWithTimeout implements DeadlineCaller. The in-memory transport
@@ -131,41 +132,39 @@ func (m *Memory) CallWithTimeout(from, to Addr, req any, _ time.Duration) (any, 
 
 // Call implements Network.
 func (m *Memory) Call(from, to Addr, req any) (any, error) {
-	start := m.tel.begin()
+	start := m.stats.begin()
 	m.mu.RLock()
 	h, ok := m.handlers[to]
-	blocked := !ok || m.dead[to] || m.dead[from] || m.groupOf[from] != m.groupOf[to]
+	unreachable := !ok || m.dead[to] || m.dead[from] || m.groupOf[from] != m.groupOf[to]
 	dropRate := m.dropRate
 	m.mu.RUnlock()
-	if blocked {
+	if unreachable {
 		// The request was emitted into a partition or at a dead node: no
 		// response returns. Charge one message, bill it as blocked. A
 		// structurally unreachable call never consumes fault-injection
 		// randomness, so partition schedules do not perturb the drop
 		// sequence of the surviving traffic.
-		m.stats.recordBlocked(to, req)
-		m.tel.block(req, start)
+		m.stats.record(blocked, req, nil, start)
 		return nil, ErrUnreachable
 	}
 	if dropRate > 0 {
 		m.rngMu.Lock()
-		dropped := m.rng.Float64() < dropRate
+		lost := m.rng.Float64() < dropRate
 		m.rngMu.Unlock()
-		if dropped {
+		if lost {
 			// The request was emitted but lost in flight: charge one
 			// message, record the failure.
-			m.stats.recordDrop(to, req)
-			m.tel.drop(req, start)
+			m.stats.record(dropped, req, nil, start)
 			return nil, ErrUnreachable
 		}
 	}
 
 	resp, err := h(from, req)
-	m.stats.recordCall(to, req, resp, err != nil)
-	m.tel.call(req, start, err != nil)
 	if err != nil {
+		m.stats.record(answeredErr, req, resp, start)
 		return nil, &RemoteError{Msg: err.Error()}
 	}
+	m.stats.record(answered, req, resp, start)
 	return resp, nil
 }
 

@@ -101,8 +101,8 @@ func TestFaultAccountingParityDropped(t *testing.T) {
 	}
 }
 
-// Telemetry wired into a transport mirrors the Stats fault taxonomy and
-// adds the per-message-type breakdown.
+// A transport records into the wired registry: the Stats fault taxonomy,
+// message and byte totals, and the per-message-type breakdown.
 func TestTransportTelemetry(t *testing.T) {
 	reg := telemetry.New(nil)
 	mem := NewMemory(1)
@@ -134,6 +134,15 @@ func TestTransportTelemetry(t *testing.T) {
 	text := reg.Snapshot().Text()
 	if !strings.Contains(text, "counter transport.calls 3\n") {
 		t.Errorf("exposition missing calls counter:\n%s", text)
+	}
+	// Stats is a view over the same instruments, not a second store.
+	view := Snapshot{
+		Messages: get("transport.messages"), Bytes: get("transport.bytes"),
+		Calls: get("transport.calls"), Failures: get("transport.failures"),
+		Drops: get("transport.drops"), Blocked: get("transport.blocked"),
+	}
+	if snap := mem.Stats().Snapshot(); snap != view || snap.Messages != 4 || !snap.Conserves() {
+		t.Errorf("Stats().Snapshot() = %+v, registry reads %+v (want equal, 4 messages)", snap, view)
 	}
 
 	// TCP shares the same wiring.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"peertrack/internal/telemetry"
@@ -106,20 +105,20 @@ type Resilient struct {
 	rng      *rand.Rand
 	breakers map[Addr]*breaker
 
-	calls            atomic.Uint64
-	attempts         atomic.Uint64
-	retries          atomic.Uint64
-	rejected         atomic.Uint64
-	successes        atomic.Uint64
-	failures         atomic.Uint64
-	recoveries       atomic.Uint64
-	breakerOpens     atomic.Uint64
-	breakerReopens   atomic.Uint64
-	breakerCloses    atomic.Uint64
-	halfOpenProbes   atomic.Uint64
-	deadlineExceeded atomic.Uint64
-
-	tel *resilientTelemetry
+	// Handles onto the transport.resilient.* counters — the wrapper's
+	// only accounting; Resilience() reads them back.
+	calls            *telemetry.Counter
+	attempts         *telemetry.Counter
+	retries          *telemetry.Counter
+	rejected         *telemetry.Counter
+	successes        *telemetry.Counter
+	failures         *telemetry.Counter
+	recoveries       *telemetry.Counter
+	breakerOpens     *telemetry.Counter
+	breakerReopens   *telemetry.Counter
+	breakerCloses    *telemetry.Counter
+	halfOpenProbes   *telemetry.Counter
+	deadlineExceeded *telemetry.Counter
 }
 
 // NewResilient wraps inner. clock supplies the current time for breaker
@@ -134,7 +133,7 @@ func NewResilient(inner Network, clock func() time.Duration, sleep func(time.Dur
 	if sleep == nil {
 		sleep = func(time.Duration) {}
 	}
-	return &Resilient{
+	r := &Resilient{
 		inner:    inner,
 		cfg:      cfg,
 		clock:    clock,
@@ -142,6 +141,8 @@ func NewResilient(inner Network, clock func() time.Duration, sleep func(time.Dur
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		breakers: make(map[Addr]*breaker),
 	}
+	r.SetTelemetry(nil)
+	return r
 }
 
 // Register implements Network.
@@ -157,10 +158,26 @@ func (r *Resilient) Stats() *Stats { return r.inner.Stats() }
 // Inner returns the wrapped transport.
 func (r *Resilient) Inner() Network { return r.inner }
 
-// SetTelemetry attaches counters under transport.resilient.*; nil
-// detaches. Wire before traffic starts.
+// SetTelemetry re-points the wrapper's counters at reg's
+// transport.resilient.* instruments, replacing the private registry the
+// constructor made (nil reverts to a fresh private one). Wire before
+// traffic starts.
 func (r *Resilient) SetTelemetry(reg *telemetry.Registry) {
-	r.tel = newResilientTelemetry(reg)
+	if reg == nil {
+		reg = telemetry.New(nil)
+	}
+	r.calls = reg.Counter("transport.resilient.calls")
+	r.attempts = reg.Counter("transport.resilient.attempts")
+	r.retries = reg.Counter("transport.resilient.retries")
+	r.rejected = reg.Counter("transport.resilient.rejected")
+	r.successes = reg.Counter("transport.resilient.successes")
+	r.failures = reg.Counter("transport.resilient.failures")
+	r.recoveries = reg.Counter("transport.resilient.recoveries")
+	r.breakerOpens = reg.Counter("transport.resilient.breaker_opens")
+	r.breakerReopens = reg.Counter("transport.resilient.breaker_reopens")
+	r.breakerCloses = reg.Counter("transport.resilient.breaker_closes")
+	r.halfOpenProbes = reg.Counter("transport.resilient.halfopen_probes")
+	r.deadlineExceeded = reg.Counter("transport.resilient.deadline_exceeded")
 }
 
 // Call implements Network with the configured retry policy.
@@ -175,29 +192,24 @@ func (r *Resilient) CallWithTimeout(from, to Addr, req any, timeout time.Duratio
 }
 
 func (r *Resilient) call(from, to Addr, req any, attemptTimeout time.Duration) (any, error) {
-	r.calls.Add(1)
-	r.tel.bump(telCalls)
+	r.calls.Inc()
 	start := r.clock()
 	if !r.admit(to) {
-		r.rejected.Add(1)
-		r.failures.Add(1)
-		r.tel.bump(telRejected)
-		r.tel.bump(telFailures)
+		r.rejected.Inc()
+		r.failures.Inc()
 		return nil, fmt.Errorf("%w: %s (%w)", ErrUnreachable, to, ErrCircuitOpen)
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		r.attempts.Add(1)
-		r.tel.bump(telAttempts)
+		r.attempts.Inc()
 		resp, err := r.attempt(from, to, req, attemptTimeout)
 		if err == nil || !errors.Is(err, ErrUnreachable) {
 			// The peer answered: success, or an application-level error
 			// that retrying would not change.
 			r.noteSuccess(to)
-			r.successes.Add(1)
+			r.successes.Inc()
 			if attempt > 1 {
-				r.recoveries.Add(1)
-				r.tel.bump(telRecoveries)
+				r.recoveries.Inc()
 			}
 			return resp, err
 		}
@@ -213,16 +225,13 @@ func (r *Resilient) call(from, to Addr, req any, attemptTimeout time.Duration) (
 		}
 		wait := r.backoff(attempt)
 		if r.cfg.CallBudget > 0 && r.clock()-start+wait > r.cfg.CallBudget {
-			r.deadlineExceeded.Add(1)
-			r.tel.bump(telDeadlineExceeded)
+			r.deadlineExceeded.Inc()
 			break
 		}
 		r.sleep(wait)
-		r.retries.Add(1)
-		r.tel.bump(telRetries)
+		r.retries.Inc()
 	}
-	r.failures.Add(1)
-	r.tel.bump(telFailures)
+	r.failures.Inc()
 	return nil, lastErr
 }
 
@@ -272,16 +281,14 @@ func (r *Resilient) admit(to Addr) bool {
 		}
 		b.state = bkHalfOpen
 		b.probing = true
-		r.halfOpenProbes.Add(1)
-		r.tel.bump(telHalfOpenProbes)
+		r.halfOpenProbes.Inc()
 		return true
 	case bkHalfOpen:
 		if b.probing {
 			return false
 		}
 		b.probing = true
-		r.halfOpenProbes.Add(1)
-		r.tel.bump(telHalfOpenProbes)
+		r.halfOpenProbes.Inc()
 		return true
 	}
 	return true
@@ -300,8 +307,7 @@ func (r *Resilient) noteSuccess(to Addr) {
 		return
 	}
 	if b.state != bkClosed {
-		r.breakerCloses.Add(1)
-		r.tel.bump(telBreakerCloses)
+		r.breakerCloses.Inc()
 	}
 	delete(r.breakers, to)
 }
@@ -325,8 +331,7 @@ func (r *Resilient) noteFailure(to Addr) {
 		if b.fails >= r.cfg.BreakerThreshold {
 			b.state = bkOpen
 			b.openedAt = now
-			r.breakerOpens.Add(1)
-			r.tel.bump(telBreakerOpens)
+			r.breakerOpens.Inc()
 		}
 	case bkHalfOpen:
 		// The probe failed: back to open for another cooldown.
@@ -334,8 +339,7 @@ func (r *Resilient) noteFailure(to Addr) {
 		b.probing = false
 		b.fails = 0
 		b.openedAt = now
-		r.breakerReopens.Add(1)
-		r.tel.bump(telBreakerReopens)
+		r.breakerReopens.Inc()
 	case bkOpen:
 		// A straggler admitted before the breaker opened; the open state
 		// already covers it.
@@ -391,75 +395,20 @@ func (s ResilienceSnapshot) Conserves() bool {
 		s.Recoveries <= s.Successes
 }
 
-// Resilience returns the wrapper's counter snapshot.
+// Resilience reads the wrapper's counters.
 func (r *Resilient) Resilience() ResilienceSnapshot {
 	return ResilienceSnapshot{
-		Calls:            r.calls.Load(),
-		Attempts:         r.attempts.Load(),
-		Retries:          r.retries.Load(),
-		Rejected:         r.rejected.Load(),
-		Successes:        r.successes.Load(),
-		Failures:         r.failures.Load(),
-		Recoveries:       r.recoveries.Load(),
-		BreakerOpens:     r.breakerOpens.Load(),
-		BreakerReopens:   r.breakerReopens.Load(),
-		BreakerCloses:    r.breakerCloses.Load(),
-		HalfOpenProbes:   r.halfOpenProbes.Load(),
-		DeadlineExceeded: r.deadlineExceeded.Load(),
+		Calls:            r.calls.Value(),
+		Attempts:         r.attempts.Value(),
+		Retries:          r.retries.Value(),
+		Rejected:         r.rejected.Value(),
+		Successes:        r.successes.Value(),
+		Failures:         r.failures.Value(),
+		Recoveries:       r.recoveries.Value(),
+		BreakerOpens:     r.breakerOpens.Value(),
+		BreakerReopens:   r.breakerReopens.Value(),
+		BreakerCloses:    r.breakerCloses.Value(),
+		HalfOpenProbes:   r.halfOpenProbes.Value(),
+		DeadlineExceeded: r.deadlineExceeded.Value(),
 	}
-}
-
-// resilientTelemetry mirrors the snapshot counters into a telemetry
-// registry so the policy's behavior shows up on /metrics. A nil
-// receiver is a valid no-op. Handles live in a slot array so the hot
-// path is one index plus an atomic add.
-type resilientTelemetry struct {
-	counters [telSlotCount]*telemetry.Counter
-}
-
-// telemetry slot indices.
-const (
-	telCalls = iota
-	telAttempts
-	telRetries
-	telRejected
-	telFailures
-	telRecoveries
-	telBreakerOpens
-	telBreakerReopens
-	telBreakerCloses
-	telHalfOpenProbes
-	telDeadlineExceeded
-	telSlotCount
-)
-
-func newResilientTelemetry(reg *telemetry.Registry) *resilientTelemetry {
-	if reg == nil {
-		return nil
-	}
-	t := &resilientTelemetry{}
-	names := [telSlotCount]string{
-		telCalls:            "transport.resilient.calls",
-		telAttempts:         "transport.resilient.attempts",
-		telRetries:          "transport.resilient.retries",
-		telRejected:         "transport.resilient.rejected",
-		telFailures:         "transport.resilient.failures",
-		telRecoveries:       "transport.resilient.recoveries",
-		telBreakerOpens:     "transport.resilient.breaker_opens",
-		telBreakerReopens:   "transport.resilient.breaker_reopens",
-		telBreakerCloses:    "transport.resilient.breaker_closes",
-		telHalfOpenProbes:   "transport.resilient.halfopen_probes",
-		telDeadlineExceeded: "transport.resilient.deadline_exceeded",
-	}
-	for i, name := range names {
-		t.counters[i] = reg.Counter(name)
-	}
-	return t
-}
-
-func (t *resilientTelemetry) bump(slot int) {
-	if t == nil {
-		return
-	}
-	t.counters[slot].Inc()
 }

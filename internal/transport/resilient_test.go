@@ -21,7 +21,7 @@ type scriptNet struct {
 }
 
 func newScriptNet(failN int) *scriptNet {
-	return &scriptNet{stats: NewStats(), failN: failN}
+	return &scriptNet{stats: newStats(nil), failN: failN}
 }
 
 func (s *scriptNet) Register(Addr, Handler) error { return nil }
@@ -36,14 +36,14 @@ func (s *scriptNet) CallWithTimeout(from, to Addr, req any, timeout time.Duratio
 	s.calls++
 	s.timeouts = append(s.timeouts, timeout)
 	if s.calls <= s.failN {
-		s.stats.recordDrop(to, req)
+		s.stats.record(dropped, req, nil, 0)
 		return nil, &wrapUnreachable{to}
 	}
 	if s.remote {
-		s.stats.recordCall(to, req, nil, true)
+		s.stats.record(answeredErr, req, nil, 0)
 		return nil, &RemoteError{Msg: "handler says no"}
 	}
-	s.stats.recordCall(to, req, req, false)
+	s.stats.record(answered, req, req, 0)
 	return req, nil
 }
 
@@ -327,5 +327,8 @@ func TestResilientTelemetry(t *testing.T) {
 	text := reg.Snapshot().Text()
 	if !strings.Contains(text, "counter transport.resilient.retries 2\n") {
 		t.Errorf("exposition missing resilient counters:\n%s", text)
+	}
+	if snap := r.Resilience(); snap.Retries != 2 || snap.Successes != get("transport.resilient.successes") || !snap.Conserves() {
+		t.Errorf("Resilience() = %+v does not read the registry's counters", snap)
 	}
 }

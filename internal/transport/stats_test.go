@@ -15,9 +15,9 @@ type statsResp struct{ OK bool }
 func (statsResp) WireSize() int { return 8 }
 
 // TestStatsConcurrentMergeEqualsSerial hammers Memory.Call from many
-// goroutines and checks the merged Snapshot (and per-type/per-dest
-// breakdowns) against an identical serial run. Run under -race this is
-// the safety gate for the sharded counters.
+// goroutines and checks the Snapshot (and per-type breakdown) against an
+// identical serial run. Run under -race this is the safety gate for the
+// sharded counters.
 func TestStatsConcurrentMergeEqualsSerial(t *testing.T) {
 	const goroutines = 8
 	const callsPer = 500
@@ -68,14 +68,12 @@ func TestStatsConcurrentMergeEqualsSerial(t *testing.T) {
 	if got, want := conc.Stats().ByType(), serial.Stats().ByType(); !reflect.DeepEqual(got, want) {
 		t.Errorf("concurrent ByType %v != serial %v", got, want)
 	}
-	if got, want := conc.Stats().ByDest(), serial.Stats().ByDest(); !reflect.DeepEqual(got, want) {
-		t.Errorf("concurrent ByDest %v != serial %v", got, want)
-	}
 }
 
 // TestMemoryCallZeroAllocs pins the success path of Memory.Call to zero
-// heap allocations: the interned type table and sharded counters must
-// not regress to formatting or boxing per call.
+// heap allocations: Stats.record — interned type table, registry
+// lookup, sharded counters — must not regress to formatting,
+// concatenating or boxing per call.
 func TestMemoryCallZeroAllocs(t *testing.T) {
 	m := NewMemory(1)
 	addr := Addr("node-0")
@@ -86,7 +84,7 @@ func TestMemoryCallZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var req any = statsReq{N: 7}
-	// Warm up: intern the type name and create the map entries.
+	// Warm up: intern the type name and create its counter.
 	if _, err := m.Call(addr, addr, req); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestMemoryCallZeroAllocs(t *testing.T) {
 
 // TestDropPathAccounting checks the unified drop/blocked accounting:
 // one request message on the wire, one failure, and the same per-type
-// and per-destination attribution as a successful call.
+// attribution as a successful call.
 func TestDropPathAccounting(t *testing.T) {
 	m := NewMemory(1)
 	from, to := Addr("src"), Addr("dst")
@@ -121,32 +119,5 @@ func TestDropPathAccounting(t *testing.T) {
 	}
 	if got := m.Stats().ByType()["transport.statsReq"]; got != 1 {
 		t.Errorf("ByType[transport.statsReq] = %d, want 1", got)
-	}
-	if got := m.Stats().ByDest()[to]; got != 1 {
-		t.Errorf("ByDest[dst] = %d, want 1", got)
-	}
-}
-
-// TestStatsResetClearsShards verifies Reset zeroes every shard.
-func TestStatsResetClearsShards(t *testing.T) {
-	m := NewMemory(1)
-	for i := 0; i < 40; i++ {
-		addr := Addr(string(rune('a' + i%26)))
-		if err := m.Register(addr, func(Addr, any) (any, error) { return nil, nil }); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Call(addr, addr, statsReq{N: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.Stats().Reset()
-	if snap := m.Stats().Snapshot(); snap != (Snapshot{}) {
-		t.Errorf("snapshot after reset = %+v", snap)
-	}
-	if bt := m.Stats().ByType(); len(bt) != 0 {
-		t.Errorf("ByType after reset = %v", bt)
-	}
-	if bd := m.Stats().ByDest(); len(bd) != 0 {
-		t.Errorf("ByDest after reset = %v", bd)
 	}
 }

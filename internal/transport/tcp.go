@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"peertrack/internal/telemetry"
@@ -40,23 +39,13 @@ type TCP struct {
 	DialTimeout time.Duration
 	// CallTimeout bounds a full round trip (default 10s).
 	CallTimeout time.Duration
-	// WriteTimeout, when > 0, additionally bounds sending the request on
-	// an established connection (capped by the round-trip deadline). A
-	// healthy peer drains a request frame immediately, so a short write
-	// timeout detects wedged connections faster than the full CallTimeout.
-	WriteTimeout time.Duration
-	// ReadTimeout, when > 0, additionally bounds waiting for the response
-	// after the request was sent (capped by the round-trip deadline).
-	ReadTimeout time.Duration
 	// Secret, when non-nil, enables HMAC-SHA256 frame authentication
 	// with sequence numbers (see auth.go). All peers must share it. Set
 	// before Register/Call.
 	Secret []byte
 
-	stats      *Stats
-	staleConns atomic.Uint64
-	tel        *netTelemetry
-	wg         sync.WaitGroup
+	stats *Stats
+	wg    sync.WaitGroup
 }
 
 // NewTCP creates a TCP transport.
@@ -67,7 +56,7 @@ func NewTCP() *TCP {
 		accepted:    make(map[net.Conn]struct{}),
 		DialTimeout: 5 * time.Second,
 		CallTimeout: 10 * time.Second,
-		stats:       NewStats(),
+		stats:       newStats(nil),
 	}
 }
 
@@ -190,20 +179,20 @@ func (t *TCP) Unregister(addr Addr) {
 // Stats implements Network.
 func (t *TCP) Stats() *Stats { return t.stats }
 
-// SetTelemetry attaches a registry, mirroring Memory.SetTelemetry. Wire
-// it before traffic starts; nil detaches.
+// SetTelemetry re-points the accounting at reg, exactly like
+// Memory.SetTelemetry. Wire it before traffic starts.
 func (t *TCP) SetTelemetry(reg *telemetry.Registry) {
-	t.tel = newNetTelemetry(reg)
+	*t.stats = *newStats(reg)
 }
 
 // Call implements Network. Failures are accounted exactly like the
 // in-memory transport's fault paths so the two transports agree
 // byte-for-byte in Snapshot semantics: a dial failure means the
-// destination is structurally unreachable (recordBlocked — the request
-// never left this node's pool, but we charge the attempt the same way
-// Memory charges a call into a partition), while a send or receive
-// error after a connection existed is a message lost in flight
-// (recordDrop — one request message on the wire, no response).
+// destination is structurally unreachable (blocked — the request never
+// left this node's pool, but we charge the attempt the same way Memory
+// charges a call into a partition), while a send or receive error after
+// a connection existed is a message lost in flight (dropped — one
+// request message on the wire, no response).
 func (t *TCP) Call(from, to Addr, req any) (any, error) {
 	return t.call(from, to, req, t.CallTimeout)
 }
@@ -220,16 +209,15 @@ func (t *TCP) CallWithTimeout(from, to Addr, req any, timeout time.Duration) (an
 
 // StaleConns reports how many pooled connections were detected dead on
 // reuse (typically after the peer restarted) and transparently replaced.
-func (t *TCP) StaleConns() uint64 { return t.staleConns.Load() }
+func (t *TCP) StaleConns() uint64 { return t.stats.stale.Value() }
 
 func (t *TCP) call(from, to Addr, req any, callTimeout time.Duration) (any, error) {
-	start := t.tel.begin()
+	start := t.stats.begin()
 	pool := t.pool(to)
 	for tries := 0; ; tries++ {
 		c, err := pool.get(t.DialTimeout)
 		if err != nil {
-			t.stats.recordBlocked(to, req)
-			t.tel.block(req, start)
+			t.stats.record(blocked, req, nil, start)
 			return nil, fmt.Errorf("%w: %s (%v)", ErrUnreachable, to, err)
 		}
 		resp, stale, rerr := t.roundTrip(pool, c, from, req, callTimeout)
@@ -238,23 +226,21 @@ func (t *TCP) call(from, to Addr, req any, callTimeout time.Duration) (any, erro
 				// A pooled connection died while idle — the usual cause is
 				// the peer restarting on the same address, which leaves
 				// every pooled conn half-closed. That is a pool artifact,
-				// not a network event, so it is not billed to Stats (the
+				// not a network event, so it is not billed as a call (the
 				// Memory transport has no analogue and fault-accounting
 				// parity must hold); retry on a fresh connection, bounded
 				// by the pool depth plus one guaranteed fresh dial.
-				t.staleConns.Add(1)
-				t.tel.staleConn()
+				t.stats.stale.Inc()
 				continue
 			}
-			t.stats.recordDrop(to, req)
-			t.tel.drop(req, start)
+			t.stats.record(dropped, req, nil, start)
 			return nil, fmt.Errorf("%w: %s (%v)", ErrUnreachable, to, rerr)
 		}
-		t.stats.recordCall(to, req, resp.Payload, resp.Err != "")
-		t.tel.call(req, start, resp.Err != "")
 		if resp.Err != "" {
+			t.stats.record(answeredErr, req, resp.Payload, start)
 			return nil, &RemoteError{Msg: resp.Err}
 		}
+		t.stats.record(answered, req, resp.Payload, start)
 		return resp.Payload, nil
 	}
 }
@@ -266,16 +252,7 @@ func (t *TCP) call(from, to Addr, req any, callTimeout time.Duration) (any, erro
 // away while the conn sat idle; such requests were never processed and
 // are safe to replay on a fresh connection.
 func (t *TCP) roundTrip(pool *connPool, c *clientConn, from Addr, req any, callTimeout time.Duration) (rpcResponse, bool, error) {
-	now := time.Now()
-	deadline := now.Add(callTimeout)
-	wd := deadline
-	if t.WriteTimeout > 0 {
-		if d := now.Add(t.WriteTimeout); d.Before(wd) {
-			wd = d
-		}
-	}
-	c.conn.SetWriteDeadline(wd)
-	c.conn.SetReadDeadline(deadline)
+	c.conn.SetDeadline(time.Now().Add(callTimeout))
 	var sendErr error
 	if c.auth != nil {
 		sendErr = c.auth.send(&rpcRequest{From: from, Payload: req})
@@ -285,11 +262,6 @@ func (t *TCP) roundTrip(pool *connPool, c *clientConn, from Addr, req any, callT
 	if sendErr != nil {
 		c.conn.Close()
 		return rpcResponse{}, c.reused && !isTimeout(sendErr), sendErr
-	}
-	if t.ReadTimeout > 0 {
-		if d := time.Now().Add(t.ReadTimeout); d.Before(deadline) {
-			c.conn.SetReadDeadline(d)
-		}
 	}
 	var resp rpcResponse
 	var recvErr error

@@ -5,15 +5,17 @@
 // implementations:
 //
 //   - Memory: an instrumented in-process network for experiments. Every
-//     call is dispatched synchronously and accounted (message and byte
-//     counters, per-type breakdown), with optional fault injection
+//     call is dispatched synchronously, with optional fault injection
 //     (drop rates, partitions, dead nodes). This is the measurement
 //     substrate standing in for OverSim.
 //   - TCP: a real network transport using length-prefixed gob frames
 //     over TCP with connection pooling, used by cmd/trackd.
 //
 // A call carries one request and one response message; both directions
-// are counted. Payload types must be gob-registered (see Register).
+// are counted. Every call outcome is recorded exactly once, into the
+// transport.* instruments of a telemetry registry (see Stats); Snapshot
+// and ByType are read-only views over those instruments. Payload types
+// must be gob-registered (see Register).
 package transport
 
 import (
@@ -21,8 +23,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
+	"strings"
 	"sync"
+	"time"
+
+	"peertrack/internal/telemetry"
 )
 
 // Addr identifies a node endpoint. For the memory transport it is an
@@ -89,124 +94,114 @@ func sizeOf(v any) int {
 	return DefaultMsgSize
 }
 
-// typeNames interns the fmt.Sprintf("%T", v) string per concrete type,
-// so the per-call accounting never formats. Interning is global: type
-// names are process-wide facts, and sharing the table across Stats
-// instances means each type is formatted exactly once per process.
-var typeNames sync.Map // reflect.Type -> string
+// typeCounterPrefix starts the name of every per-request-type call
+// counter: "transport.call.type.chord.pingReq".
+const typeCounterPrefix = "transport.call.type."
 
-func typeName(v any) string {
+// typeCounters interns each request type's counter name (the prefix plus
+// fmt.Sprintf("%T")). Interning is global — type names are process-wide
+// facts — so each type is formatted once per process and the per-call
+// path never formats or concatenates.
+var typeCounters sync.Map // reflect.Type -> string
+
+func typeCounterName(v any) string {
 	if v == nil {
-		return "<nil>"
+		return typeCounterPrefix + "<nil>"
 	}
 	t := reflect.TypeOf(v)
-	if s, ok := typeNames.Load(t); ok {
-		return s.(string)
+	if name, ok := typeCounters.Load(t); ok {
+		return name.(string)
 	}
-	s := fmt.Sprintf("%T", v)
-	typeNames.LoadOrStore(t, s)
-	return s
+	name, _ := typeCounters.LoadOrStore(t, typeCounterPrefix+fmt.Sprintf("%T", v))
+	return name.(string)
 }
 
-// statsShardCount must be a power of two; shards are picked by a hash
-// of the destination address, so calls to different destinations touch
-// different cache lines and different map mutexes.
-const statsShardCount = 16
+// outcome classifies how one call ended, for accounting.
+type outcome uint8
 
-type statsShard struct {
-	mu       sync.Mutex
-	calls    uint64
-	messages uint64
-	bytes    uint64
-	failures uint64
-	drops    uint64
-	blocked  uint64
-	perType  map[string]uint64
-	perDest  map[Addr]uint64
+const (
+	// answered: request and response both crossed the wire.
+	answered outcome = iota
+	// answeredErr: as answered, but the remote handler returned an error.
+	answeredErr
+	// dropped: the request was emitted and lost in flight (random loss,
+	// a send/receive error, a timeout): one message, no response bytes.
+	dropped
+	// blocked: the destination was structurally unreachable (dead,
+	// partitioned away, unregistered, dial refused). Billed like a drop
+	// but counted separately so fault accounting conserves (see
+	// Snapshot.Conserves).
+	blocked
+)
 
-	_ [24]byte // pad shards apart to curb false sharing
-}
-
-// record takes exactly one uncontended-in-the-DES-case shard lock; the
-// scalar counters ride in the same critical section as the map bumps,
-// which benchmarks faster single-threaded than per-field atomics while
-// still scaling across shards under concurrent traffic.
-//
-//lint:hotpath
-func (sh *statsShard) record(to Addr, name string, calls, messages, bytes, failures, drops, blocked uint64) {
-	sh.mu.Lock()
-	sh.calls += calls
-	sh.messages += messages
-	sh.bytes += bytes
-	sh.failures += failures
-	sh.drops += drops
-	sh.blocked += blocked
-	sh.perType[name]++
-	sh.perDest[to]++
-	sh.mu.Unlock()
-}
-
-// shardOf hashes an address (FNV-1a) to a shard index without
-// allocating.
-//
-//lint:hotpath
-func shardOf(to Addr) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(to); i++ {
-		h = (h ^ uint32(to[i])) * 16777619
-	}
-	return h & (statsShardCount - 1)
-}
-
-// Stats accumulates traffic counters. All methods are safe for
-// concurrent use. Counters are sharded by destination address: writers
-// touch only their shard (atomics for the scalar totals, a short
-// critical section for the per-type/per-destination maps) and readers
-// merge the shards on demand, so the hot recording path never contends
-// on a single global mutex.
+// Stats is a transport's accounting: a set of handles onto the
+// transport.* instruments of one telemetry registry. The instruments
+// are the only place a call is counted; Stats adds nothing of its own.
+// A transport owns a private registry from construction and SetTelemetry
+// re-points the handles at a shared one, so the same counters back the
+// figures (Snapshot, ByType), /metrics, and the invariant checkers.
 type Stats struct {
-	shards [statsShardCount]statsShard
+	reg      *telemetry.Registry
+	calls    *telemetry.Counter
+	messages *telemetry.Counter
+	bytes    *telemetry.Counter
+	failures *telemetry.Counter
+	drops    *telemetry.Counter
+	blocked  *telemetry.Counter
+	stale    *telemetry.Counter
+	reqBytes *telemetry.Histogram
+	latency  *telemetry.Histogram
 }
 
-// NewStats returns an empty counter set.
-func NewStats() *Stats {
-	s := &Stats{}
-	for i := range s.shards {
-		s.shards[i].perType = make(map[string]uint64)
-		s.shards[i].perDest = make(map[Addr]uint64)
+// newStats resolves the handles in reg; a nil reg gets a private
+// registry on a zero clock.
+func newStats(reg *telemetry.Registry) *Stats {
+	if reg == nil {
+		reg = telemetry.New(nil)
 	}
-	return s
-}
-
-// recordCall accounts one completed round trip: request and response
-// both crossed the wire.
-//
-//lint:hotpath
-func (s *Stats) recordCall(to Addr, req, resp any, failed bool) {
-	var failures uint64
-	if failed {
-		failures = 1
+	return &Stats{
+		reg:      reg,
+		calls:    reg.Counter("transport.calls"),
+		messages: reg.Counter("transport.messages"),
+		bytes:    reg.Counter("transport.bytes"),
+		failures: reg.Counter("transport.failures"),
+		drops:    reg.Counter("transport.drops"),
+		blocked:  reg.Counter("transport.blocked"),
+		stale:    reg.Counter("transport.conn.stale"),
+		reqBytes: reg.Histogram("transport.call.bytes", telemetry.ByteBuckets()),
+		latency:  reg.Histogram("transport.call.latency_ns", telemetry.LatencyBuckets()),
 	}
-	s.shards[shardOf(to)].record(to, typeName(req), 1, 2, uint64(sizeOf(req)+sizeOf(resp)), failures, 0, 0)
 }
 
-// recordDrop accounts a call whose request was emitted and lost to
-// random message loss: one message on the wire, one failure, no
-// response bytes.
-//
-//lint:hotpath
-func (s *Stats) recordDrop(to Addr, req any) {
-	s.shards[shardOf(to)].record(to, typeName(req), 1, 1, uint64(sizeOf(req)), 1, 1, 0)
-}
+// begin reads the registry clock for latency measurement (zero on the
+// private registry, and constant across a synchronous sim call).
+func (s *Stats) begin() time.Duration { return s.reg.Now() }
 
-// recordBlocked accounts a call whose destination was structurally
-// unreachable (dead, partitioned away, or unregistered): like a drop it
-// charges one request message and one failure, but is counted
-// separately so fault accounting conserves (see Snapshot.Conserves).
+// record accounts one finished call — the single place any transport
+// event is counted. resp is only sized for answered outcomes.
 //
 //lint:hotpath
-func (s *Stats) recordBlocked(to Addr, req any) {
-	s.shards[shardOf(to)].record(to, typeName(req), 1, 1, uint64(sizeOf(req)), 1, 0, 1)
+func (s *Stats) record(o outcome, req, resp any, start time.Duration) {
+	size := sizeOf(req)
+	s.calls.Inc()
+	s.reg.Counter(typeCounterName(req)).Inc()
+	s.reqBytes.Observe(int64(size))
+	s.latency.Observe(int64(s.reg.Now() - start))
+	msgs, wire := uint64(1), size // the request alone crossed the wire
+	if o == answered || o == answeredErr {
+		msgs, wire = 2, size+sizeOf(resp)
+	}
+	s.messages.Add(msgs)
+	s.bytes.Add(uint64(wire))
+	if o != answered {
+		s.failures.Inc()
+	}
+	switch o {
+	case dropped:
+		s.drops.Inc()
+	case blocked:
+		s.blocked.Inc()
+	}
 }
 
 // Snapshot is a point-in-time copy of the counters.
@@ -238,24 +233,18 @@ func (s Snapshot) Conserves() bool {
 	return s.Messages == 2*s.Calls-s.Drops-s.Blocked
 }
 
-// Snapshot merges the shards into one counter copy. It is a consistent
-// total whenever no call is concurrently in flight (the DES case); under
-// concurrent traffic each shard is individually accurate to a point in
-// time.
+// Snapshot reads the counters. It is a consistent total whenever no
+// call is concurrently in flight (the DES case); under concurrent
+// traffic each counter is individually accurate to a point in time.
 func (s *Stats) Snapshot() Snapshot {
-	var out Snapshot
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out.Messages += sh.messages
-		out.Bytes += sh.bytes
-		out.Calls += sh.calls
-		out.Failures += sh.failures
-		out.Drops += sh.drops
-		out.Blocked += sh.blocked
-		sh.mu.Unlock()
+	return Snapshot{
+		Messages: s.messages.Value(),
+		Bytes:    s.bytes.Value(),
+		Calls:    s.calls.Value(),
+		Failures: s.failures.Value(),
+		Drops:    s.drops.Value(),
+		Blocked:  s.blocked.Value(),
 	}
-	return out
 }
 
 // Delta returns the difference of two snapshots (s2 - s1 where s2 is the
@@ -271,64 +260,14 @@ func (a Snapshot) Delta(earlier Snapshot) Snapshot {
 	}
 }
 
-// ByType returns a merged copy of the per-request-type call counts.
+// ByType returns the per-request-type call counts, keyed by the Go type
+// name ("chord.pingReq").
 func (s *Stats) ByType() map[string]uint64 {
 	out := make(map[string]uint64)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.perType {
-			out[k] += v
+	for _, c := range s.reg.Snapshot().Counters {
+		if name, ok := strings.CutPrefix(c.Name, typeCounterPrefix); ok {
+			out[name] = c.Value
 		}
-		sh.mu.Unlock()
 	}
 	return out
-}
-
-// ByDest returns a merged copy of the per-destination call counts, used
-// for load-balance analysis of gateway traffic.
-func (s *Stats) ByDest() map[Addr]uint64 {
-	out := make(map[Addr]uint64)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.perDest {
-			out[k] += v
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// TopDests returns up to n destinations sorted by descending call count,
-// for diagnostics.
-func (s *Stats) TopDests(n int) []Addr {
-	m := s.ByDest()
-	addrs := make([]Addr, 0, len(m))
-	for a := range m {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		if m[addrs[i]] != m[addrs[j]] {
-			return m[addrs[i]] > m[addrs[j]]
-		}
-		return addrs[i] < addrs[j]
-	})
-	if len(addrs) > n {
-		addrs = addrs[:n]
-	}
-	return addrs
-}
-
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.calls, sh.messages, sh.bytes, sh.failures = 0, 0, 0, 0
-		sh.drops, sh.blocked = 0, 0
-		sh.perType = make(map[string]uint64)
-		sh.perDest = make(map[Addr]uint64)
-		sh.mu.Unlock()
-	}
 }

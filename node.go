@@ -3,6 +3,7 @@ package peertrack
 import (
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"time"
 
@@ -66,12 +67,6 @@ type NodeOptions struct {
 	DialTimeout time.Duration
 	// CallTimeout bounds one P2P round trip (default 10s).
 	CallTimeout time.Duration
-	// WriteTimeout, when > 0, additionally bounds sending a request on
-	// an established connection (default 0: round-trip deadline only).
-	WriteTimeout time.Duration
-	// ReadTimeout, when > 0, additionally bounds waiting for a response
-	// after the request was sent (default 0: round-trip deadline only).
-	ReadTimeout time.Duration
 
 	// RPCAttempts is the total attempts per P2P call, first try included
 	// (default 3; 1 disables retries).
@@ -81,9 +76,8 @@ type NodeOptions struct {
 	// RPCBudget bounds a whole call — attempts plus backoff (default 8s).
 	RPCBudget time.Duration
 	// RPCBackoff is the pre-jitter base backoff, doubling per retry up
-	// to RPCBackoffMax (defaults 50ms, 1s).
-	RPCBackoff    time.Duration
-	RPCBackoffMax time.Duration
+	// to 1s (default 50ms).
+	RPCBackoff time.Duration
 	// BreakerThreshold is the number of consecutive transport failures
 	// to one peer that opens its circuit breaker (default 5; negative
 	// disables circuit breaking).
@@ -136,9 +130,6 @@ func (o *NodeOptions) fill() {
 	if o.RPCBackoff <= 0 {
 		o.RPCBackoff = 50 * time.Millisecond
 	}
-	if o.RPCBackoffMax <= 0 {
-		o.RPCBackoffMax = time.Second
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5
 	}
@@ -166,8 +157,6 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	tr := transport.NewTCP()
 	tr.DialTimeout = opts.DialTimeout
 	tr.CallTimeout = opts.CallTimeout
-	tr.WriteTimeout = opts.WriteTimeout
-	tr.ReadTimeout = opts.ReadTimeout
 	if opts.NetworkSecret != "" {
 		tr.Secret = []byte(opts.NetworkSecret)
 	}
@@ -181,13 +170,14 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	}
 	var addr transport.Addr
 	var err error
-	if listen == "" || hasZeroPort(listen) {
-		host := "127.0.0.1"
-		if listen != "" {
-			host = hostOf(listen)
-		}
+	host, port, splitErr := net.SplitHostPort(listen)
+	switch {
+	case listen == "":
+		addr, err = tr.RegisterAuto("127.0.0.1", handler)
+	case splitErr == nil && port == "0":
 		addr, err = tr.RegisterAuto(host, handler)
-	} else {
+	default:
+		// A malformed address is reported by the listen itself.
 		addr = transport.Addr(listen)
 		err = tr.Register(addr, handler)
 	}
@@ -211,7 +201,7 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 			AttemptTimeout:   opts.RPCAttemptTimeout,
 			CallBudget:       opts.RPCBudget,
 			BackoffBase:      opts.RPCBackoff,
-			BackoffMax:       opts.RPCBackoffMax,
+			BackoffMax:       time.Second,
 			BreakerThreshold: opts.BreakerThreshold,
 			BreakerCooldown:  opts.BreakerCooldown,
 			Seed:             gossip.SeedFor(1, addr),
@@ -253,24 +243,6 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	n.wg.Add(1)
 	go n.maintain(opts)
 	return n, nil
-}
-
-func hasZeroPort(listen string) bool {
-	for i := len(listen) - 1; i >= 0; i-- {
-		if listen[i] == ':' {
-			return listen[i+1:] == "0"
-		}
-	}
-	return false
-}
-
-func hostOf(listen string) string {
-	for i := len(listen) - 1; i >= 0; i-- {
-		if listen[i] == ':' {
-			return listen[:i]
-		}
-	}
-	return listen
 }
 
 // Addr returns the node's dialable address — its identity in the

@@ -3,6 +3,7 @@ package peertrack
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 )
@@ -249,6 +250,26 @@ func TestLiveNodeCloseIdempotent(t *testing.T) {
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An IPv6 literal listen address with port 0 must bind an ephemeral
+// port on that host: the brackets belong to the host:port syntax, not to
+// the host handed to the listener.
+func TestStartNodeIPv6EphemeralPort(t *testing.T) {
+	probe, err := net.Listen("tcp", "[::1]:0")
+	if err != nil {
+		t.Skipf("::1 not bindable here: %v", err)
+	}
+	probe.Close()
+	n, err := StartNode("[::1]:0", NodeOptions{GossipEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	host, port, err := net.SplitHostPort(n.Addr())
+	if err != nil || host != "::1" || port == "0" {
+		t.Fatalf("Addr() = %q, want [::1]:<ephemeral port>", n.Addr())
 	}
 }
 
