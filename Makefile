@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet lint lint-selftest deadpkgs race bench figures chaos-short chaos cluster-smoke telemetry-demo profile xl ledger-check
+.PHONY: build test check vet lint lint-selftest deadpkgs race bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile xl ledger-check
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,14 @@ cluster-smoke:
 # for the current optimisation round.
 bench: build micro
 	$(GO) run ./cmd/peertrack-bench -benchcore BENCH_CORE.json -scale default
+
+# bench-module builds, vets and tests bench/, the repository benchmark
+# (BENCHMARK.json). It is a Go module of its own that imports this one,
+# so `go build ./...` here never compiles it: without this target a
+# root-module API change that breaks the benchmark is first noticed by
+# whoever runs it next.
+bench-module:
+	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 
 # micro runs just the package-level hot-path microbenchmarks, including
 # the alloc-pinning store benchmarks behind the Scale.XL memory budget.

@@ -122,11 +122,11 @@ type run struct {
 	dir      string
 	bin      string
 
-	t0        time.Time // workload epoch: object i observed at t0+observeAt(i)
-	liveMsgs  map[string]uint64
-	liveHops  []int
-	failures  []string
-	timeline  []string
+	t0       time.Time // workload epoch: object i observed at t0+observeAt(i)
+	liveMsgs map[string]uint64
+	liveHops []int
+	failures []string
+	timeline []string
 }
 
 func (r *run) failf(format string, args ...any) {
@@ -182,7 +182,19 @@ func (r *run) resilientScenario(withPause bool) {
 		r.failf("post-workload scrape: %v", err)
 		return
 	}
-	r.liveMsgs = typeDelta(sumCounters(before), sumCounters(after), parityType)
+	sumBefore, sumAfter := sumCounters(before), sumCounters(after)
+	r.liveMsgs = typeDelta(sumBefore, sumAfter, parityType)
+
+	// The harness posts through ctlapi.Client, which keeps one control
+	// connection per node alive: the workload's events must have ridden
+	// the connections waitReady opened, not one dial each.
+	posts := sumAfter["http.requests.method.POST"] - sumBefore["http.requests.method.POST"]
+	opened := sumAfter["http.conns.opened"] - sumBefore["http.conns.opened"]
+	if 4*opened > posts {
+		r.failf("control connections not reused: %d opened for %d POSTs", opened, posts)
+	} else {
+		r.logf("control connections reused: %d opened for %d POSTs", opened, posts)
+	}
 
 	// ---- fault 1: SIGKILL the busiest non-query node ----
 	victim := r.pickVictim(fleet)
@@ -556,4 +568,3 @@ func (r *run) scrapeAll(fleet []*daemon) ([]counters, error) {
 	}
 	return out, nil
 }
-

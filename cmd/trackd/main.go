@@ -29,6 +29,21 @@ import (
 	"peertrack/internal/ctlapi"
 )
 
+// Control connections are kept alive: ctlapi.Client finishes every
+// response, so a warehouse system holds one connection per node and
+// posts every capture event over it. These bound what such a connection
+// may cost the node. The idle timeout sits above the 90 s after which
+// net/http's default transport drops an idle connection itself, so in a
+// healthy deployment it is always the client that closes first: a POST
+// written into a connection the server is closing at that moment is
+// not replayed by net/http, and /observe is not idempotent (a second
+// delivery records a second visit), so a server-side close could only
+// surface as a failed event.
+const (
+	controlReadHeaderTimeout = 10 * time.Second
+	controlIdleTimeout       = 120 * time.Second
+)
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7000", "P2P listen address (host:port, port 0 for ephemeral)")
 	control := flag.String("control", "127.0.0.1:7070", "HTTP control address")
@@ -123,8 +138,11 @@ func main() {
 	// seam the deterministic harness uses to drive handlers on virtual
 	// time. The node's telemetry registry backs /metrics and /debug/trace.
 	httpSrv := &http.Server{
-		Addr:    *control,
-		Handler: ctlapi.HandlerWithTelemetry(backend, time.Now, node.Telemetry()),
+		Addr:              *control,
+		Handler:           ctlapi.HandlerWithTelemetry(backend, time.Now, node.Telemetry()),
+		ConnState:         ctlapi.CountConns(node.Telemetry()),
+		ReadHeaderTimeout: controlReadHeaderTimeout,
+		IdleTimeout:       controlIdleTimeout,
 	}
 	go func() {
 		log.Printf("control API on http://%s", *control)

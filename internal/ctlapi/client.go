@@ -38,9 +38,9 @@ func (c *Client) http() *http.Client {
 }
 
 // do issues the request, retrying refused connections per the client's
-// retry policy. The request closure is re-invoked on each attempt so
-// bodies are rebuilt rather than re-read.
-func (c *Client) do(req func() (*http.Response, error)) (*http.Response, error) {
+// retry policy, and finishes the response. The request closure is
+// re-invoked on each attempt so bodies are rebuilt rather than re-read.
+func (c *Client) do(out any, req func() (*http.Response, error)) error {
 	backoff := c.RetryBackoff
 	if backoff <= 0 {
 		backoff = 200 * time.Millisecond
@@ -51,21 +51,72 @@ func (c *Client) do(req func() (*http.Response, error)) (*http.Response, error) 
 	}
 	for attempt := 0; ; attempt++ {
 		resp, err := req()
-		if err == nil || attempt >= c.Retries || !errors.Is(err, syscall.ECONNREFUSED) {
-			return resp, err
+		if err == nil {
+			return finish(resp, out)
+		}
+		if attempt >= c.Retries || !errors.Is(err, syscall.ECONNREFUSED) {
+			return err
 		}
 		sleep(time.Duration(attempt+1) * backoff)
 	}
 }
 
-// post sends a JSON body (nil for empty) to path with retries.
-func (c *Client) post(path string, body []byte) (*http.Response, error) {
-	return c.do(func() (*http.Response, error) {
+const (
+	// errTextLimit is how much of an error reply's body goes into the
+	// returned error.
+	errTextLimit = 4096
+	// drainLimit is how much unread body finish reads through to keep
+	// the connection; past it, dialing again is cheaper than reading.
+	drainLimit = 256 << 10
+)
+
+// finish consumes resp: a status of 300 or above becomes an error
+// carrying the head of the body, otherwise out (when non-nil) is decoded
+// from it. Whatever is left is then read to EOF before Close, because
+// net/http puts a connection back in its idle pool only once the
+// response on it has been read through — a body closed early costs the
+// next call a dial, and the server an accept and a goroutine.
+func finish(resp *http.Response, out any) error {
+	defer func() {
+		// A drain that fails or stops at the limit costs only the connection.
+		_, _ = io.CopyN(io.Discard, resp.Body, drainLimit)
+		resp.Body.Close()
+	}()
+	if resp.StatusCode >= 300 {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, errTextLimit))
+		if resp.StatusCode == http.StatusNotFound {
+			return fmt.Errorf("%w (%s)", ErrNotTracked, bytes.TrimSpace(b))
+		}
+		return fmt.Errorf("ctlapi: %s: %s", resp.Status, bytes.TrimSpace(b))
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// post sends in as a JSON body (nil for an empty one) to path and
+// decodes the reply into out (nil to ignore it).
+func (c *Client) post(path string, in, out any) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
+	}
+	return c.do(out, func() (*http.Response, error) {
 		var r io.Reader
 		if body != nil {
 			r = bytes.NewReader(body)
 		}
 		return c.http().Post(c.Base+path, "application/json", r)
+	})
+}
+
+func (c *Client) getJSON(path string, out any) error {
+	return c.do(out, func() (*http.Response, error) {
+		return c.http().Get(c.Base + path)
 	})
 }
 
@@ -77,26 +128,13 @@ func (c *Client) Observe(object string) error {
 // ObserveAt ingests a capture event with an explicit timestamp (zero =
 // server time).
 func (c *Client) ObserveAt(object string, at time.Time) error {
-	body, err := json.Marshal(ObserveRequest{Object: object, At: at})
-	if err != nil {
-		return err
-	}
-	resp, err := c.post("/observe", body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return checkStatus(resp)
+	return c.post("/observe", ObserveRequest{Object: object, At: at}, nil)
 }
 
 // Locate answers L(o, t); zero time means "now".
 func (c *Client) Locate(object string, at time.Time) (LocateResponse, error) {
-	q := url.Values{"object": {object}}
-	if !at.IsZero() {
-		q.Set("at", at.Format(time.RFC3339Nano))
-	}
 	var out LocateResponse
-	return out, c.getJSON("/locate?"+q.Encode(), &out)
+	return out, c.getJSON("/locate?object="+url.QueryEscape(object)+timeParam("at", at), &out)
 }
 
 // Trace returns the object's full trajectory.
@@ -107,15 +145,16 @@ func (c *Client) Trace(object string) (TraceResponse, error) {
 
 // TraceBetween returns the trajectory within [from, to].
 func (c *Client) TraceBetween(object string, from, to time.Time) (TraceResponse, error) {
-	q := url.Values{"object": {object}}
-	if !from.IsZero() {
-		q.Set("from", from.Format(time.RFC3339Nano))
-	}
-	if !to.IsZero() {
-		q.Set("to", to.Format(time.RFC3339Nano))
-	}
 	var out TraceResponse
-	return out, c.getJSON("/trace?"+q.Encode(), &out)
+	return out, c.getJSON("/trace?object="+url.QueryEscape(object)+timeParam("from", from)+timeParam("to", to), &out)
+}
+
+// timeParam is "&name=<t>" for a non-zero t and empty otherwise.
+func timeParam(name string, t time.Time) string {
+	if t.IsZero() {
+		return ""
+	}
+	return "&" + name + "=" + url.QueryEscape(t.Format(time.RFC3339Nano))
 }
 
 // ResolveTrace returns the trajectory including containment.
@@ -126,25 +165,12 @@ func (c *Client) ResolveTrace(object string) (TraceResponse, error) {
 
 // Pack records an aggregation event at the node.
 func (c *Client) Pack(parent string, children []string) error {
-	return c.pack(parent, children, false)
+	return c.post("/pack", PackRequest{Parent: parent, Children: children}, nil)
 }
 
 // Unpack records a disaggregation event at the node.
 func (c *Client) Unpack(parent string, children []string) error {
-	return c.pack(parent, children, true)
-}
-
-func (c *Client) pack(parent string, children []string, unpack bool) error {
-	body, err := json.Marshal(PackRequest{Parent: parent, Children: children, Unpack: unpack})
-	if err != nil {
-		return err
-	}
-	resp, err := c.post("/pack", body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return checkStatus(resp)
+	return c.post("/pack", PackRequest{Parent: parent, Children: children, Unpack: true}, nil)
 }
 
 // Predict returns the movement forecast.
@@ -167,39 +193,6 @@ func (c *Client) Status() (StatusResponse, error) {
 
 // Snapshot asks the node to persist its state.
 func (c *Client) Snapshot() (SnapshotResponse, error) {
-	resp, err := c.post("/snapshot", nil)
-	if err != nil {
-		return SnapshotResponse{}, err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return SnapshotResponse{}, err
-	}
 	var out SnapshotResponse
-	return out, json.NewDecoder(resp.Body).Decode(&out)
-}
-
-func (c *Client) getJSON(path string, out any) error {
-	resp, err := c.do(func() (*http.Response, error) {
-		return c.http().Get(c.Base + path)
-	})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func checkStatus(resp *http.Response) error {
-	if resp.StatusCode < 300 {
-		return nil
-	}
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("%w (%s)", ErrNotTracked, bytes.TrimSpace(b))
-	}
-	return fmt.Errorf("ctlapi: %s: %s", resp.Status, bytes.TrimSpace(b))
+	return out, c.post("/snapshot", nil, &out)
 }

@@ -6,6 +6,7 @@
 // Endpoints:
 //
 //	POST /observe    {"object": "...", "at": RFC3339?}     → 202
+//	POST /pack       {"parent", "children", "unpack"?}     → 202
 //	GET  /locate     ?object=...&at=RFC3339?               → {node, hops}
 //	GET  /trace      ?object=...                           → {stops, hops}
 //	GET  /predict    ?object=...                           → {current, next, probability, eta}
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -175,8 +177,9 @@ func HandlerWithTelemetry(b Backend, now Clock, reg *telemetry.Registry) http.Ha
 		io.WriteString(w, reg.Snapshot().Text())
 	})
 	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
 		n := 20
-		if v := r.URL.Query().Get("n"); v != "" {
+		if v := q.Get("n"); v != "" {
 			p, err := strconv.Atoi(v)
 			if err != nil || p <= 0 {
 				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad n %q", v))
@@ -185,7 +188,7 @@ func HandlerWithTelemetry(b Backend, now Clock, reg *telemetry.Registry) http.Ha
 			n = p
 		}
 		var spans []telemetry.Span
-		if obj := r.URL.Query().Get("object"); obj != "" {
+		if obj := q.Get("object"); obj != "" {
 			spans = reg.Tracer().ForKey(obj, n)
 		} else {
 			spans = reg.Tracer().Recent(n)
@@ -193,6 +196,20 @@ func HandlerWithTelemetry(b Backend, now Clock, reg *telemetry.Registry) http.Ha
 		writeJSON(w, TraceDebugResponse{Count: len(spans), Spans: spans})
 	})
 	return countRequests(reg, mux)
+}
+
+// CountConns returns an http.Server.ConnState hook that counts accepted
+// control connections into reg's http.conns.opened. Beside
+// http.requests it shows connection churn from outside: clients that
+// reuse their connections open a handful, a client that abandons its
+// responses opens one per request.
+func CountConns(reg *telemetry.Registry) func(net.Conn, http.ConnState) {
+	opened := reg.Counter("http.conns.opened")
+	return func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Inc()
+		}
+	}
 }
 
 // countRequests wraps the control-plane mux with request accounting:
@@ -227,8 +244,7 @@ func apiMux(b Backend, now Clock) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /observe", func(w http.ResponseWriter, r *http.Request) {
 		var req ObserveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpErr(w, http.StatusBadRequest, err)
+		if !readJSON(w, r, &req) {
 			return
 		}
 		if req.Object == "" {
@@ -243,17 +259,17 @@ func apiMux(b Backend, now Clock) *http.ServeMux {
 			httpErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprintln(w, `{"ok":true}`)
+		writeAccepted(w)
 	})
 	mux.HandleFunc("GET /locate", func(w http.ResponseWriter, r *http.Request) {
-		obj := r.URL.Query().Get("object")
+		q := r.URL.Query()
+		obj := q.Get("object")
 		if obj == "" {
 			httpErr(w, http.StatusBadRequest, errors.New("object required"))
 			return
 		}
 		at := now()
-		if v := r.URL.Query().Get("at"); v != "" {
+		if v := q.Get("at"); v != "" {
 			t, err := time.Parse(time.RFC3339, v)
 			if err != nil {
 				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad at: %w", err))
@@ -269,12 +285,12 @@ func apiMux(b Backend, now Clock) *http.ServeMux {
 		writeJSON(w, LocateResponse{Object: obj, Node: node, Hops: hops})
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		obj := r.URL.Query().Get("object")
+		q := r.URL.Query()
+		obj := q.Get("object")
 		if obj == "" {
 			httpErr(w, http.StatusBadRequest, errors.New("object required"))
 			return
 		}
-		q := r.URL.Query()
 		var stops []Stop
 		var hops int
 		var err error
@@ -303,8 +319,7 @@ func apiMux(b Backend, now Clock) *http.ServeMux {
 	})
 	mux.HandleFunc("POST /pack", func(w http.ResponseWriter, r *http.Request) {
 		var req PackRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpErr(w, http.StatusBadRequest, err)
+		if !readJSON(w, r, &req) {
 			return
 		}
 		if req.Parent == "" || len(req.Children) == 0 {
@@ -321,8 +336,7 @@ func apiMux(b Backend, now Clock) *http.ServeMux {
 			httpErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprintln(w, `{"ok":true}`)
+		writeAccepted(w)
 	})
 	mux.HandleFunc("GET /predict", func(w http.ResponseWriter, r *http.Request) {
 		obj := r.URL.Query().Get("object")
@@ -376,6 +390,35 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	}
 	return http.StatusInternalServerError
+}
+
+// maxBodyBytes bounds what a POST may make the node read and hold: a
+// capture event is tens of bytes, a pack request a few EPCs.
+const maxBodyBytes = 1 << 20
+
+// readJSON decodes the request body, bounded by maxBodyBytes, into v.
+// On failure it has written the reply — 413 past the bound, else 400 —
+// and reports false.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpErr(w, code, err)
+	return false
+}
+
+// writeAccepted is the 202 reply. It names no Content-Type: touching
+// the header map costs five allocations per accepted event, sniffing
+// costs none, and no client reads this body.
+func writeAccepted(w http.ResponseWriter) {
+	w.WriteHeader(http.StatusAccepted)
+	io.WriteString(w, "{\"ok\":true}\n")
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

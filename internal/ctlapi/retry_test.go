@@ -23,6 +23,22 @@ func reservePort(t *testing.T) string {
 	return addr
 }
 
+// serveOn starts srv on addr, a port released a moment ago. Rebinding
+// one can race the kernel, so the bind retries.
+func serveOn(t *testing.T, srv *http.Server, addr string) {
+	t.Helper()
+	for i := 0; i < 50; i++ {
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		go srv.Serve(l)
+		return
+	}
+	t.Errorf("could not rebind %s", addr)
+}
+
 // The client must ride out a refused control port — a restarting node —
 // by retrying with backoff, succeeding once the server is back.
 func TestClientRetriesConnectionRefused(t *testing.T) {
@@ -37,30 +53,17 @@ func TestClientRetriesConnectionRefused(t *testing.T) {
 
 	// The server comes up from inside the client's retry sleep: the
 	// first attempt is guaranteed to hit a refused port, later ones a
-	// live server. Rebinding a just-released port can race the kernel,
-	// so the bind itself retries.
+	// live server.
 	var slept []time.Duration
-	started := false
 	c := &Client{
 		Base:         "http://" + addr,
 		Retries:      5,
 		RetryBackoff: time.Millisecond,
 		Sleep: func(d time.Duration) {
 			slept = append(slept, d)
-			if started {
-				return
+			if len(slept) == 1 {
+				serveOn(t, srv, addr)
 			}
-			for i := 0; i < 50; i++ {
-				l, err := net.Listen("tcp", addr)
-				if err != nil {
-					time.Sleep(10 * time.Millisecond)
-					continue
-				}
-				go srv.Serve(l)
-				started = true
-				return
-			}
-			t.Errorf("could not rebind %s", addr)
 		},
 	}
 
