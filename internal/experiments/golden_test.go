@@ -126,3 +126,18 @@ func TestGoldenFig8b(t *testing.T) {
 	}
 	checkGolden(t, "fig8b.csv", out)
 }
+
+// The overlay-comparison ablation is the only golden that runs the
+// traceability core over Kademlia, so refactors of core.Network's peer
+// construction cannot silently break the second overlay.
+func TestGoldenOverlay(t *testing.T) {
+	rows, err := ExpOverlayComparison(goldenScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := csvLine("overlay", "kmsgs", "mean_hops", "p2p_ms")
+	for _, r := range rows {
+		out += csvLine(r.Overlay, g(r.KMsgs), g(r.MeanHops), g(r.P2PMs))
+	}
+	checkGolden(t, "overlay.csv", out)
+}
