@@ -52,6 +52,10 @@ FORCE:
 # short chaos sweep.
 check: vet lint race chaos-short
 
+# race is the full test suite under the race detector.
+race:
+	$(GO) test -race ./...
+
 # chaos-short sweeps 500 seeded fault scenarios (4:1 safe:lossy) under
 # the race detector, then runs the paired churn10x regression: 10
 # permanent-crash schedules where Chord-only stabilization must fail

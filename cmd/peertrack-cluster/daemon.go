@@ -87,12 +87,10 @@ func (d *daemon) start(bin, join string, netsize int, extra []string) error {
 		"-control", d.control,
 		"-data", d.data,
 		"-netsize", fmt.Sprint(netsize),
-		// Fast cadences so failure detection, ring repair, and replica
-		// promotion converge in seconds rather than minutes.
-		"-stabilize-every", "250ms",
-		"-window", "200ms",
-		"-gossip-every", "150ms",
-		"-replica-sync-every", "300ms",
+		"-stabilize-every", fleetCadences.Stabilize.String(),
+		"-window", fleetCadences.Window.String(),
+		"-gossip-every", fleetCadences.Gossip.String(),
+		"-replica-sync-every", fleetCadences.ReplicaSync.String(),
 		"-dial-timeout", "1s",
 		"-call-timeout", "2s",
 		"-rpc-attempts", "3",

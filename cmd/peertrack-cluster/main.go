@@ -125,6 +125,7 @@ type run struct {
 	t0       time.Time // workload epoch: object i observed at t0+observeAt(i)
 	liveMsgs map[string]uint64
 	liveHops []int
+	liveSpan time.Duration // wall time between the two scrapes liveMsgs spans
 	failures []string
 	timeline []string
 }
@@ -164,6 +165,7 @@ func (r *run) resilientScenario(withPause bool) {
 		r.failf("pre-workload scrape: %v", err)
 		return
 	}
+	healthyStart := time.Now()
 
 	if err := r.workload(fleet); err != nil {
 		r.failf("workload: %v", err)
@@ -182,6 +184,7 @@ func (r *run) resilientScenario(withPause bool) {
 		r.failf("post-workload scrape: %v", err)
 		return
 	}
+	r.liveSpan = time.Since(healthyStart)
 	sumBefore, sumAfter := sumCounters(before), sumCounters(after)
 	r.liveMsgs = typeDelta(sumBefore, sumAfter, parityType)
 
@@ -326,7 +329,7 @@ func (r *run) parityPhase() {
 		return
 	}
 	r.logf("== sim-vs-live parity ==")
-	sim, err := runSimTwin(r.n, r.replicas, r.objects, r.seed)
+	sim, err := runSimTwin(r.n, r.replicas, r.objects, r.seed, r.liveSpan)
 	if err != nil {
 		r.failf("sim twin: %v", err)
 		return

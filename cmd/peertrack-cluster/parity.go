@@ -7,38 +7,33 @@ import (
 	"time"
 
 	"peertrack/internal/core"
+	"peertrack/internal/gossip"
 	"peertrack/internal/moods"
 )
 
 // Parity compares the live cluster's healthy-phase protocol traffic
 // against a simulated twin running the identical workload shape. The
-// two stacks share every line of protocol code; what differs is the
-// transport (TCP vs synchronous memory), the identities (ip:port vs
-// org-names, so ring geometry and gateway placement differ), and the
-// maintenance pacing. Message counts therefore match in shape, not
-// bit-exactly — each compared type must agree within parityTol, and
+// two stacks share every line of protocol code and run the same
+// maintenance table (core.Maintained) at the same cadences for the same
+// span of time — wall time on one side, virtual on the other; what
+// differs is the transport (TCP vs synchronous memory) and the
+// identities (ip:port vs org-names, so ring geometry and gateway
+// placement differ). Message counts therefore match in shape, not
+// bit-exactly — each core.* type must agree within parityTol (chord.*
+// and gossip.* are maintenance of the overlay itself and left out), and
 // mean locate hops within parityHopTol.
 
-// maintenanceDriven lists the core message types excluded from parity:
-// their volume is a function of wall-clock cadence, not of the
-// workload. The replica trio rides the live anti-entropy ticker, and
-// fetchIndexReq (triangle ascent/descent refresh) fires to heal bucket
-// levels after the density-driven Lp refresh — a maintenance loop the
-// sim twin does not run — moves them.
-var maintenanceDriven = map[string]bool{
-	"core.replicaSyncReq":  true,
-	"core.replicaCheckReq": true,
-	"core.replicaDropReq":  true,
-	"core.fetchIndexReq":   true,
+// fleetCadences are the maintenance cadences of every daemon and of the
+// twin: fast, so failure detection, ring repair, and replica promotion
+// converge in seconds rather than minutes.
+var fleetCadences = core.Cadences{
+	Gossip:      150 * time.Millisecond,
+	Stabilize:   250 * time.Millisecond,
+	Window:      200 * time.Millisecond,
+	ReplicaSync: 300 * time.Millisecond,
 }
 
-// parityType keeps workload-driven core protocol messages: index puts,
-// window arrivals, IOP writes, query traffic, and the synchronous
-// replication writes (replicatePutReq, repoMirrorReq) that ride on
-// them. chord.* and gossip.* are maintenance and excluded wholesale.
-func parityType(typ string) bool {
-	return strings.HasPrefix(typ, "core.") && !maintenanceDriven[typ]
-}
+func parityType(typ string) bool { return strings.HasPrefix(typ, "core.") }
 
 const (
 	parityTol    = 3.0 // per-type live/sim ratio bound
@@ -55,8 +50,9 @@ type simTwinResult struct {
 
 // runSimTwin executes the workload shape on a BuildNetwork simulation:
 // the same node count, replication factor, object set, observation
-// spacing, and locate sweep as the live cluster's healthy phase.
-func runSimTwin(nodes, replicas int, objects []string, seed int64) (simTwinResult, error) {
+// spacing, and locate sweep as the live cluster's healthy phase, under
+// the maintenance table for as long as that phase took.
+func runSimTwin(nodes, replicas int, objects []string, seed int64, span time.Duration) (simTwinResult, error) {
 	nw, err := core.BuildNetwork(core.NetworkConfig{
 		Nodes: nodes,
 		Seed:  seed,
@@ -65,11 +61,17 @@ func runSimTwin(nodes, replicas int, objects []string, seed int64) (simTwinResul
 			NMax:              1024,
 			ReplicationFactor: replicas,
 		},
-		TInterval: 200 * time.Millisecond,
 	})
 	if err != nil {
 		return simTwinResult{}, err
 	}
+	// A daemon boots as a one-node network (Lp = L_min) and only then
+	// pins -netsize, so its Lp history spans both levels and the first
+	// sighting of a group probes the shorter ones (fetchIndexReq). Walk
+	// the twin's prefix manager through the same history.
+	nw.PM.SetNetworkSize(1)
+	nw.PM.SetNetworkSize(float64(nodes))
+	nw.EnableGossip(gossip.Config{})
 	for i, obj := range objects {
 		if err := nw.ScheduleObservation(moods.Observation{
 			Object: moods.ObjectID(obj),
@@ -79,7 +81,7 @@ func runSimTwin(nodes, replicas int, objects []string, seed int64) (simTwinResul
 			return simTwinResult{}, err
 		}
 	}
-	nw.StartWindows(observeAt(len(objects)) + time.Second)
+	nw.StartMaintenance(fleetCadences, span)
 	nw.Run()
 
 	q := nw.Peers()[0]

@@ -41,7 +41,7 @@ func main() {
 	byType := flag.Bool("bytype", false, "print the message-type breakdown")
 	flag.Parse()
 
-	cfg := core.Config{Mode: core.GroupIndexing, Replicas: *replicas}
+	cfg := core.Config{Mode: core.GroupIndexing, ReplicationFactor: *replicas + 1}
 	if *mode == "individual" {
 		cfg.Mode = core.IndividualIndexing
 	} else if *mode != "group" {

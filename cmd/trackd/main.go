@@ -99,7 +99,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("start node: %v", err)
 	}
-	defer node.Close()
 	log.Printf("peertrack node listening on %s", node.Addr())
 
 	if *dataPath != "" {
@@ -164,6 +163,11 @@ func main() {
 		httpSrv.Close()
 	}
 	cancel()
+	// Close first: it flushes the open capture window, which a snapshot
+	// does not hold, so every event answered 202 is in the state persisted.
+	if err := node.Close(); err != nil {
+		log.Printf("close: %v", err)
+	}
 	if *dataPath != "" {
 		if n, err := backend.Persist(); err != nil {
 			log.Printf("final snapshot failed: %v", err)

@@ -180,12 +180,6 @@ func (r ChurnReport) String() string {
 	return b.String()
 }
 
-// churnMember pairs a chord node with its (optional) gossip agent.
-type churnMember struct {
-	node  *chord.Node
-	agent *gossip.Agent
-}
-
 // churnRunner holds one scenario's mutable state.
 type churnRunner struct {
 	cfg     ChurnConfig
@@ -193,8 +187,8 @@ type churnRunner struct {
 	mem     *transport.Memory
 	tel     *telemetry.Registry
 	rng     *rand.Rand
-	members []*churnMember // live membership, sorted by address
-	nextIdx int            // next join's name index
+	members []core.Maintained // live membership (node + optional agent), sorted by address
+	nextIdx int               // next join's name index
 }
 
 // RunChurn executes one churn scenario deterministically.
@@ -233,7 +227,7 @@ func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
 		// Mix views and samplers before the first fault: each warmup
 		// round is one kernel-driven gossip round per node.
 		for w := 0; w < cfg.WarmupRounds; w++ {
-			r.step(func(m *churnMember) { m.agent.Round() })
+			r.step(func(m core.Maintained) { m.Gossip.Round() })
 		}
 	}
 
@@ -243,7 +237,10 @@ func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
 		r.crashSegment()
 		r.crashRandom()
 
-		rounds, vs := invariants.CheckReconvergence(r.liveNodes(), r.maintain, cfg.Budget)
+		// One maintenance round, the unit the budget counts: the overlay
+		// rows of the maintenance table on every live node.
+		maintain := func() { r.step(core.Maintained.OverlayRound) }
+		rounds, vs := invariants.CheckReconvergence(r.liveNodes(), maintain, cfg.Budget)
 		rep.Converge = append(rep.Converge, rounds)
 		if len(vs) > 0 {
 			rep.Violations = vs
@@ -255,8 +252,8 @@ func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
 
 // wire attaches telemetry and (in gossip mode) a membership agent to a
 // node, chaining the agent's RPCs through the node's app handler.
-func (r *churnRunner) wire(n *chord.Node) *churnMember {
-	m := &churnMember{node: n}
+func (r *churnRunner) wire(n *chord.Node) core.Maintained {
+	m := core.Maintained{Chord: n}
 	if !r.cfg.Gossip {
 		return m
 	}
@@ -271,14 +268,14 @@ func (r *churnRunner) wire(n *chord.Node) *churnMember {
 		return nil, fmt.Errorf("chaos: unknown request %T", req)
 	})
 	a.SeedView(n.Successors())
-	m.agent = a
+	m.Gossip = a
 	return m
 }
 
 // sortMembers keeps the maintenance order deterministic: by address.
 func (r *churnRunner) sortMembers() {
 	sort.Slice(r.members, func(i, j int) bool {
-		return r.members[i].node.Addr() < r.members[j].node.Addr()
+		return r.members[i].Chord.Addr() < r.members[j].Chord.Addr()
 	})
 }
 
@@ -286,7 +283,7 @@ func (r *churnRunner) sortMembers() {
 func (r *churnRunner) liveNodes() []*chord.Node {
 	out := make([]*chord.Node, len(r.members))
 	for i, m := range r.members {
-		out[i] = m.node
+		out[i] = m.Chord
 	}
 	return out
 }
@@ -294,38 +291,13 @@ func (r *churnRunner) liveNodes() []*chord.Node {
 // step runs fn over the live membership in address order, inside one
 // sim-kernel event one RoundInterval ahead — maintenance is scheduled
 // wall-clock-free on virtual time like every other periodic process.
-func (r *churnRunner) step(fn func(*churnMember)) {
+func (r *churnRunner) step(fn func(core.Maintained)) {
 	r.kernel.Schedule(r.cfg.RoundInterval, func() {
 		for _, m := range r.members {
 			fn(m)
 		}
 	})
 	r.kernel.Run()
-}
-
-// maintain is one protocol maintenance round, the unit the
-// reconvergence budget counts: per live node (address order), a gossip
-// round and sample-driven successor repair (gossip mode), then the
-// Chord trio — predecessor check, stabilize, one finger fix. A
-// stabilize that finds its whole successor list dead reports every
-// entry to the failure detector, which is what lets the next round's
-// repair drop the condemned entries and escape the stranded state.
-func (r *churnRunner) maintain() {
-	r.step(func(m *churnMember) {
-		if m.agent != nil {
-			m.agent.Round()
-			m.node.RepairFromSamples(m.agent.Samples(), m.agent.IsDead)
-		}
-		m.node.CheckPredecessor()
-		if err := m.node.Stabilize(); err != nil && m.agent != nil {
-			for _, s := range m.node.Successors() {
-				if !s.Equal(m.node.Self()) {
-					m.agent.Suspect(s)
-				}
-			}
-		}
-		m.node.FixFingers()
-	})
 }
 
 // join adds cfg.Joins fresh nodes through the live membership using the
@@ -345,7 +317,7 @@ func (r *churnRunner) join() int {
 		m := r.wire(n)
 		joined := false
 		for _, b := range r.members {
-			if err := n.Join(b.node.Self()); err == nil {
+			if err := n.Join(b.Chord.Self()); err == nil {
 				joined = true
 				break
 			}
@@ -355,8 +327,8 @@ func (r *churnRunner) join() int {
 			failed++
 			continue
 		}
-		if m.agent != nil {
-			m.agent.SeedView(n.Successors())
+		if m.Gossip != nil {
+			m.Gossip.SeedView(n.Successors())
 		}
 		r.members = append(r.members, m)
 		r.sortMembers()
@@ -373,9 +345,9 @@ func (r *churnRunner) crashSegment() {
 	if k <= 0 {
 		return
 	}
-	ring := append([]*churnMember(nil), r.members...)
+	ring := append([]core.Maintained(nil), r.members...)
 	sort.Slice(ring, func(i, j int) bool {
-		return ring[i].node.ID().Less(ring[j].node.ID())
+		return ring[i].Chord.ID().Less(ring[j].Chord.ID())
 	})
 	start := r.rng.Intn(len(ring))
 	for i := 0; i < k; i++ {
@@ -391,7 +363,7 @@ func (r *churnRunner) crashRandom() {
 	}
 	perm := r.rng.Perm(len(r.members))[:k]
 	sort.Ints(perm)
-	victims := make([]*churnMember, k)
+	victims := make([]core.Maintained, k)
 	for i, idx := range perm {
 		victims[i] = r.members[idx]
 	}
@@ -409,10 +381,10 @@ func (r *churnRunner) crashBudget(want int) int {
 // kill crashes one member: its transport endpoint dies mid-protocol (no
 // leave, no rewiring, no revival) and it drops out of the maintenance
 // schedule and the invariant projection.
-func (r *churnRunner) kill(victim *churnMember) {
-	r.mem.Kill(victim.node.Addr())
-	if victim.agent != nil {
-		victim.agent.Stop()
+func (r *churnRunner) kill(victim core.Maintained) {
+	r.mem.Kill(victim.Chord.Addr())
+	if victim.Gossip != nil {
+		victim.Gossip.Stop()
 	}
 	for i, m := range r.members {
 		if m == victim {

@@ -270,16 +270,7 @@ func RunReplication(cfg ReplicationConfig) (rep ReplicationReport) {
 			nw.Transport.Revive(addr)
 		}
 		crashed = make(map[transport.Addr]bool)
-		for pass := 0; pass < 64; pass++ {
-			total := 0
-			for _, p := range nw.Peers() {
-				total += p.Buffered()
-			}
-			if total == 0 {
-				break
-			}
-			nw.FlushAll()
-		}
+		settle(nw)
 		nw.SyncReplicas()
 		opts := invariants.Options{RequireIOPExact: true, RequireIOPBidir: true}
 		if vs := invariants.CheckNetwork(nw, opts); len(vs) > 0 {

@@ -171,7 +171,7 @@ func RunSchedule(cfg Config, sched Schedule) (rep Report) {
 
 		// Heal everything and let rebuffered windows drain loss-free.
 		r.heal()
-		if !r.settle() {
+		if !settle(nw) {
 			return harnessFail("windows still buffered after settle (epoch %d)", ei)
 		}
 
@@ -303,16 +303,16 @@ func (r *runner) heal() {
 // observations. On the healed network a flush either delivers or the
 // group re-buffers, so a handful of passes always suffices; the bound
 // only guards against a regression that wedges a window forever.
-func (r *runner) settle() bool {
+func settle(nw *core.Network) bool {
 	for pass := 0; pass < 64; pass++ {
 		total := 0
-		for _, p := range r.nw.Peers() {
+		for _, p := range nw.Peers() {
 			total += p.Buffered()
 		}
 		if total == 0 {
 			return true
 		}
-		r.nw.FlushAll()
+		nw.FlushAll()
 	}
 	return false
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"peertrack/internal/chord"
+	"peertrack/internal/core"
 	"peertrack/internal/gossip"
 	"peertrack/internal/invariants"
 	"peertrack/internal/transport"
@@ -86,21 +87,7 @@ func repairScenario(t *testing.T, seed int64, withGossip bool) (int, []invariant
 
 	maintain := func() {
 		for _, n := range live {
-			if a := agents[n.Addr()]; a != nil {
-				a.Round()
-				n.RepairFromSamples(a.Samples(), a.IsDead)
-			}
-			n.CheckPredecessor()
-			if err := n.Stabilize(); err != nil {
-				if a := agents[n.Addr()]; a != nil {
-					for _, s := range n.Successors() {
-						if !s.Equal(n.Self()) {
-							a.Suspect(s)
-						}
-					}
-				}
-			}
-			n.FixFingers()
+			core.Maintained{Chord: n, Gossip: agents[n.Addr()]}.OverlayRound()
 		}
 	}
 	return invariants.CheckReconvergence(live, maintain, repairBudget)

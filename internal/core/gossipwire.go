@@ -48,7 +48,7 @@ func (p *Peer) onGossipDead(ref overlay.NodeRef) {
 	if evicted > 0 {
 		p.tel.gwDeadEvictions.Add(uint64(evicted))
 	}
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return
 	}
 	p.deadMu.Lock()
@@ -87,8 +87,8 @@ func (nw *Network) attachGossipPeer(p *Peer) {
 }
 
 // GossipRound runs one membership round on every peer, in ring order —
-// the deterministic schedule tests and experiments drive directly; live
-// deployments use Agent.ScheduleRounds on the kernel instead.
+// the deterministic schedule tests and experiments drive directly; the
+// maintenance table's gossip-round row is its periodic form.
 func (nw *Network) GossipRound() {
 	for _, p := range nw.peers {
 		if g := p.Gossip(); g != nil {

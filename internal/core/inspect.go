@@ -49,13 +49,9 @@ func (p *Peer) MaxDescent() int { return p.cfg.MaxDescent }
 // Mode returns the configured indexing mode.
 func (p *Peer) Mode() Mode { return p.cfg.Mode }
 
-// Replicas returns the configured mirror count (copies beyond the
-// primary).
-func (p *Peer) Replicas() int { return p.cfg.Replicas }
-
 // ReplicationFactor returns the configured total number of copies of
 // each gateway bucket, primary included (factor 1 = no mirroring).
-func (p *Peer) ReplicationFactor() int { return p.cfg.Replicas + 1 }
+func (p *Peer) ReplicationFactor() int { return p.cfg.ReplicationFactor }
 
 // DumpRepoReplicas returns a copy of every mirrored repository this
 // peer holds, keyed by the owning node's address.

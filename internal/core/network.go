@@ -118,65 +118,72 @@ func BuildNetwork(cfg NetworkConfig) (*Network, error) {
 	cfg.fill()
 	kernel := sim.New(cfg.Seed)
 	mem := transport.NewMemory(cfg.Seed + 1)
-
-	addrs := make([]transport.Addr, cfg.Nodes)
-	for i := range addrs {
-		addrs[i] = transport.Addr(NodeNameFor(i))
-	}
-	nodes, err := buildOverlay(cfg.Overlay, mem, addrs)
-	if err != nil {
-		return nil, err
-	}
-
-	pm := NewPrefixManager(cfg.Scheme, cfg.LMin, float64(cfg.Nodes))
 	tel := telemetry.New(kernel.Now)
 	mem.SetTelemetry(tel)
 	nw := &Network{
 		Kernel:     kernel,
 		Transport:  mem,
-		PM:         pm,
+		PM:         NewPrefixManager(cfg.Scheme, cfg.LMin, float64(cfg.Nodes)),
 		Oracle:     moods.NewHistoryStore(),
 		HopLatency: cfg.HopLatency,
 		Telemetry:  tel,
 		byName:     make(map[moods.NodeName]*Peer, cfg.Nodes),
 		cfg:        cfg,
 	}
-	for _, n := range nodes {
-		p := NewPeer(n, mem, pm, cfg.Peer, kernel.Now)
-		p.SetTelemetry(tel)
-		if cn, ok := n.(*chord.Node); ok {
-			cn.SetTelemetry(tel)
+	for i := 0; i < cfg.Nodes; i++ {
+		if err := nw.addPeer(transport.Addr(NodeNameFor(i))); err != nil {
+			return nil, err
 		}
-		nw.peers = append(nw.peers, p)
-		nw.byName[p.Name()] = p
 	}
+	nw.wireStatic(nw.peers)
+	sort.Slice(nw.peers, func(i, j int) bool { return nw.peers[i].node.ID().Less(nw.peers[j].node.ID()) })
 	return nw, nil
 }
 
-// buildOverlay constructs a converged static overlay of the given kind.
-func buildOverlay(kind OverlayKind, mem *transport.Memory, addrs []transport.Addr) ([]overlay.Node, error) {
-	switch kind {
+// addPeer constructs an overlay node of the network's kind at addr,
+// puts a peer on it and registers the peer. The node's routing state is
+// empty until wireStatic runs over the new membership.
+func (nw *Network) addPeer(addr transport.Addr) error {
+	var n overlay.Node
+	switch nw.cfg.Overlay {
 	case KademliaOverlay:
-		nodes, err := kademlia.BuildStaticNetwork(mem, addrs, kademlia.Config{})
+		kn, err := kademlia.New(nw.Transport, addr, kademlia.Config{})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out := make([]overlay.Node, len(nodes))
-		for i, n := range nodes {
-			out[i] = n
-		}
-		return out, nil
+		n = kn
 	default:
-		nodes, err := chord.BuildStaticRing(mem, addrs, chord.Config{})
+		cn, err := chord.New(nw.Transport, addr, chord.Config{})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out := make([]overlay.Node, len(nodes))
-		for i, n := range nodes {
-			out[i] = n
-		}
-		return out, nil
+		cn.SetTelemetry(nw.Telemetry)
+		n = cn
 	}
+	p := NewPeer(n, nw.Transport, nw.PM, nw.cfg.Peer, nw.Kernel.Now)
+	p.SetTelemetry(nw.Telemetry)
+	nw.peers = append(nw.peers, p)
+	nw.byName[p.Name()] = p
+	return nil
+}
+
+// wireStatic sets exact converged routing state over the given
+// membership.
+func (nw *Network) wireStatic(peers []*Peer) {
+	switch nw.cfg.Overlay {
+	case KademliaOverlay:
+		kademlia.WireStaticTables(nodesOf[*kademlia.Node](peers))
+	default:
+		chord.WireStaticRing(nodesOf[*chord.Node](peers))
+	}
+}
+
+func nodesOf[N overlay.Node](peers []*Peer) []N {
+	out := make([]N, len(peers))
+	for i, p := range peers {
+		out[i] = p.node.(N)
+	}
+	return out
 }
 
 // Peers returns the peers in ring order.
@@ -244,14 +251,7 @@ func (nw *Network) ScheduleAll(obss []moods.Observation) error {
 // StartWindows schedules the periodic group-function invocation on
 // every peer at TInterval boundaries until the given horizon.
 func (nw *Network) StartWindows(until time.Duration) {
-	for at := nw.cfg.TInterval; at <= until; at += nw.cfg.TInterval {
-		at := at
-		nw.Kernel.At(at, func() {
-			for _, p := range nw.peers {
-				p.FlushWindow()
-			}
-		})
-	}
+	nw.Kernel.Every(nw.cfg.TInterval, until, nw.FlushAll)
 }
 
 // Run drains the event queue and force-flushes any open windows.
@@ -302,43 +302,12 @@ func (nw *Network) Grow(k int) (int, int, error) {
 		}
 	}
 	start := len(nw.peers)
-	switch nw.cfg.Overlay {
-	case KademliaOverlay:
-		kadNodes := make([]*kademlia.Node, 0, start+k)
-		for _, p := range nw.peers {
-			kadNodes = append(kadNodes, p.Node().(*kademlia.Node))
+	for _, addr := range fresh {
+		if err := nw.addPeer(addr); err != nil {
+			return 0, 0, err
 		}
-		for _, addr := range fresh {
-			n, err := kademlia.New(nw.Transport, addr, kademlia.Config{})
-			if err != nil {
-				return 0, 0, err
-			}
-			p := NewPeer(n, nw.Transport, nw.PM, nw.cfg.Peer, nw.Kernel.Now)
-			p.SetTelemetry(nw.Telemetry)
-			nw.peers = append(nw.peers, p)
-			nw.byName[p.Name()] = p
-			kadNodes = append(kadNodes, n)
-		}
-		kademlia.WireStaticTables(kadNodes)
-	default:
-		chordNodes := make([]*chord.Node, 0, start+k)
-		for _, p := range nw.peers {
-			chordNodes = append(chordNodes, p.Node().(*chord.Node))
-		}
-		for _, addr := range fresh {
-			n, err := chord.New(nw.Transport, addr, chord.Config{})
-			if err != nil {
-				return 0, 0, err
-			}
-			p := NewPeer(n, nw.Transport, nw.PM, nw.cfg.Peer, nw.Kernel.Now)
-			p.SetTelemetry(nw.Telemetry)
-			n.SetTelemetry(nw.Telemetry)
-			nw.peers = append(nw.peers, p)
-			nw.byName[p.Name()] = p
-			chordNodes = append(chordNodes, n)
-		}
-		chord.WireStaticRing(chordNodes)
 	}
+	nw.wireStatic(nw.peers)
 	if nw.gossipOn {
 		// Attach after wiring so the fresh peers' views seed from real
 		// ring neighbours; existing views learn the newcomers by mixing.
@@ -367,20 +336,7 @@ func (nw *Network) Shrink(k int) (int, int, error) {
 
 	// Re-wire the ring over the remaining membership first, so the
 	// leavers' migrations resolve to the new owners.
-	switch nw.cfg.Overlay {
-	case KademliaOverlay:
-		kadNodes := make([]*kademlia.Node, 0, len(remaining))
-		for _, p := range remaining {
-			kadNodes = append(kadNodes, p.Node().(*kademlia.Node))
-		}
-		kademlia.WireStaticTables(kadNodes)
-	default:
-		chordNodes := make([]*chord.Node, 0, len(remaining))
-		for _, p := range remaining {
-			chordNodes = append(chordNodes, p.Node().(*chord.Node))
-		}
-		chord.WireStaticRing(chordNodes)
-	}
+	nw.wireStatic(remaining)
 	oldLp, newLp := nw.PM.SetNetworkSize(float64(len(remaining)))
 
 	// Leavers push their index records out. Their own routing state

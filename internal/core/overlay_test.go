@@ -117,7 +117,7 @@ func TestKademliaGrowReconcile(t *testing.T) {
 }
 
 func TestKademliaReplicationSurvivesCrash(t *testing.T) {
-	nw := buildNetOn(t, KademliaOverlay, 16, Config{Mode: GroupIndexing, Replicas: 2})
+	nw := buildNetOn(t, KademliaOverlay, 16, Config{Mode: GroupIndexing, ReplicationFactor: 3})
 	obj := moods.ObjectID("kad-crash")
 	nw.ScheduleObservation(moods.Observation{Object: obj, Node: nw.Peers()[3].Name(), At: time.Second})
 	nw.StartWindows(2 * time.Second)

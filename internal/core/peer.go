@@ -65,24 +65,18 @@ type Config struct {
 	// matter how many distinct prefixes it contacts over its lifetime.
 	// Default 8192.
 	GatewayCacheSize int
-	// Replicas, when > 0, replicates every gateway index update to that
-	// many ring successors so the index survives gateway crashes (see
-	// replication.go). Default 0 (off), matching the paper's setup.
-	Replicas int
 	// ReplicationFactor is the total number of copies of every gateway
-	// bucket and IOP repository, primary included: k-successor
-	// replication with deterministic failover (replication.go). It is
-	// the preferred way to size the scheme; Replicas is kept as the
-	// mirror count (factor − 1) for existing callers. 0 derives from
-	// Replicas; 1 means replication off.
+	// bucket and IOP repository, primary included: each peer mirrors its
+	// state to its first factor−1 ring successors, with deterministic
+	// failover (replication.go). Default 1 (off), matching the paper's
+	// setup.
 	ReplicationFactor int
 }
 
 func (c *Config) fill() {
 	if c.ReplicationFactor <= 0 {
-		c.ReplicationFactor = c.Replicas + 1
+		c.ReplicationFactor = 1
 	}
-	c.Replicas = c.ReplicationFactor - 1
 	if c.NMax <= 0 {
 		c.NMax = 1024
 	}
@@ -498,7 +492,7 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 			return nil, fmt.Errorf("core: delegate: invalid prefix key %#x", uint64(r.Key))
 		}
 		pfx := r.Key.Prefix()
-		if r.MetaVersion > 0 && p.cfg.Replicas > 0 && p.gw.peek(r.Key) == nil {
+		if r.MetaVersion > 0 && p.mirrors() > 0 && p.gw.peek(r.Key) == nil {
 			// One-step replica-set handoff: the sender transferred the
 			// bucket's version line along with its records, and this node
 			// has no copy of its own to merge — adopt both. The existing

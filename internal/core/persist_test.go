@@ -11,7 +11,7 @@ import (
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	nw := buildNet(t, 12, Config{Mode: GroupIndexing, Replicas: 1, DelegationThreshold: 8})
+	nw := buildNet(t, 12, Config{Mode: GroupIndexing, ReplicationFactor: 2, DelegationThreshold: 8})
 	for i := 0; i < 100; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("snap-%d", i))
 		nw.ScheduleObservation(moods.Observation{Object: obj, Node: nw.Peers()[i%12].Name(), At: time.Second})

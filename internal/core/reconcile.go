@@ -81,7 +81,7 @@ func (p *Peer) ReconcileStep() int {
 			}
 			req := delegateReq{Key: key, Entries: entries}
 			handoff := false
-			if p.cfg.Replicas > 0 && !p.noReplicaHandoff {
+			if p.mirrors() > 0 && !p.noReplicaHandoff {
 				if m, ok := p.repl.ExportOwned(u); ok {
 					req.MetaVersion, req.MetaSynced = m.Version, m.Synced
 					handoff = true
@@ -150,7 +150,7 @@ func (p *Peer) evacuate(to transport.Addr) {
 		}
 		req := delegateReq{Key: key, Entries: entries}
 		handoff := false
-		if key != individualKey && p.cfg.Replicas > 0 && !p.noReplicaHandoff {
+		if key != individualKey && p.mirrors() > 0 && !p.noReplicaHandoff {
 			// Hand the replica set over with the records: the receiver
 			// adopts the version line and claims the mirrors by probe.
 			if m, ok := p.repl.ExportOwned(u); ok {

@@ -36,14 +36,16 @@ import (
 //     unreachable — so no query observes an empty or stale answer while
 //     at least one replica is alive.
 //
-//   - Anti-entropy repair: Network.SyncReplicas (run after every
-//     reconciliation, and by the chaos harness at epoch boundaries)
-//     re-probes every owned unit against the current mirror set with a
-//     version check — one small message when the mirror is current, a
-//     full state push when it is not — promotes held replicas whose key
-//     range this node now owns, and garbage-collects replicas no owner
-//     claims. Gossip death verdicts (AttachGossip) trigger the same
-//     promotion immediately, without waiting for a sync round.
+//   - Anti-entropy repair re-probes every owned unit against the
+//     current mirror set with a version check — one small message when
+//     the mirror is current, a full state push when it is not —
+//     promotes held replicas whose key range this node now owns, and
+//     garbage-collects replicas no owner claims. It runs as the replica
+//     rows of the maintenance table (maintenance.go) and, in the
+//     simulator, as the stop-the-world Network.SyncReplicas after every
+//     reconciliation and at chaos epoch boundaries. Gossip death
+//     verdicts (AttachGossip) trigger the same promotion immediately,
+//     without waiting for a sync round.
 
 // replicatePutReq pushes one incremental index-bucket update to a
 // mirror: the entries written and the ids removed by one protocol
@@ -313,15 +315,19 @@ func (s *repoReplicaStore) dump() map[transport.Addr]map[moods.ObjectID][]VisitR
 
 // --- owner-side write paths -------------------------------------------
 
-// mirrorSet returns the current mirror addresses: the first Replicas
+// mirrors is the number of copies beyond the primary (0 = replication
+// off).
+func (p *Peer) mirrors() int { return p.cfg.ReplicationFactor - 1 }
+
+// mirrorSet returns the current mirror addresses: the first mirrors()
 // distinct non-self successors.
 func (p *Peer) mirrorSet() []transport.Addr {
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return nil
 	}
-	out := make([]transport.Addr, 0, p.cfg.Replicas)
+	out := make([]transport.Addr, 0, p.mirrors())
 	for _, succ := range p.node.Neighbors() {
-		if len(out) >= p.cfg.Replicas {
+		if len(out) >= p.mirrors() {
 			break
 		}
 		if succ.Addr == p.node.Addr() {
@@ -343,7 +349,7 @@ func (p *Peer) mirrorSet() []transport.Addr {
 
 // replicate mirrors freshly written entries of one bucket.
 func (p *Peer) replicate(key ids.PrefixKey, entries []IndexEntry) {
-	if p.cfg.Replicas <= 0 || len(entries) == 0 {
+	if p.mirrors() <= 0 || len(entries) == 0 {
 		return
 	}
 	p.mirrorIndex(key, entries, nil)
@@ -352,7 +358,7 @@ func (p *Peer) replicate(key ids.PrefixKey, entries []IndexEntry) {
 // mirrorRemove mirrors the removal of entries from one bucket
 // (delegation evictions, refresh takes).
 func (p *Peer) mirrorRemove(key ids.PrefixKey, removed []ids.ID) {
-	if p.cfg.Replicas <= 0 || len(removed) == 0 {
+	if p.mirrors() <= 0 || len(removed) == 0 {
 		return
 	}
 	p.mirrorIndex(key, nil, removed)
@@ -409,7 +415,7 @@ func (p *Peer) pushFullBucket(u replication.Unit, key ids.PrefixKey, addr transp
 // markRepoDirty queues objects whose local visit lists changed for the
 // next repository mirror flush.
 func (p *Peer) markRepoDirty(objs ...moods.ObjectID) {
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return
 	}
 	p.dirtyMu.Lock()
@@ -426,7 +432,7 @@ func (p *Peer) markRepoDirty(objs ...moods.ObjectID) {
 // mirrors, batched at the granularity of the triggering protocol
 // message (a window flush, or one M2/M3 stitch batch).
 func (p *Peer) flushRepoMirror() {
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return
 	}
 	p.dirtyMu.Lock()
@@ -629,14 +635,14 @@ func (p *Peer) handleReplicaQuery(r replicaQueryReq) replicaQueryResp {
 // that did not answer.
 func (p *Peer) replicaFallthrough(key ids.PrefixKey, ringKey ids.ID, id ids.ID, failed transport.Addr) (IndexEntry, int, bool, bool) {
 	hops := 0
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return IndexEntry{}, hops, false, false
 	}
 	ls, ok := p.node.(lookupSetter)
 	if !ok {
 		return IndexEntry{}, hops, false, false
 	}
-	set, err := ls.LookupSet(ringKey, p.cfg.Replicas+1)
+	set, err := ls.LookupSet(ringKey, p.cfg.ReplicationFactor)
 	if err != nil {
 		return IndexEntry{}, hops, false, false
 	}
@@ -691,7 +697,7 @@ func (p *Peer) fetchVisitsRead(node moods.NodeName, obj moods.ObjectID) ([]Visit
 // that node's repository, in ring order.
 func (p *Peer) repoFallthrough(node moods.NodeName, obj moods.ObjectID) ([]VisitRecord, int, bool) {
 	hops := 0
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return nil, hops, false
 	}
 	ls, ok := p.node.(lookupSetter)
@@ -702,7 +708,7 @@ func (p *Peer) repoFallthrough(node moods.NodeName, obj moods.ObjectID) ([]Visit
 	// A node's repository mirrors sit at its ring successors; its ring
 	// position is the hash of its address (chord.New), so the replica
 	// candidate set of that position starts at the owner itself.
-	set, err := ls.LookupSet(ids.Hash([]byte(owner)), p.cfg.Replicas+1)
+	set, err := ls.LookupSet(ids.Hash([]byte(owner)), p.cfg.ReplicationFactor)
 	if err != nil {
 		return nil, hops, false
 	}
@@ -738,7 +744,7 @@ func (p *Peer) lookupWithReplica(key ids.PrefixKey, id ids.ID) (IndexEntry, bool
 	if e, ok := p.gw.lookup(key, id); ok {
 		return e, true
 	}
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return IndexEntry{}, false
 	}
 	e, ok := p.replica.lookup(key, id)
@@ -752,7 +758,7 @@ func (p *Peer) lookupWithReplica(key ids.PrefixKey, id ids.ID) (IndexEntry, bool
 // queryWithReplica is the bulk form used by the queryIndexReq handler.
 func (p *Peer) queryWithReplica(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry, bool) {
 	entries, delegated := p.gw.query(key, objs)
-	if p.cfg.Replicas <= 0 || len(entries) == len(objs) {
+	if p.mirrors() <= 0 || len(entries) == len(objs) {
 		return entries, delegated
 	}
 	found := make(map[ids.ID]bool, len(entries))
@@ -816,7 +822,7 @@ func (p *Peer) BeginReplicaSync() { p.repl.BeginSync() }
 // line, claiming the surviving mirror copies by probe in the next
 // SyncOwnedReplicas pass.
 func (p *Peer) PromoteOwnedReplicas() {
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return
 	}
 	for _, h := range p.repl.Held() {
@@ -907,7 +913,7 @@ func (p *Peer) promoteHeldIndividual(h replication.HeldInfo) {
 // that keeps the mirror's copy from being garbage-collected as
 // orphaned.
 func (p *Peer) SyncOwnedReplicas() {
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return
 	}
 	mirrors := p.mirrorSet()
@@ -955,7 +961,7 @@ func (p *Peer) SyncOwnedReplicas() {
 // an owner that restarted with the same identity lost its stores but
 // kept its ring position, and its mirrors' copies are all that's left.
 func (p *Peer) DropStaleReplicas() {
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return
 	}
 	for _, u := range p.repl.StaleHeld() {
@@ -1053,7 +1059,7 @@ func (p *Peer) restoreHeld(u replication.Unit, owner transport.Addr, v uint64) b
 // known-current mirrors to discard their copies (the bucket left this
 // node without a bookkeeping handoff).
 func (p *Peer) dropOwnedMeta(u replication.Unit) {
-	if p.cfg.Replicas <= 0 {
+	if p.mirrors() <= 0 {
 		return
 	}
 	meta, ok := p.repl.DropOwned(u)
@@ -1076,7 +1082,7 @@ func (p *Peer) dropOwnedMeta(u replication.Unit) {
 // or Lp change; the chaos harness calls it at epoch boundaries before
 // checking replica agreement.
 func (nw *Network) SyncReplicas() {
-	if nw.cfg.Peer.Replicas <= 0 && nw.cfg.Peer.ReplicationFactor <= 1 {
+	if nw.cfg.Peer.ReplicationFactor <= 1 {
 		return
 	}
 	for _, p := range nw.peers {

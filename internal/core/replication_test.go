@@ -15,7 +15,7 @@ func TestReplicationCopiesEntries(t *testing.T) {
 	nw, err := BuildNetwork(NetworkConfig{
 		Nodes: 12,
 		Seed:  1,
-		Peer:  Config{Mode: GroupIndexing, Replicas: 2},
+		Peer:  Config{Mode: GroupIndexing, ReplicationFactor: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestIndexSurvivesGatewayCrash(t *testing.T) {
 		nw, err := BuildNetwork(NetworkConfig{
 			Nodes: 16,
 			Seed:  2,
-			Peer:  Config{Mode: mode, Replicas: 2},
+			Peer:  Config{Mode: mode, ReplicationFactor: 3},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -117,12 +117,12 @@ func TestIndexSurvivesGatewayCrash(t *testing.T) {
 }
 
 func TestNoReplicationMeansCrashLosesIndex(t *testing.T) {
-	// Control experiment: with Replicas = 0 the same crash loses the
+	// Control experiment: with factor 1 the same crash loses the
 	// index — proving the replication path is what saved it above.
 	nw, err := BuildNetwork(NetworkConfig{
 		Nodes: 16,
 		Seed:  2,
-		Peer:  Config{Mode: GroupIndexing, Replicas: 0},
+		Peer:  Config{Mode: GroupIndexing, ReplicationFactor: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestReplicationAddsBoundedCost(t *testing.T) {
 		nw, err := BuildNetwork(NetworkConfig{
 			Nodes: 16,
 			Seed:  3,
-			Peer:  Config{Mode: GroupIndexing, Replicas: replicas},
+			Peer:  Config{Mode: GroupIndexing, ReplicationFactor: replicas + 1},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -159,9 +159,7 @@ func AblationAdaptiveWindow(s Scale) ([]WindowRow, error) {
 			}
 		}
 		// Periodic T_interval invocation at 1s.
-		for t := time.Second; t <= last+2*time.Second; t += time.Second {
-			nw.Kernel.At(t, flush)
-		}
+		nw.Kernel.Every(time.Second, last+2*time.Second, flush)
 		nw.Kernel.Run()
 		flush()
 		maxBatch, events := 0, 0

@@ -37,7 +37,6 @@ import (
 	"sync"
 
 	"peertrack/internal/overlay"
-	"peertrack/internal/sim"
 	"peertrack/internal/transport"
 )
 
@@ -107,7 +106,8 @@ type suspicion struct {
 
 // New creates an agent for self on net. The agent serves no traffic by
 // itself: compose HandleRPC into the node's application handler and
-// drive Round from the sim kernel (ScheduleRounds) or a test loop.
+// drive Round from the maintenance table (core.Maintained) or a test
+// loop.
 func New(net transport.Network, self overlay.NodeRef, cfg Config) *Agent {
 	cfg.fill()
 	a := &Agent{
@@ -229,44 +229,6 @@ func (a *Agent) Round() {
 			fn(d)
 		}
 	}
-}
-
-// RoundLoop is a handle to a recurring kernel-driven round schedule.
-type RoundLoop struct {
-	stopped bool
-	t       sim.Timer
-}
-
-// Stop cancels the loop; pending rounds will not fire.
-func (l *RoundLoop) Stop() {
-	if l == nil {
-		return
-	}
-	l.stopped = true
-	l.t.Stop()
-}
-
-// ScheduleRounds drives the agent from the sim kernel: one Round every
-// interval of virtual time, starting one interval from now, until the
-// loop or the agent is stopped.
-func (a *Agent) ScheduleRounds(k *sim.Kernel, interval sim.Time) *RoundLoop {
-	l := &RoundLoop{}
-	var fire func()
-	fire = func() {
-		if l.stopped {
-			return
-		}
-		a.mu.Lock()
-		stopped := a.stopped
-		a.mu.Unlock()
-		if stopped {
-			return
-		}
-		a.Round()
-		l.t = k.Schedule(interval, fire)
-	}
-	l.t = k.Schedule(interval, fire)
-	return l
 }
 
 // HandleRPC serves the exchange and probe messages; compose it into the

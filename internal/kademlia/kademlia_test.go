@@ -3,6 +3,7 @@ package kademlia
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"peertrack/internal/ids"
@@ -21,10 +22,16 @@ func addrs(n int) []transport.Addr {
 func staticNet(t testing.TB, n int) (*transport.Memory, []*Node) {
 	t.Helper()
 	net := transport.NewMemory(1)
-	nodes, err := BuildStaticNetwork(net, addrs(n), Config{})
-	if err != nil {
-		t.Fatal(err)
+	nodes := make([]*Node, 0, n)
+	for _, a := range addrs(n) {
+		node, err := New(net, a, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, node)
 	}
+	WireStaticTables(nodes)
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID().Less(nodes[j].ID()) })
 	return net, nodes
 }
 

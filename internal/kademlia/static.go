@@ -1,39 +1,14 @@
 package kademlia
 
 import (
-	"fmt"
-	"sort"
-
 	"peertrack/internal/ids"
 	"peertrack/internal/overlay"
-	"peertrack/internal/transport"
 )
 
-// BuildStaticNetwork constructs a fully populated Kademlia network
-// without protocol traffic: every node's buckets are filled from the
-// global membership (respecting the k-per-bucket cap, preferring the
-// XOR-closest members of each bucket). Experiments use it so message
-// counts reflect only the traceability protocol. Returns nodes sorted
-// by identifier.
-func BuildStaticNetwork(net transport.Network, addrs []transport.Addr, cfg Config) ([]*Node, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("kademlia: empty network")
-	}
-	nodes := make([]*Node, 0, len(addrs))
-	for _, a := range addrs {
-		n, err := New(net, a, cfg)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, n)
-	}
-	WireStaticTables(nodes)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID().Less(nodes[j].ID()) })
-	return nodes, nil
-}
-
 // WireStaticTables fills every node's routing table from the global
-// membership: per bucket, the k XOR-closest members.
+// membership without protocol traffic: per bucket, the k XOR-closest
+// members. Experiments use it so message counts reflect only the
+// traceability protocol.
 func WireStaticTables(nodes []*Node) {
 	refs := make([]overlay.NodeRef, len(nodes))
 	for i, n := range nodes {

@@ -22,6 +22,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -179,10 +180,45 @@ func (k *Kernel) At(t Time, fn func()) Timer {
 		panic("sim: nil event function")
 	}
 	k.seq++
+	return k.push(t, k.seq, fn)
+}
+
+// push queues fn at (t, seq).
+//
+//lint:hotpath
+func (k *Kernel) push(t Time, seq uint64, fn func()) Timer {
 	e := k.alloc()
-	e.at, e.seq, e.fn = t, k.seq, fn
+	e.at, e.seq, e.fn = t, seq, fn
 	heap.Push(&k.queue, e)
 	return Timer{k: k, e: e, gen: e.gen}
+}
+
+// Forever is the horizon of a recurring task that never ends: what a
+// wall-clock pump, which stops by no longer stepping, passes to Every.
+const Forever = Time(math.MaxInt64)
+
+// Every runs fn every interval of virtual time, first at Now+interval,
+// for as long as the firing time is at or before until — the horizon is
+// what lets Run drain a kernel that carries recurring tasks. It is the
+// kernel's one recurring primitive. A task keeps the tie-break rank of
+// its Every call for life: at equal timestamps recurring tasks fire in
+// the order they were installed, whatever their intervals, and against
+// one-shot events exactly as if every firing had been scheduled with At
+// when Every was called.
+func (k *Kernel) Every(interval, until Time, fn func()) {
+	if interval <= 0 {
+		panic(fmt.Sprintf("sim: non-positive interval %v", interval))
+	}
+	k.seq++
+	seq := k.seq
+	var arm func()
+	fire := func() { fn(); arm() }
+	arm = func() {
+		if interval <= until-k.now {
+			k.push(k.now+interval, seq, fire)
+		}
+	}
+	arm()
 }
 
 // Batch schedules len(times) events sharing one callback; entry i fires

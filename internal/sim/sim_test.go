@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -190,5 +191,31 @@ func TestNextAt(t *testing.T) {
 	k.Run()
 	if _, ok := k.NextAt(); ok {
 		t.Error("NextAt after drain reported an event")
+	}
+}
+
+// Every fires at interval multiples up to and including the horizon, so
+// Run drains; and a task keeps the tie-break rank of its Every call, so
+// at a shared instant the order is install order whatever the cadences
+// — the same order as pre-scheduling every firing with At.
+func TestEveryHorizonAndInstallOrder(t *testing.T) {
+	k := New(1)
+	var got []string
+	note := func(s string) func() {
+		return func() { got = append(got, fmt.Sprintf("%s@%d", s, k.Now()/time.Second)) }
+	}
+	k.At(2*time.Second, note("before"))
+	k.Every(time.Second, 4*time.Second, note("fast"))
+	k.Every(2*time.Second, 4*time.Second, note("slow"))
+	k.At(2*time.Second, note("after"))
+	if end := k.Run(); end != 4*time.Second {
+		t.Fatalf("Run ended at %v, want the 4s horizon", end)
+	}
+	want := "[fast@1 before@2 fast@2 slow@2 after@2 fast@3 fast@4 slow@4]"
+	if fmt.Sprint(got) != want {
+		t.Errorf("firings = %v\nwant      %s", got, want)
+	}
+	if k.Pending() != 0 {
+		t.Errorf("%d events still pending past the horizon", k.Pending())
 	}
 }

@@ -1,6 +1,7 @@
 package peertrack
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -161,5 +162,65 @@ func TestLiveNoResilienceBaseline(t *testing.T) {
 	}
 	if text := n.Telemetry().Snapshot().Text(); strings.Contains(text, "transport.resilient.") {
 		t.Fatalf("baseline node exports resilient counters:\n%s", text)
+	}
+}
+
+// A clean shutdown must not drop the open capture window: an event the
+// node accepted is in its local repository, but until the window
+// flushes no gateway has heard of it. Close flushes once before it
+// leaves the ring, so a trace from the surviving node (which mirrors
+// the leaver's repository at factor 2) still shows the stop.
+func TestCloseFlushesOpenWindow(t *testing.T) {
+	opts := NodeOptions{
+		NetworkSize:    2,
+		Replicas:       2,
+		StabilizeEvery: 50 * time.Millisecond,
+		WindowInterval: time.Hour, // only Close can flush within the test
+		GossipEvery:    -1,
+	}
+	a, err := StartNode("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := StartNode("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Join(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for a.chord.Predecessor().IsZero() || b.chord.Predecessor().IsZero() {
+		if time.Now().After(deadline) {
+			t.Fatal("two-node ring never converged")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Enough objects that both nodes are gateway for some of them.
+	objects := make([]string, 16)
+	t0 := time.Now()
+	for i := range objects {
+		objects[i] = fmt.Sprintf("obj-%02d", i)
+		if err := a.ObserveAt(objects[i], t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aAddr := a.Addr()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, obj := range objects {
+		stops, _, err := b.Trace(obj)
+		if err != nil {
+			t.Errorf("trace %s after the observer closed: %v", obj, err)
+			continue
+		}
+		if len(stops) != 1 || stops[0].Node != aAddr {
+			t.Errorf("trace %s = %v, want the one stop at %s", obj, stops, aAddr)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"peertrack/internal/gossip"
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
-	"peertrack/internal/netsize"
 	"peertrack/internal/sim"
 	"peertrack/internal/telemetry"
 	"peertrack/internal/transport"
@@ -267,134 +266,43 @@ func (n *Node) Join(bootstrap string) error {
 	if n.gossip != nil {
 		n.gossip.SeedView(n.chord.Successors())
 	}
-	n.refreshNetworkSize()
+	n.maintained().RefreshSize()
 	return nil
 }
 
-// maintain runs the node's background maintenance — overlay
-// stabilization, finger repair, window flushes, network-size refresh,
-// gossip membership rounds, gossip-driven chord repair, and replica
-// anti-entropy — until Close.
-//
-// The schedule is the same discrete-event kernel the simulator uses,
-// pumped by the wall clock: events are queued in virtual time and a
-// single goroutine sleeps until the earliest one is due, then steps the
-// kernel. Live nodes therefore run the identical maintenance programs
-// (gossip.Agent.ScheduleRounds, the stabilize trio, the replica sync
-// sequence) as simulated ones; only the pacer differs.
+// maintain runs the maintenance table (core.Maintained) until Close. The
+// schedule lives on the same discrete-event kernel the simulator uses;
+// this goroutine is only its pacer: virtual time t maps to wall time
+// anchor+t, and it sleeps until the earliest event is due, then steps.
 func (n *Node) maintain(opts NodeOptions) {
 	defer n.wg.Done()
 	k := sim.New(gossip.SeedFor(3, n.chord.Addr()))
-	every := func(interval time.Duration, fn func()) {
-		var fire func()
-		fire = func() {
-			fn()
-			k.Schedule(interval, fire)
-		}
-		k.Schedule(interval, fire)
-	}
+	n.maintained().Install(k, core.Cadences{
+		Gossip:      opts.GossipEvery,
+		Stabilize:   opts.StabilizeEvery,
+		Window:      opts.WindowInterval,
+		ReplicaSync: opts.ReplicaSyncEvery,
+	}, sim.Forever)
 
-	// Membership rounds are scheduled before the repair event so that at
-	// equal timestamps the round's fresh samples and verdicts are what
-	// the repair consumes (kernel ties break by scheduling order).
-	if n.gossip != nil {
-		loop := n.gossip.ScheduleRounds(k, opts.GossipEvery)
-		defer loop.Stop()
-		every(opts.GossipEvery, func() {
-			n.chord.RepairFromSamples(n.gossip.Samples(), n.gossip.IsDead)
-		})
-	}
-	every(opts.StabilizeEvery, func() {
-		n.chord.CheckPredecessor()
-		if err := n.chord.Stabilize(); err != nil && n.gossip != nil {
-			// A failed stabilization is first-hand evidence against the
-			// successor set; feed it to the failure detector just as the
-			// simulated churn maintainers do.
-			for _, s := range n.chord.Successors() {
-				if !s.Equal(n.chord.Self()) {
-					n.gossip.Suspect(s)
-				}
-			}
-		}
-		n.chord.FixFingers()
-	})
-	every(opts.WindowInterval, func() { n.peer.FlushWindow() })
-	every(10*opts.StabilizeEvery, func() {
-		n.refreshNetworkSize()
-		// Re-home any index buckets whose gateway placement is
-		// stale (ring convergence, membership changes) and merge
-		// split histories.
-		n.peer.InvalidateGatewayCache()
-		n.peer.ReconcileStep()
-	})
-	if opts.Replicas > 1 {
-		// Probe fast, GC slow: promotion and owner→mirror sync (which
-		// double as liveness probes on held units) run every tick, while
-		// the generational Drop/Begin pair runs every gcTicks'th tick.
-		// A held unit therefore gets several probe opportunities per GC
-		// generation, and — crucially — when an owner crashes, the
-		// failure detector has several sync intervals to land its dead
-		// verdict (which exempts the unit from GC as a surviving copy)
-		// before the stopped probes would condemn it. Drop still runs
-		// before Begin: it judges the PREVIOUS generation, whose probes
-		// have all had time to arrive.
-		const gcTicks = 4
-		tick := 0
-		every(opts.ReplicaSyncEvery, func() {
-			if tick++; tick%gcTicks == 0 {
-				n.peer.DropStaleReplicas()
-				n.peer.BeginReplicaSync()
-			}
-			n.peer.PromoteOwnedReplicas()
-			n.peer.SyncOwnedReplicas()
-		})
-	}
-
-	// The pump: virtual time t maps to wall time anchor+t.
 	anchor := time.Now()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	timer := time.NewTimer(0)
 	defer timer.Stop()
+	<-timer.C // Reset below always finds the timer fired and drained
 	for {
-		at, ok := k.NextAt()
-		if !ok {
-			return // unreachable: every maintenance event reschedules itself
-		}
-		if wait := time.Until(anchor.Add(at)); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-n.stopCh:
-				return
-			case <-timer.C:
-			}
-		} else {
-			select {
-			case <-n.stopCh:
-				return
-			default:
-			}
+		at, _ := k.NextAt()                     // never empty: the table's rows recur forever
+		timer.Reset(time.Until(anchor.Add(at))) // fires at once when overdue
+		select {
+		case <-n.stopCh:
+			return
+		case <-timer.C:
 		}
 		k.Step()
 	}
 }
 
-// refreshNetworkSize re-estimates Nn from overlay density unless the
-// operator pinned it.
-func (n *Node) refreshNetworkSize() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed || n.pinned {
-		return
-	}
-	est := netsize.DensityEstimate(n.chord.Self(), n.chord.Successors())
-	if est > 1 {
-		old := n.pm.Lp()
-		if _, new := n.pm.SetNetworkSize(est); new != old {
-			n.peer.InvalidateGatewayCache()
-		}
-	}
+// maintained is this node as the maintenance table sees it.
+func (n *Node) maintained() core.Maintained {
+	return core.Maintained{Chord: n.chord, Gossip: n.gossip, Peer: n.peer, SizePinned: n.pinned}
 }
 
 // Observe ingests one capture event at this node, stamped now.
@@ -504,7 +412,8 @@ func (n *Node) Snapshot(w io.Writer) error { return n.peer.Snapshot(w) }
 // Restore loads a snapshot produced by Snapshot. Call it before Join.
 func (n *Node) Restore(r io.Reader) error { return n.peer.Restore(r) }
 
-// Close leaves the ring and stops serving.
+// Close flushes the open capture window, leaves the ring and stops
+// serving.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -515,10 +424,7 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	close(n.stopCh)
 	n.wg.Wait()
-	if n.gossip != nil {
-		n.gossip.Stop()
-	}
-	err := n.chord.Leave()
+	err := n.maintained().Shutdown()
 	n.tr.Close()
 	if err != nil && err != chord.ErrLeft {
 		return err
