@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet lint lint-selftest deadpkgs race bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile xl ledger-check
+.PHONY: build test check vet lint lint-selftest deadpkgs loc race bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile xl ledger-check
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,22 @@ deadpkgs:
 		[ "$$p" = peertrack/internal/analysis/analysistest ] && continue; \
 		echo "$$deps" | grep -qxF "$$p" || { echo "deadpkgs: no binary or example imports $$p"; dead=1; }; \
 	done; [ -z "$$dead" ]
+
+# loc prints the table every CHANGES.md entry reports: non-test and test
+# Go lines of the root package, of each directory under internal/ and
+# cmd/ (sub-packages included, testdata fixtures not), and of the bench/
+# module. Line count is a tracked metric (ROADMAP aim 2); this is a
+# report, not a gate.
+loc:
+	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
+	printf '%-28s %9s %7s\n' package non-test test; \
+	for d in . internal/* cmd/* bench; do \
+		[ -d $$d ] || continue; \
+		if [ $$d = . ]; then depth='-maxdepth 1'; else depth=; fi; \
+		if [ $$d = bench ]; then printf '%-28s %9d %7d\n' 'root module' $$src $$tst; fi; \
+		s=$$(lines $$d "$$depth" '!'); t=$$(lines $$d "$$depth" ''); \
+		printf '%-28s %9d %7d\n' $$d $$s $$t; src=$$((src+s)); tst=$$((tst+t)); \
+	done
 
 bin/peertrack-lint: FORCE
 	$(GO) build -o bin/peertrack-lint ./cmd/peertrack-lint
@@ -103,7 +119,7 @@ bench-module:
 # the alloc-pinning store benchmarks behind the Scale.XL memory budget.
 micro:
 	$(GO) test -run xxx -bench 'BenchmarkTransportCall|BenchmarkStatsSnapshot' ./internal/transport/
-	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkTimerStop|BenchmarkBatchFanIn|BenchmarkHeapFanIn' ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkBatchFanIn|BenchmarkHeapFanIn' ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkGateway|BenchmarkIOP' ./internal/core/
 
 # profile captures CPU and heap pprof profiles of the XL throughput

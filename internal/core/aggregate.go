@@ -87,7 +87,7 @@ func (p *Peer) InventoryAt(node moods.NodeName) (int, int, error) {
 	if transport.Addr(node) == p.node.Addr() {
 		return p.InventoryCount(), 0, nil
 	}
-	resp, err := p.callAddr(transport.Addr(node), inventoryReq{})
+	resp, err := p.call(transport.Addr(node), inventoryReq{})
 	if err != nil {
 		return 0, 1, err
 	}
@@ -103,7 +103,7 @@ func (p *Peer) ObjectsAt(node moods.NodeName, max int) ([]moods.ObjectID, int, e
 		}
 		return objs, 0, nil
 	}
-	resp, err := p.callAddr(transport.Addr(node), inventoryReq{WithObjects: true, MaxObjects: max})
+	resp, err := p.call(transport.Addr(node), inventoryReq{WithObjects: true, MaxObjects: max})
 	if err != nil {
 		return nil, 1, err
 	}
@@ -119,7 +119,7 @@ func (p *Peer) DwellStatsAt(node moods.NodeName) (int, time.Duration, int, error
 	if transport.Addr(node) == p.node.Addr() {
 		resp, err = p.handleRPC(p.node.Addr(), dwellStatsReq{})
 	} else {
-		resp, err = p.callAddr(transport.Addr(node), dwellStatsReq{})
+		resp, err = p.call(transport.Addr(node), dwellStatsReq{})
 		hops = 1
 	}
 	if err != nil {

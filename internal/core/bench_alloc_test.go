@@ -35,14 +35,14 @@ func BenchmarkGatewayUpsertUpdate(b *testing.B) {
 	pfx := ids.MustParsePrefix("0101")
 	entries := benchEntries(4096)
 	for _, e := range entries {
-		g.upsert(pfx, e)
+		g.upsert(pfx.Key(), e)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := entries[i%len(entries)]
 		e.Arrived += time.Second
-		g.upsert(pfx, e)
+		g.upsert(pfx.Key(), e)
 	}
 }
 
@@ -54,7 +54,7 @@ func BenchmarkGatewayUpsertInsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.upsert(pfx, entries[i])
+		g.upsert(pfx.Key(), entries[i])
 	}
 }
 
@@ -64,7 +64,7 @@ func BenchmarkGatewayLookup(b *testing.B) {
 	key := pfx.Key()
 	entries := benchEntries(4096)
 	for _, e := range entries {
-		g.upsert(pfx, e)
+		g.upsert(pfx.Key(), e)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -78,7 +78,7 @@ func BenchmarkGatewayLookup(b *testing.B) {
 func BenchmarkIOPRecordAppend(b *testing.B) {
 	// Each op records a later visit for a rotating object set: the
 	// per-object rest slice grows amortized, the map is not reshaped.
-	s := newIOPStore()
+	s := newIOPStore(false)
 	const objs = 1024
 	names := make([]moods.ObjectID, objs)
 	for i := range names {
@@ -93,7 +93,7 @@ func BenchmarkIOPRecordAppend(b *testing.B) {
 }
 
 func BenchmarkIOPSetTo(b *testing.B) {
-	s := newIOPStore()
+	s := newIOPStore(false)
 	const objs = 1024
 	names := make([]moods.ObjectID, objs)
 	for i := range names {
@@ -116,13 +116,13 @@ func TestGatewaySteadyStateAllocFree(t *testing.T) {
 	key := pfx.Key()
 	entries := benchEntries(512)
 	for _, e := range entries {
-		g.upsert(pfx, e)
+		g.upsert(pfx.Key(), e)
 	}
 	i := 0
 	if avg := testing.AllocsPerRun(200, func() {
 		e := entries[i%len(entries)]
 		e.Arrived += time.Second
-		g.upsert(pfx, e)
+		g.upsert(pfx.Key(), e)
 		i++
 	}); avg != 0 {
 		t.Errorf("gateway upsert(update) allocates %.1f/op, want 0", avg)
@@ -139,7 +139,7 @@ func TestGatewaySteadyStateAllocFree(t *testing.T) {
 // IOP link-stitching path: setTo/setFrom on existing visits and the
 // dwell-anchor scan must not allocate.
 func TestIOPSteadyStateAllocFree(t *testing.T) {
-	s := newIOPStore()
+	s := newIOPStore(false)
 	const objs = 256
 	names := make([]moods.ObjectID, objs)
 	for i := range names {

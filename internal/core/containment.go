@@ -145,7 +145,7 @@ func (p *Peer) sendContainment(child moods.ObjectID, req containPutReq) error {
 	if err != nil {
 		return err
 	}
-	_, err = p.call(res.Node, req)
+	_, err = p.call(res.Node.Addr, req)
 	return err
 }
 
@@ -156,7 +156,7 @@ func (p *Peer) Containments(child moods.ObjectID) ([]ContainmentRecord, int, err
 		return nil, 0, err
 	}
 	hops := res.Hops
-	resp, err := p.call(res.Node, containGetReq{Child: child})
+	resp, err := p.call(res.Node.Addr, containGetReq{Child: child})
 	if res.Node.Addr != p.node.Addr() {
 		hops++
 	}

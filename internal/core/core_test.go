@@ -348,7 +348,7 @@ func TestDelegationAndTriangleLookup(t *testing.T) {
 
 	// Every object must still be findable (triangle descent).
 	for _, obj := range objs {
-		if _, _, err := nw.Peers()[0].findIndex(obj); err != nil {
+		if _, _, err := nw.Peers()[0].findIndex(obj, nil); err != nil {
 			t.Fatalf("findIndex(%s) after delegation: %v", obj, err)
 		}
 	}

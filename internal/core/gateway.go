@@ -25,6 +25,40 @@ func (e IndexEntry) wireSize() int {
 	return len(e.Object) + ids.Bytes + len(e.Latest) + len(e.Prev) + 16
 }
 
+// sizeOfEntries is the on-wire cost of a run of index records.
+func sizeOfEntries(es []IndexEntry) int {
+	n := 0
+	for _, e := range es {
+		n += e.wireSize()
+	}
+	return n
+}
+
+// entryIDs lists the hashed ids of es, in order.
+func entryIDs(es []IndexEntry) []ids.ID {
+	out := make([]ids.ID, len(es))
+	for i, e := range es {
+		out[i] = e.ID
+	}
+	return out
+}
+
+// missingFrom returns the ids of want that no entry of found answers,
+// in want's order (nil when every one was found).
+func missingFrom(want []ids.ID, found []IndexEntry) []ids.ID {
+	have := make(map[ids.ID]bool, len(found))
+	for _, e := range found {
+		have[e.ID] = true
+	}
+	var out []ids.ID
+	for _, id := range want {
+		if !have[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // bucket holds the index records of one prefix group at its gateway
 // node. Entries live in a single slab slice in insertion (FIFO) order —
 // the order α-delegation evicts in — with a side index from hashed id
@@ -32,19 +66,19 @@ func (e IndexEntry) wireSize() int {
 // compacted once tombstones outnumber live entries. Compared to a
 // map[ids.ID]*IndexEntry plus a separate fifo slice, the slab stores
 // entries contiguously with no per-entry heap object, which is what
-// makes multi-million-object gateways fit in memory at Scale.XL.
+// makes multi-million-object gateways fit in memory at Scale.XL. The
+// group's prefix is not stored: the store's key is its packed form.
 type bucket struct {
-	prefix ids.Prefix
-	idx    map[ids.ID]int32 // hashed id → slot in slab
-	slab   []IndexEntry     // FIFO order; dead slots have empty Object
-	dead   int
+	idx  map[ids.ID]int32 // hashed id → slot in slab
+	slab []IndexEntry     // FIFO order; dead slots have empty Object
+	dead int
 	// delegated is true once any record was pushed down to a child,
 	// telling lookups and refreshes that descendants may hold records.
 	delegated bool
 }
 
-func newBucket(p ids.Prefix) *bucket {
-	return &bucket{prefix: p, idx: make(map[ids.ID]int32)}
+func newBucket() *bucket {
+	return &bucket{idx: make(map[ids.ID]int32)}
 }
 
 // upsert inserts or updates e. The update path (existing ID) is the
@@ -103,8 +137,9 @@ func (b *bucket) compact() {
 	b.dead = 0
 }
 
-// oldest returns up to n entry values in FIFO (earliest-indexed) order.
-func (b *bucket) oldest(n int) []IndexEntry {
+// live returns copies of up to n live entries in FIFO (earliest-indexed)
+// order; len(b.idx) asks for all of them.
+func (b *bucket) live(n int) []IndexEntry {
 	out := make([]IndexEntry, 0, n)
 	for _, e := range b.slab {
 		if len(out) >= n {
@@ -122,6 +157,13 @@ func (b *bucket) oldest(n int) []IndexEntry {
 // encoding and sorts after every real prefix key — the same relative
 // order the old "@individual" string key had among binary strings.
 const individualKey = ids.NoPrefixKey
+
+// validBucketKey reports whether k can key a bucket: the individual
+// bucket, or a well-formed packed prefix (wire input is checked with it
+// before k.Prefix(), which panics on a malformed key).
+func validBucketKey(k ids.PrefixKey) bool {
+	return k == individualKey || k.Len() <= ids.MaxKeyLen
+}
 
 // bucketKeyName renders a packed bucket key in the exported string form
 // (binary prefix string, or the individual-bucket name).
@@ -148,7 +190,7 @@ func parseBucketKey(s string) (ids.PrefixKey, error) {
 // under individual indexing, per-object records in one dedicated
 // bucket) this node is the gateway of. Buckets are keyed by the packed
 // ids.PrefixKey — one word to hash and compare instead of a heap
-// string.
+// string — and every operation names its bucket by that key alone.
 type gatewayStore struct {
 	mu      sync.RWMutex
 	buckets map[ids.PrefixKey]*bucket
@@ -158,47 +200,22 @@ func newGatewayStore() *gatewayStore {
 	return &gatewayStore{}
 }
 
-// bucketFor returns the bucket for prefix p, creating it if needed.
-func (g *gatewayStore) bucketFor(p ids.Prefix) *bucket {
+// upsert inserts or updates an entry in the bucket keyed key, creating
+// the bucket on first use.
+//
+//lint:hotpath
+func (g *gatewayStore) upsert(key ids.PrefixKey, e IndexEntry) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.bucketLocked(p.Key(), p)
-}
-
-func (g *gatewayStore) bucketLocked(key ids.PrefixKey, p ids.Prefix) *bucket {
 	b, ok := g.buckets[key]
 	if !ok {
 		if g.buckets == nil {
 			g.buckets = make(map[ids.PrefixKey]*bucket)
 		}
-		b = newBucket(p)
+		b = newBucket()
 		g.buckets[key] = b
 	}
-	return b
-}
-
-// upsertKeyed inserts or updates an entry in the bucket with an
-// explicit key (the individual-indexing bucket).
-func (g *gatewayStore) upsertKeyed(key ids.PrefixKey, e IndexEntry) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.bucketLocked(key, ids.Prefix{}).upsert(e)
-}
-
-// peek returns the bucket for key or nil, without creating it.
-func (g *gatewayStore) peek(key ids.PrefixKey) *bucket {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.buckets[key]
-}
-
-// upsert inserts or updates an entry in the bucket of prefix p.
-//
-//lint:hotpath
-func (g *gatewayStore) upsert(p ids.Prefix, e IndexEntry) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.bucketLocked(p.Key(), p).upsert(e)
+	b.upsert(e)
 }
 
 // lookup finds an entry for object id in the bucket keyed key.
@@ -279,24 +296,45 @@ func (g *gatewayStore) bucketKeys() []ids.PrefixKey {
 	return out
 }
 
-// drain removes and returns all entries of the bucket keyed key, in
-// FIFO order, used by split/merge migration. The emptied bucket is
-// deleted.
-func (g *gatewayStore) drain(key ids.PrefixKey) []IndexEntry {
+// has reports whether a bucket keyed key exists, empty or not.
+func (g *gatewayStore) has(key ids.PrefixKey) bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.buckets[key] != nil
+}
+
+// drain deletes the bucket keyed key and returns its entries in FIFO
+// order plus its delegated flag (split/merge migration, hand-off,
+// replica promotion).
+func (g *gatewayStore) drain(key ids.PrefixKey) ([]IndexEntry, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	b := g.buckets[key]
 	if b == nil {
-		return nil
-	}
-	out := make([]IndexEntry, 0, len(b.idx))
-	for _, e := range b.slab {
-		if e.Object != "" {
-			out = append(out, e)
-		}
+		return nil, false
 	}
 	delete(g.buckets, key)
-	return out
+	return b.live(len(b.idx)), b.delegated
+}
+
+// dropBucket deletes the bucket keyed key outright.
+func (g *gatewayStore) dropBucket(key ids.PrefixKey) {
+	g.mu.Lock()
+	delete(g.buckets, key)
+	g.mu.Unlock()
+}
+
+// overflow returns the α-fraction FIFO-earliest entries of the bucket
+// keyed key once it holds more than threshold records, without removing
+// them: the caller removes what it managed to delegate.
+func (g *gatewayStore) overflow(key ids.PrefixKey, threshold int, alpha float64) []IndexEntry {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	b := g.buckets[key]
+	if b == nil || len(b.idx) <= threshold {
+		return nil
+	}
+	return b.live(int(alpha * float64(len(b.idx))))
 }
 
 // markDelegated flags the bucket keyed key as having descendants.
@@ -306,18 +344,6 @@ func (g *gatewayStore) markDelegated(key ids.PrefixKey) {
 	if b := g.buckets[key]; b != nil {
 		b.delegated = true
 	}
-}
-
-// delegable returns up to n FIFO-earliest entries of the bucket without
-// removing them; the caller removes them after a successful push.
-func (g *gatewayStore) delegable(key ids.PrefixKey, n int) []IndexEntry {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	b := g.buckets[key]
-	if b == nil {
-		return nil
-	}
-	return b.oldest(n)
 }
 
 // delegatedFlag reads the bucket's delegated flag (false if absent).
@@ -337,60 +363,25 @@ func (g *gatewayStore) dumpBucket(key ids.PrefixKey) ([]IndexEntry, bool) {
 	if b == nil {
 		return nil, false
 	}
-	out := make([]IndexEntry, 0, len(b.idx))
-	for _, e := range b.slab {
-		if e.Object != "" {
-			out = append(out, e)
-		}
-	}
+	out := b.live(len(b.idx))
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out, b.delegated
 }
 
 // replaceBucket replaces the bucket's contents and delegated flag
-// wholesale (replica full-sync receive).
+// wholesale (replica full-push receive).
 func (g *gatewayStore) replaceBucket(key ids.PrefixKey, entries []IndexEntry, delegated bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var pfx ids.Prefix
-	if key != individualKey && key.Len() <= ids.MaxKeyLen {
-		pfx = key.Prefix()
-	}
-	if g.buckets == nil {
-		g.buckets = make(map[ids.PrefixKey]*bucket)
-	}
-	b := newBucket(pfx)
+	b := newBucket()
 	b.delegated = delegated
 	for _, e := range entries {
 		b.upsert(e)
 	}
-	g.buckets[key] = b
-}
-
-// dropBucket deletes the bucket keyed key outright.
-func (g *gatewayStore) dropBucket(key ids.PrefixKey) {
-	g.mu.Lock()
-	delete(g.buckets, key)
-	g.mu.Unlock()
-}
-
-// drainBucket removes and returns all live entries of the bucket keyed
-// key in FIFO order, plus its delegated flag (replica promotion).
-func (g *gatewayStore) drainBucket(key ids.PrefixKey) ([]IndexEntry, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	b := g.buckets[key]
-	if b == nil {
-		return nil, false
+	if g.buckets == nil {
+		g.buckets = make(map[ids.PrefixKey]*bucket)
 	}
-	out := make([]IndexEntry, 0, len(b.idx))
-	for _, e := range b.slab {
-		if e.Object != "" {
-			out = append(out, e)
-		}
-	}
-	delete(g.buckets, key)
-	return out, b.delegated
+	g.buckets[key] = b
 }
 
 // removeAll deletes the given object ids from the bucket keyed key.

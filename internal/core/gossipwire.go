@@ -5,7 +5,6 @@ import (
 
 	"peertrack/internal/gossip"
 	"peertrack/internal/overlay"
-	"peertrack/internal/replication"
 	"peertrack/internal/transport"
 )
 
@@ -33,11 +32,10 @@ func (p *Peer) Gossip() *gossip.Agent { return p.gossip }
 
 // onGossipDead is the failure detector's dead-verdict callback: every
 // cached gateway resolution pointing at the dead address is evicted,
-// and — when replication is on — every replica held for the dead owner
-// becomes a promotion candidate. The verdict also exempts the dead
-// owner's replicas from stale-GC until the ring hands their range to a
-// live successor: a verdicted owner cannot refresh its copies, and
-// dropping them would destroy the last survivors.
+// and — when replication is on — the engine marks the owner dead, which
+// exempts its replicas from stale-GC (a verdicted owner cannot refresh
+// its copies, and dropping them would destroy the last survivors), and
+// every replica held for it becomes a promotion candidate.
 func (p *Peer) onGossipDead(ref overlay.NodeRef) {
 	p.cacheMu.Lock()
 	evicted := 0
@@ -51,16 +49,8 @@ func (p *Peer) onGossipDead(ref overlay.NodeRef) {
 	if p.mirrors() <= 0 {
 		return
 	}
-	p.deadMu.Lock()
-	if p.deadOwners == nil {
-		p.deadOwners = make(map[transport.Addr]bool)
-	}
-	p.deadOwners[ref.Addr] = true
-	p.deadMu.Unlock()
-	for _, u := range p.repl.HeldOwnedBy(ref.Addr) {
-		if owner, v, ok := p.repl.HeldMeta(u); ok {
-			p.maybePromoteHeld(replication.HeldInfo{Unit: u, Owner: owner, Version: v}) // self-gates on ring ownership
-		}
+	for _, h := range p.repl.MarkDead(ref.Addr) {
+		p.maybePromoteHeld(h) // self-gates on ring ownership
 	}
 }
 

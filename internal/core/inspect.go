@@ -64,15 +64,9 @@ func (p *Peer) DumpRepoReplicas() map[transport.Addr]map[moods.ObjectID][]VisitR
 // fabricate corrupted states (wrong bucket, duplicate record) and prove
 // the checker catches them; production code must never call it.
 func (p *Peer) InjectIndexEntry(bucketKey string, e IndexEntry) {
-	if bucketKey == individualBucket {
-		p.gw.upsertKeyed(individualKey, e)
-		return
+	if key, err := parseBucketKey(bucketKey); err == nil {
+		p.gw.upsert(key, e)
 	}
-	pfx, err := ids.ParsePrefix(bucketKey)
-	if err != nil {
-		return
-	}
-	p.gw.upsert(pfx, e)
 }
 
 // RemoveIndexEntry deletes an index record from a bucket, bypassing the
@@ -96,15 +90,12 @@ func (g *gatewayStore) dump() []BucketSnapshot {
 	for key, b := range g.buckets {
 		snap := BucketSnapshot{
 			Key:        bucketKeyName(key),
-			Prefix:     b.prefix,
 			Individual: key == individualKey,
 			Delegated:  b.delegated,
-			Entries:    make([]IndexEntry, 0, len(b.idx)),
+			Entries:    b.live(len(b.idx)),
 		}
-		for _, e := range b.slab {
-			if e.Object != "" {
-				snap.Entries = append(snap.Entries, e)
-			}
+		if !snap.Individual {
+			snap.Prefix = key.Prefix()
 		}
 		sort.Slice(snap.Entries, func(i, j int) bool {
 			return snap.Entries[i].ID.Less(snap.Entries[j].ID)

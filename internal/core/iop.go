@@ -43,10 +43,53 @@ type iopStore struct {
 	mu     sync.RWMutex
 	visits map[moods.ObjectID]visitSlot
 	n      int
+
+	// dirty, non-nil only when the repository is mirrored, collects the
+	// objects whose visit lists changed since the last takeDirty. The
+	// mutators mark it themselves, under the lock they already hold, so
+	// no caller can forget to.
+	dirty map[moods.ObjectID]struct{}
 }
 
-func newIOPStore() *iopStore {
-	return &iopStore{}
+// newIOPStore returns an empty repository; a mirrored one tracks which
+// objects changed between mirror flushes.
+func newIOPStore(mirrored bool) *iopStore {
+	s := &iopStore{}
+	if mirrored {
+		s.dirty = make(map[moods.ObjectID]struct{})
+	}
+	return s
+}
+
+// markDirty queues obj for the next mirror flush; s.mu must be held.
+func (s *iopStore) markDirty(obj moods.ObjectID) {
+	if s.dirty != nil {
+		s.dirty[obj] = struct{}{}
+	}
+}
+
+// takeDirty empties the dirty set, returning the current visit lists of
+// its objects sorted by object, and whether it held anything at all: an
+// object marked by a setTo that found no visit to annotate contributes
+// no list, but the flush it asked for still goes out.
+func (s *iopStore) takeDirty() ([]RepoObject, bool) {
+	if s.dirty == nil {
+		return nil, false // not mirrored; the field is never reassigned
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.dirty) == 0 {
+		return nil, false
+	}
+	objs := make([]RepoObject, 0, len(s.dirty))
+	for obj := range s.dirty {
+		if slot, ok := s.visits[obj]; ok {
+			objs = append(objs, RepoObject{Object: obj, Visits: slot.materialize(obj)})
+		}
+	}
+	clear(s.dirty)
+	sort.Slice(objs, func(i, j int) bool { return objs[i].Object < objs[j].Object })
+	return objs, true
 }
 
 func (s *iopStore) slotFor(obj moods.ObjectID, v visitRec) {
@@ -61,6 +104,7 @@ func (s *iopStore) slotFor(obj moods.ObjectID, v visitRec) {
 func (s *iopStore) record(obj moods.ObjectID, arrived time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.markDirty(obj)
 	slot, ok := s.visits[obj]
 	nv := visitRec{Arrived: arrived}
 	if !ok {
@@ -90,6 +134,7 @@ func (s *iopStore) record(obj moods.ObjectID, arrived time.Duration) {
 func (s *iopStore) setFrom(obj moods.ObjectID, from moods.NodeName, at time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.markDirty(obj)
 	slot, ok := s.visits[obj]
 	if !ok {
 		// The IOP link can arrive before the local capture record in a
@@ -123,6 +168,7 @@ func (s *iopStore) setFrom(obj moods.ObjectID, from moods.NodeName, at time.Dura
 func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.markDirty(obj)
 	slot, ok := s.visits[obj]
 	if !ok {
 		return
@@ -247,6 +293,14 @@ func (s *iopStore) adopt(obj moods.ObjectID, vs []VisitRecord) bool {
 	if s.visits == nil {
 		s.visits = make(map[moods.ObjectID]visitSlot)
 	}
+	s.visits[obj] = slotOf(vs)
+	s.n += len(vs)
+	s.markDirty(obj)
+	return true
+}
+
+// slotOf packs a non-empty, time-sorted visit list into a slot.
+func slotOf(vs []VisitRecord) visitSlot {
 	slot := visitSlot{first: visitRec{Arrived: vs[0].Arrived, From: vs[0].From, To: vs[0].To}}
 	if len(vs) > 1 {
 		slot.rest = make([]visitRec, 0, len(vs)-1)
@@ -254,9 +308,7 @@ func (s *iopStore) adopt(obj moods.ObjectID, vs []VisitRecord) bool {
 			slot.rest = append(slot.rest, visitRec{Arrived: v.Arrived, From: v.From, To: v.To})
 		}
 	}
-	s.visits[obj] = slot
-	s.n += len(vs)
-	return true
+	return slot
 }
 
 // restore replaces the store contents from a snapshot (visit lists must
@@ -270,14 +322,7 @@ func (s *iopStore) restore(m map[moods.ObjectID][]VisitRecord) {
 		if len(vs) == 0 {
 			continue
 		}
-		slot := visitSlot{first: visitRec{Arrived: vs[0].Arrived, From: vs[0].From, To: vs[0].To}}
-		if len(vs) > 1 {
-			slot.rest = make([]visitRec, 0, len(vs)-1)
-			for _, v := range vs[1:] {
-				slot.rest = append(slot.rest, visitRec{Arrived: v.Arrived, From: v.From, To: v.To})
-			}
-		}
-		s.visits[obj] = slot
+		s.visits[obj] = slotOf(vs)
 		s.n += len(vs)
 	}
 }

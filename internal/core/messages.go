@@ -126,13 +126,7 @@ type fetchIndexResp struct {
 	Delegated bool
 }
 
-func (r fetchIndexResp) WireSize() int {
-	n := 1
-	for _, e := range r.Entries {
-		n += e.wireSize()
-	}
-	return n
-}
+func (r fetchIndexResp) WireSize() int { return 1 + sizeOfEntries(r.Entries) }
 
 // delegateReq pushes index records from a Data Triangle parent to one of
 // its children (or, during split/merge, between old and new gateways).
@@ -148,10 +142,7 @@ type delegateReq struct {
 }
 
 func (r delegateReq) WireSize() int {
-	n := keyWireSize + 8
-	for _, e := range r.Entries {
-		n += e.wireSize()
-	}
+	n := keyWireSize + 8 + sizeOfEntries(r.Entries)
 	for _, mv := range r.MetaSynced {
 		n += len(mv.Addr) + 8
 	}
@@ -174,13 +165,7 @@ type queryIndexResp struct {
 	Delegated bool
 }
 
-func (r queryIndexResp) WireSize() int {
-	n := 1
-	for _, e := range r.Entries {
-		n += e.wireSize()
-	}
-	return n
-}
+func (r queryIndexResp) WireSize() int { return 1 + sizeOfEntries(r.Entries) }
 
 // iopGetReq asks a node for its locally stored visits of an object (the
 // trace-walk step).

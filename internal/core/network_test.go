@@ -54,8 +54,6 @@ func TestStartWindowsCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushes := 0
-	nw.Peers()[0].OnFlush = func(int) { flushes++ }
 	// One observation per 500ms window, five windows.
 	for i := 0; i < 5; i++ {
 		nw.ScheduleObservation(moods.Observation{
@@ -66,7 +64,8 @@ func TestStartWindowsCadence(t *testing.T) {
 	}
 	nw.StartWindows(3 * time.Second)
 	nw.Run()
-	if flushes != 5 {
+	// Peer 0 is the only observer, so every flush counted is its own.
+	if flushes := nw.Telemetry.Counter("core.window.flushes").Value(); flushes != 5 {
 		t.Fatalf("flushes = %d, want 5 (one per window)", flushes)
 	}
 }

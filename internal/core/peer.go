@@ -114,26 +114,12 @@ type Peer struct {
 	contain *containStore
 
 	// repl is the replication bookkeeping engine: versions of the units
-	// this node owns and the mirror copies it holds for other owners.
-	// repoReplica stores mirrored remote repositories, keyed by owner.
+	// this node owns, the mirror copies it holds for other owners, and
+	// which of those owners are dead. repoReplica stores mirrored remote
+	// repositories, keyed by owner; the repository's dirty set lives in
+	// repo itself.
 	repl        *replication.Engine
 	repoReplica *repoReplicaStore
-
-	// dirtyMu guards dirtyRepo: objects whose local visit lists changed
-	// since the last repository mirror flush (see flushRepoMirror).
-	dirtyMu   sync.Mutex
-	dirtyRepo map[moods.ObjectID]struct{}
-
-	// deadMu guards deadOwners: owners gossip declared dead. Their
-	// replicas are exempt from orphan garbage collection — they may be
-	// the last surviving copy of the crashed node's data.
-	deadMu     sync.Mutex
-	deadOwners map[transport.Addr]bool
-
-	// noReplicaHandoff disables the one-step replica-set handoff on
-	// bucket re-homing/evacuation, forcing full re-replication at the
-	// receiver (A/B baseline for tests and experiments).
-	noReplicaHandoff bool
 
 	mu     sync.Mutex
 	window []moods.Observation
@@ -150,10 +136,6 @@ type Peer struct {
 	// defer an event forever, and by maxLateTracked entries total.
 	lateMu    sync.Mutex
 	lateTries map[lateKey]int
-
-	// OnFlush, if set, is invoked after each window flush with the
-	// number of groups sent (test/metrics hook).
-	OnFlush func(groups int)
 
 	// tel is set once at wiring time (before traffic) and read without
 	// the lock on indexing and query paths.
@@ -188,7 +170,7 @@ func NewPeer(node overlay.Node, net transport.Network, pm *PrefixManager, cfg Co
 		cfg:         cfg,
 		pm:          pm,
 		clock:       clock,
-		repo:        newIOPStore(),
+		repo:        newIOPStore(cfg.ReplicationFactor > 1),
 		gw:          newGatewayStore(),
 		replica:     newGatewayStore(),
 		trans:       newTransitionStats(),
@@ -227,7 +209,6 @@ func (p *Peer) LocalVisits() int { return p.repo.len() }
 func (p *Peer) Observe(obs moods.Observation) error {
 	obs.Node = p.Name()
 	p.repo.record(obs.Object, obs.At)
-	p.markRepoDirty(obs.Object)
 	if p.cfg.Mode == IndividualIndexing {
 		// No window to batch into: mirror the repository change with the
 		// same per-arrival granularity the indexing itself has.
@@ -299,7 +280,7 @@ func (p *Peer) FlushWindow() error {
 		if err == nil {
 			req := groupArriveReq{Key: key, Events: events, Node: p.Name(), At: p.clock()}
 			var resp any
-			resp, err = p.call(gwRef, req)
+			resp, err = p.call(gwRef.Addr, req)
 			if err == nil {
 				// Late events whose IOP stitch hit an unreachable chain
 				// segment come back deferred: re-buffer them so the next
@@ -344,9 +325,6 @@ func (p *Peer) FlushWindow() error {
 		p.tel.buffered.Add(int64(len(failed)))
 	}
 	p.tel.flushGroups.Observe(int64(len(groups)))
-	if p.OnFlush != nil {
-		p.OnFlush(len(groups))
-	}
 	return firstErr
 }
 
@@ -359,7 +337,7 @@ func (p *Peer) indexIndividually(obs moods.Observation) error {
 		return fmt.Errorf("core: locate gateway for %s: %w", obs.Object, err)
 	}
 	req := arriveReq{Event: ObjEvent{Object: obs.Object, Arrived: obs.At}, Node: p.Name()}
-	if _, err := p.call(res.Node, req); err != nil {
+	if _, err := p.call(res.Node.Addr, req); err != nil {
 		return fmt.Errorf("core: index %s at %s: %w", obs.Object, res.Node.Addr, err)
 	}
 	return nil
@@ -417,16 +395,7 @@ func (p *Peer) CachedGateways() int {
 
 // call sends an application RPC, short-circuiting self-addressed
 // messages (a node never pays transport cost to talk to itself).
-func (p *Peer) call(to overlay.NodeRef, req any) (any, error) {
-	if to.Addr == p.node.Addr() {
-		return p.handleRPC(p.node.Addr(), req)
-	}
-	return p.net.Call(p.node.Addr(), to.Addr, req)
-}
-
-// callAddr is call by bare address (for IOP updates, which target node
-// names rather than ring positions).
-func (p *Peer) callAddr(to transport.Addr, req any) (any, error) {
+func (p *Peer) call(to transport.Addr, req any) (any, error) {
 	if to == p.node.Addr() {
 		return p.handleRPC(p.node.Addr(), req)
 	}
@@ -451,7 +420,6 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 			}
 			p.repo.setTo(obj, r.To, r.At)
 		}
-		p.markRepoDirty(r.Objects...)
 		p.flushRepoMirror()
 		return iopSetToResp{}, nil
 	case transModelReq:
@@ -461,74 +429,56 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 		for _, l := range r.Links {
 			if l.From != "" {
 				p.repo.setFrom(l.Object, l.From, l.At)
-				p.markRepoDirty(l.Object)
 			}
 		}
 		p.flushRepoMirror()
 		return iopSetFromResp{}, nil
 	case fetchIndexReq:
 		entries, delegated := p.gw.take(r.Key, r.Objects)
-		if len(entries) > 0 {
-			taken := make([]ids.ID, len(entries))
-			for i, e := range entries {
-				taken[i] = e.ID
-			}
-			p.mirrorRemove(r.Key, taken)
-		}
+		p.mirrorIndex(r.Key, nil, entryIDs(entries))
 		return fetchIndexResp{Entries: entries, Delegated: delegated}, nil
 	case queryIndexReq:
-		entries, delegated := p.queryWithReplica(r.Key, r.Objects)
+		entries, delegated := p.queryStores(r.Key, r.Objects, true)
 		return queryIndexResp{Entries: entries, Delegated: delegated}, nil
 	case delegateReq:
-		if r.Key == individualKey {
-			written := make([]IndexEntry, 0, len(r.Entries))
-			for _, e := range r.Entries {
-				written = append(written, p.mergeEntry(individualKey, ids.Prefix{}, e))
-			}
-			p.replicate(individualKey, written)
-			return delegateResp{}, nil
-		}
-		if r.Key.Len() > ids.MaxKeyLen {
+		if !validBucketKey(r.Key) {
 			return nil, fmt.Errorf("core: delegate: invalid prefix key %#x", uint64(r.Key))
 		}
-		pfx := r.Key.Prefix()
-		if r.MetaVersion > 0 && p.mirrors() > 0 && p.gw.peek(r.Key) == nil {
+		if r.MetaVersion > 0 && p.mirrors() > 0 && r.Key != individualKey && !p.gw.has(r.Key) {
 			// One-step replica-set handoff: the sender transferred the
 			// bucket's version line along with its records, and this node
 			// has no copy of its own to merge — adopt both. The existing
 			// mirror copies are claimed by version probe in the next sync
 			// round instead of being re-shipped.
 			for _, e := range r.Entries {
-				p.gw.upsert(pfx, e)
+				p.gw.upsert(r.Key, e)
 			}
 			u := replication.IndexUnit(r.Key)
-			p.repl.DropHeld(u)
-			p.replica.dropBucket(r.Key)
+			p.dropHeld(u)
 			p.repl.AdoptOwned(u, replication.OwnedMeta{Version: r.MetaVersion, Synced: r.MetaSynced})
 			p.tel.replHandoffs.Inc()
 			return delegateResp{}, nil
 		}
 		written := make([]IndexEntry, 0, len(r.Entries))
 		for _, e := range r.Entries {
-			written = append(written, p.mergeEntry(r.Key, pfx, e))
+			written = append(written, p.mergeEntry(r.Key, e))
 		}
-		p.replicate(r.Key, written)
+		p.mirrorIndex(r.Key, written, nil)
 		return delegateResp{}, nil
 	case iopGetReq:
 		visits, found := p.repo.get(r.Object)
 		return iopGetResp{Visits: visits, Found: found}, nil
 	case replicatePutReq:
 		return p.handleReplicatePut(r), nil
-	case replicaSyncReq:
-		p.handleReplicaSync(r)
-		return replicaSyncResp{}, nil
 	case replicaCheckReq:
-		return p.handleReplicaCheck(r), nil
+		return replicaCheckResp{Current: p.repl.CheckHeld(heldUnitOf(r.Key, r.Repo, r.Owner), r.Owner, r.Version)}, nil
 	case replicaDropReq:
-		p.handleReplicaDrop(r)
+		p.dropHeld(heldUnitOf(r.Key, r.Repo, r.Owner))
 		return replicaDropResp{}, nil
 	case replicaQueryReq:
-		return p.handleReplicaQuery(r), nil
+		// No promotion on this path (see queryStores).
+		entries, delegated := p.queryStores(r.Key, r.Objects, false)
+		return replicaQueryResp{Entries: entries, Delegated: delegated}, nil
 	case repoMirrorReq:
 		return p.handleRepoMirror(r), nil
 	case repoQueryReq:
@@ -557,34 +507,28 @@ func (p *Peer) gatewayArrive(r arriveReq) {
 	id := r.Event.Object.Hash()
 	prev, had := p.lookupWithReplica(individualKey, id)
 	switch {
-	case !had:
+	case !had || r.Event.Arrived >= prev.Arrived:
 		entry := IndexEntry{
 			Object: r.Event.Object, ID: id, Latest: r.Node,
 			Arrived: r.Event.Arrived, Indexed: p.clock(),
 		}
-		p.gw.upsertKeyed(individualKey, entry)
-		p.replicate(individualKey, []IndexEntry{entry})
-	case r.Event.Arrived >= prev.Arrived:
-		entry := IndexEntry{
-			Object: r.Event.Object, ID: id, Latest: r.Node,
-			Arrived: r.Event.Arrived, Indexed: p.clock(),
-		}
-		if prev.Latest != r.Node {
+		moved := had && prev.Latest != r.Node
+		if moved {
 			entry.Prev = prev.Latest
 		} else {
-			entry.Prev = prev.Prev
+			entry.Prev = prev.Prev // "" for a first sighting
 		}
-		p.gw.upsertKeyed(individualKey, entry)
-		p.replicate(individualKey, []IndexEntry{entry})
-		if prev.Latest != r.Node {
+		p.gw.upsert(individualKey, entry)
+		p.mirrorIndex(individualKey, []IndexEntry{entry}, nil)
+		if moved {
 			// M2: tell the previous node the object moved on.
-			p.callAddr(transport.Addr(prev.Latest), iopSetToReq{
+			p.call(transport.Addr(prev.Latest), iopSetToReq{
 				Objects: []moods.ObjectID{r.Event.Object},
 				To:      r.Node,
 				At:      r.Event.Arrived,
 			})
 			// M3: tell the destination where the object came from.
-			p.callAddr(transport.Addr(r.Node), iopSetFromReq{
+			p.call(transport.Addr(r.Node), iopSetFromReq{
 				Links: []IOPLink{{Object: r.Event.Object, From: prev.Latest, At: r.Event.Arrived}},
 			})
 		}
@@ -594,7 +538,7 @@ func (p *Peer) gatewayArrive(r arriveReq) {
 		// its chronological position without moving the index head.
 		// Individual indexing has no window to re-buffer into, so a
 		// deferred stitch is best-effort (retried only if re-reported).
-		p.stitchInsert(r.Event.Object, r.Node, prev, individualKey, ids.Prefix{}, r.Event.Arrived)
+		p.stitchInsert(r.Event.Object, r.Node, prev, individualKey, r.Event.Arrived)
 	}
 }
 
@@ -607,17 +551,10 @@ func (p *Peer) gatewayArrive(r arriveReq) {
 // stitched. It returns the entry actually written (which differs from
 // e when the local record won the merge), so callers replicate what the
 // bucket really holds.
-func (p *Peer) mergeEntry(key ids.PrefixKey, pfx ids.Prefix, e IndexEntry) IndexEntry {
-	upsert := func(v IndexEntry) {
-		if key == individualKey {
-			p.gw.upsertKeyed(individualKey, v)
-		} else {
-			p.gw.upsert(pfx, v)
-		}
-	}
+func (p *Peer) mergeEntry(key ids.PrefixKey, e IndexEntry) IndexEntry {
 	cur, had := p.gw.lookup(key, e.ID)
 	if !had {
-		upsert(e)
+		p.gw.upsert(key, e)
 		return e
 	}
 	newer, older := e, cur
@@ -627,14 +564,14 @@ func (p *Peer) mergeEntry(key ids.PrefixKey, pfx ids.Prefix, e IndexEntry) Index
 	if newer.Latest != older.Latest && newer.Prev == "" {
 		// Split histories: stitch older's head in front of newer's.
 		newer.Prev = older.Latest
-		p.callAddr(transport.Addr(older.Latest), iopSetToReq{
+		p.call(transport.Addr(older.Latest), iopSetToReq{
 			Objects: []moods.ObjectID{newer.Object}, To: newer.Latest, At: newer.Arrived,
 		})
-		p.callAddr(transport.Addr(newer.Latest), iopSetFromReq{
+		p.call(transport.Addr(newer.Latest), iopSetFromReq{
 			Links: []IOPLink{{Object: newer.Object, From: older.Latest, At: newer.Arrived}},
 		})
 	}
-	upsert(newer)
+	p.gw.upsert(key, newer)
 	return newer
 }
 
@@ -715,7 +652,7 @@ func (p *Peer) TrackedLateEvents() int {
 // has persisted lateStitchRetries attempts (the segment's records left
 // with a departed node), the event is abandoned: the visit stays
 // recorded at nd, unlinked, exactly as reachable knowledge permits.
-func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, cur IndexEntry, key ids.PrefixKey, pfx ids.Prefix, at time.Duration) bool {
+func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, cur IndexEntry, key ids.PrefixKey, at time.Duration) bool {
 	if nd == cur.Latest {
 		return true
 	}
@@ -748,30 +685,26 @@ func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, cur IndexEntr
 	// no movement in between; like the head-move path, no link is
 	// written (it also covers an already-inserted duplicate retry).
 	if predNode != moods.Nowhere && predNode != nd {
-		p.callAddr(transport.Addr(predNode), iopSetToReq{
+		p.call(transport.Addr(predNode), iopSetToReq{
 			Objects: []moods.ObjectID{obj}, To: nd, At: at,
 		})
-		p.callAddr(transport.Addr(nd), iopSetFromReq{
+		p.call(transport.Addr(nd), iopSetFromReq{
 			Links: []IOPLink{{Object: obj, From: predNode, At: at}},
 		})
 	}
 	// nd → succ.
-	p.callAddr(transport.Addr(nd), iopSetToReq{
+	p.call(transport.Addr(nd), iopSetToReq{
 		Objects: []moods.ObjectID{obj}, To: succNode, At: succAt,
 	})
-	p.callAddr(transport.Addr(succNode), iopSetFromReq{
+	p.call(transport.Addr(succNode), iopSetFromReq{
 		Links: []IOPLink{{Object: obj, From: nd, At: succAt}},
 	})
 	// When nd slots in directly before the head, it becomes the head's
 	// predecessor.
 	if succNode == cur.Latest && succAt == cur.Arrived {
 		cur.Prev = nd
-		if key == individualKey {
-			p.gw.upsertKeyed(individualKey, cur)
-		} else {
-			p.gw.upsert(pfx, cur)
-		}
-		p.replicate(key, []IndexEntry{cur})
+		p.gw.upsert(key, cur)
+		p.mirrorIndex(key, []IndexEntry{cur}, nil)
 	}
 	return true
 }
@@ -814,11 +747,8 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 		if lo < pfx.Len {
 			missing = p.refreshFromAscent(pfx, missing)
 		}
-		if len(missing) > 0 {
-			b := p.gw.peek(r.Key)
-			if hi > pfx.Len || (b != nil && b.delegated) {
-				p.refreshFromDescent(pfx, missing, p.cfg.MaxDescent)
-			}
+		if len(missing) > 0 && (hi > pfx.Len || p.gw.delegatedFlag(r.Key)) {
+			p.refreshFromDescent(pfx, missing, p.cfg.MaxDescent)
 		}
 		sp.Stepf(string(p.node.Addr()), "refresh: %d of %d unknown resolved from ascent", unknown-len(missing), unknown)
 	}
@@ -835,7 +765,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 			// Late observation (window flush ordering): splice it into
 			// the IOP list at its chronological position instead of
 			// moving the head.
-			if !p.stitchInsert(ev.Object, r.Node, prev, r.Key, pfx, ev.Arrived) {
+			if !p.stitchInsert(ev.Object, r.Node, prev, r.Key, ev.Arrived) {
 				p.tel.deferredStitches.Inc()
 				deferred = append(deferred, ev)
 			}
@@ -857,10 +787,10 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 				entry.Prev = prev.Prev
 			}
 		}
-		p.gw.upsert(pfx, entry)
+		p.gw.upsert(r.Key, entry)
 		updated = append(updated, entry)
 	}
-	p.replicate(r.Key, updated)
+	p.mirrorIndex(r.Key, updated, nil)
 	// One message per distinct source node (M2 batched), in
 	// deterministic node order...
 	prevNodes := make([]string, 0, len(toBatches))
@@ -870,12 +800,12 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	sort.Strings(prevNodes)
 	for _, pn := range prevNodes {
 		prevNode := moods.NodeName(pn)
-		p.callAddr(transport.Addr(prevNode), iopSetToReq{Objects: toBatches[prevNode], To: r.Node, At: r.At})
+		p.call(transport.Addr(prevNode), iopSetToReq{Objects: toBatches[prevNode], To: r.Node, At: r.At})
 		sp.Stepf(pn, "M2: %d objects moved on to %s", len(toBatches[prevNode]), r.Node)
 	}
 	// ...and one message back to the destination (M3 batched).
 	if len(fromLinks) > 0 {
-		p.callAddr(transport.Addr(r.Node), iopSetFromReq{Links: fromLinks})
+		p.call(transport.Addr(r.Node), iopSetFromReq{Links: fromLinks})
 		sp.Stepf(string(r.Node), "M3: %d inbound links", len(fromLinks))
 	}
 
@@ -908,7 +838,7 @@ func (p *Peer) refreshFromAscent(pfx ids.Prefix, objs []ids.ID) []ids.ID {
 			break
 		}
 		p.tel.ascentFetches.Inc()
-		resp, err := p.call(gwRef, fetchIndexReq{Key: cur.Key(), Objects: remaining})
+		resp, err := p.call(gwRef.Addr, fetchIndexReq{Key: cur.Key(), Objects: remaining})
 		if err != nil {
 			continue
 		}
@@ -916,19 +846,8 @@ func (p *Peer) refreshFromAscent(pfx ids.Prefix, objs []ids.ID) []ids.ID {
 		if len(fr.Entries) == 0 {
 			continue
 		}
-		found := make(map[ids.ID]bool, len(fr.Entries))
-		for _, e := range fr.Entries {
-			p.gw.upsert(pfx, e)
-			found[e.ID] = true
-		}
-		p.replicate(pfx.Key(), fr.Entries)
-		next := remaining[:0:0]
-		for _, id := range remaining {
-			if !found[id] {
-				next = append(next, id)
-			}
-		}
-		remaining = next
+		p.putEntries(pfx.Key(), fr.Entries)
+		remaining = missingFrom(remaining, fr.Entries)
 	}
 	return remaining
 }
@@ -959,69 +878,44 @@ func (p *Peer) refreshFromDescent(pfx ids.Prefix, objs []ids.ID, maxDepth int) {
 			continue
 		}
 		p.tel.descentFetches.Inc()
-		resp, err := p.call(gwRef, fetchIndexReq{Key: child.Key(), Objects: filtered})
+		resp, err := p.call(gwRef.Addr, fetchIndexReq{Key: child.Key(), Objects: filtered})
 		if err != nil {
 			continue
 		}
 		fr := resp.(fetchIndexResp)
-		for _, e := range fr.Entries {
-			p.gw.upsert(pfx, e)
-		}
-		p.replicate(pfx.Key(), fr.Entries)
+		p.putEntries(pfx.Key(), fr.Entries)
 		if fr.Delegated {
-			var unfound []ids.ID
-			found := make(map[ids.ID]bool, len(fr.Entries))
-			for _, e := range fr.Entries {
-				found[e.ID] = true
-			}
-			for _, id := range filtered {
-				if !found[id] {
-					unfound = append(unfound, id)
-				}
-			}
+			unfound := missingFrom(filtered, fr.Entries)
 			p.refreshFromDescent(child, unfound, maxDepth-1)
-			// Records found deeper were upserted under child; pull them
-			// up is not needed — they were upserted under the child
-			// prefix by the recursive call, so move them here.
+			// The recursive call upserted what it found deeper into this
+			// node's bucket for the child prefix: move it up to pfx.
 			if len(unfound) > 0 {
 				deeper, _ := p.gw.take(child.Key(), unfound)
-				if len(deeper) > 0 {
-					taken := make([]ids.ID, len(deeper))
-					for i, e := range deeper {
-						taken[i] = e.ID
-					}
-					p.mirrorRemove(child.Key(), taken)
-					for _, e := range deeper {
-						p.gw.upsert(pfx, e)
-					}
-					p.replicate(pfx.Key(), deeper)
-				}
+				p.mirrorIndex(child.Key(), nil, entryIDs(deeper))
+				p.putEntries(pfx.Key(), deeper)
 			}
 		}
 	}
 }
 
+// putEntries stores records that arrived from another bucket (a refresh
+// pulled them, or a migration could not deliver them) into the bucket
+// keyed key and mirrors them.
+func (p *Peer) putEntries(key ids.PrefixKey, entries []IndexEntry) {
+	for _, e := range entries {
+		p.gw.upsert(key, e)
+	}
+	p.mirrorIndex(key, entries, nil)
+}
+
 // maybeDelegate pushes the α-earliest records of an overflowing bucket
 // to its two Data Triangle children, keyed by the next id bit.
 func (p *Peer) maybeDelegate(pfx ids.Prefix) {
+	if pfx.Len >= ids.MaxKeyLen {
+		return
+	}
 	key := pfx.Key()
-	b := p.gw.peek(key)
-	if b == nil {
-		return
-	}
-	p.gw.mu.RLock()
-	size := len(b.idx)
-	p.gw.mu.RUnlock()
-	if size <= p.cfg.DelegationThreshold || pfx.Len >= ids.MaxKeyLen {
-		return
-	}
-	count := int(p.cfg.DelegationAlpha * float64(size))
-	if count <= 0 {
-		return
-	}
-	p.gw.mu.Lock()
-	victims := b.oldest(count)
-	p.gw.mu.Unlock()
+	victims := p.gw.overflow(key, p.cfg.DelegationThreshold, p.cfg.DelegationAlpha)
 	if len(victims) == 0 {
 		return
 	}
@@ -1041,17 +935,14 @@ func (p *Peer) maybeDelegate(pfx ids.Prefix) {
 		if err != nil {
 			continue
 		}
-		if _, err := p.call(gwRef, delegateReq{Key: child.Key(), Entries: split[bit]}); err != nil {
+		if _, err := p.call(gwRef.Addr, delegateReq{Key: child.Key(), Entries: split[bit]}); err != nil {
 			sp.Stepf(string(gwRef.Addr), "delegate %d records to %s failed: %v", len(split[bit]), child.String(), err)
 			continue
 		}
-		victimIDs := make([]ids.ID, len(split[bit]))
-		for i, e := range split[bit] {
-			victimIDs[i] = e.ID
-		}
+		victimIDs := entryIDs(split[bit])
 		p.gw.removeAll(key, victimIDs)
 		p.gw.markDelegated(key)
-		p.mirrorRemove(key, victimIDs)
+		p.mirrorIndex(key, nil, victimIDs)
 		p.tel.delegations.Inc()
 		p.tel.delegatedRecords.Add(uint64(len(split[bit])))
 		moved += len(split[bit])

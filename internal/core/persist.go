@@ -9,17 +9,23 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/replication"
+	"peertrack/internal/transport"
 )
 
 // Snapshot/Restore persist one peer's durable state — the local
 // repository (this organisation's observations and IOP links), the
-// gateway index buckets it is responsible for, replica copies, and the
-// learned transition model — so a trackd process can restart without
-// losing its slice of the network's data. The overlay routing state is
-// deliberately not persisted: Chord rebuilds it by re-joining.
+// gateway index buckets it is responsible for, replica copies with the
+// owner and version they are held at, and the learned transition model
+// — so a trackd process can restart without losing its slice of the
+// network's data. The overlay routing state is deliberately not
+// persisted: Chord rebuilds it by re-joining.
 
-// snapshotVersion guards format evolution.
-const snapshotVersion = 1
+// snapshotVersion guards format evolution. Version 1 restated each
+// bucket's key and slab order in extra columns and did not say whom a
+// replica bucket was held for; it still loads (gob skips the dropped
+// columns), its replicas unregistered as they were then.
+const snapshotVersion = 2
 
 // peerSnapshot is the gob-encoded on-disk format.
 type peerSnapshot struct {
@@ -40,11 +46,14 @@ type peerSnapshot struct {
 }
 
 type bucketSnapshot struct {
-	Key       string // prefix string or the individual-bucket key
-	PrefixLen int    // -1 for the individual bucket
-	Entries   []IndexEntry
-	FIFO      []ids.ID
+	Key       string       // prefix string or the individual-bucket key
+	Entries   []IndexEntry // FIFO (slab) order
 	Delegated bool
+	// Owner and Version are the engine's record of a replica bucket
+	// (zero for a primary one): without them a restored copy could be
+	// neither probed current, nor promoted, nor collected.
+	Owner   transport.Addr
+	Version uint64
 }
 
 // Snapshot writes the peer's durable state to w.
@@ -56,8 +65,8 @@ func (p *Peer) Snapshot(w io.Writer) error {
 		Visits:  p.repo.snapshot(),
 	}
 
-	snap.Buckets = snapshotStore(p.gw)
-	snap.Replicas = snapshotStore(p.replica)
+	snap.Buckets = snapshotStore(p.gw, nil)
+	snap.Replicas = snapshotStore(p.replica, p.repl)
 
 	p.contain.mu.RLock()
 	snap.Containments = make(map[moods.ObjectID][]ContainmentRecord, len(p.contain.byChild))
@@ -75,27 +84,16 @@ func (p *Peer) Snapshot(w io.Writer) error {
 	return nil
 }
 
-func snapshotStore(g *gatewayStore) []bucketSnapshot {
+// snapshotStore copies a store's buckets; held, for the replica store,
+// supplies each bucket's owner and version.
+func snapshotStore(g *gatewayStore, held *replication.Engine) []bucketSnapshot {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := make([]bucketSnapshot, 0, len(g.buckets))
 	for key, b := range g.buckets {
-		bs := bucketSnapshot{
-			Key:       bucketKeyName(key),
-			PrefixLen: b.prefix.Len,
-			Delegated: b.delegated,
-		}
-		if key == individualKey {
-			bs.PrefixLen = -1
-		}
-		// Slab order is FIFO order; the FIFO column is kept for format
-		// compatibility.
-		for _, e := range b.slab {
-			if e.Object == "" {
-				continue
-			}
-			bs.Entries = append(bs.Entries, e)
-			bs.FIFO = append(bs.FIFO, e.ID)
+		bs := bucketSnapshot{Key: bucketKeyName(key), Entries: b.live(len(b.idx)), Delegated: b.delegated}
+		if held != nil {
+			bs.Owner, bs.Version, _ = held.HeldMeta(replication.IndexUnit(key))
 		}
 		out = append(out, bs)
 	}
@@ -112,8 +110,8 @@ func (p *Peer) Restore(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("core: restore: snapshot version %d, want %d", snap.Version, snapshotVersion)
+	if snap.Version < 1 || snap.Version > snapshotVersion {
+		return fmt.Errorf("core: restore: snapshot version %d, want 1..%d", snap.Version, snapshotVersion)
 	}
 	if snap.Name != p.Name() {
 		return fmt.Errorf("core: restore: snapshot belongs to %q, this node is %q", snap.Name, p.Name())
@@ -121,8 +119,8 @@ func (p *Peer) Restore(r io.Reader) error {
 
 	p.repo.restore(snap.Visits)
 
-	restoreStore(p.gw, snap.Buckets)
-	restoreStore(p.replica, snap.Replicas)
+	restoreStore(p.gw, snap.Buckets, nil)
+	restoreStore(p.replica, snap.Replicas, p.repl)
 
 	p.contain.mu.Lock()
 	p.contain.byChild = make(map[moods.ObjectID][]ContainmentRecord, len(snap.Containments))
@@ -143,22 +141,18 @@ func (p *Peer) Restore(r io.Reader) error {
 	return nil
 }
 
-func restoreStore(g *gatewayStore, snaps []bucketSnapshot) {
+// restoreStore is the inverse of snapshotStore: replica buckets saved
+// with their provenance are registered with held again.
+func restoreStore(g *gatewayStore, snaps []bucketSnapshot, held *replication.Engine) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.buckets = make(map[ids.PrefixKey]*bucket, len(snaps))
 	for _, bs := range snaps {
-		var pfx ids.Prefix
-		key := individualKey
-		if bs.PrefixLen >= 0 {
-			parsed, err := ids.ParsePrefix(bs.Key)
-			if err != nil {
-				continue
-			}
-			pfx = parsed
-			key = parsed.Key()
+		key, err := parseBucketKey(bs.Key)
+		if err != nil {
+			continue
 		}
-		b := newBucket(pfx)
+		b := newBucket()
 		b.delegated = bs.Delegated
 		// Snapshot entries are in FIFO order; upserting in sequence
 		// rebuilds the slab in the same order.
@@ -166,5 +160,8 @@ func restoreStore(g *gatewayStore, snaps []bucketSnapshot) {
 			b.upsert(e)
 		}
 		g.buckets[key] = b
+		if held != nil && bs.Version > 0 {
+			held.RecordHeld(replication.IndexUnit(key), bs.Owner, bs.Version)
+		}
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"peertrack/internal/chord"
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/replication"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -77,7 +79,7 @@ func TestSnapshotPreservesFIFOOrder(t *testing.T) {
 	pfx := nw.PM.GroupOf(moods.ObjectID("x").Hash())
 	for i := 0; i < 10; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("fifo-%d", i))
-		p.gw.upsert(pfx, IndexEntry{Object: obj, ID: obj.Hash(), Indexed: time.Duration(i)})
+		p.gw.upsert(pfx.Key(), IndexEntry{Object: obj, ID: obj.Hash(), Indexed: time.Duration(i)})
 	}
 	var buf bytes.Buffer
 	if err := p.Snapshot(&buf); err != nil {
@@ -89,9 +91,9 @@ func TestSnapshotPreservesFIFOOrder(t *testing.T) {
 	if err := p.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	oldest := p.gw.delegable(pfx.Key(), 3)
+	oldest := p.gw.overflow(pfx.Key(), 0, 0.35)
 	if len(oldest) != 3 {
-		t.Fatalf("delegable = %d", len(oldest))
+		t.Fatalf("overflow = %d", len(oldest))
 	}
 	for i, e := range oldest {
 		if e.Object != moods.ObjectID(fmt.Sprintf("fifo-%d", i)) {
@@ -185,5 +187,79 @@ func TestSnapshotPreservesContainment(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Parent != parent {
 		t.Fatalf("containments after restore = %+v", recs)
+	}
+}
+
+// TestRestoreReRegistersReplicaBuckets: a mirror that restarts from its
+// snapshot must come back knowing whose copies it holds and at which
+// version — otherwise the copies are data the engine has never heard
+// of: the owner's probe re-ships every bucket, a dead owner's bucket is
+// never promoted, an abandoned one never collected.
+func TestRestoreReRegistersReplicaBuckets(t *testing.T) {
+	nw := buildNet(t, 12, Config{Mode: GroupIndexing, ReplicationFactor: 2})
+	// One observer only, so that no other peer has a repository to
+	// mirror: the snapshot does not cover mirrored repositories, and
+	// their re-push after a restart is not what is under test.
+	observer := nw.Peers()[0]
+	for i := 0; i < 60; i++ {
+		nw.ScheduleObservation(moods.Observation{
+			Object: moods.ObjectID(fmt.Sprintf("held-%d", i)), Node: observer.Name(), At: time.Second,
+		})
+	}
+	nw.StartWindows(2 * time.Second)
+	nw.Run()
+
+	// A gateway other than the observer, and its one mirror.
+	var owner, mirror *Peer
+	for _, p := range nw.Peers() {
+		if p != observer && p.IndexedEntries() > 0 {
+			owner = p
+			mirror, _ = nw.PeerByName(moods.NodeName(p.mirrorSet()[0]))
+			break
+		}
+	}
+	if owner == nil || mirror == observer || mirror.ReplicaEntries() == 0 {
+		t.Fatal("no gateway with a mirror other than the observer; pick another seed")
+	}
+	var buf bytes.Buffer
+	if err := mirror.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Restart: everything but the address and the ring position is
+	// gone, then the snapshot is loaded.
+	mirror.gw, mirror.replica = newGatewayStore(), newGatewayStore()
+	mirror.repl, mirror.repoReplica = replication.NewEngine(), &repoReplicaStore{}
+	if err := mirror.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+
+	// The owner's probes at the persisted versions answer Current.
+	repairs := nw.Telemetry.Counter("core.replication.repair_pushes")
+	probes := nw.Telemetry.Counter("core.replication.probes")
+	r0, p0 := repairs.Value(), probes.Value()
+	owner.SyncOwnedReplicas()
+	if probes.Value() == p0 {
+		t.Fatal("owner probed nothing")
+	}
+	if got := repairs.Value() - r0; got != 0 {
+		t.Fatalf("owner re-shipped %d units to a mirror restored from its snapshot, want 0", got)
+	}
+
+	// The owner dies and the ring hands its range to the mirror: the
+	// verdict finds the restored buckets and promotes them.
+	want := owner.IndexedEntries()
+	nw.Transport.Kill(owner.Addr())
+	for r := 0; r < 8; r++ {
+		for _, p := range nw.Peers() {
+			if p != owner {
+				p.Node().(*chord.Node).CheckPredecessor()
+				p.Node().(*chord.Node).Stabilize()
+			}
+		}
+	}
+	before := mirror.IndexedEntries()
+	mirror.onGossipDead(owner.Node().Self())
+	if got := mirror.IndexedEntries() - before; got != want {
+		t.Fatalf("dead verdict promoted %d restored records, want %d", got, want)
 	}
 }

@@ -117,7 +117,7 @@ func init() {
 // PredictNext predicts where an object will move next and when, from
 // the empirical next-hop distribution of its current node.
 func (p *Peer) PredictNext(obj moods.ObjectID) (Prediction, error) {
-	entry, hops, err := p.findIndex(obj)
+	entry, hops, err := p.findIndex(obj, nil)
 	if err != nil {
 		return Prediction{Hops: hops}, err
 	}
@@ -125,7 +125,7 @@ func (p *Peer) PredictNext(obj moods.ObjectID) (Prediction, error) {
 	if transport.Addr(entry.Latest) == p.node.Addr() {
 		resp, err = p.handleRPC(p.node.Addr(), transModelReq{})
 	} else {
-		resp, err = p.callAddr(transport.Addr(entry.Latest), transModelReq{})
+		resp, err = p.call(transport.Addr(entry.Latest), transModelReq{})
 		hops++
 	}
 	if err != nil {

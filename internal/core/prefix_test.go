@@ -170,11 +170,12 @@ func TestGatewayStoreFIFOAndDelegable(t *testing.T) {
 	pfx := ids.MustParsePrefix("0101")
 	for i := 0; i < 10; i++ {
 		obj := moodsObjectID(i)
-		g.upsert(pfx, IndexEntry{Object: obj, ID: ids.HashString(string(obj)), Indexed: simTime(i)})
+		g.upsert(pfx.Key(), IndexEntry{Object: obj, ID: ids.HashString(string(obj)), Indexed: simTime(i)})
 	}
-	oldest := g.delegable(pfx.Key(), 3)
+	// Ten records over a threshold of nine: the α = 0.35 earliest go.
+	oldest := g.overflow(pfx.Key(), 9, 0.35)
 	if len(oldest) != 3 {
-		t.Fatalf("delegable returned %d", len(oldest))
+		t.Fatalf("overflow returned %d", len(oldest))
 	}
 	for i, e := range oldest {
 		if e.Object != moodsObjectID(i) {
@@ -182,9 +183,16 @@ func TestGatewayStoreFIFOAndDelegable(t *testing.T) {
 		}
 	}
 	// Re-upserting an existing entry must not duplicate its FIFO slot.
-	g.upsert(pfx, IndexEntry{Object: moodsObjectID(0), ID: ids.HashString(string(moodsObjectID(0)))})
-	if got := g.delegable(pfx.Key(), 100); len(got) != 10 {
+	g.upsert(pfx.Key(), IndexEntry{Object: moodsObjectID(0), ID: ids.HashString(string(moodsObjectID(0)))})
+	if got := g.overflow(pfx.Key(), 9, 1); len(got) != 10 {
 		t.Fatalf("after re-upsert: %d entries", len(got))
+	}
+	// A bucket at its threshold, or an absent one, has nothing to shed.
+	if got := g.overflow(pfx.Key(), 10, 1); got != nil {
+		t.Fatalf("overflow at the threshold returned %d entries", len(got))
+	}
+	if got := g.overflow(ids.MustParsePrefix("000").Key(), 0, 1); got != nil {
+		t.Fatalf("overflow of an absent bucket returned %d entries", len(got))
 	}
 }
 
@@ -196,7 +204,7 @@ func TestGatewayStoreTakeAndDrain(t *testing.T) {
 		obj := moodsObjectID(i)
 		id := ids.HashString(string(obj))
 		keys = append(keys, id)
-		g.upsert(pfx, IndexEntry{Object: obj, ID: id})
+		g.upsert(pfx.Key(), IndexEntry{Object: obj, ID: id})
 	}
 	taken, delegated := g.take(pfx.Key(), keys[:2])
 	if len(taken) != 2 || delegated {
@@ -205,21 +213,21 @@ func TestGatewayStoreTakeAndDrain(t *testing.T) {
 	if g.totalEntries() != 3 {
 		t.Fatalf("entries after take = %d", g.totalEntries())
 	}
-	drained := g.drain(pfx.Key())
+	drained, _ := g.drain(pfx.Key())
 	if len(drained) != 3 {
 		t.Fatalf("drain = %d", len(drained))
 	}
 	if g.totalEntries() != 0 {
 		t.Fatal("store not empty after drain")
 	}
-	if g.peek(pfx.Key()) != nil {
+	if g.has(pfx.Key()) {
 		t.Fatal("bucket survived drain")
 	}
 	// take/query/drain on absent buckets are safe no-ops.
 	if e, _ := g.take(ids.MustParsePrefix("000").Key(), keys); e != nil {
 		t.Fatal("take on absent bucket returned entries")
 	}
-	if g.drain(ids.MustParsePrefix("000").Key()) != nil {
+	if e, _ := g.drain(ids.MustParsePrefix("000").Key()); e != nil {
 		t.Fatal("drain on absent bucket returned entries")
 	}
 }

@@ -37,33 +37,25 @@ const maxWalk = 10000
 // gateway for the current-length prefix, then — the Section IV-A3
 // lookup — a bidirectional linear search over the prefix chain: ascents
 // to L_min and Data Triangle descents along the object's own bit path.
-func (p *Peer) findIndex(obj moods.ObjectID) (IndexEntry, int, error) {
-	return p.findIndexSpan(obj, nil)
-}
-
-// findIndexSpan is findIndex recording each gateway consultation on the
-// caller's span (nil for untraced callers).
-func (p *Peer) findIndexSpan(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry, int, error) {
+// Each gateway consultation is recorded on the caller's span (nil for
+// untraced callers: a nil span's methods are no-ops).
+func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry, int, error) {
 	id := obj.Hash()
 	hops := 0
 
 	if p.cfg.Mode == IndividualIndexing {
 		res, err := p.node.Lookup(id)
+		var resp any
 		if err != nil {
-			e, h, found, _ := p.replicaFallthrough(individualKey, id, id, "")
-			hops += h
-			if found {
-				sp.Stepf(string(p.node.Addr()), "replica fallthrough: hit for %s", obj)
-				return e, hops, nil
-			}
-			return IndexEntry{}, hops, fmt.Errorf("core: find gateway: %w", err)
+			err = fmt.Errorf("core: find gateway: %w", err)
+		} else {
+			hops += res.Hops
+			sp.Stepf(string(res.Node.Addr), "gateway lookup: %d overlay hops", res.Hops)
+			resp, err = p.call(res.Node.Addr, queryIndexReq{Key: individualKey, Objects: []ids.ID{id}})
 		}
-		hops += res.Hops
-		sp.Stepf(string(res.Node.Addr), "gateway lookup: %d overlay hops", res.Hops)
-		resp, err := p.call(res.Node, queryIndexReq{Key: individualKey, Objects: []ids.ID{id}})
 		if err != nil {
-			// Gateway unreachable: fall through to the next live replica
-			// of its individual bucket in ring order.
+			// Gateway unresolvable or unreachable: fall through to the
+			// next live replica of its individual bucket in ring order.
 			e, h, found, _ := p.replicaFallthrough(individualKey, id, id, res.Node.Addr)
 			hops += h
 			if found {
@@ -84,7 +76,7 @@ func (p *Peer) findIndexSpan(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry
 
 	lp := p.pm.Lp()
 	pfx := ids.PrefixOf(id, lp)
-	entry, h, found, delegated := p.queryGatewaySpan(pfx, id, sp)
+	entry, h, found, delegated := p.queryGateway(pfx, id, sp)
 	hops += h
 	if found {
 		return entry, hops, nil
@@ -101,7 +93,7 @@ func (p *Peer) findIndexSpan(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry
 	child := pfx
 	for depth := 0; (delegated || hi > child.Len) && depth < p.cfg.MaxDescent && child.Len < ids.MaxKeyLen; depth++ {
 		child = child.Child(child.NextBit(id))
-		entry, h, found, delegated = p.queryGatewaySpan(child, id, sp)
+		entry, h, found, delegated = p.queryGateway(child, id, sp)
 		hops += h
 		if found {
 			return entry, hops, nil
@@ -116,7 +108,7 @@ func (p *Peer) findIndexSpan(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry
 	}
 	for cur := pfx; cur.Len > lmin; {
 		cur = cur.Parent()
-		entry, h, found, delegated = p.queryGatewaySpan(cur, id, sp)
+		entry, h, found, delegated = p.queryGateway(cur, id, sp)
 		hops += h
 		if found {
 			return entry, hops, nil
@@ -126,7 +118,7 @@ func (p *Peer) findIndexSpan(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry
 		if delegated {
 			c := cur.Child(cur.NextBit(id))
 			if c.Len != pfx.Len { // skip re-querying the original prefix
-				entry, h, found, _ = p.queryGatewaySpan(c, id, sp)
+				entry, h, found, _ = p.queryGateway(c, id, sp)
 				hops += h
 				if found {
 					return entry, hops, nil
@@ -138,33 +130,26 @@ func (p *Peer) findIndexSpan(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry
 }
 
 // queryGateway asks the gateway of one prefix for one object's record.
-func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID) (IndexEntry, int, bool, bool) {
-	return p.queryGatewaySpan(pfx, id, nil)
-}
-
-func (p *Peer) queryGatewaySpan(pfx ids.Prefix, id ids.ID, sp *telemetry.Span) (IndexEntry, int, bool, bool) {
+func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Span) (IndexEntry, int, bool, bool) {
 	hops := 0
 	gwRef, err := p.resolveGateway(pfx)
-	if err != nil {
-		// Even the gateway resolution can die with the primary (the
-		// lookup terminates at the crashed owner); the replica set is
-		// still reachable through lookup provenance.
-		e, h, found, delegated := p.replicaFallthrough(pfx.Key(), pfx.GatewayID(), id, "")
-		hops += h
-		if found {
-			sp.Stepf(string(p.node.Addr()), "replica fallthrough: hit for %s", pfx.String())
+	var resp any
+	if err == nil {
+		resp, err = p.call(gwRef.Addr, queryIndexReq{Key: pfx.Key(), Objects: []ids.ID{id}})
+		if gwRef.Addr != p.node.Addr() {
+			hops++
 		}
-		return e, hops, found, delegated
-	}
-	resp, err := p.call(gwRef, queryIndexReq{Key: pfx.Key(), Objects: []ids.ID{id}})
-	if gwRef.Addr != p.node.Addr() {
-		hops++
+		if err != nil {
+			sp.Stepf(string(gwRef.Addr), "gateway %s unreachable: %v", pfx.String(), err)
+		}
 	}
 	if err != nil {
-		sp.Stepf(string(gwRef.Addr), "gateway %s unreachable: %v", pfx.String(), err)
 		// Deterministic failover: serve from the next live replica of
 		// the bucket in ring order, so the crash window never returns
-		// an empty answer while a replica holds the record.
+		// an empty answer while a replica holds the record. Even the
+		// gateway resolution can die with the primary (the lookup
+		// terminates at the crashed owner, and gwRef stays empty); the
+		// replica set is still reachable through lookup provenance.
 		e, h, found, delegated := p.replicaFallthrough(pfx.Key(), pfx.GatewayID(), id, gwRef.Addr)
 		hops += h
 		if found {
@@ -188,7 +173,7 @@ func (p *Peer) fetchVisits(node moods.NodeName, obj moods.ObjectID) ([]VisitReco
 		vs, _ := p.repo.get(obj)
 		return vs, 0, nil
 	}
-	resp, err := p.callAddr(transport.Addr(node), iopGetReq{Object: obj})
+	resp, err := p.call(transport.Addr(node), iopGetReq{Object: obj})
 	if err != nil {
 		return nil, 1, err
 	}
@@ -220,7 +205,7 @@ func (p *Peer) Locate(obj moods.ObjectID, t time.Duration) (LocateResult, error)
 }
 
 func (p *Peer) locate(obj moods.ObjectID, t time.Duration, sp *telemetry.Span) (LocateResult, error) {
-	entry, hops, err := p.findIndexSpan(obj, sp)
+	entry, hops, err := p.findIndex(obj, sp)
 	if err != nil {
 		return LocateResult{Hops: hops}, err
 	}
@@ -230,7 +215,6 @@ func (p *Peer) locate(obj moods.ObjectID, t time.Duration, sp *telemetry.Span) (
 	// Walk the IOP list backwards until a visit at or before t.
 	cur := entry.Latest
 	bound := time.Duration(-1)
-	arrived := entry.Arrived
 	for steps := 0; steps < maxWalk; steps++ {
 		visits, h, err := p.fetchVisitsRead(cur, obj)
 		hops += h
@@ -251,9 +235,7 @@ func (p *Peer) locate(obj moods.ObjectID, t time.Duration, sp *telemetry.Span) (
 		}
 		cur = v.From
 		bound = v.Arrived
-		arrived = v.Arrived
 	}
-	_ = arrived
 	return LocateResult{Hops: hops}, fmt.Errorf("core: IOP walk exceeded %d steps for %s", maxWalk, obj)
 }
 
@@ -274,7 +256,7 @@ func (p *Peer) trace(obj moods.ObjectID, t1, t2 time.Duration, sp *telemetry.Spa
 	if t2 < t1 {
 		t1, t2 = t2, t1
 	}
-	entry, hops, err := p.findIndexSpan(obj, sp)
+	entry, hops, err := p.findIndex(obj, sp)
 	if err != nil {
 		return TraceResult{Hops: hops}, err
 	}

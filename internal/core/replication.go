@@ -20,14 +20,16 @@ import (
 // successors — exactly the nodes Chord makes the new owners of its key
 // range when it dies.
 //
-// The scheme has three legs (see DESIGN.md §13):
+// Buckets and repositories are replication.Units and share one code
+// path. The scheme has three legs (see DESIGN.md §13):
 //
-//   - Synchronous mirroring: every write a gateway applies is pushed to
-//     its mirror set at the granularity of the protocol message that
-//     caused it (one mirror message per indexing message, not per
-//     object). Each unit carries a version (internal/replication); a
-//     mirror acknowledges an increment only when it extends the version
-//     it holds, so a missed update can never be silently papered over.
+//   - Synchronous mirroring: every write a unit's owner applies is
+//     pushed to its mirror set at the granularity of the protocol
+//     message that caused it (one mirror message per indexing message,
+//     not per object) by one handshake, mirror. Each unit carries a
+//     version (internal/replication); a mirror acknowledges an increment
+//     only when it extends the version it holds (acceptPush), so a
+//     missed update can never be silently papered over.
 //
 //   - Deterministic failover: when a query cannot reach a unit's owner,
 //     it walks the unit's replica candidates in ring order
@@ -47,52 +49,30 @@ import (
 //     verdicts (AttachGossip) trigger the same promotion immediately,
 //     without waiting for a sync round.
 
-// replicatePutReq pushes one incremental index-bucket update to a
-// mirror: the entries written and the ids removed by one protocol
-// message at the owner. Version is the owner's bucket version after the
-// update; the mirror applies it only when it extends the version it
-// holds (Current in the response), otherwise the owner schedules a full
-// push.
+// replicatePutReq pushes index-bucket state to a mirror: the entries
+// written and the ids removed by one protocol message at the owner, or,
+// with Full, the whole bucket, which replaces the mirror's copy. Version
+// is the owner's bucket version after the update (see acceptPush).
 type replicatePutReq struct {
 	Key       ids.PrefixKey
 	Owner     transport.Addr
 	Version   uint64
+	Full      bool
 	Delegated bool
 	Entries   []IndexEntry
 	Removed   []ids.ID
 }
 
+// WireSize charges the two flags as the one byte they pack into.
 func (r replicatePutReq) WireSize() int {
-	n := keyWireSize + len(r.Owner) + 8 + 1 + len(r.Removed)*ids.Bytes
-	for _, e := range r.Entries {
-		n += e.wireSize()
-	}
-	return n
+	return keyWireSize + len(r.Owner) + 8 + 1 + len(r.Removed)*ids.Bytes + sizeOfEntries(r.Entries)
 }
 
-type replicatePutResp struct{ Current bool }
+// mirrorResp answers a mirror push of either kind: Current reports that
+// the mirror now holds the pushed version.
+type mirrorResp struct{ Current bool }
 
-func (r replicatePutResp) WireSize() int { return 1 }
-
-// replicaSyncReq replaces a mirror's copy of one index bucket wholesale
-// (anti-entropy full push).
-type replicaSyncReq struct {
-	Key       ids.PrefixKey
-	Owner     transport.Addr
-	Version   uint64
-	Delegated bool
-	Entries   []IndexEntry
-}
-
-func (r replicaSyncReq) WireSize() int {
-	n := keyWireSize + len(r.Owner) + 8 + 1
-	for _, e := range r.Entries {
-		n += e.wireSize()
-	}
-	return n
-}
-
-type replicaSyncResp struct{}
+func (r mirrorResp) WireSize() int { return 1 }
 
 // replicaCheckReq is the anti-entropy version probe: does the mirror
 // hold this unit current at Version? A match also transfers the
@@ -141,13 +121,7 @@ type replicaQueryResp struct {
 	Delegated bool
 }
 
-func (r replicaQueryResp) WireSize() int {
-	n := 1
-	for _, e := range r.Entries {
-		n += e.wireSize()
-	}
-	return n
-}
+func (r replicaQueryResp) WireSize() int { return 1 + sizeOfEntries(r.Entries) }
 
 // RepoObject is one object's full visit list inside repo mirror pushes.
 type RepoObject struct {
@@ -155,12 +129,15 @@ type RepoObject struct {
 	Visits []VisitRecord
 }
 
-func sizeOfRepoObjects(objs []RepoObject) int {
-	n := 0
-	for _, o := range objs {
-		n += len(o.Object) + len(o.Visits)*32
+// repoObjectsOf lists a repository (or a mirrored copy of one) as push
+// payload, sorted by object.
+func repoObjectsOf(m map[moods.ObjectID][]VisitRecord) []RepoObject {
+	out := make([]RepoObject, 0, len(m))
+	for obj, vs := range m {
+		out = append(out, RepoObject{Object: obj, Visits: vs})
 	}
-	return n
+	sort.Slice(out, func(i, j int) bool { return out[i].Object < out[j].Object })
+	return out
 }
 
 // repoMirrorReq pushes repository state to a mirror: the visit lists of
@@ -173,11 +150,13 @@ type repoMirrorReq struct {
 	Objects []RepoObject
 }
 
-func (r repoMirrorReq) WireSize() int { return len(r.Owner) + 9 + sizeOfRepoObjects(r.Objects) }
-
-type repoMirrorResp struct{ Current bool }
-
-func (r repoMirrorResp) WireSize() int { return 1 }
+func (r repoMirrorReq) WireSize() int {
+	n := len(r.Owner) + 9
+	for _, o := range r.Objects {
+		n += len(o.Object) + len(o.Visits)*32
+	}
+	return n
+}
 
 // repoQueryReq is the repository failover read: asks a replica
 // candidate for the visits it mirrors of Owner's copy of Object.
@@ -197,9 +176,7 @@ func (r repoQueryResp) WireSize() int { return 1 + len(r.Visits)*32 }
 
 func init() {
 	transport.Register(replicatePutReq{})
-	transport.Register(replicatePutResp{})
-	transport.Register(replicaSyncReq{})
-	transport.Register(replicaSyncResp{})
+	transport.Register(mirrorResp{})
 	transport.Register(replicaCheckReq{})
 	transport.Register(replicaCheckResp{})
 	transport.Register(replicaDropReq{})
@@ -207,7 +184,6 @@ func init() {
 	transport.Register(replicaQueryReq{})
 	transport.Register(replicaQueryResp{})
 	transport.Register(repoMirrorReq{})
-	transport.Register(repoMirrorResp{})
 	transport.Register(repoQueryReq{})
 	transport.Register(repoQueryResp{})
 }
@@ -233,6 +209,15 @@ func repoUnitOf(owner transport.Addr) replication.Unit {
 	return replication.Unit{Key: ids.PrefixKey(k), Repo: true}
 }
 
+// heldUnitOf names the unit under which a mirror tracks what a probe or
+// drop from owner calls (key, repo).
+func heldUnitOf(key ids.PrefixKey, repo bool, owner transport.Addr) replication.Unit {
+	if repo {
+		return repoUnitOf(owner)
+	}
+	return replication.IndexUnit(key)
+}
+
 // repoReplicaStore holds the repository copies this node mirrors for
 // other owners, keyed by owner address.
 type repoReplicaStore struct {
@@ -240,33 +225,22 @@ type repoReplicaStore struct {
 	byOwner map[transport.Addr]map[moods.ObjectID][]VisitRecord
 }
 
-func (s *repoReplicaStore) apply(owner transport.Addr, objs []RepoObject) {
+// apply stores the pushed visit lists of owner's repository; with
+// replace they are its whole content, not an update.
+func (s *repoReplicaStore) apply(owner transport.Addr, objs []RepoObject, replace bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.byOwner == nil {
 		s.byOwner = make(map[transport.Addr]map[moods.ObjectID][]VisitRecord)
 	}
 	m := s.byOwner[owner]
-	if m == nil {
+	if m == nil || replace {
 		m = make(map[moods.ObjectID][]VisitRecord, len(objs))
 		s.byOwner[owner] = m
 	}
 	for _, o := range objs {
 		m[o.Object] = append([]VisitRecord(nil), o.Visits...)
 	}
-}
-
-func (s *repoReplicaStore) replaceAll(owner transport.Addr, objs []RepoObject) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.byOwner == nil {
-		s.byOwner = make(map[transport.Addr]map[moods.ObjectID][]VisitRecord)
-	}
-	m := make(map[moods.ObjectID][]VisitRecord, len(objs))
-	for _, o := range objs {
-		m[o.Object] = append([]VisitRecord(nil), o.Visits...)
-	}
-	s.byOwner[owner] = m
 }
 
 func (s *repoReplicaStore) get(owner transport.Addr, obj moods.ObjectID) ([]VisitRecord, bool) {
@@ -279,41 +253,40 @@ func (s *repoReplicaStore) get(owner transport.Addr, obj moods.ObjectID) ([]Visi
 	return append([]VisitRecord(nil), vs...), true
 }
 
-// dumpOwner returns copies of every object list mirrored for one owner,
-// sorted by object (the restore path's wire payload).
-func (s *repoReplicaStore) dumpOwner(owner transport.Addr) []RepoObject {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.byOwner[owner]
-	out := make([]RepoObject, 0, len(m))
-	for obj, vs := range m {
-		out = append(out, RepoObject{Object: obj, Visits: append([]VisitRecord(nil), vs...)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Object < out[j].Object })
-	return out
-}
-
 func (s *repoReplicaStore) dropOwner(owner transport.Addr) {
 	s.mu.Lock()
 	delete(s.byOwner, owner)
 	s.mu.Unlock()
 }
 
+// ownerLocked deep-copies the repository mirrored for one owner.
+func (s *repoReplicaStore) ownerLocked(owner transport.Addr) map[moods.ObjectID][]VisitRecord {
+	cp := make(map[moods.ObjectID][]VisitRecord, len(s.byOwner[owner]))
+	for obj, vs := range s.byOwner[owner] {
+		cp[obj] = append([]VisitRecord(nil), vs...)
+	}
+	return cp
+}
+
+// dumpOwner returns the repository mirrored for one owner as push
+// payload (the restore path ships it back).
+func (s *repoReplicaStore) dumpOwner(owner transport.Addr) []RepoObject {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return repoObjectsOf(s.ownerLocked(owner))
+}
+
 func (s *repoReplicaStore) dump() map[transport.Addr]map[moods.ObjectID][]VisitRecord {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[transport.Addr]map[moods.ObjectID][]VisitRecord, len(s.byOwner))
-	for owner, m := range s.byOwner {
-		cp := make(map[moods.ObjectID][]VisitRecord, len(m))
-		for obj, vs := range m {
-			cp[obj] = append([]VisitRecord(nil), vs...)
-		}
-		out[owner] = cp
+	for owner := range s.byOwner {
+		out[owner] = s.ownerLocked(owner)
 	}
 	return out
 }
 
-// --- owner-side write paths -------------------------------------------
+// --- owner side: the mirror handshake ----------------------------------
 
 // mirrors is the number of copies beyond the primary (0 = replication
 // off).
@@ -347,437 +320,170 @@ func (p *Peer) mirrorSet() []transport.Addr {
 	return out
 }
 
-// replicate mirrors freshly written entries of one bucket.
-func (p *Peer) replicate(key ids.PrefixKey, entries []IndexEntry) {
-	if p.mirrors() <= 0 || len(entries) == 0 {
-		return
-	}
-	p.mirrorIndex(key, entries, nil)
-}
-
-// mirrorRemove mirrors the removal of entries from one bucket
-// (delegation evictions, refresh takes).
-func (p *Peer) mirrorRemove(key ids.PrefixKey, removed []ids.ID) {
-	if p.mirrors() <= 0 || len(removed) == 0 {
-		return
-	}
-	p.mirrorIndex(key, nil, removed)
-}
-
-// mirrorIndex bumps the bucket's version and pushes the delta to every
-// mirror: an incremental put when the mirror held the previous version,
-// a full bucket push otherwise. A mirror that cannot be reached is
-// marked unsynced and repaired by the next sync round.
-func (p *Peer) mirrorIndex(key ids.PrefixKey, entries []IndexEntry, removed []ids.ID) {
-	u := replication.IndexUnit(key)
+// mirror is the owner side of the handshake, the same for every unit
+// kind: bump the unit's version, then bring each mirror to it — with
+// the delta (built by the caller for the new version) when the mirror
+// held the previous one, with the unit's full state when it did not or
+// answers that it holds some other version (it restarted, or a previous
+// push was lost). A mirror that cannot be reached is marked unsynced
+// and repaired by the next mutation or sync round.
+func (p *Peer) mirror(u replication.Unit, delta func(v uint64) any) {
 	v := p.repl.Bump(u)
-	delegated := p.gw.delegatedFlag(key)
-	self := p.node.Addr()
 	for _, addr := range p.mirrorSet() {
 		if p.repl.SyncedAt(u, addr) == v-1 {
-			resp, err := p.callAddr(addr, replicatePutReq{
-				Key: key, Owner: self, Version: v, Delegated: delegated,
-				Entries: entries, Removed: removed,
-			})
-			if err == nil && resp.(replicatePutResp).Current {
-				p.repl.MarkSynced(u, addr, v)
-				p.tel.replMirrorWrites.Inc()
-				continue
-			}
+			resp, err := p.call(addr, delta(v))
 			if err != nil {
 				p.repl.ClearSynced(u, addr)
 				continue
 			}
-			// The mirror holds some other version (it restarted, or a
-			// previous push was lost): repair with a full push right away.
+			if resp.(mirrorResp).Current {
+				p.repl.MarkSynced(u, addr, v)
+				p.tel.replMirrorWrites.Inc()
+				continue
+			}
+			// The mirror holds some other version: repair right away.
 		}
-		if !p.pushFullBucket(u, key, addr, v) {
-			p.repl.ClearSynced(u, addr)
-		}
+		p.pushFull(u, addr, v)
 	}
 }
 
-// pushFullBucket ships the bucket's entire current contents to one
-// mirror, stamping it at version v.
-func (p *Peer) pushFullBucket(u replication.Unit, key ids.PrefixKey, addr transport.Addr, v uint64) bool {
-	entries, delegated := p.gw.dumpBucket(key)
-	_, err := p.callAddr(addr, replicaSyncReq{
-		Key: key, Owner: p.node.Addr(), Version: v, Delegated: delegated, Entries: entries,
-	})
-	if err != nil {
-		return false
+// pushFull ships the unit's entire current state to one mirror,
+// stamping it at version v.
+func (p *Peer) pushFull(u replication.Unit, addr transport.Addr, v uint64) {
+	var req any
+	if u.Repo {
+		req = repoMirrorReq{Owner: p.node.Addr(), Version: v, Full: true, Objects: repoObjectsOf(p.repo.snapshot())}
+	} else {
+		entries, delegated := p.gw.dumpBucket(u.Key)
+		req = replicatePutReq{Key: u.Key, Owner: p.node.Addr(), Version: v, Full: true, Delegated: delegated, Entries: entries}
+	}
+	if resp, err := p.call(addr, req); err != nil || !resp.(mirrorResp).Current {
+		p.repl.ClearSynced(u, addr)
+		return
 	}
 	p.repl.MarkSynced(u, addr, v)
 	p.tel.replRepairPushes.Inc()
-	return true
 }
 
-// markRepoDirty queues objects whose local visit lists changed for the
-// next repository mirror flush.
-func (p *Peer) markRepoDirty(objs ...moods.ObjectID) {
-	if p.mirrors() <= 0 {
+// mirrorIndex mirrors one mutation of the bucket keyed key: the entries
+// freshly written and the ids removed (delegation evictions, refresh
+// takes).
+func (p *Peer) mirrorIndex(key ids.PrefixKey, entries []IndexEntry, removed []ids.ID) {
+	if p.mirrors() <= 0 || len(entries)+len(removed) == 0 {
 		return
 	}
-	p.dirtyMu.Lock()
-	if p.dirtyRepo == nil {
-		p.dirtyRepo = make(map[moods.ObjectID]struct{}, len(objs))
+	req := replicatePutReq{
+		Key: key, Owner: p.node.Addr(), Delegated: p.gw.delegatedFlag(key),
+		Entries: entries, Removed: removed,
 	}
-	for _, o := range objs {
-		p.dirtyRepo[o] = struct{}{}
-	}
-	p.dirtyMu.Unlock()
+	p.mirror(replication.IndexUnit(key), func(v uint64) any { req.Version = v; return req })
 }
 
-// flushRepoMirror pushes the dirtied visit lists to the repository
-// mirrors, batched at the granularity of the triggering protocol
-// message (a window flush, or one M2/M3 stitch batch).
+// flushRepoMirror mirrors the visit lists dirtied since the last flush,
+// batched at the granularity of the triggering protocol message (a
+// window flush, or one M2/M3 stitch batch).
 func (p *Peer) flushRepoMirror() {
-	if p.mirrors() <= 0 {
+	objs, dirty := p.repo.takeDirty()
+	if !dirty {
 		return
 	}
-	p.dirtyMu.Lock()
-	dirty := p.dirtyRepo
-	p.dirtyRepo = nil
-	p.dirtyMu.Unlock()
-	if len(dirty) == 0 {
-		return
-	}
-	objs := make([]RepoObject, 0, len(dirty))
-	for obj := range dirty {
-		if vs, ok := p.repo.get(obj); ok {
-			objs = append(objs, RepoObject{Object: obj, Visits: vs})
-		}
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Object < objs[j].Object })
-	v := p.repl.Bump(replication.RepoUnit)
-	u := replication.RepoUnit
-	self := p.node.Addr()
-	for _, addr := range p.mirrorSet() {
-		if p.repl.SyncedAt(u, addr) == v-1 {
-			resp, err := p.callAddr(addr, repoMirrorReq{Owner: self, Version: v, Objects: objs})
-			if err == nil && resp.(repoMirrorResp).Current {
-				p.repl.MarkSynced(u, addr, v)
-				p.tel.replMirrorWrites.Inc()
-				continue
-			}
-			if err != nil {
-				p.repl.ClearSynced(u, addr)
-				continue
-			}
-		}
-		if !p.pushFullRepo(addr, v) {
-			p.repl.ClearSynced(u, addr)
-		}
-	}
+	req := repoMirrorReq{Owner: p.node.Addr(), Objects: objs}
+	p.mirror(replication.RepoUnit, func(v uint64) any { req.Version = v; return req })
 }
 
-// pushFullRepo ships the whole local repository to one mirror at
-// version v.
-func (p *Peer) pushFullRepo(addr transport.Addr, v uint64) bool {
-	snap := p.repo.snapshot()
-	objs := make([]RepoObject, 0, len(snap))
-	for obj, vs := range snap {
-		objs = append(objs, RepoObject{Object: obj, Visits: vs})
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Object < objs[j].Object })
-	_, err := p.callAddr(addr, repoMirrorReq{Owner: p.node.Addr(), Version: v, Full: true, Objects: objs})
-	if err != nil {
-		return false
-	}
-	p.repl.MarkSynced(replication.RepoUnit, addr, v)
-	p.tel.replRepairPushes.Inc()
-	return true
-}
+// --- mirror side --------------------------------------------------------
 
-// --- mirror-side handlers ---------------------------------------------
-
-// clearDead removes an owner's dead mark: any replication traffic from
-// it is proof of life (crashed owners that healed resume probing).
-func (p *Peer) clearDead(owner transport.Addr) {
-	p.deadMu.Lock()
-	delete(p.deadOwners, owner)
-	p.deadMu.Unlock()
-}
-
-func (p *Peer) ownerDead(owner transport.Addr) bool {
-	p.deadMu.Lock()
-	defer p.deadMu.Unlock()
-	return p.deadOwners[owner]
-}
-
-// handleReplicatePut applies one incremental bucket update, accepting
-// it only when it extends the version this mirror holds.
-func (p *Peer) handleReplicatePut(r replicatePutReq) replicatePutResp {
-	if r.Key != individualKey && r.Key.Len() > ids.MaxKeyLen {
-		return replicatePutResp{}
-	}
-	p.clearDead(r.Owner)
-	u := replication.IndexUnit(r.Key)
+// acceptPush is the mirror side of the handshake, the same for every
+// unit kind: a push is applied when it carries the unit's full state,
+// extends the version held, or is the first at version 1. Anything else
+// means an update was missed; the owner answers with a full push.
+func (p *Peer) acceptPush(u replication.Unit, v uint64, full bool) bool {
 	_, hv, held := p.repl.HeldMeta(u)
-	if !(held && hv+1 == r.Version) && !(!held && r.Version == 1) {
-		return replicatePutResp{Current: false}
+	return full || (held && hv+1 == v) || (!held && v == 1)
+}
+
+// handleReplicatePut applies one index-bucket push.
+func (p *Peer) handleReplicatePut(r replicatePutReq) mirrorResp {
+	u := replication.IndexUnit(r.Key)
+	if !validBucketKey(r.Key) || !p.acceptPush(u, r.Version, r.Full) {
+		return mirrorResp{}
 	}
-	if r.Key == individualKey {
-		for _, e := range r.Entries {
-			p.replica.upsertKeyed(individualKey, e)
-		}
+	if r.Full {
+		p.replica.replaceBucket(r.Key, r.Entries, r.Delegated)
 	} else {
-		pfx := r.Key.Prefix()
 		for _, e := range r.Entries {
-			p.replica.upsert(pfx, e)
+			p.replica.upsert(r.Key, e)
 		}
-	}
-	p.replica.removeAll(r.Key, r.Removed)
-	if r.Delegated {
-		p.replica.markDelegated(r.Key)
+		p.replica.removeAll(r.Key, r.Removed)
+		if r.Delegated {
+			p.replica.markDelegated(r.Key)
+		}
 	}
 	p.repl.RecordHeld(u, r.Owner, r.Version)
-	return replicatePutResp{Current: true}
+	return mirrorResp{Current: true}
 }
 
-// handleReplicaSync replaces this mirror's copy of one bucket.
-func (p *Peer) handleReplicaSync(r replicaSyncReq) {
-	if r.Key != individualKey && r.Key.Len() > ids.MaxKeyLen {
-		return
-	}
-	p.clearDead(r.Owner)
-	p.replica.replaceBucket(r.Key, r.Entries, r.Delegated)
-	p.repl.RecordHeld(replication.IndexUnit(r.Key), r.Owner, r.Version)
-}
-
-// handleRepoMirror applies one repository mirror push.
-func (p *Peer) handleRepoMirror(r repoMirrorReq) repoMirrorResp {
+// handleRepoMirror applies one repository push.
+func (p *Peer) handleRepoMirror(r repoMirrorReq) mirrorResp {
 	if r.Owner == p.node.Addr() {
 		// A mirror is returning this node's own repository: we came
 		// back from a restart with an empty store, stopped probing, and
 		// the mirror's GC pass is restoring its copy before dropping
 		// it. Adopt the objects we have no record of — anything
-		// re-observed since the restart keeps its fresh local history —
-		// and re-mirror the adoptions on the next flush.
-		var adopted []moods.ObjectID
+		// re-observed since the restart keeps its fresh local history;
+		// the adoptions are re-mirrored by the next flush.
 		for _, o := range r.Objects {
-			if p.repo.adopt(o.Object, o.Visits) {
-				adopted = append(adopted, o.Object)
-			}
+			p.repo.adopt(o.Object, o.Visits)
 		}
-		if len(adopted) > 0 {
-			p.markRepoDirty(adopted...)
-		}
-		return repoMirrorResp{Current: true}
+		return mirrorResp{Current: true}
 	}
-	p.clearDead(r.Owner)
 	u := repoUnitOf(r.Owner)
-	if r.Full {
-		p.repoReplica.replaceAll(r.Owner, r.Objects)
-		p.repl.RecordHeld(u, r.Owner, r.Version)
-		return repoMirrorResp{Current: true}
+	if !p.acceptPush(u, r.Version, r.Full) {
+		return mirrorResp{}
 	}
-	_, hv, held := p.repl.HeldMeta(u)
-	if !(held && hv+1 == r.Version) && !(!held && r.Version == 1) {
-		return repoMirrorResp{Current: false}
-	}
-	p.repoReplica.apply(r.Owner, r.Objects)
+	p.repoReplica.apply(r.Owner, r.Objects, r.Full)
 	p.repl.RecordHeld(u, r.Owner, r.Version)
-	return repoMirrorResp{Current: true}
+	return mirrorResp{Current: true}
 }
 
-// handleReplicaCheck answers a version probe.
-func (p *Peer) handleReplicaCheck(r replicaCheckReq) replicaCheckResp {
-	p.clearDead(r.Owner)
-	u := replication.IndexUnit(r.Key)
-	if r.Repo {
-		u = repoUnitOf(r.Owner)
+// dropHeld discards this mirror's copy of one unit, data and
+// bookkeeping together.
+func (p *Peer) dropHeld(u replication.Unit) {
+	if !u.Repo {
+		p.replica.dropBucket(u.Key)
+	} else if owner, _, ok := p.repl.HeldMeta(u); ok {
+		p.repoReplica.dropOwner(owner)
 	}
-	return replicaCheckResp{Current: p.repl.CheckHeld(u, r.Owner, r.Version)}
+	p.repl.DropHeld(u)
 }
 
-// handleReplicaDrop discards this mirror's copy of one unit.
-func (p *Peer) handleReplicaDrop(r replicaDropReq) {
-	if r.Repo {
-		p.repl.DropHeld(repoUnitOf(r.Owner))
-		p.repoReplica.dropOwner(r.Owner)
-		return
-	}
-	p.repl.DropHeld(replication.IndexUnit(r.Key))
-	p.replica.dropBucket(r.Key)
-}
-
-// handleReplicaQuery serves a failover read from whatever copy this
-// node has: its own gateway bucket first (it may have been promoted),
-// then its replica store. No promotion happens on this path — the
-// querier may be racing the owner's recovery.
-func (p *Peer) handleReplicaQuery(r replicaQueryReq) replicaQueryResp {
-	entries, delegated := p.gw.query(r.Key, r.Objects)
-	if len(entries) < len(r.Objects) {
-		found := make(map[ids.ID]bool, len(entries))
-		for _, e := range entries {
-			found[e.ID] = true
-		}
-		var missing []ids.ID
-		for _, id := range r.Objects {
-			if !found[id] {
-				missing = append(missing, id)
-			}
-		}
-		extra, d2 := p.replica.query(r.Key, missing)
-		entries = append(entries, extra...)
-		delegated = delegated || d2
-	}
-	return replicaQueryResp{Entries: entries, Delegated: delegated}
-}
-
-// --- failover reads ---------------------------------------------------
-
-// replicaFallthrough serves an index read whose owner is unreachable
-// from the next live replica in ring order. ringKey is the DHT key the
-// bucket is placed by (the prefix's gateway id, or the object's own
-// hashed id under individual indexing); failed is the owner address
-// that did not answer.
-func (p *Peer) replicaFallthrough(key ids.PrefixKey, ringKey ids.ID, id ids.ID, failed transport.Addr) (IndexEntry, int, bool, bool) {
-	hops := 0
-	if p.mirrors() <= 0 {
-		return IndexEntry{}, hops, false, false
-	}
-	ls, ok := p.node.(lookupSetter)
-	if !ok {
-		return IndexEntry{}, hops, false, false
-	}
-	set, err := ls.LookupSet(ringKey, p.cfg.ReplicationFactor)
-	if err != nil {
-		return IndexEntry{}, hops, false, false
-	}
-	delegated := false
-	for _, ref := range set {
-		if ref.Addr == failed {
-			continue
-		}
-		if ref.Addr == p.node.Addr() {
-			resp := p.handleReplicaQuery(replicaQueryReq{Key: key, Objects: []ids.ID{id}})
-			delegated = delegated || resp.Delegated
-			if len(resp.Entries) > 0 {
-				p.tel.replFallthrough.Inc()
-				return resp.Entries[0], hops, true, delegated
-			}
-			continue
-		}
-		resp, err := p.callAddr(ref.Addr, replicaQueryReq{Key: key, Objects: []ids.ID{id}})
-		hops++
-		if err != nil {
-			continue
-		}
-		qr := resp.(replicaQueryResp)
-		delegated = delegated || qr.Delegated
-		if len(qr.Entries) > 0 {
-			p.tel.replFallthrough.Inc()
-			return qr.Entries[0], hops, true, delegated
-		}
-	}
-	return IndexEntry{}, hops, false, delegated
-}
-
-// fetchVisitsRead is fetchVisits with repository failover: when the
-// node holding a visit segment is unreachable, the read falls through
-// to the mirrors of that node's repository in ring order. Only pure
-// reads (locate/trace walks) use it; stitch walks keep the plain
-// fetch, because their defer-and-retry contract must see the fault.
-func (p *Peer) fetchVisitsRead(node moods.NodeName, obj moods.ObjectID) ([]VisitRecord, int, error) {
-	vs, hops, err := p.fetchVisits(node, obj)
-	if err == nil {
-		return vs, hops, nil
-	}
-	fvs, h, ok := p.repoFallthrough(node, obj)
-	hops += h
-	if ok {
-		return fvs, hops, nil
-	}
-	return nil, hops, err
-}
-
-// repoFallthrough reads Object's visits at node from the mirrors of
-// that node's repository, in ring order.
-func (p *Peer) repoFallthrough(node moods.NodeName, obj moods.ObjectID) ([]VisitRecord, int, bool) {
-	hops := 0
-	if p.mirrors() <= 0 {
-		return nil, hops, false
-	}
-	ls, ok := p.node.(lookupSetter)
-	if !ok {
-		return nil, hops, false
-	}
-	owner := transport.Addr(node)
-	// A node's repository mirrors sit at its ring successors; its ring
-	// position is the hash of its address (chord.New), so the replica
-	// candidate set of that position starts at the owner itself.
-	set, err := ls.LookupSet(ids.Hash([]byte(owner)), p.cfg.ReplicationFactor)
-	if err != nil {
-		return nil, hops, false
-	}
-	for _, ref := range set {
-		if ref.Addr == owner {
-			continue
-		}
-		if ref.Addr == p.node.Addr() {
-			if vs, ok := p.repoReplica.get(owner, obj); ok {
-				p.tel.replFallthrough.Inc()
-				return vs, hops, true
-			}
-			continue
-		}
-		resp, err := p.callAddr(ref.Addr, repoQueryReq{Owner: owner, Object: obj})
-		hops++
-		if err != nil {
-			continue
-		}
-		qr := resp.(repoQueryResp)
-		if qr.Found {
-			p.tel.replFallthrough.Inc()
-			return qr.Visits, hops, true
-		}
-	}
-	return nil, hops, false
-}
-
-// lookupWithReplica consults the primary store, falling back to the
-// replica store; hits whose key range this node owns are promoted so
-// subsequent updates see them.
-func (p *Peer) lookupWithReplica(key ids.PrefixKey, id ids.ID) (IndexEntry, bool) {
-	if e, ok := p.gw.lookup(key, id); ok {
-		return e, true
-	}
-	if p.mirrors() <= 0 {
-		return IndexEntry{}, false
-	}
-	e, ok := p.replica.lookup(key, id)
-	if !ok {
-		return IndexEntry{}, false
-	}
-	p.promote(key, []IndexEntry{e})
-	return e, true
-}
-
-// queryWithReplica is the bulk form used by the queryIndexReq handler.
-func (p *Peer) queryWithReplica(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry, bool) {
+// queryStores answers an index read from the primary store and, for
+// the objects it lacks, from the replica store. With promote — the
+// write paths and the owner's own query handler — replica hits whose
+// key range this node owns move into the primary store, so subsequent
+// updates see them. Failover reads pass false: the querier may be
+// racing the owner's recovery.
+func (p *Peer) queryStores(key ids.PrefixKey, objs []ids.ID, promote bool) ([]IndexEntry, bool) {
 	entries, delegated := p.gw.query(key, objs)
 	if p.mirrors() <= 0 || len(entries) == len(objs) {
 		return entries, delegated
 	}
-	found := make(map[ids.ID]bool, len(entries))
-	for _, e := range entries {
-		found[e.ID] = true
-	}
-	var missing []ids.ID
-	for _, id := range objs {
-		if !found[id] {
-			missing = append(missing, id)
-		}
-	}
-	extra, d2 := p.replica.query(key, missing)
-	if len(extra) > 0 {
+	extra, d2 := p.replica.query(key, missingFrom(objs, entries))
+	if promote && len(extra) > 0 {
 		p.promote(key, extra)
-		entries = append(entries, extra...)
-		delegated = delegated || d2
 	}
-	return entries, delegated
+	return append(entries, extra...), delegated || d2
+}
+
+// lookupWithReplica is queryStores for one object on the write paths.
+func (p *Peer) lookupWithReplica(key ids.PrefixKey, id ids.ID) (IndexEntry, bool) {
+	if e, ok := p.gw.lookup(key, id); ok || p.mirrors() <= 0 {
+		return e, ok
+	}
+	if es, _ := p.queryStores(key, []ids.ID{id}, true); len(es) > 0 {
+		return es[0], true
+	}
+	return IndexEntry{}, false
 }
 
 // promote copies replica records this node now owns into its primary
@@ -787,28 +493,97 @@ func (p *Peer) queryWithReplica(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry,
 // directly. Promotion happens once the ring actually makes this node
 // the owner (stabilization, or re-wiring after churn).
 func (p *Peer) promote(key ids.PrefixKey, entries []IndexEntry) {
-	if key == individualKey {
-		var kept []IndexEntry
-		for _, e := range entries {
-			if p.node.Owns(e.ID) {
-				p.gw.upsertKeyed(individualKey, e)
-				kept = append(kept, e)
-			}
-		}
-		p.replicate(individualKey, kept)
+	if !validBucketKey(key) || (key != individualKey && !p.node.Owns(key.Prefix().GatewayID())) {
 		return
 	}
-	if key.Len() > ids.MaxKeyLen {
-		return
-	}
-	pfx := key.Prefix()
-	if !p.node.Owns(pfx.GatewayID()) {
-		return
-	}
+	var kept []IndexEntry
 	for _, e := range entries {
-		p.gw.upsert(pfx, e)
+		// A prefix group is placed whole, by its gateway id (checked
+		// above); per-object records one by one, by their own ids.
+		if key != individualKey || p.node.Owns(e.ID) {
+			p.gw.upsert(key, e)
+			kept = append(kept, e)
+		}
 	}
-	p.replicate(key, entries)
+	p.mirrorIndex(key, kept, nil)
+}
+
+// --- failover reads ---------------------------------------------------
+
+// failoverRead asks the replica candidates of the unit placed at
+// ringKey, in ring order (chord.LookupSet) and without skip — the owner
+// that already failed to answer — until hit accepts a response. It
+// returns the RPCs spent and whether one did. Nothing is asked when
+// replication is off or the overlay has no successor-set lookup.
+func (p *Peer) failoverRead(ringKey ids.ID, skip transport.Addr, req any, hit func(resp any) bool) (int, bool) {
+	ls, ok := p.node.(lookupSetter)
+	if p.mirrors() <= 0 || !ok {
+		return 0, false
+	}
+	set, err := ls.LookupSet(ringKey, p.cfg.ReplicationFactor)
+	if err != nil {
+		return 0, false
+	}
+	hops := 0
+	for _, ref := range set {
+		if ref.Addr == skip {
+			continue
+		}
+		resp, err := p.call(ref.Addr, req)
+		if ref.Addr != p.node.Addr() {
+			hops++
+		}
+		if err == nil && hit(resp) {
+			p.tel.replFallthrough.Inc()
+			return hops, true
+		}
+	}
+	return hops, false
+}
+
+// replicaFallthrough serves an index read whose owner is unreachable
+// from the next live replica. ringKey is the DHT key the bucket is
+// placed by (the prefix's gateway id, or the object's own hashed id
+// under individual indexing); failed is the owner address that did not
+// answer.
+func (p *Peer) replicaFallthrough(key ids.PrefixKey, ringKey ids.ID, id ids.ID, failed transport.Addr) (IndexEntry, int, bool, bool) {
+	var e IndexEntry
+	delegated := false
+	hops, found := p.failoverRead(ringKey, failed, replicaQueryReq{Key: key, Objects: []ids.ID{id}}, func(resp any) bool {
+		qr := resp.(replicaQueryResp)
+		delegated = delegated || qr.Delegated
+		if len(qr.Entries) == 0 {
+			return false
+		}
+		e = qr.Entries[0]
+		return true
+	})
+	return e, hops, found, delegated
+}
+
+// fetchVisitsRead is fetchVisits with repository failover: when the
+// node holding a visit segment is unreachable, the read falls through
+// to the mirrors of that node's repository. Only pure reads
+// (locate/trace walks) use it; stitch walks keep the plain fetch,
+// because their defer-and-retry contract must see the fault.
+func (p *Peer) fetchVisitsRead(node moods.NodeName, obj moods.ObjectID) ([]VisitRecord, int, error) {
+	vs, hops, err := p.fetchVisits(node, obj)
+	if err == nil {
+		return vs, hops, nil
+	}
+	// A node's repository mirrors sit at its ring successors; its ring
+	// position is the hash of its address (chord.New), so the replica
+	// candidate set of that position starts at the owner itself.
+	owner := transport.Addr(node)
+	h, ok := p.failoverRead(ids.Hash([]byte(owner)), owner, repoQueryReq{Owner: owner, Object: obj}, func(resp any) bool {
+		qr := resp.(repoQueryResp)
+		vs = qr.Visits
+		return qr.Found
+	})
+	if ok {
+		return vs, hops + h, nil
+	}
+	return nil, hops + h, err
 }
 
 // --- anti-entropy sync ------------------------------------------------
@@ -830,78 +605,55 @@ func (p *Peer) PromoteOwnedReplicas() {
 	}
 }
 
-// maybePromoteHeld promotes one held unit if this node owns its range.
+// maybePromoteHeld promotes the records of one held index unit that
+// fall in this node's range: all of a prefix bucket whose gateway id it
+// owns; of the individual bucket, each record it owns by the record's
+// own id, while the rest stay held as they were.
 func (p *Peer) maybePromoteHeld(h replication.HeldInfo) {
-	if h.Unit.Repo || h.Owner == p.node.Addr() {
+	u, key := h.Unit, h.Unit.Key
+	if u.Repo || h.Owner == p.node.Addr() || !validBucketKey(key) {
 		return
 	}
-	key := h.Unit.Key
-	if key != individualKey && key.Len() > ids.MaxKeyLen {
+	if key != individualKey && !p.node.Owns(key.Prefix().GatewayID()) {
 		return
 	}
-	if key == individualKey {
-		p.promoteHeldIndividual(h)
-		return
-	}
-	if !p.node.Owns(key.Prefix().GatewayID()) {
-		return
-	}
-	entries, delegated := p.replica.drainBucket(key)
-	p.repl.DropHeld(h.Unit)
-	pfx := key.Prefix()
+	entries, delegated := p.replica.drain(key)
+	var mine []IndexEntry
 	for _, e := range entries {
-		p.mergeEntry(key, pfx, e)
+		if key != individualKey || p.node.Owns(e.ID) {
+			mine = append(mine, e)
+		} else {
+			p.replica.upsert(key, e)
+		}
+	}
+	if len(mine) == len(entries) {
+		p.dropHeld(u)
+	}
+	if key == individualKey && len(mine) == 0 {
+		return
+	}
+	for _, e := range mine {
+		p.mergeEntry(key, e)
 	}
 	if delegated {
 		p.gw.markDelegated(key)
 	}
 	p.tel.replPromotions.Inc()
-	if _, owned := p.repl.Version(h.Unit); owned {
-		// Merged into an existing owned line: contents changed, force a
-		// full re-sync of every mirror.
-		p.repl.Bump(h.Unit)
-		for _, a := range p.mirrorSet() {
-			p.repl.ClearSynced(h.Unit, a)
-		}
-	} else {
+	_, owned := p.repl.Version(u)
+	if !owned {
 		// Continue the dead owner's version line: the surviving mirrors
-		// hold exactly this version, so the coming probe pass claims
-		// them without re-shipping data.
-		p.repl.AdoptOwned(h.Unit, replication.OwnedMeta{Version: h.Version})
+		// of a prefix bucket hold exactly this version, so the coming
+		// probe pass claims them without re-shipping data.
+		p.repl.AdoptOwned(u, replication.OwnedMeta{Version: h.Version})
 	}
-}
-
-// promoteHeldIndividual promotes the per-object records of a dead
-// owner's individual bucket that fall in this node's range.
-func (p *Peer) promoteHeldIndividual(h replication.HeldInfo) {
-	entries, _ := p.replica.drainBucket(individualKey)
-	p.repl.DropHeld(h.Unit)
-	var kept []IndexEntry
-	for _, e := range entries {
-		if p.node.Owns(e.ID) {
-			p.mergeEntry(individualKey, ids.Prefix{}, e)
-			kept = append(kept, e)
-		} else {
-			// Not ours: keep holding it as a replica.
-			p.replica.upsertKeyed(individualKey, e)
+	if owned || key == individualKey {
+		// Merged into an existing owned line, or holding only this
+		// node's share of the per-object records: the contents differ
+		// from every mirror copy, so force a full re-sync.
+		p.repl.Bump(u)
+		for _, a := range p.mirrorSet() {
+			p.repl.ClearSynced(u, a)
 		}
-	}
-	if len(kept) == 0 {
-		if len(entries) > 0 {
-			p.repl.RecordHeld(h.Unit, h.Owner, h.Version)
-		}
-		return
-	}
-	p.tel.replPromotions.Inc()
-	if _, owned := p.repl.Version(h.Unit); !owned {
-		p.repl.AdoptOwned(h.Unit, replication.OwnedMeta{Version: h.Version})
-	}
-	p.repl.Bump(h.Unit)
-	for _, a := range p.mirrorSet() {
-		p.repl.ClearSynced(h.Unit, a)
-	}
-	if len(entries) > len(kept) {
-		p.repl.RecordHeld(h.Unit, h.Owner, h.Version)
 	}
 }
 
@@ -917,35 +669,21 @@ func (p *Peer) SyncOwnedReplicas() {
 		return
 	}
 	mirrors := p.mirrorSet()
-	self := p.node.Addr()
 	for _, u := range p.repl.OwnedUnits() {
 		v, ok := p.repl.Version(u)
 		if !ok {
 			continue
 		}
 		for _, addr := range mirrors {
-			req := replicaCheckReq{Repo: u.Repo, Owner: self, Version: v}
-			if !u.Repo {
-				req.Key = u.Key
-			}
 			p.tel.replProbes.Inc()
-			resp, err := p.callAddr(addr, req)
-			if err != nil {
+			resp, err := p.call(addr, replicaCheckReq{Key: u.Key, Repo: u.Repo, Owner: p.node.Addr(), Version: v})
+			switch {
+			case err != nil:
 				p.repl.ClearSynced(u, addr)
-				continue
-			}
-			if resp.(replicaCheckResp).Current {
+			case resp.(replicaCheckResp).Current:
 				p.repl.MarkSynced(u, addr, v)
-				continue
-			}
-			pushed := false
-			if u.Repo {
-				pushed = p.pushFullRepo(addr, v)
-			} else {
-				pushed = p.pushFullBucket(u, u.Key, addr, v)
-			}
-			if !pushed {
-				p.repl.ClearSynced(u, addr)
+			default:
+				p.pushFull(u, addr, v)
 			}
 		}
 	}
@@ -953,106 +691,89 @@ func (p *Peer) SyncOwnedReplicas() {
 
 // DropStaleReplicas garbage-collects held units no owner probed or
 // pushed this sync round — replicas whose owner stopped replicating to
-// this node (mirror set moved on, unit handed off elsewhere). Units
-// whose recorded owner is marked dead are kept: they may be the last
-// surviving copy of a crashed node's data, and failover reads need
-// them until promotion or the owner's recovery reclaims them. Units
-// with a live owner are shipped back before dropping (restoreHeld):
-// an owner that restarted with the same identity lost its stores but
-// kept its ring position, and its mirrors' copies are all that's left.
+// this node (mirror set moved on, unit handed off elsewhere); the
+// engine exempts the units of owners marked dead. The owner being
+// alive, it usually still has the records — but after a
+// restart-with-same-identity it came back EMPTY, was never verdicted
+// dead, and this copy may be the last one. So the unit is shipped back
+// through the normal write paths before dropping (restoreHeld): a
+// duplicate merge is idempotent, and a restore is the difference
+// between garbage collection and data loss. An undeliverable copy is
+// held for another generation instead.
 func (p *Peer) DropStaleReplicas() {
 	if p.mirrors() <= 0 {
 		return
 	}
-	for _, u := range p.repl.StaleHeld() {
-		owner, v, ok := p.repl.HeldMeta(u)
-		if !ok {
-			continue
+	for _, h := range p.repl.StaleHeld() {
+		if p.restoreHeld(h) {
+			p.dropHeld(h.Unit)
+			p.tel.replDrops.Inc()
 		}
-		if p.ownerDead(owner) {
-			continue
-		}
-		// The owner is alive yet stopped refreshing this unit. Usually
-		// the mirror set moved on and the owner still has the records —
-		// but after a restart-with-same-identity the owner came back
-		// EMPTY, was never verdicted dead, and this copy may be the
-		// last one. Ship it back through the normal write paths before
-		// dropping: a duplicate merge is idempotent, and a restore is
-		// the difference between garbage collection and data loss. An
-		// undeliverable copy is held for another generation instead.
-		if !p.restoreHeld(u, owner, v) {
-			continue
-		}
-		p.repl.DropHeld(u)
-		if u.Repo {
-			p.repoReplica.dropOwner(owner)
-		} else {
-			p.replica.dropBucket(u.Key)
-		}
-		p.tel.replDrops.Inc()
 	}
 }
 
 // restoreHeld ships a stale held unit's contents back to where reads
-// will look for them — the owner for repository copies and per-object
-// records, the range's current gateway for prefix buckets — and reports
-// whether delivery succeeded (only then is the local copy safe to GC).
-// Empty units restore trivially.
-func (p *Peer) restoreHeld(u replication.Unit, owner transport.Addr, v uint64) bool {
-	if u.Repo {
-		objs := p.repoReplica.dumpOwner(owner)
+// will look for them — the owner for repository copies, each record's
+// current gateway for index buckets — and reports whether delivery
+// succeeded (only then is the local copy safe to GC). Empty units
+// restore trivially.
+func (p *Peer) restoreHeld(h replication.HeldInfo) bool {
+	if h.Unit.Repo {
+		objs := p.repoReplica.dumpOwner(h.Owner)
 		if len(objs) == 0 {
 			return true
 		}
-		if _, err := p.callAddr(owner, repoMirrorReq{Owner: owner, Version: v, Full: true, Objects: objs}); err != nil {
+		if _, err := p.call(h.Owner, repoMirrorReq{Owner: h.Owner, Version: h.Version, Full: true, Objects: objs}); err != nil {
 			return false
 		}
 		p.tel.replRestores.Inc()
 		return true
 	}
-	entries, _ := p.replica.dumpBucket(u.Key)
+	key := h.Unit.Key
+	entries, _ := p.replica.dumpBucket(key)
 	if len(entries) == 0 {
 		return true
 	}
-	if u.Key == individualKey {
+	// Resolve every destination before sending anything: a record that
+	// cannot be placed, or that is ours now (promotion handles it on the
+	// next pass), keeps the whole copy here.
+	byDest := make(map[transport.Addr][]IndexEntry)
+	if key != individualKey {
+		gwRef, err := p.resolveGateway(key.Prefix())
+		if err != nil || gwRef.Addr == p.node.Addr() {
+			return false
+		}
+		byDest[gwRef.Addr] = entries
+	} else {
 		// Per-object records re-home individually: each entry goes to
 		// its ring successor (the recorded owner may no longer own it).
-		byDest := make(map[transport.Addr][]IndexEntry)
 		for _, e := range entries {
 			res, err := p.node.Lookup(e.ID)
-			if err != nil {
-				return false
-			}
-			if res.Node.Addr == p.node.Addr() {
-				// Ours now: promotion handles it on the next pass.
+			if err != nil || res.Node.Addr == p.node.Addr() {
 				return false
 			}
 			byDest[res.Node.Addr] = append(byDest[res.Node.Addr], e)
 		}
-		dests := make([]transport.Addr, 0, len(byDest))
-		for dest := range byDest {
-			dests = append(dests, dest)
-		}
-		sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-		for _, dest := range dests {
-			if _, err := p.callAddr(dest, delegateReq{Key: individualKey, Entries: byDest[dest]}); err != nil {
-				return false
-			}
-		}
-		p.tel.replRestores.Inc()
-		return true
 	}
-	gwRef, err := p.resolveGateway(u.Key.Prefix())
-	if err != nil || gwRef.Addr == p.node.Addr() {
-		// Unresolvable, or the range is ours now (promotion handles
-		// it): keep the copy.
-		return false
-	}
-	if _, err := p.call(gwRef, delegateReq{Key: u.Key, Entries: entries}); err != nil {
-		return false
+	for _, dest := range sortedDests(byDest) {
+		if _, err := p.call(dest, delegateReq{Key: key, Entries: byDest[dest]}); err != nil {
+			return false
+		}
 	}
 	p.tel.replRestores.Inc()
 	return true
+}
+
+// sortedDests lists the destinations of a per-gateway grouping in
+// address order: sends must not follow map order, fault injection
+// draws randomness per call.
+func sortedDests(byDest map[transport.Addr][]IndexEntry) []transport.Addr {
+	dests := make([]transport.Addr, 0, len(byDest))
+	for dest := range byDest {
+		dests = append(dests, dest)
+	}
+	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
+	return dests
 }
 
 // dropOwnedMeta abandons an owned unit's version line and tells its
@@ -1066,12 +787,8 @@ func (p *Peer) dropOwnedMeta(u replication.Unit) {
 	if !ok {
 		return
 	}
-	req := replicaDropReq{Repo: u.Repo, Owner: p.node.Addr()}
-	if !u.Repo {
-		req.Key = u.Key
-	}
 	for _, mv := range meta.Synced {
-		p.callAddr(mv.Addr, req)
+		p.call(mv.Addr, replicaDropReq{Key: u.Key, Repo: u.Repo, Owner: p.node.Addr()})
 	}
 }
 

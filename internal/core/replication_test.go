@@ -382,59 +382,48 @@ func TestRestartWithSameIdentityRestoresData(t *testing.T) {
 }
 
 func TestShrinkHandsOffReplicaSets(t *testing.T) {
-	// Satellite: departure hands the whole replica set to the delegate
-	// in one step. A/B against the same network with handoff disabled —
-	// the handoff path must claim mirrors by probe instead of
-	// re-shipping buckets, and must never repair more than the
-	// baseline.
-	run := func(handoff bool) (uint64, uint64) {
-		nw, err := BuildNetwork(NetworkConfig{
-			Nodes: 20,
-			Seed:  11,
-			Peer:  Config{Mode: GroupIndexing, ReplicationFactor: 3},
+	// Departure hands a bucket's whole replica set to the delegate in
+	// one step: the receiver adopts the version line and claims the
+	// mirrors by probe instead of being re-shipped the bucket. The run
+	// is deterministic, so the cost of Shrink(4) is pinned exactly (as
+	// read before handOff was one function): a handoff that stops
+	// happening, or one that repairs more than it used to, moves a pin.
+	nw, err := BuildNetwork(NetworkConfig{
+		Nodes: 20,
+		Seed:  11,
+		Peer:  Config{Mode: GroupIndexing, ReplicationFactor: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 80; i++ {
+		nw.ScheduleObservation(moods.Observation{
+			Object: moods.ObjectID(fmt.Sprintf("handoff-%d", i)),
+			Node:   nw.Peers()[i%20].Name(),
+			At:     time.Second,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 80; i++ {
-			nw.ScheduleObservation(moods.Observation{
-				Object: moods.ObjectID(fmt.Sprintf("handoff-%d", i)),
-				Node:   nw.Peers()[i%20].Name(),
-				At:     time.Second,
-			})
-		}
-		nw.StartWindows(2 * time.Second)
-		nw.Run()
-		if !handoff {
-			for _, p := range nw.Peers() {
-				p.noReplicaHandoff = true
-			}
-		}
-		before := nw.Stats().Snapshot().Bytes
-		if _, _, err := nw.Shrink(4); err != nil {
-			t.Fatal(err)
-		}
-		moved := nw.Stats().Snapshot().Bytes - before
-		// Every object must remain locatable after the departure.
-		asker := nw.Peers()[0]
-		for i := 0; i < 80; i++ {
-			obj := moods.ObjectID(fmt.Sprintf("handoff-%d", i))
-			if _, err := asker.Locate(obj, time.Hour); err != nil {
-				t.Fatalf("handoff=%v: locate %s after shrink: %v", handoff, obj, err)
-			}
-		}
-		return moved, nw.Telemetry.Counter("core.replication.handoffs").Value()
 	}
-	baseBytes, baseHandoffs := run(false)
-	handBytes, handHandoffs := run(true)
-	if baseHandoffs != 0 {
-		t.Fatalf("baseline adopted %d handoffs with handoff disabled", baseHandoffs)
+	nw.StartWindows(2 * time.Second)
+	nw.Run()
+	handoffs := nw.Telemetry.Counter("core.replication.handoffs")
+	repairs := nw.Telemetry.Counter("core.replication.repair_pushes")
+	h0, r0 := handoffs.Value(), repairs.Value()
+	if _, _, err := nw.Shrink(4); err != nil {
+		t.Fatal(err)
 	}
-	if handHandoffs == 0 {
-		t.Fatal("no replica-set handoffs adopted during shrink")
+	if got := handoffs.Value() - h0; got != 2 {
+		t.Errorf("replica-set handoffs adopted during shrink = %d, want 2", got)
 	}
-	if handBytes >= baseBytes {
-		t.Fatalf("handoff cost no fewer wire bytes than re-replication: %d >= %d", handBytes, baseBytes)
+	if got := repairs.Value() - r0; got != 7 {
+		t.Errorf("full pushes during shrink = %d, want 7", got)
+	}
+	// Every object must remain locatable after the departure.
+	asker := nw.Peers()[0]
+	for i := 0; i < 80; i++ {
+		obj := moods.ObjectID(fmt.Sprintf("handoff-%d", i))
+		if _, err := asker.Locate(obj, time.Hour); err != nil {
+			t.Fatalf("locate %s after shrink: %v", obj, err)
+		}
 	}
 }
 
@@ -491,5 +480,117 @@ func TestSyncReplicasRepairsLostMirror(t *testing.T) {
 	nw.SyncReplicas()
 	if c := count(); c != intact {
 		t.Fatalf("replica entries after repair = %d, want %d", c, intact)
+	}
+}
+
+// TestMirrorHandshake runs the one owner-side handshake (mirror /
+// pushFull) against the one mirror-side accept rule (acceptPush) for
+// every unit kind, at factor 2 so each owner has exactly one mirror.
+// Mutation i of a unit writes record i and mirrors it the way the
+// protocol paths do.
+func TestMirrorHandshake(t *testing.T) {
+	entry := func(i int) IndexEntry {
+		obj := moods.ObjectID(fmt.Sprintf("hs-%d", i))
+		return IndexEntry{Object: obj, ID: obj.Hash(), Latest: "somewhere", Arrived: time.Duration(i)}
+	}
+	type kind struct {
+		name   string
+		owned  replication.Unit                      // the unit as its owner tracks it
+		held   func(owner *Peer) replication.Unit    // ... and as the mirror does
+		mutate func(owner *Peer, i int)              // mutation i, mirrored
+		has    func(owner, mirror *Peer, i int) bool // the mirror holds record i
+	}
+	bucket := func(name string, key ids.PrefixKey) kind {
+		return kind{
+			name:   name,
+			owned:  replication.IndexUnit(key),
+			held:   func(*Peer) replication.Unit { return replication.IndexUnit(key) },
+			mutate: func(owner *Peer, i int) { owner.putEntries(key, []IndexEntry{entry(i)}) },
+			has: func(_, mirror *Peer, i int) bool {
+				_, ok := mirror.replica.lookup(key, entry(i).ID)
+				return ok
+			},
+		}
+	}
+	kinds := []kind{
+		bucket("prefix bucket", ids.MustParsePrefix("0101").Key()),
+		bucket("individual bucket", individualKey),
+		{
+			name:  "repository",
+			owned: replication.RepoUnit,
+			held:  func(owner *Peer) replication.Unit { return repoUnitOf(owner.Addr()) },
+			mutate: func(owner *Peer, i int) {
+				owner.repo.record(entry(i).Object, time.Duration(i))
+				owner.flushRepoMirror()
+			},
+			has: func(owner, mirror *Peer, i int) bool {
+				_, ok := mirror.repoReplica.get(owner.Addr(), entry(i).Object)
+				return ok
+			},
+		},
+	}
+
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			nw := buildNet(t, 8, Config{ReplicationFactor: 2})
+			owner := nw.Peers()[2]
+			mirror, _ := nw.PeerByName(moods.NodeName(owner.mirrorSet()[0]))
+			held := k.held(owner)
+			deltas := nw.Telemetry.Counter("core.replication.mirror_writes")
+			fulls := nw.Telemetry.Counter("core.replication.repair_pushes")
+			// step runs do and checks what it cost, and that the mirror
+			// ends up holding the owner's version of records 0..upTo.
+			step := func(what string, do func(), wantDeltas, wantFulls uint64, upTo int) {
+				t.Helper()
+				d0, f0 := deltas.Value(), fulls.Value()
+				do()
+				if d, f := deltas.Value()-d0, fulls.Value()-f0; d != wantDeltas || f != wantFulls {
+					t.Fatalf("%s: %d delta and %d full pushes, want %d and %d", what, d, f, wantDeltas, wantFulls)
+				}
+				v, _ := owner.repl.Version(k.owned)
+				if o, hv, ok := mirror.repl.HeldMeta(held); !ok || o != owner.Addr() || hv != v {
+					t.Fatalf("%s: mirror holds %s/%d (held=%v), want %s/%d", what, o, hv, ok, owner.Addr(), v)
+				}
+				if synced := owner.repl.SyncedAt(k.owned, mirror.Addr()); synced != v {
+					t.Fatalf("%s: owner believes the mirror at %d, want %d", what, synced, v)
+				}
+				for i := 0; i <= upTo; i++ {
+					if !k.has(owner, mirror, i) {
+						t.Fatalf("%s: mirror lacks record %d", what, i)
+					}
+				}
+			}
+
+			step("first push", func() { k.mutate(owner, 0) }, 1, 0, 0)
+			if v, _ := owner.repl.Version(k.owned); v != 1 {
+				t.Fatalf("first mutation yields version %d, want 1", v)
+			}
+			step("consecutive delta", func() { k.mutate(owner, 1) }, 1, 0, 1)
+
+			// A gap: the mirror is behind what the owner believes (it
+			// restarted from an older snapshot). The delta is refused and
+			// one full push repairs it within the same mutation.
+			mirror.repl.RecordHeld(held, owner.Addr(), 1)
+			step("gap", func() { k.mutate(owner, 2) }, 0, 1, 2)
+
+			// The mirror loses its copy: the next probe round finds out.
+			mirror.dropHeld(held)
+			if k.has(owner, mirror, 0) {
+				t.Fatal("dropHeld left the data behind")
+			}
+			step("lost copy", owner.SyncOwnedReplicas, 0, 1, 2)
+			step("probe of a current mirror", owner.SyncOwnedReplicas, 0, 0, 2)
+
+			// The mirror is unreachable for one mutation: the owner forgets
+			// what it held, and the next mutation ships full state without
+			// trying a delta first.
+			nw.Transport.Kill(mirror.Addr())
+			k.mutate(owner, 3)
+			if synced := owner.repl.SyncedAt(k.owned, mirror.Addr()); synced != 0 {
+				t.Fatalf("unreachable mirror still recorded at version %d", synced)
+			}
+			nw.Transport.Revive(mirror.Addr())
+			step("after an outage", func() { k.mutate(owner, 4) }, 0, 1, 4)
+		})
 	}
 }

@@ -108,7 +108,7 @@ func (p *Peer) handleRoutedTrace(from transport.Addr, r routedTraceReq) (any, er
 	}
 	fwd := r
 	fwd.TTL--
-	resp, err := p.callAddr(next.Addr, fwd)
+	resp, err := p.call(next.Addr, fwd)
 	if err != nil {
 		return nil, fmt.Errorf("core: routed trace forward to %s: %w", next.Addr, err)
 	}
@@ -126,17 +126,16 @@ func (p *Peer) gatewayLocalFind(bucket ids.PrefixKey, obj moods.ObjectID) (Index
 	if e, ok := p.gw.lookup(bucket, id); ok {
 		return e, hops, true
 	}
-	if bucket == individualKey || bucket.Len() > ids.MaxKeyLen {
+	if bucket.Len() > ids.MaxKeyLen {
+		// The individual bucket (or a malformed key): no triangle below.
 		return IndexEntry{}, hops, false
 	}
-	pfx := bucket.Prefix()
-	b := p.gw.peek(bucket)
-	delegated := b != nil && b.delegated
+	delegated := p.gw.delegatedFlag(bucket)
 	_, hi := p.pm.LpRange()
-	child := pfx
+	child := bucket.Prefix()
 	for depth := 0; (delegated || hi > child.Len) && depth < p.cfg.MaxDescent && child.Len < ids.MaxKeyLen; depth++ {
 		child = child.Child(child.NextBit(id))
-		e, h, found, del := p.queryGateway(child, id)
+		e, h, found, del := p.queryGateway(child, id, nil)
 		hops += h
 		if found {
 			return e, hops, true

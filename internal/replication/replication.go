@@ -26,36 +26,14 @@ import (
 	"peertrack/internal/transport"
 )
 
-// Config sizes the replication scheme.
-type Config struct {
-	// Factor is the total number of copies of every unit, primary
-	// included. 1 (the default) disables replication entirely: no
-	// mirror messages, no bookkeeping — today's single-copy behavior.
-	Factor int
-}
-
-// Fill applies defaults.
-func (c *Config) Fill() {
-	if c.Factor <= 0 {
-		c.Factor = 1
-	}
-}
-
-// Mirrors is the number of non-primary copies the factor asks for.
-func (c Config) Mirrors() int {
-	if c.Factor <= 1 {
-		return 0
-	}
-	return c.Factor - 1
-}
-
 // Unit identifies one replicated state unit of a node.
 type Unit struct {
 	// Key is the packed prefix key of a gateway bucket. The individual
 	// (non-grouped) store replicates as the single ids.NoPrefixKey
 	// unit, matching how the store itself is keyed.
 	Key ids.PrefixKey
-	// Repo marks the node's IOP repository unit; Key is ignored.
+	// Repo marks an IOP repository unit: the node's own (RepoUnit), or,
+	// at a mirror, one per remote owner, told apart by Key.
 	Repo bool
 }
 
@@ -117,6 +95,10 @@ type Engine struct {
 	owned map[Unit]*ownedUnit
 	held  map[Unit]heldUnit
 	gen   uint64
+	// dead marks owners the failure detector declared dead. Their held
+	// units are exempt from StaleHeld — they may be the last surviving
+	// copy of a crashed node's data — until the owner is heard from again.
+	dead map[transport.Addr]bool
 }
 
 // NewEngine returns an empty engine. Maps allocate lazily on first
@@ -246,7 +228,8 @@ func (e *Engine) OwnedUnits() []Unit {
 // RecordHeld notes that this node now holds version v of a unit on
 // behalf of owner (a replica push arrived). It also counts as a touch
 // for the current sync generation, so a freshly pushed unit is never
-// garbage-collected by the pass that created it.
+// garbage-collected by the pass that created it, and — replication
+// traffic being proof of life — lifts the owner's dead mark.
 func (e *Engine) RecordHeld(u Unit, owner transport.Addr, v uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -254,6 +237,7 @@ func (e *Engine) RecordHeld(u Unit, owner transport.Addr, v uint64) {
 		e.held = make(map[Unit]heldUnit)
 	}
 	e.held[u] = heldUnit{owner: owner, version: v, gen: e.gen}
+	delete(e.dead, owner)
 }
 
 // HeldMeta returns the provenance of a held unit.
@@ -268,10 +252,12 @@ func (e *Engine) HeldMeta(u Unit) (owner transport.Addr, version uint64, ok bool
 // node holds the unit current at version v. On a match the recorded
 // owner is updated to the probing owner — that is how ownership of an
 // existing replica transfers with one probe — and the unit is marked
-// live for the current sync generation.
+// live for the current sync generation. Any probe lifts the prober's
+// dead mark: a crashed owner that healed resumes probing.
 func (e *Engine) CheckHeld(u Unit, owner transport.Addr, v uint64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	delete(e.dead, owner)
 	h, ok := e.held[u]
 	if !ok || h.version != v {
 		return false
@@ -289,31 +275,35 @@ func (e *Engine) DropHeld(u Unit) {
 	delete(e.held, u)
 }
 
-// Held lists every held unit with its provenance, in unit order.
-func (e *Engine) Held() []HeldInfo {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// heldLocked lists the held units keep accepts, in unit order.
+func (e *Engine) heldLocked(keep func(heldUnit) bool) []HeldInfo {
 	out := make([]HeldInfo, 0, len(e.held))
 	for u, h := range e.held {
-		out = append(out, HeldInfo{Unit: u, Owner: h.owner, Version: h.version})
+		if keep(h) {
+			out = append(out, HeldInfo{Unit: u, Owner: h.owner, Version: h.version})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return unitLess(out[i].Unit, out[j].Unit) })
 	return out
 }
 
-// HeldOwnedBy lists the held units recorded against one owner, in unit
-// order — the promotion candidates when that owner is declared dead.
-func (e *Engine) HeldOwnedBy(owner transport.Addr) []Unit {
+// Held lists every held unit with its provenance, in unit order.
+func (e *Engine) Held() []HeldInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Unit, 0, 4)
-	for u, h := range e.held {
-		if h.owner == owner {
-			out = append(out, u)
-		}
+	return e.heldLocked(func(heldUnit) bool { return true })
+}
+
+// MarkDead records the failure detector's verdict on owner and returns
+// the units held for it, in unit order — the promotion candidates.
+func (e *Engine) MarkDead(owner transport.Addr) []HeldInfo {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.dead == nil {
+		e.dead = make(map[transport.Addr]bool)
 	}
-	sort.Slice(out, func(i, j int) bool { return unitLess(out[i], out[j]) })
-	return out
+	e.dead[owner] = true
+	return e.heldLocked(func(h heldUnit) bool { return h.owner == owner })
 }
 
 // BeginSync opens a repair generation: owner probes and pushes arriving
@@ -326,16 +316,10 @@ func (e *Engine) BeginSync() {
 }
 
 // StaleHeld lists the held units not touched since BeginSync — orphans
-// whose owner no longer replicates to this node — in unit order.
-func (e *Engine) StaleHeld() []Unit {
+// whose owner no longer replicates to this node — in unit order. Units
+// of an owner marked dead are not orphans: it cannot refresh them.
+func (e *Engine) StaleHeld() []HeldInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Unit, 0, 4)
-	for u, h := range e.held {
-		if h.gen < e.gen {
-			out = append(out, u)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return unitLess(out[i], out[j]) })
-	return out
+	return e.heldLocked(func(h heldUnit) bool { return h.gen < e.gen && !e.dead[h.owner] })
 }

@@ -15,18 +15,6 @@ func key(s string) ids.PrefixKey {
 	return p.Key()
 }
 
-func TestConfigDefaults(t *testing.T) {
-	var c Config
-	c.Fill()
-	if c.Factor != 1 || c.Mirrors() != 0 {
-		t.Fatalf("default config = %+v, mirrors %d; want factor 1, 0 mirrors", c, c.Mirrors())
-	}
-	c = Config{Factor: 3}
-	if c.Mirrors() != 2 {
-		t.Fatalf("factor 3 mirrors = %d, want 2", c.Mirrors())
-	}
-}
-
 func TestBumpAndSyncBookkeeping(t *testing.T) {
 	e := NewEngine()
 	u := IndexUnit(key("0101"))
@@ -108,9 +96,12 @@ func TestHeldEnumerationOrderAndOwnerFilter(t *testing.T) {
 	if len(held) != 3 || held[0].Unit != IndexUnit(key("01")) || held[1].Unit != IndexUnit(key("1")) || !held[2].Unit.Repo {
 		t.Fatalf("held order wrong: %+v", held)
 	}
-	byX := e.HeldOwnedBy("x")
-	if len(byX) != 2 || byX[0] != IndexUnit(key("1")) || !byX[1].Repo {
-		t.Fatalf("HeldOwnedBy(x) = %+v", byX)
+	// A dead verdict returns exactly the dead owner's units, with the
+	// provenance promotion needs.
+	byX := e.MarkDead("x")
+	want := []HeldInfo{{Unit: IndexUnit(key("1")), Owner: "x", Version: 1}, {Unit: RepoUnit, Owner: "x", Version: 3}}
+	if !reflect.DeepEqual(byX, want) {
+		t.Fatalf("MarkDead(x) = %+v, want %+v", byX, want)
 	}
 }
 
@@ -124,15 +115,48 @@ func TestStaleHeldGarbageCollection(t *testing.T) {
 		t.Fatal("probe failed")
 	}
 	stale := e.StaleHeld()
-	if len(stale) != 1 || stale[0] != ub {
+	if len(stale) != 1 || stale[0] != (HeldInfo{Unit: ub, Owner: "o", Version: 1}) {
 		t.Fatalf("stale = %+v, want [%v]", stale, ub)
 	}
 	// A push arriving during the sync round also counts as a touch.
 	e.BeginSync()
 	e.RecordHeld(ub, "o", 2)
 	stale = e.StaleHeld()
-	if len(stale) != 1 || stale[0] != ua {
+	if len(stale) != 1 || stale[0].Unit != ua {
 		t.Fatalf("stale after re-push = %+v, want [%v]", stale, ua)
+	}
+}
+
+// A dead owner cannot refresh its units, so they are not orphans; the
+// mark lasts until the owner is heard from again — by a push
+// (RecordHeld) or by a probe, matching or not (CheckHeld).
+func TestDeadOwnerUnitsAreNotStale(t *testing.T) {
+	for name, revive := range map[string]func(e *Engine, u Unit){
+		"push":        func(e *Engine, u Unit) { e.RecordHeld(u, "dead", 5) },
+		"probe":       func(e *Engine, u Unit) { e.CheckHeld(u, "dead", 1) },
+		"stale probe": func(e *Engine, u Unit) { e.CheckHeld(u, "dead", 9) },
+	} {
+		e := NewEngine()
+		ua, ub, uc := IndexUnit(key("0")), IndexUnit(key("1")), IndexUnit(key("10"))
+		e.RecordHeld(ua, "dead", 1)
+		e.RecordHeld(ub, "dead", 1)
+		e.RecordHeld(uc, "live", 1)
+		e.MarkDead("dead")
+		e.BeginSync()
+		if stale := e.StaleHeld(); len(stale) != 1 || stale[0].Unit != uc {
+			t.Fatalf("%s: stale with owner dead = %+v, want only %v", name, stale, uc)
+		}
+		// One sign of life concerning ua lifts the mark for every unit of
+		// the owner: ub, which nothing touched, is an orphan again.
+		revive(e, ua)
+		e.BeginSync()
+		orphan := false
+		for _, h := range e.StaleHeld() {
+			orphan = orphan || h.Unit == ub
+		}
+		if !orphan {
+			t.Fatalf("%s: %v still exempt after its owner revived: %+v", name, ub, e.StaleHeld())
+		}
 	}
 }
 

@@ -69,21 +69,3 @@ func BenchmarkHeapFanIn(b *testing.B) {
 		k.Run()
 	}
 }
-
-// BenchmarkTimerStop measures the schedule/cancel cycle that
-// retry timers and capture windows generate; with eager heap removal a
-// stop-heavy workload must not let the queue grow.
-func BenchmarkTimerStop(b *testing.B) {
-	k := New(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tm := k.Schedule(time.Second, fn)
-		tm.Stop()
-	}
-	b.StopTimer()
-	if k.Pending() > 1 {
-		b.Fatalf("cancelled events leaked: %d pending", k.Pending())
-	}
-}

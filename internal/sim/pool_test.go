@@ -5,77 +5,8 @@ import (
 	"time"
 )
 
-// TestStopRemovesEventFromHeap verifies cancelled timers leave the
-// queue immediately: a stop-heavy workload must keep Pending bounded
-// instead of accumulating tombstones until their timestamps pass.
-func TestStopRemovesEventFromHeap(t *testing.T) {
-	k := New(1)
-	fn := func() {}
-	for i := 0; i < 10000; i++ {
-		tm := k.Schedule(time.Hour, fn)
-		if !tm.Stop() {
-			t.Fatal("Stop on pending timer reported false")
-		}
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d after stopping every timer, want 0", k.Pending())
-	}
-	// Interleaved: cancel every other timer, run the rest.
-	var ran int
-	count := func() { ran++ }
-	timers := make([]Timer, 100)
-	for i := range timers {
-		timers[i] = k.Schedule(time.Duration(i+1)*time.Millisecond, count)
-	}
-	for i := 0; i < len(timers); i += 2 {
-		timers[i].Stop()
-	}
-	if k.Pending() != 50 {
-		t.Fatalf("Pending = %d, want 50", k.Pending())
-	}
-	k.Run()
-	if ran != 50 {
-		t.Fatalf("ran = %d, want 50", ran)
-	}
-}
-
-// TestStaleTimerHandleIsInert verifies generation tracking: a Timer
-// whose event already ran (and whose pooled struct may since have been
-// recycled for a different event) must not cancel the new event.
-func TestStaleTimerHandleIsInert(t *testing.T) {
-	k := New(1)
-	ranA, ranB := false, false
-	ta := k.Schedule(time.Millisecond, func() { ranA = true })
-	k.Run()
-	if !ranA {
-		t.Fatal("event A did not run")
-	}
-	if ta.Stop() {
-		t.Error("Stop after the event ran reported true")
-	}
-	// B likely reuses A's pooled struct; A's stale handle must not
-	// touch it.
-	k.Schedule(time.Millisecond, func() { ranB = true })
-	if ta.Stop() {
-		t.Error("stale handle cancelled a recycled event")
-	}
-	k.Run()
-	if !ranB {
-		t.Error("recycled event did not run")
-	}
-}
-
-// TestZeroTimerStop verifies the zero Timer is valid and inert.
-func TestZeroTimerStop(t *testing.T) {
-	var tm Timer
-	if tm.Stop() {
-		t.Error("zero Timer.Stop reported true")
-	}
-}
-
 // TestKernelZeroAllocs pins the schedule/step cycle to zero heap
-// allocations in steady state: events must come from the freelist and
-// Timer handles must stay on the stack.
+// allocations in steady state: events must come from the freelist.
 func TestKernelZeroAllocs(t *testing.T) {
 	k := New(1)
 	fn := func() {}
@@ -90,13 +21,6 @@ func TestKernelZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Schedule+Step allocates %.1f objects/op, want 0", allocs)
-	}
-	// The schedule/cancel cycle must be allocation-free too.
-	allocs = testing.AllocsPerRun(1000, func() {
-		k.Schedule(time.Second, fn).Stop()
-	})
-	if allocs != 0 {
-		t.Errorf("Schedule+Stop allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

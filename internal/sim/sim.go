@@ -13,10 +13,8 @@
 // counting exact.
 //
 // The hot path is allocation-free in steady state: event structs are
-// recycled through a freelist, Timer handles are values carrying a
-// generation number (so a handle to a recycled event is detected and
-// ignored), and Stop removes cancelled events from the heap eagerly, so
-// stop-heavy workloads keep the queue bounded.
+// recycled through a freelist. A scheduled event cannot be cancelled;
+// every queued event runs.
 package sim
 
 import (
@@ -31,15 +29,12 @@ import (
 // simulation.
 type Time = time.Duration
 
-// event is a scheduled callback. Events are pooled: after running or
-// being cancelled they return to the kernel's freelist, and gen is
-// bumped so stale Timer handles no longer match.
+// event is a scheduled callback. Events are pooled: after running they
+// return to the kernel's freelist.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps
 	fn  func()
-	idx int    // heap index, -1 when not queued
-	gen uint64 // incremented on each recycle
 }
 
 // eventQueue is a min-heap on (at, seq).
@@ -52,47 +47,15 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.idx = -1
 	*q = old[:n-1]
 	return e
-}
-
-// Timer is a value handle to a scheduled event that can be cancelled.
-// The zero Timer is valid and inert: Stop on it reports false. A Timer
-// outliving its event (because the event ran, was stopped, or its
-// pooled struct was recycled) is detected via the generation number and
-// is likewise inert.
-type Timer struct {
-	k   *Kernel
-	e   *event
-	gen uint64
-}
-
-// Stop cancels the timer, removing the event from the queue
-// immediately. It reports whether the event was still pending (and is
-// now guaranteed not to run).
-func (t Timer) Stop() bool {
-	if t.e == nil || t.e.gen != t.gen || t.e.idx < 0 {
-		return false
-	}
-	heap.Remove(&t.k.queue, t.e.idx)
-	t.k.release(t.e)
-	return true
 }
 
 // batchLane is a pre-sorted timeline of events sharing one callback,
@@ -119,7 +82,7 @@ type Kernel struct {
 	stopped bool
 	free    []*event // recycled event structs
 
-	// Executed counts events that have run (cancelled events excluded).
+	// Executed counts events that have run.
 	Executed uint64
 }
 
@@ -145,15 +108,12 @@ func (k *Kernel) alloc() *event {
 		return e
 	}
 	//lint:allow hotalloc freelist miss only; the pinned steady state recycles events
-	return &event{idx: -1}
+	return &event{}
 }
 
-// release recycles an event already removed from the queue. Bumping gen
-// invalidates every Timer handle issued for this incarnation.
+// release recycles an event already removed from the queue.
 func (k *Kernel) release(e *event) {
 	e.fn = nil
-	e.idx = -1
-	e.gen++
 	//lint:allow hotalloc freelist growth is amortized; a warm kernel reuses capacity
 	k.free = append(k.free, e)
 }
@@ -162,17 +122,17 @@ func (k *Kernel) release(e *event) {
 // error in the caller; it panics to surface the bug immediately.
 //
 //lint:hotpath
-func (k *Kernel) Schedule(delay Time, fn func()) Timer {
+func (k *Kernel) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return k.At(k.now+delay, fn)
+	k.At(k.now+delay, fn)
 }
 
 // At runs fn at absolute virtual time t (>= Now).
 //
 //lint:hotpath
-func (k *Kernel) At(t Time, fn func()) Timer {
+func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
 	}
@@ -180,17 +140,16 @@ func (k *Kernel) At(t Time, fn func()) Timer {
 		panic("sim: nil event function")
 	}
 	k.seq++
-	return k.push(t, k.seq, fn)
+	k.push(t, k.seq, fn)
 }
 
 // push queues fn at (t, seq).
 //
 //lint:hotpath
-func (k *Kernel) push(t Time, seq uint64, fn func()) Timer {
+func (k *Kernel) push(t Time, seq uint64, fn func()) {
 	e := k.alloc()
 	e.at, e.seq, e.fn = t, seq, fn
 	heap.Push(&k.queue, e)
-	return Timer{k: k, e: e, gen: e.gen}
 }
 
 // Forever is the horizon of a recurring task that never ends: what a
@@ -227,8 +186,7 @@ func (k *Kernel) Every(interval, until Time, fn func()) {
 // amortized per entry — one lane merged against the heap at each step —
 // versus O(log n) heap pushes for per-entry Schedule calls, which is
 // what keeps mass fan-in (every node arming its capture-window timer at
-// t=0) linear at 100k-node scale. Batch entries are not individually
-// cancellable; use Schedule when a Timer handle is needed.
+// t=0) linear at 100k-node scale.
 //
 //lint:hotpath
 func (k *Kernel) Batch(times []Time, fn func(i int)) {
@@ -259,8 +217,7 @@ func (k *Kernel) Batch(times []Time, fn func(i int)) {
 }
 
 // Pending returns the number of events in the queue (heap plus batch
-// lanes). Cancelled events are removed eagerly, so every pending event
-// will run.
+// lanes).
 func (k *Kernel) Pending() int {
 	n := k.queue.Len()
 	for _, l := range k.lanes {
@@ -319,8 +276,7 @@ func (k *Kernel) Step() bool {
 		k.now = e.at
 		fn := e.fn
 		// Recycle before running: fn may schedule new events, and reusing
-		// this struct immediately keeps the freelist hot. The handle for
-		// this incarnation is already invalidated by release's gen bump.
+		// this struct immediately keeps the freelist hot.
 		k.release(e)
 		k.Executed++
 		fn()

@@ -51,25 +51,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	k := New(1)
-	ran := false
-	tm := k.Schedule(time.Millisecond, func() { ran = true })
-	if !tm.Stop() {
-		t.Error("Stop on pending timer should report true")
-	}
-	if tm.Stop() {
-		t.Error("second Stop should report false")
-	}
-	k.Run()
-	if ran {
-		t.Error("cancelled event ran")
-	}
-	if k.Executed != 0 {
-		t.Errorf("Executed = %d, want 0", k.Executed)
-	}
-}
-
 func TestStopHaltsRun(t *testing.T) {
 	k := New(1)
 	count := 0
