@@ -12,7 +12,10 @@
 //     transport counters (invariants.CheckResilience) — retried calls
 //     are never double-counted as drops;
 //   - healthy-phase protocol message counts and locate hop costs match
-//     a simulated twin of the same workload within stated tolerances.
+//     a simulated twin of the same workload within stated tolerances;
+//   - a second hop of every object, posted by concurrent clients, leaves
+//     every trace showing the full route and costs next to no
+//     whole-unit replica push.
 //
 // Run from the repository root (it builds ./cmd/trackd unless -trackd
 // points at a binary):
@@ -30,6 +33,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -122,7 +126,8 @@ type run struct {
 	dir      string
 	bin      string
 
-	t0       time.Time // workload epoch: object i observed at t0+observeAt(i)
+	t0       time.Time     // workload epoch: object i observed at t0+observeAt(i)
+	moved    time.Duration // 0, or secondHopAfter once every object has made its second hop
 	liveMsgs map[string]uint64
 	liveHops []int
 	liveSpan time.Duration // wall time between the two scrapes liveMsgs spans
@@ -198,6 +203,8 @@ func (r *run) resilientScenario(withPause bool) {
 	} else {
 		r.logf("control connections reused: %d opened for %d POSTs", opened, posts)
 	}
+
+	r.secondHop(fleet, sumBefore)
 
 	// ---- fault 1: SIGKILL the busiest non-query node ----
 	victim := r.pickVictim(fleet)
@@ -288,6 +295,82 @@ func (r *run) resilientScenario(withPause bool) {
 	for _, line := range r.timeline {
 		r.logf("timeline: %s", line)
 	}
+}
+
+// secondHopAfter is how long after its first capture an object is
+// captured at the next node.
+const secondHopAfter = 30 * time.Second
+
+// secondHop closes the healthy phase, outside the span the sim twin is
+// compared over: every object moves on to the next node, posted by
+// several clients at once so that handler goroutines of one node write
+// the same replication units concurrently. Once the windows have
+// drained, every trace must show both stops (ROADMAP item 1) and the
+// fleet must have shipped next to no whole replication unit for the
+// writes it took since before (ROADMAP item 3). Later sweeps locate the
+// objects at their second stop.
+func (r *run) secondHop(fleet []*daemon, before counters) {
+	const clients = 4
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(r.objects); i += clients {
+				d := fleet[(i+1)%len(fleet)]
+				if err := d.c.ObserveAt(r.objects[i], r.t0.Add(secondHopAfter+observeAt(i))); err != nil {
+					errs <- fmt.Errorf("observe %s at node %d: %w", r.objects[i], d.idx, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		r.failf("second hop: %v", err)
+		return
+	}
+	r.moved = secondHopAfter
+
+	// Windows close on the daemons' own timers: poll until every trace
+	// is whole.
+	short := ""
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(150 * time.Millisecond) {
+		short = ""
+		for i, obj := range r.objects {
+			tr, err := fleet[0].c.Trace(obj)
+			if err != nil || len(tr.Stops) != 2 || tr.Stops[0].Node != fleet[i%len(fleet)].listen || tr.Stops[1].Node != fleet[(i+1)%len(fleet)].listen {
+				short = fmt.Sprintf("%s: %v (%v)", obj, tr.Stops, err)
+				break
+			}
+		}
+		if short == "" || time.Now().After(deadline) {
+			break
+		}
+	}
+	if short != "" {
+		r.failf("second hop: trace does not show the full route: %s", short)
+		return
+	}
+
+	after, err := r.scrapeAll(fleet)
+	if err != nil {
+		r.failf("second-hop scrape: %v", err)
+		return
+	}
+	sum := sumCounters(after)
+	delta := func(name string) uint64 { return sum[name] - before[name] }
+	pushes, observed := delta("core.replication.repair_pushes"), uint64(2*len(r.objects))
+	report := r.logf
+	if 50*pushes > observed { // more than 0.02 per observation
+		report = r.failf
+	}
+	report("second hop by %d concurrent clients: full-route traces for all %d objects; %d whole-unit pushes for %d observations (new mirror %d, not current %d, probe mismatch %d; %d writes coalesced)",
+		clients, len(r.objects), pushes, observed,
+		delta("core.replication.repair_pushes.new_mirror"), delta("core.replication.repair_pushes.not_current"),
+		delta("core.replication.repair_pushes.probe_mismatch"), delta("core.replication.coalesced"))
 }
 
 // checkInvariants verifies CheckResilience per node. Maintenance
@@ -477,6 +560,7 @@ func cycleComplete(fleet []*daemon) bool {
 // timestamps shared with the sim twin.
 func (r *run) workload(fleet []*daemon) error {
 	r.t0 = time.Now().Add(-time.Minute) // all capture timestamps in the past
+	r.moved = 0
 	for i, obj := range r.objects {
 		d := fleet[i%len(fleet)]
 		if !d.running() {
@@ -503,7 +587,7 @@ func (r *run) sweep(q *daemon, window time.Duration) (hops []int, failed []strin
 	pending := append([]string(nil), r.objects...)
 	at := make(map[string]time.Time, len(r.objects))
 	for i, obj := range r.objects {
-		at[obj] = r.t0.Add(observeAt(i) + time.Millisecond)
+		at[obj] = r.t0.Add(r.moved + observeAt(i) + time.Millisecond)
 	}
 	for len(pending) > 0 {
 		var still []string

@@ -277,7 +277,7 @@ func RunReplication(cfg ReplicationConfig) (rep ReplicationReport) {
 			rep.Violations = vs
 			return rep
 		}
-		if vs := invariants.CheckReplicaAgreement(nw); len(vs) > 0 {
+		if vs := invariants.CheckReplicaAgreement(nw.Peers()); len(vs) > 0 {
 			rep.Violations = vs
 			return rep
 		}

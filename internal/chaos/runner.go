@@ -190,7 +190,7 @@ func RunSchedule(cfg Config, sched Schedule) (rep Report) {
 			rep.Violations = vs
 			return rep
 		}
-		if vs := invariants.CheckReplicaAgreement(nw); len(vs) > 0 {
+		if vs := invariants.CheckReplicaAgreement(nw.Peers()); len(vs) > 0 {
 			rep.Violations = vs
 			return rep
 		}

@@ -194,6 +194,7 @@ func parseBucketKey(s string) (ids.PrefixKey, error) {
 type gatewayStore struct {
 	mu      sync.RWMutex
 	buckets map[ids.PrefixKey]*bucket
+	dirty   map[ids.PrefixKey][]ids.ID // per bucket, the ids named (touch) since takeDirty
 }
 
 func newGatewayStore() *gatewayStore {
@@ -267,6 +268,25 @@ func (g *gatewayStore) query(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry, bo
 		}
 	}
 	return out, b.delegated
+}
+
+// touch queues ids of the bucket keyed key for its next mirror push.
+func (g *gatewayStore) touch(key ids.PrefixKey, objs []ids.ID) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.dirty == nil {
+		g.dirty = make(map[ids.PrefixKey][]ids.ID)
+	}
+	g.dirty[key] = append(g.dirty[key], objs...)
+}
+
+// takeDirty empties the bucket's queue and returns it.
+func (g *gatewayStore) takeDirty(key ids.PrefixKey) []ids.ID {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	touched := g.dirty[key]
+	delete(g.dirty, key)
+	return touched
 }
 
 // totalEntries counts all index records held by this node.

@@ -8,6 +8,7 @@ import "peertrack/internal/telemetry"
 // read as whole-network totals and the buffered gauge as the total
 // number of observations sitting in open windows anywhere.
 type peerTelemetry struct {
+	reg    *telemetry.Registry // for counters created by their first count: repair_pushes.<cause>, coalesced
 	tracer *telemetry.Tracer
 
 	flushes     *telemetry.Counter   // windows closed with at least one event
@@ -31,7 +32,7 @@ type peerTelemetry struct {
 	gwDeadEvictions *telemetry.Counter // cached resolutions evicted on gossip dead verdicts
 
 	replMirrorWrites *telemetry.Counter // replica writes piggybacked on index/stitch traffic
-	replRepairPushes *telemetry.Counter // full-bucket pushes repairing stale/missing mirrors
+	replRepairPushes *telemetry.Counter // whole-unit pushes; split by cause through reg
 	replProbes       *telemetry.Counter // anti-entropy version probes to mirrors
 	replPromotions   *telemetry.Counter // held replicas promoted to owned buckets
 	replFallthrough  *telemetry.Counter // reads served from a replica after a primary failure
@@ -44,6 +45,7 @@ type peerTelemetry struct {
 // handles are read without a lock). A nil registry detaches.
 func (p *Peer) SetTelemetry(reg *telemetry.Registry) {
 	p.tel = peerTelemetry{
+		reg:    reg,
 		tracer: reg.Tracer(),
 
 		flushes:     reg.Counter("core.window.flushes"),

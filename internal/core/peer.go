@@ -435,7 +435,7 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 		return iopSetFromResp{}, nil
 	case fetchIndexReq:
 		entries, delegated := p.gw.take(r.Key, r.Objects)
-		p.mirrorIndex(r.Key, nil, entryIDs(entries))
+		p.mirrorIndex(r.Key, entryIDs(entries))
 		return fetchIndexResp{Entries: entries, Delegated: delegated}, nil
 	case queryIndexReq:
 		entries, delegated := p.queryStores(r.Key, r.Objects, true)
@@ -459,11 +459,10 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 			p.tel.replHandoffs.Inc()
 			return delegateResp{}, nil
 		}
-		written := make([]IndexEntry, 0, len(r.Entries))
 		for _, e := range r.Entries {
-			written = append(written, p.mergeEntry(r.Key, e))
+			p.mergeEntry(r.Key, e)
 		}
-		p.mirrorIndex(r.Key, written, nil)
+		p.mirrorIndex(r.Key, entryIDs(r.Entries))
 		return delegateResp{}, nil
 	case iopGetReq:
 		visits, found := p.repo.get(r.Object)
@@ -519,7 +518,7 @@ func (p *Peer) gatewayArrive(r arriveReq) {
 			entry.Prev = prev.Prev // "" for a first sighting
 		}
 		p.gw.upsert(individualKey, entry)
-		p.mirrorIndex(individualKey, []IndexEntry{entry}, nil)
+		p.mirrorIndex(individualKey, []ids.ID{id})
 		if moved {
 			// M2: tell the previous node the object moved on.
 			p.call(transport.Addr(prev.Latest), iopSetToReq{
@@ -548,14 +547,12 @@ func (p *Peer) gatewayArrive(r arriveReq) {
 // an object's history; when reconciliation moves the buckets together
 // the two heads must be merged — the newer arrival stays the head, the
 // older becomes its predecessor, and the missing IOP links are
-// stitched. It returns the entry actually written (which differs from
-// e when the local record won the merge), so callers replicate what the
-// bucket really holds.
-func (p *Peer) mergeEntry(key ids.PrefixKey, e IndexEntry) IndexEntry {
+// stitched.
+func (p *Peer) mergeEntry(key ids.PrefixKey, e IndexEntry) {
 	cur, had := p.gw.lookup(key, e.ID)
 	if !had {
 		p.gw.upsert(key, e)
-		return e
+		return
 	}
 	newer, older := e, cur
 	if cur.Arrived > e.Arrived {
@@ -572,7 +569,6 @@ func (p *Peer) mergeEntry(key ids.PrefixKey, e IndexEntry) IndexEntry {
 		})
 	}
 	p.gw.upsert(key, newer)
-	return newer
 }
 
 // lateStitchRetries bounds how many times a late-visit stitch is
@@ -704,7 +700,7 @@ func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, cur IndexEntr
 	if succNode == cur.Latest && succAt == cur.Arrived {
 		cur.Prev = nd
 		p.gw.upsert(key, cur)
-		p.mirrorIndex(key, []IndexEntry{cur}, nil)
+		p.mirrorIndex(key, []ids.ID{cur.ID})
 	}
 	return true
 }
@@ -756,7 +752,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	// update_index + IOP stitching, batched by previous node.
 	toBatches := make(map[moods.NodeName][]moods.ObjectID)
 	var fromLinks []IOPLink
-	var updated []IndexEntry
+	var updated []ids.ID
 	var deferred []ObjEvent
 	for _, ev := range r.Events {
 		id := idOf[ev.Object]
@@ -788,9 +784,9 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 			}
 		}
 		p.gw.upsert(r.Key, entry)
-		updated = append(updated, entry)
+		updated = append(updated, id)
 	}
-	p.mirrorIndex(r.Key, updated, nil)
+	p.mirrorIndex(r.Key, updated)
 	// One message per distinct source node (M2 batched), in
 	// deterministic node order...
 	prevNodes := make([]string, 0, len(toBatches))
@@ -891,7 +887,7 @@ func (p *Peer) refreshFromDescent(pfx ids.Prefix, objs []ids.ID, maxDepth int) {
 			// node's bucket for the child prefix: move it up to pfx.
 			if len(unfound) > 0 {
 				deeper, _ := p.gw.take(child.Key(), unfound)
-				p.mirrorIndex(child.Key(), nil, entryIDs(deeper))
+				p.mirrorIndex(child.Key(), entryIDs(deeper))
 				p.putEntries(pfx.Key(), deeper)
 			}
 		}
@@ -905,7 +901,7 @@ func (p *Peer) putEntries(key ids.PrefixKey, entries []IndexEntry) {
 	for _, e := range entries {
 		p.gw.upsert(key, e)
 	}
-	p.mirrorIndex(key, entries, nil)
+	p.mirrorIndex(key, entryIDs(entries))
 }
 
 // maybeDelegate pushes the α-earliest records of an overflowing bucket
@@ -942,7 +938,7 @@ func (p *Peer) maybeDelegate(pfx ids.Prefix) {
 		victimIDs := entryIDs(split[bit])
 		p.gw.removeAll(key, victimIDs)
 		p.gw.markDelegated(key)
-		p.mirrorIndex(key, nil, victimIDs)
+		p.mirrorIndex(key, victimIDs)
 		p.tel.delegations.Inc()
 		p.tel.delegatedRecords.Add(uint64(len(split[bit])))
 		moved += len(split[bit])

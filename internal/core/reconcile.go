@@ -153,7 +153,7 @@ func (p *Peer) rehomeIndividual() int {
 		}
 		victims := entryIDs(byDest[dest])
 		p.gw.removeAll(individualKey, victims)
-		p.mirrorIndex(individualKey, nil, victims)
+		p.mirrorIndex(individualKey, victims)
 		moved++
 	}
 	return moved

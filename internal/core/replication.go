@@ -23,31 +23,31 @@ import (
 // Buckets and repositories are replication.Units and share one code
 // path. The scheme has three legs (see DESIGN.md §13):
 //
-//   - Synchronous mirroring: every write a unit's owner applies is
-//     pushed to its mirror set at the granularity of the protocol
-//     message that caused it (one mirror message per indexing message,
-//     not per object) by one handshake, mirror. Each unit carries a
-//     version (internal/replication); a mirror acknowledges an increment
-//     only when it extends the version it holds (acceptPush), so a
-//     missed update can never be silently papered over.
+//   - Synchronous mirroring through one ordered stream per unit. A
+//     writer applies its mutation, queues what it touched with the
+//     unit's store — names, not values — and calls mirror. Whoever
+//     holds the unit's stream (replication.Engine.Acquire: one push in
+//     flight per unit, no lock held across it) takes everything queued,
+//     reads the current values, bumps the version and sends one delta; a
+//     writer that finds the stream taken waits until a writer's turn
+//     that began after its mutation has ended, and never sends its own
+//     (stream: group commit). A mirror accepts a delta only if it extends
+//     the version it holds (acceptPush). The whole unit is shipped only
+//     to a mirror the owner has no record of at the previous version, one
+//     that refuses the delta, or one a probe finds elsewhere (pushFull).
 //
-//   - Deterministic failover: when a query cannot reach a unit's owner,
-//     it walks the unit's replica candidates in ring order
-//     (chord.LookupSet) and serves from the first live copy. Reads
-//     prefer the owner — a mirror is only consulted while the owner is
-//     unreachable — so no query observes an empty or stale answer while
-//     at least one replica is alive.
+//   - Deterministic failover: a query that cannot reach a unit's owner
+//     walks its replica candidates in ring order (chord.LookupSet) and
+//     serves from the first live copy; reads prefer the owner, so none
+//     sees an empty or stale answer while one replica is alive.
 //
-//   - Anti-entropy repair re-probes every owned unit against the
-//     current mirror set with a version check — one small message when
-//     the mirror is current, a full state push when it is not —
-//     promotes held replicas whose key range this node now owns, and
-//     garbage-collects replicas no owner claims. It runs as the replica
-//     rows of the maintenance table (maintenance.go) and, in the
-//     simulator, as the stop-the-world Network.SyncReplicas after every
-//     reconciliation and at chaos epoch boundaries. Gossip death
-//     verdicts (AttachGossip) trigger the same promotion immediately,
-//     without waiting for a sync round.
+//   - Anti-entropy repair, as the holder of each owned unit's stream,
+//     probes the current mirror set with a version check (one small
+//     message unless the mirror is not current), promotes held replicas
+//     whose key range this node now owns, and garbage-collects replicas
+//     no owner claims: the replica rows of the maintenance table, the
+//     simulator's Network.SyncReplicas, and, for promotion, gossip death
+//     verdicts (AttachGossip).
 
 // replicatePutReq pushes index-bucket state to a mirror: the entries
 // written and the ids removed by one protocol message at the owner, or,
@@ -320,36 +320,83 @@ func (p *Peer) mirrorSet() []transport.Addr {
 	return out
 }
 
-// mirror is the owner side of the handshake, the same for every unit
-// kind: bump the unit's version, then bring each mirror to it — with
-// the delta (built by the caller for the new version) when the mirror
-// held the previous one, with the unit's full state when it did not or
-// answers that it holds some other version (it restarted, or a previous
-// push was lost). A mirror that cannot be reached is marked unsynced
-// and repaired by the next mutation or sync round.
-func (p *Peer) mirror(u replication.Unit, delta func(v uint64) any) {
-	v := p.repl.Bump(u)
-	for _, addr := range p.mirrorSet() {
-		if p.repl.SyncedAt(u, addr) == v-1 {
-			resp, err := p.call(addr, delta(v))
-			if err != nil {
-				p.repl.ClearSynced(u, addr)
-				continue
-			}
-			if resp.(mirrorResp).Current {
-				p.repl.MarkSynced(u, addr, v)
-				p.tel.replMirrorWrites.Inc()
-				continue
-			}
-			// The mirror holds some other version: repair right away.
+// stream runs round as the holder of u's mirror stream, waiting its
+// turn. A writer — whose round is mirror's, which sends what is queued —
+// that finds the stream taken returns without a turn once another
+// writer's turn that began after the call has ended: that turn sent
+// what the caller had queued. Probe and re-sync turns send nothing
+// queued, so no writer takes their end for an acknowledgement.
+func (p *Peer) stream(u replication.Unit, writer bool, round func()) {
+	began := false // the turn last waited for began after this call
+	for wait, sent := p.repl.Acquire(u, writer); wait != nil; wait, sent = p.repl.Acquire(u, writer) {
+		<-wait
+		if began && sent && writer {
+			p.tel.reg.Counter("core.replication.coalesced").Inc()
+			return
 		}
-		p.pushFull(u, addr, v)
+		began = true
 	}
+	defer p.repl.Release(u)
+	round()
 }
 
-// pushFull ships the unit's entire current state to one mirror,
-// stamping it at version v.
-func (p *Peer) pushFull(u replication.Unit, addr transport.Addr, v uint64) {
+// mirror is the owner side of the handshake, the same for every unit
+// kind: bump the unit's version and bring each mirror to it — with the
+// delta when the mirror held the previous version, with the unit's full
+// state when it did not or answers that it holds some other version (it
+// restarted, or a push was lost). An unreachable mirror is marked
+// unsynced and repaired by the next mutation or sync round. mirror
+// returns once the caller's queued mutation has been through that.
+func (p *Peer) mirror(u replication.Unit) {
+	p.stream(u, true, func() {
+		delta, v := p.nextDelta(u)
+		if delta == nil {
+			return
+		}
+		for _, addr := range p.mirrorSet() {
+			if p.repl.SyncedAt(u, addr) != v-1 {
+				p.pushFull(u, addr, v, "new_mirror")
+				continue
+			}
+			resp, err := p.call(addr, delta)
+			switch {
+			case err != nil:
+				p.repl.ClearSynced(u, addr)
+			case resp.(mirrorResp).Current:
+				p.repl.MarkSynced(u, addr, v)
+				p.tel.replMirrorWrites.Inc()
+			default:
+				p.pushFull(u, addr, v, "not_current")
+			}
+		}
+	})
+}
+
+// nextDelta takes everything queued for u and, unless that is nothing,
+// bumps u's version and builds the push that carries it there. Queued
+// ids are read now — a record still there is written, one gone is
+// removed — so an older value never follows a newer one to a mirror.
+func (p *Peer) nextDelta(u replication.Unit) (any, uint64) {
+	if u.Repo {
+		objs, dirty := p.repo.takeDirty()
+		if !dirty {
+			return nil, 0
+		}
+		v := p.repl.Bump(u)
+		return repoMirrorReq{Owner: p.node.Addr(), Version: v, Objects: objs}, v
+	}
+	touched := p.gw.takeDirty(u.Key)
+	if len(touched) == 0 {
+		return nil, 0
+	}
+	v := p.repl.Bump(u)
+	entries, delegated := p.gw.query(u.Key, touched)
+	return replicatePutReq{Key: u.Key, Owner: p.node.Addr(), Version: v, Delegated: delegated, Entries: entries, Removed: missingFrom(touched, entries)}, v
+}
+
+// pushFull ships the unit's entire current state to one mirror at
+// version v and counts it under cause; for the holder of u's stream.
+func (p *Peer) pushFull(u replication.Unit, addr transport.Addr, v uint64, cause string) {
 	var req any
 	if u.Repo {
 		req = repoMirrorReq{Owner: p.node.Addr(), Version: v, Full: true, Objects: repoObjectsOf(p.repo.snapshot())}
@@ -363,32 +410,26 @@ func (p *Peer) pushFull(u replication.Unit, addr transport.Addr, v uint64) {
 	}
 	p.repl.MarkSynced(u, addr, v)
 	p.tel.replRepairPushes.Inc()
+	p.tel.reg.Counter("core.replication.repair_pushes." + cause).Inc()
 }
 
-// mirrorIndex mirrors one mutation of the bucket keyed key: the entries
-// freshly written and the ids removed (delegation evictions, refresh
-// takes).
-func (p *Peer) mirrorIndex(key ids.PrefixKey, entries []IndexEntry, removed []ids.ID) {
-	if p.mirrors() <= 0 || len(entries)+len(removed) == 0 {
+// mirrorIndex mirrors one mutation of the bucket keyed key: touched
+// names the ids whose records it wrote or removed, in order.
+func (p *Peer) mirrorIndex(key ids.PrefixKey, touched []ids.ID) {
+	if p.mirrors() <= 0 || len(touched) == 0 {
 		return
 	}
-	req := replicatePutReq{
-		Key: key, Owner: p.node.Addr(), Delegated: p.gw.delegatedFlag(key),
-		Entries: entries, Removed: removed,
-	}
-	p.mirror(replication.IndexUnit(key), func(v uint64) any { req.Version = v; return req })
+	p.gw.touch(key, touched)
+	p.mirror(replication.IndexUnit(key))
 }
 
 // flushRepoMirror mirrors the visit lists dirtied since the last flush,
 // batched at the granularity of the triggering protocol message (a
 // window flush, or one M2/M3 stitch batch).
 func (p *Peer) flushRepoMirror() {
-	objs, dirty := p.repo.takeDirty()
-	if !dirty {
-		return
+	if p.mirrors() > 0 {
+		p.mirror(replication.RepoUnit)
 	}
-	req := repoMirrorReq{Owner: p.node.Addr(), Objects: objs}
-	p.mirror(replication.RepoUnit, func(v uint64) any { req.Version = v; return req })
 }
 
 // --- mirror side --------------------------------------------------------
@@ -496,16 +537,16 @@ func (p *Peer) promote(key ids.PrefixKey, entries []IndexEntry) {
 	if !validBucketKey(key) || (key != individualKey && !p.node.Owns(key.Prefix().GatewayID())) {
 		return
 	}
-	var kept []IndexEntry
+	var kept []ids.ID
 	for _, e := range entries {
 		// A prefix group is placed whole, by its gateway id (checked
 		// above); per-object records one by one, by their own ids.
 		if key != individualKey || p.node.Owns(e.ID) {
 			p.gw.upsert(key, e)
-			kept = append(kept, e)
+			kept = append(kept, e.ID)
 		}
 	}
-	p.mirrorIndex(key, kept, nil)
+	p.mirrorIndex(key, kept)
 }
 
 // --- failover reads ---------------------------------------------------
@@ -650,10 +691,12 @@ func (p *Peer) maybePromoteHeld(h replication.HeldInfo) {
 		// Merged into an existing owned line, or holding only this
 		// node's share of the per-object records: the contents differ
 		// from every mirror copy, so force a full re-sync.
-		p.repl.Bump(u)
-		for _, a := range p.mirrorSet() {
-			p.repl.ClearSynced(u, a)
-		}
+		p.stream(u, false, func() {
+			p.repl.Bump(u)
+			for _, a := range p.mirrorSet() {
+				p.repl.ClearSynced(u, a)
+			}
+		})
 	}
 }
 
@@ -670,22 +713,24 @@ func (p *Peer) SyncOwnedReplicas() {
 	}
 	mirrors := p.mirrorSet()
 	for _, u := range p.repl.OwnedUnits() {
-		v, ok := p.repl.Version(u)
-		if !ok {
-			continue
-		}
-		for _, addr := range mirrors {
-			p.tel.replProbes.Inc()
-			resp, err := p.call(addr, replicaCheckReq{Key: u.Key, Repo: u.Repo, Owner: p.node.Addr(), Version: v})
-			switch {
-			case err != nil:
-				p.repl.ClearSynced(u, addr)
-			case resp.(replicaCheckResp).Current:
-				p.repl.MarkSynced(u, addr, v)
-			default:
-				p.pushFull(u, addr, v)
+		p.stream(u, false, func() {
+			v, ok := p.repl.Version(u)
+			if !ok {
+				return
 			}
-		}
+			for _, addr := range mirrors {
+				p.tel.replProbes.Inc()
+				resp, err := p.call(addr, replicaCheckReq{Key: u.Key, Repo: u.Repo, Owner: p.node.Addr(), Version: v})
+				switch {
+				case err != nil:
+					p.repl.ClearSynced(u, addr)
+				case resp.(replicaCheckResp).Current:
+					p.repl.MarkSynced(u, addr, v)
+				default:
+					p.pushFull(u, addr, v, "probe_mismatch")
+				}
+			}
+		})
 	}
 }
 

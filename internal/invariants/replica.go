@@ -26,8 +26,10 @@ import (
 // a gossip death verdict so failover can still read them), and the
 // ring-successor read path never consults copies outside the live
 // owner's mirror set.
-func CheckReplicaAgreement(nw *core.Network) []Violation {
-	peers := nw.Peers()
+//
+// It takes the peers themselves, not a simulated network, so that a
+// live fleet's peers are checked by the same code.
+func CheckReplicaAgreement(peers []*core.Peer) []Violation {
 	if len(peers) == 0 || peers[0].ReplicationFactor() <= 1 {
 		return nil
 	}

@@ -12,7 +12,7 @@ func TestReplicaAgreementCleanNetwork(t *testing.T) {
 	for _, factor := range []int{2, 3} {
 		nw := buildTracked(t, 10, core.Config{ReplicationFactor: factor})
 		nw.SyncReplicas()
-		if vs := CheckReplicaAgreement(nw); len(vs) != 0 {
+		if vs := CheckReplicaAgreement(nw.Peers()); len(vs) != 0 {
 			t.Errorf("factor %d: unexpected violations: %v", factor, vs)
 		}
 	}
@@ -20,7 +20,7 @@ func TestReplicaAgreementCleanNetwork(t *testing.T) {
 
 func TestReplicaAgreementFactorOneIsVacuous(t *testing.T) {
 	nw := buildTracked(t, 8, core.Config{})
-	if vs := CheckReplicaAgreement(nw); len(vs) != 0 {
+	if vs := CheckReplicaAgreement(nw.Peers()); len(vs) != 0 {
 		t.Errorf("factor 1 reported violations: %v", vs)
 	}
 }
@@ -31,14 +31,14 @@ func TestReplicaAgreementAfterMembershipChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.SyncReplicas()
-	if vs := CheckReplicaAgreement(nw); len(vs) != 0 {
+	if vs := CheckReplicaAgreement(nw.Peers()); len(vs) != 0 {
 		t.Errorf("after grow: %v", vs)
 	}
 	if _, _, err := nw.Shrink(5); err != nil {
 		t.Fatal(err)
 	}
 	nw.SyncReplicas()
-	if vs := CheckReplicaAgreement(nw); len(vs) != 0 {
+	if vs := CheckReplicaAgreement(nw.Peers()); len(vs) != 0 {
 		t.Errorf("after shrink: %v", vs)
 	}
 }
@@ -46,7 +46,7 @@ func TestReplicaAgreementAfterMembershipChange(t *testing.T) {
 func TestReplicaAgreementDetectsCorruption(t *testing.T) {
 	nw := buildTracked(t, 10, core.Config{ReplicationFactor: 2})
 	nw.SyncReplicas()
-	if vs := CheckReplicaAgreement(nw); len(vs) != 0 {
+	if vs := CheckReplicaAgreement(nw.Peers()); len(vs) != 0 {
 		t.Fatalf("clean network reported violations: %v", vs)
 	}
 
@@ -74,7 +74,7 @@ func TestReplicaAgreementDetectsCorruption(t *testing.T) {
 		Latest:  victim.Name(),
 		Arrived: time.Hour,
 	})
-	vs := CheckReplicaAgreement(nw)
+	vs := CheckReplicaAgreement(nw.Peers())
 	if !hasInvariant(vs, "replica-agreement") {
 		t.Fatalf("forged primary record not detected: %v", vs)
 	}

@@ -13,9 +13,11 @@
 // whole-bucket transfers (evacuation, re-homing) can hand the existing
 // mirror copies to the new owner in one step.
 //
-// The engine is pure bookkeeping: it never talks to the network.
-// Callers compute a plan under the engine's lock and execute the sends
-// afterwards, which keeps the transport out of every critical section.
+// The engine is pure bookkeeping: it never talks to the network, which
+// keeps the transport out of every critical section. Each owned unit
+// has one mirror stream; only its holder (Acquire … Release) bumps the
+// version and pushes to the mirrors, no lock held, so the versions of a
+// unit are issued and acknowledged in order.
 package replication
 
 import (
@@ -95,6 +97,8 @@ type Engine struct {
 	owned map[Unit]*ownedUnit
 	held  map[Unit]heldUnit
 	gen   uint64
+	// streams maps each taken mirror stream to its holder's turn.
+	streams map[Unit]turn
 	// dead marks owners the failure detector declared dead. Their held
 	// units are exempt from StaleHeld — they may be the last surviving
 	// copy of a crashed node's data — until the owner is heard from again.
@@ -108,8 +112,41 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// turn is one caller's hold of a mirror stream: done closes when it ends;
+// sends is the holder's word that it takes and sends what is queued.
+type turn struct {
+	done  chan struct{}
+	sends bool
+}
+
+// Acquire takes unit u's mirror stream for a turn and returns nil, or,
+// while another caller holds it, the channel that closes when that turn
+// ends and whether it is a sending one. It never blocks: waiting is the
+// caller's business.
+func (e *Engine) Acquire(u Unit, sends bool) (<-chan struct{}, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if t, taken := e.streams[u]; taken {
+		return t.done, t.sends
+	}
+	if e.streams == nil {
+		e.streams = make(map[Unit]turn)
+	}
+	e.streams[u] = turn{make(chan struct{}), sends}
+	return nil, false
+}
+
+// Release ends the holder's turn on unit u's stream and wakes the waiters.
+func (e *Engine) Release(u Unit) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	close(e.streams[u].done)
+	delete(e.streams, u)
+}
+
 // Bump registers a mutation of an owned unit and returns the new
-// version. The first mutation of a unit yields version 1.
+// version. The first mutation of a unit yields version 1. Only the
+// holder of the unit's stream calls it.
 func (e *Engine) Bump(u Unit) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

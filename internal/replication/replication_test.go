@@ -170,3 +170,34 @@ func TestOwnedUnitsSorted(t *testing.T) {
 		t.Fatalf("owned order wrong: %+v", got)
 	}
 }
+
+// TestStreamHasOneHolderAtATime: Acquire takes an idle stream, hands
+// every caller that finds it taken the channel Release closes and the
+// holder's kind of turn, and streams of different units are independent.
+func TestStreamHasOneHolderAtATime(t *testing.T) {
+	e := NewEngine()
+	u := IndexUnit(key("0101"))
+	if wait, _ := e.Acquire(u, true); wait != nil {
+		t.Fatal("an idle stream was not taken")
+	}
+	if wait, _ := e.Acquire(RepoUnit, false); wait != nil {
+		t.Fatal("another unit's stream was held too")
+	}
+	wait, sends := e.Acquire(u, false)
+	if wait == nil || !sends {
+		t.Fatalf("a second caller took a held stream, or was told the wrong kind of turn (sends=%v)", sends)
+	}
+	if _, sends := e.Acquire(RepoUnit, true); sends {
+		t.Fatal("a probe turn was reported as a sending one")
+	}
+	select {
+	case <-wait:
+		t.Fatal("the waiter was woken while the stream was held")
+	default:
+	}
+	e.Release(u)
+	<-wait
+	if wait, _ := e.Acquire(u, false); wait != nil {
+		t.Fatal("a released stream was not free")
+	}
+}

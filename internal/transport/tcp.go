@@ -146,7 +146,7 @@ func (t *TCP) serve(ln net.Listener, h Handler) {
 					return
 				}
 				var resp rpcResponse
-				payload, herr := h(req.From, req.Payload)
+				payload, herr := t.contain(h, req)
 				if herr != nil {
 					resp.Err = herr.Error()
 				} else {
@@ -163,6 +163,20 @@ func (t *TCP) serve(ln net.Listener, h Handler) {
 			}
 		}()
 	}
+}
+
+// contain runs the handler on one request and turns a panic into the
+// error the caller receives as a RemoteError, counted in
+// transport.handler.panics (created on the first one): one bad request
+// must not take the daemon down with every other peer's connections.
+func (t *TCP) contain(h Handler, req rpcRequest) (payload any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.stats.reg.Counter("transport.handler.panics").Inc()
+			payload, err = nil, fmt.Errorf("handler panic on %T: %v", req.Payload, r)
+		}
+	}()
+	return h(req.From, req.Payload)
 }
 
 // Unregister implements Network.

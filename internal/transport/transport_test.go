@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -217,6 +218,36 @@ func TestTCPRemoteError(t *testing.T) {
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Msg != "remote boom" {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// A panicking handler reaches the caller as a RemoteError and is
+// counted; the process, the listener and the connection all survive it.
+func TestTCPHandlerPanicIsContained(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	addr, err := tr.RegisterAuto("127.0.0.1", func(from Addr, req any) (any, error) {
+		if req.(echoReq).Msg == "boom" {
+			panic("index out of range")
+		}
+		return echoHandler(from, req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = tr.Call("client", addr, echoReq{Msg: "boom"})
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "index out of range") {
+		t.Fatalf("err = %v, want a RemoteError carrying the panic", err)
+	}
+	if resp, err := tr.Call("client", addr, echoReq{Msg: "after"}); err != nil || resp.(echoResp).Msg != "after" {
+		t.Fatalf("call after the panic = %+v, %v", resp, err)
+	}
+	if n := tr.Stats().reg.Counter("transport.handler.panics").Value(); n != 1 {
+		t.Fatalf("transport.handler.panics = %d, want 1", n)
+	}
+	if n := tr.StaleConns(); n != 0 {
+		t.Fatalf("the panic cost %d connections", n)
 	}
 }
 

@@ -2,10 +2,14 @@ package peertrack
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"peertrack/internal/core"
+	"peertrack/internal/invariants"
 	"peertrack/internal/transport"
 )
 
@@ -222,5 +226,169 @@ func TestCloseFlushesOpenWindow(t *testing.T) {
 		if len(stops) != 1 || stops[0].Node != aAddr {
 			t.Errorf("trace %s = %v, want the one stop at %s", obj, stops, aAddr)
 		}
+	}
+}
+
+// Factor-2 ingest on a live fleet must cost the same per event however
+// much is already stored: handler goroutines of one node share each
+// unit's mirror stream instead of each re-shipping the whole unit
+// because another's version bump made the mirror look behind. Clients
+// post barriered hop waves until the stores hold three times what they
+// held after the first third; the fleet must have sent next to no
+// whole-unit pushes, ingest as fast at the end as at the start, answer
+// every trace with the full route, and have every mirror equal to its
+// primary — checked by the simulator's own invariant.
+func TestLiveReplicatedIngestStaysFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP fleet")
+	}
+	const (
+		fleet   = 5
+		objects = 800
+		clients = 4
+		third   = 5
+		waves   = 17 // timed hops; with the untimed hop 0 the stores end at 18 waves, 3 × the 6 held after the first third
+	)
+	opts := NodeOptions{
+		NetworkSize:      fleet,
+		Replicas:         2,
+		StabilizeEvery:   50 * time.Millisecond,
+		WindowInterval:   time.Hour, // windows close when full or at the barrier, so a barrier is exact
+		WindowMaxObjects: 64,
+		ReplicaSyncEvery: 200 * time.Millisecond, // anti-entropy probes run beside the ingest
+	}
+	nodes := make([]*Node, fleet)
+	byAddr := make(map[string]*Node, fleet)
+	for i := range nodes {
+		n, err := StartNode("127.0.0.1:0", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		nodes[i], byAddr[n.Addr()] = n, n
+	}
+	for _, n := range nodes[1:] {
+		if err := n.Join(nodes[0].Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The ring has settled once the successor walk and the predecessor
+	// walk from node 0 each visit every node and close.
+	closes := func(next func(*Node) string) bool {
+		n := nodes[0]
+		for i := 0; i < fleet; i++ {
+			if n = byAddr[next(n)]; n == nil || (n == nodes[0]) != (i == fleet-1) {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if closes(func(n *Node) string { s, _, _ := n.RingInfo(); return s }) &&
+			closes(func(n *Node) string { _, p, _ := n.RingInfo(); return p }) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("ring never settled")
+		}
+	}
+
+	// Object j starts at node j and moves on by a stride of 1–4 nodes
+	// per hop, so consecutive stops differ and every node sees every
+	// wave.
+	stop := func(j, hop int) *Node { return nodes[(j+hop*(1+j%(fleet-1)))%fleet] }
+	name := func(j int) string { return fmt.Sprintf("urn:flat:%04d", j) }
+	t0 := time.Now()
+	wave := func(hop int) time.Duration {
+		start := time.Now()
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for j := c; j < objects; j += clients {
+					// An error is a full window whose flush failed: the event
+					// stays buffered for the barrier.
+					if err := stop(j, hop).ObserveAt(name(j), t0.Add(time.Duration(hop)*time.Minute)); err != nil {
+						t.Log(err)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		// Barrier: every node flushes, at once, until no window holds
+		// anything (a deferred stitch or an undelivered group is
+		// re-buffered).
+		for buffered, tries := 1, 0; buffered > 0; tries++ {
+			if tries == 20 {
+				t.Fatalf("hop %d: %d events still buffered after %d flushes", hop, buffered, tries)
+			}
+			for _, n := range nodes {
+				wg.Add(1)
+				go func(n *Node) {
+					defer wg.Done()
+					if err := n.Flush(); err != nil {
+						t.Log(err)
+					}
+				}(n)
+			}
+			wg.Wait()
+			buffered = 0
+			for _, n := range nodes {
+				buffered += n.peer.Buffered()
+			}
+		}
+		return time.Since(start)
+	}
+	wave(0)
+	took := make([]time.Duration, 0, waves)
+	for hop := 1; hop <= waves; hop++ {
+		took = append(took, wave(hop))
+	}
+	// The gate that pins the cause is deterministic: whole-unit pushes per
+	// observation, fleet-wide.
+	var pushes uint64
+	var causes string
+	peers := make([]*core.Peer, fleet)
+	for i, n := range nodes {
+		pushes += n.Telemetry().Counter("core.replication.repair_pushes").Value()
+		peers[i] = n.peer
+	}
+	for _, c := range []string{"repair_pushes.new_mirror", "repair_pushes.not_current", "repair_pushes.probe_mismatch", "coalesced"} {
+		var sum uint64
+		for _, n := range nodes {
+			sum += n.Telemetry().Counter("core.replication." + c).Value()
+		}
+		causes += fmt.Sprintf(" %s=%d", c, sum)
+	}
+	observed := objects * (waves + 1)
+	t.Logf("%d whole-unit pushes for %d observations:%s", pushes, observed, causes)
+	if float64(pushes) > 0.02*float64(observed) {
+		t.Errorf("%d whole-unit pushes for %d observations, want at most 2%%", pushes, observed)
+	}
+	// Flatness is its wall-clock consequence. A third is as fast as its
+	// fastest wave: neighbours on a shared machine only ever add time. Not
+	// under the race detector: its own bookkeeping grows with the heap,
+	// and nothing it slows down five-fold is a timing to assert on.
+	first, last := slices.Min(took[:third]), slices.Min(took[waves-third:])
+	t.Logf("%d events per wave: fastest wave of the first third %v, of the last %v", objects, first, last)
+	if !raceDetector && float64(first) < 0.7*float64(last) {
+		t.Errorf("ingest slowed as the stores grew: a wave took %v at first, %v at the end (if the push counters logged above are zero, suspect the machine); all waves: %v", first, last, took)
+	}
+	for j := 0; j < objects; j++ {
+		stops, _, err := nodes[j%fleet].Trace(name(j))
+		if err != nil {
+			t.Fatalf("trace %s: %v", name(j), err)
+		}
+		ok := len(stops) == waves+1
+		for hop := 0; ok && hop <= waves; hop++ {
+			ok = stops[hop].Node == stop(j, hop).Addr()
+		}
+		if !ok {
+			t.Fatalf("trace %s = %v, want the %d stops of its route", name(j), stops, waves+1)
+		}
+	}
+	for _, v := range invariants.CheckReplicaAgreement(peers) {
+		t.Errorf("%s at %s: %s %s", v.Invariant, v.Node, v.Object, v.Detail)
 	}
 }
