@@ -356,7 +356,7 @@ func run(fig string, scale experiments.Scale, csv bool) error {
 		fmt.Print(snap.Text())
 		if len(spans) > 0 {
 			fmt.Println("\nrecent query spans:")
-			for _, sp := range spans {
+			for _, sp := range spans[:min(8, len(spans))] {
 				fmt.Println(sp.Detail())
 			}
 		}

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"peertrack/internal/core"
+	"peertrack/internal/moods"
 	"peertrack/internal/telemetry"
 )
 
@@ -122,5 +124,38 @@ func TestTelemetryEndpointsNilRegistry(t *testing.T) {
 	var resp TraceDebugResponse
 	if err := json.Unmarshal([]byte(body), &resp); err != nil || resp.Count != 0 {
 		t.Errorf("nil-registry spans = %q (err %v)", body, err)
+	}
+}
+
+// TestDebugTraceGoldenJSON pins the exact /debug/trace reply for one
+// index span and one trace span recorded by a real (simulated) network:
+// the wire shape trackctl and dashboards read.
+func TestDebugTraceGoldenJSON(t *testing.T) {
+	nw, err := core.BuildNetwork(core.NetworkConfig{Nodes: 8, Seed: 1, Peer: core.Config{Mode: core.GroupIndexing}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := moods.ObjectID("pallet")
+	for i, at := range []time.Duration{3 * time.Second, 90 * time.Second} {
+		obs := moods.Observation{Object: obj, Node: nw.Peers()[2*i].Name(), At: at}
+		if err := nw.ScheduleObservation(obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.StartWindows(2 * time.Minute)
+	nw.Run()
+	if _, err := nw.Peers()[5].FullTrace(obj); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(HandlerWithTelemetry(newFake(), nil, nw.Telemetry))
+	t.Cleanup(srv.Close)
+
+	for _, c := range []struct{ key, want string }{
+		{"11100", `{"count":1,"spans":[{"id":2,"op":"index","key":"11100","start":90000000000,"end":90000000000,"hops":2,"steps":[{"at":90000000000,"node":"org-0001","note":"gateway: 1 events from org-0007, 0 unknown"},{"at":90000000000,"node":"org-0000","note":"M2: 1 objects moved on to org-0007"},{"at":90000000000,"node":"org-0007","note":"M3: 1 inbound links"}]}]}`},
+		{"pallet", `{"count":1,"spans":[{"id":3,"op":"trace","key":"pallet","start":120000000000,"end":120000000000,"hops":3,"steps":[{"at":120000000000,"node":"org-0001","note":"gateway 11100: hit, head at org-0007"},{"at":120000000000,"node":"org-0007","note":"IOP walk: visit arrived 1m30s"},{"at":120000000000,"node":"org-0000","note":"IOP walk: visit arrived 3s"}]}]}`},
+	} {
+		if _, body := get(t, srv.URL+"/debug/trace?n=1&object="+c.key); body != c.want+"\n" {
+			t.Errorf("/debug/trace?object=%s drifted\n got: %s want: %s", c.key, body, c.want)
+		}
 	}
 }

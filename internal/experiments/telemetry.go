@@ -11,11 +11,11 @@ import (
 
 // TelemetryReport runs the default grouped workload on the Chord
 // overlay, issues the scale's query budget, and returns the network's
-// full instrument snapshot plus the most recent query spans. It backs
-// `peertrack-bench -fig telemetry` and `make telemetry-demo`: a quick
-// way to see what the registry records for a healthy run — and, being
-// driven entirely by the sim kernel's virtual clock, its snapshot is
-// byte-identical for a given Scale.
+// full instrument snapshot plus every span the tracer still holds,
+// newest first. It backs `peertrack-bench -fig telemetry` and `make
+// telemetry-demo`: a quick way to see what the registry records for a
+// healthy run — and, being driven entirely by the sim kernel's virtual
+// clock, its snapshot is byte-identical for a given Scale.
 func TelemetryReport(s Scale) (telemetry.Snapshot, []telemetry.Span, error) {
 	s.fill()
 	nw, err := core.BuildNetwork(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed})
@@ -43,5 +43,5 @@ func TelemetryReport(s Scale) (telemetry.Snapshot, []telemetry.Span, error) {
 		nw.Peers()[rng.Intn(s.Nodes)].Locate(obj, at)
 		nw.Peers()[rng.Intn(s.Nodes)].FullTrace(obj)
 	}
-	return nw.Telemetry.Snapshot(), nw.Telemetry.Tracer().Recent(8), nil
+	return nw.Telemetry.Snapshot(), nw.Telemetry.Tracer().Recent(telemetry.DefaultSpanCapacity), nil
 }
