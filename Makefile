@@ -121,6 +121,7 @@ micro:
 	$(GO) test -run xxx -bench 'BenchmarkTransportCall|BenchmarkStatsSnapshot' ./internal/transport/
 	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkBatchFanIn|BenchmarkHeapFanIn' ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkGateway|BenchmarkIOP' ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkSpan' -benchmem ./internal/telemetry/
 
 # profile captures CPU and heap pprof profiles of the XL throughput
 # sweep at a CI-sized network; inspect with `go tool pprof cpu.pprof`.

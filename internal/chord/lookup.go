@@ -62,7 +62,15 @@ func (n *Node) lookupVia(key ids.ID) (LookupResult, NodeRef, error) {
 	}
 
 	hops := 0
-	dead := make(map[transport.Addr]bool)
+	// Hops found dead on this lookup. Written only when a call fails, so
+	// a healthy lookup never allocates it; reads of the nil map are false.
+	var dead map[transport.Addr]bool
+	markDead := func(a transport.Addr) {
+		if dead == nil {
+			dead = make(map[transport.Addr]bool)
+		}
+		dead[a] = true
+	}
 	// Seed from the local routing state (free: no RPC).
 	local := n.closestPreceding(key)
 	cur, done := local.Node, local.Done
@@ -76,7 +84,7 @@ func (n *Node) lookupVia(key ids.ID) (LookupResult, NodeRef, error) {
 		resp, err := n.call(cur, closestPrecedingReq{Key: key})
 		if err != nil {
 			// Current hop is dead: detour from local routing state.
-			dead[cur.Addr] = true
+			markDead(cur.Addr)
 			next, derr := n.detour(key, dead)
 			if derr != nil {
 				return LookupResult{}, NodeRef{}, fmt.Errorf("%w: %v", ErrLookupFailed, err)
@@ -105,7 +113,7 @@ func (n *Node) lookupVia(key ids.ID) (LookupResult, NodeRef, error) {
 			st, serr := n.call(cur, getStateReq{})
 			hops++
 			if serr != nil {
-				dead[cur.Addr] = true
+				markDead(cur.Addr)
 				next, derr := n.detour(key, dead)
 				if derr != nil {
 					return LookupResult{}, NodeRef{}, fmt.Errorf("%w: %v", ErrLookupFailed, serr)

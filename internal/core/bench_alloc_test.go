@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/workload"
 )
 
 // Alloc-pinning benchmarks and tests for the Scale.XL hot stores. The
@@ -165,5 +167,102 @@ func TestIOPSteadyStateAllocFree(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Errorf("iop arrivedAtOrBefore allocates %.1f/op, want 0", avg)
+	}
+}
+
+// simPaperShaped builds the repository benchmark's sim-paper workload
+// (Section V: a tenth of each node's objects travel a ten-node route,
+// grouped, Scheme 2) at the given size, scheduled and ready to Run.
+func simPaperShaped(t testing.TB, nodes, perNode int) (*Network, workload.Result) {
+	t.Helper()
+	names := make([]moods.NodeName, nodes)
+	for i := range names {
+		names[i] = NodeNameFor(i)
+	}
+	wl, err := workload.PaperSpec{
+		Nodes: names, ObjectsPerNode: perNode, MoveFraction: 0.10, TraceLen: 10, Grouped: true, Seed: 1,
+	}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := BuildNetwork(NetworkConfig{Nodes: nodes, Seed: 1, Scheme: Scheme2, Peer: Config{Mode: GroupIndexing}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.ScheduleAll(wl.Observations); err != nil {
+		t.Fatal(err)
+	}
+	nw.StartWindows(wl.Horizon + 2*time.Second)
+	return nw, wl
+}
+
+// mallocsDuring reports the heap objects and bytes allocated by fn.
+func mallocsDuring(fn func()) (objects, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestSimPaperShapedAllocs pins what one observation costs end to end
+// through Network.Run — window grouping, the group-index arrival with
+// its span, M2/M3 stitching, transport accounting — and what one IOP hop
+// of a FullTrace costs. It is the allocation budget of the path every
+// figure, chaos sweep and the sim-paper benchmark run. This network
+// measures 10.8 allocations and 1452 bytes per observation and 4.1
+// allocations per hop, the same under -race; formatting span text per
+// step cost 17.9, 1520 and 7.5, which is where the byte bound comes from.
+func TestSimPaperShapedAllocs(t *testing.T) {
+	nw, wl := simPaperShaped(t, 32, 200)
+	objects, bytes := mallocsDuring(nw.Run)
+	obs := float64(len(wl.Observations))
+	t.Logf("Run: %.2f allocs and %.0f bytes per observation (%d observations)", objects/obs, bytes/obs, len(wl.Observations))
+	if objects/obs > 12 {
+		t.Errorf("Run allocates %.2f objects per observation, want ≤ 12", objects/obs)
+	}
+	if bytes/obs > 1520 {
+		t.Errorf("Run allocates %.0f bytes per observation, want ≤ 1520 (what eager span text cost)", bytes/obs)
+	}
+
+	hops := 0
+	objects, _ = mallocsDuring(func() {
+		for i, obj := range wl.Movers {
+			res, err := nw.Peers()[i%len(nw.Peers())].FullTrace(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hops += res.Hops
+		}
+	})
+	t.Logf("FullTrace: %.2f allocs per hop, %.1f per trace (%d traces, %d hops)", objects/float64(hops), objects/float64(len(wl.Movers)), len(wl.Movers), hops)
+	if perHop := objects / float64(hops); perHop > 4.5 {
+		t.Errorf("FullTrace allocates %.2f objects per hop, want ≤ 4.5", perHop)
+	}
+}
+
+// BenchmarkSimPaperRun and BenchmarkSimPaperTrace are the two timed
+// phases of the sim-paper benchmark at its size (128 nodes, 500 objects
+// each), for profiling the hot path without the benchmark module:
+//
+//	go test ./internal/core -run xxx -bench SimPaper -cpuprofile cpu.pprof
+func BenchmarkSimPaperRun(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		nw, _ := simPaperShaped(b, 128, 500)
+		b.StartTimer()
+		nw.Run()
+	}
+}
+
+func BenchmarkSimPaperTrace(b *testing.B) {
+	nw, wl := simPaperShaped(b, 128, 500)
+	nw.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nw.Peers()[i%len(nw.Peers())].FullTrace(wl.Movers[i%len(wl.Movers)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

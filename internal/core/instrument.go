@@ -41,6 +41,25 @@ type peerTelemetry struct {
 	replRestores     *telemetry.Counter // stale held units shipped back to a live owner before GC
 }
 
+// What a span step can say. The texts are static and their arguments are
+// stored as given; a step is rendered only when its span is read.
+var (
+	noteArrive         = telemetry.NewNote("gateway: %d events from %s, %d unknown")
+	noteRefresh        = telemetry.NewNote("refresh: %d of %d unknown resolved from ascent")
+	noteM2             = telemetry.NewNote("M2: %d objects moved on to %s")
+	noteM3             = telemetry.NewNote("M3: %d inbound links")
+	noteDeferred       = telemetry.NewNote("deferred %d late stitches")
+	noteDelegateFailed = telemetry.NewNote("delegate %d records to %b failed: %s")
+	noteDelegated      = telemetry.NewNote("delegated %d records to child %b")
+	noteOverlayLookup  = telemetry.NewNote("gateway lookup: %d overlay hops")
+	noteReplicaObject  = telemetry.NewNote("replica fallthrough: hit for %s")
+	noteReplicaBucket  = telemetry.NewNote("replica fallthrough: hit for %b")
+	noteUnreachable    = telemetry.NewNote("gateway %b unreachable: %s")
+	noteMiss           = telemetry.NewNote("gateway %b: miss (delegated=%t)")
+	noteHit            = telemetry.NewNote("gateway %b: hit, head at %s")
+	noteWalk           = telemetry.NewNote("IOP walk: visit arrived %v")
+)
+
 // SetTelemetry attaches a registry; wire before traffic starts (the
 // handles are read without a lock). A nil registry detaches.
 func (p *Peer) SetTelemetry(reg *telemetry.Registry) {

@@ -24,6 +24,7 @@ import (
 	"peertrack/internal/moods"
 	"peertrack/internal/overlay"
 	"peertrack/internal/replication"
+	"peertrack/internal/telemetry"
 	"peertrack/internal/transport"
 )
 
@@ -718,7 +719,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	}
 	pfx := r.Key.Prefix()
 	now := p.clock()
-	sp := p.tel.tracer.Start("index", pfx.String())
+	sp := p.tel.tracer.StartPrefix(telemetry.OpIndex, r.Key)
 
 	// Partition events into locally indexed and unknown (objects').
 	idOf := make(map[moods.ObjectID]ids.ID, len(r.Events))
@@ -736,7 +737,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	// (ascent), Lp has been longer, or this bucket delegated (descent).
 	// The historical-Lp guard is the paper's "while there exists
 	// gateway node for prefix p′" condition.
-	sp.Stepf(string(p.node.Addr()), "gateway: %d events from %s, %d unknown", len(r.Events), r.Node, len(missing))
+	sp.Step(string(p.node.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(missing))
 	if len(missing) > 0 {
 		unknown := len(missing)
 		lo, hi := p.pm.LpRange()
@@ -746,7 +747,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 		if len(missing) > 0 && (hi > pfx.Len || p.gw.delegatedFlag(r.Key)) {
 			p.refreshFromDescent(pfx, missing, p.cfg.MaxDescent)
 		}
-		sp.Stepf(string(p.node.Addr()), "refresh: %d of %d unknown resolved from ascent", unknown-len(missing), unknown)
+		sp.Step(string(p.node.Addr()), noteRefresh).Int(unknown - len(missing)).Int(unknown)
 	}
 
 	// update_index + IOP stitching, batched by previous node.
@@ -797,17 +798,17 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	for _, pn := range prevNodes {
 		prevNode := moods.NodeName(pn)
 		p.call(transport.Addr(prevNode), iopSetToReq{Objects: toBatches[prevNode], To: r.Node, At: r.At})
-		sp.Stepf(pn, "M2: %d objects moved on to %s", len(toBatches[prevNode]), r.Node)
+		sp.Step(pn, noteM2).Int(len(toBatches[prevNode])).Str(string(r.Node))
 	}
 	// ...and one message back to the destination (M3 batched).
 	if len(fromLinks) > 0 {
 		p.call(transport.Addr(r.Node), iopSetFromReq{Links: fromLinks})
-		sp.Stepf(string(r.Node), "M3: %d inbound links", len(fromLinks))
+		sp.Step(string(r.Node), noteM3).Int(len(fromLinks))
 	}
 
 	p.maybeDelegate(pfx)
 	if len(deferred) > 0 {
-		sp.Stepf(string(p.node.Addr()), "deferred %d late stitches", len(deferred))
+		sp.Step(string(p.node.Addr()), noteDeferred).Int(len(deferred))
 	}
 	msgs := len(prevNodes)
 	if len(fromLinks) > 0 {
@@ -920,7 +921,7 @@ func (p *Peer) maybeDelegate(pfx ids.Prefix) {
 		bit := pfx.NextBit(e.ID)
 		split[bit] = append(split[bit], e)
 	}
-	sp := p.tel.tracer.Start("delegate", pfx.String())
+	sp := p.tel.tracer.StartPrefix(telemetry.OpDelegate, key)
 	moved := 0
 	for bit := 0; bit <= 1; bit++ {
 		if len(split[bit]) == 0 {
@@ -932,7 +933,7 @@ func (p *Peer) maybeDelegate(pfx ids.Prefix) {
 			continue
 		}
 		if _, err := p.call(gwRef.Addr, delegateReq{Key: child.Key(), Entries: split[bit]}); err != nil {
-			sp.Stepf(string(gwRef.Addr), "delegate %d records to %s failed: %v", len(split[bit]), child.String(), err)
+			sp.Step(string(gwRef.Addr), noteDelegateFailed).Int(len(split[bit])).Prefix(child.Key()).Str(err.Error())
 			continue
 		}
 		victimIDs := entryIDs(split[bit])
@@ -942,7 +943,7 @@ func (p *Peer) maybeDelegate(pfx ids.Prefix) {
 		p.tel.delegations.Inc()
 		p.tel.delegatedRecords.Add(uint64(len(split[bit])))
 		moved += len(split[bit])
-		sp.Stepf(string(gwRef.Addr), "delegated %d records to child %s", len(split[bit]), child.String())
+		sp.Step(string(gwRef.Addr), noteDelegated).Int(len(split[bit])).Prefix(child.Key())
 	}
 	sp.Finish(moved, nil)
 }

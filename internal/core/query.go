@@ -39,7 +39,7 @@ const maxWalk = 10000
 // to L_min and Data Triangle descents along the object's own bit path.
 // Each gateway consultation is recorded on the caller's span (nil for
 // untraced callers: a nil span's methods are no-ops).
-func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry, int, error) {
+func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntry, int, error) {
 	id := obj.Hash()
 	hops := 0
 
@@ -50,7 +50,7 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry, in
 			err = fmt.Errorf("core: find gateway: %w", err)
 		} else {
 			hops += res.Hops
-			sp.Stepf(string(res.Node.Addr), "gateway lookup: %d overlay hops", res.Hops)
+			sp.Step(string(res.Node.Addr), noteOverlayLookup).Int(res.Hops)
 			resp, err = p.call(res.Node.Addr, queryIndexReq{Key: individualKey, Objects: []ids.ID{id}})
 		}
 		if err != nil {
@@ -59,7 +59,7 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry, in
 			e, h, found, _ := p.replicaFallthrough(individualKey, id, id, res.Node.Addr)
 			hops += h
 			if found {
-				sp.Stepf(string(p.node.Addr()), "replica fallthrough: hit for %s", obj)
+				sp.Step(string(p.node.Addr()), noteReplicaObject).Str(string(obj))
 				return e, hops, nil
 			}
 			return IndexEntry{}, hops, err
@@ -130,7 +130,7 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Span) (IndexEntry, in
 }
 
 // queryGateway asks the gateway of one prefix for one object's record.
-func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Span) (IndexEntry, int, bool, bool) {
+func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Recording) (IndexEntry, int, bool, bool) {
 	hops := 0
 	gwRef, err := p.resolveGateway(pfx)
 	var resp any
@@ -140,7 +140,7 @@ func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Span) (Inde
 			hops++
 		}
 		if err != nil {
-			sp.Stepf(string(gwRef.Addr), "gateway %s unreachable: %v", pfx.String(), err)
+			sp.Step(string(gwRef.Addr), noteUnreachable).Prefix(pfx.Key()).Str(err.Error())
 		}
 	}
 	if err != nil {
@@ -153,16 +153,16 @@ func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Span) (Inde
 		e, h, found, delegated := p.replicaFallthrough(pfx.Key(), pfx.GatewayID(), id, gwRef.Addr)
 		hops += h
 		if found {
-			sp.Stepf(string(p.node.Addr()), "replica fallthrough: hit for %s", pfx.String())
+			sp.Step(string(p.node.Addr()), noteReplicaBucket).Prefix(pfx.Key())
 		}
 		return e, hops, found, delegated
 	}
 	qr := resp.(queryIndexResp)
 	if len(qr.Entries) == 0 {
-		sp.Stepf(string(gwRef.Addr), "gateway %s: miss (delegated=%v)", pfx.String(), qr.Delegated)
+		sp.Step(string(gwRef.Addr), noteMiss).Prefix(pfx.Key()).Bool(qr.Delegated)
 		return IndexEntry{}, hops, false, qr.Delegated
 	}
-	sp.Stepf(string(gwRef.Addr), "gateway %s: hit, head at %s", pfx.String(), qr.Entries[0].Latest)
+	sp.Step(string(gwRef.Addr), noteHit).Prefix(pfx.Key()).Str(string(qr.Entries[0].Latest))
 	return qr.Entries[0], hops, true, qr.Delegated
 }
 
@@ -194,7 +194,7 @@ func pickVisit(visits []VisitRecord, bound time.Duration) (VisitRecord, bool) {
 
 // Locate answers L(o, t): the node where the object was at time t.
 func (p *Peer) Locate(obj moods.ObjectID, t time.Duration) (LocateResult, error) {
-	sp := p.tel.tracer.Start("locate", string(obj))
+	sp := p.tel.tracer.Start(telemetry.OpLocate, string(obj))
 	res, err := p.locate(obj, t, sp)
 	sp.Finish(res.Hops, err)
 	if err == nil {
@@ -204,7 +204,7 @@ func (p *Peer) Locate(obj moods.ObjectID, t time.Duration) (LocateResult, error)
 	return res, err
 }
 
-func (p *Peer) locate(obj moods.ObjectID, t time.Duration, sp *telemetry.Span) (LocateResult, error) {
+func (p *Peer) locate(obj moods.ObjectID, t time.Duration, sp *telemetry.Recording) (LocateResult, error) {
 	entry, hops, err := p.findIndex(obj, sp)
 	if err != nil {
 		return LocateResult{Hops: hops}, err
@@ -225,7 +225,7 @@ func (p *Peer) locate(obj moods.ObjectID, t time.Duration, sp *telemetry.Span) (
 		if !ok {
 			return LocateResult{Hops: hops}, fmt.Errorf("core: broken IOP chain for %s at %s", obj, cur)
 		}
-		sp.Stepf(string(cur), "IOP walk: visit arrived %v", v.Arrived)
+		sp.Step(string(cur), noteWalk).Dur(v.Arrived)
 		if v.Arrived <= t {
 			return LocateResult{Node: cur, Hops: hops}, nil
 		}
@@ -242,7 +242,7 @@ func (p *Peer) locate(obj moods.ObjectID, t time.Duration, sp *telemetry.Span) (
 // Trace answers TR(o, t1, t2): the object's path during the window,
 // opened by the node it occupied at t1 (moods semantics).
 func (p *Peer) Trace(obj moods.ObjectID, t1, t2 time.Duration) (TraceResult, error) {
-	sp := p.tel.tracer.Start("trace", string(obj))
+	sp := p.tel.tracer.Start(telemetry.OpTrace, string(obj))
 	res, err := p.trace(obj, t1, t2, sp)
 	sp.Finish(res.Hops, err)
 	if err == nil {
@@ -252,7 +252,7 @@ func (p *Peer) Trace(obj moods.ObjectID, t1, t2 time.Duration) (TraceResult, err
 	return res, err
 }
 
-func (p *Peer) trace(obj moods.ObjectID, t1, t2 time.Duration, sp *telemetry.Span) (TraceResult, error) {
+func (p *Peer) trace(obj moods.ObjectID, t1, t2 time.Duration, sp *telemetry.Recording) (TraceResult, error) {
 	if t2 < t1 {
 		t1, t2 = t2, t1
 	}
@@ -274,7 +274,7 @@ func (p *Peer) FullTrace(obj moods.ObjectID) (TraceResult, error) {
 // walkBack traverses the IOP list backwards from node start, collecting
 // visits within [t1, t2] plus the visit occupied at t1, and returns the
 // path in forward (time) order.
-func (p *Peer) walkBack(start moods.NodeName, obj moods.ObjectID, bound time.Duration, t1, t2 time.Duration, sp *telemetry.Span) (moods.Path, int, error) {
+func (p *Peer) walkBack(start moods.NodeName, obj moods.ObjectID, bound time.Duration, t1, t2 time.Duration, sp *telemetry.Recording) (moods.Path, int, error) {
 	var rev []moods.Visit
 	hops := 0
 	cur := start
@@ -291,7 +291,7 @@ func (p *Peer) walkBack(start moods.NodeName, obj moods.ObjectID, bound time.Dur
 		if !ok {
 			return nil, hops, fmt.Errorf("core: broken IOP chain for %s at %s", obj, cur)
 		}
-		sp.Stepf(string(cur), "IOP walk: visit arrived %v", v.Arrived)
+		sp.Step(string(cur), noteWalk).Dur(v.Arrived)
 		if v.Arrived <= t2 {
 			rev = append(rev, moods.Visit{Node: cur, Arrived: v.Arrived})
 		}

@@ -65,11 +65,11 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestDebugTraceEndpoint(t *testing.T) {
 	reg, base := telemetrySetup(t)
 	for i := 0; i < 3; i++ {
-		sp := reg.Tracer().Start("locate", "obj-a")
-		sp.Step("n1", "gateway hit")
+		sp := reg.Tracer().Start(telemetry.OpLocate, "obj-a")
+		sp.Step("n1", telemetry.NewNote("gateway hit"))
 		sp.Finish(2, nil)
 	}
-	sp := reg.Tracer().Start("trace", "obj-b")
+	sp := reg.Tracer().Start(telemetry.OpTrace, "obj-b")
 	sp.Finish(5, nil)
 
 	code, body := get(t, base+"/debug/trace")

@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"peertrack/internal/telemetry"
 )
 
 // The golden tests define "same behaviour" for refactors underneath the
@@ -147,20 +145,14 @@ func TestGoldenOverlay(t *testing.T) {
 // The rendered text of every span the tracer retains after the
 // telemetry demo run: index arrivals, locates and traces, each with its
 // steps. It pins what the span call sites in core say, byte for byte —
-// a swapped verb or argument at any of them shows here. Until each op
-// kind has its own ring share, only the newest quarter-capacity spans
-// per op are compared, which is what both ring layouts retain.
+// a swapped verb or argument at any of them shows here.
 func TestGoldenSpans(t *testing.T) {
 	_, spans, err := TelemetryReport(goldenScale())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	perOp := map[string]int{}
 	for _, sp := range spans {
-		if perOp[sp.Op]++; perOp[sp.Op] > telemetry.DefaultSpanCapacity/4 {
-			continue
-		}
 		out.WriteString(sp.Detail())
 		out.WriteByte('\n')
 	}

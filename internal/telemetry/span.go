@@ -1,17 +1,24 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"peertrack/internal/ids"
 )
 
-// Span is the record of one query-shaped operation — a locate, a trace,
-// a group-index arrival, a triangle delegation — with the causal hop
-// chain it took through the network. Timestamps are registry-clock
-// offsets (virtual time in the sim, time-since-startup on a live node).
+// Span is one finished query-shaped operation as read back from the
+// tracer — a locate, a trace, a group-index arrival, a triangle
+// delegation — with the causal hop chain it took through the network.
+// Timestamps are registry-clock offsets (virtual time in the sim,
+// time-since-startup on a live node). The text exists only here: a
+// Recording stores what it was given and is rendered when read.
 type Span struct {
 	ID    uint64        `json:"id"`
 	Op    string        `json:"op"`
@@ -21,8 +28,6 @@ type Span struct {
 	Hops  int           `json:"hops"`
 	Err   string        `json:"err,omitempty"`
 	Steps []Step        `json:"steps,omitempty"`
-
-	tracer *Tracer
 }
 
 // Step is one hop in a span's causal chain: which node was consulted
@@ -33,81 +38,183 @@ type Step struct {
 	Note string        `json:"note"`
 }
 
-// Tracer records finished spans into a fixed-size ring buffer: the last
-// capacity spans are retrievable, older ones are overwritten. Span IDs
-// come from an atomic sequence — strictly ordered in the
-// single-threaded sim, merely unique under live concurrency.
+// Op is the kind of operation a span records. Each kind keeps its own
+// share of the ring, so frequent ops (index arrivals) cannot evict rare
+// ones (the queries an operator asks /debug/trace about).
+type Op uint8
+
+const (
+	OpIndex Op = iota
+	OpDelegate
+	OpLocate
+	OpTrace
+	numOps
+)
+
+var opNames = [numOps]string{"index", "delegate", "locate", "trace"}
+
+// Note is the static text of one kind of step, declared once at package
+// level by the code that records it. Each verb renders the step's next
+// number as fmt would print that Go type — %d an Int, %t a Bool, %v a
+// Dur, %b a Prefix (its binary digits) — and %s its Str.
+type Note struct{ format string }
+
+// NewNote declares a step text. A verb or argument count a step cannot
+// hold is a programming error and panics here, at package init, rather
+// than when somebody reads the span.
+func NewNote(format string) *Note {
+	n := &Note{format}
+	(&record{note: n}).render()
+	return n
+}
+
+// record is one recorded step, 64 bytes and no text: clock stamp, node,
+// note, and the note's arguments — up to two numbers and one string.
+// Arguments are immutable values by construction (no slices, pointers
+// or interfaces), so rendering later shows what was true at the call.
+type record struct {
+	at   time.Duration
+	node string
+	note *Note
+	str  string
+	nums [2]int64
+}
+
+// inlineSteps is how many steps a recording holds without a second
+// allocation: an index arrival's gateway/M2/M3 and a locate's gateway
+// consultations fit; a long IOP walk spills into a grown slice.
+const inlineSteps = 4
+
+// Recording is a span being recorded. Start allocates it once, steps
+// land in its inline array, and Finish hands it to the tracer as is —
+// nothing is copied or formatted until a reader asks. The caller must
+// not touch a recording after Finish. All methods are no-ops on nil, so
+// instrumented paths never branch on whether tracing is wired.
+type Recording struct {
+	tracer *Tracer
+	id     uint64
+	done   uint64        // finish order across all ops
+	key    string        // object code; empty for a span keyed by prefix
+	prefix ids.PrefixKey // group prefix, rendered on read
+	start  time.Duration
+	end    time.Duration
+	hops   int
+	err    string
+	op     Op
+	filled uint8 // numbers given to the newest step
+	steps  []record
+	inline [inlineSteps]record
+}
+
+// Tracer keeps the most recently finished spans in a fixed ring split
+// evenly between the op kinds: the last capacity/4 spans of each kind
+// are retrievable, older ones are overwritten. Span IDs come from an
+// atomic sequence — strictly ordered in the single-threaded sim, merely
+// unique under live concurrency.
 type Tracer struct {
 	reg *Registry
 	seq atomic.Uint64
 
 	mu    sync.Mutex
-	ring  []Span
-	next  int    // ring slot the next finished span lands in
-	total uint64 // spans recorded over the tracer's lifetime
+	ring  []*Recording   // op's share is ring[op*share : (op+1)*share]
+	count [numOps]uint64 // spans of each kind recorded over the tracer's lifetime
+	total uint64         // their sum
 }
 
 func newTracer(reg *Registry, capacity int) *Tracer {
-	return &Tracer{reg: reg, ring: make([]Span, 0, capacity)}
+	return &Tracer{reg: reg, ring: make([]*Recording, capacity)}
 }
 
-// Start opens a span. Nil-safe: on a nil tracer it returns a nil span,
-// and every span method is a no-op on nil, so instrumented paths never
-// branch on whether tracing is wired.
-func (t *Tracer) Start(op, key string) *Span {
+// Start opens a span keyed by an object code. Nil-safe: on a nil tracer
+// it returns a nil recording.
+//
+//lint:hotpath
+func (t *Tracer) Start(op Op, key string) *Recording {
 	if t == nil {
 		return nil
 	}
-	return &Span{
-		ID:     t.seq.Add(1),
-		Op:     op,
-		Key:    key,
-		Start:  t.reg.Now(),
-		tracer: t,
-	}
+	//lint:allow hotalloc the span's one allocation: header and inline steps together
+	s := &Recording{tracer: t, id: t.seq.Add(1), op: op, key: key, start: t.reg.Now()}
+	s.steps = s.inline[:0]
+	return s
 }
 
-// Step appends one hop to the span's chain.
-func (s *Span) Step(node, note string) {
-	if s == nil {
-		return
+// StartPrefix opens a span keyed by a group prefix, whose text form is
+// built when the span is read rather than per arrival.
+//
+//lint:hotpath
+func (t *Tracer) StartPrefix(op Op, key ids.PrefixKey) *Recording {
+	s := t.Start(op, "")
+	if s != nil {
+		s.prefix = key
 	}
-	s.Steps = append(s.Steps, Step{At: s.tracer.reg.Now(), Node: node, Note: note})
+	return s
 }
 
-// Stepf is Step with a formatted note.
-func (s *Span) Stepf(node, format string, args ...any) {
-	if s == nil {
-		return
+// Step appends one hop to the span's chain. The note's arguments follow
+// in verb order: sp.Step(node, noteM2).Int(len(batch)).Str(dest).
+//
+//lint:hotpath
+func (s *Recording) Step(node string, note *Note) *Recording {
+	if s != nil {
+		//lint:allow hotalloc grows only past the inline steps, amortized over a long walk
+		s.steps = append(s.steps, record{at: s.tracer.reg.Now(), node: node, note: note})
+		s.filled = 0
 	}
-	s.Step(node, fmt.Sprintf(format, args...))
+	return s
 }
 
-// Finish closes the span and commits it to the tracer's ring. Hops is
-// the operation's reported hop count; err (nil for success) is recorded
-// as text so spans stay JSON-encodable and DeepEqual-comparable.
-func (s *Span) Finish(hops int, err error) {
+//lint:hotpath
+func (s *Recording) num(v int64) *Recording {
+	if s != nil && int(s.filled) < len(record{}.nums) {
+		s.steps[len(s.steps)-1].nums[s.filled] = v
+		s.filled++
+	}
+	return s
+}
+
+// Int, Dur, Prefix and Bool give the newest step its next number.
+func (s *Recording) Int(v int) *Recording              { return s.num(int64(v)) }
+func (s *Recording) Dur(v time.Duration) *Recording    { return s.num(int64(v)) }
+func (s *Recording) Prefix(v ids.PrefixKey) *Recording { return s.num(int64(v)) }
+func (s *Recording) Bool(v bool) *Recording {
+	if v {
+		return s.num(1)
+	}
+	return s.num(0)
+}
+
+// Str gives the newest step its string.
+//
+//lint:hotpath
+func (s *Recording) Str(v string) *Recording {
+	if s != nil {
+		s.steps[len(s.steps)-1].str = v
+	}
+	return s
+}
+
+// Finish closes the span and commits it to its op's share of the ring.
+// Hops is the operation's reported hop count; err (nil for success) is
+// recorded as text so spans stay JSON-encodable and DeepEqual-comparable.
+//
+//lint:hotpath
+func (s *Recording) Finish(hops int, err error) {
 	if s == nil {
 		return
-	}
-	s.End = s.tracer.reg.Now()
-	s.Hops = hops
-	if err != nil {
-		s.Err = err.Error()
 	}
 	t := s.tracer
-	done := *s
-	done.tracer = nil
-	t.mu.Lock()
-	if cap(t.ring) > 0 {
-		if len(t.ring) < cap(t.ring) {
-			t.ring = append(t.ring, done)
-		} else {
-			t.ring[t.next] = done
-		}
-		t.next = (t.next + 1) % cap(t.ring)
+	s.end = t.reg.Now()
+	s.hops = hops
+	if err != nil {
+		s.err = err.Error()
 	}
+	share := uint64(len(t.ring)) / uint64(numOps)
+	t.mu.Lock()
+	t.ring[uint64(s.op)*share+t.count[s.op]%share] = s
+	t.count[s.op]++
 	t.total++
+	s.done = t.total
 	t.mu.Unlock()
 }
 
@@ -122,37 +229,82 @@ func (t *Tracer) Total() uint64 {
 	return t.total
 }
 
-// Recent returns up to n of the most recently finished spans, newest
-// first.
+// Recent returns up to n of the most recently finished spans of any
+// kind, newest first.
 func (t *Tracer) Recent(n int) []Span {
-	return t.filter(n, func(Span) bool { return true })
+	return t.filter(n, func(*Recording) bool { return true })
 }
 
 // ForKey returns up to n of the most recent spans for the given key
 // (object code or group prefix), newest first.
 func (t *Tracer) ForKey(key string, n int) []Span {
-	return t.filter(n, func(s Span) bool { return s.Key == key })
+	return t.filter(n, func(s *Recording) bool { return s.keyText() == key })
 }
 
-func (t *Tracer) filter(n int, keep func(Span) bool) []Span {
+func (t *Tracer) filter(n int, keep func(*Recording) bool) []Span {
 	if t == nil || n <= 0 {
 		return nil
 	}
+	// A finished recording never changes, so only copying the ring needs
+	// the lock; matching and rendering run beside new Finishes.
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	held := slices.Clone(t.ring)
+	t.mu.Unlock()
+	held = slices.DeleteFunc(held, func(s *Recording) bool { return s == nil || !keep(s) })
+	slices.SortFunc(held, func(a, b *Recording) int { return cmp.Compare(b.done, a.done) })
 	var out []Span
-	for i := len(t.ring) - 1; i >= 0 && len(out) < n; i-- {
-		// The ring fills slots 0..cap-1 and then wraps at next, so the
-		// newest span sits just before next once full.
-		idx := i
-		if len(t.ring) == cap(t.ring) {
-			idx = (t.next + i) % len(t.ring)
-		}
-		if keep(t.ring[idx]) {
-			out = append(out, t.ring[idx])
-		}
+	for _, s := range held[:min(n, len(held))] {
+		out = append(out, s.render())
 	}
 	return out
+}
+
+func (s *Recording) keyText() string {
+	if s.key != "" {
+		return s.key
+	}
+	return s.prefix.String()
+}
+
+// render builds the read-side form of a finished recording.
+func (s *Recording) render() Span {
+	out := Span{
+		ID: s.id, Op: opNames[s.op], Key: s.keyText(),
+		Start: s.start, End: s.end, Hops: s.hops, Err: s.err,
+	}
+	for i := range s.steps {
+		out.Steps = append(out.Steps, s.steps[i].render())
+	}
+	return out
+}
+
+func (r *record) render() Step {
+	f, nums := r.note.format, r.nums[:]
+	b := make([]byte, 0, len(f)+len(r.str)+16)
+	for i := 0; i < len(f); i++ {
+		if f[i] != '%' || i+1 == len(f) {
+			b = append(b, f[i])
+			continue
+		}
+		i++
+		switch f[i] {
+		case 's':
+			b = append(b, r.str...)
+			continue
+		case 'd':
+			b = strconv.AppendInt(b, nums[0], 10)
+		case 't':
+			b = strconv.AppendBool(b, nums[0] != 0)
+		case 'v':
+			b = append(b, time.Duration(nums[0]).String()...)
+		case 'b':
+			b = append(b, ids.PrefixKey(nums[0]).String()...)
+		default:
+			panic("telemetry: unknown verb in note " + strconv.Quote(f))
+		}
+		nums = nums[1:] // a third number fails the next index, at the note's declaration
+	}
+	return Step{At: r.at, Node: r.node, Note: string(b)}
 }
 
 // String renders the span as a single line:

@@ -13,9 +13,10 @@
 //     of goroutine scheduling or worker counts.
 //
 //   - Nil safety. Every handle ((*Registry)(nil), (*Counter)(nil), a
-//     nil *Span, ...) is a valid no-op, so instrumented code paths never
-//     branch on "is telemetry wired?" and uninstrumented runs pay only a
-//     nil check. Counter/Gauge/Histogram updates are allocation-free.
+//     nil *Recording, ...) is a valid no-op, so instrumented code paths
+//     never branch on "is telemetry wired?" and uninstrumented runs pay
+//     only a nil check. Counter/Gauge/Histogram updates are
+//     allocation-free; a span costs one allocation, its steps none.
 //
 // Instrument names are dotted lowercase paths, owner first:
 // "transport.calls", "chord.lookup.hops", "core.window.flushes".

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"peertrack/internal/ids"
 )
 
 // manualClock is a settable test clock.
@@ -43,9 +46,10 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("x").Add(1)
 	r.Histogram("x", HopBuckets()).Observe(3)
-	sp := r.Tracer().Start("locate", "obj")
-	sp.Step("n1", "hop")
-	sp.Stepf("n2", "hop %d", 2)
+	sp := r.Tracer().Start(OpLocate, "obj")
+	sp.Step("n1", NewNote("hop"))
+	sp.Step("n2", NewNote("hop %d to %s")).Int(2).Str("n3")
+	r.Tracer().StartPrefix(OpIndex, 0).Step("n1", NewNote("%b %t")).Prefix(0).Bool(true).Dur(0)
 	sp.Finish(2, nil)
 	if got := r.Tracer().Recent(5); got != nil {
 		t.Fatalf("nil tracer Recent = %v, want nil", got)
@@ -100,8 +104,8 @@ func TestTracerRingAndForKey(t *testing.T) {
 	tr := r.Tracer()
 	for i := 0; i < DefaultSpanCapacity+10; i++ {
 		clk.now = time.Duration(i) * time.Millisecond
-		sp := tr.Start("locate", "obj")
-		sp.Step("n1", "gateway")
+		sp := tr.Start(OpLocate, "obj")
+		sp.Step("n1", NewNote("gateway"))
 		sp.Finish(i, nil)
 	}
 	if got := tr.Total(); got != DefaultSpanCapacity+10 {
@@ -119,7 +123,7 @@ func TestTracerRingAndForKey(t *testing.T) {
 		t.Fatalf("span did not take clock timestamps: %+v", recent[0])
 	}
 
-	failed := tr.Start("trace", "other")
+	failed := tr.Start(OpTrace, "other")
 	failed.Finish(0, errors.New("boom"))
 	byKey := tr.ForKey("other", 10)
 	if len(byKey) != 1 || byKey[0].Err != "boom" {
@@ -157,7 +161,7 @@ func TestSnapshotMerge(t *testing.T) {
 		r.Counter("t.calls").Add(calls)
 		r.Gauge("t.buffered").Add(int64(calls))
 		r.Histogram("t.hops", []int64{1, 2}).Observe(hop)
-		r.Tracer().Start("locate", "o").Finish(0, nil)
+		r.Tracer().Start(OpLocate, "o").Finish(0, nil)
 		return r.Snapshot()
 	}
 	m := mk(3, 1).Merge(mk(5, 100))
@@ -199,9 +203,10 @@ func TestConcurrentUpdates(t *testing.T) {
 				g.Add(1)
 				h.Observe(int64(i % 10))
 				if i%100 == 0 {
-					sp := tr.Start("op", "k")
-					sp.Step("n", "s")
+					sp := tr.Start(Op(w%int(numOps)), "k")
+					sp.Step("n", NewNote("s %d")).Int(i)
 					sp.Finish(1, nil)
+					tr.Recent(4)
 				}
 				// Exercise create-on-first-use races too.
 				r.Counter("shared").Inc()
@@ -238,5 +243,92 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
+	}
+}
+
+var (
+	noteBench  = NewNote("gateway: %d events from %s, %d unknown")
+	noteBench2 = NewNote("gateway %b: hit, head at %s")
+	group01101 = ids.MustParsePrefix("01101").Key()
+)
+
+// recordSpan is the shape of one index arrival or locate: Start, four
+// steps with every argument kind between them, Finish.
+func recordSpan(tr *Tracer, steps int) {
+	sp := tr.Start(OpLocate, "obj-17")
+	for i := 0; i < steps; i += 2 {
+		sp.Step("org-0001", noteBench).Int(3).Str("org-0002").Int(1)
+		sp.Step("org-0002", noteBench2).Prefix(group01101).Str("org-0003")
+	}
+	sp.Finish(2, nil)
+}
+
+// TestSpanRecordAllocs pins the recording budget: one allocation per
+// span (header and inline steps together), none per step, none at all
+// when tracing is not wired — and the step record stays one cache line.
+func TestSpanRecordAllocs(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 64 {
+		t.Errorf("step record is %d bytes, want 64", got)
+	}
+	tr := New(nil).Tracer()
+	bare := testing.AllocsPerRun(200, func() { recordSpan(tr, 0) })
+	full := testing.AllocsPerRun(200, func() { recordSpan(tr, inlineSteps) })
+	if bare > 1 || full != bare {
+		t.Errorf("span allocates %.1f bare and %.1f with %d steps, want ≤ 1 and equal", bare, full, inlineSteps)
+	}
+	if avg := testing.AllocsPerRun(200, func() { recordSpan(nil, inlineSteps) }); avg != 0 {
+		t.Errorf("nil tracer allocates %.1f per span, want 0", avg)
+	}
+}
+
+// TestIndexSpansDoNotEvictQuerySpans: on an ingesting node index spans
+// outnumber query spans by orders of magnitude; the one locate must
+// still be there when the operator asks for it.
+func TestIndexSpansDoNotEvictQuerySpans(t *testing.T) {
+	tr := New(nil).Tracer()
+	flood := func() {
+		for i := 0; i < 10000; i++ {
+			tr.StartPrefix(OpIndex, group01101).Finish(1, nil)
+		}
+	}
+	flood()
+	sp := tr.Start(OpLocate, "obj-17")
+	sp.Step("org-0002", noteBench2).Prefix(group01101).Str("org-0003")
+	sp.Finish(1, nil)
+	flood()
+
+	got := tr.ForKey("obj-17", 1)
+	if len(got) != 1 || got[0].Op != "locate" || len(got[0].Steps) != 1 ||
+		got[0].Steps[0].Note != "gateway 01101: hit, head at org-0003" {
+		t.Fatalf("ForKey after 10000 index spans = %+v, want the locate with its step", got)
+	}
+	if byPrefix := tr.ForKey("01101", 3); len(byPrefix) != 3 || byPrefix[0].Op != "index" {
+		t.Errorf("ForKey by group prefix = %+v, want the three newest index spans", byPrefix)
+	}
+	if tr.Total() != 20001 {
+		t.Errorf("total = %d, want 20001", tr.Total())
+	}
+	// Recent merges the op shares newest first: 128 index spans finished
+	// after the locate, so it sits right behind them.
+	recent := tr.Recent(DefaultSpanCapacity)
+	if share := DefaultSpanCapacity / int(numOps); len(recent) != share+1 || recent[share].Op != "locate" || recent[0].ID != 20001 {
+		t.Errorf("Recent = %d spans, want %d index spans then the locate", len(recent), share)
+	}
+}
+
+func BenchmarkSpanRecord(b *testing.B) {
+	tr := New(nil).Tracer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		recordSpan(tr, inlineSteps)
+	}
+}
+
+func BenchmarkSpanRender(b *testing.B) {
+	tr := New(nil).Tracer()
+	recordSpan(tr, inlineSteps)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Recent(1)
 	}
 }
