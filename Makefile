@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet lint lint-selftest deadpkgs loc race bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile xl ledger-check
+.PHONY: build test check vet lint lint-selftest deadpkgs loc race fuzz-short bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile xl ledger-check
 
 build:
 	$(GO) build ./...
@@ -32,12 +32,12 @@ lint-selftest:
 
 # deadpkgs enforces "every package is imported by a shipped binary or a
 # figure": each package under internal/ must be a dependency of the root
-# package, a cmd/ binary or an example. The analyzer suite's test-support
-# package is the single exception.
+# package, a cmd/ binary or an example. The two test-support packages
+# (the analyzer suite's and the wire layouts') are the exceptions.
 deadpkgs:
 	@deps=$$($(GO) list -deps . ./cmd/... ./examples/...); \
 	for p in $$($(GO) list ./internal/...); do \
-		[ "$$p" = peertrack/internal/analysis/analysistest ] && continue; \
+		case $$p in */analysistest|*/wiretest) continue;; esac; \
 		echo "$$deps" | grep -qxF "$$p" || { echo "deadpkgs: no binary or example imports $$p"; dead=1; }; \
 	done; [ -z "$$dead" ]
 
@@ -71,6 +71,14 @@ check: vet lint race chaos-short
 # race is the full test suite under the race detector.
 race:
 	$(GO) test -race ./...
+
+# fuzz-short runs each fuzz target of the wire format for ten seconds on
+# top of its seed corpus (one populated sample per message layout, under
+# internal/transport/testdata/fuzz; plain `go test` already runs those).
+# Not part of check: a finding lands in testdata/ and is fixed by hand.
+fuzz-short:
+	$(GO) test -run xxx -fuzz FuzzFrame -fuzztime 10s ./internal/transport/
+	$(GO) test -run xxx -fuzz FuzzAuthFrame -fuzztime 10s ./internal/transport/
 
 # chaos-short sweeps 500 seeded fault scenarios (4:1 safe:lossy) under
 # the race detector, then runs the paired churn10x regression: 10
@@ -119,6 +127,7 @@ bench-module:
 # the alloc-pinning store benchmarks behind the Scale.XL memory budget.
 micro:
 	$(GO) test -run xxx -bench 'BenchmarkTransportCall|BenchmarkStatsSnapshot' ./internal/transport/
+	$(GO) test -run xxx -bench 'BenchmarkTCPCall' -benchmem ./internal/chord/ ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkBatchFanIn|BenchmarkHeapFanIn' ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkGateway|BenchmarkIOP' ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkSpan' -benchmem ./internal/telemetry/

@@ -55,15 +55,73 @@ type leaveReq struct {
 
 type leaveResp struct{}
 
+// The wire layouts (transport.RegisterLayout): fields in declaration
+// order. The tag table is append-only — a released tag is never
+// renumbered or reused.
 func init() {
-	transport.Register(pingReq{})
-	transport.Register(pingResp{})
-	transport.Register(getStateReq{})
-	transport.Register(getStateResp{})
-	transport.Register(closestPrecedingReq{})
-	transport.Register(closestPrecedingResp{})
-	transport.Register(notifyReq{})
-	transport.Register(notifyResp{})
-	transport.Register(leaveReq{})
-	transport.Register(leaveResp{})
+	transport.RegisterLayout(0x0100, transport.ReadEmpty[pingReq])
+	transport.RegisterLayout(0x0101, readPingResp)
+	transport.RegisterLayout(0x0102, transport.ReadEmpty[getStateReq])
+	transport.RegisterLayout(0x0103, readGetStateResp)
+	transport.RegisterLayout(0x0104, readClosestPrecedingReq)
+	transport.RegisterLayout(0x0105, readClosestPrecedingResp)
+	transport.RegisterLayout(0x0106, readNotifyReq)
+	transport.RegisterLayout(0x0107, transport.ReadEmpty[notifyResp])
+	transport.RegisterLayout(0x0108, readLeaveReq)
+	transport.RegisterLayout(0x0109, transport.ReadEmpty[leaveResp])
+}
+
+func (pingReq) AppendWire(b []byte) []byte     { return b }
+func (getStateReq) AppendWire(b []byte) []byte { return b }
+func (notifyResp) AppendWire(b []byte) []byte  { return b }
+func (leaveResp) AppendWire(b []byte) []byte   { return b }
+
+func (m pingResp) AppendWire(b []byte) []byte { return overlay.AppendRef(b, m.Self) }
+
+func readPingResp(r *transport.Reader) pingResp { return pingResp{Self: overlay.ReadRef(r)} }
+
+func (m getStateResp) AppendWire(b []byte) []byte {
+	b = overlay.AppendRef(b, m.Self)
+	b = transport.AppendSlice(b, m.Successors, overlay.AppendRef)
+	return overlay.AppendRef(b, m.Pred)
+}
+
+func readGetStateResp(r *transport.Reader) getStateResp {
+	return getStateResp{
+		Self:       overlay.ReadRef(r),
+		Successors: transport.ReadSlice(r, overlay.RefWireMin, overlay.ReadRef),
+		Pred:       overlay.ReadRef(r),
+	}
+}
+
+func (m closestPrecedingReq) AppendWire(b []byte) []byte { return transport.AppendID(b, m.Key) }
+
+func readClosestPrecedingReq(r *transport.Reader) closestPrecedingReq {
+	return closestPrecedingReq{Key: r.ID()}
+}
+
+func (m closestPrecedingResp) AppendWire(b []byte) []byte {
+	return transport.AppendBool(overlay.AppendRef(b, m.Node), m.Done)
+}
+
+func readClosestPrecedingResp(r *transport.Reader) closestPrecedingResp {
+	return closestPrecedingResp{Node: overlay.ReadRef(r), Done: r.Bool()}
+}
+
+func (m notifyReq) AppendWire(b []byte) []byte { return overlay.AppendRef(b, m.Candidate) }
+
+func readNotifyReq(r *transport.Reader) notifyReq { return notifyReq{Candidate: overlay.ReadRef(r)} }
+
+func (m leaveReq) AppendWire(b []byte) []byte {
+	b = overlay.AppendRef(b, m.Leaver)
+	b = overlay.AppendRef(b, m.Pred)
+	return transport.AppendSlice(b, m.Successors, overlay.AppendRef)
+}
+
+func readLeaveReq(r *transport.Reader) leaveReq {
+	return leaveReq{
+		Leaver:     overlay.ReadRef(r),
+		Pred:       overlay.ReadRef(r),
+		Successors: transport.ReadSlice(r, overlay.RefWireMin, overlay.ReadRef),
+	}
 }

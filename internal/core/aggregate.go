@@ -46,11 +46,33 @@ type dwellStatsResp struct {
 	MeanDwell  time.Duration
 }
 
-func init() {
-	transport.Register(inventoryReq{})
-	transport.Register(inventoryResp{})
-	transport.Register(dwellStatsReq{})
-	transport.Register(dwellStatsResp{})
+func (m inventoryReq) AppendWire(b []byte) []byte {
+	return transport.AppendInt(transport.AppendBool(b, m.WithObjects), m.MaxObjects)
+}
+
+func readInventoryReq(r *transport.Reader) inventoryReq {
+	return inventoryReq{WithObjects: r.Bool(), MaxObjects: int(r.Int())}
+}
+
+func (m inventoryResp) AppendWire(b []byte) []byte {
+	return transport.AppendSlice(transport.AppendInt(b, m.Count), m.Objects, transport.AppendString[moods.ObjectID])
+}
+
+func readInventoryResp(r *transport.Reader) inventoryResp {
+	return inventoryResp{
+		Count:   int(r.Int()),
+		Objects: transport.ReadSlice(r, stringWireMin, transport.ReadString[moods.ObjectID]),
+	}
+}
+
+func (dwellStatsReq) AppendWire(b []byte) []byte { return b }
+
+func (m dwellStatsResp) AppendWire(b []byte) []byte {
+	return transport.AppendInt(transport.AppendInt(b, m.Departures), m.MeanDwell)
+}
+
+func readDwellStatsResp(r *transport.Reader) dwellStatsResp {
+	return dwellStatsResp{Departures: int(r.Int()), MeanDwell: time.Duration(r.Int())}
 }
 
 // Inventory returns the objects currently present at this node, sorted

@@ -76,11 +76,49 @@ type containGetResp struct {
 
 func (r containGetResp) WireSize() int { return len(r.Records) * 64 }
 
-func init() {
-	transport.Register(containPutReq{})
-	transport.Register(containPutResp{})
-	transport.Register(containGetReq{})
-	transport.Register(containGetResp{})
+func appendContainment(b []byte, c ContainmentRecord) []byte {
+	b = transport.AppendString(transport.AppendString(b, c.Child), c.Parent)
+	return transport.AppendString(transport.AppendInt(transport.AppendInt(b, c.From), c.To), c.At)
+}
+
+func readContainment(r *transport.Reader) ContainmentRecord {
+	return ContainmentRecord{
+		Child:  moods.ObjectID(r.String()),
+		Parent: moods.ObjectID(r.String()),
+		From:   time.Duration(r.Int()),
+		To:     time.Duration(r.Int()),
+		At:     moods.NodeName(r.String()),
+	}
+}
+
+func appendContainments(b []byte, cs []ContainmentRecord) []byte {
+	return transport.AppendSlice(b, cs, appendContainment)
+}
+
+func readContainments(r *transport.Reader) []ContainmentRecord {
+	return transport.ReadSlice(r, 3*stringWireMin+16, readContainment)
+}
+
+func (m containPutReq) AppendWire(b []byte) []byte {
+	return transport.AppendBool(appendContainments(b, m.Records), m.Close)
+}
+
+func readContainPutReq(r *transport.Reader) containPutReq {
+	return containPutReq{Records: readContainments(r), Close: r.Bool()}
+}
+
+func (containPutResp) AppendWire(b []byte) []byte { return b }
+
+func (m containGetReq) AppendWire(b []byte) []byte { return transport.AppendString(b, m.Child) }
+
+func readContainGetReq(r *transport.Reader) containGetReq {
+	return containGetReq{Child: moods.ObjectID(r.String())}
+}
+
+func (m containGetResp) AppendWire(b []byte) []byte { return appendContainments(b, m.Records) }
+
+func readContainGetResp(r *transport.Reader) containGetResp {
+	return containGetResp{Records: readContainments(r)}
 }
 
 // handleContainment serves the containment protocol (chained from the

@@ -7,6 +7,7 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/transport"
 )
 
 // IndexEntry is one object's gateway index record: its latest known
@@ -32,6 +33,34 @@ func sizeOfEntries(es []IndexEntry) int {
 		n += e.wireSize()
 	}
 	return n
+}
+
+// entryWireMin is the fewest bytes an IndexEntry occupies on the wire.
+const entryWireMin = 3*stringWireMin + ids.Bytes + 16
+
+func appendEntry(b []byte, e IndexEntry) []byte {
+	b = transport.AppendID(transport.AppendString(b, e.Object), e.ID)
+	b = transport.AppendString(transport.AppendString(b, e.Latest), e.Prev)
+	return transport.AppendInt(transport.AppendInt(b, e.Arrived), e.Indexed)
+}
+
+func readEntry(r *transport.Reader) IndexEntry {
+	return IndexEntry{
+		Object:  moods.ObjectID(r.String()),
+		ID:      r.ID(),
+		Latest:  moods.NodeName(r.String()),
+		Prev:    moods.NodeName(r.String()),
+		Arrived: time.Duration(r.Int()),
+		Indexed: time.Duration(r.Int()),
+	}
+}
+
+func appendEntries(b []byte, es []IndexEntry) []byte {
+	return transport.AppendSlice(b, es, appendEntry)
+}
+
+func readEntries(r *transport.Reader) []IndexEntry {
+	return transport.ReadSlice(r, entryWireMin, readEntry)
 }
 
 // entryIDs lists the hashed ids of es, in order.

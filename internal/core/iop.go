@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"peertrack/internal/moods"
+	"peertrack/internal/transport"
 )
 
 // VisitRecord is one segment of an object's moving path stored at the
@@ -18,6 +19,31 @@ type VisitRecord struct {
 	Arrived time.Duration
 	From    moods.NodeName // where the object came from; "" = entered the network here
 	To      moods.NodeName // where the object left to; "" = still here / unknown
+}
+
+// visitWireMin is the fewest bytes a VisitRecord occupies on the wire.
+const visitWireMin = 3*stringWireMin + 8
+
+func appendVisitRecord(b []byte, v VisitRecord) []byte {
+	b = transport.AppendInt(transport.AppendString(b, v.Object), v.Arrived)
+	return transport.AppendString(transport.AppendString(b, v.From), v.To)
+}
+
+func readVisitRecord(r *transport.Reader) VisitRecord {
+	return VisitRecord{
+		Object:  moods.ObjectID(r.String()),
+		Arrived: time.Duration(r.Int()),
+		From:    moods.NodeName(r.String()),
+		To:      moods.NodeName(r.String()),
+	}
+}
+
+func appendVisitRecords(b []byte, vs []VisitRecord) []byte {
+	return transport.AppendSlice(b, vs, appendVisitRecord)
+}
+
+func readVisitRecords(r *transport.Reader) []VisitRecord {
+	return transport.ReadSlice(r, visitWireMin, readVisitRecord)
 }
 
 // visitRec is a VisitRecord without the Object field: inside the store

@@ -182,21 +182,212 @@ type iopGetResp struct {
 
 func (r iopGetResp) WireSize() int { return 1 + len(r.Visits)*32 }
 
+// The tag table of every core message that crosses TCP
+// (transport.RegisterLayout), append-only: a released tag is never
+// renumbered or reused. Each layout is written next to its type: fields
+// in declaration order, element encoders (ObjEvent, IOPLink, IndexEntry,
+// VisitRecord, RepoObject, …) beside the element type.
 func init() {
-	transport.Register(arriveReq{})
-	transport.Register(arriveResp{})
-	transport.Register(groupArriveReq{})
-	transport.Register(groupArriveResp{})
-	transport.Register(iopSetToReq{})
-	transport.Register(iopSetToResp{})
-	transport.Register(iopSetFromReq{})
-	transport.Register(iopSetFromResp{})
-	transport.Register(fetchIndexReq{})
-	transport.Register(fetchIndexResp{})
-	transport.Register(delegateReq{})
-	transport.Register(delegateResp{})
-	transport.Register(queryIndexReq{})
-	transport.Register(queryIndexResp{})
-	transport.Register(iopGetReq{})
-	transport.Register(iopGetResp{})
+	// messages.go
+	transport.RegisterLayout(0x0200, readArriveReq)
+	transport.RegisterLayout(0x0201, transport.ReadEmpty[arriveResp])
+	transport.RegisterLayout(0x0202, readGroupArriveReq)
+	transport.RegisterLayout(0x0203, readGroupArriveResp)
+	transport.RegisterLayout(0x0204, readIOPSetToReq)
+	transport.RegisterLayout(0x0205, transport.ReadEmpty[iopSetToResp])
+	transport.RegisterLayout(0x0206, readIOPSetFromReq)
+	transport.RegisterLayout(0x0207, transport.ReadEmpty[iopSetFromResp])
+	transport.RegisterLayout(0x0208, readFetchIndexReq)
+	transport.RegisterLayout(0x0209, readFetchIndexResp)
+	transport.RegisterLayout(0x020a, readDelegateReq)
+	transport.RegisterLayout(0x020b, transport.ReadEmpty[delegateResp])
+	transport.RegisterLayout(0x020c, readQueryIndexReq)
+	transport.RegisterLayout(0x020d, readQueryIndexResp)
+	transport.RegisterLayout(0x020e, readIOPGetReq)
+	transport.RegisterLayout(0x020f, readIOPGetResp)
+	// aggregate.go
+	transport.RegisterLayout(0x0210, readInventoryReq)
+	transport.RegisterLayout(0x0211, readInventoryResp)
+	transport.RegisterLayout(0x0212, transport.ReadEmpty[dwellStatsReq])
+	transport.RegisterLayout(0x0213, readDwellStatsResp)
+	// containment.go
+	transport.RegisterLayout(0x0214, readContainPutReq)
+	transport.RegisterLayout(0x0215, transport.ReadEmpty[containPutResp])
+	transport.RegisterLayout(0x0216, readContainGetReq)
+	transport.RegisterLayout(0x0217, readContainGetResp)
+	// predict.go
+	transport.RegisterLayout(0x0218, transport.ReadEmpty[transModelReq])
+	transport.RegisterLayout(0x0219, readTransModelResp)
+	// routed.go
+	transport.RegisterLayout(0x021a, readRoutedTraceReq)
+	transport.RegisterLayout(0x021b, readRoutedTraceResp)
+	// replication.go
+	transport.RegisterLayout(0x021c, readReplicatePutReq)
+	transport.RegisterLayout(0x021d, readMirrorResp)
+	transport.RegisterLayout(0x021e, readReplicaCheckReq)
+	transport.RegisterLayout(0x021f, readReplicaCheckResp)
+	transport.RegisterLayout(0x0220, readReplicaDropReq)
+	transport.RegisterLayout(0x0221, transport.ReadEmpty[replicaDropResp])
+	transport.RegisterLayout(0x0222, readReplicaQueryReq)
+	transport.RegisterLayout(0x0223, readReplicaQueryResp)
+	transport.RegisterLayout(0x0224, readRepoMirrorReq)
+	transport.RegisterLayout(0x0225, readRepoQueryReq)
+	transport.RegisterLayout(0x0226, readRepoQueryResp)
+}
+
+// Fewest wire bytes of the elements slices carry (transport.ReadSlice).
+const (
+	stringWireMin = 2
+	eventWireMin  = stringWireMin + 8
+	linkWireMin   = 2*stringWireMin + 8
+)
+
+func appendEvent(b []byte, e ObjEvent) []byte {
+	return transport.AppendInt(transport.AppendString(b, e.Object), e.Arrived)
+}
+
+func readEvent(r *transport.Reader) ObjEvent {
+	return ObjEvent{Object: moods.ObjectID(r.String()), Arrived: time.Duration(r.Int())}
+}
+
+func appendIDs(b []byte, s []ids.ID) []byte { return transport.AppendSlice(b, s, transport.AppendID) }
+
+func readIDs(r *transport.Reader) []ids.ID {
+	return transport.ReadSlice(r, ids.Bytes, (*transport.Reader).ID)
+}
+
+func (m arriveReq) AppendWire(b []byte) []byte {
+	return transport.AppendString(appendEvent(b, m.Event), m.Node)
+}
+
+func readArriveReq(r *transport.Reader) arriveReq {
+	return arriveReq{Event: readEvent(r), Node: moods.NodeName(r.String())}
+}
+
+func (arriveResp) AppendWire(b []byte) []byte { return b }
+
+func (m groupArriveReq) AppendWire(b []byte) []byte {
+	b = transport.AppendInt(b, m.Key)
+	b = transport.AppendSlice(b, m.Events, appendEvent)
+	return transport.AppendInt(transport.AppendString(b, m.Node), m.At)
+}
+
+func readGroupArriveReq(r *transport.Reader) groupArriveReq {
+	return groupArriveReq{
+		Key:    r.PrefixKey(),
+		Events: transport.ReadSlice(r, eventWireMin, readEvent),
+		Node:   moods.NodeName(r.String()),
+		At:     time.Duration(r.Int()),
+	}
+}
+
+func (m groupArriveResp) AppendWire(b []byte) []byte {
+	return transport.AppendSlice(b, m.Deferred, appendEvent)
+}
+
+func readGroupArriveResp(r *transport.Reader) groupArriveResp {
+	return groupArriveResp{Deferred: transport.ReadSlice(r, eventWireMin, readEvent)}
+}
+
+func (m iopSetToReq) AppendWire(b []byte) []byte {
+	b = transport.AppendSlice(b, m.Objects, transport.AppendString[moods.ObjectID])
+	return transport.AppendInt(transport.AppendString(b, m.To), m.At)
+}
+
+func readIOPSetToReq(r *transport.Reader) iopSetToReq {
+	return iopSetToReq{
+		Objects: transport.ReadSlice(r, stringWireMin, transport.ReadString[moods.ObjectID]),
+		To:      moods.NodeName(r.String()),
+		At:      time.Duration(r.Int()),
+	}
+}
+
+func (iopSetToResp) AppendWire(b []byte) []byte { return b }
+
+func appendLink(b []byte, l IOPLink) []byte {
+	return transport.AppendInt(transport.AppendString(transport.AppendString(b, l.Object), l.From), l.At)
+}
+
+func readLink(r *transport.Reader) IOPLink {
+	return IOPLink{Object: moods.ObjectID(r.String()), From: moods.NodeName(r.String()), At: time.Duration(r.Int())}
+}
+
+func (m iopSetFromReq) AppendWire(b []byte) []byte {
+	return transport.AppendSlice(b, m.Links, appendLink)
+}
+
+func readIOPSetFromReq(r *transport.Reader) iopSetFromReq {
+	return iopSetFromReq{Links: transport.ReadSlice(r, linkWireMin, readLink)}
+}
+
+func (iopSetFromResp) AppendWire(b []byte) []byte { return b }
+
+func (m fetchIndexReq) AppendWire(b []byte) []byte {
+	return appendIDs(transport.AppendInt(b, m.Key), m.Objects)
+}
+
+func readFetchIndexReq(r *transport.Reader) fetchIndexReq {
+	return fetchIndexReq{Key: r.PrefixKey(), Objects: readIDs(r)}
+}
+
+func (m fetchIndexResp) AppendWire(b []byte) []byte {
+	return transport.AppendBool(appendEntries(b, m.Entries), m.Delegated)
+}
+
+func readFetchIndexResp(r *transport.Reader) fetchIndexResp {
+	return fetchIndexResp{Entries: readEntries(r), Delegated: r.Bool()}
+}
+
+func appendMirrorVersion(b []byte, mv replication.MirrorVersion) []byte {
+	return transport.AppendInt(transport.AppendString(b, mv.Addr), mv.Version)
+}
+
+func readMirrorVersion(r *transport.Reader) replication.MirrorVersion {
+	return replication.MirrorVersion{Addr: transport.Addr(r.String()), Version: r.U64()}
+}
+
+func (m delegateReq) AppendWire(b []byte) []byte {
+	b = appendEntries(transport.AppendInt(b, m.Key), m.Entries)
+	return transport.AppendSlice(transport.AppendInt(b, m.MetaVersion), m.MetaSynced, appendMirrorVersion)
+}
+
+func readDelegateReq(r *transport.Reader) delegateReq {
+	return delegateReq{
+		Key:         r.PrefixKey(),
+		Entries:     readEntries(r),
+		MetaVersion: r.U64(),
+		MetaSynced:  transport.ReadSlice(r, stringWireMin+8, readMirrorVersion),
+	}
+}
+
+func (delegateResp) AppendWire(b []byte) []byte { return b }
+
+func (m queryIndexReq) AppendWire(b []byte) []byte {
+	return appendIDs(transport.AppendInt(b, m.Key), m.Objects)
+}
+
+func readQueryIndexReq(r *transport.Reader) queryIndexReq {
+	return queryIndexReq{Key: r.PrefixKey(), Objects: readIDs(r)}
+}
+
+func (m queryIndexResp) AppendWire(b []byte) []byte {
+	return transport.AppendBool(appendEntries(b, m.Entries), m.Delegated)
+}
+
+func readQueryIndexResp(r *transport.Reader) queryIndexResp {
+	return queryIndexResp{Entries: readEntries(r), Delegated: r.Bool()}
+}
+
+func (m iopGetReq) AppendWire(b []byte) []byte { return transport.AppendString(b, m.Object) }
+
+func readIOPGetReq(r *transport.Reader) iopGetReq {
+	return iopGetReq{Object: moods.ObjectID(r.String())}
+}
+
+func (m iopGetResp) AppendWire(b []byte) []byte {
+	return transport.AppendBool(appendVisitRecords(b, m.Visits), m.Found)
+}
+
+func readIOPGetResp(r *transport.Reader) iopGetResp {
+	return iopGetResp{Visits: readVisitRecords(r), Found: r.Bool()}
 }

@@ -109,9 +109,20 @@ func (r transModelResp) WireSize() int {
 	return n
 }
 
-func init() {
-	transport.Register(transModelReq{})
-	transport.Register(transModelResp{})
+func (transModelReq) AppendWire(b []byte) []byte { return b }
+
+func (m transModelResp) AppendWire(b []byte) []byte {
+	b = transport.AppendSlice(b, m.Dests, transport.AppendString[moods.NodeName])
+	b = transport.AppendSlice(b, m.Counts, transport.AppendInt[int])
+	return transport.AppendSlice(b, m.MeanDwell, transport.AppendInt[time.Duration])
+}
+
+func readTransModelResp(r *transport.Reader) transModelResp {
+	return transModelResp{
+		Dests:     transport.ReadSlice(r, stringWireMin, transport.ReadString[moods.NodeName]),
+		Counts:    transport.ReadSlice(r, 8, func(r *transport.Reader) int { return int(r.Int()) }),
+		MeanDwell: transport.ReadSlice(r, 8, func(r *transport.Reader) time.Duration { return time.Duration(r.Int()) }),
+	}
 }
 
 // PredictNext predicts where an object will move next and when, from

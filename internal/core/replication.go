@@ -174,18 +174,111 @@ type repoQueryResp struct {
 
 func (r repoQueryResp) WireSize() int { return 1 + len(r.Visits)*32 }
 
-func init() {
-	transport.Register(replicatePutReq{})
-	transport.Register(mirrorResp{})
-	transport.Register(replicaCheckReq{})
-	transport.Register(replicaCheckResp{})
-	transport.Register(replicaDropReq{})
-	transport.Register(replicaDropResp{})
-	transport.Register(replicaQueryReq{})
-	transport.Register(replicaQueryResp{})
-	transport.Register(repoMirrorReq{})
-	transport.Register(repoQueryReq{})
-	transport.Register(repoQueryResp{})
+// The wire layouts of the messages above (tag table in messages.go).
+
+// Full and Delegated pack into the one byte WireSize charges them.
+func (m replicatePutReq) AppendWire(b []byte) []byte {
+	var flags byte
+	if m.Full {
+		flags |= 1
+	}
+	if m.Delegated {
+		flags |= 2
+	}
+	b = transport.AppendString(transport.AppendInt(b, m.Key), m.Owner)
+	b = transport.AppendByte(transport.AppendInt(b, m.Version), flags)
+	return appendIDs(appendEntries(b, m.Entries), m.Removed)
+}
+
+func readReplicatePutReq(r *transport.Reader) replicatePutReq {
+	m := replicatePutReq{Key: r.PrefixKey(), Owner: transport.Addr(r.String()), Version: r.U64()}
+	flags := r.Flags(2)
+	m.Full, m.Delegated = flags&1 != 0, flags&2 != 0
+	m.Entries, m.Removed = readEntries(r), readIDs(r)
+	return m
+}
+
+func (m mirrorResp) AppendWire(b []byte) []byte { return transport.AppendBool(b, m.Current) }
+
+func readMirrorResp(r *transport.Reader) mirrorResp { return mirrorResp{Current: r.Bool()} }
+
+func (m replicaCheckReq) AppendWire(b []byte) []byte {
+	b = transport.AppendBool(transport.AppendInt(b, m.Key), m.Repo)
+	return transport.AppendInt(transport.AppendString(b, m.Owner), m.Version)
+}
+
+func readReplicaCheckReq(r *transport.Reader) replicaCheckReq {
+	return replicaCheckReq{Key: r.PrefixKey(), Repo: r.Bool(), Owner: transport.Addr(r.String()), Version: r.U64()}
+}
+
+func (m replicaCheckResp) AppendWire(b []byte) []byte { return transport.AppendBool(b, m.Current) }
+
+func readReplicaCheckResp(r *transport.Reader) replicaCheckResp {
+	return replicaCheckResp{Current: r.Bool()}
+}
+
+func (m replicaDropReq) AppendWire(b []byte) []byte {
+	return transport.AppendString(transport.AppendBool(transport.AppendInt(b, m.Key), m.Repo), m.Owner)
+}
+
+func readReplicaDropReq(r *transport.Reader) replicaDropReq {
+	return replicaDropReq{Key: r.PrefixKey(), Repo: r.Bool(), Owner: transport.Addr(r.String())}
+}
+
+func (replicaDropResp) AppendWire(b []byte) []byte { return b }
+
+func (m replicaQueryReq) AppendWire(b []byte) []byte {
+	return appendIDs(transport.AppendInt(b, m.Key), m.Objects)
+}
+
+func readReplicaQueryReq(r *transport.Reader) replicaQueryReq {
+	return replicaQueryReq{Key: r.PrefixKey(), Objects: readIDs(r)}
+}
+
+func (m replicaQueryResp) AppendWire(b []byte) []byte {
+	return transport.AppendBool(appendEntries(b, m.Entries), m.Delegated)
+}
+
+func readReplicaQueryResp(r *transport.Reader) replicaQueryResp {
+	return replicaQueryResp{Entries: readEntries(r), Delegated: r.Bool()}
+}
+
+func appendRepoObject(b []byte, o RepoObject) []byte {
+	return appendVisitRecords(transport.AppendString(b, o.Object), o.Visits)
+}
+
+func readRepoObject(r *transport.Reader) RepoObject {
+	return RepoObject{Object: moods.ObjectID(r.String()), Visits: readVisitRecords(r)}
+}
+
+func (m repoMirrorReq) AppendWire(b []byte) []byte {
+	b = transport.AppendInt(transport.AppendString(b, m.Owner), m.Version)
+	return transport.AppendSlice(transport.AppendBool(b, m.Full), m.Objects, appendRepoObject)
+}
+
+func readRepoMirrorReq(r *transport.Reader) repoMirrorReq {
+	return repoMirrorReq{
+		Owner:   transport.Addr(r.String()),
+		Version: r.U64(),
+		Full:    r.Bool(),
+		Objects: transport.ReadSlice(r, stringWireMin+4, readRepoObject),
+	}
+}
+
+func (m repoQueryReq) AppendWire(b []byte) []byte {
+	return transport.AppendString(transport.AppendString(b, m.Owner), m.Object)
+}
+
+func readRepoQueryReq(r *transport.Reader) repoQueryReq {
+	return repoQueryReq{Owner: transport.Addr(r.String()), Object: moods.ObjectID(r.String())}
+}
+
+func (m repoQueryResp) AppendWire(b []byte) []byte {
+	return transport.AppendBool(appendVisitRecords(b, m.Visits), m.Found)
+}
+
+func readRepoQueryResp(r *transport.Reader) repoQueryResp {
+	return repoQueryResp{Visits: readVisitRecords(r), Found: r.Bool()}
 }
 
 // lookupSetter is the successor-set query failover needs; only the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
@@ -40,10 +41,35 @@ type routedTraceResp struct {
 
 func (r routedTraceResp) WireSize() int { return 8 + len(r.Path)*24 }
 
-func init() {
-	transport.Register(routedTraceReq{})
-	transport.Register(routedTraceResp{})
-	transport.Register(moods.Visit{})
+func (m routedTraceReq) AppendWire(b []byte) []byte {
+	b = transport.AppendID(transport.AppendString(b, m.Object), m.Key)
+	return transport.AppendInt(transport.AppendInt(b, m.Bucket), m.TTL)
+}
+
+func readRoutedTraceReq(r *transport.Reader) routedTraceReq {
+	return routedTraceReq{Object: moods.ObjectID(r.String()), Key: r.ID(), Bucket: r.PrefixKey(), TTL: int(r.Int())}
+}
+
+func appendVisit(b []byte, v moods.Visit) []byte {
+	return transport.AppendInt(transport.AppendString(b, v.Node), v.Arrived)
+}
+
+func readVisit(r *transport.Reader) moods.Visit {
+	return moods.Visit{Node: moods.NodeName(r.String()), Arrived: time.Duration(r.Int())}
+}
+
+func (m routedTraceResp) AppendWire(b []byte) []byte {
+	b = transport.AppendSlice(transport.AppendBool(b, m.Found), m.Path, appendVisit)
+	return transport.AppendBool(transport.AppendInt(b, m.Hops), m.Intermediate)
+}
+
+func readRoutedTraceResp(r *transport.Reader) routedTraceResp {
+	return routedTraceResp{
+		Found:        r.Bool(),
+		Path:         transport.ReadSlice(r, stringWireMin+8, readVisit),
+		Hops:         int(r.Int()),
+		Intermediate: r.Bool(),
+	}
 }
 
 // TraceRouted answers "where has this object been?" using recursive

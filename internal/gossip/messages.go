@@ -64,9 +64,43 @@ func (r exchangeResp) WireSize() int {
 // WireSize implements transport.WireSizer.
 func (r probeResp) WireSize() int { return 20 + len(r.Self.Addr) }
 
+// The wire layouts (transport.RegisterLayout): fields in declaration
+// order. The tag table is append-only — a released tag is never
+// renumbered or reused.
 func init() {
-	transport.Register(exchangeReq{})
-	transport.Register(exchangeResp{})
-	transport.Register(probeReq{})
-	transport.Register(probeResp{})
+	transport.RegisterLayout(0x0300, readExchangeReq)
+	transport.RegisterLayout(0x0301, readExchangeResp)
+	transport.RegisterLayout(0x0302, transport.ReadEmpty[probeReq])
+	transport.RegisterLayout(0x0303, readProbeResp)
 }
+
+// entryWireMin is the fewest bytes an Entry occupies on the wire.
+const entryWireMin = overlay.RefWireMin + 4
+
+func appendEntry(b []byte, e Entry) []byte {
+	return transport.AppendU32(overlay.AppendRef(b, e.Ref), e.Age)
+}
+
+func readEntry(r *transport.Reader) Entry { return Entry{Ref: overlay.ReadRef(r), Age: r.U32()} }
+
+func (m exchangeReq) AppendWire(b []byte) []byte {
+	return transport.AppendSlice(overlay.AppendRef(b, m.From), m.Entries, appendEntry)
+}
+
+func readExchangeReq(r *transport.Reader) exchangeReq {
+	return exchangeReq{From: overlay.ReadRef(r), Entries: transport.ReadSlice(r, entryWireMin, readEntry)}
+}
+
+func (m exchangeResp) AppendWire(b []byte) []byte {
+	return transport.AppendSlice(b, m.Entries, appendEntry)
+}
+
+func readExchangeResp(r *transport.Reader) exchangeResp {
+	return exchangeResp{Entries: transport.ReadSlice(r, entryWireMin, readEntry)}
+}
+
+func (probeReq) AppendWire(b []byte) []byte { return b }
+
+func (m probeResp) AppendWire(b []byte) []byte { return overlay.AppendRef(b, m.Self) }
+
+func readProbeResp(r *transport.Reader) probeResp { return probeResp{Self: overlay.ReadRef(r)} }

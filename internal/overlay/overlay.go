@@ -25,6 +25,19 @@ func (r NodeRef) IsZero() bool { return r.Addr == "" }
 // Equal reports whether two references denote the same node.
 func (r NodeRef) Equal(o NodeRef) bool { return r.Addr == o.Addr && r.ID == o.ID }
 
+// RefWireMin is the fewest bytes a NodeRef occupies on the wire.
+const RefWireMin = ids.Bytes + 2
+
+// AppendRef appends r's wire layout: the id's raw bytes, then the address.
+func AppendRef(b []byte, r NodeRef) []byte {
+	return transport.AppendString(transport.AppendID(b, r.ID), r.Addr)
+}
+
+// ReadRef reads what AppendRef wrote.
+func ReadRef(r *transport.Reader) NodeRef {
+	return NodeRef{ID: r.ID(), Addr: transport.Addr(r.String())}
+}
+
 // Result is a key-lookup outcome.
 type Result struct {
 	// Node is the node responsible for the key under the overlay's

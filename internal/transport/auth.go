@@ -1,32 +1,27 @@
 package transport
 
 import (
-	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 )
 
 // Message authentication for the TCP transport. The traceable network
 // spans sovereign organisations; with a shared network secret set, every
-// frame carries an HMAC-SHA256 over (per-connection sequence number ||
-// payload), so peers reject frames from parties without the secret as
-// well as replayed or reordered frames. This is transport-level
+// frame ends in a fixed trailer, `u64 seq | 32-byte MAC`, the MAC an
+// HMAC-SHA256 over (per-connection, per-direction sequence number ||
+// body), so peers reject frames from parties without the secret as well
+// as replayed or reordered frames. This is transport-level
 // authentication, not confidentiality — run over a private network or
 // add TLS externally if eavesdropping matters.
 
 // ErrBadMAC is returned when a frame fails authentication.
 var ErrBadMAC = errors.New("transport: message authentication failed")
 
-// authFrame is the wire envelope when authentication is enabled.
-type authFrame struct {
-	Seq  uint64
-	Body []byte
-	MAC  []byte
-}
+// trailerLen is the size of the authentication trailer.
+const trailerLen = 8 + sha256.Size
 
 // macOf computes HMAC-SHA256(secret, seq || body).
 func macOf(secret []byte, seq uint64, body []byte) []byte {
@@ -38,48 +33,34 @@ func macOf(secret []byte, seq uint64, body []byte) []byte {
 	return m.Sum(nil)
 }
 
-// authCodec frames gob-encoded values with sequence-numbered MACs over
-// an underlying gob stream.
-type authCodec struct {
+// authState is one connection end's place in the two sequences.
+type authState struct {
 	secret  []byte
-	enc     *gob.Encoder
-	dec     *gob.Decoder
 	sendSeq uint64
 	recvSeq uint64
 }
 
-func newAuthCodec(secret []byte, enc *gob.Encoder, dec *gob.Decoder) *authCodec {
-	return &authCodec{secret: secret, enc: enc, dec: dec}
+// seal appends the trailer for body, the next frame this end sends, to b.
+func (a *authState) seal(b, body []byte) []byte {
+	mac := macOf(a.secret, a.sendSeq, body)
+	b = binary.BigEndian.AppendUint64(b, a.sendSeq)
+	a.sendSeq++
+	return append(b, mac...)
 }
 
-// send encodes v into a fresh gob body, MACs it, and writes the frame.
-func (c *authCodec) send(v any) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(v); err != nil {
-		return fmt.Errorf("transport: auth encode: %w", err)
+// open splits a received frame into body and trailer, verifies the
+// sequence number and the MAC, and returns the body.
+func (a *authState) open(frame []byte) ([]byte, error) {
+	if len(frame) < trailerLen {
+		return nil, fmt.Errorf("%w: no trailer", ErrBadMAC)
 	}
-	f := authFrame{
-		Seq:  c.sendSeq,
-		Body: body.Bytes(),
-		MAC:  macOf(c.secret, c.sendSeq, body.Bytes()),
+	body, trailer := frame[:len(frame)-trailerLen], frame[len(frame)-trailerLen:]
+	if seq := binary.BigEndian.Uint64(trailer); seq != a.recvSeq {
+		return nil, fmt.Errorf("%w: sequence %d, want %d (replay or reorder)", ErrBadMAC, seq, a.recvSeq)
 	}
-	c.sendSeq++
-	return c.enc.Encode(&f)
-}
-
-// recv reads one frame, verifies its MAC and sequence, and decodes the
-// body into v.
-func (c *authCodec) recv(v any) error {
-	var f authFrame
-	if err := c.dec.Decode(&f); err != nil {
-		return err
+	if !hmac.Equal(trailer[8:], macOf(a.secret, a.recvSeq, body)) {
+		return nil, ErrBadMAC
 	}
-	if f.Seq != c.recvSeq {
-		return fmt.Errorf("%w: sequence %d, want %d (replay or reorder)", ErrBadMAC, f.Seq, c.recvSeq)
-	}
-	if !hmac.Equal(f.MAC, macOf(c.secret, f.Seq, f.Body)) {
-		return ErrBadMAC
-	}
-	c.recvSeq++
-	return gob.NewDecoder(bytes.NewReader(f.Body)).Decode(v)
+	a.recvSeq++
+	return body, nil
 }

@@ -2,8 +2,8 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
+	"net"
 	"testing"
 )
 
@@ -58,70 +58,81 @@ func TestUnauthenticatedClientRejected(t *testing.T) {
 	}
 }
 
+// bufConn is the part of a net.Conn a wireConn uses, over a buffer: a
+// sending end fills it, a receiving end drains it.
+type bufConn struct {
+	net.Conn
+	buf *bytes.Buffer
+}
+
+func (c bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
+func (c bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// authEnds returns a dialling end that writes into wire and a function
+// that makes an accepting end reading the given bytes.
+func authEnds(secret []byte) (sender *wireConn, wire *bytes.Buffer, receiver func(stream []byte) *wireConn) {
+	wire = new(bytes.Buffer)
+	return newWireConn(bufConn{buf: wire}, secret, true), wire, func(stream []byte) *wireConn {
+		return newWireConn(bufConn{buf: bytes.NewBuffer(stream)}, secret, false)
+	}
+}
+
 func TestAuthCodecTamperDetected(t *testing.T) {
-	secret := []byte("s")
-	var wire bytes.Buffer
-	enc := gob.NewEncoder(&wire)
-	sender := newAuthCodec(secret, enc, nil)
-	if err := sender.send(&rpcRequest{From: "a", Payload: echoReq{Msg: "x"}}); err != nil {
+	sender, wire, receiver := authEnds([]byte("s"))
+	if err := sender.send("a", echoReq{Msg: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	// Tamper: decode the frame, flip a body byte, re-encode.
-	var f authFrame
-	if err := gob.NewDecoder(bytes.NewReader(wire.Bytes())).Decode(&f); err != nil {
-		t.Fatal(err)
-	}
-	f.Body[len(f.Body)/2] ^= 0xFF
-	var tampered bytes.Buffer
-	gob.NewEncoder(&tampered).Encode(&f)
-	receiver := newAuthCodec(secret, nil, gob.NewDecoder(&tampered))
-	var req rpcRequest
-	if err := receiver.recv(&req); !errors.Is(err, ErrBadMAC) {
+	// Tamper: flip the last byte of the body, just before the trailer.
+	tampered := bytes.Clone(wire.Bytes())
+	tampered[len(tampered)-trailerLen-1] ^= 0xFF
+	if _, _, err := receiver(tampered).recv(); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("tampered frame err = %v, want ErrBadMAC", err)
+	}
+	if _, _, err := receiver(wire.Bytes()).recv(); err != nil {
+		t.Fatalf("untouched frame: %v", err)
 	}
 }
 
 func TestAuthCodecReplayDetected(t *testing.T) {
-	secret := []byte("s")
-	var wire bytes.Buffer
-	enc := gob.NewEncoder(&wire)
-	sender := newAuthCodec(secret, enc, nil)
-	sender.send(&rpcRequest{From: "a", Payload: echoReq{Msg: "1"}})
-	// Replay: an attacker re-sends the captured frame on the same
-	// stream.
-	var f authFrame
-	if err := gob.NewDecoder(bytes.NewReader(wire.Bytes())).Decode(&f); err != nil {
+	sender, wire, receiver := authEnds([]byte("s"))
+	if err := sender.send("a", echoReq{Msg: "1"}); err != nil {
 		t.Fatal(err)
 	}
-	var replay bytes.Buffer
-	replayEnc := gob.NewEncoder(&replay)
-	replayEnc.Encode(&f)
-	replayEnc.Encode(&f)
-	receiver := newAuthCodec(secret, nil, gob.NewDecoder(&replay))
-	var req rpcRequest
-	if err := receiver.recv(&req); err != nil {
+	// Replay: an attacker re-sends the captured frame on the same
+	// stream.
+	frame := wire.Bytes()[len(preface):]
+	r := receiver(append(bytes.Clone(wire.Bytes()), frame...))
+	if _, _, err := r.recv(); err != nil {
 		t.Fatalf("first frame: %v", err)
 	}
-	if err := receiver.recv(&req); !errors.Is(err, ErrBadMAC) {
+	if _, _, err := r.recv(); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("replayed frame err = %v, want ErrBadMAC", err)
 	}
 }
 
+func TestAuthCodecReorderDetected(t *testing.T) {
+	sender, wire, receiver := authEnds([]byte("s"))
+	sender.send("a", echoReq{Msg: "1"})
+	first := bytes.Clone(wire.Bytes()[len(preface):])
+	sender.send("a", echoReq{Msg: "2"})
+	second := wire.Bytes()[len(preface)+len(first):]
+	r := receiver(append(append([]byte(preface), second...), first...))
+	if _, _, err := r.recv(); !errors.Is(err, ErrBadMAC) {
+		t.Fatalf("frame 2 delivered first: err = %v, want ErrBadMAC", err)
+	}
+}
+
 func TestAuthCodecSequencePreserved(t *testing.T) {
-	secret := []byte("s")
-	var wire bytes.Buffer
-	enc := gob.NewEncoder(&wire)
-	sender := newAuthCodec(secret, enc, nil)
+	sender, wire, receiver := authEnds([]byte("s"))
 	for i := 0; i < 5; i++ {
-		if err := sender.send(&rpcResponse{Payload: echoResp{Msg: "m"}}); err != nil {
+		if err := sender.send("", echoResp{Msg: "m"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	receiver := newAuthCodec(secret, nil, gob.NewDecoder(bytes.NewReader(wire.Bytes())))
+	r := receiver(wire.Bytes())
 	for i := 0; i < 5; i++ {
-		var resp rpcResponse
-		if err := receiver.recv(&resp); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		if _, resp, err := r.recv(); err != nil || resp != (echoResp{Msg: "m"}) {
+			t.Fatalf("frame %d: %v, %v", i, resp, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // benchReq is a representative request payload with a wire size, like
@@ -32,6 +33,28 @@ func BenchmarkTransportCall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Call(addrs[0], addrs[i%dests], req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTransportCallResilient is the same call through the Resilient
+// wrapper on a wall clock, as a live node makes it; the difference to
+// BenchmarkTransportCall is the wrapper's overhead on a call that meets
+// no breaker (the benchmark's transport.resilient_overhead_ns).
+func BenchmarkTransportCallResilient(b *testing.B) {
+	m := NewMemory(1)
+	addr := Addr("node")
+	if err := m.Register(addr, func(from Addr, req any) (any, error) { return benchReq{N: 1}, nil }); err != nil {
+		b.Fatal(err)
+	}
+	epoch := time.Now()
+	r := NewResilient(m, func() time.Duration { return time.Since(epoch) }, time.Sleep, ResilientConfig{})
+	var req any = benchReq{N: 7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Call(addr, addr, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"peertrack/internal/telemetry"
@@ -104,6 +105,10 @@ type Resilient struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	breakers map[Addr]*breaker
+	// tracked mirrors len(breakers), written under mu: while it is zero
+	// no destination has a failure on record, and a call that meets no
+	// breaker takes no lock.
+	tracked atomic.Int32
 
 	// Handles onto the transport.resilient.* counters — the wrapper's
 	// only accounting; Resilience() reads them back.
@@ -194,7 +199,7 @@ func (r *Resilient) CallWithTimeout(from, to Addr, req any, timeout time.Duratio
 func (r *Resilient) call(from, to Addr, req any, attemptTimeout time.Duration) (any, error) {
 	r.calls.Inc()
 	start := r.clock()
-	if !r.admit(to) {
+	if !r.admit(to, start) {
 		r.rejected.Inc()
 		r.failures.Inc()
 		return nil, fmt.Errorf("%w: %s (%w)", ErrUnreachable, to, ErrCircuitOpen)
@@ -213,18 +218,19 @@ func (r *Resilient) call(from, to Addr, req any, attemptTimeout time.Duration) (
 			}
 			return resp, err
 		}
-		r.noteFailure(to)
+		now := r.clock() // once per failed attempt: the time it took is the point
+		r.noteFailure(to, now)
 		lastErr = err
 		if attempt >= r.cfg.MaxAttempts {
 			break
 		}
-		if !r.admit(to) {
+		if !r.admit(to, now) {
 			// The breaker opened under us (concurrent callers); stop
 			// hammering the destination mid-call.
 			break
 		}
 		wait := r.backoff(attempt)
-		if r.cfg.CallBudget > 0 && r.clock()-start+wait > r.cfg.CallBudget {
+		if r.cfg.CallBudget > 0 && now-start+wait > r.cfg.CallBudget {
 			r.deadlineExceeded.Inc()
 			break
 		}
@@ -259,15 +265,14 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(j)
 }
 
-// admit decides whether a call (or retry) may proceed against to's
-// breaker, transitioning open→half-open after the cooldown. The caller
-// admitted by that transition is the probe; concurrent calls are
-// rejected until it resolves.
-func (r *Resilient) admit(to Addr) bool {
-	if r.cfg.BreakerThreshold < 0 {
+// admit decides whether a call (or retry) may proceed at time now
+// against to's breaker, transitioning open→half-open after the
+// cooldown. The caller admitted by that transition is the probe;
+// concurrent calls are rejected until it resolves.
+func (r *Resilient) admit(to Addr, now time.Duration) bool {
+	if r.tracked.Load() == 0 {
 		return true
 	}
-	now := r.clock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b := r.breakers[to]
@@ -297,7 +302,7 @@ func (r *Resilient) admit(to Addr) bool {
 // noteSuccess closes to's breaker: any answer from the peer proves it
 // reachable again.
 func (r *Resilient) noteSuccess(to Addr) {
-	if r.cfg.BreakerThreshold < 0 {
+	if r.tracked.Load() == 0 {
 		return
 	}
 	r.mu.Lock()
@@ -310,20 +315,22 @@ func (r *Resilient) noteSuccess(to Addr) {
 		r.breakerCloses.Inc()
 	}
 	delete(r.breakers, to)
+	r.tracked.Add(-1)
 }
 
-// noteFailure records a transport-level failure against to's breaker.
-func (r *Resilient) noteFailure(to Addr) {
+// noteFailure records a transport-level failure at time now against
+// to's breaker.
+func (r *Resilient) noteFailure(to Addr, now time.Duration) {
 	if r.cfg.BreakerThreshold < 0 {
 		return
 	}
-	now := r.clock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b := r.breakers[to]
 	if b == nil {
 		b = &breaker{}
 		r.breakers[to] = b
+		r.tracked.Add(1)
 	}
 	switch b.state {
 	case bkClosed:

@@ -1,9 +1,11 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -11,22 +13,10 @@ import (
 	"peertrack/internal/telemetry"
 )
 
-// rpcRequest is the wire envelope for a call. Payload concrete types
-// must be gob-registered via Register.
-type rpcRequest struct {
-	From    Addr
-	Payload any
-}
-
-// rpcResponse is the wire envelope for a reply.
-type rpcResponse struct {
-	Payload any
-	Err     string
-}
-
-// TCP is a real-network Network implementation: length-delimited gob
-// frames over persistent TCP connections with a small per-destination
-// connection pool. Handlers run in per-connection goroutines and must be
+// TCP is a real-network Network implementation: length-prefixed frames
+// (see wireConn) over persistent TCP connections with a small
+// per-destination connection pool, one request in flight per
+// connection. Handlers run in per-connection goroutines and must be
 // concurrency-safe.
 type TCP struct {
 	mu        sync.Mutex
@@ -128,36 +118,19 @@ func (t *TCP) serve(ln net.Listener, h Handler) {
 				delete(t.accepted, conn)
 				t.mu.Unlock()
 			}()
-			dec := gob.NewDecoder(conn)
-			enc := gob.NewEncoder(conn)
-			var ac *authCodec
-			if t.Secret != nil {
-				ac = newAuthCodec(t.Secret, enc, dec)
-			}
+			c := newWireConn(conn, t.Secret, false)
 			for {
-				var req rpcRequest
-				var err error
-				if ac != nil {
-					err = ac.recv(&req)
-				} else {
-					err = dec.Decode(&req)
-				}
+				from, req, err := c.recv()
 				if err != nil {
+					t.countRejected(err)
 					return
 				}
-				var resp rpcResponse
-				payload, herr := t.contain(h, req)
+				resp, herr := t.contain(h, Addr(from), req)
+				errText := ""
 				if herr != nil {
-					resp.Err = herr.Error()
-				} else {
-					resp.Payload = payload
+					resp, errText = nil, herr.Error()
 				}
-				if ac != nil {
-					err = ac.send(&resp)
-				} else {
-					err = enc.Encode(&resp)
-				}
-				if err != nil {
+				if c.send(errText, resp) != nil {
 					return
 				}
 			}
@@ -169,14 +142,23 @@ func (t *TCP) serve(ln net.Listener, h Handler) {
 // error the caller receives as a RemoteError, counted in
 // transport.handler.panics (created on the first one): one bad request
 // must not take the daemon down with every other peer's connections.
-func (t *TCP) contain(h Handler, req rpcRequest) (payload any, err error) {
+func (t *TCP) contain(h Handler, from Addr, req any) (payload any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			t.stats.reg.Counter("transport.handler.panics").Inc()
-			payload, err = nil, fmt.Errorf("handler panic on %T: %v", req.Payload, r)
+			payload, err = nil, fmt.Errorf("handler panic on %T: %v", req, r)
 		}
 	}()
-	return h(req.From, req.Payload)
+	return h(from, req)
+}
+
+// countRejected counts a frame refused for what it contained, in
+// transport.frames.rejected (created on the first one, like
+// transport.handler.panics). A connection that merely ended is not one.
+func (t *TCP) countRejected(err error) {
+	if errors.Is(err, ErrBadFrame) || errors.Is(err, ErrBadMAC) {
+		t.stats.reg.Counter("transport.frames.rejected").Inc()
+	}
 }
 
 // Unregister implements Network.
@@ -234,7 +216,7 @@ func (t *TCP) call(from, to Addr, req any, callTimeout time.Duration) (any, erro
 			t.stats.record(blocked, req, nil, start)
 			return nil, fmt.Errorf("%w: %s (%v)", ErrUnreachable, to, err)
 		}
-		resp, stale, rerr := t.roundTrip(pool, c, from, req, callTimeout)
+		resp, errText, stale, rerr := t.roundTrip(pool, c, from, req, callTimeout)
 		if rerr != nil {
 			if stale && tries <= poolIdleConns {
 				// A pooled connection died while idle — the usual cause is
@@ -250,12 +232,12 @@ func (t *TCP) call(from, to Addr, req any, callTimeout time.Duration) (any, erro
 			t.stats.record(dropped, req, nil, start)
 			return nil, fmt.Errorf("%w: %s (%v)", ErrUnreachable, to, rerr)
 		}
-		if resp.Err != "" {
-			t.stats.record(answeredErr, req, resp.Payload, start)
-			return nil, &RemoteError{Msg: resp.Err}
+		if errText != "" {
+			t.stats.record(answeredErr, req, resp, start)
+			return nil, &RemoteError{Msg: errText}
 		}
-		t.stats.record(answered, req, resp.Payload, start)
-		return resp.Payload, nil
+		t.stats.record(answered, req, resp, start)
+		return resp, nil
 	}
 }
 
@@ -265,32 +247,19 @@ func (t *TCP) call(from, to Addr, req any, callTimeout time.Duration) (any, erro
 // connection error (not a timeout) — the signature of a peer that went
 // away while the conn sat idle; such requests were never processed and
 // are safe to replay on a fresh connection.
-func (t *TCP) roundTrip(pool *connPool, c *clientConn, from Addr, req any, callTimeout time.Duration) (rpcResponse, bool, error) {
+func (t *TCP) roundTrip(pool *connPool, c *wireConn, from Addr, req any, callTimeout time.Duration) (resp any, errText string, stale bool, err error) {
 	c.conn.SetDeadline(time.Now().Add(callTimeout))
-	var sendErr error
-	if c.auth != nil {
-		sendErr = c.auth.send(&rpcRequest{From: from, Payload: req})
-	} else {
-		sendErr = c.enc.Encode(&rpcRequest{From: from, Payload: req})
+	if err = c.send(string(from), req); err == nil {
+		errText, resp, err = c.recv()
 	}
-	if sendErr != nil {
+	if err != nil {
+		t.countRejected(err)
 		c.conn.Close()
-		return rpcResponse{}, c.reused && !isTimeout(sendErr), sendErr
-	}
-	var resp rpcResponse
-	var recvErr error
-	if c.auth != nil {
-		recvErr = c.auth.recv(&resp)
-	} else {
-		recvErr = c.dec.Decode(&resp)
-	}
-	if recvErr != nil {
-		c.conn.Close()
-		return rpcResponse{}, c.reused && !isTimeout(recvErr), recvErr
+		return nil, "", c.reused && !isTimeout(err), err
 	}
 	c.conn.SetDeadline(time.Time{})
 	pool.put(c)
-	return resp, false, nil
+	return resp, errText, false, nil
 }
 
 // isTimeout reports whether err is a deadline expiry rather than a
@@ -306,7 +275,7 @@ func (t *TCP) pool(to Addr) *connPool {
 	defer t.mu.Unlock()
 	p, ok := t.pools[to]
 	if !ok {
-		p = &connPool{addr: to, secret: t.Secret, idle: make(chan *clientConn, poolIdleConns)}
+		p = &connPool{addr: to, secret: t.Secret, idle: make(chan *wireConn, poolIdleConns)}
 		t.pools[to] = p
 	}
 	return p
@@ -333,17 +302,6 @@ func (t *TCP) Close() {
 	t.wg.Wait()
 }
 
-// clientConn is a pooled outbound connection with its codec pair.
-// reused marks a connection handed out of the idle pool at least once:
-// only those can be "stale" (dead since the peer restarted).
-type clientConn struct {
-	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	auth   *authCodec
-	reused bool
-}
-
 // poolIdleConns is the per-destination idle connection cap.
 const poolIdleConns = 4
 
@@ -351,10 +309,10 @@ const poolIdleConns = 4
 type connPool struct {
 	addr   Addr
 	secret []byte
-	idle   chan *clientConn
+	idle   chan *wireConn
 }
 
-func (p *connPool) get(dialTimeout time.Duration) (*clientConn, error) {
+func (p *connPool) get(dialTimeout time.Duration) (*wireConn, error) {
 	select {
 	case c := <-p.idle:
 		c.reused = true
@@ -365,14 +323,10 @@ func (p *connPool) get(dialTimeout time.Duration) (*clientConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &clientConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-	if p.secret != nil {
-		c.auth = newAuthCodec(p.secret, c.enc, c.dec)
-	}
-	return c, nil
+	return newWireConn(conn, p.secret, true), nil
 }
 
-func (p *connPool) put(c *clientConn) {
+func (p *connPool) put(c *wireConn) {
 	select {
 	case p.idle <- c:
 	default:
@@ -389,4 +343,177 @@ func (p *connPool) drain() {
 			return
 		}
 	}
+}
+
+// The frame. Every message is `u32 length | body`, the length counting
+// what follows it. A request body is `from | u16 tag | payload`, a
+// response body `err | u16 tag | payload` (from and err are strings, an
+// empty err meaning success), so both directions share one writer and
+// one parser; the payload is in wire.go. With a Secret the body is
+// followed, inside the length, by the trailer of auth.go. The dialling
+// end opens a connection with a 4-byte preface in the same write as its
+// first request, and the accepting end refuses anything else: a peer
+// speaking another protocol, or another version of this one, is turned
+// away by name instead of having its first bytes read as a length.
+
+// preface is the magic and the format version. Any change to the frame
+// or to a released layout bumps the version: nodes of different
+// versions do not interoperate.
+const preface = "PTW\x01"
+
+// MaxFrame caps the length a frame may declare, checked before anything
+// is allocated for it. The largest legitimate frame is a whole-unit
+// mirror push (core.repoMirrorReq with Full set): a node's repository at
+// about 80 bytes a visit — object id, two node names, a time stamp and
+// the length prefixes. The benchmark's largest repository is 16 000
+// objects × 15 hops ÷ 16 nodes = 15 000 visits, 1.2 MB; 64 MiB carries
+// 800 000 visits of one node, fifty times that, and is a sixteenth of the
+// 1 GiB gob allowed. A unit that outgrows it needs chunked pushes, which
+// nothing builds yet; its sender gets an error that says so.
+const MaxFrame = 64 << 20
+
+var (
+	errPreface  = fmt.Errorf("%w: the peer does not speak wire format %q", ErrBadFrame, preface)
+	errOversize = fmt.Errorf("%w: declared length exceeds MaxFrame", ErrBadFrame)
+)
+
+const (
+	// readChunk is the least a frame buffer grows to once a frame does not
+	// fit it: the buffer then doubles with the bytes that have arrived, so
+	// a header cannot make a node allocate what its sender never sends.
+	readChunk = 4 << 10
+	// keepBuffer is the largest frame buffer a connection keeps between
+	// messages; a rare large frame (a whole-unit push) does not stay
+	// pinned to the pooled connection it crossed.
+	keepBuffer = 64 << 10
+)
+
+// wireConn is one end of a connection: the socket, its buffered reader,
+// the two frame buffers it reuses, and the per-connection state of the
+// HMAC trailer and the gob carrier. One goroutine uses it at a time (the
+// pool hands a connection to one caller; a server goroutine owns its
+// accepted one). reused marks a dialled connection handed out of the idle
+// pool at least once: only those can be "stale" (dead since the peer
+// restarted).
+type wireConn struct {
+	conn        net.Conn
+	br          *bufio.Reader
+	wbuf        []byte
+	rbuf        []byte
+	auth        *authState // nil without a Secret
+	gobs        gobOut     // the carrier's encoder, for what this end sends
+	in          bodyParser // for what it receives
+	sendPreface bool       // dialling end, until its first message
+	wantPreface bool       // accepting end, until its first message
+	reused      bool
+}
+
+func newWireConn(conn net.Conn, secret []byte, dialed bool) *wireConn {
+	c := &wireConn{conn: conn, br: bufio.NewReaderSize(conn, readChunk), sendPreface: dialed, wantPreface: !dialed}
+	if secret != nil {
+		c.auth = &authState{secret: secret}
+	}
+	return c
+}
+
+// send writes one message — head is the request's sender or the
+// response's error text — with a single Write out of the connection's
+// buffer.
+//
+//lint:hotpath
+func (c *wireConn) send(head string, payload any) error {
+	b := c.wbuf[:0]
+	if c.sendPreface {
+		//lint:allow hotalloc the first message of a connection only
+		b, c.sendPreface = append(b, preface...), false
+	}
+	start := len(b) + 4
+	b, err := appendBody(AppendU32(b, 0), head, payload, &c.gobs)
+	if err != nil {
+		return err
+	}
+	if c.auth != nil {
+		//lint:allow hotalloc an HMAC state and sum per frame, only with a Secret
+		b = c.auth.seal(b, b[start:])
+	}
+	if len(b)-start > MaxFrame {
+		//lint:allow hotalloc the error path of a frame that is never sent
+		return fmt.Errorf("transport: a %T frame of %d bytes exceeds MaxFrame (%d): the unit needs chunked pushes", payload, len(b)-start, MaxFrame)
+	}
+	binary.BigEndian.PutUint32(b[start-4:], uint32(len(b)-start))
+	_, err = c.conn.Write(b)
+	c.wbuf = kept(b)
+	return err
+}
+
+// kept is b as the buffer to reuse for the next message, unless it grew
+// beyond keepBuffer.
+func kept(b []byte) []byte {
+	if cap(b) > keepBuffer {
+		return nil
+	}
+	return b
+}
+
+// recv reads one message. Whatever it returns is freshly allocated: the
+// frame buffer is overwritten by the next message.
+func (c *wireConn) recv() (head string, payload any, err error) {
+	if c.wantPreface {
+		p, err := c.br.Peek(len(preface))
+		switch {
+		case len(p) == 0 && err != nil:
+			return "", nil, err // closed before a byte: a port probe, not a frame
+		case string(p) != preface[:len(p)], err == io.EOF:
+			return "", nil, errPreface
+		case err != nil:
+			return "", nil, err
+		}
+		c.br.Discard(len(preface))
+		c.wantPreface = false
+	}
+	hdr, err := c.br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = errTruncated
+		}
+		return "", nil, err // io.EOF with no byte read: the peer closed between messages
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > MaxFrame {
+		return "", nil, errOversize
+	}
+	c.br.Discard(4)
+	body, err := c.readBody(int(n))
+	if err == nil && c.auth != nil {
+		body, err = c.auth.open(body)
+	}
+	if err != nil {
+		return "", nil, err
+	}
+	return c.in.parse(body)
+}
+
+// readBody reads the n bytes of a frame body into the connection's
+// buffer, growing it only as fast as bytes arrive.
+func (c *wireConn) readBody(n int) ([]byte, error) {
+	buf := c.rbuf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			next := 2 * cap(buf)
+			if next < n {
+				next = min(n, max(next, readChunk))
+			}
+			buf = append(make([]byte, 0, next), buf...)
+		}
+		m, err := io.ReadFull(c.br, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = errTruncated
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	c.rbuf = kept(buf)
+	return buf, nil
 }

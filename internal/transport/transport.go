@@ -8,18 +8,18 @@
 //     call is dispatched synchronously, with optional fault injection
 //     (drop rates, partitions, dead nodes). This is the measurement
 //     substrate standing in for OverSim.
-//   - TCP: a real network transport using length-prefixed gob frames
-//     over TCP with connection pooling, used by cmd/trackd.
+//   - TCP: a real network transport using length-prefixed frames with
+//     one fixed layout per message type over TCP with connection
+//     pooling, used by cmd/trackd.
 //
 // A call carries one request and one response message; both directions
 // are counted. Every call outcome is recorded exactly once, into the
 // transport.* instruments of a telemetry registry (see Stats); Snapshot
 // and ByType are read-only views over those instruments. Payload types
-// must be gob-registered (see Register).
+// must be registered (see RegisterLayout and Register).
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -64,13 +64,6 @@ type RemoteError struct {
 }
 
 func (e *RemoteError) Error() string { return "transport: remote error: " + e.Msg }
-
-// Register makes a payload type encodable on the wire (gob) and sizable
-// for byte accounting. Call it from init() in packages that define
-// message types.
-func Register(v any) {
-	gob.Register(v)
-}
 
 // WireSizer lets a message report its approximate wire size in bytes so
 // the memory transport can account "total volume of messages
