@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet lint lint-selftest deadpkgs loc race fuzz-short bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile xl ledger-check
+.PHONY: build test check vet lint lint-selftest deadpkgs loc race fuzz-short bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl ledger-check
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,17 @@ micro:
 	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkBatchFanIn|BenchmarkHeapFanIn' ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkGateway|BenchmarkIOP' ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkSpan' -benchmem ./internal/telemetry/
+	$(GO) test -run xxx -bench 'BenchmarkPaperGenerate' -benchmem ./internal/workload/
+	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run|Trace)' -benchtime 3x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'RoundTrip|NetHTTPFloor' -benchmem ./internal/ctlapi/
+
+# profile-sim writes cpu.pprof and mem.pprof of the sim-paper phases —
+# load (generate, build, schedule), Run and the trace queries, at the
+# repository benchmark's size — without the bench module; inspect with
+# `go tool pprof bin/core.test cpu.pprof`.
+profile-sim:
+	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run|Trace)' -benchtime 5x -o bin/core.test \
+		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/core/
 
 # profile captures CPU and heap pprof profiles of the XL throughput
 # sweep at a CI-sized network; inspect with `go tool pprof cpu.pprof`.

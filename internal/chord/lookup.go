@@ -80,8 +80,10 @@ func (n *Node) lookupVia(key ids.ID) (LookupResult, NodeRef, error) {
 	if done {
 		return LookupResult{Node: cur, Hops: hops}, NodeRef{}, nil
 	}
+	// Every hop is asked the same question: box it once, not per hop.
+	var req any = closestPrecedingReq{Key: key}
 	for step := 0; step < n.cfg.MaxLookupSteps; step++ {
-		resp, err := n.call(cur, closestPrecedingReq{Key: key})
+		resp, err := n.call(cur, req)
 		if err != nil {
 			// Current hop is dead: detour from local routing state.
 			markDead(cur.Addr)

@@ -170,17 +170,22 @@ func TestIOPSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// nodeNames are the names BuildNetwork gives the peers of an n-node network.
+func nodeNames(n int) []moods.NodeName {
+	names := make([]moods.NodeName, n)
+	for i := range names {
+		names[i] = NodeNameFor(i)
+	}
+	return names
+}
+
 // simPaperShaped builds the repository benchmark's sim-paper workload
 // (Section V: a tenth of each node's objects travel a ten-node route,
 // grouped, Scheme 2) at the given size, scheduled and ready to Run.
 func simPaperShaped(t testing.TB, nodes, perNode int) (*Network, workload.Result) {
 	t.Helper()
-	names := make([]moods.NodeName, nodes)
-	for i := range names {
-		names[i] = NodeNameFor(i)
-	}
 	wl, err := workload.PaperSpec{
-		Nodes: names, ObjectsPerNode: perNode, MoveFraction: 0.10, TraceLen: 10, Grouped: true, Seed: 1,
+		Nodes: nodeNames(nodes), ObjectsPerNode: perNode, MoveFraction: 0.10, TraceLen: 10, Grouped: true, Seed: 1,
 	}.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -210,19 +215,21 @@ func mallocsDuring(fn func()) (objects, bytes float64) {
 // its span, M2/M3 stitching, transport accounting — and what one IOP hop
 // of a FullTrace costs. It is the allocation budget of the path every
 // figure, chaos sweep and the sim-paper benchmark run. This network
-// measures 10.8 allocations and 1452 bytes per observation and 4.1
-// allocations per hop, the same under -race; formatting span text per
-// step cost 17.9, 1520 and 7.5, which is where the byte bound comes from.
+// measures 10.07 allocations and 1461 bytes per observation and 4.0
+// allocations per hop, the same under -race. The allocation ceiling is
+// that plus 5 %; the byte ceiling stays at the tighter 1520 (what eager
+// span text cost), because the id an ObjEvent carries adds 24 bytes an
+// event where boxing a lookup's request once saves only allocations.
 func TestSimPaperShapedAllocs(t *testing.T) {
 	nw, wl := simPaperShaped(t, 32, 200)
 	objects, bytes := mallocsDuring(nw.Run)
 	obs := float64(len(wl.Observations))
 	t.Logf("Run: %.2f allocs and %.0f bytes per observation (%d observations)", objects/obs, bytes/obs, len(wl.Observations))
-	if objects/obs > 12 {
-		t.Errorf("Run allocates %.2f objects per observation, want ≤ 12", objects/obs)
+	if objects/obs > 10.6 {
+		t.Errorf("Run allocates %.2f objects per observation, want ≤ 10.6", objects/obs)
 	}
 	if bytes/obs > 1520 {
-		t.Errorf("Run allocates %.0f bytes per observation, want ≤ 1520 (what eager span text cost)", bytes/obs)
+		t.Errorf("Run allocates %.0f bytes per observation, want ≤ 1520", bytes/obs)
 	}
 
 	hops := 0
@@ -241,11 +248,20 @@ func TestSimPaperShapedAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSimPaperRun and BenchmarkSimPaperTrace are the two timed
-// phases of the sim-paper benchmark at its size (128 nodes, 500 objects
-// each), for profiling the hot path without the benchmark module:
+// BenchmarkSimPaperLoad, BenchmarkSimPaperRun and BenchmarkSimPaperTrace
+// are the phases of the sim-paper benchmark at its size (128 nodes, 500
+// objects each) — setup_s (generate, build, schedule), the timed Run and
+// the timed queries — for profiling without the benchmark module
+// (`make profile-sim`):
 //
 //	go test ./internal/core -run xxx -bench SimPaper -cpuprofile cpu.pprof
+func BenchmarkSimPaperLoad(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		simPaperShaped(b, 128, 500)
+	}
+}
+
 func BenchmarkSimPaperRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

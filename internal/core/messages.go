@@ -13,6 +13,21 @@ import (
 type ObjEvent struct {
 	Object  moods.ObjectID
 	Arrived time.Duration
+	// id is Object.Hash() when the reporter had to compute it anyway — to
+	// group the event or to look its gateway up — so that a gateway in the
+	// same process does not hash the object a second time. It is no part
+	// of the message: AppendWire and WireSize leave it out, and an event
+	// decoded from a frame has it zero.
+	id ids.ID
+}
+
+// hash returns the object's position in the identifier space: the id
+// the reporter attached, or SHA-1 of the raw id when none travelled.
+func (e ObjEvent) hash() ids.ID {
+	if e.id.IsZero() {
+		return e.Object.Hash()
+	}
+	return e.id
 }
 
 func sizeOfEvents(evs []ObjEvent) int {

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/workload"
 )
 
 func TestNetworkDefaults(t *testing.T) {
@@ -260,5 +265,150 @@ func TestShrinkValidation(t *testing.T) {
 	}
 	if _, _, err := nw.Shrink(4); err == nil {
 		t.Error("shrink(all) accepted")
+	}
+}
+
+// tiedWorkload is a small workload whose placements fall within 20 ns of
+// each other, so most of them tie on capture time across nodes — the case
+// in which only slice order decides execution order.
+func tiedWorkload(t *testing.T, nodes int) []moods.Observation {
+	t.Helper()
+	wl, err := workload.PaperSpec{
+		Nodes: nodeNames(nodes), ObjectsPerNode: 12, MoveFraction: 0.25, TraceLen: 4, Grouped: true, Seed: 7,
+		Spread: 20 * time.Nanosecond, HopGap: 5 * time.Second,
+	}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl.Observations
+}
+
+// executed schedules onto a fresh network, steps the kernel one event at
+// a time and returns the observations in the order the peers received
+// them (windows never flush: NMax is out of reach and no window timer
+// runs), plus the network for its oracle.
+func executed(t *testing.T, nodes int, schedule func(nw *Network) error) ([]moods.Observation, *Network) {
+	t.Helper()
+	nw := buildNet(t, nodes, Config{Mode: GroupIndexing, NMax: 1 << 30})
+	if err := schedule(nw); err != nil {
+		t.Fatal(err)
+	}
+	var order []moods.Observation
+	for nw.Kernel.Step() {
+		for _, p := range nw.Peers() {
+			if n := len(p.window); n > 0 && p.window[n-1] != (moods.Observation{}) {
+				order = append(order, p.window[n-1])
+				p.window[n-1] = moods.Observation{} // seen
+			}
+		}
+	}
+	return order, nw
+}
+
+func eachObservation(obss []moods.Observation) func(nw *Network) error {
+	return func(nw *Network) error {
+		for _, o := range obss {
+			if err := nw.ScheduleObservation(o); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestScheduleAllKeepsOrderAndOracle: a sorted slice scheduled as it
+// stands, the same observations shuffled, and one ScheduleObservation
+// call each all execute in the same order — capture time, ties in slice
+// order — and leave the same oracle.
+func TestScheduleAllKeepsOrderAndOracle(t *testing.T) {
+	const nodes = 8
+	sorted := tiedWorkload(t, nodes)
+	ties := 0
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].At == sorted[i-1].At && sorted[i].Node != sorted[i-1].Node {
+			ties++
+		}
+	}
+	if ties < 10 {
+		t.Fatalf("workload has %d cross-node ties, too few to test tie order", ties)
+	}
+	// Shuffle, then put observations of equal capture time back in their
+	// relative order, so that a stable sort of the shuffle is the sorted
+	// slice and every schedule below must agree event for event.
+	shuffled := slices.Clone(sorted)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	raw := slices.Clone(shuffled) // ties left in shuffled order
+	queue := map[time.Duration][]moods.Observation{}
+	for _, o := range sorted {
+		queue[o.At] = append(queue[o.At], o)
+	}
+	for i, o := range shuffled {
+		shuffled[i], queue[o.At] = queue[o.At][0], queue[o.At][1:]
+	}
+	if slices.IsSortedFunc(shuffled, func(a, b moods.Observation) int { return cmp.Compare(a.At, b.At) }) {
+		t.Fatal("the shuffle left the input sorted")
+	}
+
+	want, ref := executed(t, nodes, eachObservation(sorted))
+	if !slices.Equal(want, sorted) {
+		t.Fatal("per-observation scheduling of a sorted slice does not execute in slice order")
+	}
+	for name, schedule := range map[string]func(*Network) error{
+		"ScheduleAll(sorted)":           func(nw *Network) error { return nw.ScheduleAll(sorted) },
+		"ScheduleAll(shuffled)":         func(nw *Network) error { return nw.ScheduleAll(shuffled) },
+		"ScheduleObservation(shuffled)": eachObservation(shuffled),
+	} {
+		got, nw := executed(t, nodes, schedule)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: execution order differs from per-observation scheduling of the sorted slice", name)
+		}
+		for _, o := range sorted {
+			if !slices.Equal(nw.Oracle.History(o.Object), ref.Oracle.History(o.Object)) {
+				t.Fatalf("%s: oracle history of %s differs", name, o.Object)
+			}
+		}
+	}
+	// With ties left where the shuffle put them, slice order breaks them
+	// the same way for the batch and for one call per observation.
+	batch, _ := executed(t, nodes, func(nw *Network) error { return nw.ScheduleAll(raw) })
+	single, _ := executed(t, nodes, eachObservation(raw))
+	if !slices.Equal(batch, single) || slices.Equal(batch, want) {
+		t.Error("ScheduleAll breaks ties differently from per-observation scheduling")
+	}
+}
+
+// TestScheduleAllDoesNotCopySortedInput: scheduling a sorted slice
+// allocates the lane (its times, the closure) but no second copy of the
+// observations; unsorted input is cloned, and the caller's slice is left
+// as it was.
+func TestScheduleAllDoesNotCopySortedInput(t *testing.T) {
+	sorted := tiedWorkload(t, 8)
+	nw, err := BuildNetwork(NetworkConfig{Nodes: 8, Seed: 1, NoOracle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perObs := func(obss []moods.Observation) (allocs, bytes float64) {
+		allocs = testing.AllocsPerRun(10, func() {
+			if err := nw.ScheduleAll(obss); err != nil {
+				t.Fatal(err)
+			}
+		})
+		_, bytes = mallocsDuring(func() { nw.ScheduleAll(obss) })
+		return allocs, bytes / float64(len(obss))
+	}
+	allocs, bytes := perObs(sorted)
+	t.Logf("sorted: %.0f allocations, %.1f bytes per observation", allocs, bytes)
+	const obsSize = float64(unsafe.Sizeof(moods.Observation{}))
+	if allocs > 6 || bytes >= obsSize/2 {
+		t.Errorf("ScheduleAll(sorted) makes %.0f allocations and %.1f bytes per observation; want ≤ 6 and well under the %v of a copy", allocs, bytes, obsSize)
+	}
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	before := slices.Clone(reversed)
+	if _, bytes := perObs(reversed); bytes < obsSize {
+		t.Errorf("ScheduleAll(unsorted) allocated %.1f bytes per observation: it cannot have sorted a copy", bytes)
+	}
+	if !slices.Equal(reversed, before) {
+		t.Error("ScheduleAll sorted the caller's slice in place")
 	}
 }

@@ -259,8 +259,9 @@ func (p *Peer) FlushWindow() error {
 	lp := p.pm.Lp()
 	groups := make(map[ids.PrefixKey][]ObjEvent)
 	for _, obs := range batch {
-		key := ids.KeyOf(obs.Object.Hash(), lp)
-		groups[key] = append(groups[key], ObjEvent{Object: obs.Object, Arrived: obs.At})
+		id := obs.Object.Hash()
+		key := ids.KeyOf(id, lp)
+		groups[key] = append(groups[key], ObjEvent{Object: obs.Object, Arrived: obs.At, id: id})
 	}
 
 	// Deterministic group order: fault injection draws randomness per
@@ -333,11 +334,12 @@ func (p *Peer) FlushWindow() error {
 // lookup of the object's own hashed id, then message M1 to the gateway
 // (which emits M2/M3).
 func (p *Peer) indexIndividually(obs moods.Observation) error {
-	res, err := p.node.Lookup(obs.Object.Hash())
+	id := obs.Object.Hash()
+	res, err := p.node.Lookup(id)
 	if err != nil {
 		return fmt.Errorf("core: locate gateway for %s: %w", obs.Object, err)
 	}
-	req := arriveReq{Event: ObjEvent{Object: obs.Object, Arrived: obs.At}, Node: p.Name()}
+	req := arriveReq{Event: ObjEvent{Object: obs.Object, Arrived: obs.At, id: id}, Node: p.Name()}
 	if _, err := p.call(res.Node.Addr, req); err != nil {
 		return fmt.Errorf("core: index %s at %s: %w", obs.Object, res.Node.Addr, err)
 	}
@@ -504,7 +506,7 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 
 // gatewayArrive processes M1 for one object (individual indexing).
 func (p *Peer) gatewayArrive(r arriveReq) {
-	id := r.Event.Object.Hash()
+	id := r.Event.hash()
 	prev, had := p.lookupWithReplica(individualKey, id)
 	switch {
 	case !had || r.Event.Arrived >= prev.Arrived:
@@ -725,7 +727,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	idOf := make(map[moods.ObjectID]ids.ID, len(r.Events))
 	var missing []ids.ID
 	for _, ev := range r.Events {
-		id := ev.Object.Hash()
+		id := ev.hash()
 		idOf[ev.Object] = id
 		if _, ok := p.lookupWithReplica(r.Key, id); !ok {
 			missing = append(missing, id)

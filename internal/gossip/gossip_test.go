@@ -49,20 +49,26 @@ func cluster(t *testing.T, n int, cfg Config) (*transport.Memory, []*Agent) {
 			Seed:               SeedFor(1, r.Addr),
 		})
 		agents[i] = a
-		if err := mem.Register(r.Addr, func(from transport.Addr, req any) (any, error) {
-			resp, handled, err := a.HandleRPC(from, req)
-			if !handled {
-				return nil, fmt.Errorf("unhandled %T", req)
-			}
-			return resp, err
-		}); err != nil {
-			t.Fatal(err)
-		}
+		serve(t, mem, a)
 	}
 	for i, a := range agents {
 		a.SeedView([]overlay.NodeRef{rs[(i+1)%n], rs[(i+n-1)%n]})
 	}
 	return mem, agents
+}
+
+// serve registers a's RPC handler at its address on mem.
+func serve(t *testing.T, mem *transport.Memory, a *Agent) {
+	t.Helper()
+	if err := mem.Register(a.Self().Addr, func(from transport.Addr, req any) (any, error) {
+		resp, handled, err := a.HandleRPC(from, req)
+		if !handled {
+			return nil, fmt.Errorf("unhandled %T", req)
+		}
+		return resp, err
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func rounds(agents []*Agent, k int) {
@@ -177,6 +183,75 @@ func TestExchangeConverges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSingleContactJoin is the join the Brahms exemplar leaves as a TODO
+// ("how a member would join an existing network by knowing just one other
+// node"): a fresh agent whose view is seeded with a single contact joins
+// a converged 32-agent network. Its first round is a push-pull with that
+// contact, so it fills its own view from the reply and the contact learns
+// of it. Within joinRounds rounds of the 33 agents the joiner's view is
+// full and every agent can reach it along the edges of what agents know
+// (Samples: view plus sampler, the set successor repair draws from).
+// Seeded agents on transport.Memory: deterministic.
+//
+// Views alone do not carry that far, which the test logs and does not
+// assert: a view keeps its ViewSize youngest entries and breaks age ties
+// by ID, and in a network this small every entry sits at age 0, so views
+// settle on the lowest IDs — a joiner whose ID sorts above them enters no
+// view and lives in sampler slots only (ROADMAP item 4(d)).
+func TestSingleContactJoin(t *testing.T) {
+	const (
+		n          = 32
+		joinRounds = 4
+	)
+	viewRefs := func(a *Agent) []overlay.NodeRef {
+		var out []overlay.NodeRef
+		for _, e := range a.View() {
+			out = append(out, e.Ref)
+		}
+		return out
+	}
+	for k := 0; k < 6; k++ {
+		mem, agents := cluster(t, n, Config{})
+		rounds(agents, 20)
+		joiner := testAgent(mem, fmt.Sprintf("joiner-%d", k), Config{})
+		serve(t, mem, joiner)
+		joiner.SeedView([]overlay.NodeRef{agents[k].Self()})
+		all := append(agents[:n:n], joiner)
+		rounds(all, joinRounds)
+
+		if got, want := len(joiner.View()), joiner.cfg.ViewSize; got != want {
+			t.Errorf("joiner %d: after %d rounds its view holds %d of %d entries", k, joinRounds, got, want)
+		}
+		if got := reaching(all, joiner, (*Agent).Samples); got != n {
+			t.Errorf("joiner %d: after %d rounds %d of %d agents can reach it through what they know", k, joinRounds, got, n)
+		}
+		t.Logf("joiner %d (id %s): %d of %d agents reach it along view edges alone", k, joiner.Self().ID.Short(), reaching(all, joiner, viewRefs), n)
+	}
+}
+
+// reaching counts the agents from which target can be reached by
+// following edges — walked backwards from the target: whoever has it
+// among their edges reaches it in one step, whoever has one of those in
+// two, and so on.
+func reaching(all []*Agent, target *Agent, edges func(*Agent) []overlay.NodeRef) int {
+	holders := map[transport.Addr][]transport.Addr{} // address -> agents with an edge to it
+	for _, a := range all {
+		for _, r := range edges(a) {
+			holders[r.Addr] = append(holders[r.Addr], a.Self().Addr)
+		}
+	}
+	reach := map[transport.Addr]bool{target.Self().Addr: true}
+	for frontier := []transport.Addr{target.Self().Addr}; len(frontier) > 0; frontier = frontier[1:] {
+		for _, h := range holders[frontier[0]] {
+			if !reach[h] {
+				reach[h] = true
+				frontier = append(frontier, h)
+			}
+		}
+	}
+	return len(reach) - 1
 }
 
 // TestFailureDetector pins the suspicion state machine end to end:

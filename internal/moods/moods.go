@@ -119,7 +119,11 @@ func (h *HistoryStore) Record(obs Observation) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := h.hist[obs.Object]
-	i := sort.Search(len(s), func(i int) bool { return s[i].At > obs.At })
+	i := len(s)
+	if i > 0 && s[i-1].At > obs.At {
+		// Out of order; a time-sorted workload only ever appends.
+		i = sort.Search(i, func(i int) bool { return s[i].At > obs.At })
+	}
 	s = append(s, Observation{})
 	copy(s[i+1:], s[i:])
 	s[i] = obs

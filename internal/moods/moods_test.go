@@ -67,11 +67,18 @@ func TestOutOfOrderRecording(t *testing.T) {
 	if got != "n2" {
 		t.Fatalf("L = %q after out-of-order inserts", got)
 	}
+	// Equal capture times keep recording order, whether the observation
+	// is appended in order (n4) or inserted behind later ones (n5).
+	h.Record(obs("o1", "n4", 30*time.Second))
+	h.Record(obs("o1", "n5", 10*time.Second))
 	full := h.FullTrace("o1")
-	want := []NodeName{"n1", "n2", "n3"}
+	want := []NodeName{"n1", "n5", "n2", "n3", "n4"}
+	if len(full) != len(want) || h.Len() != len(want) {
+		t.Fatalf("trace = %v, Len = %d, want %v", full.Nodes(), h.Len(), want)
+	}
 	for i, n := range full.Nodes() {
 		if n != want[i] {
-			t.Fatalf("trace order = %v", full.Nodes())
+			t.Fatalf("trace order = %v, want %v", full.Nodes(), want)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"peertrack/internal/telemetry"
 )
 
 type statsReq struct{ N int }
@@ -71,9 +73,9 @@ func TestStatsConcurrentMergeEqualsSerial(t *testing.T) {
 }
 
 // TestMemoryCallZeroAllocs pins the success path of Memory.Call to zero
-// heap allocations: Stats.record — interned type table, registry
-// lookup, sharded counters — must not regress to formatting,
-// concatenating or boxing per call.
+// heap allocations: Stats.record — the per-type counter handle, sharded
+// counters — must not regress to formatting, concatenating or boxing per
+// call.
 func TestMemoryCallZeroAllocs(t *testing.T) {
 	m := NewMemory(1)
 	addr := Addr("node-0")
@@ -84,7 +86,7 @@ func TestMemoryCallZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var req any = statsReq{N: 7}
-	// Warm up: intern the type name and create its counter.
+	// Warm up: create the type's counter and resolve its handle.
 	if _, err := m.Call(addr, addr, req); err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +121,39 @@ func TestDropPathAccounting(t *testing.T) {
 	}
 	if got := m.Stats().ByType()["transport.statsReq"]; got != 1 {
 		t.Errorf("ByType[transport.statsReq] = %d, want 1", got)
+	}
+}
+
+// TestSetTelemetryRepointsTypeCounters: the per-type counter handles a
+// Stats resolved belong to its registry. After SetTelemetry re-points a
+// transport that has already carried traffic, new per-type counts land
+// in the new registry and the old one keeps what it had.
+func TestSetTelemetryRepointsTypeCounters(t *testing.T) {
+	m := NewMemory(1)
+	addr := Addr("node-0")
+	if err := m.Register(addr, func(Addr, any) (any, error) { return statsResp{OK: true}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	const name = typeCounterPrefix + "transport.statsReq"
+	call := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := m.Call(addr, addr, statsReq{N: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first, second := telemetry.New(nil), telemetry.New(nil)
+	m.SetTelemetry(first)
+	call(3)
+	m.SetTelemetry(second)
+	call(2)
+	if got := first.Counter(name).Value(); got != 3 {
+		t.Errorf("first registry counts %d calls of the type after re-pointing, want the 3 it had", got)
+	}
+	if got := second.Counter(name).Value(); got != 2 {
+		t.Errorf("second registry counts %d calls of the type, want 2", got)
+	}
+	if got := m.Stats().ByType()["transport.statsReq"]; got != 2 {
+		t.Errorf("ByType reads %d, want the new registry's 2", got)
 	}
 }

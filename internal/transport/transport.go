@@ -91,24 +91,6 @@ func sizeOf(v any) int {
 // counter: "transport.call.type.chord.pingReq".
 const typeCounterPrefix = "transport.call.type."
 
-// typeCounters interns each request type's counter name (the prefix plus
-// fmt.Sprintf("%T")). Interning is global — type names are process-wide
-// facts — so each type is formatted once per process and the per-call
-// path never formats or concatenates.
-var typeCounters sync.Map // reflect.Type -> string
-
-func typeCounterName(v any) string {
-	if v == nil {
-		return typeCounterPrefix + "<nil>"
-	}
-	t := reflect.TypeOf(v)
-	if name, ok := typeCounters.Load(t); ok {
-		return name.(string)
-	}
-	name, _ := typeCounters.LoadOrStore(t, typeCounterPrefix+fmt.Sprintf("%T", v))
-	return name.(string)
-}
-
 // outcome classifies how one call ended, for accounting.
 type outcome uint8
 
@@ -134,7 +116,14 @@ const (
 // re-points the handles at a shared one, so the same counters back the
 // figures (Snapshot, ByType), /metrics, and the invariant checkers.
 type Stats struct {
-	reg      *telemetry.Registry
+	reg *telemetry.Registry
+	// byType holds the handle of each request type's call counter in reg
+	// (reflect.Type -> *telemetry.Counter), resolved by the first call
+	// that carries the type, so that no later call formats a name or
+	// searches the registry. A pointer, because SetTelemetry replaces a
+	// Stats by assignment; the replacement starts empty and resolves its
+	// handles in the new registry.
+	byType   *sync.Map
 	calls    *telemetry.Counter
 	messages *telemetry.Counter
 	bytes    *telemetry.Counter
@@ -154,6 +143,7 @@ func newStats(reg *telemetry.Registry) *Stats {
 	}
 	return &Stats{
 		reg:      reg,
+		byType:   new(sync.Map),
 		calls:    reg.Counter("transport.calls"),
 		messages: reg.Counter("transport.messages"),
 		bytes:    reg.Counter("transport.bytes"),
@@ -164,6 +154,17 @@ func newStats(reg *telemetry.Registry) *Stats {
 		reqBytes: reg.Histogram("transport.call.bytes", telemetry.ByteBuckets()),
 		latency:  reg.Histogram("transport.call.latency_ns", telemetry.LatencyBuckets()),
 	}
+}
+
+// typeCounter returns the per-request-type call counter of v's type,
+// "transport.call.type.chord.pingReq".
+func (s *Stats) typeCounter(v any) *telemetry.Counter {
+	t := reflect.TypeOf(v)
+	if c, ok := s.byType.Load(t); ok {
+		return c.(*telemetry.Counter)
+	}
+	c, _ := s.byType.LoadOrStore(t, s.reg.Counter(typeCounterPrefix+fmt.Sprintf("%T", v)))
+	return c.(*telemetry.Counter)
 }
 
 // begin reads the registry clock for latency measurement (zero on the
@@ -177,7 +178,7 @@ func (s *Stats) begin() time.Duration { return s.reg.Now() }
 func (s *Stats) record(o outcome, req, resp any, start time.Duration) {
 	size := sizeOf(req)
 	s.calls.Inc()
-	s.reg.Counter(typeCounterName(req)).Inc()
+	s.typeCounter(req).Inc()
 	s.reqBytes.Observe(int64(size))
 	s.latency.Observe(int64(s.reg.Now() - start))
 	msgs, wire := uint64(1), size // the request alone crossed the wire

@@ -10,9 +10,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"peertrack/internal/epc"
@@ -98,7 +99,14 @@ func (s PaperSpec) Generate() (Result, error) {
 		gen = epc.NewGenerator(s.Seed, 16, 256)
 	}
 
-	var res Result
+	// Every node contributes the same counts, so the three slices are
+	// sized once: a placement per object plus TraceLen-1 hops per mover.
+	nMove := int(s.MoveFraction * float64(s.ObjectsPerNode))
+	res := Result{
+		Observations: make([]moods.Observation, 0, len(s.Nodes)*(s.ObjectsPerNode+nMove*(s.TraceLen-1))),
+		Objects:      make([]moods.ObjectID, 0, len(s.Nodes)*s.ObjectsPerNode),
+		Movers:       make([]moods.ObjectID, 0, len(s.Nodes)*nMove),
+	}
 	serial := 0
 	newObject := func() moods.ObjectID {
 		serial++
@@ -109,7 +117,6 @@ func (s PaperSpec) Generate() (Result, error) {
 	}
 
 	for ni, node := range s.Nodes {
-		nMove := int(s.MoveFraction * float64(s.ObjectsPerNode))
 		// A shared route and departure schedule for grouped movement.
 		var groupRoute []moods.NodeName
 		var groupStart time.Duration
@@ -148,8 +155,10 @@ func (s PaperSpec) Generate() (Result, error) {
 		}
 	}
 
-	sort.SliceStable(res.Observations, func(i, j int) bool {
-		return res.Observations[i].At < res.Observations[j].At
+	// Stable: observations captured at the same instant keep generation
+	// order, which is the order the simulation replays them in.
+	slices.SortStableFunc(res.Observations, func(a, b moods.Observation) int {
+		return cmp.Compare(a.At, b.At)
 	})
 	if n := len(res.Observations); n > 0 {
 		res.Horizon = res.Observations[n-1].At
