@@ -3,11 +3,17 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"peertrack/internal/core"
+	"peertrack/internal/moods"
 )
 
 // The golden tests define "same behaviour" for refactors underneath the
@@ -157,4 +163,73 @@ func TestGoldenSpans(t *testing.T) {
 		out.WriteByte('\n')
 	}
 	checkGolden(t, "spans.txt", out.String())
+}
+
+// The message sequence of every arrival path: the Section V workload
+// and a query sweep over both overlays, both indexing modes and 0–2
+// replicas, read as Stats.ByType() plus the message, byte and query-hop
+// totals. It is `peertrack-sim -bytype` in the tree — individual
+// indexing with replicas is pinned by no other golden.
+func TestGoldenByType(t *testing.T) {
+	s := goldenScale()
+	s.MaxVolume = 40
+	var out strings.Builder
+	for _, kind := range []core.OverlayKind{core.ChordOverlay, core.KademliaOverlay} {
+		for _, mode := range []core.Mode{core.GroupIndexing, core.IndividualIndexing} {
+			for replicas := 0; replicas <= 2; replicas++ {
+				nw, err := core.BuildNetwork(core.NetworkConfig{
+					Nodes:   s.Nodes,
+					Seed:    s.Seed,
+					Peer:    core.Config{Mode: mode, ReplicationFactor: replicas + 1},
+					Overlay: kind,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				names := make([]moods.NodeName, s.Nodes)
+				for i, p := range nw.Peers() {
+					names[i] = p.Name()
+				}
+				res, err := workloadSpec(names, s).Generate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := nw.ScheduleAll(res.Observations); err != nil {
+					t.Fatal(err)
+				}
+				if mode == core.GroupIndexing {
+					nw.StartWindows(res.Horizon + 2*time.Second)
+				}
+				nw.Run()
+				rng := rand.New(rand.NewSource(s.Seed + 13))
+				hops := 0
+				for q := 0; q < s.Queries; q++ {
+					obj := res.Movers[rng.Intn(len(res.Movers))]
+					at := time.Duration(rng.Int63n(int64(res.Horizon)))
+					l, err := nw.Peers()[rng.Intn(s.Nodes)].Locate(obj, at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr, err := nw.Peers()[rng.Intn(s.Nodes)].FullTrace(obj)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hops += l.Hops + tr.Hops
+				}
+				snap := nw.Stats().Snapshot()
+				fmt.Fprintf(&out, "%s %s replicas=%d messages=%d bytes=%d query_hops=%d\n",
+					kind, modeName(mode), replicas, snap.Messages, snap.Bytes, hops)
+				byType := nw.Stats().ByType()
+				types := make([]string, 0, len(byType))
+				for typ := range byType {
+					types = append(types, typ)
+				}
+				sort.Strings(types)
+				for _, typ := range types {
+					fmt.Fprintf(&out, "  %s %d\n", typ, byType[typ])
+				}
+			}
+		}
+	}
+	checkGolden(t, "bytype.txt", out.String())
 }
