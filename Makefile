@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet lint lint-selftest deadpkgs loc race fuzz-short bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl ledger-check
+.PHONY: build test check vet lint lint-selftest deadpkgs loc loc-check race fuzz-short bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl ledger-check
 
 build:
 	$(GO) build ./...
@@ -11,21 +11,17 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint builds the in-tree checker and runs all eight passes (the v1
-# syntax passes and the v2 interprocedural ones) over the whole module,
-# test files included. Findings present in lint-baseline.json are
-# tolerated (and reported as stale once they disappear); anything new
-# exits non-zero. Suppress a deliberate exception with
-# `//lint:allow <pass> <reason>` on or above the flagged line — the
-# reason is mandatory, and stale allows are findings themselves. The
-# run also emits lint.sarif for CI artifact upload. The same binary
-# speaks the vettool protocol:
-#   go vet -vettool=bin/peertrack-lint ./...
+# lint builds the in-tree checker and runs all seven passes (three
+# syntax passes, four interprocedural ones) over the whole module, test
+# files included; any finding exits non-zero. Suppress a deliberate
+# exception with `//lint:allow <pass> <reason>` on or above the flagged
+# line — the reason is mandatory, and stale allows are findings
+# themselves.
 lint: bin/peertrack-lint
-	./bin/peertrack-lint -baseline lint-baseline.json -sarif lint.sarif ./...
+	./bin/peertrack-lint ./...
 
 # lint-selftest runs the analyzer suite's own tests: the want-comment
-# corpora for all eight passes, the diamond call-graph fixture, the
+# corpora for all seven passes, the diamond call-graph fixture, the
 # allow-hygiene fixture, and the live-tree cleanliness pin.
 lint-selftest:
 	$(GO) test ./internal/analysis/...
@@ -44,8 +40,11 @@ deadpkgs:
 # loc prints the table every CHANGES.md entry reports: non-test and test
 # Go lines of the root package, of each directory under internal/ and
 # cmd/ (sub-packages included, testdata fixtures not), and of the bench/
-# module. Line count is a tracked metric (ROADMAP aim 2); this is a
-# report, not a gate.
+# module. Line count is a tracked metric (ROADMAP aim 2): loc-check
+# fails when the root module's non-test lines exceed LOC_MAX. A PR that
+# needs more raises the number in its own diff and says why in CHANGES.
+LOC_MAX = 25800
+
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
 	printf '%-28s %9s %7s\n' package non-test test; \
@@ -56,6 +55,10 @@ loc:
 		s=$$(lines $$d "$$depth" '!'); t=$$(lines $$d "$$depth" ''); \
 		printf '%-28s %9d %7d\n' $$d $$s $$t; src=$$((src+s)); tst=$$((tst+t)); \
 	done
+
+loc-check:
+	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$1 == "root" { n = $$3 } \
+		END { if (n > max) { printf "loc-check: root module has %d non-test lines, LOC_MAX is %d\n", n, max; exit 1 } }'
 
 bin/peertrack-lint: FORCE
 	$(GO) build -o bin/peertrack-lint ./cmd/peertrack-lint

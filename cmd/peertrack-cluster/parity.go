@@ -72,14 +72,12 @@ func runSimTwin(nodes, replicas int, objects []string, seed int64, span time.Dur
 	nw.PM.SetNetworkSize(1)
 	nw.PM.SetNetworkSize(float64(nodes))
 	nw.EnableGossip(gossip.Config{})
+	obss := make([]moods.Observation, len(objects))
 	for i, obj := range objects {
-		if err := nw.ScheduleObservation(moods.Observation{
-			Object: moods.ObjectID(obj),
-			Node:   core.NodeNameFor(i % nodes),
-			At:     observeAt(i),
-		}); err != nil {
-			return simTwinResult{}, err
-		}
+		obss[i] = moods.Observation{Object: moods.ObjectID(obj), Node: core.NodeNameFor(i % nodes), At: observeAt(i)}
+	}
+	if err := nw.ScheduleAll(obss); err != nil {
+		return simTwinResult{}, err
 	}
 	nw.StartMaintenance(fleetCadences, span)
 	nw.Run()

@@ -1,30 +1,18 @@
 // Command peertrack-lint runs the repo's custom static-analysis suite
-// (internal/analysis): the v1 syntax passes (detwall, detrand,
-// maporder, msgfreeze) and the v2 interprocedural passes (hotalloc,
-// lockheld, sendalias, sortedsource).
-//
-// Standalone (the make lint path):
+// (internal/analysis), seven passes: the syntax passes detwall, detrand
+// and maporder, and the interprocedural passes hotalloc, lockheld,
+// sendalias and sortedsource.
 //
 //	peertrack-lint ./...
 //	peertrack-lint -pass hotalloc,lockheld ./internal/...
-//	peertrack-lint -baseline lint-baseline.json -sarif lint.sarif ./...
 //
-// As a go vet tool (the unitchecker protocol — go vet hands the tool a
-// JSON .cfg per package with pre-built export data; interprocedural
-// facts ride the .vetx files between units, bottom-up):
-//
-//	go vet -vettool=$(pwd)/bin/peertrack-lint ./...
-//
-// Exit status: 0 clean, 2 diagnostics found, 1 operational error.
+// Test files are linted too (test variants, as go vet does). Exit
+// status: 0 clean, 2 diagnostics found, 1 operational error.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
-	"io"
 	"os"
 	"strings"
 
@@ -32,28 +20,9 @@ import (
 )
 
 func main() {
-	// The go command probes vet tools before use: `tool -V=full` for a
-	// cache-keying version stamp, `tool -flags` for the flag set it may
-	// forward. Handle both before normal flag parsing.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			printFlagsJSON()
-			return
-		}
-	}
-
-	tests := flag.Bool("tests", true, "also lint _test.go files (test variants), as go vet does")
-	passSpec := flag.String("pass", "", "comma-separated subset of passes to run (default: all eight)")
-	passesCompat := flag.String("passes", "", "alias for -pass (kept for compatibility)")
-	sarifPath := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file ('-' for stdout)")
-	baselinePath := flag.String("baseline", "", "baseline JSON file; only findings absent from it fail the run")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the -baseline file from the current findings and exit 0")
+	passSpec := flag.String("pass", "", "comma-separated subset of passes to run (default: all seven)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: peertrack-lint [flags] [packages]\n       (as vet tool) peertrack-lint <unit>.cfg\n\nPasses:\n")
+		fmt.Fprintf(os.Stderr, "usage: peertrack-lint [-pass a,b] [packages]\n\nPasses:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -62,21 +31,29 @@ func main() {
 	}
 	flag.Parse()
 
-	spec := *passSpec
-	if spec == "" {
-		spec = *passesCompat
-	}
-	selected, err := selectPasses(spec)
+	passes, err := selectPasses(*passSpec)
 	if err != nil {
 		fatal(err)
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnitchecker(args[0], selected)
-		return
+	patterns := flag.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	runStandalone(args, *tests, selected, *sarifPath, *baselinePath, *writeBaseline)
+	cwd, err := os.Getwd()
+	if err != nil {
+		fatal(err)
+	}
+	findings, err := analysis.Run(cwd, passes, patterns...)
+	if err != nil {
+		fatal(err)
+	}
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "peertrack-lint: %d finding(s)\n", len(findings))
+		os.Exit(2)
+	}
 }
 
 func selectPasses(spec string) ([]*analysis.Analyzer, error) {
@@ -97,224 +74,6 @@ func selectPasses(spec string) ([]*analysis.Analyzer, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-func runStandalone(patterns []string, tests bool, passes []*analysis.Analyzer, sarifPath, baselinePath string, writeBaseline bool) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	fset, pkgs, err := analysis.Load(cwd, tests, patterns...)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Facts first, for every loaded package, before any pass runs: the
-	// interprocedural queries need the whole module's summaries, and
-	// fact extraction consumes //lint:allow comments the stale-allow
-	// check accounts for later.
-	facts := analysis.NewFactStore()
-	for _, lp := range pkgs {
-		analysis.ComputeFacts(fset, lp, facts)
-	}
-
-	fullSuite := len(passes) == len(analysis.All())
-	var findings []analysis.Finding
-	for _, lp := range pkgs {
-		fs, err := analysis.RunPackageOpts(fset, lp, passes, analysis.RunOptions{
-			RespectFilters: true,
-			Facts:          facts,
-			CheckAllows:    true,
-			FullSuite:      fullSuite,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		findings = append(findings, fs...)
-	}
-	analysis.SortFindings(findings)
-	findings = analysis.Dedup(findings)
-
-	if writeBaseline {
-		if baselinePath == "" {
-			fatal(fmt.Errorf("-write-baseline requires -baseline <path>"))
-		}
-		if err := analysis.WriteBaseline(baselinePath, findings, cwd); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "peertrack-lint: wrote %d finding(s) to %s\n", len(findings), baselinePath)
-		return
-	}
-
-	gating := findings
-	if baselinePath != "" {
-		base, err := analysis.LoadBaseline(baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		var stale []analysis.BaselineEntry
-		gating, stale = base.Apply(findings, cwd)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "peertrack-lint: stale baseline entry (no longer reported): [%s] %s: %s\n", e.Pass, e.File, e.Message)
-		}
-	}
-
-	if sarifPath != "" {
-		out := os.Stdout
-		if sarifPath != "-" {
-			f, err := os.Create(sarifPath)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := analysis.EmitSARIF(out, findings, passes, cwd); err != nil {
-			fatal(err)
-		}
-	}
-
-	for _, f := range gating {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(gating) > 0 {
-		fmt.Fprintf(os.Stderr, "peertrack-lint: %d finding(s)", len(gating))
-		if baselinePath != "" {
-			fmt.Fprintf(os.Stderr, " not in baseline %s", baselinePath)
-		}
-		fmt.Fprintln(os.Stderr)
-		os.Exit(2)
-	}
-}
-
-// vetConfig is the JSON unit description go vet writes for vet tools
-// (the x/tools unitchecker wire format).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runUnitchecker(cfgPath string, passes []*analysis.Analyzer) {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("parsing %s: %v", cfgPath, err))
-	}
-
-	// Merge the fact stores of every dependency unit: each .vetx holds
-	// that package's transitive closure of facts, so the union covers
-	// everything this unit's call chains can reach.
-	facts := analysis.NewFactStore()
-	for _, vetx := range cfg.PackageVetx {
-		if data, err := os.ReadFile(vetx); err == nil {
-			facts.Merge(analysis.DecodeFactStore(data))
-		}
-	}
-
-	// writeVetx must run on every exit path go vet expects output from.
-	wroteVetx := false
-	writeVetx := func() {
-		if cfg.VetxOutput == "" || wroteVetx {
-			return
-		}
-		wroteVetx = true
-		data, err := facts.EncodeJSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			fatal(err)
-		}
-	}
-
-	// Only module packages contribute facts; stdlib effects are tabled
-	// at call sites during summarization.
-	isModule := strings.HasPrefix(analysis.NormalizeImportPath(cfg.ImportPath), analysis.ModulePath)
-
-	var lp *analysis.LoadedPackage
-	fset := token.NewFileSet()
-	if isModule && len(cfg.GoFiles) > 0 {
-		files, err := analysis.ParseFiles(fset, cfg.Dir, cfg.GoFiles)
-		if err == nil {
-			imp := analysis.NewExportImporter(fset, cfg.PackageFile, cfg.ImportMap)
-			pkg, info, cerr := analysis.TypeCheck(fset, cfg.ImportPath, files, imp)
-			if cerr == nil {
-				lp = &analysis.LoadedPackage{
-					ImportPath: cfg.ImportPath, Dir: cfg.Dir, Files: files, Pkg: pkg, Info: info,
-				}
-				analysis.ComputeFacts(fset, lp, facts)
-			} else if !cfg.SucceedOnTypecheckFailure {
-				writeVetx()
-				fatal(fmt.Errorf("type-checking %s: %v", cfg.ImportPath, cerr))
-			}
-		} else if !cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			fatal(err)
-		}
-	}
-	writeVetx()
-	if cfg.VetxOnly || lp == nil {
-		return
-	}
-
-	findings, err := analysis.RunPackageOpts(fset, lp, passes, analysis.RunOptions{
-		RespectFilters: true,
-		Facts:          facts,
-		CheckAllows:    true,
-		FullSuite:      len(passes) == len(analysis.All()),
-	})
-	if err != nil {
-		fatal(err)
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		os.Exit(2)
-	}
-}
-
-func printVersion() {
-	// The exact shape cmd/go's toolID parser accepts from a vet tool:
-	// "<progname> version devel ... buildID=<hex>".
-	progname := os.Args[0]
-	h := sha256.New()
-	if f, err := os.Open(progname); err == nil {
-		io.Copy(h, f)
-		f.Close()
-	} else if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, string(h.Sum(nil)[:16]))
-}
-
-// printFlagsJSON answers go vet's -flags probe: the set of flags the
-// tool accepts, as analysisflags JSON. None are forwarded per-unit, so
-// the list is empty.
-func printFlagsJSON() {
-	fmt.Println("[]")
 }
 
 func fatal(err error) {

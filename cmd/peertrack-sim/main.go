@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"peertrack/internal/core"
+	"peertrack/internal/experiments"
 	"peertrack/internal/metrics"
-	"peertrack/internal/moods"
 	"peertrack/internal/workload"
 )
 
@@ -48,49 +48,21 @@ func main() {
 		log.Fatalf("unknown mode %q", *mode)
 	}
 
-	nw, err := core.BuildNetwork(core.NetworkConfig{
+	tl := min(*traceLen, *nodes)
+	start := time.Now()
+	run, err := experiments.Load(core.NetworkConfig{
 		Nodes:      *nodes,
 		Seed:       *seed,
 		Scheme:     core.Scheme(*scheme),
 		Peer:       cfg,
 		HopLatency: *hopLatency,
 		Overlay:    core.OverlayKind(*overlayKind),
-	})
+	}, workload.PaperSpec{ObjectsPerNode: *objects, MoveFraction: *move, TraceLen: tl, Grouped: *grouped})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	names := make([]moods.NodeName, *nodes)
-	for i, p := range nw.Peers() {
-		names[i] = p.Name()
-	}
-	tl := *traceLen
-	if tl > *nodes {
-		tl = *nodes
-	}
-	res, err := workload.PaperSpec{
-		Nodes:          names,
-		ObjectsPerNode: *objects,
-		MoveFraction:   *move,
-		TraceLen:       tl,
-		Grouped:        *grouped,
-		Seed:           *seed + 7,
-	}.Generate()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := nw.ScheduleAll(res.Observations); err != nil {
-		log.Fatal(err)
-	}
-
-	start := time.Now()
-	if cfg.Mode == core.GroupIndexing {
-		nw.StartWindows(res.Horizon + 2*time.Second)
-	}
-	nw.Run()
 	elapsed := time.Since(start)
-
-	snap := nw.Stats().Snapshot()
+	nw, res, snap := run.Net, run.Work, run.Indexing
 	loads := nw.IndexLoads()
 
 	var hops, qtime metrics.Summary
@@ -121,7 +93,7 @@ func main() {
 	fmt.Fprintf(w, "idle nodes\t%.1f%%\n", 100*metrics.FractionIdle(loads))
 	fmt.Fprintf(w, "trace query hops\tmean %.1f, min %.0f, max %.0f\n", hops.Mean(), hops.Min(), hops.Max())
 	fmt.Fprintf(w, "trace query time\tmean %.1f ms (at %v/hop)\n", qtime.Mean(), *hopLatency)
-	fmt.Fprintf(w, "wall time\t%v\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "wall time\t%v (build, generate and run)\n", elapsed.Round(time.Millisecond))
 	w.Flush()
 
 	if *byType {
@@ -131,7 +103,12 @@ func main() {
 		for t := range byT {
 			types = append(types, t)
 		}
-		sort.Slice(types, func(i, j int) bool { return byT[types[i]] > byT[types[j]] })
+		sort.Slice(types, func(i, j int) bool {
+			if byT[types[i]] != byT[types[j]] {
+				return byT[types[i]] > byT[types[j]]
+			}
+			return types[i] < types[j] // equal counts: by name, not by map order
+		})
 		tw := tabwriter.NewWriter(os.Stdout, 4, 4, 2, ' ', 0)
 		for _, t := range types {
 			fmt.Fprintf(tw, "  %s\t%d\n", t, byT[t])

@@ -2,29 +2,22 @@
 // analysis passes that machine-check the properties the simulation and
 // chaos harnesses stake correctness on but the compiler cannot see —
 // no wall-clock or ambient randomness in deterministic packages, no
-// map-iteration-order leaking into emitted output, and no mutation of
-// messages after they cross the in-memory transport.
+// map-iteration-order leaking into emitted output, no reference into a
+// message kept after it crosses the in-memory transport, no allocation
+// on an annotated hot path, no blocking under a store mutex.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API (Analyzer, Pass, Diagnostic) so the passes could be ported to the
 // upstream framework verbatim, but it is self-contained: the container
 // this repo builds in has no module proxy access, so the driver
-// (loading, suppression, the go vet -vettool protocol) is implemented
-// here on the standard library alone — go/ast, go/types, go/importer,
-// and `go list -json -export` for export data.
+// (loading, suppression) is implemented here on the standard library
+// alone — go/ast, go/types, go/importer, and `go list -json -export`
+// for export data.
 //
-// Passes:
-//
-//   - detwall: forbids wall-clock time (time.Now, time.Since,
-//     time.Sleep, timer construction, ...) in deterministic packages.
-//   - detrand: forbids the global math/rand source in deterministic
-//     packages; seeded *rand.Rand values threaded from a schedule are
-//     fine.
-//   - maporder: flags `range` over a map whose body feeds an
-//     order-sensitive sink (append to an outer slice, a printer or
-//     encoder, a hash) without a subsequent sort.
-//   - msgfreeze: flags writes through a message pointer after it has
-//     been passed to transport Call/Send in the same function.
+// The three syntax passes (detwall, detrand, maporder) see one function
+// at a time; the four interprocedural ones (hotalloc, lockheld,
+// sendalias, sortedsource) also read the per-function facts of
+// facts.go. Each pass documents its rule at its Analyzer variable.
 //
 // A diagnostic is suppressed by a `//lint:allow <pass> <reason>`
 // comment on the flagged line or the line above it.
@@ -67,8 +60,8 @@ type Pass struct {
 	// keep their qualifier; NormalizeImportPath strips it).
 	ImportPath string
 	// Facts is the interprocedural fact store, filled for every module
-	// package before any v2 pass runs. Nil for the v1 syntax passes'
-	// tests; the v2 passes treat a nil store as empty.
+	// package before any pass runs. The interprocedural passes treat a
+	// nil store as empty.
 	Facts *FactStore
 	// Report is called for each finding.
 	Report func(Diagnostic)
@@ -77,7 +70,7 @@ type Pass struct {
 // facts returns the pass's fact store, never nil.
 func (p *Pass) facts() *FactStore {
 	if p.Facts == nil {
-		return NewFactStore()
+		return NewFactStore(p.Fset)
 	}
 	return p.Facts
 }
@@ -128,10 +121,10 @@ func deterministicOnly(importPath string) bool {
 	return DeterministicPackages[NormalizeImportPath(importPath)]
 }
 
-// All returns the full pass suite in stable order: the v1 syntax
-// passes, then the v2 interprocedural passes.
+// All returns the full pass suite in stable order: the syntax passes,
+// then the interprocedural ones.
 func All() []*Analyzer {
-	return []*Analyzer{DetWall, DetRand, MapOrder, MsgFreeze, HotAlloc, LockHeld, SendAlias, SortedSource}
+	return []*Analyzer{DetWall, DetRand, MapOrder, HotAlloc, LockHeld, SendAlias, SortedSource}
 }
 
 // pkgNameOf resolves an identifier to the package it names, or nil if

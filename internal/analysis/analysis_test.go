@@ -47,7 +47,7 @@ func TestDeterministicAllowlist(t *testing.T) {
 func TestLoadRealPackage(t *testing.T) {
 	// Smoke-test the go list loader on a small real package, test
 	// variant included.
-	fset, pkgs, err := Load("..", true, "peertrack/internal/metrics")
+	fset, pkgs, err := Load("..", "peertrack/internal/metrics")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestLoadRealPackage(t *testing.T) {
 		if lp.Pkg == nil || lp.Info == nil || len(lp.Files) == 0 {
 			t.Errorf("%s: incomplete load", lp.ImportPath)
 		}
-		if _, err := RunPackage(fset, lp, All(), true); err != nil {
+		if _, err := RunPackage(fset, lp, All(), RunOptions{RespectFilters: true}); err != nil {
 			t.Errorf("RunPackage(%s): %v", lp.ImportPath, err)
 		}
 	}

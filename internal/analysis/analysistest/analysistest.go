@@ -5,7 +5,7 @@
 //
 // Layout: testdata/src/<pkg>/*.go, one package per directory. A
 // directory may import another testdata package by its directory name
-// (e.g. the msgfreeze corpus imports a stub "transport"); anything else
+// (e.g. the sendalias corpus imports a stub "transport"); anything else
 // resolves to the real build via `go list -export` data.
 //
 // Expectations are written at the end of the offending line:
@@ -53,34 +53,27 @@ func TestData() string {
 
 // Run loads each named testdata package, applies the analyzer (package
 // filters ignored, //lint:allow honored), and reports mismatches
-// against the want comments through t. Interprocedural facts are
-// computed for the package and every testdata package it imports, so
-// the v2 passes see the same call-graph summaries the real driver
-// builds.
+// against the want comments through t.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {
-		runOne(t, testdata, []*analysis.Analyzer{a}, false, pkg)
+		ld, lp, facts := loadWithFacts(t, testdata, pkg)
+		findings, err := analysis.RunPackage(ld.fset, lp, []*analysis.Analyzer{a}, analysis.RunOptions{Facts: facts})
+		if err != nil {
+			t.Fatalf("running on %s: %v", pkg, err)
+		}
+		checkWants(t, pkg, collectWants(t, ld.fset, lp.Files), findings)
 	}
 }
 
-// Analyze loads pkg (plus its testdata imports), computes facts, and
-// returns the raw findings of the full eight-pass suite with allow
-// hygiene enabled — for tests asserting on findings programmatically,
-// where want comments cannot express the expectation (a want on a bare
-// //lint:allow line would become its "reason").
+// Analyze loads pkg and returns the raw findings of the full suite with
+// allow hygiene enabled — for tests asserting on findings
+// programmatically, where want comments cannot express the expectation
+// (a want on a bare //lint:allow line would become its "reason").
 func Analyze(t *testing.T, testdata, pkg string) []analysis.Finding {
 	t.Helper()
-	ld := newLoader(filepath.Join(testdata, "src"))
-	lp, err := ld.load(pkg)
-	if err != nil {
-		t.Fatalf("loading testdata package %s: %v", pkg, err)
-	}
-	facts := analysis.NewFactStore()
-	for _, dep := range ld.order {
-		analysis.ComputeFacts(ld.fset, ld.local[dep], facts)
-	}
-	findings, err := analysis.RunPackageOpts(ld.fset, lp, analysis.All(), analysis.RunOptions{
+	ld, lp, facts := loadWithFacts(t, testdata, pkg)
+	findings, err := analysis.RunPackage(ld.fset, lp, analysis.All(), analysis.RunOptions{
 		Facts:       facts,
 		CheckAllows: true,
 		FullSuite:   true,
@@ -91,43 +84,33 @@ func Analyze(t *testing.T, testdata, pkg string) []analysis.Finding {
 	return findings
 }
 
-// LoadFacts loads pkg (plus its testdata imports) and returns the
-// computed fact store — for tests asserting on the call-graph and
-// chain machinery directly.
+// LoadFacts loads pkg and returns the computed fact store — for tests
+// asserting on the call-graph and chain machinery directly.
 func LoadFacts(t *testing.T, testdata, pkg string) *analysis.FactStore {
 	t.Helper()
-	ld := newLoader(filepath.Join(testdata, "src"))
-	if _, err := ld.load(pkg); err != nil {
-		t.Fatalf("loading testdata package %s: %v", pkg, err)
-	}
-	facts := analysis.NewFactStore()
-	for _, dep := range ld.order {
-		analysis.ComputeFacts(ld.fset, ld.local[dep], facts)
-	}
+	_, _, facts := loadWithFacts(t, testdata, pkg)
 	return facts
 }
 
-func runOne(t *testing.T, testdata string, analyzers []*analysis.Analyzer, checkAllows bool, pkg string) {
+// loadWithFacts loads pkg and computes the interprocedural facts of it
+// and of every testdata package it imports, dependencies first, so the
+// passes see the same call-graph summaries the real driver builds.
+func loadWithFacts(t *testing.T, testdata, pkg string) (*loader, *analysis.LoadedPackage, *analysis.FactStore) {
 	t.Helper()
 	ld := newLoader(filepath.Join(testdata, "src"))
 	lp, err := ld.load(pkg)
 	if err != nil {
 		t.Fatalf("loading testdata package %s: %v", pkg, err)
 	}
-	facts := analysis.NewFactStore()
+	facts := analysis.NewFactStore(ld.fset)
 	for _, dep := range ld.order {
 		analysis.ComputeFacts(ld.fset, ld.local[dep], facts)
 	}
-	findings, err := analysis.RunPackageOpts(ld.fset, lp, analyzers, analysis.RunOptions{
-		Facts:       facts,
-		CheckAllows: checkAllows,
-		FullSuite:   checkAllows,
-	})
-	if err != nil {
-		t.Fatalf("running on %s: %v", pkg, err)
-	}
+	return ld, lp, facts
+}
 
-	wants := collectWants(t, ld.fset, lp.Files)
+func checkWants(t *testing.T, pkg string, wants []*want, findings []analysis.Finding) {
+	t.Helper()
 	matched := map[*want]bool{}
 	for _, f := range findings {
 		w := findWant(wants, f.Pos.Filename, f.Pos.Line, f.Message)

@@ -1,30 +1,21 @@
 package analysis
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/token"
-	"sort"
-	"strconv"
 	"strings"
 )
 
 // This file holds the interprocedural layer: per-function facts
 // computed bottom-up over the CHA call graph (see summary.go for the
-// extraction) and the transitive queries the v2 passes ask of them.
-//
-// Facts are deliberately flat and serializable: in standalone mode the
-// store is filled for every package of the module before any pass
-// runs; in go vet -vettool mode each unit writes its merged store to
-// the .vetx file go vet hands back to dependent units, so facts flow
-// bottom-up across separate tool invocations exactly like x/tools
-// analysis facts.
+// extraction) and the transitive queries hotalloc, lockheld, sendalias
+// and sortedsource ask of them. The store is filled for every package of
+// the load, on one file set, before any pass runs.
 
 // A Site is one position-annotated effect inside a function body: an
-// allocation, a potentially-blocking operation, or a transport send.
+// allocation or a potentially-blocking operation.
 type Site struct {
-	Pos  string `json:"pos"`  // "file:line:col", fset-independent
-	What string `json:"what"` // human-readable effect, e.g. "append may grow its backing array"
+	Pos  token.Pos
+	What string // human-readable effect, e.g. "append may grow its backing array"
 }
 
 // A CallEdge is one call-graph edge out of a function. Static edges
@@ -32,24 +23,24 @@ type Site struct {
 // interface-method key ("iface:<pkg>.<Iface>.<Method>") resolved
 // against the CHA implementation index at query time.
 type CallEdge struct {
-	Pos     string `json:"pos"`
-	Callee  string `json:"callee"`
-	Dynamic bool   `json:"dynamic,omitempty"`
+	Pos     token.Pos
+	Callee  string
+	Dynamic bool
 	// Cold marks edges inside miss/init-shaped branches (see the cold
 	// rules in summary.go): the callee's allocations are amortized
 	// growth, not steady-state cost, so AllocChain skips cold edges.
 	// Blocking is never excused by coldness.
-	Cold bool `json:"cold,omitempty"`
+	Cold bool
 	// ParamArgs maps callee parameter index -> caller parameter index
 	// for arguments that are bare identifiers of the caller's own
 	// parameters. It is what lets SendsParams taint flow through
 	// forwarding helpers.
-	ParamArgs map[int]int `json:"paramArgs,omitempty"`
+	ParamArgs map[int]int
 }
 
 // Return-value alias lattice. Each return site of a function is
 // summarized as one of these strings (the "escape/alias lattice" of
-// DESIGN.md §12): what the returned reference value may alias.
+// DESIGN.md §8): what the returned reference value may alias.
 const (
 	RetFresh   = "fresh"   // freshly allocated in this function
 	RetRecv    = "recv"    // aliases the receiver or its fields
@@ -62,33 +53,32 @@ const (
 
 // FuncFact is the bottom-up summary of one function.
 type FuncFact struct {
-	ID      string     `json:"id"`
-	Pos     string     `json:"pos"`
-	Hotpath bool       `json:"hotpath,omitempty"` // annotated //lint:hotpath
-	Allocs  []Site     `json:"allocs,omitempty"`  // local allocation sites (post //lint:allow)
-	Blocks  []Site     `json:"blocks,omitempty"`  // local potentially-blocking sites
-	Sends   []Site     `json:"sends,omitempty"`   // transport Call/Send sites
-	Calls   []CallEdge `json:"calls,omitempty"`
+	ID      string
+	Hotpath bool   // annotated //lint:hotpath
+	Allocs  []Site // local allocation sites (post //lint:allow)
+	Blocks  []Site // local potentially-blocking sites
+	Calls   []CallEdge
 	// Returns holds one lattice value per reference-typed return site.
-	Returns []string `json:"returns,omitempty"`
+	Returns []string
 	// MapReturn marks a function returning a slice built by ranging a
 	// map without a sort before the return — a tainted source for
 	// sortedsource.
-	MapReturn bool `json:"mapReturn,omitempty"`
+	MapReturn bool
 	// SendsParams lists parameter indices whose referents flow into a
 	// wire message sent by this function (directly; transitive flow is
 	// resolved through CallEdge.ParamArgs at query time).
-	SendsParams []int `json:"sendsParams,omitempty"`
+	SendsParams []int
 }
 
 // FactStore holds every known function fact plus the CHA
-// implementation index. Not safe for concurrent mutation; the drivers
-// fill it fully before passes query it.
+// implementation index. Not safe for concurrent mutation; the driver
+// fills it fully before passes query it.
 type FactStore struct {
-	Funcs map[string]*FuncFact `json:"funcs"`
+	fset  *token.FileSet // renders Site and CallEdge positions in chains
+	Funcs map[string]*FuncFact
 	// Impls maps "iface:<pkg>.<Iface>.<Method>" to the sorted IDs of
 	// module-internal concrete methods implementing it.
-	Impls map[string][]string `json:"impls,omitempty"`
+	Impls map[string][]string
 
 	allocMemo map[string][]string // nil entry = proven alloc-free
 	blockMemo map[string][]string
@@ -97,27 +87,9 @@ type FactStore struct {
 	sendsMemo map[string]map[int]bool
 }
 
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{Funcs: map[string]*FuncFact{}, Impls: map[string][]string{}}
-}
-
-// Merge copies other's facts and impls into s (other wins on ID
-// collisions, which only happen when the same package is summarized
-// twice — the summaries are identical).
-func (s *FactStore) Merge(other *FactStore) {
-	if other == nil {
-		return
-	}
-	for id, f := range other.Funcs {
-		s.Funcs[id] = f
-	}
-	for k, impls := range other.Impls {
-		merged := append(append([]string(nil), s.Impls[k]...), impls...)
-		sort.Strings(merged)
-		s.Impls[k] = dedupStrings(merged)
-	}
-	s.resetMemos()
+// NewFactStore returns an empty store for packages parsed into fset.
+func NewFactStore(fset *token.FileSet) *FactStore {
+	return &FactStore{fset: fset, Funcs: map[string]*FuncFact{}, Impls: map[string][]string{}}
 }
 
 func (s *FactStore) resetMemos() {
@@ -131,28 +103,6 @@ func dedupStrings(in []string) []string {
 			continue
 		}
 		out = append(out, v)
-	}
-	return out
-}
-
-// EncodeJSON serializes the store for a .vetx file.
-func (s *FactStore) EncodeJSON() ([]byte, error) {
-	return json.Marshal(s)
-}
-
-// DecodeFactStore parses a serialized store, tolerating legacy or
-// foreign vetx content by returning an empty store on malformed input.
-func DecodeFactStore(data []byte) *FactStore {
-	out := NewFactStore()
-	var raw FactStore
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return out
-	}
-	if raw.Funcs != nil {
-		out.Funcs = raw.Funcs
-	}
-	if raw.Impls != nil {
-		out.Impls = raw.Impls
 	}
 	return out
 }
@@ -246,7 +196,7 @@ func (s *FactStore) effectChain(id string, memo map[string][]string, grey map[st
 	var chain []string
 	if len(sites(f)) > 0 {
 		site := sites(f)[0]
-		chain = []string{shortFuncID(id) + ": " + site.What + " at " + site.Pos}
+		chain = []string{shortFuncID(id) + ": " + site.What + " at " + s.fset.Position(site.Pos).String()}
 	} else {
 		for _, e := range f.Calls {
 			if skipCold && e.Cold {
@@ -258,7 +208,7 @@ func (s *FactStore) effectChain(id string, memo map[string][]string, grey map[st
 				}
 				sub := s.effectChain(callee, memo, grey, skipCold, sites)
 				if sub != nil {
-					chain = append([]string{shortFuncID(id) + " calls " + shortFuncID(callee) + " at " + e.Pos}, sub...)
+					chain = append([]string{shortFuncID(id) + " calls " + shortFuncID(callee) + " at " + s.fset.Position(e.Pos).String()}, sub...)
 					break
 				}
 			}
@@ -427,39 +377,4 @@ func shortFuncID(id string) string {
 		return id[i+1:]
 	}
 	return id
-}
-
-// ParsePosition parses a "file:line:col" string back into a
-// token.Position so serialized sites can re-enter the diagnostic and
-// suppression machinery.
-func ParsePosition(s string) token.Position {
-	var pos token.Position
-	rest := s
-	for i := 0; i < 2; i++ {
-		j := strings.LastIndex(rest, ":")
-		if j < 0 {
-			break
-		}
-		n, err := strconv.Atoi(rest[j+1:])
-		if err != nil {
-			break
-		}
-		if i == 0 {
-			pos.Column = n
-		} else {
-			pos.Line = n
-		}
-		rest = rest[:j]
-	}
-	if pos.Line == 0 && pos.Column > 0 {
-		// Only one numeric suffix was present: treat it as the line.
-		pos.Line, pos.Column = pos.Column, 0
-	}
-	pos.Filename = rest
-	return pos
-}
-
-// FormatPosition is the inverse of ParsePosition.
-func FormatPosition(pos token.Position) string {
-	return fmt.Sprintf("%s:%d:%d", pos.Filename, pos.Line, pos.Column)
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -50,12 +49,12 @@ func checkHotFunc(pass *Pass, facts *FactStore, fd *ast.FuncDecl) {
 	}
 	fact := facts.Funcs[FuncID(fn)]
 	if fact == nil {
-		return // facts not computed for this run (v1-only drivers)
+		return // no facts computed for this run
 	}
 	name := shortFuncID(fact.ID)
 	for _, site := range fact.Allocs {
 		pass.Report(Diagnostic{
-			Pos:     posInFiles(pass, ParsePosition(site.Pos)),
+			Pos:     site.Pos,
 			Message: "hot path " + name + ": " + site.What,
 		})
 	}
@@ -75,33 +74,11 @@ func checkHotFunc(pass *Pass, facts *FactStore, fd *ast.FuncDecl) {
 				continue
 			}
 			pass.Report(Diagnostic{
-				Pos: posInFiles(pass, ParsePosition(e.Pos)),
+				Pos: e.Pos,
 				Message: "hot path " + name + ": call to " + shortFuncID(callee) +
 					" may allocate: " + strings.Join(chain, "; "),
 			})
 			break // one chain per edge is enough signal
 		}
 	}
-}
-
-// posInFiles maps a serialized fact position back into this package's
-// fileset so the diagnostic machinery (sorting, //lint:allow) can treat
-// it like any other. Positions outside the package resolve to NoPos;
-// callers should only pass positions of sites in pass.Files.
-func posInFiles(pass *Pass, position token.Position) token.Pos {
-	for _, f := range pass.Files {
-		tf := pass.Fset.File(f.Pos())
-		if tf == nil || tf.Name() != position.Filename {
-			continue
-		}
-		if position.Line < 1 || position.Line > tf.LineCount() {
-			continue
-		}
-		p := tf.LineStart(position.Line)
-		if position.Column > 1 {
-			p += token.Pos(position.Column - 1)
-		}
-		return p
-	}
-	return token.NoPos
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TestLiveTreeClean pins the lint contracts on the real tree: the full
-// eight-pass suite (with allow hygiene) over every module package must
+// seven-pass suite (with allow hygiene) over every module package must
 // report nothing. This is the regression guard for the packages the
 // interprocedural passes exist to protect — a transport call slipping
 // under a ctlapi or telemetry mutex, a gossip message aliasing sender
@@ -19,30 +19,11 @@ func TestLiveTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module via go list -export")
 	}
-	root := moduleRoot(t)
-	fset, pkgs, err := analysis.Load(root, true, "./...")
+	findings, err := analysis.Run(moduleRoot(t), analysis.All(), "./...")
 	if err != nil {
-		t.Fatalf("loading module: %v", err)
+		t.Fatalf("linting module: %v", err)
 	}
-	facts := analysis.NewFactStore()
-	for _, lp := range pkgs {
-		analysis.ComputeFacts(fset, lp, facts)
-	}
-	var all []analysis.Finding
-	for _, lp := range pkgs {
-		fs, err := analysis.RunPackageOpts(fset, lp, analysis.All(), analysis.RunOptions{
-			RespectFilters: true,
-			Facts:          facts,
-			CheckAllows:    true,
-			FullSuite:      true,
-		})
-		if err != nil {
-			t.Fatalf("running suite on %s: %v", lp.ImportPath, err)
-		}
-		all = append(all, fs...)
-	}
-	analysis.SortFindings(all)
-	for _, f := range analysis.Dedup(all) {
+	for _, f := range findings {
 		t.Errorf("live tree finding: %s", f)
 	}
 }

@@ -61,14 +61,11 @@ func (lp *LoadedPackage) allowIdx(fset *token.FileSet) *allowIndex {
 }
 
 // Load lists patterns under dir, parses and type-checks every
-// non-dependency package, and returns them ready for analysis. With
-// includeTests, test variants are loaded too (the same way go vet
-// covers _test.go files); the synthesized ".test" mains are skipped.
-func Load(dir string, includeTests bool, patterns ...string) (*token.FileSet, []*LoadedPackage, error) {
-	args := []string{"list", "-json", "-export", "-deps"}
-	if includeTests {
-		args = append(args, "-test")
-	}
+// non-dependency package, and returns them ready for analysis. Test
+// variants are loaded too (the same way go vet covers _test.go files);
+// the synthesized ".test" mains are skipped.
+func Load(dir string, patterns ...string) (*token.FileSet, []*LoadedPackage, error) {
+	args := []string{"list", "-json", "-export", "-deps", "-test"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -108,7 +105,7 @@ func Load(dir string, includeTests bool, patterns ...string) (*token.FileSet, []
 		if err != nil {
 			return nil, nil, err
 		}
-		imp := NewExportImporter(fset, exports, t.ImportMap)
+		imp := newExportImporter(fset, exports, t.ImportMap)
 		pkg, info, err := TypeCheck(fset, t.ImportPath, files, imp)
 		if err != nil {
 			return nil, nil, fmt.Errorf("type-checking %s: %v", t.ImportPath, err)
@@ -118,13 +115,6 @@ func Load(dir string, includeTests bool, patterns ...string) (*token.FileSet, []
 		})
 	}
 	return fset, loaded, nil
-}
-
-// ParseFiles parses the named files (relative names are joined to dir)
-// with comments retained — suppression needs them. The unitchecker
-// driver calls it with the GoFiles list from go vet's unit config.
-func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
-	return parsePkgFiles(fset, dir, names)
 }
 
 // parsePkgFiles parses the named files (relative names are joined to
@@ -145,12 +135,12 @@ func parsePkgFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File
 	return files, nil
 }
 
-// NewExportImporter returns an importer that resolves import paths
+// newExportImporter returns an importer that resolves import paths
 // through importMap (test-variant remappings, vendoring) and reads gc
 // export data from the files go list reported. Each type-check should
 // use a fresh importer so test-variant packages never alias their
 // non-variant selves.
-func NewExportImporter(fset *token.FileSet, exports map[string]string, importMap map[string]string) types.ImporterFrom {
+func newExportImporter(fset *token.FileSet, exports map[string]string, importMap map[string]string) types.ImporterFrom {
 	lookup := func(path string) (io.ReadCloser, error) {
 		if mapped, ok := importMap[path]; ok {
 			path = mapped

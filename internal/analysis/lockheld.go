@@ -33,7 +33,7 @@ var LockHeld = &Analyzer{
 }
 
 // lockHeldPackages are the packages whose mutexes guard state the live
-// stack serves from. Keep in sync with DESIGN.md §12.
+// stack serves from. Keep in sync with DESIGN.md §8.
 var lockHeldPackages = map[string]bool{
 	"peertrack/internal/core":      true,
 	"peertrack/internal/ctlapi":    true,

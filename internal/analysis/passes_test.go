@@ -24,8 +24,10 @@ func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.MapOrder, "maporder")
 }
 
+// The msgfreeze pass is folded into sendalias; its corpus still fires
+// line for line.
 func TestMsgFreeze(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.MsgFreeze, "msgfreeze")
+	analysistest.Run(t, analysistest.TestData(), analysis.SendAlias, "sendalias/msgfreeze")
 }
 
 func TestHotAlloc(t *testing.T) {

@@ -131,13 +131,13 @@ func KnownPassNames() map[string]bool {
 	return known
 }
 
-// RunOptions configures RunPackageOpts.
+// RunOptions configures RunPackage.
 type RunOptions struct {
 	// RespectFilters applies each analyzer's AppliesTo predicate.
 	RespectFilters bool
-	// Facts is the interprocedural store (already filled for every
-	// module package in standalone mode; merged from dep vetx files in
-	// vettool mode). The v2 passes need it; v1 passes ignore it.
+	// Facts is the interprocedural store, already filled for every
+	// loaded package. The interprocedural passes need it; the syntax
+	// passes ignore it.
 	Facts *FactStore
 	// CheckAllows appends allow-hygiene findings for this package.
 	CheckAllows bool
@@ -146,16 +146,10 @@ type RunOptions struct {
 	FullSuite bool
 }
 
-// RunPackage executes the analyzers against one loaded package with
-// filters and suppression, the pre-v2 entry point kept for tests.
-func RunPackage(fset *token.FileSet, lp *LoadedPackage, analyzers []*Analyzer, respectFilters bool) ([]Finding, error) {
-	return RunPackageOpts(fset, lp, analyzers, RunOptions{RespectFilters: respectFilters})
-}
-
-// RunPackageOpts executes the analyzers against one loaded package,
+// RunPackage executes the analyzers against one loaded package,
 // applying //lint:allow suppression, and returns the surviving findings
 // sorted by position.
-func RunPackageOpts(fset *token.FileSet, lp *LoadedPackage, analyzers []*Analyzer, opts RunOptions) ([]Finding, error) {
+func RunPackage(fset *token.FileSet, lp *LoadedPackage, analyzers []*Analyzer, opts RunOptions) ([]Finding, error) {
 	allow := lp.allowIdx(fset)
 	var findings []Finding
 	for _, a := range analyzers {
@@ -188,6 +182,39 @@ func RunPackageOpts(fset *token.FileSet, lp *LoadedPackage, analyzers []*Analyze
 	}
 	SortFindings(findings)
 	return findings, nil
+}
+
+// Run is the driver: it loads patterns under dir, summarizes every
+// loaded package into one fact store — the interprocedural queries need
+// the whole module's summaries, and fact extraction consumes
+// //lint:allow comments the stale-allow check accounts for — then runs
+// passes over each package with filters, suppression and allow hygiene.
+// Findings come back sorted, a file linted both in its package and its
+// test variant reported once.
+func Run(dir string, passes []*Analyzer, patterns ...string) ([]Finding, error) {
+	fset, pkgs, err := Load(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	facts := NewFactStore(fset)
+	for _, lp := range pkgs {
+		ComputeFacts(fset, lp, facts)
+	}
+	var findings []Finding
+	for _, lp := range pkgs {
+		fs, err := RunPackage(fset, lp, passes, RunOptions{
+			RespectFilters: true,
+			Facts:          facts,
+			CheckAllows:    true,
+			FullSuite:      len(passes) == len(All()),
+		})
+		if err != nil {
+			return nil, err
+		}
+		findings = append(findings, fs...)
+	}
+	SortFindings(findings)
+	return Dedup(findings), nil
 }
 
 // SortFindings orders findings by file, line, column, analyzer,

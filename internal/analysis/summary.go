@@ -12,7 +12,7 @@ import (
 // function summaries (allocation sites, blocking sites, transport
 // sends, call edges, return-alias lattice values, map-order taint) the
 // interprocedural passes consume. Extraction is flow-approximate in
-// the same spirit as the v1 passes: source order within a frame,
+// the same spirit as the syntax passes: source order within a frame,
 // nested function literals excluded (a closure runs on its own
 // schedule; its body is not this frame's effect), and a guard-aware
 // notion of "cold" branches so the amortized-growth idiom the compact
@@ -93,16 +93,11 @@ func hasHotpathMarker(fd *ast.FuncDecl) bool {
 // summarizer walks one function frame.
 type summarizer struct {
 	fset  *token.FileSet
-	info  *types.Info
-	pkg   *types.Package
 	allow *allowIndex
 	fact  *FuncFact
 
-	recv    types.Object
-	params  map[types.Object]int
-	locals  map[types.Object]lv
+	aliasEnv
 	fnStart token.Pos
-	fnEnd   token.Pos
 
 	// map-order taint bookkeeping: locals appended to inside a
 	// range-over-map, and locals later passed to a sort call.
@@ -129,42 +124,15 @@ func (v lv) retString() string {
 func summarizeFunc(fset *token.FileSet, lp *LoadedPackage, fd *ast.FuncDecl, fn *types.Func, allow *allowIndex) *FuncFact {
 	s := &summarizer{
 		fset:        fset,
-		info:        lp.Info,
-		pkg:         lp.Pkg,
 		allow:       allow,
+		aliasEnv:    newAliasEnv(lp.Info, fd),
 		fnStart:     fd.Pos(),
-		fnEnd:       fd.End(),
-		params:      map[types.Object]int{},
-		locals:      map[types.Object]lv{},
 		mapAppended: map[types.Object]bool{},
 		sorted:      map[types.Object]bool{},
-		fact: &FuncFact{
-			ID:      FuncID(fn),
-			Pos:     FormatPosition(fset.Position(fd.Pos())),
-			Hotpath: hasHotpathMarker(fd),
-		},
-	}
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-		s.recv = lp.Info.Defs[fd.Recv.List[0].Names[0]]
-	}
-	i := 0
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			for _, name := range field.Names {
-				s.params[lp.Info.Defs[name]] = i
-				i++
-			}
-			if len(field.Names) == 0 {
-				i++
-			}
-		}
+		fact:        &FuncFact{ID: FuncID(fn), Hotpath: hasHotpathMarker(fd)},
 	}
 	s.stmts(fd.Body.List, false)
 	return s.fact
-}
-
-func (s *summarizer) pos(p token.Pos) string {
-	return FormatPosition(s.fset.Position(p))
 }
 
 // addAlloc records one allocation site unless it is suppressed at the
@@ -173,7 +141,7 @@ func (s *summarizer) addAlloc(p token.Pos, what string) {
 	if s.allow != nil && s.allow.allows(s.fset.Position(p), HotAlloc.Name) {
 		return
 	}
-	s.fact.Allocs = append(s.fact.Allocs, Site{Pos: s.pos(p), What: what})
+	s.fact.Allocs = append(s.fact.Allocs, Site{Pos: p, What: what})
 }
 
 // addBlock records one potentially-blocking site unless suppressed with
@@ -182,7 +150,7 @@ func (s *summarizer) addBlock(p token.Pos, what string) {
 	if s.allow != nil && s.allow.allows(s.fset.Position(p), LockHeld.Name) {
 		return
 	}
-	s.fact.Blocks = append(s.fact.Blocks, Site{Pos: s.pos(p), What: what})
+	s.fact.Blocks = append(s.fact.Blocks, Site{Pos: p, What: what})
 }
 
 // --- statement walk with cold tracking ----------------------------------
@@ -346,32 +314,7 @@ func (s *summarizer) assign(as *ast.AssignStmt, cold bool) {
 			s.addAlloc(as.Pos(), "string concatenation allocates")
 		}
 	}
-	// Track the alias lattice for simple local assignments.
-	if len(as.Lhs) == len(as.Rhs) {
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := s.info.ObjectOf(id)
-			if obj == nil {
-				continue
-			}
-			if _, isParam := s.params[obj]; isParam || obj == s.recv {
-				continue
-			}
-			s.locals[obj] = s.valueOf(as.Rhs[i])
-		}
-	} else {
-		// Multi-value assignment: every ref-typed LHS becomes unknown.
-		for _, lhs := range as.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok {
-				if obj := s.info.ObjectOf(id); obj != nil {
-					s.locals[obj] = lvUnknown
-				}
-			}
-		}
-	}
+	s.track(as)
 }
 
 func (s *summarizer) recordReturn(e ast.Expr) {
@@ -534,7 +477,6 @@ func (s *summarizer) call(call *ast.CallExpr, cold bool) {
 
 	// Transport sends.
 	if method, ok := transportSendCall(s.info, call); ok {
-		s.fact.Sends = append(s.fact.Sends, Site{Pos: s.pos(call.Pos()), What: "transport." + method})
 		s.addBlock(call.Pos(), "transport."+method+" performs (simulated) network I/O")
 		s.recordSendParams(call)
 	} else if what, ok := blockingExternal(s.info, call); ok {
@@ -681,7 +623,7 @@ func pointerShaped(t types.Type) bool {
 func (s *summarizer) edge(call *ast.CallExpr, cold, isFmt bool) {
 	if key, ok := dynamicCalleeKey(s.info, call); ok {
 		s.fact.Calls = append(s.fact.Calls, CallEdge{
-			Pos: s.pos(call.Pos()), Callee: key, Dynamic: true, Cold: cold,
+			Pos: call.Pos(), Callee: key, Dynamic: true, Cold: cold,
 		})
 		return
 	}
@@ -692,7 +634,7 @@ func (s *summarizer) edge(call *ast.CallExpr, cold, isFmt bool) {
 	id := FuncID(fn)
 	if moduleOrTestdata(id) {
 		s.fact.Calls = append(s.fact.Calls, CallEdge{
-			Pos: s.pos(call.Pos()), Callee: id, Cold: cold, ParamArgs: s.paramArgs(call),
+			Pos: call.Pos(), Callee: id, Cold: cold, ParamArgs: s.paramArgs(call),
 		})
 		return
 	}
@@ -745,38 +687,92 @@ func (s *summarizer) paramArgs(call *ast.CallExpr) map[int]int {
 
 // --- alias lattice ------------------------------------------------------
 
+// aliasEnv is what the alias lattice knows of one function frame: its
+// receiver, its parameters by index, and the lattice value last assigned
+// to each local. The summarizer and sendalias evaluate through it.
+type aliasEnv struct {
+	info   *types.Info
+	recv   types.Object
+	params map[types.Object]int
+	locals map[types.Object]lv
+}
+
+// newAliasEnv opens the frame of fd; a nil fd is a function literal,
+// which has no receiver or parameter identity.
+func newAliasEnv(info *types.Info, fd *ast.FuncDecl) aliasEnv {
+	env := aliasEnv{info: info, params: map[types.Object]int{}, locals: map[types.Object]lv{}}
+	if fd == nil {
+		return env
+	}
+	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
+		env.recv = info.Defs[fd.Recv.List[0].Names[0]]
+	}
+	i := 0
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			env.params[info.Defs[name]] = i
+			i++
+		}
+		if len(field.Names) == 0 {
+			i++
+		}
+	}
+	return env
+}
+
+// track updates the locals an assignment writes: one lattice value per
+// identifier when the sides pair up, unknown for a multi-value
+// assignment. Parameters and the receiver keep their identity.
+func (env *aliasEnv) track(as *ast.AssignStmt) {
+	for i, lhs := range as.Lhs {
+		id, ok := lhs.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		obj := env.info.ObjectOf(id)
+		if _, isParam := env.params[obj]; obj == nil || isParam || obj == env.recv {
+			continue
+		}
+		if len(as.Lhs) == len(as.Rhs) {
+			env.locals[obj] = env.valueOf(as.Rhs[i])
+		} else {
+			env.locals[obj] = lvUnknown
+		}
+	}
+}
+
 // valueOf evaluates the alias lattice for one expression.
-func (s *summarizer) valueOf(e ast.Expr) lv {
+func (env *aliasEnv) valueOf(e ast.Expr) lv {
 	switch t := e.(type) {
 	case *ast.CompositeLit:
 		return lv{kind: RetFresh}
 	case *ast.ParenExpr:
-		return s.valueOf(t.X)
+		return env.valueOf(t.X)
 	case *ast.UnaryExpr:
 		if t.Op == token.AND {
 			if _, ok := t.X.(*ast.CompositeLit); ok {
 				return lv{kind: RetFresh}
 			}
-			return s.valueOf(t.X)
+			return env.valueOf(t.X)
 		}
 	case *ast.StarExpr:
-		return s.valueOf(t.X)
+		return env.valueOf(t.X)
 	case *ast.Ident:
-		obj := s.info.ObjectOf(t)
+		obj := env.info.ObjectOf(t)
 		if obj == nil {
 			return lvUnknown
 		}
-		if obj == s.recv {
+		if obj == env.recv {
 			return lv{kind: RetRecv}
 		}
-		if i, ok := s.params[obj]; ok {
+		if i, ok := env.params[obj]; ok {
 			return lv{kind: RetParam, param: i}
 		}
 		if v, ok := obj.(*types.Var); ok {
 			if v.Parent() != nil && v.Parent().Parent() == types.Universe {
 				return lv{kind: RetGlobal}
 			}
-			if val, ok := s.locals[obj]; ok {
+			if val, ok := env.locals[obj]; ok {
 				return val
 			}
 		}
@@ -784,23 +780,23 @@ func (s *summarizer) valueOf(e ast.Expr) lv {
 	case *ast.SelectorExpr:
 		// pkg.Var is global state; x.Field aliases whatever x does.
 		if id, ok := t.X.(*ast.Ident); ok {
-			if pkgNameOf(s.info, id) != nil {
-				if _, isVar := s.info.Uses[t.Sel].(*types.Var); isVar {
+			if pkgNameOf(env.info, id) != nil {
+				if _, isVar := env.info.Uses[t.Sel].(*types.Var); isVar {
 					return lv{kind: RetGlobal}
 				}
 				return lvUnknown
 			}
 		}
-		return s.valueOf(t.X)
+		return env.valueOf(t.X)
 	case *ast.IndexExpr:
-		return s.valueOf(t.X)
+		return env.valueOf(t.X)
 	case *ast.SliceExpr:
-		return s.valueOf(t.X)
+		return env.valueOf(t.X)
 	case *ast.CallExpr:
-		if name, ok := builtinName(s.info, t); ok {
+		if name, ok := builtinName(env.info, t); ok {
 			if name == "append" && len(t.Args) > 0 {
-				base := s.valueOf(t.Args[0])
-				if isNilish(s.info, t.Args[0]) {
+				base := env.valueOf(t.Args[0])
+				if isNilish(env.info, t.Args[0]) {
 					return lv{kind: RetFresh}
 				}
 				return base
@@ -810,13 +806,13 @@ func (s *summarizer) valueOf(e ast.Expr) lv {
 			}
 			return lvUnknown
 		}
-		if tv, ok := s.info.Types[t.Fun]; ok && tv.IsType() {
+		if tv, ok := env.info.Types[t.Fun]; ok && tv.IsType() {
 			if len(t.Args) == 1 {
-				return s.valueOf(t.Args[0])
+				return env.valueOf(t.Args[0])
 			}
 			return lvUnknown
 		}
-		if fn, ok := staticCallee(s.info, t); ok {
+		if fn, ok := staticCallee(env.info, t); ok {
 			id := FuncID(fn)
 			if moduleOrTestdata(id) {
 				return lv{kind: "call", callee: id}
@@ -896,12 +892,24 @@ func allocConversion(info *types.Info, to types.Type, arg ast.Expr, whole *ast.C
 	return "", false
 }
 
+// isTransportPkg matches the real transport package and the short
+// testdata stand-in.
+func isTransportPkg(pkg *types.Package) bool {
+	if pkg == nil {
+		return false
+	}
+	path := pkg.Path()
+	return path == "peertrack/internal/transport" ||
+		path == "transport" ||
+		strings.HasSuffix(path, "/transport")
+}
+
 // transportSendCall matches method calls that hand a message to the
 // transport layer: Call/Send on a type (or interface) declared in a
 // transport package.
 func transportSendCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !transportSendMethods[sel.Sel.Name] {
+	if !ok || (sel.Sel.Name != "Call" && sel.Sel.Name != "Send") {
 		return "", false
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)

@@ -63,7 +63,7 @@ func (a *agent) writeAfter(to transport.Addr) {
 	buf := make([]string, 0, 4)
 	buf = append(buf, "x")
 	a.net.Call("a", to, ping{Peers: buf})
-	buf = append(buf, "y") // want "was sent over the transport above"
+	buf = append(buf, "y") // want "passed to transport Call"
 	_ = buf
 }
 

@@ -1,6 +1,6 @@
-// Corpus for the msgfreeze pass: a message handed to the transport is
-// owned by the receiver; writes through the pointer afterwards are
-// flagged.
+// The corpus of the msgfreeze pass, which sendalias absorbed: a message
+// handed to the transport is owned by the receiver; writes through the
+// pointer afterwards are flagged.
 package msgfreeze
 
 import "transport"
@@ -67,5 +67,5 @@ func goodOtherVariable(nw transport.Network, m, other *msg) {
 
 func allowedPooledReset(nw transport.Network, m *msg) {
 	nw.Call("a", "b", m)
-	m.N = 0 //lint:allow msgfreeze pooled request reset; memory transport handler returns before Call does
+	m.N = 0 //lint:allow sendalias pooled request reset; memory transport handler returns before Call does
 }

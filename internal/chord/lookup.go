@@ -293,13 +293,3 @@ func (n *Node) NextHop(key ids.ID) (NodeRef, bool) {
 	}
 	return r.Node, r.Done
 }
-
-// FindSuccessor is Lookup returning only the responsible node, the
-// classic Chord API name.
-func (n *Node) FindSuccessor(key ids.ID) (NodeRef, error) {
-	res, err := n.Lookup(key)
-	if err != nil {
-		return NodeRef{}, err
-	}
-	return res.Node, nil
-}

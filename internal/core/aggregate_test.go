@@ -21,64 +21,16 @@ func TestInventoryTracksPresence(t *testing.T) {
 	nw.StartWindows(2 * time.Minute)
 	nw.Run()
 
-	if got := nw.Peers()[2].InventoryCount(); got != 3 {
-		t.Fatalf("node2 inventory = %d, want 3 (2 moved away)", got)
+	if got := nw.Peers()[2].Inventory(); len(got) != 3 {
+		t.Fatalf("node2 inventory = %v, want 3 objects (2 moved away)", got)
 	}
-	if got := nw.Peers()[7].InventoryCount(); got != 2 {
-		t.Fatalf("node7 inventory = %d, want 2", got)
-	}
-	objs := nw.Peers()[7].Inventory()
-	if len(objs) != 2 {
-		t.Fatalf("node7 objects = %v", objs)
+	if got := nw.Peers()[7].Inventory(); len(got) != 2 {
+		t.Fatalf("node7 inventory = %v, want 2 objects", got)
 	}
 }
 
-func TestInventoryAtRemote(t *testing.T) {
-	nw := buildNet(t, 8, Config{Mode: GroupIndexing})
-	for i := 0; i < 4; i++ {
-		nw.ScheduleObservation(moods.Observation{
-			Object: moods.ObjectID(fmt.Sprintf("r-%d", i)),
-			Node:   nw.Peers()[5].Name(),
-			At:     time.Second,
-		})
-	}
-	nw.StartWindows(2 * time.Second)
-	nw.Run()
-
-	count, hops, err := nw.Peers()[0].InventoryAt(nw.Peers()[5].Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 4 || hops != 1 {
-		t.Fatalf("count=%d hops=%d", count, hops)
-	}
-	// Local asking is free.
-	count, hops, err = nw.Peers()[5].InventoryAt(nw.Peers()[5].Name())
-	if err != nil || count != 4 || hops != 0 {
-		t.Fatalf("local: count=%d hops=%d err=%v", count, hops, err)
-	}
-}
-
-func TestObjectsAtWithLimit(t *testing.T) {
-	nw := buildNet(t, 8, Config{Mode: GroupIndexing})
-	for i := 0; i < 10; i++ {
-		nw.ScheduleObservation(moods.Observation{
-			Object: moods.ObjectID(fmt.Sprintf("lim-%02d", i)),
-			Node:   nw.Peers()[3].Name(),
-			At:     time.Second,
-		})
-	}
-	nw.StartWindows(2 * time.Second)
-	nw.Run()
-	objs, _, err := nw.Peers()[0].ObjectsAt(nw.Peers()[3].Name(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 4 {
-		t.Fatalf("objects = %d, want capped at 4", len(objs))
-	}
-}
-
+// The dwell statistics a node learns from the M2s it receives — what
+// PredictNext reads: departures per destination and their mean dwell.
 func TestDwellStats(t *testing.T) {
 	nw := buildNet(t, 10, Config{Mode: GroupIndexing})
 	// 4 objects dwell 30 minutes at node 1 before moving to node 6.
@@ -90,27 +42,15 @@ func TestDwellStats(t *testing.T) {
 	nw.StartWindows(time.Hour)
 	nw.Run()
 
-	dep, mean, _, err := nw.Peers()[0].DwellStatsAt(nw.Peers()[1].Name())
-	if err != nil {
-		t.Fatal(err)
+	dests, counts, dwells := nw.Peers()[1].trans.snapshot()
+	if len(dests) != 1 || dests[0] != nw.Peers()[6].Name() || counts[0] != 4 {
+		t.Fatalf("departures = %v %v, want 4 to %s", dests, counts, nw.Peers()[6].Name())
 	}
-	if dep != 4 {
-		t.Fatalf("departures = %d", dep)
+	if dwells[0] < 29*time.Minute || dwells[0] > 31*time.Minute {
+		t.Fatalf("mean dwell = %v, want ≈30m", dwells[0])
 	}
-	if mean < 29*time.Minute || mean > 31*time.Minute {
-		t.Fatalf("mean dwell = %v, want ≈30m", mean)
-	}
-	// A node with no departures reports zeros.
-	dep, mean, _, err = nw.Peers()[0].DwellStatsAt(nw.Peers()[9].Name())
-	if err != nil || dep != 0 || mean != 0 {
-		t.Fatalf("idle node stats: dep=%d mean=%v err=%v", dep, mean, err)
-	}
-}
-
-func TestInventoryUnreachableNode(t *testing.T) {
-	nw := buildNet(t, 8, Config{Mode: GroupIndexing})
-	nw.Transport.Kill(nw.Peers()[4].Addr())
-	if _, _, err := nw.Peers()[0].InventoryAt(nw.Peers()[4].Name()); err == nil {
-		t.Fatal("inventory of dead node succeeded")
+	// A node with no departures has learnt nothing.
+	if dests, _, _ := nw.Peers()[9].trans.snapshot(); len(dests) != 0 {
+		t.Fatalf("idle node departures = %v", dests)
 	}
 }

@@ -237,6 +237,12 @@ func newGatewayStore() *gatewayStore {
 func (g *gatewayStore) upsert(key ids.PrefixKey, e IndexEntry) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.bucketFor(key).upsert(e)
+}
+
+// bucketFor returns the bucket keyed key, creating it on first use. The
+// caller holds g.mu for writing.
+func (g *gatewayStore) bucketFor(key ids.PrefixKey) *bucket {
 	b, ok := g.buckets[key]
 	if !ok {
 		if g.buckets == nil {
@@ -245,7 +251,75 @@ func (g *gatewayStore) upsert(key ids.PrefixKey, e IndexEntry) {
 		b = newBucket()
 		g.buckets[key] = b
 	}
-	b.upsert(e)
+	return b
+}
+
+// headMove is how an arrival relates to the IOP head it met.
+type headMove int
+
+const (
+	headFirst headMove = iota // no head: the object's first sighting
+	headSame                  // re-sighting at the head's node
+	headMoved                 // the head moved to the arrival's node
+	headLate                  // older than the head, which stays put
+)
+
+// advance applies one arrival — e names the object, the reporting node
+// and the arrival time — to the object's IOP head in the bucket keyed
+// key: lookup, Arrived comparison and upsert under one lock hold, so
+// racing arrivals of one object cannot put an older head back. It is the
+// one rule by which an arrival moves a head, and returns the head it saw
+// with what it did about it. An arrival at or after the head's own
+// becomes the head, its Prev the old head's node when the object moved
+// and the old head's Prev when it did not; an earlier one leaves the
+// head alone (the caller splices it into the list: stitchInsert). When
+// the bucket holds no record, fallback — the individual path's
+// replica-derived head, nil when there is none — is the head seen.
+//
+//lint:hotpath
+func (g *gatewayStore) advance(key ids.PrefixKey, e IndexEntry, fallback *IndexEntry) (IndexEntry, headMove) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var prev IndexEntry
+	had := false
+	if b := g.buckets[key]; b != nil {
+		prev, had = b.get(e.ID)
+	}
+	if !had && fallback != nil {
+		prev, had = *fallback, true
+	}
+	move := headFirst
+	if had {
+		switch {
+		case e.Arrived < prev.Arrived:
+			return prev, headLate
+		case prev.Latest != e.Latest:
+			move, e.Prev = headMoved, prev.Latest
+		default:
+			move, e.Prev = headSame, prev.Prev
+		}
+	}
+	g.bucketFor(key).upsert(e)
+	return prev, move
+}
+
+// setPrev records prev as the node before the head of object id, if the
+// head still has the arrival time a stitch walked back from; a head that
+// advanced in the meantime keeps the Prev its own arrival gave it.
+func (g *gatewayStore) setPrev(key ids.PrefixKey, id ids.ID, arrived time.Duration, prev moods.NodeName) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	b := g.buckets[key]
+	if b == nil {
+		return false
+	}
+	head, ok := b.get(id)
+	if !ok || head.Arrived != arrived {
+		return false
+	}
+	head.Prev = prev
+	b.upsert(head)
+	return true
 }
 
 // lookup finds an entry for object id in the bucket keyed key.

@@ -220,11 +220,8 @@ func init() {
 	transport.RegisterLayout(0x020d, readQueryIndexResp)
 	transport.RegisterLayout(0x020e, readIOPGetReq)
 	transport.RegisterLayout(0x020f, readIOPGetResp)
-	// aggregate.go
-	transport.RegisterLayout(0x0210, readInventoryReq)
-	transport.RegisterLayout(0x0211, readInventoryResp)
-	transport.RegisterLayout(0x0212, transport.ReadEmpty[dwellStatsReq])
-	transport.RegisterLayout(0x0213, readDwellStatsResp)
+	// 0x0210–0x0213 are retired (the remote inventory and dwell-statistics
+	// queries): never reused.
 	// containment.go
 	transport.RegisterLayout(0x0214, readContainPutReq)
 	transport.RegisterLayout(0x0215, transport.ReadEmpty[containPutResp])

@@ -14,6 +14,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -494,9 +495,6 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 				return resp, err
 			}
 		}
-		if resp, handled := p.handleAggregate(req); handled {
-			return resp, nil
-		}
 		if resp, handled := p.handleContainment(req); handled {
 			return resp, nil
 		}
@@ -507,41 +505,32 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 // gatewayArrive processes M1 for one object (individual indexing).
 func (p *Peer) gatewayArrive(r arriveReq) {
 	id := r.Event.hash()
-	prev, had := p.lookupWithReplica(individualKey, id)
-	switch {
-	case !had || r.Event.Arrived >= prev.Arrived:
-		entry := IndexEntry{
-			Object: r.Event.Object, ID: id, Latest: r.Node,
-			Arrived: r.Event.Arrived, Indexed: p.clock(),
-		}
-		moved := had && prev.Latest != r.Node
-		if moved {
-			entry.Prev = prev.Latest
-		} else {
-			entry.Prev = prev.Prev // "" for a first sighting
-		}
-		p.gw.upsert(individualKey, entry)
-		p.mirrorIndex(individualKey, []ids.ID{id})
-		if moved {
-			// M2: tell the previous node the object moved on.
-			p.call(transport.Addr(prev.Latest), iopSetToReq{
-				Objects: []moods.ObjectID{r.Event.Object},
-				To:      r.Node,
-				At:      r.Event.Arrived,
-			})
-			// M3: tell the destination where the object came from.
-			p.call(transport.Addr(r.Node), iopSetFromReq{
-				Links: []IOPLink{{Object: r.Event.Object, From: prev.Latest, At: r.Event.Arrived}},
-			})
-		}
-	default:
-		// Late observation: the indexed state is newer than this event
-		// (window flush ordering). Splice the visit into the IOP list at
-		// its chronological position without moving the index head.
-		// Individual indexing has no window to re-buffer into, so a
-		// deferred stitch is best-effort (retried only if re-reported).
-		p.stitchInsert(r.Event.Object, r.Node, prev, individualKey, r.Event.Arrived)
+	var fallback *IndexEntry
+	if e, ok := p.lookupWithReplica(individualKey, id); ok {
+		fallback = &e
 	}
+	prev, move := p.gw.advance(individualKey, IndexEntry{
+		Object: r.Event.Object, ID: id, Latest: r.Node,
+		Arrived: r.Event.Arrived, Indexed: p.clock(),
+	}, fallback)
+	if move == headLate {
+		// The indexed state is newer than this event. Individual indexing
+		// has no window to re-buffer into, so a deferred stitch is
+		// best-effort (retried only if re-reported).
+		p.stitchInsert(r.Event.Object, r.Node, prev, individualKey, r.Event.Arrived)
+		return
+	}
+	p.mirrorIndex(individualKey, []ids.ID{id})
+	if move == headMoved {
+		p.link(r.Event.Object, prev.Latest, r.Node, r.Event.Arrived)
+	}
+}
+
+// link writes one hand-off of the IOP list: M2 tells node from that the
+// object moved on to node to at time at, M3 tells to where it came from.
+func (p *Peer) link(obj moods.ObjectID, from, to moods.NodeName, at time.Duration) {
+	p.call(transport.Addr(from), iopSetToReq{Objects: []moods.ObjectID{obj}, To: to, At: at})
+	p.call(transport.Addr(to), iopSetFromReq{Links: []IOPLink{{Object: obj, From: from, At: at}}})
 }
 
 // mergeEntry reconciles an incoming index record with whatever this
@@ -564,12 +553,7 @@ func (p *Peer) mergeEntry(key ids.PrefixKey, e IndexEntry) {
 	if newer.Latest != older.Latest && newer.Prev == "" {
 		// Split histories: stitch older's head in front of newer's.
 		newer.Prev = older.Latest
-		p.call(transport.Addr(older.Latest), iopSetToReq{
-			Objects: []moods.ObjectID{newer.Object}, To: newer.Latest, At: newer.Arrived,
-		})
-		p.call(transport.Addr(newer.Latest), iopSetFromReq{
-			Links: []IOPLink{{Object: newer.Object, From: older.Latest, At: newer.Arrived}},
-		})
+		p.link(newer.Object, older.Latest, newer.Latest, newer.Arrived)
 	}
 	p.gw.upsert(key, newer)
 }
@@ -651,32 +635,26 @@ func (p *Peer) TrackedLateEvents() int {
 // has persisted lateStitchRetries attempts (the segment's records left
 // with a departed node), the event is abandoned: the visit stays
 // recorded at nd, unlinked, exactly as reachable knowledge permits.
-func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, cur IndexEntry, key ids.PrefixKey, at time.Duration) bool {
-	if nd == cur.Latest {
+func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, head IndexEntry, key ids.PrefixKey, at time.Duration) bool {
+	if nd == head.Latest {
 		return true
 	}
-	// Walk back from the head to the latest visit at or before `at`.
-	succNode, succAt := cur.Latest, cur.Arrived
+	// Walk back from the head to the latest visit at or before `at`. The
+	// plain fetch, not the failover read: a fault must defer the stitch.
+	succNode, succAt := head.Latest, head.Arrived
 	predNode := moods.Nowhere
-	node, bound := cur.Latest, cur.Arrived+1
-	for steps := 0; steps < maxWalk; steps++ {
-		visits, _, err := p.fetchVisits(node, obj)
-		if err != nil {
-			return !p.lateRetry(obj, nd, at)
-		}
-		v, ok := pickVisit(visits, bound)
-		if !ok {
-			break // chain broken below: insert with no known predecessor
-		}
+	_, err := p.walkChain(obj, head.Latest, head.Arrived+1, p.fetchVisits, nil, func(node moods.NodeName, v VisitRecord) bool {
 		if v.Arrived <= at {
 			predNode = node
-			break
+			return false
 		}
 		succNode, succAt = node, v.Arrived
-		if v.From == "" {
-			break // the whole known chain is later than `at`
-		}
-		node, bound = v.From, v.Arrived
+		return true
+	})
+	// A chain that ends early (broken below, or wholly later than `at`)
+	// inserts with no known predecessor; only a failed fetch defers.
+	if err != nil && !errors.Is(err, errBrokenChain) {
+		return !p.lateRetry(obj, nd, at)
 	}
 	p.lateForget(obj, nd, at)
 
@@ -684,26 +662,13 @@ func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, cur IndexEntr
 	// no movement in between; like the head-move path, no link is
 	// written (it also covers an already-inserted duplicate retry).
 	if predNode != moods.Nowhere && predNode != nd {
-		p.call(transport.Addr(predNode), iopSetToReq{
-			Objects: []moods.ObjectID{obj}, To: nd, At: at,
-		})
-		p.call(transport.Addr(nd), iopSetFromReq{
-			Links: []IOPLink{{Object: obj, From: predNode, At: at}},
-		})
+		p.link(obj, predNode, nd, at)
 	}
-	// nd → succ.
-	p.call(transport.Addr(nd), iopSetToReq{
-		Objects: []moods.ObjectID{obj}, To: succNode, At: succAt,
-	})
-	p.call(transport.Addr(succNode), iopSetFromReq{
-		Links: []IOPLink{{Object: obj, From: nd, At: succAt}},
-	})
-	// When nd slots in directly before the head, it becomes the head's
-	// predecessor.
-	if succNode == cur.Latest && succAt == cur.Arrived {
-		cur.Prev = nd
-		p.gw.upsert(key, cur)
-		p.mirrorIndex(key, []ids.ID{cur.ID})
+	p.link(obj, nd, succNode, succAt)
+	// When nd slots in directly before the head it becomes the head's
+	// predecessor — unless the head has advanced since the walk began.
+	if succNode == head.Latest && succAt == head.Arrived && p.gw.setPrev(key, head.ID, head.Arrived, nd) {
+		p.mirrorIndex(key, []ids.ID{head.ID})
 	}
 	return true
 }
@@ -759,8 +724,11 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	var deferred []ObjEvent
 	for _, ev := range r.Events {
 		id := idOf[ev.Object]
-		prev, had := p.gw.lookup(r.Key, id)
-		if had && ev.Arrived < prev.Arrived {
+		prev, move := p.gw.advance(r.Key, IndexEntry{
+			Object: ev.Object, ID: id, Latest: r.Node, Arrived: ev.Arrived, Indexed: now,
+		}, nil)
+		switch move {
+		case headLate:
 			// Late observation (window flush ordering): splice it into
 			// the IOP list at its chronological position instead of
 			// moving the head.
@@ -769,24 +737,10 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 				deferred = append(deferred, ev)
 			}
 			continue
+		case headMoved:
+			toBatches[prev.Latest] = append(toBatches[prev.Latest], ev.Object)
+			fromLinks = append(fromLinks, IOPLink{Object: ev.Object, From: prev.Latest, At: ev.Arrived})
 		}
-		entry := IndexEntry{
-			Object:  ev.Object,
-			ID:      id,
-			Latest:  r.Node,
-			Arrived: ev.Arrived,
-			Indexed: now,
-		}
-		if had {
-			if prev.Latest != r.Node {
-				entry.Prev = prev.Latest
-				toBatches[prev.Latest] = append(toBatches[prev.Latest], ev.Object)
-				fromLinks = append(fromLinks, IOPLink{Object: ev.Object, From: prev.Latest, At: ev.Arrived})
-			} else {
-				entry.Prev = prev.Prev
-			}
-		}
-		p.gw.upsert(r.Key, entry)
 		updated = append(updated, id)
 	}
 	p.mirrorIndex(r.Key, updated)

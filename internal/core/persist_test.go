@@ -32,7 +32,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	beforeVisits := p.LocalVisits()
 	beforeIndexed := p.IndexedEntries()
 	beforeReplica := p.ReplicaEntries()
-	beforeInv := p.InventoryCount()
+	beforeInv := len(p.Inventory())
 	p.repo.mu.Lock()
 	p.repo.visits = map[moods.ObjectID]visitSlot{}
 	p.repo.n = 0
@@ -56,8 +56,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if p.ReplicaEntries() != beforeReplica {
 		t.Errorf("replica = %d, want %d", p.ReplicaEntries(), beforeReplica)
 	}
-	if p.InventoryCount() != beforeInv {
-		t.Errorf("inventory = %d, want %d", p.InventoryCount(), beforeInv)
+	if got := len(p.Inventory()); got != beforeInv {
+		t.Errorf("inventory = %d, want %d", got, beforeInv)
 	}
 
 	// Queries spanning the restored node still work network-wide.
@@ -140,15 +140,12 @@ func TestSnapshotPreservesTransitionModel(t *testing.T) {
 	if err := p.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	dep, mean, _, err := p.DwellStatsAt(p.Name())
-	if err != nil {
-		t.Fatal(err)
+	dests, counts, dwells := p.trans.snapshot()
+	if len(dests) != 1 || dests[0] != nw.Peers()[5].Name() || counts[0] != 6 {
+		t.Fatalf("departures after restore = %v %v", dests, counts)
 	}
-	if dep != 6 {
-		t.Fatalf("departures after restore = %d", dep)
-	}
-	if mean < 19*time.Minute || mean > 21*time.Minute {
-		t.Fatalf("mean dwell after restore = %v", mean)
+	if dwells[0] < 19*time.Minute || dwells[0] > 21*time.Minute {
+		t.Fatalf("mean dwell after restore = %v", dwells[0])
 	}
 }
 

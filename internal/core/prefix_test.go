@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -238,4 +239,104 @@ func moodsObjectID(i int) moods.ObjectID {
 
 func simTime(i int) time.Duration {
 	return time.Duration(i) * time.Second
+}
+
+func TestGatewayStoreAdvance(t *testing.T) {
+	key := ids.MustParsePrefix("01").Key()
+	id := ids.HashString("obj")
+	arrival := func(node moods.NodeName, at int) IndexEntry {
+		return IndexEntry{Object: "obj", ID: id, Latest: node, Arrived: simTime(at)}
+	}
+	g := newGatewayStore()
+	steps := []struct {
+		name     string
+		in       IndexEntry
+		move     headMove
+		sawAt    moods.NodeName // Latest of the head advance reports having seen
+		headAt   moods.NodeName // Latest and Prev of the head afterwards
+		headPrev moods.NodeName
+	}{
+		{"first sighting", arrival("a", 10), headFirst, "", "a", ""},
+		{"re-sighting at the same node", arrival("a", 20), headSame, "a", "a", ""},
+		{"move", arrival("b", 30), headMoved, "a", "b", "a"},
+		{"re-sighting keeps Prev", arrival("b", 40), headSame, "b", "b", "a"},
+		{"late", arrival("c", 35), headLate, "b", "b", "a"},
+		{"equal timestamps advance", arrival("d", 40), headMoved, "b", "d", "b"},
+	}
+	for _, st := range steps {
+		saw, move := g.advance(key, st.in, nil)
+		if move != st.move || saw.Latest != st.sawAt {
+			t.Fatalf("%s: advance = (head at %q, %v), want (%q, %v)", st.name, saw.Latest, move, st.sawAt, st.move)
+		}
+		head, ok := g.lookup(key, id)
+		if !ok || head.Latest != st.headAt || head.Prev != st.headPrev {
+			t.Fatalf("%s: head = %+v (found %v), want at %q after %q", st.name, head, ok, st.headAt, st.headPrev)
+		}
+	}
+	if head, _ := g.lookup(key, id); head.Arrived != simTime(40) {
+		t.Fatalf("head arrived %v, want %v", head.Arrived, simTime(40))
+	}
+
+	// An empty bucket falls back on the head the caller found elsewhere,
+	// and a late arrival against it writes nothing.
+	replica := arrival("r", 50)
+	other := ids.MustParsePrefix("10").Key()
+	if saw, move := g.advance(other, arrival("s", 45), &replica); move != headLate || saw.Latest != "r" || g.has(other) {
+		t.Fatalf("late against fallback: (%q, %v), bucket created %v", saw.Latest, move, g.has(other))
+	}
+	if _, move := g.advance(other, arrival("s", 60), &replica); move != headMoved {
+		t.Fatalf("move against fallback: %v", move)
+	}
+	if head, _ := g.lookup(other, id); head.Latest != "s" || head.Prev != "r" {
+		t.Fatalf("head after fallback move = %+v", head)
+	}
+}
+
+// Racing arrivals of one object: whatever the interleaving, the head
+// ends at the newest. A lookup and an upsert in separate lock holds let
+// an older arrival overwrite a newer head.
+func TestGatewayStoreAdvanceConcurrent(t *testing.T) {
+	const writers = 64
+	key := ids.MustParsePrefix("1").Key()
+	id := ids.HashString("raced")
+	for round := 0; round < 50; round++ {
+		g := newGatewayStore()
+		var wg sync.WaitGroup
+		for i := 1; i <= writers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				g.advance(key, IndexEntry{Object: "raced", ID: id, Latest: moods.NodeName(fmt.Sprintf("n%d", i)), Arrived: simTime(i)}, nil)
+			}(i)
+		}
+		wg.Wait()
+		if head, _ := g.lookup(key, id); head.Arrived != simTime(writers) || head.Latest != moods.NodeName(fmt.Sprintf("n%d", writers)) {
+			t.Fatalf("round %d: head = %+v, want the arrival at %v", round, head, simTime(writers))
+		}
+	}
+}
+
+func TestGatewayStoreSetPrev(t *testing.T) {
+	g := newGatewayStore()
+	key := ids.MustParsePrefix("0").Key()
+	id := ids.HashString("obj")
+	g.advance(key, IndexEntry{Object: "obj", ID: id, Latest: "a", Arrived: simTime(10)}, nil)
+	if !g.setPrev(key, id, simTime(10), "z") {
+		t.Fatal("setPrev refused on the head it walked from")
+	}
+	if head, _ := g.lookup(key, id); head.Prev != "z" || head.Latest != "a" {
+		t.Fatalf("head = %+v, want Prev z", head)
+	}
+	// The head moves on; a stitch that walked from the old head must not
+	// put its snapshot back.
+	g.advance(key, IndexEntry{Object: "obj", ID: id, Latest: "b", Arrived: simTime(20)}, nil)
+	if g.setPrev(key, id, simTime(10), "y") {
+		t.Fatal("setPrev accepted after the head moved")
+	}
+	if head, _ := g.lookup(key, id); head.Latest != "b" || head.Prev != "a" || head.Arrived != simTime(20) {
+		t.Fatalf("head = %+v, want b after a", head)
+	}
+	if g.setPrev(key, ids.HashString("absent"), simTime(10), "y") || g.setPrev(ids.MustParsePrefix("1").Key(), id, simTime(10), "y") {
+		t.Fatal("setPrev accepted for a record the store does not hold")
+	}
 }

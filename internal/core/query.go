@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"peertrack/internal/ids"
@@ -32,6 +33,11 @@ type TraceResult struct {
 
 // maxWalk bounds IOP list traversal against corrupted links.
 const maxWalk = 10000
+
+// errBrokenChain is what walkChain returns when the list cannot be
+// followed to its end: a link names a node that holds no matching visit,
+// or the walk exceeded maxWalk steps.
+var errBrokenChain = errors.New("core: broken IOP chain")
 
 // findIndex resolves the current index entry of an object: first the
 // gateway for the current-length prefix, then — the Section IV-A3
@@ -82,28 +88,18 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 		return entry, hops, nil
 	}
 
-	// Bidirectional linear search (Section IV-A3). Records can only sit
-	// below the current level if the bucket delegated (Data Triangle)
-	// or Lp has been longer; only above it if Lp has been shorter.
-	lo, hi := p.pm.LpRange()
-
-	// Descend the triangle along the object's own bits (the object's
-	// next bit selects which child can hold it), while buckets report
-	// delegation or history allows deeper records.
-	child := pfx
-	for depth := 0; (delegated || hi > child.Len) && depth < p.cfg.MaxDescent && child.Len < ids.MaxKeyLen; depth++ {
-		child = child.Child(child.NextBit(id))
-		entry, h, found, delegated = p.queryGateway(child, id, sp)
-		hops += h
-		if found {
-			return entry, hops, nil
-		}
+	// Bidirectional linear search (Section IV-A3): down the triangle
+	// first, then up towards the shortest historical level.
+	entry, h, found = p.descend(pfx, id, delegated, sp)
+	hops += h
+	if found {
+		return entry, hops, nil
 	}
 
-	// Ascend towards the shortest historical level (grouping
-	// inconsistencies after Lp changes).
+	// Records can only sit above the current level if Lp has been
+	// shorter (grouping inconsistencies after Lp changes).
 	lmin := p.pm.LMin()
-	if lo > lmin {
+	if lo, _ := p.pm.LpRange(); lo > lmin {
 		lmin = lo
 	}
 	for cur := pfx; cur.Len > lmin; {
@@ -127,6 +123,26 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 		}
 	}
 	return IndexEntry{}, hops, ErrNotTracked
+}
+
+// descend looks for an object's record below pfx, whose own bucket
+// missed: down the Data Triangle along the object's own bits — the next
+// bit selects which child can hold it — while buckets report delegation
+// (delegated is pfx's flag) or Lp has been longer, so deeper records can
+// exist, for at most MaxDescent levels.
+func (p *Peer) descend(pfx ids.Prefix, id ids.ID, delegated bool, sp *telemetry.Recording) (IndexEntry, int, bool) {
+	hops := 0
+	_, hi := p.pm.LpRange()
+	for depth := 0; (delegated || hi > pfx.Len) && depth < p.cfg.MaxDescent && pfx.Len < ids.MaxKeyLen; depth++ {
+		pfx = pfx.Child(pfx.NextBit(id))
+		entry, h, found, del := p.queryGateway(pfx, id, sp)
+		hops += h
+		if found {
+			return entry, hops, true
+		}
+		delegated = del
+	}
+	return IndexEntry{}, hops, false
 }
 
 // queryGateway asks the gateway of one prefix for one object's record.
@@ -212,31 +228,48 @@ func (p *Peer) locate(obj moods.ObjectID, t time.Duration, sp *telemetry.Recordi
 	if t >= entry.Arrived {
 		return LocateResult{Node: entry.Latest, Hops: hops}, nil
 	}
-	// Walk the IOP list backwards until a visit at or before t.
-	cur := entry.Latest
-	bound := time.Duration(-1)
+	// Walk the IOP list backwards until a visit at or before t; an
+	// object that entered the network after t was nowhere.
+	at := moods.Nowhere
+	h, err := p.walkChain(obj, entry.Latest, -1, p.fetchVisitsRead, sp, func(node moods.NodeName, v VisitRecord) bool {
+		if v.Arrived <= t {
+			at = node
+		}
+		return v.Arrived > t
+	})
+	return LocateResult{Node: at, Hops: hops + h}, err
+}
+
+// walkChain follows an object's IOP list backwards: from the newest
+// visit at node start that arrived before bound (the newest of all when
+// bound < 0), along From links, handing each visit to visit until it
+// returns false or the object's first visit is passed. fetch reads a
+// node's visit records: fetchVisitsRead for queries, the plain
+// fetchVisits for stitches. Each visit is a step on sp (nil for
+// untraced walks). It returns the RPCs spent; a failed fetch comes back
+// as its own error, a list that cannot be followed as errBrokenChain.
+func (p *Peer) walkChain(obj moods.ObjectID, start moods.NodeName, bound time.Duration,
+	fetch func(moods.NodeName, moods.ObjectID) ([]VisitRecord, int, error),
+	sp *telemetry.Recording, visit func(moods.NodeName, VisitRecord) bool) (int, error) {
+	hops := 0
+	node := start
 	for steps := 0; steps < maxWalk; steps++ {
-		visits, h, err := p.fetchVisitsRead(cur, obj)
+		visits, h, err := fetch(node, obj)
 		hops += h
 		if err != nil {
-			return LocateResult{Hops: hops}, err
+			return hops, err
 		}
 		v, ok := pickVisit(visits, bound)
 		if !ok {
-			return LocateResult{Hops: hops}, fmt.Errorf("core: broken IOP chain for %s at %s", obj, cur)
+			return hops, fmt.Errorf("%w for %s at %s", errBrokenChain, obj, node)
 		}
-		sp.Step(string(cur), noteWalk).Dur(v.Arrived)
-		if v.Arrived <= t {
-			return LocateResult{Node: cur, Hops: hops}, nil
+		sp.Step(string(node), noteWalk).Dur(v.Arrived)
+		if !visit(node, v) || v.From == "" {
+			return hops, nil
 		}
-		if v.From == "" {
-			// Object entered the network after t.
-			return LocateResult{Node: moods.Nowhere, Hops: hops}, nil
-		}
-		cur = v.From
-		bound = v.Arrived
+		node, bound = v.From, v.Arrived
 	}
-	return LocateResult{Hops: hops}, fmt.Errorf("core: IOP walk exceeded %d steps for %s", maxWalk, obj)
+	return hops, fmt.Errorf("%w for %s: walk exceeded %d steps", errBrokenChain, obj, maxWalk)
 }
 
 // Trace answers TR(o, t1, t2): the object's path during the window,
@@ -260,9 +293,8 @@ func (p *Peer) trace(obj moods.ObjectID, t1, t2 time.Duration, sp *telemetry.Rec
 	if err != nil {
 		return TraceResult{Hops: hops}, err
 	}
-	path, h, err := p.walkBack(entry.Latest, obj, -1, t1, t2, sp)
-	hops += h
-	return TraceResult{Path: path, Hops: hops}, err
+	path, h, err := p.walkBack(entry.Latest, obj, t1, t2, sp)
+	return TraceResult{Path: path, Hops: hops + h}, err
 }
 
 // FullTrace answers the paper's evaluation query "Where has object oi
@@ -271,45 +303,21 @@ func (p *Peer) FullTrace(obj moods.ObjectID) (TraceResult, error) {
 	return p.Trace(obj, 0, 1<<62)
 }
 
-// walkBack traverses the IOP list backwards from node start, collecting
-// visits within [t1, t2] plus the visit occupied at t1, and returns the
-// path in forward (time) order.
-func (p *Peer) walkBack(start moods.NodeName, obj moods.ObjectID, bound time.Duration, t1, t2 time.Duration, sp *telemetry.Recording) (moods.Path, int, error) {
-	var rev []moods.Visit
-	hops := 0
-	cur := start
-	for steps := 0; steps < maxWalk; steps++ {
-		if cur == moods.Nowhere {
-			break
-		}
-		visits, h, err := p.fetchVisitsRead(cur, obj)
-		hops += h
-		if err != nil {
-			return nil, hops, err
-		}
-		v, ok := pickVisit(visits, bound)
-		if !ok {
-			return nil, hops, fmt.Errorf("core: broken IOP chain for %s at %s", obj, cur)
-		}
-		sp.Step(string(cur), noteWalk).Dur(v.Arrived)
+// walkBack traverses the IOP list backwards from the newest visit at
+// node start, collecting visits within [t1, t2] plus the visit occupied
+// at t1, which closes the walk, and returns the path in forward (time)
+// order.
+func (p *Peer) walkBack(start moods.NodeName, obj moods.ObjectID, t1, t2 time.Duration, sp *telemetry.Recording) (moods.Path, int, error) {
+	var path moods.Path
+	hops, err := p.walkChain(obj, start, -1, p.fetchVisitsRead, sp, func(node moods.NodeName, v VisitRecord) bool {
 		if v.Arrived <= t2 {
-			rev = append(rev, moods.Visit{Node: cur, Arrived: v.Arrived})
+			path = append(path, moods.Visit{Node: node, Arrived: v.Arrived})
 		}
-		if v.Arrived < t1 || v.From == "" {
-			// The visit occupied at t1 (already collected) closes the
-			// walk; so does the head of the list.
-			break
-		}
-		cur = v.From
-		bound = v.Arrived
+		return v.Arrived >= t1
+	})
+	if err != nil {
+		return nil, hops, err
 	}
-	// Reverse into time order.
-	path := make(moods.Path, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
-	}
-	// Visits collected below t1: only the single opener should remain.
-	// walkBack collects at most one (it breaks right after), so nothing
-	// to trim.
+	slices.Reverse(path)
 	return path, hops, nil
 }

@@ -117,7 +117,7 @@ func (p *Peer) handleRoutedTrace(from transport.Addr, r routedTraceReq) (any, er
 		if !found {
 			return routedTraceResp{Hops: hops}, nil
 		}
-		path, h, err := p.walkBack(entry.Latest, r.Object, -1, 0, 1<<62, nil)
+		path, h, err := p.walkBack(entry.Latest, r.Object, 0, 1<<62, nil)
 		hops += h
 		if err != nil {
 			return routedTraceResp{Hops: hops}, nil
@@ -148,27 +148,14 @@ func (p *Peer) handleRoutedTrace(from transport.Addr, r routedTraceReq) (any, er
 // Triangle child chain along the object's bits.
 func (p *Peer) gatewayLocalFind(bucket ids.PrefixKey, obj moods.ObjectID) (IndexEntry, int, bool) {
 	id := obj.Hash()
-	hops := 0
 	if e, ok := p.gw.lookup(bucket, id); ok {
-		return e, hops, true
+		return e, 0, true
 	}
 	if bucket.Len() > ids.MaxKeyLen {
 		// The individual bucket (or a malformed key): no triangle below.
-		return IndexEntry{}, hops, false
+		return IndexEntry{}, 0, false
 	}
-	delegated := p.gw.delegatedFlag(bucket)
-	_, hi := p.pm.LpRange()
-	child := bucket.Prefix()
-	for depth := 0; (delegated || hi > child.Len) && depth < p.cfg.MaxDescent && child.Len < ids.MaxKeyLen; depth++ {
-		child = child.Child(child.NextBit(id))
-		e, h, found, del := p.queryGateway(child, id, nil)
-		hops += h
-		if found {
-			return e, hops, true
-		}
-		delegated = del
-	}
-	return IndexEntry{}, hops, false
+	return p.descend(bucket.Prefix(), id, p.gw.delegatedFlag(bucket), nil)
 }
 
 // serverFullTrace assembles an object's lifetime path starting from
@@ -182,7 +169,7 @@ func (p *Peer) serverFullTrace(obj moods.ObjectID) ([]moods.Visit, int, error) {
 	latest := visits[len(visits)-1]
 	// Backward pass includes this node's latest visit and everything
 	// before it (earlier visits here included, via the linked list).
-	back, hops, err := p.walkBack(p.Name(), obj, -1, 0, 1<<62, nil)
+	back, hops, err := p.walkBack(p.Name(), obj, 0, 1<<62, nil)
 	if err != nil {
 		return nil, hops, err
 	}

@@ -77,11 +77,6 @@ var wireSamples = []transport.Wire{
 	iopGetReq{Object: wireObj},
 	iopGetResp{Visits: wireVisits, Found: true},
 
-	inventoryReq{WithObjects: true, MaxObjects: 100},
-	inventoryResp{Count: 2, Objects: []moods.ObjectID{wireObj, wireObj2}},
-	dwellStatsReq{},
-	dwellStatsResp{Departures: 41, MeanDwell: 90 * time.Minute},
-
 	containPutReq{Records: wireRecords, Close: true},
 	containPutResp{},
 	containGetReq{Child: wireObj},
@@ -108,7 +103,7 @@ var wireSamples = []transport.Wire{
 
 func TestWireLayouts(t *testing.T) { wiretest.Layouts(t, "core", wireSamples) }
 
-// Thirty-one of the thirty-nine declarations count every field; the
+// Twenty-nine of the thirty-five declarations count every field; the
 // rest charge a flat size per record or leave a field out.
 func TestWireDeclared(t *testing.T) {
 	const perVisit = "WireSize charges a flat 32 bytes per visit, the layout writes its three strings"
@@ -119,8 +114,6 @@ func TestWireDeclared(t *testing.T) {
 		"core.containGetResp":  "WireSize charges a flat 64 bytes per record",
 		"core.routedTraceReq":  "WireSize charges TTL 2 bytes, an int travels as 8",
 		"core.routedTraceResp": "WireSize charges a flat 24 bytes per visit and 8 for the rest",
-		"core.inventoryReq":    "no WireSize: a flag and an int ride the flat charge",
-		"core.dwellStatsResp":  "no WireSize: two ints ride the flat charge",
 	})
 }
 

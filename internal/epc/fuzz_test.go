@@ -45,25 +45,6 @@ func FuzzParseURN(f *testing.F) {
 	})
 }
 
-func FuzzParseSSCCURN(f *testing.F) {
-	f.Add("urn:epc:id:sscc:0614141.1234567890")
-	f.Add("urn:epc:id:sscc:..")
-	f.Fuzz(func(t *testing.T, s string) {
-		tag, err := ParseSSCCURN(s)
-		if err != nil {
-			return
-		}
-		u, err := tag.URN()
-		if err != nil {
-			t.Fatalf("parsed tag does not re-render: %v", err)
-		}
-		back, err := ParseSSCCURN(u)
-		if err != nil || back != tag {
-			t.Fatalf("sscc urn round trip unstable: %q", s)
-		}
-	})
-}
-
 func FuzzDecode(f *testing.F) {
 	valid, _ := (SGTIN96{Filter: 1, Partition: 5, CompanyPrefix: 614141, ItemReference: 812345, Serial: 6789}).Encode()
 	f.Add(valid[:])

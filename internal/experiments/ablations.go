@@ -8,7 +8,6 @@ import (
 	"peertrack/internal/core"
 	"peertrack/internal/metrics"
 	"peertrack/internal/moods"
-	"peertrack/internal/workload"
 )
 
 // Ablations isolate the design choices DESIGN.md calls out: the Data
@@ -39,36 +38,16 @@ func AblationTriangle(s Scale) ([]TriangleRow, error) {
 		} else {
 			cfg.DelegationThreshold = 1 << 30 // never delegate
 		}
-		nw, err := core.BuildNetwork(core.NetworkConfig{
+		run, err := Load(core.NetworkConfig{
 			Nodes:  s.Nodes,
 			Seed:   s.Seed,
 			Scheme: core.Scheme1, // few groups: the stress case
 			Peer:   cfg,
-		})
+		}, sectionV(s.MaxVolume, false))
 		if err != nil {
 			return nil, err
 		}
-		names := make([]moods.NodeName, s.Nodes)
-		for i, p := range nw.Peers() {
-			names[i] = p.Name()
-		}
-		res, err := workload.PaperSpec{
-			Nodes:          names,
-			ObjectsPerNode: s.MaxVolume,
-			MoveFraction:   0.10,
-			TraceLen:       min(10, s.Nodes),
-			Seed:           s.Seed + 7,
-		}.Generate()
-		if err != nil {
-			return nil, err
-		}
-		if err := nw.ScheduleAll(res.Observations); err != nil {
-			return nil, err
-		}
-		before := nw.Stats().Snapshot()
-		nw.StartWindows(res.Horizon + 2*time.Second)
-		nw.Run()
-		kMsgs := float64(nw.Stats().Snapshot().Delta(before).Messages) / 1000
+		nw, res := run.Net, run.Work
 
 		loads := nw.IndexLoads()
 		var hops metrics.Summary
@@ -85,7 +64,7 @@ func AblationTriangle(s Scale) ([]TriangleRow, error) {
 			Delegation:   delegation,
 			MaxMeanRatio: metrics.MaxMeanRatio(loads),
 			Gini:         metrics.Gini(loads),
-			KMsgs:        kMsgs,
+			KMsgs:        run.KMsgs(),
 			MeanHops:     hops.Mean(),
 		})
 	}
@@ -198,7 +177,7 @@ func AblationAlphaSweep(s Scale) ([]AlphaRow, error) {
 	alphas := []float64{0.25, 0.5, 0.75, 1.0}
 	out := make([]AlphaRow, 0, len(alphas))
 	for _, alpha := range alphas {
-		nw, err := core.BuildNetwork(core.NetworkConfig{
+		run, err := Load(core.NetworkConfig{
 			Nodes:  s.Nodes,
 			Seed:   s.Seed,
 			Scheme: core.Scheme1,
@@ -207,29 +186,11 @@ func AblationAlphaSweep(s Scale) ([]AlphaRow, error) {
 				DelegationThreshold: 64,
 				DelegationAlpha:     alpha,
 			},
-		})
+		}, sectionV(s.MaxVolume, false))
 		if err != nil {
 			return nil, err
 		}
-		names := make([]moods.NodeName, s.Nodes)
-		for i, p := range nw.Peers() {
-			names[i] = p.Name()
-		}
-		res, err := workload.PaperSpec{
-			Nodes:          names,
-			ObjectsPerNode: s.MaxVolume,
-			MoveFraction:   0.1,
-			TraceLen:       min(10, s.Nodes),
-			Seed:           s.Seed + 7,
-		}.Generate()
-		if err != nil {
-			return nil, err
-		}
-		nw.ScheduleAll(res.Observations)
-		before := nw.Stats().Snapshot()
-		nw.StartWindows(res.Horizon + 2*time.Second)
-		nw.Run()
-		kMsgs := float64(nw.Stats().Snapshot().Delta(before).Messages) / 1000
+		nw, res := run.Net, run.Work
 
 		var hops metrics.Summary
 		rng := rand.New(rand.NewSource(s.Seed + 31))
@@ -243,7 +204,7 @@ func AblationAlphaSweep(s Scale) ([]AlphaRow, error) {
 		}
 		out = append(out, AlphaRow{
 			Alpha:        alpha,
-			KMsgs:        kMsgs,
+			KMsgs:        run.KMsgs(),
 			MaxMeanRatio: metrics.MaxMeanRatio(nw.IndexLoads()),
 			MeanHops:     hops.Mean(),
 		})
@@ -264,14 +225,15 @@ func AblationGatewayCache(s Scale) ([]CacheRow, error) {
 	s.fill()
 	out := make([]CacheRow, 0, 2)
 	for _, cache := range []bool{false, true} {
-		run, err := runWorkloadCfg(s.Nodes, s.MaxVolume, core.Config{
-			Mode:           core.GroupIndexing,
-			NoGatewayCache: !cache,
-		}, core.Scheme2, false, s.Seed)
+		run, err := Load(core.NetworkConfig{
+			Nodes: s.Nodes,
+			Seed:  s.Seed,
+			Peer:  core.Config{Mode: core.GroupIndexing, NoGatewayCache: !cache},
+		}, sectionV(s.MaxVolume, false))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CacheRow{Cache: cache, KMsgs: run.kMsg})
+		out = append(out, CacheRow{Cache: cache, KMsgs: run.KMsgs()})
 	}
 	return out, nil
 }
@@ -288,7 +250,7 @@ type IntermediateRow struct {
 // ExpIntermediate measures the intermediate-node optimization.
 func ExpIntermediate(s Scale) ([]IntermediateRow, error) {
 	s.fill()
-	run, err := runWorkload(s.Nodes, s.MaxVolume, core.GroupIndexing, core.Scheme2, false, s.Seed)
+	run, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed}, sectionV(s.MaxVolume, false))
 	if err != nil {
 		return nil, err
 	}
@@ -296,8 +258,8 @@ func ExpIntermediate(s Scale) ([]IntermediateRow, error) {
 	var iter, routed metrics.Summary
 	interHits := 0
 	for q := 0; q < s.Queries; q++ {
-		obj := run.res.Movers[rng.Intn(len(run.res.Movers))]
-		peer := run.nw.Peers()[rng.Intn(s.Nodes)]
+		obj := run.Work.Movers[rng.Intn(len(run.Work.Movers))]
+		peer := run.Net.Peers()[rng.Intn(s.Nodes)]
 		ri, err := peer.FullTrace(obj)
 		if err != nil {
 			return nil, err
@@ -335,37 +297,11 @@ func ExpOverlayComparison(s Scale) ([]OverlayRow, error) {
 	s.fill()
 	out := make([]OverlayRow, 0, 2)
 	for _, kind := range []core.OverlayKind{core.ChordOverlay, core.KademliaOverlay} {
-		nw, err := core.BuildNetwork(core.NetworkConfig{
-			Nodes:   s.Nodes,
-			Seed:    s.Seed,
-			Peer:    core.Config{Mode: core.GroupIndexing},
-			Overlay: kind,
-		})
+		run, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed, Overlay: kind}, sectionV(s.MaxVolume, true))
 		if err != nil {
 			return nil, err
 		}
-		names := make([]moods.NodeName, s.Nodes)
-		for i, p := range nw.Peers() {
-			names[i] = p.Name()
-		}
-		res, err := workload.PaperSpec{
-			Nodes:          names,
-			ObjectsPerNode: s.MaxVolume,
-			MoveFraction:   0.10,
-			TraceLen:       min(10, s.Nodes),
-			Grouped:        true,
-			Seed:           s.Seed + 7,
-		}.Generate()
-		if err != nil {
-			return nil, err
-		}
-		if err := nw.ScheduleAll(res.Observations); err != nil {
-			return nil, err
-		}
-		before := nw.Stats().Snapshot()
-		nw.StartWindows(res.Horizon + 2*time.Second)
-		nw.Run()
-		kMsgs := float64(nw.Stats().Snapshot().Delta(before).Messages) / 1000
+		nw, res := run.Net, run.Work
 
 		rng := rand.New(rand.NewSource(s.Seed + 51))
 		var hops metrics.Summary
@@ -379,55 +315,10 @@ func ExpOverlayComparison(s Scale) ([]OverlayRow, error) {
 		}
 		out = append(out, OverlayRow{
 			Overlay:  string(kind),
-			KMsgs:    kMsgs,
+			KMsgs:    run.KMsgs(),
 			MeanHops: hops.Mean(),
 			P2PMs:    hops.Mean() * float64(nw.HopLatency) / float64(time.Millisecond),
 		})
 	}
 	return out, nil
-}
-
-// runWorkloadCfg is runWorkload with a custom peer config.
-func runWorkloadCfg(nodes, perNode int, cfg core.Config, scheme core.Scheme, grouped bool, seed int64) (runResult, error) {
-	nw, err := core.BuildNetwork(core.NetworkConfig{
-		Nodes:  nodes,
-		Seed:   seed,
-		Scheme: scheme,
-		Peer:   cfg,
-	})
-	if err != nil {
-		return runResult{}, err
-	}
-	names := make([]moods.NodeName, nodes)
-	for i, p := range nw.Peers() {
-		names[i] = p.Name()
-	}
-	res, err := workload.PaperSpec{
-		Nodes:          names,
-		ObjectsPerNode: perNode,
-		MoveFraction:   0.10,
-		TraceLen:       min(10, nodes),
-		Grouped:        grouped,
-		Seed:           seed + 7,
-	}.Generate()
-	if err != nil {
-		return runResult{}, err
-	}
-	if err := nw.ScheduleAll(res.Observations); err != nil {
-		return runResult{}, err
-	}
-	before := nw.Stats().Snapshot()
-	if cfg.Mode == core.GroupIndexing {
-		nw.StartWindows(res.Horizon + 2*time.Second)
-	}
-	nw.Run()
-	delta := nw.Stats().Snapshot().Delta(before)
-	return runResult{nw: nw, res: res, kMsg: float64(delta.Messages) / 1000}, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -22,6 +22,7 @@ import (
 	"peertrack/internal/core"
 	"peertrack/internal/metrics"
 	"peertrack/internal/moods"
+	"peertrack/internal/transport"
 	"peertrack/internal/workload"
 )
 
@@ -106,50 +107,52 @@ func (s *Scale) fill() {
 	}
 }
 
-// runResult carries a loaded network plus its workload.
-type runResult struct {
-	nw   *core.Network
-	res  workload.Result
-	kMsg float64 // indexing cost in thousands of messages
+// Loaded is a simulated network after a Section V workload has run on it.
+type Loaded struct {
+	Net  *core.Network
+	Work workload.Result
+	// Indexing is the transport traffic of the run: a built network has
+	// sent nothing, so this is its whole indexing cost.
+	Indexing transport.Snapshot
 }
 
-// runWorkload builds a network, plays the Section V workload through
-// it, and measures the indexing message cost.
-func runWorkload(nodes, perNode int, mode core.Mode, scheme core.Scheme, grouped bool, seed int64) (runResult, error) {
-	nw, err := core.BuildNetwork(core.NetworkConfig{
-		Nodes:  nodes,
-		Seed:   seed,
-		Scheme: scheme,
-		Peer:   core.Config{Mode: mode},
-	})
+// KMsgs is the indexing cost in thousands of messages.
+func (l Loaded) KMsgs() float64 { return float64(l.Indexing.Messages) / 1000 }
+
+// sectionV is the paper's workload shape: a tenth of the objects move,
+// ten stops each.
+func sectionV(perNode int, grouped bool) workload.PaperSpec {
+	return workload.PaperSpec{ObjectsPerNode: perNode, MoveFraction: 0.10, TraceLen: 10, Grouped: grouped}
+}
+
+// Load builds the network cfg describes and plays a workload through it
+// to quiescence: spec generated over the network's nodes (its Nodes and
+// Seed are filled in, its TraceLen capped at the network size),
+// scheduled in one batch, with capture windows under group indexing.
+// Every figure, ablation, XL cell and peertrack-sim loads this way.
+func Load(cfg core.NetworkConfig, spec workload.PaperSpec) (Loaded, error) {
+	nw, err := core.BuildNetwork(cfg)
 	if err != nil {
-		return runResult{}, err
+		return Loaded{}, err
 	}
-	names := make([]moods.NodeName, nodes)
+	spec.Nodes = make([]moods.NodeName, nw.Size())
 	for i, p := range nw.Peers() {
-		names[i] = p.Name()
+		spec.Nodes[i] = p.Name()
 	}
-	res, err := workload.PaperSpec{
-		Nodes:          names,
-		ObjectsPerNode: perNode,
-		MoveFraction:   0.10,
-		TraceLen:       min(10, nodes),
-		Grouped:        grouped,
-		Seed:           seed + 7,
-	}.Generate()
+	spec.TraceLen = min(spec.TraceLen, nw.Size())
+	spec.Seed = cfg.Seed + 7
+	res, err := spec.Generate()
 	if err != nil {
-		return runResult{}, err
+		return Loaded{}, err
 	}
 	if err := nw.ScheduleAll(res.Observations); err != nil {
-		return runResult{}, err
+		return Loaded{}, err
 	}
-	before := nw.Stats().Snapshot()
-	if mode == core.GroupIndexing {
+	if cfg.Peer.Mode == core.GroupIndexing {
 		nw.StartWindows(res.Horizon + 2*time.Second)
 	}
 	nw.Run()
-	delta := nw.Stats().Snapshot().Delta(before)
-	return runResult{nw: nw, res: res, kMsg: float64(delta.Messages) / 1000}, nil
+	return Loaded{Net: nw, Work: res, Indexing: nw.Stats().Snapshot()}, nil
 }
 
 // Fig6aRow is one point of Fig. 6a: indexing cost vs data volume at a
@@ -174,17 +177,17 @@ func Fig6a(s Scale) ([]Fig6aRow, error) {
 		row := &rows[t/2]
 		vol := row.ObjectsPerNode
 		if t%2 == 0 {
-			ind, err := runWorkload(s.Nodes, vol, core.IndividualIndexing, core.Scheme2, true, s.Seed)
+			ind, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed, Peer: core.Config{Mode: core.IndividualIndexing}}, sectionV(vol, true))
 			if err != nil {
 				return fmt.Errorf("fig6a individual vol=%d: %w", vol, err)
 			}
-			row.IndividualKMsgs = ind.kMsg
+			row.IndividualKMsgs = ind.KMsgs()
 		} else {
-			grp, err := runWorkload(s.Nodes, vol, core.GroupIndexing, core.Scheme2, true, s.Seed)
+			grp, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed}, sectionV(vol, true))
 			if err != nil {
 				return fmt.Errorf("fig6a group vol=%d: %w", vol, err)
 			}
-			row.GroupKMsgs = grp.kMsg
+			row.GroupKMsgs = grp.KMsgs()
 		}
 		return nil
 	})
@@ -217,23 +220,23 @@ func Fig6b(s Scale) ([]Fig6bRow, error) {
 		n := row.Nodes
 		switch t % 3 {
 		case 0:
-			ind, err := runWorkload(n, s.MaxVolume, core.IndividualIndexing, core.Scheme2, true, s.Seed)
+			ind, err := Load(core.NetworkConfig{Nodes: n, Seed: s.Seed, Peer: core.Config{Mode: core.IndividualIndexing}}, sectionV(s.MaxVolume, true))
 			if err != nil {
 				return fmt.Errorf("fig6b individual n=%d: %w", n, err)
 			}
-			row.IndividualKMsgs = ind.kMsg
+			row.IndividualKMsgs = ind.KMsgs()
 		case 1:
-			grpG, err := runWorkload(n, s.MaxVolume, core.GroupIndexing, core.Scheme2, true, s.Seed)
+			grpG, err := Load(core.NetworkConfig{Nodes: n, Seed: s.Seed}, sectionV(s.MaxVolume, true))
 			if err != nil {
 				return fmt.Errorf("fig6b grouped n=%d: %w", n, err)
 			}
-			row.GroupMovedKMsgs = grpG.kMsg
+			row.GroupMovedKMsgs = grpG.KMsgs()
 		case 2:
-			grpI, err := runWorkload(n, s.MaxVolume, core.GroupIndexing, core.Scheme2, false, s.Seed)
+			grpI, err := Load(core.NetworkConfig{Nodes: n, Seed: s.Seed}, sectionV(s.MaxVolume, false))
 			if err != nil {
 				return fmt.Errorf("fig6b group-individual n=%d: %w", n, err)
 			}
-			row.GroupSingleKMsgs = grpI.kMsg
+			row.GroupSingleKMsgs = grpI.KMsgs()
 		}
 		return nil
 	})
@@ -256,13 +259,13 @@ type Fig7Row struct {
 // queryPoint loads one (nodes, volume) cell and measures both systems
 // on the paper's query "Where has object oi been?".
 func queryPoint(nodes, perNode, queries int, seed int64) (Fig7Row, error) {
-	run, err := runWorkload(nodes, perNode, core.GroupIndexing, core.Scheme2, true, seed)
+	run, err := Load(core.NetworkConfig{Nodes: nodes, Seed: seed}, sectionV(perNode, true))
 	if err != nil {
 		return Fig7Row{}, err
 	}
 	// Centralized: identical observations in the warehouse.
 	wh := centralized.New(centralized.CostModel{})
-	for _, obs := range run.res.Observations {
+	for _, obs := range run.Work.Observations {
 		wh.Insert(obs)
 	}
 
@@ -270,13 +273,13 @@ func queryPoint(nodes, perNode, queries int, seed int64) (Fig7Row, error) {
 	var p2p, central, hops metrics.Summary
 	for q := 0; q < queries; q++ {
 		// Trace queries target objects with real trajectories (movers).
-		obj := run.res.Movers[rng.Intn(len(run.res.Movers))]
-		peer := run.nw.Peers()[rng.Intn(nodes)]
+		obj := run.Work.Movers[rng.Intn(len(run.Work.Movers))]
+		peer := run.Net.Peers()[rng.Intn(nodes)]
 		res, err := peer.FullTrace(obj)
 		if err != nil {
 			return Fig7Row{}, fmt.Errorf("query %s: %w", obj, err)
 		}
-		p2p.Add(float64(run.nw.QueryTime(res.Hops)) / float64(time.Millisecond))
+		p2p.Add(float64(run.Net.QueryTime(res.Hops)) / float64(time.Millisecond))
 		hops.Add(float64(res.Hops))
 		_, cost := wh.FullTrace(obj)
 		central.Add(float64(cost) / float64(time.Millisecond))
@@ -357,11 +360,11 @@ func Fig8a(s Scale) ([]Fig8aRow, []Fig8aSummary, error) {
 	sums := make([]Fig8aSummary, len(schemes))
 	err := runTasks(s.workers(), len(schemes), func(si int) error {
 		scheme := schemes[si]
-		run, err := runWorkload(s.Nodes, s.MaxVolume, core.GroupIndexing, scheme, true, s.Seed)
+		run, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed, Scheme: scheme}, sectionV(s.MaxVolume, true))
 		if err != nil {
 			return fmt.Errorf("fig8a scheme %d: %w", scheme, err)
 		}
-		loads := run.nw.IndexLoads()
+		loads := run.Net.IndexLoads()
 		nf, lf := metrics.LoadCurve(loads)
 		// Sample at deciles.
 		for d := 1; d <= 10; d++ {
@@ -408,11 +411,11 @@ func Fig8b(s Scale) ([]Fig8bRow, error) {
 	err := runTasks(s.workers(), len(schemes)*len(s.NetworkSizes), func(t int) error {
 		row := &rows[t/3]
 		scheme := schemes[t%3]
-		run, err := runWorkload(row.Nodes, s.MaxVolume, core.GroupIndexing, scheme, true, s.Seed)
+		run, err := Load(core.NetworkConfig{Nodes: row.Nodes, Seed: s.Seed, Scheme: scheme}, sectionV(s.MaxVolume, true))
 		if err != nil {
 			return fmt.Errorf("fig8b scheme %d n=%d: %w", scheme, row.Nodes, err)
 		}
-		v := math.Log2(run.kMsg * 1000)
+		v := math.Log2(run.KMsgs() * 1000)
 		switch t % 3 {
 		case 0:
 			row.Scheme1Log2 = v

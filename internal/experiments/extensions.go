@@ -7,7 +7,6 @@ import (
 
 	"peertrack/internal/core"
 	"peertrack/internal/moods"
-	"peertrack/internal/workload"
 )
 
 // Extension experiments beyond the paper's figures: the cost of the
@@ -30,11 +29,11 @@ type ChurnRow struct {
 // the index it moves.
 func ExpChurn(s Scale) ([]ChurnRow, error) {
 	s.fill()
-	run, err := runWorkload(s.Nodes, s.MaxVolume, core.GroupIndexing, core.Scheme2, true, s.Seed)
+	run, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed}, sectionV(s.MaxVolume, true))
 	if err != nil {
 		return nil, err
 	}
-	nw := run.nw
+	nw := run.Net
 	records := 0
 	for _, p := range nw.Peers() {
 		records += p.IndexedEntries()
@@ -73,7 +72,7 @@ func ExpChurn(s Scale) ([]ChurnRow, error) {
 	// Correctness spot check after the round trip.
 	rng := rand.New(rand.NewSource(s.Seed + 61))
 	for q := 0; q < s.Queries/2; q++ {
-		obj := run.res.Movers[rng.Intn(len(run.res.Movers))]
+		obj := run.Work.Movers[rng.Intn(len(run.Work.Movers))]
 		if _, err := nw.Peers()[rng.Intn(nw.Size())].FullTrace(obj); err != nil {
 			return nil, fmt.Errorf("post-churn trace %s: %w", obj, err)
 		}
@@ -210,30 +209,16 @@ func ExpVerify(s Scale) ([]VerifyRow, error) {
 	var out []VerifyRow
 	for _, overlayKind := range []core.OverlayKind{core.ChordOverlay, core.KademliaOverlay} {
 		for _, mode := range []core.Mode{core.GroupIndexing, core.IndividualIndexing} {
-			nw, err := core.BuildNetwork(core.NetworkConfig{
+			run, err := Load(core.NetworkConfig{
 				Nodes:   s.Nodes,
 				Seed:    s.Seed,
 				Peer:    core.Config{Mode: mode},
 				Overlay: overlayKind,
-			})
+			}, sectionV(s.MaxVolume, true))
 			if err != nil {
 				return nil, err
 			}
-			names := make([]moods.NodeName, s.Nodes)
-			for i, p := range nw.Peers() {
-				names[i] = p.Name()
-			}
-			res, err := workloadSpec(names, s).Generate()
-			if err != nil {
-				return nil, err
-			}
-			if err := nw.ScheduleAll(res.Observations); err != nil {
-				return nil, err
-			}
-			if mode == core.GroupIndexing {
-				nw.StartWindows(res.Horizon + 2*time.Second)
-			}
-			nw.Run()
+			nw, res := run.Net, run.Work
 
 			rng := rand.New(rand.NewSource(s.Seed + 71))
 			row := VerifyRow{
@@ -268,18 +253,6 @@ func modeName(m core.Mode) string {
 		return "individual"
 	}
 	return "group"
-}
-
-// workloadSpec builds the standard Section V spec for a scale.
-func workloadSpec(names []moods.NodeName, s Scale) workload.PaperSpec {
-	return workload.PaperSpec{
-		Nodes:          names,
-		ObjectsPerNode: s.MaxVolume,
-		MoveFraction:   0.10,
-		TraceLen:       min(10, len(names)),
-		Grouped:        true,
-		Seed:           s.Seed + 7,
-	}
 }
 
 // ReplicationRow measures one replication factor: the wire cost of
@@ -318,30 +291,17 @@ func ExpReplication(s Scale) ([]ReplicationRow, error) {
 	rows := make([]ReplicationRow, len(factors))
 	err := runTasks(s.workers(), len(factors), func(i int) error {
 		factor := factors[i]
-		nw, err := core.BuildNetwork(core.NetworkConfig{
+		run, err := Load(core.NetworkConfig{
 			Nodes: s.Nodes,
 			Seed:  s.Seed,
 			Peer:  core.Config{Mode: core.GroupIndexing, ReplicationFactor: factor},
-		})
+		}, sectionV(s.MaxVolume, true))
 		if err != nil {
 			return err
 		}
-		names := make([]moods.NodeName, s.Nodes)
-		for j, p := range nw.Peers() {
-			names[j] = p.Name()
-		}
-		res, err := workloadSpec(names, s).Generate()
-		if err != nil {
-			return err
-		}
-		if err := nw.ScheduleAll(res.Observations); err != nil {
-			return err
-		}
-		before := nw.Stats().Snapshot()
-		nw.StartWindows(res.Horizon + 2*time.Second)
-		nw.Run()
+		nw, res := run.Net, run.Work
 		nw.SyncReplicas()
-		delta := nw.Stats().Snapshot().Delta(before)
+		delta := nw.Stats().Snapshot() // the run's traffic and the sync's: a built network has sent nothing
 		row := ReplicationRow{
 			Factor:       factor,
 			Observations: len(res.Observations),

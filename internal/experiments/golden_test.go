@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"peertrack/internal/core"
-	"peertrack/internal/moods"
 )
 
 // The golden tests define "same behaviour" for refactors underneath the
@@ -177,30 +176,16 @@ func TestGoldenByType(t *testing.T) {
 	for _, kind := range []core.OverlayKind{core.ChordOverlay, core.KademliaOverlay} {
 		for _, mode := range []core.Mode{core.GroupIndexing, core.IndividualIndexing} {
 			for replicas := 0; replicas <= 2; replicas++ {
-				nw, err := core.BuildNetwork(core.NetworkConfig{
+				run, err := Load(core.NetworkConfig{
 					Nodes:   s.Nodes,
 					Seed:    s.Seed,
 					Peer:    core.Config{Mode: mode, ReplicationFactor: replicas + 1},
 					Overlay: kind,
-				})
+				}, sectionV(s.MaxVolume, true))
 				if err != nil {
 					t.Fatal(err)
 				}
-				names := make([]moods.NodeName, s.Nodes)
-				for i, p := range nw.Peers() {
-					names[i] = p.Name()
-				}
-				res, err := workloadSpec(names, s).Generate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := nw.ScheduleAll(res.Observations); err != nil {
-					t.Fatal(err)
-				}
-				if mode == core.GroupIndexing {
-					nw.StartWindows(res.Horizon + 2*time.Second)
-				}
-				nw.Run()
+				nw, res := run.Net, run.Work
 				rng := rand.New(rand.NewSource(s.Seed + 13))
 				hops := 0
 				for q := 0; q < s.Queries; q++ {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"peertrack/internal/core"
-	"peertrack/internal/moods"
 	"peertrack/internal/telemetry"
 )
 
@@ -18,23 +17,11 @@ import (
 // clock, its snapshot is byte-identical for a given Scale.
 func TelemetryReport(s Scale) (telemetry.Snapshot, []telemetry.Span, error) {
 	s.fill()
-	nw, err := core.BuildNetwork(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed})
+	run, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed}, sectionV(s.MaxVolume, true))
 	if err != nil {
 		return telemetry.Snapshot{}, nil, err
 	}
-	names := make([]moods.NodeName, s.Nodes)
-	for i, p := range nw.Peers() {
-		names[i] = p.Name()
-	}
-	res, err := workloadSpec(names, s).Generate()
-	if err != nil {
-		return telemetry.Snapshot{}, nil, err
-	}
-	if err := nw.ScheduleAll(res.Observations); err != nil {
-		return telemetry.Snapshot{}, nil, err
-	}
-	nw.StartWindows(res.Horizon + 2*time.Second)
-	nw.Run()
+	nw, res := run.Net, run.Work
 
 	rng := rand.New(rand.NewSource(s.Seed + 83))
 	for q := 0; q < s.Queries; q++ {

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"peertrack/internal/core"
 	"peertrack/internal/metrics"
-	"peertrack/internal/moods"
-	"peertrack/internal/workload"
 )
 
 // Scale.XL: the tier beyond the paper's 512-node setup. The paper's
@@ -53,60 +50,24 @@ type XLRow struct {
 	MeanHops float64
 }
 
-// runWorkloadXL is runWorkload with the oracle disabled: throughput
-// sweeps never verify traces against ground truth, and the oracle's
-// copy of every observation dominates memory at XL scale.
-func runWorkloadXL(nodes, perNode int, seed int64) (runResult, error) {
-	nw, err := core.BuildNetwork(core.NetworkConfig{
-		Nodes:    nodes,
-		Seed:     seed,
-		Scheme:   core.Scheme2,
-		Peer:     core.Config{Mode: core.GroupIndexing},
-		NoOracle: true,
-	})
-	if err != nil {
-		return runResult{}, err
-	}
-	names := make([]moods.NodeName, nodes)
-	for i, p := range nw.Peers() {
-		names[i] = p.Name()
-	}
-	res, err := workload.PaperSpec{
-		Nodes:          names,
-		ObjectsPerNode: perNode,
-		MoveFraction:   0.10,
-		TraceLen:       min(10, nodes),
-		Grouped:        true,
-		Seed:           seed + 7,
-	}.Generate()
-	if err != nil {
-		return runResult{}, err
-	}
-	if err := nw.ScheduleAll(res.Observations); err != nil {
-		return runResult{}, err
-	}
-	before := nw.Stats().Snapshot()
-	nw.StartWindows(res.Horizon + 2*time.Second)
-	nw.Run()
-	delta := nw.Stats().Snapshot().Delta(before)
-	return runResult{nw: nw, res: res, kMsg: float64(delta.Messages) / 1000}, nil
-}
-
 // xlPoint loads one (nodes, volume) cell and measures it.
 func xlPoint(nodes, perNode, queries int, seed int64) (XLRow, error) {
-	run, err := runWorkloadXL(nodes, perNode, seed)
+	// The oracle is off: throughput sweeps never verify traces against
+	// ground truth, and its copy of every observation dominates memory at
+	// XL scale.
+	run, err := Load(core.NetworkConfig{Nodes: nodes, Seed: seed, NoOracle: true}, sectionV(perNode, true))
 	if err != nil {
 		return XLRow{}, err
 	}
 	indexed := 0
-	for _, p := range run.nw.Peers() {
+	for _, p := range run.Net.Peers() {
 		indexed += p.IndexedEntries()
 	}
 	rng := rand.New(rand.NewSource(seed + 13))
 	var hops metrics.Summary
 	for q := 0; q < queries; q++ {
-		obj := run.res.Movers[rng.Intn(len(run.res.Movers))]
-		peer := run.nw.Peers()[rng.Intn(nodes)]
+		obj := run.Work.Movers[rng.Intn(len(run.Work.Movers))]
+		peer := run.Net.Peers()[rng.Intn(nodes)]
 		res, err := peer.FullTrace(obj)
 		if err != nil {
 			return XLRow{}, fmt.Errorf("xl query %s: %w", obj, err)
@@ -117,8 +78,8 @@ func xlPoint(nodes, perNode, queries int, seed int64) (XLRow, error) {
 		Nodes:          nodes,
 		ObjectsPerNode: perNode,
 		Objects:        nodes * perNode,
-		Observations:   len(run.res.Observations),
-		IndexKMsgs:     run.kMsg,
+		Observations:   len(run.Work.Observations),
+		IndexKMsgs:     run.KMsgs(),
 		IndexedEntries: indexed,
 		MeanHops:       hops.Mean(),
 	}, nil

@@ -354,7 +354,7 @@ func (a *Agent) ageLocked() {
 // wireEntriesLocked builds a fresh outbound entry slice: a self-entry
 // at age 0 followed by a copy of the view. Fresh allocation per message
 // is deliberate — the transport owns payloads once handed over
-// (msgfreeze), so no scratch buffer may back them.
+// (sendalias), so no scratch buffer may back them.
 func (a *Agent) wireEntriesLocked() []Entry {
 	out := make([]Entry, 0, len(a.view)+1)
 	out = append(out, Entry{Ref: a.self})

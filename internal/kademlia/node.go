@@ -102,9 +102,6 @@ func (n *Node) SetAppHandler(h transport.Handler) {
 	n.appHandler = h
 }
 
-// TableSize returns the number of routing contacts known.
-func (n *Node) TableSize() int { return n.table.size() }
-
 // handleRPC serves the protocol; every inbound message also refreshes
 // the sender's table entry (Kademlia's passive maintenance).
 func (n *Node) handleRPC(from transport.Addr, req any) (any, error) {

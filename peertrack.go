@@ -202,42 +202,6 @@ func (s *Simulation) Shrink(n int) error {
 	return err
 }
 
-// InventoryAt asks a node for the objects currently present there (its
-// latest local visits with no outbound link). The cap bounds the reply;
-// 0 means count only.
-func (s *Simulation) InventoryAt(fromNode, atNode string, cap int) (count int, objects []string, err error) {
-	p, ok := s.nw.PeerByName(moods.NodeName(fromNode))
-	if !ok {
-		return 0, nil, fmt.Errorf("peertrack: unknown node %q", fromNode)
-	}
-	count, _, err = p.InventoryAt(moods.NodeName(atNode))
-	if err != nil {
-		return 0, nil, err
-	}
-	if cap > 0 {
-		objs, _, oerr := p.ObjectsAt(moods.NodeName(atNode), cap)
-		if oerr != nil {
-			return count, nil, oerr
-		}
-		objects = make([]string, len(objs))
-		for i, o := range objs {
-			objects[i] = string(o)
-		}
-	}
-	return count, objects, nil
-}
-
-// DwellStatsAt reports how many objects have departed a node and their
-// mean dwell time there.
-func (s *Simulation) DwellStatsAt(fromNode, atNode string) (departures int, meanDwell time.Duration, err error) {
-	p, ok := s.nw.PeerByName(moods.NodeName(fromNode))
-	if !ok {
-		return 0, 0, fmt.Errorf("peertrack: unknown node %q", fromNode)
-	}
-	departures, meanDwell, _, err = p.DwellStatsAt(moods.NodeName(atNode))
-	return departures, meanDwell, err
-}
-
 // Pack schedules an aggregation event: children are packed into parent
 // (e.g. cases onto an SSCC pallet) at node at virtual time at. While
 // packed, children inherit the parent's movements in ResolveTrace.

@@ -322,41 +322,6 @@ func TestSimulationContainment(t *testing.T) {
 	}
 }
 
-func TestSimulationInventoryAndDwell(t *testing.T) {
-	sim, err := NewSimulation(SimOptions{Nodes: 12, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := sim.Nodes()
-	// Three objects arrive at node 3; one moves on to node 7 after 20m.
-	for i := 0; i < 3; i++ {
-		sim.Observe(nodes[3], fmt.Sprintf("inv-%d", i), time.Minute)
-	}
-	sim.Observe(nodes[7], "inv-0", 21*time.Minute)
-	sim.Run(time.Hour)
-
-	count, objs, err := sim.InventoryAt(nodes[0], nodes[3], 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 || len(objs) != 2 {
-		t.Fatalf("inventory = %d %v", count, objs)
-	}
-	dep, dwell, err := sim.DwellStatsAt(nodes[0], nodes[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep != 1 {
-		t.Fatalf("departures = %d", dep)
-	}
-	if dwell < 19*time.Minute || dwell > 21*time.Minute {
-		t.Fatalf("dwell = %v", dwell)
-	}
-	if _, _, err := sim.InventoryAt("nowhere", nodes[3], 0); err == nil {
-		t.Error("unknown asker accepted")
-	}
-}
-
 func TestSimulationShrink(t *testing.T) {
 	sim, err := NewSimulation(SimOptions{Nodes: 32, Seed: 8})
 	if err != nil {

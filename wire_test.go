@@ -19,7 +19,7 @@ func TestOnlyKademliaTravelsByGob(t *testing.T) {
 	if !reflect.DeepEqual(carried, want) {
 		t.Errorf("registered types without a layout = %v, want %v", carried, want)
 	}
-	if len(laidOut) != 53 {
-		t.Errorf("%d types have a layout, want 53 (chord 10, core 39, gossip 4): %v", len(laidOut), laidOut)
+	if len(laidOut) != 49 {
+		t.Errorf("%d types have a layout, want 49 (chord 10, core 35, gossip 4): %v", len(laidOut), laidOut)
 	}
 }
