@@ -9,6 +9,7 @@ package peertrack
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -300,4 +301,38 @@ func BenchmarkChurn(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkFleetSettle is the live fleet's set-up: sixteen TCP nodes
+// with default options join one bootstrap. settle_ms runs from the
+// first join to both ring walks closing; rounds_to_close is the most
+// stabilize rounds any node had run by then, chord_msgs_per_join the
+// chord calls the whole fleet had sent, per joiner (EXPERIMENTS, "Ring
+// convergence").
+func BenchmarkFleetSettle(b *testing.B) {
+	var settle time.Duration
+	var rounds, msgs uint64
+	for i := 0; i < b.N; i++ {
+		nodes := startFleet(b, 16, NodeOptions{NetworkSize: 16})
+		took, walk := joinAndSettle(b, nodes, 30*time.Second)
+		settle += took
+		var most uint64
+		for _, n := range nodes {
+			most = max(most, stabilizeRounds(n))
+			for _, c := range n.tel.Snapshot().Counters {
+				if strings.HasPrefix(c.Name, "transport.call.type.chord.") {
+					msgs += uint64(c.Value)
+				}
+			}
+		}
+		rounds += most
+		b.Logf("closed in %v after %d rounds; successor walk %v", took, most, walk)
+		for _, n := range nodes {
+			n.Close() // before the next fleet starts; the cleanup's second Close is a no-op
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(settle.Milliseconds())/n, "settle_ms")
+	b.ReportMetric(float64(rounds)/n, "rounds_to_close")
+	b.ReportMetric(float64(msgs)/n/15, "chord_msgs_per_join")
 }

@@ -278,7 +278,9 @@ func (r *run) resilientScenario(withPause bool) {
 				r.failf("resume: %v", err)
 			}
 		}
-		time.Sleep(2 * time.Second) // let the resumed node settle before the invariant scrape
+		if err := r.converge(fleet, 10*time.Second); err != nil { // before the invariant scrape
+			r.failf("after resume: %v", err)
+		}
 	}
 
 	// ---- accounting invariants on every live node ----

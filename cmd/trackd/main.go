@@ -65,7 +65,7 @@ func main() {
 	gossipEvery := flag.Duration("gossip-every", time.Second, "membership gossip round cadence (negative disables the agent)")
 	replicaSyncEvery := flag.Duration("replica-sync-every", 10*time.Second, "replica anti-entropy cadence (active when -replicas > 1)")
 	window := flag.Duration("window", time.Second, "capture-window flush interval T_interval")
-	stabilizeEvery := flag.Duration("stabilize-every", 2*time.Second, "overlay stabilization cadence")
+	stabilizeEvery := flag.Duration("stabilize-every", 2*time.Second, "overlay stabilization cadence of a quiet ring; a new neighbour pulls the next rounds in")
 	flag.Parse()
 
 	opts := peertrack.NodeOptions{

@@ -1,0 +1,174 @@
+package peertrack
+
+import (
+	"fmt"
+	"testing"
+	"time"
+)
+
+// startFleet starts n in-process TCP nodes on ephemeral loopback ports;
+// the test's cleanup closes them.
+func startFleet(tb testing.TB, n int, opts NodeOptions) []*Node {
+	tb.Helper()
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		node, err := StartNode("127.0.0.1:0", opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { node.Close() })
+		nodes[i] = node
+	}
+	return nodes
+}
+
+// ringWalk follows next from nodes[0] and reports how many distinct
+// members it visits before it revisits one or leaves the fleet, and
+// whether it came back to its start having visited all of them.
+func ringWalk(nodes []*Node, next func(*Node) string) (visited int, closed bool) {
+	byAddr := make(map[string]*Node, len(nodes))
+	for _, n := range nodes {
+		byAddr[n.Addr()] = n
+	}
+	seen := map[*Node]bool{}
+	cur := nodes[0]
+	for cur != nil && !seen[cur] {
+		seen[cur] = true
+		cur = byAddr[next(cur)]
+	}
+	return len(seen), cur == nodes[0] && len(seen) == len(nodes)
+}
+
+func succOf(n *Node) string { s, _, _ := n.RingInfo(); return s }
+func predOf(n *Node) string { _, p, _ := n.RingInfo(); return p }
+
+// joinAndSettle joins every node through the first and polls until the
+// successor walk and the predecessor walk both close over the whole
+// fleet. It returns how long that took from the first join, and each
+// length the successor walk passed through on the way with its time.
+func joinAndSettle(tb testing.TB, nodes []*Node, timeout time.Duration) (settled time.Duration, walk []string) {
+	tb.Helper()
+	start := time.Now()
+	for _, n := range nodes[1:] {
+		if err := n.Join(nodes[0].Addr()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	last := 0
+	for {
+		sv, sok := ringWalk(nodes, succOf)
+		pv, pok := ringWalk(nodes, predOf)
+		if sv != last {
+			last = sv
+			walk = append(walk, fmt.Sprintf("%d@%dms", sv, time.Since(start).Milliseconds()))
+		}
+		if sok && pok {
+			return time.Since(start), walk
+		}
+		if time.Since(start) > timeout {
+			tb.Fatalf("ring of %d not closed after %v: successor walk visits %d, predecessor walk %d", len(nodes), timeout, sv, pv)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func stabilizeRounds(n *Node) uint64 { return n.tel.Counter("chord.stabilize.rounds").Value() }
+
+// TestFleetSettlesAtDefaultCadence is the live half of core's
+// TestJoinBurstConverges: sixteen TCP nodes with default options, where
+// the ring-change signal comes from handler goroutines and reaches the
+// kernel through the pacer's wake. The ring must close well inside one
+// 2 s cadence (on the timer alone it took two to three), and once the
+// catch-up chains have run out, three cadences cost three rounds.
+func TestFleetSettlesAtDefaultCadence(t *testing.T) {
+	begin := time.Now()
+	nodes := startFleet(t, 16, NodeOptions{NetworkSize: 16})
+	// Every node's rows fire at its own start + 2k s, so all of a round's
+	// firings fall in a band this wide after begin + 2k s.
+	band := time.Since(begin)
+	if band > 500*time.Millisecond {
+		t.Fatalf("starting the fleet took %v: too slow a machine to tell a 2 s cadence from its neighbours", band)
+	}
+	settled, walk := joinAndSettle(t, nodes, 10*time.Second)
+	t.Logf("fleet started in %v, ring closed %v after the first join; successor walk %v", band, settled, walk)
+	if settled > 2*time.Second {
+		t.Errorf("ring closed after %v, want < 2s", settled)
+	}
+
+	// The last pointer moved before the ring closed, so every chain has
+	// ended 2 s after that. Sample half-way between two bands of row
+	// firings, where no round is due for most of a second either side.
+	quietFrom := begin.Add(5*time.Second + band/2)
+	if chainsEnd := begin.Add(band + settled + 2*time.Second); chainsEnd.After(quietFrom) {
+		quietFrom = quietFrom.Add(2 * time.Second)
+	}
+	time.Sleep(time.Until(quietFrom))
+	before := make([]uint64, len(nodes))
+	for i, n := range nodes {
+		before[i] = stabilizeRounds(n)
+		if before[i] < 3 {
+			t.Errorf("node %d had run %d stabilize rounds when the quiet began, want ≥ 3", i, before[i])
+		}
+	}
+	time.Sleep(time.Until(quietFrom.Add(6 * time.Second)))
+	for i, n := range nodes {
+		if got := stabilizeRounds(n) - before[i]; got != 3 {
+			t.Errorf("node %d ran %d stabilize rounds in 6 quiet seconds, want 3", i, got)
+		}
+	}
+}
+
+// TestDeadNeighbourIsNotProbedFaster kills one node of a settled fleet.
+// Dropping it is the rows' work and starts no chain; closing the ring
+// around it splices its predecessor in behind its successor, which may
+// run the chain's six extra rounds, against live nodes. Until the
+// verdict lands, gossip samples keep putting the dead node back at its
+// predecessor's head, one extra round each. Nobody else runs any, and
+// the dead node is retried no more often than on the timer alone.
+func TestDeadNeighbourIsNotProbedFaster(t *testing.T) {
+	const (
+		every   = 400 * time.Millisecond
+		periods = 10
+	)
+	nodes := startFleet(t, 6, NodeOptions{NetworkSize: 6, StabilizeEvery: every})
+	joinAndSettle(t, nodes, 10*time.Second)
+	time.Sleep(every + every/2) // the chains run out; everyone is on the row alone
+
+	victim := nodes[3]
+	vSucc, vPred := succOf(victim), predOf(victim)
+	var survivors []*Node
+	for _, n := range nodes {
+		if n != victim {
+			survivors = append(survivors, n)
+		}
+	}
+	rounds := make([]uint64, len(survivors))
+	retries := make([]uint64, len(survivors))
+	for i, n := range survivors {
+		rounds[i] = stabilizeRounds(n)
+		retries[i] = n.tel.Counter("transport.resilient.retries").Value()
+	}
+	crash(victim)
+	time.Sleep(periods * every)
+
+	for i, n := range survivors {
+		extra := int(stabilizeRounds(n)-rounds[i]) - periods
+		retried := n.tel.Counter("transport.resilient.retries").Value() - retries[i]
+		neighbour := n.Addr() == vSucc || n.Addr() == vPred
+		t.Logf("%s neighbour=%v: %d rounds beyond the row's %d, %d retries", n.Addr(), neighbour, extra, periods, retried)
+		allowed := 1 // a row firing on the window's edge
+		if neighbour {
+			allowed += 6
+		}
+		if extra > allowed {
+			t.Errorf("%s (neighbour: %v) ran %d rounds beyond the row's %d in %d cadences, want ≤ %d", n.Addr(), neighbour, extra, periods, periods, allowed)
+		}
+		// Three attempts a call and a breaker that opens on the fifth
+		// failure in a row, for 3 s: a survivor retries the dead node
+		// three times, whoever asks and however often. Measured 0–3 a
+		// node on the timer alone and 0–3 with the chain.
+		if retried > 4 {
+			t.Errorf("%s retried %d calls in %v after the crash, want ≤ 4", n.Addr(), retried, periods*every)
+		}
+	}
+}

@@ -315,30 +315,99 @@ func TestCrashRecoveryViaStabilization(t *testing.T) {
 	}
 }
 
-type recordingObserver struct {
-	changes []NodeRef
-}
-
-func (r *recordingObserver) PredecessorChanged(old, new NodeRef) {
-	r.changes = append(r.changes, new)
-}
-
-func TestObserverFiresOnPredecessorChange(t *testing.T) {
+// TestRingChangeFires walks the hook through every place a ring pointer
+// can move, and checks that rounds which move nothing leave it silent.
+func TestRingChangeFires(t *testing.T) {
 	net := transport.NewMemory(1)
-	a, _ := New(net, "a", Config{})
-	obs := &recordingObserver{}
-	a.SetObserver(obs)
-	b, _ := New(net, "b", Config{})
-	if err := b.Join(a.Self()); err != nil {
+	fired := map[transport.Addr]int{}
+	mk := func(addr transport.Addr) *Node {
+		n, err := New(net, addr, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.OnRingChange(func() { fired[addr]++ })
+		return n
+	}
+	// expect runs step and requires the hook to have fired on exactly the
+	// nodes named (any number of times).
+	expect := func(what string, step func(), on ...transport.Addr) {
+		t.Helper()
+		for k := range fired {
+			delete(fired, k)
+		}
+		step()
+		want := map[transport.Addr]bool{}
+		for _, a := range on {
+			want[a] = true
+			if fired[a] == 0 {
+				t.Errorf("%s: no signal on %s", what, a)
+			}
+		}
+		for a := range fired {
+			if !want[a] {
+				t.Errorf("%s: unexpected signal on %s", what, a)
+			}
+		}
+	}
+
+	a, b := mk("a"), mk("b")
+	expect("join: the joiner's successor, the bootstrap's predecessor (notify)", func() {
+		if err := b.Join(a.Self()); err != nil {
+			t.Fatal(err)
+		}
+	}, "a", "b")
+	expect("stabilize: a adopts its predecessor as successor", func() { a.Stabilize() }, "a", "b")
+	expect("converged rounds", func() {
+		all := []*Node{a, b}
+		StabilizeAll(all, 4)
+		for _, n := range all {
+			n.CheckPredecessor()
+			n.FixFingers()
+		}
+	})
+
+	c := mk("c")
+	if err := c.Join(a.Self()); err != nil {
 		t.Fatal(err)
 	}
-	StabilizeAll([]*Node{a, b}, 4)
-	if len(obs.changes) == 0 {
-		t.Fatal("observer never fired")
+	ring := []*Node{a, b, c}
+	StabilizeAll(ring, 6)
+	if !Converged(ring) {
+		t.Fatal("three-node ring did not converge")
 	}
-	if last := obs.changes[len(obs.changes)-1]; !last.Equal(b.Self()) {
-		t.Errorf("final predecessor = %s, want b", last.Addr)
+	SortByID(ring)
+	pred, leaver, succ := ring[0], ring[1], ring[2]
+	expect("repair: a sample behind the head", func() { pred.RepairFromSamples([]NodeRef{succ.Self()}, nil) })
+	expect("leave: both neighbours relink", func() { leaver.Leave() }, pred.Addr(), succ.Addr())
+
+	// Dropping a dead neighbour is repair, not a ring change.
+	d := mk("d")
+	if err := d.Join(pred.Self()); err != nil {
+		t.Fatal(err)
 	}
+	ring = []*Node{pred, succ, d}
+	StabilizeAll(ring, 6)
+	if !Converged(ring) {
+		t.Fatal("three-node ring did not converge again")
+	}
+	dead := pred.Successor()
+	net.Kill(dead.Addr)
+	expect("stabilize fails over past a dead head", func() { pred.Stabilize() })
+	if pred.Successor().Equal(dead) {
+		t.Fatal("stabilize kept the dead head")
+	}
+	survivor := pred.Successor()
+	for _, n := range ring {
+		if n.Self().Equal(survivor) {
+			expect("check-predecessor clears a dead one", func() { n.CheckPredecessor() })
+			if !n.Predecessor().IsZero() {
+				t.Fatal("dead predecessor not cleared")
+			}
+		}
+	}
+	expect("repair: an unvalidated sample retakes the head", func() {
+		pred.RepairFromSamples([]NodeRef{dead}, nil)
+	}, pred.Addr())
 }
 
 func TestPingDeadNode(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"peertrack/internal/ids"
 	"peertrack/internal/transport"
@@ -38,15 +39,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Observer receives ownership-change callbacks so an application layer
-// (the DHT store) can migrate keys. Callbacks run with the node lock
-// released but may be invoked from RPC handler goroutines.
-type Observer interface {
-	// PredecessorChanged fires when the predecessor moves from old to
-	// new. Keys in (old, new] no longer belong to this node.
-	PredecessorChanged(old, new NodeRef)
-}
-
 // Node is one Chord participant.
 type Node struct {
 	self NodeRef
@@ -58,9 +50,12 @@ type Node struct {
 	successors []NodeRef // successors[0] is the immediate successor
 	fingers    fingerTable
 	nextFinger int
-	observer   Observer
+	ringHook   func() // see OnRingChange
 	appHandler transport.Handler
 	left       bool
+
+	ringChanges  atomic.Uint64 // see RingChanges
+	failedOverAt atomic.Uint64 // ringChanges+1 at the last fail-over; see Repairing
 
 	// tel is set once at wiring time (before traffic) and read without
 	// the lock on lookup/stabilize paths.
@@ -119,12 +114,38 @@ func (n *Node) HandleRPC(from transport.Addr, req any) (any, error) {
 	return n.handleRPC(from, req)
 }
 
-// SetObserver installs the ownership-change observer. Must be called
-// before the node joins a ring.
-func (n *Node) SetObserver(o Observer) {
+// OnRingChange installs fn, called each time a live node is spliced in
+// as immediate successor or predecessor, the two pointers that close the
+// ring: by a join, a stabilize round adopting the successor's
+// predecessor, a notify, a neighbour's leave, a gossip sample. Dropping
+// a dead neighbour (a round failing over, CheckPredecessor clearing) is
+// repair and fires nothing, nor does WireStaticRing. fn runs with the
+// node lock released, possibly on an RPC handler goroutine, and must not
+// block; core.Maintained.Install uses it to pull stabilize rounds in.
+func (n *Node) OnRingChange(fn func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.observer = o
+	n.ringHook = fn
+}
+
+// RingChanges counts the events OnRingChange describes.
+func (n *Node) RingChanges() uint64 { return n.ringChanges.Load() }
+
+// Repairing reports whether a stabilize round has met a dead successor
+// (failed over past the head, or found nobody alive) since the last
+// ring change.
+func (n *Node) Repairing() bool { return n.failedOverAt.Load() == n.ringChanges.Load()+1 }
+
+// ringChanged counts a ring change and fires the hook. Callers have
+// released n.mu.
+func (n *Node) ringChanged() {
+	n.ringChanges.Add(1)
+	n.mu.RLock()
+	hook := n.ringHook
+	n.mu.RUnlock()
+	if hook != nil {
+		hook()
+	}
 }
 
 // Self returns this node's reference.
@@ -276,34 +297,28 @@ func (n *Node) notify(cand NodeRef) {
 	n.mu.Lock()
 	old := n.pred
 	accept := old.IsZero() || ids.Between(cand.ID, old.ID, n.self.ID)
-	var obs Observer
 	if accept {
 		n.pred = cand
-		obs = n.observer
 	}
 	n.mu.Unlock()
-	if accept && obs != nil && !old.Equal(cand) {
-		obs.PredecessorChanged(old, cand)
+	if accept && !old.Equal(cand) {
+		n.ringChanged()
 	}
 }
 
 // handleLeave relinks around a voluntarily departing neighbour.
 func (n *Node) handleLeave(r leaveReq) {
 	n.mu.Lock()
-	var obs Observer
-	var oldPred NodeRef
-	predChanged := false
-	if !r.Pred.IsZero() && !n.pred.IsZero() && n.pred.Equal(r.Leaver) {
+	predChanged := !r.Pred.IsZero() && !n.pred.IsZero() && n.pred.Equal(r.Leaver)
+	if predChanged {
 		// Our predecessor left; adopt its predecessor.
-		oldPred = n.pred
 		n.pred = r.Pred
 		if r.Pred.Equal(n.self) {
 			n.pred = NodeRef{}
 		}
-		obs = n.observer
-		predChanged = true
 	}
-	if len(r.Successors) > 0 && n.successors[0].Equal(r.Leaver) {
+	succChanged := len(r.Successors) > 0 && n.successors[0].Equal(r.Leaver)
+	if succChanged {
 		// Our successor left; adopt its successor list.
 		succs := make([]NodeRef, 0, n.cfg.SuccessorListLen)
 		for _, s := range r.Successors {
@@ -319,8 +334,8 @@ func (n *Node) handleLeave(r leaveReq) {
 		n.fingers.purge(r.Leaver)
 	}
 	n.mu.Unlock()
-	if predChanged && obs != nil {
-		obs.PredecessorChanged(oldPred, r.Pred)
+	if predChanged || succChanged {
+		n.ringChanged()
 	}
 }
 

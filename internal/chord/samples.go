@@ -30,8 +30,14 @@ import (
 // list keeps winning — its entries sit closer in ring distance than any
 // live sample, so they would refill the r slots forever.
 func (n *Node) RepairFromSamples(samples []NodeRef, dead func(transport.Addr) bool) int {
+	headMoved := false
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer func() {
+		n.mu.Unlock()
+		if headMoved {
+			n.ringChanged()
+		}
+	}()
 	if n.left || len(samples) == 0 {
 		return 0
 	}
@@ -90,6 +96,7 @@ func (n *Node) RepairFromSamples(samples []NodeRef, dead func(transport.Addr) bo
 			inserted++
 		}
 	}
+	headMoved = !n.successors[0].Equal(newList[0])
 	n.successors = newList
 	n.fingers.set(0, newList[0])
 	if inserted > 0 {

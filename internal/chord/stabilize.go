@@ -9,7 +9,8 @@ import (
 // Join enters the ring that bootstrap belongs to. The node finds its
 // successor through bootstrap and relies on subsequent Stabilize rounds
 // to converge predecessor and finger state, exactly as in the Chord
-// paper.
+// paper. It runs the first of those rounds itself and returns its error:
+// a successor that cannot be reached is a join to try again.
 func (n *Node) Join(bootstrap NodeRef) error {
 	if bootstrap.Equal(n.self) {
 		return fmt.Errorf("chord: cannot join through self")
@@ -47,9 +48,12 @@ func (n *Node) Join(bootstrap NodeRef) error {
 	n.pred = NodeRef{}
 	n.successors = []NodeRef{succ}
 	n.mu.Unlock()
+	n.ringChanged()
 	// Announce ourselves immediately so lookups can find us without
 	// waiting a full stabilization period.
-	n.Stabilize()
+	if err := n.Stabilize(); err != nil {
+		return fmt.Errorf("chord: join: announce to %s: %w", succ.Addr, err)
+	}
 	return nil
 }
 
@@ -89,6 +93,9 @@ func (n *Node) Stabilize() error {
 			break
 		}
 	}
+	if !found || !live.Equal(succs[0]) {
+		n.failedOverAt.Store(n.ringChanges.Load() + 1)
+	}
 	if !found {
 		return fmt.Errorf("chord: no live successor among %d candidates", len(succs))
 	}
@@ -126,9 +133,14 @@ func (n *Node) Stabilize() error {
 	}
 
 	n.mu.Lock()
+	// A new head past dead candidates is a repair, not a ring change.
+	spliced := live.Equal(succs[0]) && !n.successors[0].Equal(succ)
 	n.successors = newList
 	n.fingers.set(0, succ) // finger[0] is by definition the successor
 	n.mu.Unlock()
+	if spliced {
+		n.ringChanged()
+	}
 
 	if !succ.Equal(n.self) {
 		n.call(succ, notifyReq{Candidate: n.self}) // best effort

@@ -34,6 +34,13 @@ const (
 	// failure detector has this many sync intervals to land the verdict
 	// that exempts its replicas, before the stopped probes condemn them.
 	replicaGCEvery = 4
+	// catchUpFirst, catchUpBackoff: a ring change is followed by a catch-up
+	// round Stabilize/catchUpFirst later; each round that sees no further
+	// change multiplies the gap by catchUpBackoff, and the chain ends when
+	// the gap would reach the row's own cadence: log2(64) = 6 extra rounds
+	// after the last change, none on a quiet ring.
+	catchUpFirst   = 64
+	catchUpBackoff = 2
 )
 
 // Maintained is one participant as the table sees it. Gossip is nil
@@ -84,22 +91,94 @@ func installMaintenance(k *sim.Kernel, table []maintenanceRow, c Cadences, until
 }
 
 // Install schedules the table for this one participant on k. A live
-// node passes sim.Forever and pumps k by the wall clock.
-func (m Maintained) Install(k *sim.Kernel, c Cadences, until sim.Time) {
+// node passes sim.Forever and pumps k by the wall clock. Whoever installs
+// the table calls the returned function, on the goroutine that steps k,
+// each time m.Chord reports a ring change (chord.Node.OnRingChange): it
+// starts the catch-up chain.
+func (m Maintained) Install(k *sim.Kernel, c Cadences, until sim.Time) (ringChanged func()) {
 	installMaintenance(k, maintenanceTable, c, until, func(visit func(Maintained)) { visit(m) })
+	return (&catchUp{k: k, m: m, every: c.Stabilize, until: until}).ringChanged
 }
 
 // StartMaintenance schedules the table for every peer of the network
 // until the given horizon (so Run still drains). It includes the window
 // flush: use it instead of StartWindows, not beside it. Reconcile and
 // SyncReplicas remain the stop-the-world barrier invariant checks use.
+// Peers that Grow adds later run the rows without a catch-up chain: Grow
+// wires them converged.
 func (nw *Network) StartMaintenance(c Cadences, until time.Duration) {
 	installMaintenance(nw.Kernel, maintenanceTable, c, until, func(visit func(Maintained)) {
 		for _, p := range nw.peers {
-			cn, _ := p.node.(*chord.Node)
-			visit(Maintained{Chord: cn, Gossip: p.gossip, Peer: p, SizePinned: true})
+			visit(nw.maintained(p))
 		}
 	})
+	for _, p := range nw.peers {
+		if m := nw.maintained(p); m.Chord != nil {
+			m.Chord.OnRingChange((&catchUp{k: nw.Kernel, m: m, every: c.Stabilize, until: until}).ringChanged)
+		}
+	}
+}
+
+// maintained is p as the table sees it now.
+func (nw *Network) maintained(p *Peer) Maintained {
+	cn, _ := p.node.(*chord.Node)
+	return Maintained{Chord: cn, Gossip: p.gossip, Peer: p, SizePinned: true}
+}
+
+// catchUp is one participant's catch-up chain: one-shot rounds of the
+// stabilize row's trio on the row's kernel, started by a ring change and
+// spaced as catchUpFirst describes. A join burst through one bootstrap
+// closes one splice per round, so those are the rounds not worth a full
+// cadence's wait; the row itself is untouched, and a ring whose pointers
+// do not move keeps exactly the table's schedule.
+type catchUp struct {
+	k       *sim.Kernel
+	m       Maintained
+	every   time.Duration // the stabilize row's cadence
+	until   sim.Time
+	gap     time.Duration // before the pending round; 0 when none is pending
+	changes uint64        // m.Chord.RingChanges() when that round was scheduled
+}
+
+// ringChanged starts the chain unless a round is already pending; that
+// round will see the change for itself.
+func (c *catchUp) ringChanged() {
+	if c.gap == 0 && c.every > 0 && !c.m.Chord.Repairing() {
+		c.changes = c.m.Chord.RingChanges()
+		c.schedule(c.every/catchUpFirst, 0)
+	}
+}
+
+// round runs the trio once and decides the next gap. The chain neither
+// starts nor goes on once stabilization, in one of its rounds or the
+// row's, has met a dead successor: the failure detector and the row own
+// a dead neighbour, which must not be probed at the chain's pace.
+func (c *catchUp) round() {
+	start := c.m.Peer.clock()
+	c.m.stabilize()
+	took := c.m.Peer.clock() - start
+	gap, changes := c.gap*catchUpBackoff, c.m.Chord.RingChanges()
+	if changes != c.changes {
+		gap = c.every / catchUpFirst
+	}
+	c.changes, c.gap = changes, 0
+	if !c.m.Chord.Repairing() {
+		c.schedule(gap, took)
+	}
+}
+
+// schedule arms the next round gap after the end of the last, which took
+// took: nothing on a simulated kernel; on a live node's, wall time, which
+// floors the gap so that a cadence shorter than a round cannot spin.
+func (c *catchUp) schedule(gap, took time.Duration) {
+	if gap < took {
+		gap = took
+	}
+	if gap >= c.every || took+gap > c.until-c.k.Now() {
+		return
+	}
+	c.gap = gap
+	c.k.Schedule(took+gap, c.round)
 }
 
 // OverlayRound runs the overlay rows once, in table order: one round as

@@ -8,6 +8,9 @@ import (
 	"peertrack/internal/chord"
 	"peertrack/internal/gossip"
 	"peertrack/internal/moods"
+	"peertrack/internal/sim"
+	"peertrack/internal/telemetry"
+	"peertrack/internal/transport"
 )
 
 // nodeDefaults are peertrack.NodeOptions' default cadences.
@@ -155,5 +158,176 @@ func TestStartMaintenanceRunsTheTableOnEveryPeer(t *testing.T) {
 		if want := nw.Oracle.FullTrace(obj); !res.Path.Equal(want) {
 			t.Errorf("trace %s = %v, want %v", obj, res.Path.Nodes(), want.Nodes())
 		}
+	}
+}
+
+// burst is what joinBurst built.
+type burst struct {
+	k     *sim.Kernel
+	mem   *transport.Memory
+	nodes []*chord.Node
+	regs  []*telemetry.Registry // one per node, as on a live fleet
+}
+
+func (b burst) rounds(i int) uint64 { return b.regs[i].Counter("chord.stabilize.rounds").Value() }
+
+// joinBurst puts n chord+peer participants on one kernel and one memory
+// transport, each under the table at node defaults until the horizon,
+// and joins all but the first through the first at t=0.
+func joinBurst(t *testing.T, n int, until sim.Time) burst {
+	t.Helper()
+	b := burst{k: sim.New(1), mem: transport.NewMemory(2)}
+	for i := 0; i < n; i++ {
+		cn, err := chord.New(b.mem, transport.Addr(NodeNameFor(i)), chord.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.New(b.k.Now)
+		cn.SetTelemetry(reg)
+		p := NewPeer(cn, b.mem, NewPrefixManager(Scheme2, 3, float64(n)), Config{}, b.k.Now)
+		cn.OnRingChange(Maintained{Chord: cn, Peer: p, SizePinned: true}.Install(b.k, nodeDefaults, until))
+		b.nodes, b.regs = append(b.nodes, cn), append(b.regs, reg)
+	}
+	for _, cn := range b.nodes[1:] {
+		if err := cn.Join(b.nodes[0].Self()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// TestJoinBurstConverges pins the catch-up chain on virtual time: a
+// join burst through one bootstrap closes the ring, with three
+// stabilize rounds behind every participant, inside the first second —
+// on the timer alone not before the bootstrap's third round at 6 s —
+// and once the chains have run out a quiet minute costs exactly the
+// table's 30 rounds.
+func TestJoinBurstConverges(t *testing.T) {
+	b := joinBurst(t, 16, sim.Forever)
+	b.k.RunUntil(time.Second)
+	if !chord.Converged(b.nodes) {
+		t.Error("successor and predecessor walks do not close by t=1s")
+	}
+	for i, n := range b.nodes {
+		if r := b.rounds(i); r < 3 {
+			t.Errorf("%s has run %d stabilize rounds by t=1s, want ≥ 3", n.Addr(), r)
+		}
+	}
+
+	// The last pointer moved before 1 s, so every chain (63/64 of a
+	// cadence from its last change to its last round) has ended by 4 s.
+	b.k.RunUntil(4 * time.Second)
+	before := make([]uint64, len(b.nodes))
+	for i := range b.nodes {
+		before[i] = b.rounds(i)
+	}
+	b.k.RunUntil(64 * time.Second)
+	for i, n := range b.nodes {
+		if got := b.rounds(i) - before[i]; got != 30 {
+			t.Errorf("%s ran %d stabilize rounds in a quiet minute, want the row's 30", n.Addr(), got)
+		}
+	}
+}
+
+// TestCatchUpChainShape pins the chain's spacing on a two-node ring:
+// six extra rounds at doubling gaps from Stabilize/64 follow the last
+// ring change, a dead neighbour neither starts the chain nor lets it
+// continue, and nothing is scheduled past the horizon.
+func TestCatchUpChainShape(t *testing.T) {
+	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
+	// stepTo runs the kernel to the deadline and returns the instants at
+	// which count moved.
+	stepTo := func(b burst, deadline time.Duration, count func() uint64) (at []time.Duration) {
+		last := count()
+		for {
+			next, _ := b.k.NextAt()
+			if next > deadline {
+				return at
+			}
+			b.k.Step()
+			if v := count(); v != last {
+				last = v
+				if len(at) == 0 || at[len(at)-1] != b.k.Now() {
+					at = append(at, b.k.Now())
+				}
+			}
+		}
+	}
+
+	b := joinBurst(t, 2, sim.Forever)
+	// The joiner's first catch-up round finds nothing new; by its second
+	// the bootstrap has adopted and notified it, which resets the gap;
+	// the six rounds after that see no change and the 2 s row is alone
+	// again from 4 s on.
+	got := stepTo(b, 9*time.Second, func() uint64 { return b.rounds(1) })
+	want := []time.Duration{ms(31.25), ms(93.75),
+		ms(125), ms(187.5), ms(312.5), ms(562.5), ms(1062.5), 2 * time.Second, ms(2062.5),
+		4 * time.Second, 6 * time.Second, 8 * time.Second}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("joiner stabilized at %v\nwant                  %v", got, want)
+	}
+
+	// The bootstrap dies. The joiner's 10 s row clears its predecessor
+	// and fails to stabilize: dead-neighbour handling, which arms nothing.
+	blocked := func() uint64 { return b.mem.Stats().Snapshot().Blocked }
+	b.mem.Kill(b.nodes[0].Addr())
+	got = stepTo(b, 15*time.Second, blocked)
+	want = []time.Duration{10 * time.Second, 12 * time.Second, 14 * time.Second}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("joiner called its dead neighbour at %v, want %v", got, want)
+	}
+
+	// The bootstrap dies while the joiner's chain is running: the round
+	// that finds no live successor is the chain's last.
+	b = joinBurst(t, 2, sim.Forever)
+	b.mem.Kill(b.nodes[0].Addr())
+	got = stepTo(b, 5*time.Second, blocked)
+	want = []time.Duration{ms(31.25), 2 * time.Second, 4 * time.Second}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("joiner called its dead bootstrap at %v, want %v", got, want)
+	}
+
+	// A gossip sample puts a dead node back at the head of a successor
+	// list (samples are not validated; this repeats every gossip round
+	// until the verdict). That is a ring change and arms the chain; the
+	// round that fails over past the dead head is the chain's last.
+	b = joinBurst(t, 3, sim.Forever)
+	stepTo(b, 9*time.Second, blocked)
+	ring := append([]*chord.Node(nil), b.nodes...)
+	chord.SortByID(ring)
+	x, y := ring[0], ring[1]
+	b.mem.Kill(y.Addr())
+	stepTo(b, 10500*time.Millisecond, blocked) // x's 10 s row fails over to ring[2]
+	b.k.RunUntil(10500 * time.Millisecond)
+	x.RepairFromSamples([]chord.NodeRef{y.Self()}, nil)
+	if !x.Successor().Equal(y.Self()) {
+		t.Fatal("sample repair did not put the dead node back at the head")
+	}
+	xi := 0
+	for i, n := range b.nodes {
+		if n == x {
+			xi = i
+		}
+	}
+	got = stepTo(b, 15*time.Second, func() uint64 { return b.rounds(xi) })
+	want = []time.Duration{ms(10531.25), 12 * time.Second, 14 * time.Second}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("after a dead sample took the head, %s stabilized at %v, want %v", x.Addr(), got, want)
+	}
+	// Every other second the repair row and the stabilize row share an
+	// instant, and it is the row's round that fails over, before the
+	// chain's first: that round is its last all the same.
+	b.k.RunUntil(15 * time.Second)
+	x.RepairFromSamples([]chord.NodeRef{y.Self()}, nil)
+	x.Stabilize()
+	got = stepTo(b, 19*time.Second, func() uint64 { return b.rounds(xi) })
+	want = []time.Duration{ms(15031.25), 16 * time.Second, 18 * time.Second}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("after the row failed over past a dead sample, %s stabilized at %v, want %v", x.Addr(), got, want)
+	}
+
+	b = joinBurst(t, 2, 100*time.Millisecond)
+	if end := b.k.Run(); end != ms(93.75) {
+		t.Errorf("kernel with a 100ms horizon drained at %v, want the chain's last round inside it, 93.75ms", end)
 	}
 }

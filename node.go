@@ -31,17 +31,19 @@ type Node struct {
 	tel    *telemetry.Registry
 	pinned bool // operator pinned the network-size estimate
 
-	mu     sync.Mutex
-	closed bool
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	mu       sync.Mutex
+	closed   bool
+	stopCh   chan struct{}
+	ringWake chan struct{} // handler goroutines tell the pacer of a ring change; cap 1
+	wg       sync.WaitGroup
 }
 
 // NodeOptions configures StartNode. The zero value is usable.
 type NodeOptions struct {
 	// Mode is Individual or Grouped (default Grouped).
 	Mode IndexingMode
-	// StabilizeEvery is the overlay maintenance cadence (default 2s).
+	// StabilizeEvery is the overlay maintenance cadence of a quiet ring
+	// (default 2s); a new ring neighbour pulls the next few rounds in.
 	StabilizeEvery time.Duration
 	// WindowInterval is T_interval for capture windows (default 1s).
 	WindowInterval time.Duration
@@ -238,7 +240,13 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 		agent.SetTelemetry(tel)
 	}
 
-	n := &Node{tr: tr, res: res, chord: cn, peer: peer, gossip: agent, pm: pm, tel: tel, pinned: opts.NetworkSize > 0, stopCh: make(chan struct{})}
+	n := &Node{tr: tr, res: res, chord: cn, peer: peer, gossip: agent, pm: pm, tel: tel, pinned: opts.NetworkSize > 0, stopCh: make(chan struct{}), ringWake: make(chan struct{}, 1)}
+	cn.OnRingChange(func() {
+		select {
+		case n.ringWake <- struct{}{}:
+		default:
+		}
+	})
 	n.wg.Add(1)
 	go n.maintain(opts)
 	return n, nil
@@ -253,7 +261,8 @@ func (n *Node) Addr() string { return string(n.chord.Addr()) }
 // Never nil for a started node.
 func (n *Node) Telemetry() *telemetry.Registry { return n.tel }
 
-// Join enters the network that bootstrap belongs to.
+// Join enters the network that bootstrap belongs to. The first stabilize
+// round is part of it, error included; the next follow within milliseconds.
 func (n *Node) Join(bootstrap string) error {
 	ref := chord.NodeRef{
 		ID:   ids.Hash([]byte(bootstrap)),
@@ -262,7 +271,6 @@ func (n *Node) Join(bootstrap string) error {
 	if err := n.chord.Join(ref); err != nil {
 		return err
 	}
-	n.chord.Stabilize()
 	if n.gossip != nil {
 		n.gossip.SeedView(n.chord.Successors())
 	}
@@ -274,10 +282,12 @@ func (n *Node) Join(bootstrap string) error {
 // schedule lives on the same discrete-event kernel the simulator uses;
 // this goroutine is only its pacer: virtual time t maps to wall time
 // anchor+t, and it sleeps until the earliest event is due, then steps.
+// A ring-pointer change wakes it early, once, to start the table's
+// catch-up rounds; nothing but this goroutine touches the kernel.
 func (n *Node) maintain(opts NodeOptions) {
 	defer n.wg.Done()
 	k := sim.New(gossip.SeedFor(3, n.chord.Addr()))
-	n.maintained().Install(k, core.Cadences{
+	ringChanged := n.maintained().Install(k, core.Cadences{
 		Gossip:      opts.GossipEvery,
 		Stabilize:   opts.StabilizeEvery,
 		Window:      opts.WindowInterval,
@@ -287,16 +297,22 @@ func (n *Node) maintain(opts NodeOptions) {
 	anchor := time.Now()
 	timer := time.NewTimer(0)
 	defer timer.Stop()
-	<-timer.C // Reset below always finds the timer fired and drained
+	<-timer.C // Reset below always finds the timer drained, fired or stopped
 	for {
 		at, _ := k.NextAt()                     // never empty: the table's rows recur forever
 		timer.Reset(time.Until(anchor.Add(at))) // fires at once when overdue
 		select {
 		case <-n.stopCh:
 			return
+		case <-n.ringWake:
+			if !timer.Stop() {
+				<-timer.C
+			}
+			k.RunUntil(time.Since(anchor)) // the catch-up gap counts from now
+			ringChanged()
 		case <-timer.C:
+			k.Step()
 		}
-		k.Step()
 	}
 }
 
