@@ -15,6 +15,7 @@ import (
 
 	"peertrack/internal/core"
 	"peertrack/internal/experiments"
+	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 )
 
@@ -307,11 +308,25 @@ func BenchmarkChurn(b *testing.B) {
 // with default options join one bootstrap. settle_ms runs from the
 // first join to both ring walks closing; rounds_to_close is the most
 // stabilize rounds any node had run by then, chord_msgs_per_join the
-// chord calls the whole fleet had sent, per joiner (EXPERIMENTS, "Ring
-// convergence").
+// chord calls the whole fleet had sent, per joiner. Then the cold path
+// of a first window, as the repository benchmark meets it (three rounds
+// behind every node): each node resolves the 64 gateways of Lp = 6.
+// hop0_lookup_hops is the mean routing hops of one resolution,
+// hop0_calls every call the fleet sent meanwhile, maintenance included
+// (EXPERIMENTS, "Ring convergence").
 func BenchmarkFleetSettle(b *testing.B) {
 	var settle time.Duration
-	var rounds, msgs uint64
+	var rounds, msgs, hops, calls uint64
+	fleetCalls := func(nodes []*Node, prefix string) (sum uint64) {
+		for _, n := range nodes {
+			for _, c := range n.tel.Snapshot().Counters {
+				if strings.HasPrefix(c.Name, prefix) {
+					sum += uint64(c.Value)
+				}
+			}
+		}
+		return sum
+	}
 	for i := 0; i < b.N; i++ {
 		nodes := startFleet(b, 16, NodeOptions{NetworkSize: 16})
 		took, walk := joinAndSettle(b, nodes, 30*time.Second)
@@ -319,14 +334,30 @@ func BenchmarkFleetSettle(b *testing.B) {
 		var most uint64
 		for _, n := range nodes {
 			most = max(most, stabilizeRounds(n))
-			for _, c := range n.tel.Snapshot().Counters {
-				if strings.HasPrefix(c.Name, "transport.call.type.chord.") {
-					msgs += uint64(c.Value)
-				}
-			}
 		}
 		rounds += most
+		msgs += fleetCalls(nodes, "transport.call.type.chord.")
 		b.Logf("closed in %v after %d rounds; successor walk %v", took, most, walk)
+
+		for _, n := range nodes {
+			for stabilizeRounds(n) < 3 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		before, fleetHops, worst := fleetCalls(nodes, "transport.call.type."), 0, 0
+		for _, n := range nodes {
+			for p := 0; p < 64; p++ {
+				res, err := n.chord.Lookup(ids.PrefixOf(ids.ID{byte(p << 2)}, 6).GatewayID())
+				if err != nil {
+					b.Fatal(err)
+				}
+				fleetHops += res.Hops
+				worst = max(worst, res.Hops)
+			}
+		}
+		hops += uint64(fleetHops)
+		calls += fleetCalls(nodes, "transport.call.type.") - before
+		b.Logf("hop 0: %d hops for %d resolutions, at most %d", fleetHops, 64*len(nodes), worst)
 		for _, n := range nodes {
 			n.Close() // before the next fleet starts; the cleanup's second Close is a no-op
 		}
@@ -335,4 +366,6 @@ func BenchmarkFleetSettle(b *testing.B) {
 	b.ReportMetric(float64(settle.Milliseconds())/n, "settle_ms")
 	b.ReportMetric(float64(rounds)/n, "rounds_to_close")
 	b.ReportMetric(float64(msgs)/n/15, "chord_msgs_per_join")
+	b.ReportMetric(float64(hops)/n/(16*64), "hop0_lookup_hops")
+	b.ReportMetric(float64(calls)/n, "hop0_calls")
 }

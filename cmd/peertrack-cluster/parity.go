@@ -65,12 +65,6 @@ func runSimTwin(nodes, replicas int, objects []string, seed int64, span time.Dur
 	if err != nil {
 		return simTwinResult{}, err
 	}
-	// A daemon boots as a one-node network (Lp = L_min) and only then
-	// pins -netsize, so its Lp history spans both levels and the first
-	// sighting of a group probes the shorter ones (fetchIndexReq). Walk
-	// the twin's prefix manager through the same history.
-	nw.PM.SetNetworkSize(1)
-	nw.PM.SetNetworkSize(float64(nodes))
 	nw.EnableGossip(gossip.Config{})
 	obss := make([]moods.Observation, len(objects))
 	for i, obj := range objects {

@@ -118,6 +118,40 @@ func TestFleetSettlesAtDefaultCadence(t *testing.T) {
 	}
 }
 
+// TestPinnedFleetFirstWindowHasNoAscent: a node pinned to a size was
+// never at another Lp, so the first sighting of a group has no shorter
+// prefix to probe (paper §IV: "while there exists gateway node for
+// prefix p′"). A node used to boot at size 1 and pin afterwards, which
+// left L_min in its history for life: 2.8 fetchIndexReq a group.
+func TestPinnedFleetFirstWindowHasNoAscent(t *testing.T) {
+	nodes := startFleet(t, 16, NodeOptions{NetworkSize: 16})
+	joinAndSettle(t, nodes, 10*time.Second)
+	for i, n := range nodes {
+		for j := 0; j < 32; j++ {
+			if err := n.Observe(fmt.Sprintf("urn:first:%d:%d", i, j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var groups, lookupHops, fetches, ascents uint64
+	for _, n := range nodes {
+		if err := n.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		groups += n.tel.Counter("transport.call.type.core.groupArriveReq").Value()
+		lookupHops += n.tel.Counter("transport.call.type.chord.closestPrecedingReq").Value()
+		fetches += n.tel.Counter("transport.call.type.core.fetchIndexReq").Value()
+		ascents += n.tel.Counter("core.triangle.ascent_fetches").Value()
+	}
+	t.Logf("joins, settling and first window: %d groupArriveReq, %d closestPrecedingReq, %d fetchIndexReq", groups, lookupHops, fetches)
+	if groups == 0 || fetches != 0 || ascents != 0 {
+		t.Errorf("first window: %d groupArriveReq, %d fetchIndexReq, %d ascent fetches; want some, 0, 0", groups, fetches, ascents)
+	}
+	if at, _, err := nodes[0].Locate("urn:first:9:9", time.Now()); err != nil || at != nodes[9].Addr() {
+		t.Errorf("locate urn:first:9:9 from node 0 = %q, %v; want %s", at, err, nodes[9].Addr())
+	}
+}
+
 // TestDeadNeighbourIsNotProbedFaster kills one node of a settled fleet.
 // Dropping it is the rows' work and starts no chain; closing the ring
 // around it splices its predecessor in behind its successor, which may

@@ -27,6 +27,39 @@ func staticRing(t testing.TB, n int) (*transport.Memory, []*Node) {
 	return net, nodes
 }
 
+// BuildRing constructs a ring over the given addresses using the real
+// protocol: every node joins through the first in one burst, which the
+// joins' own rounds and two more all round must close, and a pass of
+// FixFingers builds each table. Returns the nodes sorted by identifier.
+func BuildRing(net transport.Network, addrs []transport.Addr, cfg Config) ([]*Node, error) {
+	nodes := make([]*Node, 0, len(addrs))
+	for _, a := range addrs {
+		n, err := New(net, a, cfg)
+		if err != nil {
+			return nil, err
+		}
+		nodes = append(nodes, n)
+	}
+	for _, n := range nodes[1:] {
+		if err := n.Join(nodes[0].Self()); err != nil {
+			return nil, fmt.Errorf("chord: join %s: %w", n.Addr(), err)
+		}
+	}
+	if err := StabilizeAll(nodes, 2); err != nil {
+		return nil, err
+	}
+	if !Converged(nodes) {
+		return nil, fmt.Errorf("chord: ring of %d nodes not closed two rounds after a join burst", len(nodes))
+	}
+	for _, n := range nodes {
+		if err := n.FixAllFingers(); err != nil {
+			return nil, fmt.Errorf("chord: fix fingers %s: %w", n.Addr(), err)
+		}
+	}
+	SortByID(nodes)
+	return nodes, nil
+}
+
 func refsOf(nodes []*Node) []NodeRef {
 	refs := make([]NodeRef, len(nodes))
 	for i, n := range nodes {

@@ -36,38 +36,35 @@ func (t *fingerTable) get(i int) NodeRef {
 	return t.ref[t.runOf(i)]
 }
 
-// set updates finger i, splitting and re-merging runs as needed.
-func (t *fingerTable) set(i int, r NodeRef) {
-	if t.get(i).Equal(r) {
+// set updates finger i.
+func (t *fingerTable) set(i int, r NodeRef) { t.setRange(i, i+1, r) }
+
+// setRange updates fingers [from, to), splitting and re-merging runs as
+// needed.
+func (t *fingerTable) setRange(from, to int, r NodeRef) {
+	if from >= to || (len(t.lo) == 0 && r.IsZero()) {
 		return
 	}
 	if len(t.lo) == 0 {
 		t.lo = append(t.lo, 0)
 		t.ref = append(t.ref, NodeRef{})
 	}
-	j := t.runOf(i)
-	start := int(t.lo[j])
-	end := ids.Bits
-	if j+1 < len(t.lo) {
-		end = int(t.lo[j+1])
+	first, last := t.runOf(from), t.runOf(to-1)
+	if first == last && t.ref[first].Equal(r) {
+		return
 	}
-	old := t.ref[j]
-	// Replace run j with up to three runs covering the same span.
-	var splitLo [3]uint8
-	var splitRef [3]NodeRef
-	k := 0
-	if i > start {
-		splitLo[k], splitRef[k] = uint8(start), old
-		k++
+	// The runs below from stay, the one holding from keeps what it has
+	// below it, and what the last run touched held resumes at to.
+	resume := t.ref[last]
+	if int(t.lo[first]) < from {
+		first++
 	}
-	splitLo[k], splitRef[k] = uint8(i), r
-	k++
-	if i+1 < end {
-		splitLo[k], splitRef[k] = uint8(i+1), old
-		k++
+	lo, ref := append(make([]uint8, 0, 2), uint8(from)), append(make([]NodeRef, 0, 2), r)
+	if to < ids.Bits && (last+1 == len(t.lo) || int(t.lo[last+1]) > to) {
+		lo, ref = append(lo, uint8(to)), append(ref, resume)
 	}
-	t.lo = append(t.lo[:j], append(splitLo[:k:k], t.lo[j+1:]...)...)
-	t.ref = append(t.ref[:j], append(splitRef[:k:k], t.ref[j+1:]...)...)
+	t.lo = append(t.lo[:first], append(lo, t.lo[last+1:]...)...)
+	t.ref = append(t.ref[:first], append(ref, t.ref[last+1:]...)...)
 	t.normalize()
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // TestFingerTableMatchesFlatArray drives the run-length table and a
-// flat reference array through the same randomized set/purge sequence
-// and demands identical reads throughout.
+// flat reference array through the same randomized set/setRange/purge
+// sequence and demands identical reads throughout.
 func TestFingerTableMatchesFlatArray(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	mkRef := func(k int) NodeRef {
@@ -46,10 +46,17 @@ func TestFingerTableMatchesFlatArray(t *testing.T) {
 			}
 			ft.purge(victim)
 		} else {
+			// One finger nine times in ten, else a range (FixFingers).
 			i := rng.Intn(ids.Bits)
+			to := i + 1
+			if rng.Intn(10) == 0 {
+				to = i + rng.Intn(ids.Bits+1-i)
+			}
 			r := mkRef(rng.Intn(13))
-			flat[i] = r
-			ft.set(i, r)
+			for j := i; j < to; j++ {
+				flat[j] = r
+			}
+			ft.setRange(i, to, r)
 		}
 		if step%50 == 0 {
 			check(step)

@@ -8,55 +8,6 @@ import (
 	"peertrack/internal/transport"
 )
 
-// BuildRing constructs a ring over the given addresses using the real
-// protocol: each node joins through the first and the ring is
-// stabilized to convergence with exact finger tables. Returns the nodes
-// sorted by ring identifier.
-func BuildRing(net transport.Network, addrs []transport.Addr, cfg Config) ([]*Node, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("chord: empty ring")
-	}
-	nodes := make([]*Node, 0, len(addrs))
-	for _, a := range addrs {
-		n, err := New(net, a, cfg)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, n)
-	}
-	for i := 1; i < len(nodes); i++ {
-		if err := nodes[i].Join(nodes[0].Self()); err != nil {
-			return nil, fmt.Errorf("chord: join %s: %w", nodes[i].Addr(), err)
-		}
-		// Stabilizing as we go keeps join lookups correct.
-		nodes[i].Stabilize()
-		nodes[0].Stabilize()
-	}
-	// Sequential joins through a single bootstrap can need O(n) rounds
-	// to converge; iterate until the ring is consistent.
-	maxRounds := 3*len(nodes) + 8
-	converged := false
-	for r := 0; r < maxRounds; r += 2 {
-		if err := StabilizeAll(nodes, 2); err != nil {
-			return nil, err
-		}
-		if Converged(nodes) {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		return nil, fmt.Errorf("chord: ring of %d nodes failed to converge after %d rounds", len(nodes), maxRounds)
-	}
-	for _, n := range nodes {
-		if err := n.FixAllFingers(); err != nil {
-			return nil, fmt.Errorf("chord: fix fingers %s: %w", n.Addr(), err)
-		}
-	}
-	SortByID(nodes)
-	return nodes, nil
-}
-
 // BuildStaticRing constructs a fully converged ring by computing every
 // node's predecessor, successor list and finger table directly, without
 // protocol traffic. Experiments use it so that ring construction does

@@ -101,13 +101,20 @@ func (n *Node) Stabilize() error {
 	}
 
 	succ := live
-	// If the successor's predecessor sits between us and it, that node
-	// is our better successor.
-	if p := state.Pred; !p.IsZero() && ids.Between(p.ID, n.self.ID, succ.ID) {
-		if resp, err := n.call(p, getStateReq{}); err == nil {
-			state = resp.(getStateResp)
-			succ = p
+	// While the successor's predecessor sits between us and it, that node
+	// is our better successor. The chain is followed to its end within
+	// the round — a join burst through one bootstrap leaves it n long —
+	// and ends at the first link that does not answer.
+	for step := 0; step < ids.Bits; step++ {
+		p := state.Pred
+		if p.IsZero() || !ids.Between(p.ID, n.self.ID, succ.ID) {
+			break
 		}
+		resp, err := n.call(p, getStateReq{})
+		if err != nil {
+			break
+		}
+		state, succ = resp.(getStateResp), p
 	}
 
 	// Rebuild the successor list: succ followed by its list, trimmed.
@@ -142,6 +149,13 @@ func (n *Node) Stabilize() error {
 		n.ringChanged()
 	}
 
+	// The chain ended on a node behind us: whom our successor had for a
+	// predecessor before we came. A node without one takes it as its first
+	// candidate, so that the next joiner's walk passes through this node
+	// and not around it (CheckPredecessor drops it if it is dead).
+	if p := state.Pred; !p.IsZero() && !ids.Between(p.ID, n.self.ID, succ.ID) && n.Predecessor().IsZero() {
+		n.notify(p)
+	}
 	if !succ.Equal(n.self) {
 		n.call(succ, notifyReq{Candidate: n.self}) // best effort
 	}
@@ -149,27 +163,38 @@ func (n *Node) Stabilize() error {
 	return nil
 }
 
-// FixFingers refreshes one finger table entry per call, cycling through
-// the table as Chord prescribes. It uses local iterative lookup, so each
-// call costs O(log N) RPCs.
+// FixFingers refreshes one distinct finger per call. Every finger whose
+// start lies in (self, successor] is the successor and is set without a
+// lookup; the cycle runs over the rest, and a lookup's answer also fills
+// the fingers above it whose starts it covers, so one pass over the
+// table costs about log2 N calls of O(log N) RPCs each, not ids.Bits.
 func (n *Node) FixFingers() error {
 	n.mu.Lock()
 	if n.left {
 		n.mu.Unlock()
 		return ErrLeft
 	}
-	i := n.nextFinger
-	n.nextFinger = (n.nextFinger + 1) % ids.Bits
+	succ := n.successors[0]
+	i := n.covers(succ)
+	n.fingers.setRange(0, i, succ)
+	if n.nextFinger > i && n.nextFinger < ids.Bits {
+		i = n.nextFinger
+	}
+	n.nextFinger = i + 1
 	n.mu.Unlock()
+	if i == ids.Bits {
+		return nil // the successor is every finger: a ring of one or two
+	}
 
-	start := n.self.ID.AddPow2(i)
-	res, err := n.Lookup(start)
+	res, err := n.Lookup(n.self.ID.AddPow2(i))
 	if err != nil {
 		return err
 	}
 	n.mu.Lock()
 	repaired := !n.fingers.get(i).Equal(res.Node)
-	n.fingers.set(i, res.Node)
+	end := max(i+1, n.covers(res.Node))
+	n.fingers.setRange(i, end, res.Node)
+	n.nextFinger = end
 	n.mu.Unlock()
 	if repaired {
 		n.tel.repairs.Inc()
@@ -177,13 +202,26 @@ func (n *Node) FixFingers() error {
 	return nil
 }
 
-// FixAllFingers refreshes the whole finger table (Bits lookups). Used
-// after joins in tests and experiment setup.
+// covers returns how many finger starts self+2^j lie in (self, r]: the
+// bit length of the clockwise distance to r.
+func (n *Node) covers(r NodeRef) int {
+	return ids.Bits - ids.Distance(n.self.ID, r.ID).LeadingZeros()
+}
+
+// FixAllFingers refreshes the whole finger table: one pass of the
+// FixFingers cycle from its start. Used after joins in tests and
+// experiment setup.
 func (n *Node) FixAllFingers() error {
-	for i := 0; i < ids.Bits; i++ {
+	n.mu.Lock()
+	n.nextFinger = ids.Bits
+	n.mu.Unlock()
+	for done := false; !done; {
 		if err := n.FixFingers(); err != nil {
 			return err
 		}
+		n.mu.RLock()
+		done = n.nextFinger >= ids.Bits
+		n.mu.RUnlock()
 	}
 	return nil
 }

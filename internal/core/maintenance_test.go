@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"peertrack/internal/chord"
 	"peertrack/internal/gossip"
+	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 	"peertrack/internal/sim"
 	"peertrack/internal/telemetry"
@@ -196,36 +198,71 @@ func joinBurst(t *testing.T, n int, until sim.Time) burst {
 	return b
 }
 
-// TestJoinBurstConverges pins the catch-up chain on virtual time: a
-// join burst through one bootstrap closes the ring, with three
-// stabilize rounds behind every participant, inside the first second —
-// on the timer alone not before the bootstrap's third round at 6 s —
-// and once the chains have run out a quiet minute costs exactly the
-// table's 30 rounds.
+// TestJoinBurstConverges pins a join burst on virtual time, at 16 and 64
+// nodes. One bootstrap, every join at t=0: the joins' own stabilize
+// rounds walk the predecessor chain and place each joiner, the first
+// catch-up round at 31 ms closes the ring — on the 2 s timer alone not
+// before the bootstrap's third round at 6 s, and one node per round —
+// and the chain's rounds build the finger tables: by the time the
+// bootstrap has run ⌈log2 n⌉ + 2 rounds a lookup costs under log2 n hops
+// (at the instant of closing a table has had one or two calls of its
+// first pass: 3.9 hops at 16 nodes, 11.9 at 64). Once the chains have run
+// out a quiet minute costs exactly the table's 30 rounds.
 func TestJoinBurstConverges(t *testing.T) {
-	b := joinBurst(t, 16, sim.Forever)
-	b.k.RunUntil(time.Second)
-	if !chord.Converged(b.nodes) {
-		t.Error("successor and predecessor walks do not close by t=1s")
-	}
-	for i, n := range b.nodes {
-		if r := b.rounds(i); r < 3 {
-			t.Errorf("%s has run %d stabilize rounds by t=1s, want ≥ 3", n.Addr(), r)
-		}
-	}
+	for _, n := range []int{16, 64} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			log2n := math.Log2(float64(n))
+			budget := uint64(math.Ceil(log2n)) + 2
+			b := joinBurst(t, n, sim.Forever)
+			for !chord.Converged(b.nodes) {
+				if b.k.Now() > time.Second {
+					t.Fatal("successor and predecessor walks do not close by t=1s")
+				}
+				b.k.Step()
+			}
+			closed := b.k.Now()
+			if r := b.rounds(0); r > budget {
+				t.Errorf("ring closed after %d rounds on the bootstrap, want ≤ ⌈log2 n⌉ + 2 = %d", r, budget)
+			}
+			for b.rounds(0) < budget {
+				b.k.Step()
+			}
+			hops := 0
+			for key := 0; key < 64; key++ {
+				for _, cn := range b.nodes {
+					res, err := cn.Lookup(ids.HashString(fmt.Sprintf("key-%d", key)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					hops += res.Hops
+				}
+			}
+			mean := float64(hops) / float64(64*n)
+			t.Logf("ring closed at %v; %.2f hops a lookup at %v, the bootstrap's round %d", closed, mean, b.k.Now(), budget)
+			if mean > log2n {
+				t.Errorf("a lookup costs %.2f hops after %d rounds, want ≤ log2 n = %.0f", mean, budget, log2n)
+			}
 
-	// The last pointer moved before 1 s, so every chain (63/64 of a
-	// cadence from its last change to its last round) has ended by 4 s.
-	b.k.RunUntil(4 * time.Second)
-	before := make([]uint64, len(b.nodes))
-	for i := range b.nodes {
-		before[i] = b.rounds(i)
-	}
-	b.k.RunUntil(64 * time.Second)
-	for i, n := range b.nodes {
-		if got := b.rounds(i) - before[i]; got != 30 {
-			t.Errorf("%s ran %d stabilize rounds in a quiet minute, want the row's 30", n.Addr(), got)
-		}
+			b.k.RunUntil(time.Second)
+			for i, n := range b.nodes {
+				if r := b.rounds(i); r < 3 {
+					t.Errorf("%s has run %d stabilize rounds by t=1s, want ≥ 3", n.Addr(), r)
+				}
+			}
+			// The last pointer moved before 1 s, so every chain (63/64 of a
+			// cadence from its last change to its last round) has ended by 4 s.
+			b.k.RunUntil(4 * time.Second)
+			before := make([]uint64, len(b.nodes))
+			for i := range b.nodes {
+				before[i] = b.rounds(i)
+			}
+			b.k.RunUntil(64 * time.Second)
+			for i, n := range b.nodes {
+				if got := b.rounds(i) - before[i]; got != 30 {
+					t.Errorf("%s ran %d stabilize rounds in a quiet minute, want the row's 30", n.Addr(), got)
+				}
+			}
+		})
 	}
 }
 

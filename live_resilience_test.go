@@ -32,6 +32,38 @@ func crash(n *Node) {
 	n.tr.Close()
 }
 
+// A joiner seeds its own view from its successors and nobody seeds
+// theirs with it: before Join ran a gossip round of its own, a node that
+// died before its first timer round was in nobody's view, no failure
+// detector could condemn it and IsDead never turned true. The victim's
+// own cadence is an hour, so that round is the only one it ever runs.
+func TestJoinerThatDiesAtOnceIsDeclaredDead(t *testing.T) {
+	opts := NodeOptions{NetworkSize: 4, StabilizeEvery: 50 * time.Millisecond, GossipEvery: 50 * time.Millisecond}
+	nodes := startFleet(t, 3, opts)
+	joinAndSettle(t, nodes, 5*time.Second)
+	opts.GossipEvery = time.Hour
+	victim := startFleet(t, 1, opts)[0]
+	if err := victim.Join(nodes[0].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	crash(victim)
+
+	// Two failed contacts condemn (gossip.Config.SuspicionThreshold); a
+	// survivor that knows the victim picks it one round in three.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, n := range nodes {
+			if n.gossip.IsDead(transport.Addr(victim.Addr())) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no survivor declared dead a joiner that crashed right after Join returned")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // A live ring with replication factor 2 and the resilient RPC layer
 // must survive a hard crash: gossip rounds (driven by the kernel pump,
 // not simulated time) declare the victim dead, chord repair routes
@@ -66,15 +98,13 @@ func TestLiveFailoverWithReplicas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Settled means the ring is closed and the membership views have
-	// mixed: a joiner seeds its own view, the others hear of it by gossip,
-	// and a node nobody has heard of yet cannot be declared dead. (The
-	// ring used to take longer to close than the views to mix.)
+	// Settled means the ring is closed. (Join's own gossip round has put
+	// every joiner in somebody's view: TestJoinerThatDiesAtOnceIsDeclaredDead.)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		converged := true
 		for _, n := range nodes {
-			if n.chord.Predecessor().IsZero() || len(n.gossip.View()) < len(nodes)-1 {
+			if n.chord.Predecessor().IsZero() {
 				converged = false
 			}
 		}

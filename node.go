@@ -211,10 +211,13 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	}
 
 	cn = chord.NewPrebound(netw, addr, ids.Hash([]byte(addr)), chord.Config{})
-	pm := core.NewPrefixManager(core.Scheme2, opts.LMin, 1)
+	// A pinned size is the size from the start: a node that never ran at
+	// L_min has no Lp history to probe (core.PrefixManager.LpRange).
+	size := 1.0
 	if opts.NetworkSize > 0 {
-		pm.SetNetworkSize(opts.NetworkSize)
+		size = opts.NetworkSize
 	}
+	pm := core.NewPrefixManager(core.Scheme2, opts.LMin, size)
 	peer = core.NewPeer(cn, netw, pm, core.Config{
 		Mode:              opts.Mode,
 		NMax:              opts.WindowMaxObjects,
@@ -272,7 +275,10 @@ func (n *Node) Join(bootstrap string) error {
 		return err
 	}
 	if n.gossip != nil {
+		// One exchange now puts this node in somebody's view: a joiner
+		// nobody has heard of cannot be declared dead if it crashes.
 		n.gossip.SeedView(n.chord.Successors())
+		n.gossip.Round()
 	}
 	n.maintained().RefreshSize()
 	return nil
