@@ -19,11 +19,11 @@
 // Figure sweeps fan their independent simulation points across
 // -parallel workers (default GOMAXPROCS); every worker count produces
 // byte-identical rows, so -parallel 1 is only needed to time the
-// sequential runner. -benchcore measures the hot-path microbenchmarks
-// plus per-figure wall clock and writes the BENCH_CORE.json perf
-// snapshot instead of printing tables. -ledgercheck re-measures the XL
-// build stats and exits non-zero if bytes/node or nodes/sec regressed
-// against the committed ledger. -cpuprofile and -memprofile write pprof
+// sequential runner. -benchcore measures what the ledger gates (XL
+// build stats, churn convergence rounds, replication overhead) and
+// writes BENCH_CORE.json instead of printing tables. -ledgercheck
+// re-measures them and exits non-zero on a regression against the
+// committed ledger. -cpuprofile and -memprofile write pprof
 // profiles of whatever run was requested.
 package main
 
@@ -52,8 +52,8 @@ func main() {
 	sizes := flag.String("sizes", "", "override: comma-separated node counts for size sweeps")
 	queries := flag.Int("queries", 0, "override: queries per measurement")
 	parallel := flag.Int("parallel", 0, "sweep workers: 0 = GOMAXPROCS, 1 = sequential")
-	benchcorePath := flag.String("benchcore", "", "write a BENCH_CORE.json hot-path perf snapshot to this file and exit")
-	ledgerPath := flag.String("ledgercheck", "", "re-measure XL build stats and fail on regression vs this BENCH_CORE.json")
+	benchcorePath := flag.String("benchcore", "", "write the BENCH_CORE.json ledger (XL build stats, convergence rounds, replication overhead) to this file and exit")
+	ledgerPath := flag.String("ledgercheck", "", "re-measure the ledger and fail on regression vs this BENCH_CORE.json")
 	byteSlack := flag.Float64("byteslack", 0.10, "ledgercheck: allowed bytes/node regression fraction")
 	speedSlack := flag.Float64("speedslack", 0.10, "ledgercheck: allowed nodes/sec regression fraction (CI uses a generous value: wall-clock varies across machines)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -140,7 +140,7 @@ func main() {
 	}
 
 	if *benchcorePath != "" {
-		if err := benchCore(*benchcorePath, *scaleName, scale); err != nil {
+		if err := benchCore(*benchcorePath); err != nil {
 			fmt.Fprintf(os.Stderr, "benchcore: %v\n", err)
 			os.Exit(1)
 		}

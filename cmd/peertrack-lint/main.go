@@ -1,10 +1,10 @@
 // Command peertrack-lint runs the repo's custom static-analysis suite
-// (internal/analysis), seven passes: the syntax passes detwall, detrand
-// and maporder, and the interprocedural passes hotalloc, lockheld,
-// sendalias and sortedsource.
+// (internal/analysis), six passes: the syntax passes detwall, detrand
+// and maporder, and the interprocedural passes lockheld, sendalias and
+// sortedsource.
 //
 //	peertrack-lint ./...
-//	peertrack-lint -pass hotalloc,lockheld ./internal/...
+//	peertrack-lint -pass lockheld,sendalias ./internal/...
 //
 // Test files are linted too (test variants, as go vet does). Exit
 // status: 0 clean, 2 diagnostics found, 1 operational error.
@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	passSpec := flag.String("pass", "", "comma-separated subset of passes to run (default: all seven)")
+	passSpec := flag.String("pass", "", "comma-separated subset of passes to run (default: all six)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: peertrack-lint [-pass a,b] [packages]\n\nPasses:\n")
 		for _, a := range analysis.All() {

@@ -3,8 +3,9 @@
 // chaos harnesses stake correctness on but the compiler cannot see —
 // no wall-clock or ambient randomness in deterministic packages, no
 // map-iteration-order leaking into emitted output, no reference into a
-// message kept after it crosses the in-memory transport, no allocation
-// on an annotated hot path, no blocking under a store mutex.
+// message kept after it crosses the in-memory transport, no blocking
+// under a store mutex. What a test can observe is left to tests: the
+// allocation-free paths are pinned by testing.AllocsPerRun, not here.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API (Analyzer, Pass, Diagnostic) so the passes could be ported to the
@@ -15,9 +16,8 @@
 // for export data.
 //
 // The three syntax passes (detwall, detrand, maporder) see one function
-// at a time; the four interprocedural ones (hotalloc, lockheld,
-// sendalias, sortedsource) also read the per-function facts of
-// facts.go. Each pass documents its rule at its Analyzer variable.
+// at a time; the three interprocedural ones (lockheld, sendalias,
+// sortedsource) also read the per-function facts of facts.go. Each pass documents its rule at its Analyzer variable.
 //
 // A diagnostic is suppressed by a `//lint:allow <pass> <reason>`
 // comment on the flagged line or the line above it.
@@ -124,7 +124,7 @@ func deterministicOnly(importPath string) bool {
 // All returns the full pass suite in stable order: the syntax passes,
 // then the interprocedural ones.
 func All() []*Analyzer {
-	return []*Analyzer{DetWall, DetRand, MapOrder, HotAlloc, LockHeld, SendAlias, SortedSource}
+	return []*Analyzer{DetWall, DetRand, MapOrder, LockHeld, SendAlias, SortedSource}
 }
 
 // pkgNameOf resolves an identifier to the package it names, or nil if

@@ -10,7 +10,7 @@ import (
 
 // TestCallGraphDiamond drives the fact machinery over the diamond
 // fixture (dtop -> dleft, dright -> dbase): both arms must reach the
-// shared base, cold edges must not contribute to alloc chains, and the
+// shared base, a blocking site must propagate two packages up, and the
 // Ping/Pong cycle must terminate as clean.
 func TestCallGraphDiamond(t *testing.T) {
 	facts := analysistest.LoadFacts(t, analysistest.TestData(), "dtop")
@@ -35,25 +35,11 @@ func TestCallGraphDiamond(t *testing.T) {
 		}
 	}
 
-	// Both arms resolve to the same base allocation.
+	// Both arms resolve to the same base: its fresh return is theirs.
 	for _, arm := range []string{"dleft.Via", "dright.Via"} {
-		chain := facts.AllocChain(arm)
-		if chain == nil {
-			t.Errorf("AllocChain(%s) = nil, want chain reaching dbase.Fresh", arm)
-			continue
+		if !facts.ReturnsFresh(arm) {
+			t.Errorf("ReturnsFresh(%s) = false, want the certificate of dbase.Fresh's make", arm)
 		}
-		last := chain[len(chain)-1]
-		if !strings.Contains(last, "dbase.Fresh") || !strings.Contains(last, "make allocates") {
-			t.Errorf("AllocChain(%s) ends %q, want dbase.Fresh's make", arm, last)
-		}
-	}
-
-	// The cold-guarded arm contributes nothing to steady-state chains.
-	if chain := facts.AllocChain("dright.ColdVia"); chain != nil {
-		t.Errorf("AllocChain(dright.ColdVia) = %v, want nil (allocator only behind a miss-shaped guard)", chain)
-	}
-	if chain := facts.AllocChain("dtop.Steady"); chain != nil {
-		t.Errorf("AllocChain(dtop.Steady) = %v, want nil", chain)
 	}
 
 	// Blocking chains propagate two packages up.
@@ -65,9 +51,6 @@ func TestCallGraphDiamond(t *testing.T) {
 
 	// The clean cycle terminates and reports clean.
 	for _, fn := range []string{"dbase.Ping", "dbase.Pong"} {
-		if chain := facts.AllocChain(fn); chain != nil {
-			t.Errorf("AllocChain(%s) = %v, want nil for the clean cycle", fn, chain)
-		}
 		if chain := facts.BlockChain(fn); chain != nil {
 			t.Errorf("BlockChain(%s) = %v, want nil for the clean cycle", fn, chain)
 		}

@@ -7,15 +7,15 @@ import (
 
 // This file holds the interprocedural layer: per-function facts
 // computed bottom-up over the CHA call graph (see summary.go for the
-// extraction) and the transitive queries hotalloc, lockheld, sendalias
-// and sortedsource ask of them. The store is filled for every package of
+// extraction) and the transitive queries lockheld, sendalias and
+// sortedsource ask of them. The store is filled for every package of
 // the load, on one file set, before any pass runs.
 
-// A Site is one position-annotated effect inside a function body: an
-// allocation or a potentially-blocking operation.
+// A Site is one position-annotated effect inside a function body: a
+// potentially-blocking operation.
 type Site struct {
 	Pos  token.Pos
-	What string // human-readable effect, e.g. "append may grow its backing array"
+	What string // human-readable effect, e.g. "time.Sleep waits on the wall clock"
 }
 
 // A CallEdge is one call-graph edge out of a function. Static edges
@@ -26,11 +26,6 @@ type CallEdge struct {
 	Pos     token.Pos
 	Callee  string
 	Dynamic bool
-	// Cold marks edges inside miss/init-shaped branches (see the cold
-	// rules in summary.go): the callee's allocations are amortized
-	// growth, not steady-state cost, so AllocChain skips cold edges.
-	// Blocking is never excused by coldness.
-	Cold bool
 	// ParamArgs maps callee parameter index -> caller parameter index
 	// for arguments that are bare identifiers of the caller's own
 	// parameters. It is what lets SendsParams taint flow through
@@ -53,11 +48,9 @@ const (
 
 // FuncFact is the bottom-up summary of one function.
 type FuncFact struct {
-	ID      string
-	Hotpath bool   // annotated //lint:hotpath
-	Allocs  []Site // local allocation sites (post //lint:allow)
-	Blocks  []Site // local potentially-blocking sites
-	Calls   []CallEdge
+	ID     string
+	Blocks []Site // local potentially-blocking sites (post //lint:allow)
+	Calls  []CallEdge
 	// Returns holds one lattice value per reference-typed return site.
 	Returns []string
 	// MapReturn marks a function returning a slice built by ranging a
@@ -80,9 +73,8 @@ type FactStore struct {
 	// module-internal concrete methods implementing it.
 	Impls map[string][]string
 
-	allocMemo map[string][]string // nil entry = proven alloc-free
-	blockMemo map[string][]string
-	freshMemo map[string]int8 // 0 unknown/in-progress, 1 fresh, -1 not
+	blockMemo map[string][]string // nil entry = proven non-blocking
+	freshMemo map[string]int8     // 0 unknown/in-progress, 1 fresh, -1 not
 	taintMemo map[string]int8
 	sendsMemo map[string]map[int]bool
 }
@@ -93,7 +85,7 @@ func NewFactStore(fset *token.FileSet) *FactStore {
 }
 
 func (s *FactStore) resetMemos() {
-	s.allocMemo, s.blockMemo, s.freshMemo, s.taintMemo, s.sendsMemo = nil, nil, nil, nil, nil
+	s.blockMemo, s.freshMemo, s.taintMemo, s.sendsMemo = nil, nil, nil, nil
 }
 
 func dedupStrings(in []string) []string {
@@ -157,31 +149,20 @@ func (s *FactStore) callees(e CallEdge) []string {
 	return s.Impls[e.Callee]
 }
 
-// AllocChain reports why id (or anything it transitively calls within
-// the module) may allocate on its main path, as a human-readable call
-// chain ending at the offending site — or nil if it is provably
-// allocation-free under the summary. Cycles are treated as clean while
-// grey (a recursive function's allocations are still found at its own
-// sites).
-func (s *FactStore) AllocChain(id string) []string {
-	if s.allocMemo == nil {
-		s.allocMemo = map[string][]string{}
-	}
-	return s.effectChain(id, s.allocMemo, map[string]bool{}, true, func(f *FuncFact) []Site { return f.Allocs })
-}
-
-// BlockChain is AllocChain for potentially-blocking operations. Unlike
-// allocations, blocking in a cold branch still blocks — cold edges are
-// followed.
+// BlockChain reports why id (or anything it transitively calls within
+// the module) may block, as a human-readable call chain ending at the
+// offending site — or nil if it provably does not under the summary.
+// Cycles are treated as clean while grey (a recursive function's sites
+// are still found at its own body).
 func (s *FactStore) BlockChain(id string) []string {
 	if s.blockMemo == nil {
 		s.blockMemo = map[string][]string{}
 	}
-	return s.effectChain(id, s.blockMemo, map[string]bool{}, false, func(f *FuncFact) []Site { return f.Blocks })
+	return s.blockChain(id, map[string]bool{})
 }
 
-func (s *FactStore) effectChain(id string, memo map[string][]string, grey map[string]bool, skipCold bool, sites func(*FuncFact) []Site) []string {
-	if chain, ok := memo[id]; ok {
+func (s *FactStore) blockChain(id string, grey map[string]bool) []string {
+	if chain, ok := s.blockMemo[id]; ok {
 		return chain
 	}
 	if grey[id] {
@@ -194,30 +175,24 @@ func (s *FactStore) effectChain(id string, memo map[string][]string, grey map[st
 	grey[id] = true
 	defer delete(grey, id)
 	var chain []string
-	if len(sites(f)) > 0 {
-		site := sites(f)[0]
+	if len(f.Blocks) > 0 {
+		site := f.Blocks[0]
 		chain = []string{shortFuncID(id) + ": " + site.What + " at " + s.fset.Position(site.Pos).String()}
 	} else {
+	edges:
 		for _, e := range f.Calls {
-			if skipCold && e.Cold {
-				continue
-			}
 			for _, callee := range s.callees(e) {
 				if !moduleOrTestdata(callee) {
 					continue
 				}
-				sub := s.effectChain(callee, memo, grey, skipCold, sites)
-				if sub != nil {
+				if sub := s.blockChain(callee, grey); sub != nil {
 					chain = append([]string{shortFuncID(id) + " calls " + shortFuncID(callee) + " at " + s.fset.Position(e.Pos).String()}, sub...)
-					break
+					break edges
 				}
-			}
-			if chain != nil {
-				break
 			}
 		}
 	}
-	memo[id] = chain
+	s.blockMemo[id] = chain
 	return chain
 }
 

@@ -9,12 +9,11 @@ import (
 )
 
 // TestLiveTreeClean pins the lint contracts on the real tree: the full
-// seven-pass suite (with allow hygiene) over every module package must
+// six-pass suite (with allow hygiene) over every module package must
 // report nothing. This is the regression guard for the packages the
 // interprocedural passes exist to protect — a transport call slipping
-// under a ctlapi or telemetry mutex, a gossip message aliasing sender
-// state, or an allocation on an annotated hot path turns this red
-// before it turns a benchmark red.
+// under a ctlapi or telemetry mutex or a gossip message aliasing sender
+// state turns this red before it turns a sweep red.
 func TestLiveTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module via go list -export")

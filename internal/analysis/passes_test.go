@@ -30,10 +30,6 @@ func TestMsgFreeze(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.SendAlias, "sendalias/msgfreeze")
 }
 
-func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.HotAlloc, "hotalloc")
-}
-
 func TestLockHeld(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.LockHeld, "lockheld")
 }

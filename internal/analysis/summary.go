@@ -9,26 +9,18 @@ import (
 )
 
 // This file extracts FuncFacts from type-checked source: the per-
-// function summaries (allocation sites, blocking sites, transport
-// sends, call edges, return-alias lattice values, map-order taint) the
-// interprocedural passes consume. Extraction is flow-approximate in
-// the same spirit as the syntax passes: source order within a frame,
-// nested function literals excluded (a closure runs on its own
-// schedule; its body is not this frame's effect), and a guard-aware
-// notion of "cold" branches so the amortized-growth idiom the compact
-// stores are built on (miss path allocates, steady-state path does
-// not) is not reported as a hot-path allocation.
-
-// HotpathMarker annotates a function whose steady-state path must be
-// allocation-free, transitively through everything it calls within the
-// module: `//lint:hotpath` in the doc comment.
-const HotpathMarker = "lint:hotpath"
+// function summaries (blocking sites, transport sends, call edges,
+// return-alias lattice values, map-order taint) the interprocedural
+// passes consume. Extraction is flow-approximate in the same spirit as
+// the syntax passes: source order within a frame, nested function
+// literals excluded (a closure runs on its own schedule; its body is not
+// this frame's effect).
 
 // ComputeFacts summarizes every function declared in lp into store.
-// The package's //lint:allow index suppresses individual alloc/block
-// sites at their source (an allow for hotalloc or lockheld on the
-// flagged line), which is what keeps a triaged callee from re-flagging
-// every hot caller.
+// The package's //lint:allow index suppresses individual blocking sites
+// at their source (an allow for lockheld on the flagged line), which is
+// what keeps a triaged callee from re-flagging every caller that holds a
+// lock.
 func ComputeFacts(fset *token.FileSet, lp *LoadedPackage, store *FactStore) {
 	allow := lp.allowIdx(fset)
 	for _, f := range lp.Files {
@@ -75,21 +67,6 @@ func FuncID(fn *types.Func) string {
 	return pkg + "." + fn.Name()
 }
 
-// hasHotpathMarker reports whether the function's doc comment carries
-// //lint:hotpath.
-func hasHotpathMarker(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == HotpathMarker || strings.HasPrefix(text, HotpathMarker+" ") {
-			return true
-		}
-	}
-	return false
-}
-
 // summarizer walks one function frame.
 type summarizer struct {
 	fset  *token.FileSet
@@ -97,7 +74,6 @@ type summarizer struct {
 	fact  *FuncFact
 
 	aliasEnv
-	fnStart token.Pos
 
 	// map-order taint bookkeeping: locals appended to inside a
 	// range-over-map, and locals later passed to a sort call.
@@ -126,22 +102,12 @@ func summarizeFunc(fset *token.FileSet, lp *LoadedPackage, fd *ast.FuncDecl, fn 
 		fset:        fset,
 		allow:       allow,
 		aliasEnv:    newAliasEnv(lp.Info, fd),
-		fnStart:     fd.Pos(),
 		mapAppended: map[types.Object]bool{},
 		sorted:      map[types.Object]bool{},
-		fact:        &FuncFact{ID: FuncID(fn), Hotpath: hasHotpathMarker(fd)},
+		fact:        &FuncFact{ID: FuncID(fn)},
 	}
-	s.stmts(fd.Body.List, false)
+	s.walk(fd.Body)
 	return s.fact
-}
-
-// addAlloc records one allocation site unless it is suppressed at the
-// source with //lint:allow hotalloc.
-func (s *summarizer) addAlloc(p token.Pos, what string) {
-	if s.allow != nil && s.allow.allows(s.fset.Position(p), HotAlloc.Name) {
-		return
-	}
-	s.fact.Allocs = append(s.fact.Allocs, Site{Pos: p, What: what})
 }
 
 // addBlock records one potentially-blocking site unless suppressed with
@@ -153,168 +119,76 @@ func (s *summarizer) addBlock(p token.Pos, what string) {
 	s.fact.Blocks = append(s.fact.Blocks, Site{Pos: p, What: what})
 }
 
-// --- statement walk with cold tracking ----------------------------------
-
-func (s *summarizer) stmts(list []ast.Stmt, cold bool) {
-	for i := 0; i < len(list); i++ {
-		st := list[i]
-		ifs, ok := st.(*ast.IfStmt)
-		if !ok {
-			s.stmt(st, cold)
-			continue
+// walk classifies every effect under n in source order: calls, the
+// assignments the alias lattice tracks, return sites, appends inside a
+// range over a map. Function literals are skipped, and of a go statement
+// only the arguments, evaluated here, are this frame's.
+func (s *summarizer) walk(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch t := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.GoStmt:
+			for _, a := range t.Call.Args {
+				s.walk(a)
+			}
+			return false
+		case *ast.RangeStmt:
+			s.noteMapAppends(t)
+		case *ast.AssignStmt:
+			for _, e := range t.Rhs {
+				s.walk(e)
+			}
+			for _, e := range t.Lhs {
+				s.walk(e)
+			}
+			s.track(t)
+			return false
+		case *ast.ReturnStmt:
+			for _, e := range t.Results {
+				s.walk(e)
+				s.recordReturn(e)
+			}
+			return false
+		case *ast.CallExpr:
+			s.call(t)
 		}
-		if ifs.Init != nil {
-			s.stmt(ifs.Init, cold)
-		}
-		s.exprs(ifs.Cond, cold)
-		bodyCold := cold
-		if missShaped(s.info, ifs.Cond) {
-			bodyCold = true
-		}
-		s.stmts(ifs.Body.List, bodyCold)
-		if ifs.Else != nil {
-			s.stmt(ifs.Else, cold)
-		}
-		// The early-return-on-hit idiom: everything after
-		// `if ok { return cached }` is the slow path.
-		if hitShaped(s.info, ifs.Cond) && terminates(ifs.Body) {
-			cold = true
-		}
-	}
+		return true
+	})
 }
 
-func (s *summarizer) stmt(st ast.Stmt, cold bool) {
-	switch t := st.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		s.stmts(t.List, cold)
-	case *ast.IfStmt:
-		s.stmts([]ast.Stmt{t}, cold)
-	case *ast.ForStmt:
-		s.stmt(t.Init, cold)
-		s.exprs(t.Cond, cold)
-		s.stmt(t.Post, cold)
-		s.stmts(t.Body.List, cold)
-	case *ast.RangeStmt:
-		s.exprs(t.X, cold)
-		s.rangeBody(t, cold)
-	case *ast.SwitchStmt:
-		s.stmt(t.Init, cold)
-		s.exprs(t.Tag, cold)
-		for _, c := range t.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					s.exprs(e, cold)
-				}
-				s.stmts(cc.Body, cold)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		s.stmt(t.Init, cold)
-		s.stmt(t.Assign, cold)
-		for _, c := range t.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.stmts(cc.Body, cold)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range t.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				s.stmt(cc.Comm, cold)
-				s.stmts(cc.Body, cold)
-			}
-		}
-	case *ast.LabeledStmt:
-		s.stmt(t.Stmt, cold)
-	case *ast.GoStmt:
-		if !cold {
-			s.addAlloc(t.Pos(), "go statement allocates a goroutine")
-		}
-		// The launched call runs on another goroutine: its args are
-		// evaluated here, but the call itself is not this frame's
-		// blocking or allocation effect.
-		for _, a := range t.Call.Args {
-			s.exprs(a, cold)
-		}
-	case *ast.DeferStmt:
-		s.exprs(t.Call, cold)
-	case *ast.ReturnStmt:
-		for _, e := range t.Results {
-			s.exprs(e, cold)
-			s.recordReturn(e)
-		}
-	case *ast.AssignStmt:
-		s.assign(t, cold)
-	case *ast.ExprStmt:
-		s.exprs(t.X, cold)
-	case *ast.IncDecStmt:
-		s.exprs(t.X, cold)
-	case *ast.DeclStmt:
-		if gd, ok := t.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.exprs(v, cold)
-					}
-				}
-			}
-		}
-	case *ast.SendStmt:
-		s.exprs(t.Chan, cold)
-		s.exprs(t.Value, cold)
+// noteMapAppends marks the outer locals a range over a map appends to:
+// the sortedsource taint.
+func (s *summarizer) noteMapAppends(rs *ast.RangeStmt) {
+	t := s.info.TypeOf(rs.X)
+	if t == nil {
+		return
 	}
-}
-
-// rangeBody walks a range statement's body, tracking appends of map
-// elements into outer locals for the sortedsource taint.
-func (s *summarizer) rangeBody(rs *ast.RangeStmt, cold bool) {
-	overMap := false
-	if t := s.info.TypeOf(rs.X); t != nil {
-		_, overMap = t.Underlying().(*types.Map)
+	if _, overMap := t.Underlying().(*types.Map); !overMap {
+		return
 	}
-	if overMap {
-		ast.Inspect(rs.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				call, ok := rhs.(*ast.CallExpr)
-				if !ok || !isBuiltinCall(s.info, call, "append") {
-					continue
-				}
-				if id, ok := as.Lhs[i].(*ast.Ident); ok {
-					obj := s.info.ObjectOf(id)
-					if obj != nil && obj.Pos().IsValid() && (obj.Pos() < rs.Pos() || obj.Pos() > rs.End()) {
-						s.mapAppended[obj] = true
-					}
-				}
-			}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
 			return true
-		})
-	}
-	s.stmts(rs.Body.List, cold)
-}
-
-func (s *summarizer) assign(as *ast.AssignStmt, cold bool) {
-	for _, e := range as.Rhs {
-		s.exprs(e, cold)
-	}
-	for _, e := range as.Lhs {
-		if _, ok := e.(*ast.Ident); !ok {
-			s.exprs(e, cold)
 		}
-	}
-	// String concatenation via +=.
-	if as.Tok == token.ADD_ASSIGN && len(as.Lhs) == 1 && !cold {
-		if bt, ok := s.info.TypeOf(as.Lhs[0]).(*types.Basic); ok && bt.Info()&types.IsString != 0 {
-			s.addAlloc(as.Pos(), "string concatenation allocates")
+		for i, rhs := range as.Rhs {
+			call, ok := rhs.(*ast.CallExpr)
+			if !ok || !isBuiltinCall(s.info, call, "append") {
+				continue
+			}
+			if id, ok := as.Lhs[i].(*ast.Ident); ok {
+				obj := s.info.ObjectOf(id)
+				if obj != nil && obj.Pos().IsValid() && (obj.Pos() < rs.Pos() || obj.Pos() > rs.End()) {
+					s.mapAppended[obj] = true
+				}
+			}
 		}
-	}
-	s.track(as)
+		return true
+	})
 }
 
 func (s *summarizer) recordReturn(e ast.Expr) {
@@ -340,127 +214,9 @@ func refType(t types.Type) bool {
 	return false
 }
 
-// --- expression walk ----------------------------------------------------
-
-// exprs classifies every effect in one expression tree, skipping nested
-// function literals (recorded as closure allocations, not walked).
-func (s *summarizer) exprs(e ast.Expr, cold bool) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch t := n.(type) {
-		case *ast.FuncLit:
-			if !cold && s.captures(t) {
-				s.addAlloc(t.Pos(), "closure captures variables (allocates)")
-			}
-			return false
-		case *ast.UnaryExpr:
-			if t.Op == token.AND {
-				if _, ok := t.X.(*ast.CompositeLit); ok && !cold {
-					s.addAlloc(t.Pos(), "&composite literal escapes to the heap")
-				}
-			}
-		case *ast.BinaryExpr:
-			if t.Op == token.ADD && !cold {
-				if tv, ok := s.info.Types[t]; ok && tv.Value == nil {
-					if bt, ok := tv.Type.Underlying().(*types.Basic); ok && bt.Info()&types.IsString != 0 {
-						s.addAlloc(t.Pos(), "string concatenation allocates")
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			if !cold {
-				switch s.litKind(t) {
-				case "slice":
-					s.addAlloc(t.Pos(), "slice literal allocates")
-				case "map":
-					s.addAlloc(t.Pos(), "map literal allocates")
-				}
-			}
-		case *ast.CallExpr:
-			if name, ok := builtinName(s.info, t); ok && name == "panic" {
-				// A panicking path is cold by definition: neither the
-				// panic nor the formatting of its argument is a
-				// steady-state allocation.
-				return false
-			}
-			s.call(t, cold)
-		}
-		return true
-	})
-}
-
-func (s *summarizer) litKind(cl *ast.CompositeLit) string {
-	t := s.info.TypeOf(cl)
-	if t == nil {
-		return ""
-	}
-	switch t.Underlying().(type) {
-	case *types.Slice:
-		return "slice"
-	case *types.Map:
-		return "map"
-	}
-	return ""
-}
-
-// captures reports whether the function literal references a variable
-// declared in the enclosing frame.
-func (s *summarizer) captures(fl *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := s.info.Uses[id]
-		if v, ok := obj.(*types.Var); ok && v.Pos().IsValid() &&
-			v.Pos() >= s.fnStart && v.Pos() < fl.Pos() {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// call classifies one call expression: builtin allocation, conversion,
-// external effect, transport send, boxing, and the call-graph edge.
-func (s *summarizer) call(call *ast.CallExpr, cold bool) {
-	// Builtins.
-	if name, ok := builtinName(s.info, call); ok {
-		switch name {
-		case "append":
-			if !cold {
-				s.addAlloc(call.Pos(), "append may grow its backing array")
-			}
-		case "make":
-			if !cold {
-				s.addAlloc(call.Pos(), "make allocates")
-			}
-		case "new":
-			if !cold {
-				s.addAlloc(call.Pos(), "new allocates")
-			}
-		case "panic":
-			// Panic paths are cold by definition; nothing below applies
-			// (the argument boxing is not a steady-state allocation).
-		}
-		return
-	}
-	// Conversions.
-	if tv, ok := s.info.Types[call.Fun]; ok && tv.IsType() {
-		if !cold && len(call.Args) == 1 {
-			if what, bad := allocConversion(s.info, tv.Type, call.Args[0], call); bad {
-				s.addAlloc(call.Pos(), what)
-			}
-		}
-		return
-	}
-
+// call classifies one call expression: sort laundering, transport send,
+// blocking external effect, and the call-graph edge.
+func (s *summarizer) call(call *ast.CallExpr) {
 	// A sort call launders the map-order taint of its arguments.
 	if isSortCall(s.info, call) {
 		for _, arg := range call.Args {
@@ -483,20 +239,7 @@ func (s *summarizer) call(call *ast.CallExpr, cold bool) {
 		s.addBlock(call.Pos(), what)
 	}
 
-	// fmt and external allocation heuristics.
-	isFmt := false
-	if pkg := callPackage(s.info, call); pkg != nil && pkg.Path() == "fmt" {
-		isFmt = true
-		if !cold {
-			s.addAlloc(call.Pos(), "fmt call formats (allocates)")
-		}
-	}
-	if !cold && !isFmt {
-		s.boxedArgs(call)
-	}
-
-	// Call edge or tabled external effect.
-	s.edge(call, cold, isFmt)
+	s.edge(call)
 }
 
 // recordSendParams feeds the SendsParams fact: a parameter sent as the
@@ -567,97 +310,16 @@ func messageLiteral(e ast.Expr) (*ast.CompositeLit, bool) {
 	return nil, false
 }
 
-// boxedArgs flags concrete, non-pointer-shaped arguments passed to
-// interface-typed parameters: the value escapes to the heap.
-func (s *summarizer) boxedArgs(call *ast.CallExpr) {
-	tv, ok := s.info.Types[call.Fun]
-	if !ok {
-		return
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	n := sig.Params().Len()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= n-1:
-			if sl, ok := sig.Params().At(n - 1).Type().(*types.Slice); ok {
-				pt = sl.Elem()
-			}
-		case i < n:
-			pt = sig.Params().At(i).Type()
-		}
-		if pt == nil {
-			continue
-		}
-		if _, isIface := pt.Underlying().(*types.Interface); !isIface {
-			continue
-		}
-		at := s.info.Types[arg]
-		if at.Type == nil || at.IsNil() {
-			continue
-		}
-		if _, already := at.Type.Underlying().(*types.Interface); already {
-			continue
-		}
-		if pointerShaped(at.Type) {
-			continue
-		}
-		s.addAlloc(arg.Pos(), "interface boxing of "+at.Type.String()+" allocates")
-	}
-}
-
-// pointerShaped types fit an interface word without a heap copy.
-func pointerShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Signature, *types.Map:
-		return true
-	}
-	return false
-}
-
-// edge records the call-graph edge (module callees and module-interface
-// dynamic keys) or tables an external effect in place.
-func (s *summarizer) edge(call *ast.CallExpr, cold, isFmt bool) {
+// edge records the call-graph edge: a module callee, or the dynamic key
+// of a call through a module interface.
+func (s *summarizer) edge(call *ast.CallExpr) {
 	if key, ok := dynamicCalleeKey(s.info, call); ok {
-		s.fact.Calls = append(s.fact.Calls, CallEdge{
-			Pos: call.Pos(), Callee: key, Dynamic: true, Cold: cold,
-		})
+		s.fact.Calls = append(s.fact.Calls, CallEdge{Pos: call.Pos(), Callee: key, Dynamic: true})
 		return
 	}
-	fn, ok := staticCallee(s.info, call)
-	if !ok {
-		return
-	}
-	id := FuncID(fn)
-	if moduleOrTestdata(id) {
-		s.fact.Calls = append(s.fact.Calls, CallEdge{
-			Pos: call.Pos(), Callee: id, Cold: cold, ParamArgs: s.paramArgs(call),
-		})
-		return
-	}
-	// External static call: table the allocation heuristic — a fresh
-	// string/slice/map result is an allocation we cannot see past.
-	if cold || isFmt {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	for i := 0; i < sig.Results().Len(); i++ {
-		rt := sig.Results().At(i).Type()
-		switch rt.Underlying().(type) {
-		case *types.Slice, *types.Map:
-			s.addAlloc(call.Pos(), shortFuncID(id)+" returns a fresh slice/map (allocates)")
-			return
-		case *types.Basic:
-			if rt.Underlying().(*types.Basic).Info()&types.IsString != 0 {
-				s.addAlloc(call.Pos(), shortFuncID(id)+" returns a fresh string (allocates)")
-				return
-			}
+	if fn, ok := staticCallee(s.info, call); ok {
+		if id := FuncID(fn); moduleOrTestdata(id) {
+			s.fact.Calls = append(s.fact.Calls, CallEdge{Pos: call.Pos(), Callee: id, ParamArgs: s.paramArgs(call)})
 		}
 	}
 }
@@ -867,31 +529,6 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	return ok && got == name
 }
 
-// allocConversion reports conversions that must copy: string <-> byte/
-// rune slices, and integer/rune -> string.
-func allocConversion(info *types.Info, to types.Type, arg ast.Expr, whole *ast.CallExpr) (string, bool) {
-	if tv, ok := info.Types[whole]; ok && tv.Value != nil {
-		return "", false // constant-folded
-	}
-	from := info.TypeOf(arg)
-	if from == nil {
-		return "", false
-	}
-	toB, toIsBasic := to.Underlying().(*types.Basic)
-	fromB, fromIsBasic := from.Underlying().(*types.Basic)
-	toIsString := toIsBasic && toB.Info()&types.IsString != 0
-	fromIsString := fromIsBasic && fromB.Info()&types.IsString != 0
-	switch {
-	case toIsString && !fromIsString:
-		return "conversion to string allocates", true
-	case !toIsString && fromIsString:
-		if _, isSlice := to.Underlying().(*types.Slice); isSlice {
-			return "conversion of string to byte/rune slice allocates", true
-		}
-	}
-	return "", false
-}
-
 // isTransportPkg matches the real transport package and the short
 // testdata stand-in.
 func isTransportPkg(pkg *types.Package) bool {
@@ -974,15 +611,6 @@ func blockingExternal(info *types.Info, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// callPackage returns the defining package of a statically-resolved
-// callee, or nil.
-func callPackage(info *types.Info, call *ast.CallExpr) *types.Package {
-	if fn, ok := staticCallee(info, call); ok {
-		return fn.Pkg()
-	}
-	return nil
 }
 
 // staticCallee resolves a call to the concrete function it invokes, if
@@ -1125,115 +753,4 @@ func gatherInterfaces(pkg *types.Package, out map[string]*types.Interface, seen 
 	for _, imp := range pkg.Imports() {
 		gatherInterfaces(imp, out, seen)
 	}
-}
-
-// --- cold-branch shapes -------------------------------------------------
-
-// missShaped conditions guard init/slow paths: `!ok`, `x == nil`,
-// `err != nil`, `len(x) == 0`.
-func missShaped(info *types.Info, cond ast.Expr) bool {
-	switch c := ast.Unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		return c.Op == token.NOT
-	case *ast.BinaryExpr:
-		x, y := ast.Unparen(c.X), ast.Unparen(c.Y)
-		switch c.Op {
-		case token.EQL:
-			if isNilIdent(info, x) || isNilIdent(info, y) {
-				other := x
-				if isNilIdent(info, x) {
-					other = y
-				}
-				return !isErrorType(info.TypeOf(other))
-			}
-			return isLenZero(info, x, y) || isLenZero(info, y, x)
-		case token.NEQ:
-			if isNilIdent(info, x) || isNilIdent(info, y) {
-				other := x
-				if isNilIdent(info, x) {
-					other = y
-				}
-				return isErrorType(info.TypeOf(other))
-			}
-		}
-	}
-	return false
-}
-
-// hitShaped conditions guard fast-path early returns: `ok`, `x != nil`,
-// `err == nil`, `len(x) > 0`.
-func hitShaped(info *types.Info, cond ast.Expr) bool {
-	switch c := ast.Unparen(cond).(type) {
-	case *ast.Ident:
-		t := info.TypeOf(c)
-		if bt, ok := t.(*types.Basic); ok && bt.Info()&types.IsBoolean != 0 {
-			return true
-		}
-	case *ast.BinaryExpr:
-		x, y := ast.Unparen(c.X), ast.Unparen(c.Y)
-		switch c.Op {
-		case token.NEQ:
-			if isNilIdent(info, x) || isNilIdent(info, y) {
-				other := x
-				if isNilIdent(info, x) {
-					other = y
-				}
-				return !isErrorType(info.TypeOf(other))
-			}
-		case token.EQL:
-			if isNilIdent(info, x) || isNilIdent(info, y) {
-				other := x
-				if isNilIdent(info, x) {
-					other = y
-				}
-				return isErrorType(info.TypeOf(other))
-			}
-		}
-	}
-	return false
-}
-
-func isNilIdent(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.IsNil()
-}
-
-func isLenZero(info *types.Info, lenSide, zeroSide ast.Expr) bool {
-	call, ok := lenSide.(*ast.CallExpr)
-	if !ok || !isBuiltinCall(info, call, "len") {
-		return false
-	}
-	tv, ok := info.Types[zeroSide]
-	return ok && tv.Value != nil && tv.Value.String() == "0"
-}
-
-func isErrorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
-// terminates reports whether a block always transfers control out
-// (return, panic, or an unconditional branch).
-func terminates(b *ast.BlockStmt) bool {
-	if b == nil || len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return last.Tok == token.BREAK || last.Tok == token.CONTINUE || last.Tok == token.GOTO
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(last)
-	}
-	return false
 }

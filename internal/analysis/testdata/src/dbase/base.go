@@ -4,7 +4,7 @@ package dbase
 
 import "time"
 
-// Fresh allocates.
+// Fresh returns freshly allocated data.
 func Fresh() []int {
 	return make([]int, 4)
 }
@@ -15,7 +15,7 @@ func Wait() {
 }
 
 // Ping and Pong form a clean cycle: the chain queries must terminate
-// and report them allocation- and block-free.
+// and report them block-free.
 func Ping(n int) int {
 	if n == 0 {
 		return 0

@@ -12,12 +12,3 @@ func Via() []int {
 func Wait() {
 	dbase.Wait()
 }
-
-// ColdVia reaches the allocator only through a miss-shaped guard; the
-// cold edge must not contribute to alloc chains.
-func ColdVia(xs []int) []int {
-	if len(xs) == 0 {
-		return dbase.Fresh()
-	}
-	return xs
-}

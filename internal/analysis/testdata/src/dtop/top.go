@@ -14,11 +14,6 @@ func Entry() []int {
 	return append(xs, ys...)
 }
 
-// Steady reaches dbase only through dright's cold guard.
-func Steady(xs []int) []int {
-	return dright.ColdVia(xs)
-}
-
 // Waits reaches the blocker two packages down.
 func Waits() {
 	dright.Wait()

@@ -110,8 +110,8 @@ func BenchmarkIOPSetTo(b *testing.B) {
 }
 
 // TestGatewaySteadyStateAllocFree pins the zero-allocation contract of
-// the index hot path: updating an existing record and looking it up
-// must not allocate.
+// the index hot path: updating an existing record, looking it up and
+// advancing its IOP head must not allocate.
 func TestGatewaySteadyStateAllocFree(t *testing.T) {
 	g := &gatewayStore{}
 	pfx := ids.MustParsePrefix("0101")
@@ -134,6 +134,19 @@ func TestGatewaySteadyStateAllocFree(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Errorf("gateway lookup allocates %.1f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		e := entries[i%len(entries)]
+		e.Arrived += time.Duration(i) * time.Hour // later than the head: the arrival becomes it
+		if i&1 == 1 {
+			e.Latest = "org-0002"
+		}
+		if _, move := g.advance(key, e, nil); move != headMoved && move != headSame {
+			t.Fatalf("advance = %v, want the head replaced", move)
+		}
+		i++
+	}); avg != 0 {
+		t.Errorf("gateway advance allocates %.1f/op, want 0", avg)
 	}
 }
 

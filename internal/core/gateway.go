@@ -113,8 +113,6 @@ func newBucket() *bucket {
 // upsert inserts or updates e. The update path (existing ID) is the
 // steady state and stays allocation-free; first insertion of an ID may
 // grow the slab.
-//
-//lint:hotpath
 func (b *bucket) upsert(e IndexEntry) {
 	if slot, exists := b.idx[e.ID]; exists {
 		b.slab[slot] = e // update in place, keeping FIFO position
@@ -125,8 +123,6 @@ func (b *bucket) upsert(e IndexEntry) {
 }
 
 // get returns the live entry for id, if present.
-//
-//lint:hotpath
 func (b *bucket) get(id ids.ID) (IndexEntry, bool) {
 	slot, ok := b.idx[id]
 	if !ok {
@@ -232,8 +228,6 @@ func newGatewayStore() *gatewayStore {
 
 // upsert inserts or updates an entry in the bucket keyed key, creating
 // the bucket on first use.
-//
-//lint:hotpath
 func (g *gatewayStore) upsert(key ids.PrefixKey, e IndexEntry) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -275,8 +269,6 @@ const (
 // head alone (the caller splices it into the list: stitchInsert). When
 // the bucket holds no record, fallback — the individual path's
 // replica-derived head, nil when there is none — is the head seen.
-//
-//lint:hotpath
 func (g *gatewayStore) advance(key ids.PrefixKey, e IndexEntry, fallback *IndexEntry) (IndexEntry, headMove) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -323,8 +315,6 @@ func (g *gatewayStore) setPrev(key ids.PrefixKey, id ids.ID, arrived time.Durati
 }
 
 // lookup finds an entry for object id in the bucket keyed key.
-//
-//lint:hotpath
 func (g *gatewayStore) lookup(key ids.PrefixKey, id ids.ID) (IndexEntry, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

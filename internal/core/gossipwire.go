@@ -5,7 +5,6 @@ import (
 
 	"peertrack/internal/gossip"
 	"peertrack/internal/overlay"
-	"peertrack/internal/transport"
 )
 
 // This file wires the gossip membership layer into the traceability
@@ -32,24 +31,17 @@ func (p *Peer) Gossip() *gossip.Agent { return p.gossip }
 
 // onGossipDead is the failure detector's dead-verdict callback: every
 // cached gateway resolution pointing at the dead address is evicted,
-// and — when replication is on — the engine marks the owner dead, which
-// exempts its replicas from stale-GC (a verdicted owner cannot refresh
-// its copies, and dropping them would destroy the last survivors), and
-// every replica held for it becomes a promotion candidate.
+// and — when replication is on — every replica held for it becomes a
+// promotion candidate. (While the verdict stands, DropStaleReplicas
+// leaves the rest alone: the agent's IsDead is the only dead list.)
 func (p *Peer) onGossipDead(ref overlay.NodeRef) {
-	p.cacheMu.Lock()
-	evicted := 0
-	if p.gwCache != nil {
-		evicted = p.gwCache.removeAddr(ref.Addr)
-	}
-	p.cacheMu.Unlock()
-	if evicted > 0 {
+	if evicted := p.gwCache.removeAddr(ref.Addr); evicted > 0 {
 		p.tel.gwDeadEvictions.Add(uint64(evicted))
 	}
 	if p.mirrors() <= 0 {
 		return
 	}
-	for _, h := range p.repl.MarkDead(ref.Addr) {
+	for _, h := range p.repl.HeldFor(ref.Addr) {
 		p.maybePromoteHeld(h) // self-gates on ring ownership
 	}
 }
@@ -106,22 +98,4 @@ func (nw *Network) GossipSizeEstimate() float64 {
 	}
 	sort.Float64s(ests)
 	return ests[len(ests)/2]
-}
-
-// removeAddr drops every cached resolution pointing at addr, returning
-// the number of entries evicted. Linear in the live entry count — dead
-// verdicts are rare relative to lookups, and the arena is bounded.
-func (c *refCache) removeAddr(addr transport.Addr) int {
-	removed := 0
-	for i := 0; i < len(c.slots); {
-		if c.slots[i].ref.Addr == addr {
-			// remove swaps the arena's last slot into i, so do not
-			// advance: the swapped-in entry still needs inspection.
-			c.remove(c.slots[i].key)
-			removed++
-			continue
-		}
-		i++
-	}
-	return removed
 }

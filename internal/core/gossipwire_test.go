@@ -28,12 +28,9 @@ func TestDeadGatewayEviction(t *testing.T) {
 	keyDead1 := ids.MustParsePrefix("0101").Key()
 	keyDead2 := ids.MustParsePrefix("0110").Key()
 	keyLive := ids.MustParsePrefix("1001").Key()
-	p.cacheMu.Lock()
-	p.gwCache = newRefCache(8)
 	p.gwCache.put(keyDead1, victim)
 	p.gwCache.put(keyDead2, victim)
 	p.gwCache.put(keyLive, other)
-	p.cacheMu.Unlock()
 
 	// Two failed-contact reports cross the default suspicion threshold;
 	// the dead verdict must fire the eviction callback synchronously.
@@ -45,8 +42,6 @@ func TestDeadGatewayEviction(t *testing.T) {
 		t.Fatal("second suspicion did not cross the threshold")
 	}
 
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
 	if _, ok := p.gwCache.get(keyDead1); ok {
 		t.Error("cached resolution to dead gateway survived (key 0101)")
 	}

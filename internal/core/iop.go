@@ -155,8 +155,6 @@ func (s *iopStore) record(obj moods.ObjectID, arrived time.Duration) {
 
 // setFrom annotates the visit at time at (or the latest visit if no
 // exact match) with the origin node.
-//
-//lint:hotpath
 func (s *iopStore) setFrom(obj moods.ObjectID, from moods.NodeName, at time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,8 +187,6 @@ func (s *iopStore) setFrom(obj moods.ObjectID, from moods.NodeName, at time.Dura
 
 // setTo annotates the latest visit that started at or before the
 // departure with the destination node the object moved on to.
-//
-//lint:hotpath
 func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -249,8 +245,6 @@ func (v visitSlot) materialize(obj moods.ObjectID) []VisitRecord {
 // arrivedAtOrBefore returns the arrival time of the latest visit of obj
 // that started at or before at — the dwell anchor for departure
 // recording — without materializing the visit list.
-//
-//lint:hotpath
 func (s *iopStore) arrivedAtOrBefore(obj moods.ObjectID, at time.Duration) (time.Duration, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

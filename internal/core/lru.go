@@ -1,18 +1,30 @@
 package core
 
 import (
+	"sync"
+	"time"
+
 	"peertrack/internal/ids"
+	"peertrack/internal/moods"
 	"peertrack/internal/overlay"
+	"peertrack/internal/transport"
 )
+
+// The peer's two bounded tables. Each owns its mutex and allocates on
+// first write: most peers of an XL network never resolve a gateway or
+// defer a stitch.
 
 // refCache is a fixed-capacity LRU map from packed prefix-group key to
 // resolved gateway reference. Entries live in a slot arena threaded by
 // an intrusive doubly-linked recency list, so the cache costs one map
 // and one slice regardless of churn — no per-entry heap nodes, and the
 // peer's memory for cached resolutions is bounded no matter how many
-// distinct prefixes it ever contacts.
+// distinct prefixes it ever contacts. The zero value with cap set is an
+// empty cache. A plain mutex: a read promotes its entry, so it writes.
 type refCache struct {
-	cap   int
+	cap int // at least one entry is kept whatever it says
+
+	mu    sync.Mutex
 	index map[ids.PrefixKey]int32
 	slots []refSlot
 	head  int32 // most recently used; -1 when empty
@@ -25,23 +37,17 @@ type refSlot struct {
 	prev, next int32 // recency list neighbours; -1 terminates
 }
 
-func newRefCache(capacity int) *refCache {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &refCache{
-		cap:   capacity,
-		index: make(map[ids.PrefixKey]int32),
-		head:  -1,
-		tail:  -1,
-	}
+func (c *refCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.index)
 }
-
-func (c *refCache) len() int { return len(c.index) }
 
 // get returns the cached reference for key and marks it most recently
 // used.
 func (c *refCache) get(key ids.PrefixKey) (overlay.NodeRef, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	i, ok := c.index[key]
 	if !ok {
 		return overlay.NodeRef{}, false
@@ -53,13 +59,19 @@ func (c *refCache) get(key ids.PrefixKey) (overlay.NodeRef, bool) {
 // put inserts or refreshes a resolution, evicting the least recently
 // used entry at capacity.
 func (c *refCache) put(key ids.PrefixKey, ref overlay.NodeRef) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if i, ok := c.index[key]; ok {
 		c.slots[i].ref = ref
 		c.touch(i)
 		return
 	}
+	if c.index == nil {
+		c.index = make(map[ids.PrefixKey]int32)
+		c.head, c.tail = -1, -1
+	}
 	var i int32
-	if len(c.slots) < c.cap {
+	if len(c.slots) < max(c.cap, 1) {
 		i = int32(len(c.slots))
 		c.slots = append(c.slots, refSlot{})
 	} else {
@@ -75,6 +87,12 @@ func (c *refCache) put(key ids.PrefixKey, ref overlay.NodeRef) {
 
 // remove drops key from the cache if present (stale resolution).
 func (c *refCache) remove(key ids.PrefixKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.removeLocked(key)
+}
+
+func (c *refCache) removeLocked(key ids.PrefixKey) {
 	i, ok := c.index[key]
 	if !ok {
 		return
@@ -112,9 +130,31 @@ func (c *refCache) relink(from, to int32) {
 	}
 }
 
+// removeAddr drops every cached resolution pointing at addr, returning
+// the number of entries evicted. Linear in the live entry count — dead
+// verdicts are rare relative to lookups, and the arena is bounded.
+func (c *refCache) removeAddr(addr transport.Addr) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	removed := 0
+	for i := 0; i < len(c.slots); {
+		if c.slots[i].ref.Addr == addr {
+			// removeLocked swaps the arena's last slot into i, so do not
+			// advance: the swapped-in entry still needs inspection.
+			c.removeLocked(c.slots[i].key)
+			removed++
+			continue
+		}
+		i++
+	}
+	return removed
+}
+
 // reset empties the cache, keeping capacity.
 func (c *refCache) reset() {
-	c.index = make(map[ids.PrefixKey]int32)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.index)
 	c.slots = c.slots[:0]
 	c.head, c.tail = -1, -1
 }
@@ -152,4 +192,73 @@ func (c *refCache) pushFront(i int32) {
 	if c.tail < 0 {
 		c.tail = i
 	}
+}
+
+// lateStitchRetries bounds how many times a late-visit stitch is
+// deferred on an unreachable chain segment before the gateway gives up
+// linking it. Transient faults (crashed or partitioned nodes) heal
+// within a few flush retries; a failure that persists this long means
+// the segment's records left the network with a departed node and can
+// never be fetched again.
+const lateStitchRetries = 8
+
+// maxLateTracked bounds how many late events can have live retry
+// counters at once. A counter costs ~64 bytes; during a long partition
+// every deferred event would otherwise grow the map without bound. An
+// event arriving with the table full is abandoned immediately — the
+// same terminal outcome a full retry budget reaches, just sooner.
+const maxLateTracked = 4096
+
+// lateKey identifies one late-reported visit: a comparable struct, so
+// tracking costs no formatting allocation.
+type lateKey struct {
+	obj moods.ObjectID
+	nd  moods.NodeName
+	at  time.Duration
+}
+
+// lateTable counts consecutive failed attempts to stitch a late-reported
+// visit. It is bounded by lateStitchRetries, so records lost with a
+// departed node cannot defer an event forever, and by maxLateTracked
+// entries in all.
+type lateTable struct {
+	mu    sync.Mutex
+	tries map[lateKey]int
+}
+
+// lateRetry accounts one failed stitch attempt for the (obj, nd, at)
+// late event and reports whether the caller should defer and retry; if
+// not, the event is abandoned and no longer tracked.
+func (t *lateTable) lateRetry(obj moods.ObjectID, nd moods.NodeName, at time.Duration) bool {
+	key := lateKey{obj: obj, nd: nd, at: at}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, tracked := t.tries[key]; !tracked && len(t.tries) >= maxLateTracked {
+		return false
+	}
+	if t.tries == nil {
+		t.tries = make(map[lateKey]int)
+	}
+	t.tries[key]++
+	if t.tries[key] < lateStitchRetries {
+		return true
+	}
+	delete(t.tries, key)
+	return false
+}
+
+// lateForget clears the retry counter after an attempt that reached the
+// insertion point.
+func (t *lateTable) lateForget(obj moods.ObjectID, nd moods.NodeName, at time.Duration) {
+	t.mu.Lock()
+	delete(t.tries, lateKey{obj: obj, nd: nd, at: at})
+	t.mu.Unlock()
+}
+
+// TrackedLateEvents returns the number of live late-stitch retry
+// counters (test hook for the maxLateTracked bound).
+func (t *lateTable) TrackedLateEvents() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.tries)
 }

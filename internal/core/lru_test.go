@@ -22,7 +22,7 @@ func nodeRefFor(i int) overlay.NodeRef {
 }
 
 func TestRefCacheEvictsLRU(t *testing.T) {
-	c := newRefCache(3)
+	c := &refCache{cap: 3}
 	for i := 0; i < 3; i++ {
 		key, _ := refFor(i)
 		c.put(key, nodeRefFor(i))
@@ -50,7 +50,7 @@ func TestRefCacheEvictsLRU(t *testing.T) {
 }
 
 func TestRefCacheUpdateExistingDoesNotGrow(t *testing.T) {
-	c := newRefCache(2)
+	c := &refCache{cap: 2}
 	k0, _ := refFor(0)
 	c.put(k0, nodeRefFor(0))
 	c.put(k0, nodeRefFor(7))
@@ -64,7 +64,7 @@ func TestRefCacheUpdateExistingDoesNotGrow(t *testing.T) {
 }
 
 func TestRefCacheRemoveAndReset(t *testing.T) {
-	c := newRefCache(4)
+	c := &refCache{cap: 4}
 	for i := 0; i < 4; i++ {
 		k, _ := refFor(i)
 		c.put(k, nodeRefFor(i))
@@ -99,7 +99,7 @@ func TestRefCacheEvictionChurn(t *testing.T) {
 	// Long insert stream through a small cache: len never exceeds cap
 	// and the most recent cap keys are exactly the residents.
 	const cap = 8
-	c := newRefCache(cap)
+	c := &refCache{cap: cap}
 	for i := 0; i < 1000; i++ {
 		k, _ := refFor(i % 200)
 		c.put(k, nodeRefFor(i%200))

@@ -116,28 +116,21 @@ type Peer struct {
 	contain *containStore
 
 	// repl is the replication bookkeeping engine: versions of the units
-	// this node owns, the mirror copies it holds for other owners, and
-	// which of those owners are dead. repoReplica stores mirrored remote
-	// repositories, keyed by owner; the repository's dirty set lives in
-	// repo itself.
+	// this node owns and the mirror copies it holds for other owners
+	// (which of those owners are dead is the gossip agent's to say).
+	// repoReplica stores mirrored remote repositories, keyed by owner;
+	// the repository's dirty set lives in repo itself.
 	repl        *replication.Engine
 	repoReplica *repoReplicaStore
 
 	mu     sync.Mutex
 	window []moods.Observation
 
-	// cacheMu guards gwCache, a bounded LRU of prefix→gateway
-	// resolutions (lazily created on first use). A plain mutex: LRU
-	// reads promote the entry, so they write too.
-	cacheMu sync.Mutex
-	gwCache *refCache
-
-	// lateMu guards lateTries: consecutive failed attempts to stitch a
-	// late-reported visit, keyed by (object, node, time). Bounded by
-	// lateStitchRetries so records lost with a departed node cannot
-	// defer an event forever, and by maxLateTracked entries total.
-	lateMu    sync.Mutex
-	lateTries map[lateKey]int
+	// gwCache is the bounded LRU of prefix→gateway resolutions; the
+	// embedded lateTable counts deferred late stitches (lateRetry,
+	// lateForget). Each locks itself (lru.go).
+	gwCache refCache
+	lateTable
 
 	// tel is set once at wiring time (before traffic) and read without
 	// the lock on indexing and query paths.
@@ -179,6 +172,7 @@ func NewPeer(node overlay.Node, net transport.Network, pm *PrefixManager, cfg Co
 		contain:     newContainStore(),
 		repl:        replication.NewEngine(),
 		repoReplica: &repoReplicaStore{},
+		gwCache:     refCache{cap: cfg.GatewayCacheSize},
 	}
 	node.SetAppHandler(p.handleRPC)
 	return p
@@ -300,11 +294,7 @@ func (p *Peer) FlushWindow() error {
 				err = fmt.Errorf("core: group index %q at %s: %w", pfx.String(), gwRef.Addr, err)
 				// The resolution may be stale (churn); retry fresh next
 				// time.
-				p.cacheMu.Lock()
-				if p.gwCache != nil {
-					p.gwCache.remove(key)
-				}
-				p.cacheMu.Unlock()
+				p.gwCache.remove(key)
 			}
 		}
 		if err != nil {
@@ -352,50 +342,27 @@ func (p *Peer) indexIndividually(obs moods.Observation) error {
 func (p *Peer) resolveGateway(pfx ids.Prefix) (overlay.NodeRef, error) {
 	key := pfx.Key()
 	if !p.cfg.NoGatewayCache {
-		p.cacheMu.Lock()
-		if p.gwCache != nil {
-			if ref, ok := p.gwCache.get(key); ok {
-				p.cacheMu.Unlock()
-				return ref, nil
-			}
+		if ref, ok := p.gwCache.get(key); ok {
+			return ref, nil
 		}
-		p.cacheMu.Unlock()
 	}
 	res, err := p.node.Lookup(pfx.GatewayID())
 	if err != nil {
 		return overlay.NodeRef{}, fmt.Errorf("core: resolve gateway %q: %w", pfx.String(), err)
 	}
 	if !p.cfg.NoGatewayCache {
-		p.cacheMu.Lock()
-		if p.gwCache == nil {
-			p.gwCache = newRefCache(p.cfg.GatewayCacheSize)
-		}
 		p.gwCache.put(key, res.Node)
-		p.cacheMu.Unlock()
 	}
 	return res.Node, nil
 }
 
 // InvalidateGatewayCache clears cached gateway resolutions; call after
 // ring membership changes.
-func (p *Peer) InvalidateGatewayCache() {
-	p.cacheMu.Lock()
-	if p.gwCache != nil {
-		p.gwCache.reset()
-	}
-	p.cacheMu.Unlock()
-}
+func (p *Peer) InvalidateGatewayCache() { p.gwCache.reset() }
 
 // CachedGateways returns the number of live gateway-resolution cache
 // entries (test/metrics hook for the LRU bound).
-func (p *Peer) CachedGateways() int {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	if p.gwCache == nil {
-		return 0
-	}
-	return p.gwCache.len()
-}
+func (p *Peer) CachedGateways() int { return p.gwCache.len() }
 
 // call sends an application RPC, short-circuiting self-addressed
 // messages (a node never pays transport cost to talk to itself).
@@ -558,67 +525,6 @@ func (p *Peer) mergeEntry(key ids.PrefixKey, e IndexEntry) {
 	p.gw.upsert(key, newer)
 }
 
-// lateStitchRetries bounds how many times a late-visit stitch is
-// deferred on an unreachable chain segment before the gateway gives up
-// linking it. Transient faults (crashed or partitioned nodes) heal
-// within a few flush retries; a failure that persists this long means
-// the segment's records left the network with a departed node and can
-// never be fetched again.
-const lateStitchRetries = 8
-
-// maxLateTracked bounds how many late events can have live retry
-// counters at once. A counter costs ~64 bytes; during a long partition
-// every deferred event would otherwise grow the map without bound. An
-// event arriving with the table full is abandoned immediately — the
-// same terminal outcome a full retry budget reaches, just sooner.
-const maxLateTracked = 4096
-
-// lateKey identifies one late-reported visit: a comparable struct, so
-// tracking costs no formatting allocation.
-type lateKey struct {
-	obj moods.ObjectID
-	nd  moods.NodeName
-	at  time.Duration
-}
-
-// lateRetry accounts one failed stitch attempt for the (obj, nd, at)
-// late event and reports whether the caller should defer and retry.
-func (p *Peer) lateRetry(obj moods.ObjectID, nd moods.NodeName, at time.Duration) bool {
-	key := lateKey{obj: obj, nd: nd, at: at}
-	p.lateMu.Lock()
-	defer p.lateMu.Unlock()
-	if _, tracked := p.lateTries[key]; !tracked && len(p.lateTries) >= maxLateTracked {
-		p.tel.abandonedStitches.Inc()
-		return false
-	}
-	if p.lateTries == nil {
-		p.lateTries = make(map[lateKey]int)
-	}
-	p.lateTries[key]++
-	if p.lateTries[key] < lateStitchRetries {
-		return true
-	}
-	delete(p.lateTries, key)
-	p.tel.abandonedStitches.Inc()
-	return false
-}
-
-// lateForget clears the retry counter after an attempt that reached the
-// insertion point.
-func (p *Peer) lateForget(obj moods.ObjectID, nd moods.NodeName, at time.Duration) {
-	p.lateMu.Lock()
-	delete(p.lateTries, lateKey{obj: obj, nd: nd, at: at})
-	p.lateMu.Unlock()
-}
-
-// TrackedLateEvents returns the number of live late-stitch retry
-// counters (test hook for the maxLateTracked bound).
-func (p *Peer) TrackedLateEvents() int {
-	p.lateMu.Lock()
-	defer p.lateMu.Unlock()
-	return len(p.lateTries)
-}
-
 // stitchInsert splices a late-reported visit — object seen at node nd
 // at time `at`, arriving at the gateway after later visits were already
 // indexed — into the object's IOP list at its chronological position.
@@ -654,7 +560,11 @@ func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, head IndexEnt
 	// A chain that ends early (broken below, or wholly later than `at`)
 	// inserts with no known predecessor; only a failed fetch defers.
 	if err != nil && !errors.Is(err, errBrokenChain) {
-		return !p.lateRetry(obj, nd, at)
+		if p.lateRetry(obj, nd, at) {
+			return false
+		}
+		p.tel.abandonedStitches.Inc()
+		return true
 	}
 	p.lateForget(obj, nd, at)
 

@@ -829,11 +829,12 @@ func (p *Peer) SyncOwnedReplicas() {
 
 // DropStaleReplicas garbage-collects held units no owner probed or
 // pushed this sync round — replicas whose owner stopped replicating to
-// this node (mirror set moved on, unit handed off elsewhere); the
-// engine exempts the units of owners marked dead. The owner being
-// alive, it usually still has the records — but after a
+// this node (mirror set moved on, unit handed off elsewhere), except
+// those of owners the failure detector currently says are dead. The
+// owner being alive, it usually still has the records — but after a
 // restart-with-same-identity it came back EMPTY, was never verdicted
-// dead, and this copy may be the last one. So the unit is shipped back
+// dead or has been resurrected by its first gossip exchange since, and
+// this copy may be the last one. So the unit is shipped back
 // through the normal write paths before dropping (restoreHeld): a
 // duplicate merge is idempotent, and a restore is the difference
 // between garbage collection and data loss. An undeliverable copy is
@@ -842,7 +843,11 @@ func (p *Peer) DropStaleReplicas() {
 	if p.mirrors() <= 0 {
 		return
 	}
-	for _, h := range p.repl.StaleHeld() {
+	var dead func(transport.Addr) bool
+	if p.gossip != nil {
+		dead = p.gossip.IsDead
+	}
+	for _, h := range p.repl.StaleHeld(dead) {
 		if p.restoreHeld(h) {
 			p.dropHeld(h.Unit)
 			p.tel.replDrops.Inc()

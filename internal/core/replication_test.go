@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"peertrack/internal/chord"
+	"peertrack/internal/gossip"
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/overlay"
 	"peertrack/internal/replication"
 )
 
@@ -345,17 +347,7 @@ func TestRestartWithSameIdentityRestoresData(t *testing.T) {
 		t.Fatalf("victim holds no data (%d indexed, %d visits); pick another seed",
 			victim.IndexedEntries(), victim.LocalVisits())
 	}
-	// Restart semantics: every store and all replication bookkeeping
-	// vanish; the address, ring position, and liveness remain.
-	for _, key := range victim.gw.bucketKeys() {
-		victim.gw.dropBucket(key)
-	}
-	for _, key := range victim.replica.bucketKeys() {
-		victim.replica.dropBucket(key)
-	}
-	victim.repo.restore(nil)
-	victim.repoReplica = &repoReplicaStore{}
-	victim.repl = replication.NewEngine()
+	wipe(victim)
 	if victim.IndexedEntries() != 0 || victim.LocalVisits() != 0 {
 		t.Fatal("wipe did not empty the victim's stores")
 	}
@@ -378,6 +370,94 @@ func TestRestartWithSameIdentityRestoresData(t *testing.T) {
 	}
 	if nw.Telemetry.Counter("core.replication.restores").Value() == 0 {
 		t.Error("no restores recorded by telemetry")
+	}
+}
+
+// wipe gives p restart semantics: every store and all replication
+// bookkeeping vanish; the address, ring position and liveness remain.
+func wipe(p *Peer) {
+	for _, key := range p.gw.bucketKeys() {
+		p.gw.dropBucket(key)
+	}
+	for _, key := range p.replica.bucketKeys() {
+		p.replica.dropBucket(key)
+	}
+	p.repo.restore(nil)
+	p.repoReplica = &repoReplicaStore{}
+	p.repl = replication.NewEngine()
+}
+
+func TestRestoreAfterFalseDeadVerdict(t *testing.T) {
+	// The failure detector is the one owner of "dead". A mirror whose
+	// detector declares an owner dead keeps that owner's units out of the
+	// stale-replica restore, rightly: a dead owner cannot refresh them.
+	// But the owner was only unreachable; it restarts empty and writes
+	// nothing, so no replication traffic ever reaches the mirror — only
+	// the restarted agent's first exchange does, and that resurrection
+	// must be enough for the mirror to ship the units back.
+	nw, err := BuildNetwork(NetworkConfig{
+		Nodes: 12,
+		Seed:  23,
+		Peer:  Config{Mode: GroupIndexing, ReplicationFactor: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.EnableGossip(gossip.Config{})
+	const objects = 40
+	for i := 0; i < objects; i++ {
+		nw.ScheduleObservation(moods.Observation{
+			Object: moods.ObjectID(fmt.Sprintf("reborn-%d", i)),
+			Node:   nw.Peers()[i%12].Name(),
+			At:     time.Second,
+		})
+	}
+	nw.StartWindows(2 * time.Second)
+	nw.Run()
+	nw.SyncReplicas()
+
+	victim := nw.Peers()[4]
+	self := victim.Node().Self()
+	indexed := victim.IndexedEntries()
+	var mirror *Peer
+	for _, p := range nw.Peers() {
+		if len(p.repl.HeldFor(self.Addr)) > 0 {
+			mirror = p
+		}
+	}
+	if indexed == 0 || mirror == nil {
+		t.Fatalf("victim indexes %d records and %v mirrors it; pick another seed", indexed, mirror)
+	}
+	for !mirror.Gossip().Suspect(self) {
+	}
+	if !mirror.Gossip().IsDead(self.Addr) || len(mirror.repl.HeldFor(self.Addr)) == 0 {
+		t.Fatal("the verdict did not land, or the mirror promoted units their owner still owns")
+	}
+
+	wipe(victim)
+	nw.SyncReplicas()
+	if got := victim.IndexedEntries(); got != 0 {
+		t.Fatalf("%d records restored while the detector still says dead", got)
+	}
+	// The restarted node's agent knows its successor, which is its mirror.
+	reborn := gossip.New(nw.Transport, self, gossip.Config{})
+	victim.AttachGossip(reborn)
+	reborn.SeedView([]overlay.NodeRef{mirror.Node().Self()})
+	reborn.Round()
+	if mirror.Gossip().IsDead(self.Addr) {
+		t.Fatal("inbound contact did not resurrect the owner")
+	}
+	for i := 0; i < 10; i++ {
+		nw.SyncReplicas()
+	}
+	if got := victim.IndexedEntries(); got != indexed {
+		t.Errorf("%d of %d records restored at the restarted owner", got, indexed)
+	}
+	for i := 0; i < objects; i++ {
+		obj := moods.ObjectID(fmt.Sprintf("reborn-%d", i))
+		if _, err := nw.Peers()[0].Locate(obj, time.Hour); err != nil {
+			t.Errorf("locate %s: %v", obj, err)
+		}
 	}
 }
 

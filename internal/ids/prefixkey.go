@@ -32,8 +32,6 @@ const NoPrefixKey = PrefixKey(^uint64(0))
 
 // Key packs the prefix. It panics beyond MaxKeyLen; callers that extend
 // prefixes (delegation, descent) must stop at MaxKeyLen.
-//
-//lint:hotpath
 func (p Prefix) Key() PrefixKey {
 	if p.Len > MaxKeyLen {
 		panic(fmt.Sprintf("ids: prefix length %d exceeds PrefixKey capacity %d", p.Len, MaxKeyLen))
@@ -46,13 +44,9 @@ func (p Prefix) Key() PrefixKey {
 }
 
 // Len returns the prefix bit length encoded in the key.
-//
-//lint:hotpath
 func (k PrefixKey) Len() int { return int(k & 0xFF) }
 
 // Prefix unpacks the key back into the full Prefix form.
-//
-//lint:hotpath
 func (k PrefixKey) Prefix() Prefix {
 	n := k.Len()
 	if n > MaxKeyLen {
@@ -74,8 +68,6 @@ func (k PrefixKey) String() string { return k.Prefix().String() }
 // KeyOf extracts the length-n prefix of id directly as a packed key,
 // without materializing the intermediate Prefix. This is the capture
 // window's grouping step, executed once per observation.
-//
-//lint:hotpath
 func KeyOf(id ID, n int) PrefixKey {
 	if n < 0 || n > MaxKeyLen {
 		panic(fmt.Sprintf("ids: prefix length %d out of PrefixKey range", n))

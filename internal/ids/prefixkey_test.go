@@ -77,3 +77,30 @@ func TestPrefixKeyTooLongPanics(t *testing.T) {
 	}()
 	_ = PrefixOf(HashString("x"), MaxKeyLen+1).Key()
 }
+
+// TestPrefixKeyZeroAllocs pins the packed key's whole point: packing,
+// unpacking, reading the length and cutting a key out of an id are word
+// operations, executed once per observation, and none of them allocates.
+func TestPrefixKeyZeroAllocs(t *testing.T) {
+	id := HashString("obj-17")
+	p := PrefixOf(id, 11)
+	var key PrefixKey
+	var back Prefix
+	var n int
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Prefix.Key", func() { key = p.Key() }},
+		{"KeyOf", func() { key = KeyOf(id, 11) }},
+		{"PrefixKey.Len", func() { n = key.Len() }},
+		{"PrefixKey.Prefix", func() { back = key.Prefix() }},
+	} {
+		if avg := testing.AllocsPerRun(200, c.op); avg != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", c.name, avg)
+		}
+	}
+	if !back.Equal(p) || n != 11 {
+		t.Errorf("round trip = %v/%d, want %v/11", back, n, p)
+	}
+}

@@ -21,6 +21,7 @@
 package replication
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -99,10 +100,6 @@ type Engine struct {
 	gen   uint64
 	// streams maps each taken mirror stream to its holder's turn.
 	streams map[Unit]turn
-	// dead marks owners the failure detector declared dead. Their held
-	// units are exempt from StaleHeld — they may be the last surviving
-	// copy of a crashed node's data — until the owner is heard from again.
-	dead map[transport.Addr]bool
 }
 
 // NewEngine returns an empty engine. Maps allocate lazily on first
@@ -265,8 +262,7 @@ func (e *Engine) OwnedUnits() []Unit {
 // RecordHeld notes that this node now holds version v of a unit on
 // behalf of owner (a replica push arrived). It also counts as a touch
 // for the current sync generation, so a freshly pushed unit is never
-// garbage-collected by the pass that created it, and — replication
-// traffic being proof of life — lifts the owner's dead mark.
+// garbage-collected by the pass that created it.
 func (e *Engine) RecordHeld(u Unit, owner transport.Addr, v uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -274,7 +270,6 @@ func (e *Engine) RecordHeld(u Unit, owner transport.Addr, v uint64) {
 		e.held = make(map[Unit]heldUnit)
 	}
 	e.held[u] = heldUnit{owner: owner, version: v, gen: e.gen}
-	delete(e.dead, owner)
 }
 
 // HeldMeta returns the provenance of a held unit.
@@ -289,12 +284,10 @@ func (e *Engine) HeldMeta(u Unit) (owner transport.Addr, version uint64, ok bool
 // node holds the unit current at version v. On a match the recorded
 // owner is updated to the probing owner — that is how ownership of an
 // existing replica transfers with one probe — and the unit is marked
-// live for the current sync generation. Any probe lifts the prober's
-// dead mark: a crashed owner that healed resumes probing.
+// live for the current sync generation.
 func (e *Engine) CheckHeld(u Unit, owner transport.Addr, v uint64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.dead, owner)
 	h, ok := e.held[u]
 	if !ok || h.version != v {
 		return false
@@ -331,15 +324,11 @@ func (e *Engine) Held() []HeldInfo {
 	return e.heldLocked(func(heldUnit) bool { return true })
 }
 
-// MarkDead records the failure detector's verdict on owner and returns
-// the units held for it, in unit order — the promotion candidates.
-func (e *Engine) MarkDead(owner transport.Addr) []HeldInfo {
+// HeldFor lists the units held for owner, in unit order — the promotion
+// candidates once the failure detector declares it dead.
+func (e *Engine) HeldFor(owner transport.Addr) []HeldInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.dead == nil {
-		e.dead = make(map[transport.Addr]bool)
-	}
-	e.dead[owner] = true
 	return e.heldLocked(func(h heldUnit) bool { return h.owner == owner })
 }
 
@@ -353,10 +342,16 @@ func (e *Engine) BeginSync() {
 }
 
 // StaleHeld lists the held units not touched since BeginSync — orphans
-// whose owner no longer replicates to this node — in unit order. Units
-// of an owner marked dead are not orphans: it cannot refresh them.
-func (e *Engine) StaleHeld() []HeldInfo {
+// whose owner no longer replicates to this node — in unit order. dead
+// is the failure detector's current verdict, nil without one: the units
+// of a dead owner are not orphans — it cannot refresh them, and they may
+// be the last surviving copy — for as long as the detector says so.
+func (e *Engine) StaleHeld(dead func(transport.Addr) bool) []HeldInfo {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.heldLocked(func(h heldUnit) bool { return h.gen < e.gen && !e.dead[h.owner] })
+	stale := e.heldLocked(func(h heldUnit) bool { return h.gen < e.gen })
+	e.mu.Unlock()
+	if dead == nil {
+		return stale
+	}
+	return slices.DeleteFunc(stale, func(h HeldInfo) bool { return dead(h.Owner) })
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"peertrack/internal/ids"
+	"peertrack/internal/transport"
 )
 
 func key(s string) ids.PrefixKey {
@@ -96,12 +97,12 @@ func TestHeldEnumerationOrderAndOwnerFilter(t *testing.T) {
 	if len(held) != 3 || held[0].Unit != IndexUnit(key("01")) || held[1].Unit != IndexUnit(key("1")) || !held[2].Unit.Repo {
 		t.Fatalf("held order wrong: %+v", held)
 	}
-	// A dead verdict returns exactly the dead owner's units, with the
+	// A dead verdict asks for exactly the dead owner's units, with the
 	// provenance promotion needs.
-	byX := e.MarkDead("x")
+	byX := e.HeldFor("x")
 	want := []HeldInfo{{Unit: IndexUnit(key("1")), Owner: "x", Version: 1}, {Unit: RepoUnit, Owner: "x", Version: 3}}
 	if !reflect.DeepEqual(byX, want) {
-		t.Fatalf("MarkDead(x) = %+v, want %+v", byX, want)
+		t.Fatalf("HeldFor(x) = %+v, want %+v", byX, want)
 	}
 }
 
@@ -114,49 +115,37 @@ func TestStaleHeldGarbageCollection(t *testing.T) {
 	if !e.CheckHeld(ua, "o", 1) {
 		t.Fatal("probe failed")
 	}
-	stale := e.StaleHeld()
+	stale := e.StaleHeld(nil)
 	if len(stale) != 1 || stale[0] != (HeldInfo{Unit: ub, Owner: "o", Version: 1}) {
 		t.Fatalf("stale = %+v, want [%v]", stale, ub)
 	}
 	// A push arriving during the sync round also counts as a touch.
 	e.BeginSync()
 	e.RecordHeld(ub, "o", 2)
-	stale = e.StaleHeld()
+	stale = e.StaleHeld(nil)
 	if len(stale) != 1 || stale[0].Unit != ua {
 		t.Fatalf("stale after re-push = %+v, want [%v]", stale, ua)
 	}
 }
 
-// A dead owner cannot refresh its units, so they are not orphans; the
-// mark lasts until the owner is heard from again — by a push
-// (RecordHeld) or by a probe, matching or not (CheckHeld).
+// A dead owner cannot refresh its units, so they are not orphans — for
+// as long as the failure detector, which owns the verdict, says dead.
+// The engine keeps no mark of its own: the moment the detector takes the
+// verdict back, a unit nothing touched is an orphan again.
 func TestDeadOwnerUnitsAreNotStale(t *testing.T) {
-	for name, revive := range map[string]func(e *Engine, u Unit){
-		"push":        func(e *Engine, u Unit) { e.RecordHeld(u, "dead", 5) },
-		"probe":       func(e *Engine, u Unit) { e.CheckHeld(u, "dead", 1) },
-		"stale probe": func(e *Engine, u Unit) { e.CheckHeld(u, "dead", 9) },
-	} {
-		e := NewEngine()
-		ua, ub, uc := IndexUnit(key("0")), IndexUnit(key("1")), IndexUnit(key("10"))
-		e.RecordHeld(ua, "dead", 1)
-		e.RecordHeld(ub, "dead", 1)
-		e.RecordHeld(uc, "live", 1)
-		e.MarkDead("dead")
-		e.BeginSync()
-		if stale := e.StaleHeld(); len(stale) != 1 || stale[0].Unit != uc {
-			t.Fatalf("%s: stale with owner dead = %+v, want only %v", name, stale, uc)
-		}
-		// One sign of life concerning ua lifts the mark for every unit of
-		// the owner: ub, which nothing touched, is an orphan again.
-		revive(e, ua)
-		e.BeginSync()
-		orphan := false
-		for _, h := range e.StaleHeld() {
-			orphan = orphan || h.Unit == ub
-		}
-		if !orphan {
-			t.Fatalf("%s: %v still exempt after its owner revived: %+v", name, ub, e.StaleHeld())
-		}
+	e := NewEngine()
+	ua, ub := IndexUnit(key("0")), IndexUnit(key("10"))
+	e.RecordHeld(ua, "dead", 1)
+	e.RecordHeld(ub, "live", 1)
+	e.BeginSync()
+	verdict := true
+	dead := func(owner transport.Addr) bool { return verdict && owner == "dead" }
+	if stale := e.StaleHeld(dead); len(stale) != 1 || stale[0].Unit != ub {
+		t.Fatalf("stale with owner dead = %+v, want only %v", stale, ub)
+	}
+	verdict = false
+	if stale := e.StaleHeld(dead); len(stale) != 2 || stale[0].Unit != ua {
+		t.Fatalf("stale after the resurrection = %+v, want %v and %v", stale, ua, ub)
 	}
 }
 

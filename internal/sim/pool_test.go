@@ -22,6 +22,32 @@ func TestKernelZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Schedule+Step allocates %.1f objects/op, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		k.At(k.Now(), fn)
+		k.Step()
+	}); allocs != 0 {
+		t.Errorf("At+Step allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestBatchAllocsPerCallNotPerEntry pins what a lane costs: its header
+// and its copy of the times, whatever their number, and nothing when an
+// entry fires.
+func TestBatchAllocsPerCallNotPerEntry(t *testing.T) {
+	k := New(1)
+	fired := 0
+	fn := func(int) { fired++ }
+	for _, n := range []int{1, 512} {
+		times := make([]Time, n)
+		fired = 0
+		allocs := testing.AllocsPerRun(100, func() {
+			k.Batch(times, fn)
+			k.Run()
+		})
+		if allocs != 2 || fired != 101*n {
+			t.Errorf("a Batch of %d entries, drained, allocates %.1f objects and fires %d times, want 2 (lane and times) and %d", n, allocs, fired/101, n)
+		}
+	}
 }
 
 // TestPoolPreservesOrderAndCounts re-checks the kernel's core contract

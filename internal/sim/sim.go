@@ -12,8 +12,8 @@
 // the standard sequential DES execution model and is what makes message
 // counting exact.
 //
-// The hot path is allocation-free in steady state: event structs are
-// recycled through a freelist. A scheduled event cannot be cancelled;
+// The hot path is allocation-free in steady state (TestKernelZeroAllocs):
+// event structs are recycled through a freelist. A scheduled event cannot be cancelled;
 // every queued event runs.
 package sim
 
@@ -107,21 +107,17 @@ func (k *Kernel) alloc() *event {
 		k.free = k.free[:n-1]
 		return e
 	}
-	//lint:allow hotalloc freelist miss only; the pinned steady state recycles events
 	return &event{}
 }
 
 // release recycles an event already removed from the queue.
 func (k *Kernel) release(e *event) {
 	e.fn = nil
-	//lint:allow hotalloc freelist growth is amortized; a warm kernel reuses capacity
 	k.free = append(k.free, e)
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is an
 // error in the caller; it panics to surface the bug immediately.
-//
-//lint:hotpath
 func (k *Kernel) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -130,8 +126,6 @@ func (k *Kernel) Schedule(delay Time, fn func()) {
 }
 
 // At runs fn at absolute virtual time t (>= Now).
-//
-//lint:hotpath
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
@@ -144,8 +138,6 @@ func (k *Kernel) At(t Time, fn func()) {
 }
 
 // push queues fn at (t, seq).
-//
-//lint:hotpath
 func (k *Kernel) push(t Time, seq uint64, fn func()) {
 	e := k.alloc()
 	e.at, e.seq, e.fn = t, seq, fn
@@ -187,8 +179,6 @@ func (k *Kernel) Every(interval, until Time, fn func()) {
 // versus O(log n) heap pushes for per-entry Schedule calls, which is
 // what keeps mass fan-in (every node arming its capture-window timer at
 // t=0) linear at 100k-node scale.
-//
-//lint:hotpath
 func (k *Kernel) Batch(times []Time, fn func(i int)) {
 	if len(times) == 0 {
 		return
@@ -205,14 +195,11 @@ func (k *Kernel) Batch(times []Time, fn func(i int)) {
 	}
 	base := k.seq + 1
 	k.seq += uint64(len(times))
-	//lint:allow hotalloc one lane header per Batch call, amortized over len(times) entries
 	lane := &batchLane{
-		//lint:allow hotalloc defensive copy of the caller's times slice; amortized per entry
 		times: append([]Time(nil), times...),
 		fn:    fn,
 		base:  base,
 	}
-	//lint:allow hotalloc lane list growth is bounded by live Batch calls
 	k.lanes = append(k.lanes, lane)
 }
 
@@ -264,8 +251,6 @@ func (k *Kernel) NextAt() (Time, bool) {
 
 // Step executes the single earliest pending event. It reports false if
 // the queue was empty.
-//
-//lint:hotpath
 func (k *Kernel) Step() bool {
 	at, _, src, li := k.peekMin()
 	switch src {
@@ -286,7 +271,6 @@ func (k *Kernel) Step() bool {
 		l.next++
 		if l.next == len(l.times) {
 			// Lane exhausted: drop it (order among remaining lanes kept).
-			//lint:allow hotalloc removal append writes into existing capacity; it cannot grow
 			k.lanes = append(k.lanes[:li], k.lanes[li+1:]...)
 		}
 		k.now = at

@@ -127,13 +127,10 @@ func newTracer(reg *Registry, capacity int) *Tracer {
 
 // Start opens a span keyed by an object code. Nil-safe: on a nil tracer
 // it returns a nil recording.
-//
-//lint:hotpath
 func (t *Tracer) Start(op Op, key string) *Recording {
 	if t == nil {
 		return nil
 	}
-	//lint:allow hotalloc the span's one allocation: header and inline steps together
 	s := &Recording{tracer: t, id: t.seq.Add(1), op: op, key: key, start: t.reg.Now()}
 	s.steps = s.inline[:0]
 	return s
@@ -141,8 +138,6 @@ func (t *Tracer) Start(op Op, key string) *Recording {
 
 // StartPrefix opens a span keyed by a group prefix, whose text form is
 // built when the span is read rather than per arrival.
-//
-//lint:hotpath
 func (t *Tracer) StartPrefix(op Op, key ids.PrefixKey) *Recording {
 	s := t.Start(op, "")
 	if s != nil {
@@ -153,18 +148,14 @@ func (t *Tracer) StartPrefix(op Op, key ids.PrefixKey) *Recording {
 
 // Step appends one hop to the span's chain. The note's arguments follow
 // in verb order: sp.Step(node, noteM2).Int(len(batch)).Str(dest).
-//
-//lint:hotpath
 func (s *Recording) Step(node string, note *Note) *Recording {
 	if s != nil {
-		//lint:allow hotalloc grows only past the inline steps, amortized over a long walk
 		s.steps = append(s.steps, record{at: s.tracer.reg.Now(), node: node, note: note})
 		s.filled = 0
 	}
 	return s
 }
 
-//lint:hotpath
 func (s *Recording) num(v int64) *Recording {
 	if s != nil && int(s.filled) < len(record{}.nums) {
 		s.steps[len(s.steps)-1].nums[s.filled] = v
@@ -185,8 +176,6 @@ func (s *Recording) Bool(v bool) *Recording {
 }
 
 // Str gives the newest step its string.
-//
-//lint:hotpath
 func (s *Recording) Str(v string) *Recording {
 	if s != nil {
 		s.steps[len(s.steps)-1].str = v
@@ -197,8 +186,6 @@ func (s *Recording) Str(v string) *Recording {
 // Finish closes the span and commits it to its op's share of the ring.
 // Hops is the operation's reported hop count; err (nil for success) is
 // recorded as text so spans stay JSON-encodable and DeepEqual-comparable.
-//
-//lint:hotpath
 func (s *Recording) Finish(hops int, err error) {
 	if s == nil {
 		return

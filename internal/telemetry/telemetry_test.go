@@ -279,6 +279,9 @@ func TestSpanRecordAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { recordSpan(nil, inlineSteps) }); avg != 0 {
 		t.Errorf("nil tracer allocates %.1f per span, want 0", avg)
 	}
+	if avg := testing.AllocsPerRun(200, func() { tr.StartPrefix(OpIndex, group01101).Finish(1, nil) }); avg != bare {
+		t.Errorf("a prefix-keyed span allocates %.1f, want the %.1f of an object-keyed one", avg, bare)
+	}
 }
 
 // TestIndexSpansDoNotEvictQuerySpans: on an ingesting node index spans

@@ -419,12 +419,9 @@ func newWireConn(conn net.Conn, secret []byte, dialed bool) *wireConn {
 // send writes one message — head is the request's sender or the
 // response's error text — with a single Write out of the connection's
 // buffer.
-//
-//lint:hotpath
 func (c *wireConn) send(head string, payload any) error {
 	b := c.wbuf[:0]
 	if c.sendPreface {
-		//lint:allow hotalloc the first message of a connection only
 		b, c.sendPreface = append(b, preface...), false
 	}
 	start := len(b) + 4
@@ -433,11 +430,9 @@ func (c *wireConn) send(head string, payload any) error {
 		return err
 	}
 	if c.auth != nil {
-		//lint:allow hotalloc an HMAC state and sum per frame, only with a Secret
 		b = c.auth.seal(b, b[start:])
 	}
 	if len(b)-start > MaxFrame {
-		//lint:allow hotalloc the error path of a frame that is never sent
 		return fmt.Errorf("transport: a %T frame of %d bytes exceeds MaxFrame (%d): the unit needs chunked pushes", payload, len(b)-start, MaxFrame)
 	}
 	binary.BigEndian.PutUint32(b[start-4:], uint32(len(b)-start))

@@ -173,8 +173,6 @@ func (s *Stats) begin() time.Duration { return s.reg.Now() }
 
 // record accounts one finished call — the single place any transport
 // event is counted. resp is only sized for answered outcomes.
-//
-//lint:hotpath
 func (s *Stats) record(o outcome, req, resp any, start time.Duration) {
 	size := sizeOf(req)
 	s.calls.Inc()

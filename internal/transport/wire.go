@@ -121,12 +121,12 @@ const longString = 0xFFFF
 
 // The append primitives. Every byte of a frame is appended by one of
 // them, into the connection's write buffer, which is reused and stops
-// growing at the largest frame the connection has sent: that is the
-// amortized growth each hotalloc exemption below stands for.
+// growing at the largest frame the connection has sent: a layout that
+// appends into room allocates nothing (wiretest.Layouts checks each one,
+// TestSendZeroAllocs the frame around it).
 
 // AppendByte appends one byte: packed flags.
 func AppendByte(b []byte, v byte) []byte {
-	//lint:allow hotalloc write-buffer growth, amortized (see above)
 	return append(b, v)
 }
 
@@ -139,26 +139,22 @@ func AppendBool(b []byte, v bool) []byte {
 }
 
 func appendU16(b []byte, v uint16) []byte {
-	//lint:allow hotalloc write-buffer growth, amortized (see above)
 	return binary.BigEndian.AppendUint16(b, v)
 }
 
 // AppendU32 appends v big-endian.
 func AppendU32(b []byte, v uint32) []byte {
-	//lint:allow hotalloc write-buffer growth, amortized (see above)
 	return binary.BigEndian.AppendUint32(b, v)
 }
 
 // AppendInt appends v as 8 big-endian bytes; int fields, uint64 versions,
 // time.Durations and ids.PrefixKeys all travel this way.
 func AppendInt[I ~int | ~int64 | ~uint64](b []byte, v I) []byte {
-	//lint:allow hotalloc write-buffer growth, amortized (see above)
 	return binary.BigEndian.AppendUint64(b, uint64(v))
 }
 
 // AppendID appends id's 20 raw bytes.
 func AppendID(b []byte, id ids.ID) []byte {
-	//lint:allow hotalloc write-buffer growth, amortized (see above)
 	return append(b, id[:]...)
 }
 
@@ -169,7 +165,6 @@ func AppendString[S ~string](b []byte, s S) []byte {
 	} else {
 		b = appendU16(b, uint16(len(s)))
 	}
-	//lint:allow hotalloc write-buffer growth, amortized (see above)
 	return append(b, s...)
 }
 

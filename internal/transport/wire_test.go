@@ -134,6 +134,26 @@ func TestOversizeFrameFailsAtTheSender(t *testing.T) {
 	}
 }
 
+// TestSendZeroAllocs pins the sending half of every P2P message: past a
+// connection's first frame, send writes preface-free out of the buffer
+// the connection keeps, and a layout appends into it — no allocation
+// per message, whatever the payload (the boxed value is the caller's).
+func TestSendZeroAllocs(t *testing.T) {
+	sender, wire, _ := authEnds(nil)
+	var payload any = listReq{Name: "n", Items: []string{"a", "bc"}, N: 7}
+	if allocs := testing.AllocsPerRun(200, func() {
+		wire.Reset()
+		if err := sender.send("127.0.0.1:7001", payload); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("send allocates %.1f objects a message, want 0", allocs)
+	}
+	if _, got, err := RecvFrom(append([]byte(preface), wire.Bytes()...)); err != nil || !reflect.DeepEqual(got, payload) {
+		t.Errorf("the last frame reads back as %+v, %v", got, err)
+	}
+}
+
 // frame wraps body in its length header.
 func frame(body []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)

@@ -30,9 +30,11 @@ const from = "127.0.0.1:7001"
 // Layouts checks the table of pkg ("chord"): there is exactly one sample
 // per layout the package registers; a sample encodes, decodes and
 // compares equal; every strict prefix of its encoding and its encoding
-// plus one byte are refused as bad frames, without a panic; and the
-// encoding is the committed one (-update rewrites it — a changed file
-// means the format changed, which needs a new preface version).
+// plus one byte are refused as bad frames, without a panic; appending it
+// into a buffer that has room — a connection's, after its largest frame
+// — allocates nothing; and the encoding is the committed one (-update
+// rewrites it — a changed file means the format changed, which needs a
+// new preface version).
 func Layouts(t *testing.T, pkg string, samples []transport.Wire) {
 	t.Helper()
 	laidOut, _ := transport.Registered()
@@ -63,6 +65,10 @@ func Layouts(t *testing.T, pkg string, samples []transport.Wire) {
 		}
 		if _, _, err := transport.ParseBody(append(body[:len(body):len(body)], 0)); !errors.Is(err, transport.ErrBadFrame) {
 			t.Errorf("%s: a trailing byte parses with err = %v, want a bad frame", name, err)
+		}
+		buf := make([]byte, 0, len(body))
+		if allocs := testing.AllocsPerRun(100, func() { buf = sample.AppendWire(buf[:0]) }); allocs != 0 {
+			t.Errorf("%s: AppendWire into a buffer with room allocates %.1f times, want 0", name, allocs)
 		}
 		checkSeed(t, name, body)
 	}
