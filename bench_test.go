@@ -32,16 +32,20 @@ func benchScale(b *testing.B) experiments.Scale {
 	return s
 }
 
-func BenchmarkFig6aIndexingDataVolume(b *testing.B) {
-	s := benchScale(b)
-	var last []experiments.Fig6aRow
+// lastRows runs one experiment b.N times and returns the last run's rows.
+func lastRows[R any](b *testing.B, s experiments.Scale, run func(experiments.Scale) ([]R, error)) (rows []R) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6a(s)
-		if err != nil {
+		var err error
+		if rows, err = run(s); err != nil {
 			b.Fatal(err)
 		}
-		last = rows
 	}
+	return rows
+}
+
+func BenchmarkFig6aIndexingDataVolume(b *testing.B) {
+	s := benchScale(b)
+	last := lastRows(b, s, experiments.Fig6a)
 	top := last[len(last)-1]
 	b.ReportMetric(top.IndividualKMsgs, "individual-kmsgs")
 	b.ReportMetric(top.GroupKMsgs, "group-kmsgs")
@@ -50,14 +54,7 @@ func BenchmarkFig6aIndexingDataVolume(b *testing.B) {
 
 func BenchmarkFig6bIndexingNetworkSize(b *testing.B) {
 	s := benchScale(b)
-	var last []experiments.Fig6bRow
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6b(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows
-	}
+	last := lastRows(b, s, experiments.Fig6b)
 	top := last[len(last)-1]
 	b.ReportMetric(top.IndividualKMsgs, "individual-kmsgs")
 	b.ReportMetric(top.GroupMovedKMsgs, "group-moved-kmsgs")
@@ -66,14 +63,7 @@ func BenchmarkFig6bIndexingNetworkSize(b *testing.B) {
 
 func BenchmarkFig7aQueryNetworkSize(b *testing.B) {
 	s := benchScale(b)
-	var last []experiments.Fig7Row
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7a(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows
-	}
+	last := lastRows(b, s, experiments.Fig7a)
 	top := last[len(last)-1]
 	b.ReportMetric(top.P2PMillis, "p2p-ms")
 	b.ReportMetric(top.CentralMillis, "central-ms")
@@ -82,14 +72,7 @@ func BenchmarkFig7aQueryNetworkSize(b *testing.B) {
 
 func BenchmarkFig7bQueryDataVolume(b *testing.B) {
 	s := benchScale(b)
-	var last []experiments.Fig7Row
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7b(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows
-	}
+	last := lastRows(b, s, experiments.Fig7b)
 	top := last[len(last)-1]
 	b.ReportMetric(top.P2PMillis, "p2p-ms")
 	b.ReportMetric(top.CentralMillis, "central-ms")
@@ -112,14 +95,7 @@ func BenchmarkFig8aLoadBalance(b *testing.B) {
 
 func BenchmarkFig8bPrefixCost(b *testing.B) {
 	s := benchScale(b)
-	var last []experiments.Fig8bRow
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8b(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows
-	}
+	last := lastRows(b, s, experiments.Fig8b)
 	top := last[len(last)-1]
 	b.ReportMetric(top.Scheme1Log2, "log2msgs-scheme1")
 	b.ReportMetric(top.Scheme2Log2, "log2msgs-scheme2")
@@ -129,14 +105,7 @@ func BenchmarkFig8bPrefixCost(b *testing.B) {
 func BenchmarkAblationNoTriangle(b *testing.B) {
 	s := benchScale(b)
 	s.Queries = 20
-	var rows []experiments.TriangleRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationTriangle(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := lastRows(b, s, experiments.AblationTriangle)
 	for _, r := range rows {
 		label := "off"
 		if r.Delegation {
@@ -148,14 +117,7 @@ func BenchmarkAblationNoTriangle(b *testing.B) {
 
 func BenchmarkAblationAdaptiveWindow(b *testing.B) {
 	s := benchScale(b)
-	var rows []experiments.WindowRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationAdaptiveWindow(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := lastRows(b, s, experiments.AblationAdaptiveWindow)
 	for _, r := range rows {
 		label := "fixed"
 		if r.Adaptive {
@@ -170,14 +132,7 @@ func BenchmarkAblationAlphaSweep(b *testing.B) {
 	s.Nodes = 16
 	s.MaxVolume = 200
 	s.Queries = 10
-	var rows []experiments.AlphaRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationAlphaSweep(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := lastRows(b, s, experiments.AblationAlphaSweep)
 	for _, r := range rows {
 		b.ReportMetric(r.MaxMeanRatio, fmt.Sprintf("maxmean-alpha%.0f", r.Alpha*100))
 	}
@@ -185,14 +140,7 @@ func BenchmarkAblationAlphaSweep(b *testing.B) {
 
 func BenchmarkAblationGatewayCache(b *testing.B) {
 	s := benchScale(b)
-	var rows []experiments.CacheRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationGatewayCache(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := lastRows(b, s, experiments.AblationGatewayCache)
 	for _, r := range rows {
 		label := "off"
 		if r.Cache {
@@ -205,14 +153,7 @@ func BenchmarkAblationGatewayCache(b *testing.B) {
 func BenchmarkIntermediateShortCircuit(b *testing.B) {
 	s := benchScale(b)
 	s.Queries = 40
-	var rows []experiments.IntermediateRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ExpIntermediate(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := lastRows(b, s, experiments.ExpIntermediate)
 	b.ReportMetric(rows[0].MeanHops, "hops-iterative")
 	b.ReportMetric(rows[1].MeanHops, "hops-routed")
 	b.ReportMetric(rows[1].IntermediateRate, "intermediate-rate")
@@ -221,14 +162,7 @@ func BenchmarkIntermediateShortCircuit(b *testing.B) {
 func BenchmarkOverlayComparison(b *testing.B) {
 	s := benchScale(b)
 	s.Queries = 30
-	var rows []experiments.OverlayRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ExpOverlayComparison(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := lastRows(b, s, experiments.ExpOverlayComparison)
 	for _, r := range rows {
 		b.ReportMetric(r.MeanHops, "hops-"+r.Overlay)
 		b.ReportMetric(r.KMsgs, "kmsgs-"+r.Overlay)
@@ -240,14 +174,7 @@ func BenchmarkExtensionChurnCost(b *testing.B) {
 	s.Nodes = 16
 	s.MaxVolume = 200
 	s.Queries = 10
-	var rows []experiments.ChurnRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ExpChurn(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := lastRows(b, s, experiments.ExpChurn)
 	for _, r := range rows {
 		name := "grow"
 		if r.LpAfter < r.LpBefore {
@@ -259,14 +186,7 @@ func BenchmarkExtensionChurnCost(b *testing.B) {
 
 func BenchmarkExtensionPrediction(b *testing.B) {
 	s := benchScale(b)
-	var rows []experiments.PredictionRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ExpPrediction(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := lastRows(b, s, experiments.ExpPrediction)
 	for _, r := range rows {
 		b.ReportMetric(r.TopHitRate, fmt.Sprintf("hitrate-det%.0f", r.Determinism*100))
 	}

@@ -2,12 +2,22 @@ package peertrack
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
+
+	"peertrack/internal/chord"
+	"peertrack/internal/core"
+	"peertrack/internal/invariants"
+	"peertrack/internal/moods"
 )
 
-// startFleet starts n in-process TCP nodes on ephemeral loopback ports;
-// the test's cleanup closes them.
+// The fleet harness. A root test that runs more than one TCP node starts
+// them (startFleet), waits for the ring (joinAndSettle), drains the
+// windows (barrier) and checks the whole state (checkFleet) through these
+// and nothing of its own. startFleet's nodes listen on ephemeral loopback
+// ports; the test's cleanup closes them.
 func startFleet(tb testing.TB, n int, opts NodeOptions) []*Node {
 	tb.Helper()
 	nodes := make([]*Node, n)
@@ -72,6 +82,64 @@ func joinAndSettle(tb testing.TB, nodes []*Node, timeout time.Duration) (settled
 	}
 }
 
+// observeAt posts one capture event at n and records it in oracle, the
+// ground truth checkFleet compares the fleet against.
+func observeAt(oracle *moods.HistoryStore, n *Node, object string, at time.Time) error {
+	oracle.Record(moods.Observation{Object: moods.ObjectID(object), Node: moods.NodeName(n.Addr()), At: at.Sub(nodeEpoch)})
+	return n.ObserveAt(object, at)
+}
+
+// barrier flushes every node, all at once, until no window holds an event
+// (a deferred stitch or an undelivered group is re-buffered); twenty
+// passes that leave one fail the test.
+func barrier(tb testing.TB, nodes []*Node) {
+	tb.Helper()
+	for buffered, tries := 1, 0; buffered > 0; tries++ {
+		if tries == 20 {
+			tb.Fatalf("%d events still buffered after %d flushes", buffered, tries)
+		}
+		var wg sync.WaitGroup
+		for _, n := range nodes {
+			wg.Add(1)
+			go func(n *Node) {
+				defer wg.Done()
+				if err := n.Flush(); err != nil {
+					tb.Log(err)
+				}
+			}(n)
+		}
+		wg.Wait()
+		buffered = 0
+		for _, n := range nodes {
+			buffered += n.peer.Buffered()
+		}
+	}
+}
+
+// checkFleet runs the simulator's invariant catalog, exact profile, over
+// the fleet's peers (the caller's barrier first); oracle is what the test
+// posted, or nil to hold the fleet to what its repositories store. The catalog
+// wants whole successor lists, which fill a place a round after the walks
+// joinAndSettle waits for close: they get ten seconds, Check names the rest.
+func checkFleet(tb testing.TB, nodes []*Node, oracle *moods.HistoryStore) {
+	tb.Helper()
+	for _, v := range fleetViolations(nodes, oracle) {
+		tb.Errorf("%s", v)
+	}
+}
+
+func fleetViolations(nodes []*Node, oracle *moods.HistoryStore) []invariants.Violation {
+	peers := make([]*core.Peer, len(nodes))
+	ring := make([]*chord.Node, len(nodes))
+	for i, n := range nodes {
+		peers[i], ring[i] = n.peer, n.chord
+	}
+	for start := time.Now(); len(invariants.CheckRing(ring)) > 0 && time.Since(start) < 10*time.Second; {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return invariants.Check(peers, oracle, invariants.Options{Exact: true})
+}
+
 func stabilizeRounds(n *Node) uint64 { return n.tel.Counter("chord.stabilize.rounds").Value() }
 
 // TestFleetSettlesAtDefaultCadence is the live half of core's
@@ -133,11 +201,9 @@ func TestPinnedFleetFirstWindowHasNoAscent(t *testing.T) {
 			}
 		}
 	}
+	barrier(t, nodes)
 	var groups, lookupHops, fetches, ascents uint64
 	for _, n := range nodes {
-		if err := n.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		groups += n.tel.Counter("transport.call.type.core.groupArriveReq").Value()
 		lookupHops += n.tel.Counter("transport.call.type.chord.closestPrecedingReq").Value()
 		fetches += n.tel.Counter("transport.call.type.core.fetchIndexReq").Value()
@@ -150,6 +216,7 @@ func TestPinnedFleetFirstWindowHasNoAscent(t *testing.T) {
 	if at, _, err := nodes[0].Locate("urn:first:9:9", time.Now()); err != nil || at != nodes[9].Addr() {
 		t.Errorf("locate urn:first:9:9 from node 0 = %q, %v; want %s", at, err, nodes[9].Addr())
 	}
+	checkFleet(t, nodes, nil)
 }
 
 // TestDeadNeighbourIsNotProbedFaster kills one node of a settled fleet.
@@ -205,4 +272,67 @@ func TestDeadNeighbourIsNotProbedFaster(t *testing.T) {
 			t.Errorf("%s retried %d calls in %v after the crash, want ≤ 4", n.Addr(), retried, periods*every)
 		}
 	}
+}
+
+// TestCheckFleetCatchesPlantedFaults: the catalog is as sharp on sockets
+// as in the simulator, with the posted history and with none. Each fault
+// is planted through core's test hooks, named, and undone.
+func TestCheckFleetCatchesPlantedFaults(t *testing.T) {
+	nodes := startFleet(t, 3, NodeOptions{NetworkSize: 3, StabilizeEvery: 50 * time.Millisecond, WindowInterval: time.Hour})
+	joinAndSettle(t, nodes, 5*time.Second)
+	oracle := moods.NewHistoryStore()
+	t0 := time.Now()
+	for hop := 0; hop < 3; hop++ {
+		for j := 0; j < 12; j++ {
+			if err := observeAt(oracle, nodes[(j+hop)%3], fmt.Sprintf("urn:plant:%d", j), t0.Add(time.Duration(hop)*time.Minute)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		barrier(t, nodes)
+	}
+	// One object's record, the gateway holding it and a node that must not.
+	var gw, other int
+	var key string
+	var rec core.IndexEntry
+	for i, n := range nodes {
+		for _, b := range n.peer.DumpIndex() {
+			for _, e := range b.Entries {
+				if e.Object == "urn:plant:7" {
+					gw, other, key, rec = i, (i+1)%3, b.Key, e
+				}
+			}
+		}
+	}
+	forged := core.IndexEntry{Object: "urn:forged", ID: rec.ID, Latest: rec.Latest, Arrived: rec.Arrived}
+	forged.ID[0] ^= 0x80 // its first bit leaves every prefix the record's id has
+	for _, fault := range []struct {
+		at     int
+		e      core.IndexEntry
+		remove bool
+		want   []string
+	}{
+		{other, forged, false, []string{"triangle-prefix", "gateway-placement"}},
+		{other, rec, false, []string{"index-unique"}},
+		{gw, rec, true, []string{"index-missing"}},
+	} {
+		plant := func(remove bool) {
+			if remove {
+				nodes[fault.at].peer.RemoveIndexEntry(key, fault.e.ID)
+			} else {
+				nodes[fault.at].peer.InjectIndexEntry(key, fault.e)
+			}
+		}
+		plant(fault.remove)
+		for _, truth := range []*moods.HistoryStore{oracle, nil} {
+			vs := fleetViolations(nodes, truth)
+			for _, name := range fault.want {
+				if !slices.ContainsFunc(vs, func(v invariants.Violation) bool { return v.Invariant == name }) {
+					t.Errorf("planted fault (oracle: %v) not reported as %s: %v", truth != nil, name, vs)
+				}
+			}
+		}
+		plant(!fault.remove)
+	}
+	checkFleet(t, nodes, oracle) // and nothing once each is undone
+	checkFleet(t, nodes, nil)
 }

@@ -272,12 +272,7 @@ func RunReplication(cfg ReplicationConfig) (rep ReplicationReport) {
 		crashed = make(map[transport.Addr]bool)
 		settle(nw)
 		nw.SyncReplicas()
-		opts := invariants.Options{RequireIOPExact: true, RequireIOPBidir: true}
-		if vs := invariants.CheckNetwork(nw, opts); len(vs) > 0 {
-			rep.Violations = vs
-			return rep
-		}
-		if vs := invariants.CheckReplicaAgreement(nw.Peers()); len(vs) > 0 {
+		if vs := checkpoint(nw, invariants.Options{Exact: true}); len(vs) > 0 {
 			rep.Violations = vs
 			return rep
 		}

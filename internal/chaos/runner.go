@@ -181,16 +181,8 @@ func RunSchedule(cfg Config, sched Schedule) (rep Report) {
 		// (it is protocol activity, like the flush pulses above), then
 		// every primary must agree byte-for-byte with its k−1 copies.
 		nw.SyncReplicas()
-		opts := invariants.Options{SkipIOP: r.skipIOP}
-		if cfg.Profile == ProfileSafe {
-			opts.RequireIOPExact = true
-			opts.RequireIOPBidir = true
-		}
-		if vs := invariants.CheckNetwork(nw, opts); len(vs) > 0 {
-			rep.Violations = vs
-			return rep
-		}
-		if vs := invariants.CheckReplicaAgreement(nw.Peers()); len(vs) > 0 {
+		opts := invariants.Options{Exact: cfg.Profile == ProfileSafe, SkipIOP: r.skipIOP}
+		if vs := checkpoint(nw, opts); len(vs) > 0 {
 			rep.Violations = vs
 			return rep
 		}
@@ -315,6 +307,12 @@ func settle(nw *core.Network) bool {
 		nw.FlushAll()
 	}
 	return false
+}
+
+// checkpoint runs the whole catalog over the quiesced network, then the
+// transport ledger the harness owns.
+func checkpoint(nw *core.Network, opts invariants.Options) []invariants.Violation {
+	return append(invariants.Check(nw.Peers(), nw.Oracle, opts), invariants.CheckStats(nw.Stats().Snapshot())...)
 }
 
 // queries issues oracle-verified probes from random peers: a

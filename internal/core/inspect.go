@@ -8,11 +8,11 @@ import (
 	"peertrack/internal/transport"
 )
 
-// State inspection for the whole-network invariant checker
-// (internal/invariants) and the chaos harness. These accessors copy
-// internal state directly, without sending any messages, so checking
-// invariants between chaos steps never perturbs transport statistics or
-// the fault-injection randomness stream.
+// State inspection for the invariant checker (internal/invariants),
+// which reads a simulated network's peers and a live TCP fleet's through
+// the same accessors. They copy internal state directly, without sending
+// any messages, so a check between chaos steps never perturbs transport
+// statistics or the fault-injection randomness stream.
 
 // IndividualBucketKey is the bucket key under which individual-indexing
 // records are stored, exposed so external inspectors (the invariant
@@ -78,9 +78,6 @@ func (p *Peer) RemoveIndexEntry(bucketKey string, id ids.ID) {
 	}
 	p.gw.removeAll(key, []ids.ID{id})
 }
-
-// OverlayKind reports which DHT the network runs on.
-func (nw *Network) OverlayKind() OverlayKind { return nw.cfg.Overlay }
 
 // dump copies every bucket of the store (see Peer.DumpIndex).
 func (g *gatewayStore) dump() []BucketSnapshot {

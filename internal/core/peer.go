@@ -187,7 +187,8 @@ func (p *Peer) Name() moods.NodeName { return moods.NodeName(p.node.Addr()) }
 // Addr returns the peer's transport address.
 func (p *Peer) Addr() transport.Addr { return p.node.Addr() }
 
-// Prefixes returns the prefix manager (shared across the network).
+// Prefixes returns the prefix manager this peer routes by: one shared
+// instance in the simulator, its own on a live node.
 func (p *Peer) Prefixes() *PrefixManager { return p.pm }
 
 // IndexedEntries returns the number of gateway index records this node

@@ -1,10 +1,11 @@
 // Package invariants is the whole-network protocol-invariant checker
-// behind the chaos harness (internal/chaos). Given a quiesced
-// *core.Network it inspects every peer's state directly — gateway
-// buckets, local repositories, IOP links, transport counters, the
-// overlay ring — without sending a single message, and reports every
-// way the global state disagrees with the PeerTrack protocol's
-// correctness conditions:
+// behind the chaos harness (internal/chaos) and the root package's TCP
+// fleet tests. Given the peers of a quiesced network, a simulated one's
+// or a live fleet's, Check inspects every peer's state directly — gateway
+// buckets, local repositories, IOP links, the overlay ring, the replica
+// copies — without sending a single message, and reports every way the
+// global state disagrees with the PeerTrack protocol's correctness
+// conditions:
 //
 //   - gateway placement: every index bucket lives on the overlay node
 //     that currently owns its gateway identifier (the successor of
@@ -24,8 +25,14 @@
 //     oracle recorded, terminates, and — when exactness is required —
 //     reproduces the full trajectory; forward (To) links mirror the
 //     backward chain;
-//   - transport conservation: calls = completed + dropped + blocked and
-//     the message ledger balances (transport.Snapshot.Conserves).
+//   - ring convergence (CheckRing) and k-successor replica agreement
+//     (CheckReplicaAgreement).
+//
+// Without an oracle the ground truth is what the repositories hold,
+// every stored visit by arrival, and the same checks read: visits nobody
+// indexes, a head that is not the latest stored visit, a backward walk
+// that misses a stored visit. Transport conservation (CheckStats,
+// CheckResilience) belongs to whoever owns the counters.
 //
 // The checker reads state through the core package's inspection API
 // (Peer.DumpIndex and friends), so a checkpoint never perturbs message
@@ -35,6 +42,7 @@ package invariants
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"peertrack/internal/chord"
@@ -75,51 +83,39 @@ func (v Violation) String() string {
 // profile: structural invariants only, suitable for checkpoints taken
 // while messages may have been lost.
 type Options struct {
-	// RequireIOPExact additionally demands that every object's IOP
-	// chain reproduce the oracle trajectory exactly. Only valid at
-	// checkpoints where no stitch message can have been lost (drop rate
-	// zero and fully-connected flushes).
-	RequireIOPExact bool
-	// RequireIOPBidir additionally demands that every forward (To)
-	// link's target hold the mirroring visit with a matching From
-	// pointer.
-	RequireIOPBidir bool
+	// Exact additionally demands that every object's IOP chain reproduce
+	// the oracle trajectory exactly, and that every forward (To) link's
+	// target hold the mirroring visit with a matching From pointer. Only
+	// valid at checkpoints where no stitch message can have been lost
+	// (drop rate zero and fully-connected flushes).
+	Exact bool
 	// SkipIOP excludes objects from the IOP-chain checks (structural
 	// index checks still apply). The chaos runner populates it with
 	// objects whose trajectory crossed a departed node — their
 	// repository left the network with them, by design.
 	SkipIOP map[moods.ObjectID]bool
-	// MaxViolations caps the report (default 64); checking stops early
-	// once reached.
-	MaxViolations int
 }
 
-// CheckNetwork inspects the whole network and returns every invariant
-// violation found (nil if the state is consistent). The network must be
-// quiesced: no event mid-flight, no goroutine touching peer state.
-func CheckNetwork(nw *core.Network, opts Options) []Violation {
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = 64
-	}
-	c := &checker{nw: nw, opts: opts, byName: make(map[moods.NodeName]*core.Peer)}
-	for _, p := range nw.Peers() {
-		c.peers = append(c.peers, p)
-		c.byName[p.Name()] = p
+// maxViolations caps a report; checking stops early once reached.
+const maxViolations = 64
+
+// Check inspects the whole network through its peers and returns every
+// invariant violation found (nil if the state is consistent): buckets,
+// objects, the Chord ring, replica agreement, in that order. The network
+// must be quiesced: no event mid-flight, no window holding an event.
+func Check(peers []*core.Peer, oracle *moods.HistoryStore, opts Options) []Violation {
+	c := &checker{peers: peers, oracle: oracle, opts: opts}
+	var ring []*chord.Node
+	for _, p := range peers {
+		if n, ok := p.Node().(*chord.Node); ok {
+			ring = append(ring, n)
+		}
 	}
 	c.snapshot()
 	c.checkBuckets()
 	c.checkObjects()
-	c.out = append(c.out, truncate(CheckStats(nw.Stats().Snapshot()), opts.MaxViolations-len(c.out))...)
-	if nw.OverlayKind() == core.ChordOverlay {
-		nodes := make([]*chord.Node, 0, len(c.peers))
-		for _, p := range c.peers {
-			if n, ok := p.Node().(*chord.Node); ok {
-				nodes = append(nodes, n)
-			}
-		}
-		c.out = append(c.out, truncate(CheckRing(nodes), opts.MaxViolations-len(c.out))...)
-	}
-	return c.out
+	out := append(append(c.out, CheckRing(ring)...), CheckReplicaAgreement(peers)...)
+	return out[:min(len(out), maxViolations)]
 }
 
 // CheckStats verifies the transport accounting identity: every call
@@ -137,28 +133,22 @@ func CheckStats(s transport.Snapshot) []Violation {
 	}}
 }
 
-func truncate(vs []Violation, n int) []Violation {
-	if n <= 0 {
-		return nil
-	}
-	if len(vs) > n {
-		vs = vs[:n]
-	}
-	return vs
-}
-
-// checker carries one CheckNetwork pass.
+// checker carries one Check pass.
 type checker struct {
-	nw     *core.Network
+	oracle *moods.HistoryStore
 	opts   Options
 	peers  []*core.Peer
-	byName map[moods.NodeName]*core.Peer
 
 	// Immutable snapshots taken up front so every check sees one
-	// consistent cut of the state.
+	// consistent cut of the state; each map has a key for every peer.
 	dumps  map[moods.NodeName][]core.BucketSnapshot
 	bucket map[moods.NodeName]map[string]*core.BucketSnapshot
 	visits map[moods.NodeName]map[moods.ObjectID][]core.VisitRecord
+	names  []moods.NodeName // the peers' names, sorted
+	// views is each distinct PrefixManager among the peers with the first
+	// peer that routes by it (nobody in particular in the simulator, where
+	// all share one): reachability is judged once per view.
+	views []view
 
 	out  []Violation
 	full bool
@@ -169,7 +159,7 @@ func (c *checker) add(inv string, node moods.NodeName, obj moods.ObjectID, forma
 		return
 	}
 	c.out = append(c.out, Violation{Invariant: inv, Node: node, Object: obj, Detail: fmt.Sprintf(format, args...)})
-	if len(c.out) >= c.opts.MaxViolations {
+	if len(c.out) >= maxViolations {
 		c.full = true
 	}
 }
@@ -188,7 +178,30 @@ func (c *checker) snapshot() {
 		}
 		c.bucket[name] = byKey
 		c.visits[name] = p.DumpVisits()
+		c.names = append(c.names, name)
+		if !slices.ContainsFunc(c.views, func(v view) bool { return v.pm == p.Prefixes() }) {
+			c.views = append(c.views, view{p.Prefixes(), name})
+		}
 	}
+	slices.Sort(c.names)
+	if len(c.views) == 1 {
+		c.views[0].node = ""
+	}
+	if c.oracle == nil { // the repositories' own record stands in
+		c.oracle = moods.NewHistoryStore()
+		for _, name := range c.names {
+			for obj, vs := range c.visits[name] {
+				for _, v := range vs {
+					c.oracle.Record(moods.Observation{Object: obj, Node: name, At: v.Arrived})
+				}
+			}
+		}
+	}
+}
+
+type view struct {
+	pm   *core.PrefixManager
+	node moods.NodeName
 }
 
 // ownerOf returns the unique live peer owning key, reporting an
@@ -251,20 +264,22 @@ func (c *checker) checkBuckets() {
 }
 
 // checkObjects validates, for every object the oracle knows, that the
-// index record is reachable and correct and that the IOP list matches
-// the recorded trajectory.
+// index record is reachable from every view (the first that misses it
+// is named) and correct and that the IOP list matches the recorded
+// trajectory.
 func (c *checker) checkObjects() {
-	for _, obj := range c.nw.Oracle.ObjectIDs() {
+	for _, obj := range c.oracle.ObjectIDs() {
 		if c.full {
 			return
 		}
-		hist := c.nw.Oracle.History(obj)
-		if len(hist) == 0 {
-			continue
+		hist := c.oracle.History(obj)
+		entry, found := core.IndexEntry{}, true
+		for i := 0; found && i < len(c.views); i++ {
+			if entry, found = c.findIndex(c.views[i].pm, obj); !found {
+				c.add("index-missing", c.views[i].node, obj, "no index record reachable via the IV-A3 search")
+			}
 		}
-		entry, found := c.findIndex(obj)
 		if !found {
-			c.add("index-missing", "", obj, "no index record reachable via the IV-A3 search")
 			continue
 		}
 		last := hist[len(hist)-1]
@@ -283,7 +298,7 @@ func (c *checker) checkObjects() {
 // findIndex statically mirrors the core query path (Peer.findIndex):
 // current-level probe, Data Triangle descent along the object's bits,
 // then ascent towards L_min — against the snapshotted buckets.
-func (c *checker) findIndex(obj moods.ObjectID) (core.IndexEntry, bool) {
+func (c *checker) findIndex(pm *core.PrefixManager, obj moods.ObjectID) (core.IndexEntry, bool) {
 	id := obj.Hash()
 	if len(c.peers) > 0 && c.peers[0].Mode() == core.IndividualIndexing {
 		owner, ok := c.ownerOf(id, obj)
@@ -294,14 +309,14 @@ func (c *checker) findIndex(obj moods.ObjectID) (core.IndexEntry, bool) {
 		return e, found
 	}
 
-	lp := c.nw.PM.Lp()
+	lp := pm.Lp()
 	pfx := ids.PrefixOf(id, lp)
 	entry, found, delegated := c.probe(pfx, id, obj)
 	if found {
 		return entry, true
 	}
 
-	lo, hi := c.nw.PM.LpRange()
+	lo, hi := pm.LpRange()
 	maxDescent := 2
 	if len(c.peers) > 0 {
 		maxDescent = c.peers[0].MaxDescent()
@@ -315,7 +330,7 @@ func (c *checker) findIndex(obj moods.ObjectID) (core.IndexEntry, bool) {
 		}
 	}
 
-	lmin := c.nw.PM.LMin()
+	lmin := pm.LMin()
 	if lo > lmin {
 		lmin = lo
 	}
@@ -380,10 +395,10 @@ func (c *checker) checkIOP(obj moods.ObjectID, entry core.IndexEntry, hist []moo
 		}
 		vs, ok := c.visits[cur][obj]
 		if !ok {
-			if _, present := c.byName[cur]; !present {
+			if _, present := c.visits[cur]; !present {
 				// The chain points into a departed node's repository;
 				// the data left with it. Only exactness can complain.
-				if c.opts.RequireIOPExact {
+				if c.opts.Exact {
 					c.add("iop-dangling", cur, obj, "chain reaches departed node")
 				}
 				return
@@ -408,7 +423,7 @@ func (c *checker) checkIOP(obj moods.ObjectID, entry core.IndexEntry, hist []moo
 		cur = v.From
 	}
 
-	if c.opts.RequireIOPExact {
+	if c.opts.Exact {
 		want := make(moods.Path, len(hist))
 		for i, o := range hist {
 			want[i] = moods.Visit{Node: o.Node, Arrived: o.At}
@@ -424,20 +439,14 @@ func (c *checker) checkIOP(obj moods.ObjectID, entry core.IndexEntry, hist []moo
 
 	// Forward-pointer mirror: every To link must target a node that
 	// (if still present) holds a strictly later visit of the object.
-	names := make([]string, 0, len(c.visits))
-	for name := range c.visits {
-		names = append(names, string(name))
-	}
-	sort.Strings(names)
-	for _, ns := range names {
-		name := moods.NodeName(ns)
+	for _, name := range c.names {
 		for _, v := range c.visits[name][obj] {
 			if v.To == "" {
 				continue
 			}
 			tvs, present := c.visits[v.To][obj]
 			if !present {
-				if _, alive := c.byName[v.To]; !alive {
+				if _, alive := c.visits[v.To]; !alive {
 					continue // target departed with its repository
 				}
 				c.add("iop-mirror", name, obj, "To=%s holds no visits", v.To)
@@ -445,7 +454,7 @@ func (c *checker) checkIOP(obj moods.ObjectID, entry core.IndexEntry, hist []moo
 			}
 			mirrored := false
 			for _, tv := range tvs {
-				if tv.Arrived > v.Arrived && (!c.opts.RequireIOPBidir || tv.From == name) {
+				if tv.Arrived > v.Arrived && (!c.opts.Exact || tv.From == name) {
 					mirrored = true
 					break
 				}

@@ -1,6 +1,11 @@
 package invariants
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -43,23 +48,58 @@ func buildTracked(t *testing.T, nodes int, peerCfg core.Config) *core.Network {
 	return nw
 }
 
-func strict() Options {
-	return Options{RequireIOPExact: true, RequireIOPBidir: true}
+func strict() Options { return Options{Exact: true} }
+
+// check runs the catalog over a simulated network twice, against its
+// oracle and against nothing, and wants one report: while no repository
+// has left, the stored visits are the oracle's history.
+func check(t *testing.T, nw *core.Network, opts Options) []Violation {
+	t.Helper()
+	vs := Check(nw.Peers(), nw.Oracle, opts)
+	if blind := Check(nw.Peers(), nil, opts); !reflect.DeepEqual(blind, vs) {
+		t.Errorf("without an oracle the report is %v, with it %v", blind, vs)
+	}
+	return vs
 }
 
+// provoked collects every invariant name a planted-fault case of this
+// package has been shown; TestMain holds DESIGN.md §7 to them.
+var provoked = map[string]bool{}
+
 func hasInvariant(vs []Violation, name string) bool {
+	found := false
 	for _, v := range vs {
-		if v.Invariant == name {
-			return true
+		provoked[v.Invariant] = true
+		found = found || v.Invariant == name
+	}
+	return found
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	names := make([]string, 0, len(provoked))
+	for name := range provoked {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if !bytes.Contains(design, []byte("`"+name+"`")) {
+			fmt.Fprintf(os.Stderr, "DESIGN.md's catalog table (§7) does not list %q, which a test of this package provokes\n", name)
+			code = 1
 		}
 	}
-	return false
+	os.Exit(code)
 }
 
 func TestCleanNetworkHasNoViolations(t *testing.T) {
 	for _, mode := range []core.Mode{core.GroupIndexing, core.IndividualIndexing} {
 		nw := buildTracked(t, 8, core.Config{Mode: mode})
-		if vs := CheckNetwork(nw, strict()); len(vs) != 0 {
+		if vs := check(t, nw, strict()); len(vs) != 0 {
 			t.Errorf("mode %v: unexpected violations: %v", mode, vs)
 		}
 	}
@@ -70,7 +110,7 @@ func TestCleanNetworkAfterGrowShrink(t *testing.T) {
 	if _, _, err := nw.Grow(5); err != nil {
 		t.Fatal(err)
 	}
-	if vs := CheckNetwork(nw, Options{RequireIOPExact: true}); len(vs) != 0 {
+	if vs := check(t, nw, strict()); len(vs) != 0 {
 		t.Errorf("after grow: %v", vs)
 	}
 	if _, _, err := nw.Shrink(3); err != nil {
@@ -79,7 +119,7 @@ func TestCleanNetworkAfterGrowShrink(t *testing.T) {
 	// Departed nodes take their repositories with them; objects that
 	// visited them can no longer prove an exact chain, so only the
 	// structural profile applies network-wide.
-	if vs := CheckNetwork(nw, Options{}); len(vs) != 0 {
+	if vs := Check(nw.Peers(), nw.Oracle, Options{}); len(vs) != 0 {
 		t.Errorf("after shrink: %v", vs)
 	}
 }
@@ -101,7 +141,7 @@ func TestDetectsPlantedDuplicate(t *testing.T) {
 	victim.InjectIndexEntry(pfx.String(), core.IndexEntry{
 		Object: obj, ID: id, Latest: victim.Name(), Arrived: time.Hour,
 	})
-	vs := CheckNetwork(nw, strict())
+	vs := check(t, nw, strict())
 	if !hasInvariant(vs, "index-unique") {
 		t.Errorf("planted duplicate not reported as index-unique: %v", vs)
 	}
@@ -118,7 +158,7 @@ func TestDetectsRemovedRecord(t *testing.T) {
 	for _, p := range nw.Peers() {
 		p.RemoveIndexEntry(pfx.String(), id)
 	}
-	vs := CheckNetwork(nw, strict())
+	vs := check(t, nw, strict())
 	if !hasInvariant(vs, "index-missing") {
 		t.Errorf("removed record not reported as index-missing: %v", vs)
 	}
@@ -140,7 +180,7 @@ func TestDetectsCorruptHead(t *testing.T) {
 	gw.InjectIndexEntry(pfx.String(), core.IndexEntry{
 		Object: obj, ID: id, Latest: nw.Peers()[7].Name(), Arrived: time.Hour,
 	})
-	vs := CheckNetwork(nw, strict())
+	vs := check(t, nw, strict())
 	if !hasInvariant(vs, "index-head") {
 		t.Errorf("corrupt head not reported as index-head: %v", vs)
 	}
@@ -163,7 +203,7 @@ func TestDetectsForeignPrefixEntry(t *testing.T) {
 	gw.InjectIndexEntry(pfx.String(), core.IndexEntry{
 		Object: other, ID: other.Hash(), Latest: gw.Name(), Arrived: time.Hour,
 	})
-	vs := CheckNetwork(nw, Options{})
+	vs := check(t, nw, Options{})
 	if ids.PrefixOf(other.Hash(), nw.PM.Lp()).String() != pfx.String() {
 		if !hasInvariant(vs, "triangle-prefix") {
 			t.Errorf("foreign-prefix entry not reported: %v", vs)
@@ -235,5 +275,50 @@ func TestCheckRing(t *testing.T) {
 	chord.WireStaticRing(loose)
 	if vs := CheckRing(loose); len(vs) != 0 {
 		t.Errorf("statically wired ring not clean: %v", vs)
+	}
+}
+
+// TestReachabilityIsJudgedPerView: two peers with a prefix manager each,
+// as on a live fleet, one believing the network sixteen times larger.
+// Each indexes an object at its own level, where the other's IV-A3
+// search (no level but its own in its history) does not look: each miss
+// is reported against the view that misses. Once both managers have been
+// at both levels, descent and ascent reach both records.
+func TestReachabilityIsJudgedPerView(t *testing.T) {
+	mem := transport.NewMemory(1)
+	ring, err := chord.BuildStaticRing(mem, []transport.Addr{"org-0000", "org-0001"}, chord.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := func() time.Duration { return time.Minute }
+	pms := []*core.PrefixManager{core.NewPrefixManager(core.Scheme2, 2, 4), core.NewPrefixManager(core.Scheme2, 2, 8)}
+	if pms[0].Lp() == pms[1].Lp() {
+		t.Fatalf("both managers sit at Lp %d", pms[0].Lp())
+	}
+	var peers []*core.Peer
+	for i, n := range ring {
+		p := core.NewPeer(n, mem, pms[i], core.Config{}, clock)
+		if err := p.Observe(moods.Observation{Object: moods.ObjectID(fmt.Sprintf("urn:epc:view-%d", i)), At: time.Second}); err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, p)
+	}
+	for _, p := range peers {
+		if err := p.FlushWindow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs := Check(peers, nil, strict())
+	if !hasInvariant(vs, "index-missing") || len(vs) != 2 ||
+		vs[0].String() != "index-missing node=org-0001 obj=urn:epc:view-0: no index record reachable via the IV-A3 search" ||
+		vs[1].String() != "index-missing node=org-0000 obj=urn:epc:view-1: no index record reachable via the IV-A3 search" {
+		t.Errorf("want each record missed from the other peer's view, got %v", vs)
+	}
+	pms[0].SetNetworkSize(8)
+	pms[0].SetNetworkSize(4)
+	pms[1].SetNetworkSize(4)
+	pms[1].SetNetworkSize(8)
+	if vs := Check(peers, nil, strict()); len(vs) != 0 {
+		t.Errorf("both levels in both histories: %v", vs)
 	}
 }

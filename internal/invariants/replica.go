@@ -27,8 +27,8 @@ import (
 // ring-successor read path never consults copies outside the live
 // owner's mirror set.
 //
-// It takes the peers themselves, not a simulated network, so that a
-// live fleet's peers are checked by the same code.
+// Check runs it last; it is exported for callers that want this
+// contract alone.
 func CheckReplicaAgreement(peers []*core.Peer) []Violation {
 	if len(peers) == 0 || peers[0].ReplicationFactor() <= 1 {
 		return nil
@@ -36,7 +36,6 @@ func CheckReplicaAgreement(peers []*core.Peer) []Violation {
 	c := &replicaChecker{
 		dumps:   make(map[transport.Addr][]core.BucketSnapshot, len(peers)),
 		replica: make(map[transport.Addr]map[string]*core.BucketSnapshot, len(peers)),
-		max:     64,
 	}
 	// Ring order by node identifier: the independent oracle for every
 	// peer's expected mirror set.
@@ -68,11 +67,10 @@ type replicaChecker struct {
 	dumps   map[transport.Addr][]core.BucketSnapshot
 	replica map[transport.Addr]map[string]*core.BucketSnapshot
 	out     []Violation
-	max     int
 }
 
 func (c *replicaChecker) add(inv string, node moods.NodeName, obj moods.ObjectID, format string, args ...any) {
-	if len(c.out) >= c.max {
+	if len(c.out) >= maxViolations {
 		return
 	}
 	c.out = append(c.out, Violation{Invariant: inv, Node: node, Object: obj, Detail: fmt.Sprintf(format, args...)})

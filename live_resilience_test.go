@@ -8,8 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"peertrack/internal/core"
-	"peertrack/internal/invariants"
+	"peertrack/internal/moods"
 	"peertrack/internal/transport"
 )
 
@@ -84,35 +83,10 @@ func TestLiveFailoverWithReplicas(t *testing.T) {
 		BreakerThreshold:  4,
 		BreakerCooldown:   300 * time.Millisecond,
 	}
-	nodes := make([]*Node, 4)
-	for i := range nodes {
-		n, err := StartNode("127.0.0.1:0", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		nodes[i] = n
-	}
-	for _, n := range nodes[1:] {
-		if err := n.Join(nodes[0].Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nodes := startFleet(t, 4, opts)
 	// Settled means the ring is closed. (Join's own gossip round has put
 	// every joiner in somebody's view: TestJoinerThatDiesAtOnceIsDeclaredDead.)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		converged := true
-		for _, n := range nodes {
-			if n.chord.Predecessor().IsZero() {
-				converged = false
-			}
-		}
-		if converged {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	joinAndSettle(t, nodes, 5*time.Second)
 
 	// Each site observes a few objects; every put replicates its index
 	// record to the ring successor synchronously.
@@ -141,7 +115,7 @@ func TestLiveFailoverWithReplicas(t *testing.T) {
 	// The survivors' gossip agents must reach a dead verdict from live
 	// rounds alone.
 	q := nodes[0]
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for !q.gossip.IsDead(transport.Addr(victimAddr)) {
 		if time.Now().After(deadline) {
 			t.Fatal("gossip never declared the crashed node dead")
@@ -162,11 +136,8 @@ func TestLiveFailoverWithReplicas(t *testing.T) {
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
-		if err != nil {
-			t.Fatalf("locate %s after crash: %v", obj, err)
-		}
-		if loc == "" {
-			t.Fatalf("locate %s after crash: empty location", obj)
+		if err != nil || loc == "" {
+			t.Fatalf("locate %s after crash: %q, %v", obj, loc, err)
 		}
 	}
 
@@ -223,26 +194,9 @@ func TestCloseFlushesOpenWindow(t *testing.T) {
 		WindowInterval: time.Hour, // only Close can flush within the test
 		GossipEvery:    -1,
 	}
-	a, err := StartNode("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := StartNode("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Join(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for a.chord.Predecessor().IsZero() || b.chord.Predecessor().IsZero() {
-		if time.Now().After(deadline) {
-			t.Fatal("two-node ring never converged")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	nodes := startFleet(t, 2, opts)
+	joinAndSettle(t, nodes, 5*time.Second)
+	a, b := nodes[0], nodes[1]
 
 	// Enough objects that both nodes are gateway for some of them.
 	objects := make([]string, 16)
@@ -259,13 +213,8 @@ func TestCloseFlushesOpenWindow(t *testing.T) {
 	}
 
 	for _, obj := range objects {
-		stops, _, err := b.Trace(obj)
-		if err != nil {
-			t.Errorf("trace %s after the observer closed: %v", obj, err)
-			continue
-		}
-		if len(stops) != 1 || stops[0].Node != aAddr {
-			t.Errorf("trace %s = %v, want the one stop at %s", obj, stops, aAddr)
+		if stops, _, err := b.Trace(obj); err != nil || len(stops) != 1 || stops[0].Node != aAddr {
+			t.Errorf("trace %s after the observer closed = %v, %v; want the one stop at %s", obj, stops, err, aAddr)
 		}
 	}
 }
@@ -277,8 +226,8 @@ func TestCloseFlushesOpenWindow(t *testing.T) {
 // post barriered hop waves until the stores hold three times what they
 // held after the first third; the fleet must have sent next to no
 // whole-unit pushes, ingest as fast at the end as at the start, answer
-// every trace with the full route, and have every mirror equal to its
-// primary — checked by the simulator's own invariant.
+// no route, link or mirror wrong — the simulator's own invariant catalog,
+// against what the clients posted — and answer a trace with the full route.
 func TestLiveReplicatedIngestStaysFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP fleet")
@@ -298,41 +247,8 @@ func TestLiveReplicatedIngestStaysFlat(t *testing.T) {
 		WindowMaxObjects: 64,
 		ReplicaSyncEvery: 200 * time.Millisecond, // anti-entropy probes run beside the ingest
 	}
-	nodes := make([]*Node, fleet)
-	byAddr := make(map[string]*Node, fleet)
-	for i := range nodes {
-		n, err := StartNode("127.0.0.1:0", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		nodes[i], byAddr[n.Addr()] = n, n
-	}
-	for _, n := range nodes[1:] {
-		if err := n.Join(nodes[0].Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The ring has settled once the successor walk and the predecessor
-	// walk from node 0 each visit every node and close.
-	closes := func(next func(*Node) string) bool {
-		n := nodes[0]
-		for i := 0; i < fleet; i++ {
-			if n = byAddr[next(n)]; n == nil || (n == nodes[0]) != (i == fleet-1) {
-				return false
-			}
-		}
-		return true
-	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
-		if closes(func(n *Node) string { s, _, _ := n.RingInfo(); return s }) &&
-			closes(func(n *Node) string { _, p, _ := n.RingInfo(); return p }) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("ring never settled")
-		}
-	}
+	nodes := startFleet(t, fleet, opts)
+	joinAndSettle(t, nodes, 5*time.Second)
 
 	// Object j starts at node j and moves on by a stride of 1–4 nodes
 	// per hop, so consecutive stops differ and every node sees every
@@ -340,6 +256,7 @@ func TestLiveReplicatedIngestStaysFlat(t *testing.T) {
 	stop := func(j, hop int) *Node { return nodes[(j+hop*(1+j%(fleet-1)))%fleet] }
 	name := func(j int) string { return fmt.Sprintf("urn:flat:%04d", j) }
 	t0 := time.Now()
+	oracle := moods.NewHistoryStore()
 	wave := func(hop int) time.Duration {
 		start := time.Now()
 		var wg sync.WaitGroup
@@ -350,35 +267,14 @@ func TestLiveReplicatedIngestStaysFlat(t *testing.T) {
 				for j := c; j < objects; j += clients {
 					// An error is a full window whose flush failed: the event
 					// stays buffered for the barrier.
-					if err := stop(j, hop).ObserveAt(name(j), t0.Add(time.Duration(hop)*time.Minute)); err != nil {
+					if err := observeAt(oracle, stop(j, hop), name(j), t0.Add(time.Duration(hop)*time.Minute)); err != nil {
 						t.Log(err)
 					}
 				}
 			}(c)
 		}
 		wg.Wait()
-		// Barrier: every node flushes, at once, until no window holds
-		// anything (a deferred stitch or an undelivered group is
-		// re-buffered).
-		for buffered, tries := 1, 0; buffered > 0; tries++ {
-			if tries == 20 {
-				t.Fatalf("hop %d: %d events still buffered after %d flushes", hop, buffered, tries)
-			}
-			for _, n := range nodes {
-				wg.Add(1)
-				go func(n *Node) {
-					defer wg.Done()
-					if err := n.Flush(); err != nil {
-						t.Log(err)
-					}
-				}(n)
-			}
-			wg.Wait()
-			buffered = 0
-			for _, n := range nodes {
-				buffered += n.peer.Buffered()
-			}
-		}
+		barrier(t, nodes)
 		return time.Since(start)
 	}
 	wave(0)
@@ -390,10 +286,8 @@ func TestLiveReplicatedIngestStaysFlat(t *testing.T) {
 	// observation, fleet-wide.
 	var pushes uint64
 	var causes string
-	peers := make([]*core.Peer, fleet)
-	for i, n := range nodes {
+	for _, n := range nodes {
 		pushes += n.Telemetry().Counter("core.replication.repair_pushes").Value()
-		peers[i] = n.peer
 	}
 	for _, c := range []string{"repair_pushes.new_mirror", "repair_pushes.not_current", "repair_pushes.probe_mismatch", "coalesced"} {
 		var sum uint64
@@ -416,20 +310,14 @@ func TestLiveReplicatedIngestStaysFlat(t *testing.T) {
 	if !raceDetector && float64(first) < 0.7*float64(last) {
 		t.Errorf("ingest slowed as the stores grew: a wave took %v at first, %v at the end (if the push counters logged above are zero, suspect the machine); all waves: %v", first, last, took)
 	}
-	for j := 0; j < objects; j++ {
-		stops, _, err := nodes[j%fleet].Trace(name(j))
-		if err != nil {
-			t.Fatalf("trace %s: %v", name(j), err)
+	// Every route, every from/to link and every mirror, by the catalog;
+	// one trace a node so the wire's query path answers too.
+	checkFleet(t, nodes, oracle)
+	for j, n := range nodes {
+		stops, _, err := n.Trace(name(j))
+		route := oracle.FullTrace(moods.ObjectID(name(j)))
+		if err != nil || !slices.EqualFunc(stops, route, func(s Stop, v moods.Visit) bool { return s.Node == string(v.Node) }) {
+			t.Errorf("trace %s = %v, %v; want the %d stops of its route", name(j), stops, err, waves+1)
 		}
-		ok := len(stops) == waves+1
-		for hop := 0; ok && hop <= waves; hop++ {
-			ok = stops[hop].Node == stop(j, hop).Addr()
-		}
-		if !ok {
-			t.Fatalf("trace %s = %v, want the %d stops of its route", name(j), stops, waves+1)
-		}
-	}
-	for _, v := range invariants.CheckReplicaAgreement(peers) {
-		t.Errorf("%s at %s: %s %s", v.Invariant, v.Node, v.Object, v.Detail)
 	}
 }

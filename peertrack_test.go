@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"peertrack/internal/moods"
 )
 
 func TestSimulationQuickstartFlow(t *testing.T) {
@@ -128,95 +130,35 @@ func TestSimulationGrow(t *testing.T) {
 
 func TestLiveNodesOverTCP(t *testing.T) {
 	// Three-organisation live network on loopback.
-	opts := NodeOptions{NetworkSize: 3, StabilizeEvery: 50 * time.Millisecond, WindowInterval: 50 * time.Millisecond}
-	a, err := StartNode("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := StartNode("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	c, err := StartNode("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := b.Join(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Join(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	// Let stabilization converge the 3-ring.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if !a.chord.Predecessor().IsZero() && !b.chord.Predecessor().IsZero() && !c.chord.Predecessor().IsZero() {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	nodes := startFleet(t, 3, NodeOptions{NetworkSize: 3, StabilizeEvery: 50 * time.Millisecond, WindowInterval: 50 * time.Millisecond})
+	joinAndSettle(t, nodes, 5*time.Second)
+	a, b, c := nodes[0], nodes[1], nodes[2]
 
 	obj := "urn:epc:id:sgtin:0614141.812345.777"
+	oracle := moods.NewHistoryStore()
 	t0 := time.Now()
-	if err := a.ObserveAt(obj, t0); err != nil {
-		t.Fatal(err)
+	for i, n := range nodes {
+		if err := observeAt(oracle, n, obj, t0.Add(time.Duration(i)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		n.Flush()
 	}
-	a.Flush()
-	if err := b.ObserveAt(obj, t0.Add(time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	b.Flush()
-	if err := c.ObserveAt(obj, t0.Add(2*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	c.Flush()
 
 	stops, _, err := a.Trace(obj)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(stops) != 3 || stops[0].Node != a.Addr() || stops[1].Node != b.Addr() || stops[2].Node != c.Addr() {
+		t.Fatalf("live trace = %v, %v; want %s, %s, %s", stops, err, a.Addr(), b.Addr(), c.Addr())
 	}
-	if len(stops) != 3 {
-		t.Fatalf("live trace = %v", stops)
+	if loc, _, err := b.Locate(obj, t0.Add(1500*time.Millisecond)); err != nil || loc != b.Addr() {
+		t.Fatalf("located at %q, %v; want %q", loc, err, b.Addr())
 	}
-	want := []string{a.Addr(), b.Addr(), c.Addr()}
-	for i, s := range stops {
-		if s.Node != want[i] {
-			t.Fatalf("live trace order = %v, want %v", stops, want)
-		}
-	}
-	loc, _, err := b.Locate(obj, t0.Add(1500*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loc != b.Addr() {
-		t.Fatalf("located at %q, want %q", loc, b.Addr())
-	}
+	barrier(t, nodes)
+	checkFleet(t, nodes, oracle)
 }
 
 func TestLiveNodesWithSharedSecret(t *testing.T) {
-	opts := NodeOptions{
-		NetworkSize:    2,
-		NetworkSecret:  "supply-chain-secret",
-		StabilizeEvery: 50 * time.Millisecond,
-		WindowInterval: 50 * time.Millisecond,
-	}
-	a, err := StartNode("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := StartNode("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Join(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	nodes := startFleet(t, 2, NodeOptions{NetworkSize: 2, NetworkSecret: "supply-chain-secret", StabilizeEvery: 50 * time.Millisecond, WindowInterval: 50 * time.Millisecond})
+	joinAndSettle(t, nodes, 5*time.Second)
+	a, b := nodes[0], nodes[1]
 	obj := "secured-object"
 	if err := a.ObserveAt(obj, time.Now()); err != nil {
 		t.Fatal(err)
@@ -227,14 +169,7 @@ func TestLiveNodesWithSharedSecret(t *testing.T) {
 	}
 
 	// A node with the wrong secret cannot join.
-	evil, err := StartNode("127.0.0.1:0", NodeOptions{
-		NetworkSize:   2,
-		NetworkSecret: "wrong",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer evil.Close()
+	evil := startFleet(t, 1, NodeOptions{NetworkSize: 2, NetworkSecret: "wrong"})[0]
 	if err := evil.Join(a.Addr()); err == nil {
 		t.Fatal("join with wrong secret succeeded")
 	}
