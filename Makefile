@@ -44,7 +44,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 25141
+LOC_MAX = 25220
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
@@ -136,7 +136,7 @@ micro:
 	$(GO) test -run xxx -bench 'BenchmarkGateway|BenchmarkIOP' ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkSpan' -benchmem ./internal/telemetry/
 	$(GO) test -run xxx -bench 'BenchmarkPaperGenerate' -benchmem ./internal/workload/
-	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run|Trace)' -benchtime 3x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkSimPaperLoad/128x500|BenchmarkSimPaper(Run|Trace)' -benchtime 3x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'RoundTrip|NetHTTPFloor' -benchmem ./internal/ctlapi/
 
 # profile-sim writes cpu.pprof and mem.pprof of the sim-paper phases —
@@ -144,7 +144,7 @@ micro:
 # repository benchmark's size — without the bench module; inspect with
 # `go tool pprof bin/core.test cpu.pprof`.
 profile-sim:
-	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run|Trace)' -benchtime 5x -o bin/core.test \
+	$(GO) test -run xxx -bench 'BenchmarkSimPaperLoad/128x500|BenchmarkSimPaper(Run|Trace)' -benchtime 5x -o bin/core.test \
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/core/
 
 # profile captures CPU and heap pprof profiles of the XL throughput

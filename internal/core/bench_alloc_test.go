@@ -228,7 +228,8 @@ func mallocsDuring(fn func()) (objects, bytes float64) {
 // its span, M2/M3 stitching, transport accounting — and what one IOP hop
 // of a FullTrace costs. It is the allocation budget of the path every
 // figure, chaos sweep and the sim-paper benchmark run. This network
-// measures 10.07 allocations and 1461 bytes per observation and 4.0
+// measures 9.55 allocations and 1456 bytes per observation (10.07 before
+// a gateway-cache miss hashed its prefix from the stack) and 4.0
 // allocations per hop, the same under -race. The allocation ceiling is
 // that plus 5 %; the byte ceiling stays at the tighter 1520 (what eager
 // span text cost), because the id an ObjEvent carries adds 24 bytes an
@@ -238,8 +239,8 @@ func TestSimPaperShapedAllocs(t *testing.T) {
 	objects, bytes := mallocsDuring(nw.Run)
 	obs := float64(len(wl.Observations))
 	t.Logf("Run: %.2f allocs and %.0f bytes per observation (%d observations)", objects/obs, bytes/obs, len(wl.Observations))
-	if objects/obs > 10.6 {
-		t.Errorf("Run allocates %.2f objects per observation, want ≤ 10.6", objects/obs)
+	if objects/obs > 10.03 {
+		t.Errorf("Run allocates %.2f objects per observation, want ≤ 10.03", objects/obs)
 	}
 	if bytes/obs > 1520 {
 		t.Errorf("Run allocates %.0f bytes per observation, want ≤ 1520", bytes/obs)
@@ -261,18 +262,60 @@ func TestSimPaperShapedAllocs(t *testing.T) {
 	}
 }
 
+// TestSimPaperLoadAllocs pins what the load costs before Run — generate,
+// build, schedule — in allocations per observation. The workload's
+// slices, the sort's keys and the oracle's slab and maps are a few
+// hundred allocations however many observations there are, the network
+// a few dozen a node: 0.071 here, 0.074 under -race, and the ceiling is
+// that plus 5 %. An id string per object and a history append per
+// observation read 1.85. The test also holds ScheduleAll to its word
+// that the oracle is complete when it returns.
+func TestSimPaperLoadAllocs(t *testing.T) {
+	var nw *Network
+	var wl workload.Result
+	objects, _ := mallocsDuring(func() { nw, wl = simPaperShaped(t, 32, 200) })
+	obs := float64(len(wl.Observations))
+	t.Logf("load: %.3f allocs per observation (%d observations)", objects/obs, len(wl.Observations))
+	if objects/obs > 0.078 {
+		t.Errorf("load allocates %.3f objects per observation, want ≤ 0.078", objects/obs)
+	}
+	if nw.Oracle.Len() != len(wl.Observations) {
+		t.Errorf("the oracle holds %d of %d observations when ScheduleAll returns", nw.Oracle.Len(), len(wl.Observations))
+	}
+}
+
 // BenchmarkSimPaperLoad, BenchmarkSimPaperRun and BenchmarkSimPaperTrace
 // are the phases of the sim-paper benchmark at its size (128 nodes, 500
 // objects each) — setup_s (generate, build, schedule), the timed Run and
 // the timed queries — for profiling without the benchmark module
-// (`make profile-sim`):
+// (`make profile-sim`, whose pattern leaves Load/full out).
 //
-//	go test ./internal/core -run xxx -bench SimPaper -cpuprofile cpu.pprof
+// Load/full is the paper's own largest point, 512 nodes × 5 000 objects
+// (4.86 M observations, about a gigabyte), run by hand and by name:
+//
+//	go test ./internal/core -run xxx -bench SimPaperLoad/full -benchtime 1x
+//
+// It also reports the heap in use after the load and a collection.
 func BenchmarkSimPaperLoad(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		simPaperShaped(b, 128, 500)
-	}
+	b.Run("128x500", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			simPaperShaped(b, 128, 500)
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("a gigabyte")
+		}
+		for i := 0; i < b.N; i++ {
+			nw, _ := simPaperShaped(b, 512, 5000)
+			runtime.GC()
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			b.ReportMetric(float64(m.HeapInuse)/(1<<20), "heap-inuse-MB")
+			runtime.KeepAlive(nw)
+		}
+	})
 }
 
 func BenchmarkSimPaperRun(b *testing.B) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -225,30 +224,29 @@ func (nw *Network) ScheduleObservation(obs moods.Observation) error {
 // A slice already in that order — workload.Generate's is — is scheduled
 // as it stands and retained until its last observation has run: the
 // caller must not modify it before then. Only unsorted input is copied
-// and stable-sorted (at XL a copy is a second 150 MB).
+// and the copy sorted (at XL a copy is a second 150 MB).
 func (nw *Network) ScheduleAll(obss []moods.Observation) error {
 	if len(obss) == 0 {
 		return nil
 	}
-	byAt := func(a, b moods.Observation) int { return cmp.Compare(a.At, b.At) }
-	if !slices.IsSortedFunc(obss, byAt) {
-		obss = slices.Clone(obss)
-		slices.SortStableFunc(obss, byAt)
-	}
 	times := make([]sim.Time, len(obss))
+	sorted := true
 	for i, o := range obss {
 		if _, ok := nw.byName[o.Node]; !ok {
 			return fmt.Errorf("core: unknown node %q", o.Node)
 		}
 		times[i] = o.At
+		sorted = sorted && (i == 0 || times[i-1] <= o.At)
+	}
+	if !sorted {
+		obss = slices.Clone(obss)
+		moods.SortByTime(obss)
+		return nw.ScheduleAll(obss)
 	}
 	if !nw.cfg.NoOracle {
 		// An object's observations keep their relative order under the
-		// stable sort, so the oracle reads the same as in the caller's
-		// order — and every Record is an append.
-		for _, o := range obss {
-			nw.Oracle.Record(o)
-		}
+		// sort, so the oracle reads the same as in the caller's order.
+		nw.Oracle.RecordAll(obss)
 	}
 	// The peer is looked up when the observation fires — one map hit in
 	// place of a pointer per observation held beside the slice — so a node

@@ -1,9 +1,6 @@
 package ids
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Prefix is a bit-string prefix of an identifier: the first Len bits of
 // ID (remaining bits of ID are zero). Prefixes are the group ids of the
@@ -65,17 +62,13 @@ func MustParsePrefix(s string) Prefix {
 // String renders the prefix as a binary string, e.g. "0001". This string
 // is what gets hashed to choose the group's gateway node, mirroring the
 // paper's hash("000") notation.
-func (p Prefix) String() string {
-	var sb strings.Builder
-	sb.Grow(p.Len)
+func (p Prefix) String() string { return string(p.appendBits(make([]byte, 0, Bits))) }
+
+func (p Prefix) appendBits(b []byte) []byte {
 	for i := 0; i < p.Len; i++ {
-		if p.Bits.Bit(i) == 1 {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
+		b = append(b, '0'+byte(p.Bits.Bit(i)))
 	}
-	return sb.String()
+	return b
 }
 
 // Matches reports whether id starts with prefix p.
@@ -117,7 +110,8 @@ func (p Prefix) Child(bit int) Prefix {
 // "objects belonging to the group “00” will be indexed in the node
 // hash(“00”)".
 func (p Prefix) GatewayID() ID {
-	return HashString("group:" + p.String())
+	// The buffer stays on the stack: this runs on every gateway-cache miss.
+	return Hash(p.appendBits(append(make([]byte, 0, len("group:")+Bits), "group:"...)))
 }
 
 // NextBit returns the bit of id immediately after this prefix, which is

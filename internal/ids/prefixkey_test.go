@@ -104,3 +104,36 @@ func TestPrefixKeyZeroAllocs(t *testing.T) {
 		t.Errorf("round trip = %v/%d, want %v/11", back, n, p)
 	}
 }
+
+// TestGatewayIDMatchesStringFormula: GatewayID writes its input into a
+// stack buffer; the digest must stay that of "group:" + the binary
+// string, for every length it is ever asked for and for random bits, or
+// every group's gateway moves.
+func TestGatewayIDMatchesStringFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	check := func(p Prefix) {
+		t.Helper()
+		if got, want := p.GatewayID(), HashString("group:"+p.String()); got != want {
+			t.Fatalf("GatewayID(%v) = %v, want %v", p, got, want)
+		}
+	}
+	for n := 0; n <= 64; n++ {
+		check(PrefixOf(randomID(rng), n))
+	}
+	for i := 0; i < 1000; i++ {
+		check(PrefixOf(randomID(rng), rng.Intn(Bits+1)))
+	}
+}
+
+// TestGatewayIDZeroAllocs: a gateway-cache miss hashes the prefix
+// without touching the heap.
+func TestGatewayIDZeroAllocs(t *testing.T) {
+	p := PrefixOf(HashString("obj-17"), 11)
+	var id ID
+	if avg := testing.AllocsPerRun(200, func() { id = p.GatewayID() }); avg != 0 {
+		t.Errorf("GatewayID allocates %.1f/op, want 0", avg)
+	}
+	if id != HashString("group:"+p.String()) {
+		t.Error("GatewayID differs from the string formula")
+	}
+}

@@ -16,6 +16,9 @@
 package moods
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -49,6 +52,46 @@ type Observation struct {
 	At       time.Duration
 }
 
+func byAt(a, b Observation) int { return cmp.Compare(a.At, b.At) }
+
+// SortByTime orders obss by capture time, observations captured at the
+// same instant keeping their relative order — a stable sort by At. It
+// sorts 16-byte (At, position) keys, a total order that any sort keeps
+// stable, then moves each 56-byte observation once, in place, along the
+// cycles of the permutation. Sorted input returns without allocating.
+func SortByTime(obss []Observation) {
+	if slices.IsSortedFunc(obss, byAt) {
+		return
+	}
+	type key struct {
+		at  time.Duration
+		pos int // where the observation that belongs here stands
+	}
+	keys := make([]key, len(obss))
+	for i := range obss {
+		keys[i] = key{obss[i].At, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int { // no two keys are equal
+		if a.at < b.at || a.at == b.at && a.pos < b.pos {
+			return -1
+		}
+		return 1
+	})
+	for i := range keys {
+		if keys[i].pos == i {
+			continue
+		}
+		first, j := obss[i], i
+		for src := keys[j].pos; src != i; src = keys[j].pos {
+			obss[j] = obss[src]
+			keys[j].pos = j // placed
+			j = src
+		}
+		obss[j] = first
+		keys[j].pos = j
+	}
+}
+
 // Visit is one stop on an object's trajectory.
 type Visit struct {
 	Node    NodeName
@@ -70,24 +113,7 @@ func (p Path) Nodes() []NodeName {
 
 // Equal reports whether two paths visit the same nodes at the same
 // times.
-func (p Path) Equal(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Locator answers the L function.
-type Locator interface {
-	// Locate returns the node where object o was at time t, or Nowhere
-	// if o had not been observed by t.
-	Locate(o ObjectID, t time.Duration) (NodeName, error)
-}
+func (p Path) Equal(q Path) bool { return slices.Equal(p, q) }
 
 // Tracer answers the TR function.
 type Tracer interface {
@@ -118,6 +144,10 @@ func NewHistoryStore() *HistoryStore {
 func (h *HistoryStore) Record(obs Observation) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.record(obs)
+}
+
+func (h *HistoryStore) record(obs Observation) {
 	s := h.hist[obs.Object]
 	i := len(s)
 	if i > 0 && s[i-1].At > obs.At {
@@ -129,6 +159,55 @@ func (h *HistoryStore) Record(obs Observation) {
 	s[i] = obs
 	h.hist[obs.Object] = s
 	h.n++
+}
+
+// RecordAll records a workload at once and leaves what one Record per
+// observation, in slice order, leaves. Into an empty store, from input
+// in SortByTime's order, it counts each object's observations, lays all
+// histories out in one slab and inserts one map entry an object. Each
+// history is cut with cap == len, so a later Record reallocates it
+// instead of growing into its neighbour's.
+func (h *HistoryStore) RecordAll(sorted []Observation) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.n != 0 || len(sorted) > math.MaxInt32 || !slices.IsSortedFunc(sorted, byAt) {
+		for _, o := range sorted {
+			h.record(o)
+		}
+		return
+	}
+	// slot[i] numbers sorted[i]'s object, end[k] counts object k's
+	// observations. The map is sized for two observations an object.
+	number := make(map[ObjectID]int32, len(sorted)/2)
+	slot := make([]int32, len(sorted))
+	var end []int32
+	for i := range sorted {
+		k, ok := number[sorted[i].Object]
+		if !ok {
+			k = int32(len(end))
+			number[sorted[i].Object] = k
+			end = append(end, 0)
+		}
+		slot[i] = k
+		end[k]++
+	}
+	sum := int32(0)
+	for k, n := range end {
+		end[k] = sum // object k's next free place: the end of its history once filled
+		sum += n
+	}
+	slab := make([]Observation, len(sorted))
+	for i, k := range slot {
+		slab[end[k]] = sorted[i]
+		end[k]++
+	}
+	h.hist = make(map[ObjectID][]Observation, len(end))
+	start := int32(0)
+	for _, e := range end {
+		h.hist[slab[start].Object] = slab[start:e:e]
+		start = e
+	}
+	h.n = len(sorted)
 }
 
 // Len returns the total number of recorded observations.
@@ -159,8 +238,8 @@ func (h *HistoryStore) ObjectIDs() []ObjectID {
 	return out
 }
 
-// Locate implements Locator: the node of the latest observation at or
-// before t.
+// Locate answers L: the node of the latest observation at or before t,
+// or Nowhere if o had not been observed by then.
 func (h *HistoryStore) Locate(o ObjectID, t time.Duration) (NodeName, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()

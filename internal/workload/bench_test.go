@@ -33,7 +33,9 @@ var raceDetector bool
 // TestGenerateAllocatesWhatItKeeps pins Generate's allocated bytes to at
 // most 1.25 times the bytes its result retains: the three slices are
 // sized from the spec, not grown by append (which allocated five times
-// what it kept), and the sort works in place.
+// what it kept), the ids are cut from one slab, and the sort moves the
+// observations in place — its 16-byte key beside each 56-byte record is
+// 0.22 of the 1.23 measured; a gather into a second slab adds 0.78.
 func TestGenerateAllocatesWhatItKeeps(t *testing.T) {
 	if raceDetector {
 		t.Skip("under -race the runtime allocates on Generate's behalf (1.60x measured); the pin is for the product build")

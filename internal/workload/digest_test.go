@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,6 +101,24 @@ func TestGenerateDigest(t *testing.T) {
 		}
 		if got := digest(res); got != c.sum {
 			t.Errorf("%s: digest %s, want %s", c.name, got, c.sum)
+		}
+	}
+}
+
+// TestSyntheticIDIsSprintf: the ids cut from the shared builder are the
+// strings fmt.Sprintf("obj-%08d", k) gave, at the widths where the
+// padding ends too (TestGenerateDigest only reaches eight digits), and
+// an id stays what it was when the builder grows under it.
+func TestSyntheticIDIsSprintf(t *testing.T) {
+	var sb strings.Builder
+	ks := []int{1, 9, 10, 12345, 99_999_999, 100_000_000, 999_999_999, 1_000_000_000, 1 << 40}
+	var got []moods.ObjectID
+	for _, k := range ks {
+		got = append(got, syntheticID(&sb, k))
+	}
+	for i, k := range ks {
+		if want := fmt.Sprintf("obj-%08d", k); string(got[i]) != want {
+			t.Errorf("id %d = %q, want %q", k, got[i], want)
 		}
 	}
 }

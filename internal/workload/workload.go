@@ -10,10 +10,10 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"peertrack/internal/epc"
@@ -94,10 +94,6 @@ func (s PaperSpec) Generate() (Result, error) {
 		return Result{}, fmt.Errorf("workload: trace length %d exceeds node count %d", s.TraceLen, len(s.Nodes))
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	var gen *epc.Generator
-	if s.RealEPC {
-		gen = epc.NewGenerator(s.Seed, 16, 256)
-	}
 
 	// Every node contributes the same counts, so the three slices are
 	// sized once: a placement per object plus TraceLen-1 hops per mover.
@@ -107,21 +103,22 @@ func (s PaperSpec) Generate() (Result, error) {
 		Objects:      make([]moods.ObjectID, 0, len(s.Nodes)*s.ObjectsPerNode),
 		Movers:       make([]moods.ObjectID, 0, len(s.Nodes)*nMove),
 	}
-	serial := 0
-	newObject := func() moods.ObjectID {
-		serial++
-		if gen != nil {
-			return moods.ObjectID(gen.NextURN())
-		}
-		return moods.ObjectID(fmt.Sprintf("obj-%08d", serial))
+	var idBytes strings.Builder // every synthetic id, end to end
+	newObject := func() moods.ObjectID { return syntheticID(&idBytes, len(res.Objects)+1) }
+	if s.RealEPC {
+		gen := epc.NewGenerator(s.Seed, 16, 256)
+		newObject = func() moods.ObjectID { return moods.ObjectID(gen.NextURN()) }
+	} else {
+		idBytes.Grow(cap(res.Objects) * len("obj-00000000"))
 	}
+	used := make([]bool, len(s.Nodes)) // route's scratch
 
 	for ni, node := range s.Nodes {
 		// A shared route and departure schedule for grouped movement.
 		var groupRoute []moods.NodeName
 		var groupStart time.Duration
 		if s.Grouped && nMove > 0 {
-			groupRoute = s.route(rng, ni)
+			groupRoute = s.route(rng, ni, used)
 			groupStart = s.Spread + time.Duration(rng.Int63n(int64(s.HopGap)))
 		}
 		for oi := 0; oi < s.ObjectsPerNode; oi++ {
@@ -138,7 +135,7 @@ func (s PaperSpec) Generate() (Result, error) {
 			route := groupRoute
 			start := groupStart
 			if !s.Grouped {
-				route = s.route(rng, ni)
+				route = s.route(rng, ni, used)
 				// Independent departures spread an order of magnitude
 				// wider than a capture window, so co-located objects
 				// land in different windows.
@@ -155,21 +152,32 @@ func (s PaperSpec) Generate() (Result, error) {
 		}
 	}
 
-	// Stable: observations captured at the same instant keep generation
-	// order, which is the order the simulation replays them in.
-	slices.SortStableFunc(res.Observations, func(a, b moods.Observation) int {
-		return cmp.Compare(a.At, b.At)
-	})
+	// Observations captured at the same instant keep generation order,
+	// which is the order the simulation replays them in.
+	moods.SortByTime(res.Observations)
 	if n := len(res.Observations); n > 0 {
 		res.Horizon = res.Observations[n-1].At
 	}
 	return res, nil
 }
 
-// route draws TraceLen-1 further distinct hops starting after origin.
-func (s PaperSpec) route(rng *rand.Rand, origin int) []moods.NodeName {
+// syntheticID is fmt.Sprintf("obj-%08d", k), cut from the end of sb: the
+// ids of a workload share one allocation instead of taking one each.
+func syntheticID(sb *strings.Builder, k int) moods.ObjectID {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(k), 10)
+	start := sb.Len()
+	sb.WriteString("obj-00000000"[:max(4, 12-len(d))])
+	sb.Write(d)
+	return moods.ObjectID(sb.String()[start:])
+}
+
+// route draws TraceLen-1 further distinct hops starting after origin;
+// used is its scratch, one flag a node, reused from route to route.
+func (s PaperSpec) route(rng *rand.Rand, origin int, used []bool) []moods.NodeName {
 	hops := make([]moods.NodeName, 0, s.TraceLen-1)
-	used := map[int]bool{origin: true}
+	clear(used)
+	used[origin] = true
 	for len(hops) < s.TraceLen-1 {
 		k := rng.Intn(len(s.Nodes))
 		if used[k] {
