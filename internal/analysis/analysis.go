@@ -1,11 +1,10 @@
-// Package analysis implements peertrack-lint: a suite of static
-// analysis passes that machine-check the properties the simulation and
-// chaos harnesses stake correctness on but the compiler cannot see —
-// no wall-clock or ambient randomness in deterministic packages, no
-// map-iteration-order leaking into emitted output, no reference into a
-// message kept after it crosses the in-memory transport, no blocking
-// under a store mutex. What a test can observe is left to tests: the
-// allocation-free paths are pinned by testing.AllocsPerRun, not here.
+// Package analysis implements peertrack-lint: the static analysis
+// passes for the properties the simulation and chaos harnesses stake
+// correctness on that no test observes — no wall-clock or ambient
+// randomness in the experiment tables no golden pins, no
+// map-iteration-order leaking into emitted output, no blocking under a
+// store mutex. What a test can observe is left to tests (DESIGN §8
+// lists which test holds each contract a pass used to).
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API (Analyzer, Pass, Diagnostic) so the passes could be ported to the
@@ -15,9 +14,9 @@
 // alone — go/ast, go/types, go/importer, and `go list -json -export`
 // for export data.
 //
-// The three syntax passes (detwall, detrand, maporder) see one function
-// at a time; the three interprocedural ones (lockheld, sendalias,
-// sortedsource) also read the per-function facts of facts.go. Each pass documents its rule at its Analyzer variable.
+// The syntax passes (detwall, detrand, maporder) see one function at a
+// time; lockheld also follows calls through the per-function facts of
+// facts.go. Each pass documents its rule at its Analyzer variable.
 //
 // A diagnostic is suppressed by a `//lint:allow <pass> <reason>`
 // comment on the flagged line or the line above it.
@@ -60,8 +59,8 @@ type Pass struct {
 	// keep their qualifier; NormalizeImportPath strips it).
 	ImportPath string
 	// Facts is the interprocedural fact store, filled for every module
-	// package before any pass runs. The interprocedural passes treat a
-	// nil store as empty.
+	// package before any pass runs. lockheld treats a nil store as
+	// empty.
 	Facts *FactStore
 	// Report is called for each finding.
 	Report func(Diagnostic)
@@ -87,19 +86,13 @@ type Diagnostic struct {
 }
 
 // DeterministicPackages lists the packages whose behavior must be a
-// pure function of the seed: the sim kernel and everything executing
-// under it. detwall and detrand apply only here. Keep this in sync with
+// pure function of the seed but whose output no test pins — the
+// ablation and extension tables have no golden — so detwall and detrand
+// apply only here. The other packages under the sim kernel are held by
+// their goldens and determinism tests instead. Keep this in sync with
 // DESIGN.md §8.
 var DeterministicPackages = map[string]bool{
-	"peertrack/internal/sim":         true,
-	"peertrack/internal/chaos":       true,
-	"peertrack/internal/core":        true,
-	"peertrack/internal/chord":       true,
-	"peertrack/internal/gossip":      true,
-	"peertrack/internal/invariants":  true,
 	"peertrack/internal/experiments": true,
-	"peertrack/internal/telemetry":   true,
-	"peertrack/internal/replication": true,
 }
 
 // NormalizeImportPath maps a test-variant import path to the package it
@@ -122,9 +115,9 @@ func deterministicOnly(importPath string) bool {
 }
 
 // All returns the full pass suite in stable order: the syntax passes,
-// then the interprocedural ones.
+// then lockheld.
 func All() []*Analyzer {
-	return []*Analyzer{DetWall, DetRand, MapOrder, LockHeld, SendAlias, SortedSource}
+	return []*Analyzer{DetWall, DetRand, MapOrder, LockHeld}
 }
 
 // pkgNameOf resolves an identifier to the package it names, or nil if

@@ -5,7 +5,7 @@
 //
 // Layout: testdata/src/<pkg>/*.go, one package per directory. A
 // directory may import another testdata package by its directory name
-// (e.g. the sendalias corpus imports a stub "transport"); anything else
+// (e.g. the lockheld corpus imports a stub "transport"); anything else
 // resolves to the real build via `go list -export` data.
 //
 // Expectations are written at the end of the offending line:
@@ -76,7 +76,6 @@ func Analyze(t *testing.T, testdata, pkg string) []analysis.Finding {
 	findings, err := analysis.RunPackage(ld.fset, lp, analysis.All(), analysis.RunOptions{
 		Facts:       facts,
 		CheckAllows: true,
-		FullSuite:   true,
 	})
 	if err != nil {
 		t.Fatalf("running suite on %s: %v", pkg, err)

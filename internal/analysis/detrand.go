@@ -30,8 +30,7 @@ var globalRandFuncs = map[string]bool{
 // The global source is seeded per process (randomly since Go 1.20), so
 // any rand.Intn in simulated code makes two runs of the same seed
 // diverge. Deterministic code must draw from a *rand.Rand constructed
-// from the schedule's seed (e.g. sim.Kernel.Rand) so every decision is
-// replayable.
+// from the run's seed so every decision is replayable.
 var DetRand = &Analyzer{
 	Name:      "detrand",
 	Doc:       "forbid global math/rand functions in deterministic packages; thread a seeded *rand.Rand from the schedule",
@@ -52,7 +51,7 @@ func runDetRand(pass *Pass) error {
 					continue
 				}
 				pass.Reportf(n.Pos(),
-					"rand.%s draws from the process-global source, which is seeded per process; use a seeded *rand.Rand threaded from the schedule (e.g. sim.Kernel.Rand)",
+					"rand.%s draws from the process-global source, which is seeded per process; use a *rand.Rand seeded from the run's seed",
 					name)
 			}
 			return true

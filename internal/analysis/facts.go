@@ -5,11 +5,11 @@ import (
 	"strings"
 )
 
-// This file holds the interprocedural layer: per-function facts
-// computed bottom-up over the CHA call graph (see summary.go for the
-// extraction) and the transitive queries lockheld, sendalias and
-// sortedsource ask of them. The store is filled for every package of
-// the load, on one file set, before any pass runs.
+// This file holds the interprocedural layer lockheld reads: per-function
+// blocking sites and call edges (see summary.go for the extraction),
+// the CHA implementation index, and the transitive BlockChain query over
+// them. The store is filled for every package of the load, on one file
+// set, before any pass runs.
 
 // A Site is one position-annotated effect inside a function body: a
 // potentially-blocking operation.
@@ -26,41 +26,13 @@ type CallEdge struct {
 	Pos     token.Pos
 	Callee  string
 	Dynamic bool
-	// ParamArgs maps callee parameter index -> caller parameter index
-	// for arguments that are bare identifiers of the caller's own
-	// parameters. It is what lets SendsParams taint flow through
-	// forwarding helpers.
-	ParamArgs map[int]int
 }
-
-// Return-value alias lattice. Each return site of a function is
-// summarized as one of these strings (the "escape/alias lattice" of
-// DESIGN.md §8): what the returned reference value may alias.
-const (
-	RetFresh   = "fresh"   // freshly allocated in this function
-	RetRecv    = "recv"    // aliases the receiver or its fields
-	RetParam   = "param"   // aliases a parameter
-	RetGlobal  = "global"  // aliases package-level state
-	RetUnknown = "unknown" // anything else
-	// "call:<id>" defers to the named function's own return summary.
-	retCallPrefix = "call:"
-)
 
 // FuncFact is the bottom-up summary of one function.
 type FuncFact struct {
 	ID     string
 	Blocks []Site // local potentially-blocking sites (post //lint:allow)
 	Calls  []CallEdge
-	// Returns holds one lattice value per reference-typed return site.
-	Returns []string
-	// MapReturn marks a function returning a slice built by ranging a
-	// map without a sort before the return — a tainted source for
-	// sortedsource.
-	MapReturn bool
-	// SendsParams lists parameter indices whose referents flow into a
-	// wire message sent by this function (directly; transitive flow is
-	// resolved through CallEdge.ParamArgs at query time).
-	SendsParams []int
 }
 
 // FactStore holds every known function fact plus the CHA
@@ -74,18 +46,11 @@ type FactStore struct {
 	Impls map[string][]string
 
 	blockMemo map[string][]string // nil entry = proven non-blocking
-	freshMemo map[string]int8     // 0 unknown/in-progress, 1 fresh, -1 not
-	taintMemo map[string]int8
-	sendsMemo map[string]map[int]bool
 }
 
 // NewFactStore returns an empty store for packages parsed into fset.
 func NewFactStore(fset *token.FileSet) *FactStore {
 	return &FactStore{fset: fset, Funcs: map[string]*FuncFact{}, Impls: map[string][]string{}}
-}
-
-func (s *FactStore) resetMemos() {
-	s.blockMemo, s.freshMemo, s.taintMemo, s.sendsMemo = nil, nil, nil, nil
 }
 
 func dedupStrings(in []string) []string {
@@ -194,155 +159,6 @@ func (s *FactStore) blockChain(id string, grey map[string]bool) []string {
 	}
 	s.blockMemo[id] = chain
 	return chain
-}
-
-// ReturnsFresh reports whether every return site of id yields freshly
-// allocated data — the clone-helper certificate sendalias accepts.
-// Functions with no recorded return summary are not fresh.
-func (s *FactStore) ReturnsFresh(id string) bool {
-	if s.freshMemo == nil {
-		s.freshMemo = map[string]int8{}
-	}
-	return s.returnsFresh(id, map[string]bool{})
-}
-
-func (s *FactStore) returnsFresh(id string, grey map[string]bool) bool {
-	if v := s.freshMemo[id]; v != 0 {
-		return v > 0
-	}
-	if grey[id] {
-		return false
-	}
-	f := s.Funcs[id]
-	if f == nil || len(f.Returns) == 0 {
-		return false
-	}
-	grey[id] = true
-	defer delete(grey, id)
-	ok := true
-	for _, r := range f.Returns {
-		switch {
-		case r == RetFresh:
-		case strings.HasPrefix(r, retCallPrefix):
-			if !s.returnsFresh(strings.TrimPrefix(r, retCallPrefix), grey) {
-				ok = false
-			}
-		default:
-			ok = false
-		}
-		if !ok {
-			break
-		}
-	}
-	if ok {
-		s.freshMemo[id] = 1
-	} else {
-		s.freshMemo[id] = -1
-	}
-	return ok
-}
-
-// ReturnsAliasOfOwner reports whether some return site of id may alias
-// the callee's receiver or package-level state — the certificate that
-// makes `msg.F = p.snapshot()` as dangerous as `msg.F = p.buf`.
-func (s *FactStore) ReturnsAliasOfOwner(id string) bool {
-	f := s.Funcs[id]
-	if f == nil {
-		return false
-	}
-	for _, r := range f.Returns {
-		if r == RetRecv || r == RetGlobal {
-			return true
-		}
-		if strings.HasPrefix(r, retCallPrefix) && s.ReturnsAliasOfOwner(strings.TrimPrefix(r, retCallPrefix)) {
-			return true
-		}
-	}
-	return false
-}
-
-// Tainted reports whether id returns map-derived data in nondeterministic
-// order, directly or by forwarding another tainted function's result.
-func (s *FactStore) Tainted(id string) bool {
-	if s.taintMemo == nil {
-		s.taintMemo = map[string]int8{}
-	}
-	return s.tainted(id, map[string]bool{})
-}
-
-func (s *FactStore) tainted(id string, grey map[string]bool) bool {
-	if v := s.taintMemo[id]; v != 0 {
-		return v > 0
-	}
-	if grey[id] {
-		return false
-	}
-	f := s.Funcs[id]
-	if f == nil {
-		return false
-	}
-	grey[id] = true
-	defer delete(grey, id)
-	t := f.MapReturn
-	if !t {
-		for _, r := range f.Returns {
-			if strings.HasPrefix(r, retCallPrefix) && s.tainted(strings.TrimPrefix(r, retCallPrefix), grey) {
-				t = true
-				break
-			}
-		}
-	}
-	if t {
-		s.taintMemo[id] = 1
-	} else {
-		s.taintMemo[id] = -1
-	}
-	return t
-}
-
-// SendsParam reports whether the value passed as parameter index i of
-// id may end up aliased inside a wire message the callee (or a callee
-// of the callee) sends.
-func (s *FactStore) SendsParam(id string, i int) bool {
-	if s.sendsMemo == nil {
-		s.sendsMemo = map[string]map[int]bool{}
-	}
-	m := s.sendsParams(id, map[string]bool{})
-	return m[i]
-}
-
-func (s *FactStore) sendsParams(id string, grey map[string]bool) map[int]bool {
-	if m, ok := s.sendsMemo[id]; ok {
-		return m
-	}
-	if grey[id] {
-		return nil
-	}
-	f := s.Funcs[id]
-	if f == nil {
-		return nil
-	}
-	grey[id] = true
-	defer delete(grey, id)
-	out := map[int]bool{}
-	for _, i := range f.SendsParams {
-		out[i] = true
-	}
-	for _, e := range f.Calls {
-		if len(e.ParamArgs) == 0 {
-			continue
-		}
-		for _, callee := range s.callees(e) {
-			sub := s.sendsParams(callee, grey)
-			for calleeIdx, callerIdx := range e.ParamArgs {
-				if sub[calleeIdx] {
-					out[callerIdx] = true
-				}
-			}
-		}
-	}
-	s.sendsMemo[id] = out
-	return out
 }
 
 // shortFuncID trims the module prefix for readable diagnostics:

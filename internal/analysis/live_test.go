@@ -8,17 +8,16 @@ import (
 	"peertrack/internal/analysis"
 )
 
-// TestLiveTreeClean pins the lint contracts on the real tree: the full
-// six-pass suite (with allow hygiene) over every module package must
-// report nothing. This is the regression guard for the packages the
-// interprocedural passes exist to protect — a transport call slipping
-// under a ctlapi or telemetry mutex or a gossip message aliasing sender
-// state turns this red before it turns a sweep red.
+// TestLiveTreeClean is the lint gate (`make test`, `make race`): the full
+// suite (with allow hygiene) over every module package must report
+// nothing — a transport call slipping under a store mutex, or a map
+// range feeding emitted output, turns this red before it turns a sweep
+// red.
 func TestLiveTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module via go list -export")
 	}
-	findings, err := analysis.Run(moduleRoot(t), analysis.All(), "./...")
+	findings, err := analysis.Run(moduleRoot(t), "./...")
 	if err != nil {
 		t.Fatalf("linting module: %v", err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // Each corpus carries at least one true positive, several negatives
 // (the false-positive traps: sorted-after-range, seeded rand.New,
-// shadowed imports, value-copy sends), and a //lint:allow escape-hatch
+// shadowed imports, unlock-before-call), and a //lint:allow escape-hatch
 // case that must stay silent.
 
 func TestDetWall(t *testing.T) {
@@ -24,20 +24,6 @@ func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.MapOrder, "maporder")
 }
 
-// The msgfreeze pass is folded into sendalias; its corpus still fires
-// line for line.
-func TestMsgFreeze(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.SendAlias, "sendalias/msgfreeze")
-}
-
 func TestLockHeld(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.LockHeld, "lockheld")
-}
-
-func TestSendAlias(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.SendAlias, "sendalias")
-}
-
-func TestSortedSource(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.SortedSource, "sortedsource")
 }

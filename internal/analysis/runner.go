@@ -28,8 +28,7 @@ func (f Finding) String() string {
 // on the flagged line (or the line immediately above it) suppresses
 // that pass's diagnostics for the line. The reason is mandatory: a bare
 // `//lint:allow <pass>` is itself a diagnostic (analyzer "allow"), as
-// is an allow for an unknown pass or one that suppresses nothing when
-// the full suite runs.
+// is an allow for an unknown pass or one that suppresses nothing.
 const AllowPrefix = "lint:allow"
 
 // AllowHygieneName is the analyzer name hygiene findings report under.
@@ -101,10 +100,9 @@ func (idx *allowIndex) allows(pos token.Position, analyzer string) bool {
 	return ok
 }
 
-// hygiene returns the allow-comment findings: missing reasons and
-// unknown pass names always; unexercised allows only when the full
-// suite ran (a single-pass run cannot know the comment is stale).
-func (idx *allowIndex) hygiene(known map[string]bool, fullSuite bool) []Finding {
+// hygiene returns the allow-comment findings: unknown pass names,
+// missing reasons, and allows that suppressed nothing.
+func (idx *allowIndex) hygiene(known map[string]bool) []Finding {
 	var out []Finding
 	for _, e := range idx.entries {
 		switch {
@@ -114,7 +112,7 @@ func (idx *allowIndex) hygiene(known map[string]bool, fullSuite bool) []Finding 
 		case !e.hasReason:
 			out = append(out, Finding{Analyzer: AllowHygieneName, Pos: e.pos,
 				Message: fmt.Sprintf("//lint:allow %s needs a reason: `//lint:allow %s <why this is safe>`", e.pass, e.pass)})
-		case fullSuite && !e.used:
+		case !e.used:
 			out = append(out, Finding{Analyzer: AllowHygieneName, Pos: e.pos,
 				Message: fmt.Sprintf("stale //lint:allow %s: it suppresses nothing — remove it", e.pass)})
 		}
@@ -136,14 +134,12 @@ type RunOptions struct {
 	// RespectFilters applies each analyzer's AppliesTo predicate.
 	RespectFilters bool
 	// Facts is the interprocedural store, already filled for every
-	// loaded package. The interprocedural passes need it; the syntax
-	// passes ignore it.
+	// loaded package. lockheld needs it; the syntax passes ignore it.
 	Facts *FactStore
-	// CheckAllows appends allow-hygiene findings for this package.
+	// CheckAllows appends allow-hygiene findings for this package; the
+	// analyzers run must be the full suite, or an allow for a pass left
+	// out reads as stale.
 	CheckAllows bool
-	// FullSuite means every pass ran over this package (directly or via
-	// facts), so an unexercised allow is provably stale.
-	FullSuite bool
 }
 
 // RunPackage executes the analyzers against one loaded package,
@@ -178,7 +174,7 @@ func RunPackage(fset *token.FileSet, lp *LoadedPackage, analyzers []*Analyzer, o
 		}
 	}
 	if opts.CheckAllows {
-		findings = append(findings, allow.hygiene(KnownPassNames(), opts.FullSuite)...)
+		findings = append(findings, allow.hygiene(KnownPassNames())...)
 	}
 	SortFindings(findings)
 	return findings, nil
@@ -188,10 +184,10 @@ func RunPackage(fset *token.FileSet, lp *LoadedPackage, analyzers []*Analyzer, o
 // loaded package into one fact store — the interprocedural queries need
 // the whole module's summaries, and fact extraction consumes
 // //lint:allow comments the stale-allow check accounts for — then runs
-// passes over each package with filters, suppression and allow hygiene.
-// Findings come back sorted, a file linted both in its package and its
-// test variant reported once.
-func Run(dir string, passes []*Analyzer, patterns ...string) ([]Finding, error) {
+// every pass over each package with filters, suppression and allow
+// hygiene. Findings come back sorted, a file linted both in its package
+// and its test variant reported once.
+func Run(dir string, patterns ...string) ([]Finding, error) {
 	fset, pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
@@ -202,11 +198,10 @@ func Run(dir string, passes []*Analyzer, patterns ...string) ([]Finding, error) 
 	}
 	var findings []Finding
 	for _, lp := range pkgs {
-		fs, err := RunPackage(fset, lp, passes, RunOptions{
+		fs, err := RunPackage(fset, lp, All(), RunOptions{
 			RespectFilters: true,
 			Facts:          facts,
 			CheckAllows:    true,
-			FullSuite:      len(passes) == len(All()),
 		})
 		if err != nil {
 			return nil, err

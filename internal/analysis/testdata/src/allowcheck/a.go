@@ -1,8 +1,8 @@
 // Package allowcheck is the //lint:allow hygiene fixture: a bare
 // allow, an allow for an unknown pass, a stale allow, and a healthy
-// one. The expectations live in allow_test.go (programmatic, because a
-// want comment cannot share a line with a bare allow without becoming
-// its "reason").
+// one. The expectations live in callgraph_test.go (programmatic,
+// because a want comment cannot share a line with a bare allow without
+// becoming its "reason").
 package allowcheck
 
 import "time"
@@ -20,8 +20,7 @@ func unknown() int {
 	return 1
 }
 
-// stale: nothing on this line trips any pass; under a full-suite run
-// the comment is provably dead.
+// stale: nothing on this line trips any pass, so the comment is dead.
 func stale() int {
 	//lint:allow detrand leftover from a removed rand call
 	return 2

@@ -1,7 +1,7 @@
 // Package transport is a minimal stand-in for
-// peertrack/internal/transport, used by the sendalias and lockheld
-// corpora: the passes match Call/Send methods defined in a package whose
-// import path ends in "transport".
+// peertrack/internal/transport, used by the lockheld corpus: the pass
+// matches Call/Send methods defined in a package whose import path ends
+// in "transport".
 package transport
 
 type Addr string

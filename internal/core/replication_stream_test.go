@@ -10,6 +10,7 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/overlay"
 	"peertrack/internal/transport"
 )
 
@@ -196,14 +197,9 @@ func TestReadsDoNotQueueBehindABlockedMirrorPush(t *testing.T) {
 	nw.FlushAll()
 
 	// The mirror's handler holds every index push until the gate opens.
-	mirror := mirrorOf(nw, owner)
-	entered, gate := make(chan struct{}, 2), make(chan struct{})
-	mirror.node.SetAppHandler(func(from transport.Addr, req any) (any, error) {
-		if _, push := req.(replicatePutReq); push {
-			entered <- struct{}{}
-			<-gate
-		}
-		return mirror.handleRPC(from, req)
+	entered, gate := gateMirror(mirrorOf(nw, owner), func(req any) bool {
+		_, push := req.(replicatePutReq)
+		return push
 	})
 	// Two more objects of the same bucket, one writer each.
 	var same []moods.ObjectID
@@ -251,6 +247,86 @@ func TestReadsDoNotQueueBehindABlockedMirrorPush(t *testing.T) {
 		t.Errorf("%d whole-unit pushes", n)
 	}
 	assertReplicasEqualPrimaries(t, nw)
+}
+
+// TestObserveDoesNotQueueBehindAFlushInFlight is the write side of the
+// test above: while a FlushWindow waits on the network — its repository
+// push held at the mirror, or the overlay lookup of a group's gateway —
+// the flushing peer still takes observations into the next window and
+// reports its size. Were the peer's mutex held across either wait, the
+// test would hang and the go test timeout report it. No static pass sees
+// the first wait: the push is sent from the stream's writer closure.
+func TestObserveDoesNotQueueBehindAFlushInFlight(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		hold func(nw *Network, owner *Peer) (entered, gate chan struct{})
+	}{
+		{"repository push", Config{ReplicationFactor: 2}, func(nw *Network, owner *Peer) (chan struct{}, chan struct{}) {
+			return gateMirror(mirrorOf(nw, owner), func(req any) bool {
+				r, ok := req.(repoMirrorReq)
+				return ok && r.Owner == owner.Addr()
+			})
+		}},
+		{"gateway lookup", Config{}, func(_ *Network, owner *Peer) (chan struct{}, chan struct{}) {
+			g := &gatedLookup{Node: owner.node, entered: make(chan struct{}, 16), gate: make(chan struct{})}
+			owner.node = g
+			return g.entered, g.gate
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nw := buildNet(t, 4, c.cfg)
+			owner := nw.Peers()[0]
+			entered, gate := c.hold(nw, owner)
+			if err := owner.Observe(moods.Observation{Object: "first", At: time.Second}); err != nil {
+				t.Fatal(err)
+			}
+			flushed := make(chan error, 1)
+			go func() { flushed <- owner.FlushWindow() }()
+			<-entered // the flush is waiting on the network, and stuck
+
+			if err := owner.Observe(moods.Observation{Object: "second", At: 2 * time.Second}); err != nil {
+				t.Error(err)
+			}
+			if n := owner.Buffered(); n != 1 {
+				t.Errorf("Buffered = %d while the flush is in flight, want 1", n)
+			}
+			close(gate)
+			if err := <-flushed; err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// gateMirror holds every request to mirror that block accepts until the
+// returned gate closes; entered receives once per request held. Its 16
+// slots outnumber the requests any of these tests sends, so a handler
+// never blocks on entered once the gate is open.
+func gateMirror(mirror *Peer, block func(req any) bool) (entered, gate chan struct{}) {
+	entered, gate = make(chan struct{}, 16), make(chan struct{})
+	mirror.node.SetAppHandler(func(from transport.Addr, req any) (any, error) {
+		if block(req) {
+			entered <- struct{}{}
+			<-gate
+		}
+		return mirror.handleRPC(from, req)
+	})
+	return entered, gate
+}
+
+// gatedLookup holds every overlay lookup of the node it wraps until
+// gate closes; entered is sized as gateMirror's.
+type gatedLookup struct {
+	overlay.Node
+	entered, gate chan struct{}
+}
+
+func (g *gatedLookup) Lookup(key ids.ID) (overlay.Result, error) {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.Node.Lookup(key)
 }
 
 // TestContendedWritersShareMirrorPushes pins what the stream's

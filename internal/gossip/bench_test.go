@@ -9,8 +9,8 @@ import (
 )
 
 // Alloc-pinning benchmarks for the per-round view-exchange path. A
-// round cannot be allocation-free — sendalias requires a fresh entry
-// slice per wire message — but its allocation count must stay flat in
+// round cannot be allocation-free — each wire message carries a fresh
+// entry slice (wireEntriesLocked) — but its allocation count must stay flat in
 // the view size, not grow with network size or round count, or gossip
 // would dominate GC load at Scale.XL node counts.
 

@@ -21,7 +21,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 )
 
@@ -78,7 +77,6 @@ type Kernel struct {
 	queue   eventQueue
 	lanes   []*batchLane
 	seq     uint64
-	rng     *rand.Rand
 	stopped bool
 	free    []*event // recycled event structs
 
@@ -86,19 +84,16 @@ type Kernel struct {
 	Executed uint64
 }
 
-// New creates a kernel with a deterministic random source derived from
-// seed.
+// New creates an empty kernel. The kernel draws no randomness — every
+// stochastic choice in a simulation comes from a *rand.Rand its owner
+// seeds — so seed is unused; it stays only because bench/internal/pins
+// calls New(1), and goes with the next change to bench/ (ROADMAP item 8).
 func New(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Rand returns the kernel's deterministic random source. All stochastic
-// choices in a simulation must draw from this source to keep runs
-// reproducible.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 func (k *Kernel) alloc() *event {
 	if n := len(k.free); n > 0 {

@@ -104,15 +104,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestDeterministicRand(t *testing.T) {
-	a, b := New(99), New(99)
-	for i := 0; i < 100; i++ {
-		if a.Rand().Int63() != b.Rand().Int63() {
-			t.Fatal("same seed produced different streams")
-		}
-	}
-}
-
 func TestSchedulePanics(t *testing.T) {
 	k := New(1)
 	mustPanic := func(name string, f func()) {
