@@ -45,7 +45,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 24058
+LOC_MAX = 24186
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
@@ -137,7 +137,7 @@ micro:
 	$(GO) test -run xxx -bench 'BenchmarkGateway|BenchmarkIOP' ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkSpan' -benchmem ./internal/telemetry/
 	$(GO) test -run xxx -bench 'BenchmarkPaperGenerate' -benchmem ./internal/workload/
-	$(GO) test -run xxx -bench 'BenchmarkSimPaperLoad/128x500|BenchmarkSimPaper(Run|Trace)' -benchtime 3x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run)/128x500|BenchmarkSimPaperTrace' -benchtime 3x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'RoundTrip|NetHTTPFloor' -benchmem ./internal/ctlapi/
 
 # profile-sim writes cpu.pprof and mem.pprof of the sim-paper phases —
@@ -145,7 +145,7 @@ micro:
 # repository benchmark's size — without the bench module; inspect with
 # `go tool pprof bin/core.test cpu.pprof`.
 profile-sim:
-	$(GO) test -run xxx -bench 'BenchmarkSimPaperLoad/128x500|BenchmarkSimPaper(Run|Trace)' -benchtime 5x -o bin/core.test \
+	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run)/128x500|BenchmarkSimPaperTrace' -benchtime 5x -o bin/core.test \
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/core/
 
 # profile captures CPU and heap pprof profiles of the XL throughput
@@ -160,10 +160,11 @@ profile: build
 xl: build
 	$(GO) run ./cmd/peertrack-bench -fig xl -scale xl
 
-# ledger-check re-measures BENCH_CORE.json and fails if bytes/node or
-# nodes/sec regressed against the committed ledger, or convergence
-# rounds or replication overhead moved at all. Wall-clock varies across
-# machines, so CI passes a generous -speedslack.
+# ledger-check re-measures BENCH_CORE.json and fails if bytes/node
+# regressed against the committed ledger, or convergence rounds or
+# replication overhead moved at all. It prints nodes/sec beside the
+# committed value without gating it: on a shared VM build throughput
+# moves by more than any useful slack between runs of one tree.
 ledger-check: build
 	$(GO) run ./cmd/peertrack-bench -ledgercheck BENCH_CORE.json
 

@@ -144,11 +144,11 @@ func measure(n int) (coreSnapshot, error) {
 
 // ledgerCheck re-measures and fails on a regression against the
 // committed ledger's current block. bytes_per_node is near-deterministic,
-// so its slack is tight; nodes_per_sec depends on the machine, so CI
-// passes a generous slack. convergence_rounds and replication_overhead
-// are exactly deterministic (seeded sim, message counts) and gated with
-// no slack beyond float formatting.
-func ledgerCheck(path string, byteSlack, speedSlack float64) error {
+// so its slack is tight. convergence_rounds and replication_overhead are
+// exactly deterministic (seeded sim, message counts) and gated with no
+// slack beyond float formatting. nodes_per_sec is printed, not gated: on
+// a shared VM one tree reads more than 10 % apart from run to run.
+func ledgerCheck(path string, byteSlack float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -165,18 +165,15 @@ func ledgerCheck(path string, byteSlack, speedSlack float64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# ledger-check: bytes/node %.0f (committed %.0f, slack %.0f%%), nodes/sec %.0f (committed %.0f, slack %.0f%%)\n",
+	fmt.Printf("# ledger-check: bytes/node %.0f (committed %.0f, slack %.0f%%), nodes/sec %.0f (committed %.0f, not gated)\n",
 		got.XL.BytesPerNode, want.XL.BytesPerNode, byteSlack*100,
-		got.XL.NodesPerSec, want.XL.NodesPerSec, speedSlack*100)
+		got.XL.NodesPerSec, want.XL.NodesPerSec)
 	fmt.Printf("# ledger-check: convergence_rounds %d (committed %d, no slack)\n", got.ConvergenceRounds, want.ConvergenceRounds)
 	fmt.Printf("# ledger-check: replication_overhead %.4f (committed %.4f, no slack)\n", got.ReplicationOverhead, want.ReplicationOverhead)
 	switch {
 	case got.XL.BytesPerNode > want.XL.BytesPerNode*(1+byteSlack):
 		return fmt.Errorf("bytes_per_node regressed: %.0f > %.0f (+%.0f%% slack)",
 			got.XL.BytesPerNode, want.XL.BytesPerNode, byteSlack*100)
-	case got.XL.NodesPerSec < want.XL.NodesPerSec*(1-speedSlack):
-		return fmt.Errorf("nodes_per_sec regressed: %.0f < %.0f (-%.0f%% slack)",
-			got.XL.NodesPerSec, want.XL.NodesPerSec, speedSlack*100)
 	case got.ConvergenceRounds > want.ConvergenceRounds:
 		return fmt.Errorf("convergence_rounds regressed: %d > %d (deterministic metric, no slack)",
 			got.ConvergenceRounds, want.ConvergenceRounds)

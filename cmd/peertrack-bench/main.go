@@ -55,7 +55,6 @@ func main() {
 	benchcorePath := flag.String("benchcore", "", "write the BENCH_CORE.json ledger (XL build stats, convergence rounds, replication overhead) to this file and exit")
 	ledgerPath := flag.String("ledgercheck", "", "re-measure the ledger and fail on regression vs this BENCH_CORE.json")
 	byteSlack := flag.Float64("byteslack", 0.10, "ledgercheck: allowed bytes/node regression fraction")
-	speedSlack := flag.Float64("speedslack", 0.10, "ledgercheck: allowed nodes/sec regression fraction (CI uses a generous value: wall-clock varies across machines)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -132,7 +131,7 @@ func main() {
 	}
 
 	if *ledgerPath != "" {
-		if err := ledgerCheck(*ledgerPath, *byteSlack, *speedSlack); err != nil {
+		if err := ledgerCheck(*ledgerPath, *byteSlack); err != nil {
 			fmt.Fprintf(os.Stderr, "ledger-check: %v\n", err)
 			os.Exit(1)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/transport"
 	"peertrack/internal/workload"
 )
 
@@ -183,6 +184,56 @@ func TestIOPSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestFlushWindowAllocs pins what a window flush costs the reporter
+// itself, the gateways behind transport.Memory being stubs: a warm peer
+// — its window array reused, every gateway resolution cached — flushing
+// k groups allocates the (key, position) pairs, the event array and one
+// boxed request per group, with one spare: at most 3 + k.
+func TestFlushWindowAllocs(t *testing.T) {
+	nw := buildNet(t, 32, Config{Mode: GroupIndexing})
+	reporter := nw.Peers()[0]
+	lp := nw.PM.Lp()
+	var objs []moods.ObjectID // one per group, none of whose gateway is the reporter
+	seen := map[ids.PrefixKey]bool{}
+	for i := 0; len(objs) < 64; i++ {
+		obj := moods.ObjectID(fmt.Sprintf("flush-%d", i))
+		key := ids.KeyOf(obj.Hash(), lp)
+		if gw, err := reporter.resolveGateway(key.Prefix()); err != nil {
+			t.Fatal(err)
+		} else if !seen[key] && gw.Addr != reporter.Addr() {
+			seen[key] = true
+			objs = append(objs, obj)
+		}
+	}
+	for _, p := range nw.Peers()[1:] {
+		nw.Transport.Register(p.Addr(), func(transport.Addr, any) (any, error) { return groupArriveResp{}, nil })
+	}
+	flush := func(k int, at time.Duration) float64 {
+		for _, obj := range objs[:k] {
+			if err := reporter.Observe(moods.Observation{Object: obj, At: at}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, _ := mallocsDuring(func() {
+			if err := reporter.FlushWindow(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return n
+	}
+	for _, k := range []int{1, 8, 64} {
+		flush(64, 0) // warm: the window array has room for every group
+		worst := 0.0
+		for i := 1; i <= 20; i++ {
+			worst = max(worst, flush(k, time.Duration(i)*time.Second))
+		}
+		t.Logf("flushing %d groups: %.0f allocations", k, worst)
+		if worst > float64(3+k) {
+			t.Errorf("flushing %d groups allocates %.0f, want ≤ %d", k, worst, 3+k)
+		}
+	}
+}
+
 // nodeNames are the names BuildNetwork gives the peers of an n-node network.
 func nodeNames(n int) []moods.NodeName {
 	names := make([]moods.NodeName, n)
@@ -214,6 +265,9 @@ func simPaperShaped(t testing.TB, nodes, perNode int) (*Network, workload.Result
 	return nw, wl
 }
 
+// raceDetector reports that the tests were built with -race (race_test.go).
+var raceDetector bool
+
 // mallocsDuring reports the heap objects and bytes allocated by fn.
 func mallocsDuring(fn func()) (objects, bytes float64) {
 	var before, after runtime.MemStats
@@ -228,22 +282,26 @@ func mallocsDuring(fn func()) (objects, bytes float64) {
 // its span, M2/M3 stitching, transport accounting — and what one IOP hop
 // of a FullTrace costs. It is the allocation budget of the path every
 // figure, chaos sweep and the sim-paper benchmark run. This network
-// measures 9.55 allocations and 1456 bytes per observation (10.07 before
-// a gateway-cache miss hashed its prefix from the stack) and 4.0
-// allocations per hop, the same under -race. The allocation ceiling is
-// that plus 5 %; the byte ceiling stays at the tighter 1520 (what eager
-// span text cost), because the id an ObjEvent carries adds 24 bytes an
-// event where boxing a lookup's request once saves only allocations.
+// measures 5.05 allocations and 835 bytes per observation (9.55 and 1456
+// while a flush grouped through a map, a pinned gateway looked every
+// event up twice and a span allocated its recording) and 3.9 allocations
+// per hop. The ceilings are that plus 5 %. Under -race sync.Pool drops a
+// quarter of what is put back, so a quarter of the spans allocate their
+// recording again (5.29 and 927 bytes): the race build gets that on top.
 func TestSimPaperShapedAllocs(t *testing.T) {
 	nw, wl := simPaperShaped(t, 32, 200)
 	objects, bytes := mallocsDuring(nw.Run)
 	obs := float64(len(wl.Observations))
 	t.Logf("Run: %.2f allocs and %.0f bytes per observation (%d observations)", objects/obs, bytes/obs, len(wl.Observations))
-	if objects/obs > 10.03 {
-		t.Errorf("Run allocates %.2f objects per observation, want ≤ 10.03", objects/obs)
+	maxObjects, maxBytes := 5.30, 877.0
+	if raceDetector {
+		maxObjects, maxBytes = maxObjects+0.25, maxBytes+100
 	}
-	if bytes/obs > 1520 {
-		t.Errorf("Run allocates %.0f bytes per observation, want ≤ 1520", bytes/obs)
+	if objects/obs > maxObjects {
+		t.Errorf("Run allocates %.2f objects per observation, want ≤ %.2f", objects/obs, maxObjects)
+	}
+	if bytes/obs > maxBytes {
+		t.Errorf("Run allocates %.0f bytes per observation, want ≤ %.0f", bytes/obs, maxBytes)
 	}
 
 	hops := 0
@@ -288,14 +346,16 @@ func TestSimPaperLoadAllocs(t *testing.T) {
 // are the phases of the sim-paper benchmark at its size (128 nodes, 500
 // objects each) — setup_s (generate, build, schedule), the timed Run and
 // the timed queries — for profiling without the benchmark module
-// (`make profile-sim`, whose pattern leaves Load/full out).
+// (`make profile-sim`, whose pattern leaves the full sub-benchmarks out).
 //
-// Load/full is the paper's own largest point, 512 nodes × 5 000 objects
-// (4.86 M observations, about a gigabyte), run by hand and by name:
+// Load/full and Run/full are the paper's own largest point, 512 nodes ×
+// 5 000 objects (4.86 M observations: about a gigabyte loaded, 3.6–3.9 GB
+// peak RSS for the run), run by hand and by name, and skipped under
+// -short:
 //
-//	go test ./internal/core -run xxx -bench SimPaperLoad/full -benchtime 1x
+//	go test ./internal/core -run xxx -bench 'SimPaper(Load|Run)/full' -benchtime 1x
 //
-// It also reports the heap in use after the load and a collection.
+// Each also reports the heap in use after its phase and a collection.
 func BenchmarkSimPaperLoad(b *testing.B) {
 	b.Run("128x500", func(b *testing.B) {
 		b.ReportAllocs()
@@ -304,27 +364,52 @@ func BenchmarkSimPaperLoad(b *testing.B) {
 		}
 	})
 	b.Run("full", func(b *testing.B) {
-		if testing.Short() {
-			b.Skip("a gigabyte")
-		}
+		skipFull(b)
 		for i := 0; i < b.N; i++ {
 			nw, _ := simPaperShaped(b, 512, 5000)
-			runtime.GC()
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			b.ReportMetric(float64(m.HeapInuse)/(1<<20), "heap-inuse-MB")
+			reportHeap(b)
 			runtime.KeepAlive(nw)
 		}
 	})
 }
 
 func BenchmarkSimPaperRun(b *testing.B) {
+	b.Run("128x500", func(b *testing.B) { runSimPaper(b, 128, 500) })
+	b.Run("full", func(b *testing.B) {
+		skipFull(b)
+		nw := runSimPaper(b, 512, 5000)
+		reportHeap(b)
+		runtime.KeepAlive(nw)
+	})
+}
+
+// runSimPaper times Run alone on b.N fresh networks and returns the last
+// with the timer stopped.
+func runSimPaper(b *testing.B, nodes, perNode int) *Network {
+	b.ReportAllocs()
+	var nw *Network
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		nw, _ := simPaperShaped(b, 128, 500)
+		nw, _ = simPaperShaped(b, nodes, perNode)
 		b.StartTimer()
 		nw.Run()
 	}
+	b.StopTimer()
+	return nw
+}
+
+func skipFull(b *testing.B) {
+	if testing.Short() {
+		b.Skip("gigabytes")
+	}
+}
+
+// reportHeap reports the heap in use after a collection.
+func reportHeap(b *testing.B) {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	b.ReportMetric(float64(m.HeapInuse)/(1<<20), "heap-inuse-MB")
 }
 
 func BenchmarkSimPaperTrace(b *testing.B) {

@@ -12,11 +12,11 @@ import (
 // spyNet shows a test every request a peer sends through its network.
 type spyNet struct {
 	transport.Network
-	see func(req any)
+	see func(to transport.Addr, req any)
 }
 
 func (s spyNet) Call(from, to transport.Addr, req any) (any, error) {
-	s.see(req)
+	s.see(to, req)
 	return s.Network.Call(from, to, req)
 }
 
@@ -35,7 +35,7 @@ func TestEventsCarryTheirHash(t *testing.T) {
 			}
 		}
 		for _, p := range nw.Peers() {
-			p.net = spyNet{Network: p.net, see: func(req any) {
+			p.net = spyNet{Network: p.net, see: func(_ transport.Addr, req any) {
 				switch r := req.(type) {
 				case groupArriveReq:
 					for _, ev := range r.Events {

@@ -14,9 +14,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -125,6 +127,7 @@ type Peer struct {
 
 	mu     sync.Mutex
 	window []moods.Observation
+	spare  []moods.Observation // the last flushed window's array, cleared, for the next window
 
 	// gwCache is the bounded LRU of prefix→gateway resolutions; the
 	// embedded lateTable counts deferred late stitches (lateRetry,
@@ -148,9 +151,11 @@ type Peer struct {
 // PrefixManager semantics (same scheme and L_min); in simulation they
 // share the same instance.
 //
-// The clock is mandatory: core is a deterministic package (detwall), so
-// it never reads the wall clock itself. Simulations pass sim.Kernel.Now;
-// live nodes (peertrack.NewNode) pass a closure over their own epoch.
+// The clock is mandatory: core is a deterministic package, so it never
+// reads the wall clock itself (an arrival stamped from the wall clock
+// fails TestGroupArriveSameOverMemoryAndTCP). Simulations pass
+// sim.Kernel.Now; live nodes (peertrack.NewNode) pass a closure over
+// their own epoch.
 func NewPeer(node overlay.Node, net transport.Network, pm *PrefixManager, cfg Config, clock func() time.Duration) *Peer {
 	cfg.fill()
 	if clock == nil {
@@ -236,7 +241,7 @@ func (p *Peer) Buffered() int {
 func (p *Peer) FlushWindow() error {
 	p.mu.Lock()
 	batch := p.window
-	p.window = nil
+	p.window, p.spare = p.spare, nil
 	p.mu.Unlock()
 	// Mirror the repository changes of this window (and any stitch
 	// updates that arrived since the last flush) before the early
@@ -244,35 +249,49 @@ func (p *Peer) FlushWindow() error {
 	// still reach the mirrors.
 	p.flushRepoMirror()
 	if len(batch) == 0 {
+		p.recycleWindow(batch)
 		return nil
 	}
 	p.tel.flushes.Inc()
 	p.tel.buffered.Add(-int64(len(batch)))
 
 	// Group generation: two objects share a group iff their hashed ids
-	// share the first Lp bits. Groups are keyed by the packed prefix
-	// word — no per-observation string allocation on the flush path.
+	// share the first Lp bits. Ordering (packed prefix key, window
+	// position) pairs puts the groups in ascending key order — fault
+	// injection draws randomness per call, so the order must be fixed, and
+	// numeric key order equals the old lexicographic prefix-string order —
+	// and each group's events in window order. The events are laid out
+	// once in that order; a group is a capped sub-slice of them.
 	lp := p.pm.Lp()
-	groups := make(map[ids.PrefixKey][]ObjEvent)
-	for _, obs := range batch {
+	order := make([]keyedEvent, len(batch))
+	for i, obs := range batch {
 		id := obs.Object.Hash()
-		key := ids.KeyOf(id, lp)
-		groups[key] = append(groups[key], ObjEvent{Object: obs.Object, Arrived: obs.At, id: id})
+		order[i] = keyedEvent{key: ids.KeyOf(id, lp), id: id, pos: int32(i)}
 	}
-
-	// Deterministic group order: fault injection draws randomness per
-	// call, so map-order iteration would make lossy runs unreproducible.
-	// Numeric key order equals the old lexicographic prefix-string order.
-	keys := make([]ids.PrefixKey, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
+	slices.SortFunc(order, func(a, b keyedEvent) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	all := make([]ObjEvent, len(order))
+	for i, o := range order {
+		all[i] = ObjEvent{Object: batch[o.pos].Object, Arrived: batch[o.pos].At, id: o.id}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	p.recycleWindow(batch)
 
 	var firstErr error
 	var failed []moods.Observation
-	for _, key := range keys {
-		events := groups[key]
+	groups := 0
+	for lo := 0; lo < len(all); {
+		key := order[lo].key
+		hi := lo + 1
+		for hi < len(all) && order[hi].key == key {
+			hi++
+		}
+		events := all[lo:hi:hi]
+		lo = hi
+		groups++
 		pfx := key.Prefix()
 		gwRef, err := p.resolveGateway(pfx)
 		if err == nil {
@@ -318,8 +337,26 @@ func (p *Peer) FlushWindow() error {
 		p.tel.rebuffered.Add(uint64(len(failed)))
 		p.tel.buffered.Add(int64(len(failed)))
 	}
-	p.tel.flushGroups.Observe(int64(len(groups)))
+	p.tel.flushGroups.Observe(int64(groups))
 	return firstErr
+}
+
+// keyedEvent is one window observation's place in the flush order: its
+// group's packed prefix key, its hashed id and its window position.
+type keyedEvent struct {
+	key ids.PrefixKey
+	id  ids.ID
+	pos int32
+}
+
+// recycleWindow keeps a flushed window's array, cleared, for the window
+// after next: steady traffic reuses one array instead of growing a new
+// one every window.
+func (p *Peer) recycleWindow(batch []moods.Observation) {
+	clear(batch)
+	p.mu.Lock()
+	p.spare = batch[:0]
+	p.mu.Unlock()
 }
 
 // indexIndividually runs the Section III protocol for one arrival: DHT
@@ -347,7 +384,7 @@ func (p *Peer) resolveGateway(pfx ids.Prefix) (overlay.NodeRef, error) {
 			return ref, nil
 		}
 	}
-	res, err := p.node.Lookup(pfx.GatewayID())
+	res, err := p.node.Lookup(p.pm.GatewayID(pfx))
 	if err != nil {
 		return overlay.NodeRef{}, fmt.Errorf("core: resolve gateway %q: %w", pfx.String(), err)
 	}
@@ -598,46 +635,61 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	pfx := r.Key.Prefix()
 	now := p.clock()
 	sp := p.tel.tracer.StartPrefix(telemetry.OpIndex, r.Key)
-
-	// Partition events into locally indexed and unknown (objects').
-	idOf := make(map[moods.ObjectID]ids.ID, len(r.Events))
-	var missing []ids.ID
+	var idBuf [32]ids.ID
+	evIDs := idBuf[:0]
 	for _, ev := range r.Events {
-		id := ev.hash()
-		idOf[ev.Object] = id
-		if _, ok := p.lookupWithReplica(r.Key, id); !ok {
-			missing = append(missing, id)
-		}
+		evIDs = append(evIDs, ev.hash())
 	}
 
-	// refresh_from_ascent / refresh_from_descent for the unknown set —
-	// only when records can exist at other levels: Lp has been shorter
+	// Partition events into locally indexed and unknown (objects'), and
+	// refresh_from_ascent / refresh_from_descent the unknown set — only
+	// when records can exist at other levels: Lp has been shorter
 	// (ascent), Lp has been longer, or this bucket delegated (descent).
 	// The historical-Lp guard is the paper's "while there exists
-	// gateway node for prefix p′" condition.
-	sp.Step(string(p.node.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(missing))
-	if len(missing) > 0 {
-		unknown := len(missing)
-		lo, hi := p.pm.LpRange()
-		if lo < pfx.Len {
-			missing = p.refreshFromAscent(pfx, missing)
+	// gateway node for prefix p′" condition. With mirrors the partition
+	// also promotes replica copies. A pinned, unmirrored gateway whose
+	// bucket never delegated has nowhere else to look: advance below
+	// tells the unknown events apart, and the same steps are recorded
+	// after it.
+	lo, hi := p.pm.LpRange()
+	partition := p.mirrors() > 0 || lo != pfx.Len || hi != pfx.Len || p.gw.delegatedFlag(r.Key)
+	if partition {
+		var missing []ids.ID
+		for _, id := range evIDs {
+			if _, ok := p.lookupWithReplica(r.Key, id); !ok {
+				missing = append(missing, id)
+			}
 		}
-		if len(missing) > 0 && (hi > pfx.Len || p.gw.delegatedFlag(r.Key)) {
-			p.refreshFromDescent(pfx, missing, p.cfg.MaxDescent)
+		sp.Step(string(p.node.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(missing))
+		if len(missing) > 0 {
+			unknown := len(missing)
+			if lo < pfx.Len {
+				missing = p.refreshFromAscent(pfx, missing)
+			}
+			if len(missing) > 0 && (hi > pfx.Len || p.gw.delegatedFlag(r.Key)) {
+				p.refreshFromDescent(pfx, missing, p.cfg.MaxDescent)
+			}
+			sp.Step(string(p.node.Addr()), noteRefresh).Int(unknown - len(missing)).Int(unknown)
 		}
-		sp.Step(string(p.node.Addr()), noteRefresh).Int(unknown - len(missing)).Int(unknown)
 	}
 
 	// update_index + IOP stitching, batched by previous node.
-	toBatches := make(map[moods.NodeName][]moods.ObjectID)
 	var fromLinks []IOPLink
 	var updated []ids.ID
 	var deferred []ObjEvent
-	for _, ev := range r.Events {
-		id := idOf[ev.Object]
+	var unknownBuf [32]ids.ID
+	unknown := unknownBuf[:0] // without the partition: the events it would have found missing
+	for i, ev := range r.Events {
+		id := evIDs[i]
 		prev, move := p.gw.advance(r.Key, IndexEntry{
 			Object: ev.Object, ID: id, Latest: r.Node, Arrived: ev.Arrived, Indexed: now,
 		}, nil)
+		// An object reported twice in one message is unknown both times, as
+		// in the partition: the repeat meets the head its first sighting
+		// here wrote, which nothing but this loop can have written.
+		if !partition && (move == headFirst || (prev.Indexed == now && prev.Prev == "" && slices.Contains(unknown, id))) {
+			unknown = append(unknown, id)
+		}
 		switch move {
 		case headLate:
 			// Late observation (window flush ordering): splice it into
@@ -649,40 +701,64 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 			}
 			continue
 		case headMoved:
-			toBatches[prev.Latest] = append(toBatches[prev.Latest], ev.Object)
 			fromLinks = append(fromLinks, IOPLink{Object: ev.Object, From: prev.Latest, At: ev.Arrived})
 		}
-		updated = append(updated, id)
+		if p.mirrors() > 0 {
+			updated = append(updated, id)
+		}
+	}
+	if !partition {
+		sp.Step(string(p.node.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(unknown))
+		if len(unknown) > 0 {
+			sp.Step(string(p.node.Addr()), noteRefresh).Int(0).Int(len(unknown))
+		}
 	}
 	p.mirrorIndex(r.Key, updated)
-	// One message per distinct source node (M2 batched), in
-	// deterministic node order...
-	prevNodes := make([]string, 0, len(toBatches))
-	for prevNode := range toBatches {
-		prevNodes = append(prevNodes, string(prevNode))
-	}
-	sort.Strings(prevNodes)
-	for _, pn := range prevNodes {
-		prevNode := moods.NodeName(pn)
-		p.call(transport.Addr(prevNode), iopSetToReq{Objects: toBatches[prevNode], To: r.Node, At: r.At})
-		sp.Step(pn, noteM2).Int(len(toBatches[prevNode])).Str(string(r.Node))
-	}
+	// One message per distinct source node (M2 batched), in node order,
+	// each batch's objects in arrival order...
+	msgs := p.sendMoves(sp, r, fromLinks)
 	// ...and one message back to the destination (M3 batched).
 	if len(fromLinks) > 0 {
 		p.call(transport.Addr(r.Node), iopSetFromReq{Links: fromLinks})
 		sp.Step(string(r.Node), noteM3).Int(len(fromLinks))
+		msgs++
 	}
 
 	p.maybeDelegate(pfx)
 	if len(deferred) > 0 {
 		sp.Step(string(p.node.Addr()), noteDeferred).Int(len(deferred))
 	}
-	msgs := len(prevNodes)
-	if len(fromLinks) > 0 {
-		msgs++
-	}
 	sp.Finish(msgs, nil)
 	return deferred
+}
+
+// sendMoves sends M2 for the moves of one group arrival: one message per
+// source node, in byte order of the node names, carrying that node's
+// objects in arrival order. It returns the number of messages sent.
+func (p *Peer) sendMoves(sp *telemetry.Recording, r groupArriveReq, moves []IOPLink) int {
+	var permBuf [32]int32
+	perm := permBuf[:0]
+	for i := range moves {
+		perm = append(perm, int32(i))
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int { return strings.Compare(string(moves[a].From), string(moves[b].From)) })
+	objs := make([]moods.ObjectID, len(perm))
+	for j, i := range perm {
+		objs[j] = moves[i].Object
+	}
+	msgs := 0
+	for lo := 0; lo < len(perm); {
+		from := moves[perm[lo]].From
+		hi := lo + 1
+		for hi < len(perm) && moves[perm[hi]].From == from {
+			hi++
+		}
+		p.call(transport.Addr(from), iopSetToReq{Objects: objs[lo:hi:hi], To: r.Node, At: r.At})
+		sp.Step(string(from), noteM2).Int(hi - lo).Str(string(r.Node))
+		msgs++
+		lo = hi
+	}
+	return msgs
 }
 
 // refreshFromAscent pulls index records for the given objects from the

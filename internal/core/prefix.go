@@ -97,7 +97,17 @@ type PrefixManager struct {
 	// p′".
 	minEver int
 	maxEver int
+	// gateways memoises GatewayID by packed prefix: every peer of a
+	// simulated network shares one manager, so a prefix is hashed once
+	// rather than on every peer's cache miss. It is emptied whenever the
+	// Lp range moves and holds at most maxGatewayMemo ids; past that a
+	// prefix is hashed each time.
+	gateways map[ids.PrefixKey]ids.ID
 }
+
+// maxGatewayMemo bounds the GatewayID memo: the 8 192 groups of Lp 13
+// (the paper's 512 nodes, Scheme 2) fit twice over.
+const maxGatewayMemo = 1 << 14
 
 // NewPrefixManager creates a manager with the given scheme, minimum
 // prefix length L_min (the bootstrap floor of Section IV-A1), and
@@ -147,13 +157,39 @@ func (pm *PrefixManager) SetNetworkSize(nn float64) (int, int) {
 	old := pm.lp
 	pm.nn = nn
 	pm.lp = pm.scheme.PrefixLen(nn, pm.lmin)
-	if pm.lp < pm.minEver {
-		pm.minEver = pm.lp
-	}
-	if pm.lp > pm.maxEver {
-		pm.maxEver = pm.lp
-	}
+	pm.setRange(min(pm.minEver, pm.lp), max(pm.maxEver, pm.lp))
 	return old, pm.lp
+}
+
+// setRange installs the historical Lp range, emptying the GatewayID memo
+// when it moves. The caller holds pm.mu for writing.
+func (pm *PrefixManager) setRange(lo, hi int) {
+	if lo != pm.minEver || hi != pm.maxEver {
+		pm.minEver, pm.maxEver = lo, hi
+		pm.gateways = nil
+	}
+}
+
+// GatewayID is pfx.GatewayID(), memoised (see gateways); pfx must fit a
+// PrefixKey.
+func (pm *PrefixManager) GatewayID(pfx ids.Prefix) ids.ID {
+	key := pfx.Key()
+	pm.mu.RLock()
+	id, ok := pm.gateways[key]
+	pm.mu.RUnlock()
+	if ok {
+		return id
+	}
+	id = pfx.GatewayID()
+	pm.mu.Lock()
+	if len(pm.gateways) < maxGatewayMemo {
+		if pm.gateways == nil {
+			pm.gateways = make(map[ids.PrefixKey]ids.ID)
+		}
+		pm.gateways[key] = id
+	}
+	pm.mu.Unlock()
+	return id
 }
 
 // LpRange returns the historical [min, max] prefix lengths that have
@@ -170,7 +206,7 @@ func (pm *PrefixManager) LpRange() (int, int) {
 func (pm *PrefixManager) ResetLpHistory() {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	pm.minEver, pm.maxEver = pm.lp, pm.lp
+	pm.setRange(pm.lp, pm.lp)
 }
 
 // GroupOf returns the current-length prefix group of an object id.

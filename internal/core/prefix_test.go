@@ -147,6 +147,44 @@ func TestPrefixManagerLifecycle(t *testing.T) {
 	}
 }
 
+// TestGatewayIDMemoIsBounded: the memo answers what Prefix.GatewayID
+// does; it holds at most maxGatewayMemo ids, past which a prefix is
+// hashed each time; and it is emptied when the Lp range moves, by growth
+// or by a history reset, but not by a size estimate that leaves it put.
+func TestGatewayIDMemoIsBounded(t *testing.T) {
+	pm := NewPrefixManager(Scheme2, 3, 16)
+	prefix := func(i int) ids.Prefix { // distinct for i < 2^20
+		var id ids.ID
+		id[0], id[1], id[2] = byte(i>>12), byte(i>>4), byte(i<<4)
+		return ids.PrefixOf(id, 20)
+	}
+	for i := 0; i < maxGatewayMemo+100; i++ {
+		if got, want := pm.GatewayID(prefix(i)), prefix(i).GatewayID(); got != want {
+			t.Fatalf("GatewayID(%s) = %s, want %s", prefix(i), got.Short(), want.Short())
+		}
+	}
+	if len(pm.gateways) != maxGatewayMemo {
+		t.Errorf("memo holds %d ids after %d prefixes, want the cap %d", len(pm.gateways), maxGatewayMemo+100, maxGatewayMemo)
+	}
+	if got, want := pm.GatewayID(prefix(maxGatewayMemo+50)), prefix(maxGatewayMemo+50).GatewayID(); got != want {
+		t.Errorf("past the cap GatewayID = %s, want %s", got.Short(), want.Short())
+	}
+
+	pm.SetNetworkSize(15) // Lp 6 still: the range stays put
+	if len(pm.gateways) != maxGatewayMemo {
+		t.Errorf("memo holds %d ids after an estimate that kept the range, want %d", len(pm.gateways), maxGatewayMemo)
+	}
+	pm.SetNetworkSize(512)
+	if len(pm.gateways) != 0 {
+		t.Errorf("memo holds %d ids after the range grew, want 0", len(pm.gateways))
+	}
+	pm.GatewayID(prefix(1))
+	pm.ResetLpHistory()
+	if len(pm.gateways) != 0 {
+		t.Errorf("memo holds %d ids after the range was reset, want 0", len(pm.gateways))
+	}
+}
+
 func TestPrefixManagerGroupOf(t *testing.T) {
 	pm := NewPrefixManager(Scheme2, 3, 64)
 	id := ids.HashString("x")

@@ -353,8 +353,9 @@ func (a *Agent) ageLocked() {
 
 // wireEntriesLocked builds a fresh outbound entry slice: a self-entry
 // at age 0 followed by a copy of the view. Fresh allocation per message
-// is deliberate — the transport owns payloads once handed over
-// (sendalias), so no scratch buffer may back them.
+// is deliberate — the transport owns payloads once handed over, so no
+// scratch buffer may back them (a buffer shared by every agent fails
+// TestSingleContactJoin).
 func (a *Agent) wireEntriesLocked() []Entry {
 	out := make([]Entry, 0, len(a.view)+1)
 	out = append(out, Entry{Ref: a.self})

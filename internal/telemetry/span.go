@@ -85,11 +85,13 @@ type record struct {
 // consultations fit; a long IOP walk spills into a grown slice.
 const inlineSteps = 4
 
-// Recording is a span being recorded. Start allocates it once, steps
-// land in its inline array, and Finish hands it to the tracer as is —
-// nothing is copied or formatted until a reader asks. The caller must
-// not touch a recording after Finish. All methods are no-ops on nil, so
-// instrumented paths never branch on whether tracing is wired.
+// Recording is a span being recorded. Start takes one from the pool of
+// recordings evicted from a ring, steps land in its inline array, and
+// Finish hands it to the tracer as is — nothing is copied or formatted
+// until a reader asks. The caller must not touch a recording after
+// Finish: it is reused once the ring overwrites it. All methods are
+// no-ops on nil, so instrumented paths never branch on whether tracing
+// is wired.
 type Recording struct {
 	tracer *Tracer
 	id     uint64
@@ -125,13 +127,21 @@ func newTracer(reg *Registry, capacity int) *Tracer {
 	return &Tracer{reg: reg, ring: make([]*Recording, capacity)}
 }
 
+// evicted holds zeroed recordings that a ring overwrote, for any tracer's
+// next Start. It is a package variable, not a Tracer field: the runtime
+// keeps a pool reachable for two collections after its last use, and a
+// pool inside a Tracer would keep a dropped registry — in a simulation,
+// the whole network its clock reads — alive that long.
+var evicted = sync.Pool{New: func() any { return new(Recording) }}
+
 // Start opens a span keyed by an object code. Nil-safe: on a nil tracer
 // it returns a nil recording.
 func (t *Tracer) Start(op Op, key string) *Recording {
 	if t == nil {
 		return nil
 	}
-	s := &Recording{tracer: t, id: t.seq.Add(1), op: op, key: key, start: t.reg.Now()}
+	s := evicted.Get().(*Recording)
+	s.tracer, s.id, s.op, s.key, s.start = t, t.seq.Add(1), op, key, t.reg.Now()
 	s.steps = s.inline[:0]
 	return s
 }
@@ -186,6 +196,9 @@ func (s *Recording) Str(v string) *Recording {
 // Finish closes the span and commits it to its op's share of the ring.
 // Hops is the operation's reported hop count; err (nil for success) is
 // recorded as text so spans stay JSON-encodable and DeepEqual-comparable.
+// The recording it overwrites goes back to the pool: readers reach a
+// recording only through the ring and under t.mu, so once its slot is
+// taken nothing can.
 func (s *Recording) Finish(hops int, err error) {
 	if s == nil {
 		return
@@ -198,11 +211,17 @@ func (s *Recording) Finish(hops int, err error) {
 	}
 	share := uint64(len(t.ring)) / uint64(numOps)
 	t.mu.Lock()
-	t.ring[uint64(s.op)*share+t.count[s.op]%share] = s
+	slot := &t.ring[uint64(s.op)*share+t.count[s.op]%share]
+	old := *slot
+	*slot = s
 	t.count[s.op]++
 	t.total++
 	s.done = t.total
 	t.mu.Unlock()
+	if old != nil {
+		*old = Recording{}
+		evicted.Put(old)
+	}
 }
 
 // Total is the number of spans recorded over the tracer's lifetime
@@ -232,12 +251,11 @@ func (t *Tracer) filter(n int, keep func(*Recording) bool) []Span {
 	if t == nil || n <= 0 {
 		return nil
 	}
-	// A finished recording never changes, so only copying the ring needs
-	// the lock; matching and rendering run beside new Finishes.
+	// A recording is zeroed and reused once Finish evicts it, so matching
+	// and rendering hold the lock that eviction takes.
 	t.mu.Lock()
-	held := slices.Clone(t.ring)
-	t.mu.Unlock()
-	held = slices.DeleteFunc(held, func(s *Recording) bool { return s == nil || !keep(s) })
+	defer t.mu.Unlock()
+	held := slices.DeleteFunc(slices.Clone(t.ring), func(s *Recording) bool { return s == nil || !keep(s) })
 	slices.SortFunc(held, func(a, b *Recording) int { return cmp.Compare(b.done, a.done) })
 	var out []Span
 	for _, s := range held[:min(n, len(held))] {

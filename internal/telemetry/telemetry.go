@@ -16,7 +16,8 @@
 //     nil *Recording, ...) is a valid no-op, so instrumented code paths
 //     never branch on "is telemetry wired?" and uninstrumented runs pay
 //     only a nil check. Counter/Gauge/Histogram updates are
-//     allocation-free; a span costs one allocation, its steps none.
+//     allocation-free; a span reuses a recording its ring evicted, so
+//     once the ring has wrapped a span and its steps allocate nothing.
 //
 // Instrument names are dotted lowercase paths, owner first:
 // "transport.calls", "chord.lookup.hops", "core.window.flushes".
