@@ -45,7 +45,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 24186
+LOC_MAX = 24200
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
@@ -133,6 +133,7 @@ bench-module:
 micro:
 	$(GO) test -run xxx -bench 'BenchmarkTransportCall|BenchmarkStatsSnapshot' ./internal/transport/
 	$(GO) test -run xxx -bench 'BenchmarkTCPCall' -benchmem ./internal/chord/ ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkLookup256' -benchmem ./internal/chord/
 	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkBatchFanIn|BenchmarkHeapFanIn' ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkGateway|BenchmarkIOP' ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkSpan' -benchmem ./internal/telemetry/

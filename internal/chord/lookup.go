@@ -50,14 +50,13 @@ func (n *Node) lookup(key ids.ID) (LookupResult, error) {
 // owner, which is what replica-set queries fall back on when the owner
 // itself is unreachable.
 func (n *Node) lookupVia(key ids.ID) (LookupResult, NodeRef, error) {
-	n.mu.RLock()
-	left := n.left
-	n.mu.RUnlock()
-	if left {
+	if n.left.Load() {
 		return LookupResult{}, NodeRef{}, ErrLeft
 	}
-	// Fast path: we own the key.
-	if n.Owns(key) {
+	// Seed from the local routing state (free: no RPC); fast path: we own
+	// the key.
+	local, owned := n.route(key)
+	if owned {
 		return LookupResult{Node: n.self, Hops: 0}, NodeRef{}, nil
 	}
 
@@ -71,8 +70,6 @@ func (n *Node) lookupVia(key ids.ID) (LookupResult, NodeRef, error) {
 		}
 		dead[a] = true
 	}
-	// Seed from the local routing state (free: no RPC).
-	local := n.closestPreceding(key)
 	cur, done := local.Node, local.Done
 	if cur.Equal(n.self) {
 		done = true // degenerate single-node ring
@@ -284,12 +281,18 @@ func (n *Node) detour(key ids.ID, dead map[transport.Addr]bool) (NodeRef, error)
 // local state, and whether that hop is already the node responsible for
 // the key. It performs no RPCs; recursive-routing layers build on it.
 func (n *Node) NextHop(key ids.ID) (NodeRef, bool) {
-	if n.Owns(key) {
-		return n.self, true
-	}
-	r := n.closestPreceding(key)
-	if r.Node.Equal(n.self) {
+	r, owned := n.route(key)
+	if owned || r.Node.Equal(n.self) {
 		return n.self, true
 	}
 	return r.Node, r.Done
+}
+
+// route is one routing step from local state under one read hold: the
+// closest-preceding answer for key, and whether this node owns it.
+func (n *Node) route(key ids.ID) (closestPrecedingResp, bool) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	r, _ := n.closestPreceding(key)
+	return r, n.owns(key)
 }

@@ -45,14 +45,22 @@ type Node struct {
 	net  transport.Network
 	cfg  Config
 
-	mu         sync.RWMutex
+	mu         sync.RWMutex // write-locked only through lock
 	pred       NodeRef
 	successors []NodeRef // successors[0] is the immediate successor
 	fingers    fingerTable
 	nextFinger int
 	ringHook   func() // see OnRingChange
-	appHandler transport.Handler
-	left       bool
+
+	// answers boxes one closestPrecedingResp per answer slot (see answer):
+	// nil until the first remote question and again after every write
+	// hold, so a box is exactly as current as the state it was made from.
+	answers atomic.Pointer[[]atomic.Value]
+
+	// Read by every RPC without mu: left is written under mu, appHandler
+	// once at wiring.
+	left       atomic.Bool
+	appHandler atomic.Pointer[transport.Handler]
 
 	ringChanges  atomic.Uint64 // see RingChanges
 	failedOverAt atomic.Uint64 // ringChanges+1 at the last fail-over; see Repairing
@@ -114,6 +122,13 @@ func (n *Node) HandleRPC(from transport.Addr, req any) (any, error) {
 	return n.handleRPC(from, req)
 }
 
+// lock takes mu for writing and drops the boxed answers: whatever the
+// hold changes, no question is answered from the state before it.
+func (n *Node) lock() {
+	n.mu.Lock()
+	n.answers.Store(nil)
+}
+
 // OnRingChange installs fn, called each time a live node is spliced in
 // as immediate successor or predecessor, the two pointers that close the
 // ring: by a join, a stabilize round adopting the successor's
@@ -123,7 +138,7 @@ func (n *Node) HandleRPC(from transport.Addr, req any) (any, error) {
 // node lock released, possibly on an RPC handler goroutine, and must not
 // block; core.Maintained.Install uses it to pull stabilize rounds in.
 func (n *Node) OnRingChange(fn func()) {
-	n.mu.Lock()
+	n.lock()
 	defer n.mu.Unlock()
 	n.ringHook = fn
 }
@@ -194,6 +209,11 @@ func (n *Node) Predecessor() NodeRef {
 func (n *Node) Owns(key ids.ID) bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
+	return n.owns(key)
+}
+
+// owns is Owns with n.mu held.
+func (n *Node) owns(key ids.ID) bool {
 	if n.pred.IsZero() {
 		return key == n.self.ID || n.successors[0].Equal(n.self) // single-node ring owns all
 	}
@@ -202,10 +222,7 @@ func (n *Node) Owns(key ids.ID) bool {
 
 // handleRPC dispatches inbound protocol messages.
 func (n *Node) handleRPC(from transport.Addr, req any) (any, error) {
-	n.mu.RLock()
-	left := n.left
-	n.mu.RUnlock()
-	if left {
+	if n.left.Load() {
 		return nil, ErrLeft
 	}
 	switch r := req.(type) {
@@ -221,7 +238,7 @@ func (n *Node) handleRPC(from transport.Addr, req any) (any, error) {
 		n.mu.RUnlock()
 		return resp, nil
 	case closestPrecedingReq:
-		return n.closestPreceding(r.Key), nil
+		return n.answer(r.Key), nil
 	case notifyReq:
 		n.notify(r.Candidate)
 		return notifyResp{}, nil
@@ -229,11 +246,8 @@ func (n *Node) handleRPC(from transport.Addr, req any) (any, error) {
 		n.handleLeave(r)
 		return leaveResp{}, nil
 	default:
-		n.mu.RLock()
-		app := n.appHandler
-		n.mu.RUnlock()
-		if app != nil {
-			return app(from, req)
+		if app := n.appHandler.Load(); app != nil {
+			return (*app)(from, req)
 		}
 		return nil, fmt.Errorf("chord: unknown request %T", req)
 	}
@@ -244,49 +258,72 @@ func (n *Node) handleRPC(from transport.Addr, req any) (any, error) {
 // does not consume). Layers such as the DHT store and the traceability
 // core chain through it.
 func (n *Node) SetAppHandler(h transport.Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.appHandler = h
+	n.appHandler.Store(&h)
+}
+
+// Answer slots of closestPreceding, in the order it tries them: the
+// finger runs and successor entries follow slotFinger, one slot each.
+const (
+	slotSelfDone = iota // this node owns the key
+	slotSuccDone        // the immediate successor owns it
+	slotFinger          // finger run j is slotFinger+j
+)
+
+// answer is closestPreceding boxed for the wire: each slot is boxed by
+// the first question that meets it and shared by the rest until the
+// next write hold. All of it runs under one read hold, which is what
+// makes a box as current as the state (lock drops them all).
+func (n *Node) answer(key ids.ID) any {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	resp, slot := n.closestPreceding(key)
+	boxes := n.answers.Load()
+	if boxes == nil {
+		fresh := make([]atomic.Value, slotFinger+len(n.fingers.ref)+len(n.successors)+1)
+		n.answers.CompareAndSwap(nil, &fresh)
+		boxes = n.answers.Load() // ours, or another reader's made from this same state
+	}
+	box := &(*boxes)[slot]
+	v := box.Load()
+	if v == nil {
+		v = any(resp)
+		box.Store(v)
+	}
+	return v
 }
 
 // closestPreceding implements closest_preceding_node(key) plus the
 // termination test: if key falls between this node and its successor,
-// the successor is the answer and the lookup is done.
-func (n *Node) closestPreceding(key ids.ID) closestPrecedingResp {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+// the successor is the answer and the lookup is done. It also returns
+// the answer's slot (see answer). The caller holds n.mu.
+func (n *Node) closestPreceding(key ids.ID) (closestPrecedingResp, int) {
 	// A key this node owns terminates at this node. Routing normally
 	// stops one hop earlier (the predecessor answers Done), but a detour
 	// around a dead predecessor can land the lookup directly on the
 	// owner — which must then claim the key instead of handing back a
 	// finger that precedes it (circling the ring past the key forever).
 	if !n.pred.IsZero() && ids.BetweenRightIncl(key, n.pred.ID, n.self.ID) {
-		return closestPrecedingResp{Node: n.self, Done: true}
+		return closestPrecedingResp{Node: n.self, Done: true}, slotSelfDone
 	}
 	succ := n.successors[0]
 	if ids.BetweenRightIncl(key, n.self.ID, succ.ID) {
-		return closestPrecedingResp{Node: succ, Done: true}
+		return closestPrecedingResp{Node: succ, Done: true}, slotSuccDone
 	}
-	// Scan fingers from the top for the closest node in (self, key).
-	var hit NodeRef
-	n.fingers.descend(func(f NodeRef) bool {
-		if ids.Between(f.ID, n.self.ID, key) {
-			hit = f
-			return false
+	// Scan fingers from the top for the closest node in (self, key): the
+	// value of each run, as fingerTable.descend visits them.
+	runs := n.fingers.ref
+	for j := len(runs) - 1; j >= 0; j-- {
+		if f := runs[j]; !f.IsZero() && ids.Between(f.ID, n.self.ID, key) {
+			return closestPrecedingResp{Node: f}, slotFinger + j
 		}
-		return true
-	})
-	if !hit.IsZero() {
-		return closestPrecedingResp{Node: hit}
 	}
 	// Successor list as a fallback routing table.
 	for i := len(n.successors) - 1; i >= 0; i-- {
-		s := n.successors[i]
-		if ids.Between(s.ID, n.self.ID, key) {
-			return closestPrecedingResp{Node: s}
+		if s := n.successors[i]; ids.Between(s.ID, n.self.ID, key) {
+			return closestPrecedingResp{Node: s}, slotFinger + len(runs) + i
 		}
 	}
-	return closestPrecedingResp{Node: succ}
+	return closestPrecedingResp{Node: succ}, slotFinger + len(runs) + len(n.successors)
 }
 
 // notify processes a predecessor candidacy (Chord's notify()).
@@ -294,7 +331,7 @@ func (n *Node) notify(cand NodeRef) {
 	if cand.Equal(n.self) {
 		return
 	}
-	n.mu.Lock()
+	n.lock()
 	old := n.pred
 	accept := old.IsZero() || ids.Between(cand.ID, old.ID, n.self.ID)
 	if accept {
@@ -308,7 +345,7 @@ func (n *Node) notify(cand NodeRef) {
 
 // handleLeave relinks around a voluntarily departing neighbour.
 func (n *Node) handleLeave(r leaveReq) {
-	n.mu.Lock()
+	n.lock()
 	predChanged := !r.Pred.IsZero() && !n.pred.IsZero() && n.pred.Equal(r.Leaver)
 	if predChanged {
 		// Our predecessor left; adopt its predecessor.

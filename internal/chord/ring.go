@@ -59,7 +59,7 @@ func WireStaticRing(nodes []*Node) {
 	scratchLo := make([]uint8, 0, 64)
 	scratchRef := make([]NodeRef, 0, 64)
 	for i, n := range nodes {
-		n.mu.Lock()
+		n.lock()
 		n.pred = refs[(i-1+m)%m]
 		if m == 1 {
 			n.pred = NodeRef{}

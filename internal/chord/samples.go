@@ -31,14 +31,14 @@ import (
 // live sample, so they would refill the r slots forever.
 func (n *Node) RepairFromSamples(samples []NodeRef, dead func(transport.Addr) bool) int {
 	headMoved := false
-	n.mu.Lock()
+	n.lock()
 	defer func() {
 		n.mu.Unlock()
 		if headMoved {
 			n.ringChanged()
 		}
 	}()
-	if n.left || len(samples) == 0 {
+	if n.left.Load() || len(samples) == 0 {
 		return 0
 	}
 

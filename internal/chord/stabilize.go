@@ -44,7 +44,7 @@ func (n *Node) Join(bootstrap NodeRef) error {
 		// the true successor via the predecessor-adoption rule.
 		succ = bootstrap
 	}
-	n.mu.Lock()
+	n.lock()
 	n.pred = NodeRef{}
 	n.successors = []NodeRef{succ}
 	n.mu.Unlock()
@@ -62,11 +62,10 @@ func (n *Node) Join(bootstrap NodeRef) error {
 // successor list, and notify the successor of our existence. Returns an
 // error only when no successor is reachable at all.
 func (n *Node) Stabilize() error {
-	n.mu.RLock()
-	if n.left {
-		n.mu.RUnlock()
+	if n.left.Load() {
 		return ErrLeft
 	}
+	n.mu.RLock()
 	succs := append([]NodeRef(nil), n.successors...)
 	n.mu.RUnlock()
 
@@ -139,7 +138,7 @@ func (n *Node) Stabilize() error {
 		}
 	}
 
-	n.mu.Lock()
+	n.lock()
 	// A new head past dead candidates is a repair, not a ring change.
 	spliced := live.Equal(succs[0]) && !n.successors[0].Equal(succ)
 	n.successors = newList
@@ -169,8 +168,8 @@ func (n *Node) Stabilize() error {
 // the fingers above it whose starts it covers, so one pass over the
 // table costs about log2 N calls of O(log N) RPCs each, not ids.Bits.
 func (n *Node) FixFingers() error {
-	n.mu.Lock()
-	if n.left {
+	n.lock()
+	if n.left.Load() {
 		n.mu.Unlock()
 		return ErrLeft
 	}
@@ -190,7 +189,7 @@ func (n *Node) FixFingers() error {
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
+	n.lock()
 	repaired := !n.fingers.get(i).Equal(res.Node)
 	end := max(i+1, n.covers(res.Node))
 	n.fingers.setRange(i, end, res.Node)
@@ -212,7 +211,7 @@ func (n *Node) covers(r NodeRef) int {
 // FixFingers cycle from its start. Used after joins in tests and
 // experiment setup.
 func (n *Node) FixAllFingers() error {
-	n.mu.Lock()
+	n.lock()
 	n.nextFinger = ids.Bits
 	n.mu.Unlock()
 	for done := false; !done; {
@@ -235,7 +234,7 @@ func (n *Node) CheckPredecessor() {
 		return
 	}
 	if !n.Ping(p) {
-		n.mu.Lock()
+		n.lock()
 		if n.pred.Equal(p) {
 			n.pred = NodeRef{}
 		}
@@ -247,12 +246,12 @@ func (n *Node) CheckPredecessor() {
 // node stops serving RPCs. Key migration must be done by the application
 // layer before calling Leave.
 func (n *Node) Leave() error {
-	n.mu.Lock()
-	if n.left {
+	n.lock()
+	if n.left.Load() {
 		n.mu.Unlock()
 		return ErrLeft
 	}
-	n.left = true
+	n.left.Store(true)
 	pred := n.pred
 	succs := append([]NodeRef(nil), n.successors...)
 	n.mu.Unlock()
@@ -271,8 +270,4 @@ func (n *Node) Leave() error {
 }
 
 // Left reports whether the node has departed.
-func (n *Node) Left() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.left
-}
+func (n *Node) Left() bool { return n.left.Load() }

@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"fmt"
 	"testing"
 
 	"peertrack/internal/ids"
@@ -56,4 +57,31 @@ func BenchmarkTCPCall(b *testing.B) {
 		wiretest.BenchTCPCall(b, closestPrecedingReq{Key: ids.HashString("urn:epc:id:sgtin:0614141.107346.2017")},
 			closestPrecedingResp{Node: wireRef("127.0.0.1:7005"), Done: true})
 	})
+}
+
+// TestBoxedAnswerOverTCP: an answer served from a box encodes like any
+// other: asked twice over loopback TCP, once to fill the box and once
+// from it, a node's closest-preceding answers decode to what its routing
+// state says.
+func TestBoxedAnswerOverTCP(t *testing.T) {
+	h := NewTCPHarness(t)
+	defer h.Close()
+	a, b, c := h.NewNode("a"), h.NewNode("b"), h.NewNode("c")
+	WireStaticRing([]*Node{a, b, c})
+	for i := 0; i < 16; i++ {
+		key := ids.HashString(fmt.Sprintf("boxed-%d", i))
+		want, _ := truth(a, key)
+		for ask := 0; ask < 2; ask++ {
+			resp, err := h.tr.Call(b.Addr(), a.Addr(), closestPrecedingReq{Key: key})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.(closestPrecedingResp); got != want {
+				t.Fatalf("key %s, ask %d: %+v over TCP, the routing state says %+v", key.Short(), ask, got, want)
+			}
+		}
+	}
+	if filled(a) == 0 {
+		t.Fatal("no answer was boxed")
+	}
 }

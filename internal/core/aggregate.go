@@ -14,8 +14,8 @@ import (
 // the related-work section contrasts with single-instance queries,
 // answered by the owning node from its own repository.
 func (p *Peer) Inventory() []moods.ObjectID {
-	p.repo.mu.RLock()
-	defer p.repo.mu.RUnlock()
+	p.repo.mu.Lock()
+	defer p.repo.mu.Unlock()
 	out := make([]moods.ObjectID, 0, len(p.repo.visits))
 	for obj, slot := range p.repo.visits {
 		if slot.latest().To == "" {

@@ -334,13 +334,13 @@ func TestDelegationAndTriangleLookup(t *testing.T) {
 	// Delegation must have fired somewhere.
 	delegatedSomewhere := false
 	for _, p := range nw.Peers() {
-		p.gw.mu.RLock()
+		p.gw.mu.Lock()
 		for _, b := range p.gw.buckets {
 			if b.delegated {
 				delegatedSomewhere = true
 			}
 		}
-		p.gw.mu.RUnlock()
+		p.gw.mu.Unlock()
 	}
 	if !delegatedSomewhere {
 		t.Fatal("no bucket ever delegated; threshold not exercised")

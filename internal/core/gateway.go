@@ -118,6 +118,11 @@ func (b *bucket) upsert(e IndexEntry) {
 		b.slab[slot] = e // update in place, keeping FIFO position
 		return
 	}
+	b.insert(e)
+}
+
+// insert appends e, whose id the bucket does not hold.
+func (b *bucket) insert(e IndexEntry) {
 	b.idx[e.ID] = int32(len(b.slab))
 	b.slab = append(b.slab, e)
 }
@@ -217,7 +222,7 @@ func parseBucketKey(s string) (ids.PrefixKey, error) {
 // ids.PrefixKey — one word to hash and compare instead of a heap
 // string — and every operation names its bucket by that key alone.
 type gatewayStore struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex // not RW: a reader holds it for a probe or two, as briefly as a writer
 	buckets map[ids.PrefixKey]*bucket
 	dirty   map[ids.PrefixKey][]ids.ID // per bucket, the ids named (touch) since takeDirty
 }
@@ -269,19 +274,25 @@ const (
 // head alone (the caller splices it into the list: stitchInsert). When
 // the bucket holds no record, fallback — the individual path's
 // replica-derived head, nil when there is none — is the head seen.
+// The bucket and the record's slot are looked up once.
 func (g *gatewayStore) advance(key ids.PrefixKey, e IndexEntry, fallback *IndexEntry) (IndexEntry, headMove) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	b := g.buckets[key]
+	var at *IndexEntry // the record's slot, nil when the bucket holds none
+	if b != nil {
+		if slot, ok := b.idx[e.ID]; ok {
+			at = &b.slab[slot]
+		}
+	}
+	head := at
+	if head == nil {
+		head = fallback
+	}
 	var prev IndexEntry
-	had := false
-	if b := g.buckets[key]; b != nil {
-		prev, had = b.get(e.ID)
-	}
-	if !had && fallback != nil {
-		prev, had = *fallback, true
-	}
 	move := headFirst
-	if had {
+	if head != nil {
+		prev = *head
 		switch {
 		case e.Arrived < prev.Arrived:
 			return prev, headLate
@@ -291,7 +302,14 @@ func (g *gatewayStore) advance(key ids.PrefixKey, e IndexEntry, fallback *IndexE
 			move, e.Prev = headSame, prev.Prev
 		}
 	}
-	g.bucketFor(key).upsert(e)
+	switch {
+	case at != nil:
+		*at = e
+	case b != nil:
+		b.insert(e)
+	default:
+		g.bucketFor(key).insert(e)
+	}
 	return prev, move
 }
 
@@ -316,8 +334,8 @@ func (g *gatewayStore) setPrev(key ids.PrefixKey, id ids.ID, arrived time.Durati
 
 // lookup finds an entry for object id in the bucket keyed key.
 func (g *gatewayStore) lookup(key ids.PrefixKey, id ids.ID) (IndexEntry, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	b := g.buckets[key]
 	if b == nil {
 		return IndexEntry{}, false
@@ -348,8 +366,8 @@ func (g *gatewayStore) take(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry, boo
 // query returns copies of the entries for the given object ids without
 // removing them, plus the delegated flag.
 func (g *gatewayStore) query(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	b := g.buckets[key]
 	if b == nil {
 		return nil, false
@@ -384,8 +402,8 @@ func (g *gatewayStore) takeDirty(key ids.PrefixKey) []ids.ID {
 
 // totalEntries counts all index records held by this node.
 func (g *gatewayStore) totalEntries() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	n := 0
 	for _, b := range g.buckets {
 		n += len(b.idx)
@@ -399,8 +417,8 @@ func (g *gatewayStore) totalEntries() int {
 // old string keys (with the individual bucket last), so sweep order is
 // unchanged by the packed representation.
 func (g *gatewayStore) bucketKeys() []ids.PrefixKey {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	out := make([]ids.PrefixKey, 0, len(g.buckets))
 	for k := range g.buckets {
 		out = append(out, k)
@@ -411,8 +429,8 @@ func (g *gatewayStore) bucketKeys() []ids.PrefixKey {
 
 // has reports whether a bucket keyed key exists, empty or not.
 func (g *gatewayStore) has(key ids.PrefixKey) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.buckets[key] != nil
 }
 
@@ -441,8 +459,8 @@ func (g *gatewayStore) dropBucket(key ids.PrefixKey) {
 // keyed key once it holds more than threshold records, without removing
 // them: the caller removes what it managed to delegate.
 func (g *gatewayStore) overflow(key ids.PrefixKey, threshold int, alpha float64) []IndexEntry {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	b := g.buckets[key]
 	if b == nil || len(b.idx) <= threshold {
 		return nil
@@ -461,8 +479,8 @@ func (g *gatewayStore) markDelegated(key ids.PrefixKey) {
 
 // delegatedFlag reads the bucket's delegated flag (false if absent).
 func (g *gatewayStore) delegatedFlag(key ids.PrefixKey) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	b := g.buckets[key]
 	return b != nil && b.delegated
 }
@@ -470,8 +488,8 @@ func (g *gatewayStore) delegatedFlag(key ids.PrefixKey) bool {
 // dumpBucket returns copies of the bucket's live entries sorted by
 // hashed id, plus its delegated flag (replication full pushes).
 func (g *gatewayStore) dumpBucket(key ids.PrefixKey) ([]IndexEntry, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	b := g.buckets[key]
 	if b == nil {
 		return nil, false

@@ -81,8 +81,8 @@ func (p *Peer) RemoveIndexEntry(bucketKey string, id ids.ID) {
 
 // dump copies every bucket of the store (see Peer.DumpIndex).
 func (g *gatewayStore) dump() []BucketSnapshot {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	out := make([]BucketSnapshot, 0, len(g.buckets))
 	for key, b := range g.buckets {
 		snap := BucketSnapshot{

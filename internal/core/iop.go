@@ -66,7 +66,7 @@ type visitSlot struct {
 // iopStore is a node's local repository: the information-flow segments
 // captured inside its own territory, with their IOP links.
 type iopStore struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex // not RW: a reader holds it for one probe, as briefly as a writer
 	visits map[moods.ObjectID]visitSlot
 	n      int
 
@@ -186,25 +186,27 @@ func (s *iopStore) setFrom(obj moods.ObjectID, from moods.NodeName, at time.Dura
 }
 
 // setTo annotates the latest visit that started at or before the
-// departure with the destination node the object moved on to.
-func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration) {
+// departure with the destination node the object moved on to, and
+// returns that visit's arrival: the dwell anchor of the departure. With
+// no such visit it annotates the latest one and reports no anchor.
+func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration) (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.markDirty(obj)
 	slot, ok := s.visits[obj]
 	if !ok {
-		return
+		return 0, false
 	}
 	for i := len(slot.rest) - 1; i >= 0; i-- {
 		if slot.rest[i].Arrived <= at {
 			slot.rest[i].To = to
-			return
+			return slot.rest[i].Arrived, true
 		}
 	}
 	if slot.first.Arrived <= at {
 		slot.first.To = to
 		s.visits[obj] = slot
-		return
+		return slot.first.Arrived, true
 	}
 	if n := len(slot.rest); n > 0 {
 		slot.rest[n-1].To = to
@@ -212,12 +214,13 @@ func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration
 		slot.first.To = to
 		s.visits[obj] = slot
 	}
+	return 0, false
 }
 
 // get returns copies of the visits of obj, time-sorted.
 func (s *iopStore) get(obj moods.ObjectID) ([]VisitRecord, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	slot, ok := s.visits[obj]
 	if !ok {
 		return nil, false
@@ -242,53 +245,32 @@ func (v visitSlot) materialize(obj moods.ObjectID) []VisitRecord {
 	return out
 }
 
-// arrivedAtOrBefore returns the arrival time of the latest visit of obj
-// that started at or before at — the dwell anchor for departure
-// recording — without materializing the visit list.
-func (s *iopStore) arrivedAtOrBefore(obj moods.ObjectID, at time.Duration) (time.Duration, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	slot, ok := s.visits[obj]
-	if !ok {
-		return 0, false
-	}
-	for i := len(slot.rest) - 1; i >= 0; i-- {
-		if slot.rest[i].Arrived <= at {
-			return slot.rest[i].Arrived, true
-		}
-	}
-	if slot.first.Arrived <= at {
-		return slot.first.Arrived, true
-	}
-	return 0, false
-}
-
 // has reports whether this node has observed obj.
 func (s *iopStore) has(obj moods.ObjectID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	_, ok := s.visits[obj]
 	return ok
 }
 
 // len returns the number of visit records stored.
 func (s *iopStore) len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.n
 }
 
 // objects returns the number of distinct objects with local records.
 func (s *iopStore) objects() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return len(s.visits)
 }
 
 // snapshot materializes every object's visit list (persistence).
 func (s *iopStore) snapshot() map[moods.ObjectID][]VisitRecord {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make(map[moods.ObjectID][]VisitRecord, len(s.visits))
 	for obj, slot := range s.visits {
 		out[obj] = slot.materialize(obj)

@@ -80,6 +80,50 @@ func TestIOPStoreSetToPicksVisitBeforeDeparture(t *testing.T) {
 	}
 }
 
+// TestIOPStoreSetToAnchor pins, per visit shape, which visit setTo
+// annotates and the dwell anchor it returns: the arrival of the latest
+// visit at or before the departure, which M2's handler feeds the
+// transition model. With none at or before, the latest visit is
+// annotated and there is no anchor.
+func TestIOPStoreSetToAnchor(t *testing.T) {
+	s := func(v int) time.Duration { return time.Duration(v) * time.Second }
+	cases := []struct {
+		name       string
+		recorded   []int // arrivals, in recording order
+		at         int
+		wantAnchor int  // seconds; meaningful when wantOK
+		wantOK     bool // a visit started at or before the departure
+		wantTo     int  // index of the annotated visit in time order; -1 none
+	}{
+		{"unknown object", nil, 10, 0, false, -1},
+		{"first only, departure after it", []int{10}, 20, 10, true, 0},
+		{"first only, departure at its arrival", []int{10}, 10, 10, true, 0},
+		{"first only, none at or before", []int{10}, 5, 0, false, 0},
+		{"rest, departure between first and second", []int{10, 20}, 15, 10, true, 0},
+		{"rest, departure between later visits", []int{10, 20, 30}, 25, 20, true, 1},
+		{"rest, departure after the last", []int{10, 20, 30}, 35, 30, true, 2},
+		{"rest, none at or before", []int{10, 20, 30}, 5, 0, false, 2},
+		{"re-sighting at one instant", []int{10, 10}, 10, 10, true, 1},
+		{"re-sighting recorded out of order", []int{30, 10}, 20, 10, true, 0},
+	}
+	for _, c := range cases {
+		st := newIOPStore(false)
+		for _, v := range c.recorded {
+			st.record("o", s(v))
+		}
+		anchor, ok := st.setTo("o", "dst", s(c.at))
+		if ok != c.wantOK || (ok && anchor != s(c.wantAnchor)) {
+			t.Errorf("%s: setTo = (%v, %v), want (%v, %v)", c.name, anchor, ok, s(c.wantAnchor), c.wantOK)
+		}
+		vs, _ := st.get("o")
+		for i, v := range vs {
+			if annotated := v.To == "dst"; annotated != (i == c.wantTo) {
+				t.Errorf("%s: visit %d (arrived %v) To = %q, want it annotated only at %d", c.name, i, v.Arrived, v.To, c.wantTo)
+			}
+		}
+	}
+}
+
 func TestIOPStoreSetToUnknownObjectIsNoop(t *testing.T) {
 	s := newIOPStore(false)
 	s.setTo("ghost", "dst", time.Second)

@@ -424,10 +424,9 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 			// Learn the outbound transition for prediction: dwell is
 			// the time between the closed visit's arrival and the
 			// departure now being recorded.
-			if arrived, ok := p.repo.arrivedAtOrBefore(obj, r.At); ok {
+			if arrived, ok := p.repo.setTo(obj, r.To, r.At); ok {
 				p.trans.record(r.To, r.At-arrived)
 			}
-			p.repo.setTo(obj, r.To, r.At)
 		}
 		p.flushRepoMirror()
 		return iopSetToResp{}, nil

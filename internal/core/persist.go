@@ -87,8 +87,8 @@ func (p *Peer) Snapshot(w io.Writer) error {
 // snapshotStore copies a store's buckets; held, for the replica store,
 // supplies each bucket's owner and version.
 func snapshotStore(g *gatewayStore, held *replication.Engine) []bucketSnapshot {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	out := make([]bucketSnapshot, 0, len(g.buckets))
 	for key, b := range g.buckets {
 		bs := bucketSnapshot{Key: bucketKeyName(key), Entries: b.live(len(b.idx)), Delegated: b.delegated}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -327,6 +328,54 @@ func TestGatewayStoreAdvance(t *testing.T) {
 	}
 	if head, _ := g.lookup(other, id); head.Latest != "s" || head.Prev != "r" {
 		t.Fatalf("head after fallback move = %+v", head)
+	}
+}
+
+// TestGatewayStoreAdvanceKeepsSlots pins where advance writes among
+// other records: an update in the record's own slot (FIFO position, which
+// α-delegation evicts by, unchanged), a first sighting at the end, a
+// late arrival nowhere; a record the bucket holds wins over the caller's
+// fallback, and a first sighting creates the bucket.
+func TestGatewayStoreAdvanceKeepsSlots(t *testing.T) {
+	key := ids.MustParsePrefix("01").Key()
+	rec := func(obj string, node moods.NodeName, at int) IndexEntry {
+		return IndexEntry{Object: moods.ObjectID(obj), ID: ids.HashString(obj), Latest: node, Arrived: simTime(at)}
+	}
+	order := func(g *gatewayStore) []string {
+		var out []string
+		for _, e := range g.buckets[key].live(len(g.buckets[key].idx)) {
+			out = append(out, fmt.Sprintf("%s@%s<%s", e.Object, e.Latest, e.Prev))
+		}
+		return out
+	}
+	g := newGatewayStore()
+	if _, move := g.advance(key, rec("a", "n1", 10), nil); move != headFirst || !g.has(key) {
+		t.Fatalf("first sighting into no bucket: %v, bucket created %v", move, g.has(key))
+	}
+	g.advance(key, rec("b", "n1", 10), nil)
+	g.advance(key, rec("c", "n1", 10), nil)
+	stale := rec("a", "far", 5) // a fallback older than the bucket's own record
+	steps := []struct {
+		name     string
+		in       IndexEntry
+		fallback *IndexEntry
+		move     headMove
+		want     []string
+	}{
+		{"move in place", rec("b", "n2", 20), nil, headMoved, []string{"a@n1<", "b@n2<n1", "c@n1<"}},
+		{"re-sighting in place", rec("a", "n1", 20), nil, headSame, []string{"a@n1<", "b@n2<n1", "c@n1<"}},
+		{"first sighting appends", rec("d", "n3", 20), nil, headFirst, []string{"a@n1<", "b@n2<n1", "c@n1<", "d@n3<"}},
+		{"late writes nothing", rec("c", "n4", 5), nil, headLate, []string{"a@n1<", "b@n2<n1", "c@n1<", "d@n3<"}},
+		{"the bucket's record beats the fallback", rec("a", "n5", 30), &stale, headMoved, []string{"a@n5<n1", "b@n2<n1", "c@n1<", "d@n3<"}},
+		{"fallback for an object the bucket lacks", rec("e", "n6", 30), &IndexEntry{Latest: "r", Arrived: simTime(25)}, headMoved, []string{"a@n5<n1", "b@n2<n1", "c@n1<", "d@n3<", "e@n6<r"}},
+	}
+	for _, st := range steps {
+		if _, move := g.advance(key, st.in, st.fallback); move != st.move {
+			t.Fatalf("%s: advance = %v, want %v", st.name, move, st.move)
+		}
+		if got := order(g); !slices.Equal(got, st.want) {
+			t.Fatalf("%s: bucket = %v, want %v", st.name, got, st.want)
+		}
 	}
 }
 

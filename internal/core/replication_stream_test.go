@@ -219,9 +219,9 @@ func TestReadsDoNotQueueBehindABlockedMirrorPush(t *testing.T) {
 	<-entered // the first writer's push is in flight, and stuck
 	go write(same[1])
 	for queued := 0; queued == 0; runtime.Gosched() {
-		owner.gw.mu.RLock()
+		owner.gw.mu.Lock()
 		queued = len(owner.gw.dirty[key])
-		owner.gw.mu.RUnlock()
+		owner.gw.mu.Unlock()
 	}
 
 	resp, err := owner.handleRPC(reporter.Addr(), queryIndexReq{Key: key, Objects: []ids.ID{obj.Hash()}})

@@ -4,13 +4,14 @@ import "sync/atomic"
 
 // Histogram counts observations into fixed buckets defined by ascending
 // inclusive upper bounds, plus an implicit overflow (+inf) bucket. The
-// bounds are fixed at creation, so observation is a binary search and
-// one atomic add — no allocation, no locks.
+// bounds are fixed at creation and few (7–9 in every standard layout),
+// so observation is a linear scan that small values leave at the first
+// bound, and two atomic adds — no allocation, no locks. The count is
+// the sum of the buckets, so no reader can see the two disagree.
 type Histogram struct {
 	bounds []int64
 	counts []atomic.Uint64 // len(bounds)+1; last is overflow
 	sum    atomic.Int64
-	count  atomic.Uint64
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -57,18 +58,12 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v <= h.bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
 	}
-	h.counts[lo].Add(1)
+	h.counts[i].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
 // Count is the number of observations so far.
@@ -76,15 +71,11 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
-}
-
-// Sum is the running sum of observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
 	}
-	return h.sum.Load()
+	return n
 }
 
 // HopBuckets is the standard bucket layout for hop-count distributions

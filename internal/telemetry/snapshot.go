@@ -48,38 +48,23 @@ func (r *Registry) Snapshot() Snapshot {
 		return snap
 	}
 	r.mu.RLock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.counters) {
 		snap.Counters = append(snap.Counters, CounterPoint{Name: name, Value: r.counters[name].Value()})
 	}
-	names = names[:0]
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.gauges) {
 		snap.Gauges = append(snap.Gauges, GaugePoint{Name: name, Value: r.gauges[name].Value()})
 	}
-	names = names[:0]
-	for name := range r.histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.histograms) {
 		h := r.histograms[name]
 		pt := HistogramPoint{
 			Name:   name,
 			Bounds: append([]int64(nil), h.bounds...),
 			Counts: make([]uint64, len(h.counts)),
 			Sum:    h.sum.Load(),
-			Count:  h.count.Load(),
 		}
 		for i := range h.counts {
 			pt.Counts[i] = h.counts[i].Load()
+			pt.Count += pt.Counts[i] // the count is the buckets read here, never apart from them
 		}
 		snap.Histograms = append(snap.Histograms, pt)
 	}
@@ -114,7 +99,7 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 	for _, g := range other.Gauges {
 		gv[g.Name] += g.Value
 	}
-	for _, name := range sortedGaugeKeys(gv) {
+	for _, name := range sortedKeys(gv) {
 		out.Gauges = append(out.Gauges, GaugePoint{Name: name, Value: gv[name]})
 	}
 	hv := make(map[string]HistogramPoint)
@@ -144,28 +129,15 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 		prev.Count += h.Count
 		hv[h.Name] = prev
 	}
-	hnames := make([]string, 0, len(hv))
-	for name := range hv {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
+	for _, name := range sortedKeys(hv) {
 		out.Histograms = append(out.Histograms, hv[name])
 	}
 	out.Spans = s.Spans + other.Spans
 	return out
 }
 
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedGaugeKeys(m map[string]int64) []string {
+// sortedKeys returns the names of m in order.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

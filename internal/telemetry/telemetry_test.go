@@ -89,6 +89,49 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotCountIsBucketSum holds a snapshot taken during
+// traffic (/metrics, Text on a live node) to one histogram: its count is
+// the sum of the buckets it shows. A count kept and read apart from the
+// buckets lags them whenever a writer lands between the two reads.
+func TestHistogramSnapshotCountIsBucketSum(t *testing.T) {
+	r := New(nil)
+	h := r.Histogram("h", ByteBuckets())
+	const writers, per = 4, 20000
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.Observe(int64(w*per + i))
+			}
+		}(w)
+	}
+	go func() { wg.Wait(); close(done) }()
+	for snaps := 0; ; snaps++ {
+		select {
+		case <-done:
+			if snaps == 0 {
+				t.Log("the writers finished before the first snapshot")
+			}
+			if got := h.Count(); got != writers*per {
+				t.Fatalf("count = %d after the writers, want %d", got, writers*per)
+			}
+			return
+		default:
+		}
+		pt := r.Snapshot().Histograms[0]
+		var sum uint64
+		for _, c := range pt.Counts {
+			sum += c
+		}
+		if pt.Count != sum {
+			t.Fatalf("snapshot %d: count=%d, buckets sum to %d", snaps, pt.Count, sum)
+		}
+	}
+}
+
 func TestHistogramBoundsMismatchPanics(t *testing.T) {
 	r := New(nil)
 	r.Histogram("h", []int64{1, 2})

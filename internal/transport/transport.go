@@ -22,9 +22,11 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"peertrack/internal/telemetry"
@@ -117,13 +119,12 @@ const (
 // figures (Snapshot, ByType), /metrics, and the invariant checkers.
 type Stats struct {
 	reg *telemetry.Registry
-	// byType holds the handle of each request type's call counter in reg
-	// (reflect.Type -> *telemetry.Counter), resolved by the first call
-	// that carries the type, so that no later call formats a name or
-	// searches the registry. A pointer, because SetTelemetry replaces a
-	// Stats by assignment; the replacement starts empty and resolves its
-	// handles in the new registry.
-	byType   *sync.Map
+	// byType holds the handle of each request type's call counter in reg,
+	// resolved by the first call that carries the type, so that no later
+	// call formats a name or searches the registry. A pointer, because
+	// SetTelemetry replaces a Stats by assignment; the replacement starts
+	// empty and resolves its handles in the new registry.
+	byType   *typeCounters
 	calls    *telemetry.Counter
 	messages *telemetry.Counter
 	bytes    *telemetry.Counter
@@ -143,7 +144,7 @@ func newStats(reg *telemetry.Registry) *Stats {
 	}
 	return &Stats{
 		reg:      reg,
-		byType:   new(sync.Map),
+		byType:   new(typeCounters),
 		calls:    reg.Counter("transport.calls"),
 		messages: reg.Counter("transport.messages"),
 		bytes:    reg.Counter("transport.bytes"),
@@ -156,15 +157,33 @@ func newStats(reg *telemetry.Registry) *Stats {
 	}
 }
 
+// typeCounters maps request types to call counters, read-mostly: a call
+// pays one atomic load and one probe; a type's first call stores a copy.
+type typeCounters struct {
+	mu sync.Mutex // serialises the copies
+	m  atomic.Pointer[map[reflect.Type]*telemetry.Counter]
+}
+
 // typeCounter returns the per-request-type call counter of v's type,
 // "transport.call.type.chord.pingReq".
 func (s *Stats) typeCounter(v any) *telemetry.Counter {
-	t := reflect.TypeOf(v)
-	if c, ok := s.byType.Load(t); ok {
-		return c.(*telemetry.Counter)
+	t, tc := reflect.TypeOf(v), s.byType
+	if m := tc.m.Load(); m != nil {
+		if c := (*m)[t]; c != nil {
+			return c
+		}
 	}
-	c, _ := s.byType.LoadOrStore(t, s.reg.Counter(typeCounterPrefix+fmt.Sprintf("%T", v)))
-	return c.(*telemetry.Counter)
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	m := map[reflect.Type]*telemetry.Counter{}
+	if old := tc.m.Load(); old != nil {
+		m = maps.Clone(*old)
+	}
+	if m[t] == nil {
+		m[t] = s.reg.Counter(typeCounterPrefix + fmt.Sprintf("%T", v))
+		tc.m.Store(&m)
+	}
+	return m[t]
 }
 
 // begin reads the registry clock for latency measurement (zero on the
