@@ -45,7 +45,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 24200
+LOC_MAX = 24222
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
@@ -138,16 +138,20 @@ micro:
 	$(GO) test -run xxx -bench 'BenchmarkGateway|BenchmarkIOP' ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkSpan' -benchmem ./internal/telemetry/
 	$(GO) test -run xxx -bench 'BenchmarkPaperGenerate' -benchmem ./internal/workload/
-	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run)/128x500|BenchmarkSimPaperTrace' -benchtime 3x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run)/128x500' -benchtime 3x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkSimPaperTrace' -benchtime 20000x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'RoundTrip|NetHTTPFloor' -benchmem ./internal/ctlapi/
 
 # profile-sim writes cpu.pprof and mem.pprof of the sim-paper phases —
-# load (generate, build, schedule), Run and the trace queries, at the
-# repository benchmark's size — without the bench module; inspect with
+# load (generate, build, schedule) and Run — and trace-cpu.pprof and
+# trace-mem.pprof of 300 000 trace queries (≈ 2 s of samples), at the
+# repository benchmark's size, without the bench module; inspect with
 # `go tool pprof bin/core.test cpu.pprof`.
 profile-sim:
-	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run)/128x500|BenchmarkSimPaperTrace' -benchtime 5x -o bin/core.test \
+	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run)/128x500' -benchtime 5x -o bin/core.test \
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkSimPaperTrace' -benchtime 300000x -o bin/core.test \
+		-cpuprofile trace-cpu.pprof -memprofile trace-mem.pprof ./internal/core/
 
 # profile captures CPU and heap pprof profiles of the XL throughput
 # sweep at a CI-sized network; inspect with `go tool pprof cpu.pprof`.

@@ -513,6 +513,51 @@ func TestRoutedTraceIntermediateShortCircuit(t *testing.T) {
 	}
 }
 
+// TestLongTraceMatchesOracle walks a trace far longer than a walked
+// path's first allocation: one object through 40 nodes, back to the
+// fifth, then three more. Every query form — iterative, windowed, routed
+// from a stop (a backward walk extended forwards) and from elsewhere —
+// must return the oracle's path.
+func TestLongTraceMatchesOracle(t *testing.T) {
+	nw := buildNet(t, 48, Config{Mode: GroupIndexing})
+	obj := moods.ObjectID("long-haul")
+	var route []int
+	for i := 1; i <= 40; i++ {
+		route = append(route, i)
+	}
+	route = append(route, 5, 41, 42, 43)
+	moveObject(t, nw, obj, route, time.Second, time.Minute)
+	nw.StartWindows(time.Duration(len(route)+5) * time.Minute)
+	nw.Run()
+
+	want := nw.Oracle.FullTrace(obj)
+	if len(want) != len(route) {
+		t.Fatalf("oracle holds %d stops, want %d", len(want), len(route))
+	}
+	stop, away := nw.Peers()[5], nw.Peers()[47]
+	for _, p := range []*Peer{stop, away} {
+		res, err := p.FullTrace(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPathsEqual(t, res.Path, want, "full trace from "+string(p.Name()))
+
+		t1, t2 := want[2].Arrived+30*time.Second, want[38].Arrived+10*time.Second
+		res, err = p.Trace(obj, t1, t2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window, _ := nw.Oracle.Trace(obj, t1, t2)
+		assertPathsEqual(t, res.Path, window, "windowed trace from "+string(p.Name()))
+
+		res, err = p.TraceRouted(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPathsEqual(t, res.Path, want, "routed trace from "+string(p.Name()))
+	}
+}
+
 func TestWindowNMaxAutoFlush(t *testing.T) {
 	nw, err := BuildNetwork(NetworkConfig{
 		Nodes: 8,

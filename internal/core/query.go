@@ -303,14 +303,21 @@ func (p *Peer) FullTrace(obj moods.ObjectID) (TraceResult, error) {
 	return p.Trace(obj, 0, 1<<62)
 }
 
+// walkPathCap is the stops a walked path holds in its first allocation:
+// the paper's ten-stop trace, a routed trace's forward pass included.
+const walkPathCap = 16
+
 // walkBack traverses the IOP list backwards from the newest visit at
 // node start, collecting visits within [t1, t2] plus the visit occupied
 // at t1, which closes the walk, and returns the path in forward (time)
-// order.
+// order. An empty path is nil.
 func (p *Peer) walkBack(start moods.NodeName, obj moods.ObjectID, t1, t2 time.Duration, sp *telemetry.Recording) (moods.Path, int, error) {
 	var path moods.Path
 	hops, err := p.walkChain(obj, start, -1, p.fetchVisitsRead, sp, func(node moods.NodeName, v VisitRecord) bool {
 		if v.Arrived <= t2 {
+			if path == nil {
+				path = make(moods.Path, 0, walkPathCap)
+			}
 			path = append(path, moods.Visit{Node: node, Arrived: v.Arrived})
 		}
 		return v.Arrived >= t1

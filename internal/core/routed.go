@@ -169,12 +169,12 @@ func (p *Peer) serverFullTrace(obj moods.ObjectID) ([]moods.Visit, int, error) {
 	latest := visits[len(visits)-1]
 	// Backward pass includes this node's latest visit and everything
 	// before it (earlier visits here included, via the linked list).
-	back, hops, err := p.walkBack(p.Name(), obj, 0, 1<<62, nil)
+	path, hops, err := p.walkBack(p.Name(), obj, 0, 1<<62, nil)
 	if err != nil {
 		return nil, hops, err
 	}
-	path := append([]moods.Visit(nil), back...)
-	// Forward pass from the latest local visit.
+	// Forward pass from the latest local visit, extending the walk's own
+	// slice.
 	cur := latest.To
 	after := latest.Arrived
 	for steps := 0; cur != moods.Nowhere && steps < maxWalk; steps++ {

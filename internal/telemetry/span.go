@@ -85,13 +85,18 @@ type record struct {
 // consultations fit; a long IOP walk spills into a grown slice.
 const inlineSteps = 4
 
+// maxPooledSteps bounds the spilled slice an evicted recording keeps for
+// its next Start (4 KiB of records): a trace's dozen steps are not grown
+// again, a maxWalk-long span's are not pinned in the pool.
+const maxPooledSteps = 64
+
 // Recording is a span being recorded. Start takes one from the pool of
-// recordings evicted from a ring, steps land in its inline array, and
-// Finish hands it to the tracer as is — nothing is copied or formatted
-// until a reader asks. The caller must not touch a recording after
-// Finish: it is reused once the ring overwrites it. All methods are
-// no-ops on nil, so instrumented paths never branch on whether tracing
-// is wired.
+// recordings evicted from a ring, steps land in its inline array (or in
+// the spilled slice it kept), and Finish hands it to the tracer as is —
+// nothing is copied or formatted until a reader asks. The caller must
+// not touch a recording after Finish: it is reused once the ring
+// overwrites it. All methods are no-ops on nil, so instrumented paths
+// never branch on whether tracing is wired.
 type Recording struct {
 	tracer *Tracer
 	id     uint64
@@ -142,7 +147,9 @@ func (t *Tracer) Start(op Op, key string) *Recording {
 	}
 	s := evicted.Get().(*Recording)
 	s.tracer, s.id, s.op, s.key, s.start = t, t.seq.Add(1), op, key, t.reg.Now()
-	s.steps = s.inline[:0]
+	if s.steps == nil {
+		s.steps = s.inline[:0]
+	}
 	return s
 }
 
@@ -219,7 +226,15 @@ func (s *Recording) Finish(hops int, err error) {
 	s.done = t.total
 	t.mu.Unlock()
 	if old != nil {
+		// A step slice that spilled out of the inline array stays with
+		// the recording, cleared (append wrote nothing past its length),
+		// unless it grew past maxPooledSteps.
+		steps := old.steps
 		*old = Recording{}
+		if cap(steps) > inlineSteps && cap(steps) <= maxPooledSteps {
+			clear(steps)
+			old.steps = steps[:0]
+		}
 		evicted.Put(old)
 	}
 }

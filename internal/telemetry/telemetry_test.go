@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -336,15 +337,80 @@ func TestSpanRecordAllocs(t *testing.T) {
 			t.Errorf("%s allocates %.1f once the ring has wrapped, want 0", name, avg)
 		}
 	}
+	// A trace's dozen steps spill: once the ring holds only such spans,
+	// each evicted one hands its grown slice to the next Start.
+	for i := 0; i < DefaultSpanCapacity/int(numOps); i++ {
+		recordSpan(tr, 12)
+	}
+	if avg := testing.AllocsPerRun(200, func() { recordSpan(tr, 12) }); avg != 0 {
+		t.Errorf("span with 12 steps allocates %.1f once the ring has wrapped, want 0", avg)
+	}
+}
+
+// TestSpilledStepsAreKeptClean: a recording evicted after a span that
+// spilled keeps its step slice, zeroed, and the span that reuses it holds
+// and renders only its own steps; a slice grown past maxPooledSteps is
+// dropped, not pooled.
+func TestSpilledStepsAreKeptClean(t *testing.T) {
+	tr := newTracer(New(nil), int(numOps)) // one slot an op: each Finish evicts the op's last span
+	note := NewNote("step %d of %s")
+	long := func(op Op, steps int) *Recording {
+		sp := tr.Start(op, "long")
+		for j := 0; j < steps; j++ {
+			sp.Step("n", note).Int(j).Str("long")
+		}
+		sp.Finish(steps, nil)
+		return sp
+	}
+	zeroed := func(s *Recording) bool {
+		return !slices.ContainsFunc(s.steps[:cap(s.steps)], func(r record) bool { return r != record{} })
+	}
+
+	kept := long(OpTrace, 12)
+	long(OpTrace, 1) // evicts kept
+	if len(kept.steps) != 0 || cap(kept.steps) < 12 || !zeroed(kept) {
+		t.Errorf("evicted 12-step recording holds %d steps of %d, zeroed %t; want 0 of ≥ 12, zeroed", len(kept.steps), cap(kept.steps), zeroed(kept))
+	}
+	big := long(OpTrace, maxPooledSteps+1)
+	long(OpTrace, 1)
+	if big.steps != nil {
+		t.Errorf("evicted %d-step recording kept a slice of %d", maxPooledSteps+1, cap(big.steps))
+	}
+
+	// Locates reuse what each trace evicts: the trace slot's last span is
+	// a spilled one by the time the next trace finishes.
+	spilled, reused := map[*Recording]bool{}, 0
+	for i := 0; i < 100; i++ {
+		spilled[long(OpTrace, 12)] = true
+		key := fmt.Sprintf("short-%d", i)
+		sp := tr.Start(OpLocate, key)
+		if spilled[sp] {
+			reused++
+			if len(sp.steps) != 0 || cap(sp.steps) <= inlineSteps {
+				t.Fatalf("a reused recording starts with %d steps of %d, want 0 of its spilled slice", len(sp.steps), cap(sp.steps))
+			}
+		}
+		sp.Step("m", note).Int(i).Str(key)
+		sp.Finish(1, nil)
+		got := tr.ForKey(key, 1)
+		if len(got) != 1 || len(got[0].Steps) != 1 || got[0].Steps[0].Note != fmt.Sprintf("step %d of %s", i, key) {
+			t.Fatalf("span %s read back as %+v, want its one step", key, got)
+		}
+	}
+	if reused == 0 {
+		t.Error("no locate reused a spilled recording")
+	}
 }
 
 // TestReadersRaceWriters runs Recent and ForKey beside Start and Finish
-// (under -race in `make race`): a reader renders a recording while no
-// Finish can evict and reuse it, so every span it returns is whole — its
-// step names its own key.
+// (under -race in `make race` and CI's repeated concurrency step): a
+// reader renders a recording while no Finish can evict and reuse it, so
+// every span it returns is whole — each of its steps, spilled past the
+// inline array and kept for reuse, names its own key.
 func TestReadersRaceWriters(t *testing.T) {
 	tr := New(nil).Tracer()
 	note := NewNote("span %s")
+	const steps = 6
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 2; w++ {
@@ -353,13 +419,17 @@ func TestReadersRaceWriters(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
 				key := fmt.Sprintf("w%d-%d", w, i%7)
-				tr.Start(Op(i%int(numOps)), key).Step("n", note).Str(key).Finish(i, nil)
+				sp := tr.Start(Op(i%int(numOps)), key)
+				for range steps {
+					sp.Step("n", note).Str(key)
+				}
+				sp.Finish(i, nil)
 			}
 		}(w)
 	}
 	check := func(spans []Span) {
 		for _, s := range spans {
-			if len(s.Steps) != 1 || s.Steps[0].Note != "span "+s.Key {
+			if len(s.Steps) != steps || slices.ContainsFunc(s.Steps, func(st Step) bool { return st.Note != "span "+s.Key }) {
 				t.Errorf("span %q read with steps %+v", s.Key, s.Steps)
 			}
 		}
@@ -391,14 +461,22 @@ func TestReadersRaceWriters(t *testing.T) {
 // the runtime keeps a pool reachable for two collections after its last
 // use. The finalizer sits on what the clock reads, not on the registry,
 // which is in a cycle with its tracer (a finalizer in a cycle never runs).
+// Every other span spills, with node names that live in the network: the
+// step slices the pool keeps must hold none of them.
 func TestDroppedRegistryIsCollected(t *testing.T) {
 	collected := make(chan struct{})
+	note := NewNote("spilled")
 	func() {
 		network := new([32]byte)
 		runtime.SetFinalizer(network, func(*[32]byte) { close(collected) })
 		r := New(func() time.Duration { return time.Duration(network[0]) })
+		node := unsafe.String(&network[0], len(network))
 		for i := 0; i < 2*DefaultSpanCapacity; i++ {
-			r.Tracer().Start(Op(i%int(numOps)), "k").Finish(0, nil) // wraps the ring: Finish evicts
+			sp := r.Tracer().Start(Op(i%int(numOps)), "k")
+			for j := 0; j < (i%2)*2*inlineSteps; j++ {
+				sp.Step(node, note)
+			}
+			sp.Finish(0, nil) // wraps the ring: Finish evicts
 		}
 	}()
 	runtime.GC()
