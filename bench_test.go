@@ -159,16 +159,6 @@ func BenchmarkIntermediateShortCircuit(b *testing.B) {
 	b.ReportMetric(rows[1].IntermediateRate, "intermediate-rate")
 }
 
-func BenchmarkOverlayComparison(b *testing.B) {
-	s := benchScale(b)
-	s.Queries = 30
-	rows := lastRows(b, s, experiments.ExpOverlayComparison)
-	for _, r := range rows {
-		b.ReportMetric(r.MeanHops, "hops-"+r.Overlay)
-		b.ReportMetric(r.KMsgs, "kmsgs-"+r.Overlay)
-	}
-}
-
 func BenchmarkExtensionChurnCost(b *testing.B) {
 	s := benchScale(b)
 	s.Nodes = 16

@@ -4,13 +4,14 @@
 //
 // Usage:
 //
-//	peertrack-bench [-fig 6a|6b|7a|7b|8a|8b|xl|triangle|window|alpha|cache|intermediate|all]
+//	peertrack-bench [-fig FIG[,FIG...]|all]
 //	                [-scale tiny|default|full|xl] [-csv] [-seed N] [-parallel N]
 //	                [-benchcore FILE] [-ledgercheck FILE]
 //	                [-cpuprofile FILE] [-memprofile FILE]
 //
-// The full scale matches the paper (512 nodes, 5000 objects/node) and
-// takes tens of minutes plus several GB of memory; default runs every
+// -h lists the figure names. The full scale matches the paper (512
+// nodes, 5000 objects/node) and takes tens of minutes plus several GB of
+// memory; default runs every
 // figure in seconds while preserving the trends. The xl scale pushes
 // past the paper — 50k nodes, 2M tracked objects at the top of the
 // sweep — and pairs with -fig xl, the throughput sweep built on the
@@ -41,8 +42,12 @@ import (
 	"peertrack/internal/experiments"
 )
 
+// allFigs is what -fig all runs, in this order; xl and telemetry run only
+// when named.
+var allFigs = []string{"verify", "6a", "6b", "7a", "7b", "8a", "8b", "triangle", "window", "alpha", "cache", "intermediate", "churn", "prediction", "replication"}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: verify, 6a, 6b, 7a, 7b, 8a, 8b, xl, triangle, window, alpha, cache, intermediate, overlay, churn, prediction, replication, telemetry, or all")
+	fig := flag.String("fig", "all", "comma-separated figures to regenerate: "+strings.Join(allFigs, ", ")+", xl, telemetry, or all")
 	scaleName := flag.String("scale", "default", "experiment scale: tiny, default, full, or xl")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	seed := flag.Int64("seed", 1, "workload seed")
@@ -148,7 +153,7 @@ func main() {
 
 	figs := strings.Split(*fig, ",")
 	if *fig == "all" {
-		figs = []string{"verify", "6a", "6b", "7a", "7b", "8a", "8b", "triangle", "window", "alpha", "cache", "intermediate", "overlay", "churn", "prediction", "replication"}
+		figs = allFigs
 	}
 	for _, f := range figs {
 		if err := run(strings.TrimSpace(f), scale, *csv); err != nil {
@@ -280,25 +285,15 @@ func run(fig string, scale experiments.Scale, csv bool) error {
 		for _, r := range rows {
 			w.row(fmt.Sprint(r.Cache), f1(r.KMsgs))
 		}
-	case "overlay":
-		rows, err := experiments.ExpOverlayComparison(scale)
-		if err != nil {
-			return err
-		}
-		w.header("Ablation — overlay comparison (identical core over Chord vs Kademlia)")
-		w.row("overlay", "k msgs", "mean query hops", "query time (ms)")
-		for _, r := range rows {
-			w.row(r.Overlay, f1(r.KMsgs), f1(r.MeanHops), f1(r.P2PMs))
-		}
 	case "verify":
 		rows, err := experiments.ExpVerify(scale)
 		if err != nil {
 			return err
 		}
 		w.header("Correctness audit — P2P answers vs ground-truth oracle")
-		w.row("mode", "overlay", "observations", "locate", "trace")
+		w.row("mode", "observations", "locate", "trace")
 		for _, r := range rows {
-			w.row(r.Mode, r.Overlay, fmt.Sprint(r.Observations),
+			w.row(r.Mode, fmt.Sprint(r.Observations),
 				fmt.Sprintf("%d/%d", r.LocateOK, r.LocateTotal),
 				fmt.Sprintf("%d/%d", r.TraceOK, r.TraceTotal))
 		}

@@ -36,7 +36,6 @@ func main() {
 	queries := flag.Int("queries", 100, "trace queries to sample")
 	seed := flag.Int64("seed", 1, "random seed")
 	hopLatency := flag.Duration("hop", 5*time.Millisecond, "modelled per-hop latency")
-	overlayKind := flag.String("overlay", "chord", "DHT overlay: chord or kademlia")
 	replicas := flag.Int("replicas", 0, "gateway index replicas (0 = off)")
 	byType := flag.Bool("bytype", false, "print the message-type breakdown")
 	flag.Parse()
@@ -56,7 +55,6 @@ func main() {
 		Scheme:     core.Scheme(*scheme),
 		Peer:       cfg,
 		HopLatency: *hopLatency,
-		Overlay:    core.OverlayKind(*overlayKind),
 	}, workload.PaperSpec{ObjectsPerNode: *objects, MoveFraction: *move, TraceLen: tl, Grouped: *grouped})
 	if err != nil {
 		log.Fatal(err)
@@ -85,7 +83,7 @@ func main() {
 	fmt.Fprintf(w, "nodes\t%d\n", *nodes)
 	fmt.Fprintf(w, "objects\t%d (%d movers, trace length %d)\n", len(res.Objects), len(res.Movers), tl)
 	fmt.Fprintf(w, "observations\t%d\n", len(res.Observations))
-	fmt.Fprintf(w, "indexing mode\t%s (scheme %d, Lp=%d, overlay %s)\n", *mode, *scheme, nw.PM.Lp(), *overlayKind)
+	fmt.Fprintf(w, "indexing mode\t%s (scheme %d, Lp=%d, overlay chord)\n", *mode, *scheme, nw.PM.Lp())
 	fmt.Fprintf(w, "messages\t%d (%.1f MB modelled)\n", snap.Messages, float64(snap.Bytes)/1e6)
 	fmt.Fprintf(w, "msgs/observation\t%.2f\n", float64(snap.Messages)/float64(len(res.Observations)))
 	fmt.Fprintf(w, "index load gini\t%.3f\n", metrics.Gini(loads))

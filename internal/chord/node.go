@@ -180,7 +180,7 @@ func (n *Node) Successor() NodeRef {
 }
 
 // Neighbors returns the successor list — the nodes that adopt this
-// node's keys if it fails (overlay.Node interface).
+// node's keys if it fails.
 func (n *Node) Neighbors() []NodeRef { return n.Successors() }
 
 // Successors returns a copy of the successor list.

@@ -44,11 +44,11 @@ const (
 )
 
 // Maintained is one participant as the table sees it. Gossip is nil
-// when the membership agent is off, Chord for a Kademlia peer; the rows
-// that need them then do nothing. Peer is nil only in a Chord-level
-// harness, which runs OverlayRound alone. SizePinned: the network-size
-// estimate is set from outside (an operator pin, or a simulation's
-// shared PrefixManager fed the true node count).
+// when the membership agent is off; the rows that need it then do
+// nothing. Peer is nil only in a Chord-level harness, which runs
+// OverlayRound alone. SizePinned: the network-size estimate is set from
+// outside (an operator pin, or a simulation's shared PrefixManager fed
+// the true node count).
 type Maintained struct {
 	Chord      *chord.Node
 	Gossip     *gossip.Agent
@@ -113,16 +113,14 @@ func (nw *Network) StartMaintenance(c Cadences, until time.Duration) {
 		}
 	})
 	for _, p := range nw.peers {
-		if m := nw.maintained(p); m.Chord != nil {
-			m.Chord.OnRingChange((&catchUp{k: nw.Kernel, m: m, every: c.Stabilize, until: until}).ringChanged)
-		}
+		m := nw.maintained(p)
+		m.Chord.OnRingChange((&catchUp{k: nw.Kernel, m: m, every: c.Stabilize, until: until}).ringChanged)
 	}
 }
 
 // maintained is p as the table sees it now.
 func (nw *Network) maintained(p *Peer) Maintained {
-	cn, _ := p.node.(*chord.Node)
-	return Maintained{Chord: cn, Gossip: p.gossip, Peer: p, SizePinned: true}
+	return Maintained{Chord: p.node.(*chord.Node), Gossip: p.gossip, Peer: p, SizePinned: true}
 }
 
 // catchUp is one participant's catch-up chain: one-shot rounds of the
@@ -196,7 +194,7 @@ func (m Maintained) gossipRound() {
 }
 
 func (m Maintained) repairSuccessors() {
-	if m.Gossip != nil && m.Chord != nil {
+	if m.Gossip != nil {
 		m.Chord.RepairFromSamples(m.Gossip.Samples(), m.Gossip.IsDead)
 	}
 }
@@ -206,9 +204,6 @@ func (m Maintained) repairSuccessors() {
 // the failure detector is what lets the next repair drop the condemned
 // ones and a stranded node escape.
 func (m Maintained) stabilize() {
-	if m.Chord == nil {
-		return
-	}
 	m.Chord.CheckPredecessor()
 	if err := m.Chord.Stabilize(); err != nil && m.Gossip != nil {
 		for _, s := range m.Chord.Successors() {
@@ -235,7 +230,7 @@ func (m Maintained) refresh() {
 // unless the size is pinned, and drops cached gateway resolutions when
 // Lp moved. Beside the refresh row, a node calls it once on joining.
 func (m Maintained) RefreshSize() {
-	if m.SizePinned || m.Chord == nil {
+	if m.SizePinned {
 		return
 	}
 	if est := netsize.DensityEstimate(m.Chord.Self(), m.Chord.Successors()); est > 1 {

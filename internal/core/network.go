@@ -8,23 +8,10 @@ import (
 
 	"peertrack/internal/chord"
 	"peertrack/internal/gossip"
-	"peertrack/internal/kademlia"
 	"peertrack/internal/moods"
-	"peertrack/internal/overlay"
 	"peertrack/internal/sim"
 	"peertrack/internal/telemetry"
 	"peertrack/internal/transport"
-)
-
-// OverlayKind selects the DHT the network runs on.
-type OverlayKind string
-
-const (
-	// ChordOverlay is the paper's choice (default).
-	ChordOverlay OverlayKind = "chord"
-	// KademliaOverlay runs the identical traceability core over
-	// Kademlia, for the overlay-comparison ablation.
-	KademliaOverlay OverlayKind = "kademlia"
 )
 
 // Network is a whole simulated traceable network: a Chord ring of
@@ -76,8 +63,6 @@ type NetworkConfig struct {
 	TInterval time.Duration
 	// HopLatency overrides the 5 ms default.
 	HopLatency time.Duration
-	// Overlay selects the DHT (default Chord).
-	Overlay OverlayKind
 	// NoOracle disables ground-truth recording. The oracle keeps a copy
 	// of every observation for verification; at Scale.XL (millions of
 	// objects) that copy dominates memory, and throughput measurements
@@ -100,9 +85,6 @@ func (c *NetworkConfig) fill() {
 	}
 	if c.HopLatency <= 0 {
 		c.HopLatency = 5 * time.Millisecond
-	}
-	if c.Overlay == "" {
-		c.Overlay = ChordOverlay
 	}
 }
 
@@ -141,26 +123,15 @@ func BuildNetwork(cfg NetworkConfig) (*Network, error) {
 	return nw, nil
 }
 
-// addPeer constructs an overlay node of the network's kind at addr,
-// puts a peer on it and registers the peer. The node's routing state is
-// empty until wireStatic runs over the new membership.
+// addPeer constructs a Chord node at addr, puts a peer on it and
+// registers the peer. The node's routing state is empty until wireStatic
+// runs over the new membership.
 func (nw *Network) addPeer(addr transport.Addr) error {
-	var n overlay.Node
-	switch nw.cfg.Overlay {
-	case KademliaOverlay:
-		kn, err := kademlia.New(nw.Transport, addr, kademlia.Config{})
-		if err != nil {
-			return err
-		}
-		n = kn
-	default:
-		cn, err := chord.New(nw.Transport, addr, chord.Config{})
-		if err != nil {
-			return err
-		}
-		cn.SetTelemetry(nw.Telemetry)
-		n = cn
+	n, err := chord.New(nw.Transport, addr, chord.Config{})
+	if err != nil {
+		return err
 	}
+	n.SetTelemetry(nw.Telemetry)
 	p := NewPeer(n, nw.Transport, nw.PM, nw.cfg.Peer, nw.Kernel.Now)
 	p.SetTelemetry(nw.Telemetry)
 	nw.peers = append(nw.peers, p)
@@ -168,23 +139,13 @@ func (nw *Network) addPeer(addr transport.Addr) error {
 	return nil
 }
 
-// wireStatic sets exact converged routing state over the given
-// membership.
+// wireStatic sets exact converged ring state over the given membership.
 func (nw *Network) wireStatic(peers []*Peer) {
-	switch nw.cfg.Overlay {
-	case KademliaOverlay:
-		kademlia.WireStaticTables(nodesOf[*kademlia.Node](peers))
-	default:
-		chord.WireStaticRing(nodesOf[*chord.Node](peers))
-	}
-}
-
-func nodesOf[N overlay.Node](peers []*Peer) []N {
-	out := make([]N, len(peers))
+	nodes := make([]*chord.Node, len(peers))
 	for i, p := range peers {
-		out[i] = p.node.(N)
+		nodes[i] = p.node.(*chord.Node)
 	}
-	return out
+	chord.WireStaticRing(nodes)
 }
 
 // Peers returns the peers in ring order.

@@ -183,7 +183,7 @@ func NewPeer(node overlay.Node, net transport.Network, pm *PrefixManager, cfg Co
 	return p
 }
 
-// Node returns the underlying overlay node (Chord or Kademlia).
+// Node returns the underlying overlay node, a *chord.Node.
 func (p *Peer) Node() overlay.Node { return p.node }
 
 // Name returns this peer's node name in the discrete space N.

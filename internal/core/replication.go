@@ -6,7 +6,6 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
-	"peertrack/internal/overlay"
 	"peertrack/internal/replication"
 	"peertrack/internal/transport"
 )
@@ -279,13 +278,6 @@ func (m repoQueryResp) AppendWire(b []byte) []byte {
 
 func readRepoQueryResp(r *transport.Reader) repoQueryResp {
 	return repoQueryResp{Visits: readVisitRecords(r), Found: r.Bool()}
-}
-
-// lookupSetter is the successor-set query failover needs; only the
-// Chord overlay provides it (over Kademlia, failover reads degrade to
-// today's owner-only behaviour).
-type lookupSetter interface {
-	LookupSet(key ids.ID, want int) ([]overlay.NodeRef, error)
 }
 
 // repoUnitOf derives the replication unit under which a mirror tracks
@@ -648,13 +640,12 @@ func (p *Peer) promote(key ids.PrefixKey, entries []IndexEntry) {
 // ringKey, in ring order (chord.LookupSet) and without skip — the owner
 // that already failed to answer — until hit accepts a response. It
 // returns the RPCs spent and whether one did. Nothing is asked when
-// replication is off or the overlay has no successor-set lookup.
+// replication is off.
 func (p *Peer) failoverRead(ringKey ids.ID, skip transport.Addr, req any, hit func(resp any) bool) (int, bool) {
-	ls, ok := p.node.(lookupSetter)
-	if p.mirrors() <= 0 || !ok {
+	if p.mirrors() <= 0 {
 		return 0, false
 	}
-	set, err := ls.LookupSet(ringKey, p.cfg.ReplicationFactor)
+	set, err := p.node.LookupSet(ringKey, p.cfg.ReplicationFactor)
 	if err != nil {
 		return 0, false
 	}

@@ -24,10 +24,8 @@ func runTelemetryWorkload(t *testing.T) (*Network, string) {
 	nw.Run()
 	// The static ring build skips maintenance; run one explicit round so
 	// the chord instruments register activity.
-	if cn, ok := nw.Peers()[0].node.(*chord.Node); ok {
-		if err := cn.Stabilize(); err != nil {
-			t.Fatalf("stabilize: %v", err)
-		}
+	if err := nw.Peers()[0].node.(*chord.Node).Stabilize(); err != nil {
+		t.Fatalf("stabilize: %v", err)
 	}
 	for i := 0; i < 6; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("tel-%d", i))

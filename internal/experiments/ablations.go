@@ -280,45 +280,3 @@ func ExpIntermediate(s Scale) ([]IntermediateRow, error) {
 			IntermediateRate: float64(interHits) / float64(s.Queries)},
 	}, nil
 }
-
-// OverlayRow compares the traceability system over different DHTs.
-type OverlayRow struct {
-	Overlay  string
-	KMsgs    float64
-	MeanHops float64
-	P2PMs    float64
-}
-
-// ExpOverlayComparison runs the identical workload and query mix over
-// Chord and Kademlia — the substantiation of the paper's claim that the
-// approach is generic over DHT overlays, and a measurement of what the
-// overlay choice costs.
-func ExpOverlayComparison(s Scale) ([]OverlayRow, error) {
-	s.fill()
-	out := make([]OverlayRow, 0, 2)
-	for _, kind := range []core.OverlayKind{core.ChordOverlay, core.KademliaOverlay} {
-		run, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed, Overlay: kind}, sectionV(s.MaxVolume, true))
-		if err != nil {
-			return nil, err
-		}
-		nw, res := run.Net, run.Work
-
-		rng := rand.New(rand.NewSource(s.Seed + 51))
-		var hops metrics.Summary
-		for q := 0; q < s.Queries; q++ {
-			obj := res.Movers[rng.Intn(len(res.Movers))]
-			r, err := nw.Peers()[rng.Intn(s.Nodes)].FullTrace(obj)
-			if err != nil {
-				return nil, fmt.Errorf("%s query: %w", kind, err)
-			}
-			hops.Add(float64(r.Hops))
-		}
-		out = append(out, OverlayRow{
-			Overlay:  string(kind),
-			KMsgs:    run.KMsgs(),
-			MeanHops: hops.Mean(),
-			P2PMs:    hops.Mean() * float64(nw.HopLatency) / float64(time.Millisecond),
-		})
-	}
-	return out, nil
-}

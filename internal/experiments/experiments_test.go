@@ -257,23 +257,6 @@ func max1(v float64) float64 {
 	return v
 }
 
-func TestOverlayComparisonBothWork(t *testing.T) {
-	s := Tiny()
-	s.Queries = 30
-	rows, err := ExpOverlayComparison(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.KMsgs <= 0 || r.MeanHops <= 0 {
-			t.Errorf("overlay %s: empty measurements %+v", r.Overlay, r)
-		}
-	}
-}
-
 func TestExpChurnBounded(t *testing.T) {
 	s := Tiny()
 	s.Nodes = 16
@@ -339,15 +322,15 @@ func TestExpVerifyAllPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 2 overlays x 2 modes", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want one per indexing mode", len(rows))
 	}
 	for _, r := range rows {
 		if r.LocateOK != r.LocateTotal {
-			t.Errorf("%s/%s: locate %d/%d", r.Mode, r.Overlay, r.LocateOK, r.LocateTotal)
+			t.Errorf("%s: locate %d/%d", r.Mode, r.LocateOK, r.LocateTotal)
 		}
 		if r.TraceOK != r.TraceTotal {
-			t.Errorf("%s/%s: trace %d/%d", r.Mode, r.Overlay, r.TraceOK, r.TraceTotal)
+			t.Errorf("%s: trace %d/%d", r.Mode, r.TraceOK, r.TraceTotal)
 		}
 	}
 }

@@ -192,7 +192,6 @@ func ExpPrediction(s Scale) ([]PredictionRow, error) {
 // VerifyRow reports a correctness audit of one configuration.
 type VerifyRow struct {
 	Mode         string
-	Overlay      string
 	Observations int
 	LocateOK     int
 	LocateTotal  int
@@ -201,49 +200,42 @@ type VerifyRow struct {
 }
 
 // ExpVerify is the one-command correctness audit: it runs the Section V
-// workload under every (indexing mode × overlay) combination and checks
-// random Locate and Trace answers against the sequential ground-truth
-// oracle. Every row must come back 100 %.
+// workload under each indexing mode and checks random Locate and Trace
+// answers against the sequential ground-truth oracle. Every row must
+// come back 100 %.
 func ExpVerify(s Scale) ([]VerifyRow, error) {
 	s.fill()
 	var out []VerifyRow
-	for _, overlayKind := range []core.OverlayKind{core.ChordOverlay, core.KademliaOverlay} {
-		for _, mode := range []core.Mode{core.GroupIndexing, core.IndividualIndexing} {
-			run, err := Load(core.NetworkConfig{
-				Nodes:   s.Nodes,
-				Seed:    s.Seed,
-				Peer:    core.Config{Mode: mode},
-				Overlay: overlayKind,
-			}, sectionV(s.MaxVolume, true))
-			if err != nil {
-				return nil, err
-			}
-			nw, res := run.Net, run.Work
-
-			rng := rand.New(rand.NewSource(s.Seed + 71))
-			row := VerifyRow{
-				Mode:         modeName(mode),
-				Overlay:      string(overlayKind),
-				Observations: len(res.Observations),
-			}
-			for q := 0; q < s.Queries; q++ {
-				obj := res.Objects[rng.Intn(len(res.Objects))]
-				at := time.Duration(rng.Int63n(int64(res.Horizon + time.Minute)))
-				row.LocateTotal++
-				if got, err := nw.Peers()[rng.Intn(s.Nodes)].Locate(obj, at); err == nil {
-					if want, _ := nw.Oracle.Locate(obj, at); got.Node == want {
-						row.LocateOK++
-					}
-				}
-				row.TraceTotal++
-				if got, err := nw.Peers()[rng.Intn(s.Nodes)].FullTrace(obj); err == nil {
-					if got.Path.Equal(nw.Oracle.FullTrace(obj)) {
-						row.TraceOK++
-					}
-				}
-			}
-			out = append(out, row)
+	for _, mode := range []core.Mode{core.GroupIndexing, core.IndividualIndexing} {
+		run, err := Load(core.NetworkConfig{
+			Nodes: s.Nodes,
+			Seed:  s.Seed,
+			Peer:  core.Config{Mode: mode},
+		}, sectionV(s.MaxVolume, true))
+		if err != nil {
+			return nil, err
 		}
+		nw, res := run.Net, run.Work
+
+		rng := rand.New(rand.NewSource(s.Seed + 71))
+		row := VerifyRow{Mode: modeName(mode), Observations: len(res.Observations)}
+		for q := 0; q < s.Queries; q++ {
+			obj := res.Objects[rng.Intn(len(res.Objects))]
+			at := time.Duration(rng.Int63n(int64(res.Horizon + time.Minute)))
+			row.LocateTotal++
+			if got, err := nw.Peers()[rng.Intn(s.Nodes)].Locate(obj, at); err == nil {
+				if want, _ := nw.Oracle.Locate(obj, at); got.Node == want {
+					row.LocateOK++
+				}
+			}
+			row.TraceTotal++
+			if got, err := nw.Peers()[rng.Intn(s.Nodes)].FullTrace(obj); err == nil {
+				if got.Path.Equal(nw.Oracle.FullTrace(obj)) {
+					row.TraceOK++
+				}
+			}
+		}
+		out = append(out, row)
 	}
 	return out, nil
 }

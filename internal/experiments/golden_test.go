@@ -132,21 +132,6 @@ func TestGoldenFig8b(t *testing.T) {
 	checkGolden(t, "fig8b.csv", out)
 }
 
-// The overlay-comparison ablation is the only golden that runs the
-// traceability core over Kademlia, so refactors of core.Network's peer
-// construction cannot silently break the second overlay.
-func TestGoldenOverlay(t *testing.T) {
-	rows, err := ExpOverlayComparison(goldenScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := csvLine("overlay", "kmsgs", "mean_hops", "p2p_ms")
-	for _, r := range rows {
-		out += csvLine(r.Overlay, g(r.KMsgs), g(r.MeanHops), g(r.P2PMs))
-	}
-	checkGolden(t, "overlay.csv", out)
-}
-
 // The rendered text of every span the tracer retains after the
 // telemetry demo run: index arrivals, locates and traces, each with its
 // steps. It pins what the span call sites in core say, byte for byte —
@@ -165,54 +150,51 @@ func TestGoldenSpans(t *testing.T) {
 }
 
 // The message sequence of every arrival path: the Section V workload
-// and a query sweep over both overlays, both indexing modes and 0–2
-// replicas, read as Stats.ByType() plus the message, byte and query-hop
-// totals. It is `peertrack-sim -bytype` in the tree — individual
-// indexing with replicas is pinned by no other golden.
+// and a query sweep over both indexing modes and 0–2 replicas, read as
+// Stats.ByType() plus the message, byte and query-hop totals. It is
+// `peertrack-sim -bytype` in the tree — individual indexing with
+// replicas is pinned by no other golden.
 func TestGoldenByType(t *testing.T) {
 	s := goldenScale()
 	s.MaxVolume = 40
 	var out strings.Builder
-	for _, kind := range []core.OverlayKind{core.ChordOverlay, core.KademliaOverlay} {
-		for _, mode := range []core.Mode{core.GroupIndexing, core.IndividualIndexing} {
-			for replicas := 0; replicas <= 2; replicas++ {
-				run, err := Load(core.NetworkConfig{
-					Nodes:   s.Nodes,
-					Seed:    s.Seed,
-					Peer:    core.Config{Mode: mode, ReplicationFactor: replicas + 1},
-					Overlay: kind,
-				}, sectionV(s.MaxVolume, true))
+	for _, mode := range []core.Mode{core.GroupIndexing, core.IndividualIndexing} {
+		for replicas := 0; replicas <= 2; replicas++ {
+			run, err := Load(core.NetworkConfig{
+				Nodes: s.Nodes,
+				Seed:  s.Seed,
+				Peer:  core.Config{Mode: mode, ReplicationFactor: replicas + 1},
+			}, sectionV(s.MaxVolume, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw, res := run.Net, run.Work
+			rng := rand.New(rand.NewSource(s.Seed + 13))
+			hops := 0
+			for q := 0; q < s.Queries; q++ {
+				obj := res.Movers[rng.Intn(len(res.Movers))]
+				at := time.Duration(rng.Int63n(int64(res.Horizon)))
+				l, err := nw.Peers()[rng.Intn(s.Nodes)].Locate(obj, at)
 				if err != nil {
 					t.Fatal(err)
 				}
-				nw, res := run.Net, run.Work
-				rng := rand.New(rand.NewSource(s.Seed + 13))
-				hops := 0
-				for q := 0; q < s.Queries; q++ {
-					obj := res.Movers[rng.Intn(len(res.Movers))]
-					at := time.Duration(rng.Int63n(int64(res.Horizon)))
-					l, err := nw.Peers()[rng.Intn(s.Nodes)].Locate(obj, at)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tr, err := nw.Peers()[rng.Intn(s.Nodes)].FullTrace(obj)
-					if err != nil {
-						t.Fatal(err)
-					}
-					hops += l.Hops + tr.Hops
+				tr, err := nw.Peers()[rng.Intn(s.Nodes)].FullTrace(obj)
+				if err != nil {
+					t.Fatal(err)
 				}
-				snap := nw.Stats().Snapshot()
-				fmt.Fprintf(&out, "%s %s replicas=%d messages=%d bytes=%d query_hops=%d\n",
-					kind, modeName(mode), replicas, snap.Messages, snap.Bytes, hops)
-				byType := nw.Stats().ByType()
-				types := make([]string, 0, len(byType))
-				for typ := range byType {
-					types = append(types, typ)
-				}
-				sort.Strings(types)
-				for _, typ := range types {
-					fmt.Fprintf(&out, "  %s %d\n", typ, byType[typ])
-				}
+				hops += l.Hops + tr.Hops
+			}
+			snap := nw.Stats().Snapshot()
+			fmt.Fprintf(&out, "chord %s replicas=%d messages=%d bytes=%d query_hops=%d\n",
+				modeName(mode), replicas, snap.Messages, snap.Bytes, hops)
+			byType := nw.Stats().ByType()
+			types := make([]string, 0, len(byType))
+			for typ := range byType {
+				types = append(types, typ)
+			}
+			sort.Strings(types)
+			for _, typ := range types {
+				fmt.Fprintf(&out, "  %s %d\n", typ, byType[typ])
 			}
 		}
 	}

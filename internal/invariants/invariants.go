@@ -105,11 +105,9 @@ const maxViolations = 64
 // must be quiesced: no event mid-flight, no window holding an event.
 func Check(peers []*core.Peer, oracle *moods.HistoryStore, opts Options) []Violation {
 	c := &checker{peers: peers, oracle: oracle, opts: opts}
-	var ring []*chord.Node
-	for _, p := range peers {
-		if n, ok := p.Node().(*chord.Node); ok {
-			ring = append(ring, n)
-		}
+	ring := make([]*chord.Node, len(peers))
+	for i, p := range peers {
+		ring[i] = p.Node().(*chord.Node)
 	}
 	c.snapshot()
 	c.checkBuckets()

@@ -1,10 +1,9 @@
-// Package overlay defines the DHT abstraction the traceability layer
-// is written against. The paper presents its approach as "built on top
-// of the DHT based overlay network" in general and adopts Chord for the
-// evaluation; this interface is that genericity made concrete — the
-// identical PeerTrack core runs over the Chord implementation
-// (internal/chord) and the Kademlia implementation (internal/kademlia),
-// and the overlay-comparison ablation measures what the choice costs.
+// Package overlay defines the DHT node the traceability layer is
+// written against, and the node reference the overlay protocols share
+// on the wire. The paper presents its approach as "built on top of the
+// DHT based overlay network" and evaluates it on Chord; internal/chord
+// is the one implementation. The interface lets a test stand a wrapped
+// node in for a peer's.
 package overlay
 
 import (
@@ -40,9 +39,7 @@ func ReadRef(r *transport.Reader) NodeRef {
 
 // Result is a key-lookup outcome.
 type Result struct {
-	// Node is the node responsible for the key under the overlay's
-	// ownership rule (ring successor for Chord, XOR-closest for
-	// Kademlia).
+	// Node is the node responsible for the key: its ring successor.
 	Node NodeRef
 	// Hops is the number of remote routing RPCs spent.
 	Hops int
@@ -58,6 +55,9 @@ type Node interface {
 	Self() NodeRef
 	// Lookup resolves the node responsible for key.
 	Lookup(key ids.ID) (Result, error)
+	// LookupSet resolves up to want candidate holders of key in ring
+	// order, the owner first: where replica failover reads look.
+	LookupSet(key ids.ID, want int) ([]NodeRef, error)
 	// Owns reports whether this node is currently responsible for key.
 	Owns(key ids.ID) bool
 	// NextHop returns the best next routing hop for key from local
@@ -65,8 +65,7 @@ type Node interface {
 	// responsible node. Recursive routed queries build on it.
 	NextHop(key ids.ID) (NodeRef, bool)
 	// Neighbors returns the nodes that adopt this node's keys when it
-	// fails — replication targets (ring successors for Chord, the
-	// closest bucket contacts for Kademlia).
+	// fails — its ring successors, the replication targets.
 	Neighbors() []NodeRef
 	// SetAppHandler installs the application-layer message handler.
 	SetAppHandler(h transport.Handler)

@@ -34,7 +34,7 @@ type Wire interface {
 // each package lists its own in one RegisterLayout table.
 const (
 	tagNil         uint16 = 0 // no payload: a handler that returns nil
-	tagGob         uint16 = 1 // the gob carrier for registered types without a layout
+	tagGob         uint16 = 1 // the gob carrier, for registered types this module does not own
 	firstLayoutTag uint16 = 0x0100
 )
 
@@ -74,7 +74,8 @@ func RegisterLayout[T Wire](tag uint16, read func(*Reader) T) {
 
 // Register makes a payload type that has no layout encodable on the
 // wire: its values travel by gob inside the same frames (see gobOut).
-// Call it from init() in packages that define message types.
+// It is for types this module does not own — bench/'s echo types and
+// this package's tests; every message of the module has a layout.
 func Register(v any) {
 	gob.Register(v)
 	carried.Store(reflect.TypeOf(v), struct{}{})
@@ -83,7 +84,7 @@ func Register(v any) {
 // Registered lists the names of the types that have a layout and of the
 // registered types that travel by gob because they have none, each
 // sorted. The repo's own messages must all be in the first list (the
-// root package pins the second).
+// root package pins the second empty).
 func Registered() (laidOut, carriedByGob []string) {
 	layoutByType.Range(func(typ, _ any) bool {
 		laidOut = append(laidOut, typ.(reflect.Type).String())
@@ -371,11 +372,11 @@ func ParseBody(body []byte) (head string, payload any, err error) {
 // The gob carrier moves values of registered types that have no layout:
 // they travel as gob, inside the same frames, on one encoder and one
 // decoder per connection end, so gob's type descriptions cross a
-// connection once. It exists for types this module does not own —
-// bench/ and tests register echo types through Register — and for
-// internal/kademlia, whose messages only ever cross transport.Memory. A
-// connection end builds its encoder or decoder when the first such value
-// crosses it, so the repo's own traffic never pays for gob's engines.
+// connection once. It exists only for types this module does not own:
+// bench/ and this package's tests register echo types through Register.
+// A connection end builds its encoder or decoder when the first such
+// value crosses it, so the repo's own traffic never pays for gob's
+// engines.
 type gobOut struct {
 	buf bytes.Buffer
 	enc *gob.Encoder
