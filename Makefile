@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet lint lint-selftest deadpkgs loc loc-check race fuzz-short bench bench-module figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl ledger-check
+.PHONY: build test check vet deadpkgs loc loc-check race fuzz-short bench bench-module micro figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl ledger-check
 
 build:
 	$(GO) build ./...
@@ -11,31 +11,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint builds the in-tree checker and runs its four passes (detwall,
-# detrand, maporder, lockheld) over the whole module, test files
-# included, with readable output; any finding exits non-zero. The gate is
-# TestLiveTreeClean, which runs the same driver in `make test` and
-# `make race`. Suppress a deliberate exception with `//lint:allow <pass>
-# <reason>` on or above the flagged line — the reason is mandatory, and
-# stale allows are findings themselves.
-lint: bin/peertrack-lint
-	./bin/peertrack-lint ./...
-
-# lint-selftest runs the analyzer suite's own tests: the want-comment
-# corpora of the four passes, the diamond call-graph fixture, the
-# allow-hygiene fixture, and the live-tree cleanliness pin (`make test`
-# runs them too).
-lint-selftest:
-	$(GO) test ./internal/analysis/...
-
 # deadpkgs enforces "every package is imported by a shipped binary or a
 # figure": each package under internal/ must be a dependency of the root
-# package, a cmd/ binary or an example. The two test-support packages
-# (the analyzer suite's and the wire layouts') are the exceptions.
+# package, a cmd/ binary or an example. The wire layouts' test-support
+# package is the one exception.
 deadpkgs:
 	@deps=$$($(GO) list -deps . ./cmd/... ./examples/...); \
 	for p in $$($(GO) list ./internal/...); do \
-		case $$p in */analysistest|*/wiretest) continue;; esac; \
+		case $$p in */wiretest) continue;; esac; \
 		echo "$$deps" | grep -qxF "$$p" || { echo "deadpkgs: no binary or example imports $$p"; dead=1; }; \
 	done; [ -z "$$dead" ]
 
@@ -45,7 +28,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 23644
+LOC_MAX = 21438
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
@@ -62,15 +45,11 @@ loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$1 == "root" { n = $$3 } \
 		END { if (n > max) { printf "loc-check: root module has %d non-test lines, LOC_MAX is %d\n", n, max; exit 1 } }'
 
-bin/peertrack-lint: FORCE
-	$(GO) build -o bin/peertrack-lint ./cmd/peertrack-lint
-
-FORCE:
-
 # check is the tier-1 gate: vet, the full test suite under the race
 # detector (the sharded counters and parallel sweep runner are exercised
-# concurrently by their tests; TestLiveTreeClean lints the tree there),
-# and the short chaos sweep.
+# concurrently by their tests; the goldens, determinism and lock tests
+# hold the determinism and lock contracts, DESIGN §8), and the short
+# chaos sweep.
 check: vet race chaos-short
 
 # race is the full test suite under the race detector.

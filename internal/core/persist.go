@@ -116,6 +116,17 @@ func (p *Peer) Restore(r io.Reader) error {
 	if snap.Name != p.Name() {
 		return fmt.Errorf("core: restore: snapshot belongs to %q, this node is %q", snap.Name, p.Name())
 	}
+	// The transition model is three parallel columns; every edge was
+	// counted at least once, and its mean dwell divides by the count.
+	if n := len(snap.TransDst); len(snap.TransCount) != n || len(snap.TransDwell) != n {
+		return fmt.Errorf("core: restore: transition model columns TransDst, TransCount, TransDwell have %d, %d, %d entries",
+			n, len(snap.TransCount), len(snap.TransDwell))
+	}
+	for i, c := range snap.TransCount {
+		if c <= 0 {
+			return fmt.Errorf("core: restore: transition model column TransCount is %d for %q, want > 0", c, snap.TransDst[i])
+		}
+	}
 
 	p.repo.restore(snap.Visits)
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -81,9 +83,25 @@ func TestSnapshotPreservesFIFOOrder(t *testing.T) {
 		obj := moods.ObjectID(fmt.Sprintf("fifo-%d", i))
 		p.gw.upsert(pfx.Key(), IndexEntry{Object: obj, ID: obj.Hash(), Indexed: time.Duration(i)})
 	}
+	for i := 0; i < 16; i++ {
+		obj := moods.ObjectID(fmt.Sprintf("spread-%d", i))
+		p.gw.upsert(ids.MustParsePrefix(fmt.Sprintf("%05b", i)).Key(), IndexEntry{Object: obj, ID: obj.Hash()})
+	}
 	var buf bytes.Buffer
 	if err := p.Snapshot(&buf); err != nil {
 		t.Fatal(err)
+	}
+	// The buckets are written in key order, not the map's.
+	var snap peerSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, b := range snap.Buckets {
+		keys = append(keys, b.Key)
+	}
+	if len(keys) < 16 || !slices.IsSorted(keys) {
+		t.Fatalf("snapshot buckets %v, want at least 16 in key order", keys)
 	}
 	p.gw.mu.Lock()
 	p.gw.buckets = map[ids.PrefixKey]*bucket{}
@@ -117,6 +135,38 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	nw := buildNet(t, 4, Config{})
 	if err := nw.Peers()[0].Restore(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("restore accepted garbage")
+	}
+}
+
+// TestRestoreRejectsCorruptTransitionModel: a file whose transition
+// columns disagree in length, or that holds a count of zero, is refused —
+// not indexed out of range by Restore, nor divided by at the next
+// prediction.
+func TestRestoreRejectsCorruptTransitionModel(t *testing.T) {
+	nw := buildNet(t, 4, Config{})
+	p := nw.Peers()[0]
+	cases := []struct {
+		name   string
+		counts []int
+	}{
+		{"two destinations, one count", []int{1}},
+		{"a count of zero", []int{1, 0}},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		snap := peerSnapshot{
+			Version:    snapshotVersion,
+			Name:       p.Name(),
+			TransDst:   []moods.NodeName{"a", "b"},
+			TransCount: c.counts,
+			TransDwell: []time.Duration{time.Minute, time.Minute},
+		}
+		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Restore(&buf); err == nil {
+			t.Errorf("%s: restore accepted the snapshot", c.name)
+		}
 	}
 }
 

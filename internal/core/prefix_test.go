@@ -270,6 +270,14 @@ func TestGatewayStoreTakeAndDrain(t *testing.T) {
 	if e, _ := g.drain(ids.MustParsePrefix("000").Key()); e != nil {
 		t.Fatal("drain on absent bucket returned entries")
 	}
+	// Reconcile and evacuation migrate buckets in bucketKeys order: key
+	// order, not the map's.
+	for i := 15; i >= 0; i-- {
+		g.upsert(ids.MustParsePrefix(fmt.Sprintf("%05b", i)).Key(), IndexEntry{Object: moodsObjectID(i), ID: ids.HashString(string(moodsObjectID(i)))})
+	}
+	if got := g.bucketKeys(); len(got) != 16 || !slices.IsSorted(got) {
+		t.Fatalf("bucketKeys = %v, want 16 keys in ascending order", got)
+	}
 }
 
 func moodsObjectID(i int) moods.ObjectID {

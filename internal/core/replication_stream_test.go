@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -250,29 +251,52 @@ func TestReadsDoNotQueueBehindABlockedMirrorPush(t *testing.T) {
 }
 
 // TestObserveDoesNotQueueBehindAFlushInFlight is the write side of the
-// test above: while a FlushWindow waits on the network — its repository
-// push held at the mirror, or the overlay lookup of a group's gateway —
-// the flushing peer still takes observations into the next window and
-// reports its size. Were the peer's mutex held across either wait, the
-// test would hang and the go test timeout report it. No static pass sees
-// the first wait: the push is sent from the stream's writer closure.
+// test above: while a call of the peer waits on the network — a
+// FlushWindow's repository push held at the mirror (the first case), or
+// the overlay lookup of a gateway by a flush, a Locate or a FullTrace —
+// the peer still takes observations into its window and reports its
+// size. Were the peer's mutex held across the wait, Observe would queue
+// behind it; the watchdog names the case instead of the go test timeout.
 func TestObserveDoesNotQueueBehindAFlushInFlight(t *testing.T) {
+	holdMirror := func(nw *Network, owner *Peer) (chan struct{}, chan struct{}) {
+		return gateMirror(mirrorOf(nw, owner), func(req any) bool {
+			r, ok := req.(repoMirrorReq)
+			return ok && r.Owner == owner.Addr()
+		})
+	}
+	holdLookup := func(_ *Network, owner *Peer) (chan struct{}, chan struct{}) {
+		g := &gatedLookup{Node: owner.node, entered: make(chan struct{}, 16), gate: make(chan struct{})}
+		owner.node = g
+		return g.entered, g.gate
+	}
+	// A query for "first", which is still in the window, finds no record.
+	query := func(q func(*Peer) error) func(*Peer) error {
+		return func(p *Peer) error {
+			if err := q(p); !errors.Is(err, ErrNotTracked) {
+				return err
+			}
+			return nil
+		}
+	}
 	cases := []struct {
 		name string
 		cfg  Config
 		hold func(nw *Network, owner *Peer) (entered, gate chan struct{})
+		wait func(*Peer) error // the call that waits on the network
+		// buffered is the window's size after "second": a flush took
+		// "first" out before its wait, a query leaves it in.
+		buffered int
 	}{
-		{"repository push", Config{ReplicationFactor: 2}, func(nw *Network, owner *Peer) (chan struct{}, chan struct{}) {
-			return gateMirror(mirrorOf(nw, owner), func(req any) bool {
-				r, ok := req.(repoMirrorReq)
-				return ok && r.Owner == owner.Addr()
-			})
-		}},
-		{"gateway lookup", Config{}, func(_ *Network, owner *Peer) (chan struct{}, chan struct{}) {
-			g := &gatedLookup{Node: owner.node, entered: make(chan struct{}, 16), gate: make(chan struct{})}
-			owner.node = g
-			return g.entered, g.gate
-		}},
+		{"repository push", Config{ReplicationFactor: 2}, holdMirror, (*Peer).FlushWindow, 1},
+		{"gateway lookup", Config{}, holdLookup, (*Peer).FlushWindow, 1},
+		{"locate", Config{}, holdLookup, query(func(p *Peer) error {
+			_, err := p.Locate("first", time.Second)
+			return err
+		}), 2},
+		{"full trace", Config{}, holdLookup, query(func(p *Peer) error {
+			_, err := p.FullTrace("first")
+			return err
+		}), 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -282,18 +306,33 @@ func TestObserveDoesNotQueueBehindAFlushInFlight(t *testing.T) {
 			if err := owner.Observe(moods.Observation{Object: "first", At: time.Second}); err != nil {
 				t.Fatal(err)
 			}
-			flushed := make(chan error, 1)
-			go func() { flushed <- owner.FlushWindow() }()
-			<-entered // the flush is waiting on the network, and stuck
-
-			if err := owner.Observe(moods.Observation{Object: "second", At: 2 * time.Second}); err != nil {
-				t.Error(err)
+			waited := make(chan error, 1)
+			go func() { waited <- c.wait(owner) }()
+			select {
+			case <-entered: // the call is waiting on the network, and stuck
+			case <-time.After(3 * time.Second):
+				close(gate)
+				t.Fatal("the call never reached the held network wait in 3 s")
 			}
-			if n := owner.Buffered(); n != 1 {
-				t.Errorf("Buffered = %d while the flush is in flight, want 1", n)
+
+			returned := make(chan struct{})
+			go func() {
+				defer close(returned)
+				if err := owner.Observe(moods.Observation{Object: "second", At: 2 * time.Second}); err != nil {
+					t.Error(err)
+				}
+				if n := owner.Buffered(); n != c.buffered {
+					t.Errorf("Buffered = %d after one Observe while the call is in flight, want %d", n, c.buffered)
+				}
+			}()
+			select {
+			case <-returned:
+			case <-time.After(3 * time.Second):
+				t.Error("Observe and Buffered still waiting after 3 s: the call holds the peer's mutex across the network")
 			}
 			close(gate)
-			if err := <-flushed; err != nil {
+			<-returned
+			if err := <-waited; err != nil {
 				t.Error(err)
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -130,6 +131,53 @@ func TestGoldenFig8b(t *testing.T) {
 		out += csvLine(fmt.Sprint(r.Nodes), g(r.Scheme1Log2), g(r.Scheme2Log2), g(r.Scheme3Log2))
 	}
 	checkGolden(t, "fig8b.csv", out)
+}
+
+// The nine ablation and extension tables of `peertrack-bench -fig all`,
+// every field of every row: a wall-clock timer or a process-global rand
+// in any of them moves a byte here.
+func TestGoldenAblations(t *testing.T) {
+	s := goldenScale()
+	var out strings.Builder
+	for _, table := range []struct {
+		name string
+		run  func(Scale) (any, error)
+	}{
+		{"verify", func(s Scale) (any, error) { return ExpVerify(s) }},
+		{"triangle", func(s Scale) (any, error) { return AblationTriangle(s) }},
+		{"window", func(s Scale) (any, error) { return AblationAdaptiveWindow(s) }},
+		{"alpha", func(s Scale) (any, error) { return AblationAlphaSweep(s) }},
+		{"cache", func(s Scale) (any, error) { return AblationGatewayCache(s) }},
+		{"intermediate", func(s Scale) (any, error) { return ExpIntermediate(s) }},
+		{"churn", func(s Scale) (any, error) { return ExpChurn(s) }},
+		{"prediction", func(s Scale) (any, error) { return ExpPrediction(s) }},
+		{"replication", func(s Scale) (any, error) { return ExpReplication(s) }},
+	} {
+		rows, err := table.run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", table.name, err)
+		}
+		out.WriteString("# " + table.name + "\n")
+		v := reflect.ValueOf(rows)
+		typ := v.Type().Elem()
+		cells := make([]string, typ.NumField())
+		for i := range cells {
+			cells[i] = typ.Field(i).Name
+		}
+		out.WriteString(csvLine(cells...))
+		for r := 0; r < v.Len(); r++ {
+			for i := range cells {
+				f := v.Index(r).Field(i)
+				if f.Kind() == reflect.Float64 {
+					cells[i] = g(f.Float())
+				} else {
+					cells[i] = fmt.Sprint(f.Interface())
+				}
+			}
+			out.WriteString(csvLine(cells...))
+		}
+	}
+	checkGolden(t, "ablations.csv", out.String())
 }
 
 // The rendered text of every span the tracer retains after the
