@@ -18,7 +18,7 @@ func (p *Peer) Inventory() []moods.ObjectID {
 	defer p.repo.mu.Unlock()
 	out := make([]moods.ObjectID, 0, len(p.repo.visits))
 	for obj, slot := range p.repo.visits {
-		if slot.latest().To == "" {
+		if p.repo.latest(slot).To == 0 {
 			out = append(out, obj)
 		}
 	}

@@ -88,6 +88,16 @@ func missingFrom(want []ids.ID, found []IndexEntry) []ids.ID {
 	return out
 }
 
+// slabEntry is an IndexEntry as a bucket keeps it: its two node names
+// as refs into the peer's nameTable, 64 bytes where the entry is 88.
+// IndexEntry is built at the store boundary (gatewayStore.entry).
+type slabEntry struct {
+	Object           moods.ObjectID
+	ID               ids.ID
+	Latest, Prev     nameRef
+	Arrived, Indexed time.Duration
+}
+
 // bucket holds the index records of one prefix group at its gateway
 // node. Entries live in a single slab slice in insertion (FIFO) order —
 // the order α-delegation evicts in — with a side index from hashed id
@@ -99,7 +109,7 @@ func missingFrom(want []ids.ID, found []IndexEntry) []ids.ID {
 // group's prefix is not stored: the store's key is its packed form.
 type bucket struct {
 	idx  map[ids.ID]int32 // hashed id → slot in slab
-	slab []IndexEntry     // FIFO order; dead slots have empty Object
+	slab []slabEntry      // FIFO order; dead slots have empty Object
 	dead int
 	// delegated is true once any record was pushed down to a child,
 	// telling lookups and refreshes that descendants may hold records.
@@ -113,7 +123,7 @@ func newBucket() *bucket {
 // upsert inserts or updates e. The update path (existing ID) is the
 // steady state and stays allocation-free; first insertion of an ID may
 // grow the slab.
-func (b *bucket) upsert(e IndexEntry) {
+func (b *bucket) upsert(e slabEntry) {
 	if slot, exists := b.idx[e.ID]; exists {
 		b.slab[slot] = e // update in place, keeping FIFO position
 		return
@@ -122,18 +132,18 @@ func (b *bucket) upsert(e IndexEntry) {
 }
 
 // insert appends e, whose id the bucket does not hold.
-func (b *bucket) insert(e IndexEntry) {
+func (b *bucket) insert(e slabEntry) {
 	b.idx[e.ID] = int32(len(b.slab))
 	b.slab = append(b.slab, e)
 }
 
-// get returns the live entry for id, if present.
-func (b *bucket) get(id ids.ID) (IndexEntry, bool) {
+// at returns the slot of the live entry for id, nil if absent.
+func (b *bucket) at(id ids.ID) *slabEntry {
 	slot, ok := b.idx[id]
 	if !ok {
-		return IndexEntry{}, false
+		return nil
 	}
-	return b.slab[slot], true
+	return &b.slab[slot]
 }
 
 func (b *bucket) remove(id ids.ID) {
@@ -141,7 +151,7 @@ func (b *bucket) remove(id ids.ID) {
 	if !ok {
 		return
 	}
-	b.slab[slot] = IndexEntry{} // release string references
+	b.slab[slot] = slabEntry{} // release the id string
 	delete(b.idx, id)
 	b.dead++
 	if b.dead > len(b.idx) && b.dead >= 32 {
@@ -160,26 +170,9 @@ func (b *bucket) compact() {
 		b.idx[b.slab[w].ID] = int32(w)
 		w++
 	}
-	for r := w; r < len(b.slab); r++ {
-		b.slab[r] = IndexEntry{}
-	}
+	clear(b.slab[w:])
 	b.slab = b.slab[:w]
 	b.dead = 0
-}
-
-// live returns copies of up to n live entries in FIFO (earliest-indexed)
-// order; len(b.idx) asks for all of them.
-func (b *bucket) live(n int) []IndexEntry {
-	out := make([]IndexEntry, 0, n)
-	for _, e := range b.slab {
-		if len(out) >= n {
-			break
-		}
-		if e.Object != "" {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // individualKey is the packed bucket key for per-object records of
@@ -223,20 +216,59 @@ func parseBucketKey(s string) (ids.PrefixKey, error) {
 // string — and every operation names its bucket by that key alone.
 type gatewayStore struct {
 	mu      sync.Mutex // not RW: a reader holds it for a probe or two, as briefly as a writer
+	names   *nameTable
 	buckets map[ids.PrefixKey]*bucket
 	dirty   map[ids.PrefixKey][]ids.ID // per bucket, the ids named (touch) since takeDirty
 }
 
-func newGatewayStore() *gatewayStore {
-	return &gatewayStore{}
+// newGatewayStore returns an empty store naming nodes in names.
+func newGatewayStore(names *nameTable) *gatewayStore {
+	return &gatewayStore{names: names}
+}
+
+// slabEntry is e as a bucket keeps it, interning its node names.
+func (g *gatewayStore) slabEntry(e IndexEntry) slabEntry {
+	return slabEntry{e.Object, e.ID, g.names.ref(e.Latest), g.names.ref(e.Prev), e.Arrived, e.Indexed}
+}
+
+// entry is the IndexEntry a bucket's e stands for.
+func (g *gatewayStore) entry(e slabEntry) IndexEntry {
+	return IndexEntry{e.Object, e.ID, g.names.name(e.Latest), g.names.name(e.Prev), e.Arrived, e.Indexed}
+}
+
+// get returns the live entry for id in b, if present; g.mu must be
+// held.
+func (g *gatewayStore) get(b *bucket, id ids.ID) (IndexEntry, bool) {
+	at := b.at(id)
+	if at == nil {
+		return IndexEntry{}, false
+	}
+	return g.entry(*at), true
+}
+
+// live returns copies of up to n live entries of b in FIFO
+// (earliest-indexed) order; len(b.idx) asks for all of them. g.mu must
+// be held.
+func (g *gatewayStore) live(b *bucket, n int) []IndexEntry {
+	out := make([]IndexEntry, 0, n)
+	for _, e := range b.slab {
+		if len(out) >= n {
+			break
+		}
+		if e.Object != "" {
+			out = append(out, g.entry(e))
+		}
+	}
+	return out
 }
 
 // upsert inserts or updates an entry in the bucket keyed key, creating
 // the bucket on first use.
 func (g *gatewayStore) upsert(key ids.PrefixKey, e IndexEntry) {
+	se := g.slabEntry(e)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.bucketFor(key).upsert(e)
+	g.bucketFor(key).upsert(se)
 }
 
 // bucketFor returns the bucket keyed key, creating it on first use. The
@@ -276,39 +308,42 @@ const (
 // replica-derived head, nil when there is none — is the head seen.
 // The bucket and the record's slot are looked up once.
 func (g *gatewayStore) advance(key ids.PrefixKey, e IndexEntry, fallback *IndexEntry) (IndexEntry, headMove) {
+	rec := g.slabEntry(e)
+	var fb slabEntry
+	if fallback != nil {
+		fb = g.slabEntry(*fallback)
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	b := g.buckets[key]
-	var at *IndexEntry // the record's slot, nil when the bucket holds none
+	var at *slabEntry // the record's slot, nil when the bucket holds none
 	if b != nil {
-		if slot, ok := b.idx[e.ID]; ok {
-			at = &b.slab[slot]
-		}
+		at = b.at(e.ID)
 	}
 	head := at
-	if head == nil {
-		head = fallback
+	if head == nil && fallback != nil {
+		head = &fb
 	}
 	var prev IndexEntry
 	move := headFirst
 	if head != nil {
-		prev = *head
+		prev = g.entry(*head)
 		switch {
-		case e.Arrived < prev.Arrived:
+		case rec.Arrived < head.Arrived:
 			return prev, headLate
-		case prev.Latest != e.Latest:
-			move, e.Prev = headMoved, prev.Latest
+		case head.Latest != rec.Latest:
+			move, rec.Prev = headMoved, head.Latest
 		default:
-			move, e.Prev = headSame, prev.Prev
+			move, rec.Prev = headSame, head.Prev
 		}
 	}
 	switch {
 	case at != nil:
-		*at = e
+		*at = rec
 	case b != nil:
-		b.insert(e)
+		b.insert(rec)
 	default:
-		g.bucketFor(key).insert(e)
+		g.bucketFor(key).insert(rec)
 	}
 	return prev, move
 }
@@ -317,18 +352,18 @@ func (g *gatewayStore) advance(key ids.PrefixKey, e IndexEntry, fallback *IndexE
 // head still has the arrival time a stitch walked back from; a head that
 // advanced in the meantime keeps the Prev its own arrival gave it.
 func (g *gatewayStore) setPrev(key ids.PrefixKey, id ids.ID, arrived time.Duration, prev moods.NodeName) bool {
+	ref := g.names.ref(prev)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	b := g.buckets[key]
 	if b == nil {
 		return false
 	}
-	head, ok := b.get(id)
-	if !ok || head.Arrived != arrived {
+	head := b.at(id)
+	if head == nil || head.Arrived != arrived {
 		return false
 	}
-	head.Prev = prev
-	b.upsert(head)
+	head.Prev = ref
 	return true
 }
 
@@ -340,7 +375,7 @@ func (g *gatewayStore) lookup(key ids.PrefixKey, id ids.ID) (IndexEntry, bool) {
 	if b == nil {
 		return IndexEntry{}, false
 	}
-	return b.get(id)
+	return g.get(b, id)
 }
 
 // take removes and returns the entries for the given object ids in the
@@ -355,7 +390,7 @@ func (g *gatewayStore) take(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry, boo
 	}
 	var out []IndexEntry
 	for _, id := range objs {
-		if e, ok := b.get(id); ok {
+		if e, ok := g.get(b, id); ok {
 			out = append(out, e)
 			b.remove(id)
 		}
@@ -374,7 +409,7 @@ func (g *gatewayStore) query(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry, bo
 	}
 	var out []IndexEntry
 	for _, id := range objs {
-		if e, ok := b.get(id); ok {
+		if e, ok := g.get(b, id); ok {
 			out = append(out, e)
 		}
 	}
@@ -445,7 +480,7 @@ func (g *gatewayStore) drain(key ids.PrefixKey) ([]IndexEntry, bool) {
 		return nil, false
 	}
 	delete(g.buckets, key)
-	return b.live(len(b.idx)), b.delegated
+	return g.live(b, len(b.idx)), b.delegated
 }
 
 // dropBucket deletes the bucket keyed key outright.
@@ -465,7 +500,7 @@ func (g *gatewayStore) overflow(key ids.PrefixKey, threshold int, alpha float64)
 	if b == nil || len(b.idx) <= threshold {
 		return nil
 	}
-	return b.live(int(alpha * float64(len(b.idx))))
+	return g.live(b, int(alpha*float64(len(b.idx))))
 }
 
 // markDelegated flags the bucket keyed key as having descendants.
@@ -494,7 +529,7 @@ func (g *gatewayStore) dumpBucket(key ids.PrefixKey) ([]IndexEntry, bool) {
 	if b == nil {
 		return nil, false
 	}
-	out := b.live(len(b.idx))
+	out := g.live(b, len(b.idx))
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out, b.delegated
 }
@@ -505,7 +540,7 @@ func (g *gatewayStore) replaceBucket(key ids.PrefixKey, entries []IndexEntry, de
 	b := newBucket()
 	b.delegated = delegated
 	for _, e := range entries {
-		b.upsert(e)
+		b.upsert(g.slabEntry(e))
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"peertrack/internal/gossip"
+	"peertrack/internal/moods"
 	"peertrack/internal/overlay"
 )
 
@@ -35,7 +36,7 @@ func (p *Peer) Gossip() *gossip.Agent { return p.gossip }
 // promotion candidate. (While the verdict stands, DropStaleReplicas
 // leaves the rest alone: the agent's IsDead is the only dead list.)
 func (p *Peer) onGossipDead(ref overlay.NodeRef) {
-	if evicted := p.gwCache.removeAddr(ref.Addr); evicted > 0 {
+	if evicted := p.gwCache.removeNode(p.names.ref(moods.NodeName(ref.Addr))); evicted > 0 {
 		p.tel.gwDeadEvictions.Add(uint64(evicted))
 	}
 	if p.mirrors() <= 0 {

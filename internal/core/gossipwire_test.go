@@ -5,6 +5,7 @@ import (
 
 	"peertrack/internal/gossip"
 	"peertrack/internal/ids"
+	"peertrack/internal/moods"
 )
 
 // TestDeadGatewayEviction pins the core wiring of gossip dead verdicts:
@@ -28,9 +29,10 @@ func TestDeadGatewayEviction(t *testing.T) {
 	keyDead1 := ids.MustParsePrefix("0101").Key()
 	keyDead2 := ids.MustParsePrefix("0110").Key()
 	keyLive := ids.MustParsePrefix("1001").Key()
-	p.gwCache.put(keyDead1, victim)
-	p.gwCache.put(keyDead2, victim)
-	p.gwCache.put(keyLive, other)
+	dead, live := p.names.ref(moods.NodeName(victim.Addr)), p.names.ref(moods.NodeName(other.Addr))
+	p.gwCache.put(keyDead1, dead)
+	p.gwCache.put(keyDead2, dead)
+	p.gwCache.put(keyLive, live)
 
 	// Two failed-contact reports cross the default suspicion threshold;
 	// the dead verdict must fire the eviction callback synchronously.
@@ -48,7 +50,7 @@ func TestDeadGatewayEviction(t *testing.T) {
 	if _, ok := p.gwCache.get(keyDead2); ok {
 		t.Error("cached resolution to dead gateway survived (key 0110)")
 	}
-	if ref, ok := p.gwCache.get(keyLive); !ok || !ref.Equal(other) {
+	if node, ok := p.gwCache.get(keyLive); !ok || node != live {
 		t.Error("unrelated cached resolution was evicted")
 	}
 

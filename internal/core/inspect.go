@@ -89,7 +89,7 @@ func (g *gatewayStore) dump() []BucketSnapshot {
 			Key:        bucketKeyName(key),
 			Individual: key == individualKey,
 			Delegated:  b.delegated,
-			Entries:    b.live(len(b.idx)),
+			Entries:    g.live(b, len(b.idx)),
 		}
 		if !snap.Individual {
 			snap.Prefix = key.Prefix()

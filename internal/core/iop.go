@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,29 +47,35 @@ func readVisitRecords(r *transport.Reader) []VisitRecord {
 	return transport.ReadSlice(r, visitWireMin, readVisitRecord)
 }
 
-// visitRec is a VisitRecord without the Object field: inside the store
-// the object id is the map key, so repeating it per visit would waste a
-// string header per record.
+// visitRec is a VisitRecord as the repository keeps it: without the
+// Object field — inside the store the object id is the map key — and
+// with its IOP links as refs into the peer's nameTable. 16 bytes, no
+// pointers.
 type visitRec struct {
-	Arrived time.Duration
-	From    moods.NodeName
-	To      moods.NodeName
+	Arrived  time.Duration
+	From, To nameRef
 }
 
 // visitSlot holds one object's visits in time order. The earliest visit
 // is inline: most objects are seen at only one or two nodes, so the
-// common case stores no per-object slice at all.
+// common case stores no per-object slice at all, and a slot is 24
+// bytes.
 type visitSlot struct {
 	first visitRec
-	rest  []visitRec // visits after first, sorted by Arrived; nil if none
+	later int32 // 1 + the index in iopStore.later of the visits after first; 0 if none
 }
 
 // iopStore is a node's local repository: the information-flow segments
 // captured inside its own territory, with their IOP links.
 type iopStore struct {
 	mu     sync.Mutex // not RW: a reader holds it for one probe, as briefly as a writer
+	names  *nameTable
 	visits map[moods.ObjectID]visitSlot
-	n      int
+	// later holds, per object seen more than once, its visits after the
+	// first, sorted by Arrived. Nothing but restore deletes from a
+	// repository, so a slot's index stays valid.
+	later [][]visitRec
+	n     int
 
 	// dirty, non-nil only when the repository is mirrored, collects the
 	// objects whose visit lists changed since the last takeDirty. The
@@ -77,10 +84,10 @@ type iopStore struct {
 	dirty map[moods.ObjectID]struct{}
 }
 
-// newIOPStore returns an empty repository; a mirrored one tracks which
-// objects changed between mirror flushes.
-func newIOPStore(mirrored bool) *iopStore {
-	s := &iopStore{}
+// newIOPStore returns an empty repository naming nodes in names; a
+// mirrored one tracks which objects changed between mirror flushes.
+func newIOPStore(names *nameTable, mirrored bool) *iopStore {
+	s := &iopStore{names: names}
 	if mirrored {
 		s.dirty = make(map[moods.ObjectID]struct{})
 	}
@@ -110,7 +117,7 @@ func (s *iopStore) takeDirty() ([]RepoObject, bool) {
 	objs := make([]RepoObject, 0, len(s.dirty))
 	for obj := range s.dirty {
 		if slot, ok := s.visits[obj]; ok {
-			objs = append(objs, RepoObject{Object: obj, Visits: slot.materialize(obj)})
+			objs = append(objs, RepoObject{Object: obj, Visits: s.materialize(obj, slot)})
 		}
 	}
 	clear(s.dirty)
@@ -126,6 +133,25 @@ func (s *iopStore) slotFor(obj moods.ObjectID, v visitRec) {
 	s.n++
 }
 
+// rest returns the visits of slot after its first; s.mu must be held.
+func (s *iopStore) rest(slot visitSlot) []visitRec {
+	if slot.later == 0 {
+		return nil
+	}
+	return s.later[slot.later-1]
+}
+
+// setRest stores rest as the visits of slot after its first, giving the
+// slot its index on first use; s.mu must be held.
+func (s *iopStore) setRest(slot *visitSlot, rest []visitRec) {
+	if slot.later == 0 {
+		s.later = append(s.later, rest)
+		slot.later = int32(len(s.later))
+		return
+	}
+	s.later[slot.later-1] = rest
+}
+
 // record adds a local capture (From/To unknown yet).
 func (s *iopStore) record(obj moods.ObjectID, arrived time.Duration) {
 	s.mu.Lock()
@@ -137,18 +163,16 @@ func (s *iopStore) record(obj moods.ObjectID, arrived time.Duration) {
 		s.slotFor(obj, nv)
 		return
 	}
+	rest := s.rest(slot)
 	if arrived < slot.first.Arrived {
 		// New earliest visit: the old first moves to the front of rest.
-		slot.rest = append(slot.rest, visitRec{})
-		copy(slot.rest[1:], slot.rest)
-		slot.rest[0] = slot.first
+		rest = slices.Insert(rest, 0, slot.first)
 		slot.first = nv
 	} else {
-		i := sort.Search(len(slot.rest), func(i int) bool { return slot.rest[i].Arrived > arrived })
-		slot.rest = append(slot.rest, visitRec{})
-		copy(slot.rest[i+1:], slot.rest[i:])
-		slot.rest[i] = nv
+		i := sort.Search(len(rest), func(i int) bool { return rest[i].Arrived > arrived })
+		rest = slices.Insert(rest, i, nv)
 	}
+	s.setRest(&slot, rest)
 	s.visits[obj] = slot
 	s.n++
 }
@@ -156,6 +180,7 @@ func (s *iopStore) record(obj moods.ObjectID, arrived time.Duration) {
 // setFrom annotates the visit at time at (or the latest visit if no
 // exact match) with the origin node.
 func (s *iopStore) setFrom(obj moods.ObjectID, from moods.NodeName, at time.Duration) {
+	ref := s.names.ref(from)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.markDirty(obj)
@@ -163,24 +188,25 @@ func (s *iopStore) setFrom(obj moods.ObjectID, from moods.NodeName, at time.Dura
 	if !ok {
 		// The IOP link can arrive before the local capture record in a
 		// real network; create the visit so the link is not lost.
-		s.slotFor(obj, visitRec{Arrived: at, From: from})
+		s.slotFor(obj, visitRec{Arrived: at, From: ref})
 		return
 	}
-	for i := len(slot.rest) - 1; i >= 0; i-- {
-		if slot.rest[i].Arrived == at {
-			slot.rest[i].From = from
+	rest := s.rest(slot)
+	for i := len(rest) - 1; i >= 0; i-- {
+		if rest[i].Arrived == at {
+			rest[i].From = ref
 			return
 		}
 	}
 	if slot.first.Arrived == at {
-		slot.first.From = from
+		slot.first.From = ref
 		s.visits[obj] = slot
 		return
 	}
-	if n := len(slot.rest); n > 0 {
-		slot.rest[n-1].From = from
+	if n := len(rest); n > 0 {
+		rest[n-1].From = ref
 	} else {
-		slot.first.From = from
+		slot.first.From = ref
 		s.visits[obj] = slot
 	}
 }
@@ -190,6 +216,7 @@ func (s *iopStore) setFrom(obj moods.ObjectID, from moods.NodeName, at time.Dura
 // returns that visit's arrival: the dwell anchor of the departure. With
 // no such visit it annotates the latest one and reports no anchor.
 func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration) (time.Duration, bool) {
+	ref := s.names.ref(to)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.markDirty(obj)
@@ -197,21 +224,22 @@ func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration
 	if !ok {
 		return 0, false
 	}
-	for i := len(slot.rest) - 1; i >= 0; i-- {
-		if slot.rest[i].Arrived <= at {
-			slot.rest[i].To = to
-			return slot.rest[i].Arrived, true
+	rest := s.rest(slot)
+	for i := len(rest) - 1; i >= 0; i-- {
+		if rest[i].Arrived <= at {
+			rest[i].To = ref
+			return rest[i].Arrived, true
 		}
 	}
 	if slot.first.Arrived <= at {
-		slot.first.To = to
+		slot.first.To = ref
 		s.visits[obj] = slot
 		return slot.first.Arrived, true
 	}
-	if n := len(slot.rest); n > 0 {
-		slot.rest[n-1].To = to
+	if n := len(rest); n > 0 {
+		rest[n-1].To = ref
 	} else {
-		slot.first.To = to
+		slot.first.To = ref
 		s.visits[obj] = slot
 	}
 	return 0, false
@@ -225,24 +253,37 @@ func (s *iopStore) get(obj moods.ObjectID) ([]VisitRecord, bool) {
 	if !ok {
 		return nil, false
 	}
-	return slot.materialize(obj), true
+	return s.materialize(obj, slot), true
 }
 
-// latest returns the newest visit of the slot.
-func (v visitSlot) latest() visitRec {
-	if n := len(v.rest); n > 0 {
-		return v.rest[n-1]
+// latest returns the newest visit of the slot; s.mu must be held.
+func (s *iopStore) latest(slot visitSlot) visitRec {
+	if rest := s.rest(slot); len(rest) > 0 {
+		return rest[len(rest)-1]
 	}
-	return v.first
+	return slot.first
 }
 
-func (v visitSlot) materialize(obj moods.ObjectID) []VisitRecord {
-	out := make([]VisitRecord, 0, 1+len(v.rest))
-	out = append(out, VisitRecord{Object: obj, Arrived: v.first.Arrived, From: v.first.From, To: v.first.To})
-	for _, r := range v.rest {
-		out = append(out, VisitRecord{Object: obj, Arrived: r.Arrived, From: r.From, To: r.To})
+// materialize returns the slot's visits as VisitRecords, naming their
+// nodes; s.mu must be held.
+func (s *iopStore) materialize(obj moods.ObjectID, slot visitSlot) []VisitRecord {
+	rest := s.rest(slot)
+	out := make([]VisitRecord, 0, 1+len(rest))
+	out = append(out, s.recordOf(obj, slot.first))
+	for _, r := range rest {
+		out = append(out, s.recordOf(obj, r))
 	}
 	return out
+}
+
+// recordOf is v as the VisitRecord of obj.
+func (s *iopStore) recordOf(obj moods.ObjectID, v visitRec) VisitRecord {
+	return VisitRecord{Object: obj, Arrived: v.Arrived, From: s.names.name(v.From), To: s.names.name(v.To)}
+}
+
+// recOf is v as the repository keeps it, interning its node names.
+func (s *iopStore) recOf(v VisitRecord) visitRec {
+	return visitRec{Arrived: v.Arrived, From: s.names.ref(v.From), To: s.names.ref(v.To)}
 }
 
 // has reports whether this node has observed obj.
@@ -273,7 +314,7 @@ func (s *iopStore) snapshot() map[moods.ObjectID][]VisitRecord {
 	defer s.mu.Unlock()
 	out := make(map[moods.ObjectID][]VisitRecord, len(s.visits))
 	for obj, slot := range s.visits {
-		out[obj] = slot.materialize(obj)
+		out[obj] = s.materialize(obj, slot)
 	}
 	return out
 }
@@ -295,20 +336,22 @@ func (s *iopStore) adopt(obj moods.ObjectID, vs []VisitRecord) bool {
 	if s.visits == nil {
 		s.visits = make(map[moods.ObjectID]visitSlot)
 	}
-	s.visits[obj] = slotOf(vs)
+	s.visits[obj] = s.slotOf(vs)
 	s.n += len(vs)
 	s.markDirty(obj)
 	return true
 }
 
-// slotOf packs a non-empty, time-sorted visit list into a slot.
-func slotOf(vs []VisitRecord) visitSlot {
-	slot := visitSlot{first: visitRec{Arrived: vs[0].Arrived, From: vs[0].From, To: vs[0].To}}
+// slotOf packs a non-empty, time-sorted visit list into a slot; s.mu
+// must be held.
+func (s *iopStore) slotOf(vs []VisitRecord) visitSlot {
+	slot := visitSlot{first: s.recOf(vs[0])}
 	if len(vs) > 1 {
-		slot.rest = make([]visitRec, 0, len(vs)-1)
+		rest := make([]visitRec, 0, len(vs)-1)
 		for _, v := range vs[1:] {
-			slot.rest = append(slot.rest, visitRec{Arrived: v.Arrived, From: v.From, To: v.To})
+			rest = append(rest, s.recOf(v))
 		}
+		s.setRest(&slot, rest)
 	}
 	return slot
 }
@@ -319,12 +362,13 @@ func (s *iopStore) restore(m map[moods.ObjectID][]VisitRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.visits = make(map[moods.ObjectID]visitSlot, len(m))
+	s.later = nil
 	s.n = 0
 	for obj, vs := range m {
 		if len(vs) == 0 {
 			continue
 		}
-		s.visits[obj] = slotOf(vs)
+		s.visits[obj] = s.slotOf(vs)
 		s.n += len(vs)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestIOPStoreRecordSorted(t *testing.T) {
-	s := newIOPStore(false)
+	s := newIOPStore(new(nameTable), false)
 	s.record("o", 30*time.Second)
 	s.record("o", 10*time.Second)
 	s.record("o", 20*time.Second)
@@ -26,7 +26,7 @@ func TestIOPStoreRecordSorted(t *testing.T) {
 }
 
 func TestIOPStoreSetFromExactMatch(t *testing.T) {
-	s := newIOPStore(false)
+	s := newIOPStore(new(nameTable), false)
 	s.record("o", 10*time.Second)
 	s.record("o", 20*time.Second)
 	s.setFrom("o", "src", 10*time.Second)
@@ -40,7 +40,7 @@ func TestIOPStoreSetFromExactMatch(t *testing.T) {
 }
 
 func TestIOPStoreSetFromFallsBackToLatest(t *testing.T) {
-	s := newIOPStore(false)
+	s := newIOPStore(new(nameTable), false)
 	s.record("o", 10*time.Second)
 	s.record("o", 20*time.Second)
 	// No exact timestamp match: annotate the latest visit.
@@ -54,7 +54,7 @@ func TestIOPStoreSetFromFallsBackToLatest(t *testing.T) {
 func TestIOPStoreSetFromBeforeRecord(t *testing.T) {
 	// IOP link arriving before the local capture record must create the
 	// visit rather than drop the link.
-	s := newIOPStore(false)
+	s := newIOPStore(new(nameTable), false)
 	s.setFrom("o", "src", 5*time.Second)
 	vs, ok := s.get("o")
 	if !ok || len(vs) != 1 {
@@ -66,7 +66,7 @@ func TestIOPStoreSetFromBeforeRecord(t *testing.T) {
 }
 
 func TestIOPStoreSetToPicksVisitBeforeDeparture(t *testing.T) {
-	s := newIOPStore(false)
+	s := newIOPStore(new(nameTable), false)
 	s.record("o", 10*time.Second)
 	s.record("o", 50*time.Second)
 	// Departure at t=30 belongs to the first visit.
@@ -107,7 +107,7 @@ func TestIOPStoreSetToAnchor(t *testing.T) {
 		{"re-sighting recorded out of order", []int{30, 10}, 20, 10, true, 0},
 	}
 	for _, c := range cases {
-		st := newIOPStore(false)
+		st := newIOPStore(new(nameTable), false)
 		for _, v := range c.recorded {
 			st.record("o", s(v))
 		}
@@ -125,7 +125,7 @@ func TestIOPStoreSetToAnchor(t *testing.T) {
 }
 
 func TestIOPStoreSetToUnknownObjectIsNoop(t *testing.T) {
-	s := newIOPStore(false)
+	s := newIOPStore(new(nameTable), false)
 	s.setTo("ghost", "dst", time.Second)
 	if _, ok := s.get("ghost"); ok {
 		t.Fatal("setTo created a phantom visit")
@@ -133,7 +133,7 @@ func TestIOPStoreSetToUnknownObjectIsNoop(t *testing.T) {
 }
 
 func TestIOPStoreGetReturnsCopy(t *testing.T) {
-	s := newIOPStore(false)
+	s := newIOPStore(new(nameTable), false)
 	s.record("o", time.Second)
 	vs, _ := s.get("o")
 	vs[0].From = "mutated"
@@ -144,7 +144,7 @@ func TestIOPStoreGetReturnsCopy(t *testing.T) {
 }
 
 func TestIOPStoreCounts(t *testing.T) {
-	s := newIOPStore(false)
+	s := newIOPStore(new(nameTable), false)
 	for i := 0; i < 5; i++ {
 		s.record(moods.ObjectID(fmt.Sprintf("o%d", i%2)), time.Duration(i)*time.Second)
 	}
@@ -184,7 +184,7 @@ func TestPickVisit(t *testing.T) {
 func TestQuickIOPStoreInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {
-		s := newIOPStore(false)
+		s := newIOPStore(new(nameTable), false)
 		recorded := 0
 		for op := 0; op < 200; op++ {
 			obj := moods.ObjectID(fmt.Sprintf("o%d", r.Intn(5)))

@@ -6,8 +6,6 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
-	"peertrack/internal/overlay"
-	"peertrack/internal/transport"
 )
 
 // The peer's two bounded tables. Each owns its mutex and allocates on
@@ -15,7 +13,8 @@ import (
 // defer a stitch.
 
 // refCache is a fixed-capacity LRU map from packed prefix-group key to
-// resolved gateway reference. Entries live in a slot arena threaded by
+// the resolved gateway, named by its address's ref in the peer's
+// nameTable: 24 bytes a slot. Entries live in a slot arena threaded by
 // an intrusive doubly-linked recency list, so the cache costs one map
 // and one slice regardless of churn — no per-entry heap nodes, and the
 // peer's memory for cached resolutions is bounded no matter how many
@@ -33,8 +32,8 @@ type refCache struct {
 
 type refSlot struct {
 	key        ids.PrefixKey
-	ref        overlay.NodeRef
-	prev, next int32 // recency list neighbours; -1 terminates
+	node       nameRef // the gateway's address
+	prev, next int32   // recency list neighbours; -1 terminates
 }
 
 func (c *refCache) len() int {
@@ -43,26 +42,26 @@ func (c *refCache) len() int {
 	return len(c.index)
 }
 
-// get returns the cached reference for key and marks it most recently
+// get returns the cached gateway for key and marks it most recently
 // used.
-func (c *refCache) get(key ids.PrefixKey) (overlay.NodeRef, bool) {
+func (c *refCache) get(key ids.PrefixKey) (nameRef, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i, ok := c.index[key]
 	if !ok {
-		return overlay.NodeRef{}, false
+		return 0, false
 	}
 	c.touch(i)
-	return c.slots[i].ref, true
+	return c.slots[i].node, true
 }
 
 // put inserts or refreshes a resolution, evicting the least recently
 // used entry at capacity.
-func (c *refCache) put(key ids.PrefixKey, ref overlay.NodeRef) {
+func (c *refCache) put(key ids.PrefixKey, node nameRef) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i, ok := c.index[key]; ok {
-		c.slots[i].ref = ref
+		c.slots[i].node = node
 		c.touch(i)
 		return
 	}
@@ -80,7 +79,7 @@ func (c *refCache) put(key ids.PrefixKey, ref overlay.NodeRef) {
 		c.unlink(i)
 		delete(c.index, c.slots[i].key)
 	}
-	c.slots[i] = refSlot{key: key, ref: ref, prev: -1, next: -1}
+	c.slots[i] = refSlot{key: key, node: node, prev: -1, next: -1}
 	c.index[key] = i
 	c.pushFront(i)
 }
@@ -130,15 +129,15 @@ func (c *refCache) relink(from, to int32) {
 	}
 }
 
-// removeAddr drops every cached resolution pointing at addr, returning
+// removeNode drops every cached resolution pointing at node, returning
 // the number of entries evicted. Linear in the live entry count — dead
 // verdicts are rare relative to lookups, and the arena is bounded.
-func (c *refCache) removeAddr(addr transport.Addr) int {
+func (c *refCache) removeNode(node nameRef) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	removed := 0
 	for i := 0; i < len(c.slots); {
-		if c.slots[i].ref.Addr == addr {
+		if c.slots[i].node == node {
 			// removeLocked swaps the arena's last slot into i, so do not
 			// advance: the swapped-in entry still needs inspection.
 			c.removeLocked(c.slots[i].key)

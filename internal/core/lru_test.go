@@ -7,8 +7,6 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
-	"peertrack/internal/overlay"
-	"peertrack/internal/transport"
 )
 
 func refFor(i int) (ids.PrefixKey, moods.NodeName) {
@@ -16,16 +14,14 @@ func refFor(i int) (ids.PrefixKey, moods.NodeName) {
 	return pfx.Key(), moods.NodeName(fmt.Sprintf("n-%03d", i))
 }
 
-func nodeRefFor(i int) overlay.NodeRef {
-	addr := transport.Addr(fmt.Sprintf("n-%03d", i))
-	return overlay.NodeRef{ID: ids.HashString(string(addr)), Addr: addr}
-}
+// nodeFor is the ref a cache test files under key i.
+func nodeFor(i int) nameRef { return nameRef(100 + i) }
 
 func TestRefCacheEvictsLRU(t *testing.T) {
 	c := &refCache{cap: 3}
 	for i := 0; i < 3; i++ {
 		key, _ := refFor(i)
-		c.put(key, nodeRefFor(i))
+		c.put(key, nodeFor(i))
 	}
 	// Touch key 0 so key 1 is the LRU victim when key 3 arrives.
 	k0, _ := refFor(0)
@@ -33,7 +29,7 @@ func TestRefCacheEvictsLRU(t *testing.T) {
 		t.Fatal("key 0 missing before eviction")
 	}
 	k3, _ := refFor(3)
-	c.put(k3, nodeRefFor(3))
+	c.put(k3, nodeFor(3))
 	if c.len() != 3 {
 		t.Fatalf("len = %d, want 3 (bounded)", c.len())
 	}
@@ -52,14 +48,14 @@ func TestRefCacheEvictsLRU(t *testing.T) {
 func TestRefCacheUpdateExistingDoesNotGrow(t *testing.T) {
 	c := &refCache{cap: 2}
 	k0, _ := refFor(0)
-	c.put(k0, nodeRefFor(0))
-	c.put(k0, nodeRefFor(7))
+	c.put(k0, nodeFor(0))
+	c.put(k0, nodeFor(7))
 	if c.len() != 1 {
 		t.Fatalf("len = %d after double put of one key, want 1", c.len())
 	}
-	ref, ok := c.get(k0)
-	if !ok || ref != nodeRefFor(7) {
-		t.Fatalf("get = %v %v, want updated ref", ref, ok)
+	node, ok := c.get(k0)
+	if !ok || node != nodeFor(7) {
+		t.Fatalf("get = %v %v, want the updated node", node, ok)
 	}
 }
 
@@ -67,7 +63,7 @@ func TestRefCacheRemoveAndReset(t *testing.T) {
 	c := &refCache{cap: 4}
 	for i := 0; i < 4; i++ {
 		k, _ := refFor(i)
-		c.put(k, nodeRefFor(i))
+		c.put(k, nodeFor(i))
 	}
 	k2, _ := refFor(2)
 	c.remove(k2)
@@ -80,9 +76,9 @@ func TestRefCacheRemoveAndReset(t *testing.T) {
 	// The survivors must be intact after the swap-with-last compaction.
 	for _, i := range []int{0, 1, 3} {
 		k, _ := refFor(i)
-		ref, ok := c.get(k)
-		if !ok || ref != nodeRefFor(i) {
-			t.Fatalf("key %d corrupted after remove: %v %v", i, ref, ok)
+		node, ok := c.get(k)
+		if !ok || node != nodeFor(i) {
+			t.Fatalf("key %d corrupted after remove: %v %v", i, node, ok)
 		}
 	}
 	c.reset()
@@ -102,7 +98,7 @@ func TestRefCacheEvictionChurn(t *testing.T) {
 	c := &refCache{cap: cap}
 	for i := 0; i < 1000; i++ {
 		k, _ := refFor(i % 200)
-		c.put(k, nodeRefFor(i%200))
+		c.put(k, nodeFor(i%200))
 		if c.len() > cap {
 			t.Fatalf("len = %d exceeds cap %d at i=%d", c.len(), cap, i)
 		}

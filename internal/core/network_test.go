@@ -106,7 +106,7 @@ func TestBrokenIOPChainReported(t *testing.T) {
 	p4 := nw.Peers()[4]
 	p4.repo.mu.Lock()
 	slot := p4.repo.visits[obj]
-	slot.first.From = nw.Peers()[9].Name()
+	slot.first.From = p4.repo.names.ref(nw.Peers()[9].Name())
 	p4.repo.visits[obj] = slot
 	p4.repo.mu.Unlock()
 
@@ -363,7 +363,7 @@ func TestScheduleAllKeepsOrderAndOracle(t *testing.T) {
 			t.Errorf("%s: execution order differs from per-observation scheduling of the sorted slice", name)
 		}
 		for _, o := range sorted {
-			if !slices.Equal(nw.Oracle.History(o.Object), ref.Oracle.History(o.Object)) {
+			if !nw.Oracle.FullTrace(o.Object).Equal(ref.Oracle.FullTrace(o.Object)) {
 				t.Fatalf("%s: oracle history of %s differs", name, o.Object)
 			}
 		}

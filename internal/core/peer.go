@@ -111,6 +111,9 @@ type Peer struct {
 	pm    *PrefixManager
 	clock func() time.Duration
 
+	// names interns the node names that repo, gw, replica and gwCache
+	// hold (names.go).
+	names   nameTable
 	repo    *iopStore
 	gw      *gatewayStore
 	replica *gatewayStore
@@ -170,15 +173,14 @@ func NewPeer(node overlay.Node, net transport.Network, pm *PrefixManager, cfg Co
 		cfg:         cfg,
 		pm:          pm,
 		clock:       clock,
-		repo:        newIOPStore(cfg.ReplicationFactor > 1),
-		gw:          newGatewayStore(),
-		replica:     newGatewayStore(),
 		trans:       newTransitionStats(),
 		contain:     newContainStore(),
 		repl:        replication.NewEngine(),
 		repoReplica: &repoReplicaStore{},
 		gwCache:     refCache{cap: cfg.GatewayCacheSize},
 	}
+	p.repo = newIOPStore(&p.names, cfg.ReplicationFactor > 1)
+	p.gw, p.replica = newGatewayStore(&p.names), newGatewayStore(&p.names)
 	node.SetAppHandler(p.handleRPC)
 	return p
 }
@@ -293,11 +295,11 @@ func (p *Peer) FlushWindow() error {
 		lo = hi
 		groups++
 		pfx := key.Prefix()
-		gwRef, err := p.resolveGateway(pfx)
+		gwAddr, err := p.resolveGateway(pfx)
 		if err == nil {
 			req := groupArriveReq{Key: key, Events: events, Node: p.Name(), At: p.clock()}
 			var resp any
-			resp, err = p.call(gwRef.Addr, req)
+			resp, err = p.call(gwAddr, req)
 			if err == nil {
 				// Late events whose IOP stitch hit an unreachable chain
 				// segment come back deferred: re-buffer them so the next
@@ -311,7 +313,7 @@ func (p *Peer) FlushWindow() error {
 				}
 			}
 			if err != nil {
-				err = fmt.Errorf("core: group index %q at %s: %w", pfx.String(), gwRef.Addr, err)
+				err = fmt.Errorf("core: group index %q at %s: %w", pfx.String(), gwAddr, err)
 				// The resolution may be stale (churn); retry fresh next
 				// time.
 				p.gwCache.remove(key)
@@ -375,23 +377,23 @@ func (p *Peer) indexIndividually(obs moods.Observation) error {
 	return nil
 }
 
-// resolveGateway finds the gateway node of a prefix group, using the
-// cache when enabled.
-func (p *Peer) resolveGateway(pfx ids.Prefix) (overlay.NodeRef, error) {
+// resolveGateway finds the address of a prefix group's gateway node,
+// using the cache when enabled.
+func (p *Peer) resolveGateway(pfx ids.Prefix) (transport.Addr, error) {
 	key := pfx.Key()
 	if !p.cfg.NoGatewayCache {
-		if ref, ok := p.gwCache.get(key); ok {
-			return ref, nil
+		if node, ok := p.gwCache.get(key); ok {
+			return transport.Addr(p.names.name(node)), nil
 		}
 	}
 	res, err := p.node.Lookup(p.pm.GatewayID(pfx))
 	if err != nil {
-		return overlay.NodeRef{}, fmt.Errorf("core: resolve gateway %q: %w", pfx.String(), err)
+		return "", fmt.Errorf("core: resolve gateway %q: %w", pfx.String(), err)
 	}
 	if !p.cfg.NoGatewayCache {
-		p.gwCache.put(key, res.Node)
+		p.gwCache.put(key, p.names.ref(moods.NodeName(res.Node.Addr)))
 	}
-	return res.Node, nil
+	return res.Node.Addr, nil
 }
 
 // InvalidateGatewayCache clears cached gateway resolutions; call after
@@ -772,12 +774,12 @@ func (p *Peer) refreshFromAscent(pfx ids.Prefix, objs []ids.ID) []ids.ID {
 	}
 	for cur := pfx; cur.Len > lmin && len(remaining) > 0; {
 		cur = cur.Parent()
-		gwRef, err := p.resolveGateway(cur)
+		gwAddr, err := p.resolveGateway(cur)
 		if err != nil {
 			break
 		}
 		p.tel.ascentFetches.Inc()
-		resp, err := p.call(gwRef.Addr, fetchIndexReq{Key: cur.Key(), Objects: remaining})
+		resp, err := p.call(gwAddr, fetchIndexReq{Key: cur.Key(), Objects: remaining})
 		if err != nil {
 			continue
 		}
@@ -812,12 +814,12 @@ func (p *Peer) refreshFromDescent(pfx ids.Prefix, objs []ids.ID, maxDepth int) {
 		if len(filtered) == 0 {
 			continue
 		}
-		gwRef, err := p.resolveGateway(child)
+		gwAddr, err := p.resolveGateway(child)
 		if err != nil {
 			continue
 		}
 		p.tel.descentFetches.Inc()
-		resp, err := p.call(gwRef.Addr, fetchIndexReq{Key: child.Key(), Objects: filtered})
+		resp, err := p.call(gwAddr, fetchIndexReq{Key: child.Key(), Objects: filtered})
 		if err != nil {
 			continue
 		}
@@ -870,12 +872,12 @@ func (p *Peer) maybeDelegate(pfx ids.Prefix) {
 			continue
 		}
 		child := pfx.Child(bit)
-		gwRef, err := p.resolveGateway(child)
+		gwAddr, err := p.resolveGateway(child)
 		if err != nil {
 			continue
 		}
-		if _, err := p.call(gwRef.Addr, delegateReq{Key: child.Key(), Entries: split[bit]}); err != nil {
-			sp.Step(string(gwRef.Addr), noteDelegateFailed).Int(len(split[bit])).Prefix(child.Key()).Str(err.Error())
+		if _, err := p.call(gwAddr, delegateReq{Key: child.Key(), Entries: split[bit]}); err != nil {
+			sp.Step(string(gwAddr), noteDelegateFailed).Int(len(split[bit])).Prefix(child.Key()).Str(err.Error())
 			continue
 		}
 		victimIDs := entryIDs(split[bit])
@@ -885,7 +887,7 @@ func (p *Peer) maybeDelegate(pfx ids.Prefix) {
 		p.tel.delegations.Inc()
 		p.tel.delegatedRecords.Add(uint64(len(split[bit])))
 		moved += len(split[bit])
-		sp.Step(string(gwRef.Addr), noteDelegated).Int(len(split[bit])).Prefix(child.Key())
+		sp.Step(string(gwAddr), noteDelegated).Int(len(split[bit])).Prefix(child.Key())
 	}
 	sp.Finish(moved, nil)
 }

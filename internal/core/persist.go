@@ -91,7 +91,7 @@ func snapshotStore(g *gatewayStore, held *replication.Engine) []bucketSnapshot {
 	defer g.mu.Unlock()
 	out := make([]bucketSnapshot, 0, len(g.buckets))
 	for key, b := range g.buckets {
-		bs := bucketSnapshot{Key: bucketKeyName(key), Entries: b.live(len(b.idx)), Delegated: b.delegated}
+		bs := bucketSnapshot{Key: bucketKeyName(key), Entries: g.live(b, len(b.idx)), Delegated: b.delegated}
 		if held != nil {
 			bs.Owner, bs.Version, _ = held.HeldMeta(replication.IndexUnit(key))
 		}
@@ -168,7 +168,7 @@ func restoreStore(g *gatewayStore, snaps []bucketSnapshot, held *replication.Eng
 		// Snapshot entries are in FIFO order; upserting in sequence
 		// rebuilds the slab in the same order.
 		for _, e := range bs.Entries {
-			b.upsert(e)
+			b.upsert(g.slabEntry(e))
 		}
 		g.buckets[key] = b
 		if held != nil && bs.Version > 0 {

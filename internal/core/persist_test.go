@@ -274,7 +274,8 @@ func TestRestoreReRegistersReplicaBuckets(t *testing.T) {
 	}
 	// Restart: everything but the address and the ring position is
 	// gone, then the snapshot is loaded.
-	mirror.gw, mirror.replica = newGatewayStore(), newGatewayStore()
+	names := new(nameTable)
+	mirror.gw, mirror.replica = newGatewayStore(names), newGatewayStore(names)
 	mirror.repl, mirror.repoReplica = replication.NewEngine(), &repoReplicaStore{}
 	if err := mirror.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)

@@ -206,7 +206,7 @@ func TestInvalidSchemeDefaultsTo2(t *testing.T) {
 }
 
 func TestGatewayStoreFIFOAndDelegable(t *testing.T) {
-	g := newGatewayStore()
+	g := newGatewayStore(new(nameTable))
 	pfx := ids.MustParsePrefix("0101")
 	for i := 0; i < 10; i++ {
 		obj := moodsObjectID(i)
@@ -237,7 +237,7 @@ func TestGatewayStoreFIFOAndDelegable(t *testing.T) {
 }
 
 func TestGatewayStoreTakeAndDrain(t *testing.T) {
-	g := newGatewayStore()
+	g := newGatewayStore(new(nameTable))
 	pfx := ids.MustParsePrefix("11")
 	var keys []ids.ID
 	for i := 0; i < 5; i++ {
@@ -294,7 +294,7 @@ func TestGatewayStoreAdvance(t *testing.T) {
 	arrival := func(node moods.NodeName, at int) IndexEntry {
 		return IndexEntry{Object: "obj", ID: id, Latest: node, Arrived: simTime(at)}
 	}
-	g := newGatewayStore()
+	g := newGatewayStore(new(nameTable))
 	steps := []struct {
 		name     string
 		in       IndexEntry
@@ -351,12 +351,12 @@ func TestGatewayStoreAdvanceKeepsSlots(t *testing.T) {
 	}
 	order := func(g *gatewayStore) []string {
 		var out []string
-		for _, e := range g.buckets[key].live(len(g.buckets[key].idx)) {
+		for _, e := range g.live(g.buckets[key], len(g.buckets[key].idx)) {
 			out = append(out, fmt.Sprintf("%s@%s<%s", e.Object, e.Latest, e.Prev))
 		}
 		return out
 	}
-	g := newGatewayStore()
+	g := newGatewayStore(new(nameTable))
 	if _, move := g.advance(key, rec("a", "n1", 10), nil); move != headFirst || !g.has(key) {
 		t.Fatalf("first sighting into no bucket: %v, bucket created %v", move, g.has(key))
 	}
@@ -395,7 +395,7 @@ func TestGatewayStoreAdvanceConcurrent(t *testing.T) {
 	key := ids.MustParsePrefix("1").Key()
 	id := ids.HashString("raced")
 	for round := 0; round < 50; round++ {
-		g := newGatewayStore()
+		g := newGatewayStore(new(nameTable))
 		var wg sync.WaitGroup
 		for i := 1; i <= writers; i++ {
 			wg.Add(1)
@@ -412,7 +412,7 @@ func TestGatewayStoreAdvanceConcurrent(t *testing.T) {
 }
 
 func TestGatewayStoreSetPrev(t *testing.T) {
-	g := newGatewayStore()
+	g := newGatewayStore(new(nameTable))
 	key := ids.MustParsePrefix("0").Key()
 	id := ids.HashString("obj")
 	g.advance(key, IndexEntry{Object: "obj", ID: id, Latest: "a", Arrived: simTime(10)}, nil)

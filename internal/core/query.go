@@ -148,15 +148,15 @@ func (p *Peer) descend(pfx ids.Prefix, id ids.ID, delegated bool, sp *telemetry.
 // queryGateway asks the gateway of one prefix for one object's record.
 func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Recording) (IndexEntry, int, bool, bool) {
 	hops := 0
-	gwRef, err := p.resolveGateway(pfx)
+	gwAddr, err := p.resolveGateway(pfx)
 	var resp any
 	if err == nil {
-		resp, err = p.call(gwRef.Addr, queryIndexReq{Key: pfx.Key(), Objects: []ids.ID{id}})
-		if gwRef.Addr != p.node.Addr() {
+		resp, err = p.call(gwAddr, queryIndexReq{Key: pfx.Key(), Objects: []ids.ID{id}})
+		if gwAddr != p.node.Addr() {
 			hops++
 		}
 		if err != nil {
-			sp.Step(string(gwRef.Addr), noteUnreachable).Prefix(pfx.Key()).Str(err.Error())
+			sp.Step(string(gwAddr), noteUnreachable).Prefix(pfx.Key()).Str(err.Error())
 		}
 	}
 	if err != nil {
@@ -164,9 +164,9 @@ func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Recording) 
 		// the bucket in ring order, so the crash window never returns
 		// an empty answer while a replica holds the record. Even the
 		// gateway resolution can die with the primary (the lookup
-		// terminates at the crashed owner, and gwRef stays empty); the
+		// terminates at the crashed owner, and gwAddr stays empty); the
 		// replica set is still reachable through lookup provenance.
-		e, h, found, delegated := p.replicaFallthrough(pfx.Key(), pfx.GatewayID(), id, gwRef.Addr)
+		e, h, found, delegated := p.replicaFallthrough(pfx.Key(), pfx.GatewayID(), id, gwAddr)
 		hops += h
 		if found {
 			sp.Step(string(p.node.Addr()), noteReplicaBucket).Prefix(pfx.Key())
@@ -175,10 +175,10 @@ func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Recording) 
 	}
 	qr := resp.(queryIndexResp)
 	if len(qr.Entries) == 0 {
-		sp.Step(string(gwRef.Addr), noteMiss).Prefix(pfx.Key()).Bool(qr.Delegated)
+		sp.Step(string(gwAddr), noteMiss).Prefix(pfx.Key()).Bool(qr.Delegated)
 		return IndexEntry{}, hops, false, qr.Delegated
 	}
-	sp.Step(string(gwRef.Addr), noteHit).Prefix(pfx.Key()).Str(string(qr.Entries[0].Latest))
+	sp.Step(string(gwAddr), noteHit).Prefix(pfx.Key()).Str(string(qr.Entries[0].Latest))
 	return qr.Entries[0], hops, true, qr.Delegated
 }
 

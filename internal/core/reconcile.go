@@ -34,8 +34,8 @@ func (p *Peer) ReconcileStep() int {
 		if pfx.Len == lp {
 			// Correct level; verify placement (ring membership may have
 			// moved the gateway).
-			gwRef, err := p.resolveGateway(pfx)
-			if err == nil && gwRef.Addr != p.node.Addr() && p.handOff(key, gwRef.Addr) {
+			gwAddr, err := p.resolveGateway(pfx)
+			if err == nil && gwAddr != p.node.Addr() && p.handOff(key, gwAddr) {
 				moved++
 			}
 			continue
@@ -109,9 +109,9 @@ func (p *Peer) handOff(key ids.PrefixKey, to transport.Addr) bool {
 // sendEntries delivers entries to the gateway of the given prefix
 // (local upsert when this node is the gateway).
 func (p *Peer) sendEntries(pfx ids.Prefix, entries []IndexEntry) {
-	gwRef, err := p.resolveGateway(pfx)
+	gwAddr, err := p.resolveGateway(pfx)
 	if err == nil {
-		_, err = p.call(gwRef.Addr, delegateReq{Key: pfx.Key(), Entries: entries})
+		_, err = p.call(gwAddr, delegateReq{Key: pfx.Key(), Entries: entries})
 	}
 	if err != nil {
 		// Leave the records where a later pass can retry: re-insert and

@@ -873,11 +873,11 @@ func (p *Peer) restoreHeld(h replication.HeldInfo) bool {
 	// next pass), keeps the whole copy here.
 	byDest := make(map[transport.Addr][]IndexEntry)
 	if key != individualKey {
-		gwRef, err := p.resolveGateway(key.Prefix())
-		if err != nil || gwRef.Addr == p.node.Addr() {
+		gwAddr, err := p.resolveGateway(key.Prefix())
+		if err != nil || gwAddr == p.node.Addr() {
 			return false
 		}
-		byDest[gwRef.Addr] = entries
+		byDest[gwAddr] = entries
 	} else {
 		// Per-object records re-home individually: each entry goes to
 		// its ring successor (the recorded owner may no longer own it).

@@ -27,11 +27,11 @@ func mirrorOf(nw *Network, p *Peer) *Peer {
 // key it files obj under.
 func gatewayOf(nw *Network, obj moods.ObjectID) (*Peer, ids.PrefixKey) {
 	key := ids.KeyOf(obj.Hash(), nw.PM.Lp())
-	ref, err := nw.Peers()[0].resolveGateway(key.Prefix())
+	addr, err := nw.Peers()[0].resolveGateway(key.Prefix())
 	if err != nil {
 		panic(err)
 	}
-	gw, _ := nw.PeerByName(moods.NodeName(ref.Addr))
+	gw, _ := nw.PeerByName(moods.NodeName(addr))
 	return gw, key
 }
 

@@ -175,10 +175,10 @@ func TestSpanTextDelegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reporter := othersThan(nw, 1, gw)[0]
-	if child1.Addr == gw.Addr() || child1.Addr == reporter.Addr() {
-		t.Fatalf("child gateway %s coincides with the gateway or the reporter; pick other objects", child1.Addr)
+	if child1 == gw.Addr() || child1 == reporter.Addr() {
+		t.Fatalf("child gateway %s coincides with the gateway or the reporter; pick other objects", child1)
 	}
-	nw.Transport.Kill(child1.Addr)
+	nw.Transport.Kill(child1)
 	for i, obj := range objs {
 		if err := reporter.Observe(moods.Observation{Object: obj, At: time.Duration(i+1) * time.Second}); err != nil {
 			t.Fatal(err)

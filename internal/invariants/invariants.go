@@ -270,7 +270,7 @@ func (c *checker) checkObjects() {
 		if c.full {
 			return
 		}
-		hist := c.oracle.History(obj)
+		hist := c.oracle.FullTrace(obj)
 		entry, found := core.IndexEntry{}, true
 		for i := 0; found && i < len(c.views); i++ {
 			if entry, found = c.findIndex(c.views[i].pm, obj); !found {
@@ -281,9 +281,9 @@ func (c *checker) checkObjects() {
 			continue
 		}
 		last := hist[len(hist)-1]
-		if entry.Latest != last.Node || entry.Arrived != last.At {
+		if entry.Latest != last.Node || entry.Arrived != last.Arrived {
 			c.add("index-head", "", obj, "index says %s@%v, oracle says %s@%v",
-				entry.Latest, entry.Arrived, last.Node, last.At)
+				entry.Latest, entry.Arrived, last.Node, last.Arrived)
 			continue // the walk below would start from the wrong head
 		}
 		if c.opts.SkipIOP[obj] {
@@ -375,11 +375,11 @@ func (c *checker) probeAt(owner *core.Peer, key string, id ids.ID, obj moods.Obj
 
 // checkIOP walks the distributed doubly-linked list backwards from the
 // index head and compares the chain against the oracle trajectory.
-func (c *checker) checkIOP(obj moods.ObjectID, entry core.IndexEntry, hist []moods.Observation) {
+func (c *checker) checkIOP(obj moods.ObjectID, entry core.IndexEntry, hist moods.Path) {
 	// The oracle's (node, time) pairs, for membership tests.
 	inOracle := make(map[moods.Visit]bool, len(hist))
-	for _, o := range hist {
-		inOracle[moods.Visit{Node: o.Node, Arrived: o.At}] = true
+	for _, v := range hist {
+		inOracle[v] = true
 	}
 
 	var rev []moods.Visit
@@ -422,16 +422,12 @@ func (c *checker) checkIOP(obj moods.ObjectID, entry core.IndexEntry, hist []moo
 	}
 
 	if c.opts.Exact {
-		want := make(moods.Path, len(hist))
-		for i, o := range hist {
-			want[i] = moods.Visit{Node: o.Node, Arrived: o.At}
-		}
 		got := make(moods.Path, len(rev))
 		for i, v := range rev {
 			got[len(rev)-1-i] = v
 		}
-		if !got.Equal(want) {
-			c.add("iop-exact", "", obj, "chain %v != oracle %v", got, want)
+		if !got.Equal(hist) {
+			c.add("iop-exact", "", obj, "chain %v != oracle %v", got, hist)
 		}
 	}
 

@@ -42,14 +42,11 @@ type NodeName string
 const Nowhere = NodeName("")
 
 // Observation is one element of the information flow: a receptor at
-// Node captured Object at time At. Receptor identifies which reader saw
-// it (e.g. "dock-door-3"); it does not affect the model but is carried
-// for applications.
+// Node captured Object at time At.
 type Observation struct {
-	Object   ObjectID
-	Node     NodeName
-	Receptor string
-	At       time.Duration
+	Object ObjectID
+	Node   NodeName
+	At     time.Duration
 }
 
 func byAt(a, b Observation) int { return cmp.Compare(a.At, b.At) }
@@ -57,7 +54,7 @@ func byAt(a, b Observation) int { return cmp.Compare(a.At, b.At) }
 // SortByTime orders obss by capture time, observations captured at the
 // same instant keeping their relative order — a stable sort by At. It
 // sorts 16-byte (At, position) keys, a total order that any sort keeps
-// stable, then moves each 56-byte observation once, in place, along the
+// stable, then moves each 40-byte observation once, in place, along the
 // cycles of the permutation. Sorted input returns without allocating.
 func SortByTime(obss []Observation) {
 	if slices.IsSortedFunc(obss, byAt) {
@@ -127,16 +124,17 @@ type Tracer interface {
 // HistoryStore is the reference implementation of L and TR: it records
 // every observation and answers queries exactly. It is the semantic
 // specification the distributed implementation must match, and the
-// centralized baseline builds on it.
+// centralized baseline builds on it. Of an observation it keeps the
+// (node, time) pair: the object is the key of its history.
 type HistoryStore struct {
 	mu   sync.RWMutex
-	hist map[ObjectID][]Observation // per object, sorted by At
-	n    int                        // total observations
+	hist map[ObjectID]Path // per object, sorted by Arrived
+	n    int               // total observations
 }
 
 // NewHistoryStore creates an empty store.
 func NewHistoryStore() *HistoryStore {
-	return &HistoryStore{hist: make(map[ObjectID][]Observation)}
+	return &HistoryStore{hist: make(map[ObjectID]Path)}
 }
 
 // Record adds an observation. Observations may arrive out of order;
@@ -150,14 +148,11 @@ func (h *HistoryStore) Record(obs Observation) {
 func (h *HistoryStore) record(obs Observation) {
 	s := h.hist[obs.Object]
 	i := len(s)
-	if i > 0 && s[i-1].At > obs.At {
+	if i > 0 && s[i-1].Arrived > obs.At {
 		// Out of order; a time-sorted workload only ever appends.
-		i = sort.Search(i, func(i int) bool { return s[i].At > obs.At })
+		i = sort.Search(i, func(i int) bool { return s[i].Arrived > obs.At })
 	}
-	s = append(s, Observation{})
-	copy(s[i+1:], s[i:])
-	s[i] = obs
-	h.hist[obs.Object] = s
+	h.hist[obs.Object] = slices.Insert(s, i, Visit{Node: obs.Node, Arrived: obs.At})
 	h.n++
 }
 
@@ -196,16 +191,18 @@ func (h *HistoryStore) RecordAll(sorted []Observation) {
 		end[k] = sum // object k's next free place: the end of its history once filled
 		sum += n
 	}
-	slab := make([]Observation, len(sorted))
+	slab := make(Path, len(sorted))
 	for i, k := range slot {
-		slab[end[k]] = sorted[i]
+		slab[end[k]] = Visit{Node: sorted[i].Node, Arrived: sorted[i].At}
 		end[k]++
 	}
-	h.hist = make(map[ObjectID][]Observation, len(end))
+	h.hist = make(map[ObjectID]Path, len(end))
 	start := int32(0)
-	for _, e := range end {
-		h.hist[slab[start].Object] = slab[start:e:e]
-		start = e
+	for i, k := range slot {
+		if int(k) == len(h.hist) { // objects are numbered in order of first sight
+			h.hist[sorted[i].Object] = slab[start:end[k]:end[k]]
+			start = end[k]
+		}
 	}
 	h.n = len(sorted)
 }
@@ -244,7 +241,7 @@ func (h *HistoryStore) Locate(o ObjectID, t time.Duration) (NodeName, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	s := h.hist[o]
-	i := sort.Search(len(s), func(i int) bool { return s[i].At > t })
+	i := sort.Search(len(s), func(i int) bool { return s[i].Arrived > t })
 	if i == 0 {
 		return Nowhere, nil
 	}
@@ -262,12 +259,12 @@ func (h *HistoryStore) Trace(o ObjectID, t1, t2 time.Duration) (Path, error) {
 	var path Path
 	// The node occupied at t1 (arrival strictly before t1) opens the
 	// path.
-	i := sort.Search(len(s), func(i int) bool { return s[i].At >= t1 })
+	i := sort.Search(len(s), func(i int) bool { return s[i].Arrived >= t1 })
 	if i > 0 {
-		path = append(path, Visit{Node: s[i-1].Node, Arrived: s[i-1].At})
+		path = append(path, s[i-1])
 	}
-	for ; i < len(s) && s[i].At <= t2; i++ {
-		path = append(path, Visit{Node: s[i].Node, Arrived: s[i].At})
+	for ; i < len(s) && s[i].Arrived <= t2; i++ {
+		path = append(path, s[i])
 	}
 	return path, nil
 }
@@ -276,17 +273,5 @@ func (h *HistoryStore) Trace(o ObjectID, t1, t2 time.Duration) (Path, error) {
 func (h *HistoryStore) FullTrace(o ObjectID) Path {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	s := h.hist[o]
-	path := make(Path, len(s))
-	for i, obs := range s {
-		path[i] = Visit{Node: obs.Node, Arrived: obs.At}
-	}
-	return path
-}
-
-// History returns a copy of the raw observations for o, time-sorted.
-func (h *HistoryStore) History(o ObjectID) []Observation {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return append([]Observation(nil), h.hist[o]...)
+	return append(make(Path, 0, len(h.hist[o])), h.hist[o]...)
 }

@@ -162,10 +162,10 @@ func TestObjectIDHashStable(t *testing.T) {
 func TestHistoryReturnsCopy(t *testing.T) {
 	h := NewHistoryStore()
 	h.Record(obs("o1", "a", time.Second))
-	hist := h.History("o1")
-	hist[0].Node = "mutated"
+	path := h.FullTrace("o1")
+	path[0].Node = "mutated"
 	if got, _ := h.Locate("o1", time.Minute); got != "a" {
-		t.Fatal("History exposed internal state")
+		t.Fatal("FullTrace exposed internal state")
 	}
 }
 

@@ -31,11 +31,16 @@ func BenchmarkPaperGenerate(b *testing.B) {
 var raceDetector bool
 
 // TestGenerateAllocatesWhatItKeeps pins Generate's allocated bytes to at
-// most 1.25 times the bytes its result retains: the three slices are
+// most 1.32 times the bytes its result retains: the three slices are
 // sized from the spec, not grown by append (which allocated five times
 // what it kept), the ids are cut from one slab, and the sort moves the
-// observations in place — its 16-byte key beside each 56-byte record is
-// 0.22 of the 1.23 measured; a gather into a second slab adds 0.78.
+// observations in place. Its parts, as shares of the 6.76 MB kept at
+// this spec: the kept bytes themselves, 1.00 (4.86 MB of 40-byte
+// observations, 1.13 MB of id headers and 0.77 MB of id bytes), and
+// the sort's 16-byte key beside each observation, 1.95 MB or 0.29 —
+// 1.29 measured, and the ceiling that plus 2.5 %. A gather into a
+// second slab adds 0.72. The ratio rose from 1.23 when an observation
+// was 56 bytes: what is kept shrank, the sort's keys did not.
 func TestGenerateAllocatesWhatItKeeps(t *testing.T) {
 	if raceDetector {
 		t.Skip("under -race the runtime allocates on Generate's behalf (1.60x measured); the pin is for the product build")
@@ -55,7 +60,7 @@ func TestGenerateAllocatesWhatItKeeps(t *testing.T) {
 	}
 	allocated := after.TotalAlloc - before.TotalAlloc
 	t.Logf("allocated %d bytes, retained %d (%.2fx)", allocated, retained, float64(allocated)/float64(retained))
-	if float64(allocated) > 1.25*float64(retained) {
-		t.Errorf("Generate allocated %d bytes for %d retained (%.2fx), want ≤ 1.25x", allocated, retained, float64(allocated)/float64(retained))
+	if float64(allocated) > 1.32*float64(retained) {
+		t.Errorf("Generate allocated %d bytes for %d retained (%.2fx), want ≤ 1.32x", allocated, retained, float64(allocated)/float64(retained))
 	}
 }
