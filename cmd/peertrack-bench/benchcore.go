@@ -96,7 +96,7 @@ const churnLedgerSeeds = 5
 // misses the paired expectation (chord-only fails, gossip passes) —
 // the ledger must never record a latency from a broken sweep.
 func benchConvergenceRounds() (int, error) {
-	sw := chaos.ChurnSweep(chaos.Churn10x(1, false), churnLedgerSeeds, runtime.GOMAXPROCS(0))
+	sw := chaos.ChurnSweep(chaos.ChurnConfig{Seed: 1}, churnLedgerSeeds, runtime.GOMAXPROCS(0))
 	if sw.Failed() {
 		first := sw.Failures[0]
 		return 0, fmt.Errorf("churn sweep: %d pairs failed, first (seed %d): %v",

@@ -45,6 +45,7 @@ import (
 	"runtime"
 
 	"peertrack/internal/chaos"
+	"peertrack/internal/invariants"
 	"peertrack/internal/telemetry"
 )
 
@@ -60,13 +61,35 @@ func main() {
 	telemetryOut := flag.String("telemetry", "", "write the merged telemetry exposition to this file")
 	verbose := flag.Bool("v", false, "print every scenario report")
 	flag.Parse()
-
-	if *profile == "churn10x" {
-		runChurn10x(*seed, *seeds, *workers, *telemetryOut, *verbose)
-		return
+	if *drop < 0 || *drop >= 1 {
+		badFlag("-drop %v is not a drop rate in [0, 1)", *drop)
 	}
-	if *profile == "repl" {
-		runReplPairs(*seed, *seeds, *nodes, *replication, *workers, *telemetryOut, *verbose)
+	if *replication < 0 {
+		badFlag("-replication %d is negative", *replication)
+	}
+	if *profile == "repl" && *replication == 1 {
+		badFlag("-replication 1 leaves -profile repl nothing to compare: its baseline runs at factor 1 (want 2 or more)")
+	}
+
+	switch *profile {
+	case "churn10x":
+		runPairs(*seed, *seeds, *workers, *telemetryOut, *verbose,
+			func(s int64) pairRun { return churnRun(chaos.RunChurnPair(chaos.ChurnConfig{Seed: s})) },
+			func(n, w int) pairSweep {
+				sw := chaos.ChurnSweep(chaos.ChurnConfig{Seed: 1}, n, w)
+				return pairSweep{sw, sw.Telemetry, firstFailure(sw.Failures, churnRun)}
+			})
+		return
+	case "repl":
+		cfg := func(s int64) chaos.ReplicationConfig {
+			return chaos.ReplicationConfig{Seed: s, Nodes: *nodes, Factor: *replication}
+		}
+		runPairs(*seed, *seeds, *workers, *telemetryOut, *verbose,
+			func(s int64) pairRun { return replRun(chaos.RunReplicationPair(cfg(s))) },
+			func(n, w int) pairSweep {
+				sw := chaos.ReplicationSweep(cfg(1), n, w)
+				return pairSweep{sw, sw.Telemetry, firstFailure(sw.Failures, replRun)}
+			})
 		return
 	}
 
@@ -137,84 +160,72 @@ func main() {
 	}
 }
 
-// runChurn10x runs the checked-in 10×-churn profile: every seed is a
-// paired scenario where the Chord-only run must fail the
-// ring-reconverge invariant and the gossip-assisted run must pass it
-// within the budget. A single -seed runs one pair verbosely; otherwise
-// -seeds pairs sweep from seed 1. Exits 1 when any pair misses the
-// expectation.
-func runChurn10x(seed int64, seeds, workers int, telemetryOut string, verbose bool) {
-	if seed != 0 {
-		pair := chaos.RunChurnPair(chaos.Churn10x(seed, false))
-		fmt.Println(pair.ChordOnly)
-		fmt.Println(pair.Gossip)
-		writeTelemetry(telemetryOut, pair.Gossip.Telemetry)
-		if pair.Failed() {
-			for _, v := range pair.Violations {
-				fmt.Println(" ", v)
-			}
-			os.Exit(1)
-		}
-		return
-	}
-	sw := chaos.ChurnSweep(chaos.Churn10x(1, false), seeds, workers)
-	fmt.Println(sw)
-	if verbose {
-		for s := int64(0); s < int64(seeds); s++ {
-			pair := chaos.RunChurnPair(chaos.Churn10x(1+s, false))
-			fmt.Println(" ", pair.ChordOnly)
-			fmt.Println(" ", pair.Gossip)
-		}
-	}
-	writeTelemetry(telemetryOut, sw.Telemetry)
-	if sw.Failed() {
-		first := sw.Failures[0]
-		fmt.Printf("\nfirst failing pair (seed %d):\n", first.ChordOnly.Seed)
-		for _, v := range first.Violations {
-			fmt.Println(" ", v)
-		}
-		os.Exit(1)
-	}
+// pairRun is one seed of a paired profile: the two runs of the same
+// schedule in print order, the telemetry the profile writes (the
+// gossip-assisted or the replicated run's), and the violations of the
+// pair's expectation.
+type pairRun struct {
+	seed       int64
+	runs       [2]fmt.Stringer
+	telemetry  telemetry.Snapshot
+	violations []invariants.Violation
 }
 
-// runReplPairs runs the paired replication-failover profile: every
-// seed executes the same crash schedule at the requested factor and at
-// factor 1, and the pair must discriminate — all crash-window reads
-// answered with replication on, reads provably lost with it off. Exits
-// 1 when any pair misses the expectation.
-func runReplPairs(seed int64, seeds, nodes, factor, workers int, telemetryOut string, verbose bool) {
-	base := chaos.ReplicationConfig{Nodes: nodes, Factor: factor}
+func churnRun(p chaos.ChurnPairReport) pairRun {
+	return pairRun{p.ChordOnly.Seed, [2]fmt.Stringer{p.ChordOnly, p.Gossip}, p.Gossip.Telemetry, p.Violations}
+}
+
+func replRun(p chaos.ReplicationPairReport) pairRun {
+	return pairRun{p.Replicated.Seed, [2]fmt.Stringer{p.Replicated, p.Baseline}, p.Replicated.Telemetry, p.Violations}
+}
+
+// pairSweep is a paired profile's sweep: its summary line, its merged
+// telemetry, and its lowest failing seed (nil when every pair held).
+type pairSweep struct {
+	summary   fmt.Stringer
+	telemetry telemetry.Snapshot
+	failed    *pairRun
+}
+
+func firstFailure[P any](failures []P, view func(P) pairRun) *pairRun {
+	if len(failures) == 0 {
+		return nil
+	}
+	first := view(failures[0])
+	return &first
+}
+
+// runPairs runs a paired profile — churn10x or repl — where every seed
+// executes one schedule twice and the two runs must discriminate. A
+// single -seed runs one pair and prints both runs; otherwise -seeds
+// pairs sweep from seed 1. Exits 1 when any pair misses the
+// expectation.
+func runPairs(seed int64, seeds, workers int, telemetryOut string, verbose bool,
+	run func(seed int64) pairRun, sweep func(seeds, workers int) pairSweep) {
+	var failed *pairRun
 	if seed != 0 {
-		base.Seed = seed
-		pair := chaos.RunReplicationPair(base)
-		fmt.Println(pair.Replicated)
-		fmt.Println(pair.Baseline)
-		writeTelemetry(telemetryOut, pair.Replicated.Telemetry)
-		if pair.Failed() {
-			for _, v := range pair.Violations {
-				fmt.Println(" ", v)
-			}
-			os.Exit(1)
+		p := run(seed)
+		fmt.Println(p.runs[0])
+		fmt.Println(p.runs[1])
+		writeTelemetry(telemetryOut, p.telemetry)
+		if len(p.violations) > 0 {
+			failed = &p
 		}
-		return
-	}
-	base.Seed = 1
-	sw := chaos.ReplicationSweep(base, seeds, workers)
-	fmt.Println(sw)
-	if verbose {
-		for s := int64(0); s < int64(seeds); s++ {
-			c := base
-			c.Seed = 1 + s
-			pair := chaos.RunReplicationPair(c)
-			fmt.Println(" ", pair.Replicated)
-			fmt.Println(" ", pair.Baseline)
+	} else {
+		sw := sweep(seeds, workers)
+		fmt.Println(sw.summary)
+		for s := int64(1); verbose && s <= int64(seeds); s++ {
+			p := run(s)
+			fmt.Println(" ", p.runs[0])
+			fmt.Println(" ", p.runs[1])
+		}
+		writeTelemetry(telemetryOut, sw.telemetry)
+		if failed = sw.failed; failed != nil {
+			fmt.Printf("\nfirst failing pair (seed %d):\n", failed.seed)
 		}
 	}
-	writeTelemetry(telemetryOut, sw.Telemetry)
-	if sw.Failed() {
-		first := sw.Failures[0]
-		fmt.Printf("\nfirst failing pair (seed %d):\n", first.Replicated.Seed)
-		for _, v := range first.Violations {
+	if failed != nil {
+		for _, v := range failed.violations {
 			fmt.Println(" ", v)
 		}
 		os.Exit(1)
@@ -258,8 +269,14 @@ func profilesFor(name string) []chaos.Profile {
 	case "both":
 		return []chaos.Profile{chaos.ProfileSafe, chaos.ProfileLossy}
 	default:
-		fmt.Fprintf(os.Stderr, "peertrack-chaos: unknown profile %q (want safe, lossy, both, churn10x, or repl)\n", name)
-		os.Exit(2)
+		badFlag("unknown profile %q (want safe, lossy, both, churn10x, or repl)", name)
 		return nil
 	}
+}
+
+// badFlag reports a flag value out of its range and exits 2, as the
+// flag package does for one it cannot parse.
+func badFlag(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "peertrack-chaos: "+format+"\n", args...)
+	os.Exit(2)
 }

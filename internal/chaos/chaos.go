@@ -57,10 +57,6 @@ type Config struct {
 	Profile Profile
 	// Nodes is the initial network size (default 12).
 	Nodes int
-	// ObjectsPerNode seeds the workload population (default 3).
-	ObjectsPerNode int
-	// TraceLen is the route length of moving objects (default 4).
-	TraceLen int
 	// Epochs is the number of fault epochs to generate (default 4).
 	Epochs int
 	// DropRate is the per-call loss probability during lossy epochs
@@ -85,15 +81,6 @@ func (c *Config) fill() {
 	if c.Nodes <= 0 {
 		c.Nodes = 12
 	}
-	if c.ObjectsPerNode <= 0 {
-		c.ObjectsPerNode = 3
-	}
-	if c.TraceLen <= 0 {
-		c.TraceLen = 4
-	}
-	if c.TraceLen > c.Nodes {
-		c.TraceLen = c.Nodes
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 4
 	}
@@ -110,6 +97,16 @@ func (c *Config) fill() {
 		c.Replication = 1
 	}
 }
+
+// The workload shape of every generated schedule and replication
+// scenario: 3 objects a node, half of them moving along 4-stop routes
+// (capped at the network size). That is a few dozen objects whose
+// traces cross several repositories and gateways, small enough that a
+// 500-seed sweep runs in seconds.
+const (
+	objectsPerNode = 3
+	traceLen       = 4
+)
 
 // EpochKind names what a fault epoch does to the network.
 type EpochKind string
@@ -179,9 +176,9 @@ func Generate(cfg Config) Schedule {
 	sched := Schedule{
 		Spec: workload.PaperSpec{
 			Nodes:          names,
-			ObjectsPerNode: cfg.ObjectsPerNode,
+			ObjectsPerNode: objectsPerNode,
 			MoveFraction:   0.5,
-			TraceLen:       cfg.TraceLen,
+			TraceLen:       min(traceLen, cfg.Nodes),
 			Grouped:        rng.Intn(2) == 0,
 			Seed:           cfg.Seed + 1_000_003,
 			Spread:         10 * time.Second,

@@ -17,11 +17,10 @@ import (
 )
 
 // This file is the churn-convergence harness: a chord-level scenario
-// runner an order of magnitude more violent than the default chaos
-// generator. The default schedule crashes 1–3 of ~12 nodes per epoch
-// and revives them; here every fault round permanently crashes a
-// contiguous ring segment at least as long as the successor list, plus
-// random extras, while fresh nodes join — protocol-level churn with no
+// runner more violent than the default chaos generator. The default
+// schedule crashes 1–3 of ~12 nodes per epoch and revives them; here
+// every fault round permanently crashes a contiguous ring segment one
+// node longer than the successor list — protocol-level churn with no
 // static rewiring and no revival, repaired only by the maintenance
 // protocol itself.
 //
@@ -37,92 +36,50 @@ import (
 // the budget. That paired outcome is the tentpole acceptance check,
 // asserted by RunChurnPair.
 
-// ChurnConfig parameterizes one churn-convergence scenario. The zero
-// value is usable; defaults give the checked-in churn10x profile shape.
+// ChurnConfig selects one run of the churn10x scenario: its seed, and
+// whether the gossip membership layer runs. Everything else is the
+// scenario's shape, fixed by the constants below.
 type ChurnConfig struct {
-	// Seed drives everything: victim selection, join placement, and
-	// (via derived seeds) every gossip agent's RNG.
+	// Seed drives everything: victim selection and (via derived seeds)
+	// every gossip agent's RNG.
 	Seed int64
-	// Nodes is the initial ring size (default 32).
-	Nodes int
-	// SuccessorListLen is Chord's r for every node (default 3 — small
-	// enough that a segment crash can swallow a whole list).
-	SuccessorListLen int
-	// Rounds is the number of fault rounds (default 5).
-	Rounds int
-	// SegmentCrash crashes this many ring-contiguous nodes per round
-	// (default SuccessorListLen+1, guaranteeing a stranded survivor).
-	SegmentCrash int
-	// RandomCrash crashes this many additional uniform victims per
-	// round (default 2).
-	RandomCrash int
-	// Joins adds this many fresh nodes per round, joining through the
-	// live membership with the real protocol (default 1).
-	Joins int
-	// Budget is the reconvergence invariant's N: maintenance rounds
-	// allowed after the round's faults before the run fails
-	// (default 30).
-	Budget int
-	// WarmupRounds mixes gossip views before the first fault
-	// (default 8; ignored without Gossip).
-	WarmupRounds int
-	// RoundInterval is the virtual time between maintenance rounds —
-	// rounds execute as sim-kernel events (default 500ms).
-	RoundInterval time.Duration
-	// MinLive floors the live population so kills cannot consume the
-	// ring (default 2*SuccessorListLen+2).
-	MinLive int
 	// Gossip enables the membership layer: agents exchange views each
 	// maintenance round and feed RepairFromSamples ahead of Stabilize.
 	Gossip bool
-	// GossipCfg tunes the agents (per-node Seed is derived from Seed).
-	GossipCfg gossip.Config
 }
 
-func (c *ChurnConfig) fill() {
-	if c.Nodes <= 0 {
-		c.Nodes = 32
-	}
-	if c.SuccessorListLen <= 0 {
-		c.SuccessorListLen = 3
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 5
-	}
-	if c.SegmentCrash <= 0 {
-		c.SegmentCrash = c.SuccessorListLen + 1
-	}
-	if c.RandomCrash < 0 {
-		c.RandomCrash = 0
-	}
-	if c.Joins < 0 {
-		c.Joins = 0
-	}
-	if c.Budget <= 0 {
-		c.Budget = 30
-	}
-	if c.WarmupRounds <= 0 {
-		c.WarmupRounds = 8
-	}
-	if c.RoundInterval <= 0 {
-		c.RoundInterval = 500 * time.Millisecond
-	}
-	if c.MinLive <= 0 {
-		c.MinLive = 2*c.SuccessorListLen + 2
-	}
-}
-
-// Churn10x is the checked-in 10×-churn profile: per fault round it
-// crashes a ring segment of r+1 plus 2 random nodes and joins 1 — about
-// 20% of the membership per round, an order of magnitude beyond the
-// default generator's per-epoch fault rate, with no revival. Chord-only
-// runs of this profile must fail and gossip-assisted runs must pass;
-// see RunChurnPair.
-func Churn10x(seed int64, gossipOn bool) ChurnConfig {
-	cfg := ChurnConfig{Seed: seed, Gossip: gossipOn}
-	cfg.fill()
-	return cfg
-}
+// The churn10x scenario: per fault round a ring segment of r+1 nodes
+// crashes for good, about an eighth of the initial membership, against
+// the default generator's 1–3 revived crashes of ~12 nodes an epoch.
+const (
+	// churnNodes is the initial ring size.
+	churnNodes = 32
+	// churnSuccessors is Chord's r for every node, small enough that a
+	// segment crash can swallow a whole successor list.
+	churnSuccessors = 3
+	// churnSegment is r+1: the live node before the segment is left
+	// with a successor list of dead nodes only, the stranding of
+	// Marinković et al. that Stabilize alone cannot repair.
+	churnSegment = churnSuccessors + 1
+	// churnRounds is the number of fault rounds; five segments take the
+	// ring from 32 nodes to 12.
+	churnRounds = 5
+	// churnBudget is the reconvergence invariant's N: the maintenance
+	// rounds a ring may take after a round's faults. Gossip-assisted
+	// runs close in 2–6; a stranded Chord-only ring never does.
+	churnBudget = 30
+	// churnWarmupRounds is how many gossip rounds mix views and
+	// samplers before the first fault. The pair discriminates without
+	// them; they shape the convergence latencies BENCH_CORE.json pins.
+	churnWarmupRounds = 8
+	// churnRoundInterval is the virtual time between maintenance
+	// rounds, each run as one sim-kernel event. Only their order
+	// matters: a run's report is the same at any positive interval.
+	churnRoundInterval = 500 * time.Millisecond
+	// churnMinLive floors the live population, 2r+2, so no run of
+	// crashes can consume the ring.
+	churnMinLive = 2*churnSuccessors + 2
+)
 
 // ChurnReport is the outcome of one churn scenario. Determinism
 // contract as for Report: identical config → identical report.
@@ -134,9 +91,6 @@ type ChurnReport struct {
 	// Converge holds, per completed fault round, the maintenance rounds
 	// the ring needed to reconverge.
 	Converge []int
-	// JoinsFailed counts joins abandoned because no live bootstrap
-	// could route them (possible mid-churn; not a failure).
-	JoinsFailed int
 	// Violations is empty on success; on failure it holds the
 	// ring-reconverge violation plus the residual ring state.
 	Violations []invariants.Violation
@@ -165,8 +119,8 @@ func (r ChurnReport) String() string {
 	if r.Gossip {
 		mode = "gossip"
 	}
-	fmt.Fprintf(&b, "churn seed %d [%s] rounds=%d converge=%v joinsFailed=%d",
-		r.Seed, mode, r.RoundsRun, r.Converge, r.JoinsFailed)
+	fmt.Fprintf(&b, "churn seed %d [%s] rounds=%d converge=%v",
+		r.Seed, mode, r.RoundsRun, r.Converge)
 	if r.Failed() {
 		fmt.Fprintf(&b, " FAIL (%d violations)", len(r.Violations))
 		for i, v := range r.Violations {
@@ -188,29 +142,26 @@ type churnRunner struct {
 	tel     *telemetry.Registry
 	rng     *rand.Rand
 	members []core.Maintained // live membership (node + optional agent), sorted by address
-	nextIdx int               // next join's name index
 }
 
 // RunChurn executes one churn scenario deterministically.
 func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
-	cfg.fill()
 	rep = ChurnReport{Seed: cfg.Seed, Gossip: cfg.Gossip}
 	r := &churnRunner{
-		cfg:     cfg,
-		kernel:  sim.New(cfg.Seed),
-		mem:     transport.NewMemory(cfg.Seed + 1),
-		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x0c84a71a9)),
-		nextIdx: cfg.Nodes,
+		cfg:    cfg,
+		kernel: sim.New(cfg.Seed),
+		mem:    transport.NewMemory(cfg.Seed + 1),
+		rng:    rand.New(rand.NewSource(cfg.Seed ^ 0x0c84a71a9)),
 	}
 	r.tel = telemetry.New(r.kernel.Now)
 	r.mem.SetTelemetry(r.tel)
 	defer func() { rep.Telemetry = r.tel.Snapshot() }()
 
-	addrs := make([]transport.Addr, cfg.Nodes)
+	addrs := make([]transport.Addr, churnNodes)
 	for i := range addrs {
 		addrs[i] = transport.Addr(core.NodeNameFor(i))
 	}
-	nodes, err := chord.BuildStaticRing(r.mem, addrs, chord.Config{SuccessorListLen: cfg.SuccessorListLen})
+	nodes, err := chord.BuildStaticRing(r.mem, addrs, chord.Config{SuccessorListLen: churnSuccessors})
 	if err != nil {
 		rep.Violations = append(rep.Violations, invariants.Violation{
 			Invariant: "harness", Detail: fmt.Sprintf("build ring: %v", err),
@@ -226,21 +177,19 @@ func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
 	if cfg.Gossip {
 		// Mix views and samplers before the first fault: each warmup
 		// round is one kernel-driven gossip round per node.
-		for w := 0; w < cfg.WarmupRounds; w++ {
+		for w := 0; w < churnWarmupRounds; w++ {
 			r.step(func(m core.Maintained) { m.Gossip.Round() })
 		}
 	}
 
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < churnRounds; round++ {
 		rep.RoundsRun = round + 1
-		rep.JoinsFailed += r.join()
 		r.crashSegment()
-		r.crashRandom()
 
 		// One maintenance round, the unit the budget counts: the overlay
 		// rows of the maintenance table on every live node.
 		maintain := func() { r.step(core.Maintained.OverlayRound) }
-		rounds, vs := invariants.CheckReconvergence(r.liveNodes(), maintain, cfg.Budget)
+		rounds, vs := invariants.CheckReconvergence(r.liveNodes(), maintain, churnBudget)
 		rep.Converge = append(rep.Converge, rounds)
 		if len(vs) > 0 {
 			rep.Violations = vs
@@ -257,9 +206,7 @@ func (r *churnRunner) wire(n *chord.Node) core.Maintained {
 	if !r.cfg.Gossip {
 		return m
 	}
-	gcfg := r.cfg.GossipCfg
-	gcfg.Seed = gossip.SeedFor(r.cfg.Seed, n.Addr())
-	a := gossip.New(r.mem, n.Self(), gcfg)
+	a := gossip.New(r.mem, n.Self(), gossip.Config{Seed: gossip.SeedFor(r.cfg.Seed, n.Addr())})
 	a.SetTelemetry(r.tel)
 	n.SetAppHandler(func(from transport.Addr, req any) (any, error) {
 		if resp, handled, err := a.HandleRPC(from, req); handled {
@@ -289,10 +236,10 @@ func (r *churnRunner) liveNodes() []*chord.Node {
 }
 
 // step runs fn over the live membership in address order, inside one
-// sim-kernel event one RoundInterval ahead — maintenance is scheduled
+// sim-kernel event one churnRoundInterval ahead — maintenance is scheduled
 // wall-clock-free on virtual time like every other periodic process.
 func (r *churnRunner) step(fn func(core.Maintained)) {
-	r.kernel.Schedule(r.cfg.RoundInterval, func() {
+	r.kernel.Schedule(churnRoundInterval, func() {
 		for _, m := range r.members {
 			fn(m)
 		}
@@ -300,48 +247,12 @@ func (r *churnRunner) step(fn func(core.Maintained)) {
 	r.kernel.Run()
 }
 
-// join adds cfg.Joins fresh nodes through the live membership using the
-// real join protocol, trying each live bootstrap in address order.
-// Returns the number of joins abandoned (no bootstrap could route).
-func (r *churnRunner) join() int {
-	failed := 0
-	for j := 0; j < r.cfg.Joins; j++ {
-		addr := transport.Addr(core.NodeNameFor(r.nextIdx))
-		r.nextIdx++
-		n, err := chord.New(r.mem, addr, chord.Config{SuccessorListLen: r.cfg.SuccessorListLen})
-		if err != nil {
-			failed++
-			continue
-		}
-		n.SetTelemetry(r.tel)
-		m := r.wire(n)
-		joined := false
-		for _, b := range r.members {
-			if err := n.Join(b.Chord.Self()); err == nil {
-				joined = true
-				break
-			}
-		}
-		if !joined {
-			r.mem.Unregister(addr)
-			failed++
-			continue
-		}
-		if m.Gossip != nil {
-			m.Gossip.SeedView(n.Successors())
-		}
-		r.members = append(r.members, m)
-		r.sortMembers()
-	}
-	return failed
-}
-
-// crashSegment permanently crashes a contiguous run of SegmentCrash
+// crashSegment permanently crashes a contiguous run of churnSegment
 // nodes in ring order, chosen by the scenario RNG — the stabilization
 // killer: the survivor immediately before the segment is left with a
 // successor list whose live entries all died.
 func (r *churnRunner) crashSegment() {
-	k := r.crashBudget(r.cfg.SegmentCrash)
+	k := r.crashBudget(churnSegment)
 	if k <= 0 {
 		return
 	}
@@ -355,27 +266,10 @@ func (r *churnRunner) crashSegment() {
 	}
 }
 
-// crashRandom crashes RandomCrash additional uniform victims.
-func (r *churnRunner) crashRandom() {
-	k := r.crashBudget(r.cfg.RandomCrash)
-	if k <= 0 {
-		return
-	}
-	perm := r.rng.Perm(len(r.members))[:k]
-	sort.Ints(perm)
-	victims := make([]core.Maintained, k)
-	for i, idx := range perm {
-		victims[i] = r.members[idx]
-	}
-	for _, v := range victims {
-		r.kill(v)
-	}
-}
-
 // crashBudget clamps a kill count so the live population never drops
-// below MinLive.
+// below churnMinLive.
 func (r *churnRunner) crashBudget(want int) int {
-	return clamp(want, len(r.members)-r.cfg.MinLive)
+	return clamp(want, len(r.members)-churnMinLive)
 }
 
 // kill crashes one member: its transport endpoint dies mid-protocol (no
@@ -411,7 +305,6 @@ func (p ChurnPairReport) Failed() bool { return len(p.Violations) > 0 }
 // profile is checked in for: stabilization alone must miss the
 // reconvergence budget, and the gossip membership layer must meet it.
 func RunChurnPair(cfg ChurnConfig) ChurnPairReport {
-	cfg.fill()
 	chordCfg, gossipCfg := cfg, cfg
 	chordCfg.Gossip = false
 	gossipCfg.Gossip = true
@@ -461,7 +354,6 @@ func (s ChurnSweepReport) String() string {
 // across workers. Each scenario owns its whole world, so the aggregate
 // is byte-identical at any worker count (assembled in seed order).
 func ChurnSweep(cfg ChurnConfig, n, workers int) ChurnSweepReport {
-	cfg.fill()
 	pairs := runSeeds(n, workers, func(i int) ChurnPairReport {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)

@@ -14,7 +14,7 @@ func TestChurn10xDiscriminates(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		p := RunChurnPair(Churn10x(seed, false))
+		p := RunChurnPair(ChurnConfig{Seed: seed})
 		if p.Failed() {
 			for _, v := range p.Violations {
 				t.Errorf("seed %d: %s", seed, v)
@@ -24,8 +24,8 @@ func TestChurn10xDiscriminates(t *testing.T) {
 		if got := p.ChordOnly.RoundsRun; got != 1 {
 			t.Errorf("seed %d: chord-only survived %d fault rounds, want failure in round 1", seed, got)
 		}
-		if mc, budget := p.Gossip.MaxConverge(), Churn10x(seed, true).Budget; mc > budget/2 {
-			t.Errorf("seed %d: gossip convergence %d rounds uses more than half the %d-round budget", seed, mc, budget)
+		if mc := p.Gossip.MaxConverge(); mc > churnBudget/2 {
+			t.Errorf("seed %d: gossip convergence %d rounds uses more than half the %d-round budget", seed, mc, churnBudget)
 		}
 	}
 }
@@ -34,15 +34,15 @@ func TestChurn10xDiscriminates(t *testing.T) {
 // byte-identical report, including telemetry and convergence latencies.
 func TestChurnDeterministic(t *testing.T) {
 	for _, gossipOn := range []bool{false, true} {
-		cfg := Churn10x(11, gossipOn)
+		cfg := ChurnConfig{Seed: 11, Gossip: gossipOn}
 		a := RunChurn(cfg)
 		b := RunChurn(cfg)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("gossip=%v: same seed, different reports:\n%s\n%s", gossipOn, a, b)
 		}
 	}
-	a := RunChurn(Churn10x(11, true))
-	c := RunChurn(Churn10x(12, true))
+	a := RunChurn(ChurnConfig{Seed: 11, Gossip: true})
+	c := RunChurn(ChurnConfig{Seed: 12, Gossip: true})
 	if reflect.DeepEqual(a.Converge, c.Converge) && reflect.DeepEqual(a.Telemetry, c.Telemetry) {
 		t.Error("different seeds produced identical gossip reports")
 	}
@@ -55,7 +55,7 @@ func TestChurnSweepWorkerIndependent(t *testing.T) {
 	if testing.Short() {
 		n = 2
 	}
-	cfg := Churn10x(21, true)
+	cfg := ChurnConfig{Seed: 21, Gossip: true}
 	seq := ChurnSweep(cfg, n, 1)
 	par := ChurnSweep(cfg, n, 4)
 	if !reflect.DeepEqual(seq, par) {
@@ -75,7 +75,7 @@ func TestChurnSweepWorkerIndependent(t *testing.T) {
 // carried the recovery: deaths were declared and samples repaired
 // successor lists.
 func TestChurnGossipTelemetry(t *testing.T) {
-	rep := RunChurn(Churn10x(31, true))
+	rep := RunChurn(ChurnConfig{Seed: 31, Gossip: true})
 	if rep.Failed() {
 		t.Fatalf("gossip churn failed: %s", rep)
 	}

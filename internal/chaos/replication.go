@@ -40,16 +40,6 @@ type ReplicationConfig struct {
 	// Factor is the replication factor under test, total copies
 	// including the primary (default 2).
 	Factor int
-	// Rounds is the number of crash rounds (default 3).
-	Rounds int
-	// Crashes is the number of primaries killed per round (default
-	// Factor−1, the largest count that provably leaves every bucket a
-	// live copy).
-	Crashes int
-	// ObjectsPerNode and TraceLen shape the movement workload
-	// (defaults 3 and 4).
-	ObjectsPerNode int
-	TraceLen       int
 }
 
 func (c *ReplicationConfig) fill() {
@@ -59,25 +49,17 @@ func (c *ReplicationConfig) fill() {
 	if c.Factor <= 0 {
 		c.Factor = 2
 	}
-	if c.Rounds <= 0 {
-		c.Rounds = 3
-	}
-	if c.Crashes <= 0 {
-		c.Crashes = c.Factor - 1
-		if c.Crashes <= 0 {
-			c.Crashes = 1
-		}
-	}
-	if c.ObjectsPerNode <= 0 {
-		c.ObjectsPerNode = 3
-	}
-	if c.TraceLen <= 0 {
-		c.TraceLen = 4
-	}
-	if c.TraceLen > c.Nodes {
-		c.TraceLen = c.Nodes
-	}
 }
+
+// replicationRounds is the number of crash rounds a scenario runs. Each
+// round heals before the next, so the failover window is exercised
+// against three victim sets drawn over a growing index.
+const replicationRounds = 3
+
+// crashesFor is the number of primaries a round kills when the
+// replicated run keeps factor copies: factor−1, the largest count that
+// provably leaves every bucket a live copy, and at least one.
+func crashesFor(factor int) int { return max(factor-1, 1) }
 
 // ReplicationReport is the outcome of one scenario. Determinism
 // contract as for Report: identical config → identical report.
@@ -126,8 +108,13 @@ func (r ReplicationReport) String() string {
 
 // RunReplication executes one replication-failover scenario
 // deterministically.
-func RunReplication(cfg ReplicationConfig) (rep ReplicationReport) {
+func RunReplication(cfg ReplicationConfig) ReplicationReport {
 	cfg.fill()
+	return runReplication(cfg, crashesFor(cfg.Factor))
+}
+
+// runReplication runs a filled cfg, killing crashes primaries a round.
+func runReplication(cfg ReplicationConfig, crashes int) (rep ReplicationReport) {
 	rep = ReplicationReport{Seed: cfg.Seed, Factor: cfg.Factor}
 	fail := func(format string, args ...any) ReplicationReport {
 		rep.Violations = append(rep.Violations, invariants.Violation{
@@ -158,9 +145,9 @@ func RunReplication(cfg ReplicationConfig) (rep ReplicationReport) {
 	}
 	wl, err := workload.PaperSpec{
 		Nodes:          names,
-		ObjectsPerNode: cfg.ObjectsPerNode,
+		ObjectsPerNode: objectsPerNode,
 		MoveFraction:   0.5,
-		TraceLen:       cfg.TraceLen,
+		TraceLen:       min(traceLen, cfg.Nodes),
 		Grouped:        true,
 		Seed:           cfg.Seed + 2_000_003,
 		Spread:         10 * time.Second,
@@ -189,9 +176,9 @@ func RunReplication(cfg ReplicationConfig) (rep ReplicationReport) {
 	}
 
 	n := len(wl.Observations)
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < replicationRounds; round++ {
 		rep.RoundsRun = round + 1
-		lo, hi := round*n/cfg.Rounds, (round+1)*n/cfg.Rounds
+		lo, hi := round*n/replicationRounds, (round+1)*n/replicationRounds
 		mid := lo + (hi-lo)/2
 
 		// Phase A: settled traffic — indexed, stitched, and mirrored.
@@ -203,9 +190,9 @@ func RunReplication(cfg ReplicationConfig) (rep ReplicationReport) {
 		nw.FlushAll()
 		nw.SyncReplicas()
 
-		// Phase B: kill Crashes index primaries. The ring is NOT
+		// Phase B: kill crashes index primaries. The ring is NOT
 		// repaired: this is the failover window.
-		for _, addr := range pickPrimaries(nw, rng, cfg.Crashes) {
+		for _, addr := range pickPrimaries(nw, rng, crashes) {
 			crashed[addr] = true
 			nw.Transport.Kill(addr)
 		}
@@ -329,12 +316,12 @@ func (p ReplicationPairReport) Failed() bool { return len(p.Violations) > 0 }
 // asserts the discriminating outcome the harness is checked in for.
 func RunReplicationPair(cfg ReplicationConfig) ReplicationPairReport {
 	cfg.fill()
+	crashes := crashesFor(cfg.Factor) // same victims despite the factor drop
 	base := cfg
 	base.Factor = 1
-	base.Crashes = cfg.Crashes // same victims despite the factor drop
 	pair := ReplicationPairReport{
-		Replicated: RunReplication(cfg),
-		Baseline:   RunReplication(base),
+		Replicated: runReplication(cfg, crashes),
+		Baseline:   runReplication(base, crashes),
 	}
 	if pair.Replicated.Failed() {
 		pair.Violations = append(pair.Violations, invariants.Violation{

@@ -58,7 +58,7 @@ func TestReplicationDeterministic(t *testing.T) {
 }
 
 func TestReplicationSweepWorkerIndependent(t *testing.T) {
-	cfg := ReplicationConfig{Seed: 20, Nodes: 12, Rounds: 2}
+	cfg := ReplicationConfig{Seed: 20, Nodes: 12}
 	serial := ReplicationSweep(cfg, 3, 1)
 	parallel := ReplicationSweep(cfg, 3, 3)
 	if !reflect.DeepEqual(serial, parallel) {

@@ -79,7 +79,7 @@ func (n *Node) lookupVia(key ids.ID) (LookupResult, NodeRef, error) {
 	}
 	// Every hop is asked the same question: box it once, not per hop.
 	var req any = closestPrecedingReq{Key: key}
-	for step := 0; step < n.cfg.MaxLookupSteps; step++ {
+	for step := 0; step < maxLookupSteps; step++ {
 		resp, err := n.call(cur, req)
 		if err != nil {
 			// Current hop is dead: detour from local routing state.
@@ -148,7 +148,7 @@ func (n *Node) lookupVia(key ids.ID) (LookupResult, NodeRef, error) {
 			cur = cp.Node
 		}
 	}
-	return LookupResult{}, NodeRef{}, fmt.Errorf("%w: exceeded %d steps for key %s", ErrLookupFailed, n.cfg.MaxLookupSteps, key.Short())
+	return LookupResult{}, NodeRef{}, fmt.Errorf("%w: exceeded %d steps for key %s", ErrLookupFailed, maxLookupSteps, key.Short())
 }
 
 // LookupSet finds up to want distinct candidate holders of key in

@@ -25,19 +25,19 @@ type Config struct {
 	// SuccessorListLen is the number of successors tracked for fault
 	// tolerance (Chord's r). Default 8.
 	SuccessorListLen int
-	// MaxLookupSteps bounds iterative lookup to defend against routing
-	// loops on inconsistent rings. Default 2*Bits.
-	MaxLookupSteps int
 }
 
 func (c *Config) fill() {
 	if c.SuccessorListLen <= 0 {
 		c.SuccessorListLen = 8
 	}
-	if c.MaxLookupSteps <= 0 {
-		c.MaxLookupSteps = 2 * ids.Bits
-	}
 }
+
+// maxLookupSteps bounds an iterative lookup, a defence against routing
+// loops on an inconsistent ring. A lookup on a consistent ring halves
+// its distance to the key each hop, so it needs at most ids.Bits of
+// them; twice that leaves room for the detours churn forces.
+const maxLookupSteps = 2 * ids.Bits
 
 // Node is one Chord participant.
 type Node struct {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"peertrack/internal/gossip"
 	"peertrack/internal/moods"
 	"peertrack/internal/overlay"
@@ -78,25 +76,4 @@ func (nw *Network) GossipRound() {
 			g.Round()
 		}
 	}
-}
-
-// GossipSizeEstimate returns the median of the per-peer min-wise
-// network-size estimates (0 while agents are unconverged or detached).
-// The median is robust to the handful of peers whose samplers have not
-// yet mixed, which is what makes it a drop-in cross-check for the
-// netsize estimators feeding adaptive Lp.
-func (nw *Network) GossipSizeEstimate() float64 {
-	ests := make([]float64, 0, len(nw.peers))
-	for _, p := range nw.peers {
-		if g := p.Gossip(); g != nil {
-			if e := g.Estimate(); e > 0 {
-				ests = append(ests, e)
-			}
-		}
-	}
-	if len(ests) == 0 {
-		return 0
-	}
-	sort.Float64s(ests)
-	return ests[len(ests)/2]
 }

@@ -66,8 +66,7 @@ func TestDeadGatewayEviction(t *testing.T) {
 }
 
 // TestGrowAttachesGossip pins the lifecycle wiring: peers added after
-// EnableGossip get agents automatically, leavers' agents stop, and the
-// network-level size estimate tracks the membership.
+// EnableGossip get agents automatically, and leavers' agents stop.
 func TestGrowAttachesGossip(t *testing.T) {
 	nw, err := BuildNetwork(NetworkConfig{Nodes: 8, Seed: 4})
 	if err != nil {
@@ -81,13 +80,6 @@ func TestGrowAttachesGossip(t *testing.T) {
 		if p.Gossip() == nil {
 			t.Fatalf("peer %s has no gossip agent after Grow", p.Addr())
 		}
-	}
-	for i := 0; i < 20; i++ {
-		nw.GossipRound()
-	}
-	est := nw.GossipSizeEstimate()
-	if est < 8 || est > 32 {
-		t.Errorf("size estimate %.1f implausible for a 16-node network", est)
 	}
 
 	leaver := nw.Peers()[len(nw.Peers())-1]

@@ -43,9 +43,6 @@ func (p *Peer) DumpVisits() map[moods.ObjectID][]VisitRecord {
 	return p.repo.snapshot()
 }
 
-// MaxDescent returns the configured Data Triangle descent bound.
-func (p *Peer) MaxDescent() int { return p.cfg.MaxDescent }
-
 // Mode returns the configured indexing mode.
 func (p *Peer) Mode() Mode { return p.cfg.Mode }
 

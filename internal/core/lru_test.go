@@ -110,9 +110,14 @@ func TestRefCacheEvictionChurn(t *testing.T) {
 
 func TestGatewayCacheBounded(t *testing.T) {
 	// A peer touching many distinct prefix groups must keep its gateway
-	// cache at the configured bound.
+	// cache at its bound. The production bound (gatewayCacheSize) holds
+	// every group of this network, so the test lowers each peer's cap
+	// before any traffic.
 	const bound = 4
-	nw := buildNet(t, 16, Config{Mode: GroupIndexing, GatewayCacheSize: bound})
+	nw := buildNet(t, 16, Config{Mode: GroupIndexing})
+	for _, p := range nw.Peers() {
+		p.gwCache.cap = bound
+	}
 	p := nw.Peers()[0]
 	for i := 0; i < 200; i++ {
 		nw.ScheduleObservation(moods.Observation{

@@ -55,12 +55,6 @@ type NetworkConfig struct {
 	Peer Config
 	// Scheme is the prefix-length scheme (default Scheme2).
 	Scheme Scheme
-	// LMin is the bootstrap minimum prefix length (default 3).
-	LMin int
-	// TInterval is the periodic group-function invocation interval
-	// ("invoked periodically at time intervals of Tinterval"); used by
-	// StartWindows. Default 1s.
-	TInterval time.Duration
 	// HopLatency overrides the 5 ms default.
 	HopLatency time.Duration
 	// NoOracle disables ground-truth recording. The oracle keeps a copy
@@ -77,16 +71,18 @@ func (c *NetworkConfig) fill() {
 	if c.Scheme < Scheme1 || c.Scheme > Scheme3 {
 		c.Scheme = Scheme2
 	}
-	if c.LMin <= 0 {
-		c.LMin = 3
-	}
-	if c.TInterval <= 0 {
-		c.TInterval = time.Second
-	}
 	if c.HopLatency <= 0 {
 		c.HopLatency = 5 * time.Millisecond
 	}
 }
+
+// TInterval is T_interval, the cadence at which StartWindows invokes
+// the group function on every peer ("invoked periodically at time
+// intervals of Tinterval", Section IV). One second of virtual time is
+// far below the workloads' one-minute hop gap, so a window closes long
+// before its objects reach their next stop; a live node flushes at the
+// same default (peertrack.NodeOptions.WindowInterval).
+const TInterval = time.Second
 
 // NodeNameFor returns the canonical peer name for index i.
 func NodeNameFor(i int) moods.NodeName {
@@ -106,7 +102,7 @@ func BuildNetwork(cfg NetworkConfig) (*Network, error) {
 	nw := &Network{
 		Kernel:     kernel,
 		Transport:  mem,
-		PM:         NewPrefixManager(cfg.Scheme, cfg.LMin, float64(cfg.Nodes)),
+		PM:         NewPrefixManager(cfg.Scheme, LMin, float64(cfg.Nodes)),
 		Oracle:     moods.NewHistoryStore(),
 		HopLatency: cfg.HopLatency,
 		Telemetry:  tel,
@@ -223,7 +219,7 @@ func (nw *Network) ScheduleAll(obss []moods.Observation) error {
 // StartWindows schedules the periodic group-function invocation on
 // every peer at TInterval boundaries until the given horizon.
 func (nw *Network) StartWindows(until time.Duration) {
-	nw.Kernel.Every(nw.cfg.TInterval, until, nw.FlushAll)
+	nw.Kernel.Every(TInterval, until, nw.FlushAll)
 }
 
 // Run drains the event queue and force-flushes any open windows.

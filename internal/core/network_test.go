@@ -55,19 +55,19 @@ func TestScheduleObservationUnknownNode(t *testing.T) {
 }
 
 func TestStartWindowsCadence(t *testing.T) {
-	nw, err := BuildNetwork(NetworkConfig{Nodes: 4, Seed: 1, TInterval: 500 * time.Millisecond})
+	nw, err := BuildNetwork(NetworkConfig{Nodes: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One observation per 500ms window, five windows.
+	// One observation per TInterval window, five windows.
 	for i := 0; i < 5; i++ {
 		nw.ScheduleObservation(moods.Observation{
 			Object: moods.ObjectID(fmt.Sprintf("w-%d", i)),
 			Node:   nw.Peers()[0].Name(),
-			At:     time.Duration(i)*500*time.Millisecond + 100*time.Millisecond,
+			At:     time.Duration(i)*TInterval + 100*time.Millisecond,
 		})
 	}
-	nw.StartWindows(3 * time.Second)
+	nw.StartWindows(6 * TInterval)
 	nw.Run()
 	// Peer 0 is the only observer, so every flush counted is its own.
 	if flushes := nw.Telemetry.Counter("core.window.flushes").Value(); flushes != 5 {

@@ -57,18 +57,11 @@ type Config struct {
 	// DelegationAlpha is α: the fraction of FIFO-earliest records
 	// delegated when the threshold trips, 0 < α <= 1. Default 0.5.
 	DelegationAlpha float64
-	// MaxDescent bounds how many levels below Lp the lookup and refresh
-	// walk; the split/merge process keeps real depth at 1-2. Default 3.
-	MaxDescent int
-	// CacheGateways caches prefix→gateway address resolutions ("the
-	// address of the parent and children can be cached to save the cost
-	// of DHT lookup"). Default true; disable for ablations.
+	// NoGatewayCache turns off the cache of prefix→gateway address
+	// resolutions ("the address of the parent and children can be
+	// cached to save the cost of DHT lookup"). The cache is on unless
+	// an ablation sets this.
 	NoGatewayCache bool
-	// GatewayCacheSize bounds the gateway-resolution cache (LRU): a peer
-	// never holds more than this many cached prefix→address entries, no
-	// matter how many distinct prefixes it contacts over its lifetime.
-	// Default 8192.
-	GatewayCacheSize int
 	// ReplicationFactor is the total number of copies of every gateway
 	// bucket and IOP repository, primary included: each peer mirrors its
 	// state to its first factor−1 ring successors, with deterministic
@@ -90,13 +83,18 @@ func (c *Config) fill() {
 	if c.DelegationAlpha <= 0 || c.DelegationAlpha > 1 {
 		c.DelegationAlpha = 0.5
 	}
-	if c.MaxDescent <= 0 {
-		c.MaxDescent = 3
-	}
-	if c.GatewayCacheSize <= 0 {
-		c.GatewayCacheSize = 8192
-	}
 }
+
+// MaxDescent bounds how many levels below Lp the lookup and refresh
+// walk down the Data Triangle. Split/merge keeps the real depth at 1–2,
+// so 3 leaves a level of slack without letting a miss wander deeper.
+const MaxDescent = 3
+
+// gatewayCacheSize bounds the gateway-resolution cache (LRU): a peer
+// never holds more than this many cached prefix→address entries, however
+// many distinct prefixes it contacts over its lifetime. 8 192 holds
+// every group of Lp 13, the paper's 512 nodes under Scheme 2.
+const gatewayCacheSize = 8192
 
 // individualBucket is the bucket key for per-object (non-grouped) index
 // records; it cannot collide with binary prefix strings.
@@ -177,7 +175,7 @@ func NewPeer(node overlay.Node, net transport.Network, pm *PrefixManager, cfg Co
 		contain:     newContainStore(),
 		repl:        replication.NewEngine(),
 		repoReplica: &repoReplicaStore{},
-		gwCache:     refCache{cap: cfg.GatewayCacheSize},
+		gwCache:     refCache{cap: gatewayCacheSize},
 	}
 	p.repo = newIOPStore(&p.names, cfg.ReplicationFactor > 1)
 	p.gw, p.replica = newGatewayStore(&p.names), newGatewayStore(&p.names)
@@ -668,7 +666,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 				missing = p.refreshFromAscent(pfx, missing)
 			}
 			if len(missing) > 0 && (hi > pfx.Len || p.gw.delegatedFlag(r.Key)) {
-				p.refreshFromDescent(pfx, missing, p.cfg.MaxDescent)
+				p.refreshFromDescent(pfx, missing, MaxDescent)
 			}
 			sp.Step(string(p.node.Addr()), noteRefresh).Int(unknown - len(missing)).Int(unknown)
 		}

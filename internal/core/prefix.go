@@ -105,6 +105,13 @@ type PrefixManager struct {
 	gateways map[ids.PrefixKey]ids.ID
 }
 
+// LMin is L_min, the bootstrap floor of Section IV-A1: no prefix is
+// shorter, so a network of a few nodes still spreads its objects over
+// 2³ = 8 groups rather than indexing them all at one or two gateways.
+// The simulated network and a live node both start their prefix
+// manager at it.
+const LMin = 3
+
 // maxGatewayMemo bounds the GatewayID memo: the 8 192 groups of Lp 13
 // (the paper's 512 nodes, Scheme 2) fit twice over.
 const maxGatewayMemo = 1 << 14

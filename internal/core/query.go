@@ -133,7 +133,7 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 func (p *Peer) descend(pfx ids.Prefix, id ids.ID, delegated bool, sp *telemetry.Recording) (IndexEntry, int, bool) {
 	hops := 0
 	_, hi := p.pm.LpRange()
-	for depth := 0; (delegated || hi > pfx.Len) && depth < p.cfg.MaxDescent && pfx.Len < ids.MaxKeyLen; depth++ {
+	for depth := 0; (delegated || hi > pfx.Len) && depth < MaxDescent && pfx.Len < ids.MaxKeyLen; depth++ {
 		pfx = pfx.Child(pfx.NextBit(id))
 		entry, h, found, del := p.queryGateway(pfx, id, sp)
 		hops += h

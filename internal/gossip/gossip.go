@@ -9,11 +9,8 @@
 // dropped past MaxAge, so departed nodes wash out of views even without
 // explicit detection. On top of the view rides a min-wise sampler
 // (SampleSlots independent hash minima over every address the agent
-// hears about) providing two things the overlay needs: uniform peer
-// samples that are independent of ring position, and a network-size
-// estimate N̂ = (k−1)/Σx from the normalized slot minima — the
-// estimator the paper's adaptive prefix length Lp wants (see
-// internal/netsize).
+// hears about) providing what successor-list repair needs: uniform
+// peer samples that are independent of ring position.
 //
 // Failure detection is suspicion-based: every failed exchange or probe
 // against an address increments its suspicion counter, every successful
@@ -44,9 +41,8 @@ import (
 type Config struct {
 	// ViewSize bounds the partial view (Brahms' ℓ). Default 16.
 	ViewSize int
-	// SampleSlots is the number of independent min-wise sampler slots
-	// (more slots → tighter size estimate, ~k/√(k−2) relative error).
-	// Default 32.
+	// SampleSlots is the number of independent min-wise sampler slots,
+	// each one uniform peer sample. Default 32.
 	SampleSlots int
 	// MaxAge drops view entries not refreshed for this many rounds,
 	// bounding how long hearsay about a departed node circulates.
@@ -299,16 +295,6 @@ func (a *Agent) Samples() []overlay.NodeRef {
 		dedup = append(dedup, r)
 	}
 	return dedup
-}
-
-// Estimate returns the min-wise network-size estimate N̂ = (k−1)/Σx
-// over the k filled sampler slots (x = normalized slot minimum).
-// Returns 0 until at least two slots are filled — callers should treat
-// that as "not converged".
-func (a *Agent) Estimate() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.smp.estimate()
 }
 
 // Suspect reports one failed contact observed by an external layer —

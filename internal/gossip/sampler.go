@@ -1,8 +1,6 @@
 package gossip
 
 import (
-	"math"
-
 	"peertrack/internal/overlay"
 	"peertrack/internal/transport"
 )
@@ -15,16 +13,10 @@ import (
 // the observation stream is (view entries arrive in proportion to
 // gossip mixing, not uniformly).
 //
-// The same minima drive size estimation: with N distinct addresses, the
-// normalized minimum x = (h+1)/2^64 of each slot is ≈ the minimum of N
-// uniform (0,1] draws, so Σx over k slots is Gamma(k, 1/N)-distributed
-// and N̂ = (k−1)/Σx is the standard unbiased order-statistics estimator
-// (as in min-wise/KMV distinct-value sketches).
-//
 // Minima only ever decrease, so a crashed node would pin its slots
 // forever; invalidate clears every slot held by a dead address and the
-// slot refills from subsequent observations, which is how shrink
-// schedules become visible to the estimator.
+// slot refills from subsequent observations, so samples track a
+// shrinking membership.
 type sampler struct {
 	slots []slot
 	seeds []uint64
@@ -72,27 +64,6 @@ func (s *sampler) invalidate(addr transport.Addr) {
 	}
 }
 
-// estimate returns N̂ = (k−1)/Σx over the filled slots, or 0 while
-// fewer than two slots are filled (the estimator is undefined at k<2).
-func (s *sampler) estimate() float64 {
-	filled := 0
-	sum := 0.0
-	for i := range s.slots {
-		if s.slots[i].full {
-			filled++
-			sum += (float64(s.slots[i].hash) + 1) / math.Exp2(64)
-		}
-	}
-	if filled < 2 || sum <= 0 {
-		return 0
-	}
-	est := float64(filled-1) / sum
-	if est < 1 {
-		est = 1
-	}
-	return est
-}
-
 // addrHash is FNV-1a over the address bytes, allocation-free.
 func addrHash(addr transport.Addr) uint64 {
 	h := uint64(14695981039346656037)
@@ -104,8 +75,8 @@ func addrHash(addr transport.Addr) uint64 {
 }
 
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection that
-// spreads the FNV output uniformly over 64 bits, which the normalized-
-// minimum estimator depends on.
+// spreads the FNV output uniformly over 64 bits, which makes each
+// slot's minimizer a uniform sample.
 func mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9

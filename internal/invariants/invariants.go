@@ -315,12 +315,8 @@ func (c *checker) findIndex(pm *core.PrefixManager, obj moods.ObjectID) (core.In
 	}
 
 	lo, hi := pm.LpRange()
-	maxDescent := 2
-	if len(c.peers) > 0 {
-		maxDescent = c.peers[0].MaxDescent()
-	}
 	child := pfx
-	for depth := 0; (delegated || hi > child.Len) && depth < maxDescent && child.Len < ids.Bits; depth++ {
+	for depth := 0; (delegated || hi > child.Len) && depth < core.MaxDescent && child.Len < ids.Bits; depth++ {
 		child = child.Child(child.NextBit(id))
 		entry, found, delegated = c.probe(child, id, obj)
 		if found {

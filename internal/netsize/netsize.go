@@ -5,8 +5,7 @@
 // provides the one a node runs: DensityEstimate, a free, purely local
 // estimator that inverts the identifier-space density of a node's
 // successor list. With a successor list of length r spanning a ring arc
-// d, N ≈ r · 2^160/d. The gossip membership layer's min-wise estimate
-// (internal/gossip) is its independent cross-check in the tests.
+// d, N ≈ r · 2^160/d.
 package netsize
 
 import (

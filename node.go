@@ -53,8 +53,6 @@ type NodeOptions struct {
 	// length instead of deriving it from overlay density. Pin it to the
 	// same value on every node of small deployments.
 	NetworkSize float64
-	// LMin is the minimum prefix length (default 3).
-	LMin int
 	// NetworkSecret, when non-empty, enables HMAC authentication of all
 	// P2P frames; every node of the network must share it.
 	NetworkSecret string
@@ -108,10 +106,7 @@ func (o *NodeOptions) fill() {
 		o.StabilizeEvery = 2 * time.Second
 	}
 	if o.WindowInterval <= 0 {
-		o.WindowInterval = time.Second
-	}
-	if o.LMin <= 0 {
-		o.LMin = 3
+		o.WindowInterval = core.TInterval
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
@@ -217,7 +212,7 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	if opts.NetworkSize > 0 {
 		size = opts.NetworkSize
 	}
-	pm := core.NewPrefixManager(core.Scheme2, opts.LMin, size)
+	pm := core.NewPrefixManager(core.Scheme2, core.LMin, size)
 	peer = core.NewPeer(cn, netw, pm, core.Config{
 		Mode:              opts.Mode,
 		NMax:              opts.WindowMaxObjects,

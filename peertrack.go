@@ -82,11 +82,6 @@ type SimOptions struct {
 	Mode IndexingMode
 	// Seed makes runs reproducible (default 1).
 	Seed int64
-	// WindowInterval is T_interval, the periodic group-function cadence
-	// (default 1s).
-	WindowInterval time.Duration
-	// WindowMaxObjects is N_max (default 1024).
-	WindowMaxObjects int
 }
 
 // NewSimulation builds a converged simulated network.
@@ -98,13 +93,9 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 		opts.Seed = 1
 	}
 	nw, err := core.BuildNetwork(core.NetworkConfig{
-		Nodes:     opts.Nodes,
-		Seed:      opts.Seed,
-		TInterval: opts.WindowInterval,
-		Peer: core.Config{
-			Mode: opts.Mode,
-			NMax: opts.WindowMaxObjects,
-		},
+		Nodes: opts.Nodes,
+		Seed:  opts.Seed,
+		Peer:  core.Config{Mode: opts.Mode},
 	})
 	if err != nil {
 		return nil, err
