@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build test check vet deadpkgs loc loc-check race fuzz-short bench bench-module micro figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl ledger-check
+.PHONY: build examples test check vet deadpkgs loc loc-check race fuzz-short bench bench-module micro figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl ledger-check
 
 build:
 	$(GO) build ./...
+
+# examples runs every example end to end (≈ 1 s for all five). They
+# are the only programs built on peertrack.Simulation and
+# workload.SupplyChain; no binary or figure runs them.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 test:
 	$(GO) test ./...
@@ -28,7 +34,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 21380
+LOC_MAX = 21047
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \

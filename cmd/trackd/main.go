@@ -195,27 +195,15 @@ func (b *nodeBackend) LocateAt(object string, at time.Time) (string, int, error)
 }
 
 func (b *nodeBackend) TraceOf(object string) ([]ctlapi.Stop, int, error) {
-	stops, stats, err := b.node.Trace(object)
-	if err != nil {
-		return nil, stats.Hops, mapErr(err)
-	}
-	return toCtlStops(stops), stats.Hops, nil
+	return ctlTrace(b.node.Trace(object))
 }
 
 func (b *nodeBackend) TraceBetween(object string, from, to time.Time) ([]ctlapi.Stop, int, error) {
-	stops, stats, err := b.node.TraceBetween(object, from, to)
-	if err != nil {
-		return nil, stats.Hops, mapErr(err)
-	}
-	return toCtlStops(stops), stats.Hops, nil
+	return ctlTrace(b.node.TraceBetween(object, from, to))
 }
 
 func (b *nodeBackend) ResolveTrace(object string) ([]ctlapi.Stop, int, error) {
-	stops, stats, err := b.node.ResolveTrace(object)
-	if err != nil {
-		return nil, stats.Hops, mapErr(err)
-	}
-	return toCtlStops(stops), stats.Hops, nil
+	return ctlTrace(b.node.ResolveTrace(object))
 }
 
 func (b *nodeBackend) Pack(parent string, children []string) error {
@@ -226,12 +214,16 @@ func (b *nodeBackend) Unpack(parent string, children []string) error {
 	return b.node.Unpack(parent, children)
 }
 
-func toCtlStops(stops []peertrack.Stop) []ctlapi.Stop {
+// ctlTrace converts a facade trace answer into the control API's.
+func ctlTrace(stops []peertrack.Stop, stats peertrack.QueryStats, err error) ([]ctlapi.Stop, int, error) {
+	if err != nil {
+		return nil, stats.Hops, mapErr(err)
+	}
 	out := make([]ctlapi.Stop, len(stops))
 	for i, s := range stops {
 		out[i] = ctlapi.Stop{Node: s.Node, Arrived: time.Unix(0, 0).Add(s.Arrived)}
 	}
-	return out
+	return out, stats.Hops, nil
 }
 
 func (b *nodeBackend) PredictOf(object string) (ctlapi.Forecast, error) {

@@ -91,18 +91,18 @@ func main() {
 	storeHits := map[moods.NodeName][]moods.ObjectID{}
 	inTransit := 0
 	totalHops := 0
-	// Trace the whole lot with 8 concurrent queries.
-	for _, r := range asker.TraceBatch(badLot, 8) {
-		if r.Err != nil {
-			log.Fatalf("trace %s: %v", r.Object, r.Err)
+	for _, obj := range badLot {
+		res, err := asker.FullTrace(obj)
+		if err != nil {
+			log.Fatalf("trace %s: %v", obj, err)
 		}
-		totalHops += r.Result.Hops
-		last := r.Result.Path[len(r.Result.Path)-1]
+		totalHops += res.Hops
+		last := res.Path[len(res.Path)-1]
 		site := siteOf[last.Node]
-		if len(r.Result.Path) < 4 {
+		if len(res.Path) < 4 {
 			inTransit++
 		}
-		storeHits[site] = append(storeHits[site], r.Object)
+		storeHits[site] = append(storeHits[site], obj)
 	}
 
 	sites := make([]moods.NodeName, 0, len(storeHits))

@@ -32,7 +32,7 @@ func load(w *Warehouse, h *moods.HistoryStore, objects, visitsEach int, seed int
 }
 
 func TestTraceMatchesOracle(t *testing.T) {
-	w := New(CostModel{})
+	w := New()
 	h := moods.NewHistoryStore()
 	objs := load(w, h, 50, 8, 1)
 	for _, o := range objs {
@@ -50,7 +50,7 @@ func TestTraceMatchesOracle(t *testing.T) {
 }
 
 func TestWindowedTraceMatchesOracle(t *testing.T) {
-	w := New(CostModel{})
+	w := New()
 	h := moods.NewHistoryStore()
 	objs := load(w, h, 20, 6, 2)
 	r := rand.New(rand.NewSource(3))
@@ -66,24 +66,8 @@ func TestWindowedTraceMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestLocateMatchesOracle(t *testing.T) {
-	w := New(CostModel{})
-	h := moods.NewHistoryStore()
-	objs := load(w, h, 30, 5, 4)
-	r := rand.New(rand.NewSource(5))
-	for q := 0; q < 200; q++ {
-		o := objs[r.Intn(len(objs))]
-		at := time.Duration(r.Intn(5000)) * time.Second
-		got, _ := w.Locate(o, at)
-		want, _ := h.Locate(o, at)
-		if got != want {
-			t.Fatalf("L(%s, %v) = %q want %q", o, at, got, want)
-		}
-	}
-}
-
 func TestUnknownTag(t *testing.T) {
-	w := New(CostModel{})
+	w := New()
 	load(w, nil, 5, 3, 1)
 	path, cost := w.FullTrace("ghost")
 	if len(path) != 0 {
@@ -92,23 +76,18 @@ func TestUnknownTag(t *testing.T) {
 	if cost <= 0 {
 		t.Fatal("scan of non-empty relation costs nothing")
 	}
-	loc, _ := w.Locate("ghost", time.Hour)
-	if loc != moods.Nowhere {
-		t.Fatalf("ghost located at %q", loc)
-	}
 }
 
 func TestCostGrowsUltralinearly(t *testing.T) {
 	// Query cost per row must increase with relation size once the
 	// buffer pool is exceeded: cost(8x rows) > 8x cost(1x rows).
-	cm := CostModel{BufferPages: 300}
-	small := New(cm)
+	small := newWithPool(300)
 	load(small, nil, 2000, 10, 7) // 20k rows = 200 pages, fits buffer
-	big := New(cm)
+	big := newWithPool(300)
 	load(big, nil, 20000, 10, 7) // 200k rows = 2000 pages, 85% misses
 	_, cSmall := small.FullTrace("tag-0")
 	_, cBig := big.FullTrace("tag-0")
-	ratioRows := float64(big.Rows()) / float64(small.Rows())
+	ratioRows := float64(len(big.rows)) / float64(len(small.rows))
 	ratioCost := float64(cBig) / float64(cSmall)
 	if ratioCost <= ratioRows {
 		t.Fatalf("cost ratio %.1f not ultralinear vs rows ratio %.1f", ratioCost, ratioRows)
@@ -116,7 +95,7 @@ func TestCostGrowsUltralinearly(t *testing.T) {
 }
 
 func TestCostDeterministic(t *testing.T) {
-	w := New(CostModel{})
+	w := New()
 	load(w, nil, 100, 5, 9)
 	_, c1 := w.FullTrace("tag-3")
 	_, c2 := w.FullTrace("tag-3")
@@ -125,24 +104,11 @@ func TestCostDeterministic(t *testing.T) {
 	}
 }
 
-func TestIndexedTraceMuchCheaper(t *testing.T) {
-	w := New(CostModel{})
-	load(w, nil, 30000, 10, 7)
-	_, scan := w.FullTrace("tag-42")
-	pathIdx, idx := w.IndexedTrace("tag-42")
-	if len(pathIdx) != 10 {
-		t.Fatalf("indexed path length %d", len(pathIdx))
-	}
-	if idx*10 >= scan {
-		t.Fatalf("indexed plan not ≥10x cheaper: idx=%v scan=%v", idx, scan)
-	}
-}
-
 func TestCalibrationBand(t *testing.T) {
 	// The calibrated model should land centralized trace time in the
 	// tens-of-milliseconds band at 2.5M rows (the paper's 512x5000
 	// point shows ~130ms) and single-digit ms at 320k rows.
-	w := New(CostModel{})
+	w := New()
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 2_500_000; i++ {
 		w.Insert(moods.Observation{

@@ -106,13 +106,6 @@ func (r ReplicationReport) String() string {
 	return b.String()
 }
 
-// RunReplication executes one replication-failover scenario
-// deterministically.
-func RunReplication(cfg ReplicationConfig) ReplicationReport {
-	cfg.fill()
-	return runReplication(cfg, crashesFor(cfg.Factor))
-}
-
 // runReplication runs a filled cfg, killing crashes primaries a round.
 func runReplication(cfg ReplicationConfig, crashes int) (rep ReplicationReport) {
 	rep = ReplicationReport{Seed: cfg.Seed, Factor: cfg.Factor}

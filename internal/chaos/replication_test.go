@@ -34,7 +34,7 @@ func TestReplicationPairDiscriminates(t *testing.T) {
 // Factor 3 tolerates two simultaneous primary crashes: 2 of any 3
 // consecutive ring copies can die and one always survives.
 func TestReplicationFactorThreeSurvivesTwoCrashes(t *testing.T) {
-	rep := RunReplication(ReplicationConfig{Seed: 5, Factor: 3})
+	rep := RunReplicationPair(ReplicationConfig{Seed: 5, Factor: 3}).Replicated
 	if rep.Failed() {
 		for _, v := range rep.Violations {
 			t.Errorf("%s", v)
@@ -50,8 +50,8 @@ func TestReplicationFactorThreeSurvivesTwoCrashes(t *testing.T) {
 
 func TestReplicationDeterministic(t *testing.T) {
 	cfg := ReplicationConfig{Seed: 11}
-	a := RunReplication(cfg)
-	b := RunReplication(cfg)
+	a := RunReplicationPair(cfg)
+	b := RunReplicationPair(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same config, different reports:\n%s\n%s", a, b)
 	}

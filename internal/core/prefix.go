@@ -78,8 +78,8 @@ func Delta(nn float64, lp int) float64 {
 	return 1 - math.Pow((nn-1)/nn, m)
 }
 
-// PrefixManager tracks the network-size estimate and derives the
-// current global prefix length Lp. The paper recalculates Lp "at a
+// PrefixManager derives the current global prefix length Lp from the
+// network-size estimate. The paper recalculates Lp "at a
 // relatively long interval" because it grows much slower than Nn;
 // SetNetworkSize is that recalculation point, and ChangedSince lets
 // gateways detect grouping inconsistencies to repair.
@@ -87,7 +87,6 @@ type PrefixManager struct {
 	mu     sync.RWMutex
 	scheme Scheme
 	lmin   int
-	nn     float64
 	lp     int
 	// minEver/maxEver track the range of prefix lengths that have ever
 	// been current. Index records can only exist at those levels (or
@@ -123,7 +122,7 @@ func NewPrefixManager(scheme Scheme, lmin int, nn float64) *PrefixManager {
 	if scheme < Scheme1 || scheme > Scheme3 {
 		scheme = Scheme2
 	}
-	pm := &PrefixManager{scheme: scheme, lmin: lmin, nn: nn}
+	pm := &PrefixManager{scheme: scheme, lmin: lmin}
 	pm.lp = scheme.PrefixLen(nn, lmin)
 	pm.minEver, pm.maxEver = pm.lp, pm.lp
 	return pm
@@ -150,19 +149,12 @@ func (pm *PrefixManager) Scheme() Scheme {
 	return pm.scheme
 }
 
-// NetworkSize returns the last installed estimate.
-func (pm *PrefixManager) NetworkSize() float64 {
-	pm.mu.RLock()
-	defer pm.mu.RUnlock()
-	return pm.nn
-}
-
-// SetNetworkSize installs a new estimate and returns (oldLp, newLp).
+// SetNetworkSize recomputes Lp for a new network-size estimate and
+// returns (oldLp, newLp).
 func (pm *PrefixManager) SetNetworkSize(nn float64) (int, int) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	old := pm.lp
-	pm.nn = nn
 	pm.lp = pm.scheme.PrefixLen(nn, pm.lmin)
 	pm.setRange(min(pm.minEver, pm.lp), max(pm.maxEver, pm.lp))
 	return old, pm.lp

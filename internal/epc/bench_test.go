@@ -2,37 +2,6 @@ package epc
 
 import "testing"
 
-func BenchmarkSGTINEncode(b *testing.B) {
-	tag := SGTIN96{Filter: 1, Partition: 5, CompanyPrefix: 614141, ItemReference: 812345, Serial: 6789}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := tag.Encode(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSGTINDecode(b *testing.B) {
-	tag := SGTIN96{Filter: 1, Partition: 5, CompanyPrefix: 614141, ItemReference: 812345, Serial: 6789}
-	enc, _ := tag.Encode()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParseURN(b *testing.B) {
-	const urn = "urn:epc:id:sgtin:0614141.812345.6789"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseURN(urn); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGeneratorNextURN(b *testing.B) {
 	g := NewGenerator(1, 8, 64)
 	b.ReportAllocs()

@@ -65,15 +65,6 @@ func (g *Generator) NextURN() string {
 	return u
 }
 
-// Batch returns n fresh URNs.
-func (g *Generator) Batch(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = g.NextURN()
-	}
-	return out
-}
-
 // Lot returns n tags sharing one company/product (a production lot),
 // differing only in serial — the shape of a recall scenario.
 func (g *Generator) Lot(n int) []SGTIN96 {

@@ -1,18 +1,13 @@
-// Package epc implements the GS1 Electronic Product Code SGTIN-96
-// scheme — the tag encoding the paper's motivating applications (EPC /
-// RFID supply chains) use as object identifiers. It provides binary
-// encoding/decoding, EPC Pure Identity URN rendering/parsing,
-// validation, and deterministic generators for synthetic workloads.
+// Package epc implements the identifiers of the GS1 Electronic Product
+// Code SGTIN-96 scheme — the tags the paper's motivating applications
+// (EPC / RFID supply chains) use as object identifiers. It validates a
+// tag's fields, renders its EPC Pure Identity URN (the raw id PeerTrack
+// hashes), and generates deterministic tag streams for synthetic
+// workloads. The 96-bit binary form is never needed: objects are named
+// by URN end to end.
 package epc
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
-
-// SGTIN96Header is the 8-bit header value identifying SGTIN-96 tags.
-const SGTIN96Header = 0x30
+import "fmt"
 
 // partition table for SGTIN-96 (GS1 EPC Tag Data Standard §14.5.1):
 // partition value -> company prefix bits/digits, item reference
@@ -87,123 +82,6 @@ func pow10(n int) uint64 {
 	return v
 }
 
-// Encode packs the tag into its 96-bit binary form (12 bytes,
-// big-endian).
-func (t SGTIN96) Encode() ([12]byte, error) {
-	var out [12]byte
-	if err := t.Validate(); err != nil {
-		return out, err
-	}
-	p := partitions[t.Partition]
-	// Assemble into a 96-bit big-endian bit buffer.
-	var hi, lo uint64 // hi = bits 95..32, lo = bits 31..0 (conceptually)
-	write := func(val uint64, width int, pos *int) {
-		// pos counts from the MSB (bit 0 = first bit on the wire).
-		for i := width - 1; i >= 0; i-- {
-			bit := (val >> i) & 1
-			idx := *pos
-			if bit == 1 {
-				if idx < 64 {
-					hi |= 1 << (63 - idx)
-				} else {
-					lo |= 1 << (31 - (idx - 64))
-				}
-			}
-			*pos++
-		}
-	}
-	pos := 0
-	write(SGTIN96Header, 8, &pos)
-	write(uint64(t.Filter), 3, &pos)
-	write(uint64(t.Partition), 3, &pos)
-	write(t.CompanyPrefix, p.companyBits, &pos)
-	write(t.ItemReference, p.itemBits, &pos)
-	write(t.Serial, 38, &pos)
-	if pos != 96 {
-		return out, fmt.Errorf("epc: internal error: wrote %d bits", pos)
-	}
-	for i := 0; i < 8; i++ {
-		out[i] = byte(hi >> (8 * (7 - i)))
-	}
-	for i := 0; i < 4; i++ {
-		out[8+i] = byte(lo >> (8 * (3 - i)))
-	}
-	return out, nil
-}
-
-// Decode unpacks a 96-bit binary tag.
-func Decode(b [12]byte) (SGTIN96, error) {
-	var hi, lo uint64
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(b[i])
-	}
-	for i := 0; i < 4; i++ {
-		lo = lo<<8 | uint64(b[8+i])
-	}
-	pos := 0
-	read := func(width int) uint64 {
-		var v uint64
-		for i := 0; i < width; i++ {
-			idx := pos
-			var bit uint64
-			if idx < 64 {
-				bit = (hi >> (63 - idx)) & 1
-			} else {
-				bit = (lo >> (31 - (idx - 64))) & 1
-			}
-			v = v<<1 | bit
-			pos++
-		}
-		return v
-	}
-	header := read(8)
-	if header != SGTIN96Header {
-		return SGTIN96{}, fmt.Errorf("epc: header %#x is not SGTIN-96", header)
-	}
-	t := SGTIN96{
-		Filter:    uint8(read(3)),
-		Partition: uint8(read(3)),
-	}
-	if int(t.Partition) >= len(partitions) {
-		return SGTIN96{}, fmt.Errorf("epc: partition %d out of range", t.Partition)
-	}
-	p := partitions[t.Partition]
-	t.CompanyPrefix = read(p.companyBits)
-	t.ItemReference = read(p.itemBits)
-	t.Serial = read(38)
-	if err := t.Validate(); err != nil {
-		return SGTIN96{}, err
-	}
-	return t, nil
-}
-
-// Hex renders the 96-bit encoding as 24 hex digits, the common
-// reader-output form.
-func (t SGTIN96) Hex() (string, error) {
-	b, err := t.Encode()
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%02X%02X%02X%02X%02X%02X%02X%02X%02X%02X%02X%02X",
-		b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], b[9], b[10], b[11]), nil
-}
-
-// ParseHex decodes a 24-hex-digit tag.
-func ParseHex(s string) (SGTIN96, error) {
-	if len(s) != 24 {
-		return SGTIN96{}, fmt.Errorf("epc: hex tag %q: want 24 digits, got %d", s, len(s))
-	}
-	var b [12]byte
-	for i := 0; i < 12; i++ {
-		v, err := strconv.ParseUint(s[2*i:2*i+2], 16, 8)
-		if err != nil {
-			return SGTIN96{}, fmt.Errorf("epc: hex tag %q: %w", s, err)
-		}
-		b[i] = byte(v)
-	}
-	return Decode(b)
-}
-
 // URN renders the EPC Pure Identity URN,
 // urn:epc:id:sgtin:CompanyPrefix.ItemReference.Serial, with
 // partition-determined zero padding. This string is the "raw id" that
@@ -215,51 +93,4 @@ func (t SGTIN96) URN() (string, error) {
 	p := partitions[t.Partition]
 	return fmt.Sprintf("urn:epc:id:sgtin:%0*d.%0*d.%d",
 		p.companyDigits, t.CompanyPrefix, p.itemDigits, t.ItemReference, t.Serial), nil
-}
-
-// ParseURN parses a pure-identity SGTIN URN. The partition is inferred
-// from the digit counts; Filter defaults to 1 (point-of-sale item).
-func ParseURN(s string) (SGTIN96, error) {
-	const prefix = "urn:epc:id:sgtin:"
-	if !strings.HasPrefix(s, prefix) {
-		return SGTIN96{}, fmt.Errorf("epc: %q is not an sgtin urn", s)
-	}
-	parts := strings.Split(s[len(prefix):], ".")
-	if len(parts) != 3 {
-		return SGTIN96{}, fmt.Errorf("epc: urn %q: want 3 dot-separated fields", s)
-	}
-	company, err := strconv.ParseUint(parts[0], 10, 64)
-	if err != nil {
-		return SGTIN96{}, fmt.Errorf("epc: urn %q: company prefix: %w", s, err)
-	}
-	item, err := strconv.ParseUint(parts[1], 10, 64)
-	if err != nil {
-		return SGTIN96{}, fmt.Errorf("epc: urn %q: item reference: %w", s, err)
-	}
-	serial, err := strconv.ParseUint(parts[2], 10, 64)
-	if err != nil {
-		return SGTIN96{}, fmt.Errorf("epc: urn %q: serial: %w", s, err)
-	}
-	part := -1
-	for i, p := range partitions {
-		if p.companyDigits == len(parts[0]) && p.itemDigits == len(parts[1]) {
-			part = i
-			break
-		}
-	}
-	if part < 0 {
-		return SGTIN96{}, fmt.Errorf("epc: urn %q: no partition matches %d+%d digits",
-			s, len(parts[0]), len(parts[1]))
-	}
-	t := SGTIN96{
-		Filter:        1,
-		Partition:     uint8(part),
-		CompanyPrefix: company,
-		ItemReference: item,
-		Serial:        serial,
-	}
-	if err := t.Validate(); err != nil {
-		return SGTIN96{}, err
-	}
-	return t, nil
 }

@@ -1,53 +1,38 @@
 package epc
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tag := SGTIN96{
-		Filter:        1,
-		Partition:     5,
-		CompanyPrefix: 614141, // 7-digit? 614141 is 6 digits — valid, zero padded
-		ItemReference: 812345, // 6 digits
-		Serial:        6789,
+// urnFields splits a rendered SGTIN URN back into its company prefix,
+// item reference and serial digit strings.
+func urnFields(t *testing.T, u string) (company, item, serial string) {
+	t.Helper()
+	rest, ok := strings.CutPrefix(u, "urn:epc:id:sgtin:")
+	if !ok {
+		t.Fatalf("urn %q lacks the sgtin prefix", u)
 	}
-	b, err := tag.Encode()
-	if err != nil {
-		t.Fatal(err)
+	parts := strings.Split(rest, ".")
+	if len(parts) != 3 {
+		t.Fatalf("urn %q has %d fields, want 3", u, len(parts))
 	}
-	if b[0] != SGTIN96Header {
-		t.Errorf("header byte = %#x", b[0])
-	}
-	got, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != tag {
-		t.Fatalf("round trip: got %+v want %+v", got, tag)
-	}
+	return parts[0], parts[1], parts[2]
 }
 
-func TestHexRoundTrip(t *testing.T) {
-	tag := SGTIN96{Filter: 3, Partition: 5, CompanyPrefix: 1234567, ItemReference: 654321, Serial: maxSerial}
-	h, err := tag.Hex()
+func parseField(t *testing.T, s string) uint64 {
+	t.Helper()
+	v, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("urn field %q: %v", s, err)
 	}
-	if len(h) != 24 {
-		t.Fatalf("hex length = %d", len(h))
-	}
-	got, err := ParseHex(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != tag {
-		t.Fatalf("hex round trip: got %+v", got)
-	}
+	return v
 }
 
+// A tag survives URN rendering: the literal string is pinned, and
+// reading its fields back yields the tag's own values.
 func TestURNRoundTrip(t *testing.T) {
 	tag := SGTIN96{Filter: 1, Partition: 5, CompanyPrefix: 614141, ItemReference: 812345, Serial: 6789}
 	u, err := tag.URN()
@@ -58,15 +43,17 @@ func TestURNRoundTrip(t *testing.T) {
 	if u != want {
 		t.Fatalf("urn = %q, want %q", u, want)
 	}
-	got, err := ParseURN(u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	company, item, serial := urnFields(t, u)
+	got := SGTIN96{Filter: tag.Filter, Partition: tag.Partition,
+		CompanyPrefix: parseField(t, company), ItemReference: parseField(t, item), Serial: parseField(t, serial)}
 	if got != tag {
 		t.Fatalf("urn round trip: got %+v want %+v", got, tag)
 	}
 }
 
+// Every partition, at the largest company prefix and item reference its
+// bit and digit budgets allow, renders fields of exactly the partition's
+// digit widths that read back to the tag's values.
 func TestAllPartitionsRoundTrip(t *testing.T) {
 	for part := 0; part < 7; part++ {
 		p := partitions[part]
@@ -79,16 +66,46 @@ func TestAllPartitionsRoundTrip(t *testing.T) {
 			item = 1<<p.itemBits - 1
 		}
 		tag := SGTIN96{Filter: 2, Partition: uint8(part), CompanyPrefix: company, ItemReference: item, Serial: 42}
-		b, err := tag.Encode()
+		u, err := tag.URN()
 		if err != nil {
-			t.Fatalf("partition %d encode: %v", part, err)
+			t.Fatalf("partition %d urn: %v", part, err)
 		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("partition %d decode: %v", part, err)
+		c, i, s := urnFields(t, u)
+		if len(c) != p.companyDigits || len(i) != p.itemDigits {
+			t.Fatalf("partition %d: urn %q has %d/%d digits, want %d/%d",
+				part, u, len(c), len(i), p.companyDigits, p.itemDigits)
 		}
+		got := SGTIN96{Filter: tag.Filter, Partition: tag.Partition,
+			CompanyPrefix: parseField(t, c), ItemReference: parseField(t, i), Serial: parseField(t, s)}
 		if got != tag {
 			t.Fatalf("partition %d: got %+v want %+v", part, got, tag)
+		}
+	}
+}
+
+// The URN is the only form a tag leaves this package in, so its
+// rendering is pinned literally: partition-determined zero padding of
+// the company prefix and item reference, the serial unpadded.
+func TestURNAllPartitions(t *testing.T) {
+	cases := []struct {
+		tag  SGTIN96
+		want string
+	}{
+		{SGTIN96{Filter: 1, Partition: 0, CompanyPrefix: 614141, ItemReference: 8, Serial: 42}, "urn:epc:id:sgtin:000000614141.8.42"},
+		{SGTIN96{Filter: 1, Partition: 1, CompanyPrefix: 614141, ItemReference: 1, Serial: 42}, "urn:epc:id:sgtin:00000614141.01.42"},
+		{SGTIN96{Filter: 2, Partition: 2, CompanyPrefix: 614141, ItemReference: 12, Serial: 0}, "urn:epc:id:sgtin:0000614141.012.0"},
+		{SGTIN96{Filter: 3, Partition: 3, CompanyPrefix: 614141, ItemReference: 123, Serial: 42}, "urn:epc:id:sgtin:000614141.0123.42"},
+		{SGTIN96{Filter: 1, Partition: 4, CompanyPrefix: 614141, ItemReference: 1234, Serial: 42}, "urn:epc:id:sgtin:00614141.01234.42"},
+		{SGTIN96{Filter: 1, Partition: 5, CompanyPrefix: 614141, ItemReference: 812345, Serial: 6789}, "urn:epc:id:sgtin:0614141.812345.6789"},
+		{SGTIN96{Filter: 7, Partition: 6, CompanyPrefix: 614141, ItemReference: 12345, Serial: maxSerial}, "urn:epc:id:sgtin:614141.0012345.274877906943"},
+	}
+	for _, c := range cases {
+		got, err := c.tag.URN()
+		if err != nil {
+			t.Fatalf("partition %d: %v", c.tag.Partition, err)
+		}
+		if got != c.want {
+			t.Errorf("partition %d: urn = %q, want %q", c.tag.Partition, got, c.want)
 		}
 	}
 }
@@ -106,79 +123,17 @@ func TestValidateRejects(t *testing.T) {
 		if err := tag.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, tag)
 		}
-		if _, err := tag.Encode(); err == nil {
-			t.Errorf("case %d: Encode accepted %+v", i, tag)
+		if u, err := tag.URN(); err == nil {
+			t.Errorf("case %d: URN rendered %+v as %q", i, tag, u)
 		}
-	}
-}
-
-func TestDecodeRejectsWrongHeader(t *testing.T) {
-	var b [12]byte
-	b[0] = 0x31 // SSCC-96, not SGTIN-96
-	if _, err := Decode(b); err == nil {
-		t.Fatal("Decode accepted wrong header")
-	}
-}
-
-func TestParseHexRejects(t *testing.T) {
-	if _, err := ParseHex("zz"); err == nil {
-		t.Error("short hex accepted")
-	}
-	if _, err := ParseHex(strings.Repeat("G", 24)); err == nil {
-		t.Error("non-hex accepted")
-	}
-}
-
-func TestParseURNRejects(t *testing.T) {
-	cases := []string{
-		"urn:epc:id:sscc:0614141.1234567890",
-		"urn:epc:id:sgtin:0614141.812345",
-		"urn:epc:id:sgtin:a.b.c",
-		"urn:epc:id:sgtin:06141412345678901.812345.1", // too many digits
-	}
-	for _, c := range cases {
-		if _, err := ParseURN(c); err == nil {
-			t.Errorf("ParseURN accepted %q", c)
-		}
-	}
-}
-
-// Property: every generated tag is valid and round-trips through all
-// three representations.
-func TestQuickGeneratorRoundTrip(t *testing.T) {
-	g := NewGenerator(1, 5, 20)
-	f := func(_ uint8) bool {
-		tag := g.Next()
-		if tag.Validate() != nil {
-			return false
-		}
-		b, err := tag.Encode()
-		if err != nil {
-			return false
-		}
-		back, err := Decode(b)
-		if err != nil || back != tag {
-			return false
-		}
-		u, err := tag.URN()
-		if err != nil {
-			return false
-		}
-		fromURN, err := ParseURN(u)
-		if err != nil || fromURN != tag {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestGeneratorUniqueSerials(t *testing.T) {
 	g := NewGenerator(7, 3, 10)
 	seen := map[string]bool{}
-	for _, u := range g.Batch(1000) {
+	for range 1000 {
+		u := g.NextURN()
 		if seen[u] {
 			t.Fatalf("duplicate urn %s", u)
 		}
@@ -207,11 +162,30 @@ func TestGeneratorLotSharesProduct(t *testing.T) {
 }
 
 func TestGeneratorDeterministic(t *testing.T) {
-	a := NewGenerator(5, 4, 4).Batch(20)
-	b := NewGenerator(5, 4, 4).Batch(20)
-	for i := range a {
-		if a[i] != b[i] {
+	a, b := NewGenerator(5, 4, 4), NewGenerator(5, 4, 4)
+	for range 20 {
+		if a.NextURN() != b.NextURN() {
 			t.Fatal("same seed produced different tags")
+		}
+	}
+}
+
+// Every tag a generator hands out, singly or as a lot, is valid and
+// renders as a partition-5 URN: 7-digit company, 6-digit item.
+func TestGeneratorTagsValid(t *testing.T) {
+	shape := regexp.MustCompile(`^urn:epc:id:sgtin:[0-9]{7}\.[0-9]{6}\.[1-9][0-9]*$`)
+	g := NewGenerator(1, 5, 20)
+	tags := g.Lot(50)
+	for range 500 {
+		tags = append(tags, g.Next())
+	}
+	for _, tag := range tags {
+		u, err := tag.URN()
+		if err != nil {
+			t.Fatalf("generated %+v: %v", tag, err)
+		}
+		if !shape.MatchString(u) {
+			t.Fatalf("generated urn %q", u)
 		}
 	}
 }

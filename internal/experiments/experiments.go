@@ -264,7 +264,7 @@ func queryPoint(nodes, perNode, queries int, seed int64) (Fig7Row, error) {
 		return Fig7Row{}, err
 	}
 	// Centralized: identical observations in the warehouse.
-	wh := centralized.New(centralized.CostModel{})
+	wh := centralized.New()
 	for _, obs := range run.Work.Observations {
 		wh.Insert(obs)
 	}

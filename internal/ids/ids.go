@@ -97,9 +97,6 @@ func (id ID) Cmp(other ID) int {
 // Less reports whether id < other numerically.
 func (id ID) Less(other ID) bool { return id.Cmp(other) < 0 }
 
-// Equal reports whether the identifiers are identical.
-func (id ID) Equal(other ID) bool { return id == other }
-
 // IsZero reports whether the identifier is the zero identifier.
 func (id ID) IsZero() bool { return id == ID{} }
 

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -166,19 +165,4 @@ func (m *Memory) Call(from, to Addr, req any) (any, error) {
 	}
 	m.stats.record(answered, req, resp, start)
 	return resp, nil
-}
-
-// Addrs returns the currently registered addresses (including dead
-// ones), sorted: callers index into this slice with seeded randomness
-// (the chaos harness picks victims by position), so map order here
-// would leak into scenario replay.
-func (m *Memory) Addrs() []Addr {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Addr, 0, len(m.handlers))
-	for a := range m.handlers {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

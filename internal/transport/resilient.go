@@ -160,9 +160,6 @@ func (r *Resilient) Unregister(addr Addr) { r.inner.Unregister(addr) }
 // attempt is accounted individually.
 func (r *Resilient) Stats() *Stats { return r.inner.Stats() }
 
-// Inner returns the wrapped transport.
-func (r *Resilient) Inner() Network { return r.inner }
-
 // SetTelemetry re-points the wrapper's counters at reg's
 // transport.resilient.* instruments, replacing the private registry the
 // constructor made (nil reverts to a fresh private one). Wire before

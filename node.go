@@ -350,33 +350,18 @@ func (n *Node) Locate(object string, at time.Time) (string, QueryStats, error) {
 
 // Trace answers "where has this object been?".
 func (n *Node) Trace(object string) ([]Stop, QueryStats, error) {
-	res, err := n.peer.FullTrace(moods.ObjectID(object))
-	stats := QueryStats{Hops: res.Hops}
-	if err != nil {
-		return nil, stats, err
-	}
-	return toStops(res.Path), stats, nil
+	return traced(n.peer.FullTrace(moods.ObjectID(object)))
 }
 
 // TraceBetween answers TR(o, t1, t2): the trajectory within a window.
 func (n *Node) TraceBetween(object string, t1, t2 time.Time) ([]Stop, QueryStats, error) {
-	res, err := n.peer.Trace(moods.ObjectID(object), t1.Sub(nodeEpoch), t2.Sub(nodeEpoch))
-	stats := QueryStats{Hops: res.Hops}
-	if err != nil {
-		return nil, stats, err
-	}
-	return toStops(res.Path), stats, nil
+	return traced(n.peer.Trace(moods.ObjectID(object), t1.Sub(nodeEpoch), t2.Sub(nodeEpoch)))
 }
 
 // ResolveTrace answers an object's full trajectory including movements
 // made while packed inside parent containers.
 func (n *Node) ResolveTrace(object string) ([]Stop, QueryStats, error) {
-	res, err := n.peer.ResolveTrace(moods.ObjectID(object))
-	stats := QueryStats{Hops: res.Hops}
-	if err != nil {
-		return nil, stats, err
-	}
-	return toStops(res.Path), stats, nil
+	return traced(n.peer.ResolveTrace(moods.ObjectID(object)))
 }
 
 // Pack records an aggregation event at this node: children packed into

@@ -38,13 +38,19 @@ type Stop struct {
 	Arrived time.Duration
 }
 
-// Path converts an internal path.
-func toStops(p moods.Path) []Stop {
-	out := make([]Stop, len(p))
-	for i, v := range p {
+// traced converts a trace result into the facade's form: its stops and
+// its hop count. A live node answers with it as is; a simulation prices
+// the hops on top.
+func traced(res core.TraceResult, err error) ([]Stop, QueryStats, error) {
+	stats := QueryStats{Hops: res.Hops}
+	if err != nil {
+		return nil, stats, err
+	}
+	out := make([]Stop, len(res.Path))
+	for i, v := range res.Path {
 		out[i] = Stop{Node: string(v.Node), Arrived: v.Arrived}
 	}
-	return out
+	return out, stats, nil
 }
 
 // QueryStats reports what a query cost.
@@ -129,12 +135,21 @@ func (s *Simulation) Run(until time.Duration) {
 	s.nw.Run()
 }
 
+// peer returns the organisation named name.
+func (s *Simulation) peer(name string) (*core.Peer, error) {
+	p, ok := s.nw.PeerByName(moods.NodeName(name))
+	if !ok {
+		return nil, fmt.Errorf("peertrack: unknown node %q", name)
+	}
+	return p, nil
+}
+
 // Locate answers "where was this object at time t?" from the given
 // querying node (any node may ask).
 func (s *Simulation) Locate(fromNode, object string, at time.Duration) (string, QueryStats, error) {
-	p, ok := s.nw.PeerByName(moods.NodeName(fromNode))
-	if !ok {
-		return "", QueryStats{}, fmt.Errorf("peertrack: unknown node %q", fromNode)
+	p, err := s.peer(fromNode)
+	if err != nil {
+		return "", QueryStats{}, err
 	}
 	res, err := p.Locate(moods.ObjectID(object), at)
 	stats := QueryStats{Hops: res.Hops, Time: s.nw.QueryTime(res.Hops)}
@@ -146,30 +161,20 @@ func (s *Simulation) Locate(fromNode, object string, at time.Duration) (string, 
 
 // Trace answers "where has this object been?" — its full trajectory.
 func (s *Simulation) Trace(fromNode, object string) ([]Stop, QueryStats, error) {
-	p, ok := s.nw.PeerByName(moods.NodeName(fromNode))
-	if !ok {
-		return nil, QueryStats{}, fmt.Errorf("peertrack: unknown node %q", fromNode)
-	}
-	res, err := p.FullTrace(moods.ObjectID(object))
-	stats := QueryStats{Hops: res.Hops, Time: s.nw.QueryTime(res.Hops)}
+	p, err := s.peer(fromNode)
 	if err != nil {
-		return nil, stats, err
+		return nil, QueryStats{}, err
 	}
-	return toStops(res.Path), stats, nil
+	return s.traced(p.FullTrace(moods.ObjectID(object)))
 }
 
 // TraceBetween answers TR(o, t1, t2): the trajectory within a window.
 func (s *Simulation) TraceBetween(fromNode, object string, t1, t2 time.Duration) ([]Stop, QueryStats, error) {
-	p, ok := s.nw.PeerByName(moods.NodeName(fromNode))
-	if !ok {
-		return nil, QueryStats{}, fmt.Errorf("peertrack: unknown node %q", fromNode)
-	}
-	res, err := p.Trace(moods.ObjectID(object), t1, t2)
-	stats := QueryStats{Hops: res.Hops, Time: s.nw.QueryTime(res.Hops)}
+	p, err := s.peer(fromNode)
 	if err != nil {
-		return nil, stats, err
+		return nil, QueryStats{}, err
 	}
-	return toStops(res.Path), stats, nil
+	return s.traced(p.Trace(moods.ObjectID(object), t1, t2))
 }
 
 // Messages returns the total protocol messages sent so far — the
@@ -197,9 +202,9 @@ func (s *Simulation) Shrink(n int) error {
 // (e.g. cases onto an SSCC pallet) at node at virtual time at. While
 // packed, children inherit the parent's movements in ResolveTrace.
 func (s *Simulation) Pack(node, parent string, children []string, at time.Duration) error {
-	p, ok := s.nw.PeerByName(moods.NodeName(node))
-	if !ok {
-		return fmt.Errorf("peertrack: unknown node %q", node)
+	p, err := s.peer(node)
+	if err != nil {
+		return err
 	}
 	objs := toObjectIDs(children)
 	s.nw.Kernel.At(at, func() {
@@ -210,9 +215,9 @@ func (s *Simulation) Pack(node, parent string, children []string, at time.Durati
 
 // Unpack schedules the matching disaggregation event.
 func (s *Simulation) Unpack(node, parent string, children []string, at time.Duration) error {
-	p, ok := s.nw.PeerByName(moods.NodeName(node))
-	if !ok {
-		return fmt.Errorf("peertrack: unknown node %q", node)
+	p, err := s.peer(node)
+	if err != nil {
+		return err
 	}
 	objs := toObjectIDs(children)
 	s.nw.Kernel.At(at, func() {
@@ -224,16 +229,19 @@ func (s *Simulation) Unpack(node, parent string, children []string, at time.Dura
 // ResolveTrace answers an object's full trajectory including movements
 // made while packed inside parent containers (recursively).
 func (s *Simulation) ResolveTrace(fromNode, object string) ([]Stop, QueryStats, error) {
-	p, ok := s.nw.PeerByName(moods.NodeName(fromNode))
-	if !ok {
-		return nil, QueryStats{}, fmt.Errorf("peertrack: unknown node %q", fromNode)
-	}
-	res, err := p.ResolveTrace(moods.ObjectID(object))
-	stats := QueryStats{Hops: res.Hops, Time: s.nw.QueryTime(res.Hops)}
+	p, err := s.peer(fromNode)
 	if err != nil {
-		return nil, stats, err
+		return nil, QueryStats{}, err
 	}
-	return toStops(res.Path), stats, nil
+	return s.traced(p.ResolveTrace(moods.ObjectID(object)))
+}
+
+// traced is the package's traced with the hops priced at the network's
+// hop latency.
+func (s *Simulation) traced(res core.TraceResult, err error) ([]Stop, QueryStats, error) {
+	stops, stats, err := traced(res, err)
+	stats.Time = s.nw.QueryTime(res.Hops)
+	return stops, stats, err
 }
 
 func toObjectIDs(ss []string) []moods.ObjectID {
@@ -257,9 +265,9 @@ type Prediction struct {
 // PredictNext predicts where an object will move next based on the
 // historical flows through its current location.
 func (s *Simulation) PredictNext(fromNode, object string) (Prediction, QueryStats, error) {
-	p, ok := s.nw.PeerByName(moods.NodeName(fromNode))
-	if !ok {
-		return Prediction{}, QueryStats{}, fmt.Errorf("peertrack: unknown node %q", fromNode)
+	p, err := s.peer(fromNode)
+	if err != nil {
+		return Prediction{}, QueryStats{}, err
 	}
 	res, err := p.PredictNext(moods.ObjectID(object))
 	stats := QueryStats{Hops: res.Hops, Time: s.nw.QueryTime(res.Hops)}
