@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build examples test check vet deadpkgs loc loc-check race fuzz-short bench bench-module micro figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl ledger-check
+.PHONY: build examples test check vet deadpkgs loc loc-check race fuzz-short bench-module micro figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,11 @@ build:
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
+# test runs the suite without the race detector. Besides the goldens and
+# allocation pins it holds the bounds past the paper's scale:
+# TestXLBuildBytesPerNode (heap per node of a 20k-node build),
+# TestChurn10xDiscriminates (gossip reconvergence rounds) and
+# TestExpReplicationOverheadAndFailover (factor-2 message overhead).
 test:
 	$(GO) test ./...
 
@@ -34,7 +39,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 21047
+LOC_MAX = 20705
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
@@ -98,13 +103,6 @@ chaos:
 cluster-smoke:
 	$(GO) run ./cmd/peertrack-cluster -smoke
 
-# bench prints the per-layer microbenchmarks, then regenerates
-# BENCH_CORE.json: the XL build stats, churn convergence rounds and
-# replication overhead that ledger-check gates, nothing that is only a
-# timing. The baseline block of an existing file is preserved.
-bench: build micro
-	$(GO) run ./cmd/peertrack-bench -benchcore BENCH_CORE.json
-
 # bench-module builds, vets and tests bench/, the repository benchmark
 # (BENCHMARK.json). It is a Go module of its own that imports this one,
 # so `go build ./...` here never compiles it: without this target a
@@ -153,14 +151,6 @@ profile: build
 # see EXPERIMENTS.md for reference timings.
 xl: build
 	$(GO) run ./cmd/peertrack-bench -fig xl -scale xl
-
-# ledger-check re-measures BENCH_CORE.json and fails if bytes/node
-# regressed against the committed ledger, or convergence rounds or
-# replication overhead moved at all. It prints nodes/sec beside the
-# committed value without gating it: on a shared VM build throughput
-# moves by more than any useful slack between runs of one tree.
-ledger-check: build
-	$(GO) run ./cmd/peertrack-bench -ledgercheck BENCH_CORE.json
 
 # figures prints every reproduced figure at laptop scale.
 figures:

@@ -6,7 +6,6 @@
 //
 //	peertrack-bench [-fig FIG[,FIG...]|all]
 //	                [-scale tiny|default|full|xl] [-csv] [-seed N] [-parallel N]
-//	                [-benchcore FILE] [-ledgercheck FILE]
 //	                [-cpuprofile FILE] [-memprofile FILE]
 //
 // -h lists the figure names. The full scale matches the paper (512
@@ -20,12 +19,8 @@
 // Figure sweeps fan their independent simulation points across
 // -parallel workers (default GOMAXPROCS); every worker count produces
 // byte-identical rows, so -parallel 1 is only needed to time the
-// sequential runner. -benchcore measures what the ledger gates (XL
-// build stats, churn convergence rounds, replication overhead) and
-// writes BENCH_CORE.json instead of printing tables. -ledgercheck
-// re-measures them and exits non-zero on a regression against the
-// committed ledger. -cpuprofile and -memprofile write pprof
-// profiles of whatever run was requested.
+// sequential runner. -cpuprofile and -memprofile write pprof profiles
+// of whatever run was requested.
 package main
 
 import (
@@ -57,9 +52,6 @@ func main() {
 	sizes := flag.String("sizes", "", "override: comma-separated node counts for size sweeps")
 	queries := flag.Int("queries", 0, "override: queries per measurement")
 	parallel := flag.Int("parallel", 0, "sweep workers: 0 = GOMAXPROCS, 1 = sequential")
-	benchcorePath := flag.String("benchcore", "", "write the BENCH_CORE.json ledger (XL build stats, convergence rounds, replication overhead) to this file and exit")
-	ledgerPath := flag.String("ledgercheck", "", "re-measure the ledger and fail on regression vs this BENCH_CORE.json")
-	byteSlack := flag.Float64("byteslack", 0.10, "ledgercheck: allowed bytes/node regression fraction")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -133,22 +125,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *ledgerPath != "" {
-		if err := ledgerCheck(*ledgerPath, *byteSlack); err != nil {
-			fmt.Fprintf(os.Stderr, "ledger-check: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchcorePath != "" {
-		if err := benchCore(*benchcorePath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchcore: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	figs := strings.Split(*fig, ",")

@@ -309,8 +309,9 @@ const secondHopAfter = 30 * time.Second
 // the same replication units concurrently. Once the windows have
 // drained, every trace must show both stops (ROADMAP item 1) and the
 // fleet must have shipped next to no whole replication unit for the
-// writes it took since before (ROADMAP item 3). Later sweeps locate the
-// objects at their second stop.
+// writes it took since before (replicated ingest streams units, it does
+// not re-ship them). Later sweeps locate the objects at their second
+// stop.
 func (r *run) secondHop(fleet []*daemon, before counters) {
 	const clients = 4
 	errs := make(chan error, clients)

@@ -70,7 +70,8 @@ const (
 	churnBudget = 30
 	// churnWarmupRounds is how many gossip rounds mix views and
 	// samplers before the first fault. The pair discriminates without
-	// them; they shape the convergence latencies BENCH_CORE.json pins.
+	// them; they shape the convergence latencies
+	// TestChurn10xDiscriminates bounds.
 	churnWarmupRounds = 8
 	// churnRoundInterval is the virtual time between maintenance
 	// rounds, each run as one sim-kernel event. Only their order

@@ -8,6 +8,10 @@ import (
 // TestChurn10xDiscriminates is the tentpole regression: the checked-in
 // 10×-churn profile must fail reconvergence under Chord stabilization
 // alone and pass it with the gossip membership layer, on every seed.
+// The gossip-assisted runs of seeds 1–5 reconverge within 6 maintenance
+// rounds of a fault round's crashes, and 6 is the bound: the runs are
+// seeded simulations, so a seventh round is a protocol regression, not
+// noise.
 func TestChurn10xDiscriminates(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {
@@ -24,8 +28,8 @@ func TestChurn10xDiscriminates(t *testing.T) {
 		if got := p.ChordOnly.RoundsRun; got != 1 {
 			t.Errorf("seed %d: chord-only survived %d fault rounds, want failure in round 1", seed, got)
 		}
-		if mc := p.Gossip.MaxConverge(); mc > churnBudget/2 {
-			t.Errorf("seed %d: gossip convergence %d rounds uses more than half the %d-round budget", seed, mc, churnBudget)
+		if mc := p.Gossip.MaxConverge(); mc > 6 {
+			t.Errorf("seed %d: gossip convergence takes %d rounds, want ≤ 6", seed, mc)
 		}
 	}
 }

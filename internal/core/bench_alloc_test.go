@@ -377,6 +377,30 @@ func TestSimPaperRetainedBytes(t *testing.T) {
 	}
 }
 
+// TestXLBuildBytesPerNode pins what a node costs past the paper's 512:
+// the heap in use after a collection, less the same before, for an
+// oracle-free 20 000-node build. The build holds no records, so this is
+// a peer's fixed cost: its chord node, finger table and empty stores.
+// It reads 2 311–2 313 bytes a node here, under -race too, and the
+// ceiling is 2 265 plus 10 %. Build throughput is logged, not gated: on
+// a shared VM one tree reads more than 10 % apart from run to run.
+func TestXLBuildBytesPerNode(t *testing.T) {
+	const nodes = 20000
+	before := heapAfterGC()
+	start := time.Now()
+	nw, err := BuildNetwork(NetworkConfig{Nodes: nodes, Seed: 1, NoOracle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := time.Since(start).Seconds()
+	perNode := float64(heapAfterGC()-before) / nodes
+	runtime.KeepAlive(nw)
+	t.Logf("a %d-node build keeps %.0f bytes per node, %.0f nodes/s", nodes, perNode, nodes/secs)
+	if perNode > 2491 {
+		t.Errorf("a %d-node build keeps %.0f bytes per node, want ≤ 2491", nodes, perNode)
+	}
+}
+
 // heapAfterGC reports the bytes of live heap objects after a collection.
 func heapAfterGC() uint64 {
 	runtime.GC()

@@ -68,16 +68,6 @@ func (s Scheme) PrefixLen(nn float64, lmin int) int {
 	return lp
 }
 
-// Delta computes δ, the probability that a node has at least one group
-// to index (Equation 4): δ = 1 − ((Nn−1)/Nn)^m with m = 2^Lp.
-func Delta(nn float64, lp int) float64 {
-	if nn <= 1 {
-		return 1
-	}
-	m := math.Pow(2, float64(lp))
-	return 1 - math.Pow((nn-1)/nn, m)
-}
-
 // PrefixManager derives the current global prefix length Lp from the
 // network-size estimate. The paper recalculates Lp "at a
 // relatively long interval" because it grows much slower than Nn;

@@ -99,25 +99,6 @@ func TestSchemeCappedAtBits(t *testing.T) {
 	}
 }
 
-func TestDeltaFormula(t *testing.T) {
-	// With m = Nn groups (Scheme1-ish), δ -> 1 - 1/e ≈ 0.632.
-	nn := 100000.0
-	lpEqual := int(math.Round(math.Log2(nn)))
-	d := Delta(nn, lpEqual)
-	// 2^lp is only approximately nn; allow slack.
-	if d < 0.45 || d > 0.80 {
-		t.Errorf("δ with m≈Nn = %v, want ≈0.63", d)
-	}
-	// With m = Nn log2 Nn (Scheme 2), δ should be near 1.
-	lp2 := Scheme2.PrefixLen(nn, 0)
-	if d2 := Delta(nn, lp2); d2 < 0.99 {
-		t.Errorf("δ with scheme 2 = %v, want ≈1", d2)
-	}
-	if Delta(1, 4) != 1 {
-		t.Error("δ for single node != 1")
-	}
-}
-
 func TestPrefixManagerLifecycle(t *testing.T) {
 	pm := NewPrefixManager(Scheme2, 3, 16)
 	lp16 := pm.Lp()

@@ -176,12 +176,12 @@ func TestConcurrentHandlersShareOneMirrorStream(t *testing.T) {
 	}
 }
 
-// TestReadsDoNotQueueBehindABlockedMirrorPush pins ROADMAP item 3's
-// "reads must not queue behind a flush": while the owner's push to its
-// mirror hangs, the owner still answers index reads — were they to wait
-// for the push the test would hang, and the go test timeout report it —
-// and a second writer of the same unit waits for the stream instead of
-// sending a push of its own.
+// TestReadsDoNotQueueBehindABlockedMirrorPush pins what replicated
+// ingest promised, "reads must not queue behind a flush": while the
+// owner's push to its mirror hangs, the owner still answers index reads
+// — were they to wait for the push the test would hang, and the go test
+// timeout report it — and a second writer of the same unit waits for
+// the stream instead of sending a push of its own.
 func TestReadsDoNotQueueBehindABlockedMirrorPush(t *testing.T) {
 	nw := buildNet(t, 4, Config{ReplicationFactor: 2})
 	obj := moods.ObjectID("settled")

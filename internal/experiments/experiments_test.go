@@ -335,11 +335,18 @@ func TestExpVerifyAllPerfect(t *testing.T) {
 	}
 }
 
+// TestExpReplicationOverheadAndFailover runs the replication sweep at 16
+// nodes, 150 objects a node and 25 queries. Besides the failover bar
+// (every crash-window read answered) it pins factor 2's message overhead
+// at 1.9145486415425064 with float-formatting slack only: the count is
+// deterministic, and a mirror write must stay one piggybacked message
+// per primary write.
 func TestExpReplicationOverheadAndFailover(t *testing.T) {
 	s := Tiny()
 	s.Nodes = 16
 	s.MaxVolume = 150
 	s.Queries = 25
+	const factor2Overhead = 1.9145486415425064
 	rows, err := ExpReplication(s)
 	if err != nil {
 		t.Fatal(err)
@@ -359,6 +366,9 @@ func TestExpReplicationOverheadAndFailover(t *testing.T) {
 		// primary write; queries and stabilization are not replicated).
 		if r.MsgOverhead <= rows[i].MsgOverhead || r.MsgOverhead > float64(r.Factor) {
 			t.Errorf("factor %d: msg overhead %.2f out of band", r.Factor, r.MsgOverhead)
+		}
+		if r.Factor == 2 && r.MsgOverhead > factor2Overhead*1.0001 {
+			t.Errorf("factor 2: msg overhead %v, want ≤ %v", r.MsgOverhead, factor2Overhead)
 		}
 		if r.CrashLocates == 0 || r.CrashLocateOK != r.CrashLocates {
 			t.Errorf("factor %d: crash-window locate %d/%d", r.Factor, r.CrashLocateOK, r.CrashLocates)

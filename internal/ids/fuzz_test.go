@@ -20,25 +20,6 @@ func FuzzParsePrefix(f *testing.F) {
 	})
 }
 
-func FuzzParseHexID(f *testing.F) {
-	f.Add("da39a3ee5e6b4b0d3255bfef95601890afd80709")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, s string) {
-		id, err := ParseHex(s)
-		if err != nil {
-			return
-		}
-		if id.String() == s {
-			return
-		}
-		// Hex parsing is case-insensitive; compare after normalising.
-		id2, err := ParseHex(id.String())
-		if err != nil || id2 != id {
-			t.Fatalf("hex id round trip unstable: %q", s)
-		}
-	})
-}
-
 // FuzzRingArithmetic checks Add/Sub inversion and Between partitioning
 // on arbitrary byte patterns.
 func FuzzRingArithmetic(f *testing.F) {

@@ -57,20 +57,6 @@ func (id ID) Uint64() uint64 {
 	return v
 }
 
-// ParseHex parses a 40-character hexadecimal string into an ID.
-func ParseHex(s string) (ID, error) {
-	var id ID
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return id, fmt.Errorf("ids: parse %q: %w", s, err)
-	}
-	if len(b) != Bytes {
-		return id, fmt.Errorf("ids: parse %q: want %d bytes, got %d", s, Bytes, len(b))
-	}
-	copy(id[:], b)
-	return id, nil
-}
-
 // String returns the full 40-hex-digit representation.
 func (id ID) String() string {
 	return hex.EncodeToString(id[:])
@@ -171,15 +157,6 @@ func BetweenRightIncl(x, a, b ID) bool {
 	return Between(x, a, b)
 }
 
-// BetweenLeftIncl reports whether x lies in the half-open ring interval
-// [a, b).
-func BetweenLeftIncl(x, a, b ID) bool {
-	if x.Cmp(a) == 0 {
-		return true
-	}
-	return Between(x, a, b)
-}
-
 // Bit returns bit i of the identifier, where bit 0 is the most
 // significant bit. Prefix-based grouping reads bits in this order.
 func (id ID) Bit(i int) int {
@@ -194,17 +171,6 @@ func (id ID) LeadingZeros() int {
 	for i, b := range id {
 		if b != 0 {
 			return i*8 + bits.LeadingZeros8(b)
-		}
-	}
-	return Bits
-}
-
-// CommonPrefixLen returns the length in bits of the longest common
-// prefix of two identifiers.
-func CommonPrefixLen(a, b ID) int {
-	for i := 0; i < Bytes; i++ {
-		if x := a[i] ^ b[i]; x != 0 {
-			return i*8 + bits.LeadingZeros8(x)
 		}
 	}
 	return Bits

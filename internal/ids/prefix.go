@@ -76,12 +76,6 @@ func (p Prefix) Matches(id ID) bool {
 	return PrefixOf(id, p.Len).Bits == p.Bits
 }
 
-// Contains reports whether q extends p (p is a prefix of q). Every
-// prefix contains itself.
-func (p Prefix) Contains(q Prefix) bool {
-	return q.Len >= p.Len && p.Matches(q.Bits)
-}
-
 // Parent returns the prefix with the last bit removed. Parent of the
 // empty prefix panics.
 func (p Prefix) Parent() Prefix {

@@ -34,15 +34,10 @@ func TestLoadCurveSingleNode(t *testing.T) {
 	if !almost(nf[0], 1, 1e-12) || !almost(lf[0], 1, 1e-12) {
 		t.Errorf("single-node curve = (%v, %v), want (1, 1)", nf[0], lf[0])
 	}
-	if dev := CurveDeviation([]float64{7}); !almost(dev, 0, 1e-12) {
-		t.Errorf("single-node deviation = %v", dev)
-	}
 }
 
 func TestLoadCurveAllZero(t *testing.T) {
-	// With zero total load the load fraction stays 0 everywhere: the
-	// curve sits under the diagonal and the deviation is the negated
-	// mean of nodeFrac, not NaN.
+	// With zero total load the load fraction stays 0 everywhere, not NaN.
 	nf, lf := LoadCurve([]float64{0, 0, 0, 0})
 	for i := range lf {
 		if lf[i] != 0 {
@@ -51,19 +46,5 @@ func TestLoadCurveAllZero(t *testing.T) {
 		if !almost(nf[i], float64(i+1)/4, 1e-12) {
 			t.Errorf("nodeFrac[%d] = %v", i, nf[i])
 		}
-	}
-	if dev := CurveDeviation([]float64{0, 0, 0, 0}); !almost(dev, -0.625, 1e-12) {
-		t.Errorf("all-zero deviation = %v, want -0.625", dev)
-	}
-}
-
-func TestCurveDeviationSingleHotNode(t *testing.T) {
-	// All load on one of four nodes: loadFrac is 1 at every point, so
-	// the deviation is mean(1 - i/n) = 0.375.
-	if dev := CurveDeviation([]float64{9, 0, 0, 0}); !almost(dev, 0.375, 1e-12) {
-		t.Errorf("hot-node deviation = %v, want 0.375", dev)
-	}
-	if dev := CurveDeviation(nil); dev != 0 {
-		t.Errorf("empty deviation = %v", dev)
 	}
 }

@@ -41,22 +41,6 @@ func LoadCurve(loads []float64) (nodeFrac, loadFrac []float64) {
 	return nodeFrac, loadFrac
 }
 
-// CurveDeviation measures how far a load curve strays from the ideal
-// diagonal: the mean of (loadFrac - nodeFrac) over all points. 0 means
-// perfectly balanced; the maximum possible value approaches 1 as all
-// load concentrates on one node of a large system.
-func CurveDeviation(loads []float64) float64 {
-	nf, lf := LoadCurve(loads)
-	if len(nf) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range nf {
-		sum += lf[i] - nf[i]
-	}
-	return sum / float64(len(nf))
-}
-
 // Gini computes the Gini coefficient of the load distribution: 0 =
 // perfectly equal, →1 = maximally concentrated.
 func Gini(loads []float64) float64 {
@@ -112,10 +96,10 @@ func FractionIdle(loads []float64) float64 {
 	return float64(idle) / float64(len(loads))
 }
 
-// Summary accumulates running statistics with Welford's algorithm.
+// Summary accumulates a running mean, minimum and maximum.
 type Summary struct {
 	n        int
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -132,13 +116,8 @@ func (s *Summary) Add(x float64) {
 			s.max = x
 		}
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
-
-// N returns the sample count.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
@@ -148,14 +127,6 @@ func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest sample (0 when empty).
 func (s *Summary) Max() float64 { return s.max }
-
-// StdDev returns the sample standard deviation (0 for n < 2).
-func (s *Summary) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of the samples
 // using linear interpolation. Unlike Summary it needs the full series.

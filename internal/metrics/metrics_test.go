@@ -16,9 +16,6 @@ func TestLoadCurvePerfectBalance(t *testing.T) {
 			t.Fatalf("balanced curve off diagonal at %d: %v vs %v", i, nf[i], lf[i])
 		}
 	}
-	if dev := CurveDeviation(loads); !almost(dev, 0, 1e-12) {
-		t.Errorf("deviation = %v", dev)
-	}
 }
 
 func TestLoadCurveAllOnOneNode(t *testing.T) {
@@ -29,9 +26,6 @@ func TestLoadCurveAllOnOneNode(t *testing.T) {
 	}
 	if !almost(nf[0], 0.25, 1e-12) {
 		t.Fatalf("first point node share = %v", nf[0])
-	}
-	if CurveDeviation(loads) <= 0.3 {
-		t.Errorf("deviation = %v, want large", CurveDeviation(loads))
 	}
 }
 
@@ -102,14 +96,8 @@ func TestSummary(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.N() != 8 {
-		t.Errorf("n = %d", s.N())
-	}
 	if !almost(s.Mean(), 5, 1e-12) {
 		t.Errorf("mean = %v", s.Mean())
-	}
-	if !almost(s.StdDev(), 2.13809, 1e-4) {
-		t.Errorf("std = %v", s.StdDev())
 	}
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
@@ -118,11 +106,11 @@ func TestSummary(t *testing.T) {
 
 func TestSummaryEmptyAndSingle(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("empty summary nonzero")
 	}
 	s.Add(3)
-	if s.Mean() != 3 || s.StdDev() != 0 || s.Min() != 3 || s.Max() != 3 {
+	if s.Mean() != 3 || s.Min() != 3 || s.Max() != 3 {
 		t.Error("single-sample summary wrong")
 	}
 }

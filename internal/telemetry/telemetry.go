@@ -191,18 +191,6 @@ func (g *Gauge) Add(d int64) {
 	g.shards[shardHint()].v.Add(d)
 }
 
-// Set forces the gauge to v. Exact when writers are quiesced (as in the
-// single-threaded sim); last-writer-wins against concurrent Adds.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	for i := 1; i < shards; i++ {
-		g.shards[i].v.Store(0)
-	}
-	g.shards[0].v.Store(v)
-}
-
 // Value sums the shards.
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -37,10 +37,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
 	}
-	g.Set(11)
-	if got := g.Value(); got != 11 {
-		t.Fatalf("gauge after Set = %d, want 11", got)
-	}
 }
 
 func TestNilSafety(t *testing.T) {

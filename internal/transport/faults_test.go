@@ -128,9 +128,6 @@ func TestSnapshotConservation(t *testing.T) {
 	if snap.Failures != 4 { // handler error + drop + 2 blocked
 		t.Errorf("Failures = %d, want 4", snap.Failures)
 	}
-	if snap.Completed() != 11 || snap.Successes() != 10 {
-		t.Errorf("completed=%d successes=%d", snap.Completed(), snap.Successes())
-	}
 	if !snap.Conserves() {
 		t.Errorf("conservation identity broken: %+v", snap)
 	}

@@ -225,14 +225,6 @@ type Snapshot struct {
 	Blocked  uint64 // calls to dead/partitioned/unregistered nodes (subset of Failures)
 }
 
-// Completed returns the number of calls whose request reached a handler
-// (successes plus handler-level failures).
-func (s Snapshot) Completed() uint64 { return s.Calls - s.Drops - s.Blocked }
-
-// Successes returns the number of calls that completed without any
-// failure.
-func (s Snapshot) Successes() uint64 { return s.Calls - s.Failures }
-
 // Conserves reports whether the counters are internally consistent:
 // every call either completed (2 messages) or was dropped/blocked (1
 // message), drops and blocked are failures, and failures never exceed
