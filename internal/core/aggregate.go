@@ -16,10 +16,10 @@ import (
 func (p *Peer) Inventory() []moods.ObjectID {
 	p.repo.mu.Lock()
 	defer p.repo.mu.Unlock()
-	out := make([]moods.ObjectID, 0, len(p.repo.visits))
-	for obj, slot := range p.repo.visits {
+	out := make([]moods.ObjectID, 0, len(p.repo.slots()))
+	for _, slot := range p.repo.slots() {
 		if p.repo.latest(slot).To == 0 {
-			out = append(out, obj)
+			out = append(out, slot.obj)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

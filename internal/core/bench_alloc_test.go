@@ -277,19 +277,20 @@ func mallocsDuring(fn func()) (objects, bytes float64) {
 // its span, M2/M3 stitching, transport accounting — and what one IOP hop
 // of a FullTrace costs. It is the allocation budget of the path every
 // figure, chaos sweep and the sim-paper benchmark run. This network
-// measures 3.92 allocations and 571 bytes per observation (3.88 and 779
+// measures 3.81 allocations and 549 bytes per observation (3.92 and 571
+// while five stores kept Go maps; 3.88 and 779
 // while the stores kept node names as strings and an observation
 // carried a receptor; 5.05 and 835 while chord boxed every
 // closest-preceding answer anew; 9.55 and 1456 while a flush grouped
 // through a map, a pinned gateway looked every event up twice and a
 // span allocated its recording), and 3.30 allocations a hop and 2 093
 // bytes a trace (3.82 and 3 782 while a walked path grew from nil and a
-// span regrew its spilled steps). The ceilings are that plus 5 %; the
-// allocation count's is still 3.88's, 4.07. Under -race sync.Pool drops
-// a quarter of what is put back, so a quarter of the spans allocate
-// their recording and regrow their steps again (4.16 and 662 bytes an
-// observation, 3.36 and 2 568 a trace): the race build gets that on
-// top.
+// span regrew its spilled steps). The ceilings are 571 bytes, 3.30 and
+// 2 093 plus 5 %; the allocation count's is still 3.88's, 4.07. Under
+// -race sync.Pool drops a quarter of what is put back, so a quarter of
+// the spans allocate their recording and regrow their steps again (4.05
+// and 639–641 bytes an observation, 3.35–3.36 and 2 484–2 529 a trace):
+// the race build gets that on top.
 func TestSimPaperShapedAllocs(t *testing.T) {
 	nw, wl := simPaperShaped(t, 32, 200)
 	objects, bytes := mallocsDuring(nw.Run)
@@ -332,10 +333,11 @@ func TestSimPaperShapedAllocs(t *testing.T) {
 
 // TestSimPaperLoadAllocs pins what the load costs before Run — generate,
 // build, schedule — in allocations per observation. The workload's
-// slices, the sort's keys and the oracle's slab and maps are a few
+// slices, the sort's keys and the oracle's slab and index are a few
 // hundred allocations however many observations there are, the network
-// a few dozen a node: 0.072 here, 0.074–0.075 under -race, and the
-// ceiling is the race build's plus 5 %. An id string per object and a
+// a few dozen a node: 0.069 here, 0.072–0.073 under -race. The ceiling
+// is 0.075, the race build's reading while the oracle indexed by a map,
+// plus 5 %. An id string per object and a
 // history append per observation read 1.85. The test also holds
 // ScheduleAll to its word that the oracle is complete when it returns.
 func TestSimPaperLoadAllocs(t *testing.T) {
@@ -357,13 +359,11 @@ func TestSimPaperLoadAllocs(t *testing.T) {
 // before the load, with the network and its workload alive. It is what
 // sets sim-paper's peak_rss_mb (the collector's goal is twice the live
 // heap) and how far a run scales. The stores name nodes by 4-byte refs
-// into each peer's nameTable, the repository's slot is 24 bytes, the
-// oracle keeps (node, time) and an observation is 40 bytes: 314–318
-// bytes an observation here, under -race too, and the ceiling is 316
-// plus 3 % — at plus 5 % a bucket slab naming nodes by strings (329)
-// would pass. It read 473 while each store kept a 16-byte string or a
-// 40-byte NodeRef a name, the slot was 64 bytes, the oracle kept whole
-// observations and an observation carried a receptor string.
+// into each peer's nameTable, keep their entries in arenas indexed by a
+// probe.Table rather than in maps, the repository's slot is 40 bytes
+// with its key, the oracle keeps (node, time) and an observation is 40
+// bytes: 286 bytes an observation here, 287–290 under -race, and the
+// ceiling is 288 plus 3 %.
 func TestSimPaperRetainedBytes(t *testing.T) {
 	before := heapAfterGC()
 	nw, wl := simPaperShaped(t, 32, 200)
@@ -372,8 +372,8 @@ func TestSimPaperRetainedBytes(t *testing.T) {
 	runtime.KeepAlive(nw)
 	runtime.KeepAlive(wl)
 	t.Logf("Run keeps %.0f bytes per observation (%d observations)", kept, len(wl.Observations))
-	if kept > 325 {
-		t.Errorf("a run keeps %.0f bytes per observation, want ≤ 325", kept)
+	if kept > 297 {
+		t.Errorf("a run keeps %.0f bytes per observation, want ≤ 297", kept)
 	}
 }
 
@@ -381,8 +381,8 @@ func TestSimPaperRetainedBytes(t *testing.T) {
 // the heap in use after a collection, less the same before, for an
 // oracle-free 20 000-node build. The build holds no records, so this is
 // a peer's fixed cost: its chord node, finger table and empty stores.
-// It reads 2 311–2 313 bytes a node here, under -race too, and the
-// ceiling is 2 265 plus 10 %. Build throughput is logged, not gated: on
+// It reads 2 295 bytes a node here, under -race too, and the ceiling is
+// 2 265 plus 10 %. Build throughput is logged, not gated: on
 // a shared VM one tree reads more than 10 % apart from run to run.
 func TestXLBuildBytesPerNode(t *testing.T) {
 	const nodes = 20000
@@ -416,8 +416,8 @@ func heapAfterGC() uint64 {
 // (`make profile-sim`, whose pattern leaves the full sub-benchmarks out).
 //
 // Load/full and Run/full are the paper's own largest point, 512 nodes ×
-// 5 000 objects (4.86 M observations: about a gigabyte loaded, 2.6 GB
-// peak RSS for the run), run by hand and by name, and skipped under
+// 5 000 objects (4.86 M observations: about a gigabyte loaded, 2.2–2.3
+// GB peak RSS for the run), run by hand and by name, and skipped under
 // -short:
 //
 //	go test ./internal/core -run xxx -bench 'SimPaper(Load|Run)/full' -benchtime 1x

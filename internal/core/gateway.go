@@ -7,6 +7,7 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/probe"
 	"peertrack/internal/transport"
 )
 
@@ -100,32 +101,27 @@ type slabEntry struct {
 
 // bucket holds the index records of one prefix group at its gateway
 // node. Entries live in a single slab slice in insertion (FIFO) order —
-// the order α-delegation evicts in — with a side index from hashed id
-// to slab slot. Removals tombstone the slot (zero Object); the slab is
-// compacted once tombstones outnumber live entries. Compared to a
-// map[ids.ID]*IndexEntry plus a separate fifo slice, the slab stores
-// entries contiguously with no per-entry heap object, which is what
-// makes multi-million-object gateways fit in memory at Scale.XL. The
-// group's prefix is not stored: the store's key is its packed form.
+// the order α-delegation evicts in — indexed by hashed id. Removals
+// tombstone the slot (zero Object); the slab is compacted once
+// tombstones outnumber live entries. The slab stores entries
+// contiguously with no per-entry heap object, which is what makes
+// multi-million-object gateways fit in memory at Scale.XL. The group's
+// prefix is not stored: the store's key is its packed form.
 type bucket struct {
-	idx  map[ids.ID]int32 // hashed id → slot in slab
-	slab []slabEntry      // FIFO order; dead slots have empty Object
-	dead int
+	idx  probe.Table // hashed id → slot in slab
+	slab []slabEntry // FIFO order; dead slots have empty Object
+	dead int32
 	// delegated is true once any record was pushed down to a child,
 	// telling lookups and refreshes that descendants may hold records.
 	delegated bool
-}
-
-func newBucket() *bucket {
-	return &bucket{idx: make(map[ids.ID]int32)}
 }
 
 // upsert inserts or updates e. The update path (existing ID) is the
 // steady state and stays allocation-free; first insertion of an ID may
 // grow the slab.
 func (b *bucket) upsert(e slabEntry) {
-	if slot, exists := b.idx[e.ID]; exists {
-		b.slab[slot] = e // update in place, keeping FIFO position
+	if at := b.at(e.ID); at != nil {
+		*at = e // update in place, keeping FIFO position
 		return
 	}
 	b.insert(e)
@@ -133,13 +129,18 @@ func (b *bucket) upsert(e slabEntry) {
 
 // insert appends e, whose id the bucket does not hold.
 func (b *bucket) insert(e slabEntry) {
-	b.idx[e.ID] = int32(len(b.slab))
+	b.idx.Insert(probe.Bytes(e.ID[:]), int32(len(b.slab)))
 	b.slab = append(b.slab, e)
+}
+
+// find returns the slab slot of the live entry for id.
+func (b *bucket) find(id ids.ID) (int32, bool) {
+	return b.idx.Find(probe.Bytes(id[:]), func(i int32) bool { return b.slab[i].ID == id })
 }
 
 // at returns the slot of the live entry for id, nil if absent.
 func (b *bucket) at(id ids.ID) *slabEntry {
-	slot, ok := b.idx[id]
+	slot, ok := b.find(id)
 	if !ok {
 		return nil
 	}
@@ -147,27 +148,29 @@ func (b *bucket) at(id ids.ID) *slabEntry {
 }
 
 func (b *bucket) remove(id ids.ID) {
-	slot, ok := b.idx[id]
+	slot, ok := b.find(id)
 	if !ok {
 		return
 	}
+	b.idx.Delete(probe.Bytes(id[:]), slot)
 	b.slab[slot] = slabEntry{} // release the id string
-	delete(b.idx, id)
 	b.dead++
-	if b.dead > len(b.idx) && b.dead >= 32 {
+	if int(b.dead) > b.idx.Len() && b.dead >= 32 {
 		b.compact()
 	}
 }
 
-// compact rewrites the slab without tombstones, preserving FIFO order.
+// compact rewrites the slab without tombstones, preserving FIFO order,
+// and re-indexes it.
 func (b *bucket) compact() {
+	b.idx = probe.Table{}
 	w := 0
 	for r := range b.slab {
 		if b.slab[r].Object == "" {
 			continue
 		}
 		b.slab[w] = b.slab[r]
-		b.idx[b.slab[w].ID] = int32(w)
+		b.idx.Insert(probe.Bytes(b.slab[w].ID[:]), int32(w))
 		w++
 	}
 	clear(b.slab[w:])
@@ -247,7 +250,7 @@ func (g *gatewayStore) get(b *bucket, id ids.ID) (IndexEntry, bool) {
 }
 
 // live returns copies of up to n live entries of b in FIFO
-// (earliest-indexed) order; len(b.idx) asks for all of them. g.mu must
+// (earliest-indexed) order; b.idx.Len() asks for all of them. g.mu must
 // be held.
 func (g *gatewayStore) live(b *bucket, n int) []IndexEntry {
 	out := make([]IndexEntry, 0, n)
@@ -279,7 +282,7 @@ func (g *gatewayStore) bucketFor(key ids.PrefixKey) *bucket {
 		if g.buckets == nil {
 			g.buckets = make(map[ids.PrefixKey]*bucket)
 		}
-		b = newBucket()
+		b = new(bucket)
 		g.buckets[key] = b
 	}
 	return b
@@ -441,7 +444,7 @@ func (g *gatewayStore) totalEntries() int {
 	defer g.mu.Unlock()
 	n := 0
 	for _, b := range g.buckets {
-		n += len(b.idx)
+		n += b.idx.Len()
 	}
 	return n
 }
@@ -480,7 +483,7 @@ func (g *gatewayStore) drain(key ids.PrefixKey) ([]IndexEntry, bool) {
 		return nil, false
 	}
 	delete(g.buckets, key)
-	return g.live(b, len(b.idx)), b.delegated
+	return g.live(b, b.idx.Len()), b.delegated
 }
 
 // dropBucket deletes the bucket keyed key outright.
@@ -497,10 +500,10 @@ func (g *gatewayStore) overflow(key ids.PrefixKey, threshold int, alpha float64)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	b := g.buckets[key]
-	if b == nil || len(b.idx) <= threshold {
+	if b == nil || b.idx.Len() <= threshold {
 		return nil
 	}
-	return g.live(b, int(alpha*float64(len(b.idx))))
+	return g.live(b, int(alpha*float64(b.idx.Len())))
 }
 
 // markDelegated flags the bucket keyed key as having descendants.
@@ -529,7 +532,7 @@ func (g *gatewayStore) dumpBucket(key ids.PrefixKey) ([]IndexEntry, bool) {
 	if b == nil {
 		return nil, false
 	}
-	out := g.live(b, len(b.idx))
+	out := g.live(b, b.idx.Len())
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out, b.delegated
 }
@@ -537,7 +540,7 @@ func (g *gatewayStore) dumpBucket(key ids.PrefixKey) ([]IndexEntry, bool) {
 // replaceBucket replaces the bucket's contents and delegated flag
 // wholesale (replica full-push receive).
 func (g *gatewayStore) replaceBucket(key ids.PrefixKey, entries []IndexEntry, delegated bool) {
-	b := newBucket()
+	b := new(bucket)
 	b.delegated = delegated
 	for _, e := range entries {
 		b.upsert(g.slabEntry(e))

@@ -86,7 +86,7 @@ func (g *gatewayStore) dump() []BucketSnapshot {
 			Key:        bucketKeyName(key),
 			Individual: key == individualKey,
 			Delegated:  b.delegated,
-			Entries:    g.live(b, len(b.idx)),
+			Entries:    g.live(b, b.idx.Len()),
 		}
 		if !snap.Individual {
 			snap.Prefix = key.Prefix()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"peertrack/internal/moods"
+	"peertrack/internal/probe"
 	"peertrack/internal/transport"
 )
 
@@ -48,7 +49,7 @@ func readVisitRecords(r *transport.Reader) []VisitRecord {
 }
 
 // visitRec is a VisitRecord as the repository keeps it: without the
-// Object field — inside the store the object id is the map key — and
+// Object field — inside the store the object id is its slot's key — and
 // with its IOP links as refs into the peer's nameTable. 16 bytes, no
 // pointers.
 type visitRec struct {
@@ -58,23 +59,30 @@ type visitRec struct {
 
 // visitSlot holds one object's visits in time order. The earliest visit
 // is inline: most objects are seen at only one or two nodes, so the
-// common case stores no per-object slice at all, and a slot is 24
-// bytes.
+// common case stores no per-object slice at all, and a slot is 40
+// bytes, its key included.
 type visitSlot struct {
+	obj   moods.ObjectID
 	first visitRec
-	later int32 // 1 + the index in iopStore.later of the visits after first; 0 if none
+	later int32 // 1 + the index in repoSlots.later of the visits after first; 0 if none
+}
+
+// repoSlots is a repository once it holds a visit: its slots in order
+// of first sight, indexed by object, and per object seen more than once
+// its visits after the first, sorted by Arrived. Nothing but restore
+// deletes from a repository, so a slot's place stays valid.
+type repoSlots struct {
+	index probe.Table
+	slots []visitSlot
+	later [][]visitRec
 }
 
 // iopStore is a node's local repository: the information-flow segments
 // captured inside its own territory, with their IOP links.
 type iopStore struct {
-	mu     sync.Mutex // not RW: a reader holds it for one probe, as briefly as a writer
-	names  *nameTable
-	visits map[moods.ObjectID]visitSlot
-	// later holds, per object seen more than once, its visits after the
-	// first, sorted by Arrived. Nothing but restore deletes from a
-	// repository, so a slot's index stays valid.
-	later [][]visitRec
+	mu    sync.Mutex // not RW: a reader holds it for one probe, as briefly as a writer
+	names *nameTable
+	a     *repoSlots // nil until the first visit
 	n     int
 
 	// dirty, non-nil only when the repository is mirrored, collects the
@@ -116,8 +124,8 @@ func (s *iopStore) takeDirty() ([]RepoObject, bool) {
 	}
 	objs := make([]RepoObject, 0, len(s.dirty))
 	for obj := range s.dirty {
-		if slot, ok := s.visits[obj]; ok {
-			objs = append(objs, RepoObject{Object: obj, Visits: s.materialize(obj, slot)})
+		if slot := s.at(obj); slot != nil {
+			objs = append(objs, RepoObject{Object: obj, Visits: s.materialize(*slot)})
 		}
 	}
 	clear(s.dirty)
@@ -125,12 +133,35 @@ func (s *iopStore) takeDirty() ([]RepoObject, bool) {
 	return objs, true
 }
 
-func (s *iopStore) slotFor(obj moods.ObjectID, v visitRec) {
-	if s.visits == nil {
-		s.visits = make(map[moods.ObjectID]visitSlot)
+// slots returns every object's slot in order of first sight; s.mu held.
+func (s *iopStore) slots() []visitSlot {
+	if s.a == nil {
+		return nil
 	}
-	s.visits[obj] = visitSlot{first: v}
-	s.n++
+	return s.a.slots
+}
+
+// at returns obj's slot, nil if it has none; s.mu must be held.
+func (s *iopStore) at(obj moods.ObjectID) *visitSlot {
+	if s.a == nil {
+		return nil
+	}
+	i, ok := s.a.index.Find(probe.String(string(obj)), func(i int32) bool { return s.a.slots[i].obj == obj })
+	if !ok {
+		return nil
+	}
+	return &s.a.slots[i]
+}
+
+// add appends slot, whose object has none yet, and returns it; s.mu
+// must be held.
+func (s *iopStore) add(slot visitSlot) *visitSlot {
+	if s.a == nil {
+		s.a = new(repoSlots)
+	}
+	s.a.index.Insert(probe.String(string(slot.obj)), int32(len(s.a.slots)))
+	s.a.slots = append(s.a.slots, slot)
+	return &s.a.slots[len(s.a.slots)-1]
 }
 
 // rest returns the visits of slot after its first; s.mu must be held.
@@ -138,18 +169,18 @@ func (s *iopStore) rest(slot visitSlot) []visitRec {
 	if slot.later == 0 {
 		return nil
 	}
-	return s.later[slot.later-1]
+	return s.a.later[slot.later-1]
 }
 
 // setRest stores rest as the visits of slot after its first, giving the
 // slot its index on first use; s.mu must be held.
 func (s *iopStore) setRest(slot *visitSlot, rest []visitRec) {
 	if slot.later == 0 {
-		s.later = append(s.later, rest)
-		slot.later = int32(len(s.later))
+		s.a.later = append(s.a.later, rest)
+		slot.later = int32(len(s.a.later))
 		return
 	}
-	s.later[slot.later-1] = rest
+	s.a.later[slot.later-1] = rest
 }
 
 // record adds a local capture (From/To unknown yet).
@@ -157,13 +188,14 @@ func (s *iopStore) record(obj moods.ObjectID, arrived time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.markDirty(obj)
-	slot, ok := s.visits[obj]
+	s.n++
 	nv := visitRec{Arrived: arrived}
-	if !ok {
-		s.slotFor(obj, nv)
+	slot := s.at(obj)
+	if slot == nil {
+		s.add(visitSlot{obj: obj, first: nv})
 		return
 	}
-	rest := s.rest(slot)
+	rest := s.rest(*slot)
 	if arrived < slot.first.Arrived {
 		// New earliest visit: the old first moves to the front of rest.
 		rest = slices.Insert(rest, 0, slot.first)
@@ -172,9 +204,7 @@ func (s *iopStore) record(obj moods.ObjectID, arrived time.Duration) {
 		i := sort.Search(len(rest), func(i int) bool { return rest[i].Arrived > arrived })
 		rest = slices.Insert(rest, i, nv)
 	}
-	s.setRest(&slot, rest)
-	s.visits[obj] = slot
-	s.n++
+	s.setRest(slot, rest)
 }
 
 // setFrom annotates the visit at time at (or the latest visit if no
@@ -184,30 +214,25 @@ func (s *iopStore) setFrom(obj moods.ObjectID, from moods.NodeName, at time.Dura
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.markDirty(obj)
-	slot, ok := s.visits[obj]
-	if !ok {
+	slot := s.at(obj)
+	if slot == nil {
 		// The IOP link can arrive before the local capture record in a
 		// real network; create the visit so the link is not lost.
-		s.slotFor(obj, visitRec{Arrived: at, From: ref})
+		s.add(visitSlot{obj: obj, first: visitRec{Arrived: at, From: ref}})
+		s.n++
 		return
 	}
-	rest := s.rest(slot)
+	rest := s.rest(*slot)
 	for i := len(rest) - 1; i >= 0; i-- {
 		if rest[i].Arrived == at {
 			rest[i].From = ref
 			return
 		}
 	}
-	if slot.first.Arrived == at {
+	if slot.first.Arrived == at || len(rest) == 0 {
 		slot.first.From = ref
-		s.visits[obj] = slot
-		return
-	}
-	if n := len(rest); n > 0 {
-		rest[n-1].From = ref
 	} else {
-		slot.first.From = ref
-		s.visits[obj] = slot
+		rest[len(rest)-1].From = ref
 	}
 }
 
@@ -220,11 +245,11 @@ func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.markDirty(obj)
-	slot, ok := s.visits[obj]
-	if !ok {
+	slot := s.at(obj)
+	if slot == nil {
 		return 0, false
 	}
-	rest := s.rest(slot)
+	rest := s.rest(*slot)
 	for i := len(rest) - 1; i >= 0; i-- {
 		if rest[i].Arrived <= at {
 			rest[i].To = ref
@@ -233,14 +258,12 @@ func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration
 	}
 	if slot.first.Arrived <= at {
 		slot.first.To = ref
-		s.visits[obj] = slot
 		return slot.first.Arrived, true
 	}
 	if n := len(rest); n > 0 {
 		rest[n-1].To = ref
 	} else {
 		slot.first.To = ref
-		s.visits[obj] = slot
 	}
 	return 0, false
 }
@@ -249,11 +272,11 @@ func (s *iopStore) setTo(obj moods.ObjectID, to moods.NodeName, at time.Duration
 func (s *iopStore) get(obj moods.ObjectID) ([]VisitRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot, ok := s.visits[obj]
-	if !ok {
+	slot := s.at(obj)
+	if slot == nil {
 		return nil, false
 	}
-	return s.materialize(obj, slot), true
+	return s.materialize(*slot), true
 }
 
 // latest returns the newest visit of the slot; s.mu must be held.
@@ -266,12 +289,12 @@ func (s *iopStore) latest(slot visitSlot) visitRec {
 
 // materialize returns the slot's visits as VisitRecords, naming their
 // nodes; s.mu must be held.
-func (s *iopStore) materialize(obj moods.ObjectID, slot visitSlot) []VisitRecord {
+func (s *iopStore) materialize(slot visitSlot) []VisitRecord {
 	rest := s.rest(slot)
 	out := make([]VisitRecord, 0, 1+len(rest))
-	out = append(out, s.recordOf(obj, slot.first))
+	out = append(out, s.recordOf(slot.obj, slot.first))
 	for _, r := range rest {
-		out = append(out, s.recordOf(obj, r))
+		out = append(out, s.recordOf(slot.obj, r))
 	}
 	return out
 }
@@ -290,8 +313,7 @@ func (s *iopStore) recOf(v VisitRecord) visitRec {
 func (s *iopStore) has(obj moods.ObjectID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.visits[obj]
-	return ok
+	return s.at(obj) != nil
 }
 
 // len returns the number of visit records stored.
@@ -301,20 +323,13 @@ func (s *iopStore) len() int {
 	return s.n
 }
 
-// objects returns the number of distinct objects with local records.
-func (s *iopStore) objects() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.visits)
-}
-
 // snapshot materializes every object's visit list (persistence).
 func (s *iopStore) snapshot() map[moods.ObjectID][]VisitRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[moods.ObjectID][]VisitRecord, len(s.visits))
-	for obj, slot := range s.visits {
-		out[obj] = s.materialize(obj, slot)
+	out := make(map[moods.ObjectID][]VisitRecord, len(s.slots()))
+	for _, slot := range s.slots() {
+		out[slot.obj] = s.materialize(slot)
 	}
 	return out
 }
@@ -330,30 +345,26 @@ func (s *iopStore) adopt(obj moods.ObjectID, vs []VisitRecord) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.visits[obj]; ok {
+	if s.at(obj) != nil {
 		return false
 	}
-	if s.visits == nil {
-		s.visits = make(map[moods.ObjectID]visitSlot)
-	}
-	s.visits[obj] = s.slotOf(vs)
-	s.n += len(vs)
+	s.addAll(obj, vs)
 	s.markDirty(obj)
 	return true
 }
 
-// slotOf packs a non-empty, time-sorted visit list into a slot; s.mu
-// must be held.
-func (s *iopStore) slotOf(vs []VisitRecord) visitSlot {
-	slot := visitSlot{first: s.recOf(vs[0])}
+// addAll adds obj's slot from a non-empty, time-sorted visit list; obj
+// has none yet, and s.mu must be held.
+func (s *iopStore) addAll(obj moods.ObjectID, vs []VisitRecord) {
+	slot := s.add(visitSlot{obj: obj, first: s.recOf(vs[0])})
 	if len(vs) > 1 {
 		rest := make([]visitRec, 0, len(vs)-1)
 		for _, v := range vs[1:] {
 			rest = append(rest, s.recOf(v))
 		}
-		s.setRest(&slot, rest)
+		s.setRest(slot, rest)
 	}
-	return slot
+	s.n += len(vs)
 }
 
 // restore replaces the store contents from a snapshot (visit lists must
@@ -361,14 +372,10 @@ func (s *iopStore) slotOf(vs []VisitRecord) visitSlot {
 func (s *iopStore) restore(m map[moods.ObjectID][]VisitRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.visits = make(map[moods.ObjectID]visitSlot, len(m))
-	s.later = nil
-	s.n = 0
+	s.a, s.n = nil, 0
 	for obj, vs := range m {
-		if len(vs) == 0 {
-			continue
+		if len(vs) > 0 {
+			s.addAll(obj, vs)
 		}
-		s.visits[obj] = s.slotOf(vs)
-		s.n += len(vs)
 	}
 }

@@ -151,8 +151,8 @@ func TestIOPStoreCounts(t *testing.T) {
 	if s.len() != 5 {
 		t.Errorf("len = %d", s.len())
 	}
-	if s.objects() != 2 {
-		t.Errorf("objects = %d", s.objects())
+	if n := len(s.slots()); n != 2 {
+		t.Errorf("objects = %d", n)
 	}
 	if !s.has("o0") || s.has("zzz") {
 		t.Error("has() wrong")

@@ -6,6 +6,7 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/probe"
 )
 
 // The peer's two bounded tables. Each owns its mutex and allocates on
@@ -15,16 +16,17 @@ import (
 // refCache is a fixed-capacity LRU map from packed prefix-group key to
 // the resolved gateway, named by its address's ref in the peer's
 // nameTable: 24 bytes a slot. Entries live in a slot arena threaded by
-// an intrusive doubly-linked recency list, so the cache costs one map
-// and one slice regardless of churn — no per-entry heap nodes, and the
-// peer's memory for cached resolutions is bounded no matter how many
-// distinct prefixes it ever contacts. The zero value with cap set is an
-// empty cache. A plain mutex: a read promotes its entry, so it writes.
+// an intrusive doubly-linked recency list and indexed by key, so the
+// cache costs one table and one slice regardless of churn — no
+// per-entry heap nodes, and the peer's memory for cached resolutions is
+// bounded no matter how many distinct prefixes it ever contacts. The
+// zero value with cap set is an empty cache. A plain mutex: a read
+// promotes its entry, so it writes.
 type refCache struct {
 	cap int // at least one entry is kept whatever it says
 
 	mu    sync.Mutex
-	index map[ids.PrefixKey]int32
+	index *probe.Table // nil until the first put
 	slots []refSlot
 	head  int32 // most recently used; -1 when empty
 	tail  int32 // least recently used; -1 when empty
@@ -39,7 +41,7 @@ type refSlot struct {
 func (c *refCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.index)
+	return len(c.slots)
 }
 
 // get returns the cached gateway for key and marks it most recently
@@ -47,7 +49,7 @@ func (c *refCache) len() int {
 func (c *refCache) get(key ids.PrefixKey) (nameRef, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.index[key]
+	i, ok := c.find(probe.Uint64(uint64(key)), key)
 	if !ok {
 		return 0, false
 	}
@@ -60,13 +62,14 @@ func (c *refCache) get(key ids.PrefixKey) (nameRef, bool) {
 func (c *refCache) put(key ids.PrefixKey, node nameRef) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.index[key]; ok {
+	h := probe.Uint64(uint64(key))
+	if i, ok := c.find(h, key); ok {
 		c.slots[i].node = node
 		c.touch(i)
 		return
 	}
 	if c.index == nil {
-		c.index = make(map[ids.PrefixKey]int32)
+		c.index = new(probe.Table)
 		c.head, c.tail = -1, -1
 	}
 	var i int32
@@ -77,10 +80,10 @@ func (c *refCache) put(key ids.PrefixKey, node nameRef) {
 		// Reuse the LRU slot.
 		i = c.tail
 		c.unlink(i)
-		delete(c.index, c.slots[i].key)
+		c.index.Delete(probe.Uint64(uint64(c.slots[i].key)), i)
 	}
 	c.slots[i] = refSlot{key: key, node: node, prev: -1, next: -1}
-	c.index[key] = i
+	c.index.Insert(h, i)
 	c.pushFront(i)
 }
 
@@ -91,13 +94,19 @@ func (c *refCache) remove(key ids.PrefixKey) {
 	c.removeLocked(key)
 }
 
+// find returns the slot of key, hashed h.
+func (c *refCache) find(h uint64, key ids.PrefixKey) (int32, bool) {
+	return c.index.Find(h, func(i int32) bool { return c.slots[i].key == key })
+}
+
 func (c *refCache) removeLocked(key ids.PrefixKey) {
-	i, ok := c.index[key]
+	h := probe.Uint64(uint64(key))
+	i, ok := c.find(h, key)
 	if !ok {
 		return
 	}
 	c.unlink(i)
-	delete(c.index, key)
+	c.index.Delete(h, i)
 	// The slot stays allocated and is reused by a future eviction-free
 	// put only after the arena refills; mark it empty for clarity.
 	c.slots[i] = refSlot{prev: -1, next: -1}
@@ -108,7 +117,8 @@ func (c *refCache) removeLocked(key ids.PrefixKey) {
 		moved := c.slots[last]
 		c.relink(last, i)
 		c.slots[i] = moved
-		c.index[moved.key] = i
+		c.index.Delete(probe.Uint64(uint64(moved.key)), last)
+		c.index.Insert(probe.Uint64(uint64(moved.key)), i)
 	}
 	c.slots = c.slots[:last]
 }
@@ -149,13 +159,11 @@ func (c *refCache) removeNode(node nameRef) int {
 	return removed
 }
 
-// reset empties the cache, keeping capacity.
+// reset empties the cache.
 func (c *refCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	clear(c.index)
-	c.slots = c.slots[:0]
-	c.head, c.tail = -1, -1
+	c.index, c.slots = nil, nil
 }
 
 func (c *refCache) touch(i int32) {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"peertrack/internal/moods"
+	"peertrack/internal/probe"
 )
 
 // nameRef names a node by its place in the peer's nameTable: 4 bytes
@@ -22,8 +23,8 @@ type nameRef uint32
 // copied only when it fills. A ref reaches a reader only through the
 // store that holds it, whose lock orders the read after the interning,
 // so the array the reader loads holds its name. Interning takes a
-// mutex: a copy-on-write name → ref map would copy itself on every new
-// name.
+// mutex, and finds a name's ref through a table that indexes the array
+// itself: ref r is position r.
 type nameTable struct {
 	p atomic.Pointer[interned] // nil until the first name
 }
@@ -31,7 +32,7 @@ type nameTable struct {
 // interned is a nameTable's state once it holds a name.
 type interned struct {
 	mu    sync.Mutex                       // serialises ref's inserts
-	refs  map[moods.NodeName]nameRef       // guarded by mu; the refs handed out are 1..len(refs)
+	refs  probe.Table                      // guarded by mu; the refs handed out are 1..refs.Len()
 	names atomic.Pointer[[]moods.NodeName] // names[r] is ref r's; names[0] is ""
 }
 
@@ -42,16 +43,16 @@ func (t *nameTable) ref(n moods.NodeName) nameRef {
 	}
 	in := t.p.Load()
 	if in == nil {
-		t.p.CompareAndSwap(nil, &interned{refs: make(map[moods.NodeName]nameRef)})
+		t.p.CompareAndSwap(nil, new(interned))
 		in = t.p.Load()
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if r, ok := in.refs[n]; ok {
-		return r
+	names, h := in.names.Load(), probe.String(string(n))
+	if r, ok := in.refs.Find(h, func(r int32) bool { return (*names)[r] == n }); ok {
+		return nameRef(r)
 	}
-	r := nameRef(len(in.refs) + 1)
-	names := in.names.Load()
+	r := nameRef(in.refs.Len() + 1)
 	if names == nil || int(r) == len(*names) {
 		grown := make([]moods.NodeName, max(8, 2*int(r)))
 		if names != nil {
@@ -61,7 +62,7 @@ func (t *nameTable) ref(n moods.NodeName) nameRef {
 		in.names.Store(names)
 	}
 	(*names)[r] = n
-	in.refs[n] = r
+	in.refs.Insert(h, int32(r))
 	return r
 }
 

@@ -105,9 +105,7 @@ func TestBrokenIOPChainReported(t *testing.T) {
 	// Corrupt: node 4's visit gets a From pointing at an uninvolved node.
 	p4 := nw.Peers()[4]
 	p4.repo.mu.Lock()
-	slot := p4.repo.visits[obj]
-	slot.first.From = p4.repo.names.ref(nw.Peers()[9].Name())
-	p4.repo.visits[obj] = slot
+	p4.repo.at(obj).first.From = p4.repo.names.ref(nw.Peers()[9].Name())
 	p4.repo.mu.Unlock()
 
 	_, err := nw.Peers()[0].FullTrace(obj)

@@ -91,7 +91,7 @@ func snapshotStore(g *gatewayStore, held *replication.Engine) []bucketSnapshot {
 	defer g.mu.Unlock()
 	out := make([]bucketSnapshot, 0, len(g.buckets))
 	for key, b := range g.buckets {
-		bs := bucketSnapshot{Key: bucketKeyName(key), Entries: g.live(b, len(b.idx)), Delegated: b.delegated}
+		bs := bucketSnapshot{Key: bucketKeyName(key), Entries: g.live(b, b.idx.Len()), Delegated: b.delegated}
 		if held != nil {
 			bs.Owner, bs.Version, _ = held.HeldMeta(replication.IndexUnit(key))
 		}
@@ -163,7 +163,7 @@ func restoreStore(g *gatewayStore, snaps []bucketSnapshot, held *replication.Eng
 		if err != nil {
 			continue
 		}
-		b := newBucket()
+		b := new(bucket)
 		b.delegated = bs.Delegated
 		// Snapshot entries are in FIFO order; upserting in sequence
 		// rebuilds the slab in the same order.

@@ -36,8 +36,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	beforeReplica := p.ReplicaEntries()
 	beforeInv := len(p.Inventory())
 	p.repo.mu.Lock()
-	p.repo.visits = map[moods.ObjectID]visitSlot{}
-	p.repo.n = 0
+	p.repo.a, p.repo.n = nil, 0
 	p.repo.mu.Unlock()
 	p.gw.mu.Lock()
 	p.gw.buckets = map[ids.PrefixKey]*bucket{}

@@ -332,7 +332,7 @@ func TestGatewayStoreAdvanceKeepsSlots(t *testing.T) {
 	}
 	order := func(g *gatewayStore) []string {
 		var out []string
-		for _, e := range g.live(g.buckets[key], len(g.buckets[key].idx)) {
+		for _, e := range g.live(g.buckets[key], g.buckets[key].idx.Len()) {
 			out = append(out, fmt.Sprintf("%s@%s<%s", e.Object, e.Latest, e.Prev))
 		}
 		return out

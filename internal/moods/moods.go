@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"peertrack/internal/ids"
+	"peertrack/internal/probe"
 )
 
 // ObjectID is an object's raw identifier — in EPC deployments the
@@ -125,16 +126,30 @@ type Tracer interface {
 // every observation and answers queries exactly. It is the semantic
 // specification the distributed implementation must match, and the
 // centralized baseline builds on it. Of an observation it keeps the
-// (node, time) pair: the object is the key of its history.
+// (node, time) pair: the object is the key of its history, and the
+// histories sit in an arena in order of first sight, indexed by object.
 type HistoryStore struct {
-	mu   sync.RWMutex
-	hist map[ObjectID]Path // per object, sorted by Arrived
-	n    int               // total observations
+	mu    sync.RWMutex
+	index probe.Table
+	hist  []history
+	n     int // total observations
+}
+
+// history is one object's, sorted by Arrived.
+type history struct {
+	obj  ObjectID
+	path Path
 }
 
 // NewHistoryStore creates an empty store.
-func NewHistoryStore() *HistoryStore {
-	return &HistoryStore{hist: make(map[ObjectID]Path)}
+func NewHistoryStore() *HistoryStore { return &HistoryStore{} }
+
+// path returns o's history, nil if o was never seen; h.mu must be held.
+func (h *HistoryStore) path(o ObjectID) Path {
+	if i, ok := h.index.Find(probe.String(string(o)), func(i int32) bool { return h.hist[i].obj == o }); ok {
+		return h.hist[i].path
+	}
+	return nil
 }
 
 // Record adds an observation. Observations may arrive out of order;
@@ -146,22 +161,28 @@ func (h *HistoryStore) Record(obs Observation) {
 }
 
 func (h *HistoryStore) record(obs Observation) {
-	s := h.hist[obs.Object]
+	hash := probe.String(string(obs.Object))
+	k, ok := h.index.Find(hash, func(k int32) bool { return h.hist[k].obj == obs.Object })
+	if !ok {
+		k = int32(len(h.hist))
+		h.index.Insert(hash, k)
+		h.hist = append(h.hist, history{obj: obs.Object})
+	}
+	s := h.hist[k].path
 	i := len(s)
 	if i > 0 && s[i-1].Arrived > obs.At {
 		// Out of order; a time-sorted workload only ever appends.
 		i = sort.Search(i, func(i int) bool { return s[i].Arrived > obs.At })
 	}
-	h.hist[obs.Object] = slices.Insert(s, i, Visit{Node: obs.Node, Arrived: obs.At})
+	h.hist[k].path = slices.Insert(s, i, Visit{Node: obs.Node, Arrived: obs.At})
 	h.n++
 }
 
 // RecordAll records a workload at once and leaves what one Record per
 // observation, in slice order, leaves. Into an empty store, from input
-// in SortByTime's order, it counts each object's observations, lays all
-// histories out in one slab and inserts one map entry an object. Each
-// history is cut with cap == len, so a later Record reallocates it
-// instead of growing into its neighbour's.
+// in SortByTime's order, it counts each object's observations and lays
+// all histories out in one slab. Each history is cut with cap == len, so
+// a later Record reallocates it instead of growing into its neighbour's.
 func (h *HistoryStore) RecordAll(sorted []Observation) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -171,24 +192,27 @@ func (h *HistoryStore) RecordAll(sorted []Observation) {
 		}
 		return
 	}
-	// slot[i] numbers sorted[i]'s object, end[k] counts object k's
-	// observations. The map is sized for two observations an object.
-	number := make(map[ObjectID]int32, len(sorted)/2)
-	slot := make([]int32, len(sorted))
-	var end []int32
+	// slot[i] is the place of sorted[i]'s object. Until the arena is made,
+	// once and to size, place k's object is sorted[first[k]].
+	slot, first := make([]int32, len(sorted)), make([]int32, 0, len(sorted))
 	for i := range sorted {
-		k, ok := number[sorted[i].Object]
+		o := sorted[i].Object
+		hash := probe.String(string(o))
+		k, ok := h.index.Find(hash, func(k int32) bool { return sorted[first[k]].Object == o })
 		if !ok {
-			k = int32(len(end))
-			number[sorted[i].Object] = k
-			end = append(end, 0)
+			k = int32(len(first))
+			h.index.Insert(hash, k)
+			first = append(first, int32(i))
 		}
 		slot[i] = k
+	}
+	end := make([]int32, len(first)) // object k's next free place: the end of its history once filled
+	for _, k := range slot {
 		end[k]++
 	}
 	sum := int32(0)
 	for k, n := range end {
-		end[k] = sum // object k's next free place: the end of its history once filled
+		end[k] = sum
 		sum += n
 	}
 	slab := make(Path, len(sorted))
@@ -196,13 +220,11 @@ func (h *HistoryStore) RecordAll(sorted []Observation) {
 		slab[end[k]] = Visit{Node: sorted[i].Node, Arrived: sorted[i].At}
 		end[k]++
 	}
-	h.hist = make(map[ObjectID]Path, len(end))
+	h.hist = make([]history, len(first))
 	start := int32(0)
-	for i, k := range slot {
-		if int(k) == len(h.hist) { // objects are numbered in order of first sight
-			h.hist[sorted[i].Object] = slab[start:end[k]:end[k]]
-			start = end[k]
-		}
+	for k, i := range first {
+		h.hist[k] = history{obj: sorted[i].Object, path: slab[start:end[k]:end[k]]}
+		start = end[k]
 	}
 	h.n = len(sorted)
 }
@@ -227,8 +249,8 @@ func (h *HistoryStore) Objects() int {
 func (h *HistoryStore) ObjectIDs() []ObjectID {
 	h.mu.RLock()
 	out := make([]ObjectID, 0, len(h.hist))
-	for o := range h.hist {
-		out = append(out, o)
+	for _, e := range h.hist {
+		out = append(out, e.obj)
 	}
 	h.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -240,7 +262,7 @@ func (h *HistoryStore) ObjectIDs() []ObjectID {
 func (h *HistoryStore) Locate(o ObjectID, t time.Duration) (NodeName, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	s := h.hist[o]
+	s := h.path(o)
 	i := sort.Search(len(s), func(i int) bool { return s[i].Arrived > t })
 	if i == 0 {
 		return Nowhere, nil
@@ -255,7 +277,7 @@ func (h *HistoryStore) Trace(o ObjectID, t1, t2 time.Duration) (Path, error) {
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	s := h.hist[o]
+	s := h.path(o)
 	var path Path
 	// The node occupied at t1 (arrival strictly before t1) opens the
 	// path.
@@ -273,5 +295,6 @@ func (h *HistoryStore) Trace(o ObjectID, t1, t2 time.Duration) (Path, error) {
 func (h *HistoryStore) FullTrace(o ObjectID) Path {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return append(make(Path, 0, len(h.hist[o])), h.hist[o]...)
+	s := h.path(o)
+	return append(make(Path, 0, len(s)), s...)
 }

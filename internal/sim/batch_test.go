@@ -184,3 +184,19 @@ func TestBatchManyLanesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestExhaustedLaneIsReleased checks that a drained lane leaves no
+// pointer behind in the lane slice's spare capacity: a network keeps
+// its kernel after Run, and a lane holds its times and a callback that
+// may reach the whole workload.
+func TestExhaustedLaneIsReleased(t *testing.T) {
+	k := New(1)
+	k.Batch([]Time{1, 2}, func(int) {})
+	k.Batch([]Time{3}, func(int) {})
+	k.Run()
+	for i, l := range k.lanes[:cap(k.lanes)] {
+		if l != nil {
+			t.Errorf("lane slot %d still holds a drained lane", i)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -265,8 +266,8 @@ func (k *Kernel) Step() bool {
 		i := l.next
 		l.next++
 		if l.next == len(l.times) {
-			// Lane exhausted: drop it (order among remaining lanes kept).
-			k.lanes = append(k.lanes[:li], k.lanes[li+1:]...)
+			// Lane exhausted: drop it, keeping order and no stale pointer.
+			k.lanes = slices.Delete(k.lanes, li, li+1)
 		}
 		k.now = at
 		k.Executed++
