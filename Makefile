@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build examples test check vet deadpkgs loc loc-check race fuzz-short bench-module micro figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl
+.PHONY: build examples test check vet deadpkgs loc loc-check race flake-hunt fuzz-short bench-module micro figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 20853
+LOC_MAX = 20664
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
@@ -66,6 +66,24 @@ check: vet race chaos-short
 # race is the full test suite under the race detector.
 race:
 	$(GO) test -race ./...
+
+# flake-hunt runs the root and internal/core tests N = 20 times over
+# (`go test -count=20`) beside two busy-looping processes, the load under
+# which tests that pass on an idle 2-vCPU box have failed, and prints
+# how many of the 20 runs of each test failed (the whole log lands in
+# flake-hunt.log). About 7 minutes on a 2-core machine; -timeout covers
+# all 20 passes, as the default 10 minutes covers one. An interrupt or
+# hangup exits through the EXIT trap, so the two loops never outlive the
+# recipe (a non-interactive sh starts them with SIGINT ignored). No test
+# bound or timeout is widened for it: a test it names is fixed, or goes
+# on ROADMAP item 16's list.
+flake-hunt:
+	@yes >/dev/null & h1=$$!; yes >/dev/null & h2=$$!; \
+	trap 'kill $$h1 $$h2' EXIT; trap 'exit 130' INT TERM HUP; \
+	$(GO) test -count=20 -timeout 200m . ./internal/core/ >flake-hunt.log 2>&1; status=$$?; \
+	grep -oE -- '--- FAIL: [^ ]+' flake-hunt.log | sort | uniq -c | sort -rn; \
+	echo "flake-hunt: $$(grep -c -- '--- FAIL' flake-hunt.log) failed test runs in 20 passes"; \
+	exit $$status
 
 # fuzz-short runs each fuzz target of the wire format for ten seconds on
 # top of its seed corpus (one populated sample per message layout, under

@@ -10,10 +10,14 @@
 //	                [-nodes N] [-epochs N] [-drop P] [-replication K]
 //	                [-workers N] [-telemetry FILE] [-v]
 //
-// Without -seed it sweeps -seeds scenarios starting at seed 1 (split
-// 4:1 between the safe and lossy profiles when -profile both). On any
-// failure it minimizes the first failing schedule by deterministic
-// re-execution and prints the shrunk reproduction before exiting 1.
+// Every profile is a function from a seed to a verdict, and every
+// profile runs the same way: -seed N judges that one seed and prints
+// its runs; otherwise -seeds seeds sweep from seed 1 (split 4:1 between
+// the safe and lossy profiles when -profile both), the sweep prints one
+// summary line, and -v prints every stored verdict. On any failure it
+// prints the first failing seed and exits 1: a generated schedule with
+// its reproduction minimized by deterministic re-execution, a pair with
+// the expectations it missed, below the telemetry line.
 //
 // -profile churn10x selects the paired 10×-churn regression instead:
 // each seed runs the same permanent-crash schedule twice and requires
@@ -25,12 +29,14 @@
 // every settled object during the window. The replicated run (factor
 // -replication, default 2) must answer all of them from surviving
 // copies; the factor-1 baseline under the identical crash schedule
-// must provably lose reads (see internal/chaos.RunReplicationPair).
+// must provably lose reads (see internal/chaos.ReplicationConfig.Run).
 //
 // -replication K also applies to the safe/lossy profiles: every
 // scenario network keeps K total copies of each gateway bucket and IOP
 // repository, and every checkpoint additionally verifies
-// replica agreement.
+// replica agreement. A flag the chosen profile does not read is
+// refused: churn10x reads none of -nodes, -epochs, -drop and
+// -replication, repl neither -epochs nor -drop, and safe not -drop.
 //
 // With -telemetry FILE the merged telemetry snapshot of all scenarios
 // (counters, histograms, span totals, in seed order, so independent of
@@ -39,244 +45,237 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 
 	"peertrack/internal/chaos"
-	"peertrack/internal/invariants"
 	"peertrack/internal/telemetry"
 )
 
-func main() {
-	seeds := flag.Int("seeds", 100, "number of seeded scenarios to sweep")
-	seed := flag.Int64("seed", 0, "run exactly this one seed instead of sweeping")
-	profile := flag.String("profile", "both", "safe, lossy, or both (sweeps split 4:1)")
-	nodes := flag.Int("nodes", 0, "initial network size (0 = harness default)")
-	epochs := flag.Int("epochs", 0, "fault epochs per scenario (0 = harness default)")
-	drop := flag.Float64("drop", 0, "lossy-profile drop rate (0 = harness default)")
-	replication := flag.Int("replication", 0, "total copies of gateway state, incl. primary (0 = profile default)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel scenarios")
-	telemetryOut := flag.String("telemetry", "", "write the merged telemetry exposition to this file")
-	verbose := flag.Bool("v", false, "print every scenario report")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// unread names, per profile, the flags it does not read.
+var unread = map[string][]string{
+	"safe":     {"drop"},
+	"churn10x": {"nodes", "epochs", "drop", "replication"},
+	"repl":     {"epochs", "drop"},
+}
+
+// churnPair is the churn10x profile; a test plants failures through it.
+var churnPair = chaos.RunChurnPair
+
+// run is the command: it parses args, prints to stdout and stderr, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("peertrack-chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seeds := fs.Int("seeds", 100, "number of seeded scenarios to sweep")
+	seed := fs.Int64("seed", 0, "run exactly this one seed instead of sweeping")
+	profile := fs.String("profile", "both", "safe, lossy, both (sweeps split 4:1), churn10x, or repl")
+	nodes := fs.Int("nodes", 0, "initial network size (0 = harness default)")
+	epochs := fs.Int("epochs", 0, "fault epochs per scenario (0 = harness default)")
+	drop := fs.Float64("drop", 0, "lossy-profile drop rate (0 = harness default)")
+	replication := fs.Int("replication", 0, "total copies of gateway state, incl. primary (0 = profile default)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel scenarios")
+	telemetryOut := fs.String("telemetry", "", "write the merged telemetry exposition to this file")
+	verbose := fs.Bool("v", false, "print every scenario report")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// badFlag reports a flag the run cannot honour and exits 2, as the
+	// flag package does for one it cannot parse.
+	badFlag := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "peertrack-chaos: "+format+"\n", args...)
+		return 2
+	}
 	if *drop < 0 || *drop >= 1 {
-		badFlag("-drop %v is not a drop rate in [0, 1)", *drop)
+		return badFlag("-drop %v is not a drop rate in [0, 1)", *drop)
 	}
 	if *replication < 0 {
-		badFlag("-replication %d is negative", *replication)
+		return badFlag("-replication %d is negative", *replication)
 	}
 	if *profile == "repl" && *replication == 1 {
-		badFlag("-replication 1 leaves -profile repl nothing to compare: its baseline runs at factor 1 (want 2 or more)")
+		return badFlag("-replication 1 leaves -profile repl nothing to compare: its baseline runs at factor 1 (want 2 or more)")
+	}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(unread[*profile], f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return badFlag("-profile %s does not read %s", *profile, strings.Join(ignored, ", "))
 	}
 
+	o := opts{w: stdout, seed: *seed, workers: *workers, verbose: *verbose}
+	var merged telemetry.Snapshot
+	failed := false
+	var missed *chaos.Outcome // a failing pair's, printed below the telemetry line
 	switch *profile {
 	case "churn10x":
-		runPairs(*seed, *seeds, *workers, *telemetryOut, *verbose,
-			func(s int64) pairRun { return churnRun(chaos.RunChurnPair(chaos.ChurnConfig{Seed: s})) },
-			func(n, w int) pairSweep {
-				sw := chaos.ChurnSweep(chaos.ChurnConfig{Seed: 1}, n, w)
-				return pairSweep{sw, sw.Telemetry, firstFailure(sw.Failures, churnRun)}
-			})
-		return
+		sw := judge(o, churnPair, *seeds, churnSummary)
+		if merged = sw.Telemetry; sw.Failed() {
+			missed = &sw.Failures[0].Outcome
+		}
 	case "repl":
-		cfg := func(s int64) chaos.ReplicationConfig {
-			return chaos.ReplicationConfig{Seed: s, Nodes: *nodes, Factor: *replication}
+		cfg := chaos.ReplicationConfig{Nodes: *nodes, Factor: *replication}
+		sw := judge(o, cfg.Run, *seeds, replSummary)
+		if merged = sw.Telemetry; sw.Failed() {
+			missed = &sw.Failures[0].Outcome
 		}
-		runPairs(*seed, *seeds, *workers, *telemetryOut, *verbose,
-			func(s int64) pairRun { return replRun(chaos.RunReplicationPair(cfg(s))) },
-			func(n, w int) pairSweep {
-				sw := chaos.ReplicationSweep(cfg(1), n, w)
-				return pairSweep{sw, sw.Telemetry, firstFailure(sw.Failures, replRun)}
-			})
-		return
-	}
-
-	base := chaos.Config{Nodes: *nodes, Epochs: *epochs, DropRate: *drop, Replication: *replication}
-	var merged telemetry.Snapshot
-
-	if *seed != 0 {
-		ok := true
-		for _, p := range profilesFor(*profile) {
-			cfg := base
-			cfg.Seed = *seed
-			cfg.Profile = p
-			rep := chaos.Run(cfg)
-			fmt.Println(rep)
-			merged = merged.Merge(rep.Telemetry)
-			if rep.Failed() {
-				minimize(cfg)
-				ok = false
-			}
-		}
-		writeTelemetry(*telemetryOut, merged)
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-
-	failed := false
-	for _, p := range profilesFor(*profile) {
-		n := *seeds
+	case "safe", "lossy", "both":
+		// -profile both splits the sweep 4:1 safe:lossy — structural
+		// correctness gets the bulk of the budget; the lossy share bounds
+		// degradation under loss.
+		split := map[chaos.Profile]int{chaos.Profile(*profile): *seeds}
 		if *profile == "both" {
-			// 4:1 safe:lossy — structural correctness gets the bulk of the
-			// budget; the lossy share bounds degradation under loss.
-			if p == chaos.ProfileSafe {
-				n = *seeds * 4 / 5
-			} else {
-				n = *seeds - *seeds*4/5
+			split = map[chaos.Profile]int{chaos.ProfileSafe: *seeds * 4 / 5, chaos.ProfileLossy: *seeds - *seeds*4/5}
+		}
+		for _, p := range []chaos.Profile{chaos.ProfileSafe, chaos.ProfileLossy} {
+			n, ok := split[p]
+			if !ok {
+				continue
+			}
+			cfg := chaos.Config{Profile: p, Nodes: *nodes, Epochs: *epochs, DropRate: *drop, Replication: *replication}
+			sw := judge(o, cfg.Run, n, generatedSummary)
+			merged = merged.Merge(sw.Telemetry)
+			if sw.Failed() {
+				failed = true
+				first := sw.Failures[0]
+				if *seed == 0 {
+					fmt.Fprint(stdout, "\nfirst failure:\n")
+					printLines(stdout, "", first)
+				}
+				minimize(stdout, cfg, first.Seed)
 			}
 		}
-		if n == 0 {
-			continue
+	default:
+		return badFlag("unknown profile %q (want safe, lossy, both, churn10x, or repl)", *profile)
+	}
+	if err := writeTelemetry(stdout, *telemetryOut, merged); err != nil {
+		fmt.Fprintf(stderr, "peertrack-chaos: write telemetry: %v\n", err)
+		return 1
+	}
+	if missed != nil {
+		if *seed == 0 {
+			fmt.Fprintf(stdout, "\nfirst failing pair (seed %d):\n", missed.Seed)
 		}
-		cfg := base
-		cfg.Seed = 1
-		cfg.Profile = p
-		sw := chaos.Sweep(cfg, n, *workers)
-		fmt.Println(sw)
-		merged = merged.Merge(sw.Telemetry)
-		if *verbose {
-			for s := int64(0); s < int64(n); s++ {
-				c := cfg
-				c.Seed = cfg.Seed + s
-				fmt.Println(" ", chaos.Run(c))
-			}
-		}
-		if sw.Failed() {
-			failed = true
-			first := sw.Failures[0]
-			fmt.Printf("\nfirst failure:\n%s\n", first)
-			c := cfg
-			c.Seed = first.Seed
-			minimize(c)
+		for _, v := range missed.Violations {
+			fmt.Fprintln(stdout, " ", v)
 		}
 	}
-	writeTelemetry(*telemetryOut, merged)
-	if failed {
-		os.Exit(1)
+	if failed || missed != nil {
+		return 1
+	}
+	return 0
+}
+
+// opts is how a profile is judged: one seed (seed ≠ 0) or a sweep.
+type opts struct {
+	w       io.Writer
+	seed    int64
+	workers int
+	verbose bool
+}
+
+// judge runs a profile — o.seed alone, or n seeds from seed 1 — and
+// prints it: a single seed's runs, or a sweep's summary line and, under
+// -v, every stored verdict. A sweep of no seeds prints nothing. What a
+// failure prints is the caller's: it differs between generated
+// schedules and pairs.
+func judge[V chaos.Verdict](o opts, run func(seed int64) V, n int, summary func(chaos.SweepReport[V]) string) chaos.SweepReport[V] {
+	if o.seed != 0 {
+		sw := chaos.Sweep(run, o.seed, 1, 1)
+		printLines(o.w, "", sw.Verdicts[0])
+		return sw
+	}
+	if n <= 0 {
+		return chaos.SweepReport[V]{}
+	}
+	sw := chaos.Sweep(run, 1, n, o.workers)
+	fmt.Fprintln(o.w, summary(sw))
+	if o.verbose {
+		for _, v := range sw.Verdicts {
+			printLines(o.w, "  ", v)
+		}
+	}
+	return sw
+}
+
+func printLines(w io.Writer, indent string, v chaos.Verdict) {
+	for _, l := range v.Lines() {
+		fmt.Fprintln(w, indent+l)
 	}
 }
 
-// pairRun is one seed of a paired profile: the two runs of the same
-// schedule in print order, the telemetry the profile writes (the
-// gossip-assisted or the replicated run's), and the violations of the
-// pair's expectation.
-type pairRun struct {
-	seed       int64
-	runs       [2]fmt.Stringer
-	telemetry  telemetry.Snapshot
-	violations []invariants.Violation
-}
-
-func churnRun(p chaos.ChurnPairReport) pairRun {
-	return pairRun{p.ChordOnly.Seed, [2]fmt.Stringer{p.ChordOnly, p.Gossip}, p.Gossip.Telemetry, p.Violations}
-}
-
-func replRun(p chaos.ReplicationPairReport) pairRun {
-	return pairRun{p.Replicated.Seed, [2]fmt.Stringer{p.Replicated, p.Baseline}, p.Replicated.Telemetry, p.Violations}
-}
-
-// pairSweep is a paired profile's sweep: its summary line, its merged
-// telemetry, and its lowest failing seed (nil when every pair held).
-type pairSweep struct {
-	summary   fmt.Stringer
-	telemetry telemetry.Snapshot
-	failed    *pairRun
-}
-
-func firstFailure[P any](failures []P, view func(P) pairRun) *pairRun {
-	if len(failures) == 0 {
-		return nil
+// A sweep's summary line, one per kind of verdict: generated schedules
+// total their query accuracy, churn pairs report the slowest gossip
+// reconvergence, replication pairs total their crash-window reads.
+func generatedSummary(sw chaos.SweepReport[chaos.Report]) string {
+	var sum chaos.Report
+	for _, r := range sw.Verdicts {
+		sum.LocateOK += r.LocateOK
+		sum.LocateTotal += r.LocateTotal
+		sum.TraceOK += r.TraceOK
+		sum.TraceTotal += r.TraceTotal
 	}
-	first := view(failures[0])
-	return &first
+	return fmt.Sprintf("%d scenarios [%s]: %d failed, locate %.4f (%d/%d), trace %.4f (%d/%d)",
+		len(sw.Verdicts), sw.Verdicts[0].Profile, len(sw.Failures),
+		sum.LocateRatio(), sum.LocateOK, sum.LocateTotal,
+		sum.TraceRatio(), sum.TraceOK, sum.TraceTotal)
 }
 
-// runPairs runs a paired profile — churn10x or repl — where every seed
-// executes one schedule twice and the two runs must discriminate. A
-// single -seed runs one pair and prints both runs; otherwise -seeds
-// pairs sweep from seed 1. Exits 1 when any pair misses the
-// expectation.
-func runPairs(seed int64, seeds, workers int, telemetryOut string, verbose bool,
-	run func(seed int64) pairRun, sweep func(seeds, workers int) pairSweep) {
-	var failed *pairRun
-	if seed != 0 {
-		p := run(seed)
-		fmt.Println(p.runs[0])
-		fmt.Println(p.runs[1])
-		writeTelemetry(telemetryOut, p.telemetry)
-		if len(p.violations) > 0 {
-			failed = &p
-		}
-	} else {
-		sw := sweep(seeds, workers)
-		fmt.Println(sw.summary)
-		for s := int64(1); verbose && s <= int64(seeds); s++ {
-			p := run(s)
-			fmt.Println(" ", p.runs[0])
-			fmt.Println(" ", p.runs[1])
-		}
-		writeTelemetry(telemetryOut, sw.telemetry)
-		if failed = sw.failed; failed != nil {
-			fmt.Printf("\nfirst failing pair (seed %d):\n", failed.seed)
-		}
+func churnSummary(sw chaos.SweepReport[chaos.ChurnPairReport]) string {
+	worst := 0
+	for _, p := range sw.Verdicts {
+		worst = max(worst, p.Gossip.MaxConverge())
 	}
-	if failed != nil {
-		for _, v := range failed.violations {
-			fmt.Println(" ", v)
-		}
-		os.Exit(1)
+	return fmt.Sprintf("%d churn pairs: %d failed, max gossip convergence %d rounds",
+		len(sw.Verdicts), len(sw.Failures), worst)
+}
+
+func replSummary(sw chaos.SweepReport[chaos.ReplicationPairReport]) string {
+	reads, fallthroughs := 0, uint64(0)
+	for _, p := range sw.Verdicts {
+		reads += p.Replicated.WindowLocates
+		fallthroughs += p.Replicated.Fallthroughs
 	}
+	return fmt.Sprintf("%d replication pairs (factor %d): %d failed, %d window reads, %d replica fallthroughs",
+		len(sw.Verdicts), sw.Verdicts[0].Replicated.Factor, len(sw.Failures), reads, fallthroughs)
 }
 
 // writeTelemetry dumps the merged exposition to path ("" disables; "-"
-// prints to stdout) and always logs the one-line totals.
-func writeTelemetry(path string, snap telemetry.Snapshot) {
-	fmt.Printf("telemetry: %d counters, %d histograms, %d spans\n",
+// prints to w) and always logs the one-line totals.
+func writeTelemetry(w io.Writer, path string, snap telemetry.Snapshot) error {
+	fmt.Fprintf(w, "telemetry: %d counters, %d histograms, %d spans\n",
 		len(snap.Counters), len(snap.Histograms), snap.Spans)
-	if path == "" {
-		return
-	}
-	text := snap.Text()
-	if path == "-" {
-		fmt.Print(text)
-		return
-	}
-	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "peertrack-chaos: write telemetry: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("telemetry exposition written to %s\n", path)
-}
-
-// minimize shrinks cfg's failing schedule and prints the reproduction.
-func minimize(cfg chaos.Config) {
-	sched := chaos.Generate(cfg)
-	min := chaos.Minimize(cfg, sched)
-	fmt.Printf("\nminimal reproduction (seed %d, %s profile):\n  schedule: %s\n  %s\n",
-		cfg.Seed, cfg.Profile, min, chaos.RunSchedule(cfg, min))
-}
-
-func profilesFor(name string) []chaos.Profile {
-	switch name {
-	case "safe":
-		return []chaos.Profile{chaos.ProfileSafe}
-	case "lossy":
-		return []chaos.Profile{chaos.ProfileLossy}
-	case "both":
-		return []chaos.Profile{chaos.ProfileSafe, chaos.ProfileLossy}
-	default:
-		badFlag("unknown profile %q (want safe, lossy, both, churn10x, or repl)", name)
+	switch path {
+	case "":
 		return nil
+	case "-":
+		_, err := io.WriteString(w, snap.Text())
+		return err
 	}
+	if err := os.WriteFile(path, []byte(snap.Text()), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "telemetry exposition written to %s\n", path)
+	return nil
 }
 
-// badFlag reports a flag value out of its range and exits 2, as the
-// flag package does for one it cannot parse.
-func badFlag(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "peertrack-chaos: "+format+"\n", args...)
-	os.Exit(2)
+// minimize shrinks the failing schedule of cfg at seed and prints the
+// reproduction.
+func minimize(w io.Writer, cfg chaos.Config, seed int64) {
+	min := chaos.Minimize(cfg, seed, chaos.Generate(cfg, seed))
+	fmt.Fprintf(w, "\nminimal reproduction (seed %d, %s profile):\n  schedule: %s\n  %s\n",
+		seed, cfg.Profile, min, chaos.RunSchedule(cfg, seed, min))
 }

@@ -23,6 +23,10 @@
 //     messages are permanent (they are fire-and-forget by design), so
 //     exactness is not required; instead queries after a final
 //     loss-free settle must stay within configured degradation bounds.
+//
+// churn.go and replication.go add the paired churn10x and repl profiles.
+// Every profile is a function from a seed to a Verdict, and Sweep runs
+// any of them.
 package chaos
 
 import (
@@ -50,9 +54,10 @@ const (
 
 // Config parameterizes scenario generation and execution. The zero
 // value is usable: every field has a small-but-interesting default.
+// The seed is not a field: it is the argument of Run, Generate,
+// RunSchedule and Minimize, and drives the schedule, the workload and
+// the fault randomness.
 type Config struct {
-	// Seed drives everything: schedule, workload, fault randomness.
-	Seed int64
 	// Profile is the strictness regime (default safe).
 	Profile Profile
 	// Nodes is the initial network size (default 12).
@@ -98,15 +103,27 @@ func (c *Config) fill() {
 	}
 }
 
-// The workload shape of every generated schedule and replication
-// scenario: 3 objects a node, half of them moving along 4-stop routes
-// (capped at the network size). That is a few dozen objects whose
-// traces cross several repositories and gateways, small enough that a
-// 500-seed sweep runs in seconds.
-const (
-	objectsPerNode = 3
-	traceLen       = 4
-)
+// paperSpec is the workload of every generated schedule and replication
+// scenario over nodes peers: 3 objects a node, half of them moving along
+// 4-stop routes (capped at the network size). That is a few dozen
+// objects whose traces cross several repositories and gateways, small
+// enough that a 500-seed sweep runs in seconds.
+func paperSpec(nodes int, grouped bool, seed int64) workload.PaperSpec {
+	names := make([]moods.NodeName, nodes)
+	for i := range names {
+		names[i] = core.NodeNameFor(i)
+	}
+	return workload.PaperSpec{
+		Nodes:          names,
+		ObjectsPerNode: 3,
+		MoveFraction:   0.5,
+		TraceLen:       min(4, nodes),
+		Grouped:        grouped,
+		Seed:           seed,
+		Spread:         10 * time.Second,
+		HopGap:         time.Minute,
+	}
+}
 
 // EpochKind names what a fault epoch does to the network.
 type EpochKind string
@@ -162,29 +179,14 @@ func (s Schedule) String() string {
 	return strings.Join(parts, " | ")
 }
 
-// Generate derives a schedule deterministically from cfg.Seed. The
+// Generate derives a schedule deterministically from seed. The
 // first epoch is always calm so the initial object placements index
 // before faults begin; later epochs draw from all kinds.
-func Generate(cfg Config) Schedule {
+func Generate(cfg Config, seed int64) Schedule {
 	cfg.fill()
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eedc8a05))
+	rng := rand.New(rand.NewSource(seed ^ 0x5eedc8a05))
 
-	names := make([]moods.NodeName, cfg.Nodes)
-	for i := range names {
-		names[i] = core.NodeNameFor(i)
-	}
-	sched := Schedule{
-		Spec: workload.PaperSpec{
-			Nodes:          names,
-			ObjectsPerNode: objectsPerNode,
-			MoveFraction:   0.5,
-			TraceLen:       min(traceLen, cfg.Nodes),
-			Grouped:        rng.Intn(2) == 0,
-			Seed:           cfg.Seed + 1_000_003,
-			Spread:         10 * time.Second,
-			HopGap:         time.Minute,
-		},
-	}
+	sched := Schedule{Spec: paperSpec(cfg.Nodes, rng.Intn(2) == 0, seed+1_000_003)}
 
 	kinds := []EpochKind{
 		EpochCrash, EpochCrash, EpochPartition, EpochPartition,

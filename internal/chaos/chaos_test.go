@@ -6,12 +6,12 @@ import (
 )
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(Config{Seed: 42})
-	b := Generate(Config{Seed: 42})
+	a := Generate(Config{}, 42)
+	b := Generate(Config{}, 42)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different schedules:\n%v\n%v", a, b)
 	}
-	c := Generate(Config{Seed: 43})
+	c := Generate(Config{}, 43)
 	if reflect.DeepEqual(a, c) {
 		t.Fatalf("different seeds produced identical schedules: %v", a)
 	}
@@ -19,9 +19,9 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	for _, profile := range []Profile{ProfileSafe, ProfileLossy} {
-		cfg := Config{Seed: 7, Profile: profile}
-		a := Run(cfg)
-		b := Run(cfg)
+		cfg := Config{Profile: profile}
+		a := cfg.Run(7)
+		b := cfg.Run(7)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: same seed, different reports:\n%v\n%v", profile, a, b)
 		}
@@ -33,17 +33,25 @@ func TestSafeScenariosClean(t *testing.T) {
 	if testing.Short() {
 		n = 10
 	}
-	sw := Sweep(Config{Seed: 1, Profile: ProfileSafe}, n, 4)
+	sw := Sweep(Config{Profile: ProfileSafe}.Run, 1, n, 4)
 	for _, f := range sw.Failures {
 		t.Errorf("safe scenario failed:\n%s", f)
 	}
-	if sw.LocateTotal == 0 || sw.TraceTotal == 0 {
-		t.Fatalf("sweep ran no queries: %s", sw)
+	var sum Report
+	for _, r := range sw.Verdicts {
+		sum.LocateOK += r.LocateOK
+		sum.LocateTotal += r.LocateTotal
+		sum.TraceOK += r.TraceOK
+		sum.TraceTotal += r.TraceTotal
+	}
+	if sum.LocateTotal == 0 || sum.TraceTotal == 0 {
+		t.Fatalf("sweep ran no queries: %+v", sum)
 	}
 	// The safe profile scores every query as an invariant, so a clean
 	// sweep means perfect accuracy by construction.
-	if sw.LocateOK != sw.LocateTotal || sw.TraceOK != sw.TraceTotal {
-		t.Errorf("safe sweep not exact: %s", sw)
+	if sum.LocateOK != sum.LocateTotal || sum.TraceOK != sum.TraceTotal {
+		t.Errorf("safe sweep not exact: locate %d/%d trace %d/%d",
+			sum.LocateOK, sum.LocateTotal, sum.TraceOK, sum.TraceTotal)
 	}
 }
 
@@ -52,7 +60,7 @@ func TestLossyScenariosWithinBounds(t *testing.T) {
 	if testing.Short() {
 		n = 5
 	}
-	sw := Sweep(Config{Seed: 1, Profile: ProfileLossy}, n, 4)
+	sw := Sweep(Config{Profile: ProfileLossy}.Run, 1, n, 4)
 	for _, f := range sw.Failures {
 		t.Errorf("lossy scenario failed:\n%s", f)
 	}
@@ -61,27 +69,29 @@ func TestLossyScenariosWithinBounds(t *testing.T) {
 func TestMinimizeShrinksFailingSchedule(t *testing.T) {
 	// An impossible accuracy floor makes every lossy run fail its
 	// bounds, giving the minimizer a deterministic failure to preserve.
-	cfg := Config{Seed: 3, Profile: ProfileLossy, DropRate: 0.5, MinLocateOK: 2, MinTraceOK: 2, Epochs: 5}
-	sched := Generate(cfg)
-	if !RunSchedule(cfg, sched).Failed() {
+	const seed = 3
+	cfg := Config{Profile: ProfileLossy, DropRate: 0.5, MinLocateOK: 2, MinTraceOK: 2, Epochs: 5}
+	sched := Generate(cfg, seed)
+	if !RunSchedule(cfg, seed, sched).Failed() {
 		t.Fatal("setup: schedule unexpectedly passed")
 	}
-	min := Minimize(cfg, sched)
+	min := Minimize(cfg, seed, sched)
 	if len(min.Epochs) >= len(sched.Epochs) {
 		t.Errorf("minimizer did not shrink: %d -> %d epochs", len(sched.Epochs), len(min.Epochs))
 	}
-	if !RunSchedule(cfg, min).Failed() {
+	if !RunSchedule(cfg, seed, min).Failed() {
 		t.Errorf("minimized schedule no longer fails: %s", min)
 	}
-	if min.Spec.ObjectsPerNode >= Generate(cfg).Spec.ObjectsPerNode && min.Spec.ObjectsPerNode != 1 {
+	if min.Spec.ObjectsPerNode >= Generate(cfg, seed).Spec.ObjectsPerNode && min.Spec.ObjectsPerNode != 1 {
 		t.Logf("population not shed (ok if failure needs it): %d", min.Spec.ObjectsPerNode)
 	}
 }
 
 func TestMinimizeLeavesPassingScheduleAlone(t *testing.T) {
-	cfg := Config{Seed: 5, Profile: ProfileSafe}
-	sched := Generate(cfg)
-	min := Minimize(cfg, sched)
+	const seed = 5
+	cfg := Config{Profile: ProfileSafe}
+	sched := Generate(cfg, seed)
+	min := Minimize(cfg, seed, sched)
 	if !reflect.DeepEqual(min, sched) {
 		t.Errorf("passing schedule was modified:\n%v\n%v", sched, min)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"peertrack/internal/chord"
@@ -83,24 +82,18 @@ const (
 )
 
 // ChurnReport is the outcome of one churn scenario. Determinism
-// contract as for Report: identical config → identical report.
+// contract as for Report: identical config → identical report. Its
+// Outcome's Violations are empty on success; on failure they hold the
+// ring-reconverge violation plus the residual ring state.
 type ChurnReport struct {
-	Seed   int64
+	Outcome
 	Gossip bool
 	// RoundsRun counts fault rounds executed (stops early on failure).
 	RoundsRun int
 	// Converge holds, per completed fault round, the maintenance rounds
 	// the ring needed to reconverge.
 	Converge []int
-	// Violations is empty on success; on failure it holds the
-	// ring-reconverge violation plus the residual ring state.
-	Violations []invariants.Violation
-	// Telemetry is the scenario's full instrument snapshot.
-	Telemetry telemetry.Snapshot
 }
-
-// Failed reports whether the scenario missed the reconvergence budget.
-func (r ChurnReport) Failed() bool { return len(r.Violations) > 0 }
 
 // MaxConverge returns the worst per-round convergence latency (0 when
 // no round completed).
@@ -115,24 +108,11 @@ func (r ChurnReport) MaxConverge() int {
 }
 
 func (r ChurnReport) String() string {
-	var b strings.Builder
 	mode := "chord-only"
 	if r.Gossip {
 		mode = "gossip"
 	}
-	fmt.Fprintf(&b, "churn seed %d [%s] rounds=%d converge=%v",
-		r.Seed, mode, r.RoundsRun, r.Converge)
-	if r.Failed() {
-		fmt.Fprintf(&b, " FAIL (%d violations)", len(r.Violations))
-		for i, v := range r.Violations {
-			if i == 4 {
-				fmt.Fprintf(&b, "\n  ... %d more", len(r.Violations)-i)
-				break
-			}
-			fmt.Fprintf(&b, "\n  %s", v)
-		}
-	}
-	return b.String()
+	return r.line("churn seed %d [%s] rounds=%d converge=%v", r.Seed, mode, r.RoundsRun, r.Converge)
 }
 
 // churnRunner holds one scenario's mutable state.
@@ -147,7 +127,7 @@ type churnRunner struct {
 
 // RunChurn executes one churn scenario deterministically.
 func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
-	rep = ChurnReport{Seed: cfg.Seed, Gossip: cfg.Gossip}
+	rep = ChurnReport{Outcome: Outcome{Seed: cfg.Seed}, Gossip: cfg.Gossip}
 	r := &churnRunner{
 		cfg:    cfg,
 		kernel: sim.New(cfg.Seed),
@@ -164,9 +144,7 @@ func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
 	}
 	nodes, err := chord.BuildStaticRing(r.mem, addrs, chord.Config{SuccessorListLen: churnSuccessors})
 	if err != nil {
-		rep.Violations = append(rep.Violations, invariants.Violation{
-			Invariant: "harness", Detail: fmt.Sprintf("build ring: %v", err),
-		})
+		rep.harnessFail("build ring: %v", err)
 		return rep
 	}
 	for _, n := range nodes {
@@ -290,89 +268,43 @@ func (r *churnRunner) kill(victim core.Maintained) {
 }
 
 // ChurnPairReport is the paired chord-only/gossip verdict for one seed.
+// Its Outcome's Violations are empty when the pair matches the
+// expectation: chord-only FAILS reconvergence and gossip PASSES it. Its
+// Telemetry is the gossip-assisted run's.
 type ChurnPairReport struct {
+	Outcome
 	ChordOnly ChurnReport
 	Gossip    ChurnReport
-	// Violations is empty when the pair matches the expectation:
-	// chord-only FAILS reconvergence and gossip PASSES it.
-	Violations []invariants.Violation
 }
 
-// Failed reports whether the paired expectation was violated.
-func (p ChurnPairReport) Failed() bool { return len(p.Violations) > 0 }
+// Lines prints the chord-only run, then the gossip-assisted run.
+func (p ChurnPairReport) Lines() []string {
+	return []string{p.ChordOnly.String(), p.Gossip.String()}
+}
 
-// RunChurnPair runs the same churn schedule twice — Chord-only and
+// RunChurnPair runs the churn schedule for seed twice — Chord-only and
 // gossip-assisted — and asserts the discriminating outcome the 10×
 // profile is checked in for: stabilization alone must miss the
 // reconvergence budget, and the gossip membership layer must meet it.
-func RunChurnPair(cfg ChurnConfig) ChurnPairReport {
-	chordCfg, gossipCfg := cfg, cfg
-	chordCfg.Gossip = false
-	gossipCfg.Gossip = true
+func RunChurnPair(seed int64) ChurnPairReport {
 	pair := ChurnPairReport{
-		ChordOnly: RunChurn(chordCfg),
-		Gossip:    RunChurn(gossipCfg),
+		ChordOnly: RunChurn(ChurnConfig{Seed: seed}),
+		Gossip:    RunChurn(ChurnConfig{Seed: seed, Gossip: true}),
 	}
+	pair.Seed, pair.Telemetry = seed, pair.Gossip.Telemetry
 	if !pair.ChordOnly.Failed() {
 		pair.Violations = append(pair.Violations, invariants.Violation{
 			Invariant: "churn-pair",
 			Detail: fmt.Sprintf("seed %d: chord-only run unexpectedly reconverged (converge=%v) — churn too weak to discriminate",
-				cfg.Seed, pair.ChordOnly.Converge),
+				seed, pair.ChordOnly.Converge),
 		})
 	}
 	if pair.Gossip.Failed() {
 		pair.Violations = append(pair.Violations, invariants.Violation{
 			Invariant: "churn-pair",
-			Detail:    fmt.Sprintf("seed %d: gossip-assisted run failed reconvergence", cfg.Seed),
+			Detail:    fmt.Sprintf("seed %d: gossip-assisted run failed reconvergence", seed),
 		})
 		pair.Violations = append(pair.Violations, pair.Gossip.Violations...)
 	}
 	return pair
-}
-
-// ChurnSweepReport aggregates paired churn runs across seeds.
-type ChurnSweepReport struct {
-	Scenarios int
-	// Failures holds the failing pairs, ascending by seed.
-	Failures []ChurnPairReport
-	// MaxConverge is the worst gossip-assisted convergence latency seen
-	// across all seeds — the value the perf ledger pins.
-	MaxConverge int
-	// Telemetry merges the gossip-assisted runs' snapshots in seed
-	// order (worker-count independent).
-	Telemetry telemetry.Snapshot
-}
-
-// Failed reports whether any pair in the sweep failed.
-func (s ChurnSweepReport) Failed() bool { return len(s.Failures) > 0 }
-
-func (s ChurnSweepReport) String() string {
-	return fmt.Sprintf("%d churn pairs: %d failed, max gossip convergence %d rounds",
-		s.Scenarios, len(s.Failures), s.MaxConverge)
-}
-
-// ChurnSweep runs n paired scenarios with seeds cfg.Seed…cfg.Seed+n−1
-// across workers. Each scenario owns its whole world, so the aggregate
-// is byte-identical at any worker count (assembled in seed order).
-func ChurnSweep(cfg ChurnConfig, n, workers int) ChurnSweepReport {
-	pairs := runSeeds(n, workers, func(i int) ChurnPairReport {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		return RunChurnPair(c)
-	})
-
-	out := ChurnSweepReport{Scenarios: n}
-	for _, p := range pairs {
-		if mc := p.Gossip.MaxConverge(); mc > out.MaxConverge {
-			out.MaxConverge = mc
-		}
-		out.Telemetry = out.Telemetry.Merge(p.Gossip.Telemetry)
-		if p.Failed() {
-			out.Failures = append(out.Failures, p)
-		}
-	}
-	sort.Slice(out.Failures, func(i, j int) bool {
-		return out.Failures[i].ChordOnly.Seed < out.Failures[j].ChordOnly.Seed
-	})
-	return out
 }

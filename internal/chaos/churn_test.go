@@ -18,7 +18,7 @@ func TestChurn10xDiscriminates(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		p := RunChurnPair(ChurnConfig{Seed: seed})
+		p := RunChurnPair(seed)
 		if p.Failed() {
 			for _, v := range p.Violations {
 				t.Errorf("seed %d: %s", seed, v)
@@ -59,19 +59,18 @@ func TestChurnSweepWorkerIndependent(t *testing.T) {
 	if testing.Short() {
 		n = 2
 	}
-	cfg := ChurnConfig{Seed: 21, Gossip: true}
-	seq := ChurnSweep(cfg, n, 1)
-	par := ChurnSweep(cfg, n, 4)
+	seq := Sweep(RunChurnPair, 21, n, 1)
+	par := Sweep(RunChurnPair, 21, n, 4)
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("sweep differs across worker counts:\n%s\n%s", seq, par)
+		t.Fatalf("sweep differs across worker counts:\n%v\n%v", seq.Verdicts, par.Verdicts)
 	}
-	if seq.Failed() {
-		for _, f := range seq.Failures {
-			t.Errorf("pair failed: %v", f.Violations)
+	for _, f := range seq.Failures {
+		t.Errorf("pair failed: %v", f.Violations)
+	}
+	for _, p := range seq.Verdicts {
+		if p.Gossip.MaxConverge() <= 0 {
+			t.Errorf("seed %d recorded no convergence latency: %s", p.Seed, p.Gossip)
 		}
-	}
-	if seq.MaxConverge <= 0 {
-		t.Fatalf("sweep recorded no convergence latency: %s", seq)
 	}
 }
 

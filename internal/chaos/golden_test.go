@@ -25,10 +25,10 @@ func TestGoldenSweepTelemetry(t *testing.T) {
 		file string
 		cfg  Config
 	}{
-		{"sweep_safe20.telemetry.txt", Config{Seed: 1, Profile: ProfileSafe}},
-		{"sweep_safe20_repl2.telemetry.txt", Config{Seed: 1, Profile: ProfileSafe, Replication: 2}},
+		{"sweep_safe20.telemetry.txt", Config{Profile: ProfileSafe}},
+		{"sweep_safe20_repl2.telemetry.txt", Config{Profile: ProfileSafe, Replication: 2}},
 	} {
-		got := Sweep(g.cfg, 20, 1).Telemetry.Text()
+		got := Sweep(g.cfg.Run, 1, 20, 1).Telemetry.Text()
 		path := filepath.Join("testdata", g.file)
 		if *update {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

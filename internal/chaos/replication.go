@@ -4,15 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
-	"time"
 
 	"peertrack/internal/core"
 	"peertrack/internal/invariants"
 	"peertrack/internal/moods"
-	"peertrack/internal/telemetry"
 	"peertrack/internal/transport"
-	"peertrack/internal/workload"
 )
 
 // This file is the replication-failover harness: a crash scenario
@@ -26,15 +22,13 @@ import (
 // test is that no such read ever returns a stale or empty answer. A
 // second workload slice flushes with the primaries still dead, so
 // indexing and mirror traffic race the crash. The paired runner
-// (RunReplicationPair) executes the same schedule at factor 1 and
+// (ReplicationConfig.Run) executes the same schedule at factor 1 and
 // requires it to LOSE reads in that window — proving the failover path,
 // not a lucky placement, is what answered them.
 
-// ReplicationConfig parameterizes one replication-failover scenario.
+// ReplicationConfig parameterizes the replication-failover profile.
 // The zero value is usable.
 type ReplicationConfig struct {
-	// Seed drives victim selection and the workload.
-	Seed int64
 	// Nodes is the network size (default 16).
 	Nodes int
 	// Factor is the replication factor under test, total copies
@@ -62,9 +56,13 @@ const replicationRounds = 3
 func crashesFor(factor int) int { return max(factor-1, 1) }
 
 // ReplicationReport is the outcome of one scenario. Determinism
-// contract as for Report: identical config → identical report.
+// contract as for Report: identical config → identical report. Its
+// Outcome's Violations are empty on success. At factor ≥ 2 every
+// crash-window read must agree with the oracle and every checkpoint
+// must pass the full invariant suite plus replica agreement; at factor 1
+// the window reads only count (the paired runner asserts they lose).
 type ReplicationReport struct {
-	Seed   int64
+	Outcome
 	Factor int
 	// RoundsRun counts crash rounds executed (stops early on failure).
 	RoundsRun int
@@ -76,98 +74,33 @@ type ReplicationReport struct {
 	// Fallthroughs is the final core.replication.fallthrough_reads
 	// counter — how many crash-window answers came from a replica.
 	Fallthroughs uint64
-	// Violations is empty on success. At factor ≥ 2 every crash-window
-	// read must agree with the oracle and every checkpoint must pass
-	// the full invariant suite plus replica agreement; at factor 1 the
-	// window reads only count (the paired runner asserts they lose).
-	Violations []invariants.Violation
-	// Telemetry is the scenario's full instrument snapshot.
-	Telemetry telemetry.Snapshot
 }
-
-// Failed reports whether the scenario violated any invariant.
-func (r ReplicationReport) Failed() bool { return len(r.Violations) > 0 }
 
 func (r ReplicationReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "repl seed %d factor=%d rounds=%d window locate %d/%d trace %d/%d fallthrough=%d",
+	return r.line("repl seed %d factor=%d rounds=%d window locate %d/%d trace %d/%d fallthrough=%d",
 		r.Seed, r.Factor, r.RoundsRun, r.WindowOK, r.WindowLocates,
 		r.WindowTraceOK, r.WindowTraces, r.Fallthroughs)
-	if r.Failed() {
-		fmt.Fprintf(&b, " FAIL (%d violations)", len(r.Violations))
-		for i, v := range r.Violations {
-			if i == 4 {
-				fmt.Fprintf(&b, "\n  ... %d more", len(r.Violations)-i)
-				break
-			}
-			fmt.Fprintf(&b, "\n  %s", v)
-		}
-	}
-	return b.String()
 }
 
-// runReplication runs a filled cfg, killing crashes primaries a round.
-func runReplication(cfg ReplicationConfig, crashes int) (rep ReplicationReport) {
-	rep = ReplicationReport{Seed: cfg.Seed, Factor: cfg.Factor}
-	fail := func(format string, args ...any) ReplicationReport {
-		rep.Violations = append(rep.Violations, invariants.Violation{
-			Invariant: "harness", Detail: fmt.Sprintf(format, args...),
-		})
-		return rep
-	}
-
-	var nw *core.Network
+// runReplication runs a filled cfg at seed, killing crashes primaries a
+// round.
+func runReplication(seed int64, cfg ReplicationConfig, crashes int) (rep ReplicationReport) {
+	rep = ReplicationReport{Outcome: Outcome{Seed: seed}, Factor: cfg.Factor}
+	w := newWorld()
 	defer func() {
-		if nw != nil {
-			rep.Telemetry = nw.Telemetry.Snapshot()
-			rep.Fallthroughs = nw.Telemetry.Counter("core.replication.fallthrough_reads").Value()
+		w.snapshot(&rep.Outcome)
+		if w.nw != nil {
+			rep.Fallthroughs = w.nw.Telemetry.Counter("core.replication.fallthrough_reads").Value()
 		}
 	}()
 
-	nw, err := core.BuildNetwork(core.NetworkConfig{
-		Nodes: cfg.Nodes,
-		Seed:  cfg.Seed,
-		Peer:  core.Config{ReplicationFactor: cfg.Factor},
-	})
-	if err != nil {
-		return fail("build: %v", err)
+	if err := w.build(seed, cfg.Nodes, cfg.Factor, paperSpec(cfg.Nodes, true, seed+2_000_003)); err != nil {
+		rep.harnessFail("%v", err)
+		return rep
 	}
-	names := make([]moods.NodeName, cfg.Nodes)
-	for i := range names {
-		names[i] = core.NodeNameFor(i)
-	}
-	wl, err := workload.PaperSpec{
-		Nodes:          names,
-		ObjectsPerNode: objectsPerNode,
-		MoveFraction:   0.5,
-		TraceLen:       min(traceLen, cfg.Nodes),
-		Grouped:        true,
-		Seed:           cfg.Seed + 2_000_003,
-		Spread:         10 * time.Second,
-		HopGap:         time.Minute,
-	}.Generate()
-	if err != nil {
-		return fail("workload: %v", err)
-	}
+	nw, wl := w.nw, w.wl
 
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x3e91ac55))
-	lastSeen := make(map[moods.ObjectID]moods.NodeName)
-	crashed := make(map[transport.Addr]bool)
-	feed := func(obs moods.Observation) bool {
-		p, ok := nw.PeerByName(obs.Node)
-		if !ok || crashed[p.Addr()] {
-			return false // a dead node sights nothing
-		}
-		if lastSeen[obs.Object] == obs.Node {
-			return false
-		}
-		lastSeen[obs.Object] = obs.Node
-		if err := nw.ScheduleObservation(obs); err != nil {
-			panic(err)
-		}
-		return true
-	}
-
+	rng := rand.New(rand.NewSource(seed ^ 0x3e91ac55))
 	n := len(wl.Observations)
 	for round := 0; round < replicationRounds; round++ {
 		rep.RoundsRun = round + 1
@@ -176,7 +109,7 @@ func runReplication(cfg ReplicationConfig, crashes int) (rep ReplicationReport) 
 
 		// Phase A: settled traffic — indexed, stitched, and mirrored.
 		for _, obs := range wl.Observations[lo:mid] {
-			feed(obs)
+			w.feed(obs)
 		}
 		nw.Kernel.Run()
 		nw.FlushAll()
@@ -186,8 +119,7 @@ func runReplication(cfg ReplicationConfig, crashes int) (rep ReplicationReport) 
 		// Phase B: kill crashes index primaries. The ring is NOT
 		// repaired: this is the failover window.
 		for _, addr := range pickPrimaries(nw, rng, crashes) {
-			crashed[addr] = true
-			nw.Transport.Kill(addr)
+			w.kill(addr)
 		}
 
 		// A second slice flushes with the primaries dead, so indexing
@@ -196,7 +128,7 @@ func runReplication(cfg ReplicationConfig, crashes int) (rep ReplicationReport) 
 		// check only objects whose whole history predates the crash.
 		touched := make(map[moods.ObjectID]bool)
 		for _, obs := range wl.Observations[mid:hi] {
-			if feed(obs) {
+			if w.feed(obs) {
 				touched[obs.Object] = true
 			}
 		}
@@ -205,14 +137,14 @@ func runReplication(cfg ReplicationConfig, crashes int) (rep ReplicationReport) 
 
 		var asker *core.Peer
 		for _, p := range nw.Peers() {
-			if !crashed[p.Addr()] {
+			if !w.crashed[p.Addr()] {
 				asker = p
 				break
 			}
 		}
 		now := nw.Kernel.Now()
 		for _, obj := range wl.Objects {
-			if touched[obj] || lastSeen[obj] == "" {
+			if touched[obj] || w.lastSeen[obj] == "" {
 				continue
 			}
 			want, _ := nw.Oracle.Locate(obj, now)
@@ -246,13 +178,7 @@ func runReplication(cfg ReplicationConfig, crashes int) (rep ReplicationReport) 
 
 		// Heal, converge, and hold the full invariant suite plus
 		// replica agreement at the round boundary.
-		for addr := range crashed {
-			nw.Transport.Revive(addr)
-		}
-		crashed = make(map[transport.Addr]bool)
-		settle(nw)
-		nw.SyncReplicas()
-		if vs := checkpoint(nw, invariants.Options{Exact: true}); len(vs) > 0 {
+		if vs := w.checkpoint(round, invariants.Options{Exact: true}); len(vs) > 0 {
 			rep.Violations = vs
 			return rep
 		}
@@ -290,101 +216,54 @@ func pickPrimaries(nw *core.Network, rng *rand.Rand, k int) []transport.Addr {
 }
 
 // ReplicationPairReport is the paired replicated/baseline verdict for
-// one seed.
+// one seed. Its Outcome's Violations are empty when the pair matches the
+// expectation: the replicated run answers every crash-window read (with
+// at least one replica fallthrough) while the factor-1 baseline, under
+// the same crash schedule, provably loses reads. Its Telemetry is the
+// replicated run's.
 type ReplicationPairReport struct {
+	Outcome
 	Replicated ReplicationReport
 	Baseline   ReplicationReport
-	// Violations is empty when the pair matches the expectation: the
-	// replicated run answers every crash-window read (with at least one
-	// replica fallthrough) while the factor-1 baseline, under the same
-	// crash schedule, provably loses reads.
-	Violations []invariants.Violation
 }
 
-// Failed reports whether the paired expectation was violated.
-func (p ReplicationPairReport) Failed() bool { return len(p.Violations) > 0 }
+// Lines prints the replicated run, then the baseline.
+func (p ReplicationPairReport) Lines() []string {
+	return []string{p.Replicated.String(), p.Baseline.String()}
+}
 
-// RunReplicationPair runs the same crash schedule twice — at
+// Run runs the replication profile's crash schedule for seed twice — at
 // cfg.Factor and at factor 1 with the identical victim count — and
 // asserts the discriminating outcome the harness is checked in for.
-func RunReplicationPair(cfg ReplicationConfig) ReplicationPairReport {
+func (cfg ReplicationConfig) Run(seed int64) ReplicationPairReport {
 	cfg.fill()
 	crashes := crashesFor(cfg.Factor) // same victims despite the factor drop
 	base := cfg
 	base.Factor = 1
 	pair := ReplicationPairReport{
-		Replicated: runReplication(cfg, crashes),
-		Baseline:   runReplication(base, crashes),
+		Replicated: runReplication(seed, cfg, crashes),
+		Baseline:   runReplication(seed, base, crashes),
 	}
+	pair.Seed, pair.Telemetry = seed, pair.Replicated.Telemetry
 	if pair.Replicated.Failed() {
 		pair.Violations = append(pair.Violations, invariants.Violation{
 			Invariant: "replication-pair",
-			Detail:    fmt.Sprintf("seed %d: replicated run (factor %d) failed", cfg.Seed, cfg.Factor),
+			Detail:    fmt.Sprintf("seed %d: replicated run (factor %d) failed", seed, cfg.Factor),
 		})
 		pair.Violations = append(pair.Violations, pair.Replicated.Violations...)
 	}
 	if pair.Replicated.Fallthroughs == 0 {
 		pair.Violations = append(pair.Violations, invariants.Violation{
 			Invariant: "replication-pair",
-			Detail:    fmt.Sprintf("seed %d: no crash-window read used a replica — schedule exercised nothing", cfg.Seed),
+			Detail:    fmt.Sprintf("seed %d: no crash-window read used a replica — schedule exercised nothing", seed),
 		})
 	}
 	if pair.Baseline.WindowOK == pair.Baseline.WindowLocates && pair.Baseline.WindowTraceOK == pair.Baseline.WindowTraces {
 		pair.Violations = append(pair.Violations, invariants.Violation{
 			Invariant: "replication-pair",
 			Detail: fmt.Sprintf("seed %d: factor-1 baseline lost no crash-window reads (%d/%d locates) — schedule too weak to discriminate",
-				cfg.Seed, pair.Baseline.WindowOK, pair.Baseline.WindowLocates),
+				seed, pair.Baseline.WindowOK, pair.Baseline.WindowLocates),
 		})
 	}
 	return pair
-}
-
-// ReplicationSweepReport aggregates paired runs across seeds.
-type ReplicationSweepReport struct {
-	Scenarios int
-	Factor    int
-	// Failures holds the failing pairs, ascending by seed.
-	Failures []ReplicationPairReport
-	// WindowLocates / Fallthroughs accumulate the replicated runs'
-	// crash-window reads and replica-served answers.
-	WindowLocates int
-	Fallthroughs  uint64
-	// Telemetry merges the replicated runs' snapshots in seed order
-	// (worker-count independent).
-	Telemetry telemetry.Snapshot
-}
-
-// Failed reports whether any pair in the sweep failed.
-func (s ReplicationSweepReport) Failed() bool { return len(s.Failures) > 0 }
-
-func (s ReplicationSweepReport) String() string {
-	return fmt.Sprintf("%d replication pairs (factor %d): %d failed, %d window reads, %d replica fallthroughs",
-		s.Scenarios, s.Factor, len(s.Failures), s.WindowLocates, s.Fallthroughs)
-}
-
-// ReplicationSweep runs n paired scenarios with seeds
-// cfg.Seed…cfg.Seed+n−1 across workers. Each scenario owns its whole
-// world, so the aggregate is byte-identical at any worker count
-// (assembled in seed order).
-func ReplicationSweep(cfg ReplicationConfig, n, workers int) ReplicationSweepReport {
-	cfg.fill()
-	pairs := runSeeds(n, workers, func(i int) ReplicationPairReport {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		return RunReplicationPair(c)
-	})
-
-	out := ReplicationSweepReport{Scenarios: n, Factor: cfg.Factor}
-	for _, p := range pairs {
-		out.WindowLocates += p.Replicated.WindowLocates
-		out.Fallthroughs += p.Replicated.Fallthroughs
-		out.Telemetry = out.Telemetry.Merge(p.Replicated.Telemetry)
-		if p.Failed() {
-			out.Failures = append(out.Failures, p)
-		}
-	}
-	sort.Slice(out.Failures, func(i, j int) bool {
-		return out.Failures[i].Replicated.Seed < out.Failures[j].Replicated.Seed
-	})
-	return out
 }

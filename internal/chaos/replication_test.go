@@ -10,7 +10,7 @@ import (
 // 1 — otherwise the replicated run's perfect score proves nothing.
 func TestReplicationPairDiscriminates(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		pair := RunReplicationPair(ReplicationConfig{Seed: seed})
+		pair := ReplicationConfig{}.Run(seed)
 		if pair.Failed() {
 			for _, v := range pair.Violations {
 				t.Errorf("seed %d: %s", seed, v)
@@ -34,7 +34,7 @@ func TestReplicationPairDiscriminates(t *testing.T) {
 // Factor 3 tolerates two simultaneous primary crashes: 2 of any 3
 // consecutive ring copies can die and one always survives.
 func TestReplicationFactorThreeSurvivesTwoCrashes(t *testing.T) {
-	rep := RunReplicationPair(ReplicationConfig{Seed: 5, Factor: 3}).Replicated
+	rep := ReplicationConfig{Factor: 3}.Run(5).Replicated
 	if rep.Failed() {
 		for _, v := range rep.Violations {
 			t.Errorf("%s", v)
@@ -49,29 +49,31 @@ func TestReplicationFactorThreeSurvivesTwoCrashes(t *testing.T) {
 }
 
 func TestReplicationDeterministic(t *testing.T) {
-	cfg := ReplicationConfig{Seed: 11}
-	a := RunReplicationPair(cfg)
-	b := RunReplicationPair(cfg)
+	cfg := ReplicationConfig{}
+	a := cfg.Run(11)
+	b := cfg.Run(11)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same config, different reports:\n%s\n%s", a, b)
+		t.Fatalf("same config, different reports:\n%s\n%s", a.Lines(), b.Lines())
 	}
 }
 
 func TestReplicationSweepWorkerIndependent(t *testing.T) {
-	cfg := ReplicationConfig{Seed: 20, Nodes: 12}
-	serial := ReplicationSweep(cfg, 3, 1)
-	parallel := ReplicationSweep(cfg, 3, 3)
+	run := ReplicationConfig{Nodes: 12}.Run
+	serial := Sweep(run, 20, 3, 1)
+	parallel := Sweep(run, 20, 3, 3)
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("sweep differs by worker count:\n%s\n%s", serial, parallel)
+		t.Fatalf("sweep differs by worker count:\n%v\n%v", serial.Verdicts, parallel.Verdicts)
 	}
-	if serial.Failed() {
-		for _, p := range serial.Failures {
-			for _, v := range p.Violations {
-				t.Errorf("seed %d: %s", p.Replicated.Seed, v)
-			}
+	for _, p := range serial.Failures {
+		for _, v := range p.Violations {
+			t.Errorf("seed %d: %s", p.Seed, v)
 		}
 	}
-	if serial.Fallthroughs == 0 {
+	var fallthroughs uint64
+	for _, p := range serial.Verdicts {
+		fallthroughs += p.Replicated.Fallthroughs
+	}
+	if fallthroughs == 0 {
 		t.Error("sweep exercised no replica fallthroughs")
 	}
 }
@@ -83,7 +85,7 @@ func TestReplicationSweepWorkerIndependent(t *testing.T) {
 func TestGeneratedSchedulesCleanWithReplication(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, factor := range []int{2, 3} {
-			rep := Run(Config{Seed: seed, Replication: factor})
+			rep := Config{Replication: factor}.Run(seed)
 			if rep.Failed() {
 				t.Errorf("seed %d factor %d: %s", seed, factor, rep)
 			}

@@ -4,40 +4,33 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"peertrack/internal/core"
 	"peertrack/internal/invariants"
 	"peertrack/internal/moods"
-	"peertrack/internal/telemetry"
+	"peertrack/internal/transport"
 	"peertrack/internal/workload"
 )
 
 // Report is the outcome of one scenario run. Two runs of the same
 // (Config, Schedule) produce identical Reports — that equality is
-// itself asserted by the harness tests.
+// itself asserted by the harness tests. Its Outcome's Violations are
+// empty on success; on failure they hold the invariant violations from
+// the first failing checkpoint (or query/bound failures), and its
+// Telemetry is the scenario network's full instrument snapshot at the
+// moment the run ended (zero if the network never built).
 type Report struct {
-	Seed     int64
+	Outcome
 	Profile  Profile
 	Schedule string
 	// EpochsRun counts epochs executed before the run ended (early on
 	// the first invariant violation).
 	EpochsRun int
-	// Violations is empty on success. On failure it holds the invariant
-	// violations from the first failing checkpoint (or query/bound
-	// failures).
-	Violations []invariants.Violation
 	// Query accuracy counters, accumulated across all epochs.
 	LocateTotal, LocateOK int
 	TraceTotal, TraceOK   int
-	// Telemetry is the scenario network's full instrument snapshot at
-	// the moment the run ended (zero if the network never built).
-	Telemetry telemetry.Snapshot
 }
-
-// Failed reports whether the scenario violated any invariant or bound.
-func (r Report) Failed() bool { return len(r.Violations) > 0 }
 
 // LocateRatio returns the fraction of locate queries agreeing with the
 // oracle (1 when none ran).
@@ -58,42 +51,29 @@ func (r Report) TraceRatio() float64 {
 }
 
 func (r Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed %d [%s] epochs=%d locate %d/%d trace %d/%d",
+	s := r.line("seed %d [%s] epochs=%d locate %d/%d trace %d/%d",
 		r.Seed, r.Profile, r.EpochsRun, r.LocateOK, r.LocateTotal, r.TraceOK, r.TraceTotal)
 	if r.Failed() {
-		fmt.Fprintf(&b, " FAIL (%d violations)", len(r.Violations))
-		for i, v := range r.Violations {
-			if i == 4 {
-				fmt.Fprintf(&b, "\n  ... %d more", len(r.Violations)-i)
-				break
-			}
-			fmt.Fprintf(&b, "\n  %s", v)
-		}
-		fmt.Fprintf(&b, "\n  schedule: %s", r.Schedule)
+		s += "\n  schedule: " + r.Schedule
 	}
-	return b.String()
+	return s
 }
 
-// Run generates the schedule for cfg and executes it.
-func Run(cfg Config) Report {
-	cfg.fill()
-	return RunSchedule(cfg, Generate(cfg))
+// Lines is the report as printed: one entry.
+func (r Report) Lines() []string { return []string{r.String()} }
+
+// Run generates the schedule for cfg at seed and executes it: the
+// generated-schedule profiles as a run function.
+func (cfg Config) Run(seed int64) Report {
+	return RunSchedule(cfg, seed, Generate(cfg, seed))
 }
 
 // runner holds one scenario's mutable execution state.
 type runner struct {
-	cfg   Config
-	nw    *core.Network
-	rng   *rand.Rand
-	wl    workload.Result
-	rep   *Report
-	crash map[moods.NodeName]bool
-	// lastSeen is each object's most recently *recorded* location; a
-	// re-sighting at the same node is suppressed (MOODS semantics: the
-	// object did not move, so L and TR are unchanged) so that
-	// fault-induced skips never fabricate consecutive same-node visits.
-	lastSeen map[moods.ObjectID]moods.NodeName
+	*world
+	cfg Config
+	rng *rand.Rand
+	rep *Report
 	// skipIOP collects objects whose histories include a departed node;
 	// the departed repository took part of their chains with it, so
 	// exact IOP reconstruction is structurally impossible for them.
@@ -107,52 +87,29 @@ type runner struct {
 // at drop rate zero, checks every network invariant, and issues
 // oracle-verified queries. The run stops at the first violating
 // checkpoint.
-func RunSchedule(cfg Config, sched Schedule) (rep Report) {
+func RunSchedule(cfg Config, seed int64, sched Schedule) (rep Report) {
 	cfg.fill()
-	rep = Report{Seed: cfg.Seed, Profile: cfg.Profile, Schedule: sched.String()}
-	harnessFail := func(format string, args ...any) Report {
-		rep.Violations = append(rep.Violations, invariants.Violation{
-			Invariant: "harness", Detail: fmt.Sprintf(format, args...),
-		})
+	rep = Report{Outcome: Outcome{Seed: seed}, Profile: cfg.Profile, Schedule: sched.String()}
+	w := newWorld()
+	defer w.snapshot(&rep.Outcome)
+	if err := w.build(seed, cfg.Nodes, cfg.Replication, sched.Spec); err != nil {
+		rep.harnessFail("%v", err)
 		return rep
 	}
-
-	// Snapshot the scenario's instruments on every return path, so a run
-	// that stops early (first violation) still reports its telemetry.
-	var nw *core.Network
-	defer func() {
-		if nw != nil {
-			rep.Telemetry = nw.Telemetry.Snapshot()
-		}
-	}()
-
-	nw, err := core.BuildNetwork(core.NetworkConfig{
-		Nodes: cfg.Nodes,
-		Seed:  cfg.Seed,
-		Peer:  core.Config{ReplicationFactor: cfg.Replication},
-	})
-	if err != nil {
-		return harnessFail("build: %v", err)
-	}
-	wl, err := sched.Spec.Generate()
-	if err != nil {
-		return harnessFail("workload: %v", err)
-	}
+	nw := w.nw
 	r := &runner{
-		cfg:      cfg,
-		nw:       nw,
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0xc4a05f11)),
-		wl:       wl,
-		rep:      &rep,
-		crash:    make(map[moods.NodeName]bool),
-		lastSeen: make(map[moods.ObjectID]moods.NodeName),
-		skipIOP:  make(map[moods.ObjectID]bool),
+		world:   w,
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(seed ^ 0xc4a05f11)),
+		rep:     &rep,
+		skipIOP: make(map[moods.ObjectID]bool),
 	}
 
 	for ei, ep := range sched.Epochs {
 		rep.EpochsRun = ei + 1
 		if msg := r.injectFault(ep); msg != "" {
-			return harnessFail("%s", msg)
+			rep.harnessFail("%s", msg)
+			return rep
 		}
 		if cfg.Profile == ProfileLossy {
 			nw.Transport.SetDropRate(cfg.DropRate)
@@ -160,29 +117,22 @@ func RunSchedule(cfg Config, sched Schedule) (rep Report) {
 
 		// Play this epoch's slice of the movement workload with the
 		// fault active, then pulse the windows so flush traffic races it.
-		n := len(wl.Observations)
+		n := len(w.wl.Observations)
 		e := len(sched.Epochs)
-		for _, obs := range wl.Observations[ei*n/e : (ei+1)*n/e] {
-			r.feed(obs)
+		for _, obs := range w.wl.Observations[ei*n/e : (ei+1)*n/e] {
+			w.feed(obs)
 		}
 		nw.Kernel.Run()
 		nw.FlushAll()
 		nw.FlushAll()
 
-		// Heal everything and let rebuffered windows drain loss-free.
-		r.heal()
-		if !settle(nw) {
-			return harnessFail("windows still buffered after settle (epoch %d)", ei)
-		}
-
-		// Checkpoint: every structural invariant must hold in both
-		// profiles; exactness only where no history departed. With
-		// replication on, a repair round first re-converges the mirrors
-		// (it is protocol activity, like the flush pulses above), then
-		// every primary must agree byte-for-byte with its k−1 copies.
-		nw.SyncReplicas()
+		// Heal everything, let rebuffered windows drain loss-free and
+		// check every structural invariant in both profiles; exactness
+		// only where no history departed.
+		nw.Transport.HealPartitions()
+		nw.Transport.SetDropRate(0)
 		opts := invariants.Options{Exact: cfg.Profile == ProfileSafe, SkipIOP: r.skipIOP}
-		if vs := checkpoint(nw, opts); len(vs) > 0 {
+		if vs := w.checkpoint(ei, opts); len(vs) > 0 {
 			rep.Violations = vs
 			return rep
 		}
@@ -214,8 +164,8 @@ func RunSchedule(cfg Config, sched Schedule) (rep Report) {
 
 // injectFault applies the epoch's fault to the network; membership
 // changes run immediately (on the healed network), unreachability
-// faults stay active until heal(). Returns a harness error message, or
-// "" on success.
+// faults stay active until the epoch's checkpoint. Returns a harness
+// error message, or "" on success.
 func (r *runner) injectFault(ep Epoch) string {
 	nw := r.nw
 	switch ep.Kind {
@@ -223,9 +173,7 @@ func (r *runner) injectFault(ep Epoch) string {
 		k := clamp(ep.Victims, nw.Size()/3)
 		perm := r.rng.Perm(nw.Size())
 		for i := 0; i < k; i++ {
-			p := nw.Peers()[perm[i]]
-			r.crash[p.Name()] = true
-			nw.Transport.Kill(p.Addr())
+			r.kill(nw.Peers()[perm[i]].Addr())
 		}
 	case EpochPartition:
 		k := clamp(ep.Victims, nw.Size()/2)
@@ -258,37 +206,95 @@ func (r *runner) injectFault(ep Epoch) string {
 	return ""
 }
 
-// feed schedules one workload observation unless its node is crashed or
-// departed (the sighting never happens — neither in the network nor in
-// the oracle) or it would re-sight the object at its current location.
-func (r *runner) feed(obs moods.Observation) {
-	if r.crash[obs.Node] {
-		return
-	}
-	if _, ok := r.nw.PeerByName(obs.Node); !ok {
-		return
-	}
-	if r.lastSeen[obs.Object] == obs.Node {
-		return
-	}
-	r.lastSeen[obs.Object] = obs.Node
-	// The node exists and is registered, so this cannot fail.
-	if err := r.nw.ScheduleObservation(obs); err != nil {
-		panic(err)
+// world is one scenario's network and the bookkeeping the generated and
+// the replication runner share: the workload, which nodes are down, and
+// where each object was last sighted.
+type world struct {
+	nw *core.Network
+	wl workload.Result
+	// crashed holds the nodes killed and not yet revived.
+	crashed map[transport.Addr]bool
+	// lastSeen is each object's most recently *recorded* location; a
+	// re-sighting at the same node is suppressed (MOODS semantics: the
+	// object did not move, so L and TR are unchanged) so that
+	// fault-induced skips never fabricate consecutive same-node visits.
+	lastSeen map[moods.ObjectID]moods.NodeName
+}
+
+func newWorld() *world {
+	return &world{
+		crashed:  make(map[transport.Addr]bool),
+		lastSeen: make(map[moods.ObjectID]moods.NodeName),
 	}
 }
 
-// heal revives crashed nodes, removes all partitions, and turns random
-// loss off.
-func (r *runner) heal() {
-	for name := range r.crash {
-		if p, ok := r.nw.PeerByName(name); ok {
-			r.nw.Transport.Revive(p.Addr())
-		}
+// build constructs a network of nodes peers, each bucket and repository
+// kept in factor copies, and generates spec's workload.
+func (w *world) build(seed int64, nodes, factor int, spec workload.PaperSpec) error {
+	nw, err := core.BuildNetwork(core.NetworkConfig{
+		Nodes: nodes,
+		Seed:  seed,
+		Peer:  core.Config{ReplicationFactor: factor},
+	})
+	if err != nil {
+		return fmt.Errorf("build: %w", err)
 	}
-	r.crash = make(map[moods.NodeName]bool)
-	r.nw.Transport.HealPartitions()
-	r.nw.Transport.SetDropRate(0)
+	w.nw = nw
+	if w.wl, err = spec.Generate(); err != nil {
+		return fmt.Errorf("workload: %w", err)
+	}
+	return nil
+}
+
+// snapshot records the network's instruments in o, so a run that stops
+// early (first violation) still reports its telemetry. Deferred by every
+// runner; a network that never built leaves o's telemetry zero.
+func (w *world) snapshot(o *Outcome) {
+	if w.nw != nil {
+		o.Telemetry = w.nw.Telemetry.Snapshot()
+	}
+}
+
+// feed schedules one workload observation unless its node is crashed or
+// departed (the sighting never happens — neither in the network nor in
+// the oracle) or it would re-sight the object at its current location.
+// It reports whether the observation was scheduled.
+func (w *world) feed(obs moods.Observation) bool {
+	p, ok := w.nw.PeerByName(obs.Node)
+	if !ok || w.crashed[p.Addr()] || w.lastSeen[obs.Object] == obs.Node {
+		return false
+	}
+	w.lastSeen[obs.Object] = obs.Node
+	// The node exists and is registered, so this cannot fail.
+	if err := w.nw.ScheduleObservation(obs); err != nil {
+		panic(err)
+	}
+	return true
+}
+
+// kill crashes addr until the next checkpoint revives it.
+func (w *world) kill(addr transport.Addr) {
+	w.crashed[addr] = true
+	w.nw.Transport.Kill(addr)
+}
+
+// checkpoint revives every crashed node, settles the windows, runs a
+// repair round that re-converges the mirrors (protocol activity, like
+// the flush pulses), then checks the whole catalog — with replication
+// on, every primary must agree byte for byte with its k−1 copies — and
+// the transport ledger the harness owns.
+func (w *world) checkpoint(epoch int, opts invariants.Options) []invariants.Violation {
+	nw := w.nw
+	for addr := range w.crashed {
+		nw.Transport.Revive(addr)
+	}
+	clear(w.crashed)
+	if !settle(nw) {
+		return []invariants.Violation{{Invariant: "harness",
+			Detail: fmt.Sprintf("windows still buffered after settle (epoch %d)", epoch)}}
+	}
+	nw.SyncReplicas()
+	return append(invariants.Check(nw.Peers(), nw.Oracle, opts), invariants.CheckStats(nw.Stats().Snapshot())...)
 }
 
 // settle pumps window flushes until no peer holds buffered
@@ -307,12 +313,6 @@ func settle(nw *core.Network) bool {
 		nw.FlushAll()
 	}
 	return false
-}
-
-// checkpoint runs the whole catalog over the quiesced network, then the
-// transport ledger the harness owns.
-func checkpoint(nw *core.Network, opts invariants.Options) []invariants.Violation {
-	return append(invariants.Check(nw.Peers(), nw.Oracle, opts), invariants.CheckStats(nw.Stats().Snapshot())...)
 }
 
 // queries issues oracle-verified probes from random peers: a

@@ -2,96 +2,94 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"strings"
 
+	"peertrack/internal/core"
+	"peertrack/internal/invariants"
 	"peertrack/internal/telemetry"
 )
 
-// SweepReport aggregates a batch of scenario runs.
-type SweepReport struct {
-	Scenarios int
-	Profile   Profile
-	// Failures holds the reports of failed scenarios, ascending by seed.
-	Failures []Report
-	// Aggregate query-accuracy counters across all scenarios.
-	LocateTotal, LocateOK int
-	TraceTotal, TraceOK   int
-	// Telemetry merges every scenario's snapshot in seed order, making
-	// the aggregate independent of the worker count.
+// Outcome is what every verdict carries, whatever its profile: the
+// seed, the violations that fail it (none when it passed) and the
+// telemetry a sweep merges.
+type Outcome struct {
+	Seed       int64
+	Violations []invariants.Violation
+	Telemetry  telemetry.Snapshot
+}
+
+// Failed reports whether the run violated an invariant or missed its
+// profile's expectation.
+func (o Outcome) Failed() bool { return len(o.Violations) > 0 }
+
+func (o Outcome) outcome() Outcome { return o }
+
+// harnessFail records that the harness itself could not carry the run
+// on (a network that did not build, a fault it could not inject).
+func (o *Outcome) harnessFail(format string, args ...any) {
+	o.Violations = append(o.Violations, invariants.Violation{
+		Invariant: "harness", Detail: fmt.Sprintf(format, args...),
+	})
+}
+
+// line renders a run's one-line header and, when the run failed, the
+// tail every report prints: the violation count, the first four
+// violations and how many more there are.
+func (o Outcome) line(format string, args ...any) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, format, args...)
+	if o.Failed() {
+		fmt.Fprintf(&b, " FAIL (%d violations)", len(o.Violations))
+		for i, v := range o.Violations {
+			if i == 4 {
+				fmt.Fprintf(&b, "\n  ... %d more", len(o.Violations)-i)
+				break
+			}
+			fmt.Fprintf(&b, "\n  %s", v)
+		}
+	}
+	return b.String()
+}
+
+// Verdict is one seed's outcome under any profile: a generated
+// schedule's Report, a ChurnPairReport or a ReplicationPairReport. A
+// profile is a function from a seed to its verdict.
+type Verdict interface {
+	// Failed reports whether the seed failed its profile.
+	Failed() bool
+	// Lines is the verdict as printed, one entry per run, each with its
+	// own violations (a pair's missed expectations are its Violations).
+	Lines() []string
+	outcome() Outcome
+}
+
+// SweepReport is a sweep's verdicts and what it keeps of them, all in
+// seed order.
+type SweepReport[V Verdict] struct {
+	// Verdicts holds every seed's verdict, ascending by seed.
+	Verdicts []V
+	// Failures holds the failed verdicts, ascending by seed.
+	Failures []V
+	// Telemetry merges every verdict's snapshot in seed order.
 	Telemetry telemetry.Snapshot
 }
 
-// Failed reports whether any scenario in the sweep failed.
-func (s SweepReport) Failed() bool { return len(s.Failures) > 0 }
+// Failed reports whether any seed in the sweep failed.
+func (s SweepReport[V]) Failed() bool { return len(s.Failures) > 0 }
 
-func (s SweepReport) String() string {
-	ratio := func(ok, total int) float64 {
-		if total == 0 {
-			return 1
-		}
-		return float64(ok) / float64(total)
-	}
-	return fmt.Sprintf("%d scenarios [%s]: %d failed, locate %.4f (%d/%d), trace %.4f (%d/%d)",
-		s.Scenarios, s.Profile, len(s.Failures),
-		ratio(s.LocateOK, s.LocateTotal), s.LocateOK, s.LocateTotal,
-		ratio(s.TraceOK, s.TraceTotal), s.TraceOK, s.TraceTotal)
-}
-
-// runSeeds evaluates run(0) … run(n−1) across the given number of
-// workers and returns the results in index order, so whatever a sweep
-// assembles from them is independent of the worker count.
-func runSeeds[T any](n, workers int, run func(i int) T) []T {
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([]T, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
-}
-
-// Sweep runs n scenarios with seeds cfg.Seed, cfg.Seed+1, …,
-// cfg.Seed+n−1 across the given number of workers. Each scenario owns
-// its whole world (kernel, transport, network), so parallel execution
-// cannot perturb determinism; the aggregate is assembled in seed order.
-func Sweep(cfg Config, n, workers int) SweepReport {
-	cfg.fill()
-	reports := runSeeds(n, workers, func(i int) Report {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		return Run(c)
-	})
-
-	out := SweepReport{Scenarios: n, Profile: cfg.Profile}
-	for _, r := range reports {
-		out.LocateTotal += r.LocateTotal
-		out.LocateOK += r.LocateOK
-		out.TraceTotal += r.TraceTotal
-		out.TraceOK += r.TraceOK
-		out.Telemetry = out.Telemetry.Merge(r.Telemetry)
-		if r.Failed() {
-			out.Failures = append(out.Failures, r)
+// Sweep runs run(first), run(first+1), …, run(first+n−1) across the
+// given number of workers. Each seed owns its whole world (kernel,
+// transport, network), so parallel execution cannot perturb
+// determinism, and the report, assembled in seed order, is the same at
+// any worker count.
+func Sweep[V Verdict](run func(seed int64) V, first int64, n, workers int) SweepReport[V] {
+	out := SweepReport[V]{Verdicts: core.Parallel(n, workers, func(i int) V { return run(first + int64(i)) })}
+	for _, v := range out.Verdicts {
+		out.Telemetry = out.Telemetry.Merge(v.outcome().Telemetry)
+		if v.Failed() {
+			out.Failures = append(out.Failures, v)
 		}
 	}
-	sort.Slice(out.Failures, func(i, j int) bool { return out.Failures[i].Seed < out.Failures[j].Seed })
 	return out
 }
 
@@ -99,11 +97,11 @@ func Sweep(cfg Config, n, workers int) SweepReport {
 // deterministic re-execution: first truncate to the shortest failing
 // prefix of epochs, then greedily delete epochs, then shed workload
 // population. The result is the smallest schedule this process can
-// reach that still fails under cfg — the thing to stare at when
+// reach that still fails under cfg at seed — the thing to stare at when
 // debugging. If sched does not fail, it is returned unchanged.
-func Minimize(cfg Config, sched Schedule) Schedule {
+func Minimize(cfg Config, seed int64, sched Schedule) Schedule {
 	cfg.fill()
-	fails := func(s Schedule) bool { return RunSchedule(cfg, s).Failed() }
+	fails := func(s Schedule) bool { return RunSchedule(cfg, seed, s).Failed() }
 	if !fails(sched) {
 		return sched
 	}

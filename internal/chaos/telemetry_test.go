@@ -11,13 +11,13 @@ import (
 // exposition, because each scenario owns its registry and the merge is
 // assembled in seed order.
 func TestSweepTelemetryWorkerIndependent(t *testing.T) {
-	cfg := Config{Seed: 11, Profile: ProfileSafe}
+	run := Config{Profile: ProfileSafe}.Run
 	n := 6
 	if testing.Short() {
 		n = 3
 	}
-	a := Sweep(cfg, n, 1)
-	b := Sweep(cfg, n, 4)
+	a := Sweep(run, 11, n, 1)
+	b := Sweep(run, 11, n, 4)
 	if !reflect.DeepEqual(a.Telemetry, b.Telemetry) {
 		t.Errorf("sweep telemetry differs across worker counts:\n%+v\n%+v", a.Telemetry, b.Telemetry)
 	}
@@ -34,7 +34,7 @@ func TestSweepTelemetryWorkerIndependent(t *testing.T) {
 // whole stack's instruments: transport traffic, chord lookups, window
 // flushes, and query spans.
 func TestReportTelemetryPopulated(t *testing.T) {
-	rep := Run(Config{Seed: 7, Profile: ProfileSafe})
+	rep := Config{Profile: ProfileSafe}.Run(7)
 	if rep.Failed() {
 		t.Fatalf("scenario failed:\n%s", rep)
 	}

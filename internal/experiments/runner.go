@@ -2,20 +2,17 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"peertrack/internal/core"
 )
 
 // Every figure is a sweep of independent (network size, data volume)
 // points, and every point builds its own core.Network, workload, and
 // transport — nothing is shared between points, and each point derives
-// its randomness from Scale.Seed alone. That makes the sweep
-// embarrassingly parallel without giving up determinism: the parallel
-// runner executes exactly the same per-point work with exactly the same
-// seeds as a sequential loop, writes each result into its
-// pre-determined row slot, and therefore produces byte-identical rows
-// and per-point Stats snapshots regardless of worker count or
-// scheduling order.
+// its randomness from Scale.Seed alone. core.Parallel runs them on a
+// bounded pool and each point writes its result into its pre-determined
+// row slot, so rows and per-point Stats snapshots are byte-identical
+// regardless of worker count or scheduling order.
 
 // workers resolves the Scale's worker count: Workers if set, otherwise
 // GOMAXPROCS.
@@ -26,41 +23,12 @@ func (s Scale) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runTasks runs fn(0..n-1) on a bounded pool of workers. Results must
-// be written by fn into per-index slots. On failure it returns the
-// error of the lowest-numbered failing task — the same error a
-// sequential loop would have hit first — so error output is as
+// runTasks runs fn(0..n-1) on core.Parallel's pool. On failure it
+// returns the error of the lowest-numbered failing task — the same
+// error a sequential loop would have hit first — so error output is as
 // deterministic as row output.
 func runTasks(workers, n int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for _, err := range core.Parallel(n, workers, fn) {
 		if err != nil {
 			return err
 		}
