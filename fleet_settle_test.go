@@ -9,6 +9,7 @@ import (
 
 	"peertrack/internal/chord"
 	"peertrack/internal/core"
+	"peertrack/internal/ids"
 	"peertrack/internal/invariants"
 	"peertrack/internal/moods"
 )
@@ -292,7 +293,7 @@ func TestCheckFleetCatchesPlantedFaults(t *testing.T) {
 	}
 	// One object's record, the gateway holding it and a node that must not.
 	var gw, other int
-	var key string
+	var key ids.PrefixKey
 	var rec core.IndexEntry
 	for i, n := range nodes {
 		for _, b := range n.peer.DumpIndex() {

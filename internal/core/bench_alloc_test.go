@@ -36,39 +36,39 @@ func benchEntries(n int) []IndexEntry {
 
 func BenchmarkGatewayUpsertUpdate(b *testing.B) {
 	g := newGatewayStore(new(nameTable))
-	pfx := ids.MustParsePrefix("0101")
+	pfx := mustKey("0101")
 	entries := benchEntries(4096)
 	for _, e := range entries {
-		g.upsert(pfx.Key(), e)
+		g.upsert(pfx, e)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := entries[i%len(entries)]
 		e.Arrived += time.Second
-		g.upsert(pfx.Key(), e)
+		g.upsert(pfx, e)
 	}
 }
 
 func BenchmarkGatewayUpsertInsert(b *testing.B) {
 	// Fresh inserts grow the slab; cost must stay amortized-constant.
 	g := newGatewayStore(new(nameTable))
-	pfx := ids.MustParsePrefix("0101")
+	pfx := mustKey("0101")
 	entries := benchEntries(b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.upsert(pfx.Key(), entries[i])
+		g.upsert(pfx, entries[i])
 	}
 }
 
 func BenchmarkGatewayLookup(b *testing.B) {
 	g := newGatewayStore(new(nameTable))
-	pfx := ids.MustParsePrefix("0101")
-	key := pfx.Key()
+	pfx := mustKey("0101")
+	key := pfx
 	entries := benchEntries(4096)
 	for _, e := range entries {
-		g.upsert(pfx.Key(), e)
+		g.upsert(pfx, e)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -116,17 +116,17 @@ func BenchmarkIOPSetTo(b *testing.B) {
 // advancing its IOP head must not allocate.
 func TestGatewaySteadyStateAllocFree(t *testing.T) {
 	g := newGatewayStore(new(nameTable))
-	pfx := ids.MustParsePrefix("0101")
-	key := pfx.Key()
+	pfx := mustKey("0101")
+	key := pfx
 	entries := benchEntries(512)
 	for _, e := range entries {
-		g.upsert(pfx.Key(), e)
+		g.upsert(pfx, e)
 	}
 	i := 0
 	if avg := testing.AllocsPerRun(200, func() {
 		e := entries[i%len(entries)]
 		e.Arrived += time.Second
-		g.upsert(pfx.Key(), e)
+		g.upsert(pfx, e)
 		i++
 	}); avg != 0 {
 		t.Errorf("gateway upsert(update) allocates %.1f/op, want 0", avg)
@@ -193,7 +193,7 @@ func TestFlushWindowAllocs(t *testing.T) {
 	for i := 0; len(objs) < 64; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("flush-%d", i))
 		key := ids.KeyOf(obj.Hash(), lp)
-		if gw, err := reporter.resolveGateway(key.Prefix()); err != nil {
+		if gw, err := reporter.resolveGateway(key); err != nil {
 			t.Fatal(err)
 		} else if !seen[key] && gw != reporter.Addr() {
 			seen[key] = true

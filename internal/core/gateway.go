@@ -178,39 +178,10 @@ func (b *bucket) compact() {
 	b.dead = 0
 }
 
-// individualKey is the packed bucket key for per-object records of
-// individual-indexing mode. ids.NoPrefixKey is not a valid prefix
-// encoding and sorts after every real prefix key — the same relative
-// order the old "@individual" string key had among binary strings.
+// individualKey is the bucket key for per-object records of
+// individual-indexing mode: ids.NoPrefixKey, which no prefix can equal
+// and whose string form is "@individual".
 const individualKey = ids.NoPrefixKey
-
-// validBucketKey reports whether k can key a bucket: the individual
-// bucket, or a well-formed packed prefix (wire input is checked with it
-// before k.Prefix(), which panics on a malformed key).
-func validBucketKey(k ids.PrefixKey) bool {
-	return k == individualKey || k.Len() <= ids.MaxKeyLen
-}
-
-// bucketKeyName renders a packed bucket key in the exported string form
-// (binary prefix string, or the individual-bucket name).
-func bucketKeyName(k ids.PrefixKey) string {
-	if k == individualKey {
-		return individualBucket
-	}
-	return k.String()
-}
-
-// parseBucketKey is the inverse of bucketKeyName.
-func parseBucketKey(s string) (ids.PrefixKey, error) {
-	if s == individualBucket {
-		return individualKey, nil
-	}
-	p, err := ids.ParsePrefix(s)
-	if err != nil {
-		return 0, err
-	}
-	return p.Key(), nil
-}
 
 // gatewayStore is the per-node storage for every prefix bucket (and,
 // under individual indexing, per-object records in one dedicated
@@ -452,8 +423,8 @@ func (g *gatewayStore) totalEntries() int {
 // bucketKeys returns all bucket keys currently present, sorted so
 // migration and refresh sweeps visit buckets in a seed-independent
 // order. Numeric PrefixKey order equals the lexicographic order of the
-// old string keys (with the individual bucket last), so sweep order is
-// unchanged by the packed representation.
+// keys' string forms (with the individual bucket last), so a sweep
+// visits buckets in the order their names sort.
 func (g *gatewayStore) bucketKeys() []ids.PrefixKey {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"peertrack/internal/gossip"
-	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 )
 
@@ -26,9 +25,9 @@ func TestDeadGatewayEviction(t *testing.T) {
 	p := nw.Peers()[0]
 	victim := nw.Peers()[3].Node().Self()
 	other := nw.Peers()[5].Node().Self()
-	keyDead1 := ids.MustParsePrefix("0101").Key()
-	keyDead2 := ids.MustParsePrefix("0110").Key()
-	keyLive := ids.MustParsePrefix("1001").Key()
+	keyDead1 := mustKey("0101")
+	keyDead2 := mustKey("0110")
+	keyLive := mustKey("1001")
 	dead, live := p.names.ref(moods.NodeName(victim.Addr)), p.names.ref(moods.NodeName(other.Addr))
 	p.gwCache.put(keyDead1, dead)
 	p.gwCache.put(keyDead2, dead)

@@ -17,17 +17,16 @@ import (
 // IndividualBucketKey is the bucket key under which individual-indexing
 // records are stored, exposed so external inspectors (the invariant
 // checker) can address that bucket in a dump.
-const IndividualBucketKey = individualBucket
+const IndividualBucketKey = individualKey
 
 // BucketSnapshot is a copy of one gateway bucket: the prefix group it
-// indexes, its records, and whether it has ever delegated records to
-// its Data Triangle children.
+// indexes (IndividualBucketKey for the per-object bucket of
+// individual-indexing mode), its records, and whether it has ever
+// delegated records to its Data Triangle children.
 type BucketSnapshot struct {
-	Key        string
-	Prefix     ids.Prefix
-	Individual bool // the per-object bucket of individual-indexing mode
-	Delegated  bool
-	Entries    []IndexEntry
+	Key       ids.PrefixKey
+	Delegated bool
+	Entries   []IndexEntry
 }
 
 // DumpIndex returns a copy of every primary gateway bucket this peer
@@ -60,19 +59,13 @@ func (p *Peer) DumpRepoReplicas() map[transport.Addr]map[moods.ObjectID][]VisitR
 // bypassing the protocol. It exists so invariant-checker tests can
 // fabricate corrupted states (wrong bucket, duplicate record) and prove
 // the checker catches them; production code must never call it.
-func (p *Peer) InjectIndexEntry(bucketKey string, e IndexEntry) {
-	if key, err := parseBucketKey(bucketKey); err == nil {
-		p.gw.upsert(key, e)
-	}
+func (p *Peer) InjectIndexEntry(key ids.PrefixKey, e IndexEntry) {
+	p.gw.upsert(key, e)
 }
 
 // RemoveIndexEntry deletes an index record from a bucket, bypassing the
 // protocol (test hook, see InjectIndexEntry).
-func (p *Peer) RemoveIndexEntry(bucketKey string, id ids.ID) {
-	key, err := parseBucketKey(bucketKey)
-	if err != nil {
-		return
-	}
+func (p *Peer) RemoveIndexEntry(key ids.PrefixKey, id ids.ID) {
 	p.gw.removeAll(key, []ids.ID{id})
 }
 
@@ -82,15 +75,7 @@ func (g *gatewayStore) dump() []BucketSnapshot {
 	defer g.mu.Unlock()
 	out := make([]BucketSnapshot, 0, len(g.buckets))
 	for key, b := range g.buckets {
-		snap := BucketSnapshot{
-			Key:        bucketKeyName(key),
-			Individual: key == individualKey,
-			Delegated:  b.delegated,
-			Entries:    g.live(b, b.idx.Len()),
-		}
-		if !snap.Individual {
-			snap.Prefix = key.Prefix()
-		}
+		snap := BucketSnapshot{Key: key, Delegated: b.delegated, Entries: g.live(b, b.idx.Len())}
 		sort.Slice(snap.Entries, func(i, j int) bool {
 			return snap.Entries[i].ID.Less(snap.Entries[j].ID)
 		})

@@ -10,8 +10,8 @@ import (
 )
 
 func refFor(i int) (ids.PrefixKey, moods.NodeName) {
-	pfx := ids.MustParsePrefix(fmt.Sprintf("%08b", i))
-	return pfx.Key(), moods.NodeName(fmt.Sprintf("n-%03d", i))
+	pfx := mustKey(fmt.Sprintf("%08b", i))
+	return pfx, moods.NodeName(fmt.Sprintf("n-%03d", i))
 }
 
 // nodeFor is the ref a cache test files under key i.

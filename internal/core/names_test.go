@@ -31,7 +31,7 @@ func TestNameTableUnderConcurrentHandlers(t *testing.T) {
 	var traced []moods.ObjectID
 	for i := 0; len(traced) < workers; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("traced-%d", i))
-		if gw, err := asker.resolveGateway(ids.KeyOf(obj.Hash(), lp).Prefix()); err != nil {
+		if gw, err := asker.resolveGateway(ids.KeyOf(obj.Hash(), lp)); err != nil {
 			t.Fatal(err)
 		} else if gw == p.Addr() {
 			continue

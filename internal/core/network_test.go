@@ -170,7 +170,7 @@ func TestIndexingFailuresSurfaceInStats(t *testing.T) {
 	var gw *Peer
 	for i := 0; i < 100 && gw == nil; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("ff-%d", i))
-		gwid := ids.PrefixOf(obj.Hash(), lp).GatewayID()
+		gwid := ids.KeyOf(obj.Hash(), lp).GatewayID()
 		for _, p := range nw.Peers() {
 			if p != observer && p.node.Owns(gwid) {
 				gw = p

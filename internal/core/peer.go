@@ -96,10 +96,6 @@ const MaxDescent = 3
 // every group of Lp 13, the paper's 512 nodes under Scheme 2.
 const gatewayCacheSize = 8192
 
-// individualBucket is the bucket key for per-object (non-grouped) index
-// records; it cannot collide with binary prefix strings.
-const individualBucket = "@individual"
-
 // Peer is one traceable-network participant: a Chord node plus the
 // local repository, gateway storage, and the indexing/query protocols.
 type Peer struct {
@@ -292,8 +288,7 @@ func (p *Peer) FlushWindow() error {
 		events := all[lo:hi:hi]
 		lo = hi
 		groups++
-		pfx := key.Prefix()
-		gwAddr, err := p.resolveGateway(pfx)
+		gwAddr, err := p.resolveGateway(key)
 		if err == nil {
 			req := groupArriveReq{Key: key, Events: events, Node: p.Name(), At: p.clock()}
 			var resp any
@@ -311,7 +306,7 @@ func (p *Peer) FlushWindow() error {
 				}
 			}
 			if err != nil {
-				err = fmt.Errorf("core: group index %q at %s: %w", pfx.String(), gwAddr, err)
+				err = fmt.Errorf("core: group index %q at %s: %w", key, gwAddr, err)
 				// The resolution may be stale (churn); retry fresh next
 				// time.
 				p.gwCache.remove(key)
@@ -377,16 +372,15 @@ func (p *Peer) indexIndividually(obs moods.Observation) error {
 
 // resolveGateway finds the address of a prefix group's gateway node,
 // using the cache when enabled.
-func (p *Peer) resolveGateway(pfx ids.Prefix) (transport.Addr, error) {
-	key := pfx.Key()
+func (p *Peer) resolveGateway(key ids.PrefixKey) (transport.Addr, error) {
 	if !p.cfg.NoGatewayCache {
 		if node, ok := p.gwCache.get(key); ok {
 			return transport.Addr(p.names.name(node)), nil
 		}
 	}
-	res, err := p.node.Lookup(p.pm.GatewayID(pfx))
+	res, err := p.node.Lookup(p.pm.GatewayID(key))
 	if err != nil {
-		return "", fmt.Errorf("core: resolve gateway %q: %w", pfx.String(), err)
+		return "", fmt.Errorf("core: resolve gateway %q: %w", key, err)
 	}
 	if !p.cfg.NoGatewayCache {
 		p.gwCache.put(key, p.names.ref(moods.NodeName(res.Node.Addr)))
@@ -449,9 +443,6 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 		entries, delegated := p.queryStores(r.Key, r.Objects, true)
 		return queryIndexResp{Entries: entries, Delegated: delegated}, nil
 	case delegateReq:
-		if !validBucketKey(r.Key) {
-			return nil, fmt.Errorf("core: delegate: invalid prefix key %#x", uint64(r.Key))
-		}
 		if r.MetaVersion > 0 && p.mirrors() > 0 && r.Key != individualKey && !p.gw.has(r.Key) {
 			// One-step replica-set handoff: the sender transferred the
 			// bucket's version line along with its records, and this node
@@ -628,10 +619,9 @@ func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, head IndexEnt
 // It returns the late events whose IOP stitching had to be deferred on
 // an unreachable chain segment; the reporting node re-buffers them.
 func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
-	if r.Key == individualKey || r.Key.Len() > ids.MaxKeyLen {
+	if r.Key == individualKey {
 		return nil
 	}
-	pfx := r.Key.Prefix()
 	now := p.clock()
 	sp := p.tel.tracer.StartPrefix(telemetry.OpIndex, r.Key)
 	var idBuf [32]ids.ID
@@ -651,7 +641,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	// tells the unknown events apart, and the same steps are recorded
 	// after it.
 	lo, hi := p.pm.LpRange()
-	partition := p.mirrors() > 0 || lo != pfx.Len || hi != pfx.Len || p.gw.delegatedFlag(r.Key)
+	partition := p.mirrors() > 0 || lo != r.Key.Len() || hi != r.Key.Len() || p.gw.delegatedFlag(r.Key)
 	if partition {
 		var missing []ids.ID
 		for _, id := range evIDs {
@@ -662,11 +652,11 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 		sp.Step(string(p.node.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(missing))
 		if len(missing) > 0 {
 			unknown := len(missing)
-			if lo < pfx.Len {
-				missing = p.refreshFromAscent(pfx, missing)
+			if lo < r.Key.Len() {
+				missing = p.refreshFromAscent(r.Key, missing)
 			}
-			if len(missing) > 0 && (hi > pfx.Len || p.gw.delegatedFlag(r.Key)) {
-				p.refreshFromDescent(pfx, missing, MaxDescent)
+			if len(missing) > 0 && (hi > r.Key.Len() || p.gw.delegatedFlag(r.Key)) {
+				p.refreshFromDescent(r.Key, missing, MaxDescent)
 			}
 			sp.Step(string(p.node.Addr()), noteRefresh).Int(unknown - len(missing)).Int(unknown)
 		}
@@ -723,7 +713,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 		msgs++
 	}
 
-	p.maybeDelegate(pfx)
+	p.maybeDelegate(r.Key)
 	if len(deferred) > 0 {
 		sp.Step(string(p.node.Addr()), noteDeferred).Int(len(deferred))
 	}
@@ -763,21 +753,21 @@ func (p *Peer) sendMoves(sp *telemetry.Recording, r groupArriveReq, moves []IOPL
 // refreshFromAscent pulls index records for the given objects from the
 // gateways of successively shorter prefixes, down to L_min, returning
 // the ids still unfound. Records found are moved into the local bucket.
-func (p *Peer) refreshFromAscent(pfx ids.Prefix, objs []ids.ID) []ids.ID {
+func (p *Peer) refreshFromAscent(key ids.PrefixKey, objs []ids.ID) []ids.ID {
 	remaining := objs
 	lmin := p.pm.LMin()
 	if lo, _ := p.pm.LpRange(); lo > lmin {
 		// Records cannot exist above the shortest Lp ever current.
 		lmin = lo
 	}
-	for cur := pfx; cur.Len > lmin && len(remaining) > 0; {
+	for cur := key; cur.Len() > lmin && len(remaining) > 0; {
 		cur = cur.Parent()
 		gwAddr, err := p.resolveGateway(cur)
 		if err != nil {
 			break
 		}
 		p.tel.ascentFetches.Inc()
-		resp, err := p.call(gwAddr, fetchIndexReq{Key: cur.Key(), Objects: remaining})
+		resp, err := p.call(gwAddr, fetchIndexReq{Key: cur, Objects: remaining})
 		if err != nil {
 			continue
 		}
@@ -785,7 +775,7 @@ func (p *Peer) refreshFromAscent(pfx ids.Prefix, objs []ids.ID) []ids.ID {
 		if len(fr.Entries) == 0 {
 			continue
 		}
-		p.putEntries(pfx.Key(), fr.Entries)
+		p.putEntries(key, fr.Entries)
 		remaining = missingFrom(remaining, fr.Entries)
 	}
 	return remaining
@@ -797,12 +787,12 @@ func (p *Peer) refreshFromAscent(pfx ids.Prefix, objs []ids.ID) []ids.ID {
 // before each fetch (the paper's filter() pruning step). Recursion
 // continues into grandchildren only while fetched buckets report
 // delegation, bounded by maxDepth.
-func (p *Peer) refreshFromDescent(pfx ids.Prefix, objs []ids.ID, maxDepth int) {
-	if maxDepth <= 0 || len(objs) == 0 || pfx.Len >= ids.MaxKeyLen {
+func (p *Peer) refreshFromDescent(key ids.PrefixKey, objs []ids.ID, maxDepth int) {
+	if maxDepth <= 0 || len(objs) == 0 || key.Len() >= ids.MaxKeyLen {
 		return
 	}
 	for bit := 0; bit <= 1; bit++ {
-		child := pfx.Child(bit)
+		child := key.Child(bit)
 		var filtered []ids.ID
 		for _, id := range objs {
 			if child.Matches(id) {
@@ -817,21 +807,21 @@ func (p *Peer) refreshFromDescent(pfx ids.Prefix, objs []ids.ID, maxDepth int) {
 			continue
 		}
 		p.tel.descentFetches.Inc()
-		resp, err := p.call(gwAddr, fetchIndexReq{Key: child.Key(), Objects: filtered})
+		resp, err := p.call(gwAddr, fetchIndexReq{Key: child, Objects: filtered})
 		if err != nil {
 			continue
 		}
 		fr := resp.(fetchIndexResp)
-		p.putEntries(pfx.Key(), fr.Entries)
+		p.putEntries(key, fr.Entries)
 		if fr.Delegated {
 			unfound := missingFrom(filtered, fr.Entries)
 			p.refreshFromDescent(child, unfound, maxDepth-1)
 			// The recursive call upserted what it found deeper into this
-			// node's bucket for the child prefix: move it up to pfx.
+			// node's bucket for the child prefix: move it up to key.
 			if len(unfound) > 0 {
-				deeper, _ := p.gw.take(child.Key(), unfound)
-				p.mirrorIndex(child.Key(), entryIDs(deeper))
-				p.putEntries(pfx.Key(), deeper)
+				deeper, _ := p.gw.take(child, unfound)
+				p.mirrorIndex(child, entryIDs(deeper))
+				p.putEntries(key, deeper)
 			}
 		}
 	}
@@ -849,18 +839,17 @@ func (p *Peer) putEntries(key ids.PrefixKey, entries []IndexEntry) {
 
 // maybeDelegate pushes the α-earliest records of an overflowing bucket
 // to its two Data Triangle children, keyed by the next id bit.
-func (p *Peer) maybeDelegate(pfx ids.Prefix) {
-	if pfx.Len >= ids.MaxKeyLen {
+func (p *Peer) maybeDelegate(key ids.PrefixKey) {
+	if key.Len() >= ids.MaxKeyLen {
 		return
 	}
-	key := pfx.Key()
 	victims := p.gw.overflow(key, p.cfg.DelegationThreshold, p.cfg.DelegationAlpha)
 	if len(victims) == 0 {
 		return
 	}
 	split := [2][]IndexEntry{}
 	for _, e := range victims {
-		bit := pfx.NextBit(e.ID)
+		bit := key.NextBit(e.ID)
 		split[bit] = append(split[bit], e)
 	}
 	sp := p.tel.tracer.StartPrefix(telemetry.OpDelegate, key)
@@ -869,13 +858,13 @@ func (p *Peer) maybeDelegate(pfx ids.Prefix) {
 		if len(split[bit]) == 0 {
 			continue
 		}
-		child := pfx.Child(bit)
+		child := key.Child(bit)
 		gwAddr, err := p.resolveGateway(child)
 		if err != nil {
 			continue
 		}
-		if _, err := p.call(gwAddr, delegateReq{Key: child.Key(), Entries: split[bit]}); err != nil {
-			sp.Step(string(gwAddr), noteDelegateFailed).Int(len(split[bit])).Prefix(child.Key()).Str(err.Error())
+		if _, err := p.call(gwAddr, delegateReq{Key: child, Entries: split[bit]}); err != nil {
+			sp.Step(string(gwAddr), noteDelegateFailed).Int(len(split[bit])).Prefix(child).Str(err.Error())
 			continue
 		}
 		victimIDs := entryIDs(split[bit])
@@ -885,7 +874,7 @@ func (p *Peer) maybeDelegate(pfx ids.Prefix) {
 		p.tel.delegations.Inc()
 		p.tel.delegatedRecords.Add(uint64(len(split[bit])))
 		moved += len(split[bit])
-		sp.Step(string(gwAddr), noteDelegated).Int(len(split[bit])).Prefix(child.Key())
+		sp.Step(string(gwAddr), noteDelegated).Int(len(split[bit])).Prefix(child)
 	}
 	sp.Finish(moved, nil)
 }

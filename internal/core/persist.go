@@ -46,7 +46,7 @@ type peerSnapshot struct {
 }
 
 type bucketSnapshot struct {
-	Key       string       // prefix string or the individual-bucket key
+	Key       string       // the bucket key's string form (ids.ParseKey)
 	Entries   []IndexEntry // FIFO (slab) order
 	Delegated bool
 	// Owner and Version are the engine's record of a replica bucket
@@ -91,7 +91,7 @@ func snapshotStore(g *gatewayStore, held *replication.Engine) []bucketSnapshot {
 	defer g.mu.Unlock()
 	out := make([]bucketSnapshot, 0, len(g.buckets))
 	for key, b := range g.buckets {
-		bs := bucketSnapshot{Key: bucketKeyName(key), Entries: g.live(b, b.idx.Len()), Delegated: b.delegated}
+		bs := bucketSnapshot{Key: key.String(), Entries: g.live(b, b.idx.Len()), Delegated: b.delegated}
 		if held != nil {
 			bs.Owner, bs.Version, _ = held.HeldMeta(replication.IndexUnit(key))
 		}
@@ -128,6 +128,14 @@ func (p *Peer) Restore(r io.Reader) error {
 		}
 	}
 
+	for _, snaps := range [][]bucketSnapshot{snap.Buckets, snap.Replicas} {
+		for _, bs := range snaps {
+			if _, err := ids.ParseKey(bs.Key); err != nil {
+				return fmt.Errorf("core: restore: bucket key: %w", err)
+			}
+		}
+	}
+
 	p.repo.restore(snap.Visits)
 
 	restoreStore(p.gw, snap.Buckets, nil)
@@ -159,10 +167,7 @@ func restoreStore(g *gatewayStore, snaps []bucketSnapshot, held *replication.Eng
 	defer g.mu.Unlock()
 	g.buckets = make(map[ids.PrefixKey]*bucket, len(snaps))
 	for _, bs := range snaps {
-		key, err := parseBucketKey(bs.Key)
-		if err != nil {
-			continue
-		}
+		key, _ := ids.ParseKey(bs.Key) // Restore checked it
 		b := new(bucket)
 		b.delegated = bs.Delegated
 		// Snapshot entries are in FIFO order; upserting in sequence

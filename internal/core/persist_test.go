@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,11 +83,11 @@ func TestSnapshotPreservesFIFOOrder(t *testing.T) {
 	pfx := nw.PM.GroupOf(moods.ObjectID("x").Hash())
 	for i := 0; i < 10; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("fifo-%d", i))
-		p.gw.upsert(pfx.Key(), IndexEntry{Object: obj, ID: obj.Hash(), Indexed: time.Duration(i)})
+		p.gw.upsert(pfx, IndexEntry{Object: obj, ID: obj.Hash(), Indexed: time.Duration(i)})
 	}
 	for i := 0; i < 16; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("spread-%d", i))
-		p.gw.upsert(ids.MustParsePrefix(fmt.Sprintf("%05b", i)).Key(), IndexEntry{Object: obj, ID: obj.Hash()})
+		p.gw.upsert(mustKey(fmt.Sprintf("%05b", i)), IndexEntry{Object: obj, ID: obj.Hash()})
 	}
 	var buf bytes.Buffer
 	if err := p.Snapshot(&buf); err != nil {
@@ -108,7 +111,7 @@ func TestSnapshotPreservesFIFOOrder(t *testing.T) {
 	if err := p.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	oldest := p.gw.overflow(pfx.Key(), 0, 0.35)
+	oldest := p.gw.overflow(pfx, 0, 0.35)
 	if len(oldest) != 3 {
 		t.Fatalf("overflow = %d", len(oldest))
 	}
@@ -166,6 +169,39 @@ func TestRestoreRejectsCorruptTransitionModel(t *testing.T) {
 		if err := p.Restore(&buf); err == nil {
 			t.Errorf("%s: restore accepted the snapshot", c.name)
 		}
+	}
+}
+
+// TestRestoreRejectsCorruptBucketKey: a bucket key must be the string
+// form of a prefix key. One longer than a key holds, or one with a digit
+// that is not binary, refuses the snapshot with an error naming it,
+// before any state is replaced — not a panic, and not a bucket dropped
+// in silence.
+func TestRestoreRejectsCorruptBucketKey(t *testing.T) {
+	nw := buildNet(t, 4, Config{})
+	p := nw.Peers()[0]
+	p.gw.upsert(mustKey("010"), IndexEntry{Object: "kept", ID: moods.ObjectID("kept").Hash()})
+	before := p.DumpIndex()
+	for _, c := range []struct {
+		name              string
+		buckets, replicas []bucketSnapshot
+		key               string
+	}{
+		{"60 zeros", []bucketSnapshot{{Key: "01"}, {Key: strings.Repeat("0", 60)}}, nil, strings.Repeat("0", 60)},
+		{"a digit that is not binary", nil, []bucketSnapshot{{Key: "01x", Owner: "n1", Version: 1}}, "01x"},
+	} {
+		var buf bytes.Buffer
+		snap := peerSnapshot{Version: snapshotVersion, Name: p.Name(), Buckets: c.buckets, Replicas: c.replicas}
+		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		err := p.Restore(&buf)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.key)) {
+			t.Errorf("%s: restore returned %v, want an error naming %q", c.name, err, c.key)
+		}
+	}
+	if after := p.DumpIndex(); !reflect.DeepEqual(after, before) {
+		t.Errorf("a refused restore replaced the index: %v, was %v", after, before)
 	}
 }
 

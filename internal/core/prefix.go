@@ -37,7 +37,8 @@ func (s Scheme) String() string {
 }
 
 // PrefixLen evaluates the scheme at network size nn, clamped to
-// [lmin, ids.Bits]. nn below 2 yields lmin (bootstrap regime).
+// [lmin, ids.MaxKeyLen], the longest prefix a group key holds. nn below
+// 2 yields lmin (bootstrap regime).
 func (s Scheme) PrefixLen(nn float64, lmin int) int {
 	if lmin < 0 {
 		lmin = 0
@@ -62,8 +63,8 @@ func (s Scheme) PrefixLen(nn float64, lmin int) int {
 	if lp < lmin {
 		lp = lmin
 	}
-	if lp > ids.Bits {
-		lp = ids.Bits
+	if lp > ids.MaxKeyLen {
+		lp = ids.MaxKeyLen
 	}
 	return lp
 }
@@ -159,17 +160,15 @@ func (pm *PrefixManager) setRange(lo, hi int) {
 	}
 }
 
-// GatewayID is pfx.GatewayID(), memoised (see gateways); pfx must fit a
-// PrefixKey.
-func (pm *PrefixManager) GatewayID(pfx ids.Prefix) ids.ID {
-	key := pfx.Key()
+// GatewayID is key.GatewayID(), memoised (see gateways).
+func (pm *PrefixManager) GatewayID(key ids.PrefixKey) ids.ID {
 	pm.mu.RLock()
 	id, ok := pm.gateways[key]
 	pm.mu.RUnlock()
 	if ok {
 		return id
 	}
-	id = pfx.GatewayID()
+	id = key.GatewayID()
 	pm.mu.Lock()
 	if len(pm.gateways) < maxGatewayMemo {
 		if pm.gateways == nil {
@@ -199,6 +198,6 @@ func (pm *PrefixManager) ResetLpHistory() {
 }
 
 // GroupOf returns the current-length prefix group of an object id.
-func (pm *PrefixManager) GroupOf(id ids.ID) ids.Prefix {
-	return ids.PrefixOf(id, pm.Lp())
+func (pm *PrefixManager) GroupOf(id ids.ID) ids.PrefixKey {
+	return ids.KeyOf(id, pm.Lp())
 }

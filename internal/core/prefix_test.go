@@ -12,6 +12,15 @@ import (
 	"peertrack/internal/moods"
 )
 
+// mustKey parses a prefix key literal.
+func mustKey(s string) ids.PrefixKey {
+	k, err := ids.ParseKey(s)
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 func TestSchemePrefixLengths(t *testing.T) {
 	cases := []struct {
 		scheme Scheme
@@ -56,9 +65,9 @@ func TestSchemePrefixLenEdgeCases(t *testing.T) {
 		{"256", 256, 0, 8, 11, 16},
 		{"1024", 1024, 0, 10, 14, 20},
 		{"65536", 65536, 0, 16, 20, 32},
-		// Astronomical Nn: Scheme3 (2·100 = 200) exceeds the identifier
-		// width and is capped; the others still fit.
-		{"2^100", math.Pow(2, 100), 0, 100, 107, ids.Bits},
+		// Astronomical Nn: every scheme (100, 107, 200) exceeds the
+		// longest prefix a group key holds and is capped there.
+		{"2^100", math.Pow(2, 100), 0, ids.MaxKeyLen, ids.MaxKeyLen, ids.MaxKeyLen},
 		// A negative floor is treated as 0, not propagated.
 		{"negative lmin", 1, -5, 0, 0, 0},
 	}
@@ -94,8 +103,8 @@ func TestSchemeMonotoneInNn(t *testing.T) {
 }
 
 func TestSchemeCappedAtBits(t *testing.T) {
-	if got := Scheme3.PrefixLen(math.Pow(2, 100), 0); got != ids.Bits {
-		t.Errorf("huge network Lp = %d, want %d", got, ids.Bits)
+	if got := Scheme3.PrefixLen(math.Pow(2, 100), 0); got != ids.MaxKeyLen {
+		t.Errorf("huge network Lp = %d, want %d", got, ids.MaxKeyLen)
 	}
 }
 
@@ -129,16 +138,16 @@ func TestPrefixManagerLifecycle(t *testing.T) {
 	}
 }
 
-// TestGatewayIDMemoIsBounded: the memo answers what Prefix.GatewayID
+// TestGatewayIDMemoIsBounded: the memo answers what PrefixKey.GatewayID
 // does; it holds at most maxGatewayMemo ids, past which a prefix is
 // hashed each time; and it is emptied when the Lp range moves, by growth
 // or by a history reset, but not by a size estimate that leaves it put.
 func TestGatewayIDMemoIsBounded(t *testing.T) {
 	pm := NewPrefixManager(Scheme2, 3, 16)
-	prefix := func(i int) ids.Prefix { // distinct for i < 2^20
+	prefix := func(i int) ids.PrefixKey { // distinct for i < 2^20
 		var id ids.ID
 		id[0], id[1], id[2] = byte(i>>12), byte(i>>4), byte(i<<4)
-		return ids.PrefixOf(id, 20)
+		return ids.KeyOf(id, 20)
 	}
 	for i := 0; i < maxGatewayMemo+100; i++ {
 		if got, want := pm.GatewayID(prefix(i)), prefix(i).GatewayID(); got != want {
@@ -171,8 +180,8 @@ func TestPrefixManagerGroupOf(t *testing.T) {
 	pm := NewPrefixManager(Scheme2, 3, 64)
 	id := ids.HashString("x")
 	g := pm.GroupOf(id)
-	if g.Len != pm.Lp() {
-		t.Fatalf("group length %d != Lp %d", g.Len, pm.Lp())
+	if g.Len() != pm.Lp() {
+		t.Fatalf("group length %d != Lp %d", g.Len(), pm.Lp())
 	}
 	if !g.Matches(id) {
 		t.Fatal("group does not match its member")
@@ -188,13 +197,13 @@ func TestInvalidSchemeDefaultsTo2(t *testing.T) {
 
 func TestGatewayStoreFIFOAndDelegable(t *testing.T) {
 	g := newGatewayStore(new(nameTable))
-	pfx := ids.MustParsePrefix("0101")
+	pfx := mustKey("0101")
 	for i := 0; i < 10; i++ {
 		obj := moodsObjectID(i)
-		g.upsert(pfx.Key(), IndexEntry{Object: obj, ID: ids.HashString(string(obj)), Indexed: simTime(i)})
+		g.upsert(pfx, IndexEntry{Object: obj, ID: ids.HashString(string(obj)), Indexed: simTime(i)})
 	}
 	// Ten records over a threshold of nine: the α = 0.35 earliest go.
-	oldest := g.overflow(pfx.Key(), 9, 0.35)
+	oldest := g.overflow(pfx, 9, 0.35)
 	if len(oldest) != 3 {
 		t.Fatalf("overflow returned %d", len(oldest))
 	}
@@ -204,57 +213,57 @@ func TestGatewayStoreFIFOAndDelegable(t *testing.T) {
 		}
 	}
 	// Re-upserting an existing entry must not duplicate its FIFO slot.
-	g.upsert(pfx.Key(), IndexEntry{Object: moodsObjectID(0), ID: ids.HashString(string(moodsObjectID(0)))})
-	if got := g.overflow(pfx.Key(), 9, 1); len(got) != 10 {
+	g.upsert(pfx, IndexEntry{Object: moodsObjectID(0), ID: ids.HashString(string(moodsObjectID(0)))})
+	if got := g.overflow(pfx, 9, 1); len(got) != 10 {
 		t.Fatalf("after re-upsert: %d entries", len(got))
 	}
 	// A bucket at its threshold, or an absent one, has nothing to shed.
-	if got := g.overflow(pfx.Key(), 10, 1); got != nil {
+	if got := g.overflow(pfx, 10, 1); got != nil {
 		t.Fatalf("overflow at the threshold returned %d entries", len(got))
 	}
-	if got := g.overflow(ids.MustParsePrefix("000").Key(), 0, 1); got != nil {
+	if got := g.overflow(mustKey("000"), 0, 1); got != nil {
 		t.Fatalf("overflow of an absent bucket returned %d entries", len(got))
 	}
 }
 
 func TestGatewayStoreTakeAndDrain(t *testing.T) {
 	g := newGatewayStore(new(nameTable))
-	pfx := ids.MustParsePrefix("11")
+	pfx := mustKey("11")
 	var keys []ids.ID
 	for i := 0; i < 5; i++ {
 		obj := moodsObjectID(i)
 		id := ids.HashString(string(obj))
 		keys = append(keys, id)
-		g.upsert(pfx.Key(), IndexEntry{Object: obj, ID: id})
+		g.upsert(pfx, IndexEntry{Object: obj, ID: id})
 	}
-	taken, delegated := g.take(pfx.Key(), keys[:2])
+	taken, delegated := g.take(pfx, keys[:2])
 	if len(taken) != 2 || delegated {
 		t.Fatalf("take = %d entries, delegated=%v", len(taken), delegated)
 	}
 	if g.totalEntries() != 3 {
 		t.Fatalf("entries after take = %d", g.totalEntries())
 	}
-	drained, _ := g.drain(pfx.Key())
+	drained, _ := g.drain(pfx)
 	if len(drained) != 3 {
 		t.Fatalf("drain = %d", len(drained))
 	}
 	if g.totalEntries() != 0 {
 		t.Fatal("store not empty after drain")
 	}
-	if g.has(pfx.Key()) {
+	if g.has(pfx) {
 		t.Fatal("bucket survived drain")
 	}
 	// take/query/drain on absent buckets are safe no-ops.
-	if e, _ := g.take(ids.MustParsePrefix("000").Key(), keys); e != nil {
+	if e, _ := g.take(mustKey("000"), keys); e != nil {
 		t.Fatal("take on absent bucket returned entries")
 	}
-	if e, _ := g.drain(ids.MustParsePrefix("000").Key()); e != nil {
+	if e, _ := g.drain(mustKey("000")); e != nil {
 		t.Fatal("drain on absent bucket returned entries")
 	}
 	// Reconcile and evacuation migrate buckets in bucketKeys order: key
 	// order, not the map's.
 	for i := 15; i >= 0; i-- {
-		g.upsert(ids.MustParsePrefix(fmt.Sprintf("%05b", i)).Key(), IndexEntry{Object: moodsObjectID(i), ID: ids.HashString(string(moodsObjectID(i)))})
+		g.upsert(mustKey(fmt.Sprintf("%05b", i)), IndexEntry{Object: moodsObjectID(i), ID: ids.HashString(string(moodsObjectID(i)))})
 	}
 	if got := g.bucketKeys(); len(got) != 16 || !slices.IsSorted(got) {
 		t.Fatalf("bucketKeys = %v, want 16 keys in ascending order", got)
@@ -270,7 +279,7 @@ func simTime(i int) time.Duration {
 }
 
 func TestGatewayStoreAdvance(t *testing.T) {
-	key := ids.MustParsePrefix("01").Key()
+	key := mustKey("01")
 	id := ids.HashString("obj")
 	arrival := func(node moods.NodeName, at int) IndexEntry {
 		return IndexEntry{Object: "obj", ID: id, Latest: node, Arrived: simTime(at)}
@@ -308,7 +317,7 @@ func TestGatewayStoreAdvance(t *testing.T) {
 	// An empty bucket falls back on the head the caller found elsewhere,
 	// and a late arrival against it writes nothing.
 	replica := arrival("r", 50)
-	other := ids.MustParsePrefix("10").Key()
+	other := mustKey("10")
 	if saw, move := g.advance(other, arrival("s", 45), &replica); move != headLate || saw.Latest != "r" || g.has(other) {
 		t.Fatalf("late against fallback: (%q, %v), bucket created %v", saw.Latest, move, g.has(other))
 	}
@@ -326,7 +335,7 @@ func TestGatewayStoreAdvance(t *testing.T) {
 // late arrival nowhere; a record the bucket holds wins over the caller's
 // fallback, and a first sighting creates the bucket.
 func TestGatewayStoreAdvanceKeepsSlots(t *testing.T) {
-	key := ids.MustParsePrefix("01").Key()
+	key := mustKey("01")
 	rec := func(obj string, node moods.NodeName, at int) IndexEntry {
 		return IndexEntry{Object: moods.ObjectID(obj), ID: ids.HashString(obj), Latest: node, Arrived: simTime(at)}
 	}
@@ -373,7 +382,7 @@ func TestGatewayStoreAdvanceKeepsSlots(t *testing.T) {
 // an older arrival overwrite a newer head.
 func TestGatewayStoreAdvanceConcurrent(t *testing.T) {
 	const writers = 64
-	key := ids.MustParsePrefix("1").Key()
+	key := mustKey("1")
 	id := ids.HashString("raced")
 	for round := 0; round < 50; round++ {
 		g := newGatewayStore(new(nameTable))
@@ -394,7 +403,7 @@ func TestGatewayStoreAdvanceConcurrent(t *testing.T) {
 
 func TestGatewayStoreSetPrev(t *testing.T) {
 	g := newGatewayStore(new(nameTable))
-	key := ids.MustParsePrefix("0").Key()
+	key := mustKey("0")
 	id := ids.HashString("obj")
 	g.advance(key, IndexEntry{Object: "obj", ID: id, Latest: "a", Arrived: simTime(10)}, nil)
 	if !g.setPrev(key, id, simTime(10), "z") {
@@ -412,7 +421,7 @@ func TestGatewayStoreSetPrev(t *testing.T) {
 	if head, _ := g.lookup(key, id); head.Latest != "b" || head.Prev != "a" || head.Arrived != simTime(20) {
 		t.Fatalf("head = %+v, want b after a", head)
 	}
-	if g.setPrev(key, ids.HashString("absent"), simTime(10), "y") || g.setPrev(ids.MustParsePrefix("1").Key(), id, simTime(10), "y") {
+	if g.setPrev(key, ids.HashString("absent"), simTime(10), "y") || g.setPrev(mustKey("1"), id, simTime(10), "y") {
 		t.Fatal("setPrev accepted for a record the store does not hold")
 	}
 }

@@ -81,8 +81,8 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 	}
 
 	lp := p.pm.Lp()
-	pfx := ids.PrefixOf(id, lp)
-	entry, h, found, delegated := p.queryGateway(pfx, id, sp)
+	key := ids.KeyOf(id, lp)
+	entry, h, found, delegated := p.queryGateway(key, id, sp)
 	hops += h
 	if found {
 		return entry, hops, nil
@@ -90,7 +90,7 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 
 	// Bidirectional linear search (Section IV-A3): down the triangle
 	// first, then up towards the shortest historical level.
-	entry, h, found = p.descend(pfx, id, delegated, sp)
+	entry, h, found = p.descend(key, id, delegated, sp)
 	hops += h
 	if found {
 		return entry, hops, nil
@@ -102,7 +102,7 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 	if lo, _ := p.pm.LpRange(); lo > lmin {
 		lmin = lo
 	}
-	for cur := pfx; cur.Len > lmin; {
+	for cur := key; cur.Len() > lmin; {
 		cur = cur.Parent()
 		entry, h, found, delegated = p.queryGateway(cur, id, sp)
 		hops += h
@@ -113,7 +113,7 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 		// sibling path; follow the object's bits one step.
 		if delegated {
 			c := cur.Child(cur.NextBit(id))
-			if c.Len != pfx.Len { // skip re-querying the original prefix
+			if c.Len() != lp { // skip re-querying the original prefix
 				entry, h, found, _ = p.queryGateway(c, id, sp)
 				hops += h
 				if found {
@@ -125,17 +125,17 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 	return IndexEntry{}, hops, ErrNotTracked
 }
 
-// descend looks for an object's record below pfx, whose own bucket
+// descend looks for an object's record below key, whose own bucket
 // missed: down the Data Triangle along the object's own bits — the next
 // bit selects which child can hold it — while buckets report delegation
-// (delegated is pfx's flag) or Lp has been longer, so deeper records can
+// (delegated is key's flag) or Lp has been longer, so deeper records can
 // exist, for at most MaxDescent levels.
-func (p *Peer) descend(pfx ids.Prefix, id ids.ID, delegated bool, sp *telemetry.Recording) (IndexEntry, int, bool) {
+func (p *Peer) descend(key ids.PrefixKey, id ids.ID, delegated bool, sp *telemetry.Recording) (IndexEntry, int, bool) {
 	hops := 0
 	_, hi := p.pm.LpRange()
-	for depth := 0; (delegated || hi > pfx.Len) && depth < MaxDescent && pfx.Len < ids.MaxKeyLen; depth++ {
-		pfx = pfx.Child(pfx.NextBit(id))
-		entry, h, found, del := p.queryGateway(pfx, id, sp)
+	for depth := 0; (delegated || hi > key.Len()) && depth < MaxDescent && key.Len() < ids.MaxKeyLen; depth++ {
+		key = key.Child(key.NextBit(id))
+		entry, h, found, del := p.queryGateway(key, id, sp)
 		hops += h
 		if found {
 			return entry, hops, true
@@ -146,17 +146,17 @@ func (p *Peer) descend(pfx ids.Prefix, id ids.ID, delegated bool, sp *telemetry.
 }
 
 // queryGateway asks the gateway of one prefix for one object's record.
-func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Recording) (IndexEntry, int, bool, bool) {
+func (p *Peer) queryGateway(key ids.PrefixKey, id ids.ID, sp *telemetry.Recording) (IndexEntry, int, bool, bool) {
 	hops := 0
-	gwAddr, err := p.resolveGateway(pfx)
+	gwAddr, err := p.resolveGateway(key)
 	var resp any
 	if err == nil {
-		resp, err = p.call(gwAddr, queryIndexReq{Key: pfx.Key(), Objects: []ids.ID{id}})
+		resp, err = p.call(gwAddr, queryIndexReq{Key: key, Objects: []ids.ID{id}})
 		if gwAddr != p.node.Addr() {
 			hops++
 		}
 		if err != nil {
-			sp.Step(string(gwAddr), noteUnreachable).Prefix(pfx.Key()).Str(err.Error())
+			sp.Step(string(gwAddr), noteUnreachable).Prefix(key).Str(err.Error())
 		}
 	}
 	if err != nil {
@@ -166,19 +166,19 @@ func (p *Peer) queryGateway(pfx ids.Prefix, id ids.ID, sp *telemetry.Recording) 
 		// gateway resolution can die with the primary (the lookup
 		// terminates at the crashed owner, and gwAddr stays empty); the
 		// replica set is still reachable through lookup provenance.
-		e, h, found, delegated := p.replicaFallthrough(pfx.Key(), pfx.GatewayID(), id, gwAddr)
+		e, h, found, delegated := p.replicaFallthrough(key, key.GatewayID(), id, gwAddr)
 		hops += h
 		if found {
-			sp.Step(string(p.node.Addr()), noteReplicaBucket).Prefix(pfx.Key())
+			sp.Step(string(p.node.Addr()), noteReplicaBucket).Prefix(key)
 		}
 		return e, hops, found, delegated
 	}
 	qr := resp.(queryIndexResp)
 	if len(qr.Entries) == 0 {
-		sp.Step(string(gwAddr), noteMiss).Prefix(pfx.Key()).Bool(qr.Delegated)
+		sp.Step(string(gwAddr), noteMiss).Prefix(key).Bool(qr.Delegated)
 		return IndexEntry{}, hops, false, qr.Delegated
 	}
-	sp.Step(string(gwAddr), noteHit).Prefix(pfx.Key()).Str(string(qr.Entries[0].Latest))
+	sp.Step(string(gwAddr), noteHit).Prefix(key).Str(string(qr.Entries[0].Latest))
 	return qr.Entries[0], hops, true, qr.Delegated
 }
 

@@ -30,11 +30,10 @@ func (p *Peer) ReconcileStep() int {
 			// split/merge by prefix level.
 			continue
 		}
-		pfx := key.Prefix()
-		if pfx.Len == lp {
+		if key.Len() == lp {
 			// Correct level; verify placement (ring membership may have
 			// moved the gateway).
-			gwAddr, err := p.resolveGateway(pfx)
+			gwAddr, err := p.resolveGateway(key)
 			if err == nil && gwAddr != p.node.Addr() && p.handOff(key, gwAddr) {
 				moved++
 			}
@@ -48,20 +47,20 @@ func (p *Peer) ReconcileStep() int {
 		if len(entries) == 0 {
 			continue
 		}
-		if pfx.Len > lp {
+		if key.Len() > lp {
 			// Merge one level: children migrate their data to the
 			// parent.
-			p.sendEntries(pfx.Parent(), entries)
+			p.sendEntries(key.Parent(), entries)
 		} else {
 			// Split one level: old parent delegates everything into the
 			// two new parents (its children).
 			split := [2][]IndexEntry{}
 			for _, e := range entries {
-				split[pfx.NextBit(e.ID)] = append(split[pfx.NextBit(e.ID)], e)
+				split[key.NextBit(e.ID)] = append(split[key.NextBit(e.ID)], e)
 			}
 			for bit := 0; bit <= 1; bit++ {
 				if len(split[bit]) > 0 {
-					p.sendEntries(pfx.Child(bit), split[bit])
+					p.sendEntries(key.Child(bit), split[bit])
 				}
 			}
 		}
@@ -108,16 +107,16 @@ func (p *Peer) handOff(key ids.PrefixKey, to transport.Addr) bool {
 
 // sendEntries delivers entries to the gateway of the given prefix
 // (local upsert when this node is the gateway).
-func (p *Peer) sendEntries(pfx ids.Prefix, entries []IndexEntry) {
-	gwAddr, err := p.resolveGateway(pfx)
+func (p *Peer) sendEntries(key ids.PrefixKey, entries []IndexEntry) {
+	gwAddr, err := p.resolveGateway(key)
 	if err == nil {
-		_, err = p.call(gwAddr, delegateReq{Key: pfx.Key(), Entries: entries})
+		_, err = p.call(gwAddr, delegateReq{Key: key, Entries: entries})
 	}
 	if err != nil {
 		// Leave the records where a later pass can retry: re-insert and
 		// re-mirror them (a fresh version line, since the old one was
 		// dropped).
-		p.putEntries(pfx.Key(), entries)
+		p.putEntries(key, entries)
 	}
 }
 

@@ -531,7 +531,7 @@ func (p *Peer) acceptPush(u replication.Unit, v uint64, full bool) bool {
 // handleReplicatePut applies one index-bucket push.
 func (p *Peer) handleReplicatePut(r replicatePutReq) mirrorResp {
 	u := replication.IndexUnit(r.Key)
-	if !validBucketKey(r.Key) || !p.acceptPush(u, r.Version, r.Full) {
+	if !p.acceptPush(u, r.Version, r.Full) {
 		return mirrorResp{}
 	}
 	if r.Full {
@@ -619,7 +619,7 @@ func (p *Peer) lookupWithReplica(key ids.PrefixKey, id ids.ID) (IndexEntry, bool
 // directly. Promotion happens once the ring actually makes this node
 // the owner (stabilization, or re-wiring after churn).
 func (p *Peer) promote(key ids.PrefixKey, entries []IndexEntry) {
-	if !validBucketKey(key) || (key != individualKey && !p.node.Owns(key.Prefix().GatewayID())) {
+	if key != individualKey && !p.node.Owns(key.GatewayID()) {
 		return
 	}
 	var kept []ids.ID
@@ -736,10 +736,10 @@ func (p *Peer) PromoteOwnedReplicas() {
 // own id, while the rest stay held as they were.
 func (p *Peer) maybePromoteHeld(h replication.HeldInfo) {
 	u, key := h.Unit, h.Unit.Key
-	if u.Repo || h.Owner == p.node.Addr() || !validBucketKey(key) {
+	if u.Repo || h.Owner == p.node.Addr() {
 		return
 	}
-	if key != individualKey && !p.node.Owns(key.Prefix().GatewayID()) {
+	if key != individualKey && !p.node.Owns(key.GatewayID()) {
 		return
 	}
 	entries, delegated := p.replica.drain(key)
@@ -873,7 +873,7 @@ func (p *Peer) restoreHeld(h replication.HeldInfo) bool {
 	// next pass), keeps the whole copy here.
 	byDest := make(map[transport.Addr][]IndexEntry)
 	if key != individualKey {
-		gwAddr, err := p.resolveGateway(key.Prefix())
+		gwAddr, err := p.resolveGateway(key)
 		if err != nil || gwAddr == p.node.Addr() {
 			return false
 		}

@@ -27,7 +27,7 @@ func mirrorOf(nw *Network, p *Peer) *Peer {
 // key it files obj under.
 func gatewayOf(nw *Network, obj moods.ObjectID) (*Peer, ids.PrefixKey) {
 	key := ids.KeyOf(obj.Hash(), nw.PM.Lp())
-	addr, err := nw.Peers()[0].resolveGateway(key.Prefix())
+	addr, err := nw.Peers()[0].resolveGateway(key)
 	if err != nil {
 		panic(err)
 	}
@@ -45,7 +45,7 @@ func assertReplicasEqualPrimaries(t *testing.T, nw *Network) {
 			want, wd := p.gw.dumpBucket(key)
 			got, gd := m.replica.dumpBucket(key)
 			if wd != gd || !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: bucket %s at mirror %s has %d records, primary %d (or they differ)", p.Name(), bucketKeyName(key), m.Name(), len(got), len(want))
+				t.Errorf("%s: bucket %s at mirror %s has %d records, primary %d (or they differ)", p.Name(), key, m.Name(), len(got), len(want))
 			}
 		}
 		if got, want := m.repoReplica.dump()[p.Addr()], p.repo.snapshot(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {

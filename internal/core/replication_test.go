@@ -64,7 +64,7 @@ func TestIndexSurvivesGatewayCrash(t *testing.T) {
 		if mode == IndividualIndexing {
 			gwKey = obj.Hash()
 		} else {
-			gwKey = ids.PrefixOf(obj.Hash(), nw.PM.Lp()).GatewayID()
+			gwKey = ids.KeyOf(obj.Hash(), nw.PM.Lp()).GatewayID()
 		}
 		res, err := nw.Peers()[0].Node().Lookup(gwKey)
 		if err != nil {
@@ -134,7 +134,7 @@ func TestNoReplicationMeansCrashLosesIndex(t *testing.T) {
 	nw.StartWindows(2 * time.Second)
 	nw.Run()
 
-	gwKey := ids.PrefixOf(obj.Hash(), nw.PM.Lp()).GatewayID()
+	gwKey := ids.KeyOf(obj.Hash(), nw.PM.Lp()).GatewayID()
 	res, err := nw.Peers()[0].Node().Lookup(gwKey)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestLocateFallsThroughBeforeRingRepair(t *testing.T) {
 		if mode == IndividualIndexing {
 			gwKey = obj.Hash()
 		} else {
-			gwKey = ids.PrefixOf(obj.Hash(), nw.PM.Lp()).GatewayID()
+			gwKey = ids.KeyOf(obj.Hash(), nw.PM.Lp()).GatewayID()
 		}
 		res, err := nw.Peers()[0].Node().Lookup(gwKey)
 		if err != nil {
@@ -282,7 +282,7 @@ func TestRepoMirrorServesIOPWalkAfterHolderCrash(t *testing.T) {
 	nw.StartWindows(2 * time.Second)
 	nw.Run()
 
-	gwKey := ids.PrefixOf(obj.Hash(), nw.PM.Lp()).GatewayID()
+	gwKey := ids.KeyOf(obj.Hash(), nw.PM.Lp()).GatewayID()
 	res, err := nw.Peers()[0].Node().Lookup(gwKey)
 	if err != nil {
 		t.Fatal(err)
@@ -546,12 +546,8 @@ func TestSyncReplicasRepairsLostMirror(t *testing.T) {
 	// bucket data and replication bookkeeping both gone).
 	victim := nw.Peers()[5]
 	for _, snap := range victim.DumpReplicas() {
-		key, err := parseBucketKey(snap.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		victim.replica.dropBucket(key)
-		victim.repl.DropHeld(replication.IndexUnit(key))
+		victim.replica.dropBucket(snap.Key)
+		victim.repl.DropHeld(replication.IndexUnit(snap.Key))
 	}
 	if c := count(); c >= intact {
 		t.Fatalf("corruption did not remove replicas: %d >= %d", c, intact)
@@ -593,7 +589,7 @@ func TestMirrorHandshake(t *testing.T) {
 		}
 	}
 	kinds := []kind{
-		bucket("prefix bucket", ids.MustParsePrefix("0101").Key()),
+		bucket("prefix bucket", mustKey("0101")),
 		bucket("individual bucket", individualKey),
 		{
 			name:  "repository",

@@ -82,9 +82,8 @@ func (p *Peer) TraceRouted(obj moods.ObjectID) (TraceResult, error) {
 		key = obj.Hash()
 		bucket = individualKey
 	} else {
-		pfx := ids.PrefixOf(obj.Hash(), p.pm.Lp())
-		key = pfx.GatewayID()
-		bucket = pfx.Key()
+		bucket = ids.KeyOf(obj.Hash(), p.pm.Lp())
+		key = bucket.GatewayID()
 	}
 	resp, err := p.handleRoutedTrace(p.node.Addr(), routedTraceReq{
 		Object: obj, Key: key, Bucket: bucket, TTL: 64,
@@ -151,11 +150,10 @@ func (p *Peer) gatewayLocalFind(bucket ids.PrefixKey, obj moods.ObjectID) (Index
 	if e, ok := p.gw.lookup(bucket, id); ok {
 		return e, 0, true
 	}
-	if bucket.Len() > ids.MaxKeyLen {
-		// The individual bucket (or a malformed key): no triangle below.
-		return IndexEntry{}, 0, false
+	if bucket == individualKey {
+		return IndexEntry{}, 0, false // no triangle below
 	}
-	return p.descend(bucket.Prefix(), id, p.gw.delegatedFlag(bucket), nil)
+	return p.descend(bucket, id, p.gw.delegatedFlag(bucket), nil)
 }
 
 // serverFullTrace assembles an object's lifetime path starting from

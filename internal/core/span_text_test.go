@@ -161,10 +161,10 @@ func TestSpanTextDelegation(t *testing.T) {
 	// their bucket; the gateway of the group's 1-child is down.
 	lp := nw.PM.Lp()
 	var objs []moods.ObjectID
-	var pfx ids.Prefix
+	var pfx ids.PrefixKey
 	for i := 0; len(objs) < 8; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("crate-%d", i))
-		if p := ids.PrefixOf(obj.Hash(), lp); len(objs) == 0 || p.Equal(pfx) {
+		if p := ids.KeyOf(obj.Hash(), lp); len(objs) == 0 || p == pfx {
 			pfx = p
 			objs = append(objs, obj)
 		}
@@ -196,7 +196,7 @@ index key=10001 t=[0s→0s] hops=0 steps=2 ok
 	// A delegated record is found one level down the triangle.
 	var moved moods.ObjectID
 	for _, obj := range objs {
-		if _, ok := gw.gw.lookup(pfx.Key(), obj.Hash()); !ok {
+		if _, ok := gw.gw.lookup(pfx, obj.Hash()); !ok {
 			moved = obj
 			break
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -102,6 +103,30 @@ var wireSamples = []transport.Wire{
 }
 
 func TestWireLayouts(t *testing.T) { wiretest.Layouts(t, "core", wireSamples) }
+
+// A prefix key has one form on the wire. The key below has a valid
+// length and a bit set past it: it renders as the same prefix and hashes
+// to the same gateway as wireKey, yet would key a second bucket, so the
+// reader refuses the frame. So it does a length past ids.MaxKeyLen.
+func TestWireRefusesKeyOutsideItsForm(t *testing.T) {
+	bits := wireKey | 1<<40
+	if bits.String() != wireKey.String() || bits.GatewayID() != wireKey.GatewayID() {
+		t.Fatal("the planted bit changed the rendered prefix; pick another")
+	}
+	for _, m := range []any{
+		delegateReq{Key: bits, Entries: []IndexEntry{wireEntry}},
+		queryIndexReq{Key: bits, Objects: wireIDs[:1]},
+		routedTraceReq{Object: wireObj, Bucket: ids.PrefixKey(ids.MaxKeyLen + 1), TTL: 3},
+	} {
+		body, err := transport.AppendBody(nil, string(wireN1), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, p, err := transport.ParseBody(body); !errors.Is(err, transport.ErrBadFrame) {
+			t.Errorf("%T parsed as %T, %v; want a bad frame", m, p, err)
+		}
+	}
+}
 
 // Twenty-nine of the thirty-five declarations count every field; the
 // rest charge a flat size per record or leave a field out.

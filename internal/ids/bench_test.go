@@ -35,26 +35,26 @@ func BenchmarkPrefixOf(b *testing.B) {
 	id := HashString("object")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		PrefixOf(id, 13)
+		KeyOf(id, 13)
 	}
 }
 
 func BenchmarkPrefixString(b *testing.B) {
-	p := PrefixOf(HashString("object"), 13)
+	k := KeyOf(HashString("object"), 13)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = p.String()
+		_ = k.String()
 	}
 }
 
 func BenchmarkGatewayID(b *testing.B) {
-	ps := make([]Prefix, 64)
-	for i := range ps {
-		ps[i] = PrefixOf(HashString(fmt.Sprint(i)), 13)
+	ks := make([]PrefixKey, 64)
+	for i := range ks {
+		ks[i] = KeyOf(HashString(fmt.Sprint(i)), 13)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps[i%64].GatewayID()
+		ks[i%64].GatewayID()
 	}
 }

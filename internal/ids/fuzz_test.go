@@ -1,22 +1,38 @@
 package ids
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
+// FuzzParsePrefix drives ParseKey, the one parser of the string form
+// (a snapshot file's bucket keys go through it): a string it accepts
+// renders back unchanged and packs a valid key that hashes without
+// panicking, and a string longer than MaxKeyLen digits is refused.
 func FuzzParsePrefix(f *testing.F) {
 	f.Add("0101")
 	f.Add("")
 	f.Add("2")
+	f.Add("@individual")
+	f.Add(strings.Repeat("0", MaxKeyLen+4))
 	f.Fuzz(func(t *testing.T, s string) {
-		p, err := ParsePrefix(s)
+		k, err := ParseKey(s)
 		if err != nil {
 			return
 		}
-		if p.String() != s {
-			t.Fatalf("prefix round trip: %q -> %q", s, p.String())
+		if k.String() != s {
+			t.Fatalf("prefix round trip: %q -> %q", s, k.String())
 		}
-		if p.Len != len(s) {
-			t.Fatalf("prefix length %d for %q", p.Len, s)
+		if !k.Valid() {
+			t.Fatalf("ParseKey(%q) = %#x, not a valid key", s, uint64(k))
 		}
+		if k == NoPrefixKey {
+			return
+		}
+		if len(s) > MaxKeyLen || k.Len() != len(s) {
+			t.Fatalf("ParseKey(%q) accepted length %d", s, k.Len())
+		}
+		_ = k.GatewayID()
 	})
 }
 

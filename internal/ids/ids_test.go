@@ -2,6 +2,7 @@ package ids
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -202,18 +203,39 @@ func TestQuickBetweenPartition(t *testing.T) {
 	}
 }
 
-// Property: prefix round-trip — PrefixOf(id, n).Matches(id) for all n.
+// bitString renders the first n bits of id one Bit call at a time: the
+// string form's oracle, independent of the packed encoding.
+func bitString(id ID, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = '0' + byte(id.Bit(i))
+	}
+	return string(b)
+}
+
+// panics reports whether f panics.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// Property: prefix round-trip — KeyOf(id, n).Matches(id) for every n a
+// key holds; a longer n is refused.
 func TestQuickPrefixMatches(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		id := randomID(r)
-		n := r.Intn(Bits + 1)
-		p := PrefixOf(id, n)
-		if !p.Matches(id) {
-			t.Fatalf("PrefixOf(id, %d) does not match id", n)
+		n := r.Intn(MaxKeyLen + 1)
+		k := KeyOf(id, n)
+		if !k.Matches(id) {
+			t.Fatalf("KeyOf(id, %d) does not match id", n)
 		}
-		if p.Len != n {
-			t.Fatalf("prefix length %d, want %d", p.Len, n)
+		if k.Len() != n {
+			t.Fatalf("prefix length %d, want %d", k.Len(), n)
+		}
+		if long := MaxKeyLen + 1 + r.Intn(Bits-MaxKeyLen); !panics(func() { KeyOf(id, long) }) {
+			t.Fatalf("KeyOf(id, %d) did not panic", long)
 		}
 	}
 }
@@ -224,35 +246,44 @@ func TestQuickPrefixStringRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		id := randomID(r)
 		n := r.Intn(33)
-		p := PrefixOf(id, n)
-		q, err := ParsePrefix(p.String())
+		k := KeyOf(id, n)
+		if s := k.String(); s != bitString(id, n) {
+			t.Fatalf("KeyOf(id, %d).String() = %q, want %q", n, s, bitString(id, n))
+		}
+		q, err := ParseKey(k.String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.Equal(q) {
-			t.Fatalf("round trip failed: %v != %v", p, q)
+		if q != k {
+			t.Fatalf("round trip failed: %v != %v", k, q)
 		}
 	}
 }
 
 func TestPrefixChildParent(t *testing.T) {
-	p := MustParsePrefix("010")
+	p := mustParse(t, "010")
 	c0, c1 := p.Child(0), p.Child(1)
 	if c0.String() != "0100" || c1.String() != "0101" {
 		t.Fatalf("children = %q, %q", c0.String(), c1.String())
 	}
-	if !c0.Parent().Equal(p) || !c1.Parent().Equal(p) {
+	if c0.Parent() != p || c1.Parent() != p {
 		t.Error("Parent(Child(p)) != p")
+	}
+	if deepest := KeyOf(ID{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, MaxKeyLen); !panics(func() { deepest.Child(0) }) {
+		t.Error("Child of a MaxKeyLen prefix did not panic")
+	}
+	if !panics(func() { PrefixKey(0).Parent() }) {
+		t.Error("Parent of the empty prefix did not panic")
 	}
 }
 
 func TestPrefixNextBit(t *testing.T) {
-	id := MustParsePrefix("0101").Bits // 0101 followed by zeros
-	p := PrefixOf(id, 2)               // "01"
+	id := ID{0x50}    // 0101 followed by zeros
+	p := KeyOf(id, 2) // "01"
 	if p.NextBit(id) != 0 {
 		t.Error("bit after \"01\" in 0101... should be 0")
 	}
-	p3 := PrefixOf(id, 3) // "010"
+	p3 := KeyOf(id, 3) // "010"
 	if p3.NextBit(id) != 1 {
 		t.Error("bit after \"010\" in 0101... should be 1")
 	}
@@ -261,24 +292,23 @@ func TestPrefixNextBit(t *testing.T) {
 func TestPrefixGatewayIDDistinct(t *testing.T) {
 	// Prefixes "0" and "00" must map to different gateways even though
 	// the underlying bits are identical — the string form disambiguates.
-	a := MustParsePrefix("0").GatewayID()
-	b := MustParsePrefix("00").GatewayID()
+	a := mustParse(t, "0").GatewayID()
+	b := mustParse(t, "00").GatewayID()
 	if a == b {
 		t.Error("gateway ids for \"0\" and \"00\" collide")
 	}
 }
 
 func TestParsePrefixErrors(t *testing.T) {
-	if _, err := ParsePrefix("01x"); err == nil {
-		t.Error("ParsePrefix accepted invalid character")
+	for _, s := range []string{"01x", "2", strings.Repeat("0", MaxKeyLen+1), "@", "individual"} {
+		if k, err := ParseKey(s); err == nil {
+			t.Errorf("ParseKey(%q) = %v, want an error", s, k)
+		}
 	}
 }
 
 func TestPrefixOfPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("PrefixOf(-1) did not panic")
-		}
-	}()
-	PrefixOf(ID{}, -1)
+	if !panics(func() { KeyOf(ID{}, -1) }) {
+		t.Error("KeyOf(-1) did not panic")
+	}
 }

@@ -140,7 +140,7 @@ type checker struct {
 	// Immutable snapshots taken up front so every check sees one
 	// consistent cut of the state; each map has a key for every peer.
 	dumps  map[moods.NodeName][]core.BucketSnapshot
-	bucket map[moods.NodeName]map[string]*core.BucketSnapshot
+	bucket map[moods.NodeName]map[ids.PrefixKey]*core.BucketSnapshot
 	visits map[moods.NodeName]map[moods.ObjectID][]core.VisitRecord
 	names  []moods.NodeName // the peers' names, sorted
 	// views is each distinct PrefixManager among the peers with the first
@@ -164,13 +164,13 @@ func (c *checker) add(inv string, node moods.NodeName, obj moods.ObjectID, forma
 
 func (c *checker) snapshot() {
 	c.dumps = make(map[moods.NodeName][]core.BucketSnapshot, len(c.peers))
-	c.bucket = make(map[moods.NodeName]map[string]*core.BucketSnapshot, len(c.peers))
+	c.bucket = make(map[moods.NodeName]map[ids.PrefixKey]*core.BucketSnapshot, len(c.peers))
 	c.visits = make(map[moods.NodeName]map[moods.ObjectID][]core.VisitRecord, len(c.peers))
 	for _, p := range c.peers {
 		name := p.Name()
 		dump := p.DumpIndex()
 		c.dumps[name] = dump
-		byKey := make(map[string]*core.BucketSnapshot, len(dump))
+		byKey := make(map[ids.PrefixKey]*core.BucketSnapshot, len(dump))
 		for i := range dump {
 			byKey[dump[i].Key] = &dump[i]
 		}
@@ -238,22 +238,22 @@ func (c *checker) checkBuckets() {
 				if e.Latest == "" {
 					c.add("entry-head", name, e.Object, "index record with empty Latest")
 				}
-				if b.Individual {
+				if b.Key == core.IndividualBucketKey {
 					if !p.Node().Owns(e.ID) {
 						c.add("gateway-placement", name, e.Object, "individual record not owned (id %s)", e.ID.Short())
 					}
-				} else if !b.Prefix.Matches(e.ID) {
+				} else if !b.Key.Matches(e.ID) {
 					c.add("triangle-prefix", name, e.Object, "id %s outside bucket prefix %s", e.ID.Short(), b.Key)
 				}
-				loc := string(name) + "/" + b.Key
+				loc := string(name) + "/" + b.Key.String()
 				if prev, dup := where[e.Object]; dup {
 					c.add("index-unique", name, e.Object, "also indexed at %s", prev)
 				} else {
 					where[e.Object] = loc
 				}
 			}
-			if !b.Individual && len(b.Entries) > 0 {
-				if owner, ok := c.ownerOf(b.Prefix.GatewayID(), ""); ok && owner != p {
+			if b.Key != core.IndividualBucketKey && len(b.Entries) > 0 {
+				if owner, ok := c.ownerOf(b.Key.GatewayID(), ""); ok && owner != p {
 					c.add("gateway-placement", name, "", "bucket %s belongs on %s", b.Key, owner.Name())
 				}
 			}
@@ -308,15 +308,15 @@ func (c *checker) findIndex(pm *core.PrefixManager, obj moods.ObjectID) (core.In
 	}
 
 	lp := pm.Lp()
-	pfx := ids.PrefixOf(id, lp)
-	entry, found, delegated := c.probe(pfx, id, obj)
+	key := ids.KeyOf(id, lp)
+	entry, found, delegated := c.probe(key, id, obj)
 	if found {
 		return entry, true
 	}
 
 	lo, hi := pm.LpRange()
-	child := pfx
-	for depth := 0; (delegated || hi > child.Len) && depth < core.MaxDescent && child.Len < ids.Bits; depth++ {
+	child := key
+	for depth := 0; (delegated || hi > child.Len()) && depth < core.MaxDescent && child.Len() < ids.MaxKeyLen; depth++ {
 		child = child.Child(child.NextBit(id))
 		entry, found, delegated = c.probe(child, id, obj)
 		if found {
@@ -328,7 +328,7 @@ func (c *checker) findIndex(pm *core.PrefixManager, obj moods.ObjectID) (core.In
 	if lo > lmin {
 		lmin = lo
 	}
-	for cur := pfx; cur.Len > lmin; {
+	for cur := key; cur.Len() > lmin; {
 		cur = cur.Parent()
 		entry, found, delegated = c.probe(cur, id, obj)
 		if found {
@@ -336,7 +336,7 @@ func (c *checker) findIndex(pm *core.PrefixManager, obj moods.ObjectID) (core.In
 		}
 		if delegated {
 			ch := cur.Child(cur.NextBit(id))
-			if ch.Len != pfx.Len {
+			if ch.Len() != lp {
 				entry, found, _ = c.probe(ch, id, obj)
 				if found {
 					return entry, true
@@ -349,15 +349,15 @@ func (c *checker) findIndex(pm *core.PrefixManager, obj moods.ObjectID) (core.In
 
 // probe looks an object up in one prefix bucket on that prefix's owner,
 // returning (entry, found, delegated).
-func (c *checker) probe(pfx ids.Prefix, id ids.ID, obj moods.ObjectID) (core.IndexEntry, bool, bool) {
-	owner, ok := c.ownerOf(pfx.GatewayID(), obj)
+func (c *checker) probe(key ids.PrefixKey, id ids.ID, obj moods.ObjectID) (core.IndexEntry, bool, bool) {
+	owner, ok := c.ownerOf(key.GatewayID(), obj)
 	if !ok {
 		return core.IndexEntry{}, false, false
 	}
-	return c.probeAt(owner, pfx.String(), id, obj)
+	return c.probeAt(owner, key, id, obj)
 }
 
-func (c *checker) probeAt(owner *core.Peer, key string, id ids.ID, obj moods.ObjectID) (core.IndexEntry, bool, bool) {
+func (c *checker) probeAt(owner *core.Peer, key ids.PrefixKey, id ids.ID, obj moods.ObjectID) (core.IndexEntry, bool, bool) {
 	b := c.bucket[owner.Name()][key]
 	if b == nil {
 		return core.IndexEntry{}, false, false

@@ -130,7 +130,7 @@ func TestDetectsPlantedDuplicate(t *testing.T) {
 	id := obj.Hash()
 	// Plant a second copy of obj-a's record in some other peer's bucket
 	// at the current prefix level.
-	pfx := ids.PrefixOf(id, nw.PM.Lp())
+	pfx := ids.KeyOf(id, nw.PM.Lp())
 	var victim *core.Peer
 	for _, p := range nw.Peers() {
 		if !p.Node().Owns(pfx.GatewayID()) {
@@ -138,7 +138,7 @@ func TestDetectsPlantedDuplicate(t *testing.T) {
 			break
 		}
 	}
-	victim.InjectIndexEntry(pfx.String(), core.IndexEntry{
+	victim.InjectIndexEntry(pfx, core.IndexEntry{
 		Object: obj, ID: id, Latest: victim.Name(), Arrived: time.Hour,
 	})
 	vs := check(t, nw, strict())
@@ -154,9 +154,9 @@ func TestDetectsRemovedRecord(t *testing.T) {
 	nw := buildTracked(t, 8, core.Config{})
 	obj := moods.ObjectID("urn:epc:obj-b")
 	id := obj.Hash()
-	pfx := ids.PrefixOf(id, nw.PM.Lp())
+	pfx := ids.KeyOf(id, nw.PM.Lp())
 	for _, p := range nw.Peers() {
-		p.RemoveIndexEntry(pfx.String(), id)
+		p.RemoveIndexEntry(pfx, id)
 	}
 	vs := check(t, nw, strict())
 	if !hasInvariant(vs, "index-missing") {
@@ -168,7 +168,7 @@ func TestDetectsCorruptHead(t *testing.T) {
 	nw := buildTracked(t, 8, core.Config{})
 	obj := moods.ObjectID("urn:epc:obj-c")
 	id := obj.Hash()
-	pfx := ids.PrefixOf(id, nw.PM.Lp())
+	pfx := ids.KeyOf(id, nw.PM.Lp())
 	var gw *core.Peer
 	for _, p := range nw.Peers() {
 		if p.Node().Owns(pfx.GatewayID()) {
@@ -177,7 +177,7 @@ func TestDetectsCorruptHead(t *testing.T) {
 		}
 	}
 	// Overwrite the record with a head pointing at the wrong node/time.
-	gw.InjectIndexEntry(pfx.String(), core.IndexEntry{
+	gw.InjectIndexEntry(pfx, core.IndexEntry{
 		Object: obj, ID: id, Latest: nw.Peers()[7].Name(), Arrived: time.Hour,
 	})
 	vs := check(t, nw, strict())
@@ -191,7 +191,7 @@ func TestDetectsForeignPrefixEntry(t *testing.T) {
 	// Fabricate a record whose id does not extend the bucket prefix.
 	obj := moods.ObjectID("urn:epc:obj-a")
 	id := obj.Hash()
-	pfx := ids.PrefixOf(id, nw.PM.Lp())
+	pfx := ids.KeyOf(id, nw.PM.Lp())
 	other := moods.ObjectID("urn:epc:obj-b")
 	var gw *core.Peer
 	for _, p := range nw.Peers() {
@@ -200,11 +200,11 @@ func TestDetectsForeignPrefixEntry(t *testing.T) {
 			break
 		}
 	}
-	gw.InjectIndexEntry(pfx.String(), core.IndexEntry{
+	gw.InjectIndexEntry(pfx, core.IndexEntry{
 		Object: other, ID: other.Hash(), Latest: gw.Name(), Arrived: time.Hour,
 	})
 	vs := check(t, nw, Options{})
-	if ids.PrefixOf(other.Hash(), nw.PM.Lp()).String() != pfx.String() {
+	if ids.KeyOf(other.Hash(), nw.PM.Lp()) != pfx {
 		if !hasInvariant(vs, "triangle-prefix") {
 			t.Errorf("foreign-prefix entry not reported: %v", vs)
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"peertrack/internal/core"
+	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 	"peertrack/internal/transport"
 )
@@ -35,7 +36,7 @@ func CheckReplicaAgreement(peers []*core.Peer) []Violation {
 	}
 	c := &replicaChecker{
 		dumps:   make(map[transport.Addr][]core.BucketSnapshot, len(peers)),
-		replica: make(map[transport.Addr]map[string]*core.BucketSnapshot, len(peers)),
+		replica: make(map[transport.Addr]map[ids.PrefixKey]*core.BucketSnapshot, len(peers)),
 	}
 	// Ring order by node identifier: the independent oracle for every
 	// peer's expected mirror set.
@@ -47,7 +48,7 @@ func CheckReplicaAgreement(peers []*core.Peer) []Violation {
 	for _, p := range ring {
 		addr := p.Addr()
 		c.dumps[addr] = p.DumpIndex()
-		byKey := make(map[string]*core.BucketSnapshot)
+		byKey := make(map[ids.PrefixKey]*core.BucketSnapshot)
 		reps := p.DumpReplicas()
 		for i := range reps {
 			byKey[reps[i].Key] = &reps[i]
@@ -65,7 +66,7 @@ func CheckReplicaAgreement(peers []*core.Peer) []Violation {
 type replicaChecker struct {
 	ring    []*core.Peer
 	dumps   map[transport.Addr][]core.BucketSnapshot
-	replica map[transport.Addr]map[string]*core.BucketSnapshot
+	replica map[transport.Addr]map[ids.PrefixKey]*core.BucketSnapshot
 	out     []Violation
 }
 

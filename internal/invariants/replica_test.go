@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"peertrack/internal/core"
+	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 )
 
@@ -53,7 +54,7 @@ func TestReplicaAgreementDetectsCorruption(t *testing.T) {
 	// Tamper with a primary record without telling the mirrors: the
 	// checker must see the copy disagree.
 	var victim *core.Peer
-	var key string
+	var key ids.PrefixKey
 	for _, p := range nw.Peers() {
 		for _, b := range p.DumpIndex() {
 			if len(b.Entries) > 0 {

@@ -9,11 +9,11 @@ import (
 )
 
 func key(s string) ids.PrefixKey {
-	p, err := ids.ParsePrefix(s)
+	k, err := ids.ParseKey(s)
 	if err != nil {
 		panic(err)
 	}
-	return p.Key()
+	return k
 }
 
 func TestBumpAndSyncBookkeeping(t *testing.T) {

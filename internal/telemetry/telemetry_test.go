@@ -291,7 +291,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 var (
 	noteBench  = NewNote("gateway: %d events from %s, %d unknown")
 	noteBench2 = NewNote("gateway %b: hit, head at %s")
-	group01101 = ids.MustParsePrefix("01101").Key()
+	group01101 = ids.KeyOf(ids.ID{0b01101000}, 5)
 )
 
 // recordSpan is the shape of one index arrival or locate: Start, four

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"peertrack/internal/telemetry"
 )
@@ -119,14 +118,6 @@ func (m *Memory) Stats() *Stats { return m.stats }
 // recorded stay in the registry they were recorded into.
 func (m *Memory) SetTelemetry(reg *telemetry.Registry) {
 	*m.stats = *newStats(reg)
-}
-
-// CallWithTimeout implements DeadlineCaller. The in-memory transport
-// dispatches synchronously on the caller's goroutine, so a deadline is
-// moot; it exists so code written against DeadlineCaller (the Resilient
-// wrapper's per-attempt timeouts) runs identically over both transports.
-func (m *Memory) CallWithTimeout(from, to Addr, req any, _ time.Duration) (any, error) {
-	return m.Call(from, to, req)
 }
 
 // Call implements Network.

@@ -12,9 +12,9 @@ import (
 )
 
 // DeadlineCaller is implemented by transports that can bound a single
-// call attempt with a deadline. TCP arms real connection deadlines; the
-// in-memory transport dispatches synchronously and ignores the timeout,
-// so code written against DeadlineCaller behaves identically over both.
+// call attempt with a deadline: TCP arms real connection deadlines. The
+// in-memory transport dispatches synchronously, so Resilient calls it
+// with plain Call.
 type DeadlineCaller interface {
 	CallWithTimeout(from, to Addr, req any, timeout time.Duration) (any, error)
 }
@@ -184,16 +184,6 @@ func (r *Resilient) SetTelemetry(reg *telemetry.Registry) {
 
 // Call implements Network with the configured retry policy.
 func (r *Resilient) Call(from, to Addr, req any) (any, error) {
-	return r.call(from, to, req, r.cfg.AttemptTimeout)
-}
-
-// CallWithTimeout implements DeadlineCaller; timeout overrides the
-// configured AttemptTimeout for this call's attempts.
-func (r *Resilient) CallWithTimeout(from, to Addr, req any, timeout time.Duration) (any, error) {
-	return r.call(from, to, req, timeout)
-}
-
-func (r *Resilient) call(from, to Addr, req any, attemptTimeout time.Duration) (any, error) {
 	r.calls.Inc()
 	start := r.clock()
 	if !r.admit(to, start) {
@@ -204,7 +194,7 @@ func (r *Resilient) call(from, to Addr, req any, attemptTimeout time.Duration) (
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		r.attempts.Inc()
-		resp, err := r.attempt(from, to, req, attemptTimeout)
+		resp, err := r.attempt(from, to, req)
 		if err == nil || !errors.Is(err, ErrUnreachable) {
 			// The peer answered: success, or an application-level error
 			// that retrying would not change.
@@ -238,10 +228,10 @@ func (r *Resilient) call(from, to Addr, req any, attemptTimeout time.Duration) (
 	return nil, lastErr
 }
 
-func (r *Resilient) attempt(from, to Addr, req any, timeout time.Duration) (any, error) {
-	if timeout > 0 {
+func (r *Resilient) attempt(from, to Addr, req any) (any, error) {
+	if r.cfg.AttemptTimeout > 0 {
 		if dc, ok := r.inner.(DeadlineCaller); ok {
-			return dc.CallWithTimeout(from, to, req, timeout)
+			return dc.CallWithTimeout(from, to, req, r.cfg.AttemptTimeout)
 		}
 	}
 	return r.inner.Call(from, to, req)

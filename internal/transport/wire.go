@@ -113,6 +113,7 @@ var (
 	errTrailing  = fmt.Errorf("%w: trailing bytes", ErrBadFrame)
 	errBadFlags  = fmt.Errorf("%w: unknown flag bits", ErrBadFrame)
 	errBadString = fmt.Errorf("%w: long-string escape for a short string", ErrBadFrame)
+	errBadKey    = fmt.Errorf("%w: prefix key not in its one form", ErrBadFrame)
 )
 
 // longString in a string's u16 length slot says the real length follows
@@ -272,8 +273,17 @@ func (r *Reader) ID() (id ids.ID) {
 	return id
 }
 
-// PrefixKey reads a packed prefix key.
-func (r *Reader) PrefixKey() ids.PrefixKey { return ids.PrefixKey(r.U64()) }
+// PrefixKey reads a packed prefix key. A key that is not valid (a bit
+// past its length, or a length past ids.MaxKeyLen other than the
+// sentinel's) fails the reader, so a key has one form on the wire, and
+// two encodings never name one bucket.
+func (r *Reader) PrefixKey() ids.PrefixKey {
+	k := ids.PrefixKey(r.U64())
+	if !k.Valid() {
+		r.fail(errBadKey)
+	}
+	return k
+}
 
 // String reads a string written by AppendString into fresh memory.
 func (r *Reader) String() string { return string(r.stringBytes()) }

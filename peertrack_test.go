@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 )
 
@@ -205,6 +206,30 @@ func TestStartNodeIPv6EphemeralPort(t *testing.T) {
 	host, port, err := net.SplitHostPort(n.Addr())
 	if err != nil || host != "::1" || port == "0" {
 		t.Fatalf("Addr() = %q, want [::1]:<ephemeral port>", n.Addr())
+	}
+}
+
+// A node pinned at an astronomical network size caps Lp at the longest
+// prefix a group key holds, and still indexes, flushes and finds an
+// object at that level.
+func TestHugeNetworkSizeCapsLp(t *testing.T) {
+	n, err := StartNode("127.0.0.1:0", NodeOptions{NetworkSize: 1e20, GossipEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, _, lp := n.RingInfo(); lp != ids.MaxKeyLen {
+		t.Fatalf("Lp = %d at Nn 1e20, want %d", lp, ids.MaxKeyLen)
+	}
+	at := time.Now()
+	if err := n.ObserveAt("urn:huge:1", at); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if where, _, err := n.Locate("urn:huge:1", at.Add(time.Second)); err != nil || where != n.Addr() {
+		t.Fatalf("Locate = %q, %v; want %q", where, err, n.Addr())
 	}
 }
 
