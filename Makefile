@@ -39,7 +39,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 20553
+LOC_MAX = 20689
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
@@ -90,14 +90,17 @@ flake-hunt:
 # internal/transport/testdata/fuzz; plain `go test` already runs those),
 # ten seconds of the stores' hash table against a Go map (random
 # insert/find/remove/compact sequences, some with every fingerprint
-# colliding), and ten seconds of the group key's one string parser, which
-# reads a snapshot file's bucket keys on trackd's start path. Not part
-# of check: a finding lands in testdata/ and is fixed by hand.
+# colliding), ten seconds of the group key's one string parser, which
+# reads a snapshot file's bucket keys on trackd's start path, and ten
+# seconds of the workload's radix sort by time against the stable sort
+# (ties, and spans too wide to pack in one round). Not part of check: a
+# finding lands in testdata/ and is fixed by hand.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzFrame -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzAuthFrame -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzTable -fuzztime 10s ./internal/probe/
 	$(GO) test -run xxx -fuzz FuzzParsePrefix -fuzztime 10s ./internal/ids/
+	$(GO) test -run xxx -fuzz FuzzSortByTime -fuzztime 10s ./internal/moods/
 
 # chaos-short sweeps 500 seeded fault scenarios (4:1 safe:lossy) under
 # the race detector, then runs the paired churn10x regression: 10
@@ -145,7 +148,8 @@ micro:
 	$(GO) test -run xxx -bench 'BenchmarkGateway|BenchmarkIOP' ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkSpan' -benchmem ./internal/telemetry/
 	$(GO) test -run xxx -bench 'BenchmarkPaperGenerate' -benchmem ./internal/workload/
-	$(GO) test -run xxx -bench 'BenchmarkSimPaper(Load|Run)/128x500' -benchtime 3x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkSimPaperLoad/128x500' -benchtime 20x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkSimPaperRun/128x500' -benchtime 3x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkSimPaperTrace' -benchtime 20000x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'RoundTrip|NetHTTPFloor' -benchmem ./internal/ctlapi/
 

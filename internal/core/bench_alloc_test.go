@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -216,6 +217,14 @@ func TestFlushWindowAllocs(t *testing.T) {
 		})
 		return n
 	}
+	// MemStats counts what every goroutine and thread allocates, not the
+	// flush alone. So flushes are counted on one P, as testing.AllocsPerRun
+	// counts, where restarting the world after ReadMemStats starts no
+	// thread (an m and its g are heap objects), and with the collector
+	// off, so that no cycle wakes the runtime's goroutines that allocate
+	// (since go1.23 the unique package's map cleanup).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, k := range []int{1, 8, 64} {
 		flush(64, 0) // warm: the window array has room for every group
 		worst := 0.0

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"time"
+	"unsafe"
 
 	"peertrack/internal/chord"
 	"peertrack/internal/gossip"
@@ -188,9 +189,19 @@ func (nw *Network) ScheduleAll(obss []moods.Observation) error {
 	}
 	times := make([]sim.Time, len(obss))
 	sorted := true
-	for i, o := range obss {
-		if _, ok := nw.byName[o.Node]; !ok {
-			return fmt.Errorf("core: unknown node %q", o.Node)
+	// byName is asked once per node string, not once per observation: a
+	// workload's observations share their node's string, and seen keeps
+	// each name found at a slot picked by the address of its bytes, so
+	// names allocated one after another take slots one after another.
+	var seen [1024]moods.NodeName
+	for i := range obss {
+		o := &obss[i]
+		at := &seen[uintptr(unsafe.Pointer(unsafe.StringData(string(o.Node))))/8%uintptr(len(seen))]
+		if *at != o.Node || o.Node == "" {
+			if _, ok := nw.byName[o.Node]; !ok {
+				return fmt.Errorf("core: unknown node %q", o.Node)
+			}
+			*at = o.Node
 		}
 		times[i] = o.At
 		sorted = sorted && (i == 0 || times[i-1] <= o.At)

@@ -1,7 +1,9 @@
 package moods
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -46,6 +48,79 @@ func TestSortByTimeIsTheStableSort(t *testing.T) {
 			t.Fatalf("trial %d (%d observations): SortByTime differs from the stable sort", trial, n)
 		}
 	}
+}
+
+// stableSorted fails unless SortByTime leaves in what the stable sort
+// leaves.
+func stableSorted(t *testing.T, name string, in []Observation) {
+	t.Helper()
+	want := slices.Clone(in)
+	slices.SortStableFunc(want, byAt)
+	SortByTime(in)
+	if !slices.Equal(in, want) {
+		t.Errorf("%s (%d observations): SortByTime differs from the stable sort", name, len(in))
+	}
+}
+
+// at numbers observations by their node, one a capture time.
+func at(times ...time.Duration) []Observation {
+	out := make([]Observation, len(times))
+	for i, ts := range times {
+		out[i] = Observation{Object: "o", Node: NodeName(fmt.Sprintf("n%d", i)), At: ts}
+	}
+	return out
+}
+
+// TestSortByTimeEdgeCases: inputs the seeded draws never make — no
+// observation and one, one capture time for all, times at both ends of
+// int64, and spans too wide to pack beside the position, which the sort
+// takes a round of passes at a time.
+func TestSortByTimeEdgeCases(t *testing.T) {
+	const lo, hi = time.Duration(math.MinInt64), time.Duration(math.MaxInt64)
+	r := rand.New(rand.NewSource(7))
+	draw := func(n int, next func() time.Duration) []Observation {
+		times := make([]time.Duration, n)
+		for i := range times {
+			times[i] = next()
+		}
+		return at(times...)
+	}
+	cases := map[string][]Observation{
+		"none":          {},
+		"one":           at(5),
+		"one time":      draw(1000, func() time.Duration { return -3 }),
+		"both ends":     at(hi, lo, 0, hi, lo, -1, 1, lo+1, hi-1, lo, hi),
+		"two extremes":  draw(3000, func() time.Duration { return []time.Duration{lo, hi}[r.Intn(2)] }),
+		"full span":     draw(5000, func() time.Duration { return time.Duration(r.Uint64()) }),
+		"wide and tied": draw(5000, func() time.Duration { return time.Duration(r.Intn(9)-4) << 60 }),
+		"high bits":     draw(3000, func() time.Duration { return time.Duration(r.Int63()) &^ (1<<40 - 1) }),
+		"wide, reversed": func() []Observation {
+			in := draw(3000, func() time.Duration { return time.Duration(r.Uint64()) })
+			slices.SortStableFunc(in, byAt)
+			slices.Reverse(in)
+			return in
+		}(),
+	}
+	for name, in := range cases {
+		stableSorted(t, name, in)
+	}
+}
+
+// FuzzSortByTime checks SortByTime against the stable sort. Each time is
+// d<<shift + d for a two-byte d: ties where a d repeats, low bits that
+// vary, and at a wide shift a span too wide to pack in one round.
+func FuzzSortByTime(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 2, 0, 1, 0, 0, 0}, uint8(0))
+	f.Add([]byte{0, 128, 255, 127, 0, 0, 0, 128, 255, 127}, uint8(48))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(63))
+	f.Fuzz(func(t *testing.T, data []byte, shift uint8) {
+		times := make([]time.Duration, len(data)/2)
+		for i := range times {
+			d := time.Duration(int16(binary.LittleEndian.Uint16(data[2*i:])))
+			times[i] = d<<(shift%64) + d
+		}
+		stableSorted(t, "fuzz", at(times...))
+	})
 }
 
 // TestSortByTimeSortedInputAllocatesNothing: Generate's output handed to

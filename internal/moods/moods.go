@@ -18,6 +18,7 @@ package moods
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -53,42 +54,87 @@ type Observation struct {
 func byAt(a, b Observation) int { return cmp.Compare(a.At, b.At) }
 
 // SortByTime orders obss by capture time, observations captured at the
-// same instant keeping their relative order — a stable sort by At. It
-// sorts 16-byte (At, position) keys, a total order that any sort keeps
-// stable, then moves each 40-byte observation once, in place, along the
-// cycles of the permutation. Sorted input returns without allocating.
+// same instant keeping their relative order — a stable sort by At. It is
+// an LSD radix sort of one uint64 key per observation, the capture time
+// less the earliest packed above the observation's position: 11-bit
+// passes, each stable, over only the bits of the time that vary, so ties
+// keep position order. The observations then move once each, in place,
+// along the cycles of the permutation the keys spell out. Scratch is the
+// keys and their pass buffer, 16 bytes an observation; sorted input
+// returns without allocating.
 func SortByTime(obss []Observation) {
 	if slices.IsSortedFunc(obss, byAt) {
 		return
 	}
-	type key struct {
-		at  time.Duration
-		pos int // where the observation that belongs here stands
-	}
-	keys := make([]key, len(obss))
+	lo := obss[0].At
 	for i := range obss {
-		keys[i] = key{obss[i].At, i}
+		lo = min(lo, obss[i].At)
 	}
-	slices.SortFunc(keys, func(a, b key) int { // no two keys are equal
-		if a.at < b.at || a.at == b.at && a.pos < b.pos {
-			return -1
-		}
-		return 1
-	})
+	var vary uint64 // the bits of At − lo that some observation sets
+	for i := range obss {
+		vary |= uint64(obss[i].At - lo)
+	}
+	n := len(obss)
+	posBits := uint(bits.Len(uint(n - 1)))
+	posMask := uint64(1)<<posBits - 1
+	buf := make([]uint64, 2*n)
+	keys, spare := buf[:n], buf[n:]
 	for i := range keys {
-		if keys[i].pos == i {
+		keys[i] = uint64(i)
+	}
+	// The varying bits go lowest first, as many a round as fit above the
+	// position: one round unless the span is wider than 64 − posBits bits.
+	// A round fills the keys from the positions the last one left.
+	room := 64 - posBits
+	for from, to := uint(bits.TrailingZeros64(vary)), uint(bits.Len64(vary)); from < to; from += room {
+		width := min(room, to-from)
+		passes := int(width+radixBits-1) / radixBits
+		var counts [(64 + radixBits - 1) / radixBits][1 << radixBits]int
+		for i, k := range keys {
+			p := k & posMask
+			k = uint64(obss[p].At-lo)>>from&(1<<width-1)<<posBits | p
+			keys[i] = k
+			for d := range counts[:passes] {
+				counts[d][k>>(posBits+uint(d)*radixBits)&digit]++
+			}
+		}
+		for d := range counts[:passes] {
+			shift, at := posBits+uint(d)*radixBits, &counts[d]
+			if at[keys[0]>>shift&digit] == n {
+				continue // every key has this digit
+			}
+			sum := 0
+			for b, c := range at {
+				at[b], sum = sum, sum+c
+			}
+			for _, k := range keys {
+				b := k >> shift & digit
+				spare[at[b]] = k
+				at[b]++
+			}
+			keys, spare = spare, keys
+		}
+	}
+	for i := range keys {
+		if int(keys[i]&posMask) == i {
 			continue
 		}
 		first, j := obss[i], i
-		for src := keys[j].pos; src != i; src = keys[j].pos {
+		for src := int(keys[j] & posMask); src != i; src = int(keys[j] & posMask) {
 			obss[j] = obss[src]
-			keys[j].pos = j // placed
+			keys[j] = uint64(j) // placed
 			j = src
 		}
 		obss[j] = first
-		keys[j].pos = j
+		keys[j] = uint64(j)
 	}
 }
+
+// A pass of SortByTime orders the keys by one radixBits-wide digit.
+const (
+	radixBits = 11
+	digit     = 1<<radixBits - 1
+)
 
 // Visit is one stop on an object's trajectory.
 type Visit struct {
@@ -195,9 +241,16 @@ func (h *HistoryStore) RecordAll(sorted []Observation) {
 	// slot[i] is the place of sorted[i]'s object. Until the arena is made,
 	// once and to size, place k's object is sorted[first[k]].
 	slot, first := make([]int32, len(sorted)), make([]int32, 0, len(sorted))
+	// Hashing reads an id's bytes, in time order a cache miss apiece:
+	// hashed a window ahead, away from the probes, the misses overlap.
+	var hashes [64]uint64
 	for i := range sorted {
-		o := sorted[i].Object
-		hash := probe.String(string(o))
+		if i%len(hashes) == 0 {
+			for j := range hashes[:min(len(hashes), len(sorted)-i)] {
+				hashes[j] = probe.String(string(sorted[i+j].Object))
+			}
+		}
+		o, hash := sorted[i].Object, hashes[i%len(hashes)]
 		k, ok := h.index.Find(hash, func(k int32) bool { return sorted[first[k]].Object == o })
 		if !ok {
 			k = int32(len(first))

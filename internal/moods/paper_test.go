@@ -38,3 +38,26 @@ func TestSortByTimeOnPaperWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordAllOnPaperWorkloads: the bulk load of the paper's workload,
+// 32 nodes × 200 objects, grouped and individual, two seeds, answers as
+// one Record per observation does. Its histories are long and its
+// objects many, where TestRecordAllIsTheRecordLoop draws at most 300
+// observations of at most 40 objects.
+func TestRecordAllOnPaperWorkloads(t *testing.T) {
+	nodes := make([]moods.NodeName, 32)
+	for i := range nodes {
+		nodes[i] = moods.NodeName(fmt.Sprintf("org-%04d", i))
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, grouped := range []bool{true, false} {
+			res, err := workload.PaperSpec{Nodes: nodes, ObjectsPerNode: 200, MoveFraction: 0.10, TraceLen: 10, Grouped: grouped, Seed: seed}.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bulk := moods.NewHistoryStore()
+			bulk.RecordAll(res.Observations)
+			moods.SameStore(t, bulk, moods.RecordEach(moods.NewHistoryStore(), res.Observations))
+		}
+	}
+}

@@ -157,3 +157,24 @@ func TestSetTelemetryRepointsTypeCounters(t *testing.T) {
 		t.Errorf("ByType reads %d, want the new registry's 2", got)
 	}
 }
+
+// TestAnswerChargedByItsOwnType: a request type's entry remembers the
+// type of its first answer; answers of other types, and none, are still
+// charged by their own size.
+func TestAnswerChargedByItsOwnType(t *testing.T) {
+	m := NewMemory(1)
+	answers := []any{listReq{}, statsResp{}, nil, bigReq{N: 7}, listReq{}} // the first has a layout
+	i := 0
+	if err := m.Register("b", func(Addr, any) (any, error) { i++; return answers[i-1], nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []int{0, 8, 0, 7, 0} {
+		before := m.Stats().Snapshot().Bytes
+		if _, err := m.Call("a", "b", statsReq{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Stats().Snapshot().Bytes - before; got != uint64(2*DefaultMsgSize+16+want) {
+			t.Errorf("answer %d: charged %d bytes, want %d", i, got, 2*DefaultMsgSize+16+want)
+		}
+	}
+}

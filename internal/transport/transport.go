@@ -79,14 +79,28 @@ type WireSizer interface {
 // WireSizer: a small fixed header plus addressing overhead.
 const DefaultMsgSize = 64
 
+// sizeOf is the charge for a message whose type has no layout. A laid-out
+// type is charged by its payloadSize instead: this assertion, one call
+// site for every type, rebuilds the site's type cache now and then while
+// a type is missing from it, and the rebuild allocates.
 func sizeOf(v any) int {
-	if v == nil {
-		return DefaultMsgSize
-	}
 	if s, ok := v.(WireSizer); ok {
 		return DefaultMsgSize + s.WireSize()
 	}
 	return DefaultMsgSize
+}
+
+// payloadSize is sizeOf for values of type T, without an interface
+// assertion: T's WireSize method is found once, by reflection, and called
+// as the plain function it is.
+func payloadSize[T any]() func(any) int {
+	t := reflect.TypeFor[T]()
+	if !t.Implements(reflect.TypeFor[WireSizer]()) {
+		return func(any) int { return DefaultMsgSize }
+	}
+	m, _ := t.MethodByName("WireSize")
+	size := m.Func.Interface().(func(T) int)
+	return func(v any) int { return DefaultMsgSize + size(v.(T)) }
 }
 
 // typeCounterPrefix starts the name of every per-request-type call
@@ -119,12 +133,13 @@ const (
 // figures (Snapshot, ByType), /metrics, and the invariant checkers.
 type Stats struct {
 	reg *telemetry.Registry
-	// byType holds the handle of each request type's call counter in reg,
-	// resolved by the first call that carries the type, so that no later
-	// call formats a name or searches the registry. A pointer, because
-	// SetTelemetry replaces a Stats by assignment; the replacement starts
-	// empty and resolves its handles in the new registry.
-	byType   *typeCounters
+	// byType holds each message type's size function and, for a request
+	// type, the handle of its call counter in reg, resolved by the first
+	// call that carries the type, so that no later call formats a name or
+	// searches the registry. A pointer, because SetTelemetry replaces a
+	// Stats by assignment; the replacement starts empty and resolves its
+	// handles in the new registry.
+	byType   *typeEntries
 	calls    *telemetry.Counter
 	messages *telemetry.Counter
 	bytes    *telemetry.Counter
@@ -144,7 +159,7 @@ func newStats(reg *telemetry.Registry) *Stats {
 	}
 	return &Stats{
 		reg:      reg,
-		byType:   new(typeCounters),
+		byType:   new(typeEntries),
 		calls:    reg.Counter("transport.calls"),
 		messages: reg.Counter("transport.messages"),
 		bytes:    reg.Counter("transport.bytes"),
@@ -157,33 +172,76 @@ func newStats(reg *telemetry.Registry) *Stats {
 	}
 }
 
-// typeCounters maps request types to call counters, read-mostly: a call
-// pays one atomic load and one probe; a type's first call stores a copy.
-type typeCounters struct {
+// typeEntries maps message types to what a call's accounting needs of
+// them, read-mostly: a lookup pays one atomic load and one probe; a
+// change stores a copy.
+type typeEntries struct {
 	mu sync.Mutex // serialises the copies
-	m  atomic.Pointer[map[reflect.Type]*telemetry.Counter]
+	m  atomic.Pointer[map[reflect.Type]*typeEntry]
 }
 
-// typeCounter returns the per-request-type call counter of v's type,
-// "transport.call.type.chord.pingReq".
-func (s *Stats) typeCounter(v any) *telemetry.Counter {
-	t, tc := reflect.TypeOf(v), s.byType
-	if m := tc.m.Load(); m != nil {
-		if c := (*m)[t]; c != nil {
-			return c
+// typeEntry is what the accounting keeps of a message type, unchanged
+// once published: its size function and, once it has been sent as a
+// request, its call counter and the response type its first answer
+// carried, with that type's size function, so that an answer costs a
+// comparison and not a second lookup.
+type typeEntry struct {
+	size     func(any) int
+	calls    *telemetry.Counter
+	resp     reflect.Type
+	respSize func(any) int
+}
+
+// typeOf returns the entry of v's type. A request's entry carries the
+// type's call counter, "transport.call.type.chord.pingReq"; a type seen
+// only in responses has none, and adds no counter to the registry.
+func (s *Stats) typeOf(v any, request bool) *typeEntry {
+	t := reflect.TypeOf(v)
+	if m := s.byType.m.Load(); m != nil {
+		if e, ok := (*m)[t]; ok && (e.calls != nil || !request) {
+			return e
 		}
 	}
+	return s.byType.update(t, func(e *typeEntry) {
+		if request && e.calls == nil {
+			e.calls = s.reg.Counter(typeCounterPrefix + fmt.Sprintf("%T", v))
+		}
+	})
+}
+
+// answerSize is the charge for resp, the answer to a request whose type
+// has entry e.
+func (s *Stats) answerSize(e *typeEntry, req, resp any) int {
+	t := reflect.TypeOf(resp)
+	if e.respSize != nil && e.resp == t {
+		return e.respSize(resp)
+	}
+	size := s.typeOf(resp, false).size
+	if e.respSize == nil && resp != nil {
+		s.byType.update(reflect.TypeOf(req), func(e *typeEntry) { e.resp, e.respSize = t, size })
+	}
+	return size(resp)
+}
+
+// update publishes a copy of the map in which f has changed t's entry,
+// made first if t has none, and returns the entry.
+func (tc *typeEntries) update(t reflect.Type, f func(*typeEntry)) *typeEntry {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	m := map[reflect.Type]*telemetry.Counter{}
+	m := map[reflect.Type]*typeEntry{}
 	if old := tc.m.Load(); old != nil {
 		m = maps.Clone(*old)
 	}
-	if m[t] == nil {
-		m[t] = s.reg.Counter(typeCounterPrefix + fmt.Sprintf("%T", v))
-		tc.m.Store(&m)
+	e := typeEntry{size: sizeOf}
+	if old, ok := m[t]; ok {
+		e = *old
+	} else if l, ok := layoutByType.Load(t); ok {
+		e.size = l.(*layout).size
 	}
-	return m[t]
+	f(&e)
+	m[t] = &e
+	tc.m.Store(&m)
+	return &e
 }
 
 // begin reads the registry clock for latency measurement (zero on the
@@ -193,14 +251,15 @@ func (s *Stats) begin() time.Duration { return s.reg.Now() }
 // record accounts one finished call — the single place any transport
 // event is counted. resp is only sized for answered outcomes.
 func (s *Stats) record(o outcome, req, resp any, start time.Duration) {
-	size := sizeOf(req)
+	e := s.typeOf(req, true)
+	size := e.size(req)
 	s.calls.Inc()
-	s.typeCounter(req).Inc()
+	e.calls.Inc()
 	s.reqBytes.Observe(int64(size))
 	s.latency.Observe(int64(s.reg.Now() - start))
 	msgs, wire := uint64(1), size // the request alone crossed the wire
 	if o == answered || o == answeredErr {
-		msgs, wire = 2, size+sizeOf(resp)
+		msgs, wire = 2, size+s.answerSize(e, req, resp)
 	}
 	s.messages.Add(msgs)
 	s.bytes.Add(uint64(wire))

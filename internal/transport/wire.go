@@ -41,6 +41,7 @@ const (
 type layout struct {
 	tag  uint16
 	read func(*Reader) any
+	size func(any) int // what the accounting charges a message: payloadSize
 }
 
 // The registration tables are filled from package init functions and
@@ -62,7 +63,7 @@ func RegisterLayout[T Wire](tag uint16, read func(*Reader) T) {
 	if tag < firstLayoutTag {
 		panic(fmt.Sprintf("transport: layout tag %#04x of %v is reserved", tag, typ))
 	}
-	l := &layout{tag: tag, read: func(r *Reader) any { return read(r) }}
+	l := &layout{tag: tag, read: func(r *Reader) any { return read(r) }, size: payloadSize[T]()}
 	if _, dup := layoutByType.LoadOrStore(typ, l); dup {
 		panic(fmt.Sprintf("transport: %v has a layout already", typ))
 	}

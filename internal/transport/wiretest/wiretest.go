@@ -103,7 +103,9 @@ func checkSeed(t *testing.T, name string, body []byte) {
 // each slice's count, which the declarations leave out. inexact names
 // the types whose declaration is not field by field — a flat charge per
 // record, a field left out, no WireSize at all — with the reason; for
-// those the remainder is printed, not checked.
+// those the remainder is printed, not checked. It also checks that the
+// accounting charges what it declares: a call over transport.Memory
+// with the sample as request and response counts twice the charge.
 func Declared(t *testing.T, samples []transport.Wire, inexact map[string]string) {
 	t.Helper()
 	t.Logf("%-28s %6s %8s | %7s %8s %7s %6s  %s", "type", "frame", "declared", "payload", "WireSize", "strings", "slices", "remainder")
@@ -112,6 +114,16 @@ func Declared(t *testing.T, samples []transport.Wire, inexact map[string]string)
 		payload, declared := len(sample.AppendWire(nil)), 0
 		if ws, ok := sample.(transport.WireSizer); ok {
 			declared = ws.WireSize()
+		}
+		m := transport.NewMemory(1)
+		if err := m.Register(from, func(transport.Addr, any) (any, error) { return sample, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Call(from, from, sample); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.Stats().Snapshot().Bytes, uint64(2*(transport.DefaultMsgSize+declared)); got != want {
+			t.Errorf("%s: a call with it both ways is charged %d bytes, want %d", name, got, want)
 		}
 		strs, slices := count(reflect.ValueOf(sample))
 		rest := payload - declared - 2*strs - 4*slices
