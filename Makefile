@@ -39,7 +39,7 @@ deadpkgs:
 # module. Line count is a tracked metric (ROADMAP aim 2): loc-check
 # fails when the root module's non-test lines exceed LOC_MAX. A PR that
 # needs more raises the number in its own diff and says why in CHANGES.
-LOC_MAX = 20689
+LOC_MAX = 20674
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \

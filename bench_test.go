@@ -32,6 +32,17 @@ func benchScale(b *testing.B) experiments.Scale {
 	return s
 }
 
+// lastFigures runs one cell figure b.N times and returns the last run's rows.
+func lastFigures(b *testing.B, s experiments.Scale, name string) (f experiments.Figures) {
+	for i := 0; i < b.N; i++ {
+		var err error
+		if f, err = experiments.RunFigures(s, name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return f
+}
+
 // lastRows runs one experiment b.N times and returns the last run's rows.
 func lastRows[R any](b *testing.B, s experiments.Scale, run func(experiments.Scale) ([]R, error)) (rows []R) {
 	for i := 0; i < b.N; i++ {
@@ -45,7 +56,7 @@ func lastRows[R any](b *testing.B, s experiments.Scale, run func(experiments.Sca
 
 func BenchmarkFig6aIndexingDataVolume(b *testing.B) {
 	s := benchScale(b)
-	last := lastRows(b, s, experiments.Fig6a)
+	last := lastFigures(b, s, "6a").Fig6a
 	top := last[len(last)-1]
 	b.ReportMetric(top.IndividualKMsgs, "individual-kmsgs")
 	b.ReportMetric(top.GroupKMsgs, "group-kmsgs")
@@ -54,7 +65,7 @@ func BenchmarkFig6aIndexingDataVolume(b *testing.B) {
 
 func BenchmarkFig6bIndexingNetworkSize(b *testing.B) {
 	s := benchScale(b)
-	last := lastRows(b, s, experiments.Fig6b)
+	last := lastFigures(b, s, "6b").Fig6b
 	top := last[len(last)-1]
 	b.ReportMetric(top.IndividualKMsgs, "individual-kmsgs")
 	b.ReportMetric(top.GroupMovedKMsgs, "group-moved-kmsgs")
@@ -63,7 +74,7 @@ func BenchmarkFig6bIndexingNetworkSize(b *testing.B) {
 
 func BenchmarkFig7aQueryNetworkSize(b *testing.B) {
 	s := benchScale(b)
-	last := lastRows(b, s, experiments.Fig7a)
+	last := lastFigures(b, s, "7a").Fig7a
 	top := last[len(last)-1]
 	b.ReportMetric(top.P2PMillis, "p2p-ms")
 	b.ReportMetric(top.CentralMillis, "central-ms")
@@ -72,7 +83,7 @@ func BenchmarkFig7aQueryNetworkSize(b *testing.B) {
 
 func BenchmarkFig7bQueryDataVolume(b *testing.B) {
 	s := benchScale(b)
-	last := lastRows(b, s, experiments.Fig7b)
+	last := lastFigures(b, s, "7b").Fig7b
 	top := last[len(last)-1]
 	b.ReportMetric(top.P2PMillis, "p2p-ms")
 	b.ReportMetric(top.CentralMillis, "central-ms")
@@ -80,22 +91,14 @@ func BenchmarkFig7bQueryDataVolume(b *testing.B) {
 
 func BenchmarkFig8aLoadBalance(b *testing.B) {
 	s := benchScale(b)
-	var sums []experiments.Fig8aSummary
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, sums, err = experiments.Fig8a(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, sum := range sums {
+	for _, sum := range lastFigures(b, s, "8a").Fig8aSummary {
 		b.ReportMetric(sum.Gini, fmt.Sprintf("gini-scheme%d", sum.Scheme))
 	}
 }
 
 func BenchmarkFig8bPrefixCost(b *testing.B) {
 	s := benchScale(b)
-	last := lastRows(b, s, experiments.Fig8b)
+	last := lastFigures(b, s, "8b").Fig8b
 	top := last[len(last)-1]
 	b.ReportMetric(top.Scheme1Log2, "log2msgs-scheme1")
 	b.ReportMetric(top.Scheme2Log2, "log2msgs-scheme2")
@@ -140,7 +143,7 @@ func BenchmarkAblationAlphaSweep(b *testing.B) {
 
 func BenchmarkAblationGatewayCache(b *testing.B) {
 	s := benchScale(b)
-	rows := lastRows(b, s, experiments.AblationGatewayCache)
+	rows := lastFigures(b, s, "cache").Cache
 	for _, r := range rows {
 		label := "off"
 		if r.Cache {

@@ -218,24 +218,16 @@ type CacheRow struct {
 	KMsgs float64
 }
 
-// AblationGatewayCache quantifies the DHT lookups saved by caching
+// cacheAblation quantifies the DHT lookups saved by caching
 // prefix→gateway resolutions ("the address of the parent and children
-// can be cached to save the cost of DHT lookup").
-func AblationGatewayCache(s Scale) ([]CacheRow, error) {
-	s.fill()
-	out := make([]CacheRow, 0, 2)
+// can be cached to save the cost of DHT lookup"), objects moving alone.
+func cacheAblation(s Scale, at func(Cell, reads) Result, f *Figures) {
+	f.Cache = nil
 	for _, cache := range []bool{false, true} {
-		run, err := Load(core.NetworkConfig{
-			Nodes: s.Nodes,
-			Seed:  s.Seed,
-			Peer:  core.Config{Mode: core.GroupIndexing, NoGatewayCache: !cache},
-		}, sectionV(s.MaxVolume, false))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CacheRow{Cache: cache, KMsgs: run.KMsgs()})
+		c := s.cell(s.Nodes, s.MaxVolume, false, core.GroupIndexing, 0)
+		c.NoCache = !cache
+		f.Cache = append(f.Cache, CacheRow{Cache: cache, KMsgs: at(c, readIndexing).KMsgs()})
 	}
-	return out, nil
 }
 
 // IntermediateRow compares iterative gateway queries with recursive

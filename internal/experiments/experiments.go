@@ -6,10 +6,12 @@
 // plus the ablations DESIGN.md calls out.
 //
 // Every experiment is a pure function from a Scale (how big to run) to
-// typed rows, so the same code backs the peertrack-bench command, the
-// root benchmark suite, and the integration tests. Scale.Full matches
-// the paper exactly (512 nodes, 5 000 objects/node); the default scale
-// keeps laptop runtimes in seconds while preserving every trend.
+// typed rows — the figures by way of RunFigures, which measures each
+// simulation cell they share once — so the same code backs the
+// peertrack-bench command, the root benchmarks and the tests.
+// Scale.Full matches the paper exactly (512 nodes, 5 000 objects/node);
+// the default scale keeps laptop runtimes in seconds while preserving
+// every trend.
 package experiments
 
 import (
@@ -129,7 +131,7 @@ func sectionV(perNode int, grouped bool) workload.PaperSpec {
 // to quiescence: spec generated over the network's nodes (its Nodes and
 // Seed are filled in, its TraceLen capped at the network size),
 // scheduled in one batch, with capture windows under group indexing.
-// Every figure, ablation, XL cell and peertrack-sim loads this way.
+// Every figure cell and ablation loads this way.
 func Load(cfg core.NetworkConfig, spec workload.PaperSpec) (Loaded, error) {
 	nw, err := core.BuildNetwork(cfg)
 	if err != nil {
@@ -155,6 +157,218 @@ func Load(cfg core.NetworkConfig, spec workload.PaperSpec) (Loaded, error) {
 	return Loaded{Net: nw, Work: res, Indexing: nw.Stats().Snapshot()}, nil
 }
 
+// A Cell is one simulation the figures read: a Section V workload of
+// PerNode objects a node, moving in groups or alone, on a network of
+// Nodes peers under one indexing mode and prefix-length scheme. Cells
+// compare as NetworkConfig fills them (a zero Scheme is scheme 2), so a
+// figure list that names one cell several times measures it once.
+type Cell struct {
+	Nodes, PerNode int
+	Grouped        bool
+	Mode           core.Mode
+	Scheme         core.Scheme
+	// NoCache turns off the prefix→gateway address cache.
+	NoCache bool
+	// Replicas is the number of gateway copies beyond the primary.
+	Replicas int
+	Seed     int64
+}
+
+func (c Cell) fill() Cell {
+	if c.Scheme < core.Scheme1 || c.Scheme > core.Scheme3 {
+		c.Scheme = core.Scheme2 // NetworkConfig's default
+	}
+	return c
+}
+
+// Result is everything a figure reads of a measured cell.
+type Result struct {
+	Lp, Objects, Movers, Observations int
+	// IndexedEntries is the number of gateway index records.
+	IndexedEntries int
+	// Indexing is the workload's transport traffic and ByType its round
+	// trips by request type, both read before any query.
+	Indexing transport.Snapshot
+	ByType   map[string]uint64
+	// Deciles samples the index-load curve (nodes sorted by descending
+	// load) at every tenth of the nodes: {node fraction, load fraction}.
+	Deciles                          [10][2]float64
+	Gini, MaxMeanRatio, FractionIdle float64
+	// Query is the Fig. 7 row: zero unless Measure was asked for
+	// queries, its centralized column zero unless for the warehouse too.
+	Query Fig7Row
+}
+
+// KMsgs is the indexing cost in thousands of messages.
+func (r Result) KMsgs() float64 { return float64(r.Indexing.Messages) / 1000 }
+
+// measureHook, set only by tests, sees every cell Measure loads.
+var measureHook func(Cell)
+
+// Measure loads c without the ground-truth oracle, which no figure
+// reads, and returns what any figure reads of it. With queries > 0 it
+// also asks that many "Where has object oi been?" trace queries of the
+// P2P network and, with warehouse, of a centralized warehouse holding
+// the same observations. The network is dropped before Measure returns.
+func Measure(c Cell, queries int, warehouse bool) (Result, error) {
+	c = c.fill()
+	if measureHook != nil {
+		measureHook(c)
+	}
+	run, err := Load(core.NetworkConfig{
+		Nodes:    c.Nodes,
+		Seed:     c.Seed,
+		Scheme:   c.Scheme,
+		Peer:     core.Config{Mode: c.Mode, NoGatewayCache: c.NoCache, ReplicationFactor: c.Replicas + 1},
+		NoOracle: true,
+	}, sectionV(c.PerNode, c.Grouped))
+	if err != nil {
+		return Result{}, err
+	}
+	nw, work := run.Net, run.Work
+	loads := nw.IndexLoads()
+	r := Result{
+		Lp:           nw.PM.Lp(),
+		Objects:      len(work.Objects),
+		Movers:       len(work.Movers),
+		Observations: len(work.Observations),
+		Indexing:     run.Indexing,
+		ByType:       nw.Stats().ByType(),
+		Gini:         metrics.Gini(loads),
+		MaxMeanRatio: metrics.MaxMeanRatio(loads),
+		FractionIdle: metrics.FractionIdle(loads),
+	}
+	for _, p := range nw.Peers() {
+		r.IndexedEntries += p.IndexedEntries()
+	}
+	nf, lf := metrics.LoadCurve(loads)
+	for d := range r.Deciles {
+		idx := max(int(math.Ceil(float64(d+1)/10*float64(len(nf))))-1, 0)
+		r.Deciles[d] = [2]float64{nf[idx], lf[idx]}
+	}
+	if queries == 0 {
+		return r, nil
+	}
+	var wh *centralized.Warehouse // identical observations, centralized
+	if warehouse {
+		wh = centralized.New()
+		for _, obs := range work.Observations {
+			wh.Insert(obs)
+		}
+	}
+	pool := work.Movers // trace queries target objects with real trajectories
+	if len(pool) == 0 {
+		pool = work.Objects
+	}
+	rng := rand.New(rand.NewSource(c.Seed + 13))
+	var p2p, central, hops metrics.Summary
+	for q := 0; q < queries; q++ {
+		obj := pool[rng.Intn(len(pool))]
+		res, err := nw.Peers()[rng.Intn(c.Nodes)].FullTrace(obj)
+		if err != nil {
+			return Result{}, fmt.Errorf("query %s: %w", obj, err)
+		}
+		p2p.Add(float64(nw.QueryTime(res.Hops)) / float64(time.Millisecond))
+		hops.Add(float64(res.Hops))
+		if wh != nil {
+			_, cost := wh.FullTrace(obj)
+			central.Add(float64(cost) / float64(time.Millisecond))
+		}
+	}
+	r.Query = Fig7Row{Nodes: c.Nodes, ObjectsPerNode: c.PerNode, P2PMillis: p2p.Mean(), CentralMillis: central.Mean(), MeanHops: hops.Mean()}
+	return r, nil
+}
+
+// Figures holds the rows of the figures a RunFigures call was asked for.
+type Figures struct {
+	Fig6a        []Fig6aRow
+	Fig6b        []Fig6bRow
+	Fig7a, Fig7b []Fig7Row
+	Fig8a        []Fig8aRow
+	Fig8aSummary []Fig8aSummary
+	Fig8b        []Fig8bRow
+	Attribution  []AttributionRow
+	Cache        []CacheRow
+	XL           []XLRow
+}
+
+// What a figure reads of a cell beyond its indexing run.
+type reads int
+
+const (
+	readIndexing reads = iota
+	readTraces         // Scale.Queries trace queries of the P2P network
+	readCentral        // the same queries of a centralized warehouse too
+)
+
+// A figure is a projection of measured cells: at(c, r) is cell c's
+// Result, measured for what r reads. RunFigures calls each figure
+// twice, first with an at that only notes the cells asked for.
+type figure func(s Scale, at func(Cell, reads) Result, f *Figures)
+
+var figures = map[string]figure{
+	"6a": fig6a, "6b": fig6b, "7a": fig7a, "7b": fig7b, "8a": fig8a, "8b": fig8b,
+	"attribution": attribution, "cache": cacheAblation, "xl": xlSweep,
+}
+
+// RunFigures renders every figure among names that is read off cells
+// (6a–8b, attribution, cache and xl; others are skipped). It
+// collects their cells, measures each distinct one once across
+// Scale.Workers — only results, never networks, outlive a cell — and
+// projects each figure from the results, so a figure's rows are the same
+// whatever else is in the list.
+func RunFigures(s Scale, names ...string) (Figures, error) {
+	s.fill()
+	index := map[Cell]int{}
+	var cells []Cell
+	var need []reads
+	var discard Figures
+	for _, name := range names {
+		if fig := figures[name]; fig != nil {
+			fig(s, func(c Cell, r reads) Result {
+				c = c.fill()
+				i, ok := index[c]
+				if !ok {
+					i = len(cells)
+					index[c] = i
+					cells, need = append(cells, c), append(need, readIndexing)
+				}
+				need[i] = max(need[i], r)
+				return Result{}
+			}, &discard)
+		}
+	}
+	results := make([]Result, len(cells))
+	err := runTasks(s.workers(), len(cells), func(i int) (err error) {
+		q := 0
+		if need[i] >= readTraces {
+			q = s.Queries
+		}
+		if results[i], err = Measure(cells[i], q, need[i] == readCentral); err != nil {
+			return fmt.Errorf("cell %+v: %w", cells[i], err)
+		}
+		return nil
+	})
+	if err != nil {
+		return Figures{}, err
+	}
+	var f Figures
+	for _, name := range names {
+		if fig := figures[name]; fig != nil {
+			fig(s, func(c Cell, _ reads) Result { return results[index[c.fill()]] }, &f)
+		}
+	}
+	return f, nil
+}
+
+// cell is the Section V cell of the figures at s's seed.
+func (s Scale) cell(nodes, perNode int, grouped bool, mode core.Mode, scheme core.Scheme) Cell {
+	return Cell{Nodes: nodes, PerNode: perNode, Grouped: grouped, Mode: mode, Scheme: scheme, Seed: s.Seed}
+}
+
+// volume is the i-th point (from 1) of the volume axis.
+func (s Scale) volume(i int) int { return s.MaxVolume * i / s.VolumeSteps }
+
 // Fig6aRow is one point of Fig. 6a: indexing cost vs data volume at a
 // fixed network size, individual vs group indexing.
 type Fig6aRow struct {
@@ -163,38 +377,16 @@ type Fig6aRow struct {
 	GroupKMsgs      float64
 }
 
-// Fig6a regenerates Fig. 6a. The volume points (and the two indexing
-// modes within each point) are independent simulations, fanned out
-// across Scale.Workers.
-func Fig6a(s Scale) ([]Fig6aRow, error) {
-	s.fill()
-	rows := make([]Fig6aRow, s.VolumeSteps)
-	for i := range rows {
-		rows[i].ObjectsPerNode = s.MaxVolume * (i + 1) / s.VolumeSteps
+func fig6a(s Scale, at func(Cell, reads) Result, f *Figures) {
+	f.Fig6a = nil
+	for i := 1; i <= s.VolumeSteps; i++ {
+		vol := s.volume(i)
+		f.Fig6a = append(f.Fig6a, Fig6aRow{
+			ObjectsPerNode:  vol,
+			IndividualKMsgs: at(s.cell(s.Nodes, vol, true, core.IndividualIndexing, 0), readIndexing).KMsgs(),
+			GroupKMsgs:      at(s.cell(s.Nodes, vol, true, core.GroupIndexing, 0), readIndexing).KMsgs(),
+		})
 	}
-	// Two tasks per volume point, writing disjoint fields of the row.
-	err := runTasks(s.workers(), 2*s.VolumeSteps, func(t int) error {
-		row := &rows[t/2]
-		vol := row.ObjectsPerNode
-		if t%2 == 0 {
-			ind, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed, Peer: core.Config{Mode: core.IndividualIndexing}}, sectionV(vol, true))
-			if err != nil {
-				return fmt.Errorf("fig6a individual vol=%d: %w", vol, err)
-			}
-			row.IndividualKMsgs = ind.KMsgs()
-		} else {
-			grp, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed}, sectionV(vol, true))
-			if err != nil {
-				return fmt.Errorf("fig6a group vol=%d: %w", vol, err)
-			}
-			row.GroupKMsgs = grp.KMsgs()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Fig6bRow is one point of Fig. 6b: indexing cost vs network size at a
@@ -206,44 +398,16 @@ type Fig6bRow struct {
 	GroupSingleKMsgs float64 // group indexing, objects move individually
 }
 
-// Fig6b regenerates Fig. 6b. Each (network size, series) cell is an
-// independent simulation, fanned out across Scale.Workers.
-func Fig6b(s Scale) ([]Fig6bRow, error) {
-	s.fill()
-	rows := make([]Fig6bRow, len(s.NetworkSizes))
-	for i, n := range s.NetworkSizes {
-		rows[i].Nodes = n
+func fig6b(s Scale, at func(Cell, reads) Result, f *Figures) {
+	f.Fig6b = nil
+	for _, n := range s.NetworkSizes {
+		f.Fig6b = append(f.Fig6b, Fig6bRow{
+			Nodes:            n,
+			IndividualKMsgs:  at(s.cell(n, s.MaxVolume, true, core.IndividualIndexing, 0), readIndexing).KMsgs(),
+			GroupMovedKMsgs:  at(s.cell(n, s.MaxVolume, true, core.GroupIndexing, 0), readIndexing).KMsgs(),
+			GroupSingleKMsgs: at(s.cell(n, s.MaxVolume, false, core.GroupIndexing, 0), readIndexing).KMsgs(),
+		})
 	}
-	// Three tasks per size, one per series, writing disjoint fields.
-	err := runTasks(s.workers(), 3*len(s.NetworkSizes), func(t int) error {
-		row := &rows[t/3]
-		n := row.Nodes
-		switch t % 3 {
-		case 0:
-			ind, err := Load(core.NetworkConfig{Nodes: n, Seed: s.Seed, Peer: core.Config{Mode: core.IndividualIndexing}}, sectionV(s.MaxVolume, true))
-			if err != nil {
-				return fmt.Errorf("fig6b individual n=%d: %w", n, err)
-			}
-			row.IndividualKMsgs = ind.KMsgs()
-		case 1:
-			grpG, err := Load(core.NetworkConfig{Nodes: n, Seed: s.Seed}, sectionV(s.MaxVolume, true))
-			if err != nil {
-				return fmt.Errorf("fig6b grouped n=%d: %w", n, err)
-			}
-			row.GroupMovedKMsgs = grpG.KMsgs()
-		case 2:
-			grpI, err := Load(core.NetworkConfig{Nodes: n, Seed: s.Seed}, sectionV(s.MaxVolume, false))
-			if err != nil {
-				return fmt.Errorf("fig6b group-individual n=%d: %w", n, err)
-			}
-			row.GroupSingleKMsgs = grpI.KMsgs()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Fig7Row is one point of Fig. 7a/7b: mean trace-query processing time,
@@ -256,81 +420,18 @@ type Fig7Row struct {
 	MeanHops       float64
 }
 
-// queryPoint loads one (nodes, volume) cell and measures both systems
-// on the paper's query "Where has object oi been?".
-func queryPoint(nodes, perNode, queries int, seed int64) (Fig7Row, error) {
-	run, err := Load(core.NetworkConfig{Nodes: nodes, Seed: seed}, sectionV(perNode, true))
-	if err != nil {
-		return Fig7Row{}, err
+func fig7a(s Scale, at func(Cell, reads) Result, f *Figures) {
+	f.Fig7a = nil
+	for _, n := range s.NetworkSizes {
+		f.Fig7a = append(f.Fig7a, at(s.cell(n, s.MaxVolume, true, core.GroupIndexing, 0), readCentral).Query)
 	}
-	// Centralized: identical observations in the warehouse.
-	wh := centralized.New()
-	for _, obs := range run.Work.Observations {
-		wh.Insert(obs)
-	}
-
-	rng := rand.New(rand.NewSource(seed + 13))
-	var p2p, central, hops metrics.Summary
-	for q := 0; q < queries; q++ {
-		// Trace queries target objects with real trajectories (movers).
-		obj := run.Work.Movers[rng.Intn(len(run.Work.Movers))]
-		peer := run.Net.Peers()[rng.Intn(nodes)]
-		res, err := peer.FullTrace(obj)
-		if err != nil {
-			return Fig7Row{}, fmt.Errorf("query %s: %w", obj, err)
-		}
-		p2p.Add(float64(run.Net.QueryTime(res.Hops)) / float64(time.Millisecond))
-		hops.Add(float64(res.Hops))
-		_, cost := wh.FullTrace(obj)
-		central.Add(float64(cost) / float64(time.Millisecond))
-	}
-	return Fig7Row{
-		Nodes:          nodes,
-		ObjectsPerNode: perNode,
-		P2PMillis:      p2p.Mean(),
-		CentralMillis:  central.Mean(),
-		MeanHops:       hops.Mean(),
-	}, nil
 }
 
-// Fig7a regenerates Fig. 7a: query time vs network size. Points are
-// independent simulations, fanned out across Scale.Workers.
-func Fig7a(s Scale) ([]Fig7Row, error) {
-	s.fill()
-	rows := make([]Fig7Row, len(s.NetworkSizes))
-	err := runTasks(s.workers(), len(s.NetworkSizes), func(i int) error {
-		n := s.NetworkSizes[i]
-		row, err := queryPoint(n, s.MaxVolume, s.Queries, s.Seed)
-		if err != nil {
-			return fmt.Errorf("fig7a n=%d: %w", n, err)
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+func fig7b(s Scale, at func(Cell, reads) Result, f *Figures) {
+	f.Fig7b = nil
+	for i := 1; i <= s.VolumeSteps; i++ {
+		f.Fig7b = append(f.Fig7b, at(s.cell(s.Nodes, s.volume(i), true, core.GroupIndexing, 0), readCentral).Query)
 	}
-	return rows, nil
-}
-
-// Fig7b regenerates Fig. 7b: query time vs data volume. Points are
-// independent simulations, fanned out across Scale.Workers.
-func Fig7b(s Scale) ([]Fig7Row, error) {
-	s.fill()
-	rows := make([]Fig7Row, s.VolumeSteps)
-	err := runTasks(s.workers(), s.VolumeSteps, func(i int) error {
-		vol := s.MaxVolume * (i + 1) / s.VolumeSteps
-		row, err := queryPoint(s.Nodes, vol, s.Queries, s.Seed)
-		if err != nil {
-			return fmt.Errorf("fig7b vol=%d: %w", vol, err)
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Fig8aRow is one load-curve point for one scheme: after sorting nodes
@@ -350,43 +451,19 @@ type Fig8aSummary struct {
 	FractionIdle float64
 }
 
-// Fig8a regenerates Fig. 8a: the load-balance curves of the three Lp
-// schemes, sampled at deciles, plus summary statistics. The schemes are
-// independent simulations, fanned out across Scale.Workers.
-func Fig8a(s Scale) ([]Fig8aRow, []Fig8aSummary, error) {
-	s.fill()
-	schemes := []core.Scheme{core.Scheme1, core.Scheme2, core.Scheme3}
-	rows := make([]Fig8aRow, 10*len(schemes))
-	sums := make([]Fig8aSummary, len(schemes))
-	err := runTasks(s.workers(), len(schemes), func(si int) error {
-		scheme := schemes[si]
-		run, err := Load(core.NetworkConfig{Nodes: s.Nodes, Seed: s.Seed, Scheme: scheme}, sectionV(s.MaxVolume, true))
-		if err != nil {
-			return fmt.Errorf("fig8a scheme %d: %w", scheme, err)
+var schemes = []core.Scheme{core.Scheme1, core.Scheme2, core.Scheme3}
+
+func fig8a(s Scale, at func(Cell, reads) Result, f *Figures) {
+	f.Fig8a, f.Fig8aSummary = nil, nil
+	for _, scheme := range schemes {
+		r := at(s.cell(s.Nodes, s.MaxVolume, true, core.GroupIndexing, scheme), readIndexing)
+		for _, d := range r.Deciles {
+			f.Fig8a = append(f.Fig8a, Fig8aRow{Scheme: scheme, NodeFrac: d[0], LoadFrac: d[1]})
 		}
-		loads := run.Net.IndexLoads()
-		nf, lf := metrics.LoadCurve(loads)
-		// Sample at deciles.
-		for d := 1; d <= 10; d++ {
-			target := float64(d) / 10
-			idx := int(math.Ceil(target*float64(len(nf)))) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			rows[si*10+d-1] = Fig8aRow{Scheme: scheme, NodeFrac: nf[idx], LoadFrac: lf[idx]}
-		}
-		sums[si] = Fig8aSummary{
-			Scheme:       scheme,
-			Gini:         metrics.Gini(loads),
-			MaxMeanRatio: metrics.MaxMeanRatio(loads),
-			FractionIdle: metrics.FractionIdle(loads),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+		f.Fig8aSummary = append(f.Fig8aSummary, Fig8aSummary{
+			Scheme: scheme, Gini: r.Gini, MaxMeanRatio: r.MaxMeanRatio, FractionIdle: r.FractionIdle,
+		})
 	}
-	return rows, sums, nil
 }
 
 // Fig8bRow is one point of Fig. 8b: indexing cost (log2 of messages)
@@ -398,36 +475,48 @@ type Fig8bRow struct {
 	Scheme3Log2 float64
 }
 
-// Fig8b regenerates Fig. 8b. Each (network size, scheme) cell is an
-// independent simulation, fanned out across Scale.Workers.
-func Fig8b(s Scale) ([]Fig8bRow, error) {
-	s.fill()
-	schemes := []core.Scheme{core.Scheme1, core.Scheme2, core.Scheme3}
-	rows := make([]Fig8bRow, len(s.NetworkSizes))
-	for i, n := range s.NetworkSizes {
-		rows[i].Nodes = n
-	}
-	// One task per (size, scheme) cell, writing disjoint fields.
-	err := runTasks(s.workers(), len(schemes)*len(s.NetworkSizes), func(t int) error {
-		row := &rows[t/3]
-		scheme := schemes[t%3]
-		run, err := Load(core.NetworkConfig{Nodes: row.Nodes, Seed: s.Seed, Scheme: scheme}, sectionV(s.MaxVolume, true))
-		if err != nil {
-			return fmt.Errorf("fig8b scheme %d n=%d: %w", scheme, row.Nodes, err)
+func fig8b(s Scale, at func(Cell, reads) Result, f *Figures) {
+	f.Fig8b = nil
+	for _, n := range s.NetworkSizes {
+		var v [3]float64
+		for i, scheme := range schemes {
+			v[i] = math.Log2(at(s.cell(n, s.MaxVolume, true, core.GroupIndexing, scheme), readIndexing).KMsgs() * 1000)
 		}
-		v := math.Log2(run.KMsgs() * 1000)
-		switch t % 3 {
-		case 0:
-			row.Scheme1Log2 = v
-		case 1:
-			row.Scheme2Log2 = v
-		case 2:
-			row.Scheme3Log2 = v
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		f.Fig8b = append(f.Fig8b, Fig8bRow{Nodes: n, Scheme1Log2: v[0], Scheme2Log2: v[1], Scheme3Log2: v[2]})
 	}
-	return rows, nil
+}
+
+// AttributionRow splits one Fig. 6a point's group-indexing saving
+// between grouping and the prefix→gateway cache.
+type AttributionRow struct {
+	ObjectsPerNode    int
+	IndividualKMsgs   float64
+	GroupKMsgs        float64
+	GroupNoCacheKMsgs float64
+	// ObsPerGroupMsg is observations per groupArriveReq round trip: how
+	// many arrivals one group indexing message carries.
+	ObsPerGroupMsg float64
+	// LookupsSavedK is the chord.closestPrecedingReq round trips the
+	// cache saves (cache off minus cache on), in thousands.
+	LookupsSavedK float64
+}
+
+func attribution(s Scale, at func(Cell, reads) Result, f *Figures) {
+	f.Attribution = nil
+	for i := 1; i <= s.VolumeSteps; i++ {
+		vol := s.volume(i)
+		grp := at(s.cell(s.Nodes, vol, true, core.GroupIndexing, 0), readIndexing)
+		off := s.cell(s.Nodes, vol, true, core.GroupIndexing, 0)
+		off.NoCache = true
+		noCache := at(off, readIndexing)
+		const lookup = "chord.closestPrecedingReq"
+		f.Attribution = append(f.Attribution, AttributionRow{
+			ObjectsPerNode:    vol,
+			IndividualKMsgs:   at(s.cell(s.Nodes, vol, true, core.IndividualIndexing, 0), readIndexing).KMsgs(),
+			GroupKMsgs:        grp.KMsgs(),
+			GroupNoCacheKMsgs: noCache.KMsgs(),
+			ObsPerGroupMsg:    float64(grp.Observations) / float64(grp.ByType["core.groupArriveReq"]),
+			LookupsSavedK:     (float64(noCache.ByType[lookup]) - float64(grp.ByType[lookup])) / 1000,
+		})
+	}
 }

@@ -9,10 +9,7 @@ import (
 // stays fast. Absolute values are recorded by cmd/peertrack-bench.
 
 func TestFig6aGroupScalesBetterOnVolume(t *testing.T) {
-	rows, err := Fig6a(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, Tiny(), "6a").Fig6a
 	if len(rows) < 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -33,10 +30,7 @@ func TestFig6aGroupScalesBetterOnVolume(t *testing.T) {
 }
 
 func TestFig6bSeriesOrdering(t *testing.T) {
-	rows, err := Fig6b(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, Tiny(), "6b").Fig6b
 	for _, r := range rows {
 		if r.GroupSingleKMsgs >= r.IndividualKMsgs {
 			t.Errorf("n=%d: group (individual movement) %.1fk not below individual %.1fk",
@@ -70,10 +64,7 @@ func TestFig7aP2PFlatCentralizedGrows(t *testing.T) {
 	s := Tiny()
 	s.NetworkSizes = []int{8, 32}
 	s.MaxVolume = 400
-	rows, err := Fig7a(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, s, "7a").Fig7a
 	small, large := rows[0], rows[len(rows)-1]
 	// P2P query time is roughly flat in network size (log-factor only).
 	if large.P2PMillis > small.P2PMillis*2.5 {
@@ -91,10 +82,7 @@ func TestFig7bVolumeGrowth(t *testing.T) {
 	s.Nodes = 16
 	s.MaxVolume = 800
 	s.VolumeSteps = 2
-	rows, err := Fig7b(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, s, "7b").Fig7b
 	small, large := rows[0], rows[len(rows)-1]
 	if large.P2PMillis > small.P2PMillis*2.5 {
 		t.Errorf("P2P time grew %0.1f -> %0.1f ms with volume", small.P2PMillis, large.P2PMillis)
@@ -108,10 +96,8 @@ func TestFig8aSchemeOrdering(t *testing.T) {
 	s := Tiny()
 	s.Nodes = 64
 	s.MaxVolume = 300
-	rows, sums, err := Fig8a(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := runFigure(t, s, "8a")
+	rows, sums := f.Fig8a, f.Fig8aSummary
 	if len(rows) != 30 {
 		t.Fatalf("rows = %d, want 3 schemes x 10 deciles", len(rows))
 	}
@@ -138,10 +124,7 @@ func TestFig8bCostOrdering(t *testing.T) {
 	s := Tiny()
 	s.NetworkSizes = []int{16, 64}
 	s.MaxVolume = 300
-	rows, err := Fig8b(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, s, "8b").Fig8b
 	for _, r := range rows {
 		// Paper: "Scheme 1 is the most efficient one and Scheme 3 is
 		// the worst."
@@ -199,10 +182,7 @@ func TestAblationAdaptiveWindowBoundsBatches(t *testing.T) {
 
 func TestAblationGatewayCacheSavesMessages(t *testing.T) {
 	s := Tiny()
-	rows, err := AblationGatewayCache(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, s, "cache").Cache
 	var with, without float64
 	for _, r := range rows {
 		if r.Cache {

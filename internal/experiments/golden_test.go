@@ -58,10 +58,7 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestGoldenFig6a(t *testing.T) {
-	rows, err := Fig6a(goldenScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, goldenScale(), "6a").Fig6a
 	out := csvLine("objects_per_node", "individual_kmsgs", "group_kmsgs")
 	for _, r := range rows {
 		out += csvLine(fmt.Sprint(r.ObjectsPerNode), g(r.IndividualKMsgs), g(r.GroupKMsgs))
@@ -70,10 +67,7 @@ func TestGoldenFig6a(t *testing.T) {
 }
 
 func TestGoldenFig6b(t *testing.T) {
-	rows, err := Fig6b(goldenScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, goldenScale(), "6b").Fig6b
 	out := csvLine("nodes", "individual_kmsgs", "group_moved_kmsgs", "group_single_kmsgs")
 	for _, r := range rows {
 		out += csvLine(fmt.Sprint(r.Nodes), g(r.IndividualKMsgs), g(r.GroupMovedKMsgs), g(r.GroupSingleKMsgs))
@@ -90,26 +84,18 @@ func fig7CSV(rows []Fig7Row) string {
 }
 
 func TestGoldenFig7a(t *testing.T) {
-	rows, err := Fig7a(goldenScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, goldenScale(), "7a").Fig7a
 	checkGolden(t, "fig7a.csv", fig7CSV(rows))
 }
 
 func TestGoldenFig7b(t *testing.T) {
-	rows, err := Fig7b(goldenScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, goldenScale(), "7b").Fig7b
 	checkGolden(t, "fig7b.csv", fig7CSV(rows))
 }
 
 func TestGoldenFig8a(t *testing.T) {
-	rows, sums, err := Fig8a(goldenScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := runFigure(t, goldenScale(), "8a")
+	rows, sums := f.Fig8a, f.Fig8aSummary
 	out := csvLine("scheme", "node_frac", "load_frac")
 	for _, r := range rows {
 		out += csvLine(fmt.Sprint(int(r.Scheme)), g(r.NodeFrac), g(r.LoadFrac))
@@ -122,15 +108,21 @@ func TestGoldenFig8a(t *testing.T) {
 }
 
 func TestGoldenFig8b(t *testing.T) {
-	rows, err := Fig8b(goldenScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, goldenScale(), "8b").Fig8b
 	out := csvLine("nodes", "scheme1_log2", "scheme2_log2", "scheme3_log2")
 	for _, r := range rows {
 		out += csvLine(fmt.Sprint(r.Nodes), g(r.Scheme1Log2), g(r.Scheme2Log2), g(r.Scheme3Log2))
 	}
 	checkGolden(t, "fig8b.csv", out)
+}
+
+func TestGoldenAttribution(t *testing.T) {
+	f := runFigure(t, goldenScale(), "attribution")
+	out := csvLine("objects_per_node", "individual_kmsgs", "group_kmsgs", "group_nocache_kmsgs", "obs_per_group_msg", "lookups_saved_k")
+	for _, r := range f.Attribution {
+		out += csvLine(fmt.Sprint(r.ObjectsPerNode), g(r.IndividualKMsgs), g(r.GroupKMsgs), g(r.GroupNoCacheKMsgs), g(r.ObsPerGroupMsg), g(r.LookupsSavedK))
+	}
+	checkGolden(t, "attribution.csv", out)
 }
 
 // The nine ablation and extension tables of `peertrack-bench -fig all`,
@@ -147,7 +139,7 @@ func TestGoldenAblations(t *testing.T) {
 		{"triangle", func(s Scale) (any, error) { return AblationTriangle(s) }},
 		{"window", func(s Scale) (any, error) { return AblationAdaptiveWindow(s) }},
 		{"alpha", func(s Scale) (any, error) { return AblationAlphaSweep(s) }},
-		{"cache", func(s Scale) (any, error) { return AblationGatewayCache(s) }},
+		{"cache", func(s Scale) (any, error) { f, err := RunFigures(s, "cache"); return f.Cache, err }},
 		{"intermediate", func(s Scale) (any, error) { return ExpIntermediate(s) }},
 		{"churn", func(s Scale) (any, error) { return ExpChurn(s) }},
 		{"prediction", func(s Scale) (any, error) { return ExpPrediction(s) }},
@@ -200,8 +192,8 @@ func TestGoldenSpans(t *testing.T) {
 // The message sequence of every arrival path: the Section V workload
 // and a query sweep over both indexing modes and 0–2 replicas, read as
 // Stats.ByType() plus the message, byte and query-hop totals. It is
-// `peertrack-sim -bytype` in the tree — individual indexing with
-// replicas is pinned by no other golden.
+// `peertrack-bench -fig cell -bytype` in the tree, locates added —
+// individual indexing with replicas is pinned by no other golden.
 func TestGoldenByType(t *testing.T) {
 	s := goldenScale()
 	s.MaxVolume = 40

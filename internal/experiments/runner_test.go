@@ -3,53 +3,75 @@ package experiments
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestParallelRowsMatchSequential is the determinism gate for the
-// parallel sweep runner: the same Scale and Seed must produce
-// byte-identical rows whether points run on one worker or many.
+// cellFigures are the figures RunFigures reads off cells.
+var cellFigures = []string{"6a", "6b", "7a", "7b", "8a", "8b", "attribution", "cache"}
+
+func runFigure(t testing.TB, s Scale, name string) Figures {
+	t.Helper()
+	f, err := RunFigures(s, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestParallelRowsMatchSequential is the determinism gate for the figure
+// runner: the six paper figures, the attribution table and the cache
+// ablation, measured together through the deduplicated path on one
+// worker and on four, must give the rows each figure gives run alone.
 func TestParallelRowsMatchSequential(t *testing.T) {
-	seq := Tiny()
-	seq.Workers = 1
-	par := Tiny()
-	par.Workers = 4
+	var alone Figures
+	all := reflect.ValueOf(&alone).Elem()
+	for _, name := range cellFigures {
+		for i, v := 0, reflect.ValueOf(runFigure(t, Tiny(), name)); i < v.NumField(); i++ {
+			if !v.Field(i).IsNil() {
+				all.Field(i).Set(v.Field(i))
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		s := Tiny()
+		s.Workers = workers
+		together, err := RunFigures(s, cellFigures...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(together, alone) {
+			t.Errorf("workers=%d: figures measured together diverged from each run alone:\ntogether %+v\nalone    %+v", workers, together, alone)
+		}
+	}
+}
 
-	seqRows, err := Fig6a(seq)
-	if err != nil {
+// A six-figure list at Tiny names 30 cells — 6a 4, 6b 9, 7a 3, 7b 2,
+// 8a 3, 8b 9 — of which 17 are distinct: 7a's and 7b's are 6b's and
+// 6a's group cells, and the scheme-2 cells of 8a and 8b are 6a's and
+// 6b's. Each distinct cell is loaded exactly once.
+func TestFigureListLoadsEachCellOnce(t *testing.T) {
+	var mu sync.Mutex
+	loads := map[Cell]int{}
+	measureHook = func(c Cell) {
+		mu.Lock()
+		loads[c]++
+		mu.Unlock()
+	}
+	defer func() { measureHook = nil }()
+	s := Tiny()
+	s.Workers = 2
+	if _, err := RunFigures(s, cellFigures[:6]...); err != nil {
 		t.Fatal(err)
 	}
-	parRows, err := Fig6a(par)
-	if err != nil {
-		t.Fatal(err)
+	if len(loads) != 17 {
+		t.Errorf("loaded %d distinct cells, want 17", len(loads))
 	}
-	if !reflect.DeepEqual(seqRows, parRows) {
-		t.Errorf("Fig6a diverged:\nseq %+v\npar %+v", seqRows, parRows)
-	}
-
-	seq7, err := Fig7a(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par7, err := Fig7a(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq7, par7) {
-		t.Errorf("Fig7a diverged:\nseq %+v\npar %+v", seq7, par7)
-	}
-
-	seq8, seqSums, err := Fig8a(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par8, parSums, err := Fig8a(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq8, par8) || !reflect.DeepEqual(seqSums, parSums) {
-		t.Errorf("Fig8a diverged")
+	for c, n := range loads {
+		if n != 1 {
+			t.Errorf("cell %+v loaded %d times", c, n)
+		}
 	}
 }
 

@@ -1,18 +1,12 @@
 package experiments
 
-import (
-	"fmt"
-	"math/rand"
-
-	"peertrack/internal/core"
-	"peertrack/internal/metrics"
-)
+import "peertrack/internal/core"
 
 // Scale.XL: the tier beyond the paper's 512-node setup. The paper's
 // evaluation stops where OverSim stops; the compact stores (interned
 // prefix keys, slab index buckets, inline IOP slots, run-length finger
 // tables) exist so one machine can push the same protocol to 50k–100k
-// nodes and millions of tracked objects. XLSweep extends the Fig. 6–8
+// nodes and millions of tracked objects. -fig xl extends the Fig. 6–8
 // axes into that regime with deterministic rows; wall-clock and memory
 // are measured separately by peertrack-bench (they are machine facts,
 // not protocol facts, and would break row byte-identity).
@@ -50,58 +44,13 @@ type XLRow struct {
 	MeanHops float64
 }
 
-// xlPoint loads one (nodes, volume) cell and measures it.
-func xlPoint(nodes, perNode, queries int, seed int64) (XLRow, error) {
-	// The oracle is off: throughput sweeps never verify traces against
-	// ground truth, and its copy of every observation dominates memory at
-	// XL scale.
-	run, err := Load(core.NetworkConfig{Nodes: nodes, Seed: seed, NoOracle: true}, sectionV(perNode, true))
-	if err != nil {
-		return XLRow{}, err
+// xlSweep is the XL tier: the Fig. 7a cell at each network size, read
+// for its indexing cost, index size and trace hops (no warehouse).
+func xlSweep(s Scale, at func(Cell, reads) Result, f *Figures) {
+	f.XL = nil
+	for _, n := range s.NetworkSizes {
+		r := at(s.cell(n, s.MaxVolume, true, core.GroupIndexing, 0), readTraces)
+		f.XL = append(f.XL, XLRow{Nodes: n, ObjectsPerNode: s.MaxVolume, Objects: r.Objects, Observations: r.Observations,
+			IndexKMsgs: r.KMsgs(), IndexedEntries: r.IndexedEntries, MeanHops: r.Query.MeanHops})
 	}
-	indexed := 0
-	for _, p := range run.Net.Peers() {
-		indexed += p.IndexedEntries()
-	}
-	rng := rand.New(rand.NewSource(seed + 13))
-	var hops metrics.Summary
-	for q := 0; q < queries; q++ {
-		obj := run.Work.Movers[rng.Intn(len(run.Work.Movers))]
-		peer := run.Net.Peers()[rng.Intn(nodes)]
-		res, err := peer.FullTrace(obj)
-		if err != nil {
-			return XLRow{}, fmt.Errorf("xl query %s: %w", obj, err)
-		}
-		hops.Add(float64(res.Hops))
-	}
-	return XLRow{
-		Nodes:          nodes,
-		ObjectsPerNode: perNode,
-		Objects:        nodes * perNode,
-		Observations:   len(run.Work.Observations),
-		IndexKMsgs:     run.KMsgs(),
-		IndexedEntries: indexed,
-		MeanHops:       hops.Mean(),
-	}, nil
-}
-
-// XLSweep runs the XL tier: one cell per network size at MaxVolume
-// objects per node, fanned out across Scale.Workers. Rows are
-// byte-identical at any worker count (see runner.go).
-func XLSweep(s Scale) ([]XLRow, error) {
-	s.fill()
-	rows := make([]XLRow, len(s.NetworkSizes))
-	err := runTasks(s.workers(), len(s.NetworkSizes), func(i int) error {
-		n := s.NetworkSizes[i]
-		row, err := xlPoint(n, s.MaxVolume, s.Queries, s.Seed)
-		if err != nil {
-			return fmt.Errorf("xl n=%d: %w", n, err)
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

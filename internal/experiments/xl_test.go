@@ -18,10 +18,7 @@ func tinyXL() Scale {
 }
 
 func TestXLSweepRows(t *testing.T) {
-	rows, err := XLSweep(tinyXL())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runFigure(t, tinyXL(), "xl").XL
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
@@ -44,16 +41,10 @@ func TestXLSweepRows(t *testing.T) {
 func TestXLSweepDeterministicAcrossWorkers(t *testing.T) {
 	s1 := tinyXL()
 	s1.Workers = 1
-	seq, err := XLSweep(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runFigure(t, s1, "xl").XL
 	s4 := tinyXL()
 	s4.Workers = 4
-	par, err := XLSweep(s4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := runFigure(t, s4, "xl").XL
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("rows differ across worker counts:\n 1: %+v\n 4: %+v", seq, par)
 	}
