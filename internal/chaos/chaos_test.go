@@ -96,3 +96,18 @@ func TestMinimizeLeavesPassingScheduleAlone(t *testing.T) {
 		t.Errorf("passing schedule was modified:\n%v\n%v", sched, min)
 	}
 }
+
+// TestShrinkToListLengthSettles is seed 5's failure as Minimize left it:
+// two graceful leaves take the 12-node ring to 8, fewer nodes than a
+// successor list has room for. A departed node then went round every
+// list for ever, so the membership change never settled.
+func TestShrinkToListLengthSettles(t *testing.T) {
+	const seed = 5
+	cfg := Config{Profile: ProfileSafe}
+	sched := Generate(cfg, seed)
+	sched.Spec.ObjectsPerNode = 1
+	sched.Epochs = []Epoch{{Kind: EpochShrink, Victims: 2, Queries: 3}, {Kind: EpochShrink, Victims: 2, Queries: 4}}
+	if rep := RunSchedule(cfg, seed, sched); rep.Failed() || rep.EpochsRun != 2 {
+		t.Errorf("%v", rep)
+	}
+}

@@ -116,14 +116,17 @@ func (n *Node) Stabilize() error {
 		state, succ = resp.(getStateResp), p
 	}
 
-	// Rebuild the successor list: succ followed by its list, trimmed.
+	// Rebuild the successor list: succ followed by its list, trimmed, and
+	// cut where that list comes back round to this node. Past that point
+	// a ring of r nodes or fewer repeats itself, and a departed node
+	// there would go round the ring in everybody's list forever.
 	newList := make([]NodeRef, 0, n.cfg.SuccessorListLen)
 	newList = append(newList, succ)
 	for _, s := range state.Successors {
-		if len(newList) >= n.cfg.SuccessorListLen {
+		if len(newList) >= n.cfg.SuccessorListLen || s.Equal(n.self) {
 			break
 		}
-		if s.Equal(n.self) || s.Equal(succ) {
+		if s.Equal(succ) {
 			continue
 		}
 		dup := false
@@ -243,8 +246,9 @@ func (n *Node) CheckPredecessor() {
 }
 
 // Leave departs the ring voluntarily: neighbours are relinked and the
-// node stops serving RPCs. Key migration must be done by the application
-// layer before calling Leave.
+// node stops serving RPCs. It migrates no keys: the application layer
+// hands them over first (core.Maintained.Shutdown gives every gateway
+// bucket to the successor).
 func (n *Node) Leave() error {
 	n.lock()
 	if n.left.Load() {

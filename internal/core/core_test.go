@@ -42,6 +42,18 @@ func moveObject(t testing.TB, nw *Network, obj moods.ObjectID, trace []int, star
 
 func pathNodes(p moods.Path) []moods.NodeName { return p.Nodes() }
 
+// assertRingOrder: Peers() lists the peers in ring order, so Shrink(k)
+// takes a ring segment whatever joined before it.
+func assertRingOrder(t *testing.T, nw *Network, what string) {
+	t.Helper()
+	ps := nw.Peers()
+	for i := 1; i < len(ps); i++ {
+		if !ps[i-1].Node().ID().Less(ps[i].Node().ID()) {
+			t.Fatalf("%s: Peers()[%d] %s is not before [%d] %s in ring order", what, i-1, ps[i-1].Addr(), i, ps[i].Addr())
+		}
+	}
+}
+
 func assertPathsEqual(t *testing.T, got, want moods.Path, what string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -446,6 +458,7 @@ func TestGrowReconcileKeepsQueriesCorrect(t *testing.T) {
 	if newLp <= oldLp {
 		t.Fatalf("Lp did not grow on 4x size: %d -> %d", oldLp, newLp)
 	}
+	assertRingOrder(t, nw, "after grow")
 
 	// All existing objects still traceable from old and new peers.
 	for _, obj := range objs {

@@ -25,9 +25,6 @@ func (p *Peer) AttachGossip(a *gossip.Agent) {
 	}
 }
 
-// Gossip returns the attached membership agent (nil when detached).
-func (p *Peer) Gossip() *gossip.Agent { return p.gossip }
-
 // onGossipDead is the failure detector's dead-verdict callback: every
 // cached gateway resolution pointing at the dead address is evicted,
 // and — when replication is on — every replica held for it becomes a
@@ -46,34 +43,20 @@ func (p *Peer) onGossipDead(ref overlay.NodeRef) {
 }
 
 // EnableGossip attaches a membership agent to every current peer,
-// seeded from its overlay neighbours, and arranges for peers added by
-// Grow to be attached too. Per-agent RNG seeds derive from the network
-// seed and the peer address, so runs are deterministic.
+// seeded from its overlay neighbours, and to every peer Grow adds (its
+// join seeds it). Per-agent RNG seeds derive from the network seed and
+// the peer address, so runs are deterministic.
 func (nw *Network) EnableGossip(cfg gossip.Config) {
-	nw.gossipOn = true
-	nw.gossipCfg = cfg
-	for _, p := range nw.peers {
-		nw.attachGossipPeer(p)
+	attach := func(p *Peer) {
+		c := cfg
+		c.Seed = gossip.SeedFor(nw.cfg.Seed, p.Addr())
+		a := gossip.New(nw.Transport, p.Node().Self(), c)
+		a.SetTelemetry(nw.Telemetry)
+		p.AttachGossip(a)
 	}
-}
-
-// attachGossipPeer builds, instruments, and seeds one peer's agent.
-func (nw *Network) attachGossipPeer(p *Peer) {
-	cfg := nw.gossipCfg
-	cfg.Seed = gossip.SeedFor(nw.cfg.Seed, p.Addr())
-	a := gossip.New(nw.Transport, p.Node().Self(), cfg)
-	a.SetTelemetry(nw.Telemetry)
-	p.AttachGossip(a)
-	a.SeedView(p.Node().Neighbors())
-}
-
-// GossipRound runs one membership round on every peer, in ring order —
-// the deterministic schedule tests and experiments drive directly; the
-// maintenance table's gossip-round row is its periodic form.
-func (nw *Network) GossipRound() {
+	nw.joining = append(nw.joining, attach)
 	for _, p := range nw.peers {
-		if g := p.Gossip(); g != nil {
-			g.Round()
-		}
+		attach(p)
+		p.gossip.SeedView(p.Node().Neighbors())
 	}
 }

@@ -19,7 +19,9 @@ func TestDeadGatewayEviction(t *testing.T) {
 	}
 	nw.EnableGossip(gossip.Config{})
 	for i := 0; i < 6; i++ {
-		nw.GossipRound()
+		for _, p := range nw.Peers() {
+			p.gossip.Round()
+		}
 	}
 
 	p := nw.Peers()[0]
@@ -35,7 +37,7 @@ func TestDeadGatewayEviction(t *testing.T) {
 
 	// Two failed-contact reports cross the default suspicion threshold;
 	// the dead verdict must fire the eviction callback synchronously.
-	g := p.Gossip()
+	g := p.gossip
 	if g.Suspect(victim) {
 		t.Fatal("first suspicion already crossed the threshold")
 	}
@@ -76,19 +78,24 @@ func TestGrowAttachesGossip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range nw.Peers() {
-		if p.Gossip() == nil {
+		if p.gossip == nil {
 			t.Fatalf("peer %s has no gossip agent after Grow", p.Addr())
 		}
 	}
 
+	assertRingOrder(t, nw, "after grow")
 	leaver := nw.Peers()[len(nw.Peers())-1]
 	if _, _, err := nw.Shrink(1); err != nil {
 		t.Fatal(err)
 	}
+	assertRingOrder(t, nw, "after shrink")
+	if _, ok := nw.PeerByName(leaver.Name()); ok {
+		t.Errorf("Shrink(1) left %s, the last peer in ring order, in the network", leaver.Addr())
+	}
 	// A stopped agent refuses rounds; its view must stay frozen.
-	before := leaver.Gossip().View()
-	leaver.Gossip().Round()
-	if len(before) != len(leaver.Gossip().View()) {
+	before := leaver.gossip.View()
+	leaver.gossip.Round()
+	if len(before) != len(leaver.gossip.View()) {
 		t.Error("leaver's agent still gossiping after Shrink")
 	}
 }

@@ -128,10 +128,10 @@ func TestGatewayCacheBounded(t *testing.T) {
 	}
 	nw.StartWindows(3 * time.Second)
 	nw.Run()
-	if got := p.CachedGateways(); got > bound {
-		t.Fatalf("CachedGateways = %d, want <= %d", got, bound)
+	if got := p.gwCache.len(); got > bound {
+		t.Fatalf("cached gateways = %d, want <= %d", got, bound)
 	}
-	if got := p.CachedGateways(); got == 0 {
+	if got := p.gwCache.len(); got == 0 {
 		t.Fatal("cache empty after workload; bound test proved nothing")
 	}
 }

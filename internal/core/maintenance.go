@@ -72,7 +72,7 @@ var maintenanceTable = []maintenanceRow{
 	{"successor-repair", func(c Cadences) time.Duration { return c.Gossip }, Maintained.repairSuccessors},
 	{"stabilize", func(c Cadences) time.Duration { return c.Stabilize }, Maintained.stabilize},
 	{"window-flush", func(c Cadences) time.Duration { return c.Window }, Maintained.flushWindow},
-	{"refresh", func(c Cadences) time.Duration { return refreshEvery * c.Stabilize }, Maintained.refresh},
+	{"refresh", func(c Cadences) time.Duration { return refreshEvery * c.Stabilize }, func(m Maintained) { m.refresh() }},
 	{"replica-gc", func(c Cadences) time.Duration { return replicaGCEvery * c.ReplicaSync }, Maintained.replicaGC},
 	{"replica-sync", func(c Cadences) time.Duration { return c.ReplicaSync }, Maintained.replicaSync},
 }
@@ -102,19 +102,21 @@ func (m Maintained) Install(k *sim.Kernel, c Cadences, until sim.Time) (ringChan
 
 // StartMaintenance schedules the table for every peer of the network
 // until the given horizon (so Run still drains). It includes the window
-// flush: use it instead of StartWindows, not beside it. Reconcile and
-// SyncReplicas remain the stop-the-world barrier invariant checks use.
-// Peers that Grow adds later run the rows without a catch-up chain: Grow
-// wires them converged.
+// flush: use it instead of StartWindows, not beside it. Every peer, and
+// every peer Grow adds later, gets a catch-up chain.
 func (nw *Network) StartMaintenance(c Cadences, until time.Duration) {
 	installMaintenance(nw.Kernel, maintenanceTable, c, until, func(visit func(Maintained)) {
 		for _, p := range nw.peers {
 			visit(nw.maintained(p))
 		}
 	})
-	for _, p := range nw.peers {
+	chain := func(p *Peer) {
 		m := nw.maintained(p)
 		m.Chord.OnRingChange((&catchUp{k: nw.Kernel, m: m, every: c.Stabilize, until: until}).ringChanged)
+	}
+	nw.joining = append(nw.joining, chain)
+	for _, p := range nw.peers {
+		chain(p)
 	}
 }
 
@@ -219,17 +221,17 @@ func (m Maintained) flushWindow() { m.Peer.FlushWindow() }
 
 // refresh re-derives Lp, then re-homes every bucket whose level or
 // gateway placement went stale (ring convergence, membership change),
-// one reconcile step per firing.
-func (m Maintained) refresh() {
-	m.RefreshSize()
+// one reconcile step per firing. It returns the buckets moved.
+func (m Maintained) refresh() int {
+	m.refreshSize()
 	m.Peer.InvalidateGatewayCache()
-	m.Peer.ReconcileStep()
+	return m.Peer.ReconcileStep()
 }
 
-// RefreshSize re-estimates Nn from the density of the successor list
+// refreshSize re-estimates Nn from the density of the successor list
 // unless the size is pinned, and drops cached gateway resolutions when
-// Lp moved. Beside the refresh row, a node calls it once on joining.
-func (m Maintained) RefreshSize() {
+// Lp moved: the refresh row's first step, and a joiner's last.
+func (m Maintained) refreshSize() {
 	if m.SizePinned {
 		return
 	}
@@ -256,12 +258,37 @@ func (m Maintained) replicaSync() {
 	m.Peer.SyncOwnedReplicas()
 }
 
-// Shutdown is a live node's stop path, run after the last row has fired:
-// one final window flush, so that events already acknowledged reach
-// their gateways (a single attempt under the transport's call budget),
-// then the agent stops and the node leaves the ring.
+// Join is the one join path, a live node's and a simulated one's: enter
+// the ring through bootstrap, then one gossip exchange (a joiner nobody
+// has heard of cannot be declared dead if it crashes), then a size
+// estimate.
+func (m Maintained) Join(bootstrap chord.NodeRef) error {
+	if err := m.Chord.Join(bootstrap); err != nil {
+		return err
+	}
+	if m.Gossip != nil {
+		m.Gossip.SeedView(m.Chord.Successors())
+		m.Gossip.Round()
+	}
+	m.refreshSize()
+	return nil
+}
+
+// Shutdown is the one leave path, run after the last row has fired: one
+// final window flush, so that events already acknowledged reach their
+// gateways (a single attempt under the transport's call budget); every
+// gateway bucket to the ring successor, which takes over this node's
+// part of the ring, until a hand-off fails (the successor is gone); then
+// the agent stops and the node leaves the ring.
 func (m Maintained) Shutdown() error {
 	m.flushWindow()
+	if succ := m.Chord.Successor(); !succ.Equal(m.Chord.Self()) {
+		for _, key := range m.Peer.gw.bucketKeys() { // sorted
+			if _, err := m.Peer.handOff(key, succ.Addr); err != nil {
+				break
+			}
+		}
+	}
 	if m.Gossip != nil {
 		m.Gossip.Stop()
 	}

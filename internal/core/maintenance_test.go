@@ -58,7 +58,7 @@ func TestMaintenanceTableSchedule(t *testing.T) {
 
 	nw := maintainedNet(t)
 	p := nw.Peers()[0]
-	m := Maintained{Chord: p.Node().(*chord.Node), Gossip: p.Gossip(), Peer: p, SizePinned: true}
+	m := Maintained{Chord: p.Node().(*chord.Node), Gossip: p.gossip, Peer: p, SizePinned: true}
 
 	type firing struct {
 		at   time.Duration

@@ -8,7 +8,6 @@ import (
 	"unsafe"
 
 	"peertrack/internal/chord"
-	"peertrack/internal/gossip"
 	"peertrack/internal/moods"
 	"peertrack/internal/sim"
 	"peertrack/internal/telemetry"
@@ -38,11 +37,9 @@ type Network struct {
 	byName map[moods.NodeName]*Peer
 	cfg    NetworkConfig
 
-	// gossipOn records that EnableGossip ran, so peers added by Grow
-	// get agents too; gossipCfg is the template their configs derive
-	// from (per-peer seeds are re-derived from the network seed).
-	gossipOn  bool
-	gossipCfg gossip.Config
+	// joining is what EnableGossip and StartMaintenance gave every peer,
+	// in the order they ran; Grow gives it each joiner before it joins.
+	joining []func(*Peer)
 }
 
 // NetworkConfig configures BuildNetwork.
@@ -111,38 +108,43 @@ func BuildNetwork(cfg NetworkConfig) (*Network, error) {
 		cfg:        cfg,
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		if err := nw.addPeer(transport.Addr(NodeNameFor(i))); err != nil {
+		if _, err := nw.addPeer(transport.Addr(NodeNameFor(i))); err != nil {
 			return nil, err
 		}
 	}
-	nw.wireStatic(nw.peers)
-	sort.Slice(nw.peers, func(i, j int) bool { return nw.peers[i].node.ID().Less(nw.peers[j].node.ID()) })
+	chord.WireStaticRing(nw.ring())
+	nw.sortPeers()
 	return nw, nil
 }
 
 // addPeer constructs a Chord node at addr, puts a peer on it and
-// registers the peer. The node's routing state is empty until wireStatic
-// runs over the new membership.
-func (nw *Network) addPeer(addr transport.Addr) error {
+// registers the peer. The node is a ring of one until it is wired or
+// joins.
+func (nw *Network) addPeer(addr transport.Addr) (*Peer, error) {
 	n, err := chord.New(nw.Transport, addr, chord.Config{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n.SetTelemetry(nw.Telemetry)
 	p := NewPeer(n, nw.Transport, nw.PM, nw.cfg.Peer, nw.Kernel.Now)
 	p.SetTelemetry(nw.Telemetry)
 	nw.peers = append(nw.peers, p)
 	nw.byName[p.Name()] = p
-	return nil
+	return p, nil
 }
 
-// wireStatic sets exact converged ring state over the given membership.
-func (nw *Network) wireStatic(peers []*Peer) {
-	nodes := make([]*chord.Node, len(peers))
-	for i, p := range peers {
+// ring is the peers' Chord nodes, in the peers' order.
+func (nw *Network) ring() []*chord.Node {
+	nodes := make([]*chord.Node, len(nw.peers))
+	for i, p := range nw.peers {
 		nodes[i] = p.node.(*chord.Node)
 	}
-	chord.WireStaticRing(nodes)
+	return nodes
+}
+
+// sortPeers restores ring order after a membership change.
+func (nw *Network) sortPeers() {
+	sort.Slice(nw.peers, func(i, j int) bool { return nw.peers[i].node.ID().Less(nw.peers[j].node.ID()) })
 }
 
 // Peers returns the peers in ring order.
@@ -264,105 +266,99 @@ func (nw *Network) IndexLoads() []float64 {
 	return out
 }
 
-// Grow adds k peers to the network: the ring is re-wired to its new
-// converged state, the shared prefix length is recomputed, gateway
-// caches are invalidated, and the splitting/re-homing process runs to
-// a fixed point. Returns (oldLp, newLp).
+// Grow adds k peers, each joining through a member as a live node joins
+// (Maintained.Join), and settles. Returns (oldLp, newLp).
 func (nw *Network) Grow(k int) (int, int, error) {
-	// Allocate the lowest name indices not currently in use. After a
-	// Shrink the live indices need not be contiguous (peers are kept in
-	// ring order, so departures can leave holes anywhere), and reusing a
-	// live name would alias two peers onto one transport address and one
-	// chord ID.
-	fresh := make([]transport.Addr, 0, k)
-	for i := 0; len(fresh) < k; i++ {
-		if name := NodeNameFor(i); nw.byName[name] == nil {
-			fresh = append(fresh, transport.Addr(name))
+	// Take the lowest name indices not in use. After a Shrink the live
+	// indices need not be contiguous (peers are kept in ring order, so
+	// departures can leave holes anywhere), and reusing a live name would
+	// alias two peers onto one transport address and one chord ID.
+	bootstrap := nw.peers[0].node.(*chord.Node).Self()
+	for i := 0; k > 0; i++ {
+		name := NodeNameFor(i)
+		if nw.byName[name] != nil {
+			continue
 		}
-	}
-	start := len(nw.peers)
-	for _, addr := range fresh {
-		if err := nw.addPeer(addr); err != nil {
+		p, err := nw.addPeer(transport.Addr(name))
+		if err != nil {
 			return 0, 0, err
 		}
-	}
-	nw.wireStatic(nw.peers)
-	if nw.gossipOn {
-		// Attach after wiring so the fresh peers' views seed from real
-		// ring neighbours; existing views learn the newcomers by mixing.
-		for _, p := range nw.peers[start:] {
-			nw.attachGossipPeer(p)
+		for _, give := range nw.joining {
+			give(p)
 		}
+		if err := nw.maintained(p).Join(bootstrap); err != nil {
+			return 0, 0, fmt.Errorf("core: grow: %s: %w", name, err)
+		}
+		k--
 	}
-	oldLp, newLp := nw.PM.SetNetworkSize(float64(len(nw.peers)))
-	nw.Reconcile()
-	return oldLp, newLp, nil
+	nw.sortPeers()
+	return nw.settle()
 }
 
-// Shrink removes the last k peers from the network as voluntary
-// departures: each leaver migrates its gateway index to the remaining
-// nodes, the ring is re-wired, the shared prefix length is recomputed
-// (triggering merges if Lp drops), and reconciliation runs to a fixed
-// point. The leavers' local repositories (their organisations' own
+// Shrink removes the last k peers in ring order as voluntary departures,
+// each leaving as a live node leaves (Maintained.Shutdown), in reverse
+// ring order so that every successor handed buckets is a survivor, and
+// settles. The leavers' local repositories (their organisations' own
 // observation data) leave with them, as the paper's sovereignty model
 // dictates. Returns (oldLp, newLp).
 func (nw *Network) Shrink(k int) (int, int, error) {
 	if k <= 0 || k >= len(nw.peers) {
 		return 0, 0, fmt.Errorf("core: cannot shrink %d of %d peers", k, len(nw.peers))
 	}
-	leavers := nw.peers[len(nw.peers)-k:]
-	remaining := nw.peers[:len(nw.peers)-k]
-
-	// Re-wire the ring over the remaining membership first, so the
-	// leavers' migrations resolve to the new owners.
-	nw.wireStatic(remaining)
-	oldLp, newLp := nw.PM.SetNetworkSize(float64(len(remaining)))
-
-	// Leavers push their index records out. Their own routing state
-	// still points into the old ring, but their lookups route through
-	// survivors, so reconciliation lands the records on the new owners.
-	for _, l := range leavers {
-		if g := l.Gossip(); g != nil {
-			g.Stop()
+	stay := len(nw.peers) - k
+	for i := len(nw.peers) - 1; i >= stay; i-- {
+		l := nw.peers[i]
+		if err := nw.maintained(l).Shutdown(); err != nil {
+			return 0, 0, fmt.Errorf("core: shrink: %s: %w", l.Addr(), err)
 		}
-		l.InvalidateGatewayCache()
-		for pass := 0; pass < 8 && l.ReconcileStep() > 0; pass++ {
-		}
-		// A leaver's stale routing can fail to place some records (its
-		// lookup may terminate at another leaver); hand any remainder to
-		// a survivor so departure never loses index records — the
-		// reconciliation below re-homes them correctly.
-		l.evacuate(remaining[0].Addr())
-		nw.Transport.Unregister(l.Addr())
 		delete(nw.byName, l.Name())
 	}
-	nw.peers = remaining
-	nw.Reconcile()
-	return oldLp, newLp, nil
+	nw.peers = nw.peers[:stay]
+	return nw.settle()
 }
 
-// Reconcile invalidates gateway caches and runs ReconcileStep across
-// all peers until no bucket moves, completing the splitting–merging
-// process after membership or Lp changes.
-func (nw *Network) Reconcile() {
-	defer nw.SyncReplicas() // re-mirror re-homed buckets, promote, GC orphans
-	for _, p := range nw.peers {
-		p.InvalidateGatewayCache()
+// settleBudget bounds each phase of settle: a join burst closes in a few
+// overlay rounds, a departed node leaves the successor lists one ring
+// position a round, and Lp moved by d levels takes d + 1 refresh passes.
+const settleBudget = 64
+
+// settle completes a membership change: it feeds the shared prefix
+// manager the new size and returns Lp before and after. Then it runs the
+// maintenance table's own rows by hand on every peer in ring order:
+// overlay rounds until the ring is converged and a round changes no
+// successor list (where lookups walk, no departed node may remain), the
+// refresh row until a pass moves no bucket, one anti-entropy round.
+func (nw *Network) settle() (oldLp, newLp int, err error) {
+	oldLp, newLp = nw.PM.SetNetworkSize(float64(len(nw.peers)))
+	ring := nw.ring()
+	lists := func() (out [][]chord.NodeRef) {
+		for _, n := range ring {
+			out = append(out, n.Successors())
+		}
+		return out
 	}
-	for pass := 0; pass < 4*ids160; pass++ {
+	for round, quiet := 0, false; !quiet; round++ {
+		if round == settleBudget {
+			return oldLp, newLp, fmt.Errorf("core: ring not converged after %d overlay rounds", settleBudget)
+		}
+		before := lists()
+		for _, p := range nw.peers {
+			nw.maintained(p).OverlayRound()
+		}
+		quiet = chord.Converged(ring) && slices.EqualFunc(before, lists(), slices.Equal)
+	}
+	for pass := 0; ; pass++ {
+		if pass == settleBudget {
+			return oldLp, newLp, fmt.Errorf("core: buckets still moving after %d refresh passes", settleBudget)
+		}
 		moved := 0
 		for _, p := range nw.peers {
-			moved += p.ReconcileStep()
+			moved += nw.maintained(p).refresh()
 		}
 		if moved == 0 {
-			// Every bucket sits at the current level on its correct
-			// gateway; stale levels can no longer hold records.
-			nw.PM.ResetLpHistory()
-			return
+			break
 		}
 	}
+	nw.SyncReplicas()
+	return oldLp, newLp, nil
 }
-
-// ids160 bounds reconcile passes; prefix lengths are at most 160 so
-// far fewer passes are ever needed.
-const ids160 = 160

@@ -29,8 +29,8 @@ func TestNetworkDefaults(t *testing.T) {
 	if nw.QueryTime(10) != 50*time.Millisecond {
 		t.Errorf("query time = %v", nw.QueryTime(10))
 	}
-	if nw.PM.Scheme() != Scheme2 {
-		t.Errorf("default scheme = %v", nw.PM.Scheme())
+	if nw.PM.scheme != Scheme2 {
+		t.Errorf("default scheme = %v", nw.PM.scheme)
 	}
 }
 
@@ -232,6 +232,7 @@ func TestShrinkMigratesIndexAndMerges(t *testing.T) {
 	if nw.Size() != 16 {
 		t.Fatalf("size after shrink = %d", nw.Size())
 	}
+	assertRingOrder(t, nw, "after shrink")
 	for _, obj := range objs {
 		res, err := nw.Peers()[3].FullTrace(obj)
 		if err != nil {

@@ -392,10 +392,6 @@ func (p *Peer) resolveGateway(key ids.PrefixKey) (transport.Addr, error) {
 // ring membership changes.
 func (p *Peer) InvalidateGatewayCache() { p.gwCache.reset() }
 
-// CachedGateways returns the number of live gateway-resolution cache
-// entries (test/metrics hook for the LRU bound).
-func (p *Peer) CachedGateways() int { return p.gwCache.len() }
-
 // call sends an application RPC, short-circuiting self-addressed
 // messages (a node never pays transport cost to talk to itself).
 func (p *Peer) call(to transport.Addr, req any) (any, error) {

@@ -36,7 +36,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// Wipe the peer's state, then restore.
 	beforeVisits := p.LocalVisits()
 	beforeIndexed := p.IndexedEntries()
-	beforeReplica := p.ReplicaEntries()
+	beforeReplica := p.replica.totalEntries()
 	beforeInv := len(p.Inventory())
 	p.repo.mu.Lock()
 	p.repo.a, p.repo.n = nil, 0
@@ -57,8 +57,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if p.IndexedEntries() != beforeIndexed {
 		t.Errorf("indexed = %d, want %d", p.IndexedEntries(), beforeIndexed)
 	}
-	if p.ReplicaEntries() != beforeReplica {
-		t.Errorf("replica = %d, want %d", p.ReplicaEntries(), beforeReplica)
+	if p.replica.totalEntries() != beforeReplica {
+		t.Errorf("replica = %d, want %d", p.replica.totalEntries(), beforeReplica)
 	}
 	if got := len(p.Inventory()); got != beforeInv {
 		t.Errorf("inventory = %d, want %d", got, beforeInv)
@@ -300,7 +300,7 @@ func TestRestoreReRegistersReplicaBuckets(t *testing.T) {
 			break
 		}
 	}
-	if owner == nil || mirror == observer || mirror.ReplicaEntries() == 0 {
+	if owner == nil || mirror == observer || mirror.replica.totalEntries() == 0 {
 		t.Fatal("no gateway with a mirror other than the observer; pick another seed")
 	}
 	var buf bytes.Buffer

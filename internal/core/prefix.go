@@ -133,13 +133,6 @@ func (pm *PrefixManager) LMin() int {
 	return pm.lmin
 }
 
-// Scheme returns the active scheme.
-func (pm *PrefixManager) Scheme() Scheme {
-	pm.mu.RLock()
-	defer pm.mu.RUnlock()
-	return pm.scheme
-}
-
 // SetNetworkSize recomputes Lp for a new network-size estimate and
 // returns (oldLp, newLp).
 func (pm *PrefixManager) SetNetworkSize(nn float64) (int, int) {
@@ -147,17 +140,12 @@ func (pm *PrefixManager) SetNetworkSize(nn float64) (int, int) {
 	defer pm.mu.Unlock()
 	old := pm.lp
 	pm.lp = pm.scheme.PrefixLen(nn, pm.lmin)
-	pm.setRange(min(pm.minEver, pm.lp), max(pm.maxEver, pm.lp))
-	return old, pm.lp
-}
-
-// setRange installs the historical Lp range, emptying the GatewayID memo
-// when it moves. The caller holds pm.mu for writing.
-func (pm *PrefixManager) setRange(lo, hi int) {
-	if lo != pm.minEver || hi != pm.maxEver {
-		pm.minEver, pm.maxEver = lo, hi
+	if pm.lp < pm.minEver || pm.lp > pm.maxEver {
+		// The range moved: the GatewayID memo goes with it.
+		pm.minEver, pm.maxEver = min(pm.minEver, pm.lp), max(pm.maxEver, pm.lp)
 		pm.gateways = nil
 	}
+	return old, pm.lp
 }
 
 // GatewayID is key.GatewayID(), memoised (see gateways).
@@ -186,15 +174,6 @@ func (pm *PrefixManager) LpRange() (int, int) {
 	pm.mu.RLock()
 	defer pm.mu.RUnlock()
 	return pm.minEver, pm.maxEver
-}
-
-// ResetLpHistory collapses the historical range to the current Lp;
-// call after a completed splitting–merging reconciliation, when no
-// records remain at stale levels.
-func (pm *PrefixManager) ResetLpHistory() {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	pm.setRange(pm.lp, pm.lp)
 }
 
 // GroupOf returns the current-length prefix group of an object id.

@@ -131,17 +131,12 @@ func TestPrefixManagerLifecycle(t *testing.T) {
 	if lo != lp16 || hi != new {
 		t.Fatalf("range after shrink = [%d,%d], history must persist", lo, hi)
 	}
-	pm.ResetLpHistory()
-	lo, hi = pm.LpRange()
-	if lo != pm.Lp() || hi != pm.Lp() {
-		t.Fatalf("range after reset = [%d,%d]", lo, hi)
-	}
 }
 
 // TestGatewayIDMemoIsBounded: the memo answers what PrefixKey.GatewayID
 // does; it holds at most maxGatewayMemo ids, past which a prefix is
-// hashed each time; and it is emptied when the Lp range moves, by growth
-// or by a history reset, but not by a size estimate that leaves it put.
+// hashed each time; and it is emptied when the Lp range moves, up or
+// down, but not by a size estimate that leaves it put.
 func TestGatewayIDMemoIsBounded(t *testing.T) {
 	pm := NewPrefixManager(Scheme2, 3, 16)
 	prefix := func(i int) ids.PrefixKey { // distinct for i < 2^20
@@ -170,9 +165,9 @@ func TestGatewayIDMemoIsBounded(t *testing.T) {
 		t.Errorf("memo holds %d ids after the range grew, want 0", len(pm.gateways))
 	}
 	pm.GatewayID(prefix(1))
-	pm.ResetLpHistory()
+	pm.SetNetworkSize(2) // Lp 3, below the range
 	if len(pm.gateways) != 0 {
-		t.Errorf("memo holds %d ids after the range was reset, want 0", len(pm.gateways))
+		t.Errorf("memo holds %d ids after the range widened down, want 0", len(pm.gateways))
 	}
 }
 
@@ -190,8 +185,8 @@ func TestPrefixManagerGroupOf(t *testing.T) {
 
 func TestInvalidSchemeDefaultsTo2(t *testing.T) {
 	pm := NewPrefixManager(Scheme(99), 3, 64)
-	if pm.Scheme() != Scheme2 {
-		t.Fatalf("scheme = %v", pm.Scheme())
+	if pm.scheme != Scheme2 {
+		t.Fatalf("scheme = %v", pm.scheme)
 	}
 }
 
@@ -260,7 +255,7 @@ func TestGatewayStoreTakeAndDrain(t *testing.T) {
 	if e, _ := g.drain(mustKey("000")); e != nil {
 		t.Fatal("drain on absent bucket returned entries")
 	}
-	// Reconcile and evacuation migrate buckets in bucketKeys order: key
+	// Re-levelling and evacuation migrate buckets in bucketKeys order: key
 	// order, not the map's.
 	for i := 15; i >= 0; i-- {
 		g.upsert(mustKey(fmt.Sprintf("%05b", i)), IndexEntry{Object: moodsObjectID(i), ID: ids.HashString(string(moodsObjectID(i)))})

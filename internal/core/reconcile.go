@@ -34,8 +34,10 @@ func (p *Peer) ReconcileStep() int {
 			// Correct level; verify placement (ring membership may have
 			// moved the gateway).
 			gwAddr, err := p.resolveGateway(key)
-			if err == nil && gwAddr != p.node.Addr() && p.handOff(key, gwAddr) {
-				moved++
+			if err == nil && gwAddr != p.node.Addr() {
+				if ok, _ := p.handOff(key, gwAddr); ok {
+					moved++
+				}
 			}
 			continue
 		}
@@ -71,20 +73,21 @@ func (p *Peer) ReconcileStep() int {
 }
 
 // handOff moves the whole bucket keyed key to the node at `to`, and
-// reports whether there was anything to move. With replication on, the
-// bucket's version line travels with the records: the receiver adopts
-// both and claims the mirrors' existing copies by probe, so nothing is
-// re-replicated. Per-object records merge one by one at the receiver,
-// which has no use for a line: theirs ends here, like that of a bucket
-// found empty. A bucket that cannot be delivered stays, records and
-// line as they were — index records must never be lost to a failed
-// migration, and the caller retries on a later pass.
-func (p *Peer) handOff(key ids.PrefixKey, to transport.Addr) bool {
+// reports whether there was anything to move and how the delivery went.
+// With replication on, the bucket's version line travels with the
+// records: the receiver adopts both and claims the mirrors' existing
+// copies by probe, so nothing is re-replicated. Per-object records
+// merge one by one at the receiver, which has no use for a line: theirs
+// ends here, like that of a bucket found empty. A bucket that cannot be
+// delivered stays, records and line as they were — index records must
+// never be lost to a failed migration, and the caller retries on a
+// later pass.
+func (p *Peer) handOff(key ids.PrefixKey, to transport.Addr) (bool, error) {
 	entries, _ := p.gw.drain(key)
 	u := replication.IndexUnit(key)
 	if len(entries) == 0 {
 		p.dropOwnedMeta(u)
-		return false
+		return false, nil
 	}
 	req := delegateReq{Key: key, Entries: entries}
 	handoff := false
@@ -93,7 +96,8 @@ func (p *Peer) handOff(key ids.PrefixKey, to transport.Addr) bool {
 			req.MetaVersion, req.MetaSynced, handoff = m.Version, m.Synced, true
 		}
 	}
-	if _, err := p.call(to, req); err != nil {
+	_, err := p.call(to, req)
+	if err != nil {
 		for _, e := range entries {
 			p.gw.upsert(key, e)
 		}
@@ -102,7 +106,7 @@ func (p *Peer) handOff(key ids.PrefixKey, to transport.Addr) bool {
 	} else {
 		p.dropOwnedMeta(u)
 	}
-	return true
+	return true, err
 }
 
 // sendEntries delivers entries to the gateway of the given prefix
@@ -117,19 +121,6 @@ func (p *Peer) sendEntries(key ids.PrefixKey, entries []IndexEntry) {
 		// re-mirror them (a fresh version line, since the old one was
 		// dropped).
 		p.putEntries(key, entries)
-	}
-}
-
-// evacuate hands every remaining index bucket to the given address
-// directly, bypassing DHT routing. Shrink uses it as a last resort when
-// a leaver's stale routing cannot deliver records to their new owners
-// (a lookup can terminate at another leaver): the receiver may not own
-// them, but the subsequent network-wide reconciliation re-homes them
-// through correct routing — the invariant is that departure never
-// loses index records, wherever they land.
-func (p *Peer) evacuate(to transport.Addr) {
-	for _, key := range p.gw.bucketKeys() { // sorted
-		p.handOff(key, to)
 	}
 }
 

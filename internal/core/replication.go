@@ -617,7 +617,7 @@ func (p *Peer) lookupWithReplica(key ids.PrefixKey, id ids.ID) (IndexEntry, bool
 // primary is merely unreachable (crashed but still the ring owner) must
 // not hijack the bucket — failover reads serve from the replica store
 // directly. Promotion happens once the ring actually makes this node
-// the owner (stabilization, or re-wiring after churn).
+// the owner (stabilization after churn).
 func (p *Peer) promote(key ids.PrefixKey, entries []IndexEntry) {
 	if key != individualKey && !p.node.Owns(key.GatewayID()) {
 		return
@@ -929,9 +929,8 @@ func (p *Peer) dropOwnedMeta(u replication.Unit) {
 // SyncReplicas runs one network-wide anti-entropy round, in ring order:
 // open a generation everywhere, promote held replicas onto their new
 // owners, probe/repair every owned unit's mirror set, then drop the
-// replicas no owner claimed. Reconcile calls it after every membership
-// or Lp change; the chaos harness calls it at epoch boundaries before
-// checking replica agreement.
+// replicas no owner claimed. Grow and Shrink end with it; the chaos
+// harness calls it at epoch boundaries before checking replica agreement.
 func (nw *Network) SyncReplicas() {
 	if nw.cfg.Peer.ReplicationFactor <= 1 {
 		return
@@ -949,7 +948,3 @@ func (nw *Network) SyncReplicas() {
 		p.DropStaleReplicas()
 	}
 }
-
-// ReplicaEntries reports how many replica index records this node holds
-// (metrics/tests).
-func (p *Peer) ReplicaEntries() int { return p.replica.totalEntries() }

@@ -34,7 +34,7 @@ func TestReplicationCopiesEntries(t *testing.T) {
 
 	totalReplicas := 0
 	for _, p := range nw.Peers() {
-		totalReplicas += p.ReplicaEntries()
+		totalReplicas += p.replica.totalEntries()
 	}
 	// Every record should exist on ~2 replicas.
 	if totalReplicas < 50 {
@@ -428,9 +428,9 @@ func TestRestoreAfterFalseDeadVerdict(t *testing.T) {
 	if indexed == 0 || mirror == nil {
 		t.Fatalf("victim indexes %d records and %v mirrors it; pick another seed", indexed, mirror)
 	}
-	for !mirror.Gossip().Suspect(self) {
+	for !mirror.gossip.Suspect(self) {
 	}
-	if !mirror.Gossip().IsDead(self.Addr) || len(mirror.repl.HeldFor(self.Addr)) == 0 {
+	if !mirror.gossip.IsDead(self.Addr) || len(mirror.repl.HeldFor(self.Addr)) == 0 {
 		t.Fatal("the verdict did not land, or the mirror promoted units their owner still owns")
 	}
 
@@ -444,7 +444,7 @@ func TestRestoreAfterFalseDeadVerdict(t *testing.T) {
 	victim.AttachGossip(reborn)
 	reborn.SeedView([]overlay.NodeRef{mirror.Node().Self()})
 	reborn.Round()
-	if mirror.Gossip().IsDead(self.Addr) {
+	if mirror.gossip.IsDead(self.Addr) {
 		t.Fatal("inbound contact did not resurrect the owner")
 	}
 	for i := 0; i < 10; i++ {
@@ -465,9 +465,12 @@ func TestShrinkHandsOffReplicaSets(t *testing.T) {
 	// Departure hands a bucket's whole replica set to the delegate in
 	// one step: the receiver adopts the version line and claims the
 	// mirrors by probe instead of being re-shipped the bucket. The run
-	// is deterministic, so the cost of Shrink(4) is pinned exactly (as
-	// read before handOff was one function): a handoff that stops
-	// happening, or one that repairs more than it used to, moves a pin.
+	// is deterministic, so the cost of Shrink(4) is pinned exactly: a
+	// handoff that stops happening, or one that repairs more than it used
+	// to, moves a pin. Each leaver hands all of its 14 buckets to its
+	// successor; when leavers first re-levelled through their own stale
+	// routing and evacuated the rest, 2 were handed off and 7 pushed
+	// whole.
 	nw, err := BuildNetwork(NetworkConfig{
 		Nodes: 20,
 		Seed:  11,
@@ -491,11 +494,11 @@ func TestShrinkHandsOffReplicaSets(t *testing.T) {
 	if _, _, err := nw.Shrink(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := handoffs.Value() - h0; got != 2 {
-		t.Errorf("replica-set handoffs adopted during shrink = %d, want 2", got)
+	if got := handoffs.Value() - h0; got != 14 {
+		t.Errorf("replica-set handoffs adopted during shrink = %d, want 14", got)
 	}
-	if got := repairs.Value() - r0; got != 7 {
-		t.Errorf("full pushes during shrink = %d, want 7", got)
+	if got := repairs.Value() - r0; got != 3 {
+		t.Errorf("full pushes during shrink = %d, want 3", got)
 	}
 	// Every object must remain locatable after the departure.
 	asker := nw.Peers()[0]
@@ -533,7 +536,7 @@ func TestSyncReplicasRepairsLostMirror(t *testing.T) {
 	count := func() int {
 		n := 0
 		for _, p := range nw.Peers() {
-			n += p.ReplicaEntries()
+			n += p.replica.totalEntries()
 		}
 		return n
 	}

@@ -219,6 +219,55 @@ func TestCloseFlushesOpenWindow(t *testing.T) {
 	}
 }
 
+// TestCloseKeepsTheIndex: a graceful leave hands the leaver's gateway
+// buckets to its ring successor (core.Maintained.Shutdown), which owns
+// their part of the ring once the leaver is gone, and a reader whose
+// cached resolution still names the leaver asks the ring again. At
+// factor 1 there is no other copy, so every object held by a node that
+// is still up must locate there after a node that indexed some of them
+// closes.
+func TestCloseKeepsTheIndex(t *testing.T) {
+	nodes := startFleet(t, 5, NodeOptions{NetworkSize: 5})
+	joinAndSettle(t, nodes, 10*time.Second)
+	oracle := moods.NewHistoryStore()
+	t0 := time.Now()
+	objects := make([]string, 60)
+	for i := range objects {
+		objects[i] = fmt.Sprintf("leave-%02d", i)
+		if err := observeAt(oracle, nodes[i%len(nodes)], objects[i], t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	barrier(t, nodes)
+	checkFleet(t, nodes, oracle)
+
+	leaver := nodes[0]
+	for _, n := range nodes {
+		if _, indexed := n.StorageStats(); indexed > 0 {
+			leaver = n
+		}
+	}
+	if _, indexed := leaver.StorageStats(); indexed == 0 {
+		t.Fatal("no node indexes anything")
+	}
+	if err := leaver.Close(); err != nil {
+		t.Fatal(err)
+	}
+	asker := nodes[0]
+	if asker == leaver {
+		asker = nodes[1]
+	}
+	for i, obj := range objects {
+		holder := nodes[i%len(nodes)]
+		if holder == leaver {
+			continue
+		}
+		if at, _, err := asker.Locate(obj, t0.Add(time.Second)); err != nil || at != holder.Addr() {
+			t.Errorf("locate %s after %s closed = %q, %v; want %s", obj, leaver.Addr(), at, err, holder.Addr())
+		}
+	}
+}
+
 // Factor-2 ingest on a live fleet must cost the same per event however
 // much is already stored: handler goroutines of one node share each
 // unit's mirror stream instead of each re-shipping the whole unit

@@ -262,21 +262,10 @@ func (n *Node) Telemetry() *telemetry.Registry { return n.tel }
 // Join enters the network that bootstrap belongs to. The first stabilize
 // round is part of it, error included; the next follow within milliseconds.
 func (n *Node) Join(bootstrap string) error {
-	ref := chord.NodeRef{
+	return n.maintained().Join(chord.NodeRef{
 		ID:   ids.Hash([]byte(bootstrap)),
 		Addr: transport.Addr(bootstrap),
-	}
-	if err := n.chord.Join(ref); err != nil {
-		return err
-	}
-	if n.gossip != nil {
-		// One exchange now puts this node in somebody's view: a joiner
-		// nobody has heard of cannot be declared dead if it crashes.
-		n.gossip.SeedView(n.chord.Successors())
-		n.gossip.Round()
-	}
-	n.maintained().RefreshSize()
-	return nil
+	})
 }
 
 // maintain runs the maintenance table (core.Maintained) until Close. The

@@ -190,9 +190,9 @@ func (s *Simulation) Grow(n int) error {
 	return err
 }
 
-// Shrink removes the last n organisations as voluntary departures:
-// their index records migrate to the survivors (the merging process);
-// their own observation data leaves with them.
+// Shrink removes the last n organisations in ring order as voluntary
+// departures: their index records migrate to the survivors (the merging
+// process); their own observation data leaves with them.
 func (s *Simulation) Shrink(n int) error {
 	_, _, err := s.nw.Shrink(n)
 	return err
