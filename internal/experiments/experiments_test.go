@@ -250,13 +250,13 @@ func TestExpChurnBounded(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.ReconcileKMsgs <= 0 {
-			t.Errorf("%s: no reconcile traffic", r.Transition)
+		if r.TransitionKMsgs <= 0 {
+			t.Errorf("%s: no transition traffic", r.Transition)
 		}
 		// Re-levelling should cost a bounded number of messages per
 		// index record (each record moves O(ΔLp) times plus routing).
 		if r.KMsgsPerRecord > 40 {
-			t.Errorf("%s: %.1f msgs/record — reconcile cost blew up", r.Transition, r.KMsgsPerRecord)
+			t.Errorf("%s: %.1f msgs/record — transition cost blew up", r.Transition, r.KMsgsPerRecord)
 		}
 	}
 	if rows[0].LpAfter <= rows[0].LpBefore {
