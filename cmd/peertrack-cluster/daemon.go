@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -164,6 +165,10 @@ func (d *daemon) term(budget time.Duration) error {
 		d.logF.Close()
 		d.cmd, d.logF = nil, nil
 	}()
+	// http.DefaultTransport keeps a connection it dialled for a request
+	// another one served first; net/http's Shutdown waits 5 s before it
+	// takes one that never sent a request for idle.
+	http.DefaultClient.CloseIdleConnections()
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		return err
 	}

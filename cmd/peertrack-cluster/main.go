@@ -211,6 +211,12 @@ func (r *run) resilientScenario(withPause bool) {
 	if victim == nil {
 		return
 	}
+	// The victim persists its state first, so that the restart below
+	// restores a snapshot file.
+	if _, err := victim.c.Snapshot(); err != nil {
+		r.failf("snapshot before the kill: %v", err)
+		return
+	}
 	r.logf("SIGKILL node %d (%s)", victim.idx, victim.listen)
 	tKill := time.Now()
 	victim.kill()
@@ -233,6 +239,11 @@ func (r *run) resilientScenario(withPause bool) {
 	if err := victim.waitReady(20 * time.Second); err != nil {
 		r.failf("restarted node: %v", err)
 		return
+	}
+	if out, err := os.ReadFile(victim.logPath); err != nil || !strings.Contains(string(out), "restored state:") {
+		r.failf("restarted node %d logged no restored state (%v)", victim.idx, err)
+	} else {
+		r.logf("restarted node restored the snapshot it wrote before the kill")
 	}
 	if err := r.converge(fleet, 30*time.Second); err != nil {
 		r.failf("ring re-convergence after restart: %v", err)

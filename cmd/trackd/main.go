@@ -255,12 +255,16 @@ func (b *nodeBackend) Persist() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := b.node.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
+	// Synced before the rename, so that a crash leaves the old snapshot
+	// or the whole new one under the path, never a cut one.
+	err = b.node.Snapshot(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return 0, err
 	}

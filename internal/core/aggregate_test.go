@@ -42,7 +42,8 @@ func TestDwellStats(t *testing.T) {
 	nw.StartWindows(time.Hour)
 	nw.Run()
 
-	dests, counts, dwells := nw.Peers()[1].trans.snapshot()
+	m := nw.Peers()[1].trans.model()
+	dests, counts, dwells := m.Dests, m.Counts, m.MeanDwell
 	if len(dests) != 1 || dests[0] != nw.Peers()[6].Name() || counts[0] != 4 {
 		t.Fatalf("departures = %v %v, want 4 to %s", dests, counts, nw.Peers()[6].Name())
 	}
@@ -50,7 +51,7 @@ func TestDwellStats(t *testing.T) {
 		t.Fatalf("mean dwell = %v, want ≈30m", dwells[0])
 	}
 	// A node with no departures has learnt nothing.
-	if dests, _, _ := nw.Peers()[9].trans.snapshot(); len(dests) != 0 {
-		t.Fatalf("idle node departures = %v", dests)
+	if m := nw.Peers()[9].trans.model(); len(m.Dests) != 0 {
+		t.Fatalf("idle node departures = %v", m.Dests)
 	}
 }

@@ -497,15 +497,22 @@ func (g *gatewayStore) delegatedFlag(key ids.PrefixKey) bool {
 // dumpBucket returns copies of the bucket's live entries sorted by
 // hashed id, plus its delegated flag (replication full pushes).
 func (g *gatewayStore) dumpBucket(key ids.PrefixKey) ([]IndexEntry, bool) {
+	out, delegated, _ := g.whole(key)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
+	return out, delegated
+}
+
+// whole returns the bucket's live entries in FIFO order, its delegated
+// flag, and whether ids of it wait for the next mirror push
+// (persistence).
+func (g *gatewayStore) whole(key ids.PrefixKey) ([]IndexEntry, bool, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	b := g.buckets[key]
 	if b == nil {
-		return nil, false
+		return nil, false, false
 	}
-	out := g.live(b, b.idx.Len())
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
-	return out, b.delegated
+	return g.live(b, b.idx.Len()), b.delegated, len(g.dirty[key]) > 0
 }
 
 // replaceBucket replaces the bucket's contents and delegated flag

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 	"peertrack/internal/transport"
@@ -71,16 +69,10 @@ func (p *Peer) RemoveIndexEntry(key ids.PrefixKey, id ids.ID) {
 
 // dump copies every bucket of the store (see Peer.DumpIndex).
 func (g *gatewayStore) dump() []BucketSnapshot {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]BucketSnapshot, 0, len(g.buckets))
-	for key, b := range g.buckets {
-		snap := BucketSnapshot{Key: key, Delegated: b.delegated, Entries: g.live(b, b.idx.Len())}
-		sort.Slice(snap.Entries, func(i, j int) bool {
-			return snap.Entries[i].ID.Less(snap.Entries[j].ID)
-		})
-		out = append(out, snap)
+	var out []BucketSnapshot
+	for _, key := range g.bucketKeys() {
+		entries, delegated := g.dumpBucket(key)
+		out = append(out, BucketSnapshot{Key: key, Delegated: delegated, Entries: entries})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }

@@ -367,15 +367,15 @@ func (s *iopStore) addAll(obj moods.ObjectID, vs []VisitRecord) {
 	s.n += len(vs)
 }
 
-// restore replaces the store contents from a snapshot (visit lists must
-// be time-sorted, as snapshot produces them).
-func (s *iopStore) restore(m map[moods.ObjectID][]VisitRecord) {
+// restore replaces the store contents with objs; an object listed twice
+// keeps its first list.
+func (s *iopStore) restore(objs []RepoObject) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.a, s.n = nil, 0
-	for obj, vs := range m {
-		if len(vs) > 0 {
-			s.addAll(obj, vs)
+	for _, o := range objs {
+		if len(o.Visits) > 0 && s.at(o.Object) == nil {
+			s.addAll(o.Object, o.Visits)
 		}
 	}
 }

@@ -217,7 +217,8 @@ func TestTransitionStatsRecordAndSnapshot(t *testing.T) {
 	ts.record("b", 20*time.Minute)
 	ts.record("c", 5*time.Minute)
 	ts.record("c", -time.Minute) // negative dwell clamped to 0
-	dsts, counts, dwells := ts.snapshot()
+	model := ts.model()
+	dsts, counts, dwells := model.Dests, model.Counts, model.MeanDwell
 	if len(dsts) != 2 {
 		t.Fatalf("dests = %v", dsts)
 	}

@@ -421,8 +421,7 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 		p.flushRepoMirror()
 		return iopSetToResp{}, nil
 	case transModelReq:
-		dests, counts, dwell := p.trans.snapshot()
-		return transModelResp{Dests: dests, Counts: counts, MeanDwell: dwell}, nil
+		return p.trans.model(), nil
 	case iopSetFromReq:
 		for _, l := range r.Links {
 			if l.From != "" {

@@ -1,183 +1,185 @@
 package core
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
-	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 	"peertrack/internal/replication"
 	"peertrack/internal/transport"
 )
 
-// Snapshot/Restore persist one peer's durable state — the local
-// repository (this organisation's observations and IOP links), the
-// gateway index buckets it is responsible for, replica copies with the
-// owner and version they are held at, and the learned transition model
-// — so a trackd process can restart without losing its slice of the
-// network's data. The overlay routing state is deliberately not
-// persisted: Chord rebuilds it by re-joining.
-
-// snapshotVersion guards format evolution. Version 1 restated each
-// bucket's key and slab order in extra columns and did not say whom a
-// replica bucket was held for; it still loads (gob skips the dropped
-// columns), its replicas unregistered as they were then.
-const snapshotVersion = 2
-
-// peerSnapshot is the gob-encoded on-disk format.
-type peerSnapshot struct {
-	Version int
-	Name    moods.NodeName
-	SavedAt time.Duration
-
-	Visits map[moods.ObjectID][]VisitRecord
-
-	Buckets  []bucketSnapshot
-	Replicas []bucketSnapshot
-
-	Containments map[moods.ObjectID][]ContainmentRecord
-
-	TransDst   []moods.NodeName
-	TransCount []int
-	TransDwell []time.Duration
-}
-
-type bucketSnapshot struct {
-	Key       string       // the bucket key's string form (ids.ParseKey)
-	Entries   []IndexEntry // FIFO (slab) order
-	Delegated bool
-	// Owner and Version are the engine's record of a replica bucket
-	// (zero for a primary one): without them a restored copy could be
-	// neither probed current, nor promoted, nor collected.
-	Owner   transport.Addr
-	Version uint64
-}
-
-// Snapshot writes the peer's durable state to w.
+// Snapshot writes the peer's durable state to w, so that a trackd
+// process restarts with its slice of the network's data: its repository
+// and gateway buckets, the units it mirrors, each with its version line,
+// its containment records and transition model. Chord re-joins instead.
+// The file is in the wire format (DESIGN §16): the preface naming its
+// version, then per unit a u32 length and a message body headed by the
+// peer's name — its buckets as whole-unit replicatePutReqs (entries in
+// FIFO order), its repository as a whole repoMirrorReq, then the units it
+// mirrors, in unit order, likewise, a containGetResp and, ending the
+// file, a transModelResp. Every list is sorted: one state, one file.
 func (p *Peer) Snapshot(w io.Writer) error {
-	snap := peerSnapshot{
-		Version: snapshotVersion,
-		Name:    p.Name(),
-		SavedAt: p.clock(),
-		Visits:  p.repo.snapshot(),
+	self, name := p.node.Addr(), string(p.Name())
+	b := []byte(transport.Preface)
+	for _, key := range p.gw.bucketKeys() {
+		req := replicatePutReq{Key: key, Owner: self, Full: true}
+		req.Version = p.ownedVersion(replication.IndexUnit(key), func() (queued bool) {
+			req.Entries, req.Delegated, queued = p.gw.whole(key)
+			return queued
+		})
+		b = appendUnit(b, name, req)
 	}
-
-	snap.Buckets = snapshotStore(p.gw, nil)
-	snap.Replicas = snapshotStore(p.replica, p.repl)
-
-	p.contain.mu.RLock()
-	snap.Containments = make(map[moods.ObjectID][]ContainmentRecord, len(p.contain.byChild))
-	for child, recs := range p.contain.byChild {
-		snap.Containments[child] = append([]ContainmentRecord(nil), recs...)
+	repo := repoMirrorReq{Owner: self, Full: true}
+	repo.Version = p.ownedVersion(replication.RepoUnit, func() bool {
+		repo.Objects = repoObjectsOf(p.repo.snapshot()) // before the queue: a change in between reads as queued
+		p.repo.mu.Lock()
+		defer p.repo.mu.Unlock()
+		return len(p.repo.dirty) > 0
+	})
+	b = appendUnit(b, name, repo)
+	// A held unit's version is read before its data: a push landing in
+	// between leaves newer data under an older version, which a probe finds.
+	for _, h := range p.repl.Held() {
+		if h.Unit.Repo {
+			b = appendUnit(b, name, repoMirrorReq{Owner: h.Owner, Version: h.Version, Full: true, Objects: p.repoReplica.dumpOwner(h.Owner)})
+			continue
+		}
+		entries, delegated, _ := p.replica.whole(h.Unit.Key)
+		b = appendUnit(b, name, replicatePutReq{Key: h.Unit.Key, Owner: h.Owner, Version: h.Version, Full: true, Delegated: delegated, Entries: entries})
 	}
-	p.contain.mu.RUnlock()
-
-	dsts, counts, dwells := p.trans.snapshot()
-	snap.TransDst, snap.TransCount, snap.TransDwell = dsts, counts, dwells
-
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
+	b = appendUnit(appendUnit(b, name, containGetResp{Records: p.contain.all()}), name, p.trans.model())
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("core: snapshot: %w", err)
 	}
 	return nil
 }
 
-// snapshotStore copies a store's buckets; held, for the replica store,
-// supplies each bucket's owner and version.
-func snapshotStore(g *gatewayStore, held *replication.Engine) []bucketSnapshot {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]bucketSnapshot, 0, len(g.buckets))
-	for key, b := range g.buckets {
-		bs := bucketSnapshot{Key: key.String(), Entries: g.live(b, b.idx.Len()), Delegated: b.delegated}
-		if held != nil {
-			bs.Owner, bs.Version, _ = held.HeldMeta(replication.IndexUnit(key))
+// ownedVersion returns the version to write with an owned unit's data,
+// which read copies under the unit's stream turn, where no push bumps
+// it; or 0 if read reports changes in the mirror queue, which the
+// mirrors lack: the restored unit is then re-shipped whole.
+func (p *Peer) ownedVersion(u replication.Unit, read func() (queued bool)) (v uint64) {
+	p.stream(u, false, func() {
+		if !read() {
+			v, _ = p.repl.Version(u)
 		}
-		out = append(out, bs)
-	}
-	// Bucket order would otherwise follow map iteration, making two
-	// snapshots of identical state differ byte-for-byte.
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	})
+	return v
 }
 
-// Restore loads a snapshot into the peer, replacing its durable state.
-// Call before the node joins the overlay.
+// appendUnit appends unit as a length-prefixed body headed by name.
+func appendUnit(b []byte, name string, unit transport.Wire) []byte {
+	at := len(b)
+	b, _ = transport.AppendBody(append(b, 0, 0, 0, 0), name, unit) // a laid-out payload cannot fail
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
+}
+
+// Restore loads a snapshot into a fresh peer before its node joins. It
+// checks every unit before it replaces any state, and refuses a file cut
+// short, foreign, of another version or holding anything else. A unit is
+// installed as a receiver installs it, owned if it names this peer as
+// its owner, held otherwise.
 func (p *Peer) Restore(r io.Reader) error {
-	var snap peerSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	b, err := io.ReadAll(r)
+	var units []any
+	if err == nil {
+		units, err = p.parseSnapshot(b)
+	}
+	if err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-	if snap.Version < 1 || snap.Version > snapshotVersion {
-		return fmt.Errorf("core: restore: snapshot version %d, want 1..%d", snap.Version, snapshotVersion)
-	}
-	if snap.Name != p.Name() {
-		return fmt.Errorf("core: restore: snapshot belongs to %q, this node is %q", snap.Name, p.Name())
-	}
-	// The transition model is three parallel columns; every edge was
-	// counted at least once, and its mean dwell divides by the count.
-	if n := len(snap.TransDst); len(snap.TransCount) != n || len(snap.TransDwell) != n {
-		return fmt.Errorf("core: restore: transition model columns TransDst, TransCount, TransDwell have %d, %d, %d entries",
-			n, len(snap.TransCount), len(snap.TransDwell))
-	}
-	for i, c := range snap.TransCount {
-		if c <= 0 {
-			return fmt.Errorf("core: restore: transition model column TransCount is %d for %q, want > 0", c, snap.TransDst[i])
-		}
-	}
-
-	for _, snaps := range [][]bucketSnapshot{snap.Buckets, snap.Replicas} {
-		for _, bs := range snaps {
-			if _, err := ids.ParseKey(bs.Key); err != nil {
-				return fmt.Errorf("core: restore: bucket key: %w", err)
+	self := p.node.Addr()
+	for _, unit := range units {
+		switch u := unit.(type) {
+		case replicatePutReq:
+			if u.Owner == self {
+				p.gw.replaceBucket(u.Key, u.Entries, u.Delegated)
+				p.repl.AdoptOwned(replication.IndexUnit(u.Key), replication.OwnedMeta{Version: u.Version})
+			} else {
+				p.replica.replaceBucket(u.Key, u.Entries, u.Delegated)
+				p.repl.RecordHeld(replication.IndexUnit(u.Key), u.Owner, u.Version)
 			}
+		case repoMirrorReq:
+			if u.Owner == self {
+				p.repo.restore(u.Objects)
+				p.repl.AdoptOwned(replication.RepoUnit, replication.OwnedMeta{Version: u.Version})
+			} else {
+				p.repoReplica.apply(u.Owner, u.Objects, true)
+				p.repl.RecordHeld(repoUnitOf(u.Owner), u.Owner, u.Version)
+			}
+		case containGetResp:
+			p.contain.mu.Lock()
+			p.contain.byChild = make(map[moods.ObjectID][]ContainmentRecord)
+			for _, rec := range u.Records {
+				p.contain.byChild[rec.Child] = append(p.contain.byChild[rec.Child], rec)
+			}
+			p.contain.mu.Unlock()
+		case transModelResp:
+			p.trans.mu.Lock()
+			p.trans.byDst = make(map[moods.NodeName]*edgeStat, len(u.Dests))
+			for i, d := range u.Dests {
+				p.trans.byDst[d] = &edgeStat{count: u.Counts[i], totalDwell: u.MeanDwell[i] * time.Duration(u.Counts[i])}
+			}
+			p.trans.mu.Unlock()
 		}
 	}
-
-	p.repo.restore(snap.Visits)
-
-	restoreStore(p.gw, snap.Buckets, nil)
-	restoreStore(p.replica, snap.Replicas, p.repl)
-
-	p.contain.mu.Lock()
-	p.contain.byChild = make(map[moods.ObjectID][]ContainmentRecord, len(snap.Containments))
-	for child, recs := range snap.Containments {
-		p.contain.byChild[child] = append([]ContainmentRecord(nil), recs...)
-	}
-	p.contain.mu.Unlock()
-
-	p.trans.mu.Lock()
-	p.trans.byDst = make(map[moods.NodeName]*edgeStat, len(snap.TransDst))
-	for i, d := range snap.TransDst {
-		p.trans.byDst[d] = &edgeStat{
-			count:      snap.TransCount[i],
-			totalDwell: snap.TransDwell[i] * time.Duration(snap.TransCount[i]),
-		}
-	}
-	p.trans.mu.Unlock()
 	return nil
 }
 
-// restoreStore is the inverse of snapshotStore: replica buckets saved
-// with their provenance are registered with held again.
-func restoreStore(g *gatewayStore, snaps []bucketSnapshot, held *replication.Engine) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.buckets = make(map[ids.PrefixKey]*bucket, len(snaps))
-	for _, bs := range snaps {
-		key, _ := ids.ParseKey(bs.Key) // Restore checked it
-		b := new(bucket)
-		b.delegated = bs.Delegated
-		// Snapshot entries are in FIFO order; upserting in sequence
-		// rebuilds the slab in the same order.
-		for _, e := range bs.Entries {
-			b.upsert(g.slabEntry(e))
-		}
-		g.buckets[key] = b
-		if held != nil && bs.Version > 0 {
-			held.RecordHeld(replication.IndexUnit(key), bs.Owner, bs.Version)
-		}
+// parseSnapshot parses and checks every unit of a snapshot file.
+func (p *Peer) parseSnapshot(b []byte) ([]any, error) {
+	if !bytes.HasPrefix(b, []byte(transport.Preface)) {
+		return nil, fmt.Errorf("not a snapshot of wire format %q (gob snapshots, version 2 and older, are not read)", transport.Preface)
 	}
+	var units []any
+	ended := false // the last unit read is the transition model
+	for b = b[len(transport.Preface):]; len(b) > 0; {
+		if len(b) < 4 || int(binary.BigEndian.Uint32(b)) > len(b)-4 {
+			return nil, errors.New("snapshot cut short")
+		}
+		n := 4 + int(binary.BigEndian.Uint32(b))
+		head, unit, err := transport.ParseBody(b[4:n])
+		if err != nil {
+			return nil, fmt.Errorf("unit %d: %w", len(units), err)
+		}
+		if b = b[n:]; head != string(p.Name()) {
+			return nil, fmt.Errorf("snapshot belongs to %q, this node is %q", head, p.Name())
+		}
+		switch u := unit.(type) {
+		case replicatePutReq, repoMirrorReq, containGetResp:
+		case transModelResp:
+			// Restore multiplies each mean dwell back by its count.
+			if n := len(u.Dests); len(u.Counts) != n || len(u.MeanDwell) != n || slices.ContainsFunc(u.Counts, func(c int) bool { return c <= 0 }) {
+				return nil, fmt.Errorf("transition model of %d destinations has %d counts and %d dwells, want one of each, every count > 0", n, len(u.Counts), len(u.MeanDwell))
+			}
+		default:
+			return nil, fmt.Errorf("unit %d is a %T", len(units), unit)
+		}
+		units = append(units, unit)
+		_, ended = unit.(transModelResp)
+	}
+	if !ended {
+		return nil, errors.New("snapshot cut short: no transition model at its end")
+	}
+	return units, nil
+}
+
+// all lists every containment record, by child and in each child's order.
+func (c *containStore) all() []ContainmentRecord {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var out []ContainmentRecord
+	for _, recs := range c.byChild {
+		out = append(out, recs...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Child < out[j].Child })
+	return out
 }

@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"reflect"
-	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"peertrack/internal/chord"
-	"peertrack/internal/ids"
 	"peertrack/internal/moods"
-	"peertrack/internal/replication"
+	"peertrack/internal/transport"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -38,15 +34,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	beforeIndexed := p.IndexedEntries()
 	beforeReplica := p.replica.totalEntries()
 	beforeInv := len(p.Inventory())
-	p.repo.mu.Lock()
-	p.repo.a, p.repo.n = nil, 0
-	p.repo.mu.Unlock()
-	p.gw.mu.Lock()
-	p.gw.buckets = map[ids.PrefixKey]*bucket{}
-	p.gw.mu.Unlock()
-	p.replica.mu.Lock()
-	p.replica.buckets = map[ids.PrefixKey]*bucket{}
-	p.replica.mu.Unlock()
+	wipe(p)
 
 	if err := p.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
@@ -85,29 +73,11 @@ func TestSnapshotPreservesFIFOOrder(t *testing.T) {
 		obj := moods.ObjectID(fmt.Sprintf("fifo-%d", i))
 		p.gw.upsert(pfx, IndexEntry{Object: obj, ID: obj.Hash(), Indexed: time.Duration(i)})
 	}
-	for i := 0; i < 16; i++ {
-		obj := moods.ObjectID(fmt.Sprintf("spread-%d", i))
-		p.gw.upsert(mustKey(fmt.Sprintf("%05b", i)), IndexEntry{Object: obj, ID: obj.Hash()})
-	}
 	var buf bytes.Buffer
 	if err := p.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// The buckets are written in key order, not the map's.
-	var snap peerSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	for _, b := range snap.Buckets {
-		keys = append(keys, b.Key)
-	}
-	if len(keys) < 16 || !slices.IsSorted(keys) {
-		t.Fatalf("snapshot buckets %v, want at least 16 in key order", keys)
-	}
-	p.gw.mu.Lock()
-	p.gw.buckets = map[ids.PrefixKey]*bucket{}
-	p.gw.mu.Unlock()
+	wipe(p)
 	if err := p.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +110,40 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
+// snapshotOf is p's snapshot.
+func snapshotOf(t testing.TB, p *Peer) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// snapshotFile lays units out as p's snapshot file.
+func snapshotFile(p *Peer, units ...transport.Wire) []byte {
+	b := []byte(transport.Preface)
+	for _, u := range units {
+		b = appendUnit(b, string(p.Name()), u)
+	}
+	return b
+}
+
+// assertRefused restores each file into p and wants every one refused
+// with an error and p's state — its snapshot — unchanged.
+func assertRefused(t *testing.T, p *Peer, files map[string][]byte) {
+	t.Helper()
+	before := snapshotOf(t, p)
+	for name, file := range files {
+		if err := p.Restore(bytes.NewReader(file)); err == nil {
+			t.Errorf("%s: restore accepted the file", name)
+		}
+	}
+	if !bytes.Equal(snapshotOf(t, p), before) {
+		t.Error("a refused restore replaced the peer's state")
+	}
+}
+
 // TestRestoreRejectsCorruptTransitionModel: a file whose transition
 // columns disagree in length, or that holds a count of zero, is refused —
 // not indexed out of range by Restore, nor divided by at the next
@@ -147,62 +151,181 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 func TestRestoreRejectsCorruptTransitionModel(t *testing.T) {
 	nw := buildNet(t, 4, Config{})
 	p := nw.Peers()[0]
-	cases := []struct {
-		name   string
-		counts []int
-	}{
-		{"two destinations, one count", []int{1}},
-		{"a count of zero", []int{1, 0}},
-	}
-	for _, c := range cases {
-		var buf bytes.Buffer
-		snap := peerSnapshot{
-			Version:    snapshotVersion,
-			Name:       p.Name(),
-			TransDst:   []moods.NodeName{"a", "b"},
-			TransCount: c.counts,
-			TransDwell: []time.Duration{time.Minute, time.Minute},
-		}
-		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Restore(&buf); err == nil {
-			t.Errorf("%s: restore accepted the snapshot", c.name)
-		}
-	}
+	p.trans.record("kept", time.Minute)
+	dests, dwells := []moods.NodeName{"a", "b"}, []time.Duration{time.Minute, time.Minute}
+	assertRefused(t, p, map[string][]byte{
+		"two destinations, one count": snapshotFile(p, transModelResp{Dests: dests, Counts: []int{1}, MeanDwell: dwells}),
+		"a count of zero":             snapshotFile(p, transModelResp{Dests: dests, Counts: []int{1, 0}, MeanDwell: dwells}),
+	})
 }
 
-// TestRestoreRejectsCorruptBucketKey: a bucket key must be the string
-// form of a prefix key. One longer than a key holds, or one with a digit
-// that is not binary, refuses the snapshot with an error naming it,
-// before any state is replaced — not a panic, and not a bucket dropped
-// in silence.
+// TestRestoreRejectsCorruptBucketKey: a bucket key must be in its one
+// form. One with a bit set past its length refuses the snapshot with an
+// error, before any state is replaced — not a panic, and not a bucket
+// dropped in silence.
 func TestRestoreRejectsCorruptBucketKey(t *testing.T) {
 	nw := buildNet(t, 4, Config{})
 	p := nw.Peers()[0]
 	p.gw.upsert(mustKey("010"), IndexEntry{Object: "kept", ID: moods.ObjectID("kept").Hash()})
-	before := p.DumpIndex()
-	for _, c := range []struct {
-		name              string
-		buckets, replicas []bucketSnapshot
-		key               string
-	}{
-		{"60 zeros", []bucketSnapshot{{Key: "01"}, {Key: strings.Repeat("0", 60)}}, nil, strings.Repeat("0", 60)},
-		{"a digit that is not binary", nil, []bucketSnapshot{{Key: "01x", Owner: "n1", Version: 1}}, "01x"},
-	} {
-		var buf bytes.Buffer
-		snap := peerSnapshot{Version: snapshotVersion, Name: p.Name(), Buckets: c.buckets, Replicas: c.replicas}
-		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+	pastLen := mustKey("01") | 1<<60 // bit 3 set, length 2
+	good := replicatePutReq{Key: mustKey("01"), Owner: p.Addr(), Full: true}
+	bad := replicatePutReq{Key: pastLen, Owner: "n1", Version: 1, Full: true}
+	assertRefused(t, p, map[string][]byte{
+		"a held bucket": snapshotFile(p, good, bad, transModelResp{}),
+		"an own bucket": snapshotFile(p, replicatePutReq{Key: pastLen, Owner: p.Addr(), Full: true}, transModelResp{}),
+	})
+}
+
+// TestRestoreRejectsCutFile: a snapshot cut at any byte is refused, also
+// where the cut falls between two units.
+func TestRestoreRejectsCutFile(t *testing.T) {
+	nw := richNet(t)
+	p := nw.Peers()[3]
+	file := snapshotOf(t, p)
+	cuts := make(map[string][]byte, len(file))
+	for n := range file {
+		cuts[fmt.Sprintf("cut at %d of %d", n, len(file))] = file[:n]
+	}
+	assertRefused(t, p, cuts)
+}
+
+// TestRestoreRejectsGobSnapshot: the gob files earlier builds wrote
+// (version 2) are refused with an error that names their version.
+func TestRestoreRejectsGobSnapshot(t *testing.T) {
+	nw := buildNet(t, 4, Config{})
+	p := nw.Peers()[0]
+	var buf bytes.Buffer
+	v2 := struct {
+		Version int
+		Name    moods.NodeName
+	}{2, p.Name()}
+	if err := gob.NewEncoder(&buf).Encode(&v2); err != nil {
+		t.Fatal(err)
+	}
+	assertRefused(t, p, map[string][]byte{"version 2": buf.Bytes()})
+	if err := p.Restore(&buf); !strings.Contains(fmt.Sprint(err), "version 2") {
+		t.Errorf("restore of a version-2 file returned %v, want an error naming version 2", err)
+	}
+}
+
+// richNet is a 12-node factor-2 network in which every peer observed
+// objects that then moved on, so that it holds its own and mirrored
+// buckets and repositories, a transition model and IOP links; sixteen
+// pallets pack three boxes each.
+func richNet(t testing.TB) *Network {
+	t.Helper()
+	nw := buildNet(t, 12, Config{Mode: GroupIndexing, ReplicationFactor: 2})
+	for i := 0; i < 48; i++ {
+		moveObject(t, nw, richObject(i), []int{i % 12, (i + 5 + i/12%2) % 12}, time.Second, time.Minute)
+	}
+	nw.StartWindows(2 * time.Minute)
+	nw.Run()
+	for i := 0; i < 16; i++ {
+		pallet := moods.ObjectID(fmt.Sprintf("pallet-%d", i))
+		if err := nw.Peers()[i%12].Pack(pallet, []moods.ObjectID{richObject(3 * i), richObject(3*i + 1), richObject(3*i + 2)}, 3*time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		err := p.Restore(&buf)
-		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.key)) {
-			t.Errorf("%s: restore returned %v, want an error naming %q", c.name, err, c.key)
+	}
+	nw.SyncReplicas()
+	return nw
+}
+
+func richObject(i int) moods.ObjectID { return moods.ObjectID(fmt.Sprintf("rich-%d", i)) }
+
+// TestSnapshotDeterministic: one state has one snapshot, and restoring
+// it into a fresh peer rebuilds that state — its snapshot is the same
+// bytes.
+func TestSnapshotDeterministic(t *testing.T) {
+	nw := richNet(t)
+	var p *Peer // the one of most containment children that holds every kind of unit
+	for _, q := range nw.Peers() {
+		if len(q.DumpIndex()) > 0 && len(q.DumpReplicas()) > 0 && len(q.DumpRepoReplicas()) > 0 && q.LocalVisits() > 0 &&
+			len(q.trans.byDst) > 1 && (p == nil || len(q.contain.byChild) > len(p.contain.byChild)) {
+			p = q
 		}
 	}
-	if after := p.DumpIndex(); !reflect.DeepEqual(after, before) {
-		t.Errorf("a refused restore replaced the index: %v, was %v", after, before)
+	if p == nil || len(p.contain.byChild) < 4 {
+		t.Fatal("no peer holds every kind of unit and four containment children")
 	}
+	// Map iteration order varies from one range to the next, so eight
+	// snapshots agree only if the snapshot sorts.
+	first := snapshotOf(t, p)
+	for i := 0; i < 7; i++ {
+		if again := snapshotOf(t, p); !bytes.Equal(first, again) {
+			t.Fatalf("two snapshots of one state differ (%d and %d bytes)", len(first), len(again))
+		}
+	}
+	wipe(p)
+	if err := p.Restore(bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if again := snapshotOf(t, p); !bytes.Equal(first, again) {
+		t.Fatalf("the snapshot of a restored peer differs from the one it was restored from (%d and %d bytes)", len(again), len(first))
+	}
+}
+
+// TestRestartEveryPeerFromSnapshot: a network whose every peer restarts
+// from its own snapshot resumes its version lines — the next sync round
+// finds every mirror current, the next hop of every object goes out as
+// deltas — and answers every trace as before.
+func TestRestartEveryPeerFromSnapshot(t *testing.T) {
+	nw := richNet(t)
+	snaps := make([][]byte, len(nw.Peers()))
+	for i, p := range nw.Peers() {
+		snaps[i] = snapshotOf(t, p)
+	}
+	for i, p := range nw.Peers() {
+		wipe(p)
+		if err := p.Restore(bytes.NewReader(snaps[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pushes := nw.Telemetry.Counter("core.replication.repair_pushes")
+	before := pushes.Value()
+	nw.SyncReplicas()
+	if n := pushes.Value() - before; n != 0 {
+		t.Errorf("the sync round after the restart made %d whole-unit pushes, want 0", n)
+	}
+	for i := 0; i < 48; i++ {
+		moveObject(t, nw, richObject(i), []int{(i + 9) % 12}, time.Hour, 0)
+	}
+	nw.Run()
+	if n := pushes.Value() - before; n != 0 {
+		t.Errorf("the hop after the restart made %d whole-unit pushes, want 0", n)
+	}
+	for i := 0; i < 48; i++ {
+		res, err := nw.Peers()[0].FullTrace(richObject(i))
+		if err != nil {
+			t.Fatalf("trace %s: %v", richObject(i), err)
+		}
+		if want := nw.Oracle.FullTrace(richObject(i)); !res.Path.Equal(want) {
+			t.Fatalf("trace %s = %v, want %v", richObject(i), res.Path, want)
+		}
+	}
+}
+
+// FuzzRestore: Restore refuses an input with an error, or restores a
+// state whose snapshot restores into a fresh peer as the same bytes. It
+// never panics.
+func FuzzRestore(f *testing.F) {
+	nw := richNet(f)
+	p := nw.Peers()[3]
+	f.Add(snapshotOf(f, p))
+	f.Add(snapshotFile(p, transModelResp{}))
+	f.Fuzz(func(t *testing.T, file []byte) {
+		wipe(p)
+		if p.Restore(bytes.NewReader(file)) != nil {
+			return
+		}
+		first := snapshotOf(t, p)
+		wipe(p)
+		if err := p.Restore(bytes.NewReader(first)); err != nil {
+			t.Fatalf("a snapshot of a restored state is refused: %v", err)
+		}
+		if again := snapshotOf(t, p); !bytes.Equal(first, again) {
+			t.Fatalf("restoring a snapshot of a restored state changed it (%d bytes, then %d)", len(first), len(again))
+		}
+	})
 }
 
 func TestSnapshotPreservesTransitionModel(t *testing.T) {
@@ -225,7 +348,8 @@ func TestSnapshotPreservesTransitionModel(t *testing.T) {
 	if err := p.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	dests, counts, dwells := p.trans.snapshot()
+	m := p.trans.model()
+	dests, counts, dwells := m.Dests, m.Counts, m.MeanDwell
 	if len(dests) != 1 || dests[0] != nw.Peers()[5].Name() || counts[0] != 6 {
 		t.Fatalf("departures after restore = %v %v", dests, counts)
 	}
@@ -279,29 +403,25 @@ func TestSnapshotPreservesContainment(t *testing.T) {
 // never promoted, an abandoned one never collected.
 func TestRestoreReRegistersReplicaBuckets(t *testing.T) {
 	nw := buildNet(t, 12, Config{Mode: GroupIndexing, ReplicationFactor: 2})
-	// One observer only, so that no other peer has a repository to
-	// mirror: the snapshot does not cover mirrored repositories, and
-	// their re-push after a restart is not what is under test.
-	observer := nw.Peers()[0]
 	for i := 0; i < 60; i++ {
 		nw.ScheduleObservation(moods.Observation{
-			Object: moods.ObjectID(fmt.Sprintf("held-%d", i)), Node: observer.Name(), At: time.Second,
+			Object: moods.ObjectID(fmt.Sprintf("held-%d", i)), Node: nw.Peers()[i%12].Name(), At: time.Second,
 		})
 	}
 	nw.StartWindows(2 * time.Second)
 	nw.Run()
 
-	// A gateway other than the observer, and its one mirror.
+	// A gateway and its one mirror.
 	var owner, mirror *Peer
 	for _, p := range nw.Peers() {
-		if p != observer && p.IndexedEntries() > 0 {
+		if p.IndexedEntries() > 0 {
 			owner = p
 			mirror, _ = nw.PeerByName(moods.NodeName(p.mirrorSet()[0]))
 			break
 		}
 	}
-	if owner == nil || mirror == observer || mirror.replica.totalEntries() == 0 {
-		t.Fatal("no gateway with a mirror other than the observer; pick another seed")
+	if owner == nil || mirror.replica.totalEntries() == 0 {
+		t.Fatal("no gateway with a mirror; pick another seed")
 	}
 	var buf bytes.Buffer
 	if err := mirror.Snapshot(&buf); err != nil {
@@ -309,9 +429,7 @@ func TestRestoreReRegistersReplicaBuckets(t *testing.T) {
 	}
 	// Restart: everything but the address and the ring position is
 	// gone, then the snapshot is loaded.
-	names := new(nameTable)
-	mirror.gw, mirror.replica = newGatewayStore(names), newGatewayStore(names)
-	mirror.repl, mirror.repoReplica = replication.NewEngine(), &repoReplicaStore{}
+	wipe(mirror)
 	if err := mirror.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}

@@ -71,25 +71,23 @@ func (t *transitionStats) record(dst moods.NodeName, dwell time.Duration) {
 	e.totalDwell += dwell
 }
 
-// snapshot returns the distribution as parallel slices, sorted by
-// destination: prediction breaks count ties by scan order, so map
-// iteration order here would make PredictNext nondeterministic.
-func (t *transitionStats) snapshot() ([]moods.NodeName, []int, []time.Duration) {
+// model returns the distribution, sorted by destination: prediction
+// breaks count ties by scan order, so map iteration order here would
+// make PredictNext nondeterministic.
+func (t *transitionStats) model() transModelResp {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	dsts := make([]moods.NodeName, 0, len(t.byDst))
+	var m transModelResp
 	for d := range t.byDst {
-		dsts = append(dsts, d)
+		m.Dests = append(m.Dests, d)
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	counts := make([]int, 0, len(t.byDst))
-	dwells := make([]time.Duration, 0, len(t.byDst))
-	for _, d := range dsts {
+	sort.Slice(m.Dests, func(i, j int) bool { return m.Dests[i] < m.Dests[j] })
+	for _, d := range m.Dests {
 		e := t.byDst[d]
-		counts = append(counts, e.count)
-		dwells = append(dwells, e.totalDwell/time.Duration(e.count))
+		m.Counts = append(m.Counts, e.count)
+		m.MeanDwell = append(m.MeanDwell, e.totalDwell/time.Duration(e.count))
 	}
-	return dsts, counts, dwells
+	return m
 }
 
 // transModelReq asks a node for its outbound transition distribution.

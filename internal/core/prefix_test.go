@@ -12,11 +12,11 @@ import (
 	"peertrack/internal/moods"
 )
 
-// mustKey parses a prefix key literal.
+// mustKey is the prefix key a binary literal such as "0110" names.
 func mustKey(s string) ids.PrefixKey {
-	k, err := ids.ParseKey(s)
-	if err != nil {
-		panic(err)
+	var k ids.PrefixKey
+	for _, c := range s {
+		k = k.Child(int(c - '0'))
 	}
 	return k
 }

@@ -376,14 +376,9 @@ func TestRestartWithSameIdentityRestoresData(t *testing.T) {
 // wipe gives p restart semantics: every store and all replication
 // bookkeeping vanish; the address, ring position and liveness remain.
 func wipe(p *Peer) {
-	for _, key := range p.gw.bucketKeys() {
-		p.gw.dropBucket(key)
-	}
-	for _, key := range p.replica.bucketKeys() {
-		p.replica.dropBucket(key)
-	}
-	p.repo.restore(nil)
-	p.repoReplica = &repoReplicaStore{}
+	p.repo = newIOPStore(&p.names, p.mirrors() > 0)
+	p.gw, p.replica = newGatewayStore(&p.names), newGatewayStore(&p.names)
+	p.repoReplica, p.contain, p.trans = &repoReplicaStore{}, newContainStore(), newTransitionStats()
 	p.repl = replication.NewEngine()
 }
 

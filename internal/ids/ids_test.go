@@ -2,7 +2,6 @@ package ids
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -250,11 +249,7 @@ func TestQuickPrefixStringRoundTrip(t *testing.T) {
 		if s := k.String(); s != bitString(id, n) {
 			t.Fatalf("KeyOf(id, %d).String() = %q, want %q", n, s, bitString(id, n))
 		}
-		q, err := ParseKey(k.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q != k {
+		if q := mustParse(t, k.String()); q != k {
 			t.Fatalf("round trip failed: %v != %v", k, q)
 		}
 	}
@@ -296,14 +291,6 @@ func TestPrefixGatewayIDDistinct(t *testing.T) {
 	b := mustParse(t, "00").GatewayID()
 	if a == b {
 		t.Error("gateway ids for \"0\" and \"00\" collide")
-	}
-}
-
-func TestParsePrefixErrors(t *testing.T) {
-	for _, s := range []string{"01x", "2", strings.Repeat("0", MaxKeyLen+1), "@", "individual"} {
-		if k, err := ParseKey(s); err == nil {
-			t.Errorf("ParseKey(%q) = %v, want an error", s, k)
-		}
 	}
 }
 

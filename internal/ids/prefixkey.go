@@ -54,31 +54,9 @@ func KeyOf(id ID, n int) PrefixKey {
 	return PrefixKey(bits<<8 | uint64(n))
 }
 
-// ParseKey parses the string form String renders: a binary string of
-// at most MaxKeyLen digits, such as "0110", or NoPrefixKey's name.
-func ParseKey(s string) (PrefixKey, error) {
-	if s == noPrefixName {
-		return NoPrefixKey, nil
-	}
-	if len(s) > MaxKeyLen {
-		return 0, fmt.Errorf("ids: prefix %q longer than %d bits", s, MaxKeyLen)
-	}
-	var bits uint64
-	for i, c := range s {
-		switch c {
-		case '0':
-		case '1':
-			bits |= 1 << (63 - i)
-		default:
-			return 0, fmt.Errorf("ids: prefix %q: invalid character %q", s, c)
-		}
-	}
-	return PrefixKey(bits | uint64(len(s))), nil
-}
-
 // Valid reports whether k is in its one form: a length of at most
 // MaxKeyLen with every bit past it zero, or NoPrefixKey. Every key
-// KeyOf, ParseKey, Parent and Child return is valid; a key read from
+// KeyOf, Parent and Child return is valid; a key read from
 // outside the program must be checked.
 func (k PrefixKey) Valid() bool {
 	n := k.Len()

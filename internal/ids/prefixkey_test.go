@@ -7,12 +7,16 @@ import (
 	"testing"
 )
 
-// mustParse is ParseKey for literals.
+// mustParse is the prefix key a binary literal such as "0110" names,
+// built by Child.
 func mustParse(t testing.TB, s string) PrefixKey {
 	t.Helper()
-	k, err := ParseKey(s)
-	if err != nil {
-		t.Fatal(err)
+	var k PrefixKey
+	for _, c := range s {
+		if c != '0' && c != '1' {
+			t.Fatalf("%q is not a binary literal", s)
+		}
+		k = k.Child(int(c - '0'))
 	}
 	return k
 }
@@ -30,8 +34,8 @@ func TestPrefixKeyRoundTrip(t *testing.T) {
 		if k.String() != bitString(id, n) {
 			t.Fatalf("String: got %q want %q", k.String(), bitString(id, n))
 		}
-		if back, err := ParseKey(k.String()); err != nil || back != k {
-			t.Fatalf("ParseKey(%q) = %x, %v; want %x", k.String(), back, err, k)
+		if back := mustParse(t, k.String()); back != k {
+			t.Fatalf("the key %q names is %x, want %x", k.String(), back, k)
 		}
 		if !k.Valid() {
 			t.Fatalf("KeyOf(%v, %d) = %x is not valid", id, n, k)
@@ -46,7 +50,7 @@ func TestPrefixKeyZeroAndSentinel(t *testing.T) {
 	if NoPrefixKey.Len() <= MaxKeyLen {
 		t.Fatalf("sentinel length %d must not be a prefix length (> %d)", NoPrefixKey.Len(), MaxKeyLen)
 	}
-	if !NoPrefixKey.Valid() || NoPrefixKey.String() != "@individual" || mustParse(t, "@individual") != NoPrefixKey {
+	if !NoPrefixKey.Valid() || NoPrefixKey.String() != "@individual" {
 		t.Fatalf("sentinel: valid %v, string %q", NoPrefixKey.Valid(), NoPrefixKey.String())
 	}
 	// The sentinel must sort after every valid key.
@@ -93,8 +97,8 @@ func TestPrefixKeyTooLongPanics(t *testing.T) {
 	if !panics(func() { KeyOf(HashString("x"), MaxKeyLen+1) }) {
 		t.Error("KeyOf beyond MaxKeyLen did not panic")
 	}
-	if _, err := ParseKey(strings.Repeat("1", MaxKeyLen+1)); err == nil {
-		t.Error("ParseKey beyond MaxKeyLen did not fail")
+	if !panics(func() { mustParse(t, strings.Repeat("1", MaxKeyLen+1)) }) {
+		t.Error("Child beyond MaxKeyLen did not panic")
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 	"peertrack/internal/transport"
 )
 
+// key is the prefix key a binary literal such as "0110" names.
 func key(s string) ids.PrefixKey {
-	k, err := ids.ParseKey(s)
-	if err != nil {
-		panic(err)
+	var k ids.PrefixKey
+	for _, c := range s {
+		k = k.Child(int(c - '0'))
 	}
 	return k
 }

@@ -100,7 +100,7 @@ func TestAuthCodecReplayDetected(t *testing.T) {
 	}
 	// Replay: an attacker re-sends the captured frame on the same
 	// stream.
-	frame := wire.Bytes()[len(preface):]
+	frame := wire.Bytes()[len(Preface):]
 	r := receiver(append(bytes.Clone(wire.Bytes()), frame...))
 	if _, _, err := r.recv(); err != nil {
 		t.Fatalf("first frame: %v", err)
@@ -113,10 +113,10 @@ func TestAuthCodecReplayDetected(t *testing.T) {
 func TestAuthCodecReorderDetected(t *testing.T) {
 	sender, wire, receiver := authEnds([]byte("s"))
 	sender.send("a", echoReq{Msg: "1"})
-	first := bytes.Clone(wire.Bytes()[len(preface):])
+	first := bytes.Clone(wire.Bytes()[len(Preface):])
 	sender.send("a", echoReq{Msg: "2"})
-	second := wire.Bytes()[len(preface)+len(first):]
-	r := receiver(append(append([]byte(preface), second...), first...))
+	second := wire.Bytes()[len(Preface)+len(first):]
+	r := receiver(append(append([]byte(Preface), second...), first...))
 	if _, _, err := r.recv(); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("frame 2 delivered first: err = %v, want ErrBadMAC", err)
 	}

@@ -7,6 +7,3 @@ import "bytes"
 func RecvFrom(stream []byte) (head string, payload any, err error) {
 	return newWireConn(bufConn{buf: bytes.NewBuffer(stream)}, nil, false).recv()
 }
-
-// Preface is the connection preface.
-const Preface = preface

@@ -356,10 +356,10 @@ func (p *connPool) drain() {
 // speaking another protocol, or another version of this one, is turned
 // away by name instead of having its first bytes read as a length.
 
-// preface is the magic and the format version. Any change to the frame
-// or to a released layout bumps the version: nodes of different
-// versions do not interoperate.
-const preface = "PTW\x01"
+// Preface is the magic and the format version. Any change to the frame
+// or to a released layout bumps it: nodes of different versions do not
+// interoperate, nor read each other's snapshots (core.Peer.Snapshot).
+const Preface = "PTW\x01"
 
 // MaxFrame caps the length a frame may declare, checked before anything
 // is allocated for it. The largest legitimate frame is a whole-unit
@@ -373,7 +373,7 @@ const preface = "PTW\x01"
 const MaxFrame = 64 << 20
 
 var (
-	errPreface  = fmt.Errorf("%w: the peer does not speak wire format %q", ErrBadFrame, preface)
+	errPreface  = fmt.Errorf("%w: the peer does not speak wire format %q", ErrBadFrame, Preface)
 	errOversize = fmt.Errorf("%w: declared length exceeds MaxFrame", ErrBadFrame)
 )
 
@@ -422,7 +422,7 @@ func newWireConn(conn net.Conn, secret []byte, dialed bool) *wireConn {
 func (c *wireConn) send(head string, payload any) error {
 	b := c.wbuf[:0]
 	if c.sendPreface {
-		b, c.sendPreface = append(b, preface...), false
+		b, c.sendPreface = append(b, Preface...), false
 	}
 	start := len(b) + 4
 	b, err := appendBody(AppendU32(b, 0), head, payload, &c.gobs)
@@ -454,16 +454,16 @@ func kept(b []byte) []byte {
 // frame buffer is overwritten by the next message.
 func (c *wireConn) recv() (head string, payload any, err error) {
 	if c.wantPreface {
-		p, err := c.br.Peek(len(preface))
+		p, err := c.br.Peek(len(Preface))
 		switch {
 		case len(p) == 0 && err != nil:
 			return "", nil, err // closed before a byte: a port probe, not a frame
-		case string(p) != preface[:len(p)], err == io.EOF:
+		case string(p) != Preface[:len(p)], err == io.EOF:
 			return "", nil, errPreface
 		case err != nil:
 			return "", nil, err
 		}
-		c.br.Discard(len(preface))
+		c.br.Discard(len(Preface))
 		c.wantPreface = false
 	}
 	hdr, err := c.br.Peek(4)

@@ -368,9 +368,9 @@ func (p *bodyParser) parse(body []byte) (head string, payload any, err error) {
 	return p.head, payload, nil
 }
 
-// AppendBody and ParseBody are the body writer and parser of a
-// connection, for tests and tools that have none: a value without a
-// layout travels as a gob stream of its own, type descriptions included.
+// AppendBody and ParseBody are a connection's body writer and parser for
+// snapshot files (core.Peer.Snapshot), tests and tools: a value without
+// a layout travels as a gob stream of its own, type descriptions included.
 func AppendBody(b []byte, head string, payload any) ([]byte, error) {
 	return appendBody(b, head, payload, new(gobOut))
 }

@@ -149,7 +149,7 @@ func TestSendZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("send allocates %.1f objects a message, want 0", allocs)
 	}
-	if _, got, err := RecvFrom(append([]byte(preface), wire.Bytes()...)); err != nil || !reflect.DeepEqual(got, payload) {
+	if _, got, err := RecvFrom(append([]byte(Preface), wire.Bytes()...)); err != nil || !reflect.DeepEqual(got, payload) {
 		t.Errorf("the last frame reads back as %+v, %v", got, err)
 	}
 }
@@ -191,15 +191,15 @@ func TestHostileFramesAreRefused(t *testing.T) {
 		{name: "garbage", bytes: []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")},
 		{name: "legacy gob hello", bytes: legacy.Bytes()},
 		{name: "another format version", bytes: append([]byte("PTW\x02"), frame(good)...)},
-		{name: "oversize header", bytes: append([]byte(preface), 0xFF, 0xFF, 0xFF, 0xFF)},
-		{name: "one byte over the cap", bytes: binary.BigEndian.AppendUint32([]byte(preface), MaxFrame+1)},
-		{name: "frame cut mid-payload", bytes: append([]byte(preface), frame(good)[:len(good)-3]...), cut: true},
-		{name: "large frame that never arrives", bytes: append(binary.BigEndian.AppendUint32([]byte(preface), MaxFrame), good...), cut: true},
-		{name: "preface cut", bytes: []byte(preface[:2]), cut: true},
-		{name: "count larger than the frame", bytes: append([]byte(preface), frame(hugeCount)...)},
-		{name: "unknown tag", bytes: append([]byte(preface), frame([]byte{0, 1, 'c', 0xEE, 0xEE})...)},
-		{name: "trailing bytes", bytes: append([]byte(preface), frame(append(bytes.Clone(good), 0))...)},
-		{name: "good frame, then garbage", bytes: append(append([]byte(preface), frame(good)...), "garbage!"...), answers: 1},
+		{name: "oversize header", bytes: append([]byte(Preface), 0xFF, 0xFF, 0xFF, 0xFF)},
+		{name: "one byte over the cap", bytes: binary.BigEndian.AppendUint32([]byte(Preface), MaxFrame+1)},
+		{name: "frame cut mid-payload", bytes: append([]byte(Preface), frame(good)[:len(good)-3]...), cut: true},
+		{name: "large frame that never arrives", bytes: append(binary.BigEndian.AppendUint32([]byte(Preface), MaxFrame), good...), cut: true},
+		{name: "preface cut", bytes: []byte(Preface[:2]), cut: true},
+		{name: "count larger than the frame", bytes: append([]byte(Preface), frame(hugeCount)...)},
+		{name: "unknown tag", bytes: append([]byte(Preface), frame([]byte{0, 1, 'c', 0xEE, 0xEE})...)},
+		{name: "trailing bytes", bytes: append([]byte(Preface), frame(append(bytes.Clone(good), 0))...)},
+		{name: "good frame, then garbage", bytes: append(append([]byte(Preface), frame(good)...), "garbage!"...), answers: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := rejected()
