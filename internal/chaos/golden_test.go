@@ -13,9 +13,10 @@ var update = flag.Bool("update", false, "rewrite testdata/*.telemetry.txt from t
 // 20-seed safe sweeps byte for byte — one at factor 1, one with every
 // unit mirrored once — so every counter, gauge and histogram bucket the
 // whole stack emits under faults, replication traffic included, is
-// covered. Together with the figure CSVs in internal/experiments it is
-// the "same behaviour" baseline a refactor is checked against;
-// regenerate with
+// covered; and of a 20-seed churn10x sweep, whose gossip-assisted runs
+// repair a ring by the maintenance table's overlay rows alone. Together
+// with the figure CSVs in internal/experiments it is the "same
+// behaviour" baseline a refactor is checked against; regenerate with
 //
 //	go test ./internal/chaos -run Golden -update
 //
@@ -23,12 +24,17 @@ var update = flag.Bool("update", false, "rewrite testdata/*.telemetry.txt from t
 func TestGoldenSweepTelemetry(t *testing.T) {
 	for _, g := range []struct {
 		file string
-		cfg  Config
+		text func() string
 	}{
-		{"sweep_safe20.telemetry.txt", Config{Profile: ProfileSafe}},
-		{"sweep_safe20_repl2.telemetry.txt", Config{Profile: ProfileSafe, Replication: 2}},
+		{"sweep_safe20.telemetry.txt", func() string {
+			return Sweep(Config{Profile: ProfileSafe}.Run, 1, 20, 1).Telemetry.Text()
+		}},
+		{"sweep_safe20_repl2.telemetry.txt", func() string {
+			return Sweep(Config{Profile: ProfileSafe, Replication: 2}.Run, 1, 20, 1).Telemetry.Text()
+		}},
+		{"churn10x_20.telemetry.txt", func() string { return Sweep(RunChurnPair, 1, 20, 1).Telemetry.Text() }},
 	} {
-		got := Sweep(g.cfg.Run, 1, 20, 1).Telemetry.Text()
+		got := g.text()
 		path := filepath.Join("testdata", g.file)
 		if *update {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
