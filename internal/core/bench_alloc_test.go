@@ -36,7 +36,7 @@ func benchEntries(n int) []IndexEntry {
 }
 
 func BenchmarkGatewayUpsertUpdate(b *testing.B) {
-	g := newGatewayStore(new(nameTable))
+	g := newGatewayStore(new(nameTable), false)
 	pfx := mustKey("0101")
 	entries := benchEntries(4096)
 	for _, e := range entries {
@@ -53,7 +53,7 @@ func BenchmarkGatewayUpsertUpdate(b *testing.B) {
 
 func BenchmarkGatewayUpsertInsert(b *testing.B) {
 	// Fresh inserts grow the slab; cost must stay amortized-constant.
-	g := newGatewayStore(new(nameTable))
+	g := newGatewayStore(new(nameTable), false)
 	pfx := mustKey("0101")
 	entries := benchEntries(b.N)
 	b.ReportAllocs()
@@ -64,7 +64,7 @@ func BenchmarkGatewayUpsertInsert(b *testing.B) {
 }
 
 func BenchmarkGatewayLookup(b *testing.B) {
-	g := newGatewayStore(new(nameTable))
+	g := newGatewayStore(new(nameTable), false)
 	pfx := mustKey("0101")
 	key := pfx
 	entries := benchEntries(4096)
@@ -116,7 +116,7 @@ func BenchmarkIOPSetTo(b *testing.B) {
 // the index hot path: updating an existing record, looking it up and
 // advancing its IOP head must not allocate.
 func TestGatewaySteadyStateAllocFree(t *testing.T) {
-	g := newGatewayStore(new(nameTable))
+	g := newGatewayStore(new(nameTable), false)
 	pfx := mustKey("0101")
 	key := pfx
 	entries := benchEntries(512)

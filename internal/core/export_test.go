@@ -8,12 +8,11 @@ import (
 
 // Seams for the external test package, which imports what imports core.
 
-// WriteUnpushed writes e into the bucket keyed key and queues it for the
-// bucket's next mirror push, without the push: a writer between its
-// mutation and its turn on the unit's stream.
+// WriteUnpushed writes e into the bucket keyed key without the push
+// that follows it: a writer between its store write and its turn on the
+// unit's stream.
 func (p *Peer) WriteUnpushed(key ids.PrefixKey, e IndexEntry) {
 	p.gw.upsert(key, e)
-	p.gw.touch(key, []ids.ID{e.ID})
 }
 
 // Restart gives p restart semantics (wipe) and restores snapshot into it.

@@ -147,10 +147,10 @@ func (b *bucket) at(id ids.ID) *slabEntry {
 	return &b.slab[slot]
 }
 
-func (b *bucket) remove(id ids.ID) {
+func (b *bucket) remove(id ids.ID) bool {
 	slot, ok := b.find(id)
 	if !ok {
-		return
+		return false
 	}
 	b.idx.Delete(probe.Bytes(id[:]), slot)
 	b.slab[slot] = slabEntry{} // release the id string
@@ -158,6 +158,7 @@ func (b *bucket) remove(id ids.ID) {
 	if int(b.dead) > b.idx.Len() && b.dead >= 32 {
 		b.compact()
 	}
+	return true
 }
 
 // compact rewrites the slab without tombstones, preserving FIFO order,
@@ -192,12 +193,29 @@ type gatewayStore struct {
 	mu      sync.Mutex // not RW: a reader holds it for a probe or two, as briefly as a writer
 	names   *nameTable
 	buckets map[ids.PrefixKey]*bucket
-	dirty   map[ids.PrefixKey][]ids.ID // per bucket, the ids named (touch) since takeDirty
+	// dirty, non-nil only when the store is mirrored, holds per bucket
+	// the ids written since takeDirty: each per-record writer queues
+	// what it wrote in the lock hold that wrote it, so no reader (a
+	// snapshot) sees a change the queue lacks.
+	dirty map[ids.PrefixKey][]ids.ID
 }
 
-// newGatewayStore returns an empty store naming nodes in names.
-func newGatewayStore(names *nameTable) *gatewayStore {
-	return &gatewayStore{names: names}
+// newGatewayStore returns an empty store naming nodes in names; a
+// mirrored one queues its writes for the mirror pushes.
+func newGatewayStore(names *nameTable, mirrored bool) *gatewayStore {
+	g := &gatewayStore{names: names}
+	if mirrored {
+		g.dirty = make(map[ids.PrefixKey][]ids.ID)
+	}
+	return g
+}
+
+// queue names id for the next mirror push of the bucket keyed key; g.mu
+// is held. An unmirrored store queues nothing.
+func (g *gatewayStore) queue(key ids.PrefixKey, id ids.ID) {
+	if g.dirty != nil {
+		g.dirty[key] = append(g.dirty[key], id)
+	}
 }
 
 // slabEntry is e as a bucket keeps it, interning its node names.
@@ -237,8 +255,19 @@ func (g *gatewayStore) live(b *bucket, n int) []IndexEntry {
 }
 
 // upsert inserts or updates an entry in the bucket keyed key, creating
-// the bucket on first use.
+// the bucket on first use, and queues it.
 func (g *gatewayStore) upsert(key ids.PrefixKey, e IndexEntry) {
+	se := g.slabEntry(e)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.bucketFor(key).upsert(se)
+	g.queue(key, e.ID)
+}
+
+// put is upsert for a record the bucket's mirrors already hold at its
+// version (handed over or back, or promoted, with the version line), or
+// a fault a test plants: nothing is queued.
+func (g *gatewayStore) put(key ids.PrefixKey, e IndexEntry) {
 	se := g.slabEntry(e)
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -319,6 +348,7 @@ func (g *gatewayStore) advance(key ids.PrefixKey, e IndexEntry, fallback *IndexE
 	default:
 		g.bucketFor(key).insert(rec)
 	}
+	g.queue(key, e.ID)
 	return prev, move
 }
 
@@ -338,6 +368,7 @@ func (g *gatewayStore) setPrev(key ids.PrefixKey, id ids.ID, arrived time.Durati
 		return false
 	}
 	head.Prev = ref
+	g.queue(key, id)
 	return true
 }
 
@@ -367,6 +398,7 @@ func (g *gatewayStore) take(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry, boo
 		if e, ok := g.get(b, id); ok {
 			out = append(out, e)
 			b.remove(id)
+			g.queue(key, id)
 		}
 	}
 	return out, b.delegated
@@ -388,16 +420,6 @@ func (g *gatewayStore) query(key ids.PrefixKey, objs []ids.ID) ([]IndexEntry, bo
 		}
 	}
 	return out, b.delegated
-}
-
-// touch queues ids of the bucket keyed key for its next mirror push.
-func (g *gatewayStore) touch(key ids.PrefixKey, objs []ids.ID) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.dirty == nil {
-		g.dirty = make(map[ids.PrefixKey][]ids.ID)
-	}
-	g.dirty[key] = append(g.dirty[key], objs...)
 }
 
 // takeDirty empties the bucket's queue and returns it.
@@ -531,7 +553,8 @@ func (g *gatewayStore) replaceBucket(key ids.PrefixKey, entries []IndexEntry, de
 	g.buckets[key] = b
 }
 
-// removeAll deletes the given object ids from the bucket keyed key.
+// removeAll deletes the given object ids from the bucket keyed key and
+// queues each it held.
 func (g *gatewayStore) removeAll(key ids.PrefixKey, objs []ids.ID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -540,6 +563,8 @@ func (g *gatewayStore) removeAll(key ids.PrefixKey, objs []ids.ID) {
 		return
 	}
 	for _, id := range objs {
-		b.remove(id)
+		if b.remove(id) {
+			g.queue(key, id)
+		}
 	}
 }

@@ -174,7 +174,7 @@ func NewPeer(node overlay.Node, net transport.Network, pm *PrefixManager, cfg Co
 		gwCache:     refCache{cap: gatewayCacheSize},
 	}
 	p.repo = newIOPStore(&p.names, cfg.ReplicationFactor > 1)
-	p.gw, p.replica = newGatewayStore(&p.names), newGatewayStore(&p.names)
+	p.gw, p.replica = newGatewayStore(&p.names, cfg.ReplicationFactor > 1), newGatewayStore(&p.names, false)
 	node.SetAppHandler(p.handleRPC)
 	return p
 }
@@ -432,7 +432,7 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 		return iopSetFromResp{}, nil
 	case fetchIndexReq:
 		entries, delegated := p.gw.take(r.Key, r.Objects)
-		p.mirrorIndex(r.Key, entryIDs(entries))
+		p.mirrorIndex(r.Key, len(entries) > 0)
 		return fetchIndexResp{Entries: entries, Delegated: delegated}, nil
 	case queryIndexReq:
 		entries, delegated := p.queryStores(r.Key, r.Objects, true)
@@ -445,7 +445,7 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 			// mirror copies are claimed by version probe in the next sync
 			// round instead of being re-shipped.
 			for _, e := range r.Entries {
-				p.gw.upsert(r.Key, e)
+				p.gw.put(r.Key, e)
 			}
 			u := replication.IndexUnit(r.Key)
 			p.dropHeld(u)
@@ -454,9 +454,9 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 			return delegateResp{}, nil
 		}
 		for _, e := range r.Entries {
-			p.mergeEntry(r.Key, e)
+			p.gw.upsert(r.Key, p.merged(r.Key, e))
 		}
-		p.mirrorIndex(r.Key, entryIDs(r.Entries))
+		p.mirrorIndex(r.Key, len(r.Entries) > 0)
 		return delegateResp{}, nil
 	case iopGetReq:
 		visits, found := p.repo.get(r.Object)
@@ -510,7 +510,7 @@ func (p *Peer) gatewayArrive(r arriveReq) {
 		p.stitchInsert(r.Event.Object, r.Node, prev, individualKey, r.Event.Arrived)
 		return
 	}
-	p.mirrorIndex(individualKey, []ids.ID{id})
+	p.mirrorIndex(individualKey, true)
 	if move == headMoved {
 		p.link(r.Event.Object, prev.Latest, r.Node, r.Event.Arrived)
 	}
@@ -523,18 +523,17 @@ func (p *Peer) link(obj moods.ObjectID, from, to moods.NodeName, at time.Duratio
 	p.call(transport.Addr(to), iopSetFromReq{Links: []IOPLink{{Object: obj, From: from, At: at}}})
 }
 
-// mergeEntry reconciles an incoming index record with whatever this
-// gateway already holds for the object. During ring convergence two
-// nodes can transiently act as gateway for the same prefix, splitting
-// an object's history; when reconciliation moves the buckets together
-// the two heads must be merged — the newer arrival stays the head, the
-// older becomes its predecessor, and the missing IOP links are
-// stitched.
-func (p *Peer) mergeEntry(key ids.PrefixKey, e IndexEntry) {
+// merged reconciles an incoming index record with whatever this
+// gateway already holds for the object and returns the record to store.
+// During ring convergence two nodes can transiently act as gateway for
+// the same prefix, splitting an object's history; when reconciliation
+// moves the buckets together the two heads must be merged — the newer
+// arrival stays the head, the older becomes its predecessor, and the
+// missing IOP links are stitched.
+func (p *Peer) merged(key ids.PrefixKey, e IndexEntry) IndexEntry {
 	cur, had := p.gw.lookup(key, e.ID)
 	if !had {
-		p.gw.upsert(key, e)
-		return
+		return e
 	}
 	newer, older := e, cur
 	if cur.Arrived > e.Arrived {
@@ -545,7 +544,7 @@ func (p *Peer) mergeEntry(key ids.PrefixKey, e IndexEntry) {
 		newer.Prev = older.Latest
 		p.link(newer.Object, older.Latest, newer.Latest, newer.Arrived)
 	}
-	p.gw.upsert(key, newer)
+	return newer
 }
 
 // stitchInsert splices a late-reported visit — object seen at node nd
@@ -601,7 +600,7 @@ func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, head IndexEnt
 	// When nd slots in directly before the head it becomes the head's
 	// predecessor — unless the head has advanced since the walk began.
 	if succNode == head.Latest && succAt == head.Arrived && p.gw.setPrev(key, head.ID, head.Arrived, nd) {
-		p.mirrorIndex(key, []ids.ID{head.ID})
+		p.mirrorIndex(key, true)
 	}
 	return true
 }
@@ -659,8 +658,8 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 
 	// update_index + IOP stitching, batched by previous node.
 	var fromLinks []IOPLink
-	var updated []ids.ID
 	var deferred []ObjEvent
+	wrote := false
 	var unknownBuf [32]ids.ID
 	unknown := unknownBuf[:0] // without the partition: the events it would have found missing
 	for i, ev := range r.Events {
@@ -687,9 +686,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 		case headMoved:
 			fromLinks = append(fromLinks, IOPLink{Object: ev.Object, From: prev.Latest, At: ev.Arrived})
 		}
-		if p.mirrors() > 0 {
-			updated = append(updated, id)
-		}
+		wrote = true
 	}
 	if !partition {
 		sp.Step(string(p.node.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(unknown))
@@ -697,7 +694,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 			sp.Step(string(p.node.Addr()), noteRefresh).Int(0).Int(len(unknown))
 		}
 	}
-	p.mirrorIndex(r.Key, updated)
+	p.mirrorIndex(r.Key, wrote)
 	// One message per distinct source node (M2 batched), in node order,
 	// each batch's objects in arrival order...
 	msgs := p.sendMoves(sp, r, fromLinks)
@@ -815,7 +812,7 @@ func (p *Peer) refreshFromDescent(key ids.PrefixKey, objs []ids.ID, maxDepth int
 			// node's bucket for the child prefix: move it up to key.
 			if len(unfound) > 0 {
 				deeper, _ := p.gw.take(child, unfound)
-				p.mirrorIndex(child, entryIDs(deeper))
+				p.mirrorIndex(child, len(deeper) > 0)
 				p.putEntries(key, deeper)
 			}
 		}
@@ -829,7 +826,7 @@ func (p *Peer) putEntries(key ids.PrefixKey, entries []IndexEntry) {
 	for _, e := range entries {
 		p.gw.upsert(key, e)
 	}
-	p.mirrorIndex(key, entryIDs(entries))
+	p.mirrorIndex(key, len(entries) > 0)
 }
 
 // maybeDelegate pushes the α-earliest records of an overflowing bucket
@@ -865,7 +862,7 @@ func (p *Peer) maybeDelegate(key ids.PrefixKey) {
 		victimIDs := entryIDs(split[bit])
 		p.gw.removeAll(key, victimIDs)
 		p.gw.markDelegated(key)
-		p.mirrorIndex(key, victimIDs)
+		p.mirrorIndex(key, true)
 		p.tel.delegations.Inc()
 		p.tel.delegatedRecords.Add(uint64(len(split[bit])))
 		moved += len(split[bit])

@@ -191,7 +191,7 @@ func TestInvalidSchemeDefaultsTo2(t *testing.T) {
 }
 
 func TestGatewayStoreFIFOAndDelegable(t *testing.T) {
-	g := newGatewayStore(new(nameTable))
+	g := newGatewayStore(new(nameTable), false)
 	pfx := mustKey("0101")
 	for i := 0; i < 10; i++ {
 		obj := moodsObjectID(i)
@@ -222,7 +222,7 @@ func TestGatewayStoreFIFOAndDelegable(t *testing.T) {
 }
 
 func TestGatewayStoreTakeAndDrain(t *testing.T) {
-	g := newGatewayStore(new(nameTable))
+	g := newGatewayStore(new(nameTable), false)
 	pfx := mustKey("11")
 	var keys []ids.ID
 	for i := 0; i < 5; i++ {
@@ -279,7 +279,7 @@ func TestGatewayStoreAdvance(t *testing.T) {
 	arrival := func(node moods.NodeName, at int) IndexEntry {
 		return IndexEntry{Object: "obj", ID: id, Latest: node, Arrived: simTime(at)}
 	}
-	g := newGatewayStore(new(nameTable))
+	g := newGatewayStore(new(nameTable), false)
 	steps := []struct {
 		name     string
 		in       IndexEntry
@@ -341,7 +341,7 @@ func TestGatewayStoreAdvanceKeepsSlots(t *testing.T) {
 		}
 		return out
 	}
-	g := newGatewayStore(new(nameTable))
+	g := newGatewayStore(new(nameTable), false)
 	if _, move := g.advance(key, rec("a", "n1", 10), nil); move != headFirst || !g.has(key) {
 		t.Fatalf("first sighting into no bucket: %v, bucket created %v", move, g.has(key))
 	}
@@ -380,7 +380,7 @@ func TestGatewayStoreAdvanceConcurrent(t *testing.T) {
 	key := mustKey("1")
 	id := ids.HashString("raced")
 	for round := 0; round < 50; round++ {
-		g := newGatewayStore(new(nameTable))
+		g := newGatewayStore(new(nameTable), false)
 		var wg sync.WaitGroup
 		for i := 1; i <= writers; i++ {
 			wg.Add(1)
@@ -397,7 +397,7 @@ func TestGatewayStoreAdvanceConcurrent(t *testing.T) {
 }
 
 func TestGatewayStoreSetPrev(t *testing.T) {
-	g := newGatewayStore(new(nameTable))
+	g := newGatewayStore(new(nameTable), false)
 	key := mustKey("0")
 	id := ids.HashString("obj")
 	g.advance(key, IndexEntry{Object: "obj", ID: id, Latest: "a", Arrived: simTime(10)}, nil)

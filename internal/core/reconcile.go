@@ -99,7 +99,7 @@ func (p *Peer) handOff(key ids.PrefixKey, to transport.Addr) (bool, error) {
 	_, err := p.call(to, req)
 	if err != nil {
 		for _, e := range entries {
-			p.gw.upsert(key, e)
+			p.gw.put(key, e)
 		}
 	} else if handoff {
 		p.repl.DropOwned(u)
@@ -143,7 +143,7 @@ func (p *Peer) rehomeIndividual() int {
 		}
 		victims := entryIDs(byDest[dest])
 		p.gw.removeAll(individualKey, victims)
-		p.mirrorIndex(individualKey, victims)
+		p.mirrorIndex(individualKey, true)
 		moved++
 	}
 	return moved

@@ -498,14 +498,14 @@ func (p *Peer) pushFull(u replication.Unit, addr transport.Addr, v uint64, cause
 	p.tel.reg.Counter("core.replication.repair_pushes." + cause).Inc()
 }
 
-// mirrorIndex mirrors one mutation of the bucket keyed key: touched
-// names the ids whose records it wrote or removed, in order.
-func (p *Peer) mirrorIndex(key ids.PrefixKey, touched []ids.ID) {
-	if p.mirrors() <= 0 || len(touched) == 0 {
-		return
+// mirrorIndex pushes what the writers of the bucket keyed key queued
+// (gatewayStore.queue) to its mirrors. A caller that wrote returns once
+// its writes are at the mirrors, its own push or a later one's; one that
+// wrote nothing does not wait.
+func (p *Peer) mirrorIndex(key ids.PrefixKey, wrote bool) {
+	if wrote && p.mirrors() > 0 {
+		p.mirror(replication.IndexUnit(key))
 	}
-	p.gw.touch(key, touched)
-	p.mirror(replication.IndexUnit(key))
 }
 
 // flushRepoMirror mirrors the visit lists dirtied since the last flush,
@@ -622,16 +622,16 @@ func (p *Peer) promote(key ids.PrefixKey, entries []IndexEntry) {
 	if key != individualKey && !p.node.Owns(key.GatewayID()) {
 		return
 	}
-	var kept []ids.ID
+	wrote := false
 	for _, e := range entries {
 		// A prefix group is placed whole, by its gateway id (checked
 		// above); per-object records one by one, by their own ids.
 		if key != individualKey || p.node.Owns(e.ID) {
 			p.gw.upsert(key, e)
-			kept = append(kept, e.ID)
+			wrote = true
 		}
 	}
-	p.mirrorIndex(key, kept)
+	p.mirrorIndex(key, wrote)
 }
 
 // --- failover reads ---------------------------------------------------
@@ -758,7 +758,7 @@ func (p *Peer) maybePromoteHeld(h replication.HeldInfo) {
 		return
 	}
 	for _, e := range mine {
-		p.mergeEntry(key, e)
+		p.gw.put(key, p.merged(key, e))
 	}
 	if delegated {
 		p.gw.markDelegated(key)

@@ -377,7 +377,7 @@ func TestRestartWithSameIdentityRestoresData(t *testing.T) {
 // bookkeeping vanish; the address, ring position and liveness remain.
 func wipe(p *Peer) {
 	p.repo = newIOPStore(&p.names, p.mirrors() > 0)
-	p.gw, p.replica = newGatewayStore(&p.names), newGatewayStore(&p.names)
+	p.gw, p.replica = newGatewayStore(&p.names, p.mirrors() > 0), newGatewayStore(&p.names, false)
 	p.repoReplica, p.contain, p.trans = &repoReplicaStore{}, newContainStore(), newTransitionStats()
 	p.repl = replication.NewEngine()
 }
