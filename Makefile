@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build examples test check vet deadpkgs loc loc-check race flake-hunt fuzz-short bench-module micro figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl
+.PHONY: build examples test check vet deadpkgs unlinked loc loc-check race flake-hunt fuzz-short bench-module micro figures chaos-short chaos cluster-smoke telemetry-demo profile profile-sim xl
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,30 @@ deadpkgs:
 		case $$p in */wiretest) continue;; esac; \
 		echo "$$deps" | grep -qxF "$$p" || { echo "deadpkgs: no binary or example imports $$p"; dead=1; }; \
 	done; [ -z "$$dead" ]
+
+# unlinked lists, with file and line, the root module's functions that
+# no binary, example or the repository benchmark (bench/cmd/ptbench)
+# links, then their count (EXPERIMENTS "Reachability"). Built with
+# inlining off, every function a program calls keeps a symbol and the
+# linker's dead-code pass drops the rest; the perl folds generic
+# instantiations, closures and method values into the function they
+# belong to. Declarations are read from the files git tracks. Not a
+# gate: a test seam is unlinked by design. Output lands in bin/unlinked.
+unlinked:
+	@export LC_ALL=C; out=bin/unlinked; rm -rf $$out; mkdir -p $$out/bin; \
+	for d in cmd/* examples/*; do $(GO) build -gcflags=all=-l -o $$out/bin/$$(basename $$d) ./$$d || exit 1; done; \
+	(cd bench && $(GO) build -gcflags=all=-l -o ../$$out/bin/ptbench ./cmd/ptbench) || exit 1; \
+	for b in $$out/bin/*; do \
+		$(GO) tool nm $$b | awk '$$2 ~ /^[Tt]$$/ { $$1 = $$2 = ""; print substr($$0, 3) }' | \
+			perl -pe 's/\[(?:[^\[\]]++|(?R))*\]//g; s/\.func[0-9.]+$$|-fm$$//; s/^main\./main\/'$$(basename $$b)'./'; \
+	done | sort -u > $$out/linked; \
+	git ls-files '*.go' ':!:*_test.go' ':!:bench/' | while read f; do \
+		d=$$(dirname $$f); p=peertrack/$$d; [ $$d = . ] && p=peertrack; \
+		case $$d in cmd/*|examples/*) p=main/$$(basename $$d);; esac; \
+		perl -ne 'print "'$$p'.", ($$2 ? ($$1 ? "($$1$$2)." : "$$2.") : ""), "$$3\t'$$f':$$.\n" if /^func (?:\(\w+ (\*?)(\w+)(?:\[[^\]]*\])?\) )?(\w+)/ && $$3 ne "init"' $$f; \
+	done | sort > $$out/declared; \
+	join -t "$$(printf '\t')" -v 1 $$out/declared $$out/linked > $$out/unlinked; \
+	cat $$out/unlinked; echo "unlinked: $$(wc -l < $$out/unlinked) functions"
 
 # loc prints the table every CHANGES.md entry reports: non-test and test
 # Go lines of the root package, of each directory under internal/ and

@@ -260,7 +260,7 @@ func BenchmarkFleetSettle(b *testing.B) {
 		before, fleetHops, worst := fleetCalls(nodes, "transport.call.type."), 0, 0
 		for _, n := range nodes {
 			for p := 0; p < 64; p++ {
-				res, err := n.chord.Lookup(ids.KeyOf(ids.ID{byte(p << 2)}, 6).GatewayID())
+				res, err := n.peer.Node().Lookup(ids.KeyOf(ids.ID{byte(p << 2)}, 6).GatewayID())
 				if err != nil {
 					b.Fatal(err)
 				}

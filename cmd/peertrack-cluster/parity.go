@@ -13,8 +13,8 @@ import (
 
 // Parity compares the live cluster's healthy-phase protocol traffic
 // against a simulated twin running the identical workload shape. The
-// two stacks share every line of protocol code and run the same
-// maintenance table (core.Maintained) at the same cadences for the same
+// two stacks build their peers through one constructor (core.NewPeer)
+// and run the same maintenance table at the same cadences for the same
 // span of time — wall time on one side, virtual on the other; what
 // differs is the transport (TCP vs synchronous memory) and the
 // identities (ip:port vs org-names, so ring geometry and gateway
@@ -61,11 +61,11 @@ func runSimTwin(nodes, replicas int, objects []string, seed int64, span time.Dur
 			NMax:              1024,
 			ReplicationFactor: replicas,
 		},
+		Gossip: &gossip.Config{},
 	})
 	if err != nil {
 		return simTwinResult{}, err
 	}
-	nw.EnableGossip(gossip.Config{})
 	obss := make([]moods.Observation, len(objects))
 	for i, obj := range objects {
 		obss[i] = moods.Observation{Object: moods.ObjectID(obj), Node: core.NodeNameFor(i % nodes), At: observeAt(i)}

@@ -133,7 +133,7 @@ func fleetViolations(nodes []*Node, oracle *moods.HistoryStore) []invariants.Vio
 	peers := make([]*core.Peer, len(nodes))
 	ring := make([]*chord.Node, len(nodes))
 	for i, n := range nodes {
-		peers[i], ring[i] = n.peer, n.chord
+		peers[i], ring[i] = n.peer, n.peer.Node()
 	}
 	for start := time.Now(); len(invariants.CheckRing(ring)) > 0 && time.Since(start) < 10*time.Second; {
 		time.Sleep(10 * time.Millisecond)

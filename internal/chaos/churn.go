@@ -122,7 +122,7 @@ type churnRunner struct {
 	mem     *transport.Memory
 	tel     *telemetry.Registry
 	rng     *rand.Rand
-	members []core.Maintained // live membership (node + optional agent), sorted by address
+	members []*core.Peer // live membership, sorted by address; peers with no traffic
 }
 
 // RunChurn executes one churn scenario deterministically.
@@ -138,26 +138,32 @@ func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
 	r.mem.SetTelemetry(r.tel)
 	defer func() { rep.Telemetry = r.tel.Snapshot() }()
 
-	addrs := make([]transport.Addr, churnNodes)
-	for i := range addrs {
-		addrs[i] = transport.Addr(core.NodeNameFor(i))
+	// In gossip mode every peer gets an agent; its view is seeded from
+	// the wired ring below.
+	var agent *gossip.Config
+	if cfg.Gossip {
+		agent = &gossip.Config{Seed: cfg.Seed}
 	}
-	nodes, err := chord.BuildStaticRing(r.mem, addrs, chord.Config{SuccessorListLen: churnSuccessors})
-	if err != nil {
-		rep.harnessFail("build ring: %v", err)
-		return rep
+	pm := core.NewPrefixManager(core.Scheme2, core.LMin, churnNodes)
+	for i := 0; i < churnNodes; i++ {
+		p, err := core.NewPeer(r.mem, transport.Addr(core.NodeNameFor(i)), false, chord.Config{SuccessorListLen: churnSuccessors}, pm, core.Config{}, r.kernel.Now, r.tel, agent)
+		if err != nil {
+			rep.harnessFail("build ring: %v", err)
+			return rep
+		}
+		r.members = append(r.members, p)
 	}
-	for _, n := range nodes {
-		n.SetTelemetry(r.tel)
-		r.members = append(r.members, r.wire(n))
-	}
+	chord.WireStaticRing(r.liveNodes())
 	r.sortMembers()
 
 	if cfg.Gossip {
+		for _, p := range r.members {
+			p.Gossip().SeedView(p.Node().Successors())
+		}
 		// Mix views and samplers before the first fault: each warmup
 		// round is one kernel-driven gossip round per node.
 		for w := 0; w < churnWarmupRounds; w++ {
-			r.step(func(m core.Maintained) { m.Gossip.Round() })
+			r.step(func(p *core.Peer) { p.Gossip().Round() })
 		}
 	}
 
@@ -167,7 +173,7 @@ func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
 
 		// One maintenance round, the unit the budget counts: the overlay
 		// rows of the maintenance table on every live node.
-		maintain := func() { r.step(core.Maintained.OverlayRound) }
+		maintain := func() { r.step((*core.Peer).OverlayRound) }
 		rounds, vs := invariants.CheckReconvergence(r.liveNodes(), maintain, churnBudget)
 		rep.Converge = append(rep.Converge, rounds)
 		if len(vs) > 0 {
@@ -178,38 +184,18 @@ func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
 	return rep
 }
 
-// wire attaches telemetry and (in gossip mode) a membership agent to a
-// node, chaining the agent's RPCs through the node's app handler.
-func (r *churnRunner) wire(n *chord.Node) core.Maintained {
-	m := core.Maintained{Chord: n}
-	if !r.cfg.Gossip {
-		return m
-	}
-	a := gossip.New(r.mem, n.Self(), gossip.Config{Seed: gossip.SeedFor(r.cfg.Seed, n.Addr())})
-	a.SetTelemetry(r.tel)
-	n.SetAppHandler(func(from transport.Addr, req any) (any, error) {
-		if resp, handled, err := a.HandleRPC(from, req); handled {
-			return resp, err
-		}
-		return nil, fmt.Errorf("chaos: unknown request %T", req)
-	})
-	a.SeedView(n.Successors())
-	m.Gossip = a
-	return m
-}
-
 // sortMembers keeps the maintenance order deterministic: by address.
 func (r *churnRunner) sortMembers() {
 	sort.Slice(r.members, func(i, j int) bool {
-		return r.members[i].Chord.Addr() < r.members[j].Chord.Addr()
+		return r.members[i].Addr() < r.members[j].Addr()
 	})
 }
 
 // liveNodes projects the live membership for the invariant checker.
 func (r *churnRunner) liveNodes() []*chord.Node {
 	out := make([]*chord.Node, len(r.members))
-	for i, m := range r.members {
-		out[i] = m.Chord
+	for i, p := range r.members {
+		out[i] = p.Node()
 	}
 	return out
 }
@@ -217,10 +203,10 @@ func (r *churnRunner) liveNodes() []*chord.Node {
 // step runs fn over the live membership in address order, inside one
 // sim-kernel event one churnRoundInterval ahead — maintenance is scheduled
 // wall-clock-free on virtual time like every other periodic process.
-func (r *churnRunner) step(fn func(core.Maintained)) {
+func (r *churnRunner) step(fn func(*core.Peer)) {
 	r.kernel.Schedule(churnRoundInterval, func() {
-		for _, m := range r.members {
-			fn(m)
+		for _, p := range r.members {
+			fn(p)
 		}
 	})
 	r.kernel.Run()
@@ -235,9 +221,9 @@ func (r *churnRunner) crashSegment() {
 	if k <= 0 {
 		return
 	}
-	ring := append([]core.Maintained(nil), r.members...)
+	ring := append([]*core.Peer(nil), r.members...)
 	sort.Slice(ring, func(i, j int) bool {
-		return ring[i].Chord.ID().Less(ring[j].Chord.ID())
+		return ring[i].Node().ID().Less(ring[j].Node().ID())
 	})
 	start := r.rng.Intn(len(ring))
 	for i := 0; i < k; i++ {
@@ -254,13 +240,13 @@ func (r *churnRunner) crashBudget(want int) int {
 // kill crashes one member: its transport endpoint dies mid-protocol (no
 // leave, no rewiring, no revival) and it drops out of the maintenance
 // schedule and the invariant projection.
-func (r *churnRunner) kill(victim core.Maintained) {
-	r.mem.Kill(victim.Chord.Addr())
-	if victim.Gossip != nil {
-		victim.Gossip.Stop()
+func (r *churnRunner) kill(victim *core.Peer) {
+	r.mem.Kill(victim.Addr())
+	if g := victim.Gossip(); g != nil {
+		g.Stop()
 	}
-	for i, m := range r.members {
-		if m == victim {
+	for i, p := range r.members {
+		if p == victim {
 			r.members = append(r.members[:i], r.members[i+1:]...)
 			break
 		}

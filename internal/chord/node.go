@@ -136,7 +136,7 @@ func (n *Node) lock() {
 // a dead neighbour (a round failing over, CheckPredecessor clearing) is
 // repair and fires nothing, nor does WireStaticRing. fn runs with the
 // node lock released, possibly on an RPC handler goroutine, and must not
-// block; core.Maintained.Install uses it to pull stabilize rounds in.
+// block; core.Peer.Install uses it to pull stabilize rounds in.
 func (n *Node) OnRingChange(fn func()) {
 	n.lock()
 	defer n.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"peertrack/internal/chord"
 	"peertrack/internal/core"
@@ -28,38 +29,36 @@ const (
 	repairBudget  = 20
 )
 
-// repairScenario builds a static ring, optionally attaches gossip
-// agents (with warm views), crashes a deterministic ring segment, and
-// returns the maintenance rounds consumed plus any residual violations.
+// repairScenario builds a static ring of peers with no traffic,
+// optionally with gossip agents (with warm views), crashes a
+// deterministic ring segment, and returns the maintenance rounds
+// consumed plus any residual violations.
 func repairScenario(t *testing.T, seed int64, withGossip bool) (int, []invariants.Violation) {
 	t.Helper()
 	mem := transport.NewMemory(seed)
-	addrs := make([]transport.Addr, repairNodes)
-	for i := range addrs {
-		addrs[i] = transport.Addr(fmt.Sprintf("repair-%03d", i))
+	var agent *gossip.Config
+	if withGossip {
+		agent = &gossip.Config{Seed: seed}
 	}
-	nodes, err := chord.BuildStaticRing(mem, addrs, chord.Config{SuccessorListLen: repairSuccs})
-	if err != nil {
-		t.Fatal(err)
+	pm := core.NewPrefixManager(core.Scheme2, core.LMin, repairNodes)
+	peers := map[transport.Addr]*core.Peer{}
+	var nodes []*chord.Node
+	for i := 0; i < repairNodes; i++ {
+		p, err := core.NewPeer(mem, transport.Addr(fmt.Sprintf("repair-%03d", i)), false, chord.Config{SuccessorListLen: repairSuccs}, pm, core.Config{}, func() time.Duration { return 0 }, nil, agent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[p.Addr()], nodes = p, append(nodes, p.Node())
 	}
+	chord.WireStaticRing(nodes)
 
-	agents := map[transport.Addr]*gossip.Agent{}
 	if withGossip {
 		for _, n := range nodes {
-			n := n
-			a := gossip.New(mem, n.Self(), gossip.Config{Seed: gossip.SeedFor(seed, n.Addr())})
-			n.SetAppHandler(func(from transport.Addr, req any) (any, error) {
-				if resp, handled, err := a.HandleRPC(from, req); handled {
-					return resp, err
-				}
-				return nil, fmt.Errorf("unhandled %T", req)
-			})
-			a.SeedView(n.Successors())
-			agents[n.Addr()] = a
+			peers[n.Addr()].Gossip().SeedView(n.Successors())
 		}
 		for w := 0; w < 8; w++ {
 			for _, n := range nodes {
-				agents[n.Addr()].Round()
+				peers[n.Addr()].Gossip().Round()
 			}
 		}
 	}
@@ -74,7 +73,7 @@ func repairScenario(t *testing.T, seed int64, withGossip bool) (int, []invariant
 		victim := ring[1+i]
 		mem.Kill(victim.Addr())
 		dead[victim.Addr()] = true
-		if a := agents[victim.Addr()]; a != nil {
+		if a := peers[victim.Addr()].Gossip(); a != nil {
 			a.Stop()
 		}
 	}
@@ -87,7 +86,7 @@ func repairScenario(t *testing.T, seed int64, withGossip bool) (int, []invariant
 
 	maintain := func() {
 		for _, n := range live {
-			core.Maintained{Chord: n, Gossip: agents[n.Addr()]}.OverlayRound()
+			peers[n.Addr()].OverlayRound()
 		}
 	}
 	return invariants.CheckReconvergence(live, maintain, repairBudget)

@@ -247,7 +247,7 @@ func (n *Node) CheckPredecessor() {
 
 // Leave departs the ring voluntarily: neighbours are relinked and the
 // node stops serving RPCs. It migrates no keys: the application layer
-// hands them over first (core.Maintained.Shutdown gives every gateway
+// hands them over first (core.Peer.Shutdown gives every gateway
 // bucket to the successor).
 func (n *Node) Leave() error {
 	n.lock()

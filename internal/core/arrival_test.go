@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"peertrack/internal/chord"
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 	"peertrack/internal/transport"
@@ -172,12 +171,12 @@ func TestArrivalStillPartitions(t *testing.T) {
 		nw.Transport.Kill(gw.Addr())
 		for r := 0; r < 8; r++ {
 			for _, p := range othersThan(nw, 15, gw) {
-				p.Node().(*chord.Node).CheckPredecessor()
-				p.Node().(*chord.Node).Stabilize()
+				p.Node().CheckPredecessor()
+				p.Node().Stabilize()
 			}
 		}
 		for _, p := range othersThan(nw, 15, gw) {
-			p.Node().(*chord.Node).FixAllFingers()
+			p.Node().FixAllFingers()
 			p.InvalidateGatewayCache()
 		}
 		for i, obj := range objs {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"peertrack/internal/chord"
 	"peertrack/internal/transport"
 	"peertrack/internal/workload"
 )
@@ -65,7 +64,7 @@ func TestDuplicateDeliveryKeepsTracesExact(t *testing.T) {
 					nw := buildNet(t, 32, Config{Mode: mode})
 					d := &duplicator{period: period, delay: delay, replayed: map[string]int{}}
 					for _, p := range nw.Peers() {
-						nw.Transport.Register(p.Addr(), d.wrap(p.Node().(*chord.Node).HandleRPC))
+						nw.Transport.Register(p.Addr(), d.wrap(p.Node().HandleRPC))
 					}
 					wl, err := workload.PaperSpec{
 						Nodes: nodeNames(32), ObjectsPerNode: 200, MoveFraction: 0.10, TraceLen: 10,

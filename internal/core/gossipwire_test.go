@@ -13,11 +13,10 @@ import (
 // re-resolves through the repaired ring, re-delegating the group) and
 // unrelated entries survive.
 func TestDeadGatewayEviction(t *testing.T) {
-	nw, err := BuildNetwork(NetworkConfig{Nodes: 8, Seed: 3})
+	nw, err := BuildNetwork(NetworkConfig{Nodes: 8, Seed: 3, Gossip: &gossip.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.EnableGossip(gossip.Config{})
 	for i := 0; i < 6; i++ {
 		for _, p := range nw.Peers() {
 			p.gossip.Round()
@@ -67,13 +66,12 @@ func TestDeadGatewayEviction(t *testing.T) {
 }
 
 // TestGrowAttachesGossip pins the lifecycle wiring: peers added after
-// EnableGossip get agents automatically, and leavers' agents stop.
+// NetworkConfig.Gossip get agents automatically, and leavers' agents stop.
 func TestGrowAttachesGossip(t *testing.T) {
-	nw, err := BuildNetwork(NetworkConfig{Nodes: 8, Seed: 4})
+	nw, err := BuildNetwork(NetworkConfig{Nodes: 8, Seed: 4, Gossip: &gossip.Config{SampleSlots: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.EnableGossip(gossip.Config{SampleSlots: 16})
 	if _, _, err := nw.Grow(8); err != nil {
 		t.Fatal(err)
 	}

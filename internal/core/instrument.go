@@ -60,9 +60,9 @@ var (
 	noteWalk           = telemetry.NewNote("IOP walk: visit arrived %v")
 )
 
-// SetTelemetry attaches a registry; wire before traffic starts (the
-// handles are read without a lock). A nil registry detaches.
-func (p *Peer) SetTelemetry(reg *telemetry.Registry) {
+// setTelemetry builds the handles on reg (NewPeer); a nil registry
+// leaves every handle a no-op.
+func (p *Peer) setTelemetry(reg *telemetry.Registry) {
 	p.tel = peerTelemetry{
 		reg:    reg,
 		tracer: reg.Tracer(),

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"peertrack/internal/chord"
-	"peertrack/internal/gossip"
 	"peertrack/internal/netsize"
 	"peertrack/internal/sim"
 )
@@ -14,7 +13,8 @@ import (
 // ratios. It is written once, as maintenanceTable; a live node pumps it
 // by the wall clock (peertrack.Node), a simulated network runs it to a
 // horizon (StartMaintenance), the churn harnesses step its overlay rows
-// by hand (OverlayRound). DESIGN.md §15 has the reason for each row.
+// by hand (OverlayRound). Each row is a *Peer method. DESIGN.md §15 has
+// the reason for each row.
 
 // Cadences are the table's only inputs, the four periods a deployment
 // sets (peertrack.NodeOptions carries the same four). A cadence ≤ 0
@@ -43,38 +43,25 @@ const (
 	catchUpBackoff = 2
 )
 
-// Maintained is one participant as the table sees it. Gossip is nil
-// when the membership agent is off; the rows that need it then do
-// nothing. Peer is nil only in a Chord-level harness, which runs
-// OverlayRound alone. SizePinned: the network-size estimate is set from
-// outside (an operator pin, or a simulation's shared PrefixManager fed
-// the true node count).
-type Maintained struct {
-	Chord      *chord.Node
-	Gossip     *gossip.Agent
-	Peer       *Peer
-	SizePinned bool
-}
-
 // maintenanceRow is one periodic task.
 type maintenanceRow struct {
 	name  string
 	every func(Cadences) time.Duration
-	run   func(Maintained)
+	run   func(*Peer)
 }
 
 // maintenanceTable is the schedule. Rows due at the same instant run in
 // the order listed, whatever their cadences (sim.Kernel.Every keeps
 // install order). The first overlayRows rows touch only Chord and the
-// membership agent.
+// membership agent; the rows that need the agent do nothing without one.
 var maintenanceTable = []maintenanceRow{
-	{"gossip-round", func(c Cadences) time.Duration { return c.Gossip }, Maintained.gossipRound},
-	{"successor-repair", func(c Cadences) time.Duration { return c.Gossip }, Maintained.repairSuccessors},
-	{"stabilize", func(c Cadences) time.Duration { return c.Stabilize }, Maintained.stabilize},
-	{"window-flush", func(c Cadences) time.Duration { return c.Window }, Maintained.flushWindow},
-	{"refresh", func(c Cadences) time.Duration { return refreshEvery * c.Stabilize }, func(m Maintained) { m.refresh() }},
-	{"replica-gc", func(c Cadences) time.Duration { return replicaGCEvery * c.ReplicaSync }, Maintained.replicaGC},
-	{"replica-sync", func(c Cadences) time.Duration { return c.ReplicaSync }, Maintained.replicaSync},
+	{"gossip-round", func(c Cadences) time.Duration { return c.Gossip }, (*Peer).gossipRound},
+	{"successor-repair", func(c Cadences) time.Duration { return c.Gossip }, (*Peer).repairSuccessors},
+	{"stabilize", func(c Cadences) time.Duration { return c.Stabilize }, (*Peer).stabilize},
+	{"window-flush", func(c Cadences) time.Duration { return c.Window }, func(p *Peer) { p.FlushWindow() }},
+	{"refresh", func(c Cadences) time.Duration { return refreshEvery * c.Stabilize }, func(p *Peer) { p.refresh() }},
+	{"replica-gc", func(c Cadences) time.Duration { return replicaGCEvery * c.ReplicaSync }, (*Peer).replicaGC},
+	{"replica-sync", func(c Cadences) time.Duration { return c.ReplicaSync }, (*Peer).replicaSync},
 }
 
 const overlayRows = 3
@@ -82,7 +69,7 @@ const overlayRows = 3
 // installMaintenance schedules every row of table on k until the
 // horizon. each enumerates the participants at firing time, so a network
 // whose membership changes is followed without re-installing.
-func installMaintenance(k *sim.Kernel, table []maintenanceRow, c Cadences, until sim.Time, each func(visit func(Maintained))) {
+func installMaintenance(k *sim.Kernel, table []maintenanceRow, c Cadences, until sim.Time, each func(visit func(*Peer))) {
 	for _, row := range table {
 		if d := row.every(c); d > 0 {
 			k.Every(d, until, func() { each(row.run) })
@@ -93,11 +80,11 @@ func installMaintenance(k *sim.Kernel, table []maintenanceRow, c Cadences, until
 // Install schedules the table for this one participant on k. A live
 // node passes sim.Forever and pumps k by the wall clock. Whoever installs
 // the table calls the returned function, on the goroutine that steps k,
-// each time m.Chord reports a ring change (chord.Node.OnRingChange): it
-// starts the catch-up chain.
-func (m Maintained) Install(k *sim.Kernel, c Cadences, until sim.Time) (ringChanged func()) {
-	installMaintenance(k, maintenanceTable, c, until, func(visit func(Maintained)) { visit(m) })
-	return (&catchUp{k: k, m: m, every: c.Stabilize, until: until}).ringChanged
+// each time the peer's node reports a ring change
+// (chord.Node.OnRingChange): it starts the catch-up chain.
+func (p *Peer) Install(k *sim.Kernel, c Cadences, until sim.Time) (ringChanged func()) {
+	installMaintenance(k, maintenanceTable, c, until, func(visit func(*Peer)) { visit(p) })
+	return p.catchUp(k, c.Stabilize, until)
 }
 
 // StartMaintenance schedules the table for every peer of the network
@@ -105,24 +92,15 @@ func (m Maintained) Install(k *sim.Kernel, c Cadences, until sim.Time) (ringChan
 // flush: use it instead of StartWindows, not beside it. Every peer, and
 // every peer Grow adds later, gets a catch-up chain.
 func (nw *Network) StartMaintenance(c Cadences, until time.Duration) {
-	installMaintenance(nw.Kernel, maintenanceTable, c, until, func(visit func(Maintained)) {
+	installMaintenance(nw.Kernel, maintenanceTable, c, until, func(visit func(*Peer)) {
 		for _, p := range nw.peers {
-			visit(nw.maintained(p))
+			visit(p)
 		}
 	})
-	chain := func(p *Peer) {
-		m := nw.maintained(p)
-		m.Chord.OnRingChange((&catchUp{k: nw.Kernel, m: m, every: c.Stabilize, until: until}).ringChanged)
-	}
-	nw.joining = append(nw.joining, chain)
+	nw.catchUpEvery, nw.catchUpUntil = c.Stabilize, until
 	for _, p := range nw.peers {
-		chain(p)
+		p.chord.OnRingChange(p.catchUp(nw.Kernel, c.Stabilize, until))
 	}
-}
-
-// maintained is p as the table sees it now.
-func (nw *Network) maintained(p *Peer) Maintained {
-	return Maintained{Chord: p.node.(*chord.Node), Gossip: p.gossip, Peer: p, SizePinned: true}
 }
 
 // catchUp is one participant's catch-up chain: one-shot rounds of the
@@ -133,18 +111,23 @@ func (nw *Network) maintained(p *Peer) Maintained {
 // do not move keeps exactly the table's schedule.
 type catchUp struct {
 	k       *sim.Kernel
-	m       Maintained
+	p       *Peer
 	every   time.Duration // the stabilize row's cadence
 	until   sim.Time
 	gap     time.Duration // before the pending round; 0 when none is pending
-	changes uint64        // m.Chord.RingChanges() when that round was scheduled
+	changes uint64        // p.chord.RingChanges() when that round was scheduled
+}
+
+// catchUp returns a new chain's ringChanged for p on k.
+func (p *Peer) catchUp(k *sim.Kernel, every time.Duration, until sim.Time) func() {
+	return (&catchUp{k: k, p: p, every: every, until: until}).ringChanged
 }
 
 // ringChanged starts the chain unless a round is already pending; that
 // round will see the change for itself.
 func (c *catchUp) ringChanged() {
-	if c.gap == 0 && c.every > 0 && !c.m.Chord.Repairing() {
-		c.changes = c.m.Chord.RingChanges()
+	if c.gap == 0 && c.every > 0 && !c.p.chord.Repairing() {
+		c.changes = c.p.chord.RingChanges()
 		c.schedule(c.every/catchUpFirst, 0)
 	}
 }
@@ -154,15 +137,15 @@ func (c *catchUp) ringChanged() {
 // row's, has met a dead successor: the failure detector and the row own
 // a dead neighbour, which must not be probed at the chain's pace.
 func (c *catchUp) round() {
-	start := c.m.Peer.clock()
-	c.m.stabilize()
-	took := c.m.Peer.clock() - start
-	gap, changes := c.gap*catchUpBackoff, c.m.Chord.RingChanges()
+	start := c.p.clock()
+	c.p.stabilize()
+	took := c.p.clock() - start
+	gap, changes := c.gap*catchUpBackoff, c.p.chord.RingChanges()
 	if changes != c.changes {
 		gap = c.every / catchUpFirst
 	}
 	c.changes, c.gap = changes, 0
-	if !c.m.Chord.Repairing() {
+	if !c.p.chord.Repairing() {
 		c.schedule(gap, took)
 	}
 }
@@ -183,21 +166,21 @@ func (c *catchUp) schedule(gap, took time.Duration) {
 
 // OverlayRound runs the overlay rows once, in table order: one round as
 // the reconvergence budget of the churn harnesses counts them.
-func (m Maintained) OverlayRound() {
+func (p *Peer) OverlayRound() {
 	for _, row := range maintenanceTable[:overlayRows] {
-		row.run(m)
+		row.run(p)
 	}
 }
 
-func (m Maintained) gossipRound() {
-	if m.Gossip != nil {
-		m.Gossip.Round()
+func (p *Peer) gossipRound() {
+	if p.gossip != nil {
+		p.gossip.Round()
 	}
 }
 
-func (m Maintained) repairSuccessors() {
-	if m.Gossip != nil {
-		m.Chord.RepairFromSamples(m.Gossip.Samples(), m.Gossip.IsDead)
+func (p *Peer) repairSuccessors() {
+	if p.gossip != nil {
+		p.chord.RepairFromSamples(p.gossip.Samples(), p.gossip.IsDead)
 	}
 }
 
@@ -205,39 +188,38 @@ func (m Maintained) repairSuccessors() {
 // evidence against the whole successor list; reporting every entry to
 // the failure detector is what lets the next repair drop the condemned
 // ones and a stranded node escape.
-func (m Maintained) stabilize() {
-	m.Chord.CheckPredecessor()
-	if err := m.Chord.Stabilize(); err != nil && m.Gossip != nil {
-		for _, s := range m.Chord.Successors() {
-			if !s.Equal(m.Chord.Self()) {
-				m.Gossip.Suspect(s)
+func (p *Peer) stabilize() {
+	p.chord.CheckPredecessor()
+	if err := p.chord.Stabilize(); err != nil && p.gossip != nil {
+		for _, s := range p.chord.Successors() {
+			if !s.Equal(p.chord.Self()) {
+				p.gossip.Suspect(s)
 			}
 		}
 	}
-	m.Chord.FixFingers()
+	p.chord.FixFingers()
 }
-
-func (m Maintained) flushWindow() { m.Peer.FlushWindow() }
 
 // refresh re-derives Lp, then re-homes every bucket whose level or
 // gateway placement went stale (ring convergence, membership change),
 // one reconcile step per firing. It returns the buckets moved.
-func (m Maintained) refresh() int {
-	m.refreshSize()
-	m.Peer.InvalidateGatewayCache()
-	return m.Peer.ReconcileStep()
+func (p *Peer) refresh() int {
+	p.refreshSize()
+	p.InvalidateGatewayCache()
+	return p.ReconcileStep()
 }
 
 // refreshSize re-estimates Nn from the density of the successor list
-// unless the size is pinned, and drops cached gateway resolutions when
-// Lp moved: the refresh row's first step, and a joiner's last.
-func (m Maintained) refreshSize() {
-	if m.SizePinned {
+// unless the size is pinned (PrefixManager), and drops cached gateway
+// resolutions when Lp moved: the refresh row's first step, and a
+// joiner's last.
+func (p *Peer) refreshSize() {
+	if p.pm.pinned {
 		return
 	}
-	if est := netsize.DensityEstimate(m.Chord.Self(), m.Chord.Successors()); est > 1 {
-		if old, cur := m.Peer.pm.SetNetworkSize(est); cur != old {
-			m.Peer.InvalidateGatewayCache()
+	if est := netsize.DensityEstimate(p.chord.Self(), p.chord.Successors()); est > 1 {
+		if old, cur := p.pm.SetNetworkSize(est); cur != old {
+			p.InvalidateGatewayCache()
 		}
 	}
 }
@@ -245,32 +227,32 @@ func (m Maintained) refreshSize() {
 // replicaGC closes a repair generation and opens the next. Drop runs
 // before Begin: it judges the previous generation, whose probes have
 // all had time to arrive. (The replica rows are no-ops at factor 1.)
-func (m Maintained) replicaGC() {
-	m.Peer.DropStaleReplicas()
-	m.Peer.BeginReplicaSync()
+func (p *Peer) replicaGC() {
+	p.DropStaleReplicas()
+	p.BeginReplicaSync()
 }
 
 // replicaSync promotes held units this node now owns and probes every
 // owned unit's mirrors; the probe is also the liveness touch that keeps
 // a mirror's copy out of the next collection.
-func (m Maintained) replicaSync() {
-	m.Peer.PromoteOwnedReplicas()
-	m.Peer.SyncOwnedReplicas()
+func (p *Peer) replicaSync() {
+	p.PromoteOwnedReplicas()
+	p.SyncOwnedReplicas()
 }
 
 // Join is the one join path, a live node's and a simulated one's: enter
 // the ring through bootstrap, then one gossip exchange (a joiner nobody
 // has heard of cannot be declared dead if it crashes), then a size
 // estimate.
-func (m Maintained) Join(bootstrap chord.NodeRef) error {
-	if err := m.Chord.Join(bootstrap); err != nil {
+func (p *Peer) Join(bootstrap chord.NodeRef) error {
+	if err := p.chord.Join(bootstrap); err != nil {
 		return err
 	}
-	if m.Gossip != nil {
-		m.Gossip.SeedView(m.Chord.Successors())
-		m.Gossip.Round()
+	if p.gossip != nil {
+		p.gossip.SeedView(p.chord.Successors())
+		p.gossip.Round()
 	}
-	m.refreshSize()
+	p.refreshSize()
 	return nil
 }
 
@@ -280,17 +262,17 @@ func (m Maintained) Join(bootstrap chord.NodeRef) error {
 // gateway bucket to the ring successor, which takes over this node's
 // part of the ring, until a hand-off fails (the successor is gone); then
 // the agent stops and the node leaves the ring.
-func (m Maintained) Shutdown() error {
-	m.flushWindow()
-	if succ := m.Chord.Successor(); !succ.Equal(m.Chord.Self()) {
-		for _, key := range m.Peer.gw.bucketKeys() { // sorted
-			if _, err := m.Peer.handOff(key, succ.Addr); err != nil {
+func (p *Peer) Shutdown() error {
+	p.FlushWindow()
+	if succ := p.chord.Successor(); !succ.Equal(p.chord.Self()) {
+		for _, key := range p.gw.bucketKeys() { // sorted
+			if _, err := p.handOff(key, succ.Addr); err != nil {
 				break
 			}
 		}
 	}
-	if m.Gossip != nil {
-		m.Gossip.Stop()
+	if p.gossip != nil {
+		p.gossip.Stop()
 	}
-	return m.Chord.Leave()
+	return p.chord.Leave()
 }

@@ -25,11 +25,10 @@ var nodeDefaults = Cadences{
 
 func maintainedNet(t *testing.T) *Network {
 	t.Helper()
-	nw, err := BuildNetwork(NetworkConfig{Nodes: 6, Seed: 3, Peer: Config{ReplicationFactor: 2}})
+	nw, err := BuildNetwork(NetworkConfig{Nodes: 6, Seed: 3, Peer: Config{ReplicationFactor: 2}, Gossip: &gossip.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.EnableGossip(gossip.Config{})
 	return nw
 }
 
@@ -58,7 +57,6 @@ func TestMaintenanceTableSchedule(t *testing.T) {
 
 	nw := maintainedNet(t)
 	p := nw.Peers()[0]
-	m := Maintained{Chord: p.Node().(*chord.Node), Gossip: p.gossip, Peer: p, SizePinned: true}
 
 	type firing struct {
 		at   time.Duration
@@ -67,12 +65,12 @@ func TestMaintenanceTableSchedule(t *testing.T) {
 	var log []firing
 	traced := append([]maintenanceRow(nil), maintenanceTable...)
 	for i, row := range maintenanceTable {
-		traced[i].run = func(m Maintained) {
+		traced[i].run = func(p *Peer) {
 			log = append(log, firing{nw.Kernel.Now(), row.name})
-			row.run(m)
+			row.run(p)
 		}
 	}
-	installMaintenance(nw.Kernel, traced, nodeDefaults, time.Minute, func(visit func(Maintained)) { visit(m) })
+	installMaintenance(nw.Kernel, traced, nodeDefaults, time.Minute, func(visit func(*Peer)) { visit(p) })
 	if end := nw.Kernel.Run(); end != time.Minute {
 		t.Fatalf("kernel drained at %v, want the 60s horizon", end)
 	}
@@ -180,15 +178,13 @@ func joinBurst(t *testing.T, n int, until sim.Time) burst {
 	t.Helper()
 	b := burst{k: sim.New(1), mem: transport.NewMemory(2)}
 	for i := 0; i < n; i++ {
-		cn, err := chord.New(b.mem, transport.Addr(NodeNameFor(i)), chord.Config{})
+		reg := telemetry.New(b.k.Now)
+		p, err := NewPeer(b.mem, transport.Addr(NodeNameFor(i)), false, chord.Config{}, NewPrefixManager(Scheme2, 3, float64(n)), Config{}, b.k.Now, reg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := telemetry.New(b.k.Now)
-		cn.SetTelemetry(reg)
-		p := NewPeer(cn, b.mem, NewPrefixManager(Scheme2, 3, float64(n)), Config{}, b.k.Now)
-		cn.OnRingChange(Maintained{Chord: cn, Peer: p, SizePinned: true}.Install(b.k, nodeDefaults, until))
-		b.nodes, b.regs = append(b.nodes, cn), append(b.regs, reg)
+		p.Node().OnRingChange(p.Install(b.k, nodeDefaults, until))
+		b.nodes, b.regs = append(b.nodes, p.Node()), append(b.regs, reg)
 	}
 	for _, cn := range b.nodes[1:] {
 		if err := cn.Join(b.nodes[0].Self()); err != nil {

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"peertrack/internal/chord"
+	"peertrack/internal/gossip"
 	"peertrack/internal/moods"
 	"peertrack/internal/sim"
 	"peertrack/internal/telemetry"
@@ -37,9 +38,11 @@ type Network struct {
 	byName map[moods.NodeName]*Peer
 	cfg    NetworkConfig
 
-	// joining is what EnableGossip and StartMaintenance gave every peer,
-	// in the order they ran; Grow gives it each joiner before it joins.
-	joining []func(*Peer)
+	// catchUpEvery and catchUpUntil are StartMaintenance's stabilize
+	// cadence and horizon, zero until it runs: Grow gives each joiner a
+	// catch-up chain on them before it joins.
+	catchUpEvery time.Duration
+	catchUpUntil sim.Time
 }
 
 // NetworkConfig configures BuildNetwork.
@@ -60,6 +63,9 @@ type NetworkConfig struct {
 	// objects) that copy dominates memory, and throughput measurements
 	// do not verify traces, so they turn it off.
 	NoOracle bool
+	// Gossip, when set, gives every peer, and every peer Grow adds, a
+	// membership agent; its Seed is replaced by the network's.
+	Gossip *gossip.Config
 }
 
 func (c *NetworkConfig) fill() {
@@ -71,6 +77,11 @@ func (c *NetworkConfig) fill() {
 	}
 	if c.HopLatency <= 0 {
 		c.HopLatency = 5 * time.Millisecond
+	}
+	if c.Gossip != nil {
+		g := *c.Gossip
+		g.Seed = c.Seed
+		c.Gossip = &g
 	}
 }
 
@@ -108,28 +119,29 @@ func BuildNetwork(cfg NetworkConfig) (*Network, error) {
 		cfg:        cfg,
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		if _, err := nw.addPeer(transport.Addr(NodeNameFor(i))); err != nil {
+		if _, err := nw.member(NodeNameFor(i)); err != nil {
 			return nil, err
 		}
 	}
 	chord.WireStaticRing(nw.ring())
 	nw.sortPeers()
+	for _, p := range nw.peers {
+		if p.gossip != nil {
+			p.gossip.SeedView(p.chord.Neighbors())
+		}
+	}
 	return nw, nil
 }
 
-// addPeer constructs a Chord node at addr, puts a peer on it and
-// registers the peer. The node is a ring of one until it is wired or
-// joins.
-func (nw *Network) addPeer(addr transport.Addr) (*Peer, error) {
-	n, err := chord.New(nw.Transport, addr, chord.Config{})
+// member builds the peer named name (NewPeer) and makes it a member. Its
+// node is a ring of one until the ring is wired or it joins.
+func (nw *Network) member(name moods.NodeName) (*Peer, error) {
+	p, err := NewPeer(nw.Transport, transport.Addr(name), false, chord.Config{}, nw.PM, nw.cfg.Peer, nw.Kernel.Now, nw.Telemetry, nw.cfg.Gossip)
 	if err != nil {
 		return nil, err
 	}
-	n.SetTelemetry(nw.Telemetry)
-	p := NewPeer(n, nw.Transport, nw.PM, nw.cfg.Peer, nw.Kernel.Now)
-	p.SetTelemetry(nw.Telemetry)
 	nw.peers = append(nw.peers, p)
-	nw.byName[p.Name()] = p
+	nw.byName[name] = p
 	return p, nil
 }
 
@@ -137,7 +149,7 @@ func (nw *Network) addPeer(addr transport.Addr) (*Peer, error) {
 func (nw *Network) ring() []*chord.Node {
 	nodes := make([]*chord.Node, len(nw.peers))
 	for i, p := range nw.peers {
-		nodes[i] = p.node.(*chord.Node)
+		nodes[i] = p.chord
 	}
 	return nodes
 }
@@ -267,26 +279,26 @@ func (nw *Network) IndexLoads() []float64 {
 }
 
 // Grow adds k peers, each joining through a member as a live node joins
-// (Maintained.Join), and settles. Returns (oldLp, newLp).
+// (Peer.Join), and settles. Returns (oldLp, newLp).
 func (nw *Network) Grow(k int) (int, int, error) {
 	// Take the lowest name indices not in use. After a Shrink the live
 	// indices need not be contiguous (peers are kept in ring order, so
 	// departures can leave holes anywhere), and reusing a live name would
 	// alias two peers onto one transport address and one chord ID.
-	bootstrap := nw.peers[0].node.(*chord.Node).Self()
+	bootstrap := nw.peers[0].chord.Self()
 	for i := 0; k > 0; i++ {
 		name := NodeNameFor(i)
 		if nw.byName[name] != nil {
 			continue
 		}
-		p, err := nw.addPeer(transport.Addr(name))
+		p, err := nw.member(name)
 		if err != nil {
 			return 0, 0, err
 		}
-		for _, give := range nw.joining {
-			give(p)
+		if nw.catchUpEvery > 0 {
+			p.chord.OnRingChange(p.catchUp(nw.Kernel, nw.catchUpEvery, nw.catchUpUntil))
 		}
-		if err := nw.maintained(p).Join(bootstrap); err != nil {
+		if err := p.Join(bootstrap); err != nil {
 			return 0, 0, fmt.Errorf("core: grow: %s: %w", name, err)
 		}
 		k--
@@ -296,7 +308,7 @@ func (nw *Network) Grow(k int) (int, int, error) {
 }
 
 // Shrink removes the last k peers in ring order as voluntary departures,
-// each leaving as a live node leaves (Maintained.Shutdown), in reverse
+// each leaving as a live node leaves (Peer.Shutdown), in reverse
 // ring order so that every successor handed buckets is a survivor, and
 // settles. The leavers' local repositories (their organisations' own
 // observation data) leave with them, as the paper's sovereignty model
@@ -308,7 +320,7 @@ func (nw *Network) Shrink(k int) (int, int, error) {
 	stay := len(nw.peers) - k
 	for i := len(nw.peers) - 1; i >= stay; i-- {
 		l := nw.peers[i]
-		if err := nw.maintained(l).Shutdown(); err != nil {
+		if err := l.Shutdown(); err != nil {
 			return 0, 0, fmt.Errorf("core: shrink: %s: %w", l.Addr(), err)
 		}
 		delete(nw.byName, l.Name())
@@ -343,7 +355,7 @@ func (nw *Network) settle() (oldLp, newLp int, err error) {
 		}
 		before := lists()
 		for _, p := range nw.peers {
-			nw.maintained(p).OverlayRound()
+			p.OverlayRound()
 		}
 		quiet = chord.Converged(ring) && slices.EqualFunc(before, lists(), slices.Equal)
 	}
@@ -353,7 +365,7 @@ func (nw *Network) settle() (oldLp, newLp int, err error) {
 		}
 		moved := 0
 		for _, p := range nw.peers {
-			moved += nw.maintained(p).refresh()
+			moved += p.refresh()
 		}
 		if moved == 0 {
 			break

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"peertrack/internal/chord"
 	"peertrack/internal/gossip"
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
@@ -97,8 +98,12 @@ const MaxDescent = 3
 const gatewayCacheSize = 8192
 
 // Peer is one traceable-network participant: a Chord node plus the
-// local repository, gateway storage, and the indexing/query protocols.
+// local repository, gateway storage, and the indexing/query protocols,
+// and the maintenance table's rows over them (maintenance.go).
 type Peer struct {
+	// chord is the peer's overlay node; node is the same node as the
+	// indexing and query paths route through it (a test may wrap it).
+	chord *chord.Node
 	node  overlay.Node
 	net   transport.Network
 	cfg   Config
@@ -132,36 +137,51 @@ type Peer struct {
 	gwCache refCache
 	lateTable
 
-	// tel is set once at wiring time (before traffic) and read without
-	// the lock on indexing and query paths.
-	tel peerTelemetry
-
-	// gossip, when attached, serves membership exchanges ahead of the
-	// traceability protocol and feeds dead-gateway verdicts into the
-	// resolution cache. Set once at wiring time (before traffic), like
-	// tel; see gossipwire.go.
+	// tel and gossip are set by NewPeer and read without the lock. The
+	// agent, nil when there is none, serves membership exchanges ahead
+	// of the traceability protocol and feeds dead-gateway verdicts into
+	// the resolution cache (gossipwire.go).
+	tel    peerTelemetry
 	gossip *gossip.Agent
 }
 
-// NewPeer wires a peer onto an existing Chord node, installing its
-// application handler. All peers of a network must share the same
-// PrefixManager semantics (same scheme and L_min); in simulation they
-// share the same instance.
+// NewPeer assembles one participant, the only place one is assembled:
+// the Chord node at addr, the peer on it and, when agent is non-nil, its
+// membership agent with the dead-verdict hook, each layer's telemetry
+// wired to tel once. What differs between the worlds are the arguments.
+// A live node (peertrack.StartNode) passes TCP behind Resilient, an
+// address it bound before the node existed (bound: its handler forwards
+// to Node().HandleRPC), its own PrefixManager and a closure over its
+// epoch; a simulated network passes transport.Memory, the manager every
+// peer shares and sim.Kernel.Now. The agent's Seed is a base that NewPeer
+// mixes with addr (gossip.SeedFor), so the agents of one network are
+// decorrelated yet determined. The node starts as a ring of one: Join
+// enters a ring, or the caller wires a static one and then seeds each
+// agent's view from its ring neighbours.
 //
 // The clock is mandatory: core is a deterministic package, so it never
 // reads the wall clock itself (an arrival stamped from the wall clock
-// fails TestGroupArriveSameOverMemoryAndTCP). Simulations pass
-// sim.Kernel.Now; live nodes (peertrack.NewNode) pass a closure over
-// their own epoch.
-func NewPeer(node overlay.Node, net transport.Network, pm *PrefixManager, cfg Config, clock func() time.Duration) *Peer {
+// fails TestGroupArriveSameOverMemoryAndTCP).
+func NewPeer(net transport.Network, addr transport.Addr, bound bool, ring chord.Config, pm *PrefixManager, cfg Config, clock func() time.Duration, tel *telemetry.Registry, agent *gossip.Config) (*Peer, error) {
 	cfg.fill()
 	if clock == nil {
 		panic("core: NewPeer requires a clock (sim.Kernel.Now in simulation, a wall-clock closure for live nodes)")
 	}
+	var node *chord.Node
+	if bound {
+		node = chord.NewPrebound(net, addr, ids.Hash([]byte(addr)), ring)
+	} else {
+		var err error
+		if node, err = chord.New(net, addr, ring); err != nil {
+			return nil, err
+		}
+	}
+	node.SetTelemetry(tel)
 	// Store internals (bucket maps, visit maps, caches) are allocated
 	// lazily: at XL network sizes most peers never act as gateway for
 	// most stores, and seven eager map allocations per peer add up.
 	p := &Peer{
+		chord:       node,
 		node:        node,
 		net:         net,
 		cfg:         cfg,
@@ -175,12 +195,23 @@ func NewPeer(node overlay.Node, net transport.Network, pm *PrefixManager, cfg Co
 	}
 	p.repo = newIOPStore(&p.names, cfg.ReplicationFactor > 1)
 	p.gw, p.replica = newGatewayStore(&p.names, cfg.ReplicationFactor > 1), newGatewayStore(&p.names, false)
+	p.setTelemetry(tel)
+	if agent != nil {
+		c := *agent
+		c.Seed = gossip.SeedFor(c.Seed, addr)
+		p.gossip = gossip.New(net, node.Self(), c)
+		p.gossip.SetTelemetry(tel)
+		p.gossip.SetOnDead(p.onGossipDead)
+	}
 	node.SetAppHandler(p.handleRPC)
-	return p
+	return p, nil
 }
 
-// Node returns the underlying overlay node, a *chord.Node.
-func (p *Peer) Node() overlay.Node { return p.node }
+// Node returns the peer's Chord node.
+func (p *Peer) Node() *chord.Node { return p.chord }
+
+// Gossip returns the peer's membership agent, nil when it has none.
+func (p *Peer) Gossip() *gossip.Agent { return p.gossip }
 
 // Name returns this peer's node name in the discrete space N.
 func (p *Peer) Name() moods.NodeName { return moods.NodeName(p.node.Addr()) }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"peertrack/internal/chord"
 	"peertrack/internal/moods"
 	"peertrack/internal/transport"
 )
@@ -453,8 +452,8 @@ func TestRestoreReRegistersReplicaBuckets(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		for _, p := range nw.Peers() {
 			if p != owner {
-				p.Node().(*chord.Node).CheckPredecessor()
-				p.Node().(*chord.Node).Stabilize()
+				p.Node().CheckPredecessor()
+				p.Node().Stabilize()
 			}
 		}
 	}

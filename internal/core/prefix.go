@@ -79,6 +79,10 @@ type PrefixManager struct {
 	scheme Scheme
 	lmin   int
 	lp     int
+	// pinned: the size is set from outside, by an operator's pin or, in
+	// the simulator, by the shared manager fed the true node count; no
+	// peer's refresh replaces it with a density estimate.
+	pinned bool
 	// minEver/maxEver track the range of prefix lengths that have ever
 	// been current. Index records can only exist at those levels (or
 	// below maxEver via Data Triangle delegation), so refresh and
@@ -108,12 +112,14 @@ const maxGatewayMemo = 1 << 14
 
 // NewPrefixManager creates a manager with the given scheme, minimum
 // prefix length L_min (the bootstrap floor of Section IV-A1), and
-// initial network size.
+// network size. A size nn > 0 is pinned: only SetNetworkSize moves it.
+// With nn ≤ 0 the manager starts at L_min and each refresh of its peer
+// estimates the size from overlay density.
 func NewPrefixManager(scheme Scheme, lmin int, nn float64) *PrefixManager {
 	if scheme < Scheme1 || scheme > Scheme3 {
 		scheme = Scheme2
 	}
-	pm := &PrefixManager{scheme: scheme, lmin: lmin}
+	pm := &PrefixManager{scheme: scheme, lmin: lmin, pinned: nn > 0}
 	pm.lp = scheme.PrefixLen(nn, lmin)
 	pm.minEver, pm.maxEver = pm.lp, pm.lp
 	return pm

@@ -46,7 +46,7 @@ import (
 //     whose key range this node now owns, and garbage-collects replicas
 //     no owner claims: the replica rows of the maintenance table, the
 //     simulator's Network.SyncReplicas, and, for promotion, gossip death
-//     verdicts (AttachGossip).
+//     verdicts (onGossipDead).
 
 // replicatePutReq pushes index-bucket state to a mirror: the entries
 // written and the ids removed by one protocol message at the owner, or,

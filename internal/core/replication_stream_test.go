@@ -89,7 +89,7 @@ func TestConcurrentHandlersShareOneMirrorStream(t *testing.T) {
 		defer close(synced)
 		for {
 			for _, p := range peers {
-				Maintained{Peer: p}.replicaSync()
+				p.replicaSync()
 			}
 			select {
 			case <-stop:
@@ -345,7 +345,7 @@ func TestObserveDoesNotQueueBehindAFlushInFlight(t *testing.T) {
 // never blocks on entered once the gate is open.
 func gateMirror(mirror *Peer, block func(req any) bool) (entered, gate chan struct{}) {
 	entered, gate = make(chan struct{}, 16), make(chan struct{})
-	mirror.node.SetAppHandler(func(from transport.Addr, req any) (any, error) {
+	mirror.chord.SetAppHandler(func(from transport.Addr, req any) (any, error) {
 		if block(req) {
 			entered <- struct{}{}
 			<-gate
@@ -387,7 +387,7 @@ func TestContendedWritersShareMirrorPushes(t *testing.T) {
 	// A push takes the mirror a while: long enough for the other writers
 	// to run up against the taken stream.
 	mirror := mirrorOf(nw, owner)
-	mirror.node.SetAppHandler(func(from transport.Addr, req any) (any, error) {
+	mirror.chord.SetAppHandler(func(from transport.Addr, req any) (any, error) {
 		if _, push := req.(replicatePutReq); push {
 			for i := 0; i < 4*workers; i++ {
 				runtime.Gosched()

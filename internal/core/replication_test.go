@@ -83,7 +83,7 @@ func TestIndexSurvivesGatewayCrash(t *testing.T) {
 		var live []*chord.Node
 		for _, p := range nw.Peers() {
 			if p.Addr() != gwAddr {
-				live = append(live, p.Node().(*chord.Node))
+				live = append(live, p.Node())
 			}
 		}
 		for r := 0; r < 8; r++ {
@@ -149,14 +149,14 @@ func TestNoReplicationMeansCrashLosesIndex(t *testing.T) {
 			if p.Addr() == gwAddr {
 				continue
 			}
-			cn := p.Node().(*chord.Node)
+			cn := p.Node()
 			cn.CheckPredecessor()
 			cn.Stabilize()
 		}
 	}
 	for _, p := range nw.Peers() {
 		if p.Addr() != gwAddr {
-			p.Node().(*chord.Node).FixAllFingers()
+			p.Node().FixAllFingers()
 			p.InvalidateGatewayCache()
 		}
 	}
@@ -391,14 +391,14 @@ func TestRestoreAfterFalseDeadVerdict(t *testing.T) {
 	// the restarted agent's first exchange does, and that resurrection
 	// must be enough for the mirror to ship the units back.
 	nw, err := BuildNetwork(NetworkConfig{
-		Nodes: 12,
-		Seed:  23,
-		Peer:  Config{Mode: GroupIndexing, ReplicationFactor: 2},
+		Nodes:  12,
+		Seed:   23,
+		Peer:   Config{Mode: GroupIndexing, ReplicationFactor: 2},
+		Gossip: &gossip.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.EnableGossip(gossip.Config{})
 	const objects = 40
 	for i := 0; i < objects; i++ {
 		nw.ScheduleObservation(moods.Observation{
@@ -429,23 +429,28 @@ func TestRestoreAfterFalseDeadVerdict(t *testing.T) {
 		t.Fatal("the verdict did not land, or the mirror promoted units their owner still owns")
 	}
 
-	wipe(victim)
+	// The owner restarts empty under the same identity: a new peer at its
+	// address and in its place on the ring.
+	reborn, err := NewPeer(nw.Transport, self.Addr, false, chord.Config{}, nw.PM, nw.cfg.Peer, nw.Kernel.Now, nw.Telemetry, nw.cfg.Gossip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.peers[4], nw.byName[victim.Name()] = reborn, reborn
+	chord.WireStaticRing(nw.ring())
 	nw.SyncReplicas()
-	if got := victim.IndexedEntries(); got != 0 {
+	if got := reborn.IndexedEntries(); got != 0 {
 		t.Fatalf("%d records restored while the detector still says dead", got)
 	}
 	// The restarted node's agent knows its successor, which is its mirror.
-	reborn := gossip.New(nw.Transport, self, gossip.Config{})
-	victim.AttachGossip(reborn)
-	reborn.SeedView([]overlay.NodeRef{mirror.Node().Self()})
-	reborn.Round()
+	reborn.gossip.SeedView([]overlay.NodeRef{mirror.Node().Self()})
+	reborn.gossip.Round()
 	if mirror.gossip.IsDead(self.Addr) {
 		t.Fatal("inbound contact did not resurrect the owner")
 	}
 	for i := 0; i < 10; i++ {
 		nw.SyncReplicas()
 	}
-	if got := victim.IndexedEntries(); got != indexed {
+	if got := reborn.IndexedEntries(); got != indexed {
 		t.Errorf("%d of %d records restored at the restarted owner", got, indexed)
 	}
 	for i := 0; i < objects; i++ {

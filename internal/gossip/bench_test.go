@@ -59,11 +59,11 @@ func BenchmarkRound(b *testing.B) {
 func BenchmarkHandleExchange(b *testing.B) {
 	agents := benchCluster(b, 16)
 	serving, caller := agents[0], agents[1]
-	req := exchangeReq{From: caller.Self(), Entries: caller.View()}
+	req := exchangeReq{From: caller.self, Entries: caller.View()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, handled, err := serving.HandleRPC(caller.Self().Addr, req); !handled || err != nil {
+		if _, handled, err := serving.HandleRPC(caller.self.Addr, req); !handled || err != nil {
 			b.Fatalf("handled=%v err=%v", handled, err)
 		}
 	}

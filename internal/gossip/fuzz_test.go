@@ -45,7 +45,7 @@ func FuzzViewMerge(f *testing.F) {
 		}
 		seen := map[transport.Addr]bool{}
 		for _, e := range want {
-			if e.Ref.Addr == a.Self().Addr {
+			if e.Ref.Addr == a.self.Addr {
 				t.Fatal("self entry in view")
 			}
 			if e.Age > cfg.MaxAge {

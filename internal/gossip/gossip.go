@@ -101,9 +101,8 @@ type suspicion struct {
 }
 
 // New creates an agent for self on net. The agent serves no traffic by
-// itself: compose HandleRPC into the node's application handler and
-// drive Round from the maintenance table (core.Maintained) or a test
-// loop.
+// itself: core.NewPeer composes HandleRPC into the peer's handler, and
+// the maintenance table drives Round.
 func New(net transport.Network, self overlay.NodeRef, cfg Config) *Agent {
 	cfg.fill()
 	a := &Agent{
@@ -155,9 +154,6 @@ func (a *Agent) Stop() {
 	defer a.mu.Unlock()
 	a.stopped = true
 }
-
-// Self returns the agent's own reference.
-func (a *Agent) Self() overlay.NodeRef { return a.self }
 
 // Round performs one gossip round: age the view, push/pull with one
 // partner, then liveness-probe one sampler slot (round-robin), feeding

@@ -60,7 +60,7 @@ func cluster(t *testing.T, n int, cfg Config) (*transport.Memory, []*Agent) {
 // serve registers a's RPC handler at its address on mem.
 func serve(t *testing.T, mem *transport.Memory, a *Agent) {
 	t.Helper()
-	if err := mem.Register(a.Self().Addr, func(from transport.Addr, req any) (any, error) {
+	if err := mem.Register(a.self.Addr, func(from transport.Addr, req any) (any, error) {
 		resp, handled, err := a.HandleRPC(from, req)
 		if !handled {
 			return nil, fmt.Errorf("unhandled %T", req)
@@ -96,7 +96,7 @@ func TestMergeProperties(t *testing.T) {
 			r := pool[rng.Intn(len(pool))]
 			age := uint32(rng.Intn(int(cfg.MaxAge) + 4)) // some over-age
 			entries[i] = Entry{Ref: r, Age: age}
-			if r.Addr == a.Self().Addr || age > cfg.MaxAge {
+			if r.Addr == a.self.Addr || age > cfg.MaxAge {
 				continue
 			}
 			if prev, ok := minAge[r.Addr]; !ok || age < prev {
@@ -112,7 +112,7 @@ func TestMergeProperties(t *testing.T) {
 			t.Fatalf("trial %d: view %d exceeds bound %d", trial, len(view), cfg.ViewSize)
 		}
 		for _, e := range view {
-			if e.Ref.Addr == a.Self().Addr {
+			if e.Ref.Addr == a.self.Addr {
 				t.Fatalf("trial %d: self entry in view", trial)
 			}
 			if e.Age > cfg.MaxAge {
@@ -178,7 +178,7 @@ func TestExchangeConverges(t *testing.T) {
 			t.Errorf("agent %d knows %d peers, want %d", i, len(s), n-1)
 		}
 		for _, r := range s {
-			if r.Addr == a.Self().Addr {
+			if r.Addr == a.self.Addr {
 				t.Errorf("agent %d samples itself", i)
 			}
 		}
@@ -217,7 +217,7 @@ func TestSingleContactJoin(t *testing.T) {
 		rounds(agents, 20)
 		joiner := testAgent(mem, fmt.Sprintf("joiner-%d", k), Config{})
 		serve(t, mem, joiner)
-		joiner.SeedView([]overlay.NodeRef{agents[k].Self()})
+		joiner.SeedView([]overlay.NodeRef{agents[k].self})
 		all := append(agents[:n:n], joiner)
 		rounds(all, joinRounds)
 
@@ -227,7 +227,7 @@ func TestSingleContactJoin(t *testing.T) {
 		if got := reaching(all, joiner, (*Agent).Samples); got != n {
 			t.Errorf("joiner %d: after %d rounds %d of %d agents can reach it through what they know", k, joinRounds, got, n)
 		}
-		t.Logf("joiner %d (id %s): %d of %d agents reach it along view edges alone", k, joiner.Self().ID.Short(), reaching(all, joiner, viewRefs), n)
+		t.Logf("joiner %d (id %s): %d of %d agents reach it along view edges alone", k, joiner.self.ID.Short(), reaching(all, joiner, viewRefs), n)
 	}
 }
 
@@ -239,11 +239,11 @@ func reaching(all []*Agent, target *Agent, edges func(*Agent) []overlay.NodeRef)
 	holders := map[transport.Addr][]transport.Addr{} // address -> agents with an edge to it
 	for _, a := range all {
 		for _, r := range edges(a) {
-			holders[r.Addr] = append(holders[r.Addr], a.Self().Addr)
+			holders[r.Addr] = append(holders[r.Addr], a.self.Addr)
 		}
 	}
-	reach := map[transport.Addr]bool{target.Self().Addr: true}
-	for frontier := []transport.Addr{target.Self().Addr}; len(frontier) > 0; frontier = frontier[1:] {
+	reach := map[transport.Addr]bool{target.self.Addr: true}
+	for frontier := []transport.Addr{target.self.Addr}; len(frontier) > 0; frontier = frontier[1:] {
 		for _, h := range holders[frontier[0]] {
 			if !reach[h] {
 				reach[h] = true
@@ -265,31 +265,31 @@ func TestFailureDetector(t *testing.T) {
 	victim := agents[3]
 	var deaths []overlay.NodeRef
 	agents[0].SetOnDead(func(r overlay.NodeRef) { deaths = append(deaths, r) })
-	mem.Kill(victim.Self().Addr)
+	mem.Kill(victim.self.Addr)
 
-	if agents[0].Suspect(victim.Self()) {
+	if agents[0].Suspect(victim.self) {
 		t.Fatal("first suspicion already crossed threshold 2")
 	}
-	if !agents[0].Suspect(victim.Self()) {
+	if !agents[0].Suspect(victim.self) {
 		t.Fatal("second suspicion did not cross threshold")
 	}
-	if !agents[0].IsDead(victim.Self().Addr) {
+	if !agents[0].IsDead(victim.self.Addr) {
 		t.Fatal("victim not marked dead")
 	}
-	if len(deaths) != 1 || !deaths[0].Equal(victim.Self()) {
+	if len(deaths) != 1 || !deaths[0].Equal(victim.self) {
 		t.Fatalf("OnDead fired %v, want exactly the victim once", deaths)
 	}
-	if agents[0].Suspect(victim.Self()) {
+	if agents[0].Suspect(victim.self) {
 		t.Fatal("re-suspecting a dead address re-declared death")
 	}
 
 	// Quarantine: hearsay from a live peer must not readmit the victim.
 	a := agents[0]
 	a.mu.Lock()
-	a.mergeLocked([]Entry{{Ref: victim.Self(), Age: 0}})
+	a.mergeLocked([]Entry{{Ref: victim.self, Age: 0}})
 	inView := false
 	for _, e := range a.view {
-		if e.Ref.Addr == victim.Self().Addr {
+		if e.Ref.Addr == victim.self.Addr {
 			inView = true
 		}
 	}
@@ -298,17 +298,17 @@ func TestFailureDetector(t *testing.T) {
 		t.Fatal("quarantined address readmitted by hearsay")
 	}
 	for _, s := range a.Samples() {
-		if s.Addr == victim.Self().Addr {
+		if s.Addr == victim.self.Addr {
 			t.Fatal("dead address still in samples")
 		}
 	}
 
 	// Resurrection: direct inbound contact from the revived victim.
-	mem.Revive(victim.Self().Addr)
-	if _, handled, err := a.HandleRPC(victim.Self().Addr, exchangeReq{From: victim.Self()}); !handled || err != nil {
+	mem.Revive(victim.self.Addr)
+	if _, handled, err := a.HandleRPC(victim.self.Addr, exchangeReq{From: victim.self}); !handled || err != nil {
 		t.Fatalf("exchange from revived victim: handled=%v err=%v", handled, err)
 	}
-	if a.IsDead(victim.Self().Addr) {
+	if a.IsDead(victim.self.Addr) {
 		t.Fatal("inbound contact did not resurrect")
 	}
 }
@@ -318,7 +318,7 @@ func TestFailureDetector(t *testing.T) {
 func TestRoundSuspectsDeadPartner(t *testing.T) {
 	mem, agents := cluster(t, 6, Config{ViewSize: 8, SampleSlots: 8, SuspicionThreshold: 2})
 	rounds(agents, 8)
-	victim := agents[5].Self()
+	victim := agents[5].self
 	mem.Kill(victim.Addr)
 	agents[5].Stop()
 	rounds(agents[:5], 40)
@@ -340,7 +340,7 @@ func TestStoppedAgent(t *testing.T) {
 	if !reflect.DeepEqual(before, a.View()) {
 		t.Error("Round mutated a stopped agent's view")
 	}
-	if _, handled, err := a.HandleRPC(agents[1].Self().Addr, exchangeReq{From: agents[1].Self()}); !handled || err != ErrStopped {
+	if _, handled, err := a.HandleRPC(agents[1].self.Addr, exchangeReq{From: agents[1].self}); !handled || err != ErrStopped {
 		t.Errorf("exchange against stopped agent: handled=%v err=%v, want ErrStopped", handled, err)
 	}
 }

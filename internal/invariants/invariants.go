@@ -107,7 +107,7 @@ func Check(peers []*core.Peer, oracle *moods.HistoryStore, opts Options) []Viola
 	c := &checker{peers: peers, oracle: oracle, opts: opts}
 	ring := make([]*chord.Node, len(peers))
 	for i, p := range peers {
-		ring[i] = p.Node().(*chord.Node)
+		ring[i] = p.Node()
 	}
 	c.snapshot()
 	c.checkBuckets()

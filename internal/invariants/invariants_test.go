@@ -286,22 +286,25 @@ func TestCheckRing(t *testing.T) {
 // at both levels, descent and ascent reach both records.
 func TestReachabilityIsJudgedPerView(t *testing.T) {
 	mem := transport.NewMemory(1)
-	ring, err := chord.BuildStaticRing(mem, []transport.Addr{"org-0000", "org-0001"}, chord.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	clock := func() time.Duration { return time.Minute }
 	pms := []*core.PrefixManager{core.NewPrefixManager(core.Scheme2, 2, 4), core.NewPrefixManager(core.Scheme2, 2, 8)}
 	if pms[0].Lp() == pms[1].Lp() {
 		t.Fatalf("both managers sit at Lp %d", pms[0].Lp())
 	}
 	var peers []*core.Peer
-	for i, n := range ring {
-		p := core.NewPeer(n, mem, pms[i], core.Config{}, clock)
+	var ring []*chord.Node
+	for i, addr := range []transport.Addr{"org-0000", "org-0001"} {
+		p, err := core.NewPeer(mem, addr, false, chord.Config{}, pms[i], core.Config{}, clock, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers, ring = append(peers, p), append(ring, p.Node())
+	}
+	chord.WireStaticRing(ring)
+	for i, p := range peers {
 		if err := p.Observe(moods.Observation{Object: moods.ObjectID(fmt.Sprintf("urn:epc:view-%d", i)), At: time.Second}); err != nil {
 			t.Fatal(err)
 		}
-		peers = append(peers, p)
 	}
 	for _, p := range peers {
 		if err := p.FlushWindow(); err != nil {

@@ -67,6 +67,4 @@ type Node interface {
 	// Neighbors returns the nodes that adopt this node's keys when it
 	// fails — its ring successors, the replication targets.
 	Neighbors() []NodeRef
-	// SetAppHandler installs the application-layer message handler.
-	SetAppHandler(h transport.Handler)
 }

@@ -25,8 +25,8 @@ func crash(n *Node) {
 	n.mu.Unlock()
 	close(n.stopCh)
 	n.wg.Wait()
-	if n.gossip != nil {
-		n.gossip.Stop()
+	if g := n.peer.Gossip(); g != nil {
+		g.Stop()
 	}
 	n.tr.Close()
 }
@@ -52,7 +52,7 @@ func TestJoinerThatDiesAtOnceIsDeclaredDead(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		for _, n := range nodes {
-			if n.gossip.IsDead(transport.Addr(victim.Addr())) {
+			if n.peer.Gossip().IsDead(transport.Addr(victim.Addr())) {
 				return
 			}
 		}
@@ -116,7 +116,7 @@ func TestLiveFailoverWithReplicas(t *testing.T) {
 	// rounds alone.
 	q := nodes[0]
 	deadline := time.Now().Add(10 * time.Second)
-	for !q.gossip.IsDead(transport.Addr(victimAddr)) {
+	for !q.peer.Gossip().IsDead(transport.Addr(victimAddr)) {
 		if time.Now().After(deadline) {
 			t.Fatal("gossip never declared the crashed node dead")
 		}
@@ -173,7 +173,7 @@ func TestLiveNoResilienceBaseline(t *testing.T) {
 	if _, ok := n.Resilience(); ok {
 		t.Fatal("NoResilience node reports a resilience snapshot")
 	}
-	if n.gossip != nil {
+	if n.peer.Gossip() != nil {
 		t.Fatal("GossipEvery<0 node still carries a membership agent")
 	}
 	if text := n.Telemetry().Snapshot().Text(); strings.Contains(text, "transport.resilient.") {
@@ -220,7 +220,7 @@ func TestCloseFlushesOpenWindow(t *testing.T) {
 }
 
 // TestCloseKeepsTheIndex: a graceful leave hands the leaver's gateway
-// buckets to its ring successor (core.Maintained.Shutdown), which owns
+// buckets to its ring successor (core.Peer.Shutdown), which owns
 // their part of the ring once the leaver is gone, and a reader whose
 // cached resolution still names the leaver asks the ring again. At
 // factor 1 there is no other copy, so every object held by a node that

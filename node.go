@@ -22,14 +22,10 @@ import (
 // site, join a bootstrap peer, and feed it their (cleansed) RFID
 // capture events.
 type Node struct {
-	tr     *transport.TCP
-	res    *transport.Resilient // nil when resilience is disabled
-	chord  *chord.Node
-	peer   *core.Peer
-	gossip *gossip.Agent // nil when the membership agent is disabled
-	pm     *core.PrefixManager
-	tel    *telemetry.Registry
-	pinned bool // operator pinned the network-size estimate
+	tr   *transport.TCP
+	res  *transport.Resilient // nil when resilience is disabled
+	peer *core.Peer
+	tel  *telemetry.Registry
 
 	mu       sync.Mutex
 	closed   bool
@@ -157,12 +153,11 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 		tr.Secret = []byte(opts.NetworkSecret)
 	}
 	var peer *core.Peer
-	var cn *chord.Node
 	handler := func(from transport.Addr, req any) (any, error) {
-		if cn == nil {
+		if peer == nil {
 			return nil, fmt.Errorf("peertrack: node starting")
 		}
-		return cn.HandleRPC(from, req)
+		return peer.Node().HandleRPC(from, req)
 	}
 	var addr transport.Addr
 	var err error
@@ -183,6 +178,8 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	}
 
 	clock := func() time.Duration { return time.Since(nodeEpoch) }
+	tel := telemetry.New(clock)
+	tr.SetTelemetry(tel)
 
 	// All outbound P2P traffic goes through the resilience wrapper:
 	// chord maintenance, PeerTrack protocol calls, and gossip probes
@@ -202,44 +199,29 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 			BreakerCooldown:  opts.BreakerCooldown,
 			Seed:             gossip.SeedFor(1, addr),
 		})
+		res.SetTelemetry(tel)
 		netw = res
 	}
 
-	cn = chord.NewPrebound(netw, addr, ids.Hash([]byte(addr)), chord.Config{})
+	var agent *gossip.Config
+	if opts.GossipEvery > 0 {
+		agent = &gossip.Config{Seed: 2}
+	}
 	// A pinned size is the size from the start: a node that never ran at
 	// L_min has no Lp history to probe (core.PrefixManager.LpRange).
-	size := 1.0
-	if opts.NetworkSize > 0 {
-		size = opts.NetworkSize
-	}
-	pm := core.NewPrefixManager(core.Scheme2, core.LMin, size)
-	peer = core.NewPeer(cn, netw, pm, core.Config{
+	pm := core.NewPrefixManager(core.Scheme2, core.LMin, opts.NetworkSize)
+	peer, err = core.NewPeer(netw, addr, true, chord.Config{}, pm, core.Config{
 		Mode:              opts.Mode,
 		NMax:              opts.WindowMaxObjects,
 		ReplicationFactor: opts.Replicas,
-	}, clock)
-
-	var agent *gossip.Agent
-	if opts.GossipEvery > 0 {
-		agent = gossip.New(netw, cn.Self(), gossip.Config{
-			Seed: gossip.SeedFor(2, addr),
-		})
-		peer.AttachGossip(agent)
+	}, clock, tel, agent)
+	if err != nil {
+		tr.Close()
+		return nil, err
 	}
 
-	tel := telemetry.New(clock)
-	tr.SetTelemetry(tel)
-	if res != nil {
-		res.SetTelemetry(tel)
-	}
-	cn.SetTelemetry(tel)
-	peer.SetTelemetry(tel)
-	if agent != nil {
-		agent.SetTelemetry(tel)
-	}
-
-	n := &Node{tr: tr, res: res, chord: cn, peer: peer, gossip: agent, pm: pm, tel: tel, pinned: opts.NetworkSize > 0, stopCh: make(chan struct{}), ringWake: make(chan struct{}, 1)}
-	cn.OnRingChange(func() {
+	n := &Node{tr: tr, res: res, peer: peer, tel: tel, stopCh: make(chan struct{}), ringWake: make(chan struct{}, 1)}
+	peer.Node().OnRingChange(func() {
 		select {
 		case n.ringWake <- struct{}{}:
 		default:
@@ -252,7 +234,7 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 
 // Addr returns the node's dialable address — its identity in the
 // network and the location name on traces.
-func (n *Node) Addr() string { return string(n.chord.Addr()) }
+func (n *Node) Addr() string { return string(n.peer.Addr()) }
 
 // Telemetry returns the node's telemetry registry — transport, overlay
 // and indexing counters, latency histograms, and recent query spans.
@@ -262,13 +244,13 @@ func (n *Node) Telemetry() *telemetry.Registry { return n.tel }
 // Join enters the network that bootstrap belongs to. The first stabilize
 // round is part of it, error included; the next follow within milliseconds.
 func (n *Node) Join(bootstrap string) error {
-	return n.maintained().Join(chord.NodeRef{
+	return n.peer.Join(chord.NodeRef{
 		ID:   ids.Hash([]byte(bootstrap)),
 		Addr: transport.Addr(bootstrap),
 	})
 }
 
-// maintain runs the maintenance table (core.Maintained) until Close. The
+// maintain runs the maintenance table (core.Peer.Install) until Close. The
 // schedule lives on the same discrete-event kernel the simulator uses;
 // this goroutine is only its pacer: virtual time t maps to wall time
 // anchor+t, and it sleeps until the earliest event is due, then steps.
@@ -276,8 +258,8 @@ func (n *Node) Join(bootstrap string) error {
 // catch-up rounds; nothing but this goroutine touches the kernel.
 func (n *Node) maintain(opts NodeOptions) {
 	defer n.wg.Done()
-	k := sim.New(gossip.SeedFor(3, n.chord.Addr()))
-	ringChanged := n.maintained().Install(k, core.Cadences{
+	k := sim.New(gossip.SeedFor(3, n.peer.Addr()))
+	ringChanged := n.peer.Install(k, core.Cadences{
 		Gossip:      opts.GossipEvery,
 		Stabilize:   opts.StabilizeEvery,
 		Window:      opts.WindowInterval,
@@ -304,11 +286,6 @@ func (n *Node) maintain(opts NodeOptions) {
 			k.Step()
 		}
 	}
-}
-
-// maintained is this node as the maintenance table sees it.
-func (n *Node) maintained() core.Maintained {
-	return core.Maintained{Chord: n.chord, Gossip: n.gossip, Peer: n.peer, SizePinned: n.pinned}
 }
 
 // Observe ingests one capture event at this node, stamped now.
@@ -415,7 +392,7 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	close(n.stopCh)
 	n.wg.Wait()
-	err := n.maintained().Shutdown()
+	err := n.peer.Shutdown()
 	n.tr.Close()
 	if err != nil && err != chord.ErrLeft {
 		return err
@@ -435,5 +412,6 @@ func (n *Node) Resilience() (snap transport.ResilienceSnapshot, ok bool) {
 // RingInfo reports the node's overlay neighbours and current prefix
 // length, for diagnostics.
 func (n *Node) RingInfo() (succ, pred string, lp int) {
-	return string(n.chord.Successor().Addr), string(n.chord.Predecessor().Addr), n.pm.Lp()
+	cn := n.peer.Node()
+	return string(cn.Successor().Addr), string(cn.Predecessor().Addr), n.peer.Prefixes().Lp()
 }
