@@ -84,7 +84,7 @@ func installMaintenance(k *sim.Kernel, table []maintenanceRow, c Cadences, until
 // (chord.Node.OnRingChange): it starts the catch-up chain.
 func (p *Peer) Install(k *sim.Kernel, c Cadences, until sim.Time) (ringChanged func()) {
 	installMaintenance(k, maintenanceTable, c, until, func(visit func(*Peer)) { visit(p) })
-	return p.catchUp(k, c.Stabilize, until)
+	return p.chain(k, c.Stabilize, until)
 }
 
 // StartMaintenance schedules the table for every peer of the network
@@ -99,7 +99,7 @@ func (nw *Network) StartMaintenance(c Cadences, until time.Duration) {
 	})
 	nw.catchUpEvery, nw.catchUpUntil = c.Stabilize, until
 	for _, p := range nw.peers {
-		p.chord.OnRingChange(p.catchUp(nw.Kernel, c.Stabilize, until))
+		p.chord.OnRingChange(p.chain(nw.Kernel, c.Stabilize, until))
 	}
 }
 
@@ -118,8 +118,8 @@ type catchUp struct {
 	changes uint64        // p.chord.RingChanges() when that round was scheduled
 }
 
-// catchUp returns a new chain's ringChanged for p on k.
-func (p *Peer) catchUp(k *sim.Kernel, every time.Duration, until sim.Time) func() {
+// chain returns the ringChanged of a new catch-up chain for p on k.
+func (p *Peer) chain(k *sim.Kernel, every time.Duration, until sim.Time) func() {
 	return (&catchUp{k: k, p: p, every: every, until: until}).ringChanged
 }
 

@@ -296,7 +296,7 @@ func (nw *Network) Grow(k int) (int, int, error) {
 			return 0, 0, err
 		}
 		if nw.catchUpEvery > 0 {
-			p.chord.OnRingChange(p.catchUp(nw.Kernel, nw.catchUpEvery, nw.catchUpUntil))
+			p.chord.OnRingChange(p.chain(nw.Kernel, nw.catchUpEvery, nw.catchUpUntil))
 		}
 		if err := p.Join(bootstrap); err != nil {
 			return 0, 0, fmt.Errorf("core: grow: %s: %w", name, err)

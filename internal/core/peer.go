@@ -153,7 +153,8 @@ type Peer struct {
 // address it bound before the node existed (bound: its handler forwards
 // to Node().HandleRPC), its own PrefixManager and a closure over its
 // epoch; a simulated network passes transport.Memory, the manager every
-// peer shares and sim.Kernel.Now. The agent's Seed is a base that NewPeer
+// peer shares and sim.Kernel.Now; every manager of one network has the
+// same scheme and L_min. The agent's Seed is a base that NewPeer
 // mixes with addr (gossip.SeedFor), so the agents of one network are
 // decorrelated yet determined. The node starts as a ring of one: Join
 // enters a ring, or the caller wires a static one and then seeds each
