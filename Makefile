@@ -65,9 +65,9 @@ unlinked:
 # DESIGN.md or EXPERIMENTS.md has more lines than its maximum, so the
 # docs cannot regrow silently either. A PR that needs more raises the
 # number in its own diff and says why in CHANGES.
-LOC_MAX = 20668
+LOC_MAX = 20639
 DESIGN_MAX = 883
-EXPERIMENTS_MAX = 1606
+EXPERIMENTS_MAX = 1595
 
 loc:
 	@lines() { find $$1 $$2 -name '*.go' $$3 -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \

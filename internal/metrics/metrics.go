@@ -96,37 +96,20 @@ func FractionIdle(loads []float64) float64 {
 	return float64(idle) / float64(len(loads))
 }
 
-// Summary accumulates a running mean, minimum and maximum.
+// Summary accumulates a running mean.
 type Summary struct {
-	n        int
-	mean     float64
-	min, max float64
+	n    int
+	mean float64
 }
 
 // Add records one sample.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	s.mean += (x - s.mean) / float64(s.n)
 }
 
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest sample (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest sample (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of the samples
 // using linear interpolation. Unlike Summary it needs the full series.

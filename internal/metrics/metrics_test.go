@@ -99,18 +99,15 @@ func TestSummary(t *testing.T) {
 	if !almost(s.Mean(), 5, 1e-12) {
 		t.Errorf("mean = %v", s.Mean())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
-	}
 }
 
 func TestSummaryEmptyAndSingle(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 {
 		t.Error("empty summary nonzero")
 	}
 	s.Add(3)
-	if s.Mean() != 3 || s.Min() != 3 || s.Max() != 3 {
+	if s.Mean() != 3 {
 		t.Error("single-sample summary wrong")
 	}
 }
