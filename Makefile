@@ -65,7 +65,7 @@ unlinked:
 # DESIGN.md or EXPERIMENTS.md has more lines than its maximum, so the
 # docs cannot regrow silently either. A PR that needs more raises the
 # number in its own diff and says why in CHANGES.
-LOC_MAX = 20639
+LOC_MAX = 20635
 DESIGN_MAX = 883
 EXPERIMENTS_MAX = 1595
 

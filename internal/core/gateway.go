@@ -265,8 +265,8 @@ func (g *gatewayStore) upsert(key ids.PrefixKey, e IndexEntry) {
 }
 
 // put is upsert for a record the bucket's mirrors already hold at its
-// version (handed over or back, or promoted, with the version line), or
-// a fault a test plants: nothing is queued.
+// version (handed over or back, or promoted, with the version line):
+// nothing is queued.
 func (g *gatewayStore) put(key ids.PrefixKey, e IndexEntry) {
 	se := g.slabEntry(e)
 	g.mu.Lock()

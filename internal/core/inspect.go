@@ -58,17 +58,13 @@ func (p *Peer) DumpRepoReplicas() map[transport.Addr]map[moods.ObjectID][]VisitR
 // fabricate corrupted states (wrong bucket, duplicate record) and prove
 // the checker catches them; production code must never call it.
 func (p *Peer) InjectIndexEntry(key ids.PrefixKey, e IndexEntry) {
-	p.gw.put(key, e)
+	p.gw.upsert(key, e)
 }
 
 // RemoveIndexEntry deletes an index record from a bucket, bypassing the
 // protocol (test hook, see InjectIndexEntry).
 func (p *Peer) RemoveIndexEntry(key ids.PrefixKey, id ids.ID) {
-	p.gw.mu.Lock()
-	defer p.gw.mu.Unlock()
-	if b := p.gw.buckets[key]; b != nil {
-		b.remove(id)
-	}
+	p.gw.removeAll(key, []ids.ID{id})
 }
 
 // dump copies every bucket of the store (see Peer.DumpIndex).
