@@ -19,9 +19,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -137,32 +139,19 @@ func main() {
 	// seam the deterministic harness uses to drive handlers on virtual
 	// time. The node's telemetry registry backs /metrics and /debug/trace.
 	httpSrv := &http.Server{
-		Addr:              *control,
 		Handler:           ctlapi.HandlerWithTelemetry(backend, time.Now, node.Telemetry()),
 		ConnState:         ctlapi.CountConns(node.Telemetry()),
 		ReadHeaderTimeout: controlReadHeaderTimeout,
 		IdleTimeout:       controlIdleTimeout,
 	}
-	go func() {
-		log.Printf("control API on http://%s", *control)
-		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("control api: %v", err)
-		}
-	}()
-
+	ln, err := net.Listen("tcp", *control)
+	if err != nil {
+		log.Fatalf("control api: %v", err)
+	}
+	log.Printf("control API on http://%s", *control)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Print("shutting down")
-	// Drain in-flight control requests (an /observe racing the final
-	// snapshot would otherwise be lost) but bound the wait so a stuck
-	// client cannot wedge shutdown.
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("control api shutdown: %v", err)
-		httpSrv.Close()
-	}
-	cancel()
+	serveControl(httpSrv, ln, sig)
 	// Close first: it flushes the open capture window, which a snapshot
 	// does not hold, so every event answered 202 is in the state persisted.
 	if err := node.Close(); err != nil {
@@ -174,6 +163,45 @@ func main() {
 		} else {
 			log.Printf("state persisted to %s (%d bytes)", *dataPath, n)
 		}
+	}
+}
+
+// serveControl serves the control API on ln until stop receives, then
+// drains it: requests whose headers were read are answered (an /observe
+// racing the final snapshot would otherwise be lost), within a bound so
+// that a stuck client cannot wedge shutdown. A connection that has sent
+// nothing is closed at once; net/http counts one idle only 5 s after it
+// opened, and would wait that long for it. srv's own ConnState hook,
+// which it must have, still sees every change.
+func serveControl(srv *http.Server, ln net.Listener, stop <-chan os.Signal) {
+	var silent sync.Map // the connections in http.StateNew
+	count := srv.ConnState
+	srv.ConnState = func(c net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			silent.Store(c, nil)
+		} else {
+			silent.Delete(c)
+		}
+		count(c, s)
+	}
+	srv.RegisterOnShutdown(func() {
+		silent.Range(func(c, _ any) bool {
+			c.(net.Conn).Close()
+			return true
+		})
+	})
+	go func() {
+		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Fatalf("control api: %v", err)
+		}
+	}()
+	<-stop
+	log.Print("shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		log.Printf("control api shutdown: %v", err)
+		srv.Close()
 	}
 }
 

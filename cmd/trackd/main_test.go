@@ -2,6 +2,9 @@ package main
 
 import (
 	"errors"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -110,5 +113,70 @@ func TestBackendRingAndInventory(t *testing.T) {
 	_, _, lp := b.Ring()
 	if lp <= 0 {
 		t.Fatalf("prefix length = %d", lp)
+	}
+}
+
+// TestShutdownSkipsSilentConnections starts shutdown with one control
+// connection that has sent nothing and one request in flight: the
+// request is answered, and the silent connection does not hold the
+// drain (net/http alone counts it idle only after 5 s).
+func TestShutdownSkipsSilentConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, entered, release := make(chan struct{}, 2), make(chan struct{}), make(chan struct{})
+	srv := &http.Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			close(entered)
+			<-release
+			io.WriteString(w, "answered")
+		}),
+		ConnState: func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				opened <- struct{}{}
+			}
+		},
+		ReadHeaderTimeout: controlReadHeaderTimeout,
+		IdleTimeout:       controlIdleTimeout,
+	}
+	stop, done := make(chan os.Signal, 1), make(chan struct{})
+	go func() {
+		serveControl(srv, ln, stop)
+		close(done)
+	}()
+
+	url := "http://" + ln.Addr().String() + "/"
+	body := make(chan string, 1)
+	go func() {
+		resp, err := http.Get(url)
+		if err != nil {
+			body <- err.Error()
+			return
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		body <- string(b)
+	}()
+	<-entered
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	<-opened
+	<-opened // both connections are tracked by the server
+
+	start := time.Now()
+	stop <- os.Interrupt
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("shutdown still draining after 1 s with one silent connection open")
+	}
+	t.Logf("shutdown took %v", time.Since(start))
+	if got := <-body; got != "answered" {
+		t.Errorf("in-flight request got %q, want it answered", got)
 	}
 }

@@ -5,15 +5,17 @@ import (
 	"fmt"
 
 	"peertrack/internal/ids"
-	"peertrack/internal/overlay"
 	"peertrack/internal/transport"
 )
 
-// LookupResult reports the outcome of a key lookup: the successor
-// responsible for the key and the number of remote routing RPCs issued
-// (a key owned locally costs 0 hops). It is the shared overlay result
-// type.
-type LookupResult = overlay.Result
+// LookupResult reports the outcome of a key lookup.
+type LookupResult struct {
+	// Node is the node responsible for the key: its ring successor.
+	Node NodeRef
+	// Hops is the number of remote routing RPCs spent (a key resolved
+	// from local routing state costs 0).
+	Hops int
+}
 
 // ErrLookupFailed is returned when routing cannot make progress (all
 // candidate next hops are dead or a step limit was exceeded).

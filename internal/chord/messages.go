@@ -2,14 +2,35 @@ package chord
 
 import (
 	"peertrack/internal/ids"
-	"peertrack/internal/overlay"
 	"peertrack/internal/transport"
 )
 
 // NodeRef identifies a Chord node: its position on the ring and its
-// transport address. It is the shared overlay reference type, so Chord
-// nodes plug directly into the overlay-generic traceability layer.
-type NodeRef = overlay.NodeRef
+// transport address. The gossip layer names its members by it too, on
+// the wire in the layout AppendRef writes.
+type NodeRef struct {
+	ID   ids.ID
+	Addr transport.Addr
+}
+
+// IsZero reports whether the reference is unset.
+func (r NodeRef) IsZero() bool { return r.Addr == "" }
+
+// Equal reports whether two references denote the same node.
+func (r NodeRef) Equal(o NodeRef) bool { return r.Addr == o.Addr && r.ID == o.ID }
+
+// RefWireMin is the fewest bytes a NodeRef occupies on the wire.
+const RefWireMin = ids.Bytes + 2
+
+// AppendRef appends r's wire layout: the id's raw bytes, then the address.
+func AppendRef(b []byte, r NodeRef) []byte {
+	return transport.AppendString(transport.AppendID(b, r.ID), r.Addr)
+}
+
+// ReadRef reads what AppendRef wrote.
+func ReadRef(r *transport.Reader) NodeRef {
+	return NodeRef{ID: r.ID(), Addr: transport.Addr(r.String())}
+}
 
 // pingReq checks liveness.
 type pingReq struct{}
@@ -76,21 +97,21 @@ func (getStateReq) AppendWire(b []byte) []byte { return b }
 func (notifyResp) AppendWire(b []byte) []byte  { return b }
 func (leaveResp) AppendWire(b []byte) []byte   { return b }
 
-func (m pingResp) AppendWire(b []byte) []byte { return overlay.AppendRef(b, m.Self) }
+func (m pingResp) AppendWire(b []byte) []byte { return AppendRef(b, m.Self) }
 
-func readPingResp(r *transport.Reader) pingResp { return pingResp{Self: overlay.ReadRef(r)} }
+func readPingResp(r *transport.Reader) pingResp { return pingResp{Self: ReadRef(r)} }
 
 func (m getStateResp) AppendWire(b []byte) []byte {
-	b = overlay.AppendRef(b, m.Self)
-	b = transport.AppendSlice(b, m.Successors, overlay.AppendRef)
-	return overlay.AppendRef(b, m.Pred)
+	b = AppendRef(b, m.Self)
+	b = transport.AppendSlice(b, m.Successors, AppendRef)
+	return AppendRef(b, m.Pred)
 }
 
 func readGetStateResp(r *transport.Reader) getStateResp {
 	return getStateResp{
-		Self:       overlay.ReadRef(r),
-		Successors: transport.ReadSlice(r, overlay.RefWireMin, overlay.ReadRef),
-		Pred:       overlay.ReadRef(r),
+		Self:       ReadRef(r),
+		Successors: transport.ReadSlice(r, RefWireMin, ReadRef),
+		Pred:       ReadRef(r),
 	}
 }
 
@@ -101,27 +122,27 @@ func readClosestPrecedingReq(r *transport.Reader) closestPrecedingReq {
 }
 
 func (m closestPrecedingResp) AppendWire(b []byte) []byte {
-	return transport.AppendBool(overlay.AppendRef(b, m.Node), m.Done)
+	return transport.AppendBool(AppendRef(b, m.Node), m.Done)
 }
 
 func readClosestPrecedingResp(r *transport.Reader) closestPrecedingResp {
-	return closestPrecedingResp{Node: overlay.ReadRef(r), Done: r.Bool()}
+	return closestPrecedingResp{Node: ReadRef(r), Done: r.Bool()}
 }
 
-func (m notifyReq) AppendWire(b []byte) []byte { return overlay.AppendRef(b, m.Candidate) }
+func (m notifyReq) AppendWire(b []byte) []byte { return AppendRef(b, m.Candidate) }
 
-func readNotifyReq(r *transport.Reader) notifyReq { return notifyReq{Candidate: overlay.ReadRef(r)} }
+func readNotifyReq(r *transport.Reader) notifyReq { return notifyReq{Candidate: ReadRef(r)} }
 
 func (m leaveReq) AppendWire(b []byte) []byte {
-	b = overlay.AppendRef(b, m.Leaver)
-	b = overlay.AppendRef(b, m.Pred)
-	return transport.AppendSlice(b, m.Successors, overlay.AppendRef)
+	b = AppendRef(b, m.Leaver)
+	b = AppendRef(b, m.Pred)
+	return transport.AppendSlice(b, m.Successors, AppendRef)
 }
 
 func readLeaveReq(r *transport.Reader) leaveReq {
 	return leaveReq{
-		Leaver:     overlay.ReadRef(r),
-		Pred:       overlay.ReadRef(r),
-		Successors: transport.ReadSlice(r, overlay.RefWireMin, overlay.ReadRef),
+		Leaver:     ReadRef(r),
+		Pred:       ReadRef(r),
+		Successors: transport.ReadSlice(r, RefWireMin, ReadRef),
 	}
 }

@@ -179,11 +179,8 @@ func (n *Node) Successor() NodeRef {
 	return n.successors[0]
 }
 
-// Neighbors returns the successor list — the nodes that adopt this
-// node's keys if it fails.
-func (n *Node) Neighbors() []NodeRef { return n.Successors() }
-
-// Successors returns a copy of the successor list.
+// Successors returns a copy of the successor list: the nodes that adopt
+// this node's keys if it fails, the replication targets.
 func (n *Node) Successors() []NodeRef {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

@@ -223,8 +223,8 @@ func TestLateArrivalDoesNotPromoteUnownedReplicaCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	head, _ := gw.gw.lookup(individualKey, id)
-	if copied, ok := m.replica.lookup(individualKey, id); !ok || copied != head || m.node.Owns(id) {
-		t.Fatalf("setup: the mirror holds %+v (%v), the owner %+v; the mirror owns the id: %v", copied, ok, head, m.node.Owns(id))
+	if copied, ok := m.replica.lookup(individualKey, id); !ok || copied != head || m.chord.Owns(id) {
+		t.Fatalf("setup: the mirror holds %+v (%v), the owner %+v; the mirror owns the id: %v", copied, ok, head, m.chord.Owns(id))
 	}
 	if _, ok := m.gw.lookup(individualKey, id); ok {
 		t.Fatal("setup: the mirror already holds a primary record")

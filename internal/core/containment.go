@@ -179,7 +179,7 @@ func (p *Peer) Unpack(parent moods.ObjectID, children []moods.ObjectID, at time.
 }
 
 func (p *Peer) sendContainment(child moods.ObjectID, req containPutReq) error {
-	res, err := p.node.Lookup(containKey(child))
+	res, err := p.chord.Lookup(containKey(child))
 	if err != nil {
 		return err
 	}
@@ -189,13 +189,13 @@ func (p *Peer) sendContainment(child moods.ObjectID, req containPutReq) error {
 
 // Containments fetches a child's containment history from its gateway.
 func (p *Peer) Containments(child moods.ObjectID) ([]ContainmentRecord, int, error) {
-	res, err := p.node.Lookup(containKey(child))
+	res, err := p.chord.Lookup(containKey(child))
 	if err != nil {
 		return nil, 0, err
 	}
 	hops := res.Hops
 	resp, err := p.call(res.Node.Addr, containGetReq{Child: child})
-	if res.Node.Addr != p.node.Addr() {
+	if res.Node.Addr != p.chord.Addr() {
 		hops++
 	}
 	if err != nil {

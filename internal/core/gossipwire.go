@@ -1,8 +1,8 @@
 package core
 
 import (
+	"peertrack/internal/chord"
 	"peertrack/internal/moods"
-	"peertrack/internal/overlay"
 )
 
 // This file wires the gossip membership layer into the traceability
@@ -21,7 +21,7 @@ import (
 // and — when replication is on — every replica held for it becomes a
 // promotion candidate. (While the verdict stands, DropStaleReplicas
 // leaves the rest alone: the agent's IsDead is the only dead list.)
-func (p *Peer) onGossipDead(ref overlay.NodeRef) {
+func (p *Peer) onGossipDead(ref chord.NodeRef) {
 	if evicted := p.gwCache.removeNode(p.names.ref(moods.NodeName(ref.Addr))); evicted > 0 {
 		p.tel.gwDeadEvictions.Add(uint64(evicted))
 	}

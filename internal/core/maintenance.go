@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"peertrack/internal/chord"
-	"peertrack/internal/netsize"
 	"peertrack/internal/sim"
 )
 
@@ -217,7 +216,7 @@ func (p *Peer) refreshSize() {
 	if p.pm.pinned {
 		return
 	}
-	if est := netsize.DensityEstimate(p.chord.Self(), p.chord.Successors()); est > 1 {
+	if est := p.chord.SizeEstimate(); est > 1 {
 		if old, cur := p.pm.SetNetworkSize(est); cur != old {
 			p.InvalidateGatewayCache()
 		}

@@ -127,7 +127,7 @@ func BuildNetwork(cfg NetworkConfig) (*Network, error) {
 	nw.sortPeers()
 	for _, p := range nw.peers {
 		if p.gossip != nil {
-			p.gossip.SeedView(p.chord.Neighbors())
+			p.gossip.SeedView(p.chord.Successors())
 		}
 	}
 	return nw, nil
@@ -156,7 +156,7 @@ func (nw *Network) ring() []*chord.Node {
 
 // sortPeers restores ring order after a membership change.
 func (nw *Network) sortPeers() {
-	sort.Slice(nw.peers, func(i, j int) bool { return nw.peers[i].node.ID().Less(nw.peers[j].node.ID()) })
+	sort.Slice(nw.peers, func(i, j int) bool { return nw.peers[i].chord.ID().Less(nw.peers[j].chord.ID()) })
 }
 
 // Peers returns the peers in ring order.

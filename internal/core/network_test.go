@@ -172,7 +172,7 @@ func TestIndexingFailuresSurfaceInStats(t *testing.T) {
 		obj := moods.ObjectID(fmt.Sprintf("ff-%d", i))
 		gwid := ids.KeyOf(obj.Hash(), lp).GatewayID()
 		for _, p := range nw.Peers() {
-			if p != observer && p.node.Owns(gwid) {
+			if p != observer && p.chord.Owns(gwid) {
 				gw = p
 				break
 			}

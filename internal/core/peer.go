@@ -26,7 +26,6 @@ import (
 	"peertrack/internal/gossip"
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
-	"peertrack/internal/overlay"
 	"peertrack/internal/replication"
 	"peertrack/internal/telemetry"
 	"peertrack/internal/transport"
@@ -101,10 +100,7 @@ const gatewayCacheSize = 8192
 // local repository, gateway storage, and the indexing/query protocols,
 // and the maintenance table's rows over them (maintenance.go).
 type Peer struct {
-	// chord is the peer's overlay node; node is the same node as the
-	// indexing and query paths route through it (a test may wrap it).
 	chord *chord.Node
-	node  overlay.Node
 	net   transport.Network
 	cfg   Config
 	pm    *PrefixManager
@@ -183,7 +179,6 @@ func NewPeer(net transport.Network, addr transport.Addr, bound bool, ring chord.
 	// most stores, and seven eager map allocations per peer add up.
 	p := &Peer{
 		chord:       node,
-		node:        node,
 		net:         net,
 		cfg:         cfg,
 		pm:          pm,
@@ -215,10 +210,10 @@ func (p *Peer) Node() *chord.Node { return p.chord }
 func (p *Peer) Gossip() *gossip.Agent { return p.gossip }
 
 // Name returns this peer's node name in the discrete space N.
-func (p *Peer) Name() moods.NodeName { return moods.NodeName(p.node.Addr()) }
+func (p *Peer) Name() moods.NodeName { return moods.NodeName(p.chord.Addr()) }
 
 // Addr returns the peer's transport address.
-func (p *Peer) Addr() transport.Addr { return p.node.Addr() }
+func (p *Peer) Addr() transport.Addr { return p.chord.Addr() }
 
 // Prefixes returns the prefix manager this peer routes by: one shared
 // instance in the simulator, its own on a live node.
@@ -391,7 +386,7 @@ func (p *Peer) recycleWindow(batch []moods.Observation) {
 // (which emits M2/M3).
 func (p *Peer) indexIndividually(obs moods.Observation) error {
 	id := obs.Object.Hash()
-	res, err := p.node.Lookup(id)
+	res, err := p.chord.Lookup(id)
 	if err != nil {
 		return fmt.Errorf("core: locate gateway for %s: %w", obs.Object, err)
 	}
@@ -410,7 +405,7 @@ func (p *Peer) resolveGateway(key ids.PrefixKey) (transport.Addr, error) {
 			return transport.Addr(p.names.name(node)), nil
 		}
 	}
-	res, err := p.node.Lookup(p.pm.GatewayID(key))
+	res, err := p.chord.Lookup(p.pm.GatewayID(key))
 	if err != nil {
 		return "", fmt.Errorf("core: resolve gateway %q: %w", key, err)
 	}
@@ -427,10 +422,10 @@ func (p *Peer) InvalidateGatewayCache() { p.gwCache.reset() }
 // call sends an application RPC, short-circuiting self-addressed
 // messages (a node never pays transport cost to talk to itself).
 func (p *Peer) call(to transport.Addr, req any) (any, error) {
-	if to == p.node.Addr() {
-		return p.handleRPC(p.node.Addr(), req)
+	if to == p.chord.Addr() {
+		return p.handleRPC(p.chord.Addr(), req)
 	}
-	return p.net.Call(p.node.Addr(), to, req)
+	return p.net.Call(p.chord.Addr(), to, req)
 }
 
 // handleRPC serves the traceability protocol.
@@ -675,7 +670,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 				missing = append(missing, id)
 			}
 		}
-		sp.Step(string(p.node.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(missing))
+		sp.Step(string(p.chord.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(missing))
 		if len(missing) > 0 {
 			unknown := len(missing)
 			if lo < r.Key.Len() {
@@ -684,7 +679,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 			if len(missing) > 0 && (hi > r.Key.Len() || p.gw.delegatedFlag(r.Key)) {
 				p.refreshFromDescent(r.Key, missing, MaxDescent)
 			}
-			sp.Step(string(p.node.Addr()), noteRefresh).Int(unknown - len(missing)).Int(unknown)
+			sp.Step(string(p.chord.Addr()), noteRefresh).Int(unknown - len(missing)).Int(unknown)
 		}
 	}
 
@@ -721,9 +716,9 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 		wrote = true
 	}
 	if !partition {
-		sp.Step(string(p.node.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(unknown))
+		sp.Step(string(p.chord.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(unknown))
 		if len(unknown) > 0 {
-			sp.Step(string(p.node.Addr()), noteRefresh).Int(0).Int(len(unknown))
+			sp.Step(string(p.chord.Addr()), noteRefresh).Int(0).Int(len(unknown))
 		}
 	}
 	p.mirrorIndex(r.Key, wrote)
@@ -739,7 +734,7 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 
 	p.maybeDelegate(r.Key)
 	if len(deferred) > 0 {
-		sp.Step(string(p.node.Addr()), noteDeferred).Int(len(deferred))
+		sp.Step(string(p.chord.Addr()), noteDeferred).Int(len(deferred))
 	}
 	sp.Finish(msgs, nil)
 	return deferred

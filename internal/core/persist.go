@@ -26,7 +26,7 @@ import (
 // mirrors, in unit order, likewise, a containGetResp and, ending the
 // file, a transModelResp. Every list is sorted: one state, one file.
 func (p *Peer) Snapshot(w io.Writer) error {
-	self, name := p.node.Addr(), string(p.Name())
+	self, name := p.chord.Addr(), string(p.Name())
 	b := []byte(transport.Preface)
 	for _, key := range p.gw.bucketKeys() {
 		req := replicatePutReq{Key: key, Owner: self, Full: true}
@@ -96,7 +96,7 @@ func (p *Peer) Restore(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-	self := p.node.Addr()
+	self := p.chord.Addr()
 	for _, unit := range units {
 		switch u := unit.(type) {
 		case replicatePutReq:

@@ -131,8 +131,8 @@ func (p *Peer) PredictNext(obj moods.ObjectID) (Prediction, error) {
 		return Prediction{Hops: hops}, err
 	}
 	var resp any
-	if transport.Addr(entry.Latest) == p.node.Addr() {
-		resp, err = p.handleRPC(p.node.Addr(), transModelReq{})
+	if transport.Addr(entry.Latest) == p.chord.Addr() {
+		resp, err = p.handleRPC(p.chord.Addr(), transModelReq{})
 	} else {
 		resp, err = p.call(transport.Addr(entry.Latest), transModelReq{})
 		hops++

@@ -72,8 +72,9 @@ func (s Scheme) PrefixLen(nn float64, lmin int) int {
 // PrefixManager derives the current global prefix length Lp from the
 // network-size estimate. The paper recalculates Lp "at a
 // relatively long interval" because it grows much slower than Nn;
-// SetNetworkSize is that recalculation point, and ChangedSince lets
-// gateways detect grouping inconsistencies to repair.
+// SetNetworkSize is that recalculation point, and LpRange (every length
+// that has been current) bounds where refresh and lookup look for the
+// grouping inconsistencies a change leaves.
 type PrefixManager struct {
 	mu     sync.RWMutex
 	scheme Scheme
@@ -114,7 +115,8 @@ const maxGatewayMemo = 1 << 14
 // prefix length L_min (the bootstrap floor of Section IV-A1), and
 // network size. A size nn > 0 is pinned: only SetNetworkSize moves it.
 // With nn ≤ 0 the manager starts at L_min and each refresh of its peer
-// estimates the size from overlay density.
+// estimates the size from successor-list density
+// (chord.Node.SizeEstimate).
 func NewPrefixManager(scheme Scheme, lmin int, nn float64) *PrefixManager {
 	if scheme < Scheme1 || scheme > Scheme3 {
 		scheme = Scheme2

@@ -50,7 +50,7 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 	hops := 0
 
 	if p.cfg.Mode == IndividualIndexing {
-		res, err := p.node.Lookup(id)
+		res, err := p.chord.Lookup(id)
 		var resp any
 		if err != nil {
 			err = fmt.Errorf("core: find gateway: %w", err)
@@ -65,12 +65,12 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 			e, h, found, _ := p.replicaFallthrough(individualKey, id, id, res.Node.Addr)
 			hops += h
 			if found {
-				sp.Step(string(p.node.Addr()), noteReplicaObject).Str(string(obj))
+				sp.Step(string(p.chord.Addr()), noteReplicaObject).Str(string(obj))
 				return e, hops, nil
 			}
 			return IndexEntry{}, hops, err
 		}
-		if res.Node.Addr != p.node.Addr() {
+		if res.Node.Addr != p.chord.Addr() {
 			hops++
 		}
 		qr := resp.(queryIndexResp)
@@ -153,7 +153,7 @@ func (p *Peer) queryGateway(key ids.PrefixKey, id ids.ID, sp *telemetry.Recordin
 	var resp any
 	if err == nil {
 		resp, err = p.call(gwAddr, req)
-		if gwAddr != p.node.Addr() {
+		if gwAddr != p.chord.Addr() {
 			hops++
 		}
 		if err != nil {
@@ -164,7 +164,7 @@ func (p *Peer) queryGateway(key ids.PrefixKey, id ids.ID, sp *telemetry.Recordin
 			if fresh, rerr := p.resolveGateway(key); rerr == nil && fresh != gwAddr {
 				gwAddr = fresh
 				resp, err = p.call(gwAddr, req)
-				if gwAddr != p.node.Addr() {
+				if gwAddr != p.chord.Addr() {
 					hops++
 				}
 				if err != nil {
@@ -183,7 +183,7 @@ func (p *Peer) queryGateway(key ids.PrefixKey, id ids.ID, sp *telemetry.Recordin
 		e, h, found, delegated := p.replicaFallthrough(key, key.GatewayID(), id, gwAddr)
 		hops += h
 		if found {
-			sp.Step(string(p.node.Addr()), noteReplicaBucket).Prefix(key)
+			sp.Step(string(p.chord.Addr()), noteReplicaBucket).Prefix(key)
 		}
 		return e, hops, found, delegated
 	}
@@ -199,7 +199,7 @@ func (p *Peer) queryGateway(key ids.PrefixKey, id ids.ID, sp *telemetry.Recordin
 // fetchVisits retrieves an object's visit records from a node (free
 // when local).
 func (p *Peer) fetchVisits(node moods.NodeName, obj moods.ObjectID) ([]VisitRecord, int, error) {
-	if transport.Addr(node) == p.node.Addr() {
+	if transport.Addr(node) == p.chord.Addr() {
 		vs, _ := p.repo.get(obj)
 		return vs, 0, nil
 	}

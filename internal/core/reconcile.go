@@ -34,7 +34,7 @@ func (p *Peer) ReconcileStep() int {
 			// Correct level; verify placement (ring membership may have
 			// moved the gateway).
 			gwAddr, err := p.resolveGateway(key)
-			if err == nil && gwAddr != p.node.Addr() {
+			if err == nil && gwAddr != p.chord.Addr() {
 				if ok, _ := p.handOff(key, gwAddr); ok {
 					moved++
 				}
@@ -131,8 +131,8 @@ func (p *Peer) rehomeIndividual() int {
 	moved := 0
 	byDest := make(map[transport.Addr][]IndexEntry)
 	for _, e := range entries {
-		res, err := p.node.Lookup(e.ID)
-		if err != nil || res.Node.Addr == p.node.Addr() {
+		res, err := p.chord.Lookup(e.ID)
+		if err != nil || res.Node.Addr == p.chord.Addr() {
 			continue
 		}
 		byDest[res.Node.Addr] = append(byDest[res.Node.Addr], e)

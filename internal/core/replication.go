@@ -384,11 +384,11 @@ func (p *Peer) mirrorSet() []transport.Addr {
 		return nil
 	}
 	out := make([]transport.Addr, 0, p.mirrors())
-	for _, succ := range p.node.Neighbors() {
+	for _, succ := range p.chord.Successors() {
 		if len(out) >= p.mirrors() {
 			break
 		}
-		if succ.Addr == p.node.Addr() {
+		if succ.Addr == p.chord.Addr() {
 			continue
 		}
 		dup := false
@@ -468,7 +468,7 @@ func (p *Peer) nextDelta(u replication.Unit) (any, uint64) {
 			return nil, 0
 		}
 		v := p.repl.Bump(u)
-		return repoMirrorReq{Owner: p.node.Addr(), Version: v, Objects: objs}, v
+		return repoMirrorReq{Owner: p.chord.Addr(), Version: v, Objects: objs}, v
 	}
 	touched := p.gw.takeDirty(u.Key)
 	if len(touched) == 0 {
@@ -476,7 +476,7 @@ func (p *Peer) nextDelta(u replication.Unit) (any, uint64) {
 	}
 	v := p.repl.Bump(u)
 	entries, delegated := p.gw.query(u.Key, touched)
-	return replicatePutReq{Key: u.Key, Owner: p.node.Addr(), Version: v, Delegated: delegated, Entries: entries, Removed: missingFrom(touched, entries)}, v
+	return replicatePutReq{Key: u.Key, Owner: p.chord.Addr(), Version: v, Delegated: delegated, Entries: entries, Removed: missingFrom(touched, entries)}, v
 }
 
 // pushFull ships the unit's entire current state to one mirror at
@@ -484,10 +484,10 @@ func (p *Peer) nextDelta(u replication.Unit) (any, uint64) {
 func (p *Peer) pushFull(u replication.Unit, addr transport.Addr, v uint64, cause string) {
 	var req any
 	if u.Repo {
-		req = repoMirrorReq{Owner: p.node.Addr(), Version: v, Full: true, Objects: repoObjectsOf(p.repo.snapshot())}
+		req = repoMirrorReq{Owner: p.chord.Addr(), Version: v, Full: true, Objects: repoObjectsOf(p.repo.snapshot())}
 	} else {
 		entries, delegated := p.gw.dumpBucket(u.Key)
-		req = replicatePutReq{Key: u.Key, Owner: p.node.Addr(), Version: v, Full: true, Delegated: delegated, Entries: entries}
+		req = replicatePutReq{Key: u.Key, Owner: p.chord.Addr(), Version: v, Full: true, Delegated: delegated, Entries: entries}
 	}
 	if resp, err := p.call(addr, req); err != nil || !resp.(mirrorResp).Current {
 		p.repl.ClearSynced(u, addr)
@@ -551,7 +551,7 @@ func (p *Peer) handleReplicatePut(r replicatePutReq) mirrorResp {
 
 // handleRepoMirror applies one repository push.
 func (p *Peer) handleRepoMirror(r repoMirrorReq) mirrorResp {
-	if r.Owner == p.node.Addr() {
+	if r.Owner == p.chord.Addr() {
 		// A mirror is returning this node's own repository: we came
 		// back from a restart with an empty store, stopped probing, and
 		// the mirror's GC pass is restoring its copy before dropping
@@ -619,14 +619,14 @@ func (p *Peer) lookupWithReplica(key ids.PrefixKey, id ids.ID) (IndexEntry, bool
 // directly. Promotion happens once the ring actually makes this node
 // the owner (stabilization after churn).
 func (p *Peer) promote(key ids.PrefixKey, entries []IndexEntry) {
-	if key != individualKey && !p.node.Owns(key.GatewayID()) {
+	if key != individualKey && !p.chord.Owns(key.GatewayID()) {
 		return
 	}
 	wrote := false
 	for _, e := range entries {
 		// A prefix group is placed whole, by its gateway id (checked
 		// above); per-object records one by one, by their own ids.
-		if key != individualKey || p.node.Owns(e.ID) {
+		if key != individualKey || p.chord.Owns(e.ID) {
 			p.gw.upsert(key, e)
 			wrote = true
 		}
@@ -645,7 +645,7 @@ func (p *Peer) failoverRead(ringKey ids.ID, skip transport.Addr, req any, hit fu
 	if p.mirrors() <= 0 {
 		return 0, false
 	}
-	set, err := p.node.LookupSet(ringKey, p.cfg.ReplicationFactor)
+	set, err := p.chord.LookupSet(ringKey, p.cfg.ReplicationFactor)
 	if err != nil {
 		return 0, false
 	}
@@ -655,7 +655,7 @@ func (p *Peer) failoverRead(ringKey ids.ID, skip transport.Addr, req any, hit fu
 			continue
 		}
 		resp, err := p.call(ref.Addr, req)
-		if ref.Addr != p.node.Addr() {
+		if ref.Addr != p.chord.Addr() {
 			hops++
 		}
 		if err == nil && hit(resp) {
@@ -736,16 +736,16 @@ func (p *Peer) PromoteOwnedReplicas() {
 // own id, while the rest stay held as they were.
 func (p *Peer) maybePromoteHeld(h replication.HeldInfo) {
 	u, key := h.Unit, h.Unit.Key
-	if u.Repo || h.Owner == p.node.Addr() {
+	if u.Repo || h.Owner == p.chord.Addr() {
 		return
 	}
-	if key != individualKey && !p.node.Owns(key.GatewayID()) {
+	if key != individualKey && !p.chord.Owns(key.GatewayID()) {
 		return
 	}
 	entries, delegated := p.replica.drain(key)
 	var mine []IndexEntry
 	for _, e := range entries {
-		if key != individualKey || p.node.Owns(e.ID) {
+		if key != individualKey || p.chord.Owns(e.ID) {
 			mine = append(mine, e)
 		} else {
 			p.replica.upsert(key, e)
@@ -804,7 +804,7 @@ func (p *Peer) SyncOwnedReplicas() {
 			}
 			for _, addr := range mirrors {
 				p.tel.replProbes.Inc()
-				resp, err := p.call(addr, replicaCheckReq{Key: u.Key, Repo: u.Repo, Owner: p.node.Addr(), Version: v})
+				resp, err := p.call(addr, replicaCheckReq{Key: u.Key, Repo: u.Repo, Owner: p.chord.Addr(), Version: v})
 				switch {
 				case err != nil:
 					p.repl.ClearSynced(u, addr)
@@ -874,7 +874,7 @@ func (p *Peer) restoreHeld(h replication.HeldInfo) bool {
 	byDest := make(map[transport.Addr][]IndexEntry)
 	if key != individualKey {
 		gwAddr, err := p.resolveGateway(key)
-		if err != nil || gwAddr == p.node.Addr() {
+		if err != nil || gwAddr == p.chord.Addr() {
 			return false
 		}
 		byDest[gwAddr] = entries
@@ -882,8 +882,8 @@ func (p *Peer) restoreHeld(h replication.HeldInfo) bool {
 		// Per-object records re-home individually: each entry goes to
 		// its ring successor (the recorded owner may no longer own it).
 		for _, e := range entries {
-			res, err := p.node.Lookup(e.ID)
-			if err != nil || res.Node.Addr == p.node.Addr() {
+			res, err := p.chord.Lookup(e.ID)
+			if err != nil || res.Node.Addr == p.chord.Addr() {
 				return false
 			}
 			byDest[res.Node.Addr] = append(byDest[res.Node.Addr], e)
@@ -922,7 +922,7 @@ func (p *Peer) dropOwnedMeta(u replication.Unit) {
 		return
 	}
 	for _, mv := range meta.Synced {
-		p.call(mv.Addr, replicaDropReq{Key: u.Key, Repo: u.Repo, Owner: p.node.Addr()})
+		p.call(mv.Addr, replicaDropReq{Key: u.Key, Repo: u.Repo, Owner: p.chord.Addr()})
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
-	"peertrack/internal/overlay"
 	"peertrack/internal/transport"
 )
 
@@ -264,37 +263,54 @@ func TestObserveDoesNotQueueBehindAFlushInFlight(t *testing.T) {
 			return ok && r.Owner == owner.Addr()
 		})
 	}
-	holdLookup := func(_ *Network, owner *Peer) (chan struct{}, chan struct{}) {
-		g := &gatedLookup{Node: owner.node, entered: make(chan struct{}, 16), gate: make(chan struct{})}
-		owner.node = g
-		return g.entered, g.gate
+	// holdLookup holds every routing step the other peers are asked (a
+	// chord closestPrecedingReq) in their transport handlers, ahead of
+	// the Chord node that answers it, until the gate closes.
+	holdLookup := func(nw *Network, owner *Peer) (chan struct{}, chan struct{}) {
+		entered, gate := make(chan struct{}, 16), make(chan struct{})
+		for _, p := range nw.Peers() {
+			if p == owner {
+				continue
+			}
+			node := p.chord
+			nw.Transport.Register(p.Addr(), func(from transport.Addr, req any) (any, error) {
+				if fmt.Sprintf("%T", req) == "chord.closestPrecedingReq" {
+					entered <- struct{}{}
+					<-gate
+				}
+				return node.HandleRPC(from, req)
+			})
+		}
+		return entered, gate
 	}
-	// A query for "first", which is still in the window, finds no record.
-	query := func(q func(*Peer) error) func(*Peer) error {
-		return func(p *Peer) error {
-			if err := q(p); !errors.Is(err, ErrNotTracked) {
+	// A query for the first object, which is still in the window, finds
+	// no record.
+	query := func(q func(*Peer, moods.ObjectID) error) func(*Peer, moods.ObjectID) error {
+		return func(p *Peer, obj moods.ObjectID) error {
+			if err := q(p, obj); !errors.Is(err, ErrNotTracked) {
 				return err
 			}
 			return nil
 		}
 	}
+	flush := func(p *Peer, _ moods.ObjectID) error { return p.FlushWindow() }
 	cases := []struct {
 		name string
 		cfg  Config
 		hold func(nw *Network, owner *Peer) (entered, gate chan struct{})
-		wait func(*Peer) error // the call that waits on the network
-		// buffered is the window's size after "second": a flush took
-		// "first" out before its wait, a query leaves it in.
+		wait func(*Peer, moods.ObjectID) error // the call that waits on the network
+		// buffered is the window's size after the second observation: a
+		// flush took the first out before its wait, a query leaves it in.
 		buffered int
 	}{
-		{"repository push", Config{ReplicationFactor: 2}, holdMirror, (*Peer).FlushWindow, 1},
-		{"gateway lookup", Config{}, holdLookup, (*Peer).FlushWindow, 1},
-		{"locate", Config{}, holdLookup, query(func(p *Peer) error {
-			_, err := p.Locate("first", time.Second)
+		{"repository push", Config{ReplicationFactor: 2}, holdMirror, flush, 1},
+		{"gateway lookup", Config{}, holdLookup, flush, 1},
+		{"locate", Config{}, holdLookup, query(func(p *Peer, obj moods.ObjectID) error {
+			_, err := p.Locate(obj, time.Second)
 			return err
 		}), 2},
-		{"full trace", Config{}, holdLookup, query(func(p *Peer) error {
-			_, err := p.FullTrace("first")
+		{"full trace", Config{}, holdLookup, query(func(p *Peer, obj moods.ObjectID) error {
+			_, err := p.FullTrace(obj)
 			return err
 		}), 2},
 	}
@@ -302,12 +318,13 @@ func TestObserveDoesNotQueueBehindAFlushInFlight(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			nw := buildNet(t, 4, c.cfg)
 			owner := nw.Peers()[0]
+			first := remoteGatewayObject(owner)
 			entered, gate := c.hold(nw, owner)
-			if err := owner.Observe(moods.Observation{Object: "first", At: time.Second}); err != nil {
+			if err := owner.Observe(moods.Observation{Object: first, At: time.Second}); err != nil {
 				t.Fatal(err)
 			}
 			waited := make(chan error, 1)
-			go func() { waited <- c.wait(owner) }()
+			go func() { waited <- c.wait(owner, first) }()
 			select {
 			case <-entered: // the call is waiting on the network, and stuck
 			case <-time.After(3 * time.Second):
@@ -339,6 +356,19 @@ func TestObserveDoesNotQueueBehindAFlushInFlight(t *testing.T) {
 	}
 }
 
+// remoteGatewayObject returns the first object first-0, first-1, … whose
+// gateway p's lookup reaches through another peer. A gateway id that p
+// owns, or that falls in (p, successor], resolves from p's own routing
+// state and sends no request that holdLookup could hold.
+func remoteGatewayObject(p *Peer) moods.ObjectID {
+	for i := 0; ; i++ {
+		obj := moods.ObjectID(fmt.Sprintf("first-%d", i))
+		if _, local := p.chord.NextHop(p.pm.GatewayID(ids.KeyOf(obj.Hash(), p.pm.Lp()))); !local {
+			return obj
+		}
+	}
+}
+
 // gateMirror holds every request to mirror that block accepts until the
 // returned gate closes; entered receives once per request held. Its 16
 // slots outnumber the requests any of these tests sends, so a handler
@@ -353,19 +383,6 @@ func gateMirror(mirror *Peer, block func(req any) bool) (entered, gate chan stru
 		return mirror.handleRPC(from, req)
 	})
 	return entered, gate
-}
-
-// gatedLookup holds every overlay lookup of the node it wraps until
-// gate closes; entered is sized as gateMirror's.
-type gatedLookup struct {
-	overlay.Node
-	entered, gate chan struct{}
-}
-
-func (g *gatedLookup) Lookup(key ids.ID) (overlay.Result, error) {
-	g.entered <- struct{}{}
-	<-g.gate
-	return g.Node.Lookup(key)
 }
 
 // TestContendedWritersShareMirrorPushes pins what the stream's

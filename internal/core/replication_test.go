@@ -9,7 +9,6 @@ import (
 	"peertrack/internal/gossip"
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
-	"peertrack/internal/overlay"
 	"peertrack/internal/replication"
 )
 
@@ -442,7 +441,7 @@ func TestRestoreAfterFalseDeadVerdict(t *testing.T) {
 		t.Fatalf("%d records restored while the detector still says dead", got)
 	}
 	// The restarted node's agent knows its successor, which is its mirror.
-	reborn.gossip.SeedView([]overlay.NodeRef{mirror.Node().Self()})
+	reborn.gossip.SeedView([]chord.NodeRef{mirror.Node().Self()})
 	reborn.gossip.Round()
 	if mirror.gossip.IsDead(self.Addr) {
 		t.Fatal("inbound contact did not resurrect the owner")

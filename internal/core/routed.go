@@ -85,7 +85,7 @@ func (p *Peer) TraceRouted(obj moods.ObjectID) (TraceResult, error) {
 		bucket = ids.KeyOf(obj.Hash(), p.pm.Lp())
 		key = bucket.GatewayID()
 	}
-	resp, err := p.handleRoutedTrace(p.node.Addr(), routedTraceReq{
+	resp, err := p.handleRoutedTrace(p.chord.Addr(), routedTraceReq{
 		Object: obj, Key: key, Bucket: bucket, TTL: 64,
 	})
 	if err != nil {
@@ -107,11 +107,11 @@ func (p *Peer) handleRoutedTrace(from transport.Addr, r routedTraceReq) (any, er
 		if err != nil {
 			return routedTraceResp{Hops: hops}, nil
 		}
-		return routedTraceResp{Found: true, Path: path, Hops: hops, Intermediate: !p.node.Owns(r.Key)}, nil
+		return routedTraceResp{Found: true, Path: path, Hops: hops, Intermediate: !p.chord.Owns(r.Key)}, nil
 	}
 	// Gateway: answer from the index (probing triangle children if the
 	// record was delegated), then walk the IOP list.
-	if p.node.Owns(r.Key) {
+	if p.chord.Owns(r.Key) {
 		entry, hops, found := p.gatewayLocalFind(r.Bucket, r.Object)
 		if !found {
 			return routedTraceResp{Hops: hops}, nil
@@ -127,8 +127,8 @@ func (p *Peer) handleRoutedTrace(from transport.Addr, r routedTraceReq) (any, er
 	if r.TTL <= 0 {
 		return nil, fmt.Errorf("core: routed trace TTL exhausted for %s", r.Object)
 	}
-	next, _ := p.node.NextHop(r.Key)
-	if next.Addr == p.node.Addr() {
+	next, _ := p.chord.NextHop(r.Key)
+	if next.Addr == p.chord.Addr() {
 		return routedTraceResp{}, nil
 	}
 	fwd := r

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"peertrack/internal/chord"
 	"peertrack/internal/moods"
 )
 
@@ -24,7 +23,7 @@ func runTelemetryWorkload(t *testing.T) (*Network, string) {
 	nw.Run()
 	// The static ring build skips maintenance; run one explicit round so
 	// the chord instruments register activity.
-	if err := nw.Peers()[0].node.(*chord.Node).Stabilize(); err != nil {
+	if err := nw.Peers()[0].chord.Stabilize(); err != nil {
 		t.Fatalf("stabilize: %v", err)
 	}
 	for i := 0; i < 6; i++ {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"peertrack/internal/overlay"
+	"peertrack/internal/chord"
 	"peertrack/internal/transport"
 )
 
@@ -19,7 +19,7 @@ func benchCluster(b testing.TB, n int) []*Agent {
 	b.Helper()
 	mem := transport.NewMemory(1)
 	agents := make([]*Agent, n)
-	rs := make([]overlay.NodeRef, n)
+	rs := make([]chord.NodeRef, n)
 	for i := range rs {
 		rs[i] = ref(fmt.Sprintf("peer-%04d", i))
 	}
@@ -37,7 +37,7 @@ func benchCluster(b testing.TB, n int) []*Agent {
 		}
 	}
 	for i, a := range agents {
-		a.SeedView([]overlay.NodeRef{rs[(i+1)%n], rs[(i+n-1)%n]})
+		a.SeedView([]chord.NodeRef{rs[(i+1)%n], rs[(i+n-1)%n]})
 	}
 	for r := 0; r < 10; r++ {
 		for _, a := range agents {

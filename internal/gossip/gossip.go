@@ -33,7 +33,7 @@ import (
 	"sort"
 	"sync"
 
-	"peertrack/internal/overlay"
+	"peertrack/internal/chord"
 	"peertrack/internal/transport"
 )
 
@@ -77,7 +77,7 @@ var ErrStopped = errors.New("gossip: agent stopped")
 
 // Agent is one node's membership view, sampler, and failure detector.
 type Agent struct {
-	self overlay.NodeRef
+	self chord.NodeRef
 	net  transport.Network
 	cfg  Config
 
@@ -89,7 +89,7 @@ type Agent struct {
 	dead    []transport.Addr // sorted; quarantined addresses
 	probeAt int              // round-robin sampler-slot probe cursor
 	stopped bool
-	onDead  func(overlay.NodeRef)
+	onDead  func(chord.NodeRef)
 
 	tel agentTelemetry
 }
@@ -103,7 +103,7 @@ type suspicion struct {
 // New creates an agent for self on net. The agent serves no traffic by
 // itself: core.NewPeer composes HandleRPC into the peer's handler, and
 // the maintenance table drives Round.
-func New(net transport.Network, self overlay.NodeRef, cfg Config) *Agent {
+func New(net transport.Network, self chord.NodeRef, cfg Config) *Agent {
 	cfg.fill()
 	a := &Agent{
 		self: self,
@@ -126,7 +126,7 @@ func SeedFor(base int64, addr transport.Addr) int64 {
 // SetOnDead installs the dead-verdict callback. It runs outside the
 // agent lock, once per address transitioning alive→dead. Install before
 // traffic starts.
-func (a *Agent) SetOnDead(fn func(overlay.NodeRef)) {
+func (a *Agent) SetOnDead(fn func(chord.NodeRef)) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.onDead = fn
@@ -134,7 +134,7 @@ func (a *Agent) SetOnDead(fn func(overlay.NodeRef)) {
 
 // SeedView merges bootstrap references (typically ring neighbours) into
 // the view as fresh entries and feeds them to the sampler.
-func (a *Agent) SeedView(refs []overlay.NodeRef) {
+func (a *Agent) SeedView(refs []chord.NodeRef) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	entries := make([]Entry, 0, len(refs))
@@ -174,7 +174,7 @@ func (a *Agent) Round() {
 	a.mu.Unlock()
 
 	a.tel.rounds.Inc()
-	var deadRefs []overlay.NodeRef
+	var deadRefs []chord.NodeRef
 	resp, err := a.net.Call(a.self.Addr, partner.Addr, req)
 	a.mu.Lock()
 	if err != nil {
@@ -270,10 +270,10 @@ func (a *Agent) View() []Entry {
 // Samples returns the agent's current peer samples — the union of view
 // entries and sampler slot elements, deduplicated and sorted by address
 // — for overlay repair (chord.RepairFromSamples).
-func (a *Agent) Samples() []overlay.NodeRef {
+func (a *Agent) Samples() []chord.NodeRef {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]overlay.NodeRef, 0, len(a.view)+len(a.smp.slots))
+	out := make([]chord.NodeRef, 0, len(a.view)+len(a.smp.slots))
 	for _, e := range a.view {
 		out = append(out, e.Ref)
 	}
@@ -298,7 +298,7 @@ func (a *Agent) Samples() []overlay.NodeRef {
 // same suspicion state machine as the agent's exchanges and probes. It
 // returns true when the report crossed the threshold and ref was
 // declared dead; the OnDead callback fires before returning.
-func (a *Agent) Suspect(ref overlay.NodeRef) bool {
+func (a *Agent) Suspect(ref chord.NodeRef) bool {
 	a.mu.Lock()
 	if a.stopped || ref.IsZero() || ref.Addr == a.self.Addr {
 		a.mu.Unlock()
@@ -394,7 +394,7 @@ func (a *Agent) mergeLocked(incoming []Entry) {
 }
 
 // feedLocked offers one observed address to the min-wise sampler.
-func (a *Agent) feedLocked(r overlay.NodeRef) {
+func (a *Agent) feedLocked(r chord.NodeRef) {
 	a.smp.feed(r)
 }
 
@@ -402,7 +402,7 @@ func (a *Agent) feedLocked(r overlay.NodeRef) {
 // cycling round-robin so every retained minimum is eventually
 // validated — this is what lets the estimator shed crashed nodes whose
 // hashes would otherwise pin the slot minima forever.
-func (a *Agent) nextProbeLocked() (overlay.NodeRef, bool) {
+func (a *Agent) nextProbeLocked() (chord.NodeRef, bool) {
 	k := len(a.smp.slots)
 	for i := 0; i < k; i++ {
 		s := &a.smp.slots[a.probeAt]
@@ -411,7 +411,7 @@ func (a *Agent) nextProbeLocked() (overlay.NodeRef, bool) {
 			return s.ref, true
 		}
 	}
-	return overlay.NodeRef{}, false
+	return chord.NodeRef{}, false
 }
 
 // suspectLocked records one failed contact; on crossing the threshold

@@ -6,18 +6,18 @@ import (
 	"reflect"
 	"testing"
 
+	"peertrack/internal/chord"
 	"peertrack/internal/ids"
-	"peertrack/internal/overlay"
 	"peertrack/internal/transport"
 )
 
-func ref(name string) overlay.NodeRef {
-	return overlay.NodeRef{ID: ids.HashString(name), Addr: transport.Addr(name)}
+func ref(name string) chord.NodeRef {
+	return chord.NodeRef{ID: ids.HashString(name), Addr: transport.Addr(name)}
 }
 
 // refs returns n distinct references named peer-0000…peer-(n-1).
-func refs(n int) []overlay.NodeRef {
-	out := make([]overlay.NodeRef, n)
+func refs(n int) []chord.NodeRef {
+	out := make([]chord.NodeRef, n)
 	for i := range out {
 		out[i] = ref(fmt.Sprintf("peer-%04d", i))
 	}
@@ -52,7 +52,7 @@ func cluster(t *testing.T, n int, cfg Config) (*transport.Memory, []*Agent) {
 		serve(t, mem, a)
 	}
 	for i, a := range agents {
-		a.SeedView([]overlay.NodeRef{rs[(i+1)%n], rs[(i+n-1)%n]})
+		a.SeedView([]chord.NodeRef{rs[(i+1)%n], rs[(i+n-1)%n]})
 	}
 	return mem, agents
 }
@@ -205,8 +205,8 @@ func TestSingleContactJoin(t *testing.T) {
 		n          = 32
 		joinRounds = 4
 	)
-	viewRefs := func(a *Agent) []overlay.NodeRef {
-		var out []overlay.NodeRef
+	viewRefs := func(a *Agent) []chord.NodeRef {
+		var out []chord.NodeRef
 		for _, e := range a.View() {
 			out = append(out, e.Ref)
 		}
@@ -217,7 +217,7 @@ func TestSingleContactJoin(t *testing.T) {
 		rounds(agents, 20)
 		joiner := testAgent(mem, fmt.Sprintf("joiner-%d", k), Config{})
 		serve(t, mem, joiner)
-		joiner.SeedView([]overlay.NodeRef{agents[k].self})
+		joiner.SeedView([]chord.NodeRef{agents[k].self})
 		all := append(agents[:n:n], joiner)
 		rounds(all, joinRounds)
 
@@ -235,7 +235,7 @@ func TestSingleContactJoin(t *testing.T) {
 // following edges — walked backwards from the target: whoever has it
 // among their edges reaches it in one step, whoever has one of those in
 // two, and so on.
-func reaching(all []*Agent, target *Agent, edges func(*Agent) []overlay.NodeRef) int {
+func reaching(all []*Agent, target *Agent, edges func(*Agent) []chord.NodeRef) int {
 	holders := map[transport.Addr][]transport.Addr{} // address -> agents with an edge to it
 	for _, a := range all {
 		for _, r := range edges(a) {
@@ -263,8 +263,8 @@ func TestFailureDetector(t *testing.T) {
 	rounds(agents, 6)
 
 	victim := agents[3]
-	var deaths []overlay.NodeRef
-	agents[0].SetOnDead(func(r overlay.NodeRef) { deaths = append(deaths, r) })
+	var deaths []chord.NodeRef
+	agents[0].SetOnDead(func(r chord.NodeRef) { deaths = append(deaths, r) })
 	mem.Kill(victim.self.Addr)
 
 	if agents[0].Suspect(victim.self) {

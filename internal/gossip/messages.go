@@ -1,7 +1,7 @@
 package gossip
 
 import (
-	"peertrack/internal/overlay"
+	"peertrack/internal/chord"
 	"peertrack/internal/transport"
 )
 
@@ -11,14 +11,14 @@ import (
 // the youngest report per address, so fresh liveness information always
 // displaces stale hearsay.
 type Entry struct {
-	Ref overlay.NodeRef
+	Ref chord.NodeRef
 	Age uint32
 }
 
 // exchangeReq is the push half of a push/pull view exchange: the
 // sender's self-entry (age 0) plus a copy of its current view.
 type exchangeReq struct {
-	From    overlay.NodeRef
+	From    chord.NodeRef
 	Entries []Entry
 }
 
@@ -34,7 +34,7 @@ type probeReq struct{}
 
 // probeResp carries the prober target's self reference.
 type probeResp struct {
-	Self overlay.NodeRef
+	Self chord.NodeRef
 }
 
 // entryWireSize approximates one Entry on the wire: a 20-byte
@@ -75,20 +75,20 @@ func init() {
 }
 
 // entryWireMin is the fewest bytes an Entry occupies on the wire.
-const entryWireMin = overlay.RefWireMin + 4
+const entryWireMin = chord.RefWireMin + 4
 
 func appendEntry(b []byte, e Entry) []byte {
-	return transport.AppendU32(overlay.AppendRef(b, e.Ref), e.Age)
+	return transport.AppendU32(chord.AppendRef(b, e.Ref), e.Age)
 }
 
-func readEntry(r *transport.Reader) Entry { return Entry{Ref: overlay.ReadRef(r), Age: r.U32()} }
+func readEntry(r *transport.Reader) Entry { return Entry{Ref: chord.ReadRef(r), Age: r.U32()} }
 
 func (m exchangeReq) AppendWire(b []byte) []byte {
-	return transport.AppendSlice(overlay.AppendRef(b, m.From), m.Entries, appendEntry)
+	return transport.AppendSlice(chord.AppendRef(b, m.From), m.Entries, appendEntry)
 }
 
 func readExchangeReq(r *transport.Reader) exchangeReq {
-	return exchangeReq{From: overlay.ReadRef(r), Entries: transport.ReadSlice(r, entryWireMin, readEntry)}
+	return exchangeReq{From: chord.ReadRef(r), Entries: transport.ReadSlice(r, entryWireMin, readEntry)}
 }
 
 func (m exchangeResp) AppendWire(b []byte) []byte {
@@ -101,6 +101,6 @@ func readExchangeResp(r *transport.Reader) exchangeResp {
 
 func (probeReq) AppendWire(b []byte) []byte { return b }
 
-func (m probeResp) AppendWire(b []byte) []byte { return overlay.AppendRef(b, m.Self) }
+func (m probeResp) AppendWire(b []byte) []byte { return chord.AppendRef(b, m.Self) }
 
-func readProbeResp(r *transport.Reader) probeResp { return probeResp{Self: overlay.ReadRef(r)} }
+func readProbeResp(r *transport.Reader) probeResp { return probeResp{Self: chord.ReadRef(r)} }

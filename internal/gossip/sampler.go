@@ -1,7 +1,7 @@
 package gossip
 
 import (
-	"peertrack/internal/overlay"
+	"peertrack/internal/chord"
 	"peertrack/internal/transport"
 )
 
@@ -23,7 +23,7 @@ type sampler struct {
 }
 
 type slot struct {
-	ref  overlay.NodeRef
+	ref  chord.NodeRef
 	hash uint64
 	full bool
 }
@@ -42,7 +42,7 @@ func (s *sampler) init(k int, base uint64) {
 }
 
 // feed offers one observed address to every slot.
-func (s *sampler) feed(r overlay.NodeRef) {
+func (s *sampler) feed(r chord.NodeRef) {
 	if r.IsZero() {
 		return
 	}

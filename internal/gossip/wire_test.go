@@ -3,14 +3,14 @@ package gossip
 import (
 	"testing"
 
+	"peertrack/internal/chord"
 	"peertrack/internal/ids"
-	"peertrack/internal/overlay"
 	"peertrack/internal/transport"
 	"peertrack/internal/transport/wiretest"
 )
 
 func wireEntry(addr string, age uint32) Entry {
-	return Entry{Ref: overlay.NodeRef{ID: ids.HashString(addr), Addr: transport.Addr(addr)}, Age: age}
+	return Entry{Ref: chord.NodeRef{ID: ids.HashString(addr), Addr: transport.Addr(addr)}, Age: age}
 }
 
 // wireSamples has one populated value per layout of this package.

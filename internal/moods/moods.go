@@ -159,15 +159,6 @@ func (p Path) Nodes() []NodeName {
 // times.
 func (p Path) Equal(q Path) bool { return slices.Equal(p, q) }
 
-// Tracer answers the TR function.
-type Tracer interface {
-	// Trace returns the path of o during [t1, t2]: every node where o
-	// was observed inside the window, in time order. If the object was
-	// already inside the system at t1, the node it occupied at t1 opens
-	// the path.
-	Trace(o ObjectID, t1, t2 time.Duration) (Path, error)
-}
-
 // HistoryStore is the reference implementation of L and TR: it records
 // every observation and answers queries exactly. It is the semantic
 // specification the distributed implementation must match, and the
@@ -323,7 +314,11 @@ func (h *HistoryStore) Locate(o ObjectID, t time.Duration) (NodeName, error) {
 	return s[i-1].Node, nil
 }
 
-// Trace implements Tracer.
+// Trace answers the TR function: the path of o during [t1, t2], every
+// node where o was observed inside the window, in time order. If the
+// object was already inside the system at t1, the node it occupied at
+// t1 opens the path. It is the answer the distributed traces are
+// compared against.
 func (h *HistoryStore) Trace(o ObjectID, t1, t2 time.Duration) (Path, error) {
 	if t2 < t1 {
 		t1, t2 = t2, t1
