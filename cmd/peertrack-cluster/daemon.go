@@ -78,7 +78,7 @@ func newFleet(n int, dir string) ([]*daemon, error) {
 }
 
 // start launches the daemon. join is the bootstrap P2P address ("" for
-// the first node); extra appends scenario flags (e.g. -no-resilience).
+// the first node); extra appends scenario flags (e.g. -replicas 1).
 func (d *daemon) start(bin, join string, netsize int, extra []string) error {
 	if d.cmd != nil {
 		return fmt.Errorf("node %d already running", d.idx)
@@ -93,7 +93,6 @@ func (d *daemon) start(bin, join string, netsize int, extra []string) error {
 		"-gossip-every", fleetCadences.Gossip.String(),
 		"-replica-sync-every", fleetCadences.ReplicaSync.String(),
 		"-dial-timeout", "1s",
-		"-call-timeout", "2s",
 		"-rpc-attempts", "3",
 		"-rpc-attempt-timeout", "500ms",
 		"-rpc-budget", "2s",

@@ -6,8 +6,8 @@
 //
 //   - with -replicas ≥ 2 and the resilient RPC layer, every object
 //     stays locatable across the crash window (zero lost reads);
-//   - the factor-1/no-resilience baseline provably loses reads when the
-//     same fault hits;
+//   - the factor-1 baseline, one attempt per call and no breaker,
+//     provably loses reads when the same fault hits;
 //   - every node's retry/breaker counters decompose exactly against its
 //     transport counters (invariants.CheckResilience) — retried calls
 //     are never double-counted as drops;
@@ -49,7 +49,7 @@ func realMain() int {
 		replicas = flag.Int("replicas", 2, "replication factor for the resilient fleet")
 		objects  = flag.Int("objects", 24, "objects in the workload")
 		smoke    = flag.Bool("smoke", false, "CI preset: crash + restart only, no parity or baseline phases")
-		noBase   = flag.Bool("no-baseline", false, "skip the factor-1/no-resilience lost-reads proof")
+		noBase   = flag.Bool("no-baseline", false, "skip the factor-1, one-attempt lost-reads proof")
 		noPause  = flag.Bool("no-pause", false, "skip the SIGSTOP pause fault")
 		budget   = flag.Duration("budget", 30*time.Second, "per-node clean-shutdown budget after SIGTERM")
 		seed     = flag.Int64("seed", 1, "workload and sim-twin seed")
@@ -443,11 +443,11 @@ func (r *run) parityPhase() {
 	}
 }
 
-// baselineScenario proves the negative: factor 1 without resilience
-// loses reads under the same crash.
+// baselineScenario proves the negative: factor 1 with one attempt per
+// call and no breaker loses reads under the same crash.
 func (r *run) baselineScenario() {
-	r.logf("== baseline fleet: factor 1, no resilience ==")
-	fleet, err := r.launch("baseline", []string{"-replicas", "1", "-no-resilience"})
+	r.logf("== baseline fleet: factor 1, one attempt, no breaker ==")
+	fleet, err := r.launch("baseline", []string{"-replicas", "1", "-rpc-attempts", "1", "-breaker-threshold", "-1"})
 	if err != nil {
 		r.failf("baseline launch: %v", err)
 		return

@@ -42,24 +42,6 @@ func (d *daemon) scrape() (counters, error) {
 	return out, sc.Err()
 }
 
-// resilience reconstructs the wrapper's snapshot from scraped counters.
-func (c counters) resilience() transport.ResilienceSnapshot {
-	return transport.ResilienceSnapshot{
-		Calls:            c["transport.resilient.calls"],
-		Attempts:         c["transport.resilient.attempts"],
-		Retries:          c["transport.resilient.retries"],
-		Rejected:         c["transport.resilient.rejected"],
-		Successes:        c["transport.resilient.successes"],
-		Failures:         c["transport.resilient.failures"],
-		Recoveries:       c["transport.resilient.recoveries"],
-		BreakerOpens:     c["transport.resilient.breaker_opens"],
-		BreakerReopens:   c["transport.resilient.breaker_reopens"],
-		BreakerCloses:    c["transport.resilient.breaker_closes"],
-		HalfOpenProbes:   c["transport.resilient.halfopen_probes"],
-		DeadlineExceeded: c["transport.resilient.deadline_exceeded"],
-	}
-}
-
 // inner reconstructs the TCP transport's snapshot.
 func (c counters) inner() transport.Snapshot {
 	return transport.Snapshot{
@@ -72,7 +54,7 @@ func (c counters) inner() transport.Snapshot {
 	}
 }
 
-// checkResilience runs the cross-layer accounting invariants on one
+// checkResilienceMetrics runs the cross-layer accounting invariants on one
 // node's scraped counters: the resilient wrapper is trackd's sole
 // transport caller, so retries must decompose exactly into inner
 // drops/blocked — a retried call is never double-counted as a drop.
@@ -81,7 +63,7 @@ func checkResilienceMetrics(d *daemon) (transport.ResilienceSnapshot, []invarian
 	if err != nil {
 		return transport.ResilienceSnapshot{}, nil, err
 	}
-	res := m.resilience()
+	res := transport.ResilienceFrom(func(name string) uint64 { return m[name] })
 	return res, invariants.CheckResilience(res, m.inner()), nil
 }
 

@@ -55,19 +55,18 @@ func main() {
 	dataPath := flag.String("data", "", "snapshot file for durable state (restored at start, saved at exit)")
 	secret := flag.String("secret", "", "shared network secret enabling HMAC frame authentication")
 	replicas := flag.Int("replicas", 1, "total copies of gateway state incl. primary (1 = no replication; set identically network-wide)")
-	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "P2P TCP connect timeout")
-	callTimeout := flag.Duration("call-timeout", 10*time.Second, "P2P round-trip timeout per attempt ceiling")
-	rpcAttempts := flag.Int("rpc-attempts", 3, "total attempts per P2P call, first try included (1 = no retries)")
-	rpcAttemptTimeout := flag.Duration("rpc-attempt-timeout", 2*time.Second, "deadline for each P2P attempt")
-	rpcBudget := flag.Duration("rpc-budget", 8*time.Second, "total time budget per P2P call, attempts plus backoff")
-	rpcBackoff := flag.Duration("rpc-backoff", 50*time.Millisecond, "base retry backoff, doubling per retry (jittered)")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures to one peer that open its circuit breaker (negative disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 3*time.Second, "open-breaker rejection period before a half-open probe")
-	noResilience := flag.Bool("no-resilience", false, "issue P2P calls without retries or circuit breaking (experimental baseline)")
-	gossipEvery := flag.Duration("gossip-every", time.Second, "membership gossip round cadence (negative disables the agent)")
-	replicaSyncEvery := flag.Duration("replica-sync-every", 10*time.Second, "replica anti-entropy cadence (active when -replicas > 1)")
-	window := flag.Duration("window", time.Second, "capture-window flush interval T_interval")
-	stabilizeEvery := flag.Duration("stabilize-every", 2*time.Second, "overlay stabilization cadence of a quiet ring; a new neighbour pulls the next rounds in")
+	d := peertrack.DefaultNodeOptions()
+	dialTimeout := flag.Duration("dial-timeout", d.DialTimeout, "P2P TCP connect timeout")
+	rpcAttempts := flag.Int("rpc-attempts", d.RPCAttempts, "total attempts per P2P call, first try included (1 = no retries)")
+	rpcAttemptTimeout := flag.Duration("rpc-attempt-timeout", d.RPCAttemptTimeout, "deadline for each P2P attempt (one TCP round trip)")
+	rpcBudget := flag.Duration("rpc-budget", d.RPCBudget, "total time budget per P2P call, attempts plus backoff")
+	rpcBackoff := flag.Duration("rpc-backoff", d.RPCBackoff, "base retry backoff, doubling per retry (jittered)")
+	breakerThreshold := flag.Int("breaker-threshold", d.BreakerThreshold, "consecutive failures to one peer that open its circuit breaker (negative disables; with -rpc-attempts 1, the raw-transport baseline)")
+	breakerCooldown := flag.Duration("breaker-cooldown", d.BreakerCooldown, "open-breaker rejection period before a half-open probe")
+	gossipEvery := flag.Duration("gossip-every", d.GossipEvery, "membership gossip round cadence (negative disables the agent)")
+	replicaSyncEvery := flag.Duration("replica-sync-every", d.ReplicaSyncEvery, "replica anti-entropy cadence (active when -replicas > 1)")
+	window := flag.Duration("window", d.WindowInterval, "capture-window flush interval T_interval")
+	stabilizeEvery := flag.Duration("stabilize-every", d.StabilizeEvery, "overlay stabilization cadence of a quiet ring; a new neighbour pulls the next rounds in")
 	flag.Parse()
 
 	opts := peertrack.NodeOptions{
@@ -75,14 +74,12 @@ func main() {
 		NetworkSecret:     *secret,
 		Replicas:          *replicas,
 		DialTimeout:       *dialTimeout,
-		CallTimeout:       *callTimeout,
 		RPCAttempts:       *rpcAttempts,
 		RPCAttemptTimeout: *rpcAttemptTimeout,
 		RPCBudget:         *rpcBudget,
 		RPCBackoff:        *rpcBackoff,
 		BreakerThreshold:  *breakerThreshold,
 		BreakerCooldown:   *breakerCooldown,
-		NoResilience:      *noResilience,
 		GossipEvery:       *gossipEvery,
 		ReplicaSyncEvery:  *replicaSyncEvery,
 		WindowInterval:    *window,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -392,6 +393,13 @@ func gateMirror(mirror *Peer, block func(req any) bool) (entered, gate chan stru
 // (Were every writer to wait for a turn of its own, each turn would find
 // what the writers behind it had queued and pay a push for it: as many
 // pushes as writes, and a queue that grows with the offered load.)
+//
+// The pile-up is made, not left to the scheduler: a writer writes only
+// while a push is held at the mirror. Each writer waits at a gate before
+// each write; the mirror holds every push until each writer that was at
+// the gate has written and its id waits in the owner's queue (read off
+// the store). When every writer with writes left is at the gate, nothing
+// is in flight, and one of them starts.
 func TestContendedWritersShareMirrorPushes(t *testing.T) {
 	const (
 		workers = 16
@@ -401,14 +409,13 @@ func TestContendedWritersShareMirrorPushes(t *testing.T) {
 	nw := buildNet(t, 4, Config{ReplicationFactor: 2, DelegationThreshold: 2 * workers * rounds})
 	owner, key := gatewayOf(nw, "settled")
 	reporter := mirrorOf(nw, owner)
-	// A push takes the mirror a while: long enough for the other writers
-	// to run up against the taken stream.
 	mirror := mirrorOf(nw, owner)
+	entered := make(chan chan struct{})
 	mirror.chord.SetAppHandler(func(from transport.Addr, req any) (any, error) {
 		if _, push := req.(replicatePutReq); push {
-			for i := 0; i < 4*workers; i++ {
-				runtime.Gosched()
-			}
+			release := make(chan struct{})
+			entered <- release
+			<-release
 		}
 		return mirror.handleRPC(from, req)
 	})
@@ -420,12 +427,17 @@ func TestContendedWritersShareMirrorPushes(t *testing.T) {
 			}
 		}
 	}
-	var wg sync.WaitGroup
+	atGate, finished := make(chan int), make(chan struct{})
+	var next [workers]chan int // the gate: the round a writer is let write
+	for w := range next {
+		next[w] = make(chan int, 1)
+	}
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
-			for _, o := range objs[w] {
+			defer func() { finished <- struct{}{} }()
+			for range objs[w] {
+				atGate <- w
+				o := objs[w][<-next[w]]
 				if _, err := owner.handleRPC(reporter.Addr(), groupArriveReq{Key: key, Events: []ObjEvent{{Object: o, Arrived: time.Second}}, Node: reporter.Name(), At: time.Second}); err != nil {
 					t.Error(err)
 				}
@@ -435,7 +447,39 @@ func TestContendedWritersShareMirrorPushes(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
+	var round [workers]int
+	queued := func(w int) bool {
+		owner.gw.mu.Lock()
+		defer owner.gw.mu.Unlock()
+		return slices.Contains(owner.gw.dirty[key], objs[w][round[w]-1].Hash())
+	}
+	var gate []int
+	for live := workers; live > 0; {
+		select {
+		case w := <-atGate:
+			gate = append(gate, w)
+		case <-finished:
+			live--
+		case release := <-entered:
+			for _, w := range gate {
+				next[w] <- round[w]
+				round[w]++
+			}
+			for deadline := time.Now().Add(10 * time.Second); slices.ContainsFunc(gate, func(w int) bool { return !queued(w) }); runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("writers %v not all queued behind a held push after 10 s", gate)
+				}
+			}
+			gate = gate[:0]
+			close(release)
+		}
+		if len(gate) == live && live > 0 {
+			w := gate[0]
+			gate = gate[1:]
+			next[w] <- round[w]
+			round[w]++
+		}
+	}
 
 	writes := workers * rounds
 	pushes := nw.Telemetry.Counter("transport.call.type.core.replicatePutReq").Value()

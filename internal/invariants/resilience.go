@@ -9,22 +9,29 @@ import (
 // CheckResilience verifies the retry/breaker accounting of a
 // transport.Resilient wrapper against the inner transport it drives.
 // It holds exactly when the wrapper is the inner transport's only
-// caller (the live trackd stack, the chaos resilience schedules, and
-// the transport-level tests):
+// caller (every live node, the chaos resilience schedules, and the
+// transport-level tests).
 //
-//   - the wrapper's own counters conserve (ResilienceSnapshot.Conserves:
-//     every call succeeded or failed, attempts decompose into admitted
-//     first tries plus retries),
+// Two relations are identities, true of any snapshot the wrapper
+// reports, because transport.ResilienceFrom derives them:
+// Attempts = Calls − Rejected + Retries and Successes = Calls − Failures.
+// ResilienceSnapshot.Conserves checks what the counted fields alone
+// must satisfy (no more rejections than failures, no more failures than
+// calls, no more recoveries than successes). The check is the
+// comparison with the inner transport's own, independent counts:
+//
 //   - the inner transport's counters conserve (CheckStats),
-//   - Attempts == inner Calls: every retry is billed as its own inner
-//     call with its own drop/blocked accounting,
-//   - inner Drops + Blocked == Retries + Failures − Rejected: each
-//     transport-failed attempt is exactly one inner drop or block — a
-//     retried-then-recovered call contributes its failed attempts as
-//     retries, a call that fails outright contributes retries plus one
-//     final failure, and a breaker-rejected call never reaches the wire.
-//     Retried calls are therefore never double-counted as drops, and
-//     drops are never silently swallowed by the retry loop.
+//   - Attempts == inner Calls (resilience-attempt-accounting): every
+//     retry is billed as its own inner call, so a retry the wrapper
+//     fails to count, or a call that bypasses it, shows here,
+//   - inner Drops + Blocked == Retries + Failures − Rejected
+//     (resilience-fault-accounting): each transport-failed attempt is
+//     exactly one inner drop or block — a retried-then-recovered call
+//     contributes its failed attempts as retries, a call that fails
+//     outright contributes retries plus one final failure, and a
+//     breaker-rejected call never reaches the wire. Retried calls are
+//     therefore never double-counted as drops, and drops are never
+//     silently swallowed by the retry loop.
 //
 // Handler-level failures (RemoteError) are deliberately excluded: the
 // wrapper counts them as answered, the inner transport as completed
@@ -34,8 +41,8 @@ func CheckResilience(res transport.ResilienceSnapshot, inner transport.Snapshot)
 	if !res.Conserves() {
 		out = append(out, Violation{
 			Invariant: "resilience-conservation",
-			Detail: fmt.Sprintf("calls=%d attempts=%d retries=%d rejected=%d successes=%d failures=%d",
-				res.Calls, res.Attempts, res.Retries, res.Rejected, res.Successes, res.Failures),
+			Detail: fmt.Sprintf("calls=%d rejected=%d failures=%d recoveries=%d",
+				res.Calls, res.Rejected, res.Failures, res.Recoveries),
 		})
 	}
 	out = append(out, CheckStats(inner)...)

@@ -81,11 +81,11 @@ func TestCheckResilienceDetectsViolations(t *testing.T) {
 		t.Errorf("bypassed wrapper not flagged: %v", vs)
 	}
 
-	// A wrapper snapshot that loses a call outcome fails its own
-	// conservation check.
-	lost := res
-	lost.Successes = 7
-	if vs := CheckResilience(lost, inner); !hasInvariant(vs, "resilience-conservation") {
+	// A wrapper snapshot with more rejected calls than failed ones fails
+	// its own conservation check.
+	overRejected := res
+	overRejected.Rejected = 3
+	if vs := CheckResilience(overRejected, inner); !hasInvariant(vs, "resilience-conservation") {
 		t.Errorf("non-conserving wrapper snapshot not flagged: %v", vs)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"peertrack/internal/sim"
 )
 
 // benchReq is a representative request payload with a wire size, like
@@ -39,24 +41,37 @@ func BenchmarkTransportCall(b *testing.B) {
 }
 
 // BenchmarkTransportCallResilient is the same call through the Resilient
-// wrapper on a wall clock, as a live node makes it; the difference to
-// BenchmarkTransportCall is the wrapper's overhead on a call that meets
-// no breaker (the benchmark's transport.resilient_overhead_ns).
+// wrapper; the difference to BenchmarkTransportCall is the wrapper's
+// overhead on a call that meets no breaker. "wall" reads the wall clock,
+// as a live node does (the benchmark's transport.resilient_overhead_ns);
+// "kernel" reads a simulator kernel's clock, a field, with no sleep, as
+// the wrapper would run on the sim path.
 func BenchmarkTransportCallResilient(b *testing.B) {
-	m := NewMemory(1)
-	addr := Addr("node")
-	if err := m.Register(addr, func(from Addr, req any) (any, error) { return benchReq{N: 1}, nil }); err != nil {
-		b.Fatal(err)
-	}
 	epoch := time.Now()
-	r := NewResilient(m, func() time.Duration { return time.Since(epoch) }, time.Sleep, ResilientConfig{})
-	var req any = benchReq{N: 7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Call(addr, addr, req); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name  string
+		clock func() time.Duration
+		sleep func(time.Duration)
+	}{
+		{"wall", func() time.Duration { return time.Since(epoch) }, time.Sleep},
+		{"kernel", sim.New(1).Now, nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := NewMemory(1)
+			addr := Addr("node")
+			if err := m.Register(addr, func(from Addr, req any) (any, error) { return benchReq{N: 1}, nil }); err != nil {
+				b.Fatal(err)
+			}
+			r := NewResilient(m, c.clock, c.sleep, ResilientConfig{})
+			var req any = benchReq{N: 7}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Call(addr, addr, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

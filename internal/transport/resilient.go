@@ -11,14 +11,6 @@ import (
 	"peertrack/internal/telemetry"
 )
 
-// DeadlineCaller is implemented by transports that can bound a single
-// call attempt with a deadline: TCP arms real connection deadlines. The
-// in-memory transport dispatches synchronously, so Resilient calls it
-// with plain Call.
-type DeadlineCaller interface {
-	CallWithTimeout(from, to Addr, req any, timeout time.Duration) (any, error)
-}
-
 // ErrCircuitOpen reports that a call was rejected without an attempt
 // because the destination's circuit breaker is open. It is always
 // wrapped under ErrUnreachable so callers' existing failure handling
@@ -30,10 +22,6 @@ type ResilientConfig struct {
 	// MaxAttempts is the total number of attempts per call, first try
 	// included (default 3; 1 disables retries).
 	MaxAttempts int
-	// AttemptTimeout bounds each attempt via DeadlineCaller when the
-	// inner transport supports it (default 0: the inner transport's own
-	// call timeout applies).
-	AttemptTimeout time.Duration
 	// CallBudget bounds the whole call — attempts plus backoff waits.
 	// Before sleeping, the wrapper gives up if the elapsed time plus the
 	// next wait would exceed the budget (default 0: unbounded).
@@ -86,12 +74,12 @@ type breaker struct {
 	openedAt time.Duration
 }
 
-// Resilient wraps a Network with per-call deadlines, bounded retries
-// with exponential backoff and deterministic jitter, and a per-peer
-// circuit breaker with half-open probes. Time and waiting are injected:
-// the sim drives it from the kernel clock with a no-op sleep (retries
-// are immediate and fully deterministic), the live stack passes the
-// wall clock and time.Sleep.
+// Resilient wraps a Network with bounded retries, exponential backoff
+// with deterministic jitter, and a per-peer circuit breaker with
+// half-open probes; an attempt is one inner Call. Time and waiting are
+// injected: the sim drives it from the kernel clock with a no-op sleep
+// (retries are immediate and fully deterministic), the live stack
+// passes the wall clock and time.Sleep.
 //
 // Only transport-level failures (errors under ErrUnreachable) are
 // retried and counted against the breaker; a RemoteError means the peer
@@ -111,12 +99,12 @@ type Resilient struct {
 	tracked atomic.Int32
 
 	// Handles onto the transport.resilient.* counters — the wrapper's
-	// only accounting; Resilience() reads them back.
+	// only accounting; Resilience() reads them back through reg. A call
+	// that meets no fault bumps calls alone.
+	reg              *telemetry.Registry
 	calls            *telemetry.Counter
-	attempts         *telemetry.Counter
 	retries          *telemetry.Counter
 	rejected         *telemetry.Counter
-	successes        *telemetry.Counter
 	failures         *telemetry.Counter
 	recoveries       *telemetry.Counter
 	breakerOpens     *telemetry.Counter
@@ -168,11 +156,10 @@ func (r *Resilient) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		reg = telemetry.New(nil)
 	}
+	r.reg = reg
 	r.calls = reg.Counter("transport.resilient.calls")
-	r.attempts = reg.Counter("transport.resilient.attempts")
 	r.retries = reg.Counter("transport.resilient.retries")
 	r.rejected = reg.Counter("transport.resilient.rejected")
-	r.successes = reg.Counter("transport.resilient.successes")
 	r.failures = reg.Counter("transport.resilient.failures")
 	r.recoveries = reg.Counter("transport.resilient.recoveries")
 	r.breakerOpens = reg.Counter("transport.resilient.breaker_opens")
@@ -193,13 +180,11 @@ func (r *Resilient) Call(from, to Addr, req any) (any, error) {
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		r.attempts.Inc()
-		resp, err := r.attempt(from, to, req)
+		resp, err := r.inner.Call(from, to, req)
 		if err == nil || !errors.Is(err, ErrUnreachable) {
 			// The peer answered: success, or an application-level error
 			// that retrying would not change.
 			r.noteSuccess(to)
-			r.successes.Inc()
 			if attempt > 1 {
 				r.recoveries.Inc()
 			}
@@ -226,15 +211,6 @@ func (r *Resilient) Call(from, to Addr, req any) (any, error) {
 	}
 	r.failures.Inc()
 	return nil, lastErr
-}
-
-func (r *Resilient) attempt(from, to Addr, req any) (any, error) {
-	if r.cfg.AttemptTimeout > 0 {
-		if dc, ok := r.inner.(DeadlineCaller); ok {
-			return dc.CallWithTimeout(from, to, req, r.cfg.AttemptTimeout)
-		}
-	}
-	return r.inner.Call(from, to, req)
 }
 
 // backoff returns the jittered wait before the next attempt: the base
@@ -340,36 +316,19 @@ func (r *Resilient) noteFailure(to Addr, now time.Duration) {
 	}
 }
 
-// BreakerState reports to's breaker state for diagnostics: "closed",
-// "open", or "half-open".
-func (r *Resilient) BreakerState(to Addr) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b := r.breakers[to]
-	if b == nil {
-		return "closed"
-	}
-	switch b.state {
-	case bkOpen:
-		return "open"
-	case bkHalfOpen:
-		return "half-open"
-	}
-	return "closed"
-}
-
 // ResilienceSnapshot is a point-in-time copy of the wrapper's counters.
 // Calls are wrapper-level round trips; Attempts are inner-transport
 // calls, so when the wrapper is a transport's only caller,
 // Attempts == inner Stats().Snapshot().Calls exactly — each retry is
 // its own inner call with its own fault accounting, never a
-// double-counted drop.
+// double-counted drop. Attempts and Successes are not counted but
+// derived (ResilienceFrom); a call still in flight reads as a success.
 type ResilienceSnapshot struct {
 	Calls            uint64 // wrapper-level calls
-	Attempts         uint64 // inner calls issued (first tries + retries)
+	Attempts         uint64 // inner calls issued (first tries + retries): Calls − Rejected + Retries
 	Retries          uint64 // attempts beyond the first, per call
 	Rejected         uint64 // calls rejected by an open breaker (zero attempts)
-	Successes        uint64 // calls answered by the peer (incl. RemoteError)
+	Successes        uint64 // calls answered by the peer (incl. RemoteError): Calls − Failures
 	Failures         uint64 // calls that failed at transport level (incl. Rejected)
 	Recoveries       uint64 // successes that needed more than one attempt
 	BreakerOpens     uint64 // closed → open transitions
@@ -379,30 +338,38 @@ type ResilienceSnapshot struct {
 	DeadlineExceeded uint64 // retry loops cut short by CallBudget
 }
 
-// Conserves reports whether the counters are internally consistent:
-// every call succeeded or failed, and the attempt total decomposes into
-// admitted first tries plus retries.
+// ResilienceFrom builds a snapshot from the transport.resilient.*
+// counters, read by name through value, and derives Attempts and
+// Successes from them. Calls is read last: a call bumps it before any
+// outcome counter, so no outcome read can exceed it.
+func ResilienceFrom(value func(name string) uint64) ResilienceSnapshot {
+	s := ResilienceSnapshot{
+		Retries:          value("transport.resilient.retries"),
+		Rejected:         value("transport.resilient.rejected"),
+		Failures:         value("transport.resilient.failures"),
+		Recoveries:       value("transport.resilient.recoveries"),
+		BreakerOpens:     value("transport.resilient.breaker_opens"),
+		BreakerReopens:   value("transport.resilient.breaker_reopens"),
+		BreakerCloses:    value("transport.resilient.breaker_closes"),
+		HalfOpenProbes:   value("transport.resilient.halfopen_probes"),
+		DeadlineExceeded: value("transport.resilient.deadline_exceeded"),
+	}
+	s.Calls = value("transport.resilient.calls")
+	s.Attempts = s.Calls - s.Rejected + s.Retries
+	s.Successes = s.Calls - s.Failures
+	return s
+}
+
+// Conserves reports whether the counted fields are consistent with each
+// other: no more rejections than failures, no more failures than calls,
+// no more recoveries than successes. The decompositions of Attempts and
+// Successes hold by construction; CheckResilience tests them against
+// the inner transport's own counts.
 func (s ResilienceSnapshot) Conserves() bool {
-	return s.Successes+s.Failures == s.Calls &&
-		s.Attempts == s.Calls-s.Rejected+s.Retries &&
-		s.Rejected <= s.Failures &&
-		s.Recoveries <= s.Successes
+	return s.Rejected <= s.Failures && s.Failures <= s.Calls && s.Recoveries <= s.Successes
 }
 
 // Resilience reads the wrapper's counters.
 func (r *Resilient) Resilience() ResilienceSnapshot {
-	return ResilienceSnapshot{
-		Calls:            r.calls.Value(),
-		Attempts:         r.attempts.Value(),
-		Retries:          r.retries.Value(),
-		Rejected:         r.rejected.Value(),
-		Successes:        r.successes.Value(),
-		Failures:         r.failures.Value(),
-		Recoveries:       r.recoveries.Value(),
-		BreakerOpens:     r.breakerOpens.Value(),
-		BreakerReopens:   r.breakerReopens.Value(),
-		BreakerCloses:    r.breakerCloses.Value(),
-		HalfOpenProbes:   r.halfOpenProbes.Value(),
-		DeadlineExceeded: r.deadlineExceeded.Value(),
-	}
+	return ResilienceFrom(func(name string) uint64 { return r.reg.Counter(name).Value() })
 }

@@ -52,8 +52,8 @@ func TestPooledConnReuseAcrossRestart(t *testing.T) {
 	if resp.(echoResp).Msg != "two" {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if got := client.StaleConns(); got < 1 {
-		t.Errorf("StaleConns = %d, want >= 1", got)
+	if got := client.Stats().reg.Counter("transport.conn.stale").Value(); got < 1 {
+		t.Errorf("transport.conn.stale = %d, want >= 1", got)
 	}
 
 	// Parity: the same two successful calls on Memory must account
@@ -107,13 +107,12 @@ func TestStaleConnThenDeadPeer(t *testing.T) {
 	}
 }
 
-// Per-call deadlines: CallWithTimeout cuts a stalled round trip short
-// well before the transport-wide CallTimeout, and the loss is billed as
-// a drop (request sent, no response) — the same taxonomy Memory uses
-// for in-flight loss.
-func TestCallWithTimeout(t *testing.T) {
+// CallTimeout cuts a stalled round trip short, and the loss is billed
+// as a drop (request sent, no response) — the same taxonomy Memory uses
+// for in-flight loss. A live node sets it to its per-attempt bound.
+func TestCallTimeout(t *testing.T) {
 	tcp := NewTCP()
-	tcp.CallTimeout = 30 * time.Second
+	tcp.CallTimeout = 100 * time.Millisecond
 	defer tcp.Close()
 	release := make(chan struct{})
 	defer close(release)
@@ -126,7 +125,7 @@ func TestCallWithTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = tcp.CallWithTimeout("client", addr, echoReq{Msg: "x"}, 100*time.Millisecond)
+	_, err = tcp.Call("client", addr, echoReq{Msg: "x"})
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}

@@ -27,7 +27,8 @@ type TCP struct {
 
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
-	// CallTimeout bounds a full round trip (default 10s).
+	// CallTimeout bounds a full round trip (default 10s). A live node
+	// sets it to its per-attempt bound (NodeOptions.RPCAttemptTimeout).
 	CallTimeout time.Duration
 	// Secret, when non-nil, enables HMAC-SHA256 frame authentication
 	// with sequence numbers (see auth.go). All peers must share it. Set
@@ -190,24 +191,6 @@ func (t *TCP) SetTelemetry(reg *telemetry.Registry) {
 // a connection existed is a message lost in flight (dropped — one
 // request message on the wire, no response).
 func (t *TCP) Call(from, to Addr, req any) (any, error) {
-	return t.call(from, to, req, t.CallTimeout)
-}
-
-// CallWithTimeout implements DeadlineCaller: like Call but with an
-// explicit round-trip deadline for this call only (<= 0 falls back to
-// CallTimeout).
-func (t *TCP) CallWithTimeout(from, to Addr, req any, timeout time.Duration) (any, error) {
-	if timeout <= 0 {
-		timeout = t.CallTimeout
-	}
-	return t.call(from, to, req, timeout)
-}
-
-// StaleConns reports how many pooled connections were detected dead on
-// reuse (typically after the peer restarted) and transparently replaced.
-func (t *TCP) StaleConns() uint64 { return t.stats.stale.Value() }
-
-func (t *TCP) call(from, to Addr, req any, callTimeout time.Duration) (any, error) {
 	start := t.stats.begin()
 	pool := t.pool(to)
 	for tries := 0; ; tries++ {
@@ -216,7 +199,7 @@ func (t *TCP) call(from, to Addr, req any, callTimeout time.Duration) (any, erro
 			t.stats.record(blocked, req, nil, start)
 			return nil, fmt.Errorf("%w: %s (%v)", ErrUnreachable, to, err)
 		}
-		resp, errText, stale, rerr := t.roundTrip(pool, c, from, req, callTimeout)
+		resp, errText, stale, rerr := t.roundTrip(pool, c, from, req)
 		if rerr != nil {
 			if stale && tries <= poolIdleConns {
 				// A pooled connection died while idle — the usual cause is
@@ -247,8 +230,8 @@ func (t *TCP) call(from, to Addr, req any, callTimeout time.Duration) (any, erro
 // connection error (not a timeout) — the signature of a peer that went
 // away while the conn sat idle; such requests were never processed and
 // are safe to replay on a fresh connection.
-func (t *TCP) roundTrip(pool *connPool, c *wireConn, from Addr, req any, callTimeout time.Duration) (resp any, errText string, stale bool, err error) {
-	c.conn.SetDeadline(time.Now().Add(callTimeout))
+func (t *TCP) roundTrip(pool *connPool, c *wireConn, from Addr, req any) (resp any, errText string, stale bool, err error) {
+	c.conn.SetDeadline(time.Now().Add(t.CallTimeout))
 	if err = c.send(string(from), req); err == nil {
 		errText, resp, err = c.recv()
 	}

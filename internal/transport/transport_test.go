@@ -246,7 +246,7 @@ func TestTCPHandlerPanicIsContained(t *testing.T) {
 	if n := tr.Stats().reg.Counter("transport.handler.panics").Value(); n != 1 {
 		t.Fatalf("transport.handler.panics = %d, want 1", n)
 	}
-	if n := tr.StaleConns(); n != 0 {
+	if n := tr.Stats().reg.Counter("transport.conn.stale").Value(); n != 0 {
 		t.Fatalf("the panic cost %d connections", n)
 	}
 }

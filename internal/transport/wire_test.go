@@ -238,7 +238,7 @@ func TestHostileFramesAreRefused(t *testing.T) {
 			}
 		})
 	}
-	if n := healthy.StaleConns(); n != 0 {
+	if n := healthy.Stats().reg.Counter("transport.conn.stale").Value(); n != 0 {
 		t.Errorf("the healthy caller lost %d connections", n)
 	}
 	// A connection that opens and closes without a byte is not a frame.

@@ -1,9 +1,9 @@
 package peertrack
 
 import (
+	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,41 +143,56 @@ func TestLiveFailoverWithReplicas(t *testing.T) {
 
 	// The wrapper saw the crash: retries or breaker activity, and its
 	// accounting still conserves.
-	snap, ok := q.Resilience()
-	if !ok {
-		t.Fatal("resilience disabled on a default node")
-	}
+	snap := q.Resilience()
 	if snap.Retries == 0 && snap.BreakerOpens == 0 {
 		t.Errorf("crash window left no resilience trace: %+v", snap)
 	}
 	// The counters are read one by one while q's maintenance keeps
-	// calling, and a call in flight reads as a mismatch (1 run in 25 at
-	// 50 ms cadences): some instant between calls must conserve.
+	// calling, and a rejected call between its two counts reads as a
+	// mismatch: some instant between calls must conserve.
 	for i := 0; !snap.Conserves() && i < 200; i++ {
 		time.Sleep(time.Millisecond)
-		snap, _ = q.Resilience()
+		snap = q.Resilience()
 	}
 	if !snap.Conserves() {
 		t.Errorf("live resilience counters do not conserve: %+v", snap)
 	}
 }
 
-// A node started with NoResilience must not carry a wrapper, and its
-// metrics must not claim resilience counters.
-func TestLiveNoResilienceBaseline(t *testing.T) {
-	n, err := StartNode("127.0.0.1:0", NodeOptions{NoResilience: true, GossipEvery: -1})
+// baselineProbe is a request type of this test alone, so its per-type
+// call counter counts the test's calls and no maintenance call.
+type baselineProbe struct{}
+
+// The raw-transport baseline is the one call path with one attempt and
+// no breaker: k calls to a closed port are k TCP calls, each a failure,
+// with no retry and no breaker opening however many fail in a row. A
+// negative GossipEvery starts no membership agent.
+func TestLiveRawTransportBaseline(t *testing.T) {
+	n, err := StartNode("127.0.0.1:0", NodeOptions{RPCAttempts: 1, BreakerThreshold: -1, GossipEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if _, ok := n.Resilience(); ok {
-		t.Fatal("NoResilience node reports a resilience snapshot")
-	}
 	if n.peer.Gossip() != nil {
 		t.Fatal("GossipEvery<0 node still carries a membership agent")
 	}
-	if text := n.Telemetry().Snapshot().Text(); strings.Contains(text, "transport.resilient.") {
-		t.Fatalf("baseline node exports resilient counters:\n%s", text)
+	// Nothing listens on port 1 of the loopback address: every dial is refused.
+	const k = 7
+	before := n.Resilience()
+	blocked := n.Telemetry().Counter("transport.blocked").Value()
+	for i := 0; i < k; i++ {
+		if _, err := n.res.Call(transport.Addr(n.Addr()), "127.0.0.1:1", baselineProbe{}); !errors.Is(err, transport.ErrUnreachable) {
+			t.Fatalf("call %d to a closed port: %v", i, err)
+		}
+	}
+	after := n.Resilience()
+	calls := n.Telemetry().Counter("transport.call.type.peertrack.baselineProbe").Value()
+	if calls != k || after.Failures-before.Failures != k || after.Retries != 0 || after.BreakerOpens != 0 {
+		t.Errorf("%d calls to a closed port: %d TCP calls, %d failures, %d retries, %d breaker opens; want %d, %d, 0, 0",
+			k, calls, after.Failures-before.Failures, after.Retries, after.BreakerOpens, k, k)
+	}
+	if got := n.Telemetry().Counter("transport.blocked").Value() - blocked; got != k {
+		t.Errorf("transport.blocked grew by %d, want %d", got, k)
 	}
 }
 

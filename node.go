@@ -23,7 +23,7 @@ import (
 // capture events.
 type Node struct {
 	tr   *transport.TCP
-	res  *transport.Resilient // nil when resilience is disabled
+	res  *transport.Resilient
 	peer *core.Peer
 	tel  *telemetry.Registry
 
@@ -60,13 +60,12 @@ type NodeOptions struct {
 
 	// DialTimeout bounds TCP connection establishment (default 5s).
 	DialTimeout time.Duration
-	// CallTimeout bounds one P2P round trip (default 10s).
-	CallTimeout time.Duration
 
 	// RPCAttempts is the total attempts per P2P call, first try included
 	// (default 3; 1 disables retries).
 	RPCAttempts int
-	// RPCAttemptTimeout bounds each attempt (default 2s).
+	// RPCAttemptTimeout bounds each attempt: one TCP round trip
+	// (default 2s).
 	RPCAttemptTimeout time.Duration
 	// RPCBudget bounds a whole call — attempts plus backoff (default 8s).
 	RPCBudget time.Duration
@@ -78,12 +77,10 @@ type NodeOptions struct {
 	// disables circuit breaking).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker rejects calls before
-	// admitting a half-open probe (default 3s).
+	// admitting a half-open probe (default 3s). RPCAttempts 1 with
+	// BreakerThreshold -1 is the raw-transport baseline: one attempt per
+	// call, no breaker.
 	BreakerCooldown time.Duration
-	// NoResilience issues P2P calls directly on the TCP transport: no
-	// retries, no breaker, no per-attempt deadlines. The experimental
-	// baseline ("factor 1, no retries"); production nodes leave it off.
-	NoResilience bool
 
 	// GossipEvery is the membership agent's round cadence: view
 	// exchange, failure-detector probes, and the gossip-driven chord
@@ -106,9 +103,6 @@ func (o *NodeOptions) fill() {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 10 * time.Second
 	}
 	if o.RPCAttempts <= 0 {
 		o.RPCAttempts = 3
@@ -136,6 +130,14 @@ func (o *NodeOptions) fill() {
 	}
 }
 
+// DefaultNodeOptions returns what StartNode makes of a zero
+// NodeOptions: every duration and count with its default filled in.
+func DefaultNodeOptions() NodeOptions {
+	var o NodeOptions
+	o.fill()
+	return o
+}
+
 // nodeEpoch anchors live timestamps: observation times are durations
 // since the Unix epoch, identical on every node.
 var nodeEpoch = time.Unix(0, 0)
@@ -148,7 +150,7 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	opts.fill()
 	tr := transport.NewTCP()
 	tr.DialTimeout = opts.DialTimeout
-	tr.CallTimeout = opts.CallTimeout
+	tr.CallTimeout = opts.RPCAttemptTimeout
 	if opts.NetworkSecret != "" {
 		tr.Secret = []byte(opts.NetworkSecret)
 	}
@@ -186,22 +188,16 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	// share its retry/breaker policy, and — being the TCP transport's
 	// sole caller — its counters decompose exactly against the
 	// transport's (invariants.CheckResilience).
-	var netw transport.Network = tr
-	var res *transport.Resilient
-	if !opts.NoResilience {
-		res = transport.NewResilient(tr, clock, time.Sleep, transport.ResilientConfig{
-			MaxAttempts:      opts.RPCAttempts,
-			AttemptTimeout:   opts.RPCAttemptTimeout,
-			CallBudget:       opts.RPCBudget,
-			BackoffBase:      opts.RPCBackoff,
-			BackoffMax:       time.Second,
-			BreakerThreshold: opts.BreakerThreshold,
-			BreakerCooldown:  opts.BreakerCooldown,
-			Seed:             gossip.SeedFor(1, addr),
-		})
-		res.SetTelemetry(tel)
-		netw = res
-	}
+	res := transport.NewResilient(tr, clock, time.Sleep, transport.ResilientConfig{
+		MaxAttempts:      opts.RPCAttempts,
+		CallBudget:       opts.RPCBudget,
+		BackoffBase:      opts.RPCBackoff,
+		BackoffMax:       time.Second,
+		BreakerThreshold: opts.BreakerThreshold,
+		BreakerCooldown:  opts.BreakerCooldown,
+		Seed:             gossip.SeedFor(1, addr),
+	})
+	res.SetTelemetry(tel)
 
 	var agent *gossip.Config
 	if opts.GossipEvery > 0 {
@@ -210,7 +206,7 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	// A pinned size is the size from the start: a node that never ran at
 	// L_min has no Lp history to probe (core.PrefixManager.LpRange).
 	pm := core.NewPrefixManager(core.Scheme2, core.LMin, opts.NetworkSize)
-	peer, err = core.NewPeer(netw, addr, true, chord.Config{}, pm, core.Config{
+	peer, err = core.NewPeer(res, addr, true, chord.Config{}, pm, core.Config{
 		Mode:              opts.Mode,
 		NMax:              opts.WindowMaxObjects,
 		ReplicationFactor: opts.Replicas,
@@ -400,14 +396,8 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// Resilience reports the RPC wrapper's retry/breaker counters. ok is
-// false when the node was started with NoResilience.
-func (n *Node) Resilience() (snap transport.ResilienceSnapshot, ok bool) {
-	if n.res == nil {
-		return transport.ResilienceSnapshot{}, false
-	}
-	return n.res.Resilience(), true
-}
+// Resilience reports the RPC wrapper's retry/breaker counters.
+func (n *Node) Resilience() transport.ResilienceSnapshot { return n.res.Resilience() }
 
 // RingInfo reports the node's overlay neighbours and current prefix
 // length, for diagnostics.
