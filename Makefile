@@ -65,8 +65,8 @@ unlinked:
 # DESIGN.md or EXPERIMENTS.md has more lines than its maximum, so the
 # docs cannot regrow silently either. A PR that needs more raises the
 # number in its own diff and says why in CHANGES.
-LOC_MAX = 20519
-DESIGN_MAX = 880
+LOC_MAX = 20515
+DESIGN_MAX = 879
 EXPERIMENTS_MAX = 1595
 
 loc:

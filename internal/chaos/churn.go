@@ -144,9 +144,8 @@ func RunChurn(cfg ChurnConfig) (rep ChurnReport) {
 	if cfg.Gossip {
 		agent = &gossip.Config{Seed: cfg.Seed}
 	}
-	pm := core.NewPrefixManager(core.Scheme2, core.LMin, churnNodes)
 	for i := 0; i < churnNodes; i++ {
-		p, err := core.NewPeer(r.mem, transport.Addr(core.NodeNameFor(i)), false, chord.Config{SuccessorListLen: churnSuccessors}, pm, core.Config{}, r.kernel.Now, r.tel, agent)
+		p, err := core.NewPeer(r.mem, transport.Addr(core.NodeNameFor(i)), false, chord.Config{SuccessorListLen: churnSuccessors}, core.Scheme2, churnNodes, core.Config{}, r.kernel.Now, r.tel, agent)
 		if err != nil {
 			rep.harnessFail("build ring: %v", err)
 			return rep

@@ -40,11 +40,10 @@ func repairScenario(t *testing.T, seed int64, withGossip bool) (int, []invariant
 	if withGossip {
 		agent = &gossip.Config{Seed: seed}
 	}
-	pm := core.NewPrefixManager(core.Scheme2, core.LMin, repairNodes)
 	peers := map[transport.Addr]*core.Peer{}
 	var nodes []*chord.Node
 	for i := 0; i < repairNodes; i++ {
-		p, err := core.NewPeer(mem, transport.Addr(fmt.Sprintf("repair-%03d", i)), false, chord.Config{SuccessorListLen: repairSuccs}, pm, core.Config{}, func() time.Duration { return 0 }, nil, agent)
+		p, err := core.NewPeer(mem, transport.Addr(fmt.Sprintf("repair-%03d", i)), false, chord.Config{SuccessorListLen: repairSuccs}, core.Scheme2, repairNodes, core.Config{}, func() time.Duration { return 0 }, nil, agent)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ type sentMsg struct {
 // one M3 with every link in arrival order.
 func TestMovesBatchPerSourceNode(t *testing.T) {
 	nw := buildNet(t, 8, Config{Mode: GroupIndexing})
-	objs := sameGroup(nw.PM.Lp(), 9, "tote")
+	objs := sameGroup(nw.lp(), 9, "tote")
 	gw, _ := gatewayOf(nw, objs[0])
 	ps := othersThan(nw, 4, gw)
 	srcs, dest := []*Peer{ps[2], ps[0], ps[1]}, ps[3] // arrival order is not name order
@@ -92,7 +92,7 @@ func TestMovesBatchPerSourceNode(t *testing.T) {
 // than the first report.
 func TestSpanTextRepeatedObject(t *testing.T) {
 	nw := buildNet(t, 8, Config{Mode: GroupIndexing})
-	objs := sameGroup(nw.PM.Lp(), 3, "bin")
+	objs := sameGroup(nw.lp(), 3, "bin")
 	gw, _ := gatewayOf(nw, objs[0])
 	ps := othersThan(nw, 2, gw)
 	a, b := ps[0], ps[1]
@@ -132,7 +132,7 @@ func TestArrivalStillPartitions(t *testing.T) {
 		}
 		// The network grows without reconciliation: the records sit at the
 		// gateway of a shorter prefix than the one the objects now map to.
-		if oldLp, newLp := nw.PM.SetNetworkSize(128); newLp != 10 {
+		if oldLp, newLp := nw.resize(128); newLp != 10 {
 			t.Fatalf("Lp %d -> %d, want 10", oldLp, newLp)
 		}
 		for _, p := range nw.Peers() {
@@ -159,7 +159,7 @@ func TestArrivalStillPartitions(t *testing.T) {
 
 	t.Run("promotion", func(t *testing.T) {
 		nw := buildNet(t, 16, Config{Mode: GroupIndexing, ReplicationFactor: 2})
-		objs := sameGroup(nw.PM.Lp(), 4, "case")
+		objs := sameGroup(nw.lp(), 4, "case")
 		gw, _ := gatewayOf(nw, objs[0])
 		ps := othersThan(nw, 2, gw)
 		a, b := ps[0], ps[1]

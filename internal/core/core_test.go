@@ -24,6 +24,9 @@ func buildNet(t testing.TB, nodes int, peerCfg Config) *Network {
 	return nw
 }
 
+// lp is the Lp every peer of a simulated network holds.
+func (nw *Network) lp() int { return nw.peers[0].pm.Lp() }
+
 // moveObject schedules a trajectory: the object is captured at each
 // node in sequence, spaced by gap.
 func moveObject(t testing.TB, nw *Network, obj moods.ObjectID, trace []int, start, gap time.Duration) {
@@ -376,7 +379,7 @@ func TestLpGrowthRefreshFromAscent(t *testing.T) {
 
 	// The network "grows": Lp increases by 2 without reconciliation, so
 	// the old record sits at a shorter (ancestor) prefix gateway.
-	oldLp, newLp := nw.PM.SetNetworkSize(float64(16 * 8))
+	oldLp, newLp := nw.resize(float64(16 * 8))
 	if newLp <= oldLp {
 		t.Fatalf("Lp did not grow: %d -> %d", oldLp, newLp)
 	}
@@ -409,14 +412,14 @@ func TestLpShrinkRefreshFromDescent(t *testing.T) {
 
 	// Lp decreases by one: the old record now sits at a child (longer)
 	// prefix; the new gateway must refresh from descent.
-	oldLp := nw.PM.Lp()
+	oldLp := nw.lp()
 	for nn := 63.0; nn > 2; nn-- {
-		if _, newLp := nw.PM.SetNetworkSize(nn); newLp == oldLp-1 {
+		if _, newLp := nw.resize(nn); newLp == oldLp-1 {
 			break
 		}
 	}
-	if nw.PM.Lp() != oldLp-1 {
-		t.Fatalf("could not arrange Lp decrease by one (lp=%d old=%d)", nw.PM.Lp(), oldLp)
+	if nw.lp() != oldLp-1 {
+		t.Fatalf("could not arrange Lp decrease by one (lp=%d old=%d)", nw.lp(), oldLp)
 	}
 	for _, p := range nw.Peers() {
 		p.InvalidateGatewayCache()

@@ -465,18 +465,22 @@ func (g *gatewayStore) has(key ids.PrefixKey) bool {
 	return g.buckets[key] != nil
 }
 
-// drain deletes the bucket keyed key and returns its entries in FIFO
-// order plus its delegated flag (split/merge migration, hand-off,
-// replica promotion).
-func (g *gatewayStore) drain(key ids.PrefixKey) ([]IndexEntry, bool) {
+// drain deletes the bucket keyed key and its queue, and returns its
+// entries in FIFO order, its delegated flag and whether ids of it were
+// queued (split/merge migration, hand-off, replica promotion). The
+// records leave with the queue: no writer's turn finds ids of a bucket
+// that is gone.
+func (g *gatewayStore) drain(key ids.PrefixKey) ([]IndexEntry, bool, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	b := g.buckets[key]
 	if b == nil {
-		return nil, false
+		return nil, false, false
 	}
 	delete(g.buckets, key)
-	return g.live(b, b.idx.Len()), b.delegated
+	queued := len(g.dirty[key]) > 0
+	delete(g.dirty, key)
+	return g.live(b, b.idx.Len()), b.delegated, queued
 }
 
 // dropBucket deletes the bucket keyed key outright.

@@ -66,7 +66,7 @@ func TestEventsCarryTheirHash(t *testing.T) {
 func TestGroupArriveSameOverMemoryAndTCP(t *testing.T) {
 	mem, twin := buildNet(t, 4, Config{Mode: GroupIndexing}), buildNet(t, 4, Config{Mode: GroupIndexing})
 	reporter := mem.Peers()[1]
-	key := ids.KeyOf(moods.ObjectID("case-0").Hash(), mem.PM.Lp())
+	key := ids.KeyOf(moods.ObjectID("case-0").Hash(), mem.lp())
 	req := groupArriveReq{Key: key, Node: reporter.Name(), At: time.Second}
 	for _, obj := range []moods.ObjectID{"case-0", "case-1", "urn:epc:id:sgtin:0614141.107346.2017"} {
 		req.Events = append(req.Events, ObjEvent{Object: obj, Arrived: time.Second, id: obj.Hash()})

@@ -179,7 +179,7 @@ func joinBurst(t *testing.T, n int, until sim.Time) burst {
 	b := burst{k: sim.New(1), mem: transport.NewMemory(2)}
 	for i := 0; i < n; i++ {
 		reg := telemetry.New(b.k.Now)
-		p, err := NewPeer(b.mem, transport.Addr(NodeNameFor(i)), false, chord.Config{}, NewPrefixManager(Scheme2, 3, float64(n)), Config{}, b.k.Now, reg, nil)
+		p, err := NewPeer(b.mem, transport.Addr(NodeNameFor(i)), false, chord.Config{}, Scheme2, float64(n), Config{}, b.k.Now, reg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

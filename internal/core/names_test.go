@@ -24,7 +24,7 @@ func TestNameTableUnderConcurrentHandlers(t *testing.T) {
 	nw := buildNet(t, 24, Config{})
 	peers := nw.Peers()
 	p, asker := peers[0], peers[1]
-	lp := nw.PM.Lp()
+	lp := nw.lp()
 
 	// Objects to trace, moved among the other peers and indexed away
 	// from p, so that p's table is still empty when the workers start.

@@ -23,7 +23,6 @@ import (
 type Network struct {
 	Kernel    *sim.Kernel
 	Transport *transport.Memory
-	PM        *PrefixManager
 	Oracle    *moods.HistoryStore
 	// HopLatency converts hop counts to query time, 5 ms by default
 	// ("we added 5ms (typical network latency of T1) as the network
@@ -111,7 +110,6 @@ func BuildNetwork(cfg NetworkConfig) (*Network, error) {
 	nw := &Network{
 		Kernel:     kernel,
 		Transport:  mem,
-		PM:         NewPrefixManager(cfg.Scheme, LMin, float64(cfg.Nodes)),
 		Oracle:     moods.NewHistoryStore(),
 		HopLatency: cfg.HopLatency,
 		Telemetry:  tel,
@@ -133,10 +131,11 @@ func BuildNetwork(cfg NetworkConfig) (*Network, error) {
 	return nw, nil
 }
 
-// member builds the peer named name (NewPeer) and makes it a member. Its
-// node is a ring of one until the ring is wired or it joins.
+// member builds the peer named name (NewPeer), its size pinned at
+// cfg.Nodes, and makes it a member. Its node is a ring of one until the
+// ring is wired or it joins.
 func (nw *Network) member(name moods.NodeName) (*Peer, error) {
-	p, err := NewPeer(nw.Transport, transport.Addr(name), false, chord.Config{}, nw.PM, nw.cfg.Peer, nw.Kernel.Now, nw.Telemetry, nw.cfg.Gossip)
+	p, err := NewPeer(nw.Transport, transport.Addr(name), false, chord.Config{}, nw.cfg.Scheme, float64(nw.cfg.Nodes), nw.cfg.Peer, nw.Kernel.Now, nw.Telemetry, nw.cfg.Gossip)
 	if err != nil {
 		return nil, err
 	}
@@ -279,13 +278,14 @@ func (nw *Network) IndexLoads() []float64 {
 }
 
 // Grow adds k peers, each joining through a member as a live node joins
-// (Peer.Join), and settles. Returns (oldLp, newLp).
+// (Peer.Join) with the member's Lp and Lp range, and settles. Returns
+// (oldLp, newLp).
 func (nw *Network) Grow(k int) (int, int, error) {
 	// Take the lowest name indices not in use. After a Shrink the live
 	// indices need not be contiguous (peers are kept in ring order, so
 	// departures can leave holes anywhere), and reusing a live name would
 	// alias two peers onto one transport address and one chord ID.
-	bootstrap := nw.peers[0].chord.Self()
+	bootstrap := nw.peers[0]
 	for i := 0; k > 0; i++ {
 		name := NodeNameFor(i)
 		if nw.byName[name] != nil {
@@ -295,10 +295,11 @@ func (nw *Network) Grow(k int) (int, int, error) {
 		if err != nil {
 			return 0, 0, err
 		}
+		p.pm.inherit(bootstrap.pm)
 		if nw.catchUpEvery > 0 {
 			p.chord.OnRingChange(p.chain(nw.Kernel, nw.catchUpEvery, nw.catchUpUntil))
 		}
-		if err := p.Join(bootstrap); err != nil {
+		if err := p.Join(bootstrap.chord.Self()); err != nil {
 			return 0, 0, fmt.Errorf("core: grow: %s: %w", name, err)
 		}
 		k--
@@ -329,19 +330,28 @@ func (nw *Network) Shrink(k int) (int, int, error) {
 	return nw.settle()
 }
 
+// resize pins every peer at size nn and returns Lp before and after
+// (every peer of a simulated network holds the same).
+func (nw *Network) resize(nn float64) (oldLp, newLp int) {
+	for _, p := range nw.peers {
+		oldLp, newLp = p.pm.SetNetworkSize(nn)
+	}
+	return oldLp, newLp
+}
+
 // settleBudget bounds each phase of settle: a join burst closes in a few
 // overlay rounds, a departed node leaves the successor lists one ring
 // position a round, and Lp moved by d levels takes d + 1 refresh passes.
 const settleBudget = 64
 
-// settle completes a membership change: it feeds the shared prefix
-// manager the new size and returns Lp before and after. Then it runs the
+// settle completes a membership change: it pins every peer at the new
+// size and returns Lp before and after. Then it runs the
 // maintenance table's own rows by hand on every peer in ring order:
 // overlay rounds until the ring is converged and a round changes no
 // successor list (where lookups walk, no departed node may remain), the
 // refresh row until a pass moves no bucket, one anti-entropy round.
 func (nw *Network) settle() (oldLp, newLp int, err error) {
-	oldLp, newLp = nw.PM.SetNetworkSize(float64(len(nw.peers)))
+	oldLp, newLp = nw.resize(float64(len(nw.peers)))
 	ring := nw.ring()
 	lists := func() (out [][]chord.NodeRef) {
 		for _, n := range ring {

@@ -29,8 +29,37 @@ func TestNetworkDefaults(t *testing.T) {
 	if nw.QueryTime(10) != 50*time.Millisecond {
 		t.Errorf("query time = %v", nw.QueryTime(10))
 	}
-	if nw.PM.scheme != Scheme2 {
-		t.Errorf("default scheme = %v", nw.PM.scheme)
+	if nw.peers[0].pm.scheme != Scheme2 {
+		t.Errorf("default scheme = %v", nw.peers[0].pm.scheme)
+	}
+}
+
+// TestEveryPeerHoldsTheTrueLp: after each Grow and Shrink every peer,
+// joiners included, reports the Lp the true size gives and the range of
+// every Lp the network has been at. A joiner whose view started fresh
+// (at the size the network was built with, or at L_min) would miss the
+// levels the network passed through before it joined.
+func TestEveryPeerHoldsTheTrueLp(t *testing.T) {
+	nw := buildNet(t, 16, Config{})
+	lo, hi := nw.lp(), nw.lp()
+	for _, step := range []int{16, -16, 8, -12} {
+		var err error
+		if step > 0 {
+			_, _, err = nw.Grow(step)
+		} else {
+			_, _, err = nw.Shrink(-step)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Scheme2.PrefixLen(float64(nw.Size()), LMin)
+		lo, hi = min(lo, want), max(hi, want)
+		for _, p := range nw.Peers() {
+			gotLo, gotHi := p.Prefixes().LpRange()
+			if lp := p.Prefixes().Lp(); lp != want || gotLo != lo || gotHi != hi {
+				t.Fatalf("after %+d to %d peers: %s holds Lp %d over [%d, %d], want %d over [%d, %d]", step, nw.Size(), p.Name(), lp, gotLo, gotHi, want, lo, hi)
+			}
+		}
 	}
 }
 

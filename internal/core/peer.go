@@ -142,15 +142,16 @@ type Peer struct {
 }
 
 // NewPeer assembles one participant, the only place one is assembled:
-// the Chord node at addr, the peer on it and, when agent is non-nil, its
+// the Chord node at addr, the peer on it with its own prefix manager
+// (the scheme's Lp, pinned at size nn when nn > 0, else at L_min until
+// its refresh estimates the size) and, when agent is non-nil, its
 // membership agent with the dead-verdict hook, each layer's telemetry
 // wired to tel once. What differs between the worlds are the arguments.
 // A live node (peertrack.StartNode) passes TCP behind Resilient, an
 // address it bound before the node existed (bound: its handler forwards
-// to Node().HandleRPC), its own PrefixManager and a closure over its
-// epoch; a simulated network passes transport.Memory, the manager every
-// peer shares and sim.Kernel.Now; every manager of one network has the
-// same scheme and L_min. The agent's Seed is a base that NewPeer
+// to Node().HandleRPC), its operator's size pin and a closure over its
+// epoch; a simulated network passes transport.Memory, the true node
+// count and sim.Kernel.Now. The agent's Seed is a base that NewPeer
 // mixes with addr (gossip.SeedFor), so the agents of one network are
 // decorrelated yet determined. The node starts as a ring of one: Join
 // enters a ring, or the caller wires a static one and then seeds each
@@ -159,7 +160,7 @@ type Peer struct {
 // The clock is mandatory: core is a deterministic package, so it never
 // reads the wall clock itself (an arrival stamped from the wall clock
 // fails TestGroupArriveSameOverMemoryAndTCP).
-func NewPeer(net transport.Network, addr transport.Addr, bound bool, ring chord.Config, pm *PrefixManager, cfg Config, clock func() time.Duration, tel *telemetry.Registry, agent *gossip.Config) (*Peer, error) {
+func NewPeer(net transport.Network, addr transport.Addr, bound bool, ring chord.Config, scheme Scheme, nn float64, cfg Config, clock func() time.Duration, tel *telemetry.Registry, agent *gossip.Config) (*Peer, error) {
 	cfg.fill()
 	if clock == nil {
 		panic("core: NewPeer requires a clock (sim.Kernel.Now in simulation, a wall-clock closure for live nodes)")
@@ -181,7 +182,7 @@ func NewPeer(net transport.Network, addr transport.Addr, bound bool, ring chord.
 		chord:       node,
 		net:         net,
 		cfg:         cfg,
-		pm:          pm,
+		pm:          newPrefixManager(scheme, nn),
 		clock:       clock,
 		trans:       newTransitionStats(),
 		contain:     newContainStore(),
@@ -215,8 +216,7 @@ func (p *Peer) Name() moods.NodeName { return moods.NodeName(p.chord.Addr()) }
 // Addr returns the peer's transport address.
 func (p *Peer) Addr() transport.Addr { return p.chord.Addr() }
 
-// Prefixes returns the prefix manager this peer routes by: one shared
-// instance in the simulator, its own on a live node.
+// Prefixes returns the prefix manager this peer routes by, its own.
 func (p *Peer) Prefixes() *PrefixManager { return p.pm }
 
 // IndexedEntries returns the number of gateway index records this node
@@ -405,7 +405,7 @@ func (p *Peer) resolveGateway(key ids.PrefixKey) (transport.Addr, error) {
 			return transport.Addr(p.names.name(node)), nil
 		}
 	}
-	res, err := p.chord.Lookup(p.pm.GatewayID(key))
+	res, err := p.chord.Lookup(key.GatewayID())
 	if err != nil {
 		return "", fmt.Errorf("core: resolve gateway %q: %w", key, err)
 	}
@@ -774,12 +774,9 @@ func (p *Peer) sendMoves(sp *telemetry.Recording, r groupArriveReq, moves []IOPL
 // the ids still unfound. Records found are moved into the local bucket.
 func (p *Peer) refreshFromAscent(key ids.PrefixKey, objs []ids.ID) []ids.ID {
 	remaining := objs
-	lmin := p.pm.LMin()
-	if lo, _ := p.pm.LpRange(); lo > lmin {
-		// Records cannot exist above the shortest Lp ever current.
-		lmin = lo
-	}
-	for cur := key; cur.Len() > lmin && len(remaining) > 0; {
+	// Records cannot exist above the shortest Lp ever current.
+	lo, _ := p.pm.LpRange()
+	for cur := key; cur.Len() > lo && len(remaining) > 0; {
 		cur = cur.Parent()
 		gwAddr, err := p.resolveGateway(cur)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"peertrack/internal/ids"
 	"peertrack/internal/moods"
 	"peertrack/internal/transport"
 )
@@ -67,7 +68,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotPreservesFIFOOrder(t *testing.T) {
 	nw := buildNet(t, 8, Config{Mode: GroupIndexing})
 	p := nw.Peers()[0]
-	pfx := nw.PM.GroupOf(moods.ObjectID("x").Hash())
+	pfx := ids.KeyOf(moods.ObjectID("x").Hash(), nw.lp())
 	for i := 0; i < 10; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("fifo-%d", i))
 		p.gw.upsert(pfx, IndexEntry{Object: obj, ID: obj.Hash(), Indexed: time.Duration(i)})

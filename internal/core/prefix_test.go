@@ -109,7 +109,7 @@ func TestSchemeCappedAtBits(t *testing.T) {
 }
 
 func TestPrefixManagerLifecycle(t *testing.T) {
-	pm := NewPrefixManager(Scheme2, 3, 16)
+	pm := newPrefixManager(Scheme2, 16)
 	lp16 := pm.Lp()
 	if lp16 < 3 {
 		t.Fatalf("initial Lp = %d", lp16)
@@ -133,58 +133,8 @@ func TestPrefixManagerLifecycle(t *testing.T) {
 	}
 }
 
-// TestGatewayIDMemoIsBounded: the memo answers what PrefixKey.GatewayID
-// does; it holds at most maxGatewayMemo ids, past which a prefix is
-// hashed each time; and it is emptied when the Lp range moves, up or
-// down, but not by a size estimate that leaves it put.
-func TestGatewayIDMemoIsBounded(t *testing.T) {
-	pm := NewPrefixManager(Scheme2, 3, 16)
-	prefix := func(i int) ids.PrefixKey { // distinct for i < 2^20
-		var id ids.ID
-		id[0], id[1], id[2] = byte(i>>12), byte(i>>4), byte(i<<4)
-		return ids.KeyOf(id, 20)
-	}
-	for i := 0; i < maxGatewayMemo+100; i++ {
-		if got, want := pm.GatewayID(prefix(i)), prefix(i).GatewayID(); got != want {
-			t.Fatalf("GatewayID(%s) = %s, want %s", prefix(i), got.Short(), want.Short())
-		}
-	}
-	if len(pm.gateways) != maxGatewayMemo {
-		t.Errorf("memo holds %d ids after %d prefixes, want the cap %d", len(pm.gateways), maxGatewayMemo+100, maxGatewayMemo)
-	}
-	if got, want := pm.GatewayID(prefix(maxGatewayMemo+50)), prefix(maxGatewayMemo+50).GatewayID(); got != want {
-		t.Errorf("past the cap GatewayID = %s, want %s", got.Short(), want.Short())
-	}
-
-	pm.SetNetworkSize(15) // Lp 6 still: the range stays put
-	if len(pm.gateways) != maxGatewayMemo {
-		t.Errorf("memo holds %d ids after an estimate that kept the range, want %d", len(pm.gateways), maxGatewayMemo)
-	}
-	pm.SetNetworkSize(512)
-	if len(pm.gateways) != 0 {
-		t.Errorf("memo holds %d ids after the range grew, want 0", len(pm.gateways))
-	}
-	pm.GatewayID(prefix(1))
-	pm.SetNetworkSize(2) // Lp 3, below the range
-	if len(pm.gateways) != 0 {
-		t.Errorf("memo holds %d ids after the range widened down, want 0", len(pm.gateways))
-	}
-}
-
-func TestPrefixManagerGroupOf(t *testing.T) {
-	pm := NewPrefixManager(Scheme2, 3, 64)
-	id := ids.HashString("x")
-	g := pm.GroupOf(id)
-	if g.Len() != pm.Lp() {
-		t.Fatalf("group length %d != Lp %d", g.Len(), pm.Lp())
-	}
-	if !g.Matches(id) {
-		t.Fatal("group does not match its member")
-	}
-}
-
 func TestInvalidSchemeDefaultsTo2(t *testing.T) {
-	pm := NewPrefixManager(Scheme(99), 3, 64)
+	pm := newPrefixManager(Scheme(99), 64)
 	if pm.scheme != Scheme2 {
 		t.Fatalf("scheme = %v", pm.scheme)
 	}
@@ -238,7 +188,7 @@ func TestGatewayStoreTakeAndDrain(t *testing.T) {
 	if g.totalEntries() != 3 {
 		t.Fatalf("entries after take = %d", g.totalEntries())
 	}
-	drained, _ := g.drain(pfx)
+	drained, _, _ := g.drain(pfx)
 	if len(drained) != 3 {
 		t.Fatalf("drain = %d", len(drained))
 	}
@@ -252,7 +202,7 @@ func TestGatewayStoreTakeAndDrain(t *testing.T) {
 	if e, _ := g.take(mustKey("000"), keys); e != nil {
 		t.Fatal("take on absent bucket returned entries")
 	}
-	if e, _ := g.drain(mustKey("000")); e != nil {
+	if e, _, _ := g.drain(mustKey("000")); e != nil {
 		t.Fatal("drain on absent bucket returned entries")
 	}
 	// Re-levelling and evacuation migrate buckets in bucketKeys order: key

@@ -98,11 +98,8 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 
 	// Records can only sit above the current level if Lp has been
 	// shorter (grouping inconsistencies after Lp changes).
-	lmin := p.pm.LMin()
-	if lo, _ := p.pm.LpRange(); lo > lmin {
-		lmin = lo
-	}
-	for cur := key; cur.Len() > lmin; {
+	lo, _ := p.pm.LpRange()
+	for cur := key; cur.Len() > lo; {
 		cur = cur.Parent()
 		entry, h, found, delegated = p.queryGateway(cur, id, sp)
 		hops += h

@@ -43,9 +43,14 @@ func (p *Peer) ReconcileStep() int {
 		}
 		// Wrong level. The bucket's version line ends here — its records
 		// now live under different keys — so the mirrors drop their
-		// copies.
-		entries, _ := p.gw.drain(key)
-		p.dropOwnedMeta(replication.IndexUnit(key))
+		// copies, in a turn of its mirror stream: a push in flight lands
+		// before the drop, not after it.
+		var entries []IndexEntry
+		u := replication.IndexUnit(key)
+		p.stream(u, false, func() {
+			entries, _, _ = p.gw.drain(key)
+			p.dropOwnedMeta(u)
+		})
 		if len(entries) == 0 {
 			continue
 		}
@@ -81,32 +86,44 @@ func (p *Peer) ReconcileStep() int {
 // ends here, like that of a bucket found empty. A bucket that cannot be
 // delivered stays, records and line as they were — index records must
 // never be lost to a failed migration, and the caller retries on a
-// later pass.
-func (p *Peer) handOff(key ids.PrefixKey, to transport.Addr) (bool, error) {
-	entries, _ := p.gw.drain(key)
+// later pass. It all happens in one turn of the unit's mirror stream,
+// which first pushes what writers queued: the line exported records
+// what the mirrors hold, a push in flight included. A write that lands
+// during that push is not at the mirrors, so its bucket leaves without
+// a line.
+func (p *Peer) handOff(key ids.PrefixKey, to transport.Addr) (moved bool, err error) {
 	u := replication.IndexUnit(key)
-	if len(entries) == 0 {
-		p.dropOwnedMeta(u)
-		return false, nil
-	}
-	req := delegateReq{Key: key, Entries: entries}
-	handoff := false
-	if key != individualKey && p.mirrors() > 0 {
-		if m, ok := p.repl.ExportOwned(u); ok {
-			req.MetaVersion, req.MetaSynced, handoff = m.Version, m.Synced, true
+	p.stream(u, false, func() {
+		p.pushQueued(u)
+		entries, _, queued := p.gw.drain(key)
+		if len(entries) == 0 {
+			p.dropOwnedMeta(u)
+			return
 		}
-	}
-	_, err := p.call(to, req)
-	if err != nil {
-		for _, e := range entries {
-			p.gw.put(key, e)
+		moved = true
+		req := delegateReq{Key: key, Entries: entries}
+		handoff := false
+		if key != individualKey && p.mirrors() > 0 && !queued {
+			if m, ok := p.repl.ExportOwned(u); ok {
+				req.MetaVersion, req.MetaSynced, handoff = m.Version, m.Synced, true
+			}
 		}
-	} else if handoff {
-		p.repl.DropOwned(u)
-	} else {
-		p.dropOwnedMeta(u)
-	}
-	return true, err
+		_, err = p.call(to, req)
+		if err != nil {
+			restore := p.gw.put
+			if queued { // what landed during the push still owes the mirrors one
+				restore = p.gw.upsert
+			}
+			for _, e := range entries {
+				restore(key, e)
+			}
+		} else if handoff {
+			p.repl.DropOwned(u)
+		} else {
+			p.dropOwnedMeta(u)
+		}
+	})
+	return moved, err
 }
 
 // sendEntries delivers entries to the gateway of the given prefix

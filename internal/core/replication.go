@@ -433,28 +433,32 @@ func (p *Peer) stream(u replication.Unit, writer bool, round func()) {
 // unsynced and repaired by the next mutation or sync round. mirror
 // returns once the caller's queued mutation has been through that.
 func (p *Peer) mirror(u replication.Unit) {
-	p.stream(u, true, func() {
-		delta, v := p.nextDelta(u)
-		if delta == nil {
-			return
+	p.stream(u, true, func() { p.pushQueued(u) })
+}
+
+// pushQueued brings u's mirrors to a new version carrying everything
+// queued for u, if anything is; for the holder of u's stream.
+func (p *Peer) pushQueued(u replication.Unit) {
+	delta, v := p.nextDelta(u)
+	if delta == nil {
+		return
+	}
+	for _, addr := range p.mirrorSet() {
+		if p.repl.SyncedAt(u, addr) != v-1 {
+			p.pushFull(u, addr, v, "new_mirror")
+			continue
 		}
-		for _, addr := range p.mirrorSet() {
-			if p.repl.SyncedAt(u, addr) != v-1 {
-				p.pushFull(u, addr, v, "new_mirror")
-				continue
-			}
-			resp, err := p.call(addr, delta)
-			switch {
-			case err != nil:
-				p.repl.ClearSynced(u, addr)
-			case resp.(mirrorResp).Current:
-				p.repl.MarkSynced(u, addr, v)
-				p.tel.replMirrorWrites.Inc()
-			default:
-				p.pushFull(u, addr, v, "not_current")
-			}
+		resp, err := p.call(addr, delta)
+		switch {
+		case err != nil:
+			p.repl.ClearSynced(u, addr)
+		case resp.(mirrorResp).Current:
+			p.repl.MarkSynced(u, addr, v)
+			p.tel.replMirrorWrites.Inc()
+		default:
+			p.pushFull(u, addr, v, "not_current")
 		}
-	})
+	}
 }
 
 // nextDelta takes everything queued for u and, unless that is nothing,
@@ -742,7 +746,7 @@ func (p *Peer) maybePromoteHeld(h replication.HeldInfo) {
 	if key != individualKey && !p.chord.Owns(key.GatewayID()) {
 		return
 	}
-	entries, delegated := p.replica.drain(key)
+	entries, delegated, _ := p.replica.drain(key)
 	var mine []IndexEntry
 	for _, e := range entries {
 		if key != individualKey || p.chord.Owns(e.ID) {

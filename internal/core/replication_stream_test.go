@@ -12,6 +12,7 @@ import (
 
 	"peertrack/internal/ids"
 	"peertrack/internal/moods"
+	"peertrack/internal/replication"
 	"peertrack/internal/transport"
 )
 
@@ -26,7 +27,7 @@ func mirrorOf(nw *Network, p *Peer) *Peer {
 // gatewayOf resolves the peer that is gateway for obj, and the bucket
 // key it files obj under.
 func gatewayOf(nw *Network, obj moods.ObjectID) (*Peer, ids.PrefixKey) {
-	key := ids.KeyOf(obj.Hash(), nw.PM.Lp())
+	key := ids.KeyOf(obj.Hash(), nw.lp())
 	addr, err := nw.Peers()[0].resolveGateway(key)
 	if err != nil {
 		panic(err)
@@ -205,7 +206,7 @@ func TestReadsDoNotQueueBehindABlockedMirrorPush(t *testing.T) {
 	// Two more objects of the same bucket, one writer each.
 	var same []moods.ObjectID
 	for i := 0; len(same) < 2; i++ {
-		if o := moods.ObjectID(fmt.Sprintf("other-%d", i)); ids.KeyOf(o.Hash(), nw.PM.Lp()) == key {
+		if o := moods.ObjectID(fmt.Sprintf("other-%d", i)); ids.KeyOf(o.Hash(), nw.lp()) == key {
 			same = append(same, o)
 		}
 	}
@@ -364,7 +365,7 @@ func TestObserveDoesNotQueueBehindAFlushInFlight(t *testing.T) {
 func remoteGatewayObject(p *Peer) moods.ObjectID {
 	for i := 0; ; i++ {
 		obj := moods.ObjectID(fmt.Sprintf("first-%d", i))
-		if _, local := p.chord.NextHop(p.pm.GatewayID(ids.KeyOf(obj.Hash(), p.pm.Lp()))); !local {
+		if _, local := p.chord.NextHop(ids.KeyOf(obj.Hash(), p.pm.Lp()).GatewayID()); !local {
 			return obj
 		}
 	}
@@ -421,7 +422,7 @@ func TestContendedWritersShareMirrorPushes(t *testing.T) {
 	})
 	objs := make([][]moods.ObjectID, workers)
 	for i, w := 0, 0; w < workers; i++ {
-		if o := moods.ObjectID(fmt.Sprintf("other-%d", i)); ids.KeyOf(o.Hash(), nw.PM.Lp()) == key {
+		if o := moods.ObjectID(fmt.Sprintf("other-%d", i)); ids.KeyOf(o.Hash(), nw.lp()) == key {
 			if objs[w] = append(objs[w], o); len(objs[w]) == rounds {
 				w++
 			}
@@ -492,4 +493,134 @@ func TestContendedWritersShareMirrorPushes(t *testing.T) {
 		t.Errorf("%d whole-unit pushes", n)
 	}
 	assertReplicasEqualPrimaries(t, nw)
+}
+
+// handOffScene builds a replicated four-peer network and writes the
+// bucket of "settled" once through its owner, so the owner's mirror
+// holds version 1. It names the owner, the mirror, a third peer to hand
+// the bucket to, the bucket, another object filed under it, and a write
+// that files an object there as the third peer's arrival.
+func handOffScene(t *testing.T) (owner, mirror, heir *Peer, key ids.PrefixKey, next moods.ObjectID, write func(moods.ObjectID)) {
+	nw := buildNet(t, 4, Config{ReplicationFactor: 2})
+	owner, key = gatewayOf(nw, "settled")
+	mirror = mirrorOf(nw, owner)
+	for _, p := range nw.Peers() {
+		if p != owner && p != mirror {
+			heir = p
+			break
+		}
+	}
+	write = func(obj moods.ObjectID) {
+		if _, err := owner.handleRPC(heir.Addr(), groupArriveReq{Key: key, Events: []ObjEvent{{Object: obj, Arrived: time.Second}}, Node: heir.Name(), At: time.Second}); err != nil {
+			t.Error(err)
+		}
+	}
+	write("settled")
+	for i := 0; next == ""; i++ {
+		if o := moods.ObjectID(fmt.Sprintf("other-%d", i)); ids.KeyOf(o.Hash(), nw.lp()) == key {
+			next = o
+		}
+	}
+	return owner, mirror, heir, key, next, write
+}
+
+// TestHandOffWaitsForThePushInFlight: a bucket handed off while a push
+// of it is held at the mirror leaves in the next turn of its mirror
+// stream, so the version line it takes along records the mirror at the
+// version the push brings it to. Handed off beside the push, the line
+// records the version before it: the new owner believes the mirror one
+// delta behind what it holds, and its next write re-ships the whole
+// bucket. Were the hand-off to wait for nothing, it would return while
+// the push is held; the test gives it 100 ms to do so.
+func TestHandOffWaitsForThePushInFlight(t *testing.T) {
+	owner, mirror, heir, key, next, write := handOffScene(t)
+	entered, gate := gateMirror(mirror, func(req any) bool { _, push := req.(replicatePutReq); return push })
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		write(next)
+	}()
+	<-entered
+	handed := make(chan error, 1)
+	go func() {
+		_, err := owner.handOff(key, heir.Addr())
+		handed <- err
+	}()
+	select {
+	case err := <-handed:
+		handed <- err
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate)
+	<-wrote
+	if err := <-handed; err != nil {
+		t.Fatal(err)
+	}
+	u := replication.IndexUnit(key)
+	if _, held, ok := mirror.repl.HeldMeta(u); !ok || heir.repl.SyncedAt(u, mirror.Addr()) != held {
+		t.Errorf("mirror %s holds version %d of bucket %s, but its new owner %s records it at %d", mirror.Name(), held, key, heir.Name(), heir.repl.SyncedAt(u, mirror.Addr()))
+	}
+	if n, _ := heir.gw.dumpBucket(key); len(n) != 2 {
+		t.Errorf("new owner %s holds %d records of bucket %s, want 2", heir.Name(), len(n), key)
+	}
+}
+
+// writeQueued files obj in the bucket keyed key on p as a writer does
+// before its turn of the mirror stream: in the store and queued, not
+// yet pushed.
+func writeQueued(p *Peer, key ids.PrefixKey, obj moods.ObjectID, at *Peer) {
+	p.gw.upsert(key, IndexEntry{Object: obj, ID: obj.Hash(), Latest: at.Name(), Arrived: time.Second})
+}
+
+// TestHandOffTakesTheQueuedWrites: a write that is in the bucket but
+// not yet pushed when the bucket is handed off — its writer's turn
+// comes after the hand-off's — reaches the mirror before the version
+// line leaves, and the writer's late turn finds nothing queued. Handed
+// off with the write still queued, the line records the mirror a write
+// behind, and the late turn re-creates the bucket's unit on the old
+// owner and full-pushes its now empty bucket over the mirror's copy.
+func TestHandOffTakesTheQueuedWrites(t *testing.T) {
+	owner, mirror, heir, key, next, _ := handOffScene(t)
+	writeQueued(owner, key, next, heir)
+	if _, err := owner.handOff(key, heir.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	owner.mirrorIndex(key, true) // the writer's turn
+	u := replication.IndexUnit(key)
+	if slices.Contains(owner.repl.OwnedUnits(), u) {
+		t.Errorf("old owner %s owns bucket %s again after handing it off", owner.Name(), key)
+	}
+	have, _ := mirror.replica.dumpBucket(key)
+	want, _ := heir.gw.dumpBucket(key)
+	if len(want) != 2 || !reflect.DeepEqual(have, want) {
+		t.Errorf("mirror %s holds %d records of bucket %s and its new owner %s %d, want the same 2", mirror.Name(), len(have), key, heir.Name(), len(want))
+	}
+	if _, held, ok := mirror.repl.HeldMeta(u); !ok || heir.repl.SyncedAt(u, mirror.Addr()) != held {
+		t.Errorf("mirror %s holds version %d of bucket %s, but its new owner %s records it at %d", mirror.Name(), held, key, heir.Name(), heir.repl.SyncedAt(u, mirror.Addr()))
+	}
+}
+
+// TestRelevelTakesTheQueuedWrites: a bucket re-levelled (split when its
+// owner's Lp moves deeper) with a write still queued ends its version
+// line for good. The write leaves with the records, so the writer's late
+// turn finds nothing queued; were the queue left behind, that turn would
+// open a new line for the gone bucket on the owner, at version 1, which
+// the mirror, having dropped its copy, would accept and hold.
+func TestRelevelTakesTheQueuedWrites(t *testing.T) {
+	owner, mirror, heir, key, next, _ := handOffScene(t)
+	writeQueued(owner, key, next, heir)
+	if _, lp := owner.pm.SetNetworkSize(8); lp <= key.Len() {
+		t.Fatalf("moving the owner to size 8 gave Lp %d, not deeper than bucket %s", lp, key)
+	}
+	if moved := owner.ReconcileStep(); moved == 0 {
+		t.Fatalf("owner %s moved no bucket", owner.Name())
+	}
+	owner.mirrorIndex(key, true) // the writer's turn
+	u := replication.IndexUnit(key)
+	if slices.Contains(owner.repl.OwnedUnits(), u) {
+		t.Errorf("owner %s owns re-levelled bucket %s again", owner.Name(), key)
+	}
+	if _, v, ok := mirror.repl.HeldMeta(u); ok {
+		t.Errorf("mirror %s holds re-levelled bucket %s at version %d", mirror.Name(), key, v)
+	}
 }

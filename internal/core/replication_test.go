@@ -63,7 +63,7 @@ func TestIndexSurvivesGatewayCrash(t *testing.T) {
 		if mode == IndividualIndexing {
 			gwKey = obj.Hash()
 		} else {
-			gwKey = ids.KeyOf(obj.Hash(), nw.PM.Lp()).GatewayID()
+			gwKey = ids.KeyOf(obj.Hash(), nw.lp()).GatewayID()
 		}
 		res, err := nw.Peers()[0].Node().Lookup(gwKey)
 		if err != nil {
@@ -133,7 +133,7 @@ func TestNoReplicationMeansCrashLosesIndex(t *testing.T) {
 	nw.StartWindows(2 * time.Second)
 	nw.Run()
 
-	gwKey := ids.KeyOf(obj.Hash(), nw.PM.Lp()).GatewayID()
+	gwKey := ids.KeyOf(obj.Hash(), nw.lp()).GatewayID()
 	res, err := nw.Peers()[0].Node().Lookup(gwKey)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestLocateFallsThroughBeforeRingRepair(t *testing.T) {
 		if mode == IndividualIndexing {
 			gwKey = obj.Hash()
 		} else {
-			gwKey = ids.KeyOf(obj.Hash(), nw.PM.Lp()).GatewayID()
+			gwKey = ids.KeyOf(obj.Hash(), nw.lp()).GatewayID()
 		}
 		res, err := nw.Peers()[0].Node().Lookup(gwKey)
 		if err != nil {
@@ -281,7 +281,7 @@ func TestRepoMirrorServesIOPWalkAfterHolderCrash(t *testing.T) {
 	nw.StartWindows(2 * time.Second)
 	nw.Run()
 
-	gwKey := ids.KeyOf(obj.Hash(), nw.PM.Lp()).GatewayID()
+	gwKey := ids.KeyOf(obj.Hash(), nw.lp()).GatewayID()
 	res, err := nw.Peers()[0].Node().Lookup(gwKey)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +430,7 @@ func TestRestoreAfterFalseDeadVerdict(t *testing.T) {
 
 	// The owner restarts empty under the same identity: a new peer at its
 	// address and in its place on the ring.
-	reborn, err := NewPeer(nw.Transport, self.Addr, false, chord.Config{}, nw.PM, nw.cfg.Peer, nw.Kernel.Now, nw.Telemetry, nw.cfg.Gossip)
+	reborn, err := NewPeer(nw.Transport, self.Addr, false, chord.Config{}, nw.cfg.Scheme, float64(nw.Size()), nw.cfg.Peer, nw.Kernel.Now, nw.Telemetry, nw.cfg.Gossip)
 	if err != nil {
 		t.Fatal(err)
 	}

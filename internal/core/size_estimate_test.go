@@ -20,6 +20,15 @@ const tolerance = 1.6
 // TestDensityEstimateTracksGrowShrink checks, at every plateau of a
 // grow/shrink schedule, the median of the peers' density estimates
 // against the network's true size.
+//
+// After a shrink the median strays (36.8 for 24 nodes, 9.2 for 12)
+// because of the harness, not the estimator: Network.Shrink removes the
+// last k peers in ring order, one contiguous arc of ids. The largest
+// empty arc is 0.07–0.17 of the ring at every grow plateau, 0.47 after
+// Shrink(24) and 0.70 after Shrink(12). Peers inside the occupied arc
+// see about twice the true density (16 of 24 estimate 32–56); peers
+// whose successor list spans the gap see less (8 of 24 estimate about
+// 13, 8 of 12 about 9), which puts the median for 12 nodes below it.
 func TestDensityEstimateTracksGrowShrink(t *testing.T) {
 	nw, err := core.BuildNetwork(core.NetworkConfig{Nodes: 16, Seed: 5})
 	if err != nil {

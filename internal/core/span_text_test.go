@@ -159,7 +159,7 @@ func TestSpanTextDelegation(t *testing.T) {
 	nw := buildNet(t, 8, Config{Mode: GroupIndexing, DelegationThreshold: 4, DelegationAlpha: 0.5})
 	// Eight objects of one prefix group, reported in one window, overflow
 	// their bucket; the gateway of the group's 1-child is down.
-	lp := nw.PM.Lp()
+	lp := nw.lp()
 	var objs []moods.ObjectID
 	var pfx ids.PrefixKey
 	for i := 0; len(objs) < 8; i++ {

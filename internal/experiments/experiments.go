@@ -228,7 +228,7 @@ func Measure(c Cell, queries int, warehouse bool) (Result, error) {
 	nw, work := run.Net, run.Work
 	loads := nw.IndexLoads()
 	r := Result{
-		Lp:           nw.PM.Lp(),
+		Lp:           nw.Peers()[0].Prefixes().Lp(),
 		Objects:      len(work.Objects),
 		Movers:       len(work.Movers),
 		Observations: len(work.Observations),

@@ -143,9 +143,9 @@ type checker struct {
 	bucket map[moods.NodeName]map[ids.PrefixKey]*core.BucketSnapshot
 	visits map[moods.NodeName]map[moods.ObjectID][]core.VisitRecord
 	names  []moods.NodeName // the peers' names, sorted
-	// views is each distinct PrefixManager among the peers with the first
-	// peer that routes by it (nobody in particular in the simulator, where
-	// all share one): reachability is judged once per view.
+	// views is each distinct Lp view among the peers (Lp and Lp range)
+	// with the first peer that holds it (nobody in particular when all
+	// agree): reachability is judged once per view.
 	views []view
 
 	out  []Violation
@@ -177,8 +177,10 @@ func (c *checker) snapshot() {
 		c.bucket[name] = byKey
 		c.visits[name] = p.DumpVisits()
 		c.names = append(c.names, name)
-		if !slices.ContainsFunc(c.views, func(v view) bool { return v.pm == p.Prefixes() }) {
-			c.views = append(c.views, view{p.Prefixes(), name})
+		v := view{lp: p.Prefixes().Lp(), node: name}
+		v.lo, v.hi = p.Prefixes().LpRange()
+		if !slices.ContainsFunc(c.views, func(w view) bool { return w.lp == v.lp && w.lo == v.lo && w.hi == v.hi }) {
+			c.views = append(c.views, v)
 		}
 	}
 	slices.Sort(c.names)
@@ -198,8 +200,8 @@ func (c *checker) snapshot() {
 }
 
 type view struct {
-	pm   *core.PrefixManager
-	node moods.NodeName
+	lp, lo, hi int
+	node       moods.NodeName
 }
 
 // ownerOf returns the unique live peer owning key, reporting an
@@ -273,7 +275,7 @@ func (c *checker) checkObjects() {
 		hist := c.oracle.FullTrace(obj)
 		entry, found := core.IndexEntry{}, true
 		for i := 0; found && i < len(c.views); i++ {
-			if entry, found = c.findIndex(c.views[i].pm, obj); !found {
+			if entry, found = c.findIndex(c.views[i], obj); !found {
 				c.add("index-missing", c.views[i].node, obj, "no index record reachable via the IV-A3 search")
 			}
 		}
@@ -296,7 +298,7 @@ func (c *checker) checkObjects() {
 // findIndex statically mirrors the core query path (Peer.findIndex):
 // current-level probe, Data Triangle descent along the object's bits,
 // then ascent towards L_min — against the snapshotted buckets.
-func (c *checker) findIndex(pm *core.PrefixManager, obj moods.ObjectID) (core.IndexEntry, bool) {
+func (c *checker) findIndex(v view, obj moods.ObjectID) (core.IndexEntry, bool) {
 	id := obj.Hash()
 	if len(c.peers) > 0 && c.peers[0].Mode() == core.IndividualIndexing {
 		owner, ok := c.ownerOf(id, obj)
@@ -307,16 +309,15 @@ func (c *checker) findIndex(pm *core.PrefixManager, obj moods.ObjectID) (core.In
 		return e, found
 	}
 
-	lp := pm.Lp()
+	lp := v.lp
 	key := ids.KeyOf(id, lp)
 	entry, found, delegated := c.probe(key, id, obj)
 	if found {
 		return entry, true
 	}
 
-	lo, hi := pm.LpRange()
 	child := key
-	for depth := 0; (delegated || hi > child.Len()) && depth < core.MaxDescent && child.Len() < ids.MaxKeyLen; depth++ {
+	for depth := 0; (delegated || v.hi > child.Len()) && depth < core.MaxDescent && child.Len() < ids.MaxKeyLen; depth++ {
 		child = child.Child(child.NextBit(id))
 		entry, found, delegated = c.probe(child, id, obj)
 		if found {
@@ -324,11 +325,7 @@ func (c *checker) findIndex(pm *core.PrefixManager, obj moods.ObjectID) (core.In
 		}
 	}
 
-	lmin := pm.LMin()
-	if lo > lmin {
-		lmin = lo
-	}
-	for cur := key; cur.Len() > lmin; {
+	for cur := key; cur.Len() > v.lo; {
 		cur = cur.Parent()
 		entry, found, delegated = c.probe(cur, id, obj)
 		if found {

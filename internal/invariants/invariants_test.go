@@ -130,7 +130,7 @@ func TestDetectsPlantedDuplicate(t *testing.T) {
 	id := obj.Hash()
 	// Plant a second copy of obj-a's record in some other peer's bucket
 	// at the current prefix level.
-	pfx := ids.KeyOf(id, nw.PM.Lp())
+	pfx := ids.KeyOf(id, nw.Peers()[0].Prefixes().Lp())
 	var victim *core.Peer
 	for _, p := range nw.Peers() {
 		if !p.Node().Owns(pfx.GatewayID()) {
@@ -154,7 +154,7 @@ func TestDetectsRemovedRecord(t *testing.T) {
 	nw := buildTracked(t, 8, core.Config{})
 	obj := moods.ObjectID("urn:epc:obj-b")
 	id := obj.Hash()
-	pfx := ids.KeyOf(id, nw.PM.Lp())
+	pfx := ids.KeyOf(id, nw.Peers()[0].Prefixes().Lp())
 	for _, p := range nw.Peers() {
 		p.RemoveIndexEntry(pfx, id)
 	}
@@ -168,7 +168,7 @@ func TestDetectsCorruptHead(t *testing.T) {
 	nw := buildTracked(t, 8, core.Config{})
 	obj := moods.ObjectID("urn:epc:obj-c")
 	id := obj.Hash()
-	pfx := ids.KeyOf(id, nw.PM.Lp())
+	pfx := ids.KeyOf(id, nw.Peers()[0].Prefixes().Lp())
 	var gw *core.Peer
 	for _, p := range nw.Peers() {
 		if p.Node().Owns(pfx.GatewayID()) {
@@ -191,7 +191,7 @@ func TestDetectsForeignPrefixEntry(t *testing.T) {
 	// Fabricate a record whose id does not extend the bucket prefix.
 	obj := moods.ObjectID("urn:epc:obj-a")
 	id := obj.Hash()
-	pfx := ids.KeyOf(id, nw.PM.Lp())
+	pfx := ids.KeyOf(id, nw.Peers()[0].Prefixes().Lp())
 	other := moods.ObjectID("urn:epc:obj-b")
 	var gw *core.Peer
 	for _, p := range nw.Peers() {
@@ -204,7 +204,7 @@ func TestDetectsForeignPrefixEntry(t *testing.T) {
 		Object: other, ID: other.Hash(), Latest: gw.Name(), Arrived: time.Hour,
 	})
 	vs := check(t, nw, Options{})
-	if ids.KeyOf(other.Hash(), nw.PM.Lp()) != pfx {
+	if ids.KeyOf(other.Hash(), nw.Peers()[0].Prefixes().Lp()) != pfx {
 		if !hasInvariant(vs, "triangle-prefix") {
 			t.Errorf("foreign-prefix entry not reported: %v", vs)
 		}
@@ -278,50 +278,49 @@ func TestCheckRing(t *testing.T) {
 	}
 }
 
-// TestReachabilityIsJudgedPerView: two peers with a prefix manager each,
-// as on a live fleet, one believing the network sixteen times larger.
-// Each indexes an object at its own level, where the other's IV-A3
-// search (no level but its own in its history) does not look: each miss
-// is reported against the view that misses. Once both managers have been
-// at both levels, descent and ascent reach both records.
+// TestReachabilityIsJudgedPerView: an eight-peer network (Lp 5) with
+// one peer moved to believe it half as large (Lp 3, history [3, 5]) and
+// another twice as large (Lp 6, history [5, 6]). Each indexes an object
+// at its own Lp, and each misses the other's record: the peer moved down
+// stops descending at level 5, short of the level-6 record, and the
+// peer moved up stops ascending at level 5, short of the level-3 one.
+// Each miss is reported against the view that misses it, named by its
+// first peer. Once every history covers [3, 6], every view reaches both
+// records.
 func TestReachabilityIsJudgedPerView(t *testing.T) {
-	mem := transport.NewMemory(1)
-	clock := func() time.Duration { return time.Minute }
-	pms := []*core.PrefixManager{core.NewPrefixManager(core.Scheme2, 2, 4), core.NewPrefixManager(core.Scheme2, 2, 8)}
-	if pms[0].Lp() == pms[1].Lp() {
-		t.Fatalf("both managers sit at Lp %d", pms[0].Lp())
+	nw, err := core.BuildNetwork(core.NetworkConfig{Nodes: 8, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var peers []*core.Peer
-	var ring []*chord.Node
-	for i, addr := range []transport.Addr{"org-0000", "org-0001"} {
-		p, err := core.NewPeer(mem, addr, false, chord.Config{}, pms[i], core.Config{}, clock, nil, nil)
-		if err != nil {
+	down, up := nw.Peers()[0], nw.Peers()[1]
+	if old, lp := down.Prefixes().SetNetworkSize(4); old != 5 || lp != 3 {
+		t.Fatalf("moving one peer to size 4 took Lp from %d to %d, want 5 to 3", old, lp)
+	}
+	if old, lp := up.Prefixes().SetNetworkSize(16); old != 5 || lp != 6 {
+		t.Fatalf("moving one peer to size 16 took Lp from %d to %d, want 5 to 6", old, lp)
+	}
+	observe := func(p *core.Peer, obj moods.ObjectID) {
+		if err := p.Observe(moods.Observation{Object: obj, At: time.Second}); err != nil {
 			t.Fatal(err)
 		}
-		peers, ring = append(peers, p), append(ring, p.Node())
-	}
-	chord.WireStaticRing(ring)
-	for i, p := range peers {
-		if err := p.Observe(moods.Observation{Object: moods.ObjectID(fmt.Sprintf("urn:epc:view-%d", i)), At: time.Second}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range peers {
 		if err := p.FlushWindow(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	vs := Check(peers, nil, strict())
-	if !hasInvariant(vs, "index-missing") || len(vs) != 2 ||
-		vs[0].String() != "index-missing node=org-0001 obj=urn:epc:view-0: no index record reachable via the IV-A3 search" ||
-		vs[1].String() != "index-missing node=org-0000 obj=urn:epc:view-1: no index record reachable via the IV-A3 search" {
-		t.Errorf("want each record missed from the other peer's view, got %v", vs)
+	observe(down, "urn:epc:view-0")
+	observe(up, "urn:epc:view-1")
+	vs := Check(nw.Peers(), nil, strict())
+	missed := func(by *core.Peer, obj string) string {
+		return fmt.Sprintf("index-missing node=%s obj=%s: no index record reachable via the IV-A3 search", by.Name(), obj)
 	}
-	pms[0].SetNetworkSize(8)
-	pms[0].SetNetworkSize(4)
-	pms[1].SetNetworkSize(4)
-	pms[1].SetNetworkSize(8)
-	if vs := Check(peers, nil, strict()); len(vs) != 0 {
-		t.Errorf("both levels in both histories: %v", vs)
+	if len(vs) != 2 || vs[0].String() != missed(up, "urn:epc:view-0") || vs[1].String() != missed(down, "urn:epc:view-1") {
+		t.Errorf("want each peer's record missed from the other's view, got %v", vs)
+	}
+	for _, p := range nw.Peers() {
+		p.Prefixes().SetNetworkSize(4)
+		p.Prefixes().SetNetworkSize(16)
+	}
+	if vs := Check(nw.Peers(), nil, strict()); len(vs) != 0 {
+		t.Errorf("levels 3 to 6 in every history: %v", vs)
 	}
 }

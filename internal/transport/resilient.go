@@ -20,43 +20,54 @@ var ErrCircuitOpen = errors.New("transport: circuit open")
 // ResilientConfig tunes the retry/backoff/breaker policy.
 type ResilientConfig struct {
 	// MaxAttempts is the total number of attempts per call, first try
-	// included (default 3; 1 disables retries).
+	// included (default DefaultMaxAttempts; 1 disables retries).
 	MaxAttempts int
 	// CallBudget bounds the whole call — attempts plus backoff waits.
 	// Before sleeping, the wrapper gives up if the elapsed time plus the
 	// next wait would exceed the budget (default 0: unbounded).
 	CallBudget time.Duration
 	// BackoffBase is the pre-jitter wait before the second attempt,
-	// doubling per retry up to BackoffMax (defaults 25ms, 1s).
+	// doubling per retry up to BackoffMax (defaults DefaultBackoffBase,
+	// DefaultBackoffMax).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// BreakerThreshold is the number of consecutive transport-level
-	// failures to one destination that opens its breaker (default 5;
-	// negative disables circuit breaking).
+	// failures to one destination that opens its breaker (default
+	// DefaultBreakerThreshold; negative disables circuit breaking).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker rejects calls before
-	// admitting a single half-open probe (default 2s).
+	// admitting a single half-open probe (default DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 	// Seed drives the private jitter source. Same seed, same clock, same
 	// call sequence → same backoff schedule.
 	Seed int64
 }
 
+// The defaults of ResilientConfig's zero fields, which a live node's
+// options (peertrack.NodeOptions) start from too.
+const (
+	DefaultMaxAttempts      = 3
+	DefaultBackoffBase      = 50 * time.Millisecond
+	DefaultBackoffMax       = time.Second
+	DefaultBreakerThreshold = 5
+	DefaultBreakerCooldown  = 3 * time.Second
+)
+
 func (c *ResilientConfig) fill() {
 	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
+		c.MaxAttempts = DefaultMaxAttempts
 	}
 	if c.BackoffBase <= 0 {
-		c.BackoffBase = 25 * time.Millisecond
+		c.BackoffBase = DefaultBackoffBase
 	}
 	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
+		c.BackoffMax = DefaultBackoffMax
 	}
 	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
+		c.BreakerThreshold = DefaultBreakerThreshold
 	}
 	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
+		c.BreakerCooldown = DefaultBreakerCooldown
 	}
 }
 

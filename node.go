@@ -105,7 +105,7 @@ func (o *NodeOptions) fill() {
 		o.DialTimeout = 5 * time.Second
 	}
 	if o.RPCAttempts <= 0 {
-		o.RPCAttempts = 3
+		o.RPCAttempts = transport.DefaultMaxAttempts
 	}
 	if o.RPCAttemptTimeout <= 0 {
 		o.RPCAttemptTimeout = 2 * time.Second
@@ -114,13 +114,13 @@ func (o *NodeOptions) fill() {
 		o.RPCBudget = 8 * time.Second
 	}
 	if o.RPCBackoff <= 0 {
-		o.RPCBackoff = 50 * time.Millisecond
+		o.RPCBackoff = transport.DefaultBackoffBase
 	}
 	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
+		o.BreakerThreshold = transport.DefaultBreakerThreshold
 	}
 	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 3 * time.Second
+		o.BreakerCooldown = transport.DefaultBreakerCooldown
 	}
 	if o.GossipEvery == 0 {
 		o.GossipEvery = time.Second
@@ -192,7 +192,6 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 		MaxAttempts:      opts.RPCAttempts,
 		CallBudget:       opts.RPCBudget,
 		BackoffBase:      opts.RPCBackoff,
-		BackoffMax:       time.Second,
 		BreakerThreshold: opts.BreakerThreshold,
 		BreakerCooldown:  opts.BreakerCooldown,
 		Seed:             gossip.SeedFor(1, addr),
@@ -205,8 +204,7 @@ func StartNode(listen string, opts NodeOptions) (*Node, error) {
 	}
 	// A pinned size is the size from the start: a node that never ran at
 	// L_min has no Lp history to probe (core.PrefixManager.LpRange).
-	pm := core.NewPrefixManager(core.Scheme2, core.LMin, opts.NetworkSize)
-	peer, err = core.NewPeer(res, addr, true, chord.Config{}, pm, core.Config{
+	peer, err = core.NewPeer(res, addr, true, chord.Config{}, core.Scheme2, opts.NetworkSize, core.Config{
 		Mode:              opts.Mode,
 		NMax:              opts.WindowMaxObjects,
 		ReplicationFactor: opts.Replicas,
