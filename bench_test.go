@@ -226,7 +226,7 @@ func BenchmarkChurn(b *testing.B) {
 // behind every node): each node resolves the 64 gateways of Lp = 6.
 // hop0_lookup_hops is the mean routing hops of one resolution,
 // hop0_calls every call the fleet sent meanwhile, maintenance included
-// (EXPERIMENTS, "Ring convergence").
+// (EXPERIMENTS "Ledger — live path", Ring close).
 func BenchmarkFleetSettle(b *testing.B) {
 	var settle time.Duration
 	var rounds, msgs, hops, calls uint64

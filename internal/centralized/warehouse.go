@@ -4,19 +4,17 @@
 // model (VLDB'05) and "built ... in a centralized MySQL database".
 //
 // The warehouse stores the OBSERVATION(tag, reader_location, time)
-// relation in arrival order and answers L and TR exactly. Query cost is
-// charged by an explicit storage-engine model: the paper's observation
-// that centralized query time is "relevant to the size of the database"
-// and grows ultralinearly corresponds to temporal queries that scan the
-// relation, with a fixed buffer pool whose hit ratio degrades as the
-// relation outgrows it — pages = rows/rowsPerPage, and each page costs
-// tHit plus, with probability max(0, 1-bufferPages/pages), a tMiss
-// penalty.
+// relation in moods.HistoryStore, the oracle's store, and answers TR
+// exactly. Query cost is charged by an explicit storage-engine model: the
+// paper's observation that centralized query time is "relevant to the
+// size of the database" and grows ultralinearly corresponds to temporal
+// queries that scan the relation, with a fixed buffer pool whose hit
+// ratio degrades as the relation outgrows it — pages = rows/rowsPerPage,
+// and each page costs tHit plus, with probability max(0,
+// 1-bufferPages/pages), a tMiss penalty.
 package centralized
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"peertrack/internal/moods"
@@ -62,71 +60,39 @@ func pageCost(n, heapPages, pool int) time.Duration {
 	return time.Duration(float64(n) * per)
 }
 
-// Warehouse is the central data store.
+// Warehouse is the central data store: the relation, kept in the
+// oracle's store, and the buffer pool its scans are priced against.
 type Warehouse struct {
-	mu    sync.RWMutex
-	pool  int                      // buffer pool size in pages
-	rows  []moods.Observation      // heap, arrival order
-	byTag map[moods.ObjectID][]int // tag index (row ids, time-sorted)
+	rows moods.HistoryStore
+	pool int // buffer pool size in pages
 }
 
-// New creates an empty warehouse with the calibrated cost model.
-func New() *Warehouse { return newWithPool(bufferPages) }
+// New loads a workload, sorted by time as workload.Generate leaves it,
+// into a warehouse with the calibrated cost model. Loading is not part
+// of the measured query path (the paper measures query processing time
+// only).
+func New(sorted []moods.Observation) *Warehouse { return newWithPool(bufferPages, sorted) }
 
-// newWithPool creates an empty warehouse whose buffer pool holds pool
-// pages.
-func newWithPool(pool int) *Warehouse {
-	return &Warehouse{pool: pool, byTag: make(map[moods.ObjectID][]int)}
-}
-
-// Insert loads one observation. Loading is not part of the measured
-// query path (the paper measures query processing time only).
-func (w *Warehouse) Insert(obs moods.Observation) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	idx := len(w.rows)
-	w.rows = append(w.rows, obs)
-	s := w.byTag[obs.Object]
-	i := sort.Search(len(s), func(i int) bool { return w.rows[s[i]].At > obs.At })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = idx
-	w.byTag[obs.Object] = s
-}
-
-func (w *Warehouse) heapPages() int {
-	n := len(w.rows)
-	return (n + rowsPerPage - 1) / rowsPerPage
+// newWithPool is New with a buffer pool of pool pages.
+func newWithPool(pool int, sorted []moods.Observation) *Warehouse {
+	w := &Warehouse{pool: pool}
+	w.rows.RecordAll(sorted)
+	return w
 }
 
 // scanCost prices one full scan of the relation — the execution plan of
 // the un-indexed temporal trace query.
 func (w *Warehouse) scanCost() time.Duration {
-	pages := w.heapPages()
-	return pageCost(pages, pages, w.pool) + time.Duration(len(w.rows))*tRow
+	n := w.rows.Len()
+	pages := (n + rowsPerPage - 1) / rowsPerPage
+	return pageCost(pages, pages, w.pool) + time.Duration(n)*tRow
 }
 
-// Trace answers TR(o, t1, t2) with a relation scan, returning the path
-// and the modelled query time.
+// Trace answers TR(o, t1, t2) and returns the path with the modelled
+// query time. The path is the oracle's answer; the cost charged is the
+// scan plan's.
 func (w *Warehouse) Trace(o moods.ObjectID, t1, t2 time.Duration) (moods.Path, time.Duration) {
-	if t2 < t1 {
-		t1, t2 = t2, t1
-	}
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	// Result assembly uses the tag index structure for correctness, but
-	// the cost charged is the scan plan's.
-	var path moods.Path
-	s := w.byTag[o]
-	i := sort.Search(len(s), func(i int) bool { return w.rows[s[i]].At >= t1 })
-	if i > 0 {
-		r := w.rows[s[i-1]]
-		path = append(path, moods.Visit{Node: r.Node, Arrived: r.At})
-	}
-	for ; i < len(s) && w.rows[s[i]].At <= t2; i++ {
-		r := w.rows[s[i]]
-		path = append(path, moods.Visit{Node: r.Node, Arrived: r.At})
-	}
+	path, _ := w.rows.Trace(o, t1, t2)
 	return path, w.scanCost()
 }
 

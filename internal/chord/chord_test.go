@@ -562,6 +562,27 @@ func (h *TCPHarness) NewNode(name string) *Node {
 
 func (h *TCPHarness) Close() { h.tr.Close() }
 
+// TestLookupAllocs pins a lookup on a static ring at one allocation:
+// lookupVia boxes its request once for all its remote steps, and a
+// routing step itself allocates nothing.
+func TestLookupAllocs(t *testing.T) {
+	_, nodes := staticRing(t, 256)
+	keys := make([]ids.ID, 64)
+	for i := range keys {
+		keys[i] = ids.HashString(fmt.Sprintf("allocs-%d", i))
+	}
+	i := 0
+	avg := testing.AllocsPerRun(1000, func() {
+		if _, err := nodes[i%len(nodes)].Lookup(keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if avg > 1 {
+		t.Errorf("a lookup allocates %.2f times, want <= 1", avg)
+	}
+}
+
 func BenchmarkLookup256(b *testing.B) {
 	_, nodes := staticRing(b, 256)
 	r := rand.New(rand.NewSource(1))

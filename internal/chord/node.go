@@ -302,25 +302,26 @@ func (n *Node) closestPreceding(key ids.ID) (closestPrecedingResp, int) {
 	if !n.pred.IsZero() && ids.BetweenRightIncl(key, n.pred.ID, n.self.ID) {
 		return closestPrecedingResp{Node: n.self, Done: true}, slotSelfDone
 	}
-	succ := n.successors[0]
+	succ := &n.successors[0]
 	if ids.BetweenRightIncl(key, n.self.ID, succ.ID) {
-		return closestPrecedingResp{Node: succ, Done: true}, slotSuccDone
+		return closestPrecedingResp{Node: *succ, Done: true}, slotSuccDone
 	}
 	// Scan fingers from the top for the closest node in (self, key): the
-	// value of each run, as fingerTable.descend visits them.
+	// value of each run, as fingerTable.descend visits them. Entries are
+	// read in place; only the answer is copied.
 	runs := n.fingers.ref
 	for j := len(runs) - 1; j >= 0; j-- {
-		if f := runs[j]; !f.IsZero() && ids.Between(f.ID, n.self.ID, key) {
-			return closestPrecedingResp{Node: f}, slotFinger + j
+		if f := &runs[j]; !f.IsZero() && ids.Between(f.ID, n.self.ID, key) {
+			return closestPrecedingResp{Node: *f}, slotFinger + j
 		}
 	}
 	// Successor list as a fallback routing table.
 	for i := len(n.successors) - 1; i >= 0; i-- {
-		if s := n.successors[i]; ids.Between(s.ID, n.self.ID, key) {
-			return closestPrecedingResp{Node: s}, slotFinger + len(runs) + i
+		if s := &n.successors[i]; ids.Between(s.ID, n.self.ID, key) {
+			return closestPrecedingResp{Node: *s}, slotFinger + len(runs) + i
 		}
 	}
-	return closestPrecedingResp{Node: succ}, slotFinger + len(runs) + len(n.successors)
+	return closestPrecedingResp{Node: *succ}, slotFinger + len(runs) + len(n.successors)
 }
 
 // notify processes a predecessor candidacy (Chord's notify()).

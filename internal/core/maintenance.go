@@ -12,7 +12,7 @@ import (
 // ratios. It is written once, as maintenanceTable; a live node pumps it
 // by the wall clock (peertrack.Node), a simulated network runs it to a
 // horizon (StartMaintenance), the churn harnesses step its overlay rows
-// by hand (OverlayRound). Each row is a *Peer method. DESIGN.md §15 has
+// by hand (OverlayRound). Each row is a *Peer method. DESIGN.md §14 has
 // the reason for each row.
 
 // Cadences are the table's only inputs, the four periods a deployment

@@ -19,7 +19,7 @@ import (
 // process restarts with its slice of the network's data: its repository
 // and gateway buckets, the units it mirrors, each with its version line,
 // its containment records and transition model. Chord re-joins instead.
-// The file is in the wire format (DESIGN §16): the preface naming its
+// The file is in the wire format (DESIGN §15): the preface naming its
 // version, then per unit a u32 length and a message body headed by the
 // peer's name — its buckets as whole-unit replicatePutReqs (entries in
 // FIFO order), its repository as a whole repoMirrorReq, then the units it

@@ -20,7 +20,7 @@ import (
 // range when it dies.
 //
 // Buckets and repositories are replication.Units and share one code
-// path. The scheme has three legs (see DESIGN.md §13):
+// path. The scheme has three legs (see DESIGN.md §12):
 //
 //   - Synchronous mirroring through one ordered stream per unit. A
 //     writer applies its mutation, queues what it touched with the

@@ -251,10 +251,7 @@ func Measure(c Cell, queries int, warehouse bool) (Result, error) {
 	}
 	var wh *centralized.Warehouse // identical observations, centralized
 	if warehouse {
-		wh = centralized.New()
-		for _, obs := range work.Observations {
-			wh.Insert(obs)
-		}
+		wh = centralized.New(work.Observations)
 	}
 	pool := work.Movers // trace queries target objects with real trajectories
 	if len(pool) == 0 {

@@ -31,3 +31,19 @@ func FuzzRingArithmetic(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBetween checks Cmp, Between and BetweenRightIncl against the byte
+// loop of refCmp. a and b are x with a tail overwritten from offset ai
+// and bi, so triples that share a prefix of any length are common.
+func FuzzBetween(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, uint8(8), []byte{5}, uint8(16), []byte{7})
+	f.Add([]byte{}, uint8(0), []byte{}, uint8(19), []byte{0xff})
+	f.Fuzz(func(t *testing.T, xb []byte, ai uint8, ab []byte, bi uint8, bb []byte) {
+		var x ID
+		copy(x[:], xb)
+		a, b := x, x
+		copy(a[int(ai)%Bytes:], ab)
+		copy(b[int(bi)%Bytes:], bb)
+		checkAgainstRef(t, x, a, b)
+	})
+}

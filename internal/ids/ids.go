@@ -11,6 +11,7 @@ package ids
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/bits"
@@ -68,16 +69,31 @@ func (id ID) Short() string {
 }
 
 // Cmp compares two identifiers numerically, returning -1, 0, or +1.
-func (id ID) Cmp(other ID) int {
-	for i := 0; i < Bytes; i++ {
-		switch {
-		case id[i] < other[i]:
-			return -1
-		case id[i] > other[i]:
-			return 1
+func (id ID) Cmp(other ID) int { return cmp(&id, &other) }
+
+// cmp is Cmp on pointers, a big-endian word at a time (8 + 8 + 4 bytes).
+// Ring tests run it three times a routing step; inside the package the
+// identifiers stay where they are instead of being copied per call.
+func cmp(a, b *ID) int {
+	for i := 0; i < 16; i += 8 {
+		x, y := binary.BigEndian.Uint64(a[i:]), binary.BigEndian.Uint64(b[i:])
+		if x != y {
+			return sign(x < y)
 		}
 	}
+	x, y := binary.BigEndian.Uint32(a[16:]), binary.BigEndian.Uint32(b[16:])
+	if x != y {
+		return sign(x < y)
+	}
 	return 0
+}
+
+// sign is -1 when less holds, +1 otherwise.
+func sign(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
 }
 
 // Less reports whether id < other numerically.
@@ -135,27 +151,24 @@ func Distance(id, other ID) ID {
 
 // Between reports whether x lies in the open ring interval (a, b). The
 // interval wraps: if a == b the interval is the whole ring minus {a}.
-func Between(x, a, b ID) bool {
-	ca := a.Cmp(b)
+func Between(x, a, b ID) bool { return between(&x, &a, &b) }
+
+func between(x, a, b *ID) bool {
+	ca := cmp(a, b)
 	switch {
 	case ca < 0:
-		return a.Cmp(x) < 0 && x.Cmp(b) < 0
+		return cmp(a, x) < 0 && cmp(x, b) < 0
 	case ca > 0:
-		return a.Cmp(x) < 0 || x.Cmp(b) < 0
+		return cmp(a, x) < 0 || cmp(x, b) < 0
 	default: // a == b: whole ring minus the point a
-		return x.Cmp(a) != 0
+		return *x != *a
 	}
 }
 
 // BetweenRightIncl reports whether x lies in the half-open ring interval
 // (a, b]. This is the Chord successor test: key k belongs to node n iff
 // k ∈ (predecessor(n), n].
-func BetweenRightIncl(x, a, b ID) bool {
-	if x.Cmp(b) == 0 {
-		return true
-	}
-	return Between(x, a, b)
-}
+func BetweenRightIncl(x, a, b ID) bool { return x == b || between(&x, &a, &b) }
 
 // Bit returns bit i of the identifier, where bit 0 is the most
 // significant bit. Prefix-based grouping reads bits in this order.

@@ -37,6 +37,77 @@ func TestCmp(t *testing.T) {
 	}
 }
 
+// refCmp is Cmp as a byte-at-a-time loop, the reference the word
+// compare is checked against; refBetween is Between on top of it.
+func refCmp(a, b ID) int {
+	for i := 0; i < Bytes; i++ {
+		switch {
+		case a[i] < b[i]:
+			return -1
+		case a[i] > b[i]:
+			return 1
+		}
+	}
+	return 0
+}
+
+func refBetween(x, a, b ID) bool {
+	switch ca := refCmp(a, b); {
+	case ca < 0:
+		return refCmp(a, x) < 0 && refCmp(x, b) < 0
+	case ca > 0:
+		return refCmp(a, x) < 0 || refCmp(x, b) < 0
+	default:
+		return refCmp(x, a) != 0
+	}
+}
+
+// checkAgainstRef fails t when Cmp, Between or BetweenRightIncl gives
+// another answer than the reference on any ordering of x, a and b.
+func checkAgainstRef(t *testing.T, x, a, b ID) {
+	t.Helper()
+	for _, p := range [][3]ID{{x, a, b}, {x, b, a}, {a, x, b}, {a, b, x}, {b, x, a}, {b, a, x}} {
+		if got, want := p[0].Cmp(p[1]), refCmp(p[0], p[1]); got != want {
+			t.Fatalf("Cmp(%s, %s) = %d, want %d", p[0], p[1], got, want)
+		}
+		if got, want := Between(p[0], p[1], p[2]), refBetween(p[0], p[1], p[2]); got != want {
+			t.Fatalf("Between(%s, %s, %s) = %v, want %v", p[0], p[1], p[2], got, want)
+		}
+		want := p[0] == p[2] || refBetween(p[0], p[1], p[2])
+		if got := BetweenRightIncl(p[0], p[1], p[2]); got != want {
+			t.Fatalf("BetweenRightIncl(%s, %s, %s) = %v, want %v", p[0], p[1], p[2], got, want)
+		}
+	}
+}
+
+// TestCmpBetweenMatchReference checks every triple drawn from a set of
+// constructed identifiers: the zero id, the largest, and a base id with
+// one byte stepped up or down at either end of each compared word, so
+// pairs agree on their first 8 or 16 bytes and differ only in the last
+// word. Triples with repeats are the a == b, x == a and x == b cases;
+// orderings with a > b are the wrap-around ones.
+func TestCmpBetweenMatchReference(t *testing.T) {
+	var top ID
+	for i := range top {
+		top[i] = 0xff
+	}
+	base := HashString("base")
+	set := []ID{{}, top, base}
+	for _, i := range []int{0, 7, 8, 15, 16, 19} {
+		up, down := base, base
+		up[i]++
+		down[i]--
+		set = append(set, up, down)
+	}
+	for _, x := range set {
+		for _, a := range set {
+			for _, b := range set {
+				checkAgainstRef(t, x, a, b)
+			}
+		}
+	}
+}
+
 func TestAddSub(t *testing.T) {
 	a, b := FromUint64(1<<63), FromUint64(1<<63)
 	sum := a.Add(b) // 2^64: carries out of low 8 bytes

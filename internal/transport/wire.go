@@ -13,7 +13,7 @@ import (
 	"peertrack/internal/ids"
 )
 
-// The payload side of the TCP wire format (DESIGN.md "Wire format"; the
+// The payload side of the TCP wire format (DESIGN.md §15; the
 // frame around it is in tcp.go). A message type that crosses TCP has one
 // fixed layout, written by hand next to the type: AppendWire appends its
 // fields in declaration order and a read function consumes them in the
