@@ -3,6 +3,8 @@ package chaos
 import (
 	"reflect"
 	"testing"
+
+	"peertrack/internal/core"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -109,5 +111,29 @@ func TestShrinkToListLengthSettles(t *testing.T) {
 	sched.Epochs = []Epoch{{Kind: EpochShrink, Victims: 2, Queries: 3}, {Kind: EpochShrink, Victims: 2, Queries: 4}}
 	if rep := RunSchedule(cfg, seed, sched); rep.Failed() || rep.EpochsRun != 2 {
 		t.Errorf("%v", rep)
+	}
+}
+
+// Individual indexing keeps the window's no-loss guarantee: its M1 is a
+// group message of one event, re-buffered when it fails. The catalog
+// holds over generated safe schedules at factors 1 and 2, lossy ones and
+// the replication pair. Factor 3 is left out: there two owners'
+// individual buckets collide in one held unit at a mirror (ROADMAP item
+// 5), and replica-agreement fails from the first checkpoint.
+func TestIndividualIndexingUnderChaos(t *testing.T) {
+	peer := core.Config{Mode: core.IndividualIndexing}
+	n := 50
+	if testing.Short() {
+		n = 10
+	}
+	for _, cfg := range []Config{{Profile: ProfileSafe}, {Profile: ProfileSafe, Replication: 2}, {Profile: ProfileLossy}} {
+		sw := Sweep(func(seed int64) Report { return runSchedule(cfg, seed, Generate(cfg, seed), peer) }, 1, n, 4)
+		for _, f := range sw.Failures {
+			t.Errorf("%s, factor %d:\n%s", cfg.Profile, max(cfg.Replication, 1), f)
+		}
+	}
+	sw := Sweep(func(seed int64) ReplicationPairReport { return ReplicationConfig{}.run(seed, peer) }, 1, 15, 2)
+	for _, f := range sw.Failures {
+		t.Errorf("replication pair, seed %d: %v", f.Seed, f.Violations)
 	}
 }

@@ -84,7 +84,7 @@ func (r ReplicationReport) String() string {
 
 // runReplication runs a filled cfg at seed, killing crashes primaries a
 // round.
-func runReplication(seed int64, cfg ReplicationConfig, crashes int) (rep ReplicationReport) {
+func runReplication(seed int64, cfg ReplicationConfig, crashes int, peer core.Config) (rep ReplicationReport) {
 	rep = ReplicationReport{Outcome: Outcome{Seed: seed}, Factor: cfg.Factor}
 	w := newWorld()
 	defer func() {
@@ -94,7 +94,8 @@ func runReplication(seed int64, cfg ReplicationConfig, crashes int) (rep Replica
 		}
 	}()
 
-	if err := w.build(seed, cfg.Nodes, cfg.Factor, paperSpec(cfg.Nodes, true, seed+2_000_003)); err != nil {
+	peer.ReplicationFactor = cfg.Factor
+	if err := w.build(seed, cfg.Nodes, peer, paperSpec(cfg.Nodes, true, seed+2_000_003)); err != nil {
 		rep.harnessFail("%v", err)
 		return rep
 	}
@@ -235,14 +236,17 @@ func (p ReplicationPairReport) Lines() []string {
 // Run runs the replication profile's crash schedule for seed twice — at
 // cfg.Factor and at factor 1 with the identical victim count — and
 // asserts the discriminating outcome the harness is checked in for.
-func (cfg ReplicationConfig) Run(seed int64) ReplicationPairReport {
+func (cfg ReplicationConfig) Run(seed int64) ReplicationPairReport { return cfg.run(seed, core.Config{}) }
+
+// run is Run on peers configured as peer (runSchedule's seam).
+func (cfg ReplicationConfig) run(seed int64, peer core.Config) ReplicationPairReport {
 	cfg.fill()
 	crashes := crashesFor(cfg.Factor) // same victims despite the factor drop
 	base := cfg
 	base.Factor = 1
 	pair := ReplicationPairReport{
-		Replicated: runReplication(seed, cfg, crashes),
-		Baseline:   runReplication(seed, base, crashes),
+		Replicated: runReplication(seed, cfg, crashes, peer),
+		Baseline:   runReplication(seed, base, crashes, peer),
 	}
 	pair.Seed, pair.Telemetry = seed, pair.Replicated.Telemetry
 	if pair.Replicated.Failed() {

@@ -87,12 +87,19 @@ type runner struct {
 // at drop rate zero, checks every network invariant, and issues
 // oracle-verified queries. The run stops at the first violating
 // checkpoint.
-func RunSchedule(cfg Config, seed int64, sched Schedule) (rep Report) {
+func RunSchedule(cfg Config, seed int64, sched Schedule) Report {
+	return runSchedule(cfg, seed, sched, core.Config{})
+}
+
+// runSchedule is RunSchedule on peers configured as peer but for the
+// replication factor: a test's seam to the individual-indexing mode.
+func runSchedule(cfg Config, seed int64, sched Schedule, peer core.Config) (rep Report) {
 	cfg.fill()
 	rep = Report{Outcome: Outcome{Seed: seed}, Profile: cfg.Profile, Schedule: sched.String()}
 	w := newWorld()
 	defer w.snapshot(&rep.Outcome)
-	if err := w.build(seed, cfg.Nodes, cfg.Replication, sched.Spec); err != nil {
+	peer.ReplicationFactor = cfg.Replication
+	if err := w.build(seed, cfg.Nodes, peer, sched.Spec); err != nil {
 		rep.harnessFail("%v", err)
 		return rep
 	}
@@ -228,14 +235,10 @@ func newWorld() *world {
 	}
 }
 
-// build constructs a network of nodes peers, each bucket and repository
-// kept in factor copies, and generates spec's workload.
-func (w *world) build(seed int64, nodes, factor int, spec workload.PaperSpec) error {
-	nw, err := core.BuildNetwork(core.NetworkConfig{
-		Nodes: nodes,
-		Seed:  seed,
-		Peer:  core.Config{ReplicationFactor: factor},
-	})
+// build constructs a network of nodes peers configured as peer, and
+// generates spec's workload.
+func (w *world) build(seed int64, nodes int, peer core.Config, spec workload.PaperSpec) error {
+	nw, err := core.BuildNetwork(core.NetworkConfig{Nodes: nodes, Seed: seed, Peer: peer})
 	if err != nil {
 		return fmt.Errorf("build: %w", err)
 	}

@@ -130,7 +130,7 @@ func (n *Node) lookupVia(key ids.ID) (LookupResult, NodeRef, error) {
 			// key, so no closestPreceding answer ever says Done.
 			prev := cur
 			for _, s := range succs {
-				if ids.BetweenRightIncl(key, prev.ID, s.ID) {
+				if ids.BetweenRightIncl(&key, &prev.ID, &s.ID) {
 					return LookupResult{Node: s, Hops: hops}, cur, nil
 				}
 				prev = s
@@ -256,10 +256,10 @@ func (n *Node) detour(key ids.ID, dead map[transport.Addr]bool) (NodeRef, error)
 		if dead[c.Addr] || c.Equal(n.self) {
 			continue
 		}
-		if !ids.Between(c.ID, n.self.ID, key) {
+		if !ids.Between(&c.ID, &n.self.ID, &key) {
 			continue
 		}
-		if best.IsZero() || ids.Between(best.ID, n.self.ID, c.ID) {
+		if best.IsZero() || ids.Between(&best.ID, &n.self.ID, &c.ID) {
 			// c is closer to key than best (best precedes c).
 			best = c
 		}

@@ -214,7 +214,7 @@ func (n *Node) owns(key ids.ID) bool {
 	if n.pred.IsZero() {
 		return key == n.self.ID || n.successors[0].Equal(n.self) // single-node ring owns all
 	}
-	return ids.BetweenRightIncl(key, n.pred.ID, n.self.ID)
+	return ids.BetweenRightIncl(&key, &n.pred.ID, &n.self.ID)
 }
 
 // handleRPC dispatches inbound protocol messages.
@@ -299,11 +299,11 @@ func (n *Node) closestPreceding(key ids.ID) (closestPrecedingResp, int) {
 	// around a dead predecessor can land the lookup directly on the
 	// owner — which must then claim the key instead of handing back a
 	// finger that precedes it (circling the ring past the key forever).
-	if !n.pred.IsZero() && ids.BetweenRightIncl(key, n.pred.ID, n.self.ID) {
+	if !n.pred.IsZero() && ids.BetweenRightIncl(&key, &n.pred.ID, &n.self.ID) {
 		return closestPrecedingResp{Node: n.self, Done: true}, slotSelfDone
 	}
 	succ := &n.successors[0]
-	if ids.BetweenRightIncl(key, n.self.ID, succ.ID) {
+	if ids.BetweenRightIncl(&key, &n.self.ID, &succ.ID) {
 		return closestPrecedingResp{Node: *succ, Done: true}, slotSuccDone
 	}
 	// Scan fingers from the top for the closest node in (self, key): the
@@ -311,13 +311,13 @@ func (n *Node) closestPreceding(key ids.ID) (closestPrecedingResp, int) {
 	// read in place; only the answer is copied.
 	runs := n.fingers.ref
 	for j := len(runs) - 1; j >= 0; j-- {
-		if f := &runs[j]; !f.IsZero() && ids.Between(f.ID, n.self.ID, key) {
+		if f := &runs[j]; !f.IsZero() && ids.Between(&f.ID, &n.self.ID, &key) {
 			return closestPrecedingResp{Node: *f}, slotFinger + j
 		}
 	}
 	// Successor list as a fallback routing table.
 	for i := len(n.successors) - 1; i >= 0; i-- {
-		if s := &n.successors[i]; ids.Between(s.ID, n.self.ID, key) {
+		if s := &n.successors[i]; ids.Between(&s.ID, &n.self.ID, &key) {
 			return closestPrecedingResp{Node: *s}, slotFinger + len(runs) + i
 		}
 	}
@@ -331,7 +331,7 @@ func (n *Node) notify(cand NodeRef) {
 	}
 	n.lock()
 	old := n.pred
-	accept := old.IsZero() || ids.Between(cand.ID, old.ID, n.self.ID)
+	accept := old.IsZero() || ids.Between(&cand.ID, &old.ID, &n.self.ID)
 	if accept {
 		n.pred = cand
 	}

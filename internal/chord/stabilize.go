@@ -106,7 +106,7 @@ func (n *Node) Stabilize() error {
 	// and ends at the first link that does not answer.
 	for step := 0; step < ids.Bits; step++ {
 		p := state.Pred
-		if p.IsZero() || !ids.Between(p.ID, n.self.ID, succ.ID) {
+		if p.IsZero() || !ids.Between(&p.ID, &n.self.ID, &succ.ID) {
 			break
 		}
 		resp, err := n.call(p, getStateReq{})
@@ -155,7 +155,7 @@ func (n *Node) Stabilize() error {
 	// predecessor before we came. A node without one takes it as its first
 	// candidate, so that the next joiner's walk passes through this node
 	// and not around it (CheckPredecessor drops it if it is dead).
-	if p := state.Pred; !p.IsZero() && !ids.Between(p.ID, n.self.ID, succ.ID) && n.Predecessor().IsZero() {
+	if p := state.Pred; !p.IsZero() && !ids.Between(&p.ID, &n.self.ID, &succ.ID) && n.Predecessor().IsZero() {
 		n.notify(p)
 	}
 	if !succ.Equal(n.self) {

@@ -204,50 +204,79 @@ func TestArrivalStillPartitions(t *testing.T) {
 // TestLateArrivalDoesNotPromoteUnownedReplicaCopy: a late arrival that
 // reaches a gateway's mirror, which holds the object only as a copy of a
 // bucket it does not own, is stitched against that copy and promotes
-// nothing. Promotion belongs to ownership (promote's Owns gate, the
-// ring-change sweep): a write path that promoted on the side would let a
-// mirror serving while the owner is merely unreachable take its records.
+// nothing, in a prefix bucket as in the individual one. Promotion
+// belongs to ownership (promote's Owns gate, the ring-change sweep): a
+// write path that promoted on the side would let a mirror serving while
+// the owner is merely unreachable take its records, and one that did not
+// see the copy would write a first sighting with no Prev and no link.
 func TestLateArrivalDoesNotPromoteUnownedReplicaCopy(t *testing.T) {
-	nw := buildNet(t, 8, Config{Mode: IndividualIndexing, ReplicationFactor: 2})
-	obj := moods.ObjectID("pallet")
-	id := obj.Hash()
-	res, err := nw.Peers()[0].Node().Lookup(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, _ := nw.PeerByName(moods.NodeName(res.Node.Addr))
-	m := mirrorOf(nw, gw)
-	ps := othersThan(nw, 2, gw, m)
-	a, late := ps[0], ps[1]
-	if err := a.Observe(moods.Observation{Object: obj, At: 10 * time.Second}); err != nil {
-		t.Fatal(err)
-	}
-	head, _ := gw.gw.lookup(individualKey, id)
-	if copied, ok := m.replica.lookup(individualKey, id); !ok || copied != head || m.chord.Owns(id) {
-		t.Fatalf("setup: the mirror holds %+v (%v), the owner %+v; the mirror owns the id: %v", copied, ok, head, m.chord.Owns(id))
-	}
-	if _, ok := m.gw.lookup(individualKey, id); ok {
-		t.Fatal("setup: the mirror already holds a primary record")
-	}
+	for _, mode := range []struct {
+		mode Mode
+		name string
+	}{{IndividualIndexing, "individual"}, {GroupIndexing, "group"}} {
+		t.Run(mode.name, func(t *testing.T) {
+			nw := buildNet(t, 8, Config{Mode: mode.mode, ReplicationFactor: 2})
+			obj := moods.ObjectID("pallet")
+			id := obj.Hash()
+			gw, key := gatewayOf(nw, obj)
+			m := mirrorOf(nw, gw)
+			ps := othersThan(nw, 2, gw, m)
+			a, late := ps[0], ps[1]
+			observeAndFlush(t, a, obj, 10*time.Second)
+			head, _ := gw.gw.lookup(key, id)
+			if copied, ok := m.replica.lookup(key, id); !ok || copied != head || m.chord.Owns(placedAt(key, id)) {
+				t.Fatalf("setup: the mirror holds %+v (%v), the owner %+v; the mirror owns the bucket: %v", copied, ok, head, m.chord.Owns(placedAt(key, id)))
+			}
+			if _, ok := m.gw.lookup(key, id); ok {
+				t.Fatal("setup: the mirror already holds a primary record")
+			}
 
-	late.repo.record(obj, 5*time.Second)
-	if _, err := m.handleRPC(late.Addr(), arriveReq{Event: ObjEvent{Object: obj, Arrived: 5 * time.Second}, Node: late.Name()}); err != nil {
+			late.repo.record(obj, 5*time.Second)
+			req := groupArriveReq{Key: key, Events: []ObjEvent{{Object: obj, Arrived: 5 * time.Second}}, Node: late.Name(), At: 5 * time.Second}
+			if _, err := m.handleRPC(late.Addr(), req); err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := m.gw.lookup(key, id); ok {
+				t.Errorf("the late arrival wrote the mirror's primary store: %+v", e)
+			}
+			if copied, _ := m.replica.lookup(key, id); copied != head {
+				t.Errorf("the copy is %+v after the late arrival, want %+v", copied, head)
+			}
+			if now, _ := gw.gw.lookup(key, id); now != head {
+				t.Errorf("the owner's head is %+v after the late arrival, want %+v", now, head)
+			}
+			// Stitched in front of the head the copy names.
+			if vs, _ := late.repo.get(obj); len(vs) != 1 || vs[0].To != a.Name() {
+				t.Errorf("the late visit is %+v, want it linked on to %s", vs, a.Name())
+			}
+			if vs, _ := a.repo.get(obj); len(vs) != 1 || vs[0].From != late.Name() {
+				t.Errorf("the head's visit is %+v, want it linked from %s", vs, late.Name())
+			}
+		})
+	}
+}
+
+// TestIndividualArrivalWaitsForItsGateway: under individual indexing an
+// arrival whose gateway is down stays in the window, as a group does,
+// and is indexed by the first flush after the gateway is back.
+func TestIndividualArrivalWaitsForItsGateway(t *testing.T) {
+	nw := buildNet(t, 8, Config{Mode: IndividualIndexing})
+	obj := moods.ObjectID("pallet")
+	gw, _ := gatewayOf(nw, obj)
+	ps := othersThan(nw, 2, gw)
+	reporter, asker := ps[0], ps[1]
+	nw.Transport.Kill(gw.Addr())
+	if err := reporter.Observe(moods.Observation{Object: obj, At: time.Second}); err == nil {
+		t.Error("Observe reported no error with the gateway down")
+	}
+	if n := reporter.Buffered(); n != 1 {
+		t.Fatalf("%d events buffered after the failed arrival, want 1", n)
+	}
+	nw.Transport.Revive(gw.Addr())
+	if err := reporter.FlushWindow(); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := m.gw.lookup(individualKey, id); ok {
-		t.Errorf("the late arrival promoted the copy: the mirror's primary store holds %+v", e)
-	}
-	if copied, _ := m.replica.lookup(individualKey, id); copied != head {
-		t.Errorf("the copy is %+v after the late arrival, want %+v", copied, head)
-	}
-	if now, _ := gw.gw.lookup(individualKey, id); now != head {
-		t.Errorf("the owner's head is %+v after the late arrival, want %+v", now, head)
-	}
-	// Stitched in front of the head the copy names.
-	if vs, _ := late.repo.get(obj); len(vs) != 1 || vs[0].To != a.Name() {
-		t.Errorf("the late visit is %+v, want it linked on to %s", vs, a.Name())
-	}
-	if vs, _ := a.repo.get(obj); len(vs) != 1 || vs[0].From != late.Name() {
-		t.Errorf("the head's visit is %+v, want it linked from %s", vs, late.Name())
+	if res, err := asker.Locate(obj, time.Hour); err != nil || res.Node != reporter.Name() {
+		t.Errorf("Locate = %+v, %v; want %s", res, err, reporter.Name())
 	}
 }

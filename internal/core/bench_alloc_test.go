@@ -238,6 +238,38 @@ func TestFlushWindowAllocs(t *testing.T) {
 	}
 }
 
+// TestGroupArrivalAllocs pins what one factor-2 group arrival costs its
+// gateway: four known objects re-sighted where they are, the index update
+// and its mirror push. The partition keeps for advance only the heads it
+// found in replica copies, none here, so the head rule costs nothing: 10
+// allocations.
+func TestGroupArrivalAllocs(t *testing.T) {
+	nw := buildNet(t, 8, Config{Mode: GroupIndexing, ReplicationFactor: 2})
+	objs := sameGroup(nw.lp(), 4, "case")
+	gw, key := gatewayOf(nw, objs[0])
+	reporter := othersThan(nw, 1, gw)[0]
+	req := groupArriveReq{Key: key, Node: reporter.Name()}
+	for _, obj := range objs {
+		observeAndFlush(t, reporter, obj, time.Second)
+		req.Events = append(req.Events, ObjEvent{Object: obj, id: obj.Hash()})
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as TestFlushWindowAllocs
+	at := time.Second
+	allocs := testing.AllocsPerRun(200, func() {
+		at += time.Second
+		for i := range req.Events {
+			req.Events[i].Arrived = at
+		}
+		req.At = at
+		if d := gw.gatewayGroupArrive(req); len(d) > 0 {
+			t.Fatalf("deferred %v", d)
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("a factor-2 group arrival allocates %.2f times, want ≤ 10", allocs)
+	}
+}
+
 // nodeNames are the names BuildNetwork gives the peers of an n-node network.
 func nodeNames(n int) []moods.NodeName {
 	names := make([]moods.NodeName, n)

@@ -307,9 +307,10 @@ const (
 // becomes the head, its Prev the old head's node when the object moved
 // and the old head's Prev when it did not; an earlier one leaves the
 // head alone (the caller splices it into the list: stitchInsert). When
-// the bucket holds no record, fallback — the individual path's
-// replica-derived head, nil when there is none — is the head seen.
-// The bucket and the record's slot are looked up once.
+// the bucket holds no record, fallback — the head the arrival's lookup
+// found in a replica copy, nil when there is none — is the head seen, in
+// every bucket alike. The bucket and the record's slot are looked up
+// once.
 func (g *gatewayStore) advance(key ids.PrefixKey, e IndexEntry, fallback *IndexEntry) (IndexEntry, headMove) {
 	rec := g.slabEntry(e)
 	var fb slabEntry

@@ -20,9 +20,9 @@ func (s spyNet) Call(from, to transport.Addr, req any) (any, error) {
 	return s.Network.Call(from, to, req)
 }
 
-// TestEventsCarryTheirHash: every event FlushWindow groups and every
-// event indexIndividually reports carries Object.Hash(), so the gateway
-// it reaches in memory does not hash the object again.
+// TestEventsCarryTheirHash: every event FlushWindow sends, in a group
+// or alone, carries Object.Hash(), so the gateway it reaches in memory
+// does not hash the object again.
 func TestEventsCarryTheirHash(t *testing.T) {
 	obss := tiedWorkload(t, 8)
 	for _, mode := range []Mode{GroupIndexing, IndividualIndexing} {
@@ -36,13 +36,10 @@ func TestEventsCarryTheirHash(t *testing.T) {
 		}
 		for _, p := range nw.Peers() {
 			p.net = spyNet{Network: p.net, see: func(_ transport.Addr, req any) {
-				switch r := req.(type) {
-				case groupArriveReq:
+				if r, ok := req.(groupArriveReq); ok {
 					for _, ev := range r.Events {
 						check(ev)
 					}
-				case arriveReq:
-					check(r.Event)
 				}
 			}}
 		}

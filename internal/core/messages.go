@@ -38,19 +38,6 @@ func sizeOfEvents(evs []ObjEvent) int {
 	return n
 }
 
-// arriveReq is the individual-indexing message M1 (Section III): node
-// Node reports that Object arrived at time Arrived, asking the gateway
-// to update the index and stitch the IOP links.
-type arriveReq struct {
-	Event ObjEvent
-	Node  moods.NodeName
-}
-
-func (r arriveReq) WireSize() int { return len(r.Event.Object) + len(r.Node) + 8 }
-
-// arriveResp acknowledges M1.
-type arriveResp struct{}
-
 // keyWireSize is the on-wire cost of a packed prefix-group key: prefix
 // bits and length travel in one 8-byte word (ids.PrefixKey) instead of
 // a binary character string.
@@ -58,7 +45,8 @@ const keyWireSize = 8
 
 // groupArriveReq is the group-indexing message (Section IV-A2), format
 // (group id, (objects), timestamp): all objects of one prefix group that
-// arrived at Node within one capture window.
+// arrived at Node within one capture window. Individual indexing's M1
+// (Section III) is this message with one event, keyed individualKey.
 type groupArriveReq struct {
 	Key    ids.PrefixKey // packed group prefix, the group id
 	Events []ObjEvent
@@ -203,9 +191,7 @@ func (r iopGetResp) WireSize() int { return 1 + len(r.Visits)*32 }
 // in declaration order, element encoders (ObjEvent, IOPLink, IndexEntry,
 // VisitRecord, RepoObject, …) beside the element type.
 func init() {
-	// messages.go
-	transport.RegisterLayout(0x0200, readArriveReq)
-	transport.RegisterLayout(0x0201, transport.ReadEmpty[arriveResp])
+	// messages.go (0x0200–0x0201, individual indexing's own M1, retired)
 	transport.RegisterLayout(0x0202, readGroupArriveReq)
 	transport.RegisterLayout(0x0203, readGroupArriveResp)
 	transport.RegisterLayout(0x0204, readIOPSetToReq)
@@ -267,16 +253,6 @@ func appendIDs(b []byte, s []ids.ID) []byte { return transport.AppendSlice(b, s,
 func readIDs(r *transport.Reader) []ids.ID {
 	return transport.ReadSlice(r, ids.Bytes, (*transport.Reader).ID)
 }
-
-func (m arriveReq) AppendWire(b []byte) []byte {
-	return transport.AppendString(appendEvent(b, m.Event), m.Node)
-}
-
-func readArriveReq(r *transport.Reader) arriveReq {
-	return arriveReq{Event: readEvent(r), Node: moods.NodeName(r.String())}
-}
-
-func (arriveResp) AppendWire(b []byte) []byte { return b }
 
 func (m groupArriveReq) AppendWire(b []byte) []byte {
 	b = transport.AppendInt(b, m.Key)

@@ -227,22 +227,16 @@ func (p *Peer) IndexedEntries() int { return p.gw.totalEntries() }
 // repository.
 func (p *Peer) LocalVisits() int { return p.repo.len() }
 
-// Observe ingests one cleansed capture event at this node. In
-// individual mode it indexes immediately; in group mode it buffers into
-// the current window, flushing when NMax is reached. The caller (or a
-// timer) must call FlushWindow to close time-bounded windows.
+// Observe ingests one cleansed capture event at this node into the
+// current window, flushing when NMax is reached, or at once in individual
+// mode (its M1 is a group of one). The caller (or a timer) must call
+// FlushWindow to close time-bounded windows.
 func (p *Peer) Observe(obs moods.Observation) error {
 	obs.Node = p.Name()
 	p.repo.record(obs.Object, obs.At)
-	if p.cfg.Mode == IndividualIndexing {
-		// No window to batch into: mirror the repository change with the
-		// same per-arrival granularity the indexing itself has.
-		p.flushRepoMirror()
-		return p.indexIndividually(obs)
-	}
 	p.mu.Lock()
 	p.window = append(p.window, obs)
-	full := len(p.window) >= p.cfg.NMax
+	full := len(p.window) >= p.cfg.NMax || p.cfg.Mode == IndividualIndexing
 	p.mu.Unlock()
 	p.tel.buffered.Add(1)
 	if full {
@@ -260,7 +254,8 @@ func (p *Peer) Buffered() int {
 
 // FlushWindow closes the current capture window: observations are
 // grouped by the Lp-bit prefix of their hashed ids and one indexing
-// message is sent to each group's gateway.
+// message is sent to each group's gateway. Under individual indexing
+// each is a group of one, sent to the owner of the object's own id.
 func (p *Peer) FlushWindow() error {
 	p.mu.Lock()
 	batch := p.window
@@ -289,7 +284,7 @@ func (p *Peer) FlushWindow() error {
 	order := make([]keyedEvent, len(batch))
 	for i, obs := range batch {
 		id := obs.Object.Hash()
-		order[i] = keyedEvent{key: ids.KeyOf(id, lp), id: id, pos: int32(i)}
+		order[i] = keyedEvent{key: p.keyOf(id, lp), id: id, pos: int32(i)}
 	}
 	slices.SortFunc(order, func(a, b keyedEvent) int {
 		if a.key != b.key {
@@ -309,29 +304,16 @@ func (p *Peer) FlushWindow() error {
 	for lo := 0; lo < len(all); {
 		key := order[lo].key
 		hi := lo + 1
-		for hi < len(all) && order[hi].key == key {
+		for key != individualKey && hi < len(all) && order[hi].key == key {
 			hi++
 		}
 		events := all[lo:hi:hi]
 		lo = hi
 		groups++
-		gwAddr, err := p.resolveGateway(key)
+		gwAddr, _, err := p.resolve(key, events[0].id)
+		var resp any
 		if err == nil {
-			req := groupArriveReq{Key: key, Events: events, Node: p.Name(), At: p.clock()}
-			var resp any
-			resp, err = p.call(gwAddr, req)
-			if err == nil {
-				// Late events whose IOP stitch hit an unreachable chain
-				// segment come back deferred: re-buffer them so the next
-				// flush retries once the fault heals.
-				if gr, ok := resp.(groupArriveResp); ok {
-					for _, ev := range gr.Deferred {
-						failed = append(failed, moods.Observation{
-							Object: ev.Object, Node: p.Name(), At: ev.Arrived,
-						})
-					}
-				}
-			}
+			resp, err = p.call(gwAddr, groupArriveReq{Key: key, Events: events, Node: p.Name(), At: p.clock()})
 			if err != nil {
 				err = fmt.Errorf("core: group index %q at %s: %w", key, gwAddr, err)
 				// The resolution may be stale (churn); retry fresh next
@@ -339,17 +321,18 @@ func (p *Peer) FlushWindow() error {
 				p.gwCache.remove(key)
 			}
 		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			// Re-buffer the group so the next flush retries it — an
-			// unreachable gateway must not lose capture events.
-			for _, ev := range events {
-				failed = append(failed, moods.Observation{
-					Object: ev.Object, Node: p.Name(), At: ev.Arrived,
-				})
-			}
+		// Re-buffer what the next flush must retry: the whole group if its
+		// gateway is unreachable (no capture event may be lost), or the late
+		// events whose stitch hit an unreachable chain segment (deferred).
+		retry := events
+		if err == nil {
+			gr, _ := resp.(groupArriveResp)
+			retry = gr.Deferred
+		} else if firstErr == nil {
+			firstErr = err
+		}
+		for _, ev := range retry {
+			failed = append(failed, moods.Observation{Object: ev.Object, Node: p.Name(), At: ev.Arrived})
 		}
 	}
 	if len(failed) > 0 {
@@ -381,20 +364,37 @@ func (p *Peer) recycleWindow(batch []moods.Observation) {
 	p.mu.Unlock()
 }
 
-// indexIndividually runs the Section III protocol for one arrival: DHT
-// lookup of the object's own hashed id, then message M1 to the gateway
-// (which emits M2/M3).
-func (p *Peer) indexIndividually(obs moods.Observation) error {
-	id := obs.Object.Hash()
+// keyOf is the bucket the index record of the object hashed to id
+// lives in: its Lp-bit prefix group, or the individual bucket.
+func (p *Peer) keyOf(id ids.ID, lp int) ids.PrefixKey {
+	if p.cfg.Mode == IndividualIndexing {
+		return individualKey
+	}
+	return ids.KeyOf(id, lp)
+}
+
+// placedAt is the ring key the bucket keyed key is placed by: the
+// prefix's gateway id, or in the individual bucket the object's own id.
+func placedAt(key ids.PrefixKey, id ids.ID) ids.ID {
+	if key == individualKey {
+		return id
+	}
+	return key.GatewayID()
+}
+
+// resolve finds the node holding the record of id in the bucket keyed
+// key, and the overlay hops that took: a prefix group's gateway through
+// the cache, at no hop, or the owner of the object's own id.
+func (p *Peer) resolve(key ids.PrefixKey, id ids.ID) (transport.Addr, int, error) {
+	if key != individualKey {
+		addr, err := p.resolveGateway(key)
+		return addr, 0, err
+	}
 	res, err := p.chord.Lookup(id)
 	if err != nil {
-		return fmt.Errorf("core: locate gateway for %s: %w", obs.Object, err)
+		return "", 0, fmt.Errorf("core: locate gateway for %s: %w", id.Short(), err)
 	}
-	req := arriveReq{Event: ObjEvent{Object: obs.Object, Arrived: obs.At, id: id}, Node: p.Name()}
-	if _, err := p.call(res.Node.Addr, req); err != nil {
-		return fmt.Errorf("core: index %s at %s: %w", obs.Object, res.Node.Addr, err)
-	}
-	return nil
+	return res.Node.Addr, res.Hops, nil
 }
 
 // resolveGateway finds the address of a prefix group's gateway node,
@@ -431,9 +431,6 @@ func (p *Peer) call(to transport.Addr, req any) (any, error) {
 // handleRPC serves the traceability protocol.
 func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 	switch r := req.(type) {
-	case arriveReq:
-		p.gatewayArrive(r)
-		return arriveResp{}, nil
 	case groupArriveReq:
 		return groupArriveResp{Deferred: p.gatewayGroupArrive(r)}, nil
 	case iopSetToReq:
@@ -516,30 +513,6 @@ func (p *Peer) handleRPC(from transport.Addr, req any) (any, error) {
 			return resp, nil
 		}
 		return nil, fmt.Errorf("core: unknown request %T", req)
-	}
-}
-
-// gatewayArrive processes M1 for one object (individual indexing).
-func (p *Peer) gatewayArrive(r arriveReq) {
-	id := r.Event.hash()
-	var fallback *IndexEntry
-	if e, ok := p.lookupWithReplica(individualKey, id); ok {
-		fallback = &e
-	}
-	prev, move := p.gw.advance(individualKey, IndexEntry{
-		Object: r.Event.Object, ID: id, Latest: r.Node,
-		Arrived: r.Event.Arrived, Indexed: p.clock(),
-	}, fallback)
-	if move == headLate {
-		// The indexed state is newer than this event. Individual indexing
-		// has no window to re-buffer into, so a deferred stitch is
-		// best-effort (retried only if re-reported).
-		p.stitchInsert(r.Event.Object, r.Node, prev, individualKey, r.Event.Arrived)
-		return
-	}
-	p.mirrorIndex(individualKey, true)
-	if move == headMoved {
-		p.link(r.Event.Object, prev.Latest, r.Node, r.Event.Arrived)
 	}
 }
 
@@ -636,13 +609,11 @@ func (p *Peer) stitchInsert(obj moods.ObjectID, nd moods.NodeName, head IndexEnt
 // the paper's Fig. 5 Index algorithm: update locally known records,
 // refresh the rest from ascents and descents, update the index, stitch
 // IOP links in per-source batches, then delegate if the bucket
-// overflowed.
+// overflowed. Individual indexing's M1 is this message with one event,
+// keyed individualKey: a bucket with no levels to refresh or delegate to.
 // It returns the late events whose IOP stitching had to be deferred on
 // an unreachable chain segment; the reporting node re-buffers them.
 func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
-	if r.Key == individualKey {
-		return nil
-	}
 	now := p.clock()
 	sp := p.tel.tracer.StartPrefix(telemetry.OpIndex, r.Key)
 	var idBuf [32]ids.ID
@@ -657,21 +628,26 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	// (ascent), Lp has been longer, or this bucket delegated (descent).
 	// The historical-Lp guard is the paper's "while there exists
 	// gateway node for prefix p′" condition. With mirrors the partition
-	// also promotes replica copies. A pinned, unmirrored gateway whose
-	// bucket never delegated has nowhere else to look: advance below
-	// tells the unknown events apart, and the same steps are recorded
-	// after it.
+	// also promotes replica copies, and keeps for advance the heads found
+	// only in copies (a mirror not owning the bucket). A pinned, unmirrored
+	// gateway whose bucket never delegated has nowhere else to look:
+	// advance below tells the unknown events apart, and the same steps
+	// are recorded after it.
 	lo, hi := p.pm.LpRange()
 	partition := p.mirrors() > 0 || lo != r.Key.Len() || hi != r.Key.Len() || p.gw.delegatedFlag(r.Key)
+	var copies []IndexEntry
 	if partition {
 		var missing []ids.ID
 		for _, id := range evIDs {
-			if _, ok := p.lookupWithReplica(r.Key, id); !ok {
+			e, ok, copied := p.lookupWithReplica(r.Key, id)
+			if copied {
+				copies = append(copies, e)
+			} else if !ok {
 				missing = append(missing, id)
 			}
 		}
 		sp.Step(string(p.chord.Addr()), noteArrive).Int(len(r.Events)).Str(string(r.Node)).Int(len(missing))
-		if len(missing) > 0 {
+		if len(missing) > 0 && r.Key != individualKey {
 			unknown := len(missing)
 			if lo < r.Key.Len() {
 				missing = p.refreshFromAscent(r.Key, missing)
@@ -691,9 +667,15 @@ func (p *Peer) gatewayGroupArrive(r groupArriveReq) []ObjEvent {
 	unknown := unknownBuf[:0] // without the partition: the events it would have found missing
 	for i, ev := range r.Events {
 		id := evIDs[i]
+		var fallback *IndexEntry
+		for j := range copies {
+			if copies[j].ID == id {
+				fallback = &copies[j]
+			}
+		}
 		prev, move := p.gw.advance(r.Key, IndexEntry{
 			Object: ev.Object, ID: id, Latest: r.Node, Arrived: ev.Arrived, Indexed: now,
-		}, nil)
+		}, fallback)
 		// An object reported twice in one message is unknown both times, as
 		// in the partition: the repeat meets the head its first sighting
 		// here wrote, which nothing but this loop can have written.

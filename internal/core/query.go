@@ -48,21 +48,23 @@ var errBrokenChain = errors.New("core: broken IOP chain")
 func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntry, int, error) {
 	id := obj.Hash()
 	hops := 0
+	lp := p.pm.Lp()
+	key := p.keyOf(id, lp)
 
-	if p.cfg.Mode == IndividualIndexing {
-		res, err := p.chord.Lookup(id)
+	if key == individualKey {
+		// One bucket, at the owner of the object's own id. Unlike
+		// queryGateway, the lookup is a step and a failed query no hop.
+		gwAddr, h, err := p.resolve(key, id)
 		var resp any
-		if err != nil {
-			err = fmt.Errorf("core: find gateway: %w", err)
-		} else {
-			hops += res.Hops
-			sp.Step(string(res.Node.Addr), noteOverlayLookup).Int(res.Hops)
-			resp, err = p.call(res.Node.Addr, queryIndexReq{Key: individualKey, Objects: []ids.ID{id}})
+		if err == nil {
+			hops += h
+			sp.Step(string(gwAddr), noteOverlayLookup).Int(h)
+			resp, err = p.call(gwAddr, queryIndexReq{Key: key, Objects: []ids.ID{id}})
 		}
 		if err != nil {
 			// Gateway unresolvable or unreachable: fall through to the
 			// next live replica of its individual bucket in ring order.
-			e, h, found, _ := p.replicaFallthrough(individualKey, id, id, res.Node.Addr)
+			e, h, found, _ := p.replicaFallthrough(key, id, gwAddr)
 			hops += h
 			if found {
 				sp.Step(string(p.chord.Addr()), noteReplicaObject).Str(string(obj))
@@ -70,7 +72,7 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 			}
 			return IndexEntry{}, hops, err
 		}
-		if res.Node.Addr != p.chord.Addr() {
+		if gwAddr != p.chord.Addr() {
 			hops++
 		}
 		qr := resp.(queryIndexResp)
@@ -80,8 +82,6 @@ func (p *Peer) findIndex(obj moods.ObjectID, sp *telemetry.Recording) (IndexEntr
 		return qr.Entries[0], hops, nil
 	}
 
-	lp := p.pm.Lp()
-	key := ids.KeyOf(id, lp)
 	entry, h, found, delegated := p.queryGateway(key, id, sp)
 	hops += h
 	if found {
@@ -177,7 +177,7 @@ func (p *Peer) queryGateway(key ids.PrefixKey, id ids.ID, sp *telemetry.Recordin
 		// gateway resolution can die with the primary (the lookup
 		// terminates at the crashed owner, and gwAddr stays empty); the
 		// replica set is still reachable through lookup provenance.
-		e, h, found, delegated := p.replicaFallthrough(key, key.GatewayID(), id, gwAddr)
+		e, h, found, delegated := p.replicaFallthrough(key, id, gwAddr)
 		hops += h
 		if found {
 			sp.Step(string(p.chord.Addr()), noteReplicaBucket).Prefix(key)

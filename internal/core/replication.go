@@ -606,14 +606,14 @@ func (p *Peer) queryStores(key ids.PrefixKey, objs []ids.ID, promote bool) ([]In
 }
 
 // lookupWithReplica is queryStores for one object on the write paths.
-func (p *Peer) lookupWithReplica(key ids.PrefixKey, id ids.ID) (IndexEntry, bool) {
+func (p *Peer) lookupWithReplica(key ids.PrefixKey, id ids.ID) (e IndexEntry, found, copied bool) {
 	if e, ok := p.gw.lookup(key, id); ok || p.mirrors() <= 0 {
-		return e, ok
+		return e, ok, false
 	}
 	if es, _ := p.queryStores(key, []ids.ID{id}, true); len(es) > 0 {
-		return es[0], true
+		return es[0], true, true
 	}
-	return IndexEntry{}, false
+	return IndexEntry{}, false, false
 }
 
 // promote copies replica records this node now owns into its primary
@@ -671,14 +671,12 @@ func (p *Peer) failoverRead(ringKey ids.ID, skip transport.Addr, req any, hit fu
 }
 
 // replicaFallthrough serves an index read whose owner is unreachable
-// from the next live replica. ringKey is the DHT key the bucket is
-// placed by (the prefix's gateway id, or the object's own hashed id
-// under individual indexing); failed is the owner address that did not
-// answer.
-func (p *Peer) replicaFallthrough(key ids.PrefixKey, ringKey ids.ID, id ids.ID, failed transport.Addr) (IndexEntry, int, bool, bool) {
+// from the next live replica of the bucket, placed where placedAt says;
+// failed is the owner address that did not answer.
+func (p *Peer) replicaFallthrough(key ids.PrefixKey, id ids.ID, failed transport.Addr) (IndexEntry, int, bool, bool) {
 	var e IndexEntry
 	delegated := false
-	hops, found := p.failoverRead(ringKey, failed, replicaQueryReq{Key: key, Objects: []ids.ID{id}}, func(resp any) bool {
+	hops, found := p.failoverRead(placedAt(key, id), failed, replicaQueryReq{Key: key, Objects: []ids.ID{id}}, func(resp any) bool {
 		qr := resp.(replicaQueryResp)
 		delegated = delegated || qr.Delegated
 		if len(qr.Entries) == 0 {

@@ -27,8 +27,9 @@ func mirrorOf(nw *Network, p *Peer) *Peer {
 // gatewayOf resolves the peer that is gateway for obj, and the bucket
 // key it files obj under.
 func gatewayOf(nw *Network, obj moods.ObjectID) (*Peer, ids.PrefixKey) {
-	key := ids.KeyOf(obj.Hash(), nw.lp())
-	addr, err := nw.Peers()[0].resolveGateway(key)
+	p, id := nw.Peers()[0], obj.Hash()
+	key := p.keyOf(id, nw.lp())
+	addr, _, err := p.resolve(key, id)
 	if err != nil {
 		panic(err)
 	}

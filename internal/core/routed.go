@@ -76,17 +76,10 @@ func readRoutedTraceResp(r *transport.Reader) routedTraceResp {
 // routing with the intermediate-node short-circuit. Compare with
 // FullTrace, which always consults the gateway via iterative lookup.
 func (p *Peer) TraceRouted(obj moods.ObjectID) (TraceResult, error) {
-	var key ids.ID
-	var bucket ids.PrefixKey
-	if p.cfg.Mode == IndividualIndexing {
-		key = obj.Hash()
-		bucket = individualKey
-	} else {
-		bucket = ids.KeyOf(obj.Hash(), p.pm.Lp())
-		key = bucket.GatewayID()
-	}
+	id := obj.Hash()
+	bucket := p.keyOf(id, p.pm.Lp())
 	resp, err := p.handleRoutedTrace(p.chord.Addr(), routedTraceReq{
-		Object: obj, Key: key, Bucket: bucket, TTL: 64,
+		Object: obj, Key: placedAt(bucket, id), Bucket: bucket, TTL: 64,
 	})
 	if err != nil {
 		return TraceResult{}, err
@@ -144,14 +137,12 @@ func (p *Peer) handleRoutedTrace(from transport.Addr, r routedTraceReq) (any, er
 
 // gatewayLocalFind resolves an object's index entry at its gateway:
 // local bucket first, then — if the bucket delegated — the Data
-// Triangle child chain along the object's bits.
+// Triangle child chain along the object's bits (the individual bucket
+// has none: descend stops at once).
 func (p *Peer) gatewayLocalFind(bucket ids.PrefixKey, obj moods.ObjectID) (IndexEntry, int, bool) {
 	id := obj.Hash()
 	if e, ok := p.gw.lookup(bucket, id); ok {
 		return e, 0, true
-	}
-	if bucket == individualKey {
-		return IndexEntry{}, 0, false // no triangle below
 	}
 	return p.descend(bucket, id, p.gw.delegatedFlag(bucket), nil)
 }

@@ -58,8 +58,6 @@ func wireEvents(n int) []ObjEvent {
 // wireSamples has one populated value per layout of this package, in
 // tag order.
 var wireSamples = []transport.Wire{
-	arriveReq{Event: ObjEvent{Object: wireObj, Arrived: time.Hour}, Node: wireN1},
-	arriveResp{},
 	groupArriveReq{Key: wireKey, Events: wireEvents(3), Node: wireN1, At: time.Hour},
 	groupArriveResp{Deferred: wireEvents(2)},
 	iopSetToReq{Objects: []moods.ObjectID{wireObj, wireObj2}, To: wireN2, At: time.Hour},
@@ -128,7 +126,7 @@ func TestWireRefusesKeyOutsideItsForm(t *testing.T) {
 	}
 }
 
-// Twenty-nine of the thirty-five declarations count every field; the
+// Twenty-eight of the thirty-four declarations count every field; the
 // rest charge a flat size per record or leave a field out.
 func TestWireDeclared(t *testing.T) {
 	const perVisit = "WireSize charges a flat 32 bytes per visit, the layout writes its three strings"

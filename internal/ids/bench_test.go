@@ -19,7 +19,7 @@ func BenchmarkBetween(b *testing.B) {
 	hi := HashString("hi")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Between(x, lo, hi)
+		Between(&x, &lo, &hi)
 	}
 }
 

@@ -17,8 +17,8 @@ func FuzzRingArithmetic(f *testing.F) {
 		if a == b {
 			return
 		}
-		inAB := Between(x, a, b)
-		inBA := Between(x, b, a)
+		inAB := Between(&x, &a, &b)
+		inBA := Between(&x, &b, &a)
 		onEnd := x == a || x == b
 		n := 0
 		for _, v := range []bool{inAB, inBA, onEnd} {

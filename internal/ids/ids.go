@@ -151,9 +151,9 @@ func Distance(id, other ID) ID {
 
 // Between reports whether x lies in the open ring interval (a, b). The
 // interval wraps: if a == b the interval is the whole ring minus {a}.
-func Between(x, a, b ID) bool { return between(&x, &a, &b) }
-
-func between(x, a, b *ID) bool {
+// The identifiers are passed by pointer: a routing step tests every
+// finger it scans, in place.
+func Between(x, a, b *ID) bool {
 	ca := cmp(a, b)
 	switch {
 	case ca < 0:
@@ -168,7 +168,7 @@ func between(x, a, b *ID) bool {
 // BetweenRightIncl reports whether x lies in the half-open ring interval
 // (a, b]. This is the Chord successor test: key k belongs to node n iff
 // k ∈ (predecessor(n), n].
-func BetweenRightIncl(x, a, b ID) bool { return x == b || between(&x, &a, &b) }
+func BetweenRightIncl(x, a, b *ID) bool { return *x == *b || Between(x, a, b) }
 
 // Bit returns bit i of the identifier, where bit 0 is the most
 // significant bit. Prefix-based grouping reads bits in this order.

@@ -70,11 +70,11 @@ func checkAgainstRef(t *testing.T, x, a, b ID) {
 		if got, want := p[0].Cmp(p[1]), refCmp(p[0], p[1]); got != want {
 			t.Fatalf("Cmp(%s, %s) = %d, want %d", p[0], p[1], got, want)
 		}
-		if got, want := Between(p[0], p[1], p[2]), refBetween(p[0], p[1], p[2]); got != want {
+		if got, want := Between(&p[0], &p[1], &p[2]), refBetween(p[0], p[1], p[2]); got != want {
 			t.Fatalf("Between(%s, %s, %s) = %v, want %v", p[0], p[1], p[2], got, want)
 		}
 		want := p[0] == p[2] || refBetween(p[0], p[1], p[2])
-		if got := BetweenRightIncl(p[0], p[1], p[2]); got != want {
+		if got := BetweenRightIncl(&p[0], &p[1], &p[2]); got != want {
 			t.Fatalf("BetweenRightIncl(%s, %s, %s) = %v, want %v", p[0], p[1], p[2], got, want)
 		}
 	}
@@ -156,8 +156,8 @@ func TestBetween(t *testing.T) {
 		{10, false}, {11, true}, {19, true}, {20, false}, {5, false}, {25, false},
 	}
 	for _, tc := range tests {
-		if got := Between(FromUint64(tc.x), a, b); got != tc.want {
-			t.Errorf("Between(%d, 10, 20) = %v", tc.x, got)
+		if x := FromUint64(tc.x); Between(&x, &a, &b) != tc.want {
+			t.Errorf("Between(%d, 10, 20) = %v", tc.x, !tc.want)
 		}
 	}
 	// wrapped interval (20, 10)
@@ -168,25 +168,25 @@ func TestBetween(t *testing.T) {
 		{25, true}, {5, true}, {15, false}, {20, false}, {10, false}, {0, true},
 	}
 	for _, tc := range wrapTests {
-		if got := Between(FromUint64(tc.x), b, a); got != tc.want {
-			t.Errorf("Between(%d, 20, 10) = %v", tc.x, got)
+		if x := FromUint64(tc.x); Between(&x, &b, &a) != tc.want {
+			t.Errorf("Between(%d, 20, 10) = %v", tc.x, !tc.want)
 		}
 	}
 	// degenerate interval (a, a) = whole ring minus a
-	if Between(a, a, a) {
+	if Between(&a, &a, &a) {
 		t.Error("Between(a, a, a) should be false")
 	}
-	if !Between(b, a, a) {
+	if !Between(&b, &a, &a) {
 		t.Error("Between(b, a, a) should be true")
 	}
 }
 
 func TestBetweenInclusive(t *testing.T) {
 	a, b := FromUint64(10), FromUint64(20)
-	if !BetweenRightIncl(b, a, b) {
+	if !BetweenRightIncl(&b, &a, &b) {
 		t.Error("(a,b] must contain b")
 	}
-	if BetweenRightIncl(a, a, b) {
+	if BetweenRightIncl(&a, &a, &b) {
 		t.Error("(a,b] must not contain a")
 	}
 }
@@ -257,8 +257,8 @@ func TestQuickBetweenPartition(t *testing.T) {
 		if A == B {
 			return true // degenerate handled elsewhere
 		}
-		inAB := Between(X, A, B)
-		inBA := Between(X, B, A)
+		inAB := Between(&X, &A, &B)
+		inBA := Between(&X, &B, &A)
 		onEnd := X == A || X == B
 		count := 0
 		for _, v := range []bool{inAB, inBA, onEnd} {

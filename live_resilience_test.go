@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"peertrack/internal/chord"
 	"peertrack/internal/moods"
 	"peertrack/internal/transport"
 )
@@ -63,6 +64,20 @@ func TestJoinerThatDiesAtOnceIsDeclaredDead(t *testing.T) {
 	}
 }
 
+// agentsKnowEachOther reports whether every node's gossip agent holds
+// every other node in its view or sampler.
+func agentsKnowEachOther(nodes []*Node) bool {
+	for _, n := range nodes {
+		samples := n.peer.Gossip().Samples()
+		for _, o := range nodes {
+			if o != n && !slices.ContainsFunc(samples, func(r chord.NodeRef) bool { return string(r.Addr) == o.Addr() }) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // A live ring with replication factor 2 and the resilient RPC layer
 // must survive a hard crash: gossip rounds (driven by the kernel pump,
 // not simulated time) declare the victim dead, chord repair routes
@@ -84,9 +99,19 @@ func TestLiveFailoverWithReplicas(t *testing.T) {
 		BreakerCooldown:   300 * time.Millisecond,
 	}
 	nodes := startFleet(t, 4, opts)
-	// Settled means the ring is closed. (Join's own gossip round has put
-	// every joiner in somebody's view: TestJoinerThatDiesAtOnceIsDeclaredDead.)
-	joinAndSettle(t, nodes, 5*time.Second)
+	// Settled means the ring is closed and every agent has every other
+	// node in its samples, within one 5 s deadline. A closed ring does
+	// not make every agent know every peer (Join's gossip round puts a
+	// joiner in somebody's view: TestJoinerThatDiesAtOnceIsDeclaredDead),
+	// and node 0, which gives the verdict below, can only judge a peer it
+	// has heard of.
+	const settle = 5 * time.Second
+	took, _ := joinAndSettle(t, nodes, settle)
+	for deadline := time.Now().Add(settle - took); !agentsKnowEachOther(nodes); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the agents do not know each other %v after the fleet started", settle)
+		}
+	}
 
 	// Each site observes a few objects; every put replicates its index
 	// record to the ring successor synchronously.

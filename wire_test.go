@@ -16,7 +16,7 @@ func TestNoRepoMessageTravelsByGob(t *testing.T) {
 	if len(carried) != 0 {
 		t.Errorf("registered types without a layout = %v, want none", carried)
 	}
-	if len(laidOut) != 49 {
-		t.Errorf("%d types have a layout, want 49 (chord 10, core 35, gossip 4): %v", len(laidOut), laidOut)
+	if len(laidOut) != 47 {
+		t.Errorf("%d types have a layout, want 47 (chord 10, core 33, gossip 4): %v", len(laidOut), laidOut)
 	}
 }
